@@ -1,18 +1,28 @@
 // Command psbench regenerates every table and figure of the PSGraph
 // paper's evaluation (Sec. V) on scaled-down synthetic workloads and
-// prints paper-reported values next to the measured ones.
+// prints paper-reported values next to the measured ones, and runs the
+// count-gated correctness experiments (chaos, failover, rebalance, serve,
+// cluster, masterha), each of which records BENCH_<exp>.json.
 //
 // Usage:
 //
-//	psbench [-scale small|medium] [-exp all|fig6|line|table1|table2|ablation|wire|server|dataflow|chaos|failover|ssp|rebalance|serve|cluster|masterha] [-wireout BENCH_ps_wire.json] [-serverout BENCH_ps_server.json] [-dataflowout BENCH_dataflow.json] [-chaosout BENCH_chaos.json] [-failoverout BENCH_failover.json] [-sspout BENCH_ssp.json] [-rebalanceout BENCH_rebalance.json] [-serveout BENCH_serve.json] [-clusterout BENCH_cluster.json] [-masterhaout BENCH_masterha.json] [-seed N]
+//	psbench [-scale small|medium] [-exp all|<experiment>] [-out DIR] [-seed N]
+//
+// Performance is measured by the repo benchmark (bench/run.sh), not here.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 
 	"psgraph/internal/bench"
@@ -48,28 +58,78 @@ func onSignal() {
 	}()
 }
 
+// env is what an experiment runs with.
+type env struct {
+	bench.Scale
+	out  string // directory the BENCH_<exp>.json reports are written to
+	seed int64  // chaos fault-schedule seed
+}
+
+type experiment struct {
+	name string
+	run  func(env) bool
+}
+
+// experiments lists every -exp value in the order -exp all runs them:
+// the paper's evaluation first, then the count-gated correctness runs.
+var experiments = []experiment{
+	{"fig6", runFig6},
+	{"line", runLine},
+	{"table1", runTable1},
+	{"table2", runTable2},
+	{"ablation", runAblation},
+	{"chaos", runChaos},
+	{"failover", runFailover},
+	{"rebalance", runRebalance},
+	{"serve", runServe},
+	{"cluster", runCluster},
+	{"masterha", runMasterHA},
+}
+
+func expNames() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, "|")
+}
+
 func main() {
 	log.SetFlags(0)
 	onSignal()
-	scaleName := flag.String("scale", "small", "dataset/resource scale preset (small|medium)")
-	exp := flag.String("exp", "all", "experiment to run (all|fig6|line|table1|table2|ablation|wire|server|dataflow|chaos|failover|ssp|rebalance|serve|cluster|masterha)")
-	wireOut := flag.String("wireout", "BENCH_ps_wire.json", "where -exp wire (or all) writes its JSON report")
-	serverOut := flag.String("serverout", "BENCH_ps_server.json", "where -exp server (or all) writes its JSON report")
-	dataflowOut := flag.String("dataflowout", "BENCH_dataflow.json", "where -exp dataflow (or all) writes its JSON report")
-	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "where -exp chaos (or all) writes its JSON report")
-	failoverOut := flag.String("failoverout", "BENCH_failover.json", "where -exp failover (or all) writes its JSON report")
-	sspOut := flag.String("sspout", "BENCH_ssp.json", "where -exp ssp (or all) writes its JSON report")
-	rebalanceOut := flag.String("rebalanceout", "BENCH_rebalance.json", "where -exp rebalance (or all) writes its JSON report")
-	serveOut := flag.String("serveout", "BENCH_serve.json", "where -exp serve (or all) writes its JSON report")
-	clusterOut := flag.String("clusterout", "BENCH_cluster.json", "where -exp cluster (or all) writes its JSON report")
-	masterhaOut := flag.String("masterhaout", "BENCH_masterha.json", "where -exp masterha (or all) writes its JSON report")
-	seed := flag.Int64("seed", 7, "chaos fault-schedule seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
+// run is main without the process exit: it parses args, runs the
+// selected experiments and returns the exit code.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleName := fs.String("scale", "small", "dataset/resource scale preset (small|medium)")
+	exp := fs.String("exp", "all", "experiment to run ("+expNames()+")")
+	out := fs.String("out", ".", "directory the BENCH_<exp>.json reports are written to")
+	seed := fs.Int64("seed", 7, "chaos fault-schedule seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	scale, err := bench.ScaleByName(*scaleName)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	selected := experiments
+	if *exp != "all" {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == *exp })
+		if i < 0 {
+			fmt.Fprintf(stderr, "unknown experiment %q (valid: %s)\n", *exp, expNames())
+			return 1
+		}
+		selected = experiments[i : i+1]
+	}
+
 	fmt.Printf("psbench: scale=%s  executors=%d servers=%d parts=%d\n",
 		scale.Name, scale.Executors, scale.Servers, scale.Parts)
 	fmt.Printf("         DS1'=2^%d vertices/%d edges  DS2'=2^%d/%d  DS3'=%d vertices\n",
@@ -77,46 +137,29 @@ func main() {
 	fmt.Printf("         executor memory: PSGraph %dMB, GraphX %dMB (paper: 20GB vs 55GB)\n\n",
 		scale.PSGraphExecMem>>20, scale.GraphXExecMem>>20)
 
-	ok := true
-	switch *exp {
-	case "all":
-		ok = runFig6(scale) && runLine(scale) && runTable1(scale) && runTable2(scale) && runAblation(scale) && runWire(scale, *wireOut) && runServer(scale, *serverOut) && runDataflow(scale, *dataflowOut) && runChaos(scale, *seed, *chaosOut) && runFailover(scale, *failoverOut) && runSSP(scale, *sspOut) && runRebalance(scale, *rebalanceOut) && runServe(scale, *serveOut) && runCluster(scale, *clusterOut) && runMasterHA(scale, *masterhaOut)
-	case "fig6":
-		ok = runFig6(scale)
-	case "line":
-		ok = runLine(scale)
-	case "table1":
-		ok = runTable1(scale)
-	case "table2":
-		ok = runTable2(scale)
-	case "ablation":
-		ok = runAblation(scale)
-	case "wire":
-		ok = runWire(scale, *wireOut)
-	case "server":
-		ok = runServer(scale, *serverOut)
-	case "dataflow":
-		ok = runDataflow(scale, *dataflowOut)
-	case "chaos":
-		ok = runChaos(scale, *seed, *chaosOut)
-	case "failover":
-		ok = runFailover(scale, *failoverOut)
-	case "ssp":
-		ok = runSSP(scale, *sspOut)
-	case "rebalance":
-		ok = runRebalance(scale, *rebalanceOut)
-	case "serve":
-		ok = runServe(scale, *serveOut)
-	case "cluster":
-		ok = runCluster(scale, *clusterOut)
-	case "masterha":
-		ok = runMasterHA(scale, *masterhaOut)
-	default:
-		log.Fatalf("unknown experiment %q", *exp)
+	e := env{Scale: scale, out: *out, seed: *seed}
+	for _, x := range selected {
+		if !x.run(e) {
+			return 1
+		}
 	}
-	if !ok {
-		os.Exit(1)
+	return 0
+}
+
+// writeReport records v as dir/BENCH_<exp>.json and closes the
+// experiment's output block.
+func writeReport(dir, exp string, v any) bool {
+	path := filepath.Join(dir, "BENCH_"+exp+".json")
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
 	}
+	if err != nil {
+		log.Printf("  writing %s FAILED: %v", path, err)
+		return false
+	}
+	fmt.Printf("  report written to %s\n\n", path)
+	return true
 }
 
 func cellString(c bench.CellResult) string {
@@ -148,7 +191,7 @@ func fig6Cell(name, dataset string, paperPS, paperGX string,
 	return true
 }
 
-func runFig6(s bench.Scale) bool {
+func runFig6(s env) bool {
 	fmt.Println("== Fig. 6: traditional graph algorithms, PSGraph vs GraphX ==")
 	ds1 := s.DS1()
 	ds1w := s.DS1W()
@@ -179,7 +222,7 @@ func runFig6(s bench.Scale) bool {
 	return ok
 }
 
-func runLine(s bench.Scale) bool {
+func runLine(s env) bool {
 	fmt.Println("== Sec. V-B2: LINE graph embedding (paper: 40 min/epoch on DS1, dim 128; no distributed baseline) ==")
 	res, err := s.PSGraphLine(s.DS1())
 	if err != nil {
@@ -191,7 +234,7 @@ func runLine(s bench.Scale) bool {
 	return true
 }
 
-func runTable1(s bench.Scale) bool {
+func runTable1(s env) bool {
 	fmt.Println("== Table I: GraphSage on DS3', Euler vs PSGraph ==")
 	res, err := s.Table1()
 	if err != nil {
@@ -208,7 +251,7 @@ func runTable1(s bench.Scale) bool {
 	return true
 }
 
-func runTable2(s bench.Scale) bool {
+func runTable2(s env) bool {
 	fmt.Println("== Table II: failure recovery on common neighbor, DS1' ==")
 	res, err := s.Table2()
 	if err != nil {
@@ -223,109 +266,6 @@ func runTable2(s bench.Scale) bool {
 	return true
 }
 
-// runWire times the PS pull/push hot path under the binary wire codec
-// and the gob baseline, prints per-phase wall time and comm bytes, and
-// records the report as JSON.
-func runWire(s bench.Scale, outPath string) bool {
-	fmt.Println("== Wire protocol: binary codec vs gob on the PS pull/push hot path ==")
-	cfg := bench.DefaultWireConfig(s)
-	rep, err := bench.RunWireBench(cfg)
-	if err != nil {
-		log.Printf("  wire bench FAILED: %v", err)
-		return false
-	}
-	fmt.Printf("  %d-element dense vector, %dx%d embedding, %d servers, %d iters/phase\n",
-		rep.Elements, rep.EmbRows, rep.EmbDim, rep.Servers, rep.Iters)
-	fmt.Printf("  %-14s %-7s %10s %12s %12s %10s\n", "phase", "format", "wall", "sent", "recv", "MB/s")
-	for _, p := range rep.Phases {
-		fmt.Printf("  %-14s %-7s %9.3fs %11.2fMB %11.2fMB %10.1f\n",
-			p.Name, p.Format, p.Seconds,
-			float64(p.SentBytes)/(1<<20), float64(p.RecvBytes)/(1<<20), p.MBPerSec)
-	}
-	fmt.Printf("  total: binary %.3fs vs gob %.3fs — %.2fx speedup; request volume %.2fMB vs %.2fMB\n",
-		rep.BinarySecs, rep.GobSecs, rep.Speedup,
-		float64(rep.BinarySent)/(1<<20), float64(rep.GobSent)/(1<<20))
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Speedup >= 2
-}
-
-// runServer measures concurrent pull/push throughput against a single
-// embedding partition, sharded engine vs the single-lock baseline, and
-// records the report as JSON. Passes when the engine is at least 2x on
-// the cold-pull phase (concurrent pulls materializing absent rows — the
-// path the old server ran under one exclusive partition lock).
-func runServer(s bench.Scale, outPath string) bool {
-	fmt.Println("== Server engines: sharded locking vs single partition lock ==")
-	cfg := bench.DefaultServerConfig(s)
-	rep, err := bench.RunServerBench(cfg)
-	if err != nil {
-		log.Printf("  server bench FAILED: %v", err)
-		return false
-	}
-	fmt.Printf("  %d clients x %d requests/phase, batch %d, dim %d, one partition, %d CPU(s)\n",
-		rep.Clients, rep.OpsEach, rep.Batch, rep.Dim, rep.CPUs)
-	fmt.Printf("  %-10s %-12s %10s %12s\n", "phase", "mode", "wall", "req/s")
-	for _, p := range rep.Phases {
-		fmt.Printf("  %-10s %-12s %9.3fs %12.0f\n", p.Name, p.Mode, p.Seconds, p.OpsSec)
-	}
-	fmt.Printf("  speedup: cold-pull %.2fx, warm-pull %.2fx, mixed %.2fx (sharded over single-lock)\n",
-		rep.ColdSpeedup, rep.WarmSpeedup, rep.MixedSpeedup)
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.ColdSpeedup >= 2
-}
-
-// runDataflow times shuffle-heavy RDD workloads under the binary
-// streaming shuffle codec vs the gob baseline, and a narrow chain under
-// fused vs materializing evaluation, then records the report as JSON.
-// Passes when the binary shuffle is at least 2x and fusion allocates
-// strictly less than the materializing path.
-func runDataflow(s bench.Scale, outPath string) bool {
-	fmt.Println("== Dataflow engine: binary streaming shuffle vs gob, fused vs materialized narrow stages ==")
-	cfg := bench.DefaultDataflowConfig(s)
-	rep, err := bench.RunDataflowBench(cfg)
-	if err != nil {
-		log.Printf("  dataflow bench FAILED: %v", err)
-		return false
-	}
-	fmt.Printf("  %d rows over %d keys, %d partitions, %d executors, %d iters/phase\n",
-		rep.Rows, rep.Keys, rep.Parts, rep.Executors, rep.Iters)
-	fmt.Printf("  %-12s %-8s %10s %12s %12s %10s\n", "phase", "mode", "wall", "shuffled", "allocated", "MB/s")
-	for _, p := range rep.Phases {
-		fmt.Printf("  %-12s %-8s %9.3fs %11.2fMB %11.2fMB %10.1f\n",
-			p.Name, p.Mode, p.Seconds,
-			float64(p.ShuffleBytes)/(1<<20), float64(p.AllocBytes)/(1<<20), p.MBPerSec)
-	}
-	fmt.Printf("  shuffle: binary %.3fs vs gob %.3fs — %.2fx speedup; file volume %.2fMB vs %.2fMB\n",
-		rep.BinarySecs, rep.GobSecs, rep.Speedup,
-		float64(rep.BinaryBytes)/(1<<20), float64(rep.GobBytes)/(1<<20))
-	fmt.Printf("  fusion:  fused %.3fs / %.2fMB allocated vs unfused %.3fs / %.2fMB — %.2fx fewer allocations\n",
-		rep.FusedSecs, float64(rep.FusedAllocs)/(1<<20),
-		rep.UnfusedSecs, float64(rep.UnfusedAllocs)/(1<<20), rep.AllocReduction)
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Speedup >= 2 && rep.UnfusedAllocs > rep.FusedAllocs
-}
-
 // runChaos drives the seeded fault-injection suite end-to-end: raw PS
 // pushes under response drops (exactly-once accounting plus its
 // dedup-disabled negative control), PageRank under server kills and
@@ -333,24 +273,16 @@ func runDataflow(s bench.Scale, outPath string) bool {
 // band), a shuffle job under executor kills (exact output), and
 // checkpoint corruption (previous-generation fallback). Passes when
 // every phase holds; the per-phase report is recorded as JSON.
-func runChaos(s bench.Scale, seed int64, outPath string) bool {
-	fmt.Printf("== Chaos: fault injection across the PS + dataflow stack (seed %d) ==\n", seed)
+func runChaos(s env) bool {
+	fmt.Printf("== Chaos: fault injection across the PS + dataflow stack (seed %d) ==\n", s.seed)
 	rep := chaos.Run(chaos.Config{
-		Seed:  seed,
+		Seed:  s.seed,
 		Short: s.Name == "small",
 		Log: func(format string, args ...any) {
 			fmt.Printf("  "+format+"\n", args...)
 		},
 	})
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "chaos", rep) && rep.Pass
 }
 
 // runFailover times the same mid-stream server kill under lease-driven
@@ -358,9 +290,9 @@ func runChaos(s bench.Scale, seed int64, outPath string) bool {
 // records detection latency, client-visible recovery latency and lost
 // acknowledged updates for both. Passes when promotion beats restart on
 // both recovery latency and lost-update count with zero lost updates.
-func runFailover(s bench.Scale, outPath string) bool {
+func runFailover(s env) bool {
 	fmt.Println("== Failover: lease promotion vs checkpoint restart on a mid-stream server kill ==")
-	cfg := bench.DefaultFailoverConfig(s)
+	cfg := bench.DefaultFailoverConfig(s.Scale)
 	rep, err := bench.RunFailoverBench(cfg)
 	if err != nil {
 		log.Printf("  failover bench FAILED: %v", err)
@@ -373,55 +305,7 @@ func runFailover(s bench.Scale, outPath string) bool {
 		fmt.Printf("  %-20s %8.1fms %9.1fms %8d %8d %10d\n",
 			m.Mode, m.DetectMillis, m.RecoverMillis, m.Acked, m.Lost, m.Promotions)
 	}
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.PromotionWins && rep.Modes[0].Lost == 0
-}
-
-// runSSP trains LINE under BSP / ASP / SSP k∈{1,2,4}, each with and
-// without the overlap machinery (parameter prefetch + push coalescing),
-// and records epoch wall-time against the community-separation margin.
-// Passes when the best in-band SSP (k>=1) overlap run beats plain BSP
-// wall-time and every SSP mode converges within the quality band.
-func runSSP(s bench.Scale, outPath string) bool {
-	fmt.Println("== SSP: bounded-staleness LINE with prefetch + push coalescing ==")
-	cfg := bench.DefaultSSPConfig(s)
-	rep, err := bench.RunSSPBench(cfg)
-	if err != nil {
-		log.Printf("  ssp bench FAILED: %v", err)
-		return false
-	}
-	fmt.Printf("  SBM %d vertices / %d edges, dim %d, %d epochs, batch %d, window %d, RPC latency %.0fµs\n",
-		rep.Vertices, rep.Edges, rep.Dim, rep.Epochs, rep.BatchSize, rep.Window, rep.LatencyUS)
-	fmt.Printf("  %-16s %10s %12s %10s %8s %10s\n", "mode", "wall", "s/epoch", "margin", "band", "cache h/m")
-	for _, m := range rep.Modes {
-		band := "ok"
-		if !m.InBand {
-			band = "OUT"
-			if m.Sync == "asp" {
-				band = "n/a"
-			}
-		}
-		fmt.Printf("  %-16s %9.3fs %11.3fs %10.4f %8s %6d/%d\n",
-			m.Mode, m.Seconds, m.EpochSeconds, m.Margin, band, m.CacheHits, m.CacheMisses)
-	}
-	fmt.Printf("  best SSP overlap: %s — %.2fx over plain BSP (%.3fs)\n",
-		rep.BestSSP, rep.Speedup, rep.BSPSeconds)
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "failover", rep) && rep.PromotionWins && rep.Modes[0].Lost == 0
 }
 
 // runRebalance drives a skewed push stream while the load-aware planner
@@ -429,9 +313,9 @@ func runSSP(s bench.Scale, outPath string) bool {
 // mid-stream. Passes when the split happened, the post-split epoch beat
 // the pre-split epoch, the drain lost zero acknowledged updates, and
 // exactly-once accounting held across every cutover.
-func runRebalance(s bench.Scale, outPath string) bool {
+func runRebalance(s env) bool {
 	fmt.Println("== Rebalance: elastic partitions under a skewed push stream ==")
-	cfg := bench.DefaultRebalanceConfig(s)
+	cfg := bench.DefaultRebalanceConfig(s.Scale)
 	rep, err := bench.RunRebalanceBench(cfg)
 	if err != nil {
 		log.Printf("  rebalance bench FAILED: %v", err)
@@ -448,15 +332,7 @@ func runRebalance(s bench.Scale, outPath string) bool {
 	fmt.Printf("  timing texture: hot p99 %.2fx, epoch wall %.2fx vs pre-split\n", rep.HotGain, rep.Speedup)
 	fmt.Printf("  mid-stream drain: %d pushes acked, %d mass lost; applied=%d sent=%d\n",
 		rep.DrainAcked, rep.LostMass, rep.Applied, rep.Sent)
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "rebalance", rep) && rep.Pass
 }
 
 // runServe drives skewed mixed pulls from the read-optimized serving
@@ -464,9 +340,9 @@ func runRebalance(s bench.Scale, outPath string) bool {
 // (row caches, replicated hot head, snapshot replicas) absorbed >=90%
 // of the served rows, the hot head hit the local cache >=80% of the
 // time, and exactly-once accounting held across both phases.
-func runServe(s bench.Scale, outPath string) bool {
+func runServe(s env) bool {
 	fmt.Println("== Serve: read-optimized serving tier under a mixed read/train load ==")
-	cfg := bench.DefaultServeConfig(s)
+	cfg := bench.DefaultServeConfig(s.Scale)
 	rep, err := bench.RunServeBench(cfg)
 	if err != nil {
 		log.Printf("  serve bench FAILED: %v", err)
@@ -486,15 +362,7 @@ func runServe(s bench.Scale, outPath string) bool {
 		rep.HotMined, rep.HotHead, rep.SnapEpoch, 100*rep.HotHitRatio, rep.HotCacheHits, rep.HotLookups)
 	fmt.Printf("  training texture: mixed-phase push throughput %.2fx of control; applied=%d sent=%d\n",
 		rep.TrainRatio, rep.Applied, rep.Sent)
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "serve", rep) && rep.Pass
 }
 
 // runCluster runs the multi-process deployment benchmark: every role a
@@ -503,9 +371,9 @@ func runServe(s bench.Scale, outPath string) bool {
 // exactly-once audit from this (the driver) process. Passes when zero
 // acknowledged updates were lost, applied == sent, and a promotion was
 // observed; constrained hosts record a skipped-but-passing report.
-func runCluster(s bench.Scale, outPath string) bool {
+func runCluster(s env) bool {
 	fmt.Println("== Cluster: kill -9 recovery across a real multi-process deployment ==")
-	cfg := bench.DefaultClusterConfig(s)
+	cfg := bench.DefaultClusterConfig(s.Scale)
 	rep, err := bench.RunClusterBench(cfg)
 	if err != nil {
 		log.Printf("  cluster bench FAILED: %v", err)
@@ -521,15 +389,7 @@ func runCluster(s bench.Scale, outPath string) bool {
 		fmt.Printf("  audit: acked=%d mass=%.0f lost=%d failed=%d applied=%d sent=%d retried=%d promotions=%d reseeds=%d\n",
 			rep.Acked, rep.Mass, rep.Lost, rep.Failed, rep.Applied, rep.Sent, rep.Retried, rep.Promotions, rep.Reseeds)
 	}
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "cluster", rep) && rep.Pass
 }
 
 // runMasterHA runs the master crash-restart benchmark: kill -9 the
@@ -540,9 +400,9 @@ func runCluster(s bench.Scale, outPath string) bool {
 // lost, applied == sent, no spurious failover fired, and the epoch
 // stayed monotone; constrained hosts record a skipped-but-passing
 // report.
-func runMasterHA(s bench.Scale, outPath string) bool {
+func runMasterHA(s env) bool {
 	fmt.Println("== Master HA: metadata WAL replay across a real master kill -9 ==")
-	cfg := bench.DefaultMasterHAConfig(s)
+	cfg := bench.DefaultMasterHAConfig(s.Scale)
 	rep, err := bench.RunMasterHABench(cfg)
 	if err != nil {
 		log.Printf("  masterha bench FAILED: %v", err)
@@ -558,18 +418,10 @@ func runMasterHA(s bench.Scale, outPath string) bool {
 		fmt.Printf("  audit: acked=%d mass=%.0f lost=%d failed=%d applied=%d sent=%d retried=%d promotions=%d\n",
 			rep.Acked, rep.Mass, rep.Lost, rep.Failed, rep.Applied, rep.Sent, rep.Retried, rep.Promotions)
 	}
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			log.Printf("  writing %s FAILED: %v", outPath, err)
-			return false
-		}
-		fmt.Printf("  report written to %s\n", outPath)
-	}
-	fmt.Println()
-	return rep.Pass
+	return writeReport(s.out, "masterha", rep) && rep.Pass
 }
 
-func runAblation(s bench.Scale) bool {
+func runAblation(s env) bool {
 	fmt.Println("== Ablations: the paper's design choices ==")
 	ok := true
 	mb := func(b int64) float64 { return float64(b) / (1 << 20) }

@@ -29,7 +29,6 @@ func main() {
 		portFile    = flag.String("portfile", "", "publish the bound address to this file")
 		dfsDir      = flag.String("dfs", "", "shared checkpoint directory")
 		replicate   = flag.Bool("replicate", false, "master: enable replication + leases")
-		replAsync   = flag.Bool("replasync", false, "server: async replication forwarding")
 		lease       = flag.Duration("lease", 0, "heartbeat lease")
 		hb          = flag.Duration("hb", 0, "server heartbeat interval (default lease/4)")
 		monitor     = flag.Duration("monitor", 0, "master: health-probe interval")
@@ -47,7 +46,6 @@ func main() {
 		DFSDir:      *dfsDir,
 		PortFile:    *portFile,
 		Replicate:   *replicate,
-		ReplAsync:   *replAsync,
 		Lease:       *lease,
 		Heartbeat:   *hb,
 		Monitor:     *monitor,

@@ -15,10 +15,8 @@ package bench
 // psbench -exp cluster prints the table and records BENCH_cluster.json.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -251,13 +249,4 @@ func RunClusterBench(cfg ClusterConfig) (*ClusterReport, error) {
 		rep.Applied == rep.Sent &&
 		rep.DetectMillis >= 0
 	return rep, nil
-}
-
-// WriteJSON records the report at path.
-func (r *ClusterReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -14,9 +14,7 @@ package bench
 // psbench -exp failover prints the table and records BENCH_failover.json.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"psgraph/internal/ps"
@@ -226,13 +224,4 @@ func runFailoverMode(mode string, cfg FailoverConfig) (FailoverMode, error) {
 		m.Promotions = st.Promotions
 	}
 	return m, nil
-}
-
-// WriteJSON records the report at path.
-func (r *FailoverReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

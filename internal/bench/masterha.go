@@ -14,10 +14,8 @@ package bench
 // BENCH_masterha.json.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -257,13 +255,4 @@ func RunMasterHABench(cfg MasterHAConfig) (*MasterHAReport, error) {
 		rep.Parts == 5 &&
 		rep.StallMillis >= 0
 	return rep, nil
-}
-
-// WriteJSON records the report at path.
-func (r *MasterHAReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -27,10 +27,8 @@ package bench
 // BENCH_rebalance.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -417,13 +415,4 @@ func RunRebalanceBench(cfg RebalanceConfig) (*RebalanceReport, error) {
 	rep.Pass = rep.Splits >= 1 && rep.BalanceGain > 1.2 &&
 		rep.LostMass == 0 && rep.Applied == rep.Sent
 	return rep, nil
-}
-
-// WriteJSON records the report at path.
-func (r *RebalanceReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

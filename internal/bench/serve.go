@@ -23,10 +23,8 @@ package bench
 // BENCH_serve.json.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -421,13 +419,4 @@ func RunServeBench(cfg ServeConfig) (*ServeReport, error) {
 		rep.Applied == rep.Sent &&
 		rep.RowsServed > 0
 	return rep, nil
-}
-
-// WriteJSON records the report at path.
-func (r *ServeReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

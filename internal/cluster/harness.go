@@ -30,14 +30,13 @@ type Config struct {
 	Executors int // executor agent processes (default 2)
 
 	Replicate bool          // ring-next replication + heartbeat leases
-	ReplAsync bool          // async replication forwarding
 	Lease     time.Duration // heartbeat lease (default 100ms under Replicate)
 	Monitor   time.Duration // master probe interval (checkpoint-restart mode)
 	Ckpt      time.Duration // periodic checkpoint interval
 
-	Dir          string                         // workdir for logs/ports/dfs (default: fresh temp dir, removed on Close)
-	Bin          string                         // psnode binary (default: NodeBinary())
-	StartTimeout time.Duration                  // per-process readiness deadline (default 20s)
+	Dir          string                        // workdir for logs/ports/dfs (default: fresh temp dir, removed on Close)
+	Bin          string                        // psnode binary (default: NodeBinary())
+	StartTimeout time.Duration                 // per-process readiness deadline (default 20s)
 	Log          func(format string, a ...any) // optional narrator
 }
 
@@ -392,9 +391,6 @@ func (c *ProcCluster) launch(role, name, addr string) (*Proc, error) {
 	}
 	if c.Cfg.Replicate {
 		args = append(args, "-replicate")
-		if role == RoleServer && c.Cfg.ReplAsync {
-			args = append(args, "-replasync")
-		}
 	}
 	if c.Cfg.Lease > 0 {
 		args = append(args, "-lease", c.Cfg.Lease.String())

@@ -24,7 +24,6 @@ type NodeConfig struct {
 	PortFile   string // when set, the bound address is published here (tmp+rename)
 
 	Replicate bool // master: ring-next primary/backup replication
-	ReplAsync bool // server: async replication forwarding
 
 	Lease     time.Duration // master: heartbeat lease (defaults under Replicate)
 	Heartbeat time.Duration // server: heartbeat interval (defaults to Lease/4)
@@ -167,9 +166,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.becomeReady("serving")
 	case RoleServer:
 		n.Server.Addr = n.Addr
-		if cfg.ReplAsync {
-			n.Server.SetReplAsync(true)
-		}
 		go n.joinAsServer()
 	case RoleExecutor:
 		go n.joinAsExecutor()

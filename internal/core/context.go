@@ -62,9 +62,6 @@ type Config struct {
 	// death then promotes backups in place — no restart wait, no lost
 	// acknowledged mutations — instead of restoring from checkpoints.
 	Replicate bool
-	// ReplAsync acks mutations before the backup applied them (A/B
-	// toggle; sync replication is the default).
-	ReplAsync bool
 	// HeartbeatInterval/LeaseDuration tune the PS failure detector; zero
 	// values derive one from the other (see ps.ClusterConfig), and both
 	// zero leaves lease-based detection off.
@@ -123,7 +120,6 @@ func NewContext(cfg Config) (*Context, error) {
 		RestartDelay:       cfg.RestartDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
 		Replicate:          cfg.Replicate,
-		ReplAsync:          cfg.ReplAsync,
 		HeartbeatInterval:  cfg.HeartbeatInterval,
 		LeaseDuration:      cfg.LeaseDuration,
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -230,8 +231,11 @@ func TestPartitionByColocatesKeys(t *testing.T) {
 		kvs = append(kvs, KV[int64, int]{K: int64(i % 4), V: i})
 	}
 	p := PartitionBy(Parallelize(ctx, kvs, 5), 3)
+	var mu sync.Mutex       // partitions run concurrently
 	seen := map[int64]int{} // key -> partition
 	err := p.ForeachPartition(func(part int, in []KV[int64, int]) error {
+		mu.Lock()
+		defer mu.Unlock()
 		for _, kv := range in {
 			if prev, ok := seen[kv.K]; ok && prev != part {
 				return fmt.Errorf("key %d in partitions %d and %d", kv.K, prev, part)

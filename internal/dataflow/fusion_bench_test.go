@@ -13,8 +13,8 @@ import (
 
 func benchNarrowChain(b *testing.B, fused bool) {
 	b.Helper()
-	SetFusion(fused)
-	defer SetFusion(true)
+	fusionOn.Store(fused)
+	defer fusionOn.Store(true)
 	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 4})
 	data := make([]int64, 100_000)
 	for i := range data {
@@ -46,8 +46,8 @@ func BenchmarkNarrowChainUnfused(b *testing.B) { benchNarrowChain(b, false) }
 
 func benchShuffle(b *testing.B, binary bool) {
 	b.Helper()
-	SetBinaryShuffle(binary)
-	defer SetBinaryShuffle(true)
+	binaryShuffle.Store(binary)
+	defer binaryShuffle.Store(true)
 	data := make([]KV[int64, float64], 200_000)
 	for i := range data {
 		data[i] = KV[int64, float64]{K: int64(i % 50_000), V: float64(i) * 0.5}

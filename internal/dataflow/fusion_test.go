@@ -18,15 +18,15 @@ func newBinReaderBytes(b []byte) *BinReader {
 // restores the default afterwards.
 func withFusion(t *testing.T, on bool) {
 	t.Helper()
-	SetFusion(on)
-	t.Cleanup(func() { SetFusion(true) })
+	fusionOn.Store(on)
+	t.Cleanup(func() { fusionOn.Store(true) })
 }
 
 // withBinaryShuffle pins the shuffle format for the test body.
 func withBinaryShuffle(t *testing.T, on bool) {
 	t.Helper()
-	SetBinaryShuffle(on)
-	t.Cleanup(func() { SetBinaryShuffle(true) })
+	binaryShuffle.Store(on)
+	t.Cleanup(func() { binaryShuffle.Store(true) })
 }
 
 // buildNarrowChain assembles a representative chain of narrow ops —
@@ -44,7 +44,7 @@ func buildNarrowChain(ctx *Context, n int) *RDD[KV[int64, int64]] {
 
 func TestFusedMatchesUnfusedGolden(t *testing.T) {
 	run := func(fused bool) []string {
-		SetFusion(fused)
+		fusionOn.Store(fused)
 		ctx := newCtx(t, Config{NumExecutors: 3})
 		out, err := buildNarrowChain(ctx, 500).Collect()
 		if err != nil {
@@ -72,7 +72,7 @@ func TestFusedMatchesUnfusedGolden(t *testing.T) {
 
 func TestFusedMatchesUnfusedThroughShuffle(t *testing.T) {
 	run := func(fused bool) []KV[int64, int64] {
-		SetFusion(fused)
+		fusionOn.Store(fused)
 		ctx := newCtx(t, Config{NumExecutors: 2})
 		counts := ReduceByKey(buildNarrowChain(ctx, 300), func(a, b int64) int64 { return a + b }, 4)
 		// Narrow ops after the shuffle fuse onto the reduce output.
@@ -207,21 +207,21 @@ func TestReduceExecutorSidePartials(t *testing.T) {
 	// Reduce must produce the same result fused and unfused, including
 	// with empty partitions in the mix (more partitions than elements).
 	for _, fused := range []bool{true, false} {
-		SetFusion(fused)
+		fusionOn.Store(fused)
 		ctx := newCtx(t, Config{NumExecutors: 2})
 		sum, err := Parallelize(ctx, ints(7), 16).Reduce(func(a, b int) int { return a + b })
 		if err != nil || sum != 21 {
 			t.Fatalf("fused=%v: sum = %d, %v", fused, sum, err)
 		}
 	}
-	SetFusion(true)
+	fusionOn.Store(true)
 }
 
 // --- shuffle codec equivalence ---------------------------------------------
 
 func shuffleRoundTrip[K comparable, V any](t *testing.T, kvs []KV[K, V], binary bool) []KV[K, V] {
 	t.Helper()
-	SetBinaryShuffle(binary)
+	binaryShuffle.Store(binary)
 	ctx := newCtx(t, Config{NumExecutors: 2})
 	out, err := PartitionBy(Parallelize(ctx, kvs, 3), 4).Collect()
 	if err != nil {
@@ -319,7 +319,7 @@ func TestShuffleCodecEquivalenceAggregations(t *testing.T) {
 		kvs = append(kvs, KV[int64, int64]{K: int64(i % 37), V: int64(i)})
 	}
 	run := func(binary bool) map[int64]int64 {
-		SetBinaryShuffle(binary)
+		binaryShuffle.Store(binary)
 		ctx := newCtx(t, Config{NumExecutors: 2})
 		out, err := ReduceByKey(Parallelize(ctx, kvs, 5),
 			func(a, b int64) int64 { return a + b }, 3).Collect()
@@ -358,7 +358,7 @@ func TestBinaryShuffleReadableAfterToggle(t *testing.T) {
 	if err := counts.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	SetBinaryShuffle(false)
+	binaryShuffle.Store(false)
 	out, err := counts.Collect()
 	if err != nil {
 		t.Fatal(err)

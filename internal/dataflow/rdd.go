@@ -12,18 +12,14 @@ type node interface {
 	prepare() error
 }
 
-// fusionOn selects the fused narrow-stage evaluation path. Off forces
-// every narrow transformation to materialize its whole output slice (the
-// pre-fusion behavior), so benchmarks and golden tests can compare both
-// paths through the identical API. Not safe to flip while a job runs.
+// fusionOn selects the fused narrow-stage evaluation path. It is always
+// on outside this package's tests, which store false to force every
+// narrow transformation through the materializing path (live code: cache
+// points and shuffle reduce sides take it) as the golden reference for
+// the fused one. Not safe to flip while a job runs.
 var fusionOn atomic.Bool
 
 func init() { fusionOn.Store(true) }
-
-// SetFusion toggles narrow-stage fusion; pass false to materialize every
-// intermediate. Intended for benchmarking and testing the fused path
-// against the slice-materializing baseline.
-func SetFusion(on bool) { fusionOn.Store(on) }
 
 // RDD is a lazily evaluated, partitioned, immutable dataset. Narrow
 // transformations (Map, Filter, FlatMap) compose compute closures without

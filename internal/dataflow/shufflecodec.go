@@ -43,19 +43,15 @@ const (
 // fully-buffered gob shuffle.
 const shuffleChunk = 64 << 10
 
-// binaryShuffle selects the shuffle file format for shapes that have a
-// registered codec. Off forces every shuffle through the gob stream so
-// benchmarks and equivalence tests can measure the baseline through the
-// identical call path. Readers dispatch on the file's format byte and
-// accept both regardless of the switch.
+// binaryShuffle selects the binary shuffle file format for shapes that
+// have a registered codec. It is always on outside this package's tests,
+// which store false to force every shuffle through the gob stream (live
+// code: the format of unregistered shapes) as the equivalence reference.
+// Readers dispatch on the file's format byte and accept both regardless.
+// Not safe to flip while a job runs.
 var binaryShuffle atomic.Bool
 
 func init() { binaryShuffle.Store(true) }
-
-// SetBinaryShuffle toggles the binary shuffle fast path; pass false to
-// force the gob stream for every shuffle. Intended for benchmarking and
-// testing, not for production use. Not safe to flip while a job runs.
-func SetBinaryShuffle(on bool) { binaryShuffle.Store(on) }
 
 // shuffleBufPool recycles map-side chunk buffers.
 var shuffleBufPool = sync.Pool{

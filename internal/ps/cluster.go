@@ -24,7 +24,6 @@ type Cluster struct {
 	restartDelay time.Duration
 	hbInterval   time.Duration
 	lease        time.Duration
-	replAsync    bool
 
 	mu      sync.Mutex
 	servers map[string]*Server
@@ -72,10 +71,6 @@ type ClusterConfig struct {
 	// self-fence a partitioned primary could keep acking writes after its
 	// partitions were promoted, silently losing them.
 	Replicate bool
-	// ReplAsync forwards mutations to backups asynchronously (ack before
-	// replicated) — lower latency, but mutations still queued die with
-	// the primary. Sync is the default.
-	ReplAsync bool
 	// RebalanceInterval enables the master's automatic load-aware
 	// rebalancer: every interval it polls per-partition load and splits
 	// or moves hot partitions (see Master.Rebalance).
@@ -117,7 +112,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		restartDelay: cfg.RestartDelay,
 		hbInterval:   cfg.HeartbeatInterval,
 		lease:        cfg.LeaseDuration,
-		replAsync:    cfg.ReplAsync,
 		servers:      make(map[string]*Server),
 	}
 	// A TCP transport (possibly wrapped in a fault-injecting decorator)
@@ -187,9 +181,6 @@ func (c *Cluster) wireServer(srv *Server) {
 		out = cv.Caller(srv.Addr)
 	}
 	srv.SetOutbound(out)
-	if c.replAsync {
-		srv.SetReplAsync(true)
-	}
 	if c.hbInterval > 0 {
 		srv.StartHeartbeat(c.MasterAddr, c.hbInterval, c.lease)
 	}
@@ -245,10 +236,10 @@ func (c *Cluster) AddServer(name string) (string, error) {
 }
 
 // KillServer simulates a server crash: its endpoint vanishes and its
-// in-memory partitions are lost. The server's heartbeat loop and async
-// forward worker are stopped too — deregistration only cuts inbound
-// traffic, and a "dead" server that kept renewing its lease would never
-// be declared dead by the master.
+// in-memory partitions are lost. The server's heartbeat loop is stopped
+// too — deregistration only cuts inbound traffic, and a "dead" server
+// that kept renewing its lease would never be declared dead by the
+// master.
 func (c *Cluster) KillServer(addr string) {
 	c.Transport.Deregister(addr)
 	c.mu.Lock()
@@ -256,7 +247,7 @@ func (c *Cluster) KillServer(addr string) {
 	delete(c.servers, addr)
 	c.mu.Unlock()
 	if srv != nil {
-		srv.stopBackground()
+		srv.StopHeartbeat()
 	}
 }
 
@@ -305,7 +296,7 @@ func (c *Cluster) Close() {
 	c.servers = make(map[string]*Server)
 	c.mu.Unlock()
 	for _, srv := range servers {
-		srv.stopBackground()
+		srv.StopHeartbeat()
 	}
 }
 

@@ -22,10 +22,8 @@ import (
 // have left the process); everything else gob-encodes behind the tagGob
 // format byte. Panics on programmer error (gob-unencodable types).
 func enc(v any) []byte {
-	if binaryWire.Load() {
-		if b, ok := encBinary(v); ok {
-			return b
-		}
+	if b, ok := encBinary(v); ok {
+		return b
 	}
 	return encGob(v)
 }
@@ -40,10 +38,9 @@ func encGob(v any) []byte {
 	return buf.Bytes()
 }
 
-// dec decodes data into v, dispatching on the leading format tag. Both
-// formats are always accepted regardless of the binaryWire switch, so
-// peers running either codec interoperate. Decoded messages never alias
-// data: callers may recycle the buffer as soon as dec returns.
+// dec decodes data into v, dispatching on the leading format tag: either
+// format is accepted for any message. Decoded messages never alias data:
+// callers may recycle the buffer as soon as dec returns.
 func dec(data []byte, v any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("ps: decode %T: empty message", v)

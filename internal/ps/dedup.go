@@ -12,12 +12,13 @@ package ps
 //
 // The fix is the classic (clientID, sequence) dedup window (TensorFlow
 // and production parameter servers treat lost-ack idempotence as table
-// stakes): every mutating client call is wrapped in a tagSeq envelope
+// stakes): every mutating client call is wrapped in a tagSeqE envelope
 //
-//	[1B tagSeq][uvarint clientID][uvarint seq][payload]
+//	[1B tagSeqE][uvarint clientID][uvarint seq][uvarint epoch][payload]
 //
-// carrying a client-unique id and a per-client monotone sequence number
-// that stays FIXED across retries of the same logical call. The receiving
+// carrying a client-unique id, a per-client monotone sequence number
+// that stays FIXED across retries of the same logical call, and the
+// client's layout epoch (0 before any failover). The receiving
 // side (server or master) keeps a bounded per-client window of recently
 // executed sequences with their cached responses; a replay returns the
 // cached ack instead of re-executing. Reads are never enveloped — they
@@ -39,18 +40,14 @@ import (
 	"sync/atomic"
 )
 
-// tagSeq marks a dedup-enveloped message (values 0x00/0x01 are the wire
-// codec's tagGob/tagBin; the envelope wraps either).
-const tagSeq byte = 0x02
-
-// tagSeqE marks an envelope that additionally carries the client's
-// layout epoch: [1B tagSeqE][uvarint clientID][uvarint seq]
-// [uvarint epoch][payload]. Servers fence mutating calls whose epoch is
-// older than their own, so a write addressed from a pre-failover layout
-// is rejected instead of applied by a demoted primary. Epoch-less
-// tagSeq envelopes still parse, but epoch 0 counts as older than any
-// positive epoch: once a server has learned one, a failover happened
-// and a pre-failover layout can no longer be trusted.
+// tagSeqE marks a dedup-enveloped message (values 0x00/0x01 are the wire
+// codec's tagGob/tagBin; the envelope wraps either; 0x02 was the retired
+// epoch-less envelope and is rejected like any unknown tag). Servers
+// fence mutating calls whose epoch is older than their own, so a write
+// addressed from a pre-failover layout is rejected instead of applied by
+// a demoted primary. Epoch 0 counts as older than any positive epoch:
+// once a server has learned one, a failover happened and a pre-failover
+// layout can no longer be trusted.
 const tagSeqE byte = 0x03
 
 // dedupEnabled toggles client-side enveloping of mutating calls. On by
@@ -92,51 +89,31 @@ func init() {
 	}
 }
 
-// wrapDedup prepends the tagSeq envelope to payload in a pooled buffer;
-// release it with putBuf after the call completes. A positive epoch
-// selects the tagSeqE form so servers can fence stale-layout writes.
+// wrapDedup prepends the tagSeqE envelope to payload in a pooled
+// buffer; release it with putBuf after the call completes.
 func wrapDedup(clientID, seq uint64, epoch int64, payload []byte) []byte {
-	b := getBuf()
-	if epoch > 0 {
-		b = append(b, tagSeqE)
-	} else {
-		b = append(b, tagSeq)
-	}
+	b := append(getBuf(), tagSeqE)
 	b = binary.AppendUvarint(b, clientID)
 	b = binary.AppendUvarint(b, seq)
-	if epoch > 0 {
-		b = binary.AppendUvarint(b, uint64(epoch))
-	}
+	b = binary.AppendUvarint(b, uint64(epoch))
 	return append(b, payload...)
 }
 
-// unwrapDedup splits a tagSeq/tagSeqE envelope. ok is false for bare
-// messages; epoch is 0 for the epoch-less tagSeq form.
+// unwrapDedup splits a tagSeqE envelope. ok is false for bare messages.
 func unwrapDedup(body []byte) (clientID, seq uint64, epoch int64, payload []byte, ok bool) {
-	if len(body) == 0 || (body[0] != tagSeq && body[0] != tagSeqE) {
+	if len(body) == 0 || body[0] != tagSeqE {
 		return 0, 0, 0, nil, false
 	}
-	withEpoch := body[0] == tagSeqE
 	rest := body[1:]
-	clientID, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, 0, 0, nil, false
-	}
-	rest = rest[n:]
-	seq, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, 0, 0, nil, false
-	}
-	rest = rest[n:]
-	if withEpoch {
-		e, n := binary.Uvarint(rest)
+	var hdr [3]uint64
+	for i := range hdr {
+		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return 0, 0, 0, nil, false
 		}
-		epoch = int64(e)
-		rest = rest[n:]
+		hdr[i], rest = v, rest[n:]
 	}
-	return clientID, seq, epoch, rest, true
+	return hdr[0], hdr[1], int64(hdr[2]), rest, true
 }
 
 // dedupEntry is one executed (or executing) call. done closes when the

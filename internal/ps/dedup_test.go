@@ -244,6 +244,30 @@ func TestDedupDisabledDoubleApplies(t *testing.T) {
 	}
 }
 
+// TestDedupEnvelopeTags: epoch 0 travels in the tagSeqE envelope like
+// any other epoch, and the retired epoch-less 0x02 tag is no envelope at
+// all — the server rejects it as an unknown wire format without
+// applying anything.
+func TestDedupEnvelopeTags(t *testing.T) {
+	payload := enc(vecPushReq{Model: "v", Part: 0, Indices: []int64{0}, Values: []float64{1}, Op: vecAdd})
+	b := wrapDedup(7, 9, 0, payload)
+	if b[0] != tagSeqE {
+		t.Fatalf("epoch-0 envelope tag = 0x%02x, want tagSeqE", b[0])
+	}
+	id, seq, epoch, rest, ok := unwrapDedup(b)
+	if !ok || id != 7 || seq != 9 || epoch != 0 || string(rest) != string(payload) {
+		t.Fatalf("unwrap = (%d, %d, %d, %d bytes, %v)", id, seq, epoch, len(rest), ok)
+	}
+	old := append([]byte{0x02, 7, 9}, payload...)
+	if _, _, _, _, ok := unwrapDedup(old); ok {
+		t.Fatal("retired 0x02 envelope still unwraps")
+	}
+	s := NewServer("s0", dfs.NewDefault())
+	if _, err := s.Handle("VecPush", old); err == nil || !strings.Contains(err.Error(), "unknown wire format tag 0x02") {
+		t.Fatalf("0x02 frame: err = %v, want unknown wire format tag", err)
+	}
+}
+
 // TestDedupWindowEviction checks the recency-window semantics directly:
 // a sequence still inside the window replays; one evicted past the
 // window re-executes.

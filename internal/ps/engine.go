@@ -12,7 +12,6 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -253,23 +252,13 @@ func (s *Store) deletePart(model string, idx int) {
 // a column partition computes exactly its [col0, col1) slice — values
 // never depend on the partition layout, and materializing a row costs
 // one allocation and a few ns per element.
-//
-// The old server instead seeded a fresh math/rand source per row (~5KB
-// of generator state and a ~600-step seeding pass each time) and
-// generated the full Dim-wide vector only to slice it. That path is kept
-// behind legacy so the psbench single-lock baseline reproduces the old
-// cost faithfully; its values differ (different generator), which
-// nothing depends on — rows live in checkpoints once materialized, and
-// determinism within a mode is what recovery needs.
 type rowIniter struct {
 	scale      float64
 	col0, col1 int
-	dim        int  // full row width, used only by the legacy path
-	legacy     bool // pre-engine initializer for the benchmark baseline
 }
 
 func newRowIniter(meta ModelMeta, col0, col1 int) rowIniter {
-	return rowIniter{scale: meta.InitScale, dim: meta.Dim, col0: col0, col1: col1}
+	return rowIniter{scale: meta.InitScale, col0: col0, col1: col1}
 }
 
 // splitmix64 is the standard SplitMix64 finalizer (Steele et al.); the
@@ -284,16 +273,6 @@ func (ri *rowIniter) initRow(id int64) []float64 {
 	w := ri.col1 - ri.col0
 	if ri.scale == 0 {
 		return make([]float64, w)
-	}
-	if ri.legacy {
-		rng := rand.New(rand.NewSource(id*2654435761 + 12345))
-		full := make([]float64, ri.dim)
-		for i := range full {
-			full[i] = (rng.Float64()*2 - 1) * ri.scale
-		}
-		out := make([]float64, w)
-		copy(out, full[ri.col0:ri.col1])
-		return out
 	}
 	seed := uint64(id*2654435761 + 12345)
 	out := make([]float64, w)

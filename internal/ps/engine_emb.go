@@ -24,12 +24,8 @@ import (
 type embEngine struct {
 	engineBase
 	col0, col1 int // stored column range; (0, Dim) for row-partitioned
-	// single emulates the pre-engine behavior — one shard, exclusive
-	// locks even on pulls — so psbench can measure the contention the
-	// refactor removes. See SetEmbSingleLock.
-	single bool
-	step   atomic.Int64
-	shards []embShard
+	step       atomic.Int64
+	shards     []embShard
 
 	// hot counts pull frequency per row; the serving tier mines it for
 	// the power-law head to replicate (serve.go).
@@ -49,10 +45,7 @@ type embShard struct {
 // small models.
 const defaultEmbShards = 32
 
-var (
-	embShardCount atomic.Int32
-	embSingleLock atomic.Bool
-)
+var embShardCount atomic.Int32
 
 // SetEmbShards overrides the shard count of embedding engines created
 // afterwards (existing engines keep theirs). n < 1 resets the default.
@@ -63,12 +56,6 @@ func SetEmbShards(n int) {
 	}
 	embShardCount.Store(int32(n))
 }
-
-// SetEmbSingleLock makes embedding engines created afterwards use one
-// shard, exclusive locking on every operation, and the old per-row
-// initializer allocations — the pre-engine server behavior, faithfully.
-// Benchmark baseline only.
-func SetEmbSingleLock(on bool) { embSingleLock.Store(on) }
 
 func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	e := &embEngine{engineBase: base}
@@ -81,10 +68,6 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	if n < 1 {
 		n = defaultEmbShards
 	}
-	if embSingleLock.Load() {
-		e.single = true
-		n = 1
-	}
 	e.shards = make([]embShard, n)
 	for i := range e.shards {
 		e.shards[i].rows = make(map[int64][]float64)
@@ -92,28 +75,11 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	return e
 }
 
+// restoreEmbEngine builds an empty engine over the snapshot's column
+// range and scatters the checkpointed rows and moments over the shards.
 func restoreEmbEngine(base engineBase, snap ckptSnapshot) *embEngine {
-	// Build empty with a fake partition carrying the column range, then
-	// scatter the checkpointed rows and moments over the shards.
 	e := newEmbEngine(base, Partition{Col0: snap.Col0, Col1: snap.Col1})
-	e.step.Store(int64(snap.Step))
-	for id, row := range snap.Emb {
-		e.shard(id).rows[id] = row
-	}
-	for id, m := range snap.Mom {
-		sh := e.shard(id)
-		if sh.mom == nil {
-			sh.mom = make(map[int64][]float64)
-		}
-		sh.mom[id] = m
-	}
-	for id, v := range snap.Vel {
-		sh := e.shard(id)
-		if sh.vel == nil {
-			sh.vel = make(map[int64][]float64)
-		}
-		sh.vel[id] = v
-	}
+	_ = e.importRange(snap) // an embedding import has no failure mode
 	return e
 }
 
@@ -130,9 +96,7 @@ func (e *embEngine) shard(id int64) *embShard {
 }
 
 func (e *embEngine) initer() rowIniter {
-	ri := newRowIniter(e.meta, e.col0, e.col1)
-	ri.legacy = e.single
-	return ri
+	return newRowIniter(e.meta, e.col0, e.col1)
 }
 
 // rowLocked returns (materializing if absent) the stored row for id.
@@ -149,8 +113,7 @@ func (sh *embShard) rowLocked(id int64, ri *rowIniter) []float64 {
 // pull copies the requested rows out. Fast path: every shard is read
 // under RLock; only shards holding rows that are not materialized yet
 // upgrade to the write lock (and re-check, since a racing pull may have
-// initialized them in between). Under the single-lock compat mode the
-// whole request runs under one exclusive lock, as the old server did.
+// initialized them in between).
 func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 	for _, id := range req.IDs {
 		if err := e.checkKey(id); err != nil {
@@ -159,19 +122,6 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 	}
 	out := make(map[int64][]float64, len(req.IDs))
 	ri := e.initer()
-	if e.single {
-		sh := &e.shards[0]
-		sh.mu.Lock()
-		for _, id := range req.IDs {
-			src := sh.rowLocked(id, &ri)
-			cp := make([]float64, len(src))
-			copy(cp, src)
-			out[id] = cp
-		}
-		sh.mu.Unlock()
-		e.hot.bump(req.IDs)
-		return embPullResp{Vecs: out}, nil
-	}
 	groups := e.groupIDs(req.IDs)
 	for si, ids := range groups {
 		if len(ids) == 0 {
@@ -356,10 +306,14 @@ func (e *embEngine) row(id int64) []float64 {
 	return row
 }
 
-func (e *embEngine) checkpointData() []byte {
-	// Read-lock all shards so the snapshot is one consistent cut, then
-	// merge them into the flat checkpoint maps (the on-DFS format knows
-	// nothing about sharding, so layouts restore under any shard count).
+// snapshot read-locks all shards so the result is one consistent cut,
+// then merges the rows (and their optimizer moments) that keep accepts
+// into the flat checkpoint maps — the on-DFS format knows nothing about
+// sharding, so layouts restore under any shard count. A nil keep takes
+// everything, and only then are the maps pre-sized to their final
+// counts. The engine-global Adam step travels with the snapshot so bias
+// correction stays monotone wherever it is restored or imported.
+func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
 	for i := range e.shards {
 		e.shards[i].mu.RLock()
 	}
@@ -369,10 +323,12 @@ func (e *embEngine) checkpointData() []byte {
 		}
 	}()
 	var nRows, nMom, nVel int
-	for i := range e.shards {
-		nRows += len(e.shards[i].rows)
-		nMom += len(e.shards[i].mom)
-		nVel += len(e.shards[i].vel)
+	if keep == nil {
+		for i := range e.shards {
+			nRows += len(e.shards[i].rows)
+			nMom += len(e.shards[i].mom)
+			nVel += len(e.shards[i].vel)
+		}
 	}
 	snap := ckptSnapshot{
 		Kind: e.meta.Kind,
@@ -380,72 +336,38 @@ func (e *embEngine) checkpointData() []byte {
 		Col0: e.col0, Col1: e.col1,
 		Step: int(e.step.Load()),
 	}
-	if nMom > 0 {
-		snap.Mom = make(map[int64][]float64, nMom)
-	}
-	if nVel > 0 {
-		snap.Vel = make(map[int64][]float64, nVel)
+	// merge adds the kept entries of src to dst, allocating dst on the
+	// first one so absent optimizer state stays a nil map.
+	merge := func(dst, src map[int64][]float64, size int) map[int64][]float64 {
+		for id, v := range src {
+			if keep != nil && !keep(id) {
+				continue
+			}
+			if dst == nil {
+				dst = make(map[int64][]float64, size)
+			}
+			dst[id] = v
+		}
+		return dst
 	}
 	for i := range e.shards {
-		for id, row := range e.shards[i].rows {
-			snap.Emb[id] = row
-		}
-		for id, m := range e.shards[i].mom {
-			snap.Mom[id] = m
-		}
-		for id, v := range e.shards[i].vel {
-			snap.Vel[id] = v
-		}
+		sh := &e.shards[i]
+		snap.Emb = merge(snap.Emb, sh.rows, nRows)
+		snap.Mom = merge(snap.Mom, sh.mom, nMom)
+		snap.Vel = merge(snap.Vel, sh.vel, nVel)
 	}
 	return enc(snap)
 }
 
-// exportRange merges the shards into flat maps like checkpointData, but
-// keeps only the rows (and their optimizer moments) whose route keys
-// fall in [lo, hi). Column-partitioned engines export everything — they
-// migrate wholesale. The engine-global Adam step travels with the
-// export so bias correction stays monotone on the destination.
+func (e *embEngine) checkpointData() []byte { return e.snapshot(nil) }
+
+// exportRange keeps only the rows whose route keys fall in [lo, hi).
+// Column-partitioned engines export everything — they migrate wholesale.
 func (e *embEngine) exportRange(lo, hi int64) ([]byte, error) {
-	for i := range e.shards {
-		e.shards[i].mu.RLock()
+	if !e.routed {
+		return e.snapshot(nil), nil
 	}
-	defer func() {
-		for i := len(e.shards) - 1; i >= 0; i-- {
-			e.shards[i].mu.RUnlock()
-		}
-	}()
-	keep := func(id int64) bool { return !e.routed || e.inExport(id, lo, hi) }
-	snap := ckptSnapshot{
-		Kind: e.meta.Kind,
-		Emb:  make(map[int64][]float64),
-		Col0: e.col0, Col1: e.col1,
-		Step: int(e.step.Load()),
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		for id, row := range sh.rows {
-			if keep(id) {
-				snap.Emb[id] = row
-			}
-		}
-		for id, m := range sh.mom {
-			if keep(id) {
-				if snap.Mom == nil {
-					snap.Mom = make(map[int64][]float64)
-				}
-				snap.Mom[id] = m
-			}
-		}
-		for id, v := range sh.vel {
-			if keep(id) {
-				if snap.Vel == nil {
-					snap.Vel = make(map[int64][]float64)
-				}
-				snap.Vel[id] = v
-			}
-		}
-	}
-	return enc(snap), nil
+	return e.snapshot(func(id int64) bool { return e.inExport(id, lo, hi) }), nil
 }
 
 // importRange scatters an exported row set over the shards.

@@ -224,7 +224,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 
 // TestEmbShardedCheckpointRoundTrip: checkpoints are shard-count
 // independent — state written under one shard count restores under
-// another (and under the single-lock compat mode) bit-for-bit.
+// another (here the degenerate single shard) bit-for-bit.
 func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	SetEmbShards(3)
 	defer SetEmbShards(0)
@@ -245,10 +245,8 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	if err := cl.Checkpoint("shards"); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	// Restore under a different shard count and the single-lock mode.
-	SetEmbShards(16)
-	SetEmbSingleLock(true)
-	defer SetEmbSingleLock(false)
+	// Restore under a different shard count.
+	SetEmbShards(1)
 	addr := c.ServerAddrs()[0]
 	c.KillServer(addr)
 	if rec := c.Master.CheckServers(); len(rec) != 1 {

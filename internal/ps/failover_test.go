@@ -180,7 +180,7 @@ func TestEpochFenceStalePrimary(t *testing.T) {
 func TestEpochFenceOrdering(t *testing.T) {
 	s := NewServer("fence-unit", dfs.NewDefault())
 	if err := s.fenceCheck(0); err != nil {
-		t.Fatalf("legacy epoch-less call fenced: %v", err)
+		t.Fatalf("epoch-0 call fenced on a fresh server: %v", err)
 	}
 	s.epochMax(5)
 	if err := s.fenceCheck(3); !IsStaleEpochErr(err) {

@@ -141,7 +141,7 @@ func (m *Master) SetFS(fs *dfs.FS) {
 }
 
 // Handle dispatches one RPC. It is the rpc.Handler of the master. A
-// tagSeq envelope routes through the dedup window (see dedup.go).
+// tagSeqE envelope routes through the dedup window (see dedup.go).
 func (m *Master) Handle(method string, body []byte) ([]byte, error) {
 	if clientID, seq, _, payload, ok := unwrapDedup(body); ok {
 		return m.dedup.handle(clientID, seq, func() ([]byte, error) {

@@ -64,13 +64,7 @@ type replState struct {
 
 	// backup is the ring-successor address mutations are forwarded to
 	// ("" = degraded single-copy mode).
-	backup    atomic.Value // string
-	replAsync atomic.Bool
-
-	replMu   sync.Mutex
-	replQ    chan replicateReq
-	replStop chan struct{}
-	replDone chan struct{}
+	backup atomic.Value // string
 
 	hbMu   sync.Mutex
 	hbStop chan struct{}
@@ -104,46 +98,6 @@ var replGuarded = map[string]bool{
 // partitions cut the server's heartbeats and forwards, not only its
 // inbound traffic.
 func (s *Server) SetOutbound(tr rpc.Transport) { s.repl.out = tr }
-
-// SetReplAsync switches mutation forwarding from synchronous (ack after
-// the backup applied) to asynchronous (ack immediately, forward from a
-// bounded queue). Async trades the zero-loss guarantee for latency:
-// mutations acked but still queued die with the primary.
-func (s *Server) SetReplAsync(on bool) {
-	s.repl.replMu.Lock()
-	defer s.repl.replMu.Unlock()
-	if on && s.repl.replQ == nil {
-		q := make(chan replicateReq, 1024)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		s.repl.replQ = q
-		s.repl.replStop = stop
-		s.repl.replDone = done
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case req := <-q:
-					s.sendReplicate(req)
-				case <-stop:
-					// Drain whatever is already queued, then exit. The queue
-					// itself is never closed — senders select on stop instead —
-					// so a handler blocked on a full queue during shutdown can
-					// never hit a send-on-closed-channel panic.
-					for {
-						select {
-						case req := <-q:
-							s.sendReplicate(req)
-						default:
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	s.repl.replAsync.Store(on)
-}
 
 // role returns (lazily creating) the partition's role. Partitions
 // created before replication wiring default to primary, matching the
@@ -227,10 +181,22 @@ func (s *Server) fenceCheck(epoch int64) error {
 	return nil
 }
 
-// forward mirrors one applied mutation to the backup. Synchronous by
-// default: the client's ack is withheld until the backup applied (or
-// the forward was abandoned), which is what makes "acked implies
-// replicated" — and therefore zero acked loss on failover — true.
+// forward mirrors one applied mutation to the backup, synchronously:
+// the client's ack is withheld until the backup applied (or the forward
+// was abandoned), which is what makes "acked implies replicated" — and
+// therefore zero acked loss on failover — true.
+//
+// Brief unreachability is ridden out. If the backup stays unreachable
+// the server degrades itself to single-copy mode (clears the target,
+// counts the drop) rather than stalling every mutation. A
+// non-unreachable error is a per-partition application failure
+// (typically "partition not on this server" right after a promotion,
+// before reseed installed the replica): only that one forward is
+// dropped — clearing the whole target would silently stop forwarding
+// for every healthy partition too. Either way the drop counter rides
+// the next heartbeat, so the master marks this primary's replicas stale
+// and reseeds them; forwarding state never diverges silently from the
+// master's metadata.
 func (s *Server) forward(method string, clientID, seq uint64, epoch int64, payload []byte) {
 	if s.repl.out == nil || !replGuarded[method] {
 		return
@@ -239,64 +205,23 @@ func (s *Server) forward(method string, clientID, seq uint64, epoch int64, paylo
 	if target == "" {
 		return
 	}
-	req := replicateReq{Method: method, ClientID: clientID, Seq: seq, Epoch: epoch}
-	if s.repl.replAsync.Load() {
-		// The payload aliases the inbound RPC buffer, which the transport
-		// recycles after Handle returns; the queued copy must own it.
-		req.Body = append([]byte(nil), payload...)
-		s.repl.replMu.Lock()
-		q, stop := s.repl.replQ, s.repl.replStop
-		s.repl.replMu.Unlock()
-		if q != nil {
-			select {
-			case q <- req: // blocking: bounded queue backpressures the primary
-			case <-stop:
-				// Worker is exiting; deliver synchronously instead of
-				// racing its drain (Body is already an owned copy).
-				s.sendReplicate(req)
-			}
-			return
-		}
-	}
-	req.Body = payload
-	s.sendReplicate(req)
-}
-
-// sendReplicate delivers one forward, riding out brief unreachability.
-// If the backup stays unreachable the server degrades itself to
-// single-copy mode (clears the target, counts the drop) rather than
-// stalling every mutation. A non-unreachable error is a per-partition
-// application failure (typically "partition not on this server" right
-// after a promotion, before reseed installed the replica): only that
-// one forward is dropped — clearing the whole target would silently
-// stop forwarding for every healthy partition too. Either way the drop
-// counter rides the next heartbeat, so the master marks this primary's
-// replicas stale and reseeds them; forwarding state never diverges
-// silently from the master's metadata.
-func (s *Server) sendReplicate(req replicateReq) {
-	target, _ := s.repl.backup.Load().(string)
-	if target == "" {
-		return
-	}
-	body := enc(req)
+	body := enc(replicateReq{Method: method, ClientID: clientID, Seq: seq, Epoch: epoch, Body: payload})
+	defer putBuf(body)
 	deadline := time.Now().Add(250 * time.Millisecond)
 	backoff := 2 * time.Millisecond
 	for {
 		_, err := s.repl.out.Call(target, "Replicate", body)
 		if err == nil {
 			s.repl.replicated.Add(1)
-			putBuf(body)
 			return
 		}
 		if !errors.Is(err, rpc.ErrUnreachable) {
 			s.repl.replDropped.Add(1)
-			putBuf(body)
 			return
 		}
 		if time.Now().After(deadline) {
 			s.repl.replDropped.Add(1)
 			s.repl.backup.CompareAndSwap(target, "")
-			putBuf(body)
 			return
 		}
 		time.Sleep(backoff)
@@ -464,26 +389,6 @@ func (s *Server) StopHeartbeat() {
 	s.repl.hbStop = nil
 	s.repl.hbDone = nil
 	s.repl.hbMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// stopBackground halts the heartbeat loop and the async forward worker.
-// The forward queue is signalled via its stop channel and drained by the
-// worker, never closed — in-flight forward() calls may still hold a
-// reference to it.
-func (s *Server) stopBackground() {
-	s.StopHeartbeat()
-	s.repl.replMu.Lock()
-	stop := s.repl.replStop
-	done := s.repl.replDone
-	s.repl.replQ = nil
-	s.repl.replStop = nil
-	s.repl.replDone = nil
-	s.repl.replAsync.Store(false)
-	s.repl.replMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Wire format tags (first byte of every message).
@@ -56,19 +55,6 @@ const (
 	msgFuncResp
 	msgReplicateReq
 )
-
-// binaryWire selects the hot-path format. On (the default) hot messages
-// use the binary codec; off forces everything through gob. The switch
-// exists so benchmarks and psbench can measure the gob baseline through
-// the identical call path.
-var binaryWire atomic.Bool
-
-func init() { binaryWire.Store(true) }
-
-// SetBinaryWire toggles the binary hot-path codec; pass false to fall
-// back to gob for every message. Intended for benchmarking the codec
-// against the gob baseline, not for production use.
-func SetBinaryWire(on bool) { binaryWire.Store(on) }
 
 // ---------------------------------------------------------------------------
 // Buffer pool.

@@ -8,9 +8,8 @@ import (
 	"psgraph/internal/rpc"
 )
 
-// Benchmarks comparing the binary wire codec against the gob baseline.
-// The "format=gob" variants run the identical call path with the binary
-// codec switched off, so the deltas isolate encoding cost.
+// Benchmarks of the binary wire codec: encode/decode alone and through
+// a full client/server round trip.
 
 func benchVecPush(n int) vecPushReq {
 	idx := make([]int64, n)
@@ -37,49 +36,8 @@ func benchEmbPush(rows, dim int) embPushReq {
 func BenchmarkCodecEncode(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		req := benchVecPush(n)
-		for _, format := range []string{"binary", "gob"} {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				SetBinaryWire(format == "binary")
-				defer SetBinaryWire(true)
-				b.SetBytes(int64(16 * n))
-				b.ReportAllocs()
-				for b.Loop() {
-					buf := enc(req)
-					putBuf(buf)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkCodecDecode(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		req := benchVecPush(n)
-		for _, format := range []string{"binary", "gob"} {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				SetBinaryWire(format == "binary")
-				defer SetBinaryWire(true)
-				data := enc(req)
-				b.SetBytes(int64(16 * n))
-				b.ReportAllocs()
-				for b.Loop() {
-					var out vecPushReq
-					if err := dec(data, &out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkCodecEncodeEmb(b *testing.B) {
-	req := benchEmbPush(10_000, 16)
-	for _, format := range []string{"binary", "gob"} {
-		b.Run("format="+format, func(b *testing.B) {
-			SetBinaryWire(format == "binary")
-			defer SetBinaryWire(true)
-			b.SetBytes(int64(10_000 * 16 * 8))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
 			b.ReportAllocs()
 			for b.Loop() {
 				buf := enc(req)
@@ -89,43 +47,65 @@ func BenchmarkCodecEncodeEmb(b *testing.B) {
 	}
 }
 
+func BenchmarkCodecDecode(b *testing.B) {
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		data := enc(benchVecPush(n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
+			b.ReportAllocs()
+			for b.Loop() {
+				var out vecPushReq
+				if err := dec(data, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCodecEncodeEmb(b *testing.B) {
+	req := benchEmbPush(10_000, 16)
+	b.SetBytes(int64(10_000 * 16 * 8))
+	b.ReportAllocs()
+	for b.Loop() {
+		buf := enc(req)
+		putBuf(buf)
+	}
+}
+
 // BenchmarkCodecRoundtripDense measures a full pull+push cycle against a
 // live in-process cluster — the paper's hot path — at 1e4..1e6 elements.
 func BenchmarkCodecRoundtripDense(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		for _, format := range []string{"binary", "gob"} {
-			b.Run(fmt.Sprintf("format=%s/n=%d", format, n), func(b *testing.B) {
-				SetBinaryWire(format == "binary")
-				defer SetBinaryWire(true)
-				c, err := NewCluster(ClusterConfig{NumServers: 4, NamePrefix: fmt.Sprintf("bd%s%d", format, n)})
-				if err != nil {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			c, err := NewCluster(ClusterConfig{NumServers: 4, NamePrefix: fmt.Sprintf("bd%d", n)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			cl := c.NewClient()
+			v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "v", Size: int64(n)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			idx := make([]int64, n)
+			vals := make([]float64, n)
+			for i := range idx {
+				idx[i] = int64(i)
+				vals[i] = float64(i)
+			}
+			b.SetBytes(int64(16 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for b.Loop() {
+				if err := v.PushAdd(idx, vals); err != nil {
 					b.Fatal(err)
 				}
-				defer c.Close()
-				cl := c.NewClient()
-				v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "v", Size: int64(n)})
-				if err != nil {
+				if _, err := v.Pull(idx); err != nil {
 					b.Fatal(err)
 				}
-				idx := make([]int64, n)
-				vals := make([]float64, n)
-				for i := range idx {
-					idx[i] = int64(i)
-					vals[i] = float64(i)
-				}
-				b.SetBytes(int64(16 * n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for b.Loop() {
-					if err := v.PushAdd(idx, vals); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := v.Pull(idx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -133,42 +113,36 @@ func BenchmarkCodecRoundtripDense(b *testing.B) {
 // keyed vectors, the dominant traffic of the paper's GNN workloads.
 func BenchmarkCodecRoundtripSparse(b *testing.B) {
 	const rows, dim = 10_000, 8
-	for _, format := range []string{"binary", "gob"} {
-		b.Run("format="+format, func(b *testing.B) {
-			SetBinaryWire(format == "binary")
-			defer SetBinaryWire(true)
-			c, err := NewCluster(ClusterConfig{NumServers: 4, NamePrefix: "bs" + format})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			cl := c.NewClient()
-			e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: dim})
-			if err != nil {
-				b.Fatal(err)
-			}
-			vecs := make(map[int64][]float64, rows)
-			ids := make([]int64, rows)
-			for r := 0; r < rows; r++ {
-				v := make([]float64, dim)
-				for d := range v {
-					v[d] = float64(d)
-				}
-				vecs[int64(r)] = v
-				ids[r] = int64(r)
-			}
-			b.SetBytes(int64(rows * dim * 8 * 2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for b.Loop() {
-				if err := e.PushAdd(vecs); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Pull(ids); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c, err := NewCluster(ClusterConfig{NumServers: 4, NamePrefix: "bs"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	cl := c.NewClient()
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: dim})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vecs := make(map[int64][]float64, rows)
+	ids := make([]int64, rows)
+	for r := 0; r < rows; r++ {
+		v := make([]float64, dim)
+		for d := range v {
+			v[d] = float64(d)
+		}
+		vecs[int64(r)] = v
+		ids[r] = int64(r)
+	}
+	b.SetBytes(int64(rows * dim * 8 * 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if err := e.PushAdd(vecs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Pull(ids); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"psgraph/internal/dfs"
 	"psgraph/internal/rpc"
 )
 
@@ -127,6 +128,25 @@ func TestWireBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHotMessagesEncodeBinary: every request/response type of the hot
+// methods comes out of enc with tagBin. Nothing exercises the gob
+// fallback for these any more, so a new hot message that misses its
+// encBinary case would otherwise degrade to gob silently.
+func TestHotMessagesEncodeBinary(t *testing.T) {
+	msgs := append(hotMessages(), replicateReq{Method: "EmbPush", ClientID: 7, Seq: 9, Epoch: 2, Body: []byte{1}})
+	seen := make(map[reflect.Type]bool)
+	for _, msg := range msgs {
+		seen[reflect.TypeOf(msg)] = true
+		if b := enc(msg); b[0] != tagBin {
+			t.Errorf("enc(%T): tag = 0x%02x, want tagBin", msg, b[0])
+		}
+	}
+	// 5 kinds x (pull req, pull resp, push req) + Func req/resp + Replicate.
+	if len(seen) != 18 {
+		t.Errorf("covered %d hot message types, want 18", len(seen))
+	}
+}
+
 // TestWireGobGoldenEquivalence checks that the binary codec and the gob
 // baseline decode to the same values: each message is encoded both ways
 // and the two decodes must match. Empty-but-non-nil slices/maps are
@@ -229,26 +249,32 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestWireFormatsInteroperate drives a full pull/push cycle with the
-// client encoding gob while the cluster decodes whatever arrives — old
-// and new message formats must coexist behind the tag byte.
+// TestWireFormatsInteroperate feeds a gob-tagged hot message straight to
+// Server.Handle and reads the effect back with a binary one: both
+// formats must keep decoding behind the tag byte.
 func TestWireFormatsInteroperate(t *testing.T) {
-	SetBinaryWire(false)
-	defer SetBinaryWire(true)
-	_, cl := newTestCluster(t, 2)
-	v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "gobv", Size: 50})
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	s := NewServer("s0", dfs.NewDefault())
+	meta := ModelMeta{Name: "gobv", Kind: DenseVector, Size: 50,
+		Parts: []Partition{{Server: "s0", Lo: 0, Hi: 50}}}
+	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: meta, Part: 0})); err != nil {
+		t.Fatalf("CreatePart: %v", err)
 	}
-	if err := v.PushAdd([]int64{1, 49}, []float64{2, 3}); err != nil {
-		t.Fatalf("push: %v", err)
+	push := encGob(vecPushReq{Model: "gobv", Part: 0, Indices: []int64{1, 49}, Values: []float64{2, 3}, Op: vecAdd})
+	if push[0] != tagGob {
+		t.Fatalf("encGob tag = 0x%02x, want tagGob", push[0])
 	}
-	SetBinaryWire(true) // switch formats mid-conversation
-	got, err := v.Pull([]int64{1, 49})
+	if _, err := s.Handle("VecPush", push); err != nil {
+		t.Fatalf("gob-tagged push: %v", err)
+	}
+	out, err := s.Handle("VecPull", enc(vecPullReq{Model: "gobv", Part: 0, Indices: []int64{1, 49}}))
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
-	if got[0] != 2 || got[1] != 3 {
+	var resp vecPullResp
+	if err := dec(out, &resp); err != nil {
+		t.Fatalf("decode pull: %v", err)
+	}
+	if got := resp.Values; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("got %v, want [2 3]", got)
 	}
 }
