@@ -60,13 +60,9 @@ func BuildNeighborModel(ctx *Context, edges *dataflow.RDD[Edge], undirected bool
 	if err != nil {
 		return nil, err
 	}
-	var count int64
-	for _, o := range outs {
-		var partial int64
-		if err := gobDec(o, &partial); err != nil {
-			return nil, err
-		}
-		count += partial
+	count, err := sumArgI64(outs)
+	if err != nil {
+		return nil, err
 	}
 	return &NeighborModel{Nbr: nbr, Name: name, NumVertices: count}, nil
 }

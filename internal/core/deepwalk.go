@@ -139,15 +139,15 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 			}
 			// Skip-gram pairs with negative sampling, trained through the
 			// same server-side machinery as LINE.
-			pairs := make([]linePair, 0, 1024)
-			labels := make([]float64, 0, 1024)
+			// Like LINE's batches, a positive pair and its negatives share
+			// U (the walk centre), which the server kernels exploit.
+			b := &lineBatch{}
 			flush := func() error {
-				if len(pairs) == 0 {
+				if len(b.us) == 0 {
 					return nil
 				}
-				err := lineStepPSFunc(ctx, embName, ctxName, pairs, labels, cfg.LR)
-				pairs = pairs[:0]
-				labels = labels[:0]
+				err := lineStepPSFunc(ctx, embName, ctxName, b, cfg.LR)
+				b.us, b.vs, b.labels = b.us[:0], b.vs[:0], b.labels[:0]
 				return err
 			}
 			for _, w := range walks {
@@ -158,18 +158,14 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 						if j == i {
 							continue
 						}
-						pairs = append(pairs, linePair{U: center, V: w[j]})
-						labels = append(labels, 1)
+						b.add(center, w[j], 1)
 						for k := 0; k < cfg.NegSamples; k++ {
-							neg := sampler.sample(rng)
-							if neg == w[j] {
-								continue
+							if neg := sampler.sample(rng); neg != w[j] {
+								b.add(center, neg, 0)
 							}
-							pairs = append(pairs, linePair{U: center, V: neg})
-							labels = append(labels, 0)
 						}
 					}
-					if len(pairs) >= 2048 {
+					if len(b.us) >= 2048 {
 						if err := flush(); err != nil {
 							return err
 						}

@@ -175,25 +175,15 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 			for start := 0; start < len(in); start += cfg.BatchSize {
 				end := min(start+cfg.BatchSize, len(in))
 				batch := in[start:end]
-				pairs := make([]linePair, 0, len(batch)*(1+cfg.NegSamples))
-				labels := make([]float64, 0, cap(pairs))
-				for _, e := range batch {
-					pairs = append(pairs, linePair{U: e.Src, V: e.Dst})
-					labels = append(labels, 1)
-					for k := 0; k < cfg.NegSamples; k++ {
-						neg := sampler.sample(rng)
-						if neg == e.Dst {
-							continue
-						}
-						pairs = append(pairs, linePair{U: e.Src, V: neg})
-						labels = append(labels, 0)
-					}
-				}
+				b := newLineBatch(batch, cfg.NegSamples, sampler, rng)
 				var err error
 				if cfg.PullVectors {
-					err = lineStepPull(ctx, embName, otherName, pairs, labels, cfg.LR)
+					var eh, oh *ps.Emb
+					if eh, oh, err = lineHandles(ctx, embName, otherName); err == nil {
+						err = lineStepRelaxed(eh, oh, b, nil, nil, cfg.LR)
+					}
 				} else {
-					err = lineStepPSFunc(ctx, embName, otherName, pairs, labels, cfg.LR)
+					err = lineStepPSFunc(ctx, embName, otherName, b, cfg.LR)
 				}
 				if err != nil {
 					return err
@@ -212,14 +202,39 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 	return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
 }
 
-// lineBatch is one prepared mini-batch in the relaxed path's pipeline:
-// pairs and labels plus — when prefetching — the row pulls already in
-// flight underneath the previous batch's gradient math.
+// lineBatch is one prepared mini-batch: the pairs as two id columns
+// (us[i], vs[i]) with their labels — the shape the psFunc argument, the
+// row pulls and lineGrads all take — plus, when prefetching on the
+// relaxed path, the row pulls already in flight underneath the previous
+// batch's gradient math.
 type lineBatch struct {
-	pairs      []linePair
-	labels     []float64
 	us, vs     []int64
+	labels     []float64
 	uPre, vPre *ps.Prefetch
+}
+
+// newLineBatch expands edges into training pairs: each positive pair is
+// followed by its negatives, which share its U — so the columns hold
+// runs of 1 + negSamples equal U ids (fewer where a draw hit the positive
+// and was dropped). The server kernels resolve emb[U] once per run.
+func newLineBatch(edges []Edge, negSamples int, sampler *degreeSampler, rng *rand.Rand) *lineBatch {
+	n := len(edges) * (1 + negSamples)
+	b := &lineBatch{us: make([]int64, 0, n), vs: make([]int64, 0, n), labels: make([]float64, 0, n)}
+	for _, e := range edges {
+		b.add(e.Src, e.Dst, 1)
+		for k := 0; k < negSamples; k++ {
+			if neg := sampler.sample(rng); neg != e.Dst {
+				b.add(e.Src, neg, 0)
+			}
+		}
+	}
+	return b
+}
+
+func (b *lineBatch) add(u, v int64, label float64) {
+	b.us = append(b.us, u)
+	b.vs = append(b.vs, v)
+	b.labels = append(b.labels, label)
 }
 
 // lineTrainRelaxed runs every epoch inside ONE dataflow action with a
@@ -264,15 +279,9 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 	tag := embName + "/ssp"
 	overlap := cfg.Prefetch && cfg.PullVectors
 	return re.ForeachPartition(func(worker int, in []Edge) error {
-		eh, err := ctx.Agent.Embedding(embName)
+		eh, oh, err := lineHandles(ctx, embName, otherName)
 		if err != nil {
 			return err
-		}
-		oh := eh
-		if otherName != embName {
-			if oh, err = ctx.Agent.Embedding(otherName); err != nil {
-				return err
-			}
 		}
 		clock := ctx.Agent.SSPClock(tag, worker, workers, k)
 		if d := ctx.cfg.LeaseDuration; d > 0 {
@@ -301,30 +310,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 			return clock.Tick()
 		}
 		prepare := func(batch []Edge, rng *rand.Rand, prefetch bool) *lineBatch {
-			b := &lineBatch{
-				pairs:  make([]linePair, 0, len(batch)*(1+cfg.NegSamples)),
-				labels: make([]float64, 0, len(batch)*(1+cfg.NegSamples)),
-			}
-			for _, e := range batch {
-				b.pairs = append(b.pairs, linePair{U: e.Src, V: e.Dst})
-				b.labels = append(b.labels, 1)
-				for k := 0; k < cfg.NegSamples; k++ {
-					neg := sampler.sample(rng)
-					if neg == e.Dst {
-						continue
-					}
-					b.pairs = append(b.pairs, linePair{U: e.Src, V: neg})
-					b.labels = append(b.labels, 0)
-				}
-			}
-			if cfg.PullVectors {
-				b.us = make([]int64, 0, len(b.pairs))
-				b.vs = make([]int64, 0, len(b.pairs))
-				for _, p := range b.pairs {
-					b.us = append(b.us, p.U)
-					b.vs = append(b.vs, p.V)
-				}
-			}
+			b := newLineBatch(batch, cfg.NegSamples, sampler, rng)
 			if prefetch {
 				b.uPre = eh.PrefetchRows(b.us)
 				b.vPre = oh.PrefetchRows(b.vs)
@@ -352,7 +338,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 				if cfg.PullVectors {
 					err = lineStepRelaxed(eh, oh, cur, uCo, vCo, cfg.LR)
 				} else {
-					err = lineStepPSFunc(ctx, embName, otherName, cur.pairs, cur.labels, cfg.LR)
+					err = lineStepPSFunc(ctx, embName, otherName, cur, cfg.LR)
 				}
 				if err != nil {
 					return err
@@ -377,9 +363,10 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 	})
 }
 
-// lineStepRelaxed is lineStepPull fed from the pipeline: rows come from
-// the in-flight prefetch when one was issued, and updates go through the
-// coalescers when coalescing is on.
+// lineStepRelaxed is the unoptimized step — pull every needed vector,
+// compute locally, push updates (2·Dim floats per pair each way) — fed
+// from the pipeline: rows come from the in-flight prefetch when one was
+// issued, and updates go through the coalescers when coalescing is on.
 func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr float64) error {
 	var uVecs, vVecs map[int64][]float64
 	var err error
@@ -398,7 +385,7 @@ func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr fl
 			return err
 		}
 	}
-	uUpd, vUpd := lineGrads(b.pairs, b.labels, uVecs, vVecs, lr)
+	uUpd, vUpd := lineGrads(b, uVecs, vVecs, lr)
 	if uCo != nil {
 		if err := uCo.Push(uUpd); err != nil {
 			return err
@@ -412,81 +399,64 @@ func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr fl
 }
 
 // lineStepPSFunc runs one SGD step with server-side dot products and
-// updates.
-func lineStepPSFunc(ctx *Context, embName, otherName string, pairs []linePair, labels []float64, lr float64) error {
-	arg := encLineDotArg(lineDotArg{Other: otherName, Pairs: pairs})
-	outs, err := ctx.Agent.CallFunc(embName, "core.lineDot", func(p ps.Partition) []byte { return arg })
+// updates. The pair columns are encoded once: the update argument is the
+// dot argument plus the coefficients.
+func lineStepPSFunc(ctx *Context, embName, otherName string, b *lineBatch, lr float64) error {
+	n := len(b.us)
+	// Room for the coefficient block, so the update append stays in place.
+	arg := appendLinePairs(make([]byte, 0, 32+len(otherName)+14*n), otherName, b.us, b.vs)
+	outs, err := ctx.Agent.CallFunc(embName, "core.lineDot", func(ps.Partition) []byte { return arg })
 	if err != nil {
 		return err
 	}
-	dots := make([]float64, len(pairs))
-	for _, o := range outs {
+	g := make([]float64, n) // summed dots, then coefficients
+	var partial []float64
+	for pi, o := range outs {
 		r := ps.NewArgReader(o)
-		partial := r.F64s()
+		partial = r.F64sInto(partial)
 		if err := r.Close(); err != nil {
 			return err
 		}
+		if len(partial) != n {
+			return fmt.Errorf("core: lineDot on partition %d of %s returned %d dots for %d pairs", pi, embName, len(partial), n)
+		}
 		for i, d := range partial {
-			dots[i] += d
+			g[i] += d
 		}
 	}
-	g := make([]float64, len(pairs))
-	for i := range g {
-		g[i] = lr * (labels[i] - sigmoid(dots[i]))
+	for i, dot := range g {
+		g[i] = lr * (b.labels[i] - sigmoid(dot))
 	}
-	upd := encLineUpdateArg(lineUpdateArg{Other: otherName, Pairs: pairs, G: g})
-	_, err = ctx.Agent.CallFunc(embName, "core.lineUpdate", func(p ps.Partition) []byte { return upd })
+	upd := ps.AppendArgF64s(arg, g)
+	_, err = ctx.Agent.CallFunc(embName, "core.lineUpdate", func(ps.Partition) []byte { return upd })
 	return err
 }
 
-// lineStepPull is the unoptimized variant: pull every needed vector,
-// compute locally, push updates (2·Dim floats per pair each way).
-func lineStepPull(ctx *Context, embName, otherName string, pairs []linePair, labels []float64, lr float64) error {
-	eh, err := ctx.Agent.Embedding(embName)
-	if err != nil {
-		return err
+// lineHandles resolves the embedding model and the other model (the same
+// handle under first-order proximity).
+func lineHandles(ctx *Context, embName, otherName string) (eh, oh *ps.Emb, err error) {
+	if eh, err = ctx.Agent.Embedding(embName); err != nil || otherName == embName {
+		return eh, eh, err
 	}
-	oh := eh
-	if otherName != embName {
-		if oh, err = ctx.Agent.Embedding(otherName); err != nil {
-			return err
-		}
-	}
-	us := make([]int64, 0, len(pairs))
-	vs := make([]int64, 0, len(pairs))
-	for _, p := range pairs {
-		us = append(us, p.U)
-		vs = append(vs, p.V)
-	}
-	uVecs, err := eh.Pull(us)
-	if err != nil {
-		return err
-	}
-	vVecs, err := oh.Pull(vs)
-	if err != nil {
-		return err
-	}
-	uUpd, vUpd := lineGrads(pairs, labels, uVecs, vVecs, lr)
-	if err := eh.PushAdd(uUpd); err != nil {
-		return err
-	}
-	return oh.PushAdd(vUpd)
+	oh, err = ctx.Agent.Embedding(otherName)
+	return eh, oh, err
 }
 
 // lineGrads computes the logistic-loss row updates for a batch from
 // pulled embedding (u) and context (v) vectors.
-func lineGrads(pairs []linePair, labels []float64, uVecs, vVecs map[int64][]float64, lr float64) (uUpd, vUpd map[int64][]float64) {
+func lineGrads(b *lineBatch, uVecs, vVecs map[int64][]float64, lr float64) (uUpd, vUpd map[int64][]float64) {
 	uUpd = make(map[int64][]float64)
 	vUpd = make(map[int64][]float64)
-	for i, p := range pairs {
-		u, v := uVecs[p.U], vVecs[p.V]
+	for i, uid := range b.us {
+		vid := b.vs[i]
+		u, v := uVecs[uid], vVecs[vid]
 		var dot float64
 		for j := range u {
 			dot += u[j] * v[j]
 		}
-		g := lr * (labels[i] - sigmoid(dot))
-		du := ensureVec(uUpd, p.U, len(u))
-		dv := ensureVec(vUpd, p.V, len(v))
+		g := lr * (b.labels[i] - sigmoid(dot))
+		du := ensureVec(uUpd, uid, len(u))
+		dv := ensureVec(vUpd, vid, len(v))
 		for j := range u {
 			du[j] += g * v[j]
 			dv[j] += g * u[j]

@@ -1,0 +1,348 @@
+package core
+
+import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"psgraph/internal/ps"
+)
+
+// The psFunc a test (or benchmark) uses to get hold of a server's Store,
+// so the kernels can be driven directly, without the RPC stack.
+var capturedStore *ps.Store
+
+func init() {
+	ps.RegisterFunc("coretest.store", func(s *ps.Store, _ string, _ int, _ []byte) ([]byte, error) {
+		capturedStore = s
+		return nil, nil
+	})
+}
+
+// kernelStore starts a one-server PS holding the named column embeddings,
+// one width-dim partition each (so they are co-located as partition 0),
+// and returns that server's Store.
+func kernelStore(tb testing.TB, dim int, names ...string) *ps.Store {
+	tb.Helper()
+	ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(ctx.Close)
+	for _, name := range names {
+		if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
+			Name: name, Dim: dim, ByColumn: true, InitScale: 0.5 / float64(dim), Partitions: 1,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := ctx.Agent.CallFunc(names[0], "coretest.store", func(ps.Partition) []byte { return nil }); err != nil {
+		tb.Fatal(err)
+	}
+	return capturedStore
+}
+
+// refLineRows is the straightforward reference the kernels are held to:
+// both rows of every pair looked up afresh, pairs taken strictly in order.
+func refLineRows(tb testing.TB, s *ps.Store, model, other string, us, vs []int64, each func(i int, u, v []float64)) {
+	tb.Helper()
+	view, err := s.Partition(model, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	emb := view.Lock()
+	defer emb.Unlock()
+	ctx := emb
+	if other != model {
+		oview, err := s.Partition(other, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ctx = oview.Lock()
+		defer ctx.Unlock()
+	}
+	for i := range us {
+		each(i, emb.Row(us[i]), ctx.Row(vs[i]))
+	}
+}
+
+func refLineDot(tb testing.TB, s *ps.Store, model, other string, us, vs []int64) []float64 {
+	out := make([]float64, len(us))
+	refLineRows(tb, s, model, other, us, vs, func(i int, u, v []float64) {
+		var d float64
+		for j := range u {
+			d += u[j] * v[j]
+		}
+		out[i] = d
+	})
+	return out
+}
+
+func refLineUpdate(tb testing.TB, s *ps.Store, model, other string, us, vs []int64, g []float64) {
+	refLineRows(tb, s, model, other, us, vs, func(i int, u, v []float64) {
+		for j := range u {
+			uOld := u[j]
+			u[j] += g[i] * v[j]
+			v[j] += g[i] * uOld
+		}
+	})
+}
+
+func kernelDot(tb testing.TB, s *ps.Store, model, other string, us, vs []int64) []float64 {
+	tb.Helper()
+	out, err := lineDotFunc(s, model, 0, appendLinePairs(nil, other, us, vs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := ps.NewArgReader(out)
+	dots := r.F64s()
+	if err := r.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dots
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLineKernelEquivalence drives the kernels and the per-pair reference
+// over twin models (same ids, hence same initial rows) and demands the
+// same bits: dots, then every touched row after an update, then dots
+// again. Batches cover runs of equal U, isolated Us, U == V under first
+// order, ids that materialise mid-batch, and the empty batch.
+func TestLineKernelEquivalence(t *testing.T) {
+	const dim = 8
+	s := kernelStore(t, dim, "k.emb", "k.ctx", "r.emb", "r.ctx")
+	rng := rand.New(rand.NewSource(7))
+	runs := func(n, run int, ids int64) (us, vs []int64) {
+		for len(us) < n {
+			u := rng.Int63n(ids)
+			for k := 0; k < run && len(us) < n; k++ {
+				us = append(us, u)
+				vs = append(vs, rng.Int63n(ids))
+			}
+		}
+		return us, vs
+	}
+	type batch struct {
+		name   string
+		us, vs []int64
+	}
+	var batches []batch
+	us, vs := runs(600, 6, 200)
+	batches = append(batches, batch{"runs of 6", us, vs})
+	us, vs = runs(300, 1, 200)
+	batches = append(batches, batch{"isolated", us, vs})
+	batches = append(batches, batch{"u equals v", []int64{5, 5, 5, 9, 9, 5}, []int64{5, 9, 5, 9, 5, 5}})
+	us, vs = runs(400, 4, 1<<40) // never-seen ids: rows materialise mid-batch, tables grow
+	batches = append(batches, batch{"fresh ids", us, vs})
+	batches = append(batches, batch{"empty", []int64{}, []int64{}})
+
+	for _, order := range []int{2, 1} {
+		kOther, rOther := "k.ctx", "r.ctx"
+		if order == 1 {
+			kOther, rOther = "k.emb", "r.emb"
+		}
+		for _, b := range batches {
+			name := fmt.Sprintf("order %d/%s", order, b.name)
+			g := make([]float64, len(b.us))
+			for i := range g {
+				g[i] = rng.NormFloat64() * 0.05
+			}
+			if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
+				t.Fatalf("%s: dots differ from the reference", name)
+			}
+			upd := ps.AppendArgF64s(appendLinePairs(nil, kOther, b.us, b.vs), g)
+			if _, err := lineUpdateFunc(s, "k.emb", 0, upd); err != nil {
+				t.Fatalf("%s: update: %v", name, err)
+			}
+			refLineUpdate(t, s, "r.emb", rOther, b.us, b.vs, g)
+			for _, pair := range [][2]string{{"k.emb", "r.emb"}, {"k.ctx", "r.ctx"}} {
+				kv, _ := s.Partition(pair[0], 0)
+				rv, _ := s.Partition(pair[1], 0)
+				for _, id := range append(append([]int64(nil), b.us...), b.vs...) {
+					if !sameBits(kv.Row(id), rv.Row(id)) {
+						t.Fatalf("%s: row %d of %s differs from the reference after update", name, id, pair[0])
+					}
+				}
+			}
+			if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
+				t.Fatalf("%s: dots after update differ from the reference", name)
+			}
+		}
+	}
+}
+
+func TestLineArgRoundTrip(t *testing.T) {
+	us, vs := []int64{3, 1, 1 << 40}, []int64{9, -4, 0}
+	g := []float64{0.025, -0.0125, 1}
+	dot := appendLinePairs(nil, "line.ctx", us, vs)
+	a, err := decodeLineArg(dot, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.other != "line.ctx" || fmt.Sprint(a.us, a.vs) != fmt.Sprint(us, vs) {
+		t.Fatalf("dot round-trip: %+v", a)
+	}
+	a.release()
+	if a, err = decodeLineArg(ps.AppendArgF64s(dot, g), true); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a.us, a.vs, a.g) != fmt.Sprint(us, vs, g) {
+		t.Fatalf("update round-trip: %+v", a)
+	}
+	a.release()
+	if a, err = decodeLineArg(appendLinePairs(nil, "m", nil, nil), false); err != nil || len(a.us) != 0 {
+		t.Fatalf("empty pairs round-trip: %+v, %v", a, err)
+	}
+	a.release()
+}
+
+func TestLineArgDecodeRejects(t *testing.T) {
+	dot := appendLinePairs(nil, "m", []int64{1}, []int64{2})
+	for name, tc := range map[string]struct {
+		arg    []byte
+		update bool
+	}{
+		"garbage":               {[]byte{0xFF, 0xFF, 0xFF}, false},
+		"dot arg as update arg": {dot, true},
+		"update arg as dot arg": {ps.AppendArgF64s(dot, []float64{1}), false},
+		"trailing byte":         {append(dot[:len(dot):len(dot)], 0), false},
+		"more U than V":         {appendLinePairs(nil, "m", []int64{1, 2}, []int64{2}), false},
+		"more pairs than coefficients": {
+			ps.AppendArgF64s(appendLinePairs(nil, "m", []int64{1, 2}, []int64{2, 3}), []float64{1}), true},
+	} {
+		if _, err := decodeLineArg(tc.arg, tc.update); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	s := kernelStore(t, 4, "rej.emb")
+	if _, err := lineDotFunc(s, "rej.emb", 0, appendLinePairs(nil, "rej.emb", []int64{1, 2}, []int64{2})); err == nil {
+		t.Error("lineDot accepted mismatched columns")
+	}
+}
+
+// The encoded LINE arguments as PR 3 first put them on the wire; the
+// benchmark's wire_bytes_per_item depends on every byte.
+const (
+	goldenLineDotArg    = "086c696e652e63747806060000080b061219888080808040f1ffffffff3fca04"
+	goldenLineUpdateArg = goldenLineDotArg + "069a9999999999993f9a999999999989bf000000000000f03f000000000000000000000000000004c0"
+)
+
+func TestLineArgWireGolden(t *testing.T) {
+	us, vs := []int64{3, 3, 3, 7, 1}, []int64{9, -4, 1 << 40, 7, 300}
+	dot := appendLinePairs(nil, "line.ctx", us, vs)
+	if got := hex.EncodeToString(dot); got != goldenLineDotArg {
+		t.Fatalf("dot arg\n got %s\nwant %s", got, goldenLineDotArg)
+	}
+	upd := ps.AppendArgF64s(dot, []float64{0.025, -0.0125, 1, 0, -2.5})
+	if got := hex.EncodeToString(upd); got != goldenLineUpdateArg {
+		t.Fatalf("update arg\n got %s\nwant %s", got, goldenLineUpdateArg)
+	}
+}
+
+func FuzzLineArg(f *testing.F) {
+	for _, h := range []string{goldenLineDotArg, goldenLineUpdateArg, "ffffff", ""} {
+		b, _ := hex.DecodeString(h)
+		f.Add(b, false)
+		f.Add(b, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, update bool) {
+		a, err := decodeLineArg(data, update)
+		if err != nil {
+			return
+		}
+		if len(a.us) != len(a.vs) || (update && len(a.g) != len(a.us)) {
+			t.Fatalf("accepted ragged columns: %d/%d/%d", len(a.us), len(a.vs), len(a.g))
+		}
+		a.release()
+		if _, err := decodeLineArg(append(bytes.Clone(data), 0), update); err == nil {
+			t.Fatal("accepted a trailing byte")
+		}
+	})
+}
+
+// TestLineStepRejectsWrongDotCount: a partition answering with more or
+// fewer dots than pairs must fail the step by name, not panic the
+// executor or train on truncated dots.
+func TestLineStepRejectsWrongDotCount(t *testing.T) {
+	ctx := newTestContext(t)
+	if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{Name: "bad.emb", Dim: 4, ByColumn: true}); err != nil {
+		t.Fatal(err)
+	}
+	extra := 0
+	ps.RegisterFunc("core.lineDot", func(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
+		a, err := decodeLineArg(arg, false)
+		if err != nil {
+			return nil, err
+		}
+		defer a.release()
+		return ps.AppendArgF64s(nil, make([]float64, len(a.us)+extra)), nil
+	})
+	t.Cleanup(func() { ps.RegisterFunc("core.lineDot", lineDotFunc) })
+	b := &lineBatch{us: []int64{1, 1, 2}, vs: []int64{2, 3, 1}, labels: []float64{1, 0, 1}}
+	for _, extra = range []int{1, -1} {
+		err := lineStepPSFunc(ctx, "bad.emb", "bad.emb", b, 0.025)
+		if err == nil || !strings.Contains(err.Error(), "partition 0 of bad.emb") {
+			t.Fatalf("extra=%d: err = %v, want one naming the partition", extra, err)
+		}
+	}
+}
+
+// lineKernelBench builds the line-psfunc server shape: two co-located
+// column partitions 16 wide over 16,384 ids, one 512-edge batch of
+// 1 + 5 pairs per edge.
+func lineKernelBench(b *testing.B) (s *ps.Store, dot, upd []byte) {
+	s = kernelStore(b, 16, "bench.emb", "bench.ctx")
+	rng := rand.New(rand.NewSource(1))
+	var us, vs []int64
+	for e := 0; e < 512; e++ {
+		u := rng.Int63n(16384)
+		for k := 0; k < 6; k++ {
+			us = append(us, u)
+			vs = append(vs, rng.Int63n(16384))
+		}
+	}
+	all := make([]int64, 16384)
+	for i := range all {
+		all[i] = int64(i)
+	}
+	kernelDot(b, s, "bench.emb", "bench.ctx", all, all) // materialise every row
+	dot = appendLinePairs(nil, "bench.ctx", us, vs)
+	g := make([]float64, len(us))
+	for i := range g {
+		g[i] = 1e-6 * rng.NormFloat64()
+	}
+	return s, dot, ps.AppendArgF64s(dot[:len(dot):len(dot)], g)
+}
+
+func BenchmarkLineKernelDot(b *testing.B) {
+	s, dot, _ := lineKernelBench(b)
+	for b.Loop() {
+		if _, err := lineDotFunc(s, "bench.emb", 0, dot); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLineKernelUpdate(b *testing.B) {
+	s, _, upd := lineKernelBench(b)
+	for b.Loop() {
+		if _, err := lineUpdateFunc(s, "bench.emb", 0, upd); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -187,20 +187,9 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 			return nil, err
 		}
 		// Commit on the servers and read back the residual mass.
-		outs, err := ctx.Agent.CallFunc(curName, "core.commitDelta",
-			func(p ps.Partition) []byte {
-				return gobEnc(commitDeltaArg{Ranks: ranksName, Next: nextName})
-			})
+		residual, err := commitDelta(ctx, curName, ranksName, nextName)
 		if err != nil {
 			return nil, err
-		}
-		var residual float64
-		for _, o := range outs {
-			var partial float64
-			if err := gobDec(o, &partial); err != nil {
-				return nil, err
-			}
-			residual += partial
 		}
 		if cfg.CheckpointEvery > 0 {
 			// A server recovery during this iteration restored its
@@ -368,20 +357,9 @@ func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRa
 		if err != nil {
 			return nil, err
 		}
-		outs, err := ctx.Agent.CallFunc(curName, "core.commitDelta",
-			func(p ps.Partition) []byte {
-				return gobEnc(commitDeltaArg{Ranks: ranksName, Next: nextName})
-			})
+		residual, err := commitDelta(ctx, curName, ranksName, nextName)
 		if err != nil {
 			return nil, err
-		}
-		var residual float64
-		for _, o := range outs {
-			var partial float64
-			if err := gobDec(o, &partial); err != nil {
-				return nil, err
-			}
-			residual += partial
 		}
 		if residual < cfg.Tolerance*float64(n) {
 			it++

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"psgraph/internal/dataflow"
 	"psgraph/internal/ps"
 )
@@ -19,17 +21,14 @@ func init() {
 	ps.RegisterFunc("core.takeIndices", takeIndicesFunc)
 }
 
-// takeIndicesArg asks for an atomic read-and-reset of the given indices
-// of a DenseVector partition. Reset is the value taken slots are set to
-// (zero for sum-combined vectors, the combiner identity for min/max).
-type takeIndicesArg struct {
-	Indices []int64
-	Reset   float64
-}
-
+// takeIndicesFunc atomically reads and resets the given indices of a
+// DenseVector partition. Its argument is the index column and the value
+// taken slots are set to (zero for sum-combined vectors, the combiner
+// identity for min/max).
 func takeIndicesFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
-	var a takeIndicesArg
-	if err := gobDec(arg, &a); err != nil {
+	r := ps.NewArgReader(arg)
+	indices, reset := r.I64s(), r.F64()
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	view, err := s.Partition(model, part)
@@ -38,16 +37,16 @@ func takeIndicesFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 	}
 	data, lo, unlock := view.VecLock()
 	defer unlock()
-	out := make([]float64, len(a.Indices))
-	for i, idx := range a.Indices {
+	out := make([]float64, len(indices))
+	for i, idx := range indices {
 		j := idx - lo
 		if j < 0 || j >= int64(len(data)) {
 			continue
 		}
 		out[i] = data[j]
-		data[j] = a.Reset
+		data[j] = reset
 	}
-	return gobEnc(out), nil
+	return ps.AppendArgF64s(nil, out), nil
 }
 
 // takeVector atomically takes (reads and resets) the given indices of a
@@ -62,7 +61,7 @@ func takeVector(ctx *Context, name string, meta ps.ModelMeta, indices []int64, r
 	}
 	out := make([]float64, len(indices))
 	outs, err := ctx.Agent.CallFunc(name, "core.takeIndices", func(p ps.Partition) []byte {
-		return gobEnc(takeIndicesArg{Indices: byPart[p.Index], Reset: reset})
+		return ps.AppendArgF64(ps.AppendArgI64s(nil, byPart[p.Index]), reset)
 	})
 	if err != nil {
 		return nil, err
@@ -71,9 +70,13 @@ func takeVector(ctx *Context, name string, meta ps.ModelMeta, indices []int64, r
 		if len(byPart[pi]) == 0 {
 			continue
 		}
-		var vals []float64
-		if err := gobDec(raw, &vals); err != nil {
+		r := ps.NewArgReader(raw)
+		vals := r.F64s()
+		if err := r.Close(); err != nil {
 			return nil, err
+		}
+		if len(vals) != len(pos[pi]) {
+			return nil, fmt.Errorf("core: takeIndices partition %d returned %d values for %d indices", pi, len(vals), len(pos[pi]))
 		}
 		for j, orig := range pos[pi] {
 			out[orig] = vals[j]

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"psgraph/internal/ps"
 )
@@ -30,45 +30,60 @@ func nbrSealFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return gobEnc(view.SealCSR()), nil
+	return ps.AppendArgI64(nil, view.SealCSR()), nil
 }
 
-func gobEnc(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: encode %T: %v", v, err))
+// sumArgI64 adds up per-partition results of one AppendArgI64 each.
+func sumArgI64(outs [][]byte) (int64, error) {
+	var sum int64
+	for _, o := range outs {
+		r := ps.NewArgReader(o)
+		sum += r.I64()
+		if err := r.Close(); err != nil {
+			return 0, err
+		}
 	}
-	return buf.Bytes()
+	return sum, nil
 }
 
-func gobDec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// commitDeltaArg drives the PageRank commit: ranks += Δcur; Δcur ← Δnext;
-// Δnext ← 0. The function runs on the Δcur model; Ranks and Next name the
-// co-located dense vectors with the identical range layout.
-type commitDeltaArg struct {
-	Ranks string
-	Next  string
+// commitDelta drives the PageRank commit — ranks += Δcur; Δcur ← Δnext;
+// Δnext ← 0 — by running core.commitDelta on every partition of the Δcur
+// model; ranks and next name the co-located dense vectors with the
+// identical range layout. It returns the summed L1 norm of the new Δcur.
+func commitDelta(ctx *Context, cur, ranks, next string) (float64, error) {
+	arg := ps.AppendArgStr(ps.AppendArgStr(nil, ranks), next)
+	outs, err := ctx.Agent.CallFunc(cur, "core.commitDelta", func(ps.Partition) []byte { return arg })
+	if err != nil {
+		return 0, err
+	}
+	var residual float64
+	for _, o := range outs {
+		r := ps.NewArgReader(o)
+		residual += r.F64()
+		if err := r.Close(); err != nil {
+			return 0, err
+		}
+	}
+	return residual, nil
 }
 
 // commitDeltaFunc returns the L1 norm of the new Δcur partition so the
 // driver can test convergence without pulling the vectors.
 func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
-	var a commitDeltaArg
-	if err := gobDec(arg, &a); err != nil {
+	r := ps.NewArgReader(arg)
+	ranksName, nextName := r.Str(), r.Str()
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	curView, err := s.Partition(model, part)
 	if err != nil {
 		return nil, err
 	}
-	ranksView, err := s.Partition(a.Ranks, part)
+	ranksView, err := s.Partition(ranksName, part)
 	if err != nil {
 		return nil, err
 	}
-	nextView, err := s.Partition(a.Next, part)
+	nextView, err := s.Partition(nextName, part)
 	if err != nil {
 		return nil, err
 	}
@@ -84,8 +99,8 @@ func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 	}
 	ls := []*lockable{
 		{name: model, view: curView},
-		{name: a.Ranks, view: ranksView},
-		{name: a.Next, view: nextView},
+		{name: ranksName, view: ranksView},
+		{name: nextName, view: nextView},
 	}
 	sort.Slice(ls, func(i, j int) bool { return ls[i].name < ls[j].name })
 	for _, l := range ls {
@@ -101,9 +116,9 @@ func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 		switch l.name {
 		case model:
 			cur = l.data
-		case a.Ranks:
+		case ranksName:
 			ranks = l.data
-		case a.Next:
+		case nextName:
 			next = l.data
 		}
 	}
@@ -117,188 +132,161 @@ func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 		next[i] = 0
 		l1 += math.Abs(cur[i])
 	}
-	return gobEnc(l1), nil
+	return ps.AppendArgF64(nil, l1), nil
 }
 
-// linePair is one (target, context) vertex pair in a LINE mini-batch.
-type linePair struct {
-	U, V int64
-}
+// The LINE psFunc arguments ride the binary arg codec: the name of the
+// other model, the pairs as two delta-varint id columns (U then V) and,
+// for the update, one little-endian coefficient per pair. They go out
+// once per partition per training step, so the client encodes the columns
+// once per step and the server decodes straight into pooled scratch.
 
-// lineDotArg asks for partial dot products emb[U]·other[V] over this
-// partition's column range. For second-order proximity Other is the
-// context model; for first-order it is the embedding model itself.
-type lineDotArg struct {
-	Other string
-	Pairs []linePair
-}
-
-// The LINE psFunc payloads ride the PR-1 binary arg codec instead of
-// gob: pair ids as two delta-varint columns, coefficients as a
-// little-endian float block. These messages go out once per partition
-// per training step, so their encode cost sits squarely on the hot path.
-
-func splitPairs(pairs []linePair) (us, vs []int64) {
-	us = make([]int64, len(pairs))
-	vs = make([]int64, len(pairs))
-	for i, p := range pairs {
-		us[i], vs[i] = p.U, p.V
-	}
-	return us, vs
-}
-
-func joinPairs(us, vs []int64) ([]linePair, error) {
-	if len(us) != len(vs) {
-		return nil, fmt.Errorf("core: line arg: %d U ids vs %d V ids", len(us), len(vs))
-	}
-	pairs := make([]linePair, len(us))
-	for i := range pairs {
-		pairs[i] = linePair{U: us[i], V: vs[i]}
-	}
-	return pairs, nil
-}
-
-func encLineDotArg(a lineDotArg) []byte {
-	us, vs := splitPairs(a.Pairs)
-	b := ps.AppendArgStr(nil, a.Other)
+// appendLinePairs appends the argument of core.lineDot for the pairs
+// (us[i], vs[i]) — which is also the prefix of core.lineUpdate's.
+func appendLinePairs(b []byte, other string, us, vs []int64) []byte {
+	b = ps.AppendArgStr(b, other)
 	b = ps.AppendArgI64s(b, us)
 	return ps.AppendArgI64s(b, vs)
 }
 
-func decLineDotArg(data []byte) (lineDotArg, error) {
-	r := ps.NewArgReader(data)
-	a := lineDotArg{Other: r.Str()}
-	us, vs := r.I64s(), r.I64s()
-	if err := r.Close(); err != nil {
-		return a, err
+// lineArg is one decoded LINE argument. Its columns are pooled scratch:
+// release gives them back, after which they must not be used.
+type lineArg struct {
+	other  string
+	us, vs []int64
+	g      []float64 // update only
+}
+
+var lineArgPool = sync.Pool{New: func() any { return new(lineArg) }}
+
+// decodeLineArg decodes a dot (update == false) or update argument and
+// checks that its columns agree in length.
+func decodeLineArg(arg []byte, update bool) (*lineArg, error) {
+	a := lineArgPool.Get().(*lineArg)
+	r := ps.NewArgReader(arg)
+	a.other = r.Str()
+	a.us, a.vs = r.I64sInto(a.us), r.I64sInto(a.vs)
+	if update {
+		a.g = r.F64sInto(a.g)
 	}
-	pairs, err := joinPairs(us, vs)
-	a.Pairs = pairs
-	return a, err
-}
-
-func encLineUpdateArg(a lineUpdateArg) []byte {
-	us, vs := splitPairs(a.Pairs)
-	b := ps.AppendArgStr(nil, a.Other)
-	b = ps.AppendArgI64s(b, us)
-	b = ps.AppendArgI64s(b, vs)
-	return ps.AppendArgF64s(b, a.G)
-}
-
-func decLineUpdateArg(data []byte) (lineUpdateArg, error) {
-	r := ps.NewArgReader(data)
-	a := lineUpdateArg{Other: r.Str()}
-	us, vs := r.I64s(), r.I64s()
-	a.G = r.F64s()
-	if err := r.Close(); err != nil {
-		return a, err
+	err := r.Close()
+	if err == nil && len(a.us) != len(a.vs) {
+		err = fmt.Errorf("core: line arg: %d U ids vs %d V ids", len(a.us), len(a.vs))
 	}
-	pairs, err := joinPairs(us, vs)
-	a.Pairs = pairs
-	return a, err
+	if err == nil && update && len(a.g) != len(a.us) {
+		err = fmt.Errorf("core: lineUpdate %d coefficients for %d pairs", len(a.g), len(a.us))
+	}
+	if err != nil {
+		a.release()
+		return nil, err
+	}
+	return a, nil
 }
 
+func (a *lineArg) release() { lineArgPool.Put(a) }
+
+// lockLinePair locks this partition's slice of the embedding model and of
+// the co-located other model — the context model for second-order
+// proximity; for first-order the embedding model itself, and then the
+// second accessor IS the first and one lock set is taken. Two models lock
+// in model-name order, which with each engine's shard-index order keeps
+// concurrent psFuncs deadlock-free. Release with unlockLinePair.
+func lockLinePair(s *ps.Store, model, other string, part int) (emb, ctx ps.LockedRows, err error) {
+	embView, err := s.Partition(model, part)
+	if err != nil {
+		return emb, ctx, err
+	}
+	if other == model {
+		emb = embView.Lock()
+		return emb, emb, nil
+	}
+	otherView, err := s.Partition(other, part)
+	if err != nil {
+		return emb, ctx, err
+	}
+	if model <= other {
+		emb = embView.Lock()
+		ctx = otherView.Lock()
+	} else {
+		ctx = otherView.Lock()
+		emb = embView.Lock()
+	}
+	return emb, ctx, nil
+}
+
+func unlockLinePair(emb, ctx ps.LockedRows) {
+	if ctx != emb {
+		ctx.Unlock()
+	}
+	emb.Unlock()
+}
+
+// Both kernels walk the pair columns once and re-resolve emb[U] only
+// where U changes. Every LINE and DeepWalk batch is a positive pair
+// followed by its negatives, all sharing U, so runs of equal U are
+// 1 + NegSamples long (6 on line-psfunc) and ~5 of 6 U lookups go away;
+// without runs the loop degrades to one lookup per pair. Holding u while
+// ctx.Row(V) may materialise rows is sound only because LockedRows rows
+// never move.
+
+// lineDotFunc returns the partial dot products emb[U]·other[V] over this
+// partition's column range, one per pair, as an AppendArgF64s block.
 func lineDotFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
-	a, err := decLineDotArg(arg)
+	a, err := decodeLineArg(arg, false)
 	if err != nil {
 		return nil, err
 	}
-	embView, err := s.Partition(model, part)
+	defer a.release()
+	emb, ctx, err := lockLinePair(s, model, a.other, part)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(a.Pairs))
-	if a.Other == model {
-		rows, unlock := embView.Lock()
-		for i, p := range a.Pairs {
-			u, v := rows(p.U), rows(p.V)
-			var d float64
-			for j := range u {
-				d += u[j] * v[j]
-			}
-			out[i] = d
+	defer unlockLinePair(emb, ctx)
+	us, vs := a.us, a.vs
+	out := ps.AppendArgF64sLen(make([]byte, 0, binary.MaxVarintLen64+8*len(us)), len(us))
+	var u []float64
+	for i, uid := range us {
+		if i == 0 || uid != us[i-1] {
+			u = emb.Row(uid)
 		}
-		unlock()
-		return ps.AppendArgF64s(nil, out), nil
-	}
-	otherView, err := s.Partition(a.Other, part)
-	if err != nil {
-		return nil, err
-	}
-	embRows, unlockEmb, otherRows, unlockOther := lockPairOrdered(model, embView, a.Other, otherView)
-	for i, p := range a.Pairs {
-		u, v := embRows(p.U), otherRows(p.V)
+		v := ctx.Row(vs[i])[:len(u)]
 		var d float64
-		for j := range u {
-			d += u[j] * v[j]
+		for j, x := range u {
+			d += x * v[j]
 		}
-		out[i] = d
+		out = ps.AppendArgF64(out, d)
 	}
-	unlockOther()
-	unlockEmb()
-	return ps.AppendArgF64s(nil, out), nil
+	return out, nil
 }
 
-// lineUpdateArg applies SGD on this partition's columns for every pair:
-// emb[U] += G*other[V]; other[V] += G*emb_old[U].
-type lineUpdateArg struct {
-	Other string
-	Pairs []linePair
-	G     []float64
-}
-
+// lineUpdateFunc applies SGD on this partition's columns, pair by pair in
+// order: emb[U] += G*other[V]; other[V] += G*emb_old[U]. Updates are
+// strictly sequential — a later pair sees every earlier one, and a
+// first-order pair with U == V updates the one aliased row exactly as
+// written.
 func lineUpdateFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
-	a, err := decLineUpdateArg(arg)
+	a, err := decodeLineArg(arg, true)
 	if err != nil {
 		return nil, err
 	}
-	if len(a.G) != len(a.Pairs) {
-		return nil, fmt.Errorf("core: lineUpdate %d coefficients for %d pairs", len(a.G), len(a.Pairs))
-	}
-	embView, err := s.Partition(model, part)
+	defer a.release()
+	emb, ctx, err := lockLinePair(s, model, a.other, part)
 	if err != nil {
 		return nil, err
 	}
-	apply := func(embRows, otherRows func(int64) []float64) {
-		for i, p := range a.Pairs {
-			g := a.G[i]
-			u, v := embRows(p.U), otherRows(p.V)
-			for j := range u {
-				uOld := u[j]
-				u[j] += g * v[j]
-				v[j] += g * uOld
-			}
+	defer unlockLinePair(emb, ctx)
+	us, vs := a.us, a.vs
+	var u []float64
+	for i, uid := range us {
+		if i == 0 || uid != us[i-1] {
+			u = emb.Row(uid)
+		}
+		g := a.g[i]
+		v := ctx.Row(vs[i])[:len(u)]
+		for j, uOld := range u {
+			u[j] += g * v[j]
+			v[j] += g * uOld
 		}
 	}
-	if a.Other == model {
-		rows, unlock := embView.Lock()
-		apply(rows, rows)
-		unlock()
-		return nil, nil
-	}
-	otherView, err := s.Partition(a.Other, part)
-	if err != nil {
-		return nil, err
-	}
-	embRows, unlockEmb, otherRows, unlockOther := lockPairOrdered(model, embView, a.Other, otherView)
-	apply(embRows, otherRows)
-	unlockOther()
-	unlockEmb()
 	return nil, nil
-}
-
-// lockPairOrdered locks two partitions in model-name order and returns
-// their row accessors with matching unlock functions. Each Lock() call
-// write-locks all of that engine's shards (in shard-index order), so the
-// model-name ordering here is the only cross-engine discipline needed to
-// stay deadlock-free against concurrent psFuncs on other partitions.
-func lockPairOrdered(nameA string, a *ps.PartView, nameB string, b *ps.PartView) (rowsA func(int64) []float64, unlockA func(), rowsB func(int64) []float64, unlockB func()) {
-	if nameA <= nameB {
-		rowsA, unlockA = a.Lock()
-		rowsB, unlockB = b.Lock()
-		return
-	}
-	rowsB, unlockB = b.Lock()
-	rowsA, unlockA = a.Lock()
-	return
 }

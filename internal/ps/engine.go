@@ -250,8 +250,8 @@ func (s *Store) deletePart(model string, idx int) {
 // splitmix64 evaluated at counter id*2654435761 + 12345 + (j+1) steps,
 // mapped to [-scale, scale). Because each element is addressed directly,
 // a column partition computes exactly its [col0, col1) slice — values
-// never depend on the partition layout, and materializing a row costs
-// one allocation and a few ns per element.
+// never depend on the partition layout, and materializing a row in place
+// costs a few ns per element and no allocation.
 type rowIniter struct {
 	scale      float64
 	col0, col1 int
@@ -269,17 +269,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (ri *rowIniter) initRow(id int64) []float64 {
-	w := ri.col1 - ri.col0
+// initRowInto fills dst (one stored row, col1-col0 wide) with row id's
+// initial values.
+func (ri *rowIniter) initRowInto(dst []float64, id int64) {
 	if ri.scale == 0 {
-		return make([]float64, w)
+		clear(dst)
+		return
 	}
 	seed := uint64(id*2654435761 + 12345)
-	out := make([]float64, w)
-	for i := range out {
+	for i := range dst {
 		h := splitmix64(seed + uint64(ri.col0+i+1)*0x9e3779b97f4a7c15)
 		u := float64(h>>11) / (1 << 53) // uniform in [0, 1)
-		out[i] = (u*2 - 1) * ri.scale
+		dst[i] = (u*2 - 1) * ri.scale
 	}
-	return out
 }

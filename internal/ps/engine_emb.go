@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -25,22 +26,22 @@ type embEngine struct {
 	engineBase
 	col0, col1 int // stored column range; (0, Dim) for row-partitioned
 	step       atomic.Int64
-	shards     []embShard
+	shards     []embShard // power-of-two count, so the shard pick is a mask
+	ri         rowIniter
 
 	// hot counts pull frequency per row; the serving tier mines it for
 	// the power-law head to replicate (serve.go).
 	hot hotCounter
 }
 
+// embShard is one lock's worth of rows, moments included (rowstore.go).
 type embShard struct {
-	mu   sync.RWMutex
-	rows map[int64][]float64
-	mom  map[int64][]float64
-	vel  map[int64][]float64
+	mu    sync.RWMutex
+	store rowStore
 }
 
-// defaultEmbShards is the per-partition shard count. Shards cost three
-// map headers and a mutex each, so this can be generous: 32 keeps the
+// defaultEmbShards is the per-partition shard count. An empty shard costs
+// a mutex and a 16-entry id table, so this can be generous: 32 keeps the
 // collision probability of an 8-client fan-out low without bloating
 // small models.
 const defaultEmbShards = 32
@@ -48,8 +49,9 @@ const defaultEmbShards = 32
 var embShardCount atomic.Int32
 
 // SetEmbShards overrides the shard count of embedding engines created
-// afterwards (existing engines keep theirs). n < 1 resets the default.
-// Intended for benchmarks and shard-crossing tests.
+// afterwards (existing engines keep theirs); engines round it up to a
+// power of two. n < 1 resets the default. Intended for benchmarks and
+// shard-crossing tests.
 func SetEmbShards(n int) {
 	if n < 1 {
 		n = 0
@@ -64,13 +66,14 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	} else {
 		e.col0, e.col1 = 0, base.meta.Dim
 	}
+	e.ri = newRowIniter(e.meta, e.col0, e.col1)
 	n := int(embShardCount.Load())
 	if n < 1 {
 		n = defaultEmbShards
 	}
-	e.shards = make([]embShard, n)
+	e.shards = make([]embShard, 1<<bits.Len(uint(n-1)))
 	for i := range e.shards {
-		e.shards[i].rows = make(map[int64][]float64)
+		e.shards[i].store = newRowStore(e.width())
 	}
 	return e
 }
@@ -88,26 +91,23 @@ func (e *embEngine) width() int { return e.col1 - e.col0 }
 
 func (e *embEngine) cols() (int, int) { return e.col0, e.col1 }
 
-// shard maps an id to its shard. Fibonacci hashing: consecutive vertex
+// shardIdx maps an id to its shard. Fibonacci hashing: consecutive vertex
 // ids (the common pull pattern) spread uniformly.
-func (e *embEngine) shard(id int64) *embShard {
-	h := uint64(id) * 0x9e3779b97f4a7c15
-	return &e.shards[(h>>32)%uint64(len(e.shards))]
+func (e *embEngine) shardIdx(id int64) int {
+	return int((uint64(id)*fibHash)>>32) & (len(e.shards) - 1)
 }
 
-func (e *embEngine) initer() rowIniter {
-	return newRowIniter(e.meta, e.col0, e.col1)
-}
+func (e *embEngine) shard(id int64) *embShard { return &e.shards[e.shardIdx(id)] }
 
-// rowLocked returns (materializing if absent) the stored row for id.
-// Callers hold sh's write lock.
-func (sh *embShard) rowLocked(id int64, ri *rowIniter) []float64 {
-	row, ok := sh.rows[id]
-	if !ok {
-		row = ri.initRow(id)
-		sh.rows[id] = row
+// rowLocked returns (materializing if absent) the ordinal and live row
+// of id. Callers hold the write lock of id's shard sh.
+func (e *embEngine) rowLocked(sh *embShard, id int64) (uint32, []float64) {
+	ord, added := sh.store.put(id)
+	row := sh.store.row(ord)
+	if added {
+		e.ri.initRowInto(row, id)
 	}
-	return row
+	return ord, row
 }
 
 // pull copies the requested rows out. Fast path: every shard is read
@@ -121,7 +121,6 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 		}
 	}
 	out := make(map[int64][]float64, len(req.IDs))
-	ri := e.initer()
 	groups := e.groupIDs(req.IDs)
 	for si, ids := range groups {
 		if len(ids) == 0 {
@@ -131,10 +130,8 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 		var missing []int64
 		sh.mu.RLock()
 		for _, id := range ids {
-			if src, ok := sh.rows[id]; ok {
-				cp := make([]float64, len(src))
-				copy(cp, src)
-				out[id] = cp
+			if src := sh.store.get(id); src != nil {
+				out[id] = append([]float64(nil), src...)
 			} else {
 				missing = append(missing, id)
 			}
@@ -145,10 +142,8 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 		}
 		sh.mu.Lock()
 		for _, id := range missing {
-			src := sh.rowLocked(id, &ri)
-			cp := make([]float64, len(src))
-			copy(cp, src)
-			out[id] = cp
+			_, src := e.rowLocked(sh, id)
+			out[id] = append([]float64(nil), src...)
 		}
 		sh.mu.Unlock()
 	}
@@ -163,8 +158,7 @@ func (e *embEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
 func (e *embEngine) groupIDs(ids []int64) [][]int64 {
 	groups := make([][]int64, len(e.shards))
 	for _, id := range ids {
-		h := uint64(id) * 0x9e3779b97f4a7c15
-		si := (h >> 32) % uint64(len(e.shards))
+		si := e.shardIdx(id)
 		groups[si] = append(groups[si], id)
 	}
 	return groups
@@ -187,15 +181,13 @@ func (e *embEngine) push(req embPushReq) error {
 	if req.Grad {
 		step = e.step.Add(1)
 	}
-	ri := e.initer()
 	type entry struct {
 		id   int64
 		vals []float64
 	}
 	groups := make([][]entry, len(e.shards))
 	for id, vals := range req.Vecs {
-		h := uint64(id) * 0x9e3779b97f4a7c15
-		si := (h >> 32) % uint64(len(e.shards))
+		si := e.shardIdx(id)
 		groups[si] = append(groups[si], entry{id, vals})
 	}
 	for si, g := range groups {
@@ -205,12 +197,12 @@ func (e *embEngine) push(req embPushReq) error {
 		sh := &e.shards[si]
 		sh.mu.Lock()
 		for _, it := range g {
-			row := sh.rowLocked(it.id, &ri)
+			ord, row := e.rowLocked(sh, it.id)
 			switch {
 			case req.Set:
 				copy(row, it.vals)
 			case req.Grad:
-				e.applyGrad(sh, it.id, row, it.vals, step)
+				e.applyGrad(&sh.store, ord, row, it.vals, step)
 			default:
 				for i, v := range it.vals {
 					row[i] += v
@@ -222,9 +214,9 @@ func (e *embEngine) push(req embPushReq) error {
 	return nil
 }
 
-// applyGrad applies the model's optimizer to one row, updating the
-// shard's per-key moment state. Callers hold sh's write lock.
-func (e *embEngine) applyGrad(sh *embShard, id int64, row, grad []float64, step int64) {
+// applyGrad applies the model's optimizer to the row at ord, updating
+// the store's moment slabs. Callers hold the shard's write lock.
+func (e *embEngine) applyGrad(st *rowStore, ord uint32, row, grad []float64, step int64) {
 	opt := e.meta.Opt
 	switch opt.Kind {
 	case OptNone:
@@ -236,35 +228,13 @@ func (e *embEngine) applyGrad(sh *embShard, id int64, row, grad []float64, step 
 			row[i] -= opt.LR * g
 		}
 	case OptAdaGrad:
-		if sh.vel == nil {
-			sh.vel = make(map[int64][]float64)
-		}
-		acc, ok := sh.vel[id]
-		if !ok {
-			acc = make([]float64, len(row))
-			sh.vel[id] = acc
-		}
+		acc := st.moment(&st.vel, ord)
 		for i, g := range grad {
 			acc[i] += g * g
 			row[i] -= opt.LR * g / (math.Sqrt(acc[i]) + opt.Eps)
 		}
 	case OptAdam:
-		if sh.mom == nil {
-			sh.mom = make(map[int64][]float64)
-		}
-		if sh.vel == nil {
-			sh.vel = make(map[int64][]float64)
-		}
-		m, ok := sh.mom[id]
-		if !ok {
-			m = make([]float64, len(row))
-			sh.mom[id] = m
-		}
-		v, ok := sh.vel[id]
-		if !ok {
-			v = make([]float64, len(row))
-			sh.vel[id] = v
-		}
+		m, v := st.moment(&st.mom, ord), st.moment(&st.vel, ord)
 		b1c := 1 - math.Pow(opt.Beta1, float64(step))
 		b2c := 1 - math.Pow(opt.Beta2, float64(step))
 		for i, g := range grad {
@@ -275,43 +245,58 @@ func (e *embEngine) applyGrad(sh *embShard, id int64, row, grad []float64, step 
 	}
 }
 
-// lockAll write-locks every shard in index order (the deterministic
+// lockShards write-locks every shard in index order (the deterministic
 // order that, combined with the model-name ordering psFuncs use across
-// engines, keeps multi-partition locking deadlock-free) and returns a
-// raw row accessor with the matching unlock.
-func (e *embEngine) lockAll() (rows func(id int64) []float64, unlock func()) {
+// engines, keeps multi-partition locking deadlock-free).
+func (e *embEngine) lockShards() {
 	for i := range e.shards {
 		e.shards[i].mu.Lock()
 	}
-	ri := e.initer()
-	rows = func(id int64) []float64 {
-		return e.shard(id).rowLocked(id, &ri)
-	}
-	unlock = func() {
-		for i := len(e.shards) - 1; i >= 0; i-- {
-			e.shards[i].mu.Unlock()
-		}
-	}
-	return rows, unlock
 }
 
+func (e *embEngine) unlockShards() {
+	for i := len(e.shards) - 1; i >= 0; i-- {
+		e.shards[i].mu.Unlock()
+	}
+}
+
+// LockedRows is the raw row accessor of an embedding partition whose
+// shards are all write-locked (PartView.Lock). Rows it returns stay
+// valid, and do not move, until Unlock — also across later Row calls
+// that materialize other rows.
+type LockedRows struct{ e *embEngine }
+
+// Row returns (materializing if absent) the live row for id.
+func (l LockedRows) Row(id int64) []float64 {
+	_, row := l.e.rowLocked(l.e.shard(id), id)
+	return row
+}
+
+// Unlock releases the partition's shards.
+func (l LockedRows) Unlock() { l.e.unlockShards() }
+
 // row returns (materializing if absent) the live row for id, locking
-// only its shard (PartView.Row).
+// only its shard (PartView.Row) — for reading when the row exists.
 func (e *embEngine) row(id int64) []float64 {
 	sh := e.shard(id)
-	ri := e.initer()
-	sh.mu.Lock()
-	row := sh.rowLocked(id, &ri)
-	sh.mu.Unlock()
+	sh.mu.RLock()
+	row := sh.store.get(id)
+	sh.mu.RUnlock()
+	if row == nil {
+		sh.mu.Lock()
+		_, row = e.rowLocked(sh, id)
+		sh.mu.Unlock()
+	}
 	return row
 }
 
 // snapshot read-locks all shards so the result is one consistent cut,
-// then merges the rows (and their optimizer moments) that keep accepts
-// into the flat checkpoint maps — the on-DFS format knows nothing about
-// sharding, so layouts restore under any shard count. A nil keep takes
-// everything, and only then are the maps pre-sized to their final
-// counts. The engine-global Adam step travels with the snapshot so bias
+// then fills the flat checkpoint maps with the rows (and the optimizer
+// moments that hold state) keep accepts — the on-DFS format knows
+// nothing about sharding or slabs, so layouts restore under any shard
+// count. The map values alias the slabs: enc runs under the read locks.
+// A nil keep takes everything, and only then is the row map pre-sized.
+// The engine-global Adam step travels with the snapshot so bias
 // correction stays monotone wherever it is restored or imported.
 func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
 	for i := range e.shards {
@@ -322,12 +307,10 @@ func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
 			e.shards[i].mu.RUnlock()
 		}
 	}()
-	var nRows, nMom, nVel int
+	var nRows int
 	if keep == nil {
 		for i := range e.shards {
-			nRows += len(e.shards[i].rows)
-			nMom += len(e.shards[i].mom)
-			nVel += len(e.shards[i].vel)
+			nRows += e.shards[i].store.len()
 		}
 	}
 	snap := ckptSnapshot{
@@ -336,25 +319,28 @@ func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
 		Col0: e.col0, Col1: e.col1,
 		Step: int(e.step.Load()),
 	}
-	// merge adds the kept entries of src to dst, allocating dst on the
-	// first one so absent optimizer state stays a nil map.
-	merge := func(dst, src map[int64][]float64, size int) map[int64][]float64 {
-		for id, v := range src {
+	for i := range e.shards {
+		st := &e.shards[i].store
+		for o, id := range st.ids {
 			if keep != nil && !keep(id) {
 				continue
 			}
-			if dst == nil {
-				dst = make(map[int64][]float64, size)
+			ord := uint32(o)
+			snap.Emb[id] = st.row(ord)
+			// Absent optimizer state stays a nil map.
+			if m := st.momentIfSet(st.mom, ord); m != nil {
+				if snap.Mom == nil {
+					snap.Mom = make(map[int64][]float64)
+				}
+				snap.Mom[id] = m
 			}
-			dst[id] = v
+			if v := st.momentIfSet(st.vel, ord); v != nil {
+				if snap.Vel == nil {
+					snap.Vel = make(map[int64][]float64)
+				}
+				snap.Vel[id] = v
+			}
 		}
-		return dst
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		snap.Emb = merge(snap.Emb, sh.rows, nRows)
-		snap.Mom = merge(snap.Mom, sh.mom, nMom)
-		snap.Vel = merge(snap.Vel, sh.vel, nVel)
 	}
 	return enc(snap)
 }
@@ -370,32 +356,24 @@ func (e *embEngine) exportRange(lo, hi int64) ([]byte, error) {
 	return e.snapshot(func(id int64) bool { return e.inExport(id, lo, hi) }), nil
 }
 
-// importRange scatters an exported row set over the shards.
+// importRange copies an exported row set into the shards' slabs.
 func (e *embEngine) importRange(snap ckptSnapshot) error {
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := len(e.shards) - 1; i >= 0; i-- {
-			e.shards[i].mu.Unlock()
-		}
-	}()
+	e.lockShards()
+	defer e.unlockShards()
 	for id, row := range snap.Emb {
-		e.shard(id).rows[id] = row
+		st := &e.shard(id).store
+		ord, _ := st.put(id)
+		copy(st.row(ord), row)
 	}
 	for id, m := range snap.Mom {
 		sh := e.shard(id)
-		if sh.mom == nil {
-			sh.mom = make(map[int64][]float64)
-		}
-		sh.mom[id] = m
+		ord, _ := e.rowLocked(sh, id)
+		copy(sh.store.moment(&sh.store.mom, ord), m)
 	}
 	for id, v := range snap.Vel {
 		sh := e.shard(id)
-		if sh.vel == nil {
-			sh.vel = make(map[int64][]float64)
-		}
-		sh.vel[id] = v
+		ord, _ := e.rowLocked(sh, id)
+		copy(sh.store.moment(&sh.store.vel, ord), v)
 	}
 	if s := int64(snap.Step); s > e.step.Load() {
 		e.step.Store(s)
@@ -403,44 +381,29 @@ func (e *embEngine) importRange(snap ckptSnapshot) error {
 	return nil
 }
 
-// splitAt drops the upper half's rows from every shard: the shard hash
-// is independent of the route hash, so a split lands mid-shard by
+// splitAt rebuilds every shard's store from the rows it keeps: the shard
+// hash is independent of the route hash, so a split lands mid-shard by
 // construction and each shard gives up just its moved keys.
 func (e *embEngine) splitAt(mid int64) error {
 	if !e.routed {
 		return fmt.Errorf("ps: cannot split column-partitioned model %s", e.meta.Name)
 	}
+	e.lockShards()
+	defer e.unlockShards()
 	for i := range e.shards {
-		e.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := len(e.shards) - 1; i >= 0; i-- {
-			e.shards[i].mu.Unlock()
-		}
-	}()
-	for i := range e.shards {
-		sh := &e.shards[i]
-		for id := range sh.rows {
-			if !e.keepOnSplit(id, mid) {
-				delete(sh.rows, id)
-				delete(sh.mom, id)
-				delete(sh.vel, id)
-			}
-		}
+		e.shards[i].store.keepOnly(func(id int64) bool { return e.keepOnSplit(id, mid) })
 	}
 	e.narrowTo(mid)
 	return nil
 }
 
 func (e *embEngine) sizeBytes() int64 {
-	var b int64
+	var rows int64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
-		for _, row := range sh.rows {
-			b += 8 + int64(len(row))*8
-		}
+		rows += int64(sh.store.len())
 		sh.mu.RUnlock()
 	}
-	return b
+	return rows * (8 + int64(e.width())*8)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -276,6 +277,103 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmbStoreRoundTripsAcrossShardCounts: the checkpoint and migration
+// formats know nothing about shards, tables or slabs. State built under
+// one shard count — including a non-power-of-two request, which rounds up
+// — restores (checkpoint) and imports (exportRange of half the route
+// space) under every other, with equal rows, moments only for the rows
+// that took a gradient, and bit-equal results of the next optimizer step.
+func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
+	defer SetEmbShards(0)
+	const rows, graded = 300, 200
+	for _, opt := range []Optimizer{Adam(0.05), AdaGrad(0.05)} {
+		meta := oneServerMeta(ModelMeta{Name: "e", Kind: Embedding, Dim: 3, Opt: opt, InitScale: 0.25})
+		grads := make(map[int64][]float64)
+		all := make([]int64, rows)
+		for id := int64(0); id < rows; id++ {
+			all[id] = id
+			if id < graded {
+				grads[id] = []float64{0.5, -float64(id), 0.125}
+			}
+		}
+		step := func(t *testing.T, e *embEngine, ids []int64) map[int64][]float64 {
+			g := make(map[int64][]float64)
+			for _, id := range ids {
+				g[id] = []float64{1, 0.5, -2}
+			}
+			if err := e.push(embPushReq{Vecs: g, Grad: true}); err != nil {
+				t.Fatalf("grad push: %v", err)
+			}
+			resp, err := e.pull(embPullReq{IDs: ids})
+			if err != nil {
+				t.Fatalf("pull: %v", err)
+			}
+			return resp.Vecs
+		}
+		for _, from := range []int{1, 3, 32} {
+			SetEmbShards(from)
+			eng, _ := newEngine(meta, 0)
+			src := eng.(*embEngine)
+			if want := map[int]int{1: 1, 3: 4, 32: 32}[from]; len(src.shards) != want {
+				t.Fatalf("SetEmbShards(%d) built %d shards, want %d", from, len(src.shards), want)
+			}
+			if _, err := src.pull(embPullReq{IDs: all}); err != nil { // materialise, no moments
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				if err := src.push(embPushReq{Vecs: grads, Grad: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ckpt := decSnap(t, src.checkpointData())
+			if len(ckpt.Emb) != rows || len(ckpt.Vel) != graded || (opt.Kind == OptAdam && len(ckpt.Mom) != graded) {
+				t.Fatalf("from=%d: checkpoint has %d rows, %d mom, %d vel; want %d rows and moments for the %d graded",
+					from, len(ckpt.Emb), len(ckpt.Mom), len(ckpt.Vel), rows, graded)
+			}
+			mid := meta.routeSpan() / 2
+			b, err := src.exportRange(mid, meta.routeSpan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			upper := decSnap(t, b)
+			var upperIDs []int64
+			for id := range upper.Emb {
+				upperIDs = append(upperIDs, id)
+			}
+			// Reference results of the next step, from the source itself.
+			wantAll := step(t, src, all)
+			for _, to := range []int{1, 3, 32} {
+				SetEmbShards(to)
+				reng, err := engineFromSnapshot(meta, 0, ckpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored := reng.(*embEngine)
+				if got := decSnap(t, restored.checkpointData()); !reflect.DeepEqual(got, ckpt) {
+					t.Fatalf("%d→%d shards: restored checkpoint differs", from, to)
+				}
+				if got := step(t, restored, all); !reflect.DeepEqual(got, wantAll) {
+					t.Fatalf("%d→%d shards: optimizer step after restore differs", from, to)
+				}
+				ieng, _ := newEngine(meta, 0)
+				imported := ieng.(*embEngine)
+				if err := imported.importRange(upper); err != nil {
+					t.Fatal(err)
+				}
+				if got := decSnap(t, imported.checkpointData()); !reflect.DeepEqual(got, upper) {
+					t.Fatalf("%d→%d shards: imported range differs from the export", from, to)
+				}
+				got := step(t, imported, upperIDs)
+				for _, id := range upperIDs {
+					if !reflect.DeepEqual(got[id], wantAll[id]) {
+						t.Fatalf("%d→%d shards: row %d after import + step = %v, want %v", from, to, id, got[id], wantAll[id])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHandlerTableErrors: the typed handler table must reject unknown
 // methods and kind-mismatched requests loudly.
 func TestHandlerTableErrors(t *testing.T) {
@@ -306,11 +404,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		rows, unlock := p.Lock()
-		defer unlock()
+		rows := p.Lock()
+		defer rows.Unlock()
 		var sum float64
 		for id := int64(0); id < 8; id++ {
-			for _, v := range rows(id) {
+			for _, v := range rows.Row(id) {
 				sum += v
 			}
 		}

@@ -8,7 +8,11 @@ package ps
 // private contract between the caller and its registered function —
 // these helpers just make the fast encoding reusable.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // AppendArgStr appends a length-prefixed string.
 func AppendArgStr(b []byte, s string) []byte { return appendStr(b, s) }
@@ -20,6 +24,18 @@ func AppendArgI64s(b []byte, s []int64) []byte { return appendI64s(b, s) }
 // AppendArgF64s appends a float64 slice as a length-prefixed
 // little-endian bulk copy, preserving nil-ness.
 func AppendArgF64s(b []byte, s []float64) []byte { return appendF64s(b, s) }
+
+// AppendArgF64sLen appends the length prefix of an n-element float
+// slice; n AppendArgF64 calls complete the AppendArgF64s encoding.
+func AppendArgF64sLen(b []byte, n int) []byte { return binary.AppendUvarint(b, uint64(n)+1) }
+
+// AppendArgF64 appends one little-endian float64.
+func AppendArgF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// AppendArgI64 appends one varint.
+func AppendArgI64(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
 // ArgReader decodes payloads built with the AppendArg helpers. The
 // first failing read latches an error; check Err (or Close) once after
@@ -39,8 +55,26 @@ func (a *ArgReader) Str() string { return a.r.str() }
 // I64s reads a slice written by AppendArgI64s.
 func (a *ArgReader) I64s() []int64 { return a.r.i64s() }
 
+// I64sInto is I64s decoding into dst's backing array when it fits.
+func (a *ArgReader) I64sInto(dst []int64) []int64 { return a.r.i64sInto(dst) }
+
 // F64s reads a slice written by AppendArgF64s.
 func (a *ArgReader) F64s() []float64 { return a.r.f64s() }
+
+// F64sInto is F64s with I64sInto's reuse rule.
+func (a *ArgReader) F64sInto(dst []float64) []float64 { return a.r.f64sInto(dst) }
+
+// F64 reads a value written by AppendArgF64.
+func (a *ArgReader) F64() float64 {
+	raw := a.r.take(8)
+	if raw == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+}
+
+// I64 reads a value written by AppendArgI64.
+func (a *ArgReader) I64() int64 { return a.r.varint() }
 
 // Err returns the first decode error.
 func (a *ArgReader) Err() error { return a.r.err }

@@ -1,0 +1,184 @@
+package ps
+
+import (
+	"math"
+	"math/bits"
+)
+
+// rowStore is the flat storage of one embedding shard: an open-addressed
+// id → ordinal table over chunked row slabs (layout and rationale:
+// DESIGN.md §7). keys/slot are parallel power-of-two arrays probed
+// linearly from the TOP bits of a Fibonacci hash (the shard pick takes
+// bits 32 and up, so one shard's ids still spread), load ≤ ½. Row ordinal
+// o is width consecutive floats of chunk chunkOf(o); chunks double from
+// slabMinRows to slabMaxRows rows and hold no pointers. Moments are
+// parallel slabs, allocated chunk by chunk on the first gradient.
+//
+// ROWS NEVER MOVE once handed out: growing the table rehashes only
+// keys/slot, and a new chunk is appended beside the old ones. The LINE
+// kernels rely on this — they keep emb[U] across the run of pairs that
+// share U while looking up, and possibly materialising, other rows of
+// the same shard. Only keepOnly (partition split) rebuilds.
+//
+// Not safe for concurrent use; the owning embShard's lock guards it.
+type rowStore struct {
+	width int
+	shift uint    // 64 - log2(len(slot))
+	keys  []int64 // keys[i] is valid where slot[i] != 0
+	slot  []uint32
+	ids   []int64 // ordinal → id
+	rows  [][]float64
+	mom   [][]float64
+	vel   [][]float64
+}
+
+const (
+	fibHash = 0x9e3779b97f4a7c15
+
+	slabMinRows  = 16
+	slabDoubles  = 6 // chunks 0..5 hold 16..512 rows, every later one 1024
+	slabMaxRows  = slabMinRows << slabDoubles
+	slabCapStart = slabMaxRows - slabMinRows // first ordinal of chunk slabDoubles
+
+	rowTableMin = 16
+)
+
+func newRowStore(width int) rowStore {
+	s := rowStore{width: width}
+	s.resetTable(rowTableMin)
+	return s
+}
+
+func (s *rowStore) resetTable(size int) {
+	s.keys = make([]int64, size)
+	s.slot = make([]uint32, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// chunkOf maps a row ordinal to its slab chunk and the row offset in it.
+func chunkOf(ord uint32) (chunk int, off int) {
+	if ord < slabCapStart {
+		k := bits.Len32(ord/slabMinRows+1) - 1
+		return k, int(ord - (slabMinRows<<k - slabMinRows))
+	}
+	r := ord - slabCapStart
+	return slabDoubles + int(r/slabMaxRows), int(r % slabMaxRows)
+}
+
+func chunkRows(chunk int) int {
+	return slabMinRows << min(chunk, slabDoubles)
+}
+
+func (s *rowStore) len() int { return len(s.ids) }
+
+// probe returns the table index holding id, or the empty index where id
+// would be inserted.
+func (s *rowStore) probe(id int64) uint64 {
+	slot := s.slot
+	keys := s.keys[:len(slot)]
+	mask := uint64(len(slot) - 1)
+	i := (uint64(id) * fibHash) >> s.shift
+	for slot[i] != 0 && keys[i] != id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the live row of id, or nil when it is not materialised.
+func (s *rowStore) get(id int64) []float64 {
+	o := s.slot[s.probe(id)]
+	if o == 0 {
+		return nil
+	}
+	return s.row(o - 1)
+}
+
+// put returns the ordinal of id, inserting it when absent. A new row is
+// all zeros; added tells the caller to initialise it.
+func (s *rowStore) put(id int64) (ord uint32, added bool) {
+	i := s.probe(id)
+	if o := s.slot[i]; o != 0 {
+		return o - 1, false
+	}
+	if 2*(len(s.ids)+1) > len(s.slot) {
+		s.growTable()
+		i = s.probe(id)
+	}
+	ord = uint32(len(s.ids))
+	s.ids = append(s.ids, id)
+	s.keys[i], s.slot[i] = id, ord+1
+	if c, _ := chunkOf(ord); c == len(s.rows) {
+		s.rows = append(s.rows, make([]float64, chunkRows(c)*s.width))
+	}
+	return ord, true
+}
+
+// growTable doubles the table and re-places every ordinal; the slabs are
+// untouched.
+func (s *rowStore) growTable() {
+	s.resetTable(2 * len(s.slot))
+	for ord, id := range s.ids {
+		i := s.probe(id)
+		s.keys[i], s.slot[i] = id, uint32(ord)+1
+	}
+}
+
+func (s *rowStore) at(slabs [][]float64, ord uint32) []float64 {
+	c, off := chunkOf(ord)
+	lo := off * s.width
+	return slabs[c][lo : lo+s.width : lo+s.width]
+}
+
+// row returns the live row at ord.
+func (s *rowStore) row(ord uint32) []float64 { return s.at(s.rows, ord) }
+
+// moment returns row ord of the moment slabs *m (&s.mom or &s.vel),
+// allocating its chunk on first touch.
+func (s *rowStore) moment(m *[][]float64, ord uint32) []float64 {
+	c, _ := chunkOf(ord)
+	for len(*m) <= c {
+		*m = append(*m, nil)
+	}
+	if (*m)[c] == nil {
+		(*m)[c] = make([]float64, len(s.rows[c]))
+	}
+	return s.at(*m, ord)
+}
+
+// momentIfSet returns row ord of the moment slabs m when it holds state:
+// nil when its chunk was never allocated or every bit of the row is zero,
+// which no later optimizer step can tell from a missing moment.
+func (s *rowStore) momentIfSet(m [][]float64, ord uint32) []float64 {
+	if c, _ := chunkOf(ord); c >= len(m) || m[c] == nil {
+		return nil
+	}
+	row := s.at(m, ord)
+	for _, v := range row {
+		if math.Float64bits(v) != 0 {
+			return row
+		}
+	}
+	return nil
+}
+
+// keepOnly rebuilds the store with only the ids keep accepts, carrying
+// their rows and moments over. Rows move: callers hold every lock that
+// could have handed one out.
+func (s *rowStore) keepOnly(keep func(id int64) bool) {
+	ns := newRowStore(s.width)
+	for o, id := range s.ids {
+		if !keep(id) {
+			continue
+		}
+		ord := uint32(o)
+		nord, _ := ns.put(id)
+		copy(ns.row(nord), s.row(ord))
+		if m := s.momentIfSet(s.mom, ord); m != nil {
+			copy(ns.moment(&ns.mom, nord), m)
+		}
+		if v := s.momentIfSet(s.vel, ord); v != nil {
+			copy(ns.moment(&ns.vel, nord), v)
+		}
+	}
+	*s = ns
+}

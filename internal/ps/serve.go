@@ -250,8 +250,8 @@ func (sn *serveSnap) pullRows(ids []int64) (map[int64][]float64, error) {
 				if !sn.canInit {
 					return nil, fmt.Errorf("ps: serve %s/%d: no row %d", sn.model, sn.part, id)
 				}
-				ri := sn.initer
-				row = ri.initRow(id)
+				row = make([]float64, sn.initer.col1-sn.initer.col0)
+				sn.initer.initRowInto(row, id)
 			}
 			out[id] = row
 		}

@@ -13,6 +13,10 @@ import (
 // other models on the same server (the paper's LINE implementation relies
 // on this to compute partial dot products between the embedding and
 // context models, which are column-partitioned with the same layout).
+//
+// arg aliases the request's wire buffer: it is valid only until the
+// function returns and must not be retained or mutated. The returned
+// bytes are copied into the response, so they may alias anything.
 type PSFunc func(s *Store, model string, part int, arg []byte) ([]byte, error)
 
 var (
@@ -78,12 +82,13 @@ func (v *PartView) Cols() (int, int) {
 func (v *PartView) Width() int { return v.emb().width() }
 
 // Lock write-locks every shard of an embedding partition for a multi-row
-// operation and returns the unlock function together with a raw row
-// accessor. Shards are acquired in index order; psFuncs locking several
-// co-located partitions must take them in a consistent (model-name)
-// order, as before.
-func (v *PartView) Lock() (rows func(id int64) []float64, unlock func()) {
-	return v.emb().lockAll()
+// operation and returns its raw row accessor; release with Unlock. Shards
+// are acquired in index order; psFuncs locking several co-located
+// partitions must take them in a consistent (model-name) order.
+func (v *PartView) Lock() LockedRows {
+	e := v.emb()
+	e.lockShards()
+	return LockedRows{e}
 }
 
 // VecLock acquires the write lock of a DenseVector partition and returns

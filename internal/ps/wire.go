@@ -277,62 +277,90 @@ func (r *wreader) sliceLen() (int, bool) {
 	return int(n - 1), true
 }
 
-// i64s decodes a delta-coded id slice (see appendI64s) with a local
-// cursor: on million-id pulls the per-element wrapper overhead of
-// r.varint is measurable.
-func (r *wreader) i64s() []int64 {
+// i64s decodes a delta-coded id slice (see appendI64s).
+func (r *wreader) i64s() []int64 { return r.i64sInto(nil) }
+
+// i64sInto is i64s decoding into dst's backing array when it is big
+// enough (a nil dst always allocates, so i64s keeps empty ≠ nil). It
+// walks the varints with a local cursor: on million-id pulls the
+// per-element wrapper overhead of r.varint is measurable.
+func (r *wreader) i64sInto(dst []int64) []int64 {
 	n, ok := r.sliceLen()
 	if !ok {
-		return nil
+		return dst[:0]
 	}
-	s := make([]int64, n)
+	if dst == nil || cap(dst) < n {
+		dst = make([]int64, n)
+	}
+	s := dst[:n]
 	b, off := r.b, r.off
 	var prev int64
 	for i := range s {
-		d, w := binary.Varint(b[off:])
-		if w <= 0 {
+		// binary.Varint, open-coded: the call and its re-slicing cost more
+		// than the one to three bytes a typical id delta takes to decode.
+		var ux uint64
+		ok := false
+		for shift := uint(0); off < len(b) && shift <= 63; shift += 7 {
+			c := b[off]
+			off++
+			ux |= uint64(c&0x7f) << shift
+			if c < 0x80 {
+				ok = shift < 63 || c <= 1 // a tenth byte above 1 overflows
+				break
+			}
+		}
+		if !ok {
 			r.off = off
 			r.fail()
 			return nil
 		}
-		off += w
-		prev += d
+		prev += int64(ux>>1) ^ -int64(ux&1)
 		s[i] = prev
 	}
 	r.off = off
 	return s
 }
 
-func (r *wreader) f64s() []float64 {
+func (r *wreader) f64s() []float64 { return r.f64sInto(nil) }
+
+// f64sInto is f64s with i64sInto's reuse rule.
+func (r *wreader) f64sInto(dst []float64) []float64 {
 	n, ok := r.sliceLen()
 	if !ok {
-		return nil
+		return dst[:0]
 	}
 	raw := r.take(8 * n)
 	if r.err != nil {
 		return nil
 	}
-	s := make([]float64, n)
+	if dst == nil || cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	s := dst[:n]
 	for i := range s {
 		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return s
 }
 
-// bytes copies the payload out so the decoded message never aliases the
-// (pooled, transport-owned) wire buffer.
-func (r *wreader) bytes() []byte {
+// view returns a length-prefixed byte payload as a sub-slice of the wire
+// buffer — valid only while the caller owns that buffer.
+func (r *wreader) view() []byte {
 	n, ok := r.sliceLen()
 	if !ok {
 		return nil
 	}
-	raw := r.take(n)
-	if r.err != nil {
+	return r.take(n)
+}
+
+// bytes copies the payload out so the decoded message never aliases the
+// (pooled, transport-owned) wire buffer.
+func (r *wreader) bytes() []byte {
+	raw := r.view()
+	if raw == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, raw)
-	return out
+	return append(make([]byte, 0, len(raw)), raw...)
 }
 
 func (r *wreader) mapF64() map[int64]float64 {
@@ -682,7 +710,9 @@ func decBinary(data []byte, v any) error {
 			m.Model = r.str()
 			m.Part = int(r.varint())
 			m.Name = r.str()
-			m.Arg = r.bytes()
+			// Zero-copy: every handler runs to completion before its
+			// caller recycles the request buffer (PSFunc's arg contract).
+			m.Arg = r.view()
 		}
 	case *funcResp:
 		want = msgFuncResp

@@ -128,6 +128,31 @@ func TestWireBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFuncReqArgAliasesWire pins the one zero-copy field of the codec:
+// funcReq.Arg is a view of the request buffer (PSFunc's arg contract),
+// while funcResp.Out — which outlives the client's pooled response
+// buffer — is still a copy.
+func TestFuncReqArgAliasesWire(t *testing.T) {
+	wire := enc(funcReq{Model: "m", Name: "f", Arg: []byte{1, 2, 3}})
+	var req funcReq
+	if err := dec(wire, &req); err != nil {
+		t.Fatal(err)
+	}
+	wire[len(wire)-1] = 9
+	if req.Arg[2] != 9 {
+		t.Fatal("funcReq.Arg was copied out of the wire buffer")
+	}
+	wire = enc(funcResp{Out: []byte{1, 2, 3}})
+	var resp funcResp
+	if err := dec(wire, &resp); err != nil {
+		t.Fatal(err)
+	}
+	wire[len(wire)-1] = 9
+	if resp.Out[2] != 3 {
+		t.Fatal("funcResp.Out aliases the wire buffer")
+	}
+}
+
 // TestHotMessagesEncodeBinary: every request/response type of the hot
 // methods comes out of enc with tagBin. Nothing exercises the gob
 // fallback for these any more, so a new hot message that misses its
