@@ -189,23 +189,12 @@ func (n *Node) joinAsServer() {
 // joinAsExecutor waits until the master answers a Ping, so a ready
 // executor is guaranteed to be able to resolve models.
 func (n *Node) joinAsExecutor() {
-	deadline := time.Now().Add(n.Cfg.JoinTimeout)
-	backoff := 5 * time.Millisecond
-	for {
-		_, err := n.Transport.Call(n.Cfg.MasterAddr, "Ping", nil)
-		if err == nil {
-			n.becomeReady("agent of " + n.Cfg.MasterAddr)
-			return
-		}
-		if time.Now().After(deadline) {
-			n.fail(fmt.Errorf("cluster: master %s unreachable for %v: %w", n.Cfg.MasterAddr, n.Cfg.JoinTimeout, err))
-			return
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 250*time.Millisecond {
-			backoff = 250 * time.Millisecond
-		}
+	retry := rpc.NewBackoff(5*time.Millisecond, 250*time.Millisecond, n.Cfg.JoinTimeout)
+	if _, err := retry.Call(n.Transport, n.Cfg.MasterAddr, "Ping", nil); err != nil {
+		n.fail(fmt.Errorf("cluster: master %s unreachable for %v: %w", n.Cfg.MasterAddr, n.Cfg.JoinTimeout, err))
+		return
 	}
+	n.becomeReady("agent of " + n.Cfg.MasterAddr)
 }
 
 // wrap adds the harness RPCs (Health on every role, RunLoad on

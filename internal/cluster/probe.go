@@ -14,8 +14,7 @@ import (
 // a fixed sleep. An unreachable endpoint and a reachable-but-not-ready
 // one both keep probing; the returned error distinguishes them.
 func WaitHealthy(tr rpc.Transport, addr string, timeout time.Duration) (HealthInfo, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := 5 * time.Millisecond
+	retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, timeout)
 	var hi HealthInfo
 	var last error
 	for {
@@ -33,12 +32,8 @@ func WaitHealthy(tr rpc.Transport, addr string, timeout time.Duration) (HealthIn
 				last = fmt.Errorf("cluster: %s (%s) not ready: %s", addr, hi.Role, hi.Detail)
 			}
 		}
-		if time.Now().After(deadline) {
+		if !retry.Wait(nil) {
 			return hi, fmt.Errorf("cluster: %s not healthy after %v: %w", addr, timeout, last)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 200*time.Millisecond {
-			backoff = 200 * time.Millisecond
 		}
 	}
 }
@@ -46,22 +41,17 @@ func WaitHealthy(tr rpc.Transport, addr string, timeout time.Duration) (HealthIn
 // WaitPortFile polls for the address a starting process publishes via
 // its port file, with the same capped backoff as WaitHealthy.
 func WaitPortFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := 5 * time.Millisecond
+	retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, timeout)
 	for {
 		b, err := os.ReadFile(path)
 		if err == nil && len(b) > 0 {
 			return string(b), nil
 		}
-		if time.Now().After(deadline) {
+		if !retry.Wait(nil) {
 			if err == nil {
 				err = fmt.Errorf("port file %s empty", path)
 			}
 			return "", fmt.Errorf("cluster: no port file after %v: %w", timeout, err)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 200*time.Millisecond {
-			backoff = 200 * time.Millisecond
 		}
 	}
 }

@@ -58,6 +58,19 @@ func dec(data []byte, v any) error {
 // Wire requests and responses. One struct pair per server method keeps the
 // protocol explicit and gob-friendly.
 
+// addressed is a data-plane request that names the partition it is for,
+// which is all the server's engine-dispatch adapters need to know about
+// a request before handing it to the engine.
+type addressed interface {
+	addr() (model string, part int)
+}
+
+func (r vecPushReq) addr() (string, int) { return r.Model, r.Part }
+func (r mapPushReq) addr() (string, int) { return r.Model, r.Part }
+func (r embPushReq) addr() (string, int) { return r.Model, r.Part }
+func (r nbrPushReq) addr() (string, int) { return r.Model, r.Part }
+func (r matPushReq) addr() (string, int) { return r.Model, r.Part }
+
 type createPartReq struct {
 	Meta ModelMeta
 	Part int
@@ -67,15 +80,20 @@ type createPartReq struct {
 	Replica bool
 }
 
-type vecPullReq struct {
-	Model   string
-	Part    int
-	Indices []int64 // nil means the whole partition range
+// pullReq is the request of every kind's pull: the method name says
+// which engine answers. Keys are vector indices, sparse keys or row /
+// vertex ids; nil means everything the partition holds (its whole range
+// for a dense vector — a distinction gob does not round-trip, see
+// wire.go). Column-partitioned matrices ignore Keys.
+type pullReq struct {
+	Model string
+	Part  int
+	Keys  []int64
 }
 
 type vecPullResp struct {
 	Values []float64
-	Lo     int64 // partition start when Indices is nil
+	Lo     int64 // partition start when Keys is nil
 }
 
 // vecOp selects the combine rule of a vector push.
@@ -96,12 +114,6 @@ type vecPushReq struct {
 	Op      vecOp
 }
 
-type mapPullReq struct {
-	Model string
-	Part  int
-	Keys  []int64 // nil means all
-}
-
 type mapPullResp struct {
 	M map[int64]float64
 }
@@ -111,12 +123,6 @@ type mapPushReq struct {
 	Part  int
 	M     map[int64]float64
 	Set   bool
-}
-
-type embPullReq struct {
-	Model string
-	Part  int
-	IDs   []int64
 }
 
 type embPullResp struct {
@@ -139,19 +145,8 @@ type nbrPushReq struct {
 	Tables map[int64][]int64
 }
 
-type nbrPullReq struct {
-	Model string
-	Part  int
-	IDs   []int64
-}
-
 type nbrPullResp struct {
 	Tables map[int64][]int64
-}
-
-type matPullReq struct {
-	Model string
-	Part  int
 }
 
 type matPullResp struct {
@@ -253,7 +248,9 @@ type clockResp struct {
 	Clock int64
 }
 
-type deleteModelReq struct {
+// modelNameReq addresses a whole model by name: DeleteModel (master and
+// server), Checkpoint, RestoreModel, PublishSnapshot, GetServeLayout.
+type modelNameReq struct {
 	Name string
 }
 

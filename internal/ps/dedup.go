@@ -168,7 +168,8 @@ func (t *dedupTable) Replayed() int64 { return t.replayed.Load() }
 // handle runs exec exactly once per (clientID, seq) within the retention
 // window. Replays wait for the original execution if it is still in
 // flight, then receive a copy of its cached outcome (a copy because
-// transports and clients recycle response buffers).
+// transports and clients recycle response buffers). The one outcome the
+// window never keeps is an unapplied rejection (server.go).
 func (t *dedupTable) handle(clientID, seq uint64, exec func() ([]byte, error)) ([]byte, error) {
 	t.mu.Lock()
 	w := t.clients[clientID]
@@ -199,6 +200,14 @@ func (t *dedupTable) handle(clientID, seq uint64, exec func() ([]byte, error)) (
 	if err != nil {
 		e.hasErr = true
 		e.errMsg = err.Error()
+		// A routing rejection wrote nothing and heals when the partition
+		// arrives: forget the sequence so the retry executes. Duplicates
+		// already parked on done still see this outcome.
+		if errors.As(err, new(unapplied)) {
+			t.mu.Lock()
+			delete(w.entries, seq)
+			t.mu.Unlock()
+		}
 	} else {
 		e.resp = append([]byte(nil), resp...)
 	}

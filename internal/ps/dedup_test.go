@@ -335,8 +335,7 @@ func TestFanOutCancelEarlyExit(t *testing.T) {
 			// Give the sibling time to enter its retry backoff first.
 			time.Sleep(50 * time.Millisecond)
 		}
-		_, err := c.callC(cancel, p.Server, "Ping", nil)
-		return err
+		return c.callE(cancel, p.Server, "Ping", nil, nil, 0, nil)
 	})
 	elapsed := time.Since(start)
 	if err == nil {
@@ -454,5 +453,73 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 	// The published checkpoint still verifies.
 	if _, err := fsys.ReadFileSummed(CheckpointPath("t", 0)); err != nil {
 		t.Fatalf("published checkpoint unreadable after torn prepare: %v", err)
+	}
+}
+
+// TestWindowForgetsRoutingRejection pins the rule the rebalance smoke
+// depends on: a push (or psFunc) that reaches a migration destination
+// before the partition does is rejected without writing anything, and
+// the retry — the SAME envelope, by design — must execute once the
+// partition has arrived instead of replaying the rejection out of the
+// window. Later retries of it replay the ack as usual.
+func TestWindowForgetsRoutingRejection(t *testing.T) {
+	meta := ModelMeta{Name: "late", Kind: DenseVector, Size: 8,
+		Parts: []Partition{{Server: "s0", Lo: 0, Hi: 8}}}
+	for _, tc := range []struct {
+		method string
+		body   []byte
+	}{
+		{"VecPush", enc(vecPushReq{Model: "late", Part: 0, Indices: []int64{0}, Values: []float64{1}, Op: vecAdd})},
+		{"Func", enc(funcReq{Model: "late", Part: 0, Name: "dedup-test-inc"})},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			s := NewServer("s0", dfs.NewDefault())
+			envelope := wrapDedup(7, 1, 0, tc.body)
+			_, err := s.Handle(tc.method, envelope)
+			if err == nil || !strings.Contains(err.Error(), "not on this server") {
+				t.Fatalf("call before the partition exists: err = %v, want a not-on-this-server rejection", err)
+			}
+			if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: meta, Part: 0})); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := s.Handle(tc.method, envelope); err != nil {
+					t.Fatalf("retry %d after the partition arrived: %v", i, err)
+				}
+			}
+			out, err := s.Handle("VecPull", enc(pullReq{Model: "late", Part: 0, Keys: []int64{0}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r vecPullResp
+			if err := dec(out, &r); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.stats(); r.Values[0] != 1 || st.MutApplied != 1 || st.MutReplayed != 1 {
+				t.Fatalf("value %v, applied %d, replayed %d; want one application and one replayed ack",
+					r.Values[0], st.MutApplied, st.MutReplayed)
+			}
+		})
+	}
+}
+
+// TestGuardedMethodsHaveHandlers: the dedup and replication guards are
+// keyed by method name, so a typo in either list (or a handler renamed
+// without them) would silently stop guarding that method.
+func TestGuardedMethodsHaveHandlers(t *testing.T) {
+	for method := range dedupGuarded {
+		_, onServer := serverHandlers[method]
+		_, onMaster := masterHandlers[method]
+		if !onServer && !onMaster {
+			t.Errorf("dedupGuarded lists %q, which neither the server nor the master serves", method)
+		}
+	}
+	for method := range replGuarded {
+		if _, ok := serverHandlers[method]; !ok {
+			t.Errorf("replGuarded lists %q, which the server does not serve", method)
+		}
+		if !dedupGuarded[method] {
+			t.Errorf("replGuarded lists %q, which carries no dedup envelope to forward", method)
+		}
 	}
 }

@@ -59,16 +59,19 @@ type migratePartReq struct {
 	Epoch   int64
 }
 
-// installPartReq ships an exported range to the migration destination,
-// together with the source's dedup window (exactly-once across the
-// move) and — for whole-partition moves — the apply counter.
+// installPartReq ships partition state to the server that is to hold
+// it, together with the sender's dedup window (exactly-once across the
+// hand-over): an exported range to a migration destination — with the
+// apply counter for whole-partition moves — or, with Replica set, a full
+// snapshot and the apply counter to a backup being seeded.
 type installPartReq struct {
-	Meta  ModelMeta
-	Part  int
-	Data  []byte
-	Dedup []dedupExport
-	Muts  int64
-	Epoch int64
+	Meta    ModelMeta
+	Part    int
+	Replica bool
+	Data    []byte
+	Dedup   []dedupExport
+	Muts    int64
+	Epoch   int64
 }
 
 // dropPartReq removes one partition from a server: cleanup of an
@@ -179,30 +182,42 @@ func (s *Server) migratePart(req migratePartReq) error {
 	return nil
 }
 
-// installPart installs a migrated range as a primary partition:
-// create-empty (under the post-cutover meta, so the engine enforces the
-// new range) + merge, which keeps a retried install idempotent. The
-// source's dedup window merges into this server's so a client retry of
-// a push the source already applied replays its cached ack here.
+// installPart installs shipped partition state. A migrated range
+// becomes a primary partition by create-empty (under the post-cutover
+// meta, so the engine enforces the new range) + merge, which keeps a
+// retried install idempotent. A seeded replica REPLACES whatever copy
+// was here — after a split or dropped forwards that copy is a stale
+// superset — and takes the primary's apply counter, which must stand in
+// for the primary's if this replica is promoted. Either way the sender's
+// dedup window merges into this server's, so a client retry of a push
+// the sender already applied replays its cached ack here.
 func (s *Server) installPart(req installPartReq) error {
 	var snap ckptSnapshot
 	if err := dec(req.Data, &snap); err != nil {
 		return fmt.Errorf("ps: install %s/%d: decode: %v", req.Meta.Name, req.Part, err)
 	}
 	s.epochMax(req.Epoch)
-	e, err := s.store.get(req.Meta.Name, req.Part)
-	if err != nil {
-		if e, err = newEngine(req.Meta, req.Part); err != nil {
+	if req.Replica {
+		e, err := engineFromSnapshot(req.Meta, req.Part, snap)
+		if err != nil {
 			return err
 		}
 		s.store.put(e)
-	}
-	if err := e.importRange(snap); err != nil {
-		return err
+	} else {
+		e, err := s.store.get(req.Meta.Name, req.Part)
+		if err != nil {
+			if e, err = newEngine(req.Meta, req.Part); err != nil {
+				return err
+			}
+			s.store.put(e)
+		}
+		if err := e.importRange(snap); err != nil {
+			return err
+		}
 	}
 	r := s.role(req.Meta.Name, req.Part)
-	r.replica.Store(false)
-	if req.Muts > 0 {
+	r.replica.Store(req.Replica)
+	if req.Replica || req.Muts > 0 {
 		r.muts.Store(req.Muts)
 	}
 	s.dedup.merge(req.Dedup)
@@ -220,19 +235,15 @@ func (s *Server) dropPart(req dropPartReq) error {
 // the per-partition load signal the master's rebalance planner joins
 // with the layout.
 func (s *Server) partStats() partStatsResp {
-	type key struct {
-		model string
-		part  int
-	}
-	bytes := make(map[key]int64)
-	hot := make(map[key][]HotKey)
+	bytes := make(map[partKey]int64)
+	hot := make(map[partKey][]HotKey)
 	s.store.mu.RLock()
 	for model, parts := range s.store.parts {
 		for idx, e := range parts {
-			bytes[key{model, idx}] = e.sizeBytes()
+			bytes[partKey{model, idx}] = e.sizeBytes()
 			if ht, ok := e.(interface{ hotTop(int) []HotKey }); ok {
 				if hk := ht.hotTop(partStatHotK); len(hk) > 0 {
-					hot[key{model, idx}] = hk
+					hot[partKey{model, idx}] = hk
 				}
 			}
 		}
@@ -241,7 +252,7 @@ func (s *Server) partStats() partStatsResp {
 	var resp partStatsResp
 	s.repl.pmu.RLock()
 	for k, r := range s.repl.roles {
-		b, held := bytes[key{k.model, k.part}]
+		b, held := bytes[k]
 		if !held {
 			continue // role outlived its engine (deleted model)
 		}
@@ -251,9 +262,9 @@ func (s *Server) partStats() partStatsResp {
 			Replica: r.replica.Load(),
 			Muts:    r.muts.Load(),
 			Bytes:   b,
-			Hot:     hot[key{k.model, k.part}],
+			Hot:     hot[k],
 		})
-		delete(bytes, key{k.model, k.part})
+		delete(bytes, k)
 	}
 	s.repl.pmu.RUnlock()
 	// Partitions never pushed to have no role yet; report them at zero.
@@ -312,11 +323,7 @@ func (m *Master) loadReport() LoadReport {
 	}
 	rep := LoadReport{Epoch: m.epoch}
 	m.mu.Unlock()
-	type key struct {
-		model string
-		part  int
-	}
-	stats := make(map[key]partStat)
+	stats := make(map[partKey]partStat)
 	for _, addr := range servers {
 		body, err := m.tr.Call(addr, "PartStats", nil)
 		if err != nil {
@@ -330,12 +337,12 @@ func (m *Master) loadReport() LoadReport {
 			if st.Replica {
 				continue
 			}
-			stats[key{st.Model, st.Part}] = st
+			stats[partKey{st.Model, st.Part}] = st
 		}
 	}
 	for name, meta := range metas {
 		for _, p := range meta.Parts {
-			st := stats[key{name, p.Index}]
+			st := stats[partKey{name, p.Index}]
 			rep.Parts = append(rep.Parts, PartLoad{
 				Model: name, Part: p.Index, Server: p.Server, Backup: p.Backup,
 				Lo: p.Lo, Hi: p.Hi, Muts: st.Muts, Bytes: st.Bytes, Hot: st.Hot,

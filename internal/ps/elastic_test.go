@@ -572,61 +572,216 @@ func TestCheckpointManifestRestoresSplitLayout(t *testing.T) {
 	}
 }
 
-// TestStaleEmbClientHealsAfterSplit exercises the hash-routed client
-// path: a client whose cached layout predates a split pushes rows that
-// now live elsewhere; the range fence rejects the batch whole and the
-// client re-groups it under the refreshed layout.
-func TestStaleEmbClientHealsAfterSplit(t *testing.T) {
-	c, cl := newTestCluster(t, 2)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "emb", Dim: 2, Partitions: 2})
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	ids := make([]int64, 64)
-	push := make(map[int64][]float64, len(ids))
+// TestStaleClientHealsAfterSplit drives every routed operation through
+// a client whose cached layout predates a split: the range fence rejects
+// the bucket that straddles the split whole, and the client re-splits
+// just that bucket under the refreshed layout. Each case seeds 64 keys
+// through a fresh client, warms the stale one, splits partition 0, runs
+// one stale operation and checks every key — and that the servers
+// applied exactly what the clients sent.
+func TestStaleClientHealsAfterSplit(t *testing.T) {
+	const n = 64
+	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = int64(i)
-		push[int64(i)] = []float64{float64(i), 1}
 	}
-	if err := e.PushSet(push); err != nil {
-		t.Fatalf("seed push: %v", err)
+	// Each case returns the stale operations and a check of the outcome.
+	// Seeds differ per key, so a lost, doubled or misplaced value shows.
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, cl, stale *Client) (op func() error, check func(t *testing.T))
+	}{
+		{"Vector", func(t *testing.T, cl, stale *Client) (func() error, func(*testing.T)) {
+			v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "m", Size: n, Partitions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, ones, nines := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range seed {
+				seed[i], ones[i], nines[i] = float64(1+i), 1, 9
+			}
+			if err := v.SetAll(seed); err != nil {
+				t.Fatal(err)
+			}
+			sv, _ := stale.Vector("m")
+			if _, err := sv.Pull(ids[:4]); err != nil {
+				t.Fatal(err)
+			}
+			op := func() error {
+				// Pull, PushAdd and SetAll in turn. Each heals the client's
+				// cache, so the cache is dropped in between: the next one
+				// routes by the handle's own pre-split snapshot again.
+				got, err := sv.Pull(ids)
+				if err != nil {
+					return err
+				}
+				for i, x := range got {
+					if x != seed[i] {
+						t.Errorf("stale Pull[%d] = %v, want %v", i, x, seed[i])
+					}
+				}
+				stale.invalidate("m")
+				if err := sv.PushAdd(ids, ones); err != nil {
+					return err
+				}
+				stale.invalidate("m")
+				return sv.SetAll(nines)
+			}
+			return op, func(t *testing.T) {
+				got, err := v.PullAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range got {
+					if x != 9 {
+						t.Fatalf("element %d = %v after the stale SetAll, want 9", i, x)
+					}
+				}
+			}
+		}},
+		{"SparseVec", func(t *testing.T, cl, stale *Client) (func() error, func(*testing.T)) {
+			s, err := cl.CreateSparseVector("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, ones := make(map[int64]float64, n), make(map[int64]float64, n)
+			for _, id := range ids {
+				seed[id], ones[id] = float64(1+id), 1
+			}
+			if err := s.PushSet(seed); err != nil {
+				t.Fatal(err)
+			}
+			ss := &SparseVec{c: stale, Meta: s.Meta}
+			if _, err := ss.Pull(ids[:4]); err != nil {
+				t.Fatal(err)
+			}
+			op := func() error {
+				got, err := ss.Pull(ids)
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, seed) {
+					t.Errorf("stale Pull = %v, want %v", got, seed)
+				}
+				stale.invalidate("m")
+				return ss.PushAdd(ones)
+			}
+			return op, func(t *testing.T) {
+				got, err := s.Pull(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if got[id] != float64(2+id) {
+						t.Fatalf("key %d = %v, want %v", id, got[id], float64(2+id))
+					}
+				}
+			}
+		}},
+		{"Emb", func(t *testing.T, cl, stale *Client) (func() error, func(*testing.T)) {
+			e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "m", Dim: 2, Partitions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, add := make(map[int64][]float64, n), make(map[int64][]float64, n)
+			for _, id := range ids {
+				seed[id], add[id] = []float64{float64(id), 1}, []float64{0, 1}
+			}
+			if err := e.PushSet(seed); err != nil {
+				t.Fatal(err)
+			}
+			se, _ := stale.Embedding("m")
+			if _, err := se.Pull(ids[:4]); err != nil {
+				t.Fatal(err)
+			}
+			op := func() error {
+				got, err := se.Pull(ids)
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, seed) {
+					t.Errorf("stale Pull = %v, want %v", got, seed)
+				}
+				stale.invalidate("m")
+				return se.PushAdd(add)
+			}
+			return op, func(t *testing.T) {
+				got, err := e.Pull(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if want := []float64{float64(id), 2}; !reflect.DeepEqual(got[id], want) {
+						t.Fatalf("row %d = %v, want %v", id, got[id], want)
+					}
+				}
+			}
+		}},
+		{"Nbr", func(t *testing.T, cl, stale *Client) (func() error, func(*testing.T)) {
+			nb, err := cl.CreateNeighbor("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, more := make(map[int64][]int64, n), make(map[int64][]int64, n)
+			for _, id := range ids {
+				seed[id], more[id] = []int64{id + 1}, []int64{id + 2}
+			}
+			if err := nb.Push(seed); err != nil {
+				t.Fatal(err)
+			}
+			sn, _ := stale.Neighbor("m")
+			if _, err := sn.Pull(ids[:4]); err != nil {
+				t.Fatal(err)
+			}
+			op := func() error {
+				got, err := sn.Pull(ids)
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, seed) {
+					t.Errorf("stale Pull = %v, want %v", got, seed)
+				}
+				stale.invalidate("m")
+				return sn.Push(more)
+			}
+			return op, func(t *testing.T) {
+				got, err := nb.Pull(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if want := []int64{id + 1, id + 2}; !reflect.DeepEqual(got[id], want) {
+						t.Fatalf("vertex %d = %v, want %v (an append lost or doubled)", id, got[id], want)
+					}
+				}
+			}
+		}},
 	}
-	stale := c.NewClient()
-	se, _ := stale.Embedding("emb")
-	if _, err := se.Pull(ids[:4]); err != nil { // warm the stale cache
-		t.Fatalf("warm pull: %v", err)
-	}
-	if err := cl.SplitPartition("emb", 0, ""); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	add := make(map[int64][]float64, len(ids))
-	for _, id := range ids {
-		add[id] = []float64{0, 1}
-	}
-	if err := se.PushAdd(add); err != nil {
-		t.Fatalf("stale push after split: %v", err)
-	}
-	got, err := se.Pull(ids)
-	if err != nil {
-		t.Fatalf("pull: %v", err)
-	}
-	for _, id := range ids {
-		want := []float64{float64(id), 2}
-		if !reflect.DeepEqual(got[id], want) {
-			t.Fatalf("row %d = %v, want %v", id, got[id], want)
-		}
-	}
-	applied, _, err := c.MutationTotals()
-	if err != nil {
-		t.Fatalf("MutationTotals: %v", err)
-	}
-	var sent int64
-	for _, cc := range []*Client{cl, stale} {
-		s, _ := cc.MutationStats()
-		sent += s
-	}
-	if applied != sent {
-		t.Fatalf("applied = %d, sent = %d after healed split pushes", applied, sent)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cl := newTestCluster(t, 2)
+			stale := c.NewClient()
+			op, check := tc.setup(t, cl, stale)
+			if err := cl.SplitPartition("m", 0, ""); err != nil {
+				t.Fatalf("split: %v", err)
+			}
+			if err := op(); err != nil {
+				t.Fatalf("stale operation after split: %v", err)
+			}
+			check(t)
+			applied, _, err := c.MutationTotals()
+			if err != nil {
+				t.Fatalf("MutationTotals: %v", err)
+			}
+			var sent int64
+			for _, cc := range []*Client{cl, stale} {
+				s, _ := cc.MutationStats()
+				sent += s
+			}
+			if applied != sent {
+				t.Fatalf("applied = %d, sent = %d after healed split operations", applied, sent)
+			}
+		})
 	}
 }
 

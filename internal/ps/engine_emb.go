@@ -114,14 +114,14 @@ func (e *embEngine) rowLocked(sh *embShard, id int64) (uint32, []float64) {
 // under RLock; only shards holding rows that are not materialized yet
 // upgrade to the write lock (and re-check, since a racing pull may have
 // initialized them in between).
-func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
-	for _, id := range req.IDs {
+func (e *embEngine) pull(req pullReq) (embPullResp, error) {
+	for _, id := range req.Keys {
 		if err := e.checkKey(id); err != nil {
 			return embPullResp{}, err
 		}
 	}
-	out := make(map[int64][]float64, len(req.IDs))
-	groups := e.groupIDs(req.IDs)
+	out := make(map[int64][]float64, len(req.Keys))
+	groups := e.groupIDs(req.Keys)
 	for si, ids := range groups {
 		if len(ids) == 0 {
 			continue
@@ -147,7 +147,7 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 		}
 		sh.mu.Unlock()
 	}
-	e.hot.bump(req.IDs)
+	e.hot.bump(req.Keys)
 	return embPullResp{Vecs: out}, nil
 }
 

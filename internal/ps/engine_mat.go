@@ -37,7 +37,7 @@ func restoreMatEngine(base engineBase, snap ckptSnapshot) *matEngine {
 	}
 }
 
-func (e *matEngine) pull(matPullReq) (matPullResp, error) {
+func (e *matEngine) pull(pullReq) (matPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]float64, len(e.mat))

@@ -54,17 +54,17 @@ func restoreNbrEngine(base engineBase, snap ckptSnapshot) *nbrEngine {
 	return e
 }
 
-func (e *nbrEngine) pull(req nbrPullReq) (nbrPullResp, error) {
+func (e *nbrEngine) pull(req pullReq) (nbrPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for _, id := range req.IDs {
+	for _, id := range req.Keys {
 		if err := e.checkKey(id); err != nil {
 			return nbrPullResp{}, err
 		}
 	}
-	out := make(map[int64][]int64, len(req.IDs))
+	out := make(map[int64][]int64, len(req.Keys))
 	if e.state == nbrSealed {
-		for _, id := range req.IDs {
+		for _, id := range req.Keys {
 			if ns := e.csrLookup(id); ns != nil {
 				cp := make([]int64, len(ns))
 				copy(cp, ns)
@@ -73,7 +73,7 @@ func (e *nbrEngine) pull(req nbrPullReq) (nbrPullResp, error) {
 		}
 		return nbrPullResp{Tables: out}, nil
 	}
-	for _, id := range req.IDs {
+	for _, id := range req.Keys {
 		if ns, ok := e.nbr[id]; ok {
 			cp := make([]int64, len(ns))
 			copy(cp, ns)

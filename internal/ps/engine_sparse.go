@@ -25,7 +25,7 @@ func restoreSparseEngine(base engineBase, snap ckptSnapshot) *sparseEngine {
 	return e
 }
 
-func (e *sparseEngine) pull(req mapPullReq) (mapPullResp, error) {
+func (e *sparseEngine) pull(req pullReq) (mapPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make(map[int64]float64)

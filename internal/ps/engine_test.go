@@ -104,7 +104,7 @@ func TestVecPushAtomicity(t *testing.T) {
 	if err := ve.push(vecPushReq{Indices: []int64{2}, Values: []float64{1, 2}}); err == nil {
 		t.Fatal("push with values/indices length mismatch succeeded")
 	}
-	resp, err := ve.pull(vecPullReq{Indices: []int64{2}})
+	resp, err := ve.pull(pullReq{Keys: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			if err := e.push(embPushReq{Vecs: g, Grad: true}); err != nil {
 				t.Fatalf("grad push: %v", err)
 			}
-			resp, err := e.pull(embPullReq{IDs: ids})
+			resp, err := e.pull(pullReq{Keys: ids})
 			if err != nil {
 				t.Fatalf("pull: %v", err)
 			}
@@ -317,7 +317,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			if want := map[int]int{1: 1, 3: 4, 32: 32}[from]; len(src.shards) != want {
 				t.Fatalf("SetEmbShards(%d) built %d shards, want %d", from, len(src.shards), want)
 			}
-			if _, err := src.pull(embPullReq{IDs: all}); err != nil { // materialise, no moments
+			if _, err := src.pull(pullReq{Keys: all}); err != nil { // materialise, no moments
 				t.Fatal(err)
 			}
 			for k := 0; k < 2; k++ {
@@ -388,7 +388,7 @@ func TestHandlerTableErrors(t *testing.T) {
 	}
 	// A vector pull against an embedding model is a client bug; the old
 	// server read nil storage, the engine lookup now names the mismatch.
-	if _, err := s.Handle("VecPull", enc(vecPullReq{Model: "emb", Part: 0})); err == nil {
+	if _, err := s.Handle("VecPull", enc(pullReq{Model: "emb", Part: 0})); err == nil {
 		t.Fatal("VecPull on an Embedding model succeeded")
 	}
 	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: meta, Part: 5})); err == nil {

@@ -32,22 +32,22 @@ func restoreVecEngine(base engineBase, snap ckptSnapshot) *vecEngine {
 	return &vecEngine{engineBase: base, lo: snap.Lo, hi: snap.Hi, vec: snap.Vec}
 }
 
-func (e *vecEngine) pull(req vecPullReq) (vecPullResp, error) {
+func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if req.Indices == nil {
+	if req.Keys == nil {
 		out := make([]float64, len(e.vec))
 		copy(out, e.vec)
 		return vecPullResp{Values: out, Lo: e.lo}, nil
 	}
-	out := make([]float64, len(req.Indices))
-	for i, idx := range req.Indices {
+	out := make([]float64, len(req.Keys))
+	for i, idx := range req.Keys {
 		if idx < e.lo || idx >= e.hi {
 			return vecPullResp{}, e.rangeErr(idx)
 		}
 		out[i] = e.vec[idx-e.lo]
 	}
-	e.hot.bump(req.Indices)
+	e.hot.bump(req.Keys)
 	return vecPullResp{Values: out, Lo: e.lo}, nil
 }
 

@@ -108,17 +108,6 @@ type seedBackupReq struct {
 	Epoch  int64
 }
 
-// installReplicaReq ships a partition snapshot to a new backup. Muts
-// carries the primary's per-partition apply counter so exactly-once
-// accounting survives a later promotion of this replica.
-type installReplicaReq struct {
-	Meta  ModelMeta
-	Part  int
-	Data  []byte
-	Muts  int64
-	Epoch int64
-}
-
 // FailoverStats is the master's failover observability surface.
 type FailoverStats struct {
 	// Epoch is the current layout epoch (bumped once per failover).
@@ -462,6 +451,8 @@ func (m *Master) reseed() {
 		m.mu.Lock()
 		if meta, ok := m.models[sd.meta.Name]; ok {
 			if slot := meta.slotByID(sd.part); slot >= 0 && meta.Parts[slot].Server == sd.primary {
+				// Layouts already handed out share the slice: edit a copy.
+				meta.Parts = append([]Partition(nil), meta.Parts...)
 				meta.Parts[slot].Backup = sd.backup
 				m.models[sd.meta.Name] = meta
 				m.reseeds++

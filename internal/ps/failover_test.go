@@ -1,7 +1,9 @@
 package ps
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,5 +392,110 @@ func TestStatsSkipsDeadServers(t *testing.T) {
 	}
 	if _, _, err := c.MutationTotals(); err != nil {
 		t.Fatalf("MutationTotals aborted on dead server: %v", err)
+	}
+}
+
+// heldAck loses the ack of the first VecPush it carries — the server ran
+// the push, the caller sees ErrUnreachable — and holds that error back
+// until release closes, so the test decides what happens to the cluster
+// between the push and its retry.
+type heldAck struct {
+	rpc.Transport
+	taken   atomic.Bool
+	applied chan struct{}
+	release chan struct{}
+}
+
+func (h *heldAck) Call(addr, method string, body []byte) ([]byte, error) {
+	if method != "VecPush" || !h.taken.CompareAndSwap(false, true) {
+		return h.Transport.Call(addr, method, body)
+	}
+	if _, err := h.Transport.Call(addr, method, body); err != nil {
+		return nil, err
+	}
+	close(h.applied)
+	<-h.release
+	return nil, fmt.Errorf("%w: %s (ack lost)", rpc.ErrUnreachable, addr)
+}
+
+// TestSeededReplicaReplaysPreSeedPush: a push is applied on the primary
+// and its ack is lost; before the client retries, the partition's
+// backup dies, a fresh replica is seeded from the primary (its snapshot
+// contains the push), and then the primary dies too. The retry resolves
+// to the promoted replica, which never saw the push forwarded — only the
+// dedup window shipped with the seed tells it the push is already in
+// its data.
+func TestSeededReplicaReplaysPreSeedPush(t *testing.T) {
+	c, f := newFailoverCluster(t, 3, "fo-seedwin")
+	agent := c.NewClient()
+	if _, err := agent.CreateDenseVector(DenseVectorSpec{Name: "sw", Size: 4, Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := agent.GetModel("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, backup := meta.Parts[0].Server, meta.Parts[0].Backup
+	if backup == "" {
+		t.Fatal("partition has no backup")
+	}
+
+	h := &heldAck{Transport: f, applied: make(chan struct{}), release: make(chan struct{})}
+	pusher := NewClient(h, c.MasterAddr)
+	v, err := pusher.Vector("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed := make(chan error, 1)
+	go func() { pushed <- v.PushAdd([]int64{2}, []float64{1}) }()
+	<-h.applied
+
+	waitStats := func(what string, ok func(FailoverStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			st, err := c.FailoverStats()
+			if err == nil && ok(st) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not before deadline (stats=%+v err=%v)", what, st, err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	c.KillServer(backup)
+	// A lone backup death is repaired when the primary reports a forward
+	// it had to drop, so give it one to drop.
+	av, err := agent.Vector("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := av.PushAdd([]int64{0}, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitStats("reseed onto the third server", func(st FailoverStats) bool { return st.Reseeds > 0 && st.Degraded == 0 })
+	c.KillServer(primary)
+	waitStats("promotion of the seeded replica", func(st FailoverStats) bool { return st.Promotions > 0 })
+
+	close(h.release)
+	if err := <-pushed; err != nil {
+		t.Fatalf("retried push: %v", err)
+	}
+	got, err := v.Pull([]int64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 {
+		t.Fatalf("element = %v after the retry, want 1 (the seeded replica re-applied a push its snapshot already held)", got[0])
+	}
+	applied, _, err := c.MutationTotals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, _ := pusher.MutationStats()
+	agentSent, _ := agent.MutationStats()
+	if applied != sent+agentSent {
+		t.Fatalf("applied %d mutations for %d sends", applied, sent+agentSent)
 	}
 }

@@ -27,24 +27,12 @@ func JoinMaster(tr rpc.Transport, masterAddr string, srv *Server, hb, lease, tim
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	deadline := time.Now().Add(timeout)
-	backoff := 5 * time.Millisecond
-	body := enc(registerServerReq{Addr: srv.Addr})
-	for {
-		_, err := tr.Call(masterAddr, "RegisterServer", body)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, rpc.ErrUnreachable) {
-			return fmt.Errorf("ps: register %s with master %s: %w", srv.Addr, masterAddr, err)
-		}
-		if time.Now().After(deadline) {
+	retry := rpc.NewBackoff(5*time.Millisecond, 250*time.Millisecond, timeout)
+	if _, err := retry.Call(tr, masterAddr, "RegisterServer", enc(registerServerReq{Addr: srv.Addr})); err != nil {
+		if errors.Is(err, rpc.ErrUnreachable) {
 			return fmt.Errorf("ps: master %s unreachable for %v registering %s: %w", masterAddr, timeout, srv.Addr, err)
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 250*time.Millisecond {
-			backoff = 250 * time.Millisecond
-		}
+		return fmt.Errorf("ps: register %s with master %s: %w", srv.Addr, masterAddr, err)
 	}
 	out := tr
 	if cv, ok := tr.(interface{ Caller(string) rpc.Transport }); ok {
@@ -91,11 +79,7 @@ func (c *Client) ServerStats(addrs []string) ([]ServerStats, error) {
 // FailoverStats fetches the master's failover counters over RPC —
 // the driver-process view of Cluster.FailoverStats.
 func (c *Client) FailoverStats() (FailoverStats, error) {
-	resp, err := c.call(c.masterAddr, "FailoverStats", nil)
-	if err != nil {
-		return FailoverStats{}, err
-	}
 	var st FailoverStats
-	err = dec(resp, &st)
+	err := c.invoke(c.masterAddr, "FailoverStats", nil, &st)
 	return st, err
 }

@@ -152,176 +152,88 @@ func (m *Master) Handle(method string, body []byte) ([]byte, error) {
 }
 
 func (m *Master) dispatch(method string, body []byte) ([]byte, error) {
-	switch method {
-	case "Ping":
-		return nil, nil
-	case "RegisterServer":
-		var req registerServerReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		if err := m.registerServer(req.Addr); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case "CreateModel":
-		var req createModelReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		meta, err := m.createModel(req.Meta)
-		if err != nil {
-			return nil, err
-		}
-		return enc(getModelResp{Meta: meta}), nil
-	case "GetModel":
-		var req getModelReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		meta, ok := m.models[req.Name]
-		// Stamp the layout with the CURRENT epoch, not the epoch of the
-		// model's last mutation: servers fence against their global
-		// learned epoch, so a refetched layout must always carry a value
-		// no server considers stale — otherwise a client could loop on
-		// ErrStaleEpoch forever.
-		meta.Epoch = m.epoch
-		m.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("ps: model %q does not exist", req.Name)
-		}
-		return enc(getModelResp{Meta: meta}), nil
-	case "Heartbeat":
-		var req heartbeatReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return enc(m.heartbeat(req)), nil
-	case "FailoverStats":
-		return enc(m.failoverStats()), nil
-	case "LoadReport":
-		return enc(m.loadReport()), nil
-	case "Rebalance":
+	h, ok := masterHandlers[method]
+	if !ok {
+		return nil, fmt.Errorf("ps: master: unknown method %q", method)
+	}
+	return h(m, body)
+}
+
+// masterHandlers is the method dispatch table of the master: the one
+// place that binds a wire request to the method serving it.
+var masterHandlers = map[string]func(*Master, []byte) ([]byte, error){
+	"Ping": func(*Master, []byte) ([]byte, error) { return nil, nil },
+	"RegisterServer": handleNoResp(func(m *Master, r registerServerReq) error {
+		return m.registerServer(r.Addr)
+	}),
+	"CreateModel": handle(func(m *Master, r createModelReq) (getModelResp, error) {
+		meta, err := m.createModel(r.Meta)
+		return getModelResp{Meta: meta}, err
+	}),
+	"GetModel":    handle((*Master).getModel),
+	"DeleteModel": handleNoResp(func(m *Master, r modelNameReq) error { return m.deleteModel(r.Name) }),
+	"Heartbeat": handle(func(m *Master, r heartbeatReq) (heartbeatResp, error) {
+		return m.heartbeat(r), nil
+	}),
+	"FailoverStats": func(m *Master, _ []byte) ([]byte, error) { return enc(m.failoverStats()), nil },
+	"RecoveryCount": func(m *Master, _ []byte) ([]byte, error) { return enc(m.recoveryCount()), nil },
+	"LoadReport":    func(m *Master, _ []byte) ([]byte, error) { return enc(m.loadReport()), nil },
+	"Rebalance": func(m *Master, _ []byte) ([]byte, error) {
 		res, err := m.Rebalance()
 		if err != nil {
 			return nil, err
 		}
 		return enc(res), nil
-	case "SplitPartition":
-		var req partOpReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.SplitPartition(req.Model, req.Part, req.Dest)
-	case "MovePartition":
-		var req partOpReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.MovePartition(req.Model, req.Part, req.Dest)
-	case "DrainServer":
-		var req drainReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.DrainServer(req.Addr)
-	case "DeleteModel":
-		var req deleteModelReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.deleteModel(req.Name)
-	case "PublishSnapshot":
-		var req deleteModelReq // just a name
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		sl, err := m.PublishSnapshot(req.Name)
-		if err != nil {
-			return nil, err
-		}
-		return enc(sl), nil
-	case "GetServeLayout":
-		var req deleteModelReq // just a name
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		sl, err := m.GetServeLayout(req.Name)
-		if err != nil {
-			return nil, err
-		}
-		return enc(sl), nil
-	case "Barrier":
-		var req barrierReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		m.clocks.barrier(req)
-		return nil, nil
-	case "ClockAdvance":
-		var req clockReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		min, err := m.clocks.advance(req)
-		if err != nil {
-			return nil, err
-		}
-		return enc(clockResp{Clock: min}), nil
-	case "ClockWait":
-		var req clockReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		min, err := m.clocks.wait(req)
-		if err != nil {
-			return nil, err
-		}
-		return enc(clockResp{Clock: min}), nil
-	case "ClockRetire":
-		var req clockReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		m.clocks.retire(req)
-		return nil, nil
-	case "Checkpoint":
-		var req deleteModelReq // just a name
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.checkpointModel(req.Name)
-	case "CheckpointModels":
-		var req ckptModelsReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		raced, err := m.checkpointModels(req.Names, req.IfRecoveries)
-		if err != nil {
-			return nil, err
-		}
-		return enc(ckptModelsResp{Raced: raced}), nil
-	case "RecoveryCount":
-		m.mu.Lock()
-		n := m.recoveries
-		m.mu.Unlock()
-		return enc(n), nil
-	case "RestoreModel":
-		var req deleteModelReq // just a name
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.restoreModels([]string{req.Name})
-	case "RestoreModels":
-		var req restoreModelsReq
-		if err := dec(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, m.restoreModels(req.Names)
-	default:
-		return nil, fmt.Errorf("ps: master: unknown method %q", method)
+	},
+	"SplitPartition": handleNoResp(func(m *Master, r partOpReq) error {
+		return m.SplitPartition(r.Model, r.Part, r.Dest)
+	}),
+	"MovePartition": handleNoResp(func(m *Master, r partOpReq) error {
+		return m.MovePartition(r.Model, r.Part, r.Dest)
+	}),
+	"DrainServer": handleNoResp(func(m *Master, r drainReq) error { return m.DrainServer(r.Addr) }),
+	"PublishSnapshot": handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
+		return m.PublishSnapshot(r.Name)
+	}),
+	"GetServeLayout": handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
+		return m.GetServeLayout(r.Name)
+	}),
+	"Barrier":      handleNoResp(func(m *Master, r barrierReq) error { m.clocks.barrier(r); return nil }),
+	"ClockAdvance": handle(func(m *Master, r clockReq) (clockResp, error) { return clockMin(m.clocks.advance(r)) }),
+	"ClockWait":    handle(func(m *Master, r clockReq) (clockResp, error) { return clockMin(m.clocks.wait(r)) }),
+	"ClockRetire":  handleNoResp(func(m *Master, r clockReq) error { m.clocks.retire(r); return nil }),
+	"Checkpoint":   handleNoResp(func(m *Master, r modelNameReq) error { return m.checkpointModel(r.Name) }),
+	"CheckpointModels": handle(func(m *Master, r ckptModelsReq) (ckptModelsResp, error) {
+		raced, err := m.checkpointModels(r.Names, r.IfRecoveries)
+		return ckptModelsResp{Raced: raced}, err
+	}),
+	"RestoreModel":  handleNoResp(func(m *Master, r modelNameReq) error { return m.restoreModels([]string{r.Name}) }),
+	"RestoreModels": handleNoResp(func(m *Master, r restoreModelsReq) error { return m.restoreModels(r.Names) }),
+}
+
+// clockMin wraps the ring minimum a clock operation reports.
+func clockMin(min int64, err error) (clockResp, error) { return clockResp{Clock: min}, err }
+
+func (m *Master) getModel(req getModelReq) (getModelResp, error) {
+	m.mu.Lock()
+	meta, ok := m.models[req.Name]
+	// Stamp the layout with the CURRENT epoch, not the epoch of the
+	// model's last mutation: servers fence against their global learned
+	// epoch, so a refetched layout must always carry a value no server
+	// considers stale — otherwise a client could loop on ErrStaleEpoch
+	// forever.
+	meta.Epoch = m.epoch
+	m.mu.Unlock()
+	if !ok {
+		return getModelResp{}, fmt.Errorf("ps: model %q does not exist", req.Name)
 	}
+	return getModelResp{Meta: meta}, nil
+}
+
+func (m *Master) recoveryCount() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.recoveries
 }
 
 func (m *Master) createModel(meta ModelMeta) (ModelMeta, error) {
@@ -403,7 +315,7 @@ func (m *Master) deleteModel(name string) error {
 		return nil
 	}
 	for _, s := range servers {
-		m.tr.Call(s, "DeleteModel", enc(deleteModelReq{Name: name}))
+		m.tr.Call(s, "DeleteModel", enc(modelNameReq{Name: name}))
 	}
 	return nil
 }
@@ -411,18 +323,22 @@ func (m *Master) deleteModel(name string) error {
 // callWithRetry calls a server, waiting out transient unreachability (a
 // server being restarted by this master's own recovery path).
 func (m *Master) callWithRetry(addr, method string, body []byte) ([]byte, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	backoff := 5 * time.Millisecond
-	for {
-		resp, err := m.tr.Call(addr, method, body)
-		if err == nil || !errors.Is(err, rpc.ErrUnreachable) || time.Now().After(deadline) {
-			return resp, err
+	retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, 10*time.Second)
+	return retry.Call(m.tr, addr, method, body)
+}
+
+// metasLocked returns the current layouts of the named models. Callers
+// hold m.mu.
+func (m *Master) metasLocked(names []string) ([]ModelMeta, error) {
+	metas := make([]ModelMeta, 0, len(names))
+	for _, name := range names {
+		meta, ok := m.models[name]
+		if !ok {
+			return nil, fmt.Errorf("ps: model %q does not exist", name)
 		}
-		time.Sleep(backoff)
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
+		metas = append(metas, meta)
 	}
+	return metas, nil
 }
 
 // checkpointModel asks every partition's server to snapshot.
@@ -453,39 +369,24 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 	m.mu.Lock()
 	count := m.recoveries
 	fs := m.fs
-	metas := make([]ModelMeta, 0, len(names))
-	for _, name := range names {
-		meta, ok := m.models[name]
-		if !ok {
-			m.mu.Unlock()
-			return false, fmt.Errorf("ps: model %q does not exist", name)
-		}
-		metas = append(metas, meta)
-	}
+	metas, err := m.metasLocked(names)
 	m.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
 	if fence >= 0 && count != fence {
 		mtrace("checkpoint %v fenced off: recoveries %d != %d", names, count, fence)
 		return true, nil
 	}
+	// A manually wired master without a DFS handle cannot publish, so its
+	// servers checkpoint single-shot — still serialized against recovery.
+	stage := "CkptPrepare"
 	if fs == nil {
-		// Manually wired master without a DFS handle: single-shot
-		// server-side checkpoints, still serialized against recovery.
-		for _, meta := range metas {
-			for _, p := range meta.Parts {
-				if _, err := m.tr.Call(p.Server, "Checkpoint", enc(ckptReq{Model: meta.Name, Part: p.Index})); err != nil {
-					if errors.Is(err, rpc.ErrUnreachable) {
-						return true, nil
-					}
-					return false, fmt.Errorf("ps: checkpoint %s partition %d: %w", meta.Name, p.Index, err)
-				}
-			}
-		}
-		m.maybeAutoPublishLocked(metas)
-		return false, nil
+		stage = "Checkpoint"
 	}
 	for _, meta := range metas {
 		for _, p := range meta.Parts {
-			if _, err := m.tr.Call(p.Server, "CkptPrepare", enc(ckptReq{Model: meta.Name, Part: p.Index})); err != nil {
+			if _, err := m.tr.Call(p.Server, stage, enc(ckptReq{Model: meta.Name, Part: p.Index})); err != nil {
 				if errors.Is(err, rpc.ErrUnreachable) {
 					mtrace("checkpoint %v aborted: %s unreachable", names, p.Server)
 					return true, nil
@@ -493,6 +394,10 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 				return false, fmt.Errorf("ps: checkpoint %s partition %d: %w", meta.Name, p.Index, err)
 			}
 		}
+	}
+	if fs == nil {
+		m.maybeAutoPublishLocked(metas)
+		return false, nil
 	}
 	for _, meta := range metas {
 		for _, p := range meta.Parts {
@@ -512,18 +417,44 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 	return false, nil
 }
 
-// restoreParts restores partitions of one model. onlyServer (when
-// non-empty and the model is not ConsistentRecovery) limits the restore
-// to partitions on that server; prev selects the previous checkpoint
-// generation.
-func (m *Master) restoreParts(meta ModelMeta, onlyServer string, prev bool) error {
+// restoreParts restores the partitions of one model that keep selects
+// (nil selects all; ConsistentRecovery models always restore whole) from
+// the checkpoint generation prev selects. The restore lands on the
+// partition's CURRENT server per meta — which is how a reassigned
+// partition comes back on its new home.
+func (m *Master) restoreParts(meta ModelMeta, keep func(Partition) bool, prev bool) error {
 	for _, p := range meta.Parts {
-		if onlyServer != "" && p.Server != onlyServer && !meta.ConsistentRecovery {
+		if keep != nil && !keep(p) && !meta.ConsistentRecovery {
 			continue
 		}
 		body := enc(restoreReq{Meta: meta, Part: p.Index, Prev: prev})
 		if _, err := m.callWithRetry(p.Server, "Restore", body); err != nil {
 			return fmt.Errorf("ps: restore %s/%d on %s: %w", meta.Name, p.Index, p.Server, err)
+		}
+	}
+	return nil
+}
+
+// restoreUnit is the restore ladder: the partitions keep selects come
+// back from the latest checkpoint generation, and if any latest file is
+// corrupt or torn, EVERY partition of every model in the unit comes back
+// from the previous generation instead — memory never mixes two fences,
+// even for partitions whose server stayed alive. A unit is one model on
+// the recovery paths and the caller's whole set for RestoreModels.
+func (m *Master) restoreUnit(metas []ModelMeta, keep func(Partition) bool) error {
+	var latestErr error
+	for _, meta := range metas {
+		if latestErr = m.restoreParts(meta, keep, false); latestErr != nil {
+			break
+		}
+	}
+	if latestErr == nil || !isCorruptCheckpointErr(latestErr) {
+		return latestErr
+	}
+	mtrace("restore: latest generation corrupt (%v), falling back to previous", latestErr)
+	for _, meta := range metas {
+		if err := m.restoreParts(meta, nil, true); err != nil {
+			return fmt.Errorf("%w (previous-generation fallback also failed: %v)", latestErr, err)
 		}
 	}
 	return nil
@@ -537,16 +468,11 @@ func (m *Master) restoreParts(meta ModelMeta, onlyServer string, prev bool) erro
 // to discard updates that raced with the restore.
 func (m *Master) restoreModels(names []string) error {
 	m.mu.Lock()
-	metas := make([]ModelMeta, 0, len(names))
-	for _, name := range names {
-		meta, ok := m.models[name]
-		if !ok {
-			m.mu.Unlock()
-			return fmt.Errorf("ps: model %q does not exist", name)
-		}
-		metas = append(metas, meta)
-	}
+	metas, err := m.metasLocked(names)
 	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	// Reconcile each model's layout with its checkpoint manifest first:
 	// when a split or migration happened after the checkpoint was taken,
 	// the partition files on the DFS were written under the manifest's
@@ -562,25 +488,7 @@ func (m *Master) restoreModels(names []string) error {
 		}
 	}
 	m.recMu.Unlock()
-	var latestErr error
-	for _, meta := range metas {
-		if latestErr = m.restoreParts(meta, "", false); latestErr != nil {
-			break
-		}
-	}
-	if latestErr == nil {
-		return nil
-	}
-	if !isCorruptCheckpointErr(latestErr) {
-		return latestErr
-	}
-	mtrace("restore %v: latest generation corrupt (%v), falling back to previous", names, latestErr)
-	for _, meta := range metas {
-		if err := m.restoreParts(meta, "", true); err != nil {
-			return fmt.Errorf("%w (previous-generation fallback also failed: %v)", latestErr, err)
-		}
-	}
-	return nil
+	return m.restoreUnit(metas, nil)
 }
 
 // StartMonitor begins periodic health checking of the servers. On a
@@ -749,24 +657,15 @@ func (m *Master) restoreForServer(addr string) error {
 	}
 	m.mu.Unlock()
 	for _, meta := range models {
-		only := addr
+		keep := func(p Partition) bool { return p.Server == addr }
 		if adopted, changed := m.adoptManifest(meta); changed {
 			// The checkpoint was taken under a different partition table
 			// (pre-split, say): every partition must come back from it, not
 			// just the dead server's, or ranges would mix two layouts.
 			meta = adopted
-			only = ""
+			keep = nil
 		}
-		err := m.restoreParts(meta, only, false)
-		if err != nil && isCorruptCheckpointErr(err) {
-			// The latest snapshot of this model is torn or bit-flipped.
-			// Fall back to the previous generation — and restore EVERY
-			// partition of the model from it, so memory never mixes two
-			// fences even for partitions whose server stayed alive.
-			mtrace("recover: %s latest checkpoint corrupt (%v), using previous generation", meta.Name, err)
-			err = m.restoreParts(meta, "", true)
-		}
-		if err != nil {
+		if err := m.restoreUnit([]ModelMeta{meta}, keep); err != nil {
 			return err
 		}
 		mtrace("recover: restored %s for %s", meta.Name, addr)
@@ -917,35 +816,11 @@ func (m *Master) reassignDead(deadAddr string) error {
 	m.journalStateLocked()
 	m.mu.Unlock()
 	for _, j := range jobs {
-		err := m.restorePartSet(j.meta, j.moved, false)
-		if err != nil && isCorruptCheckpointErr(err) {
-			// Same fencing rule as recoverServer: a torn latest generation
-			// rolls the WHOLE model to the previous one, never a mix.
-			mtrace("reassign: %s latest checkpoint corrupt (%v), using previous generation", j.meta.Name, err)
-			err = m.restorePartSet(j.meta, nil, true)
-		}
-		if err != nil {
+		moved := func(p Partition) bool { return j.moved[p.Index] }
+		if err := m.restoreUnit([]ModelMeta{j.meta}, moved); err != nil {
 			return err
 		}
 		mtrace("reassign: restored %s partitions of %s across %d survivors", j.meta.Name, deadAddr, len(ring))
-	}
-	return nil
-}
-
-// restorePartSet restores the partitions of meta whose Index is in set
-// (nil means all; ConsistentRecovery models always restore whole) from
-// the checkpoint generation selected by prev. The restore lands on the
-// partition's CURRENT server per meta — which is how a reassigned
-// partition comes back on its new home.
-func (m *Master) restorePartSet(meta ModelMeta, set map[int]bool, prev bool) error {
-	for _, p := range meta.Parts {
-		if set != nil && !set[p.Index] && !meta.ConsistentRecovery {
-			continue
-		}
-		body := enc(restoreReq{Meta: meta, Part: p.Index, Prev: prev})
-		if _, err := m.callWithRetry(p.Server, "Restore", body); err != nil {
-			return fmt.Errorf("ps: restore %s/%d on %s: %w", meta.Name, p.Index, p.Server, err)
-		}
 	}
 	return nil
 }

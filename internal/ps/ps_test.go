@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -1141,5 +1142,60 @@ func TestClientCommCounters(t *testing.T) {
 	s2, r2 := cl.Comm()
 	if s2 != 0 || r2 != 0 {
 		t.Fatal("counters not reset")
+	}
+}
+
+// TestMisshapedReplyIsAnError: a pull reply comes from another process,
+// so a short or mis-shaped one must surface as an error naming the model
+// and partition — it used to index out of range and take the executor
+// down.
+func TestMisshapedReplyIsAnError(t *testing.T) {
+	c, cl := newTestCluster(t, 1)
+	v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "rv", Size: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "re", Dim: 4, ByColumn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cl.CreateMatrix(MatrixSpec{Name: "rm", Rows: 2, Cols: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply any
+	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
+		return enc(reply), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		reply any
+		pull  func() error
+		model string
+	}{
+		{"vector pull, one value short", vecPullResp{Values: []float64{1}},
+			func() error { _, err := v.Pull([]int64{1, 2}); return err }, "rv/0"},
+		{"vector PullAll, range past the end", vecPullResp{Values: make([]float64, 8), Lo: 4},
+			func() error { _, err := v.PullAll(); return err }, "rv/0"},
+		{"vector PullAll, negative start", vecPullResp{Values: make([]float64, 2), Lo: -1},
+			func() error { _, err := v.PullAll(); return err }, "rv/0"},
+		{"column embedding, row never asked for", embPullResp{Vecs: map[int64][]float64{9: {1, 2, 3, 4}}},
+			func() error { _, err := e.Pull([]int64{1}); return err }, "re/0"},
+		{"column embedding, slice too wide", embPullResp{Vecs: map[int64][]float64{1: make([]float64, 5)}},
+			func() error { _, err := e.Pull([]int64{1}); return err }, "re/0"},
+		{"matrix, columns outside the model", matPullResp{Col0: 0, Col1: 9, Data: make([]float64, 18)},
+			func() error { _, err := m.PullAll(); return err }, "rm/0"},
+		{"matrix, data shorter than its columns", matPullResp{Col0: 0, Col1: 3, Data: make([]float64, 4)},
+			func() error { _, err := m.PullAll(); return err }, "rm/0"},
+		{"matrix, inverted columns", matPullResp{Col0: 2, Col1: 1},
+			func() error { _, err := m.PullAll(); return err }, "rm/0"},
+	} {
+		reply = tc.reply
+		err := tc.pull()
+		if err == nil || !strings.Contains(err.Error(), tc.model) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.model)
+		}
 	}
 }

@@ -207,27 +207,15 @@ func (s *Server) forward(method string, clientID, seq uint64, epoch int64, paylo
 	}
 	body := enc(replicateReq{Method: method, ClientID: clientID, Seq: seq, Epoch: epoch, Body: payload})
 	defer putBuf(body)
-	deadline := time.Now().Add(250 * time.Millisecond)
-	backoff := 2 * time.Millisecond
-	for {
-		_, err := s.repl.out.Call(target, "Replicate", body)
-		if err == nil {
-			s.repl.replicated.Add(1)
-			return
-		}
-		if !errors.Is(err, rpc.ErrUnreachable) {
-			s.repl.replDropped.Add(1)
-			return
-		}
-		if time.Now().After(deadline) {
-			s.repl.replDropped.Add(1)
-			s.repl.backup.CompareAndSwap(target, "")
-			return
-		}
-		time.Sleep(backoff)
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-		}
+	retry := rpc.NewBackoff(2*time.Millisecond, 50*time.Millisecond, 250*time.Millisecond)
+	_, err := retry.Call(s.repl.out, target, "Replicate", body)
+	if err == nil {
+		s.repl.replicated.Add(1)
+		return
+	}
+	s.repl.replDropped.Add(1)
+	if errors.Is(err, rpc.ErrUnreachable) {
+		s.repl.backup.CompareAndSwap(target, "")
 	}
 }
 
@@ -283,14 +271,20 @@ func (s *Server) seedBackup(req seedBackupReq) error {
 	s.epochMax(req.Epoch)
 	s.repl.gate.Lock()
 	defer s.repl.gate.Unlock()
-	inst := installReplicaReq{
-		Meta:  req.Meta,
-		Part:  req.Part,
-		Data:  e.checkpointData(),
-		Muts:  s.role(req.Meta.Name, req.Part).muts.Load(),
-		Epoch: req.Epoch,
+	// The dedup window rides along as it does in a migration: a push this
+	// primary applied before the snapshot whose ack was lost must replay
+	// its cached ack from the promoted replica, not re-apply onto a
+	// snapshot that already contains it.
+	inst := installPartReq{
+		Meta:    req.Meta,
+		Part:    req.Part,
+		Replica: true,
+		Data:    e.checkpointData(),
+		Dedup:   s.dedup.export(),
+		Muts:    s.role(req.Meta.Name, req.Part).muts.Load(),
+		Epoch:   req.Epoch,
 	}
-	if _, err := s.repl.out.Call(req.Backup, "InstallReplica", enc(inst)); err != nil {
+	if _, err := s.repl.out.Call(req.Backup, "InstallPart", enc(inst)); err != nil {
 		return fmt.Errorf("ps: seed %s/%d on %s: %w", req.Meta.Name, req.Part, req.Backup, err)
 	}
 	// Adopt the seeded backup as the forward target while still holding
@@ -298,27 +292,6 @@ func (s *Server) seedBackup(req seedBackupReq) error {
 	// forwards, so a target cleared by an earlier degrade can never leave
 	// the fresh replica silently stale.
 	s.repl.backup.Store(req.Backup)
-	return nil
-}
-
-// installReplica installs a seeded partition snapshot as a replica.
-// Muts transfers the primary's apply counter so the count survives a
-// later promotion (the replica's counter must stand in for the
-// primary's when the primary dies).
-func (s *Server) installReplica(req installReplicaReq) error {
-	var snap ckptSnapshot
-	if err := dec(req.Data, &snap); err != nil {
-		return fmt.Errorf("ps: install replica %s/%d: decode: %v", req.Meta.Name, req.Part, err)
-	}
-	e, err := engineFromSnapshot(req.Meta, req.Part, snap)
-	if err != nil {
-		return err
-	}
-	s.epochMax(req.Epoch)
-	s.store.put(e)
-	r := s.role(req.Meta.Name, req.Part)
-	r.replica.Store(true)
-	r.muts.Store(req.Muts)
 	return nil
 }
 

@@ -82,14 +82,14 @@ func (s ServeStats) TotalRows() int64 { return s.OffloadedRows() + s.PrimaryRows
 // model and returns its layout.
 func (c *Client) PublishSnapshot(model string) (ServeLayout, error) {
 	var sl ServeLayout
-	err := c.invoke(c.masterAddr, "PublishSnapshot", deleteModelReq{Name: model}, &sl)
+	err := c.invoke(c.masterAddr, "PublishSnapshot", modelNameReq{Name: model}, &sl)
 	return sl, err
 }
 
 // GetServeLayout fetches the model's current serving generation.
 func (c *Client) GetServeLayout(model string) (ServeLayout, error) {
 	var sl ServeLayout
-	err := c.invoke(c.masterAddr, "GetServeLayout", deleteModelReq{Name: model}, &sl)
+	err := c.invoke(c.masterAddr, "GetServeLayout", modelNameReq{Name: model}, &sl)
 	return sl, err
 }
 
@@ -352,44 +352,34 @@ func (sc *ServeClient) pullSnap(sl ServeLayout, ids []int64) (map[int64][]float6
 	return out, nil
 }
 
-// partPull reads one partition's snapshot, rotating over its replicas
-// and failing over on unreachability. Staleness errors surface to the
-// caller, which refetches the layout.
+// partPull reads one partition's snapshot from one of its replicas.
+// Staleness errors surface to the caller, which refetches the layout.
 func (sc *ServeClient) partPull(sl ServeLayout, part int, ids []int64) (map[int64][]float64, error) {
 	eps := sl.Replicas[part]
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("%s: no serving endpoints for %s/%d", noServeSnapMsg, sc.model, part)
 	}
-	start := int(sc.rr.Add(1)) % len(eps)
-	var lastErr error
-	for j := 0; j < len(eps); j++ {
-		ep := eps[(start+j)%len(eps)]
-		var resp servePullResp
-		err := sc.call(ep, "ServePull", servePullReq{
-			Model: sc.model, Part: part, SnapEpoch: sl.SnapEpoch, IDs: ids,
-		}, &resp)
-		if err == nil {
-			return resp.Rows, nil
-		}
-		lastErr = err
-		if !errors.Is(err, rpc.ErrUnreachable) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
+	return sc.readAny(eps, "ServePull", servePullReq{
+		Model: sc.model, Part: part, SnapEpoch: sl.SnapEpoch, IDs: ids,
+	})
 }
 
 // hotPull reads hot-head rows from any endpoint (each holds the full
-// head), rotating for spread and failing over on unreachability.
+// head).
 func (sc *ServeClient) hotPull(sl ServeLayout, ids []int64) (map[int64][]float64, error) {
-	start := int(sc.rr.Add(1)) % len(sl.Endpoints)
+	return sc.readAny(sl.Endpoints, "ServeHotPull", serveHotPullReq{
+		Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: ids,
+	})
+}
+
+// readAny sends one read to endpoints that can each answer it, rotating
+// the starting endpoint for spread and failing over on unreachability.
+func (sc *ServeClient) readAny(eps []string, method string, req any) (map[int64][]float64, error) {
+	start := int(sc.rr.Add(1)) % len(eps)
 	var lastErr error
-	for j := 0; j < len(sl.Endpoints); j++ {
-		ep := sl.Endpoints[(start+j)%len(sl.Endpoints)]
+	for j := range eps {
 		var resp servePullResp
-		err := sc.call(ep, "ServeHotPull", serveHotPullReq{
-			Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: ids,
-		}, &resp)
+		err := sc.call(eps[(start+j)%len(eps)], method, req, &resp)
 		if err == nil {
 			return resp.Rows, nil
 		}

@@ -54,13 +54,17 @@ func (s *Store) Partition(model string, idx int) (*PartView, error) {
 // partition of another kind is a programmer error and panics.
 type PartView struct{ eng engine }
 
-func (v *PartView) emb() *embEngine {
-	e, ok := v.eng.(*embEngine)
+// viewAs returns the partition's engine as the kind a typed PartView
+// method serves; what names that kind in the panic.
+func viewAs[E engine](v *PartView, what string) E {
+	e, ok := v.eng.(E)
 	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not an embedding", v.eng.modelMeta().Kind))
+		panic(fmt.Sprintf("ps: PartView: %v partition is not %s", v.eng.modelMeta().Kind, what))
 	}
 	return e
 }
+
+func (v *PartView) emb() *embEngine { return viewAs[*embEngine](v, "an embedding") }
 
 // Row returns (and lazily initializes) the stored vector for id, locking
 // only the shard that owns it. The caller must not retain the slice
@@ -95,43 +99,25 @@ func (v *PartView) Lock() LockedRows {
 // its backing slice and range start. psFuncs touching several co-located
 // partitions must acquire VecLocks in a consistent (model-name) order.
 func (v *PartView) VecLock() (data []float64, lo int64, unlock func()) {
-	e, ok := v.eng.(*vecEngine)
-	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not a DenseVector", v.eng.modelMeta().Kind))
-	}
-	return e.lockData()
+	return viewAs[*vecEngine](v, "a DenseVector").lockData()
 }
 
 // MapLock acquires the write lock of a SparseVector partition and returns
 // the backing map.
 func (v *PartView) MapLock() (m map[int64]float64, unlock func()) {
-	e, ok := v.eng.(*sparseEngine)
-	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not a SparseVector", v.eng.modelMeta().Kind))
-	}
-	return e.lockMap()
+	return viewAs[*sparseEngine](v, "a SparseVector").lockMap()
 }
 
 // NbrLock acquires the write lock of a Neighbor partition and returns the
 // backing adjacency map (nil once the partition is sealed to CSR).
 func (v *PartView) NbrLock() (m map[int64][]int64, unlock func()) {
-	e, ok := v.eng.(*nbrEngine)
-	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not a Neighbor table", v.eng.modelMeta().Kind))
-	}
-	return e.lockMap()
+	return viewAs[*nbrEngine](v, "a Neighbor table").lockMap()
 }
 
 // SealCSR converts a Neighbor partition from its build-form map into
 // compact CSR storage (sorted, deduplicated) and returns the vertex
 // count. Subsequent pushes to the partition are rejected. Idempotent.
-func (v *PartView) SealCSR() int64 {
-	e, ok := v.eng.(*nbrEngine)
-	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not a Neighbor table", v.eng.modelMeta().Kind))
-	}
-	return e.seal()
-}
+func (v *PartView) SealCSR() int64 { return viewAs[*nbrEngine](v, "a Neighbor table").seal() }
 
 // Server holds model partitions in memory and serves pull/push/psFunc
 // requests. A server is stateless across restarts: recovery reloads
@@ -165,10 +151,10 @@ func NewServer(addr string, fs *dfs.FS) *Server {
 // handler serves one RPC method against a server.
 type handler func(s *Server, body []byte) ([]byte, error)
 
-// handle adapts a typed request/response method into a handler: decode
-// once, dispatch, encode once.
-func handle[Req, Resp any](f func(*Server, Req) (Resp, error)) handler {
-	return func(s *Server, body []byte) ([]byte, error) {
+// handle adapts a typed request/response method of a server or the
+// master into a wire handler: decode once, dispatch, encode once.
+func handle[S, Req, Resp any](f func(S, Req) (Resp, error)) func(S, []byte) ([]byte, error) {
+	return func(s S, body []byte) ([]byte, error) {
 		var req Req
 		if err := dec(body, &req); err != nil {
 			return nil, err
@@ -183,8 +169,8 @@ func handle[Req, Resp any](f func(*Server, Req) (Resp, error)) handler {
 
 // handleNoResp adapts a request-only method (pushes, control writes)
 // into a handler with an empty response body.
-func handleNoResp[Req any](f func(*Server, Req) error) handler {
-	return func(s *Server, body []byte) ([]byte, error) {
+func handleNoResp[S, Req any](f func(S, Req) error) func(S, []byte) ([]byte, error) {
+	return func(s S, body []byte) ([]byte, error) {
 		var req Req
 		if err := dec(body, &req); err != nil {
 			return nil, err
@@ -193,20 +179,67 @@ func handleNoResp[Req any](f func(*Server, Req) error) handler {
 	}
 }
 
+// unapplied marks the error of a mutating call that was rejected before
+// it wrote anything because it was routed by a layout this server does
+// not (or not yet) match: the partition is not here, or the batch
+// straddles a range that moved. The client heals by re-routing and
+// retries under the SAME (clientID, seq), so the dedup window must not
+// remember the rejection (dedupTable.handle) — or the retry that arrives
+// after the partition did would replay it forever.
+type unapplied struct{ error }
+
+func (u unapplied) Unwrap() error { return u.error }
+
+// pull adapts an engine's pull method into a handler: find the engine
+// the request addresses, run.
+func pull[E engine, Resp any](f func(E, pullReq) (Resp, error)) handler {
+	return handle(func(s *Server, req pullReq) (Resp, error) {
+		e, err := getEngine[E](s.store, req.Model, req.Part)
+		if err != nil {
+			var none Resp
+			return none, err
+		}
+		return f(e, req)
+	})
+}
+
+// push adapts an engine's push method into a handler: find the engine,
+// run, count the mutation against the partition's role. It is the one
+// place that knows which push errors applied nothing: a missing engine,
+// and a range-moved rejection (every engine validates the whole batch
+// before its first write).
+func push[E engine, Req addressed](f func(E, Req) error) handler {
+	return handleNoResp(func(s *Server, req Req) error {
+		model, part := req.addr()
+		e, err := getEngine[E](s.store, model, part)
+		if err != nil {
+			return unapplied{err}
+		}
+		if err := f(e, req); err != nil {
+			if IsRangeMovedErr(err) {
+				return unapplied{err}
+			}
+			return err
+		}
+		s.bump(model, part)
+		return nil
+	})
+}
+
 // serverHandlers is the method dispatch table of the server.
 var serverHandlers = map[string]handler{
 	"Ping":        func(*Server, []byte) ([]byte, error) { return nil, nil },
 	"CreatePart":  handleNoResp((*Server).createPart),
-	"VecPull":     handle((*Server).vecPull),
-	"VecPush":     handleNoResp((*Server).vecPush),
-	"MapPull":     handle((*Server).mapPull),
-	"MapPush":     handleNoResp((*Server).mapPush),
-	"EmbPull":     handle((*Server).embPull),
-	"EmbPush":     handleNoResp((*Server).embPush),
-	"NbrPull":     handle((*Server).nbrPull),
-	"NbrPush":     handleNoResp((*Server).nbrPush),
-	"MatPull":     handle((*Server).matPull),
-	"MatPush":     handleNoResp((*Server).matPush),
+	"VecPull":     pull((*vecEngine).pull),
+	"VecPush":     push((*vecEngine).push),
+	"MapPull":     pull((*sparseEngine).pull),
+	"MapPush":     push((*sparseEngine).push),
+	"EmbPull":     pull((*embEngine).pull),
+	"EmbPush":     push((*embEngine).push),
+	"NbrPull":     pull((*nbrEngine).pull),
+	"NbrPush":     push((*nbrEngine).push),
+	"MatPull":     pull((*matEngine).pull),
+	"MatPush":     push((*matEngine).push),
 	"Func":        handle((*Server).callFunc),
 	"Checkpoint":  handleNoResp((*Server).checkpoint),
 	"CkptPrepare": handleNoResp((*Server).ckptPrepare),
@@ -222,17 +255,17 @@ func init() {
 	serverHandlers["Promote"] = handleNoResp((*Server).promote)
 	serverHandlers["SetBackup"] = handleNoResp((*Server).setBackup)
 	serverHandlers["SeedBackup"] = handleNoResp((*Server).seedBackup)
-	serverHandlers["InstallReplica"] = handleNoResp((*Server).installReplica)
 }
 
 // Handle dispatches one RPC. It is the rpc.Handler of the server. A
 // tagSeq/tagSeqE envelope routes through the dedup window so a retried
 // mutating call replays its cached ack instead of re-executing. The
 // epoch/lease fence runs BEFORE the window (a rejection must never be
-// cached), and a successfully applied mutation is forwarded to the
-// backup inside the window's exec — so the client's ack is withheld
-// until the mutation is replicated, and a replayed ack never forwards
-// twice.
+// cached; routing rejections raised inside it are marked unapplied and
+// dropped by the window), and a successfully applied mutation is
+// forwarded to the backup inside the window's exec — so the client's
+// ack is withheld until the mutation is replicated, and a replayed ack
+// never forwards twice.
 func (s *Server) Handle(method string, body []byte) ([]byte, error) {
 	if clientID, seq, epoch, payload, ok := unwrapDedup(body); ok {
 		if err := s.fenceCheck(epoch); err != nil {
@@ -269,110 +302,10 @@ func (s *Server) createPart(req createPartReq) error {
 	return nil
 }
 
-func (s *Server) deleteModel(req deleteModelReq) error {
+func (s *Server) deleteModel(req modelNameReq) error {
 	s.store.delete(req.Name)
 	s.dropRoles(req.Name)
 	s.serveDrop(req.Name)
-	return nil
-}
-
-func (s *Server) vecPull(req vecPullReq) (vecPullResp, error) {
-	e, err := getEngine[*vecEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return vecPullResp{}, err
-	}
-	return e.pull(req)
-}
-
-func (s *Server) vecPush(req vecPushReq) error {
-	e, err := getEngine[*vecEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return err
-	}
-	if err := e.push(req); err != nil {
-		return err
-	}
-	s.bump(req.Model, req.Part)
-	return nil
-}
-
-func (s *Server) mapPull(req mapPullReq) (mapPullResp, error) {
-	e, err := getEngine[*sparseEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return mapPullResp{}, err
-	}
-	return e.pull(req)
-}
-
-func (s *Server) mapPush(req mapPushReq) error {
-	e, err := getEngine[*sparseEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return err
-	}
-	if err := e.push(req); err != nil {
-		return err
-	}
-	s.bump(req.Model, req.Part)
-	return nil
-}
-
-func (s *Server) embPull(req embPullReq) (embPullResp, error) {
-	e, err := getEngine[*embEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return embPullResp{}, err
-	}
-	return e.pull(req)
-}
-
-func (s *Server) embPush(req embPushReq) error {
-	e, err := getEngine[*embEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return err
-	}
-	if err := e.push(req); err != nil {
-		return err
-	}
-	s.bump(req.Model, req.Part)
-	return nil
-}
-
-func (s *Server) nbrPull(req nbrPullReq) (nbrPullResp, error) {
-	e, err := getEngine[*nbrEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return nbrPullResp{}, err
-	}
-	return e.pull(req)
-}
-
-func (s *Server) nbrPush(req nbrPushReq) error {
-	e, err := getEngine[*nbrEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return err
-	}
-	if err := e.push(req); err != nil {
-		return err
-	}
-	s.bump(req.Model, req.Part)
-	return nil
-}
-
-func (s *Server) matPull(req matPullReq) (matPullResp, error) {
-	e, err := getEngine[*matEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return matPullResp{}, err
-	}
-	return e.pull(req)
-}
-
-func (s *Server) matPush(req matPushReq) error {
-	e, err := getEngine[*matEngine](s.store, req.Model, req.Part)
-	if err != nil {
-		return err
-	}
-	if err := e.push(req); err != nil {
-		return err
-	}
-	s.bump(req.Model, req.Part)
 	return nil
 }
 
@@ -380,6 +313,11 @@ func (s *Server) callFunc(req funcReq) (funcResp, error) {
 	f, ok := lookupFunc(req.Name)
 	if !ok {
 		return funcResp{}, fmt.Errorf("ps: psFunc %q not registered", req.Name)
+	}
+	// Same rule as push: a psFunc addressed at a partition that is not
+	// here (yet) ran nothing.
+	if _, err := s.store.get(req.Model, req.Part); err != nil {
+		return funcResp{}, unapplied{err}
 	}
 	out, err := f(s.store, req.Model, req.Part, req.Arg)
 	if err != nil {

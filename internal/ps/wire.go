@@ -13,8 +13,8 @@ package ps
 // delete, barriers, checkpoints, stats) keep gob behind tag tagGob, so
 // both formats coexist on one connection and old-style messages still
 // decode. Slice and map fields encode nil-ness explicitly (length 0 =
-// nil, length n+1 = n elements): vecPullReq relies on nil Indices
-// meaning "the whole partition range", a distinction gob does not
+// nil, length n+1 = n elements): pullReq relies on nil Keys meaning
+// "everything the partition holds", a distinction gob does not
 // round-trip.
 //
 // Encode buffers come from a sync.Pool; Client.invoke and the TCP
@@ -36,19 +36,15 @@ const (
 
 // Binary message ids (second byte of tagBin messages).
 const (
-	msgVecPullReq byte = iota + 1
+	msgPullReq byte = iota + 1
 	msgVecPullResp
 	msgVecPushReq
-	msgMapPullReq
 	msgMapPullResp
 	msgMapPushReq
-	msgEmbPullReq
 	msgEmbPullResp
 	msgEmbPushReq
-	msgNbrPullReq
 	msgNbrPullResp
 	msgNbrPushReq
-	msgMatPullReq
 	msgMatPullResp
 	msgMatPushReq
 	msgFuncReq
@@ -98,6 +94,12 @@ func grow(b []byte, n int) []byte {
 func appendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// appendAddr encodes the (model, partition) address every data-plane
+// request starts with; wreader.addr decodes it.
+func appendAddr(b []byte, model string, part int) []byte {
+	return binary.AppendVarint(appendStr(b, model), int64(part))
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -260,6 +262,8 @@ func (r *wreader) take(n int) []byte {
 func (r *wreader) str() string {
 	return string(r.take(int(r.uvarint())))
 }
+
+func (r *wreader) addr() (model string, part int) { return r.str(), int(r.varint()) }
 
 // sliceLen decodes the nil-encoding length prefix: (0, false) for nil,
 // (n, true) for n elements.
@@ -442,32 +446,24 @@ func mapI64sHint(m map[int64][]int64) int {
 // payloads.
 func binSizeHint(v any) int {
 	switch m := v.(type) {
-	case vecPullReq:
-		return 32 + len(m.Model) + 10*len(m.Indices)
+	case pullReq:
+		return 32 + len(m.Model) + 10*len(m.Keys)
 	case vecPullResp:
 		return 32 + 8*len(m.Values)
 	case vecPushReq:
 		return 48 + len(m.Model) + 10*len(m.Indices) + 8*len(m.Values)
-	case mapPullReq:
-		return 32 + len(m.Model) + 10*len(m.Keys)
 	case mapPullResp:
 		return 16 + 18*len(m.M)
 	case mapPushReq:
 		return 32 + len(m.Model) + 18*len(m.M)
-	case embPullReq:
-		return 32 + len(m.Model) + 10*len(m.IDs)
 	case embPullResp:
 		return 16 + mapVecsHint(m.Vecs)
 	case embPushReq:
 		return 32 + len(m.Model) + mapVecsHint(m.Vecs)
-	case nbrPullReq:
-		return 32 + len(m.Model) + 10*len(m.IDs)
 	case nbrPullResp:
 		return 16 + mapI64sHint(m.Tables)
 	case nbrPushReq:
 		return 32 + len(m.Model) + mapI64sHint(m.Tables)
-	case matPullReq:
-		return 32 + len(m.Model)
 	case matPullResp:
 		return 48 + 8*len(m.Data)
 	case matPushReq:
@@ -492,68 +488,44 @@ func encBinary(v any) ([]byte, bool) {
 	}
 	b = append(b, tagBin)
 	switch m := v.(type) {
-	case vecPullReq:
-		b = append(b, msgVecPullReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
-		b = appendI64s(b, m.Indices)
+	case pullReq:
+		b = append(b, msgPullReq)
+		b = appendAddr(b, m.Model, m.Part)
+		b = appendI64s(b, m.Keys)
 	case vecPullResp:
 		b = append(b, msgVecPullResp)
 		b = appendF64s(b, m.Values)
 		b = binary.AppendVarint(b, m.Lo)
 	case vecPushReq:
 		b = append(b, msgVecPushReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendI64s(b, m.Indices)
 		b = appendF64s(b, m.Values)
 		b = binary.AppendVarint(b, int64(m.Op))
-	case mapPullReq:
-		b = append(b, msgMapPullReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
-		b = appendI64s(b, m.Keys)
 	case mapPullResp:
 		b = append(b, msgMapPullResp)
 		b = appendMapF64(b, m.M)
 	case mapPushReq:
 		b = append(b, msgMapPushReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapF64(b, m.M)
 		b = appendBool(b, m.Set)
-	case embPullReq:
-		b = append(b, msgEmbPullReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
-		b = appendI64s(b, m.IDs)
 	case embPullResp:
 		b = append(b, msgEmbPullResp)
 		b = appendMapVecs(b, m.Vecs)
 	case embPushReq:
 		b = append(b, msgEmbPushReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapVecs(b, m.Vecs)
 		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
-	case nbrPullReq:
-		b = append(b, msgNbrPullReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
-		b = appendI64s(b, m.IDs)
 	case nbrPullResp:
 		b = append(b, msgNbrPullResp)
 		b = appendMapI64s(b, m.Tables)
 	case nbrPushReq:
 		b = append(b, msgNbrPushReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapI64s(b, m.Tables)
-	case matPullReq:
-		b = append(b, msgMatPullReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
 	case matPullResp:
 		b = append(b, msgMatPullResp)
 		b = binary.AppendVarint(b, int64(m.Col0))
@@ -561,15 +533,13 @@ func encBinary(v any) ([]byte, bool) {
 		b = appendF64s(b, m.Data)
 	case matPushReq:
 		b = append(b, msgMatPushReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendF64s(b, m.Data)
 		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
 	case funcReq:
 		b = append(b, msgFuncReq)
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, int64(m.Part))
+		b = appendAddr(b, m.Model, m.Part)
 		b = appendStr(b, m.Name)
 		b = appendBytes(b, m.Arg)
 	case funcResp:
@@ -600,12 +570,11 @@ func decBinary(data []byte, v any) error {
 	r := wreader{b: data[1:]}
 	want := byte(0)
 	switch m := v.(type) {
-	case *vecPullReq:
-		want = msgVecPullReq
+	case *pullReq:
+		want = msgPullReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
-			m.Indices = r.i64s()
+			m.Model, m.Part = r.addr()
+			m.Keys = r.i64s()
 		}
 	case *vecPullResp:
 		want = msgVecPullResp
@@ -616,18 +585,10 @@ func decBinary(data []byte, v any) error {
 	case *vecPushReq:
 		want = msgVecPushReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.Indices = r.i64s()
 			m.Values = r.f64s()
 			m.Op = vecOp(r.varint())
-		}
-	case *mapPullReq:
-		want = msgMapPullReq
-		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
-			m.Keys = r.i64s()
 		}
 	case *mapPullResp:
 		want = msgMapPullResp
@@ -637,17 +598,9 @@ func decBinary(data []byte, v any) error {
 	case *mapPushReq:
 		want = msgMapPushReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.M = r.mapF64()
 			m.Set = r.bool()
-		}
-	case *embPullReq:
-		want = msgEmbPullReq
-		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
-			m.IDs = r.i64s()
 		}
 	case *embPullResp:
 		want = msgEmbPullResp
@@ -657,18 +610,10 @@ func decBinary(data []byte, v any) error {
 	case *embPushReq:
 		want = msgEmbPushReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.Vecs = r.mapVecs()
 			m.Grad = r.bool()
 			m.Set = r.bool()
-		}
-	case *nbrPullReq:
-		want = msgNbrPullReq
-		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
-			m.IDs = r.i64s()
 		}
 	case *nbrPullResp:
 		want = msgNbrPullResp
@@ -678,15 +623,8 @@ func decBinary(data []byte, v any) error {
 	case *nbrPushReq:
 		want = msgNbrPushReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.Tables = r.mapI64s()
-		}
-	case *matPullReq:
-		want = msgMatPullReq
-		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
 		}
 	case *matPullResp:
 		want = msgMatPullResp
@@ -698,8 +636,7 @@ func decBinary(data []byte, v any) error {
 	case *matPushReq:
 		want = msgMatPushReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.Data = r.f64s()
 			m.Grad = r.bool()
 			m.Set = r.bool()
@@ -707,8 +644,7 @@ func decBinary(data []byte, v any) error {
 	case *funcReq:
 		want = msgFuncReq
 		if id == want {
-			m.Model = r.str()
-			m.Part = int(r.varint())
+			m.Model, m.Part = r.addr()
 			m.Name = r.str()
 			// Zero-copy: every handler runs to completion before its
 			// caller recycles the request buffer (PSFunc's arg contract).

@@ -16,7 +16,7 @@ import (
 
 // wireEq compares two decoded wire messages, treating NaN as equal to
 // NaN (reflect.DeepEqual does not) and distinguishing nil from empty
-// slices/maps (the codec must round-trip vecPullReq's nil-means-all).
+// slices/maps (the codec must round-trip pullReq's nil-means-all).
 func wireEq(a, b reflect.Value) bool {
 	if a.Kind() != b.Kind() {
 		return false
@@ -73,26 +73,21 @@ func wireEq(a, b reflect.Value) bool {
 func hotMessages() []any {
 	nan, inf := math.NaN(), math.Inf(1)
 	return []any{
-		vecPullReq{Model: "ranks", Part: 3, Indices: []int64{0, -5, 1 << 40}},
-		vecPullReq{Model: "", Part: 0, Indices: nil},
-		vecPullReq{Model: "empty", Part: 1, Indices: []int64{}},
+		pullReq{Model: "ranks", Part: 3, Keys: []int64{0, -5, 1 << 40}},
+		pullReq{Model: "", Part: 0, Keys: nil},
+		pullReq{Model: "empty", Part: 1, Keys: []int64{}},
 		vecPullResp{Values: []float64{1.5, nan, inf, math.Inf(-1), math.Copysign(0, -1)}, Lo: -9},
 		vecPullResp{Values: nil, Lo: 0},
 		vecPushReq{Model: "m", Part: 2, Indices: []int64{7, 8}, Values: []float64{0.25, -3}, Op: vecMax},
 		vecPushReq{Model: "full", Part: 0, Indices: nil, Values: []float64{}, Op: vecSet},
-		mapPullReq{Model: "sv", Part: 1, Keys: []int64{-1, 0, 1}},
-		mapPullReq{Model: "sv", Part: 0, Keys: nil},
 		mapPullResp{M: map[int64]float64{1: nan, -2: inf, 3: 0.125}},
 		mapPullResp{M: map[int64]float64{}},
 		mapPullResp{M: nil},
 		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
-		embPullReq{Model: "emb", Part: 2, IDs: []int64{1, 2, 3}},
 		embPullResp{Vecs: map[int64][]float64{5: {1, 2, nan}, -6: {}, 7: nil}},
 		embPushReq{Model: "emb", Part: 0, Vecs: map[int64][]float64{1: {0.5, -0.5}}, Grad: true, Set: false},
-		nbrPullReq{Model: "nbr", Part: 1, IDs: []int64{4, 5}},
 		nbrPullResp{Tables: map[int64][]int64{1: {2, 3}, 4: {}, 5: nil}},
 		nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{8: {9}}},
-		matPullReq{Model: "w", Part: 6},
 		matPullResp{Col0: 2, Col1: 5, Data: []float64{nan, 1, 2, 3, 4, 5}},
 		matPushReq{Model: "w", Part: 1, Data: []float64{1, inf}, Grad: false, Set: true},
 		funcReq{Model: "emb", Part: 3, Name: "dot", Arg: []byte{0, 1, 2, 255}},
@@ -166,9 +161,9 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 			t.Errorf("enc(%T): tag = 0x%02x, want tagBin", msg, b[0])
 		}
 	}
-	// 5 kinds x (pull req, pull resp, push req) + Func req/resp + Replicate.
-	if len(seen) != 18 {
-		t.Errorf("covered %d hot message types, want 18", len(seen))
+	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp + Replicate.
+	if len(seen) != 14 {
+		t.Errorf("covered %d hot message types, want 14", len(seen))
 	}
 }
 
@@ -233,7 +228,7 @@ func TestWireControlPlaneStaysGob(t *testing.T) {
 		createModelReq{Meta: ModelMeta{Name: "m", Kind: DenseVector, Size: 10}},
 		getModelReq{Name: "m"},
 		barrierReq{Tag: "t", Epoch: 1, Expect: 2},
-		deleteModelReq{Name: "m"},
+		modelNameReq{Name: "m"},
 		statsResp{Models: []string{"a"}, Partitions: 2, Bytes: 100},
 	} {
 		b := enc(msg)
@@ -242,7 +237,7 @@ func TestWireControlPlaneStaysGob(t *testing.T) {
 		}
 	}
 	// And the hot path actually takes the binary format by default.
-	if b := enc(vecPullReq{Model: "m"}); b[0] != tagBin {
+	if b := enc(pullReq{Model: "m"}); b[0] != tagBin {
 		t.Errorf("hot message encoded with tag 0x%02x, want binary", b[0])
 	}
 }
@@ -262,7 +257,7 @@ func TestWireDecodeErrors(t *testing.T) {
 	if err := dec(append(append([]byte{}, good...), 0), &req); err == nil {
 		t.Error("trailing bytes: want error")
 	}
-	var wrong mapPullReq
+	var wrong pullReq
 	if err := dec(good, &wrong); err == nil {
 		t.Error("mismatched message id: want error")
 	}
@@ -291,7 +286,7 @@ func TestWireFormatsInteroperate(t *testing.T) {
 	if _, err := s.Handle("VecPush", push); err != nil {
 		t.Fatalf("gob-tagged push: %v", err)
 	}
-	out, err := s.Handle("VecPull", enc(vecPullReq{Model: "gobv", Part: 0, Indices: []int64{1, 49}}))
+	out, err := s.Handle("VecPull", enc(pullReq{Model: "gobv", Part: 0, Keys: []int64{1, 49}}))
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
@@ -315,7 +310,7 @@ func TestClientBackoffClampsToDeadline(t *testing.T) {
 	cl := NewClient(tr, "nowhere")
 	cl.RetryTimeout = 80 * time.Millisecond
 	start := time.Now()
-	_, err := cl.call("gone", "VecPull", nil)
+	err := cl.callE(nil, "gone", "VecPull", nil, nil, 0, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, rpc.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
@@ -384,11 +379,19 @@ func TestStaleLayoutErrClassifier(t *testing.T) {
 	}
 }
 
+// setMaxFanOut narrows the package fan-out bound for one test.
+func setMaxFanOut(t *testing.T, n int) {
+	old := maxFanOut
+	maxFanOut = n
+	t.Cleanup(func() { maxFanOut = old })
+}
+
 // TestFanOutBoundedConcurrency checks that the shared helper never runs
-// more than MaxFanOut partition calls at once and still visits every
+// more than maxFanOut partition calls at once and still visits every
 // partition exactly once.
 func TestFanOutBoundedConcurrency(t *testing.T) {
-	c := &Client{MaxFanOut: 3}
+	setMaxFanOut(t, 3)
+	c := &Client{}
 	parts := make([]Partition, 17)
 	var inFlight, peak, calls atomic.Int64
 	seen := make([]atomic.Int64, len(parts))
@@ -418,14 +421,15 @@ func TestFanOutBoundedConcurrency(t *testing.T) {
 		}
 	}
 	if p := peak.Load(); p > 3 {
-		t.Fatalf("peak concurrency %d exceeds MaxFanOut=3", p)
+		t.Fatalf("peak concurrency %d exceeds maxFanOut=3", p)
 	}
 }
 
 // TestFanOutFirstErrorWins checks error semantics: the helper returns
 // the first error reported and skips unclaimed partitions after it.
 func TestFanOutFirstErrorWins(t *testing.T) {
-	c := &Client{MaxFanOut: 1} // sequential: deterministic claim order
+	setMaxFanOut(t, 1) // sequential: deterministic claim order
+	c := &Client{}
 	parts := make([]Partition, 8)
 	boom := errors.New("boom")
 	var after atomic.Int64
@@ -578,7 +582,7 @@ func TestWireBinarySizePredictable(t *testing.T) {
 	if !bytes.Equal(bin[:2], []byte{tagBin, msgVecPullResp}) {
 		t.Fatalf("unexpected header % x", bin[:2])
 	}
-	small := vecPullReq{Model: "m", Part: 1, Indices: []int64{10, 11, 12}}
+	small := pullReq{Model: "m", Part: 1, Keys: []int64{10, 11, 12}}
 	sb, _ := encBinary(small)
 	sg := encGob(small)
 	if len(sb) >= len(sg) {
