@@ -475,21 +475,23 @@ func buildBatch(ctx *Context, data *GraphSageData, batch []int64, cfg GraphSageC
 	}
 	// Features never change during training, so the prefetch cache needs
 	// no invalidation: a vertex sampled twice costs one wire pull total.
-	var feats map[int64][]float64
-	var err2 error
+	// order holds distinct ids, so the pulled block — row i = order[i] — is
+	// the feature matrix as it stands.
+	var feats ps.RowBatch
 	if cfg.Prefetch {
-		feats, err2 = data.Feats.PullCached(order)
+		feats, _, err = data.Feats.PrefetchRows(order).Batch()
 	} else {
-		feats, err2 = data.Feats.Pull(order)
+		feats, _, err = data.Feats.PullBatch(order)
 	}
-	if err2 != nil {
-		return jniBatch{}, err2
+	if err != nil {
+		return jniBatch{}, err
 	}
 	dim := data.InputDim
-	x := make([]float64, len(order)*dim)
-	for i, v := range order {
-		copy(x[i*dim:(i+1)*dim], feats[v])
+	if feats.Dim != dim || len(feats.IDs) != len(order) {
+		return jniBatch{}, fmt.Errorf("core: pulled %d feature rows of width %d for %d vertices of width %d",
+			len(feats.IDs), feats.Dim, len(order), dim)
 	}
+	x := feats.Data
 
 	// Layer-1 set: batch ∪ s1, each aggregating raw features of its
 	// sampled neighbors.

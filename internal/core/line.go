@@ -368,34 +368,34 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 // from the pipeline: rows come from the in-flight prefetch when one was
 // issued, and updates go through the coalescers when coalescing is on.
 func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr float64) error {
-	var uVecs, vVecs map[int64][]float64
+	var u, v pulledRows
 	var err error
 	if b.uPre != nil {
-		if uVecs, err = b.uPre.Rows(); err != nil {
+		if u.rows, u.pos, err = b.uPre.Batch(); err != nil {
 			return err
 		}
-		if vVecs, err = b.vPre.Rows(); err != nil {
+		if v.rows, v.pos, err = b.vPre.Batch(); err != nil {
 			return err
 		}
 	} else {
-		if uVecs, err = eh.Pull(b.us); err != nil {
+		if u.rows, u.pos, err = eh.PullBatch(b.us); err != nil {
 			return err
 		}
-		if vVecs, err = oh.Pull(b.vs); err != nil {
+		if v.rows, v.pos, err = oh.PullBatch(b.vs); err != nil {
 			return err
 		}
 	}
-	uUpd, vUpd := lineGrads(b, uVecs, vVecs, lr)
+	uUpd, vUpd := lineGrads(b, u, v, lr)
 	if uCo != nil {
-		if err := uCo.Push(uUpd); err != nil {
+		if err := uCo.PushBatch(uUpd); err != nil {
 			return err
 		}
-		return vCo.Push(vUpd)
+		return vCo.PushBatch(vUpd)
 	}
-	if err := eh.PushAdd(uUpd); err != nil {
+	if err := eh.PushAddBatch(uUpd); err != nil {
 		return err
 	}
-	return oh.PushAdd(vUpd)
+	return oh.PushAddBatch(vUpd)
 }
 
 // lineStepPSFunc runs one SGD step with server-side dot products and
@@ -442,36 +442,36 @@ func lineHandles(ctx *Context, embName, otherName string) (eh, oh *ps.Emb, err e
 	return eh, oh, err
 }
 
+// pulledRows is one id column of a batch as the PS returned it: the
+// distinct rows, and for pair i the row pos[i] that holds its id.
+type pulledRows struct {
+	rows ps.RowBatch
+	pos  []int32
+}
+
 // lineGrads computes the logistic-loss row updates for a batch from
-// pulled embedding (u) and context (v) vectors.
-func lineGrads(b *lineBatch, uVecs, vVecs map[int64][]float64, lr float64) (uUpd, vUpd map[int64][]float64) {
-	uUpd = make(map[int64][]float64)
-	vUpd = make(map[int64][]float64)
-	for i, uid := range b.us {
-		vid := b.vs[i]
-		u, v := uVecs[uid], vVecs[vid]
+// pulled embedding (u) and context (v) rows. The updates are batches
+// parallel to the pulled ones — one zero-initialised row per distinct id
+// — so a pair finds its rows and its update rows by position, not by id.
+func lineGrads(b *lineBatch, u, v pulledRows, lr float64) (uUpd, vUpd ps.RowBatch) {
+	uUpd = ps.RowBatch{IDs: u.rows.IDs, Dim: u.rows.Dim, Data: make([]float64, len(u.rows.Data))}
+	vUpd = ps.RowBatch{IDs: v.rows.IDs, Dim: v.rows.Dim, Data: make([]float64, len(v.rows.Data))}
+	for i := range b.us {
+		ui, vi := int(u.pos[i]), int(v.pos[i])
+		urow, vrow := u.rows.Row(ui), v.rows.Row(vi)
+		vrow = vrow[:len(urow)]
 		var dot float64
-		for j := range u {
-			dot += u[j] * v[j]
+		for j := range urow {
+			dot += urow[j] * vrow[j]
 		}
 		g := lr * (b.labels[i] - sigmoid(dot))
-		du := ensureVec(uUpd, uid, len(u))
-		dv := ensureVec(vUpd, vid, len(v))
-		for j := range u {
-			du[j] += g * v[j]
-			dv[j] += g * u[j]
+		du, dv := uUpd.Row(ui), vUpd.Row(vi)
+		for j := range urow {
+			du[j] += g * vrow[j]
+			dv[j] += g * urow[j]
 		}
 	}
 	return uUpd, vUpd
-}
-
-func ensureVec(m map[int64][]float64, k int64, dim int) []float64 {
-	if v, ok := m[k]; ok {
-		return v
-	}
-	v := make([]float64, dim)
-	m[k] = v
-	return v
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -359,8 +359,8 @@ func bucketMap[V any](meta *ModelMeta, m map[int64]V) []map[int64]V {
 	return by
 }
 
-// pullKeyed is the pull of the three map-shaped kinds (sparse vector,
-// hash embedding, neighbor table): bucket the ids, pull each bucket with
+// pullKeyed is the pull of the two map-shaped kinds (sparse vector,
+// neighbor table): bucket the ids, pull each bucket with
 // method, merge the rows of every reply. With all set an empty bucket is
 // still sent — its nil key list asks the partition for everything.
 func pullKeyed[Resp, V any](c *Client, handle ModelMeta, method string, ids []int64, all bool, rows func(Resp) map[int64]V) (map[int64]V, error) {
@@ -387,7 +387,7 @@ func pullKeyed[Resp, V any](c *Client, handle ModelMeta, method string, ids []in
 	return out, nil
 }
 
-// pushKeyed is the push of the same three kinds: bucket the batch, send
+// pushKeyed is the push of the same two kinds: bucket the batch, send
 // each non-empty bucket as the request req builds for it.
 func pushKeyed[V any](c *Client, handle ModelMeta, method string, m map[int64]V, req func(p Partition, bucket map[int64]V) any) error {
 	return routed(c, handle, m, bucketMap[V], func(cancel <-chan struct{}, p Partition, b map[int64]V) error {
@@ -877,59 +877,120 @@ func (c *Client) Embedding(name string) (*Emb, error) {
 	return &Emb{c: c, Meta: meta}, nil
 }
 
-// Pull fetches full vectors for the given ids. For ColumnEmbedding models
-// the per-partition column slices are reassembled; their partitions are
-// structural (every row spans all of them) and never split or re-range,
-// so that path fans out directly, as Mat does.
-func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
+// PullBatch fetches full-width rows as one flat batch: the distinct ids of
+// the request in first-occurrence order, and for every request position
+// the row that holds its id — duplicates cross the wire once. For
+// ColumnEmbedding models every partition fills its columns of each row;
+// their partitions are structural (every row spans all of them) and never
+// split or re-range, so that path fans out directly, as Mat does.
+func (e *Emb) PullBatch(ids []int64) (rows RowBatch, pos []int32, err error) {
 	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
-	if meta.Kind != ColumnEmbedding {
-		return pullKeyed(e.c, meta, "EmbPull", ids, false, func(r embPullResp) map[int64][]float64 { return r.Vecs })
+	uniq, pos := dedupIDs(ids)
+	rows = RowBatch{IDs: uniq, Dim: meta.Dim, Data: make([]float64, len(uniq)*meta.Dim)}
+	if err := e.pullInto(meta, rowWork{ids: uniq}, rows.Data); err != nil {
+		return RowBatch{}, nil, err
 	}
-	out := make(map[int64][]float64, len(ids))
-	for _, id := range ids {
-		out[id] = make([]float64, meta.Dim)
-	}
-	var mu sync.Mutex
-	err := e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-		var r embPullResp
-		if err := e.c.partInvoke(cancel, meta.Name, p, "EmbPull", pullReq{Model: meta.Name, Part: p.Index, Keys: ids}, &r); err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for id, vals := range r.Vecs {
-			row, asked := out[id]
-			if !asked || p.Col1 > len(row) || len(vals) != p.Col1-p.Col0 {
-				return fmt.Errorf("ps: %s/%d answered row %d with %d columns, want columns [%d,%d) of a requested row",
-					meta.Name, p.Index, id, len(vals), p.Col0, p.Col1)
-			}
-			copy(row[p.Col0:p.Col1], vals)
-		}
-		return nil
-	})
+	return rows, pos, nil
+}
+
+// Pull is PullBatch as an id → row map; the rows are views of one block.
+func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
+	rows, _, err := e.PullBatch(ids)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return rows.Map(), nil
 }
 
-func (e *Emb) push(vecs map[int64][]float64, grad, set bool) error {
-	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
-	if meta.Kind != ColumnEmbedding {
-		return pushKeyed(e.c, meta, "EmbPush", vecs, func(p Partition, b map[int64][]float64) any {
-			return embPushReq{Model: meta.Name, Part: p.Index, Vecs: b, Grad: grad, Set: set}
+// pullInto fetches the rows of w.ids (distinct) into dst, a block of
+// meta.Dim-wide rows: id j lands in row w.row(j). Every partition's reply
+// is decoded straight into its rows (hash) or columns (column layout) of
+// dst — see rowScatter.
+func (e *Emb) pullInto(meta ModelMeta, w rowWork, dst []float64) error {
+	if len(w.ids) == 0 {
+		return nil
+	}
+	name, dim := meta.Name, meta.Dim
+	pull := func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error {
+		sc := &rowScatter{msg: msgEmbPullResp, model: name, part: p.Index,
+			work: w, dst: dst, col0: col0, width: col1 - col0, strd: dim}
+		return e.c.partInvoke(cancel, name, p, "EmbPull", pullReq{Model: name, Part: p.Index, Keys: w.ids}, sc)
+	}
+	if meta.Kind == ColumnEmbedding {
+		return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
+			return pull(cancel, p, w, p.Col0, p.Col1)
 		})
 	}
-	return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-		slice := make(map[int64][]float64, len(vecs))
-		for id, v := range vecs {
-			slice[id] = v[p.Col0:p.Col1]
+	return routed(e.c, meta, w, splitRows, func(cancel <-chan struct{}, p Partition, b rowWork) error {
+		if len(b.ids) == 0 {
+			return nil
 		}
-		req := embPushReq{Model: meta.Name, Part: p.Index, Vecs: slice, Grad: grad, Set: set}
-		return e.c.partInvoke(cancel, meta.Name, p, "EmbPush", req, nil)
+		return pull(cancel, p, b, 0, dim)
 	})
 }
+
+// splitBatch buckets a pushed batch by owning partition slot.
+func splitBatch(meta *ModelMeta, b RowBatch) []RowBatch {
+	by := make([]RowBatch, len(meta.Parts))
+	est := len(b.IDs)/len(by) + 1
+	for i, id := range b.IDs {
+		pb := &by[meta.PartitionFor(id)]
+		if pb.IDs == nil {
+			*pb = RowBatch{IDs: make([]int64, 0, est), Dim: b.Dim, Data: make([]float64, 0, est*b.Dim)}
+		}
+		pb.IDs = append(pb.IDs, id)
+		pb.Data = append(pb.Data, b.Row(i)...)
+	}
+	return by
+}
+
+// pushBatch sends full-width rows: bucketed by owner for hash layouts,
+// sliced by column range for column layouts.
+func (e *Emb) pushBatch(b RowBatch, grad, set bool) error {
+	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
+	if err := b.check(); err != nil {
+		return err
+	}
+	if b.Dim != meta.Dim {
+		return fmt.Errorf("ps: push of %d-wide rows into %s, which has Dim %d", b.Dim, meta.Name, meta.Dim)
+	}
+	if len(b.IDs) == 0 {
+		return nil
+	}
+	send := func(cancel <-chan struct{}, p Partition, rows RowBatch) error {
+		req := embPushReq{Model: meta.Name, Part: p.Index, Rows: rows, Grad: grad, Set: set}
+		return e.c.partInvoke(cancel, meta.Name, p, "EmbPush", req, nil)
+	}
+	if meta.Kind == ColumnEmbedding {
+		return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
+			w := p.Col1 - p.Col0
+			cols := RowBatch{IDs: b.IDs, Dim: w, Data: make([]float64, 0, len(b.IDs)*w)}
+			for r := range b.IDs {
+				cols.Data = append(cols.Data, b.Row(r)[p.Col0:p.Col1]...)
+			}
+			return send(cancel, p, cols)
+		})
+	}
+	return routed(e.c, meta, b, splitBatch, func(cancel <-chan struct{}, p Partition, rows RowBatch) error {
+		if len(rows.IDs) == 0 {
+			return nil
+		}
+		return send(cancel, p, rows)
+	})
+}
+
+// push is pushBatch for the map-shaped methods.
+func (e *Emb) push(vecs map[int64][]float64, grad, set bool) error {
+	b, err := rowBatchOf(vecs, e.Meta.Dim)
+	if err != nil {
+		return err
+	}
+	return e.pushBatch(b, grad, set)
+}
+
+// PushAddBatch adds the batch's rows into the stored rows; a repeated id
+// adds once per occurrence.
+func (e *Emb) PushAddBatch(b RowBatch) error { return e.pushBatch(b, false, false) }
 
 // PushAdd adds the vectors into the stored rows.
 func (e *Emb) PushAdd(vecs map[int64][]float64) error { return e.push(vecs, false, false) }

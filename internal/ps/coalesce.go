@@ -12,17 +12,23 @@ package ps
 // exactly-once through the dedup window just like an ordinary push,
 // because from the protocol's point of view it IS one ordinary push.
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Coalescer accumulates row updates for one Emb handle and flushes them
 // as a single push every window logical pushes (or on explicit Flush).
+// The pending window is one flat batch: a row's first update appends it,
+// later ones add into it in place.
 type Coalescer struct {
 	e      *Emb
 	window int
 	grad   bool
 
 	mu       sync.Mutex
-	pending  map[int64][]float64
+	pending  RowBatch
+	slot     map[int64]int32 // id → row of pending
 	buffered int
 
 	merged  int64 // logical pushes absorbed into a flush with others
@@ -40,22 +46,35 @@ func (e *Emb) Coalescer(window int, grad bool) *Coalescer {
 	return &Coalescer{e: e, window: window, grad: grad}
 }
 
-// Push sum-combines vecs into the pending window, flushing when the
-// window fills. The caller keeps ownership of vecs (rows are cloned on
+// PushBatch sum-combines b's rows into the pending window, flushing when
+// the window fills. The caller keeps ownership of b (rows are copied on
 // first touch).
-func (co *Coalescer) Push(vecs map[int64][]float64) error {
-	co.mu.Lock()
-	if co.pending == nil {
-		co.pending = make(map[int64][]float64)
+func (co *Coalescer) PushBatch(b RowBatch) error {
+	if err := b.check(); err != nil {
+		return err
 	}
-	for id, v := range vecs {
-		if acc, ok := co.pending[id]; ok {
-			for i := range acc {
-				acc[i] += v[i]
+	co.mu.Lock()
+	if co.slot == nil {
+		co.slot = make(map[int64]int32, len(b.IDs))
+		co.pending = RowBatch{IDs: make([]int64, 0, len(b.IDs)), Dim: b.Dim, Data: make([]float64, 0, len(b.Data))}
+	}
+	if b.Dim != co.pending.Dim {
+		co.mu.Unlock()
+		return fmt.Errorf("ps: coalescer of %s: push of %d-wide rows into a window of %d-wide rows",
+			co.e.Meta.Name, b.Dim, co.pending.Dim)
+	}
+	for i, id := range b.IDs {
+		row := b.Row(i)
+		if s, ok := co.slot[id]; ok {
+			acc := co.pending.Row(int(s))
+			for c, v := range row {
+				acc[c] += v
 			}
-		} else {
-			co.pending[id] = append([]float64(nil), v...)
+			continue
 		}
+		co.slot[id] = int32(len(co.pending.IDs))
+		co.pending.IDs = append(co.pending.IDs, id)
+		co.pending.Data = append(co.pending.Data, row...)
 	}
 	co.buffered++
 	if co.buffered < co.window {
@@ -63,6 +82,15 @@ func (co *Coalescer) Push(vecs map[int64][]float64) error {
 		return nil
 	}
 	return co.flushLocked()
+}
+
+// Push is PushBatch for an id → row map.
+func (co *Coalescer) Push(vecs map[int64][]float64) error {
+	b, err := rowBatchOf(vecs, co.e.Meta.Dim)
+	if err != nil {
+		return err
+	}
+	return co.PushBatch(b)
 }
 
 // Flush pushes the pending window immediately (end of partition, or
@@ -82,10 +110,10 @@ func (co *Coalescer) flushLocked() error {
 	pending := co.pending
 	co.merged += int64(co.buffered - 1)
 	co.flushes++
-	co.pending = nil
+	co.pending, co.slot = RowBatch{}, nil
 	co.buffered = 0
 	co.mu.Unlock()
-	return co.e.push(pending, co.grad, false)
+	return co.e.pushBatch(pending, co.grad, false)
 }
 
 // Stats reports how many logical pushes were absorbed by coalescing

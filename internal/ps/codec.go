@@ -125,14 +125,16 @@ type mapPushReq struct {
 	Set   bool
 }
 
+// embPullResp answers the request's keys in request order, Rows.Dim
+// being the partition's stored width (Col1-Col0 on column partitions).
 type embPullResp struct {
-	Vecs map[int64][]float64
+	Rows RowBatch
 }
 
 type embPushReq struct {
 	Model string
 	Part  int
-	Vecs  map[int64][]float64
+	Rows  RowBatch
 	// Grad applies the model's optimizer to the pushed values as
 	// gradients; otherwise values are added (or Set).
 	Grad bool

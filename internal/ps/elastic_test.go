@@ -66,7 +66,7 @@ func TestExportImportRoundTripAllKinds(t *testing.T) {
 				// Two gradient steps so mom, vel, and step are all nonzero
 				// and nontrivial.
 				for k := 0; k < 2; k++ {
-					if err := ee.push(embPushReq{Vecs: grads, Grad: true}); err != nil {
+					if err := ee.push(embPushReq{Rows: mustRows(grads, 4), Grad: true}); err != nil {
 						t.Fatalf("emb grad push: %v", err)
 					}
 				}
@@ -175,7 +175,7 @@ func TestEmbSplitLandsMidShard(t *testing.T) {
 	for id := int64(0); id < n; id++ {
 		grads[id] = []float64{1, 2, 3}
 	}
-	if err := ee.push(embPushReq{Vecs: grads, Grad: true}); err != nil {
+	if err := ee.push(embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
 		t.Fatalf("grad push: %v", err)
 	}
 	before := decSnap(t, ee.checkpointData())
@@ -213,7 +213,7 @@ func TestEmbSplitLandsMidShard(t *testing.T) {
 	// The narrowed engine must now reject moved keys as range-moved.
 	for id := int64(0); id < n; id++ {
 		if routeBucket(id) >= mid {
-			err := ee.push(embPushReq{Vecs: map[int64][]float64{id: {1, 1, 1}}})
+			err := ee.push(embPushReq{Rows: mustRows(map[int64][]float64{id: {1, 1, 1}}, 3)})
 			if !IsRangeMovedErr(err) {
 				t.Fatalf("push of moved key %d: err = %v, want range-moved", id, err)
 			}

@@ -110,30 +110,34 @@ func (e *embEngine) rowLocked(sh *embShard, id int64) (uint32, []float64) {
 	return ord, row
 }
 
-// pull copies the requested rows out. Fast path: every shard is read
-// under RLock; only shards holding rows that are not materialized yet
-// upgrade to the write lock (and re-check, since a racing pull may have
-// initialized them in between).
+// pull copies the requested rows, in request order, into one block. Fast
+// path: every shard is read under RLock; only shards holding rows that
+// are not materialized yet upgrade to the write lock (and re-check, since
+// a racing pull may have initialized them in between).
 func (e *embEngine) pull(req pullReq) (embPullResp, error) {
-	for _, id := range req.Keys {
+	ids := req.Keys
+	for _, id := range ids {
 		if err := e.checkKey(id); err != nil {
 			return embPullResp{}, err
 		}
 	}
-	out := make(map[int64][]float64, len(req.Keys))
-	groups := e.groupIDs(req.Keys)
-	for si, ids := range groups {
-		if len(ids) == 0 {
+	w := e.width()
+	data := make([]float64, len(ids)*w)
+	order, start := e.byShard(ids)
+	var missing []int32
+	for si := range e.shards {
+		group := order[start[si]:start[si+1]]
+		if len(group) == 0 {
 			continue
 		}
 		sh := &e.shards[si]
-		var missing []int64
+		missing = missing[:0]
 		sh.mu.RLock()
-		for _, id := range ids {
-			if src := sh.store.get(id); src != nil {
-				out[id] = append([]float64(nil), src...)
+		for _, j := range group {
+			if src := sh.store.get(ids[j]); src != nil {
+				copy(data[int(j)*w:], src)
 			} else {
-				missing = append(missing, id)
+				missing = append(missing, j)
 			}
 		}
 		sh.mu.RUnlock()
@@ -141,38 +145,56 @@ func (e *embEngine) pull(req pullReq) (embPullResp, error) {
 			continue
 		}
 		sh.mu.Lock()
-		for _, id := range missing {
-			_, src := e.rowLocked(sh, id)
-			out[id] = append([]float64(nil), src...)
+		for _, j := range missing {
+			_, src := e.rowLocked(sh, ids[j])
+			copy(data[int(j)*w:], src)
 		}
 		sh.mu.Unlock()
 	}
-	e.hot.bump(req.Keys)
-	return embPullResp{Vecs: out}, nil
+	e.hot.bump(ids)
+	return embPullResp{Rows: RowBatch{IDs: ids, Dim: w, Data: data}}, nil
 }
 
 // hotTop exposes the engine's pull-frequency head for LoadReport.
 func (e *embEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
 
-// groupIDs buckets ids by shard index.
-func (e *embEngine) groupIDs(ids []int64) [][]int64 {
-	groups := make([][]int64, len(e.shards))
+// byShard counting-sorts request positions by shard: the positions of the
+// ids that hash to shard s are order[start[s]:start[s+1]], in request
+// order. One allocation however many shards a batch touches.
+func (e *embEngine) byShard(ids []int64) (order, start []int32) {
+	ns := len(e.shards)
+	buf := make([]int32, len(ids)+2*ns+1)
+	order, start, next := buf[:len(ids)], buf[len(ids):len(ids)+ns+1], buf[len(ids)+ns+1:]
 	for _, id := range ids {
-		si := e.shardIdx(id)
-		groups[si] = append(groups[si], id)
+		start[e.shardIdx(id)+1]++
 	}
-	return groups
+	for s := 0; s < ns; s++ {
+		start[s+1] += start[s]
+		next[s] = start[s]
+	}
+	for j, id := range ids {
+		s := e.shardIdx(id)
+		order[next[s]] = int32(j)
+		next[s]++
+	}
+	return order, start
 }
 
-// push applies one add/set/gradient request. Widths are validated for
-// the whole request before any row (or the Adam step counter) mutates,
-// so a malformed batch rejects cleanly instead of half-applying.
+// push applies one add/set/gradient request, rows in batch order (a
+// repeated id is applied once per occurrence). Shape, width and routes
+// are validated for the whole request before any row (or the Adam step
+// counter) mutates, so a malformed batch rejects cleanly instead of
+// half-applying.
 func (e *embEngine) push(req embPushReq) error {
 	w := e.width()
-	for id, vals := range req.Vecs {
-		if len(vals) != w {
-			return fmt.Errorf("ps: push width %d != row width %d", len(vals), w)
-		}
+	rows := req.Rows
+	if err := rows.check(); err != nil {
+		return err
+	}
+	if rows.Dim != w {
+		return fmt.Errorf("ps: push width %d != row width %d", rows.Dim, w)
+	}
+	for _, id := range rows.IDs {
 		if err := e.checkKey(id); err != nil {
 			return err
 		}
@@ -181,30 +203,24 @@ func (e *embEngine) push(req embPushReq) error {
 	if req.Grad {
 		step = e.step.Add(1)
 	}
-	type entry struct {
-		id   int64
-		vals []float64
-	}
-	groups := make([][]entry, len(e.shards))
-	for id, vals := range req.Vecs {
-		si := e.shardIdx(id)
-		groups[si] = append(groups[si], entry{id, vals})
-	}
-	for si, g := range groups {
-		if len(g) == 0 {
+	order, start := e.byShard(rows.IDs)
+	for si := range e.shards {
+		group := order[start[si]:start[si+1]]
+		if len(group) == 0 {
 			continue
 		}
 		sh := &e.shards[si]
 		sh.mu.Lock()
-		for _, it := range g {
-			ord, row := e.rowLocked(sh, it.id)
+		for _, j := range group {
+			vals := rows.Row(int(j))
+			ord, row := e.rowLocked(sh, rows.IDs[j])
 			switch {
 			case req.Set:
-				copy(row, it.vals)
+				copy(row, vals)
 			case req.Grad:
-				e.applyGrad(&sh.store, ord, row, it.vals, step)
+				e.applyGrad(&sh.store, ord, row, vals, step)
 			default:
-				for i, v := range it.vals {
+				for i, v := range vals {
 					row[i] += v
 				}
 			}

@@ -301,14 +301,14 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			for _, id := range ids {
 				g[id] = []float64{1, 0.5, -2}
 			}
-			if err := e.push(embPushReq{Vecs: g, Grad: true}); err != nil {
+			if err := e.push(embPushReq{Rows: mustRows(g, 3), Grad: true}); err != nil {
 				t.Fatalf("grad push: %v", err)
 			}
 			resp, err := e.pull(pullReq{Keys: ids})
 			if err != nil {
 				t.Fatalf("pull: %v", err)
 			}
-			return resp.Vecs
+			return resp.Rows.Map()
 		}
 		for _, from := range []int{1, 3, 32} {
 			SetEmbShards(from)
@@ -321,7 +321,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 0; k < 2; k++ {
-				if err := src.push(embPushReq{Vecs: grads, Grad: true}); err != nil {
+				if err := src.push(embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
 					t.Fatal(err)
 				}
 			}

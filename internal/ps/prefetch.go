@@ -17,12 +17,14 @@ package ps
 // served at clock c+1. A prefetch that was already in flight when the
 // clock advanced still resolves for its own caller, but the version
 // snapshot it took at launch no longer matches, so it cannot poison the
-// cache with stale rows. Rows are cloned on both insert and serve —
-// callers routinely mutate pulled vectors in place.
+// cache with stale rows. Rows are copied on both insert and serve —
+// callers routinely mutate pulled vectors in place — but never allocated:
+// the cache keeps its rows in one slab (a model's rows are all one
+// width) and a lookup copies hits into the caller's output block.
 //
 // The cache is a bounded LRU: every lookup hit and insert moves the row
-// to the front of an intrusive recency list, and inserts evict from the
-// tail until both the row cap and the byte cap hold. Training prefetch
+// to the front of an intrusive recency list, and an insert at the cap
+// evicts the tail and takes over its slot. Training prefetch
 // rarely feels the bound (the whole cache dies at the next clock
 // advance), but the serving tier (serve.go) reuses this cache for
 // long-lived read traffic where the working set exceeds memory and
@@ -38,27 +40,25 @@ import (
 // default: mini-batch prefetch rows are uniform, so the row cap governs.
 const defaultRowCacheRows = 4096
 
-// cacheEnt is one cached row on the intrusive LRU list.
+// cacheEnt is one cached row on the intrusive LRU list; entry s owns row
+// s of the slab. Links are slot numbers, noSlot at the ends.
 type cacheEnt struct {
 	id         int64
-	row        []float64
-	prev, next *cacheEnt
+	prev, next int32
 }
 
-// entBytes is the accounting cost of a cached row: the float64 payload
-// plus fixed per-entry overhead (key + list pointers).
-func entBytes(row []float64) int64 {
-	return int64(8*len(row)) + 40
-}
+const noSlot = -1
 
 // rowCache is one model's client-side versioned LRU row cache.
 type rowCache struct {
 	mu      sync.Mutex
 	version int64
-	rows    map[int64]*cacheEnt
-	head    *cacheEnt // most recently used
-	tail    *cacheEnt // least recently used; next eviction victim
-	bytes   int64
+	dim     int             // row width, adopted from the first insert
+	rows    map[int64]int32 // id → slot
+	ents    []cacheEnt      // slot → entry
+	data    []float64       // slot s holds data[s*dim:(s+1)*dim]
+	head    int32           // most recently used
+	tail    int32           // least recently used; next eviction victim
 
 	// maxRows/maxBytes bound the cache; <= 0 means that cap is off.
 	maxRows  int
@@ -77,10 +77,18 @@ type rowCache struct {
 	evictions atomic.Int64
 }
 
+// entBytes is the accounting cost of a cached row: the float64 payload
+// plus fixed per-entry overhead (key + list links + index entry).
+func (rc *rowCache) entBytes() int64 {
+	return int64(8*rc.dim) + 40
+}
+
 // newRowCache builds a cache with the given caps (<= 0 disables a cap).
 func newRowCache(maxRows int, maxBytes int64) *rowCache {
 	return &rowCache{
-		rows:     make(map[int64]*cacheEnt),
+		rows:     make(map[int64]int32),
+		head:     noSlot,
+		tail:     noSlot,
 		maxRows:  maxRows,
 		maxBytes: maxBytes,
 	}
@@ -149,9 +157,15 @@ func (rc *rowCache) syncLayout(epoch int64, nparts int) {
 // rc.mu.
 func (rc *rowCache) resetLocked() {
 	rc.version++
-	rc.rows = make(map[int64]*cacheEnt)
-	rc.head, rc.tail = nil, nil
-	rc.bytes = 0
+	rc.dropLocked()
+}
+
+// dropLocked empties the cache and releases its slab: a handle's cache
+// outlives its model, and must not keep a dead model's rows resident.
+func (rc *rowCache) dropLocked() {
+	rc.rows = make(map[int64]int32)
+	rc.ents, rc.data = nil, nil
+	rc.head, rc.tail = noSlot, noSlot
 }
 
 // invalidate drops every cached row and bumps the version so in-flight
@@ -162,57 +176,67 @@ func (rc *rowCache) invalidate() {
 	rc.mu.Unlock()
 }
 
-// unlink removes e from the recency list. Callers hold rc.mu.
-func (rc *rowCache) unlink(e *cacheEnt) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink removes slot s from the recency list. Callers hold rc.mu.
+func (rc *rowCache) unlink(s int32) {
+	e := &rc.ents[s]
+	if e.prev != noSlot {
+		rc.ents[e.prev].next = e.next
 	} else {
 		rc.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != noSlot {
+		rc.ents[e.next].prev = e.prev
 	} else {
 		rc.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-// pushFront makes e the most recently used entry. Callers hold rc.mu.
-func (rc *rowCache) pushFront(e *cacheEnt) {
-	e.next = rc.head
-	if rc.head != nil {
-		rc.head.prev = e
+// pushFront makes slot s the most recently used entry. Callers hold
+// rc.mu.
+func (rc *rowCache) pushFront(s int32) {
+	e := &rc.ents[s]
+	e.prev, e.next = noSlot, rc.head
+	if rc.head != noSlot {
+		rc.ents[rc.head].prev = s
 	}
-	rc.head = e
-	if rc.tail == nil {
-		rc.tail = e
+	rc.head = s
+	if rc.tail == noSlot {
+		rc.tail = s
 	}
 }
 
 // touch moves an existing entry to the front. Callers hold rc.mu.
-func (rc *rowCache) touch(e *cacheEnt) {
-	if rc.head == e {
+func (rc *rowCache) touch(s int32) {
+	if rc.head == s {
 		return
 	}
-	rc.unlink(e)
-	rc.pushFront(e)
+	rc.unlink(s)
+	rc.pushFront(s)
 }
 
-// evictLocked sheds LRU entries until both caps hold. Callers hold
-// rc.mu.
-func (rc *rowCache) evictLocked() {
-	for rc.tail != nil {
-		overRows := rc.maxRows > 0 && len(rc.rows) > rc.maxRows
-		overBytes := rc.maxBytes > 0 && rc.bytes > rc.maxBytes
-		if !overRows && !overBytes {
-			return
-		}
-		victim := rc.tail
-		rc.unlink(victim)
-		delete(rc.rows, victim.id)
-		rc.bytes -= entBytes(victim.row)
-		rc.evictions.Add(1)
+// row returns slot s of the slab. Callers hold rc.mu.
+func (rc *rowCache) row(s int32) []float64 {
+	return rc.data[int(s)*rc.dim : (int(s)+1)*rc.dim]
+}
+
+// capRows is the row count both caps allow (<= 0: unbounded). Rows are
+// uniform, so the byte cap is a row cap too.
+func (rc *rowCache) capRows() int {
+	n := rc.maxRows
+	if b := int(rc.maxBytes / rc.entBytes()); rc.maxBytes > 0 && (n <= 0 || b < n) {
+		n = max(b, 1)
 	}
+	return n
+}
+
+// evictLocked drops the least recently used row and returns its slot.
+// Callers hold rc.mu.
+func (rc *rowCache) evictLocked() int32 {
+	victim := rc.tail
+	rc.unlink(victim)
+	delete(rc.rows, rc.ents[victim].id)
+	rc.evictions.Add(1)
+	return victim
 }
 
 // CacheStats sums prefetch-cache hits and misses across this agent's
@@ -238,52 +262,63 @@ func (c *Client) CacheEvictions() int64 {
 	return n
 }
 
-// insert adds rows under the version fence: nothing lands if the cache
-// was invalidated after the snapshot was taken. Inserted rows become the
-// most recently used; the tail is evicted until the caps hold.
-func (rc *rowCache) insert(version int64, rows map[int64][]float64) {
+// insert copies rows of a dim-wide block into the cache under the version
+// fence — id j of w is row w.row(j) of src — and nothing lands if the
+// cache was invalidated after the snapshot was taken. Inserted rows
+// become the most recently used; at the cap each takes over the slot of
+// the least recently used. (Caps lowered under a fuller cache evict down
+// to them here, and the surplus slots idle until the next reset.)
+func (rc *rowCache) insert(version int64, w rowWork, dim int, src []float64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.version != version {
 		return
 	}
-	for id, v := range rows {
-		row := append([]float64(nil), v...)
-		if e, ok := rc.rows[id]; ok {
-			rc.bytes += entBytes(row) - entBytes(e.row)
-			e.row = row
-			rc.touch(e)
-			continue
-		}
-		e := &cacheEnt{id: id, row: row}
-		rc.rows[id] = e
-		rc.bytes += entBytes(row)
-		rc.pushFront(e)
+	if rc.dim != dim {
+		rc.dropLocked()
+		rc.dim = dim
 	}
-	rc.evictLocked()
+	limit := rc.capRows()
+	for j, id := range w.ids {
+		row := src[w.row(j)*dim : (w.row(j)+1)*dim]
+		s, ok := rc.rows[id]
+		switch {
+		case ok:
+			rc.unlink(s)
+		case limit > 0 && len(rc.rows) >= limit:
+			for s = rc.evictLocked(); len(rc.rows) >= limit; {
+				s = rc.evictLocked()
+			}
+		default:
+			s = int32(len(rc.ents))
+			rc.ents = append(rc.ents, cacheEnt{})
+			rc.data = append(rc.data, row...)
+		}
+		copy(rc.row(s), row)
+		rc.ents[s].id = id
+		rc.rows[id] = s
+		rc.pushFront(s)
+	}
 }
 
-// lookup splits ids into cached rows (cloned) and misses, returning the
-// version fence for a subsequent insert. Hits are promoted to most
-// recently used.
-func (rc *rowCache) lookup(ids []int64) (found map[int64][]float64, missing []int64, version int64) {
+// lookup copies the cached rows of ids — which must be distinct — into
+// dst, a block of dim-wide rows (id j into row j), and returns the misses
+// as pull work against the same block, with the version fence for the
+// insert that follows. Hits are promoted to most recently used.
+func (rc *rowCache) lookup(ids []int64, dim int, dst []float64) (missing rowWork, version int64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	found = make(map[int64][]float64, len(ids))
-	for _, id := range ids {
-		if e, ok := rc.rows[id]; ok {
-			if _, dup := found[id]; dup {
-				continue
-			}
-			found[id] = append([]float64(nil), e.row...)
-			rc.touch(e)
+	for j, id := range ids {
+		if s, ok := rc.rows[id]; ok && rc.dim == dim {
+			copy(dst[j*dim:(j+1)*dim], rc.row(s))
+			rc.touch(s)
 		} else {
-			missing = append(missing, id)
+			missing.add(id, j, len(ids)-j)
 		}
 	}
-	rc.hits.Add(int64(len(found)))
-	rc.misses.Add(int64(len(missing)))
-	return found, missing, rc.version
+	rc.hits.Add(int64(len(ids) - len(missing.ids)))
+	rc.misses.Add(int64(len(missing.ids)))
+	return missing, rc.version
 }
 
 // stats returns the cache's hit/miss/eviction counters and current size.
@@ -293,7 +328,7 @@ func (rc *rowCache) stats() (hits, misses, evictions int64, rows int, bytes int6
 	evictions = rc.evictions.Load()
 	rc.mu.Lock()
 	rows = len(rc.rows)
-	bytes = rc.bytes
+	bytes = int64(rows) * rc.entBytes()
 	rc.mu.Unlock()
 	return
 }
@@ -309,41 +344,54 @@ func (e *Emb) InvalidateRows() {
 // Prefetch is an in-flight asynchronous row pull.
 type Prefetch struct {
 	done chan struct{}
-	rows map[int64][]float64
+	rows RowBatch
+	pos  []int32
 	err  error
 }
 
-// Rows blocks until the prefetch resolves and returns the rows (cache
-// hits plus freshly pulled misses). Safe to call more than once.
-func (p *Prefetch) Rows() (map[int64][]float64, error) {
+// Batch blocks until the prefetch resolves and returns what PullBatch
+// would have: the distinct rows (cache hits plus freshly pulled misses)
+// and every request position's row. Safe to call more than once; the
+// block is the caller's to mutate.
+func (p *Prefetch) Batch() (rows RowBatch, pos []int32, err error) {
 	<-p.done
-	return p.rows, p.err
+	return p.rows, p.pos, p.err
+}
+
+// Rows is Batch as an id → row map over the same block.
+func (p *Prefetch) Rows() (map[int64][]float64, error) {
+	rows, _, err := p.Batch()
+	if err != nil {
+		return nil, err
+	}
+	return rows.Map(), nil
 }
 
 // PrefetchRows starts pulling ids in the background and returns a handle
 // to resolve before the next mini-batch. Cached rows are served without a
-// wire round-trip; only misses hit the servers.
+// wire round-trip; only misses hit the servers, each distinct id once.
 func (e *Emb) PrefetchRows(ids []int64) *Prefetch {
-	p := &Prefetch{done: make(chan struct{})}
-	rc := e.c.rowCache(e.Meta.Name)
-	found, missing, version := rc.lookup(ids)
-	if len(missing) == 0 {
-		p.rows = found
+	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
+	uniq, pos := dedupIDs(ids)
+	p := &Prefetch{
+		done: make(chan struct{}),
+		rows: RowBatch{IDs: uniq, Dim: meta.Dim, Data: make([]float64, len(uniq)*meta.Dim)},
+		pos:  pos,
+	}
+	rc := e.c.rowCache(meta.Name)
+	missing, version := rc.lookup(uniq, meta.Dim, p.rows.Data)
+	if len(missing.ids) == 0 {
 		close(p.done)
 		return p
 	}
+	dst := p.rows.Data
 	go func() {
 		defer close(p.done)
-		pulled, err := e.Pull(missing)
-		if err != nil {
-			p.err = err
+		if err := e.pullInto(meta, missing, dst); err != nil {
+			p.rows, p.pos, p.err = RowBatch{}, nil, err
 			return
 		}
-		rc.insert(version, pulled)
-		for id, v := range pulled {
-			found[id] = v
-		}
-		p.rows = found
+		rc.insert(version, missing, meta.Dim, dst)
 	}()
 	return p
 }

@@ -1163,6 +1163,22 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, err := cl.CreateEmbedding(EmbeddingSpec{Name: "rh", Dim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The serve handle adopts a real published layout before the server
+	// is replaced by the liar below.
+	if _, err := cl.PublishSnapshot("rh"); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cl.Serve("rh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(dim int, data []float64, ids ...int64) RowBatch {
+		return RowBatch{IDs: ids, Dim: dim, Data: data}
+	}
 	var reply any
 	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
 		return enc(reply), nil
@@ -1181,10 +1197,34 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { _, err := v.PullAll(); return err }, "rv/0"},
 		{"vector PullAll, negative start", vecPullResp{Values: make([]float64, 2), Lo: -1},
 			func() error { _, err := v.PullAll(); return err }, "rv/0"},
-		{"column embedding, row never asked for", embPullResp{Vecs: map[int64][]float64{9: {1, 2, 3, 4}}},
+		{"column embedding, row never asked for", embPullResp{Rows: rows(4, make([]float64, 4), 9)},
 			func() error { _, err := e.Pull([]int64{1}); return err }, "re/0"},
-		{"column embedding, slice too wide", embPullResp{Vecs: map[int64][]float64{1: make([]float64, 5)}},
+		{"column embedding, slice too wide", embPullResp{Rows: rows(5, make([]float64, 5), 1)},
 			func() error { _, err := e.Pull([]int64{1}); return err }, "re/0"},
+		{"column embedding, block shorter than its rows", embPullResp{Rows: rows(4, make([]float64, 3), 1)},
+			func() error { _, err := e.Pull([]int64{1}); return err }, "re/0"},
+		{"column embedding, requested row missing", embPullResp{Rows: rows(4, make([]float64, 4), 1)},
+			func() error { _, err := e.Pull([]int64{1, 2}); return err }, "re/0"},
+		{"column embedding, rows out of request order", embPullResp{Rows: rows(4, make([]float64, 8), 2, 1)},
+			func() error { _, err := e.Pull([]int64{1, 2}); return err }, "re/0"},
+		{"hash embedding, row never asked for", embPullResp{Rows: rows(4, make([]float64, 4), 9)},
+			func() error { _, err := h.Pull([]int64{1}); return err }, "rh/0"},
+		{"hash embedding, rows too narrow", embPullResp{Rows: rows(3, make([]float64, 3), 1)},
+			func() error { _, err := h.Pull([]int64{1}); return err }, "rh/0"},
+		{"hash embedding, block longer than its rows", embPullResp{Rows: rows(4, make([]float64, 9), 1, 2)},
+			func() error { _, err := h.Pull([]int64{1, 2}); return err }, "rh/0"},
+		{"hash embedding, requested row missing", embPullResp{Rows: rows(4, nil)},
+			func() error { _, err := h.PullCached([]int64{1, 1}); return err }, "rh/0"},
+		{"hash embedding, a reply of another message type", servePullResp{Rows: rows(4, make([]float64, 4), 1)},
+			func() error { _, err := h.Pull([]int64{1}); return err }, "message id"},
+		{"serve pull, row never asked for", servePullResp{Rows: rows(4, make([]float64, 4), 9)},
+			func() error { _, err := sc.Pull([]int64{1}); return err }, "rh/0"},
+		{"serve pull, rows too wide", servePullResp{Rows: rows(5, make([]float64, 5), 1)},
+			func() error { _, err := sc.Pull([]int64{1}); return err }, "rh/0"},
+		{"serve pull, block shorter than its rows", servePullResp{Rows: rows(4, make([]float64, 7), 1, 2)},
+			func() error { _, err := sc.Pull([]int64{1, 2}); return err }, "rh/0"},
+		{"serve pull, requested row missing", servePullResp{Rows: rows(4, make([]float64, 4), 2)},
+			func() error { _, err := sc.Pull([]int64{1, 2}); return err }, "rh/0"},
 		{"matrix, columns outside the model", matPullResp{Col0: 0, Col1: 9, Data: make([]float64, 18)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
 		{"matrix, data shorter than its columns", matPullResp{Col0: 0, Col1: 3, Data: make([]float64, 4)},

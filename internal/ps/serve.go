@@ -150,8 +150,10 @@ type servePullReq struct {
 	IDs       []int64
 }
 
+// servePullResp answers a ServePull with the request's ids in request
+// order, and a ServeHotPull with the subsequence of them the head holds.
 type servePullResp struct {
-	Rows map[int64][]float64
+	Rows RowBatch
 }
 
 // serveHotInstallReq replicates the assembled hot-head rows (full-width,
@@ -159,7 +161,7 @@ type servePullResp struct {
 type serveHotInstallReq struct {
 	Model     string
 	SnapEpoch int64
-	Rows      map[int64][]float64
+	Rows      RowBatch
 }
 
 type serveHotPullReq struct {
@@ -225,46 +227,56 @@ type serveSnap struct {
 	hot   hotCounter
 }
 
-// pullRows serves ids from the snapshot. Embedding rows absent from the
-// snapshot are materialized deterministically; DenseVector ids are
-// indices and return 1-wide rows.
-func (sn *serveSnap) pullRows(ids []int64) (map[int64][]float64, error) {
-	out := make(map[int64][]float64, len(ids))
-	for _, id := range ids {
+// width is the snapshot's row width: the partition's stored columns, or
+// 1 for a DenseVector, whose ids are indices.
+func (sn *serveSnap) width() int {
+	if sn.kind == DenseVector {
+		return 1
+	}
+	return sn.initer.col1 - sn.initer.col0
+}
+
+// pullRows serves ids from the snapshot, in request order, as one block.
+// Embedding rows absent from the snapshot are materialized
+// deterministically, in place.
+func (sn *serveSnap) pullRows(ids []int64) (RowBatch, error) {
+	w := sn.width()
+	data := make([]float64, len(ids)*w)
+	for j, id := range ids {
 		if sn.ranged {
 			if rk := sn.meta.RouteKey(id); rk < sn.lo || rk >= sn.hi {
-				return nil, fmt.Errorf("%s: serve key %d (route %d) not in [%d,%d) of %s/%d",
+				return RowBatch{}, fmt.Errorf("%s: serve key %d (route %d) not in [%d,%d) of %s/%d",
 					rangeMovedMsg, id, rk, sn.lo, sn.hi, sn.model, sn.part)
 			}
 		}
+		dst := data[j*w : (j+1)*w]
 		switch sn.kind {
 		case DenseVector:
 			if id < sn.vlo || id >= sn.vhi {
-				return nil, fmt.Errorf("%s: serve index %d not in [%d,%d) of %s/%d",
+				return RowBatch{}, fmt.Errorf("%s: serve index %d not in [%d,%d) of %s/%d",
 					rangeMovedMsg, id, sn.vlo, sn.vhi, sn.model, sn.part)
 			}
-			out[id] = []float64{sn.vec[id-sn.vlo]}
+			dst[0] = sn.vec[id-sn.vlo]
 		default:
-			row, ok := sn.rows[id]
-			if !ok {
-				if !sn.canInit {
-					return nil, fmt.Errorf("ps: serve %s/%d: no row %d", sn.model, sn.part, id)
-				}
-				row = make([]float64, sn.initer.col1-sn.initer.col0)
-				sn.initer.initRowInto(row, id)
+			if row, ok := sn.rows[id]; ok {
+				copy(dst, row)
+			} else if sn.canInit {
+				sn.initer.initRowInto(dst, id)
+			} else {
+				return RowBatch{}, fmt.Errorf("ps: serve %s/%d: no row %d", sn.model, sn.part, id)
 			}
-			out[id] = row
 		}
 	}
 	sn.pulls.Add(int64(len(ids)))
 	sn.hot.bump(ids)
-	return out, nil
+	return RowBatch{IDs: ids, Dim: w, Data: data}, nil
 }
 
 // hotReplica is the model-wide hot head replicated to this endpoint.
 type hotReplica struct {
 	snapEpoch int64
-	rows      map[int64][]float64
+	dim       int
+	rows      map[int64][]float64 // views of the installed batch's block
 }
 
 // serveState is a server's serving-tier store.
@@ -408,13 +420,16 @@ func (s *Server) servePull(req servePullReq) (servePullResp, error) {
 	if err != nil {
 		return servePullResp{}, err
 	}
-	s.serve.snapRows.Add(int64(len(rows)))
+	s.serve.snapRows.Add(int64(len(rows.IDs)))
 	return servePullResp{Rows: rows}, nil
 }
 
 // serveHotInstall replaces this endpoint's replicated hot head for a
 // model. Older generations never overwrite newer ones.
 func (s *Server) serveHotInstall(req serveHotInstallReq) error {
+	if err := req.Rows.check(); err != nil {
+		return fmt.Errorf("ps: hot install of %s: %w", req.Model, err)
+	}
 	s.serve.mu.Lock()
 	defer s.serve.mu.Unlock()
 	if s.serve.hot == nil {
@@ -423,7 +438,7 @@ func (s *Server) serveHotInstall(req serveHotInstallReq) error {
 	if cur, ok := s.serve.hot[req.Model]; ok && cur.snapEpoch > req.SnapEpoch {
 		return nil
 	}
-	s.serve.hot[req.Model] = &hotReplica{snapEpoch: req.SnapEpoch, rows: req.Rows}
+	s.serve.hot[req.Model] = &hotReplica{snapEpoch: req.SnapEpoch, dim: req.Rows.Dim, rows: req.Rows.Map()}
 	return nil
 }
 
@@ -441,13 +456,18 @@ func (s *Server) serveHotPull(req serveHotPullReq) (servePullResp, error) {
 		return servePullResp{}, fmt.Errorf("%s: hot pull of %s at snap epoch %d, server holds %d",
 			staleSnapMsg, req.Model, req.SnapEpoch, hr.snapEpoch)
 	}
-	out := make(map[int64][]float64, len(req.IDs))
+	out := RowBatch{
+		IDs:  make([]int64, 0, len(req.IDs)),
+		Dim:  hr.dim,
+		Data: make([]float64, 0, len(req.IDs)*hr.dim),
+	}
 	for _, id := range req.IDs {
 		if row, ok := hr.rows[id]; ok {
-			out[id] = row
+			out.IDs = append(out.IDs, id)
+			out.Data = append(out.Data, row...)
 		}
 	}
-	s.serve.hotRows.Add(int64(len(out)))
+	s.serve.hotRows.Add(int64(len(out.IDs)))
 	return servePullResp{Rows: out}, nil
 }
 

@@ -69,6 +69,15 @@ func servable(k Kind) bool {
 	}
 }
 
+// serveWidth is the width of the full rows a servable model's reads
+// return: Dim, or 1 for a DenseVector, whose ids are indices.
+func serveWidth(meta ModelMeta) int {
+	if meta.Kind == DenseVector {
+		return 1
+	}
+	return meta.Dim
+}
+
 // SetServeOptions replaces the serving-tier options.
 func (m *Master) SetServeOptions(o ServeOptions) {
 	m.mu.Lock()
@@ -232,62 +241,29 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 
 // assembleHotRows reads the hot ids' full rows back from the freshly
 // seeded snapshot replicas (never from the mutable primaries — the hot
-// head must be the same generation as the snapshots it fronts). Column
-// partitions are reassembled into full-width rows.
-func (m *Master) assembleHotRows(meta ModelMeta, replicas map[int][]string, snapEpoch int64, ids []int64) (map[int64][]float64, error) {
-	pull := func(part int, pullIDs []int64) (map[int64][]float64, error) {
+// head must be the same generation as the snapshots it fronts) into one
+// batch; column partitions each fill their columns of every row.
+func (m *Master) assembleHotRows(meta ModelMeta, replicas map[int][]string, snapEpoch int64, ids []int64) (RowBatch, error) {
+	dim := serveWidth(meta)
+	out := RowBatch{IDs: ids, Dim: dim, Data: make([]float64, len(ids)*dim)}
+	err := eachRowPart(&meta, rowWork{ids: ids}, dim, func(p Partition, w rowWork, col0, col1 int) error {
 		var lastErr error
-		for _, ep := range replicas[part] {
+		for _, ep := range replicas[p.Index] {
 			body, err := m.tr.Call(ep, "ServePull", enc(servePullReq{
-				Model: meta.Name, Part: part, SnapEpoch: snapEpoch, IDs: pullIDs,
+				Model: meta.Name, Part: p.Index, SnapEpoch: snapEpoch, IDs: w.ids,
 			}))
-			if err != nil {
-				lastErr = err
-				continue
+			if err == nil {
+				err = dec(body, &rowScatter{msg: msgServePullResp, model: meta.Name, part: p.Index,
+					work: w, dst: out.Data, col0: col0, width: col1 - col0, strd: dim})
 			}
-			var resp servePullResp
-			if err := dec(body, &resp); err != nil {
-				lastErr = err
-				continue
+			if err == nil {
+				return nil
 			}
-			return resp.Rows, nil
+			lastErr = err
 		}
-		return nil, fmt.Errorf("ps: hot assembly %s/%d: %w", meta.Name, part, lastErr)
-	}
-	out := make(map[int64][]float64, len(ids))
-	if meta.Kind == ColumnEmbedding {
-		for _, p := range meta.Parts {
-			rows, err := pull(p.Index, ids)
-			if err != nil {
-				return nil, err
-			}
-			for id, vals := range rows {
-				row := out[id]
-				if row == nil {
-					row = make([]float64, meta.Dim)
-					out[id] = row
-				}
-				copy(row[p.Col0:p.Col1], vals)
-			}
-		}
-		return out, nil
-	}
-	groups := make(map[int][]int64)
-	for _, id := range ids {
-		slot := meta.PartitionFor(id)
-		idx := meta.Parts[slot].Index
-		groups[idx] = append(groups[idx], id)
-	}
-	for part, pullIDs := range groups {
-		rows, err := pull(part, pullIDs)
-		if err != nil {
-			return nil, err
-		}
-		for id, row := range rows {
-			out[id] = row
-		}
-	}
-	return out, nil
+		return fmt.Errorf("ps: hot assembly %s/%d: %w", meta.Name, p.Index, lastErr)
+	})
+	return out, err
 }
 
 // maybeAutoPublishLocked republishes every servable checkpointed model

@@ -173,7 +173,7 @@ func TestServeHotHeadReplication(t *testing.T) {
 		if err := dec(body, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Rows) != 2 || resp.Rows[10][0] != 1 || resp.Rows[11][0] != 2 {
+		if rows := resp.Rows.Map(); len(rows) != 2 || rows[10][0] != 1 || rows[11][0] != 2 {
 			t.Fatalf("hot head on %s = %v", ep, resp.Rows)
 		}
 	}
@@ -447,16 +447,19 @@ func TestServeDenseVector(t *testing.T) {
 // cap.
 func TestRowCacheLRUEviction(t *testing.T) {
 	rc := newRowCache(4, 0)
-	row := func(v float64) []float64 { return []float64{v} }
+	put := func(rc *rowCache, id int64, row ...float64) {
+		rc.insert(0, rowWork{ids: []int64{id}}, len(row), row)
+	}
 	for i := int64(0); i < 4; i++ {
-		rc.insert(0, map[int64][]float64{i: row(float64(i))})
+		put(rc, i, float64(i))
 	}
 	// Touch id 0 so id 1 becomes the LRU victim.
-	if found, _, _ := rc.lookup([]int64{0}); len(found) != 1 {
-		t.Fatal("warm lookup missed")
+	got := []float64{-1}
+	if missing, _ := rc.lookup([]int64{0}, 1, got); len(missing.ids) != 0 || got[0] != 0 {
+		t.Fatalf("warm lookup missed: missing %v, row %v", missing.ids, got)
 	}
-	rc.insert(0, map[int64][]float64{10: row(10)})
-	rc.insert(0, map[int64][]float64{11: row(11)})
+	put(rc, 10, 10)
+	put(rc, 11, 11)
 	rc.mu.Lock()
 	n := len(rc.rows)
 	_, has0 := rc.rows[0]
@@ -478,13 +481,10 @@ func TestRowCacheLRUEviction(t *testing.T) {
 
 	// Byte cap: 3-wide rows cost 8*3+40 = 64 bytes; cap at two rows.
 	bc := newRowCache(0, 128)
-	wide := []float64{1, 2, 3}
 	for i := int64(0); i < 5; i++ {
-		bc.insert(0, map[int64][]float64{i: wide})
+		put(bc, i, 1, 2, 3)
 	}
-	bc.mu.Lock()
-	bn, bb := len(bc.rows), bc.bytes
-	bc.mu.Unlock()
+	_, _, _, bn, bb := bc.stats()
 	if bn != 2 || bb > 128 {
 		t.Fatalf("byte-capped cache: %d rows, %d bytes", bn, bb)
 	}
@@ -518,9 +518,9 @@ func TestRowCacheLimitsEndToEnd(t *testing.T) {
 		t.Fatal("no evictions recorded under a tight cap")
 	}
 	// The hottest (most recent) ids are the survivors.
-	found, _, _ := rc.lookup([]int64{31, 30, 29})
-	if len(found) != 3 {
-		t.Fatalf("recent rows evicted: found %d of 3", len(found))
+	missing, _ := rc.lookup([]int64{31, 30, 29}, 2, make([]float64, 6))
+	if len(missing.ids) != 0 {
+		t.Fatalf("recent rows evicted: %v missing", missing.ids)
 	}
 }
 

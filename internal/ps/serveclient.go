@@ -182,74 +182,78 @@ func (sc *ServeClient) adopt(sl ServeLayout) {
 	sc.cache.invalidate()
 }
 
-// Pull reads rows through the serving tier. For DenseVector models ids
-// are vector indices and rows are 1-wide.
+// Pull reads rows through the serving tier, as an id → row map over one
+// block. For DenseVector models ids are vector indices and rows are
+// 1-wide.
 func (sc *ServeClient) Pull(ids []int64) (map[int64][]float64, error) {
-	found, missing, version := sc.cache.lookup(ids)
-	sc.mu.RLock()
-	hot := sc.hot
-	sc.mu.RUnlock()
-	if len(hot) > 0 {
-		seen := make(map[int64]bool)
-		for _, id := range ids {
-			if !hot[id] || seen[id] {
-				continue
-			}
-			seen[id] = true
-			sc.hotLookups.Add(1)
-			if _, ok := found[id]; ok {
-				sc.hotCacheHits.Add(1)
-			}
-		}
-	}
-	sc.cacheRows.Add(int64(len(found)))
-	if len(missing) == 0 {
-		return found, nil
-	}
-	// Dedup: repeated misses of the same id resolve to one fetch.
-	uniq := missing[:0:0]
-	seen := make(map[int64]bool, len(missing))
-	for _, id := range missing {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	rows, cacheable, err := sc.pullMissing(uniq)
+	rows, _, err := sc.pullBatch(ids)
 	if err != nil {
 		return nil, err
 	}
-	if len(cacheable) > 0 {
-		sc.cache.insert(version, cacheable)
-	}
-	for id, row := range rows {
-		found[id] = row
-	}
-	return found, nil
+	return rows.Map(), nil
 }
 
 // PullFloats is Pull for DenseVector models, returning values parallel
 // to indices.
 func (sc *ServeClient) PullFloats(indices []int64) ([]float64, error) {
-	rows, err := sc.Pull(indices)
+	rows, pos, err := sc.pullBatch(indices)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(indices))
-	for i, idx := range indices {
-		row, ok := rows[idx]
-		if !ok || len(row) == 0 {
-			return nil, fmt.Errorf("ps: serve %s: no value for index %d", sc.model, idx)
-		}
-		out[i] = row[0]
+	for i, p := range pos {
+		out[i] = rows.Data[p]
 	}
 	return out, nil
 }
 
-// pullMissing resolves cache misses: snapshot tiers with stale-layout
-// refetch (bounded), then the primary fallback. Returns the rows plus
-// the subset safe to cache (snapshot-served only).
-func (sc *ServeClient) pullMissing(ids []int64) (rows, cacheable map[int64][]float64, err error) {
+// pullBatch resolves the distinct ids of a read into one block, cheapest
+// tier first; pos maps every request position to its row.
+func (sc *ServeClient) pullBatch(ids []int64) (rows RowBatch, pos []int32, err error) {
+	dim := serveWidth(sc.meta)
+	uniq, pos := dedupIDs(ids)
+	rows = RowBatch{IDs: uniq, Dim: dim, Data: make([]float64, len(uniq)*dim)}
+	missing, version := sc.cache.lookup(uniq, dim, rows.Data)
+	sc.mu.RLock()
+	hot := sc.hot
+	sc.mu.RUnlock()
+	if len(hot) > 0 {
+		var lookups, hits int64
+		m := 0 // missing.pos is ascending: walk it beside uniq
+		for j, id := range uniq {
+			miss := m < len(missing.pos) && int(missing.pos[m]) == j
+			if miss {
+				m++
+			}
+			if !hot[id] {
+				continue
+			}
+			lookups++
+			if !miss {
+				hits++
+			}
+		}
+		sc.hotLookups.Add(lookups)
+		sc.hotCacheHits.Add(hits)
+	}
+	sc.cacheRows.Add(int64(len(uniq) - len(missing.ids)))
+	if len(missing.ids) == 0 {
+		return rows, pos, nil
+	}
+	cacheable, err := sc.pullMissing(missing, rows.Data)
+	if err != nil {
+		return RowBatch{}, nil, err
+	}
+	if cacheable {
+		sc.cache.insert(version, missing, dim, rows.Data)
+	}
+	return rows, pos, nil
+}
+
+// pullMissing resolves cache misses into dst: snapshot tiers with
+// stale-layout refetch (bounded), then the primary fallback. Only
+// snapshot-served rows are safe to cache.
+func (sc *ServeClient) pullMissing(w rowWork, dst []float64) (cacheable bool, err error) {
 	for attempt := 0; attempt <= serveRetries; attempt++ {
 		sl, ok := sc.layout()
 		if !ok {
@@ -257,143 +261,108 @@ func (sc *ServeClient) pullMissing(ids []int64) (rows, cacheable map[int64][]flo
 				break // never published: straight to the primaries
 			}
 		}
-		out, perr := sc.pullSnap(sl, ids)
+		perr := sc.pullSnap(sl, w, dst)
 		if perr == nil {
-			return out, out, nil
+			return true, nil
 		}
 		if !isServeRouteErr(perr) && !errors.Is(perr, rpc.ErrUnreachable) {
-			return nil, nil, perr
+			return false, perr
 		}
 		// Stale snapshot epoch / moved range / every replica unreachable:
 		// refetch the serve layout and retry, exactly like the mutation
 		// path's resolve-and-retry on ErrStaleEpoch.
 		sc.refresh()
 	}
-	prim, perr := sc.primaryPull(ids)
-	if perr != nil {
-		return nil, nil, perr
+	if err := sc.primaryPull(w, dst); err != nil {
+		return false, err
 	}
-	sc.primaryRows.Add(int64(len(prim)))
-	return prim, nil, nil
+	sc.primaryRows.Add(int64(len(w.ids)))
+	return false, nil
 }
 
-// pullSnap answers ids from one serving generation: hot head first, then
-// per-partition snapshot replicas under the published layout.
-func (sc *ServeClient) pullSnap(sl ServeLayout, ids []int64) (map[int64][]float64, error) {
-	out := make(map[int64][]float64, len(ids))
-	rest := ids
+// pullSnap answers w from one serving generation: hot head first, then
+// per-partition snapshot replicas under the published layout. The
+// per-partition reads run one after another: fanning them out was
+// measured and not taken (DESIGN.md §13).
+func (sc *ServeClient) pullSnap(sl ServeLayout, w rowWork, dst []float64) error {
+	dim := serveWidth(sc.meta)
+	rest := w
 	if len(sl.HotIDs) > 0 && len(sl.Endpoints) > 0 {
 		sc.mu.RLock()
 		hot := sc.hot
 		sc.mu.RUnlock()
-		var hotIDs, cold []int64
-		for _, id := range rest {
+		var head, cold rowWork
+		for j, id := range w.ids {
 			if hot[id] {
-				hotIDs = append(hotIDs, id)
+				head.add(id, w.row(j), min(len(hot), len(w.ids)))
 			} else {
-				cold = append(cold, id)
+				cold.add(id, w.row(j), len(w.ids))
 			}
 		}
-		if len(hotIDs) > 0 {
-			got, err := sc.hotPull(sl, hotIDs)
+		if len(head.ids) > 0 {
+			reply := &rowScatter{msg: msgServePullResp, model: sc.model, partial: true,
+				work: head, dst: dst, width: dim, strd: dim}
+			err := sc.readAny(sl.Endpoints, "ServeHotPull", serveHotPullReq{
+				Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: head.ids,
+			}, reply)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			for id, row := range got {
-				out[id] = row
-			}
-			sc.hotRows.Add(int64(len(got)))
+			sc.hotRows.Add(int64(len(head.ids) - len(reply.absent)))
 			// Ids the head did not carry resolve through the partitions.
-			for _, id := range hotIDs {
-				if _, ok := out[id]; !ok {
-					cold = append(cold, id)
-				}
+			for _, j := range reply.absent {
+				cold.add(head.ids[j], head.row(j), len(reply.absent))
 			}
 		}
 		rest = cold
 	}
-	if len(rest) == 0 {
-		return out, nil
+	if len(rest.ids) == 0 {
+		return nil
 	}
-	if sl.Meta.Kind == ColumnEmbedding {
-		for _, id := range rest {
-			out[id] = make([]float64, sl.Meta.Dim)
-		}
-		for _, p := range sl.Meta.Parts {
-			rows, err := sc.partPull(sl, p.Index, rest)
-			if err != nil {
-				return nil, err
-			}
-			for id, vals := range rows {
-				if row, ok := out[id]; ok {
-					copy(row[p.Col0:p.Col1], vals)
-				}
-			}
-		}
-		sc.snapRows.Add(int64(len(rest)))
-		return out, nil
+	if err := eachRowPart(&sl.Meta, rest, dim, func(p Partition, w rowWork, col0, col1 int) error {
+		return sc.partPull(sl, p.Index, w, dst, col0, col1)
+	}); err != nil {
+		return err
 	}
-	groups := make(map[int][]int64)
-	for _, id := range rest {
-		slot := sl.Meta.PartitionFor(id)
-		idx := sl.Meta.Parts[slot].Index
-		groups[idx] = append(groups[idx], id)
-	}
-	for part, pids := range groups {
-		rows, err := sc.partPull(sl, part, pids)
-		if err != nil {
-			return nil, err
-		}
-		for id, row := range rows {
-			out[id] = row
-		}
-		sc.snapRows.Add(int64(len(rows)))
-	}
-	return out, nil
+	sc.snapRows.Add(int64(len(rest.ids)))
+	return nil
 }
 
-// partPull reads one partition's snapshot from one of its replicas.
-// Staleness errors surface to the caller, which refetches the layout.
-func (sc *ServeClient) partPull(sl ServeLayout, part int, ids []int64) (map[int64][]float64, error) {
+// partPull reads columns [col0, col1) of w's rows from one of the
+// partition's snapshot replicas. Staleness errors surface to the caller,
+// which refetches the layout.
+func (sc *ServeClient) partPull(sl ServeLayout, part int, w rowWork, dst []float64, col0, col1 int) error {
 	eps := sl.Replicas[part]
 	if len(eps) == 0 {
-		return nil, fmt.Errorf("%s: no serving endpoints for %s/%d", noServeSnapMsg, sc.model, part)
+		return fmt.Errorf("%s: no serving endpoints for %s/%d", noServeSnapMsg, sc.model, part)
 	}
 	return sc.readAny(eps, "ServePull", servePullReq{
-		Model: sc.model, Part: part, SnapEpoch: sl.SnapEpoch, IDs: ids,
-	})
-}
-
-// hotPull reads hot-head rows from any endpoint (each holds the full
-// head).
-func (sc *ServeClient) hotPull(sl ServeLayout, ids []int64) (map[int64][]float64, error) {
-	return sc.readAny(sl.Endpoints, "ServeHotPull", serveHotPullReq{
-		Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: ids,
-	})
+		Model: sc.model, Part: part, SnapEpoch: sl.SnapEpoch, IDs: w.ids,
+	}, &rowScatter{msg: msgServePullResp, model: sc.model, part: part,
+		work: w, dst: dst, col0: col0, width: col1 - col0, strd: serveWidth(sc.meta)})
 }
 
 // readAny sends one read to endpoints that can each answer it, rotating
 // the starting endpoint for spread and failing over on unreachability.
-func (sc *ServeClient) readAny(eps []string, method string, req any) (map[int64][]float64, error) {
+func (sc *ServeClient) readAny(eps []string, method string, req any, reply *rowScatter) error {
 	start := int(sc.rr.Add(1)) % len(eps)
 	var lastErr error
 	for j := range eps {
-		var resp servePullResp
-		err := sc.call(eps[(start+j)%len(eps)], method, req, &resp)
+		err := sc.call(eps[(start+j)%len(eps)], method, req, reply)
 		if err == nil {
-			return resp.Rows, nil
+			return nil
 		}
 		lastErr = err
 		if !errors.Is(err, rpc.ErrUnreachable) {
-			return nil, err
+			return err
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // call is a single-shot RPC: serve reads do their own replica failover,
 // so the client's retry-until-deadline engine would only add latency.
-func (sc *ServeClient) call(addr, method string, req, resp any) error {
+func (sc *ServeClient) call(addr, method string, req any, reply *rowScatter) error {
 	body := enc(req)
 	sc.c.sentBytes.Add(int64(len(body)))
 	out, err := sc.c.tr.Call(addr, method, body)
@@ -402,33 +371,31 @@ func (sc *ServeClient) call(addr, method string, req, resp any) error {
 		return err
 	}
 	sc.c.recvBytes.Add(int64(len(out)))
-	if resp == nil || out == nil {
-		return nil
-	}
-	return dec(out, resp)
+	err = dec(out, reply)
+	putBuf(out)
+	return err
 }
 
 // primaryPull is the last-resort read against the mutable primaries; it
 // inherits the mutation path's full reroute/retry machinery.
-func (sc *ServeClient) primaryPull(ids []int64) (map[int64][]float64, error) {
+func (sc *ServeClient) primaryPull(w rowWork, dst []float64) error {
 	if sc.meta.Kind == DenseVector {
 		v, err := sc.c.Vector(sc.model)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		vals, err := v.Pull(ids)
+		vals, err := v.Pull(w.ids)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make(map[int64][]float64, len(ids))
-		for i, idx := range ids {
-			out[idx] = []float64{vals[i]}
+		for j, x := range vals {
+			dst[w.row(j)] = x
 		}
-		return out, nil
+		return nil
 	}
 	e, err := sc.c.Embedding(sc.model)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return e.Pull(ids)
+	return e.pullInto(sc.c.currentMeta(sc.model, e.Meta), w, dst)
 }

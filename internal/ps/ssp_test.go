@@ -305,9 +305,9 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 	// Version fence: an insert whose snapshot predates an invalidation
 	// must not land.
 	rc := agent.rowCache("pe")
-	_, _, version := rc.lookup([]int64{77})
+	_, version := rc.lookup([]int64{77}, 2, make([]float64, 2))
 	e.InvalidateRows()
-	rc.insert(version, map[int64][]float64{77: {9, 9}})
+	rc.insert(version, rowWork{ids: []int64{77}}, 2, []float64{9, 9})
 	rc.mu.Lock()
 	_, poisoned := rc.rows[77]
 	rc.mu.Unlock()

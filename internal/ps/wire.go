@@ -50,6 +50,9 @@ const (
 	msgFuncReq
 	msgFuncResp
 	msgReplicateReq
+	msgServePullReq
+	msgServeHotPullReq
+	msgServePullResp
 )
 
 // ---------------------------------------------------------------------------
@@ -164,16 +167,12 @@ func appendMapF64(b []byte, m map[int64]float64) []byte {
 	return b
 }
 
-func appendMapVecs(b []byte, m map[int64][]float64) []byte {
-	if m == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(m))+1)
-	for k, v := range m {
-		b = binary.AppendVarint(b, k)
-		b = appendF64s(b, v)
-	}
-	return b
+// appendRowBatch encodes a row batch: the ids delta-coded, the width,
+// and the whole value block as one bulk copy (layout: DESIGN.md §6).
+func appendRowBatch(b []byte, rb RowBatch) []byte {
+	b = appendI64s(b, rb.IDs)
+	b = binary.AppendUvarint(b, uint64(rb.Dim))
+	return appendF64s(b, rb.Data)
 }
 
 func appendMapI64s(b []byte, m map[int64][]int64) []byte {
@@ -387,20 +386,25 @@ func (r *wreader) mapF64() map[int64]float64 {
 	return m
 }
 
-func (r *wreader) mapVecs() map[int64][]float64 {
-	n, ok := r.sliceLen()
-	if !ok {
-		return nil
-	}
-	m := make(map[int64][]float64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.varint()
-		m[k] = r.f64s()
-	}
+// rowBatch decodes appendRowBatch's layout. The value block is length-
+// prefixed like any float slice, so its allocation is bounded by the
+// bytes present; a block that is not exactly len(IDs)×Dim is an error.
+func (r *wreader) rowBatch() RowBatch {
+	rb := RowBatch{IDs: r.i64s()}
+	dim := r.uvarint()
+	rb.Data = r.f64s()
 	if r.err != nil {
-		return nil
+		return RowBatch{}
 	}
-	return m
+	// Both factors are bounded before they multiply: the ids by the bytes
+	// present (sliceLen), the width by the block it must divide.
+	n, vals := uint64(len(rb.IDs)), uint64(len(rb.Data))
+	if dim > math.MaxInt32 || (n > 0 && dim > vals) || n*dim != vals {
+		r.err = fmt.Errorf("ps: wire: row batch holds %d values for %d ids of width %d", vals, n, dim)
+		return RowBatch{}
+	}
+	rb.Dim = int(dim)
+	return rb
 }
 
 func (r *wreader) mapI64s() map[int64][]int64 {
@@ -422,13 +426,9 @@ func (r *wreader) mapI64s() map[int64][]int64 {
 // ---------------------------------------------------------------------------
 // Per-message encode/decode.
 
-// mapVecsHint bounds the encoded size of a map[int64][]float64.
-func mapVecsHint(m map[int64][]float64) int {
-	n := 10
-	for _, v := range m {
-		n += 21 + 8*len(v)
-	}
-	return n
+// rowBatchHint bounds the encoded size of a RowBatch.
+func rowBatchHint(rb RowBatch) int {
+	return 30 + 10*len(rb.IDs) + 8*len(rb.Data)
 }
 
 // mapI64sHint bounds the encoded size of a map[int64][]int64.
@@ -457,9 +457,9 @@ func binSizeHint(v any) int {
 	case mapPushReq:
 		return 32 + len(m.Model) + 18*len(m.M)
 	case embPullResp:
-		return 16 + mapVecsHint(m.Vecs)
+		return 16 + rowBatchHint(m.Rows)
 	case embPushReq:
-		return 32 + len(m.Model) + mapVecsHint(m.Vecs)
+		return 32 + len(m.Model) + rowBatchHint(m.Rows)
 	case nbrPullResp:
 		return 16 + mapI64sHint(m.Tables)
 	case nbrPushReq:
@@ -474,6 +474,12 @@ func binSizeHint(v any) int {
 		return 16 + len(m.Out)
 	case replicateReq:
 		return 48 + len(m.Method) + len(m.Body)
+	case servePullReq:
+		return 48 + len(m.Model) + 10*len(m.IDs)
+	case serveHotPullReq:
+		return 48 + len(m.Model) + 10*len(m.IDs)
+	case servePullResp:
+		return 16 + rowBatchHint(m.Rows)
 	}
 	return 0
 }
@@ -512,11 +518,11 @@ func encBinary(v any) ([]byte, bool) {
 		b = appendBool(b, m.Set)
 	case embPullResp:
 		b = append(b, msgEmbPullResp)
-		b = appendMapVecs(b, m.Vecs)
+		b = appendRowBatch(b, m.Rows)
 	case embPushReq:
 		b = append(b, msgEmbPushReq)
 		b = appendAddr(b, m.Model, m.Part)
-		b = appendMapVecs(b, m.Vecs)
+		b = appendRowBatch(b, m.Rows)
 		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
 	case nbrPullResp:
@@ -552,6 +558,19 @@ func encBinary(v any) ([]byte, bool) {
 		b = binary.AppendUvarint(b, m.Seq)
 		b = binary.AppendVarint(b, m.Epoch)
 		b = appendBytes(b, m.Body)
+	case servePullReq:
+		b = append(b, msgServePullReq)
+		b = appendAddr(b, m.Model, m.Part)
+		b = binary.AppendVarint(b, m.SnapEpoch)
+		b = appendI64s(b, m.IDs)
+	case serveHotPullReq:
+		b = append(b, msgServeHotPullReq)
+		b = appendStr(b, m.Model)
+		b = binary.AppendVarint(b, m.SnapEpoch)
+		b = appendI64s(b, m.IDs)
+	case servePullResp:
+		b = append(b, msgServePullResp)
+		b = appendRowBatch(b, m.Rows)
 	default:
 		putBuf(b)
 		return nil, false
@@ -605,13 +624,13 @@ func decBinary(data []byte, v any) error {
 	case *embPullResp:
 		want = msgEmbPullResp
 		if id == want {
-			m.Vecs = r.mapVecs()
+			m.Rows = r.rowBatch()
 		}
 	case *embPushReq:
 		want = msgEmbPushReq
 		if id == want {
 			m.Model, m.Part = r.addr()
-			m.Vecs = r.mapVecs()
+			m.Rows = r.rowBatch()
 			m.Grad = r.bool()
 			m.Set = r.bool()
 		}
@@ -663,6 +682,32 @@ func decBinary(data []byte, v any) error {
 			m.Seq = r.uvarint()
 			m.Epoch = r.varint()
 			m.Body = r.bytes()
+		}
+	case *servePullReq:
+		want = msgServePullReq
+		if id == want {
+			m.Model, m.Part = r.addr()
+			m.SnapEpoch = r.varint()
+			m.IDs = r.i64s()
+		}
+	case *serveHotPullReq:
+		want = msgServeHotPullReq
+		if id == want {
+			m.Model = r.str()
+			m.SnapEpoch = r.varint()
+			m.IDs = r.i64s()
+		}
+	case *servePullResp:
+		want = msgServePullResp
+		if id == want {
+			m.Rows = r.rowBatch()
+		}
+	case *rowScatter:
+		want = m.msg
+		if id == want {
+			if err := m.decode(&r); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("ps: wire: binary message id %d cannot decode into %T", id, v)

@@ -22,15 +22,14 @@ func benchVecPush(n int) vecPushReq {
 }
 
 func benchEmbPush(rows, dim int) embPushReq {
-	vecs := make(map[int64][]float64, rows)
-	for r := 0; r < rows; r++ {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = float64(r*dim + d)
-		}
-		vecs[int64(r)] = v
+	b := RowBatch{IDs: make([]int64, rows), Dim: dim, Data: make([]float64, rows*dim)}
+	for r := range b.IDs {
+		b.IDs[r] = int64(r)
 	}
-	return embPushReq{Model: "bench", Part: 0, Vecs: vecs}
+	for i := range b.Data {
+		b.Data[i] = float64(i)
+	}
+	return embPushReq{Model: "bench", Part: 0, Rows: b}
 }
 
 func BenchmarkCodecEncode(b *testing.B) {

@@ -84,8 +84,11 @@ func hotMessages() []any {
 		mapPullResp{M: map[int64]float64{}},
 		mapPullResp{M: nil},
 		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
-		embPullResp{Vecs: map[int64][]float64{5: {1, 2, nan}, -6: {}, 7: nil}},
-		embPushReq{Model: "emb", Part: 0, Vecs: map[int64][]float64{1: {0.5, -0.5}}, Grad: true, Set: false},
+		embPullResp{Rows: RowBatch{IDs: []int64{5, -6, 7}, Dim: 2, Data: []float64{1, nan, 2, inf, math.Copysign(0, -1), 3}}},
+		embPullResp{Rows: RowBatch{IDs: []int64{}, Dim: 32, Data: []float64{}}},
+		embPullResp{},
+		embPushReq{Model: "emb", Part: 0, Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{0.5, -0.5}}, Grad: true, Set: false},
+		embPushReq{Model: "emb", Part: 1, Rows: RowBatch{IDs: []int64{9, 9}, Dim: 0}, Set: true},
 		nbrPullResp{Tables: map[int64][]int64{1: {2, 3}, 4: {}, 5: nil}},
 		nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{8: {9}}},
 		matPullResp{Col0: 2, Col1: 5, Data: []float64{nan, 1, 2, 3, 4, 5}},
@@ -94,6 +97,10 @@ func hotMessages() []any {
 		funcReq{Model: "emb", Part: 0, Name: "", Arg: nil},
 		funcResp{Out: []byte("result")},
 		funcResp{Out: []byte{}},
+		servePullReq{Model: "emb", Part: 2, SnapEpoch: 7, IDs: []int64{3, 1, 1 << 50}},
+		servePullReq{},
+		serveHotPullReq{Model: "emb", SnapEpoch: -1, IDs: []int64{}},
+		servePullResp{Rows: RowBatch{IDs: []int64{4, 2}, Dim: 1, Data: []float64{nan, -1}}},
 	}
 }
 
@@ -161,9 +168,10 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 			t.Errorf("enc(%T): tag = 0x%02x, want tagBin", msg, b[0])
 		}
 	}
-	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp + Replicate.
-	if len(seen) != 14 {
-		t.Errorf("covered %d hot message types, want 14", len(seen))
+	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp +
+	// Replicate + the two serve read requests and their response.
+	if len(seen) != 17 {
+		t.Errorf("covered %d hot message types, want 17", len(seen))
 	}
 }
 
@@ -267,6 +275,10 @@ func TestWireDecodeErrors(t *testing.T) {
 	if err := dec(corrupt, &resp); err == nil {
 		t.Error("absurd length prefix: want error")
 	}
+	// Row batches: cut short anywhere, or promising more ids / width /
+	// values than the bytes present hold — rowBatchDecodeErrors has the
+	// full table, allocation bound included.
+	rowBatchDecodeErrors(t)
 }
 
 // TestWireFormatsInteroperate feeds a gob-tagged hot message straight to
@@ -296,6 +308,29 @@ func TestWireFormatsInteroperate(t *testing.T) {
 	}
 	if got := resp.Values; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("got %v, want [2 3]", got)
+	}
+	// The same for a row batch, whose gob form is the struct's fields.
+	emeta := ModelMeta{Name: "gobe", Kind: Embedding, Dim: 2, Parts: []Partition{{Server: "s0"}}}
+	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: emeta, Part: 0})); err != nil {
+		t.Fatalf("CreatePart: %v", err)
+	}
+	rows := RowBatch{IDs: []int64{4, 9}, Dim: 2, Data: []float64{1, 2, 3, 4}}
+	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: rows, Set: true})); err != nil {
+		t.Fatalf("gob-tagged row push: %v", err)
+	}
+	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: RowBatch{IDs: rows.IDs, Dim: 2, Data: rows.Data[:3]}})); err == nil {
+		t.Fatal("gob-tagged push of a short block: want error")
+	}
+	out, err = s.Handle("EmbPull", enc(pullReq{Model: "gobe", Keys: []int64{9, 4}}))
+	if err != nil {
+		t.Fatalf("row pull: %v", err)
+	}
+	var eresp embPullResp
+	if err := dec(out, &eresp); err != nil {
+		t.Fatalf("decode row pull: %v", err)
+	}
+	if want := (RowBatch{IDs: []int64{9, 4}, Dim: 2, Data: []float64{3, 4, 1, 2}}); !reflect.DeepEqual(eresp.Rows, want) {
+		t.Fatalf("got %+v, want %+v", eresp.Rows, want)
 	}
 }
 
