@@ -122,47 +122,12 @@ func TestPageRankMatchesSequentialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sequentialPageRank(edges, res.NumVertices, 0.85, 100)
+	want := pageRankOracle(edges, res.NumVertices, 0.85, 1e-14, 100)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-6 {
 			t.Fatalf("rank[%d] = %v, reference %v", v, got[v], want[v])
 		}
 	}
-}
-
-// sequentialPageRank is the oracle: damped delta PageRank computed
-// directly.
-func sequentialPageRank(edges []Edge, n int64, d float64, iters int) []float64 {
-	adj := make(map[int64][]int64)
-	for _, e := range edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-	}
-	// Match ToNeighborTables' dedup semantics.
-	for k := range adj {
-		adj[k] = sortUnique(adj[k])
-	}
-	ranks := make([]float64, n)
-	delta := make([]float64, n)
-	for i := range delta {
-		delta[i] = 1 - d
-	}
-	for it := 0; it < iters; it++ {
-		next := make([]float64, n)
-		for src, dsts := range adj {
-			if delta[src] == 0 {
-				continue
-			}
-			share := d * delta[src] / float64(len(dsts))
-			for _, dst := range dsts {
-				next[dst] += share
-			}
-		}
-		for i := range ranks {
-			ranks[i] += delta[i]
-		}
-		delta = next
-	}
-	return ranks
 }
 
 func TestPageRankDeltaThresholdAblation(t *testing.T) {

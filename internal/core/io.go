@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"psgraph/internal/dataflow"
 )
@@ -17,97 +17,196 @@ type Edge struct {
 	W        float64
 }
 
-// LoadEdges reads an edge list from the DFS into an RDD. Malformed lines
-// fail the job (industrial pipelines validate data upstream; silently
-// dropping edges would corrupt results).
+// LoadEdges reads an edge list from the DFS into an RDD, scanning each
+// line in place: "src<ws>dst" or "src<ws>dst<ws>weight" with ASCII
+// whitespace between and around the fields (a trailing \r included);
+// anything after the weight is ignored and blank lines are skipped.
+// Malformed lines fail the job (industrial pipelines validate data
+// upstream; silently dropping edges would corrupt results).
 func LoadEdges(ctx *Context, path string, parts int) *dataflow.RDD[Edge] {
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	lines := dataflow.TextFile(ctx.Spark, path, parts)
-	return dataflow.MapPartitions(lines, func(part int, in []string) ([]Edge, error) {
-		out := make([]Edge, 0, len(in))
-		for _, line := range in {
-			if line == "" {
-				continue
-			}
-			e, err := parseEdge(line)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, e)
-		}
-		return out, nil
-	})
+	return dataflow.ParseTextFile(ctx.Spark, path, parts, scanEdge)
 }
 
-func parseEdge(line string) (Edge, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return Edge{}, fmt.Errorf("core: malformed edge line %q", line)
+// scanEdge parses one edge line; ok is false for a blank line.
+func scanEdge(line []byte) (e Edge, ok bool, err error) {
+	src, rest := nextField(line)
+	if len(src) == 0 {
+		return Edge{}, false, nil
 	}
-	src, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return Edge{}, fmt.Errorf("core: bad src in %q: %v", line, err)
+	dst, rest := nextField(rest)
+	if len(dst) == 0 {
+		return Edge{}, false, fmt.Errorf("core: malformed edge line %q", line)
 	}
-	dst, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Edge{}, fmt.Errorf("core: bad dst in %q: %v", line, err)
+	if e.Src, ok = scanID(src); !ok {
+		return Edge{}, false, fmt.Errorf("core: bad src in %q", line)
 	}
-	w := 1.0
-	if len(fields) >= 3 {
-		w, err = strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return Edge{}, fmt.Errorf("core: bad weight in %q: %v", line, err)
+	if e.Dst, ok = scanID(dst); !ok {
+		return Edge{}, false, fmt.Errorf("core: bad dst in %q", line)
+	}
+	e.W = 1
+	if w, _ := nextField(rest); len(w) > 0 {
+		// The conversion does not allocate: strconv copies the input
+		// into its error rather than letting it escape.
+		if e.W, err = strconv.ParseFloat(string(w), 64); err != nil {
+			return Edge{}, false, fmt.Errorf("core: bad weight in %q: %v", line, err)
 		}
 	}
-	return Edge{Src: src, Dst: dst, W: w}, nil
+	return e, true, nil
+}
+
+// nextField splits off the first whitespace-delimited field of b.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !isSpace(b[j]) {
+		j++
+	}
+	return b[i:j], b[j:]
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || (c >= '\t' && c <= '\r')
+}
+
+// scanID parses a decimal int64 with an optional sign, accepting exactly
+// what strconv.ParseInt(f, 10, 64) accepts. Up to 18 digits cannot
+// overflow and are folded in place; longer fields take strconv's range
+// check.
+func scanID(f []byte) (int64, bool) {
+	digits := f
+	neg := false
+	if f[0] == '-' || f[0] == '+' {
+		neg, digits = f[0] == '-', f[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		v, err := strconv.ParseInt(string(f), 10, 64)
+		return v, err == nil
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // NumVertices returns max(vertex id)+1 over the edge set, the size used
 // for dense PS vectors ("the size of both vectors is equal to the maximal
 // index of vertex", Sec. IV-A).
 func NumVertices(edges *dataflow.RDD[Edge]) (int64, error) {
-	maxID, err := dataflow.Map(edges, func(e Edge) int64 {
-		if e.Src > e.Dst {
-			return e.Src
-		}
-		return e.Dst
-	}).Reduce(func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
+	return vectorSize(edges, func(e Edge) int64 { return max(e.Src, e.Dst) })
+}
+
+// vectorSize returns max(maxID(x))+1 over r, where maxID yields the
+// largest vertex id an element mentions. Algorithms call it on the
+// structure they cache anyway (neighbor tables, CSR blocks), so sizing
+// the vectors is the action that builds the cache and the edge file is
+// read once per job.
+func vectorSize[T any](r *dataflow.RDD[T], maxID func(T) int64) (int64, error) {
+	m, err := dataflow.Map(r, maxID).Reduce(func(a, b int64) int64 { return max(a, b) })
 	if err != nil {
 		return 0, err
 	}
-	return maxID + 1, nil
+	return m + 1, nil
 }
 
 // ToNeighborTables converts the edge-partitioned RDD into vertex
 // partitioning with groupBy (paper Sec. IV-A, step 1): each element
 // becomes (src, sorted unique []dst).
 func ToNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
-	pairs := dataflow.Map(edges, func(e Edge) dataflow.KV[int64, int64] {
+	return neighborTables(dataflow.Map(edges, func(e Edge) dataflow.KV[int64, int64] {
 		return dataflow.KV[int64, int64]{K: e.Src, V: e.Dst}
-	})
-	grouped := dataflow.GroupByKey(pairs, parts)
-	return dataflow.Map(grouped, func(kv dataflow.KV[int64, []int64]) dataflow.KV[int64, []int64] {
-		return dataflow.KV[int64, []int64]{K: kv.K, V: sortUnique(kv.V)}
-	})
+	}), parts)
 }
 
 // ToUndirectedNeighborTables builds neighbor tables treating edges as
 // undirected (both directions), as required by common neighbor, triangle
 // count and k-core.
 func ToUndirectedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
-	pairs := dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, int64] {
+	return neighborTables(dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, int64] {
 		return []dataflow.KV[int64, int64]{{K: e.Src, V: e.Dst}, {K: e.Dst, V: e.Src}}
-	})
-	grouped := dataflow.GroupByKey(pairs, parts)
-	return dataflow.Map(grouped, func(kv dataflow.KV[int64, []int64]) dataflow.KV[int64, []int64] {
-		return dataflow.KV[int64, []int64]{K: kv.K, V: sortUnique(kv.V)}
+	}), parts)
+}
+
+// neighborTables groups (vertex, neighbor) pairs by vertex without a hash
+// table: a reduce task reads its share of the shuffle into one flat
+// slice, sorts it by (vertex, neighbor) and cuts the deduplicated
+// neighbor column into one table per vertex. Every table's V is a
+// capacity-capped window of that one backing array, so a partition costs
+// 8 bytes per distinct pair plus a header per vertex; tables come out in
+// vertex order.
+func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
+	type table = dataflow.KV[int64, []int64]
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, records func(func(idPair) error) error) ([]table, error) {
+		// Read as (neighbor, vertex): the sort is least-significant key
+		// first, so the minor key takes the K seat for the first pass.
+		var in []idPair
+		var charged int64
+		err := records(func(kv idPair) error {
+			if len(in) == cap(in) {
+				// Doubling copies each record once on average; append's
+				// 1.25x for large slices would copy it four times.
+				in = slices.Grow(in, max(len(in), 1<<12))
+				grown := int64(cap(in))*16 - charged
+				charged += grown
+				if err := t.Alloc(grown); err != nil {
+					return err
+				}
+			}
+			in = append(in, idPair{K: kv.V, V: kv.K})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		scratch := int64(len(in)) * 16
+		if err := t.Alloc(scratch); err != nil {
+			return nil, err
+		}
+		in, tmp := sortByK(in, make([]idPair, len(in)))
+		for i, p := range in {
+			in[i] = idPair{K: p.V, V: p.K}
+		}
+		in, _ = sortByK(in, tmp) // stable: neighbors stay ordered within a vertex
+
+		var vertices, distinct int
+		for i, p := range in {
+			newVertex := i == 0 || p.K != in[i-1].K
+			if newVertex {
+				vertices++
+			}
+			if newVertex || p.V != in[i-1].V {
+				distinct++
+			}
+		}
+		if err := t.Alloc(int64(distinct)*8 + int64(vertices)*40); err != nil {
+			return nil, err
+		}
+		nbrs := make([]int64, 0, distinct)
+		tables := make([]table, 0, vertices)
+		for i := 0; i < len(in); {
+			lo, j := len(nbrs), i
+			for ; j < len(in) && in[j].K == in[i].K; j++ {
+				if j == i || in[j].V != in[j-1].V {
+					nbrs = append(nbrs, in[j].V)
+				}
+			}
+			tables = append(tables, table{K: in[i].K, V: nbrs[lo:len(nbrs):len(nbrs)]})
+			i = j
+		}
+		t.Free(charged + scratch)
+		return tables, nil
 	})
 }
 

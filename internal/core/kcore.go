@@ -41,12 +41,12 @@ func KCore(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*KCoreResu
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	n, err := NumVertices(edges)
+	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
+	defer nbrs.Unpersist()
+	n, err := tablesNumVertices(nbrs)
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 
 	degName := ctx.ModelName("kcore.deg")
 	deg, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: degName, Size: n})
@@ -162,12 +162,12 @@ func KCoreDecompose(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	n, err := NumVertices(edges)
+	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
+	defer nbrs.Unpersist()
+	n, err := tablesNumVertices(nbrs)
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 
 	degName := ctx.ModelName("coreness.deg")
 	coreName := ctx.ModelName("coreness.core")

@@ -8,6 +8,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"psgraph/internal/dataflow"
@@ -100,6 +101,46 @@ func corenessOracle(edges []Edge, n int64) []int64 {
 		}
 	}
 	return core
+}
+
+// pageRankOracle is sequential Δ-PageRank: the recurrence of PageRank
+// (ranks accumulate (1-d)·Σ(dM)^k·1 over distinct out-neighbors,
+// increments within ±threshold are not propagated) on one goroutine with
+// plain slices.
+func pageRankOracle(edges []Edge, n int64, d, threshold float64, iters int) []float64 {
+	sorted := append([]Edge(nil), edges...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Src != sorted[j].Src {
+			return sorted[i].Src < sorted[j].Src
+		}
+		return sorted[i].Dst < sorted[j].Dst
+	})
+	var uniq []Edge
+	for _, e := range sorted {
+		if k := len(uniq) - 1; k < 0 || e.Src != uniq[k].Src || e.Dst != uniq[k].Dst {
+			uniq = append(uniq, e)
+		}
+	}
+	outdeg := make([]float64, n)
+	for _, e := range uniq {
+		outdeg[e.Src]++
+	}
+	ranks, cur, next := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range cur {
+		cur[i] = 1 - d
+	}
+	for it := 0; it < iters; it++ {
+		for _, e := range uniq {
+			if x := cur[e.Src]; x > threshold || x < -threshold {
+				next[e.Dst] += d * x / outdeg[e.Src]
+			}
+		}
+		for i := range ranks {
+			ranks[i] += cur[i]
+			cur[i], next[i] = next[i], 0
+		}
+	}
+	return ranks
 }
 
 func TestTriangleCountAgreesWithOracleAndGraphX(t *testing.T) {

@@ -82,12 +82,15 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	n, err := NumVertices(edges)
+	// One CSR block per partition stays cached for the whole job; sizing
+	// the vectors from it is the action that builds it, so the edge file
+	// is read and parsed once.
+	blocks := csrBlocks(ToNeighborTables(edges, parts)).Cache()
+	defer blocks.Unpersist()
+	n, err := numVertices(blocks)
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 
 	ranksName := ctx.ModelName("pr.ranks")
 	curName := ctx.ModelName("pr.dcur")
@@ -149,39 +152,21 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 			}
 		}
 		trace("iter %d start recoveriesBefore=%d", it, recoveriesBefore)
-		err := nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
-				return nil
-			}
-			srcs := make([]int64, len(tables))
-			for i, t := range tables {
-				srcs[i] = t.K
-			}
-			deltas, err := cur.Pull(srcs)
-			if err != nil {
-				return err
-			}
-			updates := make(map[int64]float64)
-			for i, t := range tables {
-				d := deltas[i]
-				if d <= cfg.DeltaThreshold && d >= -cfg.DeltaThreshold {
+		err := blocks.ForeachPartition(func(part int, in []*csrBlock) error {
+			for _, b := range in {
+				deltas, err := cur.Pull(b.srcs)
+				if err != nil {
+					return err
+				}
+				idx, vals := b.scatter(deltas, cfg.Damping, cfg.DeltaThreshold)
+				if len(idx) == 0 {
 					continue
 				}
-				share := cfg.Damping * d / float64(len(t.V))
-				for _, dst := range t.V {
-					updates[dst] += share
+				if err := next.PushAdd(idx, vals); err != nil {
+					return err
 				}
 			}
-			if len(updates) == 0 {
-				return nil
-			}
-			idx := make([]int64, 0, len(updates))
-			vals := make([]float64, 0, len(updates))
-			for k, v := range updates {
-				idx = append(idx, k)
-				vals = append(vals, v)
-			}
-			return next.PushAdd(idx, vals)
+			return nil
 		})
 		if err != nil {
 			return nil, err

@@ -95,12 +95,12 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	n, err := NumVertices(edges)
+	blocks := csrBlocks(ToNeighborTables(edges, parts)).Cache()
+	defer blocks.Unpersist()
+	n, err := numVertices(blocks)
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 
 	ranksName := ctx.ModelName("prasp.ranks")
 	deltaName := ctx.ModelName("prasp.delta")
@@ -112,7 +112,6 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	deltaMeta := delta.Meta
 	if err := delta.Fill(1 - cfg.Damping); err != nil {
 		return nil, err
 	}
@@ -125,58 +124,10 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	// still needs a termination detector; this is the usual choice).
 	const sweepsPerPass = 4
 	for pass := 0; pass < cfg.MaxIterations; pass++ {
-		err = nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
-				return nil
-			}
-			srcs := make([]int64, len(tables))
-			for i, t := range tables {
-				srcs[i] = t.K
-			}
-			for sweep := 0; sweep < sweepsPerPass; sweep++ {
-				taken, err := takeVector(ctx, deltaName, deltaMeta, srcs, 0)
-				if err != nil {
+		err = blocks.ForeachPartition(func(part int, in []*csrBlock) error {
+			for _, b := range in {
+				if err := sweepASP(ctx, b, ranks, delta, cfg, sweepsPerPass); err != nil {
 					return err
-				}
-				updates := make(map[int64]float64)
-				rankIdx := make([]int64, 0, len(srcs))
-				rankVal := make([]float64, 0, len(srcs))
-				anyWork := false
-				for i, t := range tables {
-					d := taken[i]
-					if d == 0 {
-						continue
-					}
-					rankIdx = append(rankIdx, srcs[i])
-					rankVal = append(rankVal, d)
-					if d <= cfg.DeltaThreshold && d >= -cfg.DeltaThreshold {
-						continue
-					}
-					anyWork = true
-					share := cfg.Damping * d / float64(len(t.V))
-					for _, dst := range t.V {
-						updates[dst] += share
-					}
-				}
-				// Taken increments become permanent rank mass immediately.
-				if len(rankIdx) > 0 {
-					if err := ranks.PushAdd(rankIdx, rankVal); err != nil {
-						return err
-					}
-				}
-				if len(updates) > 0 {
-					idx := make([]int64, 0, len(updates))
-					vals := make([]float64, 0, len(updates))
-					for k, v := range updates {
-						idx = append(idx, k)
-						vals = append(vals, v)
-					}
-					if err := delta.PushAdd(idx, vals); err != nil {
-						return err
-					}
-				}
-				if !anyWork {
-					break
 				}
 			}
 			return nil
@@ -221,4 +172,39 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 		}
 	}
 	return &PageRankResult{Ranks: ranks, NumVertices: n, Iterations: cfg.MaxIterations}, nil
+}
+
+// sweepASP sweeps one block up to sweeps times: take the pending
+// increments of its sources, make them permanent rank mass, and scatter
+// their shares back into the pending vector. It stops early once a sweep
+// finds nothing above the threshold.
+func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankConfig, sweeps int) error {
+	for sweep := 0; sweep < sweeps; sweep++ {
+		taken, err := takeVector(ctx, delta.Meta.Name, delta.Meta, b.srcs, 0)
+		if err != nil {
+			return err
+		}
+		rankIdx := make([]int64, 0, len(b.srcs))
+		rankVal := make([]float64, 0, len(b.srcs))
+		for i, d := range taken {
+			if d != 0 {
+				rankIdx = append(rankIdx, b.srcs[i])
+				rankVal = append(rankVal, d)
+			}
+		}
+		// Taken increments become permanent rank mass immediately.
+		if len(rankIdx) > 0 {
+			if err := ranks.PushAdd(rankIdx, rankVal); err != nil {
+				return err
+			}
+		}
+		idx, vals := b.scatter(taken, cfg.Damping, cfg.DeltaThreshold)
+		if len(idx) == 0 {
+			return nil
+		}
+		if err := delta.PushAdd(idx, vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }

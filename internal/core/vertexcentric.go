@@ -74,12 +74,12 @@ func RunVertexCentric(ctx *Context, edges *dataflow.RDD[Edge], prog VertexProgra
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	n, err := NumVertices(edges)
+	nbrs := toVertexTables(edges, parts).Cache()
+	defer nbrs.Unpersist()
+	n, err := tablesNumVertices(nbrs)
 	if err != nil {
 		return nil, err
 	}
-	nbrs := toVertexTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 
 	stateName := ctx.ModelName("vc.state")
 	msgName := ctx.ModelName("vc.msg")

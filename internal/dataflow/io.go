@@ -2,73 +2,124 @@ package dataflow
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"strings"
+	"io"
+
+	"psgraph/internal/dfs"
 )
 
-// TextFile reads a DFS file as an RDD of lines using byte-range input
-// splits (Hadoop InputFormat semantics): partition p owns the lines whose
-// first byte falls in its range, so each task reads and parses only its
-// share of the file. A retried task re-reads its split from the DFS — the
-// "executor reloads graph data from HDFS and continues" behavior of
-// Sec. III-C.
-func TextFile(ctx *Context, path string, parts int) *RDD[string] {
+// readSplit calls fn with every line of the file at path that input
+// split part (of parts) owns, in file order and without its newline.
+// Byte-range splits follow Hadoop InputFormat semantics: a line belongs
+// to the split holding its first byte. Readers of non-first splits open
+// one byte early and discard one line — if start coincides with a line
+// start, the discarded "line" is exactly the preceding newline, so
+// nothing is lost; otherwise the partial line is dropped (its owner is
+// the previous split, which reads lines as long as they *start* before
+// its end).
+//
+// The slice handed to fn aliases the read buffer and is valid only for
+// the call; fn copies what it keeps.
+func readSplit(fs *dfs.FS, path string, part, parts int, fn func(line []byte) error) error {
+	size, err := fs.Size(path)
+	if err != nil {
+		return err
+	}
+	start := size * int64(part) / int64(parts)
+	end := size * int64(part+1) / int64(parts)
+	readFrom := start
+	if start > 0 {
+		readFrom = start - 1
+	}
+	f, err := fs.OpenRange(path, readFrom, size-readFrom)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	var long []byte // spill for lines longer than the read buffer
+	// next returns the next line with its '\n' (absent only on the
+	// file's last line), valid until the following call.
+	next := func() ([]byte, error) {
+		line, err := br.ReadSlice('\n')
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		long = append(long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		return long, err
+	}
+	pos := readFrom
+	if start > 0 {
+		skipped, err := next()
+		pos += int64(len(skipped))
+		if err != nil {
+			return eofIsNil(err) // split begins inside the final line
+		}
+	}
+	for pos < end {
+		line, err := next()
+		pos += int64(len(line))
+		if n := len(line); n > 0 {
+			if line[n-1] == '\n' {
+				line = line[:n-1]
+			}
+			if err := fn(line); err != nil {
+				return err
+			}
+		}
+		if err != nil {
+			return eofIsNil(err)
+		}
+	}
+	return nil
+}
+
+func eofIsNil(err error) error {
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	return err
+}
+
+// ParseTextFile reads a DFS file as an RDD of parsed lines using
+// byte-range input splits (see readSplit): each task reads and parses
+// only its share of the file. parse sees every owned line as bytes that
+// are valid only for the call and returns the element, false to drop the
+// line, or an error that fails the job. A retried task re-reads its
+// split from the DFS — the "executor reloads graph data from HDFS and
+// continues" behavior of Sec. III-C.
+func ParseTextFile[T any](ctx *Context, path string, parts int, parse func(line []byte) (T, bool, error)) *RDD[T] {
 	if parts <= 0 {
 		parts = ctx.cfg.DefaultParallelism
 	}
-	stream := func(t *Task, part int, emit func(string) error) error {
-		size, err := ctx.FS.Size(path)
-		if err != nil {
-			return err
-		}
-		start := size * int64(part) / int64(parts)
-		end := size * int64(part+1) / int64(parts)
-		// Hadoop split semantics: a line belongs to the split holding
-		// its first byte. Readers of non-first splits open one byte
-		// early and discard one line — if start coincides with a line
-		// start, the discarded "line" is exactly the preceding
-		// newline, so nothing is lost; otherwise the partial line is
-		// dropped (its owner is the previous split, which reads lines
-		// as long as they *start* before its end).
-		readFrom := start
-		if start > 0 {
-			readFrom = start - 1
-		}
-		f, err := ctx.FS.OpenRange(path, readFrom, size-readFrom)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<16)
-		pos := readFrom
-		if start > 0 {
-			skipped, err := br.ReadBytes('\n')
-			pos += int64(len(skipped))
-			if err != nil {
-				return nil // split begins inside the final line
+	stream := func(t *Task, part int, emit func(T) error) error {
+		return readSplit(ctx.FS, path, part, parts, func(line []byte) error {
+			x, ok, err := parse(line)
+			if err != nil || !ok {
+				return err
 			}
-		}
-		for pos < end {
-			line, err := br.ReadBytes('\n')
-			pos += int64(len(line))
-			if len(line) > 0 {
-				if err := emit(strings.TrimRight(string(line), "\n")); err != nil {
-					return err
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		return nil
+			return emit(x)
+		})
 	}
-	return &RDD[string]{
+	return &RDD[T]{
 		ctx:     ctx,
 		parts:   parts,
 		name:    "textFile(" + path + ")",
 		stream:  stream,
-		compute: func(t *Task, part int) ([]string, error) { return collectStream(t, part, stream) },
+		compute: func(t *Task, part int) ([]T, error) { return collectStream(t, part, stream) },
 	}
+}
+
+// TextFile reads a DFS file as an RDD of lines, one string per line.
+func TextFile(ctx *Context, path string, parts int) *RDD[string] {
+	return ParseTextFile(ctx, path, parts, func(line []byte) (string, bool, error) {
+		return string(line), true, nil
+	})
 }
 
 // SaveAsTextFile writes one file per partition under dir, formatting each

@@ -92,6 +92,9 @@ func (r *RDD[T]) materialize(t *Task, part int) ([]T, error) {
 		return nil, err
 	}
 	if caching {
+		if out == nil {
+			out = []T{} // nil marks "not cached yet"; an empty partition is cached too
+		}
 		sz := estimateBytes(out)
 		// Cached partitions live on the executor that computed them, like
 		// Spark block storage.
@@ -138,6 +141,21 @@ func (r *RDD[T]) streamPart(t *Task, part int, emit func(T) error) error {
 		return nil
 	}
 	return r.stream(t, part, emit)
+}
+
+// partSlice returns partition part as a slice for callers that need it
+// whole (ForeachPartition, MapPartitions inputs, Collect). A cached or
+// caching RDD hands out the cached slice itself — every task of every
+// action sees the same backing array, so the slice is read-only for the
+// caller. Anything else is gathered through the fused path.
+func (r *RDD[T]) partSlice(t *Task, part int) ([]T, error) {
+	r.cacheMu.Lock()
+	held := r.caching || (r.cached != nil && r.cached[part] != nil)
+	r.cacheMu.Unlock()
+	if held || r.stream == nil {
+		return r.materialize(t, part)
+	}
+	return collectStream(t, part, r.streamPart)
 }
 
 // collectStream drains a stream function into a slice; it is the
@@ -278,11 +296,12 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 
 // MapPartitions transforms each partition as a whole. The index of the
 // partition is passed to f. The input partition is necessarily
-// materialized (f sees a slice), but the inputs are gathered through the
-// fused path and the outputs stream onward element by element.
+// materialized (f sees a slice): a cached parent's slice is passed as is,
+// so f must treat in as read-only; other inputs are gathered through the
+// fused path. The outputs stream onward element by element.
 func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *RDD[U] {
 	stream := func(t *Task, part int, emit func(U) error) error {
-		in, err := collectStream(t, part, r.streamPart)
+		in, err := r.partSlice(t, part)
 		if err != nil {
 			return err
 		}
@@ -304,7 +323,7 @@ func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *
 		name:    r.name + ".mapPartitions",
 		stream:  stream,
 		compute: func(t *Task, part int) ([]U, error) {
-			in, err := collectStream(t, part, r.streamPart)
+			in, err := r.partSlice(t, part)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +339,7 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	}
 	results := make([][]T, r.parts)
 	err := r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		out, err := collectStream(t, part, r.streamPart)
+		out, err := r.partSlice(t, part)
 		if err != nil {
 			return err
 		}
@@ -380,13 +399,15 @@ func (r *RDD[T]) Foreach(f func(T) error) error {
 
 // ForeachPartition runs f once per partition for its side effects. This is
 // the workhorse of PSGraph algorithms: each executor processes its graph
-// partition and talks to the parameter server from inside f.
+// partition and talks to the parameter server from inside f. On a cached
+// RDD f receives the cached slice itself, iteration after iteration, so
+// in is read-only: scratch belongs to the call, not to the partition.
 func (r *RDD[T]) ForeachPartition(f func(part int, in []T) error) error {
 	if err := r.prepare(); err != nil {
 		return err
 	}
 	return r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		in, err := collectStream(t, part, r.streamPart)
+		in, err := r.partSlice(t, part)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"runtime"
 	"sync"
 )
 
@@ -47,8 +48,10 @@ func (s *shuffleDep) materialize() error {
 	return s.err
 }
 
+func shuffleDir(id int64) string { return fmt.Sprintf("/shuffle/%d/", id) }
+
 func shufflePath(id int64, mapPart, reducePart int) string {
-	return fmt.Sprintf("/shuffle/%d/%05d-%05d", id, mapPart, reducePart)
+	return fmt.Sprintf("%s%05d-%05d", shuffleDir(id), mapPart, reducePart)
 }
 
 // countingWriter tracks bytes handed to the DFS so shuffleBytes reflects
@@ -149,6 +152,13 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 		mapParts:    parent.parts,
 		reduceParts: reduceParts,
 	}
+	// The files live exactly as long as lineage can lead back to them:
+	// every reduce-side RDD holds dep (and so does a task that is being
+	// retried), so once dep is unreachable nothing can read them again
+	// and they are deleted — Spark's ContextCleaner. The cleanup must not
+	// reference dep itself.
+	fs := ctx.FS
+	runtime.AddCleanup(dep, func(dir string) { fs.DeletePrefix(dir) }, shuffleDir(dep.id))
 	dep.run = func() error {
 		if err := parent.prepare(); err != nil {
 			return err
@@ -486,31 +496,44 @@ func LeftJoin[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts 
 	}
 }
 
-// PartitionBy re-distributes a keyed dataset by key hash into parts
-// partitions (a pure shuffle with no grouping).
-func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
+// ShuffleReduce hash-partitions a keyed dataset into parts partitions
+// and builds each output partition with reduce. records streams every
+// record addressed to the partition into consume, decoded one at a time
+// from the shuffle files; reduce decides what to hold — flat columns, a
+// table, a running aggregate — and charges it to t.
+func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
+	reduce func(t *Task, records func(consume func(KV[K, V]) error) error) ([]U, error)) *RDD[U] {
 	if parts <= 0 {
 		parts = r.ctx.cfg.DefaultParallelism
 	}
 	dep := writeShuffle(r, parts)
-	return &RDD[KV[K, V]]{
+	return &RDD[U]{
 		ctx:      r.ctx,
 		parts:    parts,
 		parents:  []node{r},
 		shuffles: []*shuffleDep{dep},
-		name:     r.name + ".partitionBy",
-		compute: func(t *Task, part int) ([]KV[K, V], error) {
-			var out []KV[K, V]
-			err := readShufflePart(t, dep, part, func(kv KV[K, V]) error {
-				out = append(out, kv)
-				return nil
+		name:     r.name + ".shuffleReduce",
+		compute: func(t *Task, part int) ([]U, error) {
+			return reduce(t, func(consume func(KV[K, V]) error) error {
+				return readShufflePart(t, dep, part, consume)
 			})
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
 		},
 	}
+}
+
+// PartitionBy re-distributes a keyed dataset by key hash into parts
+// partitions (a pure shuffle with no grouping).
+func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
+	out := ShuffleReduce(r, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+		var out []KV[K, V]
+		err := records(func(kv KV[K, V]) error {
+			out = append(out, kv)
+			return nil
+		})
+		return out, err
+	})
+	out.name = r.name + ".partitionBy"
+	return out
 }
 
 // Distinct removes duplicate elements (via a shuffle on the element).

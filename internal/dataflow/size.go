@@ -5,8 +5,16 @@ import (
 	"encoding/gob"
 )
 
+// MemSizer is implemented by element types that know their own footprint
+// — flat blocks whose size is len × width. The engine charges MemBytes
+// for such elements instead of sampling them through gob.
+type MemSizer interface {
+	MemBytes() int64
+}
+
 // estimateBytes approximates the in-memory footprint of items by
-// gob-encoding a small sample and extrapolating. It is used wherever the
+// gob-encoding a small sample and extrapolating (elements that are
+// MemSizers report exact bytes instead). It is used wherever the
 // engine charges memory for materialized data (cached partitions, shuffle
 // tables). Encoding cost stays negligible because at most sampleN elements
 // are serialized regardless of slice length.
@@ -15,6 +23,13 @@ func estimateBytes[T any](items []T) int64 {
 	n := len(items)
 	if n == 0 {
 		return 0
+	}
+	if _, ok := any(items[0]).(MemSizer); ok {
+		var total int64
+		for _, x := range items {
+			total += any(x).(MemSizer).MemBytes()
+		}
+		return total
 	}
 	sample := items
 	if n > sampleN {
