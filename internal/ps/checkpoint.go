@@ -8,37 +8,12 @@ import (
 	"psgraph/internal/dfs"
 )
 
-// ckptSnapshot is the serialized form of one partition, including
-// optimizer state so that training resumes exactly where it stopped.
-// The format predates the per-kind engines and is deliberately kept:
-// each engine fills only its own fields (engine.checkpointData), and
-// engineFromSnapshot routes the decoded snapshot back to the right
-// engine type, so checkpoints written before the engine split restore
-// unchanged.
-type ckptSnapshot struct {
-	Kind   Kind
-	Vec    []float64
-	Lo, Hi int64
-	M      map[int64]float64
-	Emb    map[int64][]float64
-	Nbr    map[int64][]int64
-	CsrIDs []int64
-	CsrOff []int64
-	CsrAdj []int64
-	Mat    []float64
-	Col0   int
-	Col1   int
-	Step   int
-	Mom    map[int64][]float64
-	Vel    map[int64][]float64
-	MatMom []float64
-	MatVel []float64
-}
-
 // ErrCorruptCheckpoint reports that a checkpoint file exists but failed
-// its CRC or did not decode — distinct from "no checkpoint", which
-// restores an empty partition, and grounds for falling back to the
-// previous checkpoint generation.
+// its CRC, is not a partition image (one written before the image format
+// included), or holds an image that does not fit the partition it is
+// restored into — distinct from "no checkpoint", which restores an empty
+// partition, and grounds for falling back to the previous checkpoint
+// generation.
 var ErrCorruptCheckpoint = errors.New("ps: corrupt checkpoint")
 
 // corruptCheckpointMsg is matched against RemoteError text client-side
@@ -97,7 +72,7 @@ func (s *Server) checkpoint(req ckptReq) error {
 	return publishCheckpoint(s.fs, req.Model, req.Part)
 }
 
-// ckptPrepare writes one partition's snapshot to its staging path
+// ckptPrepare writes the image of one whole partition to its staging path
 // without publishing it. The master's fenced multi-model checkpoint
 // prepares every partition of every model first and renames them all
 // afterwards, so a server failing mid-checkpoint can never leave a
@@ -109,7 +84,7 @@ func (s *Server) ckptPrepare(req ckptReq) error {
 	if err != nil {
 		return err
 	}
-	return s.fs.WriteFileSummed(checkpointTmpPath(req.Model, req.Part), e.checkpointData())
+	return s.fs.WriteFileSummed(checkpointTmpPath(req.Model, req.Part), enc(exportAll(e)))
 }
 
 // restore loads one partition from its checkpoint, or recreates it empty
@@ -134,13 +109,9 @@ func (s *Server) restore(req restoreReq) error {
 		}
 		return err
 	}
-	var snap ckptSnapshot
-	if err := dec(data, &snap); err != nil {
-		return fmt.Errorf("%w: decode %s: %v", ErrCorruptCheckpoint, path, err)
-	}
-	e, err := engineFromSnapshot(req.Meta, req.Part, snap)
+	e, err := engineFromImage(req.Meta, req.Part, data)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, path, err)
 	}
 	s.store.put(e)
 	return nil

@@ -1,8 +1,8 @@
 package ps
 
 // Elastic partitions: live splitting, migration, and load-aware
-// rebalancing (master planner half here; the engines' exportRange /
-// importRange / splitAt primitives live in engine_*.go).
+// rebalancing (master planner half here; the engines' export / merge /
+// splitAt primitives live in engine_*.go).
 //
 // Partition identity is the stable Partition.Index, not the slot in the
 // Parts slice, so the master can split a hot partition at its range
@@ -153,14 +153,10 @@ func (s *Server) migratePart(req migratePartReq) error {
 	}
 	s.repl.gate.Lock()
 	defer s.repl.gate.Unlock()
-	data, err := e.exportRange(req.Lo, req.Hi)
-	if err != nil {
-		return err
-	}
 	inst := installPartReq{
 		Meta:  req.Meta,
 		Part:  req.NewPart,
-		Data:  data,
+		Data:  enc(e.export(req.Lo, req.Hi)),
 		Dedup: s.dedup.export(),
 		Epoch: req.Epoch,
 	}
@@ -182,9 +178,9 @@ func (s *Server) migratePart(req migratePartReq) error {
 	return nil
 }
 
-// installPart installs shipped partition state. A migrated range
-// becomes a primary partition by create-empty (under the post-cutover
-// meta, so the engine enforces the new range) + merge, which keeps a
+// installPart installs shipped partition state: a fresh engine under
+// req.Meta (so it enforces the post-cutover range) + merge. A migrated
+// range merges into the partition when it is already here, which keeps a
 // retried install idempotent. A seeded replica REPLACES whatever copy
 // was here — after a split or dropped forwards that copy is a stale
 // superset — and takes the primary's apply counter, which must stand in
@@ -192,29 +188,17 @@ func (s *Server) migratePart(req migratePartReq) error {
 // dedup window merges into this server's, so a client retry of a push
 // the sender already applied replays its cached ack here.
 func (s *Server) installPart(req installPartReq) error {
-	var snap ckptSnapshot
-	if err := dec(req.Data, &snap); err != nil {
-		return fmt.Errorf("ps: install %s/%d: decode: %v", req.Meta.Name, req.Part, err)
-	}
 	s.epochMax(req.Epoch)
-	if req.Replica {
-		e, err := engineFromSnapshot(req.Meta, req.Part, snap)
-		if err != nil {
-			return err
-		}
-		s.store.put(e)
-	} else {
-		e, err := s.store.get(req.Meta.Name, req.Part)
-		if err != nil {
-			if e, err = newEngine(req.Meta, req.Part); err != nil {
-				return err
-			}
-			s.store.put(e)
-		}
-		if err := e.importRange(snap); err != nil {
+	e, err := s.store.get(req.Meta.Name, req.Part)
+	if req.Replica || err != nil {
+		if e, err = newEngine(req.Meta, req.Part); err != nil {
 			return err
 		}
 	}
+	if err := mergeImage(e, req.Data); err != nil {
+		return fmt.Errorf("ps: install %s/%d: %w", req.Meta.Name, req.Part, err)
+	}
+	s.store.put(e)
 	r := s.role(req.Meta.Name, req.Part)
 	r.replica.Store(req.Replica)
 	if req.Replica || req.Muts > 0 {

@@ -8,126 +8,10 @@ import (
 	"testing"
 )
 
-// decSnap decodes an exported snapshot, failing the test on error.
-func decSnap(t *testing.T, b []byte) ckptSnapshot {
-	t.Helper()
-	var snap ckptSnapshot
-	if err := dec(b, &snap); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-	return snap
-}
-
 // oneServerMeta lays model out over a single server so engine-level
 // tests get one partition covering the whole route space.
 func oneServerMeta(meta ModelMeta) ModelMeta {
 	return layout(meta, []string{"s0"})
-}
-
-// TestExportImportRoundTripAllKinds pushes data into one engine of each
-// kind, exports the full route range, imports it into a fresh engine,
-// and checks the destination's checkpoint equals the source's — row
-// values, optimizer moments, and the Adam step all survive a migration.
-func TestExportImportRoundTripAllKinds(t *testing.T) {
-	cases := []struct {
-		name string
-		meta ModelMeta
-		fill func(t *testing.T, e engine)
-	}{
-		{
-			name: "DenseVector",
-			meta: ModelMeta{Name: "v", Kind: DenseVector, Size: 64},
-			fill: func(t *testing.T, e engine) {
-				ve := e.(*vecEngine)
-				if err := ve.push(vecPushReq{Indices: []int64{0, 13, 63}, Values: []float64{1, 2, 3}, Op: vecAdd}); err != nil {
-					t.Fatalf("vec push: %v", err)
-				}
-			},
-		},
-		{
-			name: "SparseVector",
-			meta: ModelMeta{Name: "s", Kind: SparseVector},
-			fill: func(t *testing.T, e engine) {
-				se := e.(*sparseEngine)
-				if err := se.push(mapPushReq{M: map[int64]float64{7: 1.5, 900: -2, 12345: 4}}); err != nil {
-					t.Fatalf("map push: %v", err)
-				}
-			},
-		},
-		{
-			name: "EmbeddingAdam",
-			meta: ModelMeta{Name: "e", Kind: Embedding, Dim: 4, InitScale: 0.1, Opt: Adam(0.01)},
-			fill: func(t *testing.T, e engine) {
-				ee := e.(*embEngine)
-				grads := make(map[int64][]float64)
-				for id := int64(0); id < 40; id++ {
-					grads[id] = []float64{0.1, -0.2, 0.3, float64(id)}
-				}
-				// Two gradient steps so mom, vel, and step are all nonzero
-				// and nontrivial.
-				for k := 0; k < 2; k++ {
-					if err := ee.push(embPushReq{Rows: mustRows(grads, 4), Grad: true}); err != nil {
-						t.Fatalf("emb grad push: %v", err)
-					}
-				}
-			},
-		},
-		{
-			name: "Neighbor",
-			meta: ModelMeta{Name: "n", Kind: Neighbor},
-			fill: func(t *testing.T, e engine) {
-				ne := e.(*nbrEngine)
-				if err := ne.push(nbrPushReq{Tables: map[int64][]int64{1: {2, 3}, 5: {1}, 77: {5, 5, 2}}}); err != nil {
-					t.Fatalf("nbr push: %v", err)
-				}
-			},
-		},
-		{
-			name: "DenseMatrix",
-			meta: ModelMeta{Name: "m", Kind: DenseMatrix, Size: 3, Dim: 4, Opt: Adam(0.01)},
-			fill: func(t *testing.T, e engine) {
-				me := e.(*matEngine)
-				data := make([]float64, 12)
-				for i := range data {
-					data[i] = float64(i)
-				}
-				if err := me.push(matPushReq{Data: data, Set: true}); err != nil {
-					t.Fatalf("mat set: %v", err)
-				}
-				if err := me.push(matPushReq{Data: data, Grad: true}); err != nil {
-					t.Fatalf("mat grad: %v", err)
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			meta := oneServerMeta(tc.meta)
-			src, err := newEngine(meta, 0)
-			if err != nil {
-				t.Fatalf("newEngine: %v", err)
-			}
-			tc.fill(t, src)
-			lo, hi := int64(0), meta.routeSpan()
-			b, err := src.exportRange(lo, hi)
-			if err != nil {
-				t.Fatalf("exportRange: %v", err)
-			}
-			snap := decSnap(t, b)
-			dst, err := newEngine(meta, 0)
-			if err != nil {
-				t.Fatalf("newEngine dst: %v", err)
-			}
-			if err := dst.importRange(snap); err != nil {
-				t.Fatalf("importRange: %v", err)
-			}
-			want := decSnap(t, src.checkpointData())
-			got := decSnap(t, dst.checkpointData())
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("round-trip mismatch:\nwant %+v\ngot  %+v", want, got)
-			}
-		})
-	}
 }
 
 // TestSealedNeighborExportStaysSealed checks that a sealed CSR source
@@ -139,19 +23,18 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	ne := src.(*nbrEngine)
 	ne.push(nbrPushReq{Tables: map[int64][]int64{1: {3, 2, 2}, 9: {1}}})
 	ne.seal()
-	b, err := ne.exportRange(0, meta.routeSpan())
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	snap := decSnap(t, b)
-	if snap.CsrIDs == nil {
-		t.Fatalf("sealed export did not produce CSR: %+v", snap)
+	img := exportAll(ne)
+	if !img.Sealed || img.Nbr != nil || len(img.CsrIDs) != 2 {
+		t.Fatalf("sealed export did not produce CSR: %+v", img)
 	}
 	dst, _ := newEngine(meta, 0)
-	if err := dst.importRange(snap); err != nil {
-		t.Fatalf("import: %v", err)
+	if err := mergeImage(dst, enc(img)); err != nil {
+		t.Fatalf("merge: %v", err)
 	}
 	de := dst.(*nbrEngine)
+	if de.state != nbrSealed {
+		t.Fatalf("destination of a sealed export is not sealed")
+	}
 	if got := de.csrLookup(1); !reflect.DeepEqual(got, []int64{2, 3}) {
 		t.Fatalf("csrLookup(1) = %v, want [2 3]", got)
 	}
@@ -178,35 +61,36 @@ func TestEmbSplitLandsMidShard(t *testing.T) {
 	if err := ee.push(embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
 		t.Fatalf("grad push: %v", err)
 	}
-	before := decSnap(t, ee.checkpointData())
+	// rowMaps views an image's rows and moments by id.
+	type rowMaps struct{ emb, mom, vel map[int64][]float64 }
+	mapsOf := func(img partImage) rowMaps {
+		return rowMaps{img.Rows.Map(), img.Mom.Map(), img.Vel.Map()}
+	}
+	before := mapsOf(exportAll(ee))
 
 	mid := meta.routeSpan() / 2
-	b, err := ee.exportRange(mid, meta.routeSpan())
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	moved := decSnap(t, b)
+	moved := mapsOf(ee.export(mid, meta.routeSpan()))
 	if err := ee.splitAt(mid); err != nil {
 		t.Fatalf("splitAt: %v", err)
 	}
-	kept := decSnap(t, ee.checkpointData())
+	kept := mapsOf(exportAll(ee))
 
-	if len(moved.Emb) == 0 || len(kept.Emb) == 0 {
-		t.Fatalf("split landed on one side only: moved=%d kept=%d", len(moved.Emb), len(kept.Emb))
+	if len(moved.emb) == 0 || len(kept.emb) == 0 {
+		t.Fatalf("split landed on one side only: moved=%d kept=%d", len(moved.emb), len(kept.emb))
 	}
-	if len(moved.Emb)+len(kept.Emb) != len(before.Emb) {
-		t.Fatalf("rows lost or duplicated: %d + %d != %d", len(moved.Emb), len(kept.Emb), len(before.Emb))
+	if len(moved.emb)+len(kept.emb) != len(before.emb) {
+		t.Fatalf("rows lost or duplicated: %d + %d != %d", len(moved.emb), len(kept.emb), len(before.emb))
 	}
-	for id, row := range before.Emb {
+	for id, row := range before.emb {
 		rk := routeBucket(id)
 		half := kept
 		if rk >= mid {
 			half = moved
 		}
-		if !reflect.DeepEqual(half.Emb[id], row) {
+		if !reflect.DeepEqual(half.emb[id], row) {
 			t.Fatalf("row %d (route %d) wrong after split", id, rk)
 		}
-		if !reflect.DeepEqual(half.Mom[id], before.Mom[id]) || !reflect.DeepEqual(half.Vel[id], before.Vel[id]) {
+		if !reflect.DeepEqual(half.mom[id], before.mom[id]) || !reflect.DeepEqual(half.vel[id], before.vel[id]) {
 			t.Fatalf("optimizer state of row %d did not follow its half", id)
 		}
 	}

@@ -42,24 +42,23 @@ func IsRangeMovedErr(err error) bool {
 type engine interface {
 	// modelMeta returns the model metadata the engine was created with.
 	modelMeta() ModelMeta
-	// checkpointData encodes the engine as a ckptSnapshot (the on-DFS
-	// checkpoint format, unchanged across the engine refactor) under the
-	// engine's own locks, so a snapshot is a consistent point-in-time
-	// view even under concurrent pushes.
-	checkpointData() []byte
 	// sizeBytes approximates resident bytes for Stats.
 	sizeBytes() int64
 	// partIdx returns the partition index the engine holds.
 	partIdx() int
-	// exportRange encodes the rows whose route keys fall in [lo, hi) as a
-	// ckptSnapshot, including their optimizer state, under the engine's
-	// own locks. Column-partitioned kinds ignore the range and export
-	// everything (they migrate wholesale, never split).
-	exportRange(lo, hi int64) ([]byte, error)
-	// importRange merges a decoded export into this engine. Used on the
-	// migration destination after newEngine, so install is expressible as
-	// create-empty + merge and a retried install stays idempotent.
-	importRange(snap ckptSnapshot) error
+	// export returns the image of the state whose route keys fall in
+	// [lo, hi) — rows, optimizer state, lifecycle state — copied out under
+	// the engine's own locks as one consistent cut. Column-partitioned
+	// kinds ignore the range and export everything (they migrate
+	// wholesale, never split).
+	export(lo, hi int64) partImage
+	// merge validates img against this engine's kind and shape, rejecting
+	// it whole and by field name before anything is written, then copies
+	// its state in: rows the image holds replace the engine's, rows it
+	// does not hold stay. Merging an image twice therefore equals merging
+	// it once — except into a building Neighbor table, where adjacency
+	// appends and the copies only fold away at seal().
+	merge(img partImage) error
 	// splitAt discards the rows with route keys >= mid and narrows the
 	// engine's route range to [lo, mid). The migration source calls this
 	// after the destination acknowledged the export of [mid, hi).
@@ -149,25 +148,6 @@ func newEngine(meta ModelMeta, idx int) (engine, error) {
 		return newNbrEngine(base), nil
 	case DenseMatrix:
 		return newMatEngine(base, pm), nil
-	default:
-		return nil, fmt.Errorf("ps: unknown kind %v", meta.Kind)
-	}
-}
-
-// engineFromSnapshot rebuilds an engine from a decoded checkpoint.
-func engineFromSnapshot(meta ModelMeta, idx int, snap ckptSnapshot) (engine, error) {
-	base := baseFor(meta, idx)
-	switch meta.Kind {
-	case DenseVector:
-		return restoreVecEngine(base, snap), nil
-	case SparseVector:
-		return restoreSparseEngine(base, snap), nil
-	case Embedding, ColumnEmbedding:
-		return restoreEmbEngine(base, snap), nil
-	case Neighbor:
-		return restoreNbrEngine(base, snap), nil
-	case DenseMatrix:
-		return restoreMatEngine(base, snap), nil
 	default:
 		return nil, fmt.Errorf("ps: unknown kind %v", meta.Kind)
 	}

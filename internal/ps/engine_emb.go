@@ -78,14 +78,6 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	return e
 }
 
-// restoreEmbEngine builds an empty engine over the snapshot's column
-// range and scatters the checkpointed rows and moments over the shards.
-func restoreEmbEngine(base engineBase, snap ckptSnapshot) *embEngine {
-	e := newEmbEngine(base, Partition{Col0: snap.Col0, Col1: snap.Col1})
-	_ = e.importRange(snap) // an embedding import has no failure mode
-	return e
-}
-
 // width is the per-key stored vector width.
 func (e *embEngine) width() int { return e.col1 - e.col0 }
 
@@ -306,15 +298,14 @@ func (e *embEngine) row(id int64) []float64 {
 	return row
 }
 
-// snapshot read-locks all shards so the result is one consistent cut,
-// then fills the flat checkpoint maps with the rows (and the optimizer
-// moments that hold state) keep accepts — the on-DFS format knows
-// nothing about sharding or slabs, so layouts restore under any shard
-// count. The map values alias the slabs: enc runs under the read locks.
-// A nil keep takes everything, and only then is the row map pre-sized.
-// The engine-global Adam step travels with the snapshot so bias
-// correction stays monotone wherever it is restored or imported.
-func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
+// export read-locks all shards so the result is one consistent cut, then
+// copies out the rows whose route keys fall in [lo, hi) — a column
+// partition exports everything, it migrates wholesale — and the
+// optimizer moments that hold state. The image knows nothing about
+// sharding or slabs, so it merges under any shard count. The
+// engine-global Adam step travels with it so bias correction stays
+// monotone wherever it lands.
+func (e *embEngine) export(lo, hi int64) partImage {
 	for i := range e.shards {
 		e.shards[i].mu.RLock()
 	}
@@ -323,76 +314,78 @@ func (e *embEngine) snapshot(keep func(id int64) bool) []byte {
 			e.shards[i].mu.RUnlock()
 		}
 	}()
-	var nRows int
-	if keep == nil {
-		for i := range e.shards {
-			nRows += e.shards[i].store.len()
-		}
+	var n int
+	for i := range e.shards {
+		n += e.shards[i].store.len()
 	}
-	snap := ckptSnapshot{
-		Kind: e.meta.Kind,
-		Emb:  make(map[int64][]float64, nRows),
-		Col0: e.col0, Col1: e.col1,
-		Step: int(e.step.Load()),
+	// Every batch is sized for all n rows, the moments on first use: most
+	// rows of a trained table carry them, none of an untrained one do.
+	w := e.width()
+	add := func(b *RowBatch, id int64, row []float64) {
+		if b.Data == nil {
+			b.IDs, b.Data = make([]int64, 0, n), make([]float64, 0, n*w)
+		}
+		b.appendRow(id, row)
+	}
+	img := partImage{
+		Kind: e.meta.Kind, Step: e.step.Load(),
+		Rows: RowBatch{Dim: w}, Mom: RowBatch{Dim: w}, Vel: RowBatch{Dim: w},
 	}
 	for i := range e.shards {
 		st := &e.shards[i].store
 		for o, id := range st.ids {
-			if keep != nil && !keep(id) {
+			if e.routed && !e.inExport(id, lo, hi) {
 				continue
 			}
 			ord := uint32(o)
-			snap.Emb[id] = st.row(ord)
-			// Absent optimizer state stays a nil map.
+			add(&img.Rows, id, st.row(ord))
 			if m := st.momentIfSet(st.mom, ord); m != nil {
-				if snap.Mom == nil {
-					snap.Mom = make(map[int64][]float64)
-				}
-				snap.Mom[id] = m
+				add(&img.Mom, id, m)
 			}
 			if v := st.momentIfSet(st.vel, ord); v != nil {
-				if snap.Vel == nil {
-					snap.Vel = make(map[int64][]float64)
-				}
-				snap.Vel[id] = v
+				add(&img.Vel, id, v)
 			}
 		}
 	}
-	return enc(snap)
+	return img
 }
 
-func (e *embEngine) checkpointData() []byte { return e.snapshot(nil) }
-
-// exportRange keeps only the rows whose route keys fall in [lo, hi).
-// Column-partitioned engines export everything — they migrate wholesale.
-func (e *embEngine) exportRange(lo, hi int64) ([]byte, error) {
-	if !e.routed {
-		return e.snapshot(nil), nil
+// merge copies an image's rows and moments into the shards' slabs.
+func (e *embEngine) merge(img partImage) error {
+	if err := e.checkKind(img); err != nil {
+		return err
 	}
-	return e.snapshot(func(id int64) bool { return e.inExport(id, lo, hi) }), nil
-}
-
-// importRange copies an exported row set into the shards' slabs.
-func (e *embEngine) importRange(snap ckptSnapshot) error {
+	for k, b := range [3]RowBatch{img.Rows, img.Mom, img.Vel} {
+		field := [3]string{"Rows", "Mom", "Vel"}[k]
+		if err := b.check(); err != nil {
+			return e.badImage(field, "%v", err)
+		}
+		if b.Dim != e.width() {
+			return e.badImage(field, "row width %d, engine stores %d", b.Dim, e.width())
+		}
+		if k > 0 && !isSubsequence(b.IDs, img.Rows.IDs) {
+			return e.badImage(field, "moments of ids that are not among the rows, in their order")
+		}
+	}
 	e.lockShards()
 	defer e.unlockShards()
-	for id, row := range snap.Emb {
+	for i, id := range img.Rows.IDs {
 		st := &e.shard(id).store
 		ord, _ := st.put(id)
-		copy(st.row(ord), row)
+		copy(st.row(ord), img.Rows.Row(i))
 	}
-	for id, m := range snap.Mom {
-		sh := e.shard(id)
-		ord, _ := e.rowLocked(sh, id)
-		copy(sh.store.moment(&sh.store.mom, ord), m)
+	for i, id := range img.Mom.IDs {
+		st := &e.shard(id).store
+		ord, _ := st.put(id)
+		copy(st.moment(&st.mom, ord), img.Mom.Row(i))
 	}
-	for id, v := range snap.Vel {
-		sh := e.shard(id)
-		ord, _ := e.rowLocked(sh, id)
-		copy(sh.store.moment(&sh.store.vel, ord), v)
+	for i, id := range img.Vel.IDs {
+		st := &e.shard(id).store
+		ord, _ := st.put(id)
+		copy(st.moment(&st.vel, ord), img.Vel.Row(i))
 	}
-	if s := int64(snap.Step); s > e.step.Load() {
-		e.step.Store(s)
+	if img.Step > e.step.Load() {
+		e.step.Store(img.Step)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -25,15 +26,6 @@ func newMatEngine(base engineBase, pm Partition) *matEngine {
 		engineBase: base,
 		col0:       pm.Col0, col1: pm.Col1,
 		mat: make([]float64, int(base.meta.Size)*(pm.Col1-pm.Col0)),
-	}
-}
-
-func restoreMatEngine(base engineBase, snap ckptSnapshot) *matEngine {
-	return &matEngine{
-		engineBase: base,
-		col0:       snap.Col0, col1: snap.Col1,
-		mat:  snap.Mat,
-		step: snap.Step, mom: snap.MatMom, vel: snap.MatVel,
 	}
 }
 
@@ -103,33 +95,39 @@ func (e *matEngine) applyGrad(grad []float64) {
 
 func (e *matEngine) cols() (int, int) { return e.col0, e.col1 }
 
-func (e *matEngine) checkpointData() []byte {
+// export ignores the range: DenseMatrix is column-partitioned, so
+// partitions migrate wholesale (moves), never split.
+func (e *matEngine) export(int64, int64) partImage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return enc(ckptSnapshot{
-		Kind: e.meta.Kind,
-		Mat:  e.mat, Col0: e.col0, Col1: e.col1,
-		Step: e.step, MatMom: e.mom, MatVel: e.vel,
-	})
+	return partImage{
+		Kind: e.meta.Kind, Step: int64(e.step),
+		Dense: slices.Clone(e.mat), DenseMom: slices.Clone(e.mom), DenseVel: slices.Clone(e.vel),
+	}
 }
 
-// exportRange ignores the range: DenseMatrix is column-partitioned, so
-// partitions migrate wholesale (moves), never split.
-func (e *matEngine) exportRange(int64, int64) ([]byte, error) {
-	return e.checkpointData(), nil
-}
-
-// importRange adopts an exported column slab wholesale, moments and
-// step included (a migrated matrix partition must resume Adam exactly).
-func (e *matEngine) importRange(snap ckptSnapshot) error {
+// merge adopts an exported column slab wholesale, moments and step
+// included (a migrated matrix partition must resume Adam exactly). A
+// first moment without a second is a state no optimizer here produces,
+// and one Adam's step would index past.
+func (e *matEngine) merge(img partImage) error {
+	if err := e.checkKind(img); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(snap.Mat) != len(e.mat) {
-		return fmt.Errorf("ps: matrix import size %d != partition size %d", len(snap.Mat), len(e.mat))
+	n, mom, vel := len(e.mat), len(img.DenseMom), len(img.DenseVel)
+	if len(img.Dense) != n {
+		return e.badImage("Dense", "%d values, partition holds %d", len(img.Dense), n)
 	}
-	copy(e.mat, snap.Mat)
-	e.col0, e.col1 = snap.Col0, snap.Col1
-	e.step, e.mom, e.vel = snap.Step, snap.MatMom, snap.MatVel
+	if (mom != 0 && mom != n) || (vel != 0 && vel != n) || mom > vel {
+		return e.badImage("DenseMom,DenseVel", "%d and %d moments for %d values", mom, vel, n)
+	}
+	copy(e.mat, img.Dense)
+	e.step = int(img.Step)
+	// Empty moments stay nil: applyGrad allocates on nil.
+	e.mom = append([]float64(nil), img.DenseMom...)
+	e.vel = append([]float64(nil), img.DenseVel...)
 	return nil
 }
 

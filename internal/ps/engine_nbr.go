@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -36,22 +37,6 @@ type nbrEngine struct {
 
 func newNbrEngine(base engineBase) *nbrEngine {
 	return &nbrEngine{engineBase: base, nbr: make(map[int64][]int64)}
-}
-
-func restoreNbrEngine(base engineBase, snap ckptSnapshot) *nbrEngine {
-	e := &nbrEngine{
-		engineBase: base,
-		nbr:        snap.Nbr,
-		csrIDs:     snap.CsrIDs, csrOff: snap.CsrOff, csrAdj: snap.CsrAdj,
-	}
-	if e.csrIDs != nil {
-		e.state = nbrSealed
-		e.nbr = nil
-	} else if e.nbr == nil {
-		// Gob decodes empty maps as nil; normalize the build form.
-		e.nbr = make(map[int64][]int64)
-	}
-	return e
 }
 
 func (e *nbrEngine) pull(req pullReq) (nbrPullResp, error) {
@@ -127,65 +112,23 @@ func (e *nbrEngine) seal() int64 {
 	if e.state == nbrSealed {
 		return int64(len(e.csrIDs))
 	}
-	ids := make([]int64, 0, len(e.nbr))
-	var total int
-	for id, ns := range e.nbr {
-		ids = append(ids, id)
-		total += len(ns)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.csrIDs = ids
-	e.csrOff = make([]int64, len(ids)+1)
-	e.csrAdj = make([]int64, 0, total)
-	for i, id := range ids {
-		ns := e.nbr[id]
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-		var prev int64 = -1 << 62
-		for _, x := range ns {
-			if x != prev {
-				e.csrAdj = append(e.csrAdj, x)
-				prev = x
-			}
-		}
-		e.csrOff[i+1] = int64(len(e.csrAdj))
-	}
-	e.nbr = nil
-	e.state = nbrSealed
-	return int64(len(ids))
+	e.sealMapLocked(e.nbr)
+	return int64(len(e.csrIDs))
 }
 
-func (e *nbrEngine) checkpointData() []byte {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return enc(ckptSnapshot{
-		Kind: e.meta.Kind, Nbr: e.nbr,
-		CsrIDs: e.csrIDs, CsrOff: e.csrOff, CsrAdj: e.csrAdj,
-	})
-}
-
-// adjacencyLocked returns the partition's adjacency as a map regardless
-// of lifecycle state, filtered to [lo, hi). Callers hold e.mu.
-func (e *nbrEngine) adjacencyLocked(lo, hi int64) map[int64][]int64 {
-	out := make(map[int64][]int64)
-	if e.state == nbrSealed {
-		for i, id := range e.csrIDs {
-			if e.inExport(id, lo, hi) {
-				adj := e.csrAdj[e.csrOff[i]:e.csrOff[i+1]]
-				cp := make([]int64, len(adj))
-				copy(cp, adj)
-				out[id] = cp
-			}
-		}
-		return out
-	}
-	for id, ns := range e.nbr {
-		if e.inExport(id, lo, hi) {
-			cp := make([]int64, len(ns))
-			copy(cp, ns)
-			out[id] = cp
+// csrKeepLocked returns the CSR arrays of the ids keep accepts, filtered
+// in order — ids stay ascending, adjacency sorted and deduplicated — into
+// fresh memory. Callers hold e.mu on a sealed engine.
+func (e *nbrEngine) csrKeepLocked(keep func(id int64) bool) (ids, off, adj []int64) {
+	ids, off = []int64{}, []int64{0}
+	for i, id := range e.csrIDs {
+		if keep(id) {
+			ids = append(ids, id)
+			adj = append(adj, e.csrAdj[e.csrOff[i]:e.csrOff[i+1]]...)
+			off = append(off, int64(len(adj)))
 		}
 	}
-	return out
+	return ids, off, adj
 }
 
 // sealMapLocked converts an adjacency map into sorted, deduplicated CSR
@@ -217,42 +160,55 @@ func (e *nbrEngine) sealMapLocked(nbr map[int64][]int64) {
 	e.state = nbrSealed
 }
 
-// exportRange snapshots the adjacency of the ids routed into [lo, hi),
+// export copies out the adjacency of the ids routed into [lo, hi),
 // preserving the lifecycle state: a sealed source exports CSR (the
 // destination arrives sealed too), a building source exports the map.
-func (e *nbrEngine) exportRange(lo, hi int64) ([]byte, error) {
+func (e *nbrEngine) export(lo, hi int64) partImage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	sub := e.adjacencyLocked(lo, hi)
-	snap := ckptSnapshot{Kind: e.meta.Kind}
-	if e.state == nbrSealed {
-		// Re-seal the filtered subset into CSR via a scratch engine state
-		// so restore/import sees the sealed form.
-		tmp := &nbrEngine{engineBase: e.engineBase}
-		tmp.sealMapLocked(sub)
-		snap.CsrIDs, snap.CsrOff, snap.CsrAdj = tmp.csrIDs, tmp.csrOff, tmp.csrAdj
-	} else {
-		snap.Nbr = sub
+	img := partImage{Kind: e.meta.Kind, Sealed: e.state == nbrSealed}
+	if img.Sealed {
+		img.CsrIDs, img.CsrOff, img.CsrAdj = e.csrKeepLocked(func(id int64) bool { return e.inExport(id, lo, hi) })
+		return img
 	}
-	return enc(snap), nil
+	img.Nbr = make(map[int64][]int64)
+	for id, ns := range e.nbr {
+		if e.inExport(id, lo, hi) {
+			img.Nbr[id] = slices.Clone(ns)
+		}
+	}
+	return img
 }
 
-// importRange merges an exported adjacency set. Merging into a sealed
-// engine rebuilds the CSR arrays (migrations are rare; traversals are
-// not), staying sealed; merging into a building engine appends.
-func (e *nbrEngine) importRange(snap ckptSnapshot) error {
-	in := make(map[int64][]int64)
-	for id, ns := range snap.Nbr {
-		in[id] = ns
+// merge adds an image's adjacency. Merging into a sealed engine, or a
+// sealed image into an empty one, rebuilds the CSR arrays (migrations
+// are rare; traversals are not) and ends sealed; merging into a building
+// engine appends.
+func (e *nbrEngine) merge(img partImage) error {
+	if err := e.checkKind(img); err != nil {
+		return err
 	}
-	for i, id := range snap.CsrIDs {
-		in[id] = snap.CsrAdj[snap.CsrOff[i]:snap.CsrOff[i+1]]
+	in := img.Nbr
+	if img.Sealed {
+		if len(img.CsrOff) != len(img.CsrIDs)+1 || img.CsrOff[0] != 0 {
+			return e.badImage("CsrOff", "%d offsets for %d ids", len(img.CsrOff), len(img.CsrIDs))
+		}
+		in = make(map[int64][]int64, len(img.CsrIDs))
+		for i, id := range img.CsrIDs {
+			lo, hi := img.CsrOff[i], img.CsrOff[i+1]
+			if lo > hi || hi > int64(len(img.CsrAdj)) {
+				return e.badImage("CsrOff", "offsets [%d,%d) of id %d not monotone within %d neighbours", lo, hi, id, len(img.CsrAdj))
+			}
+			in[id] = img.CsrAdj[lo:hi]
+		}
 	}
-	sealed := snap.CsrIDs != nil
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.state == nbrSealed || (sealed && len(e.nbr) == 0) {
-		merged := e.adjacencyLocked(-1<<62, 1<<62)
+	if e.state == nbrSealed || (img.Sealed && len(e.nbr) == 0) {
+		merged := make(map[int64][]int64, len(e.csrIDs)+len(in))
+		for i, id := range e.csrIDs {
+			merged[id] = slices.Clone(e.csrAdj[e.csrOff[i]:e.csrOff[i+1]])
+		}
 		for id, ns := range in {
 			merged[id] = append(merged[id], ns...)
 		}
@@ -265,14 +221,12 @@ func (e *nbrEngine) importRange(snap ckptSnapshot) error {
 	return nil
 }
 
-// splitAt drops the ids handed off to the new upper-half partition,
-// rebuilding the CSR form when sealed.
+// splitAt drops the ids handed off to the new upper-half partition.
 func (e *nbrEngine) splitAt(mid int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == nbrSealed {
-		kept := e.adjacencyLocked(-1<<62, mid)
-		e.sealMapLocked(kept)
+		e.csrIDs, e.csrOff, e.csrAdj = e.csrKeepLocked(func(id int64) bool { return e.keepOnSplit(id, mid) })
 	} else {
 		for id := range e.nbr {
 			if !e.keepOnSplit(id, mid) {

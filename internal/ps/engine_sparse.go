@@ -15,16 +15,6 @@ func newSparseEngine(base engineBase) *sparseEngine {
 	return &sparseEngine{engineBase: base, m: make(map[int64]float64)}
 }
 
-func restoreSparseEngine(base engineBase, snap ckptSnapshot) *sparseEngine {
-	e := &sparseEngine{engineBase: base, m: snap.M}
-	// Gob decodes empty maps as nil; normalize so pushes can assume
-	// non-nil storage.
-	if e.m == nil {
-		e.m = make(map[int64]float64)
-	}
-	return e
-}
-
 func (e *sparseEngine) pull(req pullReq) (mapPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -74,14 +64,8 @@ func (e *sparseEngine) lockMap() (m map[int64]float64, unlock func()) {
 	return e.m, e.mu.Unlock
 }
 
-func (e *sparseEngine) checkpointData() []byte {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return enc(ckptSnapshot{Kind: e.meta.Kind, M: e.m})
-}
-
-// exportRange snapshots the entries whose route keys fall in [lo, hi).
-func (e *sparseEngine) exportRange(lo, hi int64) ([]byte, error) {
+// export copies out the entries whose route keys fall in [lo, hi).
+func (e *sparseEngine) export(lo, hi int64) partImage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make(map[int64]float64)
@@ -90,13 +74,16 @@ func (e *sparseEngine) exportRange(lo, hi int64) ([]byte, error) {
 			out[k] = v
 		}
 	}
-	return enc(ckptSnapshot{Kind: e.meta.Kind, M: out}), nil
+	return partImage{Kind: e.meta.Kind, M: out}
 }
 
-func (e *sparseEngine) importRange(snap ckptSnapshot) error {
+func (e *sparseEngine) merge(img partImage) error {
+	if err := e.checkKind(img); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k, v := range snap.M {
+	for k, v := range img.M {
 		e.m[k] = v
 	}
 	return nil

@@ -280,7 +280,7 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 // TestEmbStoreRoundTripsAcrossShardCounts: the checkpoint and migration
 // formats know nothing about shards, tables or slabs. State built under
 // one shard count — including a non-power-of-two request, which rounds up
-// — restores (checkpoint) and imports (exportRange of half the route
+// — restores (checkpoint) and merges (export of half the route
 // space) under every other, with equal rows, moments only for the rows
 // that took a gradient, and bit-equal results of the next optimizer step.
 func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
@@ -325,31 +325,24 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ckpt := decSnap(t, src.checkpointData())
-			if len(ckpt.Emb) != rows || len(ckpt.Vel) != graded || (opt.Kind == OptAdam && len(ckpt.Mom) != graded) {
+			ckpt := exportAll(src)
+			if len(ckpt.Rows.IDs) != rows || len(ckpt.Vel.IDs) != graded || (opt.Kind == OptAdam && len(ckpt.Mom.IDs) != graded) {
 				t.Fatalf("from=%d: checkpoint has %d rows, %d mom, %d vel; want %d rows and moments for the %d graded",
-					from, len(ckpt.Emb), len(ckpt.Mom), len(ckpt.Vel), rows, graded)
+					from, len(ckpt.Rows.IDs), len(ckpt.Mom.IDs), len(ckpt.Vel.IDs), rows, graded)
 			}
 			mid := meta.routeSpan() / 2
-			b, err := src.exportRange(mid, meta.routeSpan())
-			if err != nil {
-				t.Fatal(err)
-			}
-			upper := decSnap(t, b)
-			var upperIDs []int64
-			for id := range upper.Emb {
-				upperIDs = append(upperIDs, id)
-			}
+			upper := src.export(mid, meta.routeSpan())
+			upperIDs := upper.Rows.IDs
 			// Reference results of the next step, from the source itself.
 			wantAll := step(t, src, all)
 			for _, to := range []int{1, 3, 32} {
 				SetEmbShards(to)
-				reng, err := engineFromSnapshot(meta, 0, ckpt)
+				reng, err := engineFromImage(meta, 0, enc(ckpt))
 				if err != nil {
 					t.Fatal(err)
 				}
 				restored := reng.(*embEngine)
-				if got := decSnap(t, restored.checkpointData()); !reflect.DeepEqual(got, ckpt) {
+				if got := exportAll(restored); canonImage(got) != canonImage(ckpt) {
 					t.Fatalf("%d→%d shards: restored checkpoint differs", from, to)
 				}
 				if got := step(t, restored, all); !reflect.DeepEqual(got, wantAll) {
@@ -357,11 +350,11 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 				}
 				ieng, _ := newEngine(meta, 0)
 				imported := ieng.(*embEngine)
-				if err := imported.importRange(upper); err != nil {
+				if err := mergeImage(imported, enc(upper)); err != nil {
 					t.Fatal(err)
 				}
-				if got := decSnap(t, imported.checkpointData()); !reflect.DeepEqual(got, upper) {
-					t.Fatalf("%d→%d shards: imported range differs from the export", from, to)
+				if got := exportAll(imported); canonImage(got) != canonImage(upper) {
+					t.Fatalf("%d→%d shards: merged range differs from the export", from, to)
 				}
 				got := step(t, imported, upperIDs)
 				for _, id := range upperIDs {

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -26,10 +27,6 @@ func newVecEngine(base engineBase, pm Partition) *vecEngine {
 		lo:         pm.Lo, hi: pm.Hi,
 		vec: make([]float64, pm.Hi-pm.Lo),
 	}
-}
-
-func restoreVecEngine(base engineBase, snap ckptSnapshot) *vecEngine {
-	return &vecEngine{engineBase: base, lo: snap.Lo, hi: snap.Hi, vec: snap.Vec}
 }
 
 func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
@@ -122,39 +119,29 @@ func (e *vecEngine) lockData() (data []float64, lo int64, unlock func()) {
 	return e.vec, e.lo, e.mu.Unlock
 }
 
-func (e *vecEngine) checkpointData() []byte {
+// export copies out the [lo, hi) ∩ [e.lo, e.hi) slice.
+func (e *vecEngine) export(lo, hi int64) partImage {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return enc(ckptSnapshot{Kind: e.meta.Kind, Vec: e.vec, Lo: e.lo, Hi: e.hi})
-}
-
-// exportRange snapshots the [lo, hi) ∩ [e.lo, e.hi) slice.
-func (e *vecEngine) exportRange(lo, hi int64) ([]byte, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if lo < e.lo {
-		lo = e.lo
-	}
-	if hi > e.hi {
-		hi = e.hi
-	}
+	lo, hi = max(lo, e.lo), min(hi, e.hi)
 	if lo > hi {
 		lo, hi = e.lo, e.lo
 	}
-	out := make([]float64, hi-lo)
-	copy(out, e.vec[lo-e.lo:hi-e.lo])
-	return enc(ckptSnapshot{Kind: e.meta.Kind, Vec: out, Lo: lo, Hi: hi}), nil
+	return partImage{Kind: e.meta.Kind, Lo: lo, Hi: hi, Dense: slices.Clone(e.vec[lo-e.lo : hi-e.lo])}
 }
 
-// importRange copies an exported slice into place; the engine must
-// already cover the incoming range (newEngine sized it from the layout).
-func (e *vecEngine) importRange(snap ckptSnapshot) error {
+// merge copies an exported slice into place; the engine must cover the
+// incoming range (newEngine sized it from the layout).
+func (e *vecEngine) merge(img partImage) error {
+	if err := e.checkKind(img); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if snap.Lo < e.lo || snap.Hi > e.hi {
-		return fmt.Errorf("ps: import range [%d,%d) not in partition [%d,%d)", snap.Lo, snap.Hi, e.lo, e.hi)
+	if img.Lo < e.lo || img.Hi > e.hi || int64(len(img.Dense)) != img.Hi-img.Lo {
+		return e.badImage("Dense", "%d values for [%d,%d), partition holds [%d,%d)", len(img.Dense), img.Lo, img.Hi, e.lo, e.hi)
 	}
-	copy(e.vec[snap.Lo-e.lo:snap.Hi-e.lo], snap.Vec)
+	copy(e.vec[img.Lo-e.lo:], img.Dense)
 	return nil
 }
 

@@ -289,17 +289,18 @@ func (m *Master) createModel(meta ModelMeta) (ModelMeta, error) {
 	m.mu.Lock()
 	m.models[meta.Name] = meta
 	m.journalModelLocked(meta)
-	fs := m.fs
 	m.mu.Unlock()
-	if fs != nil {
-		// A manifest left by a deleted model of the same name must not be
-		// adopted by this one's first restore.
-		fs.Delete(layoutManifestPath(meta.Name))
-	}
 	return meta, nil
 }
 
+// deleteModel drops a model from the layout, from every server, and from
+// the DFS: its checkpoint generations, staging files, layout manifest and
+// serve manifest go with it, or a later model of the same name would
+// restore a dead model's state and ranges. It holds recMu so no
+// checkpoint or recovery of the model can interleave and write them back.
 func (m *Master) deleteModel(name string) error {
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
 	m.mu.Lock()
 	_, ok := m.models[name]
 	delete(m.models, name)
@@ -310,12 +311,17 @@ func (m *Master) deleteModel(name string) error {
 	// Broadcast to every live server, not only the primaries: with
 	// replication on, backups hold replica partitions of the model too.
 	servers := m.liveRingLocked()
+	fs := m.fs
 	m.mu.Unlock()
 	if !ok {
 		return nil
 	}
 	for _, s := range servers {
 		m.tr.Call(s, "DeleteModel", enc(modelNameReq{Name: name}))
+	}
+	if fs != nil {
+		fs.DeletePrefix(fmt.Sprintf("/ps/ckpt/%s/", name))
+		fs.DeletePrefix(fmt.Sprintf("/ps/serve/%s/", name))
 	}
 	return nil
 }

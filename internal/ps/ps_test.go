@@ -472,6 +472,51 @@ func TestRecoveryWithoutCheckpointGivesEmptyPartition(t *testing.T) {
 	}
 }
 
+// TestStaleCheckpointDiesWithItsModel: a deleted model's checkpoints,
+// layout manifest and serve manifest leave the DFS with it, so a model
+// created under the same name afterwards — here with another size, hence
+// other ranges — recovers a never-checkpointed partition empty instead of
+// adopting the dead model's file and its [Lo,Hi).
+func TestStaleCheckpointDiesWithItsModel(t *testing.T) {
+	c, cl := newTestCluster(t, 2)
+	old, _ := cl.CreateDenseVector(DenseVectorSpec{Name: "x", Size: 10})
+	old.Fill(7)
+	if err := cl.Checkpoint("x"); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if _, err := cl.PublishSnapshot("x"); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	if err := cl.Checkpoint("x"); err != nil { // a .prev generation too
+		t.Fatalf("second checkpoint: %v", err)
+	}
+	if err := cl.DeleteModel("x"); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	for _, prefix := range []string{"/ps/ckpt/x/", "/ps/serve/x/"} {
+		if left := c.FS.List(prefix); len(left) != 0 {
+			t.Fatalf("DeleteModel left %v on the DFS", left)
+		}
+	}
+	v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "x", Size: 20})
+	if err != nil {
+		t.Fatalf("recreate: %v", err)
+	}
+	v.Fill(3)
+	c.KillServer(c.ServerAddrs()[0])
+	c.Master.CheckServers()
+	got, err := v.PullAll()
+	if err != nil {
+		t.Fatalf("pull after recovery: %v", err)
+	}
+	// Partition 0 ([0,10)) of the NEW model was never checkpointed.
+	for i, x := range got {
+		if want := map[bool]float64{true: 0, false: 3}[i < 10]; x != want {
+			t.Fatalf("got[%d] = %v, want %v (all: %v)", i, x, want, got)
+		}
+	}
+}
+
 func TestClientRetriesWhileServerDown(t *testing.T) {
 	c, cl := newTestCluster(t, 2)
 	v, _ := cl.CreateDenseVector(DenseVectorSpec{Name: "r", Size: 10})

@@ -27,6 +27,28 @@ func (b RowBatch) Row(i int) []float64 {
 	return b.Data[lo:hi:hi]
 }
 
+// appendRow adds one row, copying it into Data.
+func (b *RowBatch) appendRow(id int64, row []float64) {
+	b.IDs = append(b.IDs, id)
+	b.Data = append(b.Data, row...)
+}
+
+// isSubsequence reports whether sub lists some of the ids of, in of's
+// order.
+func isSubsequence(sub, of []int64) bool {
+	j := 0
+	for _, id := range sub {
+		for j < len(of) && of[j] != id {
+			j++
+		}
+		if j == len(of) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
 // Map returns the batch as an id → row map. The rows are views of Data
 // (see Row), not copies.
 func (b RowBatch) Map() map[int64][]float64 {

@@ -24,9 +24,12 @@ package ps
 //     layout and retry. Servers keep the two newest generations per
 //     partition so readers on layout N-1 are served while N rolls out.
 //
-//   - Absent embedding rows are materialized with the deterministic
-//     rowIniter — pure function of (id, column), so a snapshot replica
-//     answers for never-pushed rows without consulting the primary.
+//   - A snapshot generation is a frozen engine: built by the same
+//     newEngine + merge as a restore, read through the engine's own pull,
+//     and kept out of the Store, so no push handler can reach it. Absent
+//     embedding rows still materialize on read, deterministically — a
+//     pure function of (id, column), so a snapshot replica answers for
+//     never-pushed rows exactly as the primary would.
 //
 //   - The power-law hot head (HotKey counters fed from engine pulls and
 //     serve pulls) is replicated to EVERY serving endpoint via
@@ -140,7 +143,7 @@ type serveInstallReq struct {
 	Meta      ModelMeta
 	Part      int
 	SnapEpoch int64
-	Data      []byte // ckptSnapshot
+	Data      []byte // encoded partImage
 }
 
 type servePullReq struct {
@@ -200,83 +203,35 @@ func init() {
 
 // --- server-side state ------------------------------------------------
 
-// serveSnap is one immutable partition snapshot generation. Its row data
-// is never mutated after install, so pulls read it without a lock.
+// serveSnap is one partition snapshot generation: a frozen engine that
+// lives here and never in the Store. Route validation, range errors,
+// lazy row init and the hot counter are the engine's own.
 type serveSnap struct {
-	model     string
-	part      int
 	snapEpoch int64
-	kind      Kind
-
-	// ranged route validation: the partition's route span in the layout
-	// the snapshot was published under. An id routing outside it means
-	// the reader's layout and this snapshot disagree — rangeMovedMsg,
-	// exactly like the mutable path.
-	meta   ModelMeta
-	lo, hi int64
-	ranged bool
-
-	rows    map[int64][]float64 // Embedding / ColumnEmbedding
-	initer  rowIniter
-	canInit bool
-
-	vec      []float64 // DenseVector
-	vlo, vhi int64
-
-	pulls atomic.Int64
-	hot   hotCounter
+	e         engine
 }
 
-// width is the snapshot's row width: the partition's stored columns, or
-// 1 for a DenseVector, whose ids are indices.
-func (sn *serveSnap) width() int {
-	if sn.kind == DenseVector {
-		return 1
-	}
-	return sn.initer.col1 - sn.initer.col0
-}
-
-// pullRows serves ids from the snapshot, in request order, as one block.
-// Embedding rows absent from the snapshot are materialized
-// deterministically, in place.
-func (sn *serveSnap) pullRows(ids []int64) (RowBatch, error) {
-	w := sn.width()
-	data := make([]float64, len(ids)*w)
-	for j, id := range ids {
-		if sn.ranged {
-			if rk := sn.meta.RouteKey(id); rk < sn.lo || rk >= sn.hi {
-				return RowBatch{}, fmt.Errorf("%s: serve key %d (route %d) not in [%d,%d) of %s/%d",
-					rangeMovedMsg, id, rk, sn.lo, sn.hi, sn.model, sn.part)
-			}
+// pull reads ids, in request order, through the engine's own pull. A
+// DenseVector's ids are indices and its rows one value wide.
+func (sn *serveSnap) pull(ids []int64) (RowBatch, error) {
+	switch e := sn.e.(type) {
+	case *embEngine:
+		resp, err := e.pull(pullReq{Keys: ids})
+		return resp.Rows, err
+	case *vecEngine:
+		if ids == nil {
+			ids = []int64{} // nil keys would pull the whole range
 		}
-		dst := data[j*w : (j+1)*w]
-		switch sn.kind {
-		case DenseVector:
-			if id < sn.vlo || id >= sn.vhi {
-				return RowBatch{}, fmt.Errorf("%s: serve index %d not in [%d,%d) of %s/%d",
-					rangeMovedMsg, id, sn.vlo, sn.vhi, sn.model, sn.part)
-			}
-			dst[0] = sn.vec[id-sn.vlo]
-		default:
-			if row, ok := sn.rows[id]; ok {
-				copy(dst, row)
-			} else if sn.canInit {
-				sn.initer.initRowInto(dst, id)
-			} else {
-				return RowBatch{}, fmt.Errorf("ps: serve %s/%d: no row %d", sn.model, sn.part, id)
-			}
-		}
+		resp, err := e.pull(pullReq{Keys: ids})
+		return RowBatch{IDs: ids, Dim: 1, Data: resp.Values}, err
 	}
-	sn.pulls.Add(int64(len(ids)))
-	sn.hot.bump(ids)
-	return RowBatch{IDs: ids, Dim: w, Data: data}, nil
+	return RowBatch{}, fmt.Errorf("ps: kind %s is not servable", sn.e.modelMeta().Kind)
 }
 
 // hotReplica is the model-wide hot head replicated to this endpoint.
 type hotReplica struct {
 	snapEpoch int64
-	dim       int
-	rows      map[int64][]float64 // views of the installed batch's block
+	rows      rowStore // immutable after install, read without a lock
 }
 
 // serveState is a server's serving-tier store.
@@ -301,18 +256,18 @@ const serveGenerations = 2
 // gate (exclusive), so an in-flight multi-shard push is either fully in
 // the cut or fully out — engine shard locks alone cannot give that,
 // because a push locks shards one at a time. The gate is released before
-// the installs: once the bytes exist the cut is sealed, and holding the
-// gate across N network installs would stall training for the whole
-// fan-out.
+// the installs: the image owns its memory, so the cut is sealed, and
+// holding the gate across N network installs would stall training for
+// the whole fan-out.
 func (s *Server) serveSeed(req serveSeedReq) error {
 	e, err := s.store.get(req.Meta.Name, req.Part)
 	if err != nil {
 		return err
 	}
 	s.repl.gate.Lock()
-	data := e.checkpointData()
+	img := exportAll(e)
 	s.repl.gate.Unlock()
-	inst := serveInstallReq{Meta: req.Meta, Part: req.Part, SnapEpoch: req.SnapEpoch, Data: data}
+	inst := serveInstallReq{Meta: req.Meta, Part: req.Part, SnapEpoch: req.SnapEpoch, Data: enc(img)}
 	var encoded []byte
 	for _, target := range req.Targets {
 		if target == s.Addr {
@@ -335,56 +290,27 @@ func (s *Server) serveSeed(req serveSeedReq) error {
 	return nil
 }
 
-// serveInstall decodes and publishes one snapshot generation locally.
+// serveInstall stands one snapshot generation up locally, as a restore
+// would, and publishes it to this server's readers.
 func (s *Server) serveInstall(req serveInstallReq) error {
-	var snap ckptSnapshot
-	if err := dec(req.Data, &snap); err != nil {
+	if !servable(req.Meta.Kind) {
+		return fmt.Errorf("ps: serve install %s/%d: kind %s is not servable", req.Meta.Name, req.Part, req.Meta.Kind)
+	}
+	e, err := engineFromImage(req.Meta, req.Part, req.Data)
+	if err != nil {
 		return fmt.Errorf("ps: serve install %s/%d: %w", req.Meta.Name, req.Part, err)
-	}
-	sn := &serveSnap{
-		model:     req.Meta.Name,
-		part:      req.Part,
-		snapEpoch: req.SnapEpoch,
-		kind:      snap.Kind,
-		meta:      req.Meta,
-	}
-	if p, ok := req.Meta.partByID(req.Part); ok && req.Meta.routed() {
-		sn.lo, sn.hi, sn.ranged = p.Lo, p.Hi, true
-	}
-	switch snap.Kind {
-	case Embedding, ColumnEmbedding:
-		sn.rows = snap.Emb
-		if sn.rows == nil {
-			sn.rows = map[int64][]float64{}
-		}
-		col0, col1 := snap.Col0, snap.Col1
-		if col1 <= col0 {
-			col0, col1 = 0, req.Meta.Dim
-		}
-		sn.initer = newRowIniter(req.Meta, col0, col1)
-		sn.canInit = true
-	case DenseVector:
-		sn.vec, sn.vlo, sn.vhi = snap.Vec, snap.Lo, snap.Hi
-	default:
-		return fmt.Errorf("ps: serve install %s/%d: kind %s is not servable", req.Meta.Name, req.Part, snap.Kind)
 	}
 	k := partKey{model: req.Meta.Name, part: req.Part}
 	s.serve.mu.Lock()
 	if s.serve.snaps == nil {
 		s.serve.snaps = make(map[partKey][]*serveSnap)
 	}
-	gens := s.serve.snaps[k][:0:0]
-	replaced := false
+	// A re-install replaces the generation of its epoch (idempotent).
+	gens := []*serveSnap{{snapEpoch: req.SnapEpoch, e: e}}
 	for _, g := range s.serve.snaps[k] {
-		if g.snapEpoch == sn.snapEpoch {
-			gens = append(gens, sn) // idempotent re-install
-			replaced = true
-		} else {
+		if g.snapEpoch != req.SnapEpoch {
 			gens = append(gens, g)
 		}
-	}
-	if !replaced {
-		gens = append(gens, sn)
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i].snapEpoch > gens[j].snapEpoch })
 	if len(gens) > serveGenerations {
@@ -416,7 +342,7 @@ func (s *Server) servePull(req servePullReq) (servePullResp, error) {
 		return servePullResp{}, fmt.Errorf("%s: %s/%d pull at snap epoch %d, server holds %d",
 			staleSnapMsg, req.Model, req.Part, req.SnapEpoch, gens[0].snapEpoch)
 	}
-	rows, err := sn.pullRows(req.IDs)
+	rows, err := sn.pull(req.IDs)
 	if err != nil {
 		return servePullResp{}, err
 	}
@@ -438,7 +364,12 @@ func (s *Server) serveHotInstall(req serveHotInstallReq) error {
 	if cur, ok := s.serve.hot[req.Model]; ok && cur.snapEpoch > req.SnapEpoch {
 		return nil
 	}
-	s.serve.hot[req.Model] = &hotReplica{snapEpoch: req.SnapEpoch, dim: req.Rows.Dim, rows: req.Rows.Map()}
+	hr := &hotReplica{snapEpoch: req.SnapEpoch, rows: newRowStore(req.Rows.Dim)}
+	for i, id := range req.Rows.IDs {
+		ord, _ := hr.rows.put(id)
+		copy(hr.rows.row(ord), req.Rows.Row(i))
+	}
+	s.serve.hot[req.Model] = hr
 	return nil
 }
 
@@ -456,15 +387,15 @@ func (s *Server) serveHotPull(req serveHotPullReq) (servePullResp, error) {
 		return servePullResp{}, fmt.Errorf("%s: hot pull of %s at snap epoch %d, server holds %d",
 			staleSnapMsg, req.Model, req.SnapEpoch, hr.snapEpoch)
 	}
+	dim := hr.rows.width
 	out := RowBatch{
 		IDs:  make([]int64, 0, len(req.IDs)),
-		Dim:  hr.dim,
-		Data: make([]float64, 0, len(req.IDs)*hr.dim),
+		Dim:  dim,
+		Data: make([]float64, 0, len(req.IDs)*dim),
 	}
 	for _, id := range req.IDs {
-		if row, ok := hr.rows[id]; ok {
-			out.IDs = append(out.IDs, id)
-			out.Data = append(out.Data, row...)
+		if row := hr.rows.get(id); row != nil {
+			out.appendRow(id, row)
 		}
 	}
 	s.serve.hotRows.Add(int64(len(out.IDs)))
@@ -486,7 +417,8 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 		// generation before mining, so the traffic signal lives on the
 		// previous one.
 		for _, g := range gens {
-			for _, hk := range g.hot.top(0) {
+			// Both servable engine kinds count their pulls.
+			for _, hk := range g.e.(interface{ hotTop(int) []HotKey }).hotTop(0) {
 				merged[hk.ID] += hk.Count
 			}
 		}

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -566,5 +567,144 @@ func TestServeHotStatsFeedback(t *testing.T) {
 	}
 	if !hot[4] || !hot[17] {
 		t.Fatalf("serve traffic did not shape the hot set: %v", sl.HotIDs)
+	}
+}
+
+// TestSnapshotIsAnEngine pins what a snapshot generation being a frozen
+// engine means, at the servers themselves (the ServeClient heals most of
+// this by falling back): reads go through the engine's own pull — lazy
+// deterministic init, route validation, range errors — a generation is
+// never reachable through the Store, and a push after publication shows
+// at the next snapshot epoch only.
+func TestSnapshotIsAnEngine(t *testing.T) {
+	c, cl := newTestCluster(t, 3)
+	snapPull := func(addr, model string, part int, epoch int64, ids ...int64) (RowBatch, error) {
+		t.Helper()
+		resp, err := c.servers[addr].servePull(servePullReq{Model: model, Part: part, SnapEpoch: epoch, IDs: ids})
+		return resp.Rows, err
+	}
+
+	// Never-pushed ids read through the ServeClient equal the primary's
+	// deterministic init row, in the hash and in the column layout.
+	hash, err := cl.CreateEmbedding(EmbeddingSpec{Name: "h", Dim: 4, Partitions: 2, InitScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := cl.CreateEmbedding(EmbeddingSpec{Name: "col", Dim: 6, ByColumn: true, InitScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Emb{hash, col} {
+		name := e.Meta.Name
+		if _, err := cl.PublishSnapshot(name); err != nil {
+			t.Fatalf("publish %s: %v", name, err)
+		}
+		sc, err := cl.Serve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := []int64{5, 1 << 33, 77}
+		fromServe, err := sc.Pull(ids)
+		if err != nil {
+			t.Fatalf("serve pull of %s: %v", name, err)
+		}
+		if st := sc.Stats(); st.PrimaryRows != 0 {
+			t.Fatalf("%s: never-pushed rows came from the primaries: %+v", name, st)
+		}
+		fromPrimary, err := e.Pull(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromServe, fromPrimary) || fromServe[5][0] == 0 {
+			t.Fatalf("%s: init rows differ: serve %v, primary %v", name, fromServe, fromPrimary)
+		}
+	}
+
+	// A hash-range id outside the published span of the addressed
+	// partition, and a DenseVector index outside the published range.
+	sl, err := cl.GetServeLayout("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign int64
+	for sl.Meta.Parts[sl.Meta.PartitionFor(foreign)].Index == 0 {
+		foreign++
+	}
+	if _, err := snapPull(sl.Replicas[0][0], "h", 0, sl.SnapEpoch, foreign); !IsRangeMovedErr(err) {
+		t.Fatalf("id %d of partition 1 read off partition 0's snapshot: err = %v, want range-moved", foreign, err)
+	}
+	vec, err := cl.CreateDenseVector(DenseVectorSpec{Name: "dv", Size: 30, Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vec.Fill(2); err != nil {
+		t.Fatal(err)
+	}
+	vl, err := cl.PublishSnapshot("dv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := vl.Meta.Parts[0]
+	if rows, err := snapPull(vl.Replicas[p0.Index][0], "dv", p0.Index, vl.SnapEpoch, p0.Lo, p0.Hi-1); err != nil ||
+		!reflect.DeepEqual(rows, RowBatch{IDs: []int64{p0.Lo, p0.Hi - 1}, Dim: 1, Data: []float64{2, 2}}) {
+		t.Fatalf("in-range vector read = %+v, %v", rows, err)
+	}
+	if _, err := snapPull(vl.Replicas[p0.Index][0], "dv", p0.Index, vl.SnapEpoch, p0.Hi); !IsRangeMovedErr(err) {
+		t.Fatalf("index %d outside [%d,%d): err = %v, want range-moved", p0.Hi, p0.Lo, p0.Hi, err)
+	}
+
+	// A push after publication is invisible at that snapshot epoch and
+	// visible at the next; both generations stay readable.
+	one, err := cl.CreateEmbedding(EmbeddingSpec{Name: "one", Dim: 2, Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.PushSet(map[int64][]float64{7: {1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := cl.PublishSnapshot("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.PushSet(map[int64][]float64{7: {9, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	part := first.Meta.Parts[0]
+	holders := first.Replicas[part.Index]
+	for _, addr := range holders {
+		if rows, err := snapPull(addr, "one", part.Index, first.SnapEpoch, 7); err != nil || rows.Data[0] != 1 {
+			t.Fatalf("%s: read at epoch %d after a later push = %+v, %v; want the published 1", addr, first.SnapEpoch, rows, err)
+		}
+	}
+	second, err := cl.PublishSnapshot("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch, want := range map[int64]float64{first.SnapEpoch: 1, second.SnapEpoch: 9} {
+		if rows, err := snapPull(holders[0], "one", part.Index, epoch, 7); err != nil || rows.Data[0] != want {
+			t.Fatalf("read at epoch %d = %+v, %v; want %v", epoch, rows, err, want)
+		}
+	}
+
+	// The generation is not in the Store: a push addressed to a server
+	// that holds only the replica fails exactly as if it held nothing.
+	var replicaOnly string
+	for _, addr := range holders {
+		if addr != part.Server {
+			replicaOnly = addr
+		}
+	}
+	if replicaOnly == "" {
+		t.Fatalf("no replica-only holder among %v (primary %s)", holders, part.Server)
+	}
+	push := embPushReq{Model: "one", Part: part.Index, Rows: RowBatch{IDs: []int64{7}, Dim: 2, Data: []float64{5, 5}}, Set: true}
+	if _, err := c.servers[replicaOnly].dispatch("EmbPush", enc(push)); err == nil || !strings.Contains(err.Error(), "not on this server") {
+		t.Fatalf("EmbPush to a snapshot-only server: err = %v, want \"not on this server\"", err)
+	}
+	if _, err := c.servers[replicaOnly].store.get("one", part.Index); err == nil {
+		t.Fatalf("snapshot engine reachable through Store.get")
+	}
+	if rows, err := snapPull(replicaOnly, "one", part.Index, second.SnapEpoch, 7); err != nil || rows.Data[0] != 9 {
+		t.Fatalf("snapshot changed under a rejected push: %+v, %v", rows, err)
 	}
 }

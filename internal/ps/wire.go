@@ -53,6 +53,7 @@ const (
 	msgServePullReq
 	msgServeHotPullReq
 	msgServePullResp
+	msgPartImage
 )
 
 // ---------------------------------------------------------------------------
@@ -271,9 +272,9 @@ func (r *wreader) sliceLen() (int, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	// Even an empty payload cannot hold more elements than bytes; reject
-	// absurd lengths before allocating.
-	if n-1 > uint64(len(r.b)) {
+	// Every element takes at least one byte: reject a length the bytes
+	// that remain cannot hold before allocating for it.
+	if n-1 > uint64(len(r.b)-r.off) {
 		r.fail()
 		return 0, false
 	}
@@ -480,6 +481,8 @@ func binSizeHint(v any) int {
 		return 48 + len(m.Model) + 10*len(m.IDs)
 	case servePullResp:
 		return 16 + rowBatchHint(m.Rows)
+	case partImage:
+		return partImageHint(m)
 	}
 	return 0
 }
@@ -571,6 +574,9 @@ func encBinary(v any) ([]byte, bool) {
 	case servePullResp:
 		b = append(b, msgServePullResp)
 		b = appendRowBatch(b, m.Rows)
+	case partImage:
+		b = append(b, msgPartImage)
+		b = appendPartImage(b, m)
 	default:
 		putBuf(b)
 		return nil, false
@@ -701,6 +707,11 @@ func decBinary(data []byte, v any) error {
 		want = msgServePullResp
 		if id == want {
 			m.Rows = r.rowBatch()
+		}
+	case *partImage:
+		want = msgPartImage
+		if id == want {
+			*m = r.partImage()
 		}
 	case *rowScatter:
 		want = m.msg
