@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"psgraph/internal/dataflow"
+	"psgraph/internal/gnn"
 	"psgraph/internal/ps"
 )
 
@@ -301,7 +303,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 		var mu sync.Mutex
 		epochSeed := cfg.Seed + int64(epoch)*7919
 		err := trainRDD.ForeachPartition(func(part int, ids []int64) error {
-			prng := rand.New(rand.NewSource(epochSeed + int64(part)))
+			bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(epochSeed + int64(part)))}
 			var clock *ps.SSPClock
 			if relaxed {
 				// One ring per epoch; workers retire on completion so a
@@ -319,7 +321,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 			for start := 0; start < len(ids); start += cfg.BatchSize {
 				end := min(start+cfg.BatchSize, len(ids))
 				batch := ids[start:end]
-				jb, err := buildBatch(ctx, data, batch, cfg, prng, true)
+				jb, err := bb.build(batch, true)
 				if err != nil {
 					return err
 				}
@@ -385,7 +387,9 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	return res, nil
 }
 
-// graphSageEvaluate computes classification accuracy over ids.
+// graphSageEvaluate computes classification accuracy over ids: forward
+// passes only (a batch without labels is inference on the runtime's side),
+// scored against the driver's labels here.
 func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gsModel, cfg GraphSageConfig, parts int) (float64, error) {
 	if len(ids) == 0 {
 		return 0, nil
@@ -398,17 +402,22 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 	var correct, total int
 	var mu sync.Mutex
 	err = rdd.ForeachPartition(func(part int, batchIDs []int64) error {
-		prng := rand.New(rand.NewSource(cfg.Seed + 31*int64(part)))
+		bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 31*int64(part)))}
 		for start := 0; start < len(batchIDs); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(batchIDs))
 			batch := batchIDs[start:end]
-			jb, err := buildBatch(ctx, data, batch, cfg, prng, true)
+			jb, err := bb.build(batch, false)
 			if err != nil {
 				return err
 			}
-			out := model.run(jb, weights)
+			hit := 0
+			for i, p := range model.run(jb, weights).Preds {
+				if p == data.Labels[batch[i]] {
+					hit++
+				}
+			}
 			mu.Lock()
-			correct += out.Correct
+			correct += hit
 			total += len(batch)
 			mu.Unlock()
 		}
@@ -420,163 +429,155 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 	return float64(correct) / float64(total), nil
 }
 
-// buildBatch samples the 2-hop neighborhood of batch from the PS, pulls
-// the features of every touched vertex, and assembles the flat jniBatch.
-func buildBatch(ctx *Context, data *GraphSageData, batch []int64, cfg GraphSageConfig, rng *rand.Rand, withLabels bool) (jniBatch, error) {
-	// Hop 1: sample FanOut1 neighbors per batch vertex.
-	adj1, err := data.Adj.Nbr.Pull(batch)
-	if err != nil {
-		return jniBatch{}, err
-	}
-	samples1 := make([][]int64, len(batch))
-	s1Set := make(map[int64]bool)
-	for i, v := range batch {
-		samples1[i] = sampleK(adj1[v], cfg.FanOut1, rng)
-		for _, u := range samples1[i] {
-			s1Set[u] = true
-		}
-	}
-	s1 := make([]int64, 0, len(s1Set))
-	for u := range s1Set {
-		s1 = append(s1, u)
-	}
-	// Hop 2: sample FanOut2 neighbors per hop-1 vertex.
-	adj2, err := data.Adj.Nbr.Pull(s1)
-	if err != nil {
-		return jniBatch{}, err
-	}
-	samples2 := make(map[int64][]int64, len(s1))
-	for _, u := range s1 {
-		samples2[u] = sampleK(adj2[u], cfg.FanOut2, rng)
-	}
+// batchBuilder assembles the mini-batches of one partition task in
+// boundary form (torch.go): two neighbour pulls, one feature pull, flat
+// arrays throughout. Rows of the feature matrix are handed out in
+// first-occurrence order — the distinct batch vertices, then the distinct
+// new hop-1 samples, then the distinct new hop-2 samples — so the layer-1
+// set (batch ∪ hop-1) is exactly the first rows: a layer-1 vertex's
+// feature row is its layer-1 index, and a row below the number of distinct
+// batch vertices is a batch vertex. The builder's tables and buffers are
+// reused from batch to batch and die with the task; a built batch is valid
+// until the next build.
+type batchBuilder struct {
+	data *GraphSageData
+	cfg  GraphSageConfig
+	rng  *rand.Rand
 
-	// Feature rows for every vertex touched.
-	rowOf := make(map[int64]int32)
-	var order []int64
-	touch := func(v int64) {
-		if _, ok := rowOf[v]; !ok {
-			rowOf[v] = int32(len(order))
-			order = append(order, v)
+	// Open-addressed id → row table of the batch under construction, a
+	// power of two wide; rows are stored +1, so a cleared table is empty.
+	keys  []int64
+	rows  []int32
+	shift uint
+
+	order []int64 // vertex of every feature row
+	samp  []int64 // one vertex's sample, before it becomes rows
+	// Sampled neighbourhoods as feature rows, one segment per draw: the
+	// hop-1 draws by batch position, then the hop-2 draws by layer-1 row.
+	idx, off []int32
+	first    []int32   // batch position that introduced each batch row
+	self2    []int32   // row of every batch position
+	ident    []int32   // 0, 1, 2, …
+	segs     [][]int32 // Nbrs1 then Nbrs2, views of idx
+	labels   []int32
+}
+
+// reset empties the builder for a batch that touches at most maxIDs
+// vertices, keeping the table at most half full.
+func (b *batchBuilder) reset(maxIDs int) {
+	if lg := bits.Len(uint(2*maxIDs - 1)); 1<<lg > len(b.rows) {
+		b.keys, b.rows, b.shift = make([]int64, 1<<lg), make([]int32, 1<<lg), uint(64-lg)
+	} else {
+		clear(b.rows)
+	}
+	b.order, b.idx, b.off = b.order[:0], b.idx[:0], append(b.off[:0], 0)
+	b.first, b.self2, b.segs = b.first[:0], b.self2[:0], b.segs[:0]
+}
+
+// row returns the feature row of v, giving it the next one on first sight.
+func (b *batchBuilder) row(v int64) int32 {
+	mask := uint64(len(b.rows) - 1)
+	i := (uint64(v) * 0x9e3779b97f4a7c15) >> b.shift
+	for ; b.rows[i] != 0; i = (i + 1) & mask {
+		if b.keys[i] == v {
+			return b.rows[i] - 1
 		}
 	}
-	for _, v := range batch {
-		touch(v)
+	b.order = append(b.order, v)
+	b.keys[i], b.rows[i] = v, int32(len(b.order))
+	return int32(len(b.order) - 1)
+}
+
+// sample draws up to k of ns and appends their rows as one segment.
+func (b *batchBuilder) sample(ns []int64, k int) {
+	b.samp = gnn.SampleK(b.samp[:0], ns, k, b.rng)
+	for _, u := range b.samp {
+		b.idx = append(b.idx, b.row(u))
 	}
-	for _, u := range s1 {
-		touch(u)
-		for _, w := range samples2[u] {
-			touch(w)
+	b.off = append(b.off, int32(len(b.idx)))
+}
+
+// seg returns the s-th drawn segment.
+func (b *batchBuilder) seg(s int) []int32 { return b.idx[b.off[s]:b.off[s+1]] }
+
+// build samples the 2-hop neighborhood of batch from the PS, pulls the
+// features of every touched vertex once, and assembles the flat jniBatch.
+func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
+	cfg, nbr := b.cfg, b.data.Adj.Nbr
+	b.reset(len(batch) * (1 + cfg.FanOut1*(1+cfg.FanOut2)))
+	for i, v := range batch {
+		n := len(b.order)
+		r := b.row(v)
+		if int(r) == n {
+			b.first = append(b.first, int32(i))
 		}
+		b.self2 = append(b.self2, r)
+	}
+	nBatch := len(b.order)
+
+	// Hop 1: FanOut1 neighbors per batch position.
+	adj, err := nbr.PullBatch(batch)
+	if err != nil {
+		return jniBatch{}, err
 	}
 	for i := range batch {
-		for _, u := range samples1[i] {
-			touch(u)
-		}
+		b.sample(adj.Nbrs(i), cfg.FanOut1)
 	}
+	nL1 := len(b.order)
+
+	// Hop 2: FanOut2 neighbors per hop-1 vertex that is not itself in the
+	// batch (those aggregate their hop-1 draw at layer 1).
+	adj, err = nbr.PullBatch(b.order[nBatch:nL1])
+	if err != nil {
+		return jniBatch{}, err
+	}
+	for i := 0; i < nL1-nBatch; i++ {
+		b.sample(adj.Nbrs(i), cfg.FanOut2)
+	}
+
 	// Features never change during training, so the prefetch cache needs
 	// no invalidation: a vertex sampled twice costs one wire pull total.
 	// order holds distinct ids, so the pulled block — row i = order[i] — is
 	// the feature matrix as it stands.
 	var feats ps.RowBatch
 	if cfg.Prefetch {
-		feats, _, err = data.Feats.PrefetchRows(order).Batch()
+		feats, _, err = b.data.Feats.PrefetchRows(b.order).Batch()
 	} else {
-		feats, _, err = data.Feats.PullBatch(order)
+		feats, _, err = b.data.Feats.PullBatch(b.order)
 	}
 	if err != nil {
 		return jniBatch{}, err
 	}
-	dim := data.InputDim
-	if feats.Dim != dim || len(feats.IDs) != len(order) {
+	dim := b.data.InputDim
+	if feats.Dim != dim || len(feats.IDs) != len(b.order) {
 		return jniBatch{}, fmt.Errorf("core: pulled %d feature rows of width %d for %d vertices of width %d",
-			len(feats.IDs), feats.Dim, len(order), dim)
-	}
-	x := feats.Data
-
-	// Layer-1 set: batch ∪ s1, each aggregating raw features of its
-	// sampled neighbors.
-	h1RowOf := make(map[int64]int32)
-	var l1Order []int64
-	touchL1 := func(v int64) {
-		if _, ok := h1RowOf[v]; !ok {
-			h1RowOf[v] = int32(len(l1Order))
-			l1Order = append(l1Order, v)
-		}
-	}
-	for _, v := range batch {
-		touchL1(v)
-	}
-	for _, u := range s1 {
-		touchL1(u)
-	}
-	self1 := make([]int32, len(l1Order))
-	nbrs1 := make([][]int32, len(l1Order))
-	for i, v := range l1Order {
-		self1[i] = rowOf[v]
-		var ns []int64
-		if bi := indexOf(batch, v); bi >= 0 {
-			ns = samples1[bi]
-		} else {
-			ns = samples2[v]
-		}
-		rows := make([]int32, len(ns))
-		for j, u := range ns {
-			rows[j] = rowOf[u]
-		}
-		nbrs1[i] = rows
+			len(feats.IDs), feats.Dim, len(b.order), dim)
 	}
 
-	// Layer-2 set: the batch, aggregating h1 of its hop-1 samples.
-	self2 := make([]int32, len(batch))
-	nbrs2 := make([][]int32, len(batch))
-	for i, v := range batch {
-		self2[i] = h1RowOf[v]
-		rows := make([]int32, len(samples1[i]))
-		for j, u := range samples1[i] {
-			rows[j] = h1RowOf[u]
-		}
-		nbrs2[i] = rows
+	for len(b.ident) < nL1 {
+		b.ident = append(b.ident, int32(len(b.ident)))
 	}
-
+	for _, i := range b.first {
+		b.segs = append(b.segs, b.seg(int(i)))
+	}
+	for s := len(batch); s < len(b.off)-1; s++ {
+		b.segs = append(b.segs, b.seg(s))
+	}
+	for i := range batch {
+		b.segs = append(b.segs, b.seg(i))
+	}
 	jb := jniBatch{
-		X: x, NumNodes: len(order), Dim: dim,
-		Self1: self1, Nbrs1: nbrs1,
-		Self2: self2, Nbrs2: nbrs2,
+		X: feats.Data, NumNodes: len(b.order), Dim: dim,
+		Self1: b.ident[:nL1], Nbrs1: b.segs[:nL1],
+		Self2: b.self2, Nbrs2: b.segs[nL1:],
 		Aggregator: cfg.Aggregator,
 	}
 	if withLabels {
-		labels := make([]int32, len(batch))
-		for i, v := range batch {
-			labels[i] = data.Labels[v]
+		b.labels = b.labels[:0]
+		for _, v := range batch {
+			b.labels = append(b.labels, b.data.Labels[v])
 		}
-		jb.Labels = labels
+		jb.Labels = b.labels
 	}
 	return jb, nil
-}
-
-// indexOf returns the position of v in xs or -1. Batches are small, so a
-// linear scan beats a map here.
-func indexOf(xs []int64, v int64) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// sampleK draws min(k, len(ns)) distinct neighbors uniformly.
-func sampleK(ns []int64, k int, rng *rand.Rand) []int64 {
-	if len(ns) <= k {
-		out := make([]int64, len(ns))
-		copy(out, ns)
-		return out
-	}
-	cp := make([]int64, len(ns))
-	copy(cp, ns)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(cp)-i)
-		cp[i], cp[j] = cp[j], cp[i]
-	}
-	return cp[:k]
 }

@@ -37,12 +37,12 @@ func EvaluateEmbeddings(embs map[int64][]float64, labels map[int64]int, classes 
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	nTrain := int(float64(len(ids)) * trainFrac)
 
-	buildXY := func(subset []int64) (*tensor.Node, []int) {
+	buildXY := func(subset []int64) (*tensor.Node, []int32) {
 		x := tensor.New(len(subset), dim)
-		y := make([]int, len(subset))
+		y := make([]int32, len(subset))
 		for i, id := range subset {
 			copy(x.Row(i), embs[id])
-			y[i] = labels[id]
+			y[i] = int32(labels[id])
 		}
 		return tensor.Const(x), y
 	}

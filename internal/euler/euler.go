@@ -489,7 +489,7 @@ func buildBatchRPC(tr rpc.Transport, addr string, batch []int64, cfg TrainConfig
 		if err != nil {
 			return gnn.Batch{}, err
 		}
-		samples1[i] = gnn.SampleK(rec.Neighbors, cfg.FanOut1, rng)
+		samples1[i] = gnn.SampleK(nil, rec.Neighbors, cfg.FanOut1, rng)
 		for _, u := range samples1[i] {
 			if !s1Seen[u] {
 				s1Seen[u] = true
@@ -503,7 +503,7 @@ func buildBatchRPC(tr rpc.Transport, addr string, batch []int64, cfg TrainConfig
 		if err != nil {
 			return gnn.Batch{}, err
 		}
-		samples2[u] = gnn.SampleK(rec.Neighbors, cfg.FanOut2, rng)
+		samples2[u] = gnn.SampleK(nil, rec.Neighbors, cfg.FanOut2, rng)
 	}
 
 	rowOf := make(map[int64]int32)

@@ -57,26 +57,31 @@ type Result struct {
 // with σ = ReLU and AGG ∈ {mean, max-pool}. w1 is (2·Dim)×hidden, w2 is
 // (2·hidden)×classes, both row-major.
 func Run(b Batch, w1, w2 []float64, hidden, classes int) Result {
-	x := tensor.Const(tensor.FromData(b.NumNodes, b.Dim, b.X))
+	x := tensor.FromData(b.NumNodes, b.Dim, b.X)
 	W1 := tensor.Param(tensor.FromData(2*b.Dim, hidden, append([]float64(nil), w1...)))
 	W2 := tensor.Param(tensor.FromData(2*hidden, classes, append([]float64(nil), w2...)))
 
+	pool := b.Aggregator == "pool"
 	agg := tensor.SegmentMean
-	if b.Aggregator == "pool" {
+	if pool {
 		agg = tensor.SegmentMaxPool
 	}
 
-	self1 := tensor.GatherRows(x, toInts(b.Self1))
-	agg1 := agg(x, toSegs(b.Nbrs1))
-	h1 := tensor.ReLU(tensor.MatMul(tensor.ConcatCols(self1, agg1), W1))
+	// Layer 1 reads raw features, which take no gradient: its input is
+	// written in one pass. Layer 2 reads h1 and differentiates through it.
+	in1 := tensor.Const(tensor.ConcatSelfAgg(x, b.Self1, b.Nbrs1, pool))
+	h1 := tensor.ReLU(tensor.MatMul(in1, W1))
+	in2 := tensor.ConcatCols(tensor.GatherRows(h1, b.Self2), agg(h1, b.Nbrs2))
+	return finish(b, tensor.MatMul(in2, W2), W1, W2)
+}
 
-	self2 := tensor.GatherRows(h1, toInts(b.Self2))
-	agg2 := agg(h1, toSegs(b.Nbrs2))
-	logits := tensor.MatMul(tensor.ConcatCols(self2, agg2), W2)
-
+// finish turns the logits into a Result: the arg-max predictions alone for
+// inference (no labels), else loss, predictions and the weight gradients
+// of one backward pass.
+func finish(b Batch, logits, W1, W2 *tensor.Node) Result {
 	if b.Labels == nil {
 		preds := make([]int32, logits.T.Rows)
-		for r := 0; r < logits.T.Rows; r++ {
+		for r := range preds {
 			row := logits.T.Row(r)
 			best := 0
 			for c, val := range row {
@@ -88,41 +93,21 @@ func Run(b Batch, w1, w2 []float64, hidden, classes int) Result {
 		}
 		return Result{Preds: preds}
 	}
-
-	labels := toInts(b.Labels)
-	loss, preds := tensor.SoftmaxCrossEntropy(logits, labels)
+	loss, preds := tensor.SoftmaxCrossEntropy(logits, b.Labels)
 	tensor.Backward(loss)
 	correct := 0
-	p32 := make([]int32, len(preds))
 	for i, p := range preds {
-		p32[i] = int32(p)
-		if p == labels[i] {
+		if p == b.Labels[i] {
 			correct++
 		}
 	}
 	return Result{
 		Loss:    loss.T.Data[0],
-		Preds:   p32,
+		Preds:   preds,
 		GradW1:  W1.Grad.Data,
 		GradW2:  W2.Grad.Data,
 		Correct: correct,
 	}
-}
-
-func toInts(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
-}
-
-func toSegs(segs [][]int32) [][]int {
-	out := make([][]int, len(segs))
-	for i, s := range segs {
-		out[i] = toInts(s)
-	}
-	return out
 }
 
 // XavierFlat returns Glorot-uniform initial weights for a rows×cols
@@ -156,18 +141,19 @@ func (a *Adam) Step(params, grad []float64) {
 	}
 }
 
-// SampleK draws min(k, len(ns)) distinct elements uniformly.
-func SampleK(ns []int64, k int, rng *rand.Rand) []int64 {
+// SampleK appends min(k, len(ns)) distinct elements of ns, drawn
+// uniformly, to dst and returns the extended slice; ns is not modified.
+func SampleK(dst, ns []int64, k int, rng *rand.Rand) []int64 {
+	base := len(dst)
+	dst = append(dst, ns...)
 	if len(ns) <= k {
-		out := make([]int64, len(ns))
-		copy(out, ns)
-		return out
+		return dst
 	}
-	cp := make([]int64, len(ns))
-	copy(cp, ns)
+	// Partial Fisher-Yates over the copy; its first k elements stay.
+	s := dst[base:]
 	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(cp)-i)
-		cp[i], cp[j] = cp[j], cp[i]
+		j := i + rng.Intn(len(s)-i)
+		s[i], s[j] = s[j], s[i]
 	}
-	return cp[:k]
+	return dst[:base+k]
 }

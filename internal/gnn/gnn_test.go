@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -123,18 +124,18 @@ func TestAdamConverges(t *testing.T) {
 func TestSampleK(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ns := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	got := SampleK(ns, 3, rng)
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
+	got := SampleK([]int64{-1}, ns, 3, rng)
+	if len(got) != 4 || got[0] != -1 {
+		t.Fatalf("appended sample = %v", got)
 	}
 	seen := map[int64]bool{}
-	for _, x := range got {
+	for _, x := range got[1:] {
 		if seen[x] {
 			t.Fatalf("duplicate sample %d", x)
 		}
 		seen[x] = true
 	}
-	all := SampleK(ns[:2], 5, rng)
+	all := SampleK(nil, ns[:2], 5, rng)
 	if len(all) != 2 {
 		t.Fatalf("undersized sample = %v", all)
 	}
@@ -142,6 +143,120 @@ func TestSampleK(t *testing.T) {
 	for i, x := range ns {
 		if x != int64(i+1) {
 			t.Fatal("SampleK mutated input")
+		}
+	}
+}
+
+// goldenBatch is a fixed seeded batch: 40 nodes of width 4, 12 layer-1
+// vertices (two with no neighbours, some indices repeated), 6 outputs.
+func goldenBatch(agg string) (b Batch, w1, w2 []float64) {
+	const nodes, dim, hidden, classes, l1, outs = 40, 4, 3, 3, 12, 6
+	rng := rand.New(rand.NewSource(42))
+	b = Batch{
+		X: make([]float64, nodes*dim), NumNodes: nodes, Dim: dim,
+		Self1: make([]int32, l1), Nbrs1: make([][]int32, l1),
+		Self2: make([]int32, outs), Nbrs2: make([][]int32, outs),
+		Labels: make([]int32, outs), Aggregator: agg,
+	}
+	for i := range b.X {
+		b.X[i] = rng.NormFloat64()
+	}
+	pick := func(n, bound int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(rng.Intn(bound))
+		}
+		return out
+	}
+	for i := range b.Self1 {
+		b.Self1[i] = int32(i)
+		b.Nbrs1[i] = pick(rng.Intn(5), nodes) // 0..4 neighbours
+	}
+	b.Nbrs1[3] = nil
+	for i := range b.Self2 {
+		b.Self2[i] = int32(i)
+		b.Nbrs2[i] = pick(1+rng.Intn(4), l1)
+		b.Labels[i] = int32(rng.Intn(classes))
+	}
+	b.Nbrs2[4] = nil
+	return b, XavierFlat(2*dim, hidden, rng), XavierFlat(2*hidden, classes, rng)
+}
+
+// goldenRun holds what Run returned for goldenBatch at commit 7f97525,
+// before the kernels were unrolled and the layer inputs fused.
+var goldenRun = map[string]struct {
+	loss           float64
+	preds          []int32
+	gradW1, gradW2 []float64
+}{
+	"mean": {
+		loss:  1.0099125554130597,
+		preds: []int32{1, 0, 1, 1, 2, 0},
+		gradW1: []float64{
+			0.019516121532064987, 0.11341303921875745, 0.1014814994661751, 0.109337392183247,
+			-0.05272559255265266, -0.20768823157261113, 0.018530639264046418, -0.09902703695594768,
+			-0.2008164439614229, -0.021645445444739432, 0.08150789031106445, 0.019271375221441886,
+			-0.08551976915313823, 0.06173813085678237, 0.04183901856372417, 0.03756784172047719,
+			0.05499448203475336, 0.09900176566043957, -0.0648726023374675, 0.01231413469982235,
+			0.005834947069033543, -0.018741108970090358, 0.012066963565311681, 0.04203925091814119,
+		},
+		gradW2: []float64{
+			0.016661974606545515, -0.016794682056529644, 0.0001327074499841267, -0.4938446456728426,
+			0.4645762199119107, 0.029268425760931836, -0.2420383010446267, 0.20680249478150523,
+			0.03523580626312152, -0.0017222357190711801, -0.04173876339646585, 0.04346099911553703,
+			-0.09000320436681461, 0.08600837315035086, 0.003994831216463766, -0.14290355808670321,
+			0.14005942721983916, 0.002844130866864104,
+		},
+	},
+	"pool": {
+		loss:  1.0039776378338379,
+		preds: []int32{1, 0, 1, 0, 0, 0},
+		gradW1: []float64{
+			-0.15513704307749251, 0.09232398336931465, 0.13886564610898336, -0.0495666760419875,
+			-0.08770082201821586, -0.1395282050744774, -0.012174357355942042, -0.10849539556617899,
+			-0.16621039227530612, -0.1226998085394815, 0.033178303183168556, 0.041686296032309146,
+			0.020284733700790234, 0.09558124600676506, 0.14992249590205547, 0.033650156638162024,
+			0.12247922222425822, 0.19151845097461534, 0.07663287638915924, -0.016890776210373618,
+			-0.02274017516363188, -0.1208618185046228, 0.02393040582648931, 0.03998807494883282,
+		},
+		gradW2: []float64{
+			0, 0, 0, -0.28387596532642606,
+			0.24689374361709154, 0.03698222170933452, -0.04611459611761759, 0.03211541384326043,
+			0.013999182274357142, 0.03665119334257582, -0.038420917133292896, 0.0017697237907170732,
+			0.036258280172329654, -0.045497186582455065, 0.009238906410125407, -0.09045786850588003,
+			0.08727881618076062, 0.0031790523251194083,
+		},
+	},
+}
+
+// TestRunMatchesGolden pins Run's arithmetic: unrolling may reorder the
+// additions inside a dot product, nothing more.
+func TestRunMatchesGolden(t *testing.T) {
+	close := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-9*math.Abs(want)+1e-15
+	}
+	for agg, want := range goldenRun {
+		b, w1, w2 := goldenBatch(agg)
+		got := Run(b, w1, w2, 3, 3)
+		if !close(got.Loss, want.loss) {
+			t.Errorf("%s: loss %.17g, want %.17g", agg, got.Loss, want.loss)
+		}
+		if !slices.Equal(got.Preds, want.preds) {
+			t.Errorf("%s: preds %v, want %v", agg, got.Preds, want.preds)
+		}
+		for name, pair := range map[string][2][]float64{"GradW1": {got.GradW1, want.gradW1}, "GradW2": {got.GradW2, want.gradW2}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: %s has %d values, want %d", agg, name, len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[0] {
+				if !close(pair[0][i], pair[1][i]) {
+					t.Errorf("%s: %s[%d] = %.17g, want %.17g", agg, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+		b.Labels = nil
+		if inf := Run(b, w1, w2, 3, 3); !slices.Equal(inf.Preds, want.preds) {
+			t.Errorf("%s: inference preds %v, want %v", agg, inf.Preds, want.preds)
 		}
 	}
 }

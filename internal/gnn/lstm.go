@@ -48,7 +48,7 @@ func (l lstmNodes) grads() LSTMParams {
 // an LSTM and taking the final hidden state. Variable-length segments are
 // handled with per-timestep masking: rows whose segment is exhausted keep
 // their previous hidden/cell state. Empty segments aggregate to zero.
-func segmentLSTM(x *tensor.Node, segs [][]int, l lstmNodes) *tensor.Node {
+func segmentLSTM(x *tensor.Node, segs [][]int32, l lstmNodes) *tensor.Node {
 	rows := len(segs)
 	h := l.dim
 	maxLen := 0
@@ -63,7 +63,7 @@ func segmentLSTM(x *tensor.Node, segs [][]int, l lstmNodes) *tensor.Node {
 	}
 	cState := tensor.Const(tensor.New(rows, h))
 	for t := 0; t < maxLen; t++ {
-		idx := make([]int, rows)
+		idx := make([]int32, rows)
 		mask := tensor.New(rows, h)
 		inv := tensor.New(rows, h)
 		for s, seg := range segs {
@@ -106,47 +106,15 @@ func RunLSTM(b Batch, w1, w2 []float64, l1, l2 LSTMParams, hidden, classes int) 
 	n1 := newLSTMNodes(l1, b.Dim)
 	n2 := newLSTMNodes(l2, hidden)
 
-	self1 := tensor.GatherRows(x, toInts(b.Self1))
-	agg1 := segmentLSTM(x, toSegs(b.Nbrs1), n1)
+	self1 := tensor.GatherRows(x, b.Self1)
+	agg1 := segmentLSTM(x, b.Nbrs1, n1)
 	h1 := tensor.ReLU(tensor.MatMul(tensor.ConcatCols(self1, agg1), W1))
 
-	self2 := tensor.GatherRows(h1, toInts(b.Self2))
-	agg2 := segmentLSTM(h1, toSegs(b.Nbrs2), n2)
-	logits := tensor.MatMul(tensor.ConcatCols(self2, agg2), W2)
-
-	if b.Labels == nil {
-		preds := make([]int32, logits.T.Rows)
-		for r := 0; r < logits.T.Rows; r++ {
-			row := logits.T.Row(r)
-			best := 0
-			for c, val := range row {
-				if val > row[best] {
-					best = c
-				}
-			}
-			preds[r] = int32(best)
-		}
-		return Result{Preds: preds}
+	self2 := tensor.GatherRows(h1, b.Self2)
+	agg2 := segmentLSTM(h1, b.Nbrs2, n2)
+	res := finish(b, tensor.MatMul(tensor.ConcatCols(self2, agg2), W2), W1, W2)
+	if b.Labels != nil {
+		res.GradL1, res.GradL2 = n1.grads(), n2.grads()
 	}
-
-	labels := toInts(b.Labels)
-	loss, preds := tensor.SoftmaxCrossEntropy(logits, labels)
-	tensor.Backward(loss)
-	correct := 0
-	p32 := make([]int32, len(preds))
-	for i, p := range preds {
-		p32[i] = int32(p)
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return Result{
-		Loss:    loss.T.Data[0],
-		Preds:   p32,
-		GradW1:  W1.Grad.Data,
-		GradW2:  W2.Grad.Data,
-		GradL1:  n1.grads(),
-		GradL2:  n2.grads(),
-		Correct: correct,
-	}
+	return res
 }

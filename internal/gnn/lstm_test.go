@@ -12,7 +12,7 @@ func TestSegmentLSTMShapesAndMasking(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Const(tensor.Xavier(5, 3, rng))
 	l := newLSTMNodes(XavierLSTM(3, rng), 3)
-	out := segmentLSTM(x, [][]int{{0, 1, 2}, {3}, {}}, l)
+	out := segmentLSTM(x, [][]int32{{0, 1, 2}, {3}, {}}, l)
 	if out.T.Rows != 3 || out.T.Cols != 3 {
 		t.Fatalf("shape %dx%d", out.T.Rows, out.T.Cols)
 	}
@@ -39,8 +39,8 @@ func TestSegmentLSTMOrderSensitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.Const(tensor.Xavier(4, 3, rng))
 	l := newLSTMNodes(XavierLSTM(3, rng), 3)
-	a := segmentLSTM(x, [][]int{{0, 1, 2}}, l)
-	b := segmentLSTM(x, [][]int{{2, 1, 0}}, l)
+	a := segmentLSTM(x, [][]int32{{0, 1, 2}}, l)
+	b := segmentLSTM(x, [][]int32{{2, 1, 0}}, l)
 	diff := 0.0
 	for i := range a.T.Data {
 		diff += math.Abs(a.T.Data[i] - b.T.Data[i])

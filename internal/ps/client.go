@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -357,34 +358,6 @@ func bucketMap[V any](meta *ModelMeta, m map[int64]V) []map[int64]V {
 		by[p][k] = v
 	}
 	return by
-}
-
-// pullKeyed is the pull of the two map-shaped kinds (sparse vector,
-// neighbor table): bucket the ids, pull each bucket with
-// method, merge the rows of every reply. With all set an empty bucket is
-// still sent — its nil key list asks the partition for everything.
-func pullKeyed[Resp, V any](c *Client, handle ModelMeta, method string, ids []int64, all bool, rows func(Resp) map[int64]V) (map[int64]V, error) {
-	out := make(map[int64]V, len(ids))
-	var mu sync.Mutex
-	err := routed(c, handle, ids, bucketIDs, func(cancel <-chan struct{}, p Partition, b []int64) error {
-		if len(b) == 0 && !all {
-			return nil
-		}
-		var r Resp
-		if err := c.partInvoke(cancel, handle.Name, p, method, pullReq{Model: handle.Name, Part: p.Index, Keys: b}, &r); err != nil {
-			return err
-		}
-		mu.Lock()
-		for k, v := range rows(r) {
-			out[k] = v
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // pushKeyed is the push of the same two kinds: bucket the batch, send
@@ -813,7 +786,30 @@ func (c *Client) CreateSparseVectorWithScheme(name string, scheme Scheme, size i
 // Pull fetches the given keys; absent keys are omitted from the result.
 // Nil keys fetch everything.
 func (s *SparseVec) Pull(keys []int64) (map[int64]float64, error) {
-	return pullKeyed(s.c, s.Meta, "MapPull", keys, keys == nil, func(r mapPullResp) map[int64]float64 { return r.M })
+	name := s.Meta.Name
+	out := make(map[int64]float64, len(keys))
+	var mu sync.Mutex
+	err := routed(s.c, s.Meta, keys, bucketIDs, func(cancel <-chan struct{}, p Partition, b []int64) error {
+		// An empty bucket of a nil key list is still sent: it asks the
+		// partition for everything.
+		if len(b) == 0 && keys != nil {
+			return nil
+		}
+		var r mapPullResp
+		if err := s.c.partInvoke(cancel, name, p, "MapPull", pullReq{Model: name, Part: p.Index, Keys: b}, &r); err != nil {
+			return err
+		}
+		mu.Lock()
+		for k, v := range r.M {
+			out[k] = v
+		}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PullAll fetches the entire sparse vector.
@@ -1043,10 +1039,94 @@ func (n *Nbr) Push(tables map[int64][]int64) error {
 	})
 }
 
-// Pull fetches neighbor tables for the given ids; vertices with no
-// neighbors are omitted.
+// nbrReply is the client-side decode target of one partition's NbrPull
+// reply: the batch must answer for exactly the want ids the partition was
+// asked for. A reply that does not is an error naming the model and
+// partition, raised before anything is allocated for it.
+type nbrReply struct {
+	model string
+	part  int
+	want  int
+	nbrs  NbrBatch
+}
+
+func (s *nbrReply) decode(r *wreader) error {
+	s.nbrs = r.nbrBatch(s.want)
+	if r.err != nil {
+		return fmt.Errorf("ps: %s/%d answered a neighbor pull of %d ids with a mis-shaped batch: %w", s.model, s.part, s.want, r.err)
+	}
+	return nil
+}
+
+// PullBatch fetches the adjacency of ids as one CSR batch in request
+// order: segment i is ids[i]'s neighbours, empty when the vertex is
+// unknown or has none. A repeated id is answered once per occurrence.
+func (n *Nbr) PullBatch(ids []int64) (NbrBatch, error) {
+	name := n.Meta.Name
+	type answered struct {
+		work rowWork
+		nbrs NbrBatch
+	}
+	var mu sync.Mutex
+	var parts []answered
+	err := routed(n.c, n.Meta, rowWork{ids: ids}, splitRows, func(cancel <-chan struct{}, p Partition, b rowWork) error {
+		if len(b.ids) == 0 {
+			return nil
+		}
+		r := nbrReply{model: name, part: p.Index, want: len(b.ids)}
+		if err := n.c.partInvoke(cancel, name, p, "NbrPull", pullReq{Model: name, Part: p.Index, Keys: b.ids}, &r); err != nil {
+			return err
+		}
+		mu.Lock()
+		parts = append(parts, answered{b, r.nbrs})
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return NbrBatch{}, err
+	}
+	// Partitions answer interleaved request positions with segments of
+	// varying length, so the scatter is two passes: degrees into place and
+	// a running sum, then each segment to the offset that gives it.
+	out := NbrBatch{Off: make([]int32, len(ids)+1)}
+	total := 0
+	for _, a := range parts {
+		total += len(a.nbrs.Adj)
+		for j := range a.work.ids {
+			out.Off[a.work.row(j)+1] = a.nbrs.Off[j+1] - a.nbrs.Off[j]
+		}
+	}
+	if total > math.MaxInt32 {
+		return NbrBatch{}, fmt.Errorf("ps: a pull of %d neighbours from %s does not fit one batch", total, name)
+	}
+	for i := range ids {
+		out.Off[i+1] += out.Off[i]
+	}
+	out.Adj = make([]int64, total)
+	for _, a := range parts {
+		for j := range a.work.ids {
+			copy(out.Adj[out.Off[a.work.row(j)]:], a.nbrs.Nbrs(j))
+		}
+	}
+	return out, nil
+}
+
+// Pull is PullBatch as an id → neighbours map: a repeated id crosses the
+// wire once, vertices with no neighbors are omitted, and the lists are
+// views of one block.
 func (n *Nbr) Pull(ids []int64) (map[int64][]int64, error) {
-	return pullKeyed(n.c, n.Meta, "NbrPull", ids, false, func(r nbrPullResp) map[int64][]int64 { return r.Tables })
+	uniq, _ := dedupIDs(ids)
+	b, err := n.PullBatch(uniq)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int64][]int64, len(uniq))
+	for i, id := range uniq {
+		if ns := b.Nbrs(i); len(ns) > 0 {
+			out[id] = ns
+		}
+	}
+	return out, nil
 }
 
 // Mat is a handle to a DenseMatrix model (e.g. GNN layer weights).

@@ -147,8 +147,31 @@ type nbrPushReq struct {
 	Tables map[int64][]int64
 }
 
+// NbrBatch is the adjacency of a list of vertices in CSR form: vertex i
+// of the list has neighbours Adj[Off[i]:Off[i+1]], Off[0] = 0. It is the
+// payload of a Neighbor pull from the engine's CSR arrays to the caller:
+// one offsets array and one flat neighbour array, however many vertices.
+// The vertices themselves are not part of it — the request lists them, the
+// batch answers in request order — and one that is unknown or has no
+// neighbours is a zero-length segment. The zero value is the empty batch.
+type NbrBatch struct {
+	Off []int32
+	Adj []int64
+}
+
+// Len returns the number of vertices the batch answers for.
+func (b NbrBatch) Len() int { return max(len(b.Off)-1, 0) }
+
+// Nbrs returns the neighbours of vertex i as a view of Adj, capped so that
+// an append to it reallocates instead of writing into vertex i+1's.
+func (b NbrBatch) Nbrs(i int) []int64 {
+	lo, hi := b.Off[i], b.Off[i+1]
+	return b.Adj[lo:hi:hi]
+}
+
+// nbrPullResp answers the request's keys in request order.
 type nbrPullResp struct {
-	Tables map[int64][]int64
+	Nbrs NbrBatch
 }
 
 type matPullResp struct {

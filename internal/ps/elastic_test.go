@@ -35,8 +35,8 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	if de.state != nbrSealed {
 		t.Fatalf("destination of a sealed export is not sealed")
 	}
-	if got := de.csrLookup(1); !reflect.DeepEqual(got, []int64{2, 3}) {
-		t.Fatalf("csrLookup(1) = %v, want [2 3]", got)
+	if got, err := de.pull(pullReq{Keys: []int64{1}}); err != nil || !reflect.DeepEqual(got.Nbrs.Adj, []int64{2, 3}) {
+		t.Fatalf("pull(1) = %v, %v, want [2 3]", got.Nbrs, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -39,6 +40,10 @@ func newNbrEngine(base engineBase) *nbrEngine {
 	return &nbrEngine{engineBase: base, nbr: make(map[int64][]int64)}
 }
 
+// pull answers the request's keys, in request order, as one CSR batch:
+// two allocations however many keys, segments copied out of the CSR array
+// (or the building-state map). An id the partition does not hold is a
+// zero-length segment.
 func (e *nbrEngine) pull(req pullReq) (nbrPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -47,25 +52,34 @@ func (e *nbrEngine) pull(req pullReq) (nbrPullResp, error) {
 			return nbrPullResp{}, err
 		}
 	}
-	out := make(map[int64][]int64, len(req.Keys))
-	if e.state == nbrSealed {
-		for _, id := range req.Keys {
-			if ns := e.csrLookup(id); ns != nil {
-				cp := make([]int64, len(ns))
-				copy(cp, ns)
-				out[id] = cp
-			}
+	// The first pass sizes the reply and parks each key's CSR slot (-1:
+	// absent) in the offset it will own; the second replaces the slot with
+	// the offset as it copies the segment, so every key is searched once.
+	off := make([]int32, len(req.Keys)+1)
+	total := 0
+	for i, id := range req.Keys {
+		slot := -1
+		if e.state != nbrSealed {
+			total += len(e.nbr[id])
+		} else if j, ok := slices.BinarySearch(e.csrIDs, id); ok {
+			slot = j
+			total += int(e.csrOff[j+1] - e.csrOff[j])
 		}
-		return nbrPullResp{Tables: out}, nil
+		off[i+1] = int32(slot)
 	}
-	for _, id := range req.Keys {
-		if ns, ok := e.nbr[id]; ok {
-			cp := make([]int64, len(ns))
-			copy(cp, ns)
-			out[id] = cp
+	if total > math.MaxInt32 || len(e.csrIDs) > math.MaxInt32 {
+		return nbrPullResp{}, fmt.Errorf("ps: model %q partition %d: a pull of %d neighbours does not fit one batch", req.Model, req.Part, total)
+	}
+	adj := make([]int64, 0, total)
+	for i, id := range req.Keys {
+		if e.state != nbrSealed {
+			adj = append(adj, e.nbr[id]...)
+		} else if j := off[i+1]; j >= 0 {
+			adj = append(adj, e.csrAdj[e.csrOff[j]:e.csrOff[j+1]]...)
 		}
+		off[i+1] = int32(len(adj))
 	}
-	return nbrPullResp{Tables: out}, nil
+	return nbrPullResp{Nbrs: NbrBatch{Off: off, Adj: adj}}, nil
 }
 
 func (e *nbrEngine) push(req nbrPushReq) error {
@@ -83,17 +97,6 @@ func (e *nbrEngine) push(req nbrPushReq) error {
 		e.nbr[id] = append(e.nbr[id], ns...)
 	}
 	return nil
-}
-
-// csrLookup returns the adjacency of id from the CSR form, or nil.
-// Callers hold e.mu.
-func (e *nbrEngine) csrLookup(id int64) []int64 {
-	n := len(e.csrIDs)
-	i := sort.Search(n, func(i int) bool { return e.csrIDs[i] >= id })
-	if i >= n || e.csrIDs[i] != id {
-		return nil
-	}
-	return e.csrAdj[e.csrOff[i]:e.csrOff[i+1]]
 }
 
 // lockMap acquires the write lock and exposes the build-form adjacency

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,7 @@ func pullEverything(t *testing.T, e engine, img partImage) any {
 	for id := range img.Nbr {
 		ids = append(ids, id)
 	}
+	slices.Sort(ids) // a Neighbor pull answers in request order
 	var out any
 	var err error
 	switch e := e.(type) {

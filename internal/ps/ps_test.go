@@ -1190,6 +1190,10 @@ func TestClientCommCounters(t *testing.T) {
 	}
 }
 
+// gobTagged makes the liar server of TestMisshapedReplyIsAnError answer
+// with msg behind the gob tag instead of its binary form.
+type gobTagged struct{ msg any }
+
 // TestMisshapedReplyIsAnError: a pull reply comes from another process,
 // so a short or mis-shaped one must surface as an error naming the model
 // and partition — it used to index out of range and take the executor
@@ -1221,11 +1225,21 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nb, err := cl.CreateNeighbor("rn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs := func(adj []int64, off ...int32) nbrPullResp {
+		return nbrPullResp{Nbrs: NbrBatch{Off: off, Adj: adj}}
+	}
 	rows := func(dim int, data []float64, ids ...int64) RowBatch {
 		return RowBatch{IDs: ids, Dim: dim, Data: data}
 	}
 	var reply any
 	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
+		if g, ok := reply.(gobTagged); ok {
+			return encGob(g.msg), nil
+		}
 		return enc(reply), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -1276,6 +1290,16 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
 		{"matrix, inverted columns", matPullResp{Col0: 2, Col1: 1},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
+		{"neighbor, too few segments", nbrs([]int64{7}, 0, 1),
+			func() error { _, err := nb.PullBatch([]int64{1, 2}); return err }, "rn/0"},
+		{"neighbor, too many segments", nbrs([]int64{7}, 0, 1, 1, 1),
+			func() error { _, err := nb.Pull([]int64{1, 2}); return err }, "rn/0"},
+		{"neighbor, offsets past the neighbours", nbrs([]int64{7}, 0, 1, 4),
+			func() error { _, err := nb.PullBatch([]int64{1, 2}); return err }, "rn/0"},
+		{"neighbor, a reply of another message type", mapPullResp{},
+			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "message id"},
+		{"neighbor, a gob-tagged reply", gobTagged{nbrs([]int64{7}, 0, 1)},
+			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "gob"},
 	} {
 		reply = tc.reply
 		err := tc.pull()

@@ -176,6 +176,18 @@ func appendRowBatch(b []byte, rb RowBatch) []byte {
 	return appendF64s(b, rb.Data)
 }
 
+// appendNbrBatch encodes a neighbour batch: the vertex count, every
+// vertex's degree, and the whole neighbour array as one delta-coded block
+// (layout: DESIGN.md §6). Offsets are not on the wire, so what a decoder
+// rebuilds from the degrees is monotone by construction.
+func appendNbrBatch(b []byte, nb NbrBatch) []byte {
+	b = binary.AppendUvarint(b, uint64(nb.Len()))
+	for i := 0; i < nb.Len(); i++ {
+		b = binary.AppendUvarint(b, uint64(nb.Off[i+1]-nb.Off[i]))
+	}
+	return appendI64s(b, nb.Adj)
+}
+
 func appendMapI64s(b []byte, m map[int64][]int64) []byte {
 	if m == nil {
 		return binary.AppendUvarint(b, 0)
@@ -408,6 +420,48 @@ func (r *wreader) rowBatch() RowBatch {
 	return rb
 }
 
+// nbrBatch decodes appendNbrBatch's layout; want >= 0 is the number of
+// vertices the reply must answer for. Before anything is allocated the
+// degrees are walked once: each, and their sum, must fit the neighbour
+// count that follows them, which sliceLen bounds by the bytes present.
+func (r *wreader) nbrBatch(want int) NbrBatch {
+	n := r.uvarint()
+	switch {
+	case r.err != nil:
+	case want >= 0 && n != uint64(want):
+		r.err = fmt.Errorf("ps: wire: neighbour batch answers for %d vertices, want %d", n, want)
+	case n > uint64(len(r.b)-r.off): // a degree takes at least one byte
+		r.fail()
+	}
+	degrees := r.off
+	var total uint64
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		d := r.uvarint()
+		if d > uint64(len(r.b)) {
+			r.fail()
+		}
+		total += d
+	}
+	adj := r.off
+	if cnt, _ := r.sliceLen(); r.err == nil && (cnt > math.MaxInt32 || total != uint64(cnt)) {
+		r.err = fmt.Errorf("ps: wire: neighbour batch degrees sum to %d for %d neighbours", total, cnt)
+	}
+	if r.err != nil {
+		return NbrBatch{}
+	}
+	var nb NbrBatch
+	if n > 0 {
+		nb.Off = make([]int32, n+1)
+		r.off = degrees
+		for i := range nb.Off[1:] {
+			nb.Off[i+1] = nb.Off[i] + int32(r.uvarint())
+		}
+	}
+	r.off = adj
+	nb.Adj = r.i64s()
+	return nb
+}
+
 func (r *wreader) mapI64s() map[int64][]int64 {
 	n, ok := r.sliceLen()
 	if !ok {
@@ -462,7 +516,7 @@ func binSizeHint(v any) int {
 	case embPushReq:
 		return 32 + len(m.Model) + rowBatchHint(m.Rows)
 	case nbrPullResp:
-		return 16 + mapI64sHint(m.Tables)
+		return 32 + 5*len(m.Nbrs.Off) + 10*len(m.Nbrs.Adj)
 	case nbrPushReq:
 		return 32 + len(m.Model) + mapI64sHint(m.Tables)
 	case matPullResp:
@@ -530,7 +584,7 @@ func encBinary(v any) ([]byte, bool) {
 		b = appendBool(b, m.Set)
 	case nbrPullResp:
 		b = append(b, msgNbrPullResp)
-		b = appendMapI64s(b, m.Tables)
+		b = appendNbrBatch(b, m.Nbrs)
 	case nbrPushReq:
 		b = append(b, msgNbrPushReq)
 		b = appendAddr(b, m.Model, m.Part)
@@ -643,7 +697,14 @@ func decBinary(data []byte, v any) error {
 	case *nbrPullResp:
 		want = msgNbrPullResp
 		if id == want {
-			m.Tables = r.mapI64s()
+			m.Nbrs = r.nbrBatch(-1)
+		}
+	case *nbrReply:
+		want = msgNbrPullResp
+		if id == want {
+			if err := m.decode(&r); err != nil {
+				return err
+			}
 		}
 	case *nbrPushReq:
 		want = msgNbrPushReq

@@ -89,7 +89,9 @@ func hotMessages() []any {
 		embPullResp{},
 		embPushReq{Model: "emb", Part: 0, Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{0.5, -0.5}}, Grad: true, Set: false},
 		embPushReq{Model: "emb", Part: 1, Rows: RowBatch{IDs: []int64{9, 9}, Dim: 0}, Set: true},
-		nbrPullResp{Tables: map[int64][]int64{1: {2, 3}, 4: {}, 5: nil}},
+		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 2, 2, 3}, Adj: []int64{2, 3, -9}}},
+		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 0}, Adj: []int64{}}},
+		nbrPullResp{},
 		nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{8: {9}}},
 		matPullResp{Col0: 2, Col1: 5, Data: []float64{nan, 1, 2, 3, 4, 5}},
 		matPushReq{Model: "w", Part: 1, Data: []float64{1, inf}, Grad: false, Set: true},

@@ -7,7 +7,9 @@ import (
 
 // Node is a vertex of the reverse-mode computation graph. Operations on
 // nodes record a backward closure; Backward propagates gradients to every
-// reachable parameter node.
+// reachable parameter node. A parameter owns its Grad from creation; an
+// intermediate result gets one when Backward reaches it, so a forward-only
+// evaluation allocates no gradient storage.
 type Node struct {
 	T        *Tensor
 	Grad     *Tensor
@@ -37,11 +39,7 @@ func needGrad(nodes ...*Node) bool {
 }
 
 func newResult(t *Tensor, prev ...*Node) *Node {
-	n := &Node{T: t, prev: prev, requires: needGrad(prev...)}
-	if n.requires {
-		n.Grad = New(t.Rows, t.Cols)
-	}
-	return n
+	return &Node{T: t, prev: prev, requires: needGrad(prev...)}
 }
 
 // MatMul returns a @ b.
@@ -50,10 +48,10 @@ func MatMul(a, b *Node) *Node {
 	if out.requires {
 		out.back = func() {
 			if a.requires {
-				a.Grad.AddInPlace(out.Grad.MatMul(b.T.Transpose()))
+				a.Grad.addABT(out.Grad, b.T)
 			}
 			if b.requires {
-				b.Grad.AddInPlace(a.T.Transpose().MatMul(out.Grad))
+				b.Grad.addATB(a.T, out.Grad)
 			}
 		}
 	}
@@ -110,21 +108,22 @@ func AddRowVec(a, b *Node) *Node {
 	return out
 }
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise. Both directions are branch-free:
+// the sign of an activation is a coin toss to the branch predictor.
 func ReLU(a *Node) *Node {
-	t := a.T.Clone()
-	for i, x := range t.Data {
-		if x < 0 {
-			t.Data[i] = 0
-		}
+	t := New(a.T.Rows, a.T.Cols)
+	for i, x := range a.T.Data {
+		t.Data[i] = max(x, 0)
 	}
 	out := newResult(t, a)
 	if out.requires {
 		out.back = func() {
-			for i, x := range a.T.Data {
-				if x > 0 {
-					a.Grad.Data[i] += out.Grad.Data[i]
-				}
+			g, dst := out.Grad.Data[:len(t.Data)], a.Grad.Data[:len(t.Data)]
+			for i, y := range t.Data {
+				// y is +0 or positive: all ones exactly when it has a bit set.
+				u := math.Float64bits(y)
+				pos := uint64(int64(u|-u) >> 63)
+				dst[i] += math.Float64frombits(math.Float64bits(g[i]) & pos)
 			}
 		}
 	}
@@ -199,16 +198,16 @@ func ConcatCols(a, b *Node) *Node {
 }
 
 // GatherRows selects rows of a by index (rows may repeat).
-func GatherRows(a *Node, idx []int) *Node {
+func GatherRows(a *Node, idx []int32) *Node {
 	t := New(len(idx), a.T.Cols)
 	for r, i := range idx {
-		copy(t.Row(r), a.T.Row(i))
+		copy(t.Row(r), a.T.Row(int(i)))
 	}
 	out := newResult(t, a)
 	if out.requires {
 		out.back = func() {
 			for r, i := range idx {
-				dst := a.Grad.Row(i)
+				dst := a.Grad.Row(int(i))
 				src := out.Grad.Row(r)
 				for c := range dst {
 					dst[c] += src[c]
@@ -219,26 +218,57 @@ func GatherRows(a *Node, idx []int) *Node {
 	return out
 }
 
-// SegmentMean averages groups of rows of a: output row s is the mean of
-// rows segs[s]. Empty segments produce zero rows (a vertex with no sampled
-// neighbors aggregates to zero, as in GraphSage).
-func SegmentMean(a *Node, segs [][]int) *Node {
-	t := New(len(segs), a.T.Cols)
-	for s, rows := range segs {
-		if len(rows) == 0 {
-			continue
+// meanInto writes the mean of rows idx of a into dst (a.Cols wide); no
+// rows give zeros (a vertex with no sampled neighbors aggregates to zero,
+// as in GraphSage).
+func meanInto(dst []float64, a *Tensor, idx []int32) {
+	if len(idx) == 0 {
+		clear(dst)
+		return
+	}
+	copy(dst, a.Row(int(idx[0])))
+	for _, r := range idx[1:] {
+		src := a.Row(int(r))[:len(dst)]
+		for c := range dst {
+			dst[c] += src[c]
 		}
-		dst := t.Row(s)
-		for _, r := range rows {
-			src := a.T.Row(r)
-			for c := range dst {
-				dst[c] += src[c]
+	}
+	inv := 1 / float64(len(idx))
+	for c := range dst {
+		dst[c] *= inv
+	}
+}
+
+// maxInto writes the column-wise maximum of rows idx of a into dst and,
+// when arg is non-nil, the row each maximum came from; no rows give zeros.
+func maxInto(dst []float64, arg []int32, a *Tensor, idx []int32) {
+	if len(idx) == 0 {
+		clear(dst)
+		return
+	}
+	copy(dst, a.Row(int(idx[0])))
+	for c := range arg {
+		arg[c] = idx[0]
+	}
+	for _, r := range idx[1:] {
+		src := a.Row(int(r))[:len(dst)]
+		for c, x := range src {
+			if x > dst[c] {
+				dst[c] = x
+				if arg != nil {
+					arg[c] = r
+				}
 			}
 		}
-		inv := 1 / float64(len(rows))
-		for c := range dst {
-			dst[c] *= inv
-		}
+	}
+}
+
+// SegmentMean averages groups of rows of a: output row s is the mean of
+// rows segs[s]. Empty segments produce zero rows.
+func SegmentMean(a *Node, segs [][]int32) *Node {
+	t := New(len(segs), a.T.Cols)
+	for s, rows := range segs {
+		meanInto(t.Row(s), a.T, rows)
 	}
 	out := newResult(t, a)
 	if out.requires {
@@ -250,7 +280,7 @@ func SegmentMean(a *Node, segs [][]int) *Node {
 				g := out.Grad.Row(s)
 				inv := 1 / float64(len(rows))
 				for _, r := range rows {
-					dst := a.Grad.Row(r)
+					dst := a.Grad.Row(int(r))
 					for c := range dst {
 						dst[c] += g[c] * inv
 					}
@@ -263,39 +293,23 @@ func SegmentMean(a *Node, segs [][]int) *Node {
 
 // SegmentMaxPool max-pools groups of rows of a (the pooling aggregator of
 // GraphSage). Empty segments produce zero rows.
-func SegmentMaxPool(a *Node, segs [][]int) *Node {
-	t := New(len(segs), a.T.Cols)
-	argmax := make([][]int, len(segs))
+func SegmentMaxPool(a *Node, segs [][]int32) *Node {
+	cols := a.T.Cols
+	t := New(len(segs), cols)
+	argmax := make([]int32, len(segs)*cols)
 	for s, rows := range segs {
-		if len(rows) == 0 {
-			continue
-		}
-		dst := t.Row(s)
-		arg := make([]int, a.T.Cols)
-		for c := range dst {
-			dst[c] = math.Inf(-1)
-		}
-		for _, r := range rows {
-			src := a.T.Row(r)
-			for c, x := range src {
-				if x > dst[c] {
-					dst[c] = x
-					arg[c] = r
-				}
-			}
-		}
-		argmax[s] = arg
+		maxInto(t.Row(s), argmax[s*cols:(s+1)*cols], a.T, rows)
 	}
 	out := newResult(t, a)
 	if out.requires {
 		out.back = func() {
-			for s, arg := range argmax {
-				if arg == nil {
+			for s, rows := range segs {
+				if len(rows) == 0 {
 					continue
 				}
 				g := out.Grad.Row(s)
-				for c, r := range arg {
-					a.Grad.Row(r)[c] += g[c]
+				for c, r := range argmax[s*cols : (s+1)*cols] {
+					a.Grad.Row(int(r))[c] += g[c]
 				}
 			}
 		}
@@ -303,16 +317,39 @@ func SegmentMaxPool(a *Node, segs [][]int) *Node {
 	return out
 }
 
+// ConcatSelfAgg returns [a[self] | AGG(a[segs])], the left operand of a
+// GraphSage layer, for an input that takes no gradient: each row is
+// written once, straight into place, where ConcatCols(GatherRows(a, self),
+// SegmentMean(a, segs)) — the differentiable form — builds and copies
+// three tensors. AGG is the mean, or the column-wise maximum with pool.
+func ConcatSelfAgg(a *Tensor, self []int32, segs [][]int32, pool bool) *Tensor {
+	if len(self) != len(segs) {
+		panic(fmt.Sprintf("tensor: %d self rows for %d segments", len(self), len(segs)))
+	}
+	c := a.Cols
+	t := New(len(self), 2*c)
+	for r, i := range self {
+		row := t.Row(r)
+		copy(row[:c], a.Row(int(i)))
+		if pool {
+			maxInto(row[c:], nil, a, segs[r])
+		} else {
+			meanInto(row[c:], a, segs[r])
+		}
+	}
+	return t
+}
+
 // SoftmaxCrossEntropy returns the mean cross-entropy loss of logits
 // against integer labels, as a 1×1 node, along with the predicted class of
 // every row.
-func SoftmaxCrossEntropy(logits *Node, labels []int) (*Node, []int) {
+func SoftmaxCrossEntropy(logits *Node, labels []int32) (*Node, []int32) {
 	n := logits.T.Rows
 	if len(labels) != n {
 		panic(fmt.Sprintf("tensor: %d labels for %d rows", len(labels), n))
 	}
 	probs := New(n, logits.T.Cols)
-	preds := make([]int, n)
+	preds := make([]int32, n)
 	var loss float64
 	for r := 0; r < n; r++ {
 		row := logits.T.Row(r)
@@ -320,7 +357,7 @@ func SoftmaxCrossEntropy(logits *Node, labels []int) (*Node, []int) {
 		for c, x := range row {
 			if x > maxv {
 				maxv = x
-				preds[r] = c
+				preds[r] = int32(c)
 			}
 		}
 		var sum float64
@@ -344,7 +381,7 @@ func SoftmaxCrossEntropy(logits *Node, labels []int) (*Node, []int) {
 				p := probs.Row(r)
 				for c := range g {
 					y := 0.0
-					if c == labels[r] {
+					if c == int(labels[r]) {
 						y = 1
 					}
 					g[c] += scale * (p[c] - y)
@@ -379,6 +416,11 @@ func Backward(root *Node) {
 		order = append(order, n)
 	}
 	visit(root)
+	for _, n := range order {
+		if n.Grad == nil {
+			n.Grad = New(n.T.Rows, n.T.Cols)
+		}
+	}
 	root.Grad.Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		if order[i].back != nil {

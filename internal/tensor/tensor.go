@@ -61,9 +61,11 @@ func (t *Tensor) Row(r int) []float64 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	out := New(t.Rows, t.Cols)
-	copy(out.Data, t.Data)
-	return out
+	// make followed at once by copy: the runtime allocates the block
+	// without zeroing what the copy overwrites.
+	data := make([]float64, len(t.Data))
+	copy(data, t.Data)
+	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: data}
 }
 
 // AddInPlace adds o element-wise.
@@ -93,21 +95,100 @@ func (t *Tensor) MatMul(o *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", t.Rows, t.Cols, o.Rows, o.Cols))
 	}
 	out := New(t.Rows, o.Cols)
-	// i-k-j order keeps the inner loop sequential over both operands.
+	n := o.Cols
+	if n == 0 {
+		return out
+	}
+	// i-k-j order keeps the inner loop sequential over both operands; k
+	// is unrolled by four so that each pass over the (narrow) output row
+	// does four multiply-adds per load and store of it, and the four rows
+	// of o are re-sliced to the output row's length so the inner loop
+	// carries no bounds checks.
 	for i := 0; i < t.Rows; i++ {
 		ti := t.Data[i*t.Cols : (i+1)*t.Cols]
-		oi := out.Data[i*o.Cols : (i+1)*o.Cols]
-		for k, a := range ti {
+		oi := out.Data[i*n : (i+1)*n]
+		k := 0
+		for ; k+4 <= len(ti); k += 4 {
+			a0, a1, a2, a3 := ti[k], ti[k+1], ti[k+2], ti[k+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			b := o.Data[k*n : (k+4)*n]
+			b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+			b0, b1, b2, b3 = b0[:len(oi)], b1[:len(oi)], b2[:len(oi)], b3[:len(oi)]
+			for j := range oi {
+				oi[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; k < len(ti); k++ {
+			a := ti[k]
 			if a == 0 {
 				continue
 			}
-			ok := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j, b := range ok {
-				oi[j] += a * b
+			bk := o.Data[k*n : (k+1)*n]
+			bk = bk[:len(oi)]
+			for j := range oi {
+				oi[j] += a * bk[j]
 			}
 		}
 	}
 	return out
+}
+
+// addATB accumulates aᵀ @ g into t (the right operand's gradient of a
+// matmul) row by row of a and g, without materialising aᵀ: t is small
+// (weights) and stays in cache while a and g stream through once.
+func (t *Tensor) addATB(a, g *Tensor) {
+	if a.Rows != g.Rows || t.Rows != a.Cols || t.Cols != g.Cols {
+		panic(fmt.Sprintf("tensor: (%dx%d)ᵀ @ %dx%d into %dx%d", a.Rows, a.Cols, g.Rows, g.Cols, t.Rows, t.Cols))
+	}
+	n := g.Cols
+	i := 0
+	// Four rows per pass: four multiply-adds per load and store of t.
+	for ; i+4 <= a.Rows; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		g0, g1, g2, g3 := g.Row(i), g.Row(i+1), g.Row(i+2), g.Row(i+3)
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		g1, g2, g3 = g1[:len(g0)], g2[:len(g0)], g3[:len(g0)]
+		for k, v0 := range a0 {
+			v1, v2, v3 := a1[k], a2[k], a3[k]
+			tk := t.Data[k*n : (k+1)*n]
+			tk = tk[:len(g0)]
+			for j, x0 := range g0 {
+				tk[j] += v0*x0 + v1*g1[j] + v2*g2[j] + v3*g3[j]
+			}
+		}
+	}
+	for ; i < a.Rows; i++ {
+		gi := g.Row(i)
+		for k, v := range a.Row(i) {
+			tk := t.Data[k*n : (k+1)*n]
+			tk = tk[:len(gi)]
+			for j, x := range gi {
+				tk[j] += v * x
+			}
+		}
+	}
+}
+
+// addABT accumulates g @ bᵀ into t (the left operand's gradient of a
+// matmul): element (i, k) gains the dot product of row i of g and row k
+// of b, both contiguous.
+func (t *Tensor) addABT(g, b *Tensor) {
+	if g.Cols != b.Cols || t.Rows != g.Rows || t.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: %dx%d @ (%dx%d)ᵀ into %dx%d", g.Rows, g.Cols, b.Rows, b.Cols, t.Rows, t.Cols))
+	}
+	for i := 0; i < g.Rows; i++ {
+		gi, ti := g.Row(i), t.Row(i)
+		for k := range ti {
+			bk := b.Row(k)[:len(gi)]
+			var dot float64
+			for j, gv := range gi {
+				dot += gv * bk[j]
+			}
+			ti[k] += dot
+		}
+	}
 }
 
 // Transpose returns tᵀ.

@@ -108,7 +108,7 @@ func TestGradMatMulChain(t *testing.T) {
 	w1 := Param(Xavier(3, 4, rng))
 	w2 := Param(Xavier(4, 2, rng))
 	x := Const(Xavier(5, 3, rng))
-	labels := []int{0, 1, 1, 0, 1}
+	labels := []int32{0, 1, 1, 0, 1}
 	loss := func() *Node {
 		ZeroGrad(w1, w2)
 		h := ReLU(MatMul(x, w1))
@@ -124,7 +124,7 @@ func TestGradBiasAndSigmoid(t *testing.T) {
 	w := Param(Xavier(3, 2, rng))
 	b := Param(Xavier(1, 2, rng))
 	x := Const(Xavier(4, 3, rng))
-	labels := []int{0, 1, 0, 1}
+	labels := []int32{0, 1, 0, 1}
 	loss := func() *Node {
 		ZeroGrad(w, b)
 		h := Sigmoid(AddRowVec(MatMul(x, w), b))
@@ -138,9 +138,9 @@ func TestGradConcatGatherSegmentMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := Param(Xavier(6, 3, rng))
 	x := Const(Xavier(4, 3, rng))
-	segs := [][]int{{0, 1}, {2}, {1, 2, 3}}
-	idx := []int{0, 2, 3}
-	labels := []int{0, 2, 1}
+	segs := [][]int32{{0, 1}, {2}, {1, 2, 3}}
+	idx := []int32{0, 2, 3}
+	labels := []int32{0, 2, 1}
 	loss := func() *Node {
 		ZeroGrad(w)
 		agg := SegmentMean(Const(x.T), segs) // constant path
@@ -160,9 +160,9 @@ func TestGradThroughSegmentMeanOfHidden(t *testing.T) {
 	w1 := Param(Xavier(3, 4, rng))
 	w2 := Param(Xavier(8, 2, rng))
 	x := Const(Xavier(5, 3, rng))
-	segs := [][]int{{1, 2}, {0, 3, 4}}
-	idx := []int{0, 4}
-	labels := []int{1, 0}
+	segs := [][]int32{{1, 2}, {0, 3, 4}}
+	idx := []int32{0, 4}
+	labels := []int32{1, 0}
 	loss := func() *Node {
 		ZeroGrad(w1, w2)
 		h1 := ReLU(MatMul(x, w1))
@@ -179,7 +179,7 @@ func TestGradTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := Param(Xavier(2, 2, rng))
 	x := Const(Xavier(3, 2, rng))
-	labels := []int{0, 1, 0}
+	labels := []int32{0, 1, 0}
 	loss := func() *Node {
 		ZeroGrad(w)
 		l, _ := SoftmaxCrossEntropy(Tanh(MatMul(x, w)), labels)
@@ -192,8 +192,8 @@ func TestGradSegmentMaxPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	w := Param(Xavier(3, 3, rng))
 	x := Const(Xavier(4, 3, rng))
-	segs := [][]int{{0, 1, 2}, {2, 3}}
-	labels := []int{0, 2}
+	segs := [][]int32{{0, 1, 2}, {2, 3}}
+	labels := []int32{0, 2}
 	loss := func() *Node {
 		ZeroGrad(w)
 		h := MatMul(x, w)
@@ -208,7 +208,7 @@ func TestGradAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Param(Xavier(2, 3, rng))
 	b := Param(Xavier(2, 3, rng))
-	labels := []int{0, 2}
+	labels := []int32{0, 2}
 	loss := func() *Node {
 		ZeroGrad(a, b)
 		l, _ := SoftmaxCrossEntropy(Add(a, b), labels)
@@ -219,7 +219,7 @@ func TestGradAdd(t *testing.T) {
 
 func TestSoftmaxCrossEntropyPredictions(t *testing.T) {
 	logits := Const(FromData(2, 3, []float64{5, 1, 1, 0, 0, 9}))
-	loss, preds := SoftmaxCrossEntropy(logits, []int{0, 2})
+	loss, preds := SoftmaxCrossEntropy(logits, []int32{0, 2})
 	if preds[0] != 0 || preds[1] != 2 {
 		t.Fatalf("preds = %v", preds)
 	}
@@ -230,7 +230,7 @@ func TestSoftmaxCrossEntropyPredictions(t *testing.T) {
 
 func TestSegmentMeanEmptySegment(t *testing.T) {
 	x := Const(FromData(2, 2, []float64{1, 2, 3, 4}))
-	out := SegmentMean(x, [][]int{{}, {0, 1}})
+	out := SegmentMean(x, [][]int32{{}, {0, 1}})
 	if out.T.At(0, 0) != 0 || out.T.At(0, 1) != 0 {
 		t.Fatalf("empty segment not zero: %v", out.T.Row(0))
 	}
@@ -246,7 +246,7 @@ func TestTrainXORConverges(t *testing.T) {
 	b1 := Param(New(1, 8))
 	w2 := Param(Xavier(8, 2, rng))
 	x := Const(FromData(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1}))
-	labels := []int{0, 1, 1, 0}
+	labels := []int32{0, 1, 1, 0}
 	var lastLoss float64
 	for epoch := 0; epoch < 2000; epoch++ {
 		ZeroGrad(w1, b1, w2)
@@ -289,7 +289,7 @@ func TestGradMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := Param(Xavier(2, 3, rng))
 	b := Param(Xavier(2, 3, rng))
-	labels := []int{0, 2}
+	labels := []int32{0, 2}
 	loss := func() *Node {
 		ZeroGrad(a, b)
 		l, _ := SoftmaxCrossEntropy(Mul(a, b), labels)
@@ -302,7 +302,7 @@ func TestGradSliceCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	w := Param(Xavier(3, 6, rng))
 	x := Const(Xavier(2, 3, rng))
-	labels := []int{0, 1}
+	labels := []int32{0, 1}
 	loss := func() *Node {
 		ZeroGrad(w)
 		h := MatMul(x, w) // 2x6
@@ -321,4 +321,70 @@ func TestSliceColsPanicsOnBadRange(t *testing.T) {
 		}
 	}()
 	SliceCols(Param(New(2, 4)), 3, 2)
+}
+
+// TestMatMulKernelsMatchReference checks the unrolled forward kernel and
+// the two accumulate-in-place backward kernels against the plain triple
+// loop and the materialised transposes they replaced, on shapes that
+// exercise every remainder loop and on inputs with zero runs.
+func TestMatMulKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range [][3]int{{1, 1, 1}, {2, 4, 3}, {5, 7, 3}, {6, 9, 16}, {7, 32, 16}, {3, 5, 0}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b, g := Xavier(m, k, rng), Xavier(k, n, rng), Xavier(m, n, rng)
+		for i := range a.Data {
+			if rng.Intn(3) == 0 {
+				a.Data[i] = 0
+			}
+		}
+		if k >= 4 {
+			clear(a.Row(0)[:4])
+		}
+		want := New(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				for x := 0; x < k; x++ {
+					want.Data[i*n+j] += a.At(i, x) * b.At(x, j)
+				}
+			}
+		}
+		same := func(name string, got, want *Tensor) {
+			t.Helper()
+			got.mustSameShape(want)
+			for i := range want.Data {
+				if !almost(got.Data[i], want.Data[i], 1e-12) {
+					t.Fatalf("%dx%dx%d %s[%d] = %v, want %v", m, k, n, name, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		same("a@b", a.MatMul(b), want)
+		// Both kernels accumulate: start from a non-zero destination.
+		gb, ga := Xavier(k, n, rng), Xavier(m, k, rng)
+		wantB, wantA := gb.Clone(), ga.Clone()
+		wantB.AddInPlace(a.Transpose().MatMul(g))
+		wantA.AddInPlace(g.MatMul(b.Transpose()))
+		gb.addATB(a, g)
+		ga.addABT(g, b)
+		same("aᵀ@g", gb, wantB)
+		same("g@bᵀ", ga, wantA)
+	}
+}
+
+// BenchmarkMatMulNarrow times the two kernels that dominate a GraphSage
+// step at the benchmark's shape: 256 targets × (1 + 10 hop-1 samples) rows
+// of [x_self | mean] (32 wide) against a 32×16 weight matrix.
+func BenchmarkMatMulNarrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, w, g := Xavier(2816, 32, rng), Xavier(32, 16, rng), Xavier(2816, 16, rng)
+	b.Run("forward", func(b *testing.B) {
+		for b.Loop() {
+			x.MatMul(w)
+		}
+	})
+	b.Run("aTg", func(b *testing.B) {
+		grad := New(32, 16)
+		for b.Loop() {
+			grad.addATB(x, g)
+		}
+	})
 }
