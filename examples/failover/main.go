@@ -31,7 +31,7 @@ func main() {
 		RestartDelay:    200 * time.Millisecond,
 	}
 	if *live {
-		cfg.Replicate = true                     // every partition has a backup
+		cfg.Replicate = true                      // every partition has a backup
 		cfg.LeaseDuration = 50 * time.Millisecond // lease expiry = immediate failover
 		cfg.MonitorInterval = 0
 		cfg.RestartDelay = 5 * time.Second // never waited out: backups promote in place

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"psgraph/internal/dataflow"
@@ -135,8 +136,8 @@ func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (
 	addTwoM := func(x float64) {
 		for {
 			old := twoMBits.Load()
-			nw := float64FromBits(old) + x
-			if twoMBits.CompareAndSwap(old, float64Bits(nw)) {
+			nw := math.Float64frombits(old) + x
+			if twoMBits.CompareAndSwap(old, math.Float64bits(nw)) {
 				return
 			}
 		}
@@ -163,7 +164,7 @@ func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (
 	if err != nil {
 		return nil, 0, err
 	}
-	twoM := float64FromBits(twoMBits.Load())
+	twoM := math.Float64frombits(twoMBits.Load())
 
 	var totalMoves int64
 	for it := 0; it < iters; it++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -450,8 +451,9 @@ type batchBuilder struct {
 	rows  []int32
 	shift uint
 
-	order []int64 // vertex of every feature row
-	samp  []int64 // one vertex's sample, before it becomes rows
+	order []int64   // vertex of every feature row
+	feats []float64 // block the features are pulled into, row i = order[i]
+	samp  []int64   // one vertex's sample, before it becomes rows
 	// Sampled neighbourhoods as feature rows, one segment per draw: the
 	// hop-1 draws by batch position, then the hop-2 draws by layer-1 row.
 	idx, off []int32
@@ -538,20 +540,25 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
 	// Features never change during training, so the prefetch cache needs
 	// no invalidation: a vertex sampled twice costs one wire pull total.
 	// order holds distinct ids, so the pulled block — row i = order[i] — is
-	// the feature matrix as it stands.
-	var feats ps.RowBatch
+	// the feature matrix as it stands: pulled positionally, into the
+	// builder's own block unless the row cache hands one out.
+	dim := b.data.InputDim
+	var x []float64
 	if cfg.Prefetch {
+		var feats ps.RowBatch
 		feats, _, err = b.data.Feats.PrefetchRows(b.order).Batch()
+		if err == nil && (feats.Dim != dim || len(feats.IDs) != len(b.order)) {
+			err = fmt.Errorf("core: pulled %d feature rows of width %d for %d vertices of width %d",
+				len(feats.IDs), feats.Dim, len(b.order), dim)
+		}
+		x = feats.Data
 	} else {
-		feats, _, err = b.data.Feats.PullBatch(b.order)
+		b.feats = slices.Grow(b.feats[:0], len(b.order)*dim)[:len(b.order)*dim]
+		x = b.feats
+		err = b.data.Feats.PullInto(b.order, x)
 	}
 	if err != nil {
 		return jniBatch{}, err
-	}
-	dim := b.data.InputDim
-	if feats.Dim != dim || len(feats.IDs) != len(b.order) {
-		return jniBatch{}, fmt.Errorf("core: pulled %d feature rows of width %d for %d vertices of width %d",
-			len(feats.IDs), feats.Dim, len(b.order), dim)
 	}
 
 	for len(b.ident) < nL1 {
@@ -567,7 +574,7 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
 		b.segs = append(b.segs, b.seg(i))
 	}
 	jb := jniBatch{
-		X: feats.Data, NumNodes: len(b.order), Dim: dim,
+		X: x, NumNodes: len(b.order), Dim: dim,
 		Self1: b.ident[:nL1], Nbrs1: b.segs[:nL1],
 		Self2: b.self2, Nbrs2: b.segs[nL1:],
 		Aggregator: cfg.Aggregator,

@@ -220,18 +220,19 @@ func gsStep(tb testing.TB) func() {
 }
 
 // TestGraphSageStepAllocationBudget: building and running one 256-target
-// batch allocates a few hundred objects (267 when this was written) — the
-// RPC plumbing of two neighbour pulls and a feature pull, a dozen tensors —
-// not the 13,650 of a map per table, a slice per vertex and an index copy
-// per tensor op.
+// batch allocates a few hundred objects — the RPC plumbing of two neighbour
+// pulls and a feature pull, a dozen tensors — not the 13,650 of a map per
+// table, a slice per vertex and an index copy per tensor op. 239 (243 under
+// -race) since the feature pull lands in the builder's own block, 267
+// before; the budget is that plus 10%.
 func TestGraphSageStepAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are measured without -short")
 	}
 	step := gsStep(t)
 	step() // size the builder's buffers
-	if n := testing.AllocsPerRun(10, step); n > 500 {
-		t.Errorf("one GraphSage step of 256 targets makes %v allocations, budget 500", n)
+	if n := testing.AllocsPerRun(10, step); n > 265 {
+		t.Errorf("one GraphSage step of 256 targets makes %v allocations, budget 265", n)
 	}
 }
 

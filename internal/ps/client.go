@@ -131,7 +131,7 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 	var body []byte
 	if req != nil {
 		body = enc(req)
-		defer putBuf(body)
+		defer rpc.PutBuf(body)
 	}
 	guarded := dedupGuarded[method]
 	var seq uint64
@@ -142,7 +142,7 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 		wrapped = wrapDedup(c.id, seq, epoch, body)
 		wire = wrapped
 	}
-	defer func() { putBuf(wrapped) }()
+	defer func() { rpc.PutBuf(wrapped) }()
 	retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, c.RetryTimeout)
 	c.sentBytes.Add(int64(len(wire)))
 	retried := false
@@ -160,7 +160,7 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 			if resp != nil {
 				err = dec(out, resp)
 			}
-			putBuf(out)
+			rpc.PutBuf(out)
 			return err
 		}
 		unreachable := errors.Is(err, rpc.ErrUnreachable)
@@ -186,7 +186,7 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 		if na, ne := resolve(); na != "" {
 			addr = na
 			if ne != epoch && wrapped != nil {
-				putBuf(wrapped)
+				rpc.PutBuf(wrapped)
 				wrapped = wrapDedup(c.id, seq, ne, body)
 				wire = wrapped
 			}
@@ -875,18 +875,26 @@ func (c *Client) Embedding(name string) (*Emb, error) {
 
 // PullBatch fetches full-width rows as one flat batch: the distinct ids of
 // the request in first-occurrence order, and for every request position
-// the row that holds its id — duplicates cross the wire once. For
-// ColumnEmbedding models every partition fills its columns of each row;
-// their partitions are structural (every row spans all of them) and never
-// split or re-range, so that path fans out directly, as Mat does.
+// the row that holds its id — duplicates cross the wire once.
 func (e *Emb) PullBatch(ids []int64) (rows RowBatch, pos []int32, err error) {
-	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
 	uniq, pos := dedupIDs(ids)
-	rows = RowBatch{IDs: uniq, Dim: meta.Dim, Data: make([]float64, len(uniq)*meta.Dim)}
-	if err := e.pullInto(meta, rowWork{ids: uniq}, rows.Data); err != nil {
+	rows = RowBatch{IDs: uniq, Dim: e.Meta.Dim, Data: make([]float64, len(uniq)*e.Meta.Dim)}
+	if err := e.PullInto(uniq, rows.Data); err != nil {
 		return RowBatch{}, nil, err
 	}
 	return rows, pos, nil
+}
+
+// PullInto fetches full-width rows into the caller's block, positionally:
+// row i of dst, which must hold len(ids) rows of the model's Dim, is the
+// row of ids[i]. A repeated id is fetched once per occurrence; nothing is
+// allocated for the rows. On an error dst holds no usable rows.
+func (e *Emb) PullInto(ids []int64, dst []float64) error {
+	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
+	if len(dst) != len(ids)*meta.Dim {
+		return fmt.Errorf("ps: PullInto of %d ids of %s into %d values, want %d-wide rows", len(ids), meta.Name, len(dst), meta.Dim)
+	}
+	return e.pullInto(meta, rowWork{ids: ids}, dst)
 }
 
 // Pull is PullBatch as an id → row map; the rows are views of one block.
@@ -898,10 +906,13 @@ func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
 	return rows.Map(), nil
 }
 
-// pullInto fetches the rows of w.ids (distinct) into dst, a block of
-// meta.Dim-wide rows: id j lands in row w.row(j). Every partition's reply
-// is decoded straight into its rows (hash) or columns (column layout) of
-// dst — see rowScatter.
+// pullInto fetches the rows of w.ids into dst, a block of meta.Dim-wide
+// rows: id j lands in row w.row(j). Every partition's reply is decoded
+// straight into its rows (hash) or columns (column layout) of dst — see
+// rowScatter. For ColumnEmbedding models every partition fills its columns
+// of each row; their partitions are structural (every row spans all of
+// them) and never split or re-range, so that path fans out directly, as
+// Mat does.
 func (e *Emb) pullInto(meta ModelMeta, w rowWork, dst []float64) error {
 	if len(w.ids) == 0 {
 		return nil
@@ -1050,12 +1061,14 @@ type nbrReply struct {
 	nbrs  NbrBatch
 }
 
-func (s *nbrReply) decode(r *wreader) error {
+func (s *nbrReply) wireMsg() byte { return msgNbrPullResp }
+
+func (s *nbrReply) decode(r wreader) (wreader, error) {
 	s.nbrs = r.nbrBatch(s.want)
 	if r.err != nil {
-		return fmt.Errorf("ps: %s/%d answered a neighbor pull of %d ids with a mis-shaped batch: %w", s.model, s.part, s.want, r.err)
+		return r, fmt.Errorf("ps: %s/%d answered a neighbor pull of %d ids with a mis-shaped batch: %w", s.model, s.part, s.want, r.err)
 	}
-	return nil
+	return r, nil
 }
 
 // PullBatch fetches the adjacency of ids as one CSR batch in request

@@ -18,10 +18,13 @@ import (
 )
 
 // enc encodes v for the wire. Hot data-plane messages use the binary
-// codec of wire.go (pooled buffer; release with putBuf once the bytes
+// codec of wire.go (pooled buffer; release with rpc.PutBuf once the bytes
 // have left the process); everything else gob-encodes behind the tagGob
 // format byte. Panics on programmer error (gob-unencodable types).
 func enc(v any) []byte {
+	if b, ok := v.(encoded); ok {
+		return b
+	}
 	if b, ok := encBinary(v); ok {
 		return b
 	}
@@ -125,11 +128,10 @@ type mapPushReq struct {
 	Set   bool
 }
 
-// embPullResp answers the request's keys in request order, Rows.Dim
-// being the partition's stored width (Col1-Col0 on column partitions).
-type embPullResp struct {
-	Rows RowBatch
-}
+// encoded is a reply its handler wrote as a wire frame itself — EmbPull,
+// ServePull, ServeHotPull: rowReply, the request's keys in request order,
+// as wide as the partition stores them. enc passes it through.
+type encoded []byte
 
 type embPushReq struct {
 	Model string

@@ -38,6 +38,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"psgraph/internal/rpc"
 )
 
 // tagSeqE marks a dedup-enveloped message (values 0x00/0x01 are the wire
@@ -89,10 +91,10 @@ func init() {
 	}
 }
 
-// wrapDedup prepends the tagSeqE envelope to payload in a pooled
-// buffer; release it with putBuf after the call completes.
+// wrapDedup prepends the tagSeqE envelope to payload in a pooled buffer
+// sized for both; release it with rpc.PutBuf after the call completes.
 func wrapDedup(clientID, seq uint64, epoch int64, payload []byte) []byte {
-	b := append(getBuf(), tagSeqE)
+	b := append(rpc.GetBuf(1+3*binary.MaxVarintLen64+len(payload)), tagSeqE)
 	b = binary.AppendUvarint(b, clientID)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(epoch))

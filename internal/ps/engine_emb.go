@@ -28,10 +28,6 @@ type embEngine struct {
 	step       atomic.Int64
 	shards     []embShard // power-of-two count, so the shard pick is a mask
 	ri         rowIniter
-
-	// hot counts pull frequency per row; the serving tier mines it for
-	// the power-law head to replicate (serve.go).
-	hot hotCounter
 }
 
 // embShard is one lock's worth of rows, moments included (rowstore.go).
@@ -102,19 +98,20 @@ func (e *embEngine) rowLocked(sh *embShard, id int64) (uint32, []float64) {
 	return ord, row
 }
 
-// pull copies the requested rows, in request order, into one block. Fast
+// appendRows answers a pull of ids as the frame of a msg reply (rowReply):
+// every key is validated first, then each row goes from its slab straight
+// into the frame, in request order, and is counted as pulled. Fast
 // path: every shard is read under RLock; only shards holding rows that
 // are not materialized yet upgrade to the write lock (and re-check, since
 // a racing pull may have initialized them in between).
-func (e *embEngine) pull(req pullReq) (embPullResp, error) {
-	ids := req.Keys
+func (e *embEngine) appendRows(msg byte, ids []int64) (encoded, error) {
 	for _, id := range ids {
 		if err := e.checkKey(id); err != nil {
-			return embPullResp{}, err
+			return nil, err
 		}
 	}
 	w := e.width()
-	data := make([]float64, len(ids)*w)
+	b, off := rowReply(msg, ids, w)
 	order, start := e.byShard(ids)
 	var missing []int32
 	for si := range e.shards {
@@ -126,8 +123,8 @@ func (e *embEngine) pull(req pullReq) (embPullResp, error) {
 		missing = missing[:0]
 		sh.mu.RLock()
 		for _, j := range group {
-			if src := sh.store.get(ids[j]); src != nil {
-				copy(data[int(j)*w:], src)
+			if src := sh.store.pulled(ids[j]); src != nil {
+				putF64s(b[off+8*int(j)*w:], src)
 			} else {
 				missing = append(missing, j)
 			}
@@ -138,17 +135,36 @@ func (e *embEngine) pull(req pullReq) (embPullResp, error) {
 		}
 		sh.mu.Lock()
 		for _, j := range missing {
-			_, src := e.rowLocked(sh, ids[j])
-			copy(data[int(j)*w:], src)
+			ord, src := e.rowLocked(sh, ids[j])
+			sh.store.pulls[ord].Add(1)
+			putF64s(b[off+8*int(j)*w:], src)
 		}
 		sh.mu.Unlock()
 	}
-	e.hot.bump(ids)
-	return embPullResp{Rows: RowBatch{IDs: ids, Dim: w, Data: data}}, nil
+	return b, nil
 }
 
-// hotTop exposes the engine's pull-frequency head for LoadReport.
-func (e *embEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
+// pull is EmbPull's engine half.
+func (e *embEngine) pull(req pullReq) (encoded, error) {
+	return e.appendRows(msgEmbPullResp, req.Keys)
+}
+
+// hotTop returns the k most-pulled rows (all pulled rows when k <= 0) for
+// LoadReport and the serving tier's hot-head mining.
+func (e *embEngine) hotTop(k int) []HotKey {
+	var out []HotKey
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.RLock()
+		for ord, id := range sh.store.ids {
+			if n := sh.store.pulls[ord].Load(); n > 0 {
+				out = append(out, HotKey{ID: id, Count: n})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return topHot(out, k)
+}
 
 // byShard counting-sorts request positions by shard: the positions of the
 // ids that hash to shard s are order[start[s]:start[s+1]], in request
@@ -325,7 +341,7 @@ func (e *embEngine) export(lo, hi int64) partImage {
 		if b.Data == nil {
 			b.IDs, b.Data = make([]int64, 0, n), make([]float64, 0, n*w)
 		}
-		b.appendRow(id, row)
+		b.IDs, b.Data = append(b.IDs, id), append(b.Data, row...)
 	}
 	img := partImage{
 		Kind: e.meta.Kind, Step: e.step.Load(),

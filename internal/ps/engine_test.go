@@ -304,11 +304,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			if err := e.push(embPushReq{Rows: mustRows(g, 3), Grad: true}); err != nil {
 				t.Fatalf("grad push: %v", err)
 			}
-			resp, err := e.pull(pullReq{Keys: ids})
-			if err != nil {
-				t.Fatalf("pull: %v", err)
-			}
-			return resp.Rows.Map()
+			return pullRows(t, e, ids).Map()
 		}
 		for _, from := range []int{1, 3, 32} {
 			SetEmbShards(from)
@@ -317,7 +313,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			if want := map[int]int{1: 1, 3: 4, 32: 32}[from]; len(src.shards) != want {
 				t.Fatalf("SetEmbShards(%d) built %d shards, want %d", from, len(src.shards), want)
 			}
-			if _, err := src.pull(pullReq{Keys: all}); err != nil { // materialise, no moments
+			if _, err := src.appendRows(msgEmbPullResp, all); err != nil { // materialise, no moments
 				t.Fatal(err)
 			}
 			for k := 0; k < 2; k++ {

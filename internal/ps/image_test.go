@@ -53,7 +53,7 @@ func imageCases() []imageCase {
 			for id := int64(0); id < 60; id++ {
 				ids = append(ids, id)
 			}
-			if _, err := ee.pull(pullReq{Keys: ids}); err != nil {
+			if _, err := ee.appendRows(msgEmbPullResp, ids); err != nil {
 				t.Fatalf("emb pull: %v", err)
 			}
 			for k := 0; k < 2; k++ {
@@ -189,9 +189,7 @@ func pullEverything(t *testing.T, e engine, img partImage) any {
 	case *sparseEngine:
 		out, err = e.pull(pullReq{})
 	case *embEngine:
-		var r embPullResp
-		r, err = e.pull(pullReq{Keys: ids})
-		out = r.Rows.Map()
+		out = pullRows(t, e, ids).Map()
 	case *nbrEngine:
 		out, err = e.pull(pullReq{Keys: ids})
 	case *matEngine:
@@ -536,7 +534,7 @@ func BenchmarkPartImage(b *testing.B) {
 	src, _ := newEngine(meta, 0)
 	grads := RowBatch{Dim: 32}
 	for id := int64(0); id < 10_000; id++ {
-		grads.appendRow(id, make([]float64, 32))
+		grads.IDs, grads.Data = append(grads.IDs, id), append(grads.Data, make([]float64, 32)...)
 		grads.Data[len(grads.Data)-1] = float64(id)
 	}
 	if err := src.(*embEngine).push(embPushReq{Rows: grads, Grad: true}); err != nil {

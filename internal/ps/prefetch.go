@@ -321,18 +321,6 @@ func (rc *rowCache) lookup(ids []int64, dim int, dst []float64) (missing rowWork
 	return missing, rc.version
 }
 
-// stats returns the cache's hit/miss/eviction counters and current size.
-func (rc *rowCache) stats() (hits, misses, evictions int64, rows int, bytes int64) {
-	hits = rc.hits.Load()
-	misses = rc.misses.Load()
-	evictions = rc.evictions.Load()
-	rc.mu.Lock()
-	rows = len(rc.rows)
-	bytes = int64(rows) * rc.entBytes()
-	rc.mu.Unlock()
-	return
-}
-
 // InvalidateRows drops every cached row of this model and bumps the
 // version so in-flight prefetches cannot re-insert stale rows. Training
 // loops wire it to SSPClock.OnAdvance; it is the rule that keeps cached

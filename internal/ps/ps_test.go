@@ -1217,9 +1217,15 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The serve handle adopts a real published layout before the server
-	// is replaced by the liar below.
-	if _, err := cl.PublishSnapshot("rh"); err != nil {
-		t.Fatal(err)
+	// is replaced by the liar below; ids 101..103 are pulled first, so they
+	// (and nothing else) are its hot head.
+	for i := 0; i < 3; i++ {
+		if _, err := h.Pull([]int64{101, 102, 103}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sl, err := cl.PublishSnapshot("rh"); err != nil || len(sl.HotIDs) != 3 {
+		t.Fatalf("publish: hot head %v, %v", sl.HotIDs, err)
 	}
 	sc, err := cl.Serve("rh")
 	if err != nil {
@@ -1235,12 +1241,20 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	rows := func(dim int, data []float64, ids ...int64) RowBatch {
 		return RowBatch{IDs: ids, Dim: dim, Data: data}
 	}
+	// noRows passes a map pull's error on; whatever the reply, a failed
+	// pull hands the caller no rows.
+	noRows := func(rows map[int64][]float64, err error) error {
+		if err != nil && rows != nil {
+			t.Errorf("a failed pull returned rows: %v", rows)
+		}
+		return err
+	}
 	var reply any
 	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
 		if g, ok := reply.(gobTagged); ok {
 			return encGob(g.msg), nil
 		}
-		return enc(reply), nil
+		return encReply(reply), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -1284,6 +1298,40 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { _, err := sc.Pull([]int64{1, 2}); return err }, "rh/0"},
 		{"serve pull, requested row missing", servePullResp{Rows: rows(4, make([]float64, 4), 2)},
 			func() error { _, err := sc.Pull([]int64{1, 2}); return err }, "rh/0"},
+		// What the streaming id check meets first: the reply's ids are
+		// compared with the request's as they are read.
+		{"hash embedding, first id differs", embPullResp{Rows: rows(4, make([]float64, 12), 9, 2, 3)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hash embedding, a middle id differs", embPullResp{Rows: rows(4, make([]float64, 12), 1, 9, 3)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hash embedding, last id differs", embPullResp{Rows: rows(4, make([]float64, 12), 1, 2, 9)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hash embedding, one id too few", embPullResp{Rows: rows(4, make([]float64, 8), 1, 2)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hash embedding, one id too many", embPullResp{Rows: rows(4, make([]float64, 16), 1, 2, 3, 4)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hash embedding, right ids, block one row short", embPullResp{Rows: rows(4, make([]float64, 8), 1, 2, 3)},
+			func() error { return noRows(h.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"column embedding, last id differs", embPullResp{Rows: rows(4, make([]float64, 12), 1, 2, 9)},
+			func() error { return noRows(e.Pull([]int64{1, 2, 3})) }, "re/0"},
+		{"serve pull, first id differs", servePullResp{Rows: rows(4, make([]float64, 12), 9, 2, 3)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"serve pull, a middle id differs", servePullResp{Rows: rows(4, make([]float64, 12), 1, 9, 3)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"serve pull, last id differs", servePullResp{Rows: rows(4, make([]float64, 12), 1, 2, 9)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"serve pull, one id too few", servePullResp{Rows: rows(4, make([]float64, 8), 1, 2)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"serve pull, one id too many", servePullResp{Rows: rows(4, make([]float64, 16), 1, 2, 3, 4)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"serve pull, right ids, block one row short", servePullResp{Rows: rows(4, make([]float64, 8), 1, 2, 3)},
+			func() error { return noRows(sc.Pull([]int64{1, 2, 3})) }, "rh/0"},
+		{"hot head, skips an id it then repeats", servePullResp{Rows: rows(4, make([]float64, 12), 101, 103, 102)},
+			func() error { return noRows(sc.Pull([]int64{101, 102, 103})) }, "the hot head of rh"},
+		{"hot head, an id nobody asked for", servePullResp{Rows: rows(4, make([]float64, 4), 104)},
+			func() error { return noRows(sc.Pull([]int64{101, 102, 103})) }, "the hot head of rh"},
+		{"hot head, right ids, block one row short", servePullResp{Rows: rows(4, make([]float64, 4), 101, 103)},
+			func() error { return noRows(sc.Pull([]int64{101, 102, 103})) }, "the hot head of rh"},
 		{"matrix, columns outside the model", matPullResp{Col0: 0, Col1: 9, Data: make([]float64, 18)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
 		{"matrix, data shorter than its columns", matPullResp{Col0: 0, Col1: 3, Data: make([]float64, 4)},

@@ -206,7 +206,7 @@ func (s *Server) forward(method string, clientID, seq uint64, epoch int64, paylo
 		return
 	}
 	body := enc(replicateReq{Method: method, ClientID: clientID, Seq: seq, Epoch: epoch, Body: payload})
-	defer putBuf(body)
+	defer rpc.PutBuf(body)
 	retry := rpc.NewBackoff(2*time.Millisecond, 50*time.Millisecond, 250*time.Millisecond)
 	_, err := retry.Call(s.repl.out, target, "Replicate", body)
 	if err == nil {

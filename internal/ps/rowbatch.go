@@ -4,16 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // RowBatch is the payload of every row-shaped message (embedding pull
 // replies and pushes, serve reads, the hot-head install): n ids and one
 // contiguous block of n×Dim values, row i = Data[i*Dim:(i+1)*Dim]. It
-// travels the layers as it is — engines fill it, the codec writes it as
-// one bulk copy, the client scatters replies into it — so a row costs a
-// copy, never an allocation (layout and ownership rules: DESIGN.md §6,
-// §11). A pulled batch lists the DISTINCT ids of the request in
-// first-occurrence order.
+// travels the layers as it is — pushes and images encode it as one bulk
+// copy, engines write pull replies in its layout straight from the slabs,
+// the client scatters them into its block — so a row costs a copy, never
+// an allocation (layout and ownership: DESIGN.md §6, §6.1, §11). A batch
+// PullBatch returns lists the request's DISTINCT ids in first-occurrence order.
 type RowBatch struct {
 	IDs  []int64
 	Dim  int
@@ -25,12 +26,6 @@ type RowBatch struct {
 func (b RowBatch) Row(i int) []float64 {
 	lo, hi := i*b.Dim, (i+1)*b.Dim
 	return b.Data[lo:hi:hi]
-}
-
-// appendRow adds one row, copying it into Data.
-func (b *RowBatch) appendRow(id int64, row []float64) {
-	b.IDs = append(b.IDs, id)
-	b.Data = append(b.Data, row...)
 }
 
 // isSubsequence reports whether sub lists some of the ids of, in of's
@@ -164,16 +159,37 @@ func eachRowPart(meta *ModelMeta, w rowWork, dim int, pull func(p Partition, w r
 	return nil
 }
 
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// rowReply starts the reply to a row pull (appendRowBatch's layout) for ids
+// of w-wide rows: a pooled frame of exactly the reply's size, written up to
+// the value block, and that block's offset. The block is not cleared: the
+// caller writes every row j at off+8*j*w (DESIGN.md §6).
+func rowReply(msg byte, ids []int64, w int) (b []byte, off int) {
+	vals := len(ids) * w
+	n := 2 + uvarintLen(uint64(len(ids))+1) + uvarintLen(uint64(w)) + uvarintLen(uint64(vals)+1) + 8*vals
+	var prev int64
+	for _, id := range ids {
+		d := id - prev
+		n += uvarintLen(uint64(d<<1) ^ uint64(d>>63)) // the zigzag of the delta
+		prev = id
+	}
+	b = appendI64s(frame(msg, n), ids)
+	b = binary.AppendUvarint(b, uint64(w))
+	b = binary.AppendUvarint(b, uint64(vals)+1)
+	return b[:n], len(b)
+}
+
 // rowScatter is the client-side decode target of a row-batch reply
-// (embPullResp, servePullResp). Instead of materialising the batch it
-// checks the reply against the request — the ids asked for, in order,
+// (EmbPull, ServePull, ServeHotPull). Instead of materialising the batch
+// it checks the reply against the request — the ids asked for, in order,
 // width columns each — and converts the wire bytes straight into the
 // caller's output block: row work.row(j), columns [col0, col0+width) of
 // rows strd wide. Partitions of one pull fill disjoint rows (hash) or
 // disjoint columns (column layout) of the same block, so they scatter
 // concurrently without a lock. A reply that does not match is an error
-// naming the model and partition; the rows it was to fill may hold
-// garbage by then, and the failing pull returns none of them.
+// naming the model and partition, raised before any row is written.
 type rowScatter struct {
 	msg   byte // expected message id
 	model string
@@ -191,6 +207,8 @@ type rowScatter struct {
 	absent  []int
 }
 
+func (s *rowScatter) wireMsg() byte { return s.msg }
+
 func (s *rowScatter) errf(format string, args ...any) error {
 	from := fmt.Sprintf("%s/%d", s.model, s.part)
 	if s.partial {
@@ -199,42 +217,62 @@ func (s *rowScatter) errf(format string, args ...any) error {
 	return fmt.Errorf("ps: %s answered a row pull with %s", from, fmt.Sprintf(format, args...))
 }
 
-// decode consumes one row batch (appendRowBatch's layout) from r.
-func (s *rowScatter) decode(r *wreader) error {
-	ids, got := s.work.ids, r.i64s()
-	dim := r.uvarint()
-	nData, _ := r.sliceLen()
-	raw := r.take(8 * nData)
-	if r.err != nil {
-		return r.err
-	}
+// decode consumes one row batch (appendRowBatch's layout) from r: the ids
+// are compared with the request's as their varints are read, and only a
+// reply that matched in full reaches the value loop.
+func (s *rowScatter) decode(r wreader) (wreader, error) {
 	if s.col0 < 0 || s.width < 0 || s.col0+s.width > s.strd {
-		return s.errf("columns [%d,%d) of %d-wide rows in its layout", s.col0, s.col0+s.width, s.strd)
+		return r, s.errf("columns [%d,%d) of %d-wide rows in its layout", s.col0, s.col0+s.width, s.strd)
 	}
-	if dim != uint64(s.width) || nData != len(got)*s.width {
-		return s.errf("%d values in rows of width %d for %d ids, want width %d", nData, dim, len(got), s.width)
-	}
+	ids := s.work.ids
+	n, _ := r.sliceLen()
 	s.absent = s.absent[:0]
-	j := 0
-	for k, id := range got {
+	j, off := 0, r.off
+	var id int64
+	for k := 0; k < n; k++ {
+		var d int64
+		if d, off = zigzag(r.b, off); off < 0 {
+			r.off = len(r.b)
+			r.fail()
+			return r, r.err
+		}
+		id += d
 		for ; s.partial && j < len(ids) && ids[j] != id; j++ {
 			s.absent = append(s.absent, j)
 		}
 		if j == len(ids) || ids[j] != id {
-			return s.errf("row %d, which was not requested there", id)
-		}
-		lo := s.work.row(j)*s.strd + s.col0
-		out, in := s.dst[lo:lo+s.width], raw[8*k*s.width:]
-		for c := range out {
-			out[c] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*c:]))
+			return r, s.errf("row %d, which was not requested there", id)
 		}
 		j++
 	}
 	if j < len(ids) && !s.partial {
-		return s.errf("%d of %d requested rows (first missing: %d)", len(got), len(ids), ids[j])
+		return r, s.errf("%d of %d requested rows (first missing: %d)", n, len(ids), ids[j])
 	}
 	for ; j < len(ids); j++ {
 		s.absent = append(s.absent, j)
 	}
-	return nil
+	r.off = off
+	dim := r.uvarint()
+	nData, _ := r.sliceLen()
+	raw := r.take(8 * nData)
+	if r.err != nil {
+		return r, r.err
+	}
+	if dim != uint64(s.width) || nData != n*s.width {
+		return r, s.errf("%d values in rows of width %d for %d ids, want width %d", nData, dim, n, s.width)
+	}
+	skip := s.absent
+	for j := range ids {
+		if len(skip) > 0 && skip[0] == j {
+			skip = skip[1:]
+			continue
+		}
+		lo := s.work.row(j)*s.strd + s.col0
+		out := s.dst[lo : lo+s.width]
+		for c := range out {
+			out[c] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*c:]))
+		}
+		raw = raw[8*s.width:]
+	}
+	return r, nil
 }

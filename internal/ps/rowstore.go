@@ -3,6 +3,7 @@ package ps
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // rowStore is the flat storage of one embedding shard: an open-addressed
@@ -20,13 +21,17 @@ import (
 // share U while looking up, and possibly materialising, other rows of
 // the same shard. Only keepOnly (partition split) rebuilds.
 //
-// Not safe for concurrent use; the owning embShard's lock guards it.
+// Not safe for concurrent use (but for pulls); the owning embShard's lock
+// guards it.
 type rowStore struct {
 	width int
 	shift uint    // 64 - log2(len(slot))
 	keys  []int64 // keys[i] is valid where slot[i] != 0
 	slot  []uint32
 	ids   []int64 // ordinal → id
+	// pulls counts the pulls of each ordinal's row (the hot-head signal):
+	// bumped under the shard's READ lock, grown with ids under its write lock.
+	pulls []atomic.Int64
 	rows  [][]float64
 	mom   [][]float64
 	vel   [][]float64
@@ -93,6 +98,16 @@ func (s *rowStore) get(id int64) []float64 {
 	return s.row(o - 1)
 }
 
+// pulled is get for a pull: it counts the read against the row.
+func (s *rowStore) pulled(id int64) []float64 {
+	o := s.slot[s.probe(id)]
+	if o == 0 {
+		return nil
+	}
+	s.pulls[o-1].Add(1)
+	return s.row(o - 1)
+}
+
 // put returns the ordinal of id, inserting it when absent. A new row is
 // all zeros; added tells the caller to initialise it.
 func (s *rowStore) put(id int64) (ord uint32, added bool) {
@@ -106,6 +121,7 @@ func (s *rowStore) put(id int64) (ord uint32, added bool) {
 	}
 	ord = uint32(len(s.ids))
 	s.ids = append(s.ids, id)
+	s.pulls = append(s.pulls, atomic.Int64{})
 	s.keys[i], s.slot[i] = id, ord+1
 	if c, _ := chunkOf(ord); c == len(s.rows) {
 		s.rows = append(s.rows, make([]float64, chunkRows(c)*s.width))
@@ -173,6 +189,7 @@ func (s *rowStore) keepOnly(keep func(id int64) bool) {
 		ord := uint32(o)
 		nord, _ := ns.put(id)
 		copy(ns.row(nord), s.row(ord))
+		ns.pulls[nord].Store(s.pulls[ord].Load())
 		if m := s.momentIfSet(s.mom, ord); m != nil {
 			copy(ns.moment(&ns.mom, nord), m)
 		}

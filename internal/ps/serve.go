@@ -76,7 +76,7 @@ type HotKey struct {
 	Count int64
 }
 
-// hotTrackCap bounds each counter's tracked key set. Once full, new keys
+// hotTrackCap bounds a hotCounter's tracked key set. Once full, new keys
 // are not admitted — under power-law traffic the head keys are seen long
 // before the tracker fills, so the head is never the part that's dropped.
 const hotTrackCap = 8192
@@ -84,7 +84,9 @@ const hotTrackCap = 8192
 // partStatHotK is how many hot keys each partition reports in PartStats.
 const partStatHotK = 64
 
-// hotCounter is a bounded per-partition pull-frequency counter.
+// hotCounter is the bounded pull-frequency counter of a DenseVector
+// partition. Embedding partitions count per row, beside the rows
+// (rowStore.pulls), where the count is bounded by the rows themselves.
 type hotCounter struct {
 	mu     sync.Mutex
 	counts map[int64]int64
@@ -107,21 +109,33 @@ func (h *hotCounter) bump(ids []int64) {
 // top returns the k highest-count keys, descending.
 func (h *hotCounter) top(k int) []HotKey {
 	h.mu.Lock()
-	out := make([]HotKey, 0, len(h.counts))
-	for id, n := range h.counts {
+	keys := hotKeys(h.counts)
+	h.mu.Unlock()
+	return topHot(keys, k)
+}
+
+// hotKeys lists an id → count map.
+func hotKeys(counts map[int64]int64) []HotKey {
+	out := make([]HotKey, 0, len(counts))
+	for id, n := range counts {
 		out = append(out, HotKey{ID: id, Count: n})
 	}
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].ID < out[j].ID
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
 	return out
+}
+
+// topHot sorts keys by count, descending, and keeps the first k (all when
+// k <= 0).
+func topHot(keys []HotKey, k int) []HotKey {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Count != keys[j].Count {
+			return keys[i].Count > keys[j].Count
+		}
+		return keys[i].ID < keys[j].ID
+	})
+	if k > 0 && len(keys) > k {
+		keys = keys[:k]
+	}
+	return keys
 }
 
 // --- wire messages ---------------------------------------------------
@@ -151,12 +165,6 @@ type servePullReq struct {
 	Part      int
 	SnapEpoch int64
 	IDs       []int64
-}
-
-// servePullResp answers a ServePull with the request's ids in request
-// order, and a ServeHotPull with the subsequence of them the head holds.
-type servePullResp struct {
-	Rows RowBatch
 }
 
 // serveHotInstallReq replicates the assembled hot-head rows (full-width,
@@ -211,21 +219,25 @@ type serveSnap struct {
 	e         engine
 }
 
-// pull reads ids, in request order, through the engine's own pull. A
+// pull answers a ServePull for ids, in request order, as its frame. A
 // DenseVector's ids are indices and its rows one value wide.
-func (sn *serveSnap) pull(ids []int64) (RowBatch, error) {
+func (sn *serveSnap) pull(ids []int64) (encoded, error) {
 	switch e := sn.e.(type) {
 	case *embEngine:
-		resp, err := e.pull(pullReq{Keys: ids})
-		return resp.Rows, err
+		return e.appendRows(msgServePullResp, ids)
 	case *vecEngine:
 		if ids == nil {
 			ids = []int64{} // nil keys would pull the whole range
 		}
 		resp, err := e.pull(pullReq{Keys: ids})
-		return RowBatch{IDs: ids, Dim: 1, Data: resp.Values}, err
+		if err != nil {
+			return nil, err
+		}
+		b, off := rowReply(msgServePullResp, ids, 1)
+		putF64s(b[off:], resp.Values)
+		return b, nil
 	}
-	return RowBatch{}, fmt.Errorf("ps: kind %s is not servable", sn.e.modelMeta().Kind)
+	return nil, fmt.Errorf("ps: kind %s is not servable", sn.e.modelMeta().Kind)
 }
 
 // hotReplica is the model-wide hot head replicated to this endpoint.
@@ -323,7 +335,7 @@ func (s *Server) serveInstall(req serveInstallReq) error {
 
 // servePull answers a read from the snapshot generation the caller's
 // serve layout was published under.
-func (s *Server) servePull(req servePullReq) (servePullResp, error) {
+func (s *Server) servePull(req servePullReq) (encoded, error) {
 	k := partKey{model: req.Model, part: req.Part}
 	s.serve.mu.Lock()
 	gens := s.serve.snaps[k]
@@ -337,17 +349,17 @@ func (s *Server) servePull(req servePullReq) (servePullResp, error) {
 	s.serve.mu.Unlock()
 	if sn == nil {
 		if len(gens) == 0 {
-			return servePullResp{}, fmt.Errorf("%s for %s/%d on this server", noServeSnapMsg, req.Model, req.Part)
+			return nil, fmt.Errorf("%s for %s/%d on this server", noServeSnapMsg, req.Model, req.Part)
 		}
-		return servePullResp{}, fmt.Errorf("%s: %s/%d pull at snap epoch %d, server holds %d",
+		return nil, fmt.Errorf("%s: %s/%d pull at snap epoch %d, server holds %d",
 			staleSnapMsg, req.Model, req.Part, req.SnapEpoch, gens[0].snapEpoch)
 	}
-	rows, err := sn.pull(req.IDs)
+	b, err := sn.pull(req.IDs)
 	if err != nil {
-		return servePullResp{}, err
+		return nil, err
 	}
-	s.serve.snapRows.Add(int64(len(rows.IDs)))
-	return servePullResp{Rows: rows}, nil
+	s.serve.snapRows.Add(int64(len(req.IDs)))
+	return b, nil
 }
 
 // serveHotInstall replaces this endpoint's replicated hot head for a
@@ -376,30 +388,30 @@ func (s *Server) serveHotInstall(req serveHotInstallReq) error {
 // serveHotPull serves the subset of ids present in the replicated hot
 // head. Ids not in the head are simply omitted — the client routes them
 // through the per-partition snapshot path; absence is not an error.
-func (s *Server) serveHotPull(req serveHotPullReq) (servePullResp, error) {
+func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 	s.serve.mu.Lock()
 	hr := s.serve.hot[req.Model]
 	s.serve.mu.Unlock()
 	if hr == nil {
-		return servePullResp{}, fmt.Errorf("%s: no hot head of %s on this server", noServeSnapMsg, req.Model)
+		return nil, fmt.Errorf("%s: no hot head of %s on this server", noServeSnapMsg, req.Model)
 	}
 	if hr.snapEpoch != req.SnapEpoch {
-		return servePullResp{}, fmt.Errorf("%s: hot pull of %s at snap epoch %d, server holds %d",
+		return nil, fmt.Errorf("%s: hot pull of %s at snap epoch %d, server holds %d",
 			staleSnapMsg, req.Model, req.SnapEpoch, hr.snapEpoch)
 	}
-	dim := hr.rows.width
-	out := RowBatch{
-		IDs:  make([]int64, 0, len(req.IDs)),
-		Dim:  dim,
-		Data: make([]float64, 0, len(req.IDs)*dim),
-	}
+	held := make([]int64, 0, len(req.IDs))
 	for _, id := range req.IDs {
-		if row := hr.rows.get(id); row != nil {
-			out.appendRow(id, row)
+		if hr.rows.get(id) != nil {
+			held = append(held, id)
 		}
 	}
-	s.serve.hotRows.Add(int64(len(out.IDs)))
-	return servePullResp{Rows: out}, nil
+	dim := hr.rows.width
+	b, off := rowReply(msgServePullResp, held, dim)
+	for k, id := range held {
+		putF64s(b[off+8*k*dim:], hr.rows.get(id))
+	}
+	s.serve.hotRows.Add(int64(len(held)))
+	return b, nil
 }
 
 // serveHotStats reports the hottest keys observed by this server's
@@ -424,13 +436,11 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 		}
 	}
 	s.serve.mu.Unlock()
-	var hc hotCounter
-	hc.counts = merged
 	topK := req.TopK
 	if topK <= 0 {
 		topK = 256
 	}
-	return serveHotStatsResp{Hot: hc.top(topK)}, nil
+	return serveHotStatsResp{Hot: topHot(hotKeys(merged), topK)}, nil
 }
 
 // serveStats reports this server's serving-tier counters.

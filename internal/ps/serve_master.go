@@ -228,9 +228,7 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 			}
 		}
 	}
-	var hc hotCounter
-	hc.counts = counts
-	top := hc.top(k)
+	top := topHot(hotKeys(counts), k)
 	ids := make([]int64, len(top))
 	for i, hk := range top {
 		ids[i] = hk.ID

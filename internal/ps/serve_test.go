@@ -485,7 +485,8 @@ func TestRowCacheLRUEviction(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		put(bc, i, 1, 2, 3)
 	}
-	_, _, _, bn, bb := bc.stats()
+	bn := len(bc.rows)
+	bb := int64(bn) * bc.entBytes()
 	if bn != 2 || bb > 128 {
 		t.Fatalf("byte-capped cache: %d rows, %d bytes", bn, bb)
 	}
@@ -580,7 +581,11 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 	c, cl := newTestCluster(t, 3)
 	snapPull := func(addr, model string, part int, epoch int64, ids ...int64) (RowBatch, error) {
 		t.Helper()
-		resp, err := c.servers[addr].servePull(servePullReq{Model: model, Part: part, SnapEpoch: epoch, IDs: ids})
+		b, err := c.servers[addr].servePull(servePullReq{Model: model, Part: part, SnapEpoch: epoch, IDs: ids})
+		var resp servePullResp
+		if err == nil {
+			err = dec(b, &resp)
+		}
 		return resp.Rows, err
 	}
 

@@ -366,13 +366,13 @@ func (sc *ServeClient) call(addr, method string, req any, reply *rowScatter) err
 	body := enc(req)
 	sc.c.sentBytes.Add(int64(len(body)))
 	out, err := sc.c.tr.Call(addr, method, body)
-	putBuf(body)
+	rpc.PutBuf(body)
 	if err != nil {
 		return err
 	}
 	sc.c.recvBytes.Add(int64(len(out)))
 	err = dec(out, reply)
-	putBuf(out)
+	rpc.PutBuf(out)
 	return err
 }
 

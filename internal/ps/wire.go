@@ -17,15 +17,18 @@ package ps
 // "everything the partition holds", a distinction gob does not
 // round-trip.
 //
-// Encode buffers come from a sync.Pool; Client.invoke and the TCP
-// transport return them after the bytes leave the process, so steady-
-// state pull/push traffic runs allocation-free on the framing side.
+// Encode buffers come from the process-wide frame pool (rpc.GetBuf), asked
+// for the size of the message; whoever holds a buffer last puts it back
+// (DESIGN.md "Frame ownership"), so steady-state pull/push traffic runs
+// allocation-free on the framing side.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+
+	"psgraph/internal/rpc"
 )
 
 // Wire format tags (first byte of every message).
@@ -57,43 +60,7 @@ const (
 )
 
 // ---------------------------------------------------------------------------
-// Buffer pool.
-
-// maxPooledBuf bounds the capacity of buffers kept by the pool so one
-// giant PullAll does not pin its buffer forever.
-const maxPooledBuf = 4 << 20
-
-var bufPool sync.Pool
-
-// getBuf returns an empty buffer with pooled capacity.
-func getBuf() []byte {
-	if p, ok := bufPool.Get().(*[]byte); ok {
-		return (*p)[:0]
-	}
-	return make([]byte, 0, 512)
-}
-
-// putBuf recycles b. Safe on nil and on buffers that did not come from
-// the pool (e.g. gob-encoded control messages).
-func putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	bufPool.Put(&b)
-}
-
-// ---------------------------------------------------------------------------
 // Append-style encoding primitives.
-
-// grow extends b by n bytes and returns the extended slice.
-func grow(b []byte, n int) []byte {
-	if cap(b)-len(b) < n {
-		nb := make([]byte, len(b), 2*cap(b)+n)
-		copy(nb, b)
-		b = nb
-	}
-	return b[: len(b)+n : cap(b)]
-}
 
 func appendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -139,11 +106,17 @@ func appendF64s(b []byte, s []float64) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(s))+1)
 	off := len(b)
-	b = grow(b, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(v))
-	}
+	b = slices.Grow(b, 8*len(s))[:off+8*len(s)]
+	putF64s(b[off:], s)
 	return b
+}
+
+// putF64s writes s little-endian at the start of b.
+func putF64s(b []byte, s []float64) {
+	b = b[:8*len(s)]
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
 }
 
 func appendBytes(b []byte, s []byte) []byte {
@@ -161,9 +134,7 @@ func appendMapF64(b []byte, m map[int64]float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m))+1)
 	for k, v := range m {
 		b = binary.AppendVarint(b, k)
-		off := len(b)
-		b = grow(b, 8)
-		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
 }
@@ -309,32 +280,40 @@ func (r *wreader) i64sInto(dst []int64) []int64 {
 		dst = make([]int64, n)
 	}
 	s := dst[:n]
-	b, off := r.b, r.off
+	off := r.off
 	var prev int64
 	for i := range s {
-		// binary.Varint, open-coded: the call and its re-slicing cost more
-		// than the one to three bytes a typical id delta takes to decode.
-		var ux uint64
-		ok := false
-		for shift := uint(0); off < len(b) && shift <= 63; shift += 7 {
-			c := b[off]
-			off++
-			ux |= uint64(c&0x7f) << shift
-			if c < 0x80 {
-				ok = shift < 63 || c <= 1 // a tenth byte above 1 overflows
-				break
-			}
-		}
-		if !ok {
-			r.off = off
+		var d int64
+		if d, off = zigzag(r.b, off); off < 0 {
+			r.off = len(r.b)
 			r.fail()
 			return nil
 		}
-		prev += int64(ux>>1) ^ -int64(ux&1)
+		prev += d
 		s[i] = prev
 	}
 	r.off = off
 	return s
+}
+
+// zigzag decodes the zigzag varint at b[off:] and returns the offset past
+// it, or -1 when it is truncated or overflows. binary.Varint, open-coded
+// and small enough to inline: the call and its re-slicing cost more than
+// the one to three bytes a typical id delta takes to decode.
+func zigzag(b []byte, off int) (int64, int) {
+	var ux uint64
+	for shift := uint(0); off < len(b) && shift <= 63; shift += 7 {
+		c := b[off]
+		off++
+		ux |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			if shift == 63 && c > 1 { // a tenth byte above 1 overflows
+				break
+			}
+			return int64(ux>>1) ^ -int64(ux&1), off
+		}
+	}
+	return 0, -1
 }
 
 func (r *wreader) f64s() []float64 { return r.f64sInto(nil) }
@@ -371,13 +350,7 @@ func (r *wreader) view() []byte {
 
 // bytes copies the payload out so the decoded message never aliases the
 // (pooled, transport-owned) wire buffer.
-func (r *wreader) bytes() []byte {
-	raw := r.view()
-	if raw == nil {
-		return nil
-	}
-	return append(make([]byte, 0, len(raw)), raw...)
-}
+func (r *wreader) bytes() []byte { return slices.Clone(r.view()) }
 
 func (r *wreader) mapF64() map[int64]float64 {
 	n, ok := r.sliceLen()
@@ -495,147 +468,106 @@ func mapI64sHint(m map[int64][]int64) int {
 	return n
 }
 
-// binSizeHint returns an upper bound on the encoded size of a hot
-// message (0 for control-plane types), so encBinary can size its buffer
-// once instead of re-growing through doubling copies on multi-megabyte
-// payloads.
-func binSizeHint(v any) int {
-	switch m := v.(type) {
-	case pullReq:
-		return 32 + len(m.Model) + 10*len(m.Keys)
-	case vecPullResp:
-		return 32 + 8*len(m.Values)
-	case vecPushReq:
-		return 48 + len(m.Model) + 10*len(m.Indices) + 8*len(m.Values)
-	case mapPullResp:
-		return 16 + 18*len(m.M)
-	case mapPushReq:
-		return 32 + len(m.Model) + 18*len(m.M)
-	case embPullResp:
-		return 16 + rowBatchHint(m.Rows)
-	case embPushReq:
-		return 32 + len(m.Model) + rowBatchHint(m.Rows)
-	case nbrPullResp:
-		return 32 + 5*len(m.Nbrs.Off) + 10*len(m.Nbrs.Adj)
-	case nbrPushReq:
-		return 32 + len(m.Model) + mapI64sHint(m.Tables)
-	case matPullResp:
-		return 48 + 8*len(m.Data)
-	case matPushReq:
-		return 48 + len(m.Model) + 8*len(m.Data)
-	case funcReq:
-		return 48 + len(m.Model) + len(m.Name) + len(m.Arg)
-	case funcResp:
-		return 16 + len(m.Out)
-	case replicateReq:
-		return 48 + len(m.Method) + len(m.Body)
-	case servePullReq:
-		return 48 + len(m.Model) + 10*len(m.IDs)
-	case serveHotPullReq:
-		return 48 + len(m.Model) + 10*len(m.IDs)
-	case servePullResp:
-		return 16 + rowBatchHint(m.Rows)
-	case partImage:
-		return partImageHint(m)
-	}
-	return 0
+// frame starts a binary message of kind msg in a pooled buffer of capacity
+// hint — an upper bound on the encoded size, so multi-megabyte payloads do
+// not re-grow through doubling copies.
+func frame(msg byte, hint int) []byte {
+	return append(rpc.GetBuf(hint), tagBin, msg)
 }
 
 // encBinary encodes a hot data-plane message into a pooled buffer.
 // Returns (nil, false) for types that stay on the gob control plane.
 func encBinary(v any) ([]byte, bool) {
-	b := getBuf()
-	if h := binSizeHint(v); cap(b) < h {
-		putBuf(b)
-		b = make([]byte, 0, h)
-	}
-	b = append(b, tagBin)
+	var b []byte
 	switch m := v.(type) {
 	case pullReq:
-		b = append(b, msgPullReq)
+		b = frame(msgPullReq, 32+len(m.Model)+10*len(m.Keys))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendI64s(b, m.Keys)
 	case vecPullResp:
-		b = append(b, msgVecPullResp)
+		b = frame(msgVecPullResp, 32+8*len(m.Values))
 		b = appendF64s(b, m.Values)
 		b = binary.AppendVarint(b, m.Lo)
 	case vecPushReq:
-		b = append(b, msgVecPushReq)
+		b = frame(msgVecPushReq, 48+len(m.Model)+10*len(m.Indices)+8*len(m.Values))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendI64s(b, m.Indices)
 		b = appendF64s(b, m.Values)
 		b = binary.AppendVarint(b, int64(m.Op))
 	case mapPullResp:
-		b = append(b, msgMapPullResp)
+		b = frame(msgMapPullResp, 16+18*len(m.M))
 		b = appendMapF64(b, m.M)
 	case mapPushReq:
-		b = append(b, msgMapPushReq)
+		b = frame(msgMapPushReq, 32+len(m.Model)+18*len(m.M))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapF64(b, m.M)
 		b = appendBool(b, m.Set)
-	case embPullResp:
-		b = append(b, msgEmbPullResp)
-		b = appendRowBatch(b, m.Rows)
 	case embPushReq:
-		b = append(b, msgEmbPushReq)
+		b = frame(msgEmbPushReq, 32+len(m.Model)+rowBatchHint(m.Rows))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendRowBatch(b, m.Rows)
 		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
 	case nbrPullResp:
-		b = append(b, msgNbrPullResp)
+		b = frame(msgNbrPullResp, 32+5*len(m.Nbrs.Off)+10*len(m.Nbrs.Adj))
 		b = appendNbrBatch(b, m.Nbrs)
 	case nbrPushReq:
-		b = append(b, msgNbrPushReq)
+		b = frame(msgNbrPushReq, 32+len(m.Model)+mapI64sHint(m.Tables))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapI64s(b, m.Tables)
 	case matPullResp:
-		b = append(b, msgMatPullResp)
+		b = frame(msgMatPullResp, 48+8*len(m.Data))
 		b = binary.AppendVarint(b, int64(m.Col0))
 		b = binary.AppendVarint(b, int64(m.Col1))
 		b = appendF64s(b, m.Data)
 	case matPushReq:
-		b = append(b, msgMatPushReq)
+		b = frame(msgMatPushReq, 48+len(m.Model)+8*len(m.Data))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendF64s(b, m.Data)
 		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
 	case funcReq:
-		b = append(b, msgFuncReq)
+		b = frame(msgFuncReq, 48+len(m.Model)+len(m.Name)+len(m.Arg))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendStr(b, m.Name)
 		b = appendBytes(b, m.Arg)
 	case funcResp:
-		b = append(b, msgFuncResp)
+		b = frame(msgFuncResp, 16+len(m.Out))
 		b = appendBytes(b, m.Out)
 	case replicateReq:
-		b = append(b, msgReplicateReq)
+		b = frame(msgReplicateReq, 48+len(m.Method)+len(m.Body))
 		b = appendStr(b, m.Method)
 		b = binary.AppendUvarint(b, m.ClientID)
 		b = binary.AppendUvarint(b, m.Seq)
 		b = binary.AppendVarint(b, m.Epoch)
 		b = appendBytes(b, m.Body)
 	case servePullReq:
-		b = append(b, msgServePullReq)
+		b = frame(msgServePullReq, 48+len(m.Model)+10*len(m.IDs))
 		b = appendAddr(b, m.Model, m.Part)
 		b = binary.AppendVarint(b, m.SnapEpoch)
 		b = appendI64s(b, m.IDs)
 	case serveHotPullReq:
-		b = append(b, msgServeHotPullReq)
+		b = frame(msgServeHotPullReq, 48+len(m.Model)+10*len(m.IDs))
 		b = appendStr(b, m.Model)
 		b = binary.AppendVarint(b, m.SnapEpoch)
 		b = appendI64s(b, m.IDs)
-	case servePullResp:
-		b = append(b, msgServePullResp)
-		b = appendRowBatch(b, m.Rows)
 	case partImage:
-		b = append(b, msgPartImage)
+		b = frame(msgPartImage, partImageHint(m))
 		b = appendPartImage(b, m)
 	default:
-		putBuf(b)
 		return nil, false
 	}
 	return b, true
+}
+
+// replyDecoder is a decode target that checks a reply against the
+// request it answers as it reads it, instead of materialising the
+// message (rowScatter, nbrReply). The cursor goes in and comes back by
+// value: handed to an interface method by address it would move to the
+// heap, one allocation on every decode of every message.
+type replyDecoder interface {
+	wireMsg() byte
+	decode(r wreader) (wreader, error)
 }
 
 // decBinary decodes a tagBin payload (tag byte already stripped) into v.
@@ -681,11 +613,6 @@ func decBinary(data []byte, v any) error {
 			m.M = r.mapF64()
 			m.Set = r.bool()
 		}
-	case *embPullResp:
-		want = msgEmbPullResp
-		if id == want {
-			m.Rows = r.rowBatch()
-		}
 	case *embPushReq:
 		want = msgEmbPushReq
 		if id == want {
@@ -698,13 +625,6 @@ func decBinary(data []byte, v any) error {
 		want = msgNbrPullResp
 		if id == want {
 			m.Nbrs = r.nbrBatch(-1)
-		}
-	case *nbrReply:
-		want = msgNbrPullResp
-		if id == want {
-			if err := m.decode(&r); err != nil {
-				return err
-			}
 		}
 	case *nbrPushReq:
 		want = msgNbrPushReq
@@ -764,20 +684,16 @@ func decBinary(data []byte, v any) error {
 			m.SnapEpoch = r.varint()
 			m.IDs = r.i64s()
 		}
-	case *servePullResp:
-		want = msgServePullResp
-		if id == want {
-			m.Rows = r.rowBatch()
-		}
 	case *partImage:
 		want = msgPartImage
 		if id == want {
 			*m = r.partImage()
 		}
-	case *rowScatter:
-		want = m.msg
+	case replyDecoder:
+		want = m.wireMsg()
 		if id == want {
-			if err := m.decode(&r); err != nil {
+			var err error
+			if r, err = m.decode(r); err != nil {
 				return err
 			}
 		}

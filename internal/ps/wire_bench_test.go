@@ -40,7 +40,7 @@ func BenchmarkCodecEncode(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				buf := enc(req)
-				putBuf(buf)
+				rpc.PutBuf(buf)
 			}
 		})
 	}
@@ -68,7 +68,7 @@ func BenchmarkCodecEncodeEmb(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		buf := enc(req)
-		putBuf(buf)
+		rpc.PutBuf(buf)
 	}
 }
 

@@ -84,9 +84,6 @@ func hotMessages() []any {
 		mapPullResp{M: map[int64]float64{}},
 		mapPullResp{M: nil},
 		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
-		embPullResp{Rows: RowBatch{IDs: []int64{5, -6, 7}, Dim: 2, Data: []float64{1, nan, 2, inf, math.Copysign(0, -1), 3}}},
-		embPullResp{Rows: RowBatch{IDs: []int64{}, Dim: 32, Data: []float64{}}},
-		embPullResp{},
 		embPushReq{Model: "emb", Part: 0, Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{0.5, -0.5}}, Grad: true, Set: false},
 		embPushReq{Model: "emb", Part: 1, Rows: RowBatch{IDs: []int64{9, 9}, Dim: 0}, Set: true},
 		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 2, 2, 3}, Adj: []int64{2, 3, -9}}},
@@ -102,6 +99,18 @@ func hotMessages() []any {
 		servePullReq{Model: "emb", Part: 2, SnapEpoch: 7, IDs: []int64{3, 1, 1 << 50}},
 		servePullReq{},
 		serveHotPullReq{Model: "emb", SnapEpoch: -1, IDs: []int64{}},
+	}
+}
+
+// rowReplies is the same for the replies to row pulls, which the handlers
+// write as frames and no encBinary case produces: encReply is their
+// reference encoder.
+func rowReplies() []any {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []any{
+		embPullResp{Rows: RowBatch{IDs: []int64{5, -6, 7}, Dim: 2, Data: []float64{1, nan, 2, inf, math.Copysign(0, -1), 3}}},
+		embPullResp{Rows: RowBatch{IDs: []int64{}, Dim: 32, Data: []float64{}}},
+		embPullResp{},
 		servePullResp{Rows: RowBatch{IDs: []int64{4, 2}, Dim: 1, Data: []float64{nan, -1}}},
 	}
 }
@@ -117,11 +126,8 @@ func decodeAs(t *testing.T, data []byte, v any) any {
 }
 
 func TestWireBinaryRoundTrip(t *testing.T) {
-	for _, msg := range hotMessages() {
-		b, ok := encBinary(msg)
-		if !ok {
-			t.Fatalf("%T not handled by binary codec", msg)
-		}
+	for _, msg := range append(hotMessages(), rowReplies()...) {
+		b := encReply(msg)
 		if b[0] != tagBin {
 			t.Fatalf("%T: tag = 0x%02x, want tagBin", msg, b[0])
 		}
@@ -171,9 +177,10 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 		}
 	}
 	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp +
-	// Replicate + the two serve read requests and their response.
-	if len(seen) != 17 {
-		t.Errorf("covered %d hot message types, want 17", len(seen))
+	// Replicate + the two serve read requests, less the Emb pull reply:
+	// row pulls are answered with frames the engines write (rowReplies).
+	if len(seen) != 15 {
+		t.Errorf("covered %d hot message types, want 15", len(seen))
 	}
 }
 
@@ -213,7 +220,7 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 		}
 		return walk(v)
 	}
-	for _, msg := range hotMessages() {
+	for _, msg := range append(hotMessages(), rowReplies()...) {
 		if lossyForGob(reflect.ValueOf(msg)) {
 			continue
 		}
@@ -221,8 +228,8 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 		if gb[0] != tagGob {
 			t.Fatalf("%T: gob tag = 0x%02x", msg, gb[0])
 		}
-		bb, ok := encBinary(msg)
-		if !ok {
+		bb := encReply(msg)
+		if bb[0] != tagBin {
 			t.Fatalf("%T not handled by binary codec", msg)
 		}
 		fromGob := decodeAs(t, gb, msg)
@@ -587,7 +594,7 @@ func TestWireBufferPoolReuse(t *testing.T) {
 					t.Errorf("cross-goroutine buffer corruption: %+v", out)
 					return
 				}
-				putBuf(b)
+				rpc.PutBuf(b)
 			}
 		}(g)
 	}

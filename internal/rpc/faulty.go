@@ -57,8 +57,8 @@ type endpointState struct {
 	mu       sync.Mutex
 	policy   Policy
 	rng      *rand.Rand
-	dropResp int           // next n responses dropped deterministically
-	stallN   int           // next n calls stall for stallFor
+	dropResp int // next n responses dropped deterministically
+	stallN   int // next n calls stall for stallFor
 	stallFor time.Duration
 }
 

@@ -324,7 +324,7 @@ func TestTCPMidCallResetRecoversWithRetry(t *testing.T) {
 				if err != nil {
 					return
 				}
-				putFrame(frame)
+				PutBuf(frame)
 				writeFrame(tc.bw, []byte{statusOK}, []byte("done"))
 			}(c)
 		}

@@ -1,0 +1,134 @@
+package rpc
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// TestGetBufPolicy: a buffer is asked for by capacity and gets at least
+// that; a miss is made exactly as big as asked (never rounded up), nil and
+// oversize buffers are not kept, and a pooled buffer too small for the
+// asker is not what it gets.
+func TestGetBufPolicy(t *testing.T) {
+	for _, n := range []int{0, 1, 511, bigFrame - 1, bigFrame, bigFrame + 1, 1 << 20} {
+		b := GetBuf(n)
+		if len(b) != 0 || cap(b) < n {
+			t.Fatalf("GetBuf(%d): len %d cap %d", n, len(b), cap(b))
+		}
+		PutBuf(b)
+	}
+	PutBuf(nil)
+	// Nothing above maxPooled is kept, so an oversize request is always a
+	// miss: exactly sized, and a different buffer every time.
+	huge := GetBuf(maxPooled + 3)
+	if cap(huge) != maxPooled+3 {
+		t.Fatalf("a miss was rounded: asked %d, got cap %d", maxPooled+3, cap(huge))
+	}
+	huge = append(huge, 7)
+	PutBuf(huge)
+	if again := GetBuf(maxPooled + 3); cap(again) != maxPooled+3 || aliases(again, huge) {
+		t.Fatalf("an oversize buffer came back from the pool")
+	}
+	// A small buffer parked in a free list never answers a bigger request
+	// of the same list.
+	for i := 0; i < 100; i++ {
+		PutBuf(make([]byte, 0, 100))
+		if b := GetBuf(4000); cap(b) < 4000 {
+			t.Fatalf("round %d: GetBuf(4000) handed out cap %d", i, cap(b))
+		}
+		PutBuf(make([]byte, 0, bigFrame))
+		if b := GetBuf(2 * bigFrame); cap(b) < 2*bigFrame {
+			t.Fatalf("round %d: GetBuf(%d) handed out cap %d", i, 2*bigFrame, cap(b))
+		}
+	}
+}
+
+// TestFrameIsReusedByTheNextRead: a frame handed back with PutBuf is what
+// a later readFrame of a frame that fits reads into — over TCP every
+// reply used to be a fresh, zeroed allocation because nothing ever put
+// one back where readFrame looks. sync.Pool may drop a buffer (it does so
+// at random under -race), so the test asks for one reuse in many rounds.
+func TestFrameIsReusedByTheNextRead(t *testing.T) {
+	var wire bytes.Buffer
+	const rounds, size = 200, 100 << 10
+	for i := 0; i < rounds; i++ {
+		var prefix [4]byte
+		binary.LittleEndian.PutUint32(prefix[:], size)
+		wire.Write(prefix[:])
+		wire.Write(bytes.Repeat([]byte{byte(i)}, size))
+	}
+	br := bufio.NewReader(&wire)
+	var last []byte
+	reused := 0
+	for i := 0; i < rounds; i++ {
+		frame, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != size || frame[0] != byte(i) || frame[size-1] != byte(i) {
+			t.Fatalf("round %d: frame of %d bytes starting %d", i, len(frame), frame[0])
+		}
+		if last != nil && aliases(frame, last) {
+			reused++
+		}
+		last = frame
+		PutBuf(frame)
+	}
+	if reused == 0 {
+		t.Fatalf("no frame of %d was read into a recycled buffer", rounds)
+	}
+}
+
+// TestTCPEchoReplyIsRecycledOnce: the server loop recycles a handler's
+// reply after writing it — unless the reply is the request frame again
+// (an echo handler), which must go back to the pool once, not twice: a
+// buffer put twice is handed to two readers at once. 1,000 concurrent
+// calls with distinct payloads, every echo checked; -race sees the shared
+// buffer if there is one.
+func TestTCPEchoReplyIsRecycledOnce(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	addr, err := tr.Listen(func(method string, body []byte) ([]byte, error) {
+		switch method {
+		case "whole":
+			return body, nil
+		case "tail":
+			return body[len(body)/2:], nil
+		}
+		return append(GetBuf(len(body)), body...), nil // a reply of its own
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 8, 125
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				method := []string{"whole", "tail", "copy"}[i%3]
+				payload := bytes.Repeat([]byte(fmt.Sprintf("%d/%d;", g, i)), 1+(i*37)%3000)
+				want := payload
+				if method == "tail" {
+					want = payload[len(payload)/2:]
+				}
+				out, err := tr.Call(addr, method, payload)
+				if err != nil {
+					t.Errorf("worker %d call %d: %v", g, i, err)
+					return
+				}
+				if !bytes.Equal(out, want) {
+					t.Errorf("worker %d call %d (%s): echo of %d bytes came back as %d different bytes", g, i, method, len(want), len(out))
+					return
+				}
+				PutBuf(out)
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -21,8 +21,11 @@ import (
 // selects the operation; body is an opaque, already-encoded payload.
 // Handlers must be safe for concurrent use. The body slice is only valid
 // until the handler returns (transports recycle frame buffers): handlers
-// must copy any bytes they retain. The returned response may alias body;
-// transports keep the request buffer alive until the response is sent.
+// must copy any bytes they retain. The returned response belongs to the
+// transport from then on — it goes to the frame pool (GetBuf/PutBuf) once
+// sent, or to the caller in-proc — so a handler must not retain it either.
+// It may alias body; transports keep the request buffer alive until the
+// response is sent.
 type Handler func(method string, body []byte) ([]byte, error)
 
 // Transport routes calls between named endpoints.

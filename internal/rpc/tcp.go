@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"unsafe"
 )
 
 // The TCP transport frames every call with a 4-byte little-endian length
@@ -32,20 +33,47 @@ const (
 	statusErr byte = 1
 )
 
-var framePool sync.Pool
+// The frame pool holds every wire buffer of the process — the ps codec's
+// requests, envelopes and replies as well as the frames read here — so a
+// buffer recycled on one side of a call is found by the other (who gets
+// and who puts: DESIGN.md "Frame ownership"). Two free lists split at
+// bigFrame keep row-batch replies from being handed request-sized
+// buffers; within a list a buffer too small for the asker is dropped,
+// not put back, so a list never fills with buffers nobody can use.
+const (
+	bigFrame  = 64 << 10
+	maxPooled = 4 << 20 // one giant PullAll must not pin its buffer forever
+)
 
-func getFrame(n int) []byte {
-	if p, ok := framePool.Get().(*[]byte); ok && cap(*p) >= n {
-		return (*p)[:n]
+var framePool [2]sync.Pool
+
+func frameClass(n int) int {
+	if n < bigFrame {
+		return 0
 	}
-	return make([]byte, n)
+	return 1
 }
 
-func putFrame(b []byte) {
-	if cap(b) == 0 || cap(b) > 4<<20 {
+// GetBuf returns an empty buffer of capacity at least n, pooled when the
+// pool has one that fits and exactly n otherwise. Its bytes are not
+// cleared.
+func GetBuf(n int) []byte {
+	if n <= maxPooled {
+		if p, ok := framePool[frameClass(n)].Get().(*[]byte); ok && cap(*p) >= n {
+			return (*p)[:0]
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+// PutBuf recycles b, which the caller must no longer reference. Safe on
+// nil and on buffers that did not come from GetBuf (gob-encoded control
+// messages, handler replies).
+func PutBuf(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooled {
 		return
 	}
-	framePool.Put(&b)
+	framePool[frameClass(cap(b))].Put(&b)
 }
 
 // tcpConn bundles a pooled connection with its buffered reader/writer.
@@ -77,7 +105,7 @@ func writeFrame(bw *bufio.Writer, head, body []byte) error {
 }
 
 // readFrame reads one length-prefixed frame into a pooled buffer. The
-// caller must putFrame it (or hand ownership of a sub-slice onward).
+// caller must PutBuf it (or hand ownership of a sub-slice onward).
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(br, prefix[:]); err != nil {
@@ -87,12 +115,21 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("rpc: frame length %d exceeds limit", n)
 	}
-	frame := getFrame(int(n))
+	frame := GetBuf(int(n))[:n]
 	if _, err := io.ReadFull(br, frame); err != nil {
-		putFrame(frame)
+		PutBuf(frame)
 		return nil, err
 	}
 	return frame, nil
+}
+
+// aliases reports whether a's backing array lies inside b's.
+func aliases(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p < lo+uintptr(cap(b))
 }
 
 // TCP is a Transport whose endpoints are real TCP listeners on localhost.
@@ -225,7 +262,7 @@ func (t *TCP) serve(addr string, ln net.Listener, h Handler) {
 				}
 				mlen, n := binary.Uvarint(frame)
 				if n <= 0 || uint64(n)+mlen > uint64(len(frame)) {
-					putFrame(frame)
+					PutBuf(frame)
 					return
 				}
 				method := string(frame[n : n+int(mlen)])
@@ -242,9 +279,14 @@ func (t *TCP) serve(addr string, ln net.Listener, h Handler) {
 					out = nil
 				}
 				// The frame outlives the handler call: out may alias body
-				// (echo-style handlers), so recycle only after the write.
+				// (echo-style handlers), so recycle only after the write —
+				// and the reply with it, which the handler gave up by
+				// returning it, unless it is the request frame again.
 				err = writeFrame(tc.bw, head, out)
-				putFrame(frame)
+				if !aliases(out, frame) {
+					PutBuf(out)
+				}
+				PutBuf(frame)
 				if err != nil {
 					return
 				}
@@ -337,7 +379,7 @@ func (t *TCP) Call(addr, method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	head := getFrame(0)[:0]
+	head := GetBuf(binary.MaxVarintLen64 + len(method))
 	head = binary.AppendUvarint(head, uint64(len(method)))
 	head = append(head, method...)
 	werr := writeFrame(c.bw, head, body)
@@ -350,12 +392,12 @@ func (t *TCP) Call(addr, method string, body []byte) ([]byte, error) {
 		c.conn.Close()
 		t.evictConns(addr)
 		if c, err = t.dial(addr); err != nil {
-			putFrame(head)
+			PutBuf(head)
 			return nil, err
 		}
 		werr = writeFrame(c.bw, head, body)
 	}
-	putFrame(head)
+	PutBuf(head)
 	if werr != nil {
 		// A reset between connect and write is retryable: the request may
 		// not have reached the handler. Evict the whole pool — the peer's
@@ -374,17 +416,17 @@ func (t *TCP) Call(addr, method string, body []byte) ([]byte, error) {
 	}
 	t.putConn(addr, c)
 	if len(frame) < 1 {
-		putFrame(frame)
+		PutBuf(frame)
 		return nil, fmt.Errorf("%w: %s: short response frame", ErrUnreachable, addr)
 	}
 	if frame[0] == statusErr {
 		elen, n := binary.Uvarint(frame[1:])
 		if n <= 0 || uint64(n)+elen > uint64(len(frame)-1) {
-			putFrame(frame)
+			PutBuf(frame)
 			return nil, fmt.Errorf("%w: %s: corrupt error frame", ErrUnreachable, addr)
 		}
 		msg := string(frame[1+n : 1+n+int(elen)])
-		putFrame(frame)
+		PutBuf(frame)
 		return nil, &RemoteError{Addr: addr, Method: method, Msg: msg}
 	}
 	// Ownership of the frame moves to the caller via the body sub-slice;
