@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"psgraph/internal/dataflow"
@@ -64,24 +66,12 @@ type LineConfig struct {
 }
 
 func (c *LineConfig) setDefaults() {
-	if c.Dim == 0 {
-		c.Dim = 32
-	}
-	if c.Order == 0 {
-		c.Order = 2
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 1
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 512
-	}
-	if c.NegSamples == 0 {
-		c.NegSamples = 5
-	}
-	if c.LR == 0 {
-		c.LR = 0.025
-	}
+	c.Dim = cmp.Or(c.Dim, 32)
+	c.Order = cmp.Or(c.Order, 2)
+	c.Epochs = cmp.Or(c.Epochs, 1)
+	c.BatchSize = cmp.Or(c.BatchSize, 512)
+	c.NegSamples = cmp.Or(c.NegSamples, 5)
+	c.LR = cmp.Or(c.LR, 0.025)
 	if c.WindowBatches <= 0 {
 		c.WindowBatches = 4
 	}
@@ -172,6 +162,7 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 		epoch := epoch
 		err := edges.ForeachPartition(func(part int, in []Edge) error {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*1000003 + int64(part)))
+			var upd [2][]float64
 			for start := 0; start < len(in); start += cfg.BatchSize {
 				end := min(start+cfg.BatchSize, len(in))
 				batch := in[start:end]
@@ -180,7 +171,7 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 				if cfg.PullVectors {
 					var eh, oh *ps.Emb
 					if eh, oh, err = lineHandles(ctx, embName, otherName); err == nil {
-						err = lineStepRelaxed(eh, oh, b, nil, nil, cfg.LR)
+						err = lineStepRelaxed(eh, oh, b, nil, nil, cfg.LR, &upd)
 					}
 				} else {
 					err = lineStepPSFunc(ctx, embName, otherName, b, cfg.LR)
@@ -264,13 +255,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 	if err != nil {
 		return err
 	}
-	workers := ctx.cfg.NumExecutors
-	if parts < workers {
-		workers = parts
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(ctx.cfg.NumExecutors, parts), 1)
 	re := dataflow.Parallelize(ctx.Spark, all, workers)
 	k := cfg.Staleness
 	if cfg.Sync == "asp" {
@@ -319,6 +304,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 		}
 		sinceTick := 0
 		var next *lineBatch
+		var upd [2][]float64 // lineGrads' update blocks, reused batch after batch
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*1000003 + int64(worker)))
 			for start := 0; start < len(in); start += cfg.BatchSize {
@@ -336,7 +322,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 					}
 				}
 				if cfg.PullVectors {
-					err = lineStepRelaxed(eh, oh, cur, uCo, vCo, cfg.LR)
+					err = lineStepRelaxed(eh, oh, cur, uCo, vCo, cfg.LR, &upd)
 				} else {
 					err = lineStepPSFunc(ctx, embName, otherName, cur, cfg.LR)
 				}
@@ -367,7 +353,7 @@ func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, e
 // compute locally, push updates (2·Dim floats per pair each way) — fed
 // from the pipeline: rows come from the in-flight prefetch when one was
 // issued, and updates go through the coalescers when coalescing is on.
-func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr float64) error {
+func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr float64, upd *[2][]float64) error {
 	var u, v pulledRows
 	var err error
 	if b.uPre != nil {
@@ -385,7 +371,7 @@ func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr fl
 			return err
 		}
 	}
-	uUpd, vUpd := lineGrads(b, u, v, lr)
+	uUpd, vUpd := lineGrads(b, u, v, lr, upd)
 	if uCo != nil {
 		if err := uCo.PushBatch(uUpd); err != nil {
 			return err
@@ -453,9 +439,16 @@ type pulledRows struct {
 // pulled embedding (u) and context (v) rows. The updates are batches
 // parallel to the pulled ones — one zero-initialised row per distinct id
 // — so a pair finds its rows and its update rows by position, not by id.
-func lineGrads(b *lineBatch, u, v pulledRows, lr float64) (uUpd, vUpd ps.RowBatch) {
-	uUpd = ps.RowBatch{IDs: u.rows.IDs, Dim: u.rows.Dim, Data: make([]float64, len(u.rows.Data))}
-	vUpd = ps.RowBatch{IDs: v.rows.IDs, Dim: v.rows.Dim, Data: make([]float64, len(v.rows.Data))}
+// Their blocks are upd's, zeroed and grown as needed: a push keeps nothing
+// of the batch it is given (DESIGN.md §11), so the next step may overwrite
+// them.
+func lineGrads(b *lineBatch, u, v pulledRows, lr float64, upd *[2][]float64) (uUpd, vUpd ps.RowBatch) {
+	for k, n := range [2]int{len(u.rows.Data), len(v.rows.Data)} {
+		upd[k] = slices.Grow(upd[k][:0], n)[:n]
+		clear(upd[k])
+	}
+	uUpd = ps.RowBatch{IDs: u.rows.IDs, Dim: u.rows.Dim, Data: upd[0]}
+	vUpd = ps.RowBatch{IDs: v.rows.IDs, Dim: v.rows.Dim, Data: upd[1]}
 	for i := range b.us {
 		ui, vi := int(u.pos[i]), int(v.pos[i])
 		urow, vrow := u.rows.Row(ui), v.rows.Row(vi)

@@ -278,3 +278,41 @@ func TestShuffleReleaseKeepsLiveShuffles(t *testing.T) {
 		t.Fatalf("recount = %d, %v", n, err)
 	}
 }
+
+// TestParallelizedSourceIsCopiedOnce: an action over a Parallelize'd RDD
+// hands each task one sized copy of its share (the source's compute), not
+// a slice grown element by element through the fused path — exactly as
+// long as it is capacious, private to the task (writing through it leaves
+// the source and the next action alone), and about as many bytes per
+// action as the data: growing by doubling allocated 2.5 times that.
+func TestParallelizedSourceIsCopiedOnce(t *testing.T) {
+	ctx := newCtx(t, Config{NumExecutors: 2})
+	data := ints(1 << 16)
+	r := Parallelize(ctx, data, 2)
+	action := func() {
+		err := r.ForeachPartition(func(part int, in []int) error {
+			if len(in) != len(data)/2 || cap(in) != len(in) || in[0] != data[part*len(in)] {
+				return fmt.Errorf("partition %d: %d elements (cap %d) starting %d", part, len(in), cap(in), in[0])
+			}
+			in[0] = -1
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	action()
+	if data[0] != 0 {
+		t.Fatal("a task wrote through to the parallelized source")
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		action()
+	}
+	runtime.ReadMemStats(&m1)
+	if per, size := (m1.TotalAlloc-m0.TotalAlloc)/runs, uint64(8*len(data)); per > size+size/4 {
+		t.Errorf("an action over %d bytes of parallelized data allocates %d", size, per)
+	}
+}

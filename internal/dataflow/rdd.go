@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -146,13 +147,13 @@ func (r *RDD[T]) streamPart(t *Task, part int, emit func(T) error) error {
 // partSlice returns partition part as a slice for callers that need it
 // whole (ForeachPartition, MapPartitions inputs, Collect). A cached or
 // caching RDD hands out the cached slice itself — every task of every
-// action sees the same backing array, so the slice is read-only for the
-// caller. Anything else is gathered through the fused path.
+// action sees the same backing array: read-only for the caller. A source
+// (no parents) computes its one sized copy; the rest gather the fused path.
 func (r *RDD[T]) partSlice(t *Task, part int) ([]T, error) {
 	r.cacheMu.Lock()
 	held := r.caching || (r.cached != nil && r.cached[part] != nil)
 	r.cacheMu.Unlock()
-	if held || r.stream == nil {
+	if held || r.stream == nil || len(r.parents) == 0 {
 		return r.materialize(t, part)
 	}
 	return collectStream(t, part, r.streamPart)
@@ -332,7 +333,7 @@ func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *
 	}
 }
 
-// Collect gathers all partitions into one slice (partition order).
+// Collect gathers all partitions into one sized slice (partition order).
 func (r *RDD[T]) Collect() ([]T, error) {
 	if err := r.prepare(); err != nil {
 		return nil, err
@@ -349,11 +350,7 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []T
-	for _, p := range results {
-		all = append(all, p...)
-	}
-	return all, nil
+	return slices.Concat(results...), nil
 }
 
 // Count returns the number of elements. The fused path counts without

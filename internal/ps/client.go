@@ -34,8 +34,10 @@ type Client struct {
 	mu    sync.RWMutex
 	cache map[string]ModelMeta
 	// rowCaches holds the per-model versioned prefetch caches
-	// (prefetch.go), lazily created, guarded by mu like cache.
+	// (prefetch.go), lazily created, dropped by DeleteModel, guarded by mu
+	// like cache; gone keeps what the dropped ones counted.
 	rowCaches map[string]*rowCache
+	gone      cacheTotals
 
 	// rowCacheRows/rowCacheBytes are the caps newly created row caches
 	// adopt (SetRowCacheLimits; <= 0 disables a cap).
@@ -81,6 +83,7 @@ func NewClient(tr rpc.Transport, masterAddr string) *Client {
 		masterAddr:   masterAddr,
 		id:           nextClientID.Add(1),
 		cache:        make(map[string]ModelMeta),
+		rowCaches:    make(map[string]*rowCache),
 		RetryTimeout: 30 * time.Second,
 		rowCacheRows: defaultRowCacheRows,
 	}
@@ -210,13 +213,6 @@ func staleLayoutErr(err error) bool {
 	return errors.As(err, &re) && strings.Contains(re.Msg, "not on this server")
 }
 
-// invalidate drops the cached layout of model.
-func (c *Client) invalidate(model string) {
-	c.mu.Lock()
-	delete(c.cache, model)
-	c.mu.Unlock()
-}
-
 // currentMeta returns the freshest layout this client holds for model:
 // the cached copy when present (it may be newer than the snapshot baked
 // into a typed handle at construction — splits and moves republish the
@@ -251,7 +247,9 @@ func (c *Client) cacheMeta(meta ModelMeta) {
 // caller's next per-partition call will then fail and retry through
 // callE's resolver, which keeps refetching with backoff.
 func (c *Client) refreshMeta(model string, fallback ModelMeta) ModelMeta {
-	c.invalidate(model)
+	c.mu.Lock()
+	delete(c.cache, model)
+	c.mu.Unlock()
 	meta, err := c.GetModel(model)
 	if err != nil {
 		return fallback
@@ -397,9 +395,16 @@ func (c *Client) GetModel(name string) (ModelMeta, error) {
 	return out.Meta, nil
 }
 
-// DeleteModel removes a model from the servers and the master.
+// DeleteModel removes a model from the servers and the master, and with
+// it this client's layout and row cache of it, slab and all.
 func (c *Client) DeleteModel(name string) error {
-	c.invalidate(name)
+	c.mu.Lock()
+	delete(c.cache, name)
+	if rc := c.rowCaches[name]; rc != nil {
+		c.gone.add(rc)
+		delete(c.rowCaches, name)
+	}
+	c.mu.Unlock()
 	return c.invoke(c.masterAddr, "DeleteModel", modelNameReq{Name: name}, nil)
 }
 
@@ -906,53 +911,45 @@ func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
 	return rows.Map(), nil
 }
 
-// pullInto fetches the rows of w.ids into dst, a block of meta.Dim-wide
-// rows: id j lands in row w.row(j). Every partition's reply is decoded
-// straight into its rows (hash) or columns (column layout) of dst — see
-// rowScatter. For ColumnEmbedding models every partition fills its columns
-// of each row; their partitions are structural (every row spans all of
-// them) and never split or re-range, so that path fans out directly, as
-// Mat does.
-func (e *Emb) pullInto(meta ModelMeta, w rowWork, dst []float64) error {
-	if len(w.ids) == 0 {
-		return nil
-	}
-	name, dim := meta.Name, meta.Dim
-	pull := func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error {
-		sc := &rowScatter{msg: msgEmbPullResp, model: name, part: p.Index,
-			work: w, dst: dst, col0: col0, width: col1 - col0, strd: dim}
-		return e.c.partInvoke(cancel, name, p, "EmbPull", pullReq{Model: name, Part: p.Index, Keys: w.ids}, sc)
-	}
+// rowParts runs send, concurrently, for every part of w's full-width rows
+// the layout holds: w's positions are routed, never data. A hash layout
+// gives each owner its bucket of w whole; a column layout gives every
+// partition its columns of all of w — those partitions are structural
+// (every row spans all of them) and never split or re-range, so that path
+// fans out directly, as Mat does.
+func (e *Emb) rowParts(meta ModelMeta, w rowWork, send func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error) error {
 	if meta.Kind == ColumnEmbedding {
 		return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-			return pull(cancel, p, w, p.Col0, p.Col1)
+			return send(cancel, p, w, p.Col0, p.Col1)
 		})
 	}
 	return routed(e.c, meta, w, splitRows, func(cancel <-chan struct{}, p Partition, b rowWork) error {
 		if len(b.ids) == 0 {
 			return nil
 		}
-		return pull(cancel, p, b, 0, dim)
+		return send(cancel, p, b, 0, meta.Dim)
 	})
 }
 
-// splitBatch buckets a pushed batch by owning partition slot.
-func splitBatch(meta *ModelMeta, b RowBatch) []RowBatch {
-	by := make([]RowBatch, len(meta.Parts))
-	est := len(b.IDs)/len(by) + 1
-	for i, id := range b.IDs {
-		pb := &by[meta.PartitionFor(id)]
-		if pb.IDs == nil {
-			*pb = RowBatch{IDs: make([]int64, 0, est), Dim: b.Dim, Data: make([]float64, 0, est*b.Dim)}
-		}
-		pb.IDs = append(pb.IDs, id)
-		pb.Data = append(pb.Data, b.Row(i)...)
+// pullInto fetches the rows of w.ids into dst, a block of meta.Dim-wide
+// rows: id j lands in row w.row(j). Every partition's reply is decoded
+// straight into its rows (hash) or columns (column layout) of dst — see
+// rowScatter.
+func (e *Emb) pullInto(meta ModelMeta, w rowWork, dst []float64) error {
+	if len(w.ids) == 0 {
+		return nil
 	}
-	return by
+	name := meta.Name
+	return e.rowParts(meta, w, func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error {
+		sc := &rowScatter{msg: msgEmbPullResp, model: name, part: p.Index,
+			work: w, dst: dst, col0: col0, width: col1 - col0, strd: meta.Dim}
+		return e.c.partInvoke(cancel, name, p, "EmbPull", pullReq{Model: name, Part: p.Index, Keys: w.ids}, sc)
+	})
 }
 
-// pushBatch sends full-width rows: bucketed by owner for hash layouts,
-// sliced by column range for column layouts.
+// pushBatch sends full-width rows, the mirror of pullInto: each partition's
+// request goes from its rows (hash) or columns (column layout) of b straight
+// into its frame — see pushFrame.
 func (e *Emb) pushBatch(b RowBatch, grad, set bool) error {
 	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
 	if err := b.check(); err != nil {
@@ -964,25 +961,9 @@ func (e *Emb) pushBatch(b RowBatch, grad, set bool) error {
 	if len(b.IDs) == 0 {
 		return nil
 	}
-	send := func(cancel <-chan struct{}, p Partition, rows RowBatch) error {
-		req := embPushReq{Model: meta.Name, Part: p.Index, Rows: rows, Grad: grad, Set: set}
+	return e.rowParts(meta, rowWork{ids: b.IDs}, func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error {
+		req := pushFrame(meta.Name, p.Index, b, w, col0, col1, grad, set)
 		return e.c.partInvoke(cancel, meta.Name, p, "EmbPush", req, nil)
-	}
-	if meta.Kind == ColumnEmbedding {
-		return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-			w := p.Col1 - p.Col0
-			cols := RowBatch{IDs: b.IDs, Dim: w, Data: make([]float64, 0, len(b.IDs)*w)}
-			for r := range b.IDs {
-				cols.Data = append(cols.Data, b.Row(r)[p.Col0:p.Col1]...)
-			}
-			return send(cancel, p, cols)
-		})
-	}
-	return routed(e.c, meta, b, splitBatch, func(cancel <-chan struct{}, p Partition, rows RowBatch) error {
-		if len(rows.IDs) == 0 {
-			return nil
-		}
-		return send(cancel, p, rows)
 	})
 }
 

@@ -19,8 +19,8 @@ import (
 
 // Coalescer accumulates row updates for one Emb handle and flushes them
 // as a single push every window logical pushes (or on explicit Flush).
-// The pending window is one flat batch: a row's first update appends it,
-// later ones add into it in place.
+// The pending window is one flat batch and an id → row index: a row's
+// first update appends it, later ones add into it in place.
 type Coalescer struct {
 	e      *Emb
 	window int
@@ -40,10 +40,7 @@ type Coalescer struct {
 // pass-through); grad selects PushGrad semantics for the flush, otherwise
 // PushAdd.
 func (e *Emb) Coalescer(window int, grad bool) *Coalescer {
-	if window < 1 {
-		window = 1
-	}
-	return &Coalescer{e: e, window: window, grad: grad}
+	return &Coalescer{e: e, window: max(window, 1), grad: grad}
 }
 
 // PushBatch sum-combines b's rows into the pending window, flushing when
@@ -84,15 +81,6 @@ func (co *Coalescer) PushBatch(b RowBatch) error {
 	return co.flushLocked()
 }
 
-// Push is PushBatch for an id → row map.
-func (co *Coalescer) Push(vecs map[int64][]float64) error {
-	b, err := rowBatchOf(vecs, co.e.Meta.Dim)
-	if err != nil {
-		return err
-	}
-	return co.PushBatch(b)
-}
-
 // Flush pushes the pending window immediately (end of partition, or
 // right before a clock advance so peers observe this window's updates).
 func (co *Coalescer) Flush() error {
@@ -105,15 +93,25 @@ func (co *Coalescer) Flush() error {
 }
 
 // flushLocked takes the pending window and releases the lock before the
-// wire push, so a slow flush does not block concurrent Pushes.
+// wire push, so a slow flush does not block concurrent pushes — they start
+// a window of their own, and the flush alone holds the one on the wire.
+// The push keeps nothing of it: once it has returned, the window comes
+// back, emptied, as the next one (unless one was started meanwhile).
 func (co *Coalescer) flushLocked() error {
-	pending := co.pending
+	pending, slot := co.pending, co.slot
 	co.merged += int64(co.buffered - 1)
 	co.flushes++
 	co.pending, co.slot = RowBatch{}, nil
 	co.buffered = 0
 	co.mu.Unlock()
-	return co.e.pushBatch(pending, co.grad, false)
+	err := co.e.pushBatch(pending, co.grad, false)
+	co.mu.Lock()
+	if co.slot == nil {
+		clear(slot)
+		co.pending, co.slot = RowBatch{IDs: pending.IDs[:0], Dim: pending.Dim, Data: pending.Data[:0]}, slot
+	}
+	co.mu.Unlock()
+	return err
 }
 
 // Stats reports how many logical pushes were absorbed by coalescing

@@ -70,7 +70,6 @@ type addressed interface {
 
 func (r vecPushReq) addr() (string, int) { return r.Model, r.Part }
 func (r mapPushReq) addr() (string, int) { return r.Model, r.Part }
-func (r embPushReq) addr() (string, int) { return r.Model, r.Part }
 func (r nbrPushReq) addr() (string, int) { return r.Model, r.Part }
 func (r matPushReq) addr() (string, int) { return r.Model, r.Part }
 
@@ -128,20 +127,11 @@ type mapPushReq struct {
 	Set   bool
 }
 
-// encoded is a reply its handler wrote as a wire frame itself — EmbPull,
-// ServePull, ServeHotPull: rowReply, the request's keys in request order,
-// as wide as the partition stores them. enc passes it through.
+// encoded is a message its sender wrote as a wire frame itself: the reply
+// of EmbPull, ServePull, ServeHotPull (rowReply: the request's keys in
+// request order, as wide as the partition stores them) and the request of
+// EmbPush (pushFrame). enc passes it through.
 type encoded []byte
-
-type embPushReq struct {
-	Model string
-	Part  int
-	Rows  RowBatch
-	// Grad applies the model's optimizer to the pushed values as
-	// gradients; otherwise values are added (or Set).
-	Grad bool
-	Set  bool
-}
 
 type nbrPushReq struct {
 	Model  string

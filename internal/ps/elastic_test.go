@@ -10,6 +10,14 @@ import (
 
 // oneServerMeta lays model out over a single server so engine-level
 // tests get one partition covering the whole route space.
+// invalidate drops the client's cached layout of model, so the next
+// operation routes by its handle's own snapshot again.
+func (c *Client) invalidate(model string) {
+	c.mu.Lock()
+	delete(c.cache, model)
+	c.mu.Unlock()
+}
+
 func oneServerMeta(meta ModelMeta) ModelMeta {
 	return layout(meta, []string{"s0"})
 }
@@ -58,7 +66,7 @@ func TestEmbSplitLandsMidShard(t *testing.T) {
 	for id := int64(0); id < n; id++ {
 		grads[id] = []float64{1, 2, 3}
 	}
-	if err := ee.push(embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
+	if err := pushReq(ee, embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
 		t.Fatalf("grad push: %v", err)
 	}
 	// rowMaps views an image's rows and moments by id.
@@ -97,7 +105,7 @@ func TestEmbSplitLandsMidShard(t *testing.T) {
 	// The narrowed engine must now reject moved keys as range-moved.
 	for id := int64(0); id < n; id++ {
 		if routeBucket(id) >= mid {
-			err := ee.push(embPushReq{Rows: mustRows(map[int64][]float64{id: {1, 1, 1}}, 3)})
+			err := pushReq(ee, embPushReq{Rows: mustRows(map[int64][]float64{id: {1, 1, 1}}, 3)})
 			if !IsRangeMovedErr(err) {
 				t.Fatalf("push of moved key %d: err = %v, want range-moved", id, err)
 			}
@@ -683,8 +691,8 @@ func TestRowCacheInvalidatedOnLayoutRefresh(t *testing.T) {
 	if err := e.PushSet(seed); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	if _, err := e.PullCached([]int64{1, 2}); err != nil {
-		t.Fatalf("PullCached: %v", err)
+	if _, err := pullCached(e, []int64{1, 2}); err != nil {
+		t.Fatalf("cached pull: %v", err)
 	}
 	rc := cl.rowCache("pc")
 	rc.mu.Lock()
@@ -707,9 +715,9 @@ func TestRowCacheInvalidatedOnLayoutRefresh(t *testing.T) {
 	// Simulate the client noticing the new layout (any fenced or
 	// range-moved call does this through refreshMeta).
 	cl.refreshMeta("pc", e.Meta)
-	got, err := e.PullCached([]int64{1, 2})
+	got, err := pullCached(e, []int64{1, 2})
 	if err != nil {
-		t.Fatalf("PullCached after refresh: %v", err)
+		t.Fatalf("cached pull after refresh: %v", err)
 	}
 	if !reflect.DeepEqual(got[1], []float64{9, 9}) || !reflect.DeepEqual(got[2], []float64{8, 8}) {
 		t.Fatalf("served stale cached rows after layout change: %v", got)

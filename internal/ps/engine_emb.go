@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -48,12 +50,7 @@ var embShardCount atomic.Int32
 // afterwards (existing engines keep theirs); engines round it up to a
 // power of two. n < 1 resets the default. Intended for benchmarks and
 // shard-crossing tests.
-func SetEmbShards(n int) {
-	if n < 1 {
-		n = 0
-	}
-	embShardCount.Store(int32(n))
-}
+func SetEmbShards(n int) { embShardCount.Store(int32(max(n, 0))) }
 
 func newEmbEngine(base engineBase, pm Partition) *embEngine {
 	e := &embEngine{engineBase: base}
@@ -63,10 +60,7 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 		e.col0, e.col1 = 0, base.meta.Dim
 	}
 	e.ri = newRowIniter(e.meta, e.col0, e.col1)
-	n := int(embShardCount.Load())
-	if n < 1 {
-		n = defaultEmbShards
-	}
+	n := cmp.Or(int(embShardCount.Load()), defaultEmbShards)
 	e.shards = make([]embShard, 1<<bits.Len(uint(n-1)))
 	for i := range e.shards {
 		e.shards[i].store = newRowStore(e.width())
@@ -188,30 +182,28 @@ func (e *embEngine) byShard(ids []int64) (order, start []int32) {
 	return order, start
 }
 
-// push applies one add/set/gradient request, rows in batch order (a
-// repeated id is applied once per occurrence). Shape, width and routes
-// are validated for the whole request before any row (or the Adam step
-// counter) mutates, so a malformed batch rejects cleanly instead of
-// half-applying.
-func (e *embEngine) push(req embPushReq) error {
+// push applies one add/set/gradient request straight from its frame, rows
+// in batch order (a repeated id is applied once per occurrence). Width and
+// routes are validated for the whole request — its shape was when it was
+// decoded — before any row (or the Adam step counter) mutates, so a
+// malformed batch rejects cleanly instead of half-applying. Only a
+// gradient is converted first, one row at a time into one scratch row.
+func (e *embEngine) push(req embPush) error {
 	w := e.width()
-	rows := req.Rows
-	if err := rows.check(); err != nil {
-		return err
+	if req.dim != w {
+		return fmt.Errorf("ps: push of %d-wide rows into %s/%d, which stores %d-wide rows", req.dim, e.meta.Name, e.idx, w)
 	}
-	if rows.Dim != w {
-		return fmt.Errorf("ps: push width %d != row width %d", rows.Dim, w)
-	}
-	for _, id := range rows.IDs {
+	for _, id := range req.ids {
 		if err := e.checkKey(id); err != nil {
 			return err
 		}
 	}
 	var step int64
-	if req.Grad {
-		step = e.step.Add(1)
+	var grad []float64
+	if req.grad {
+		step, grad = e.step.Add(1), make([]float64, w)
 	}
-	order, start := e.byShard(rows.IDs)
+	order, start := e.byShard(req.ids)
 	for si := range e.shards {
 		group := order[start[si]:start[si+1]]
 		if len(group) == 0 {
@@ -220,16 +212,17 @@ func (e *embEngine) push(req embPushReq) error {
 		sh := &e.shards[si]
 		sh.mu.Lock()
 		for _, j := range group {
-			vals := rows.Row(int(j))
-			ord, row := e.rowLocked(sh, rows.IDs[j])
+			vals := req.raw[8*int(j)*w:][:8*w]
+			ord, row := e.rowLocked(sh, req.ids[j])
 			switch {
-			case req.Set:
-				copy(row, vals)
-			case req.Grad:
-				e.applyGrad(&sh.store, ord, row, vals, step)
+			case req.set:
+				getF64s(row, vals)
+			case req.grad:
+				getF64s(grad, vals)
+				e.applyGrad(&sh.store, ord, row, grad, step)
 			default:
-				for i, v := range vals {
-					row[i] += v
+				for i := range row {
+					row[i] += math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
 				}
 			}
 		}

@@ -301,7 +301,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			for _, id := range ids {
 				g[id] = []float64{1, 0.5, -2}
 			}
-			if err := e.push(embPushReq{Rows: mustRows(g, 3), Grad: true}); err != nil {
+			if err := pushReq(e, embPushReq{Rows: mustRows(g, 3), Grad: true}); err != nil {
 				t.Fatalf("grad push: %v", err)
 			}
 			return pullRows(t, e, ids).Map()
@@ -317,7 +317,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := 0; k < 2; k++ {
-				if err := src.push(embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
+				if err := pushReq(src, embPushReq{Rows: mustRows(grads, 3), Grad: true}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -90,7 +90,7 @@ func (b *engineBase) checkKind(img partImage) error {
 // partImageHint bounds the encoded size of an image.
 func partImageHint(m partImage) int {
 	return 64 + 8*(len(m.Dense)+len(m.DenseMom)+len(m.DenseVel)) + 18*len(m.M) +
-		rowBatchHint(m.Rows) + rowBatchHint(m.Mom) + rowBatchHint(m.Vel) +
+		rowBatchLen(m.Rows.IDs, m.Rows.Dim) + rowBatchLen(m.Mom.IDs, m.Mom.Dim) + rowBatchLen(m.Vel.IDs, m.Vel.Dim) +
 		mapI64sHint(m.Nbr) + 10*(len(m.CsrIDs)+len(m.CsrOff)+len(m.CsrAdj))
 }
 

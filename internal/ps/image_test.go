@@ -57,7 +57,7 @@ func imageCases() []imageCase {
 				t.Fatalf("emb pull: %v", err)
 			}
 			for k := 0; k < 2; k++ {
-				if err := ee.push(embPushReq{Rows: embGrads(dim), Grad: true}); err != nil {
+				if err := pushReq(ee, embPushReq{Rows: embGrads(dim), Grad: true}); err != nil {
 					t.Fatalf("emb grad push: %v", err)
 				}
 			}
@@ -537,7 +537,7 @@ func BenchmarkPartImage(b *testing.B) {
 		grads.IDs, grads.Data = append(grads.IDs, id), append(grads.Data, make([]float64, 32)...)
 		grads.Data[len(grads.Data)-1] = float64(id)
 	}
-	if err := src.(*embEngine).push(embPushReq{Rows: grads, Grad: true}); err != nil {
+	if err := pushReq(src.(*embEngine), embPushReq{Rows: grads, Grad: true}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -25,7 +25,7 @@ package ps
 // The cache is a bounded LRU: every lookup hit and insert moves the row
 // to the front of an intrusive recency list, and an insert at the cap
 // evicts the tail and takes over its slot. Training prefetch
-// rarely feels the bound (the whole cache dies at the next clock
+// rarely feels the bound (the whole cache empties at the next clock
 // advance), but the serving tier (serve.go) reuses this cache for
 // long-lived read traffic where the working set exceeds memory and
 // recency is the whole game.
@@ -101,9 +101,6 @@ func newRowCache(maxRows int, maxBytes int64) *rowCache {
 func (c *Client) rowCache(model string) *rowCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rowCaches == nil {
-		c.rowCaches = make(map[string]*rowCache)
-	}
 	rc := c.rowCaches[model]
 	if rc == nil {
 		rc = newRowCache(c.rowCacheRows, c.rowCacheBytes)
@@ -147,24 +144,19 @@ func (rc *rowCache) syncLayout(epoch int64, nparts int) {
 	fresh := rc.layoutEpoch == 0 && rc.layoutParts == 0
 	rc.layoutEpoch = epoch
 	rc.layoutParts = nparts
-	if fresh {
-		return
+	if !fresh {
+		rc.version++
+		rc.dropLocked()
 	}
-	rc.resetLocked()
 }
 
-// resetLocked bumps the version fence and drops every row. Callers hold
-// rc.mu.
-func (rc *rowCache) resetLocked() {
-	rc.version++
-	rc.dropLocked()
-}
-
-// dropLocked empties the cache and releases its slab: a handle's cache
-// outlives its model, and must not keep a dead model's rows resident.
+// dropLocked empties the cache, which keeps its memory — slab, entries,
+// index: a training cache refills to the same size every clock window. All
+// of it goes with the model (DeleteModel) or the ServeClient that owns the
+// cache. Callers hold rc.mu and bump the version to fence in-flight inserts.
 func (rc *rowCache) dropLocked() {
-	rc.rows = make(map[int64]int32)
-	rc.ents, rc.data = nil, nil
+	clear(rc.rows)
+	rc.ents, rc.data = rc.ents[:0], rc.data[:0]
 	rc.head, rc.tail = noSlot, noSlot
 }
 
@@ -172,7 +164,8 @@ func (rc *rowCache) dropLocked() {
 // inserts under the old version cannot land.
 func (rc *rowCache) invalidate() {
 	rc.mu.Lock()
-	rc.resetLocked()
+	rc.version++
+	rc.dropLocked()
 	rc.mu.Unlock()
 }
 
@@ -239,28 +232,35 @@ func (rc *rowCache) evictLocked() int32 {
 	return victim
 }
 
-// CacheStats sums prefetch-cache hits and misses across this agent's
-// models.
-func (c *Client) CacheStats() (hits, misses int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, rc := range c.rowCaches {
-		hits += rc.hits.Load()
-		misses += rc.misses.Load()
-	}
-	return hits, misses
+// cacheTotals is what row caches counted, summed.
+type cacheTotals struct{ hits, misses, evictions int64 }
+
+func (t *cacheTotals) add(rc *rowCache) {
+	t.hits += rc.hits.Load()
+	t.misses += rc.misses.Load()
+	t.evictions += rc.evictions.Load()
 }
 
-// CacheEvictions sums LRU evictions across this agent's model caches.
-func (c *Client) CacheEvictions() int64 {
+// cacheTotals sums over this agent's model caches, dropped ones (gone) too.
+func (c *Client) cacheTotals() cacheTotals {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var n int64
+	t := c.gone
 	for _, rc := range c.rowCaches {
-		n += rc.evictions.Load()
+		t.add(rc)
 	}
-	return n
+	return t
 }
+
+// CacheStats sums prefetch-cache hits and misses across this agent's
+// models, deleted ones included.
+func (c *Client) CacheStats() (hits, misses int64) {
+	t := c.cacheTotals()
+	return t.hits, t.misses
+}
+
+// CacheEvictions sums LRU evictions the same way.
+func (c *Client) CacheEvictions() int64 { return c.cacheTotals().evictions }
 
 // insert copies rows of a dim-wide block into the cache under the version
 // fence — id j of w is row w.row(j) of src — and nothing lands if the
@@ -275,7 +275,7 @@ func (rc *rowCache) insert(version int64, w rowWork, dim int, src []float64) {
 		return
 	}
 	if rc.dim != dim {
-		rc.dropLocked()
+		rc.dropLocked() // no fence: a first insert adopts the width, its siblings must land
 		rc.dim = dim
 	}
 	limit := rc.capRows()
@@ -346,15 +346,6 @@ func (p *Prefetch) Batch() (rows RowBatch, pos []int32, err error) {
 	return p.rows, p.pos, p.err
 }
 
-// Rows is Batch as an id → row map over the same block.
-func (p *Prefetch) Rows() (map[int64][]float64, error) {
-	rows, _, err := p.Batch()
-	if err != nil {
-		return nil, err
-	}
-	return rows.Map(), nil
-}
-
 // PrefetchRows starts pulling ids in the background and returns a handle
 // to resolve before the next mini-batch. Cached rows are served without a
 // wire round-trip; only misses hit the servers, each distinct id once.
@@ -382,10 +373,4 @@ func (e *Emb) PrefetchRows(ids []int64) *Prefetch {
 		rc.insert(version, missing, meta.Dim, dst)
 	}()
 	return p
-}
-
-// PullCached is Pull through the row cache: cache hits skip the wire,
-// misses are pulled and inserted under the version fence.
-func (e *Emb) PullCached(ids []int64) (map[int64][]float64, error) {
-	return e.PrefetchRows(ids).Rows()
 }

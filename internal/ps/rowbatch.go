@@ -159,26 +159,79 @@ func eachRowPart(meta *ModelMeta, w rowWork, dim int, pull func(p Partition, w r
 	return nil
 }
 
-// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+// uvarintLen and varintLen are the number of bytes binary.AppendUvarint
+// and binary.AppendVarint write for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(x int64) int   { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// rowBatchLen is the encoded size of a batch of w-wide rows for ids
+// (appendRowBatch's layout).
+func rowBatchLen(ids []int64, w int) int {
+	vals := len(ids) * w
+	n := uvarintLen(uint64(len(ids))+1) + uvarintLen(uint64(w)) + uvarintLen(uint64(vals)+1) + 8*vals
+	var prev int64
+	for _, id := range ids {
+		n += varintLen(id - prev)
+		prev = id
+	}
+	return n
+}
+
+// appendRowHead writes such a batch up to its value block.
+func appendRowHead(b []byte, ids []int64, w int) []byte {
+	b = binary.AppendUvarint(appendI64s(b, ids), uint64(w))
+	return binary.AppendUvarint(b, uint64(len(ids)*w)+1)
+}
 
 // rowReply starts the reply to a row pull (appendRowBatch's layout) for ids
 // of w-wide rows: a pooled frame of exactly the reply's size, written up to
 // the value block, and that block's offset. The block is not cleared: the
 // caller writes every row j at off+8*j*w (DESIGN.md §6).
 func rowReply(msg byte, ids []int64, w int) (b []byte, off int) {
-	vals := len(ids) * w
-	n := 2 + uvarintLen(uint64(len(ids))+1) + uvarintLen(uint64(w)) + uvarintLen(uint64(vals)+1) + 8*vals
-	var prev int64
-	for _, id := range ids {
-		d := id - prev
-		n += uvarintLen(uint64(d<<1) ^ uint64(d>>63)) // the zigzag of the delta
-		prev = id
-	}
-	b = appendI64s(frame(msg, n), ids)
-	b = binary.AppendUvarint(b, uint64(w))
-	b = binary.AppendUvarint(b, uint64(vals)+1)
+	n := 2 + rowBatchLen(ids, w)
+	b = appendRowHead(frame(msg, n), ids, w)
 	return b[:n], len(b)
+}
+
+// pushFrame writes the EmbPush request that carries rows w of b, columns
+// [col0, col1) of each, to one partition: a pooled frame of exactly the
+// request's size — address, appendRowBatch's layout, the two flags — with
+// the values converted from the caller's batch straight into it.
+func pushFrame(model string, part int, b RowBatch, w rowWork, col0, col1 int, grad, set bool) encoded {
+	width := col1 - col0
+	n := 2 + uvarintLen(uint64(len(model))) + len(model) + varintLen(int64(part)) + rowBatchLen(w.ids, width) + 2
+	f := appendRowHead(appendAddr(frame(msgEmbPushReq, n), model, part), w.ids, width)
+	off := len(f)
+	f = f[:n-2]
+	for j := range w.ids {
+		putF64s(f[off+8*j*width:], b.Row(w.row(j))[col0:col1])
+	}
+	return appendBool(appendBool(f, grad), set)
+}
+
+// embPush is an EmbPush request as the server reads it: address, ids and
+// flags decoded (grad: step the optimizer; set: overwrite; else add), the
+// values left in the request frame, which outlives the handler (DESIGN.md
+// §6.1) — raw is their little-endian bytes, row j at 8*j*dim.
+type embPush struct {
+	model     string
+	part, dim int
+	ids       []int64
+	raw       []byte
+	grad, set bool
+}
+
+func (m embPush) addr() (string, int) { return m.model, m.part }
+func (m *embPush) wireMsg() byte      { return msgEmbPushReq }
+
+func (m *embPush) decode(r wreader) (wreader, error) {
+	m.model, m.part = r.addr()
+	m.ids, m.dim, m.raw = r.rowFrame()
+	m.grad, m.set = r.bool(), r.bool()
+	if r.err != nil {
+		return r, fmt.Errorf("ps: push into %s/%d: %w", m.model, m.part, r.err)
+	}
+	return r, nil
 }
 
 // rowScatter is the client-side decode target of a row-batch reply

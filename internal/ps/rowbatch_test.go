@@ -27,14 +27,31 @@ func mustRows(m map[int64][]float64, dim int) RowBatch {
 // embPullResp and servePullResp are the replies to EmbPull and to ServePull
 // / ServeHotPull taken whole, as a batch. Only tests take them whole: the
 // engines write the frames (rowReply) and the client scatters them
-// (rowScatter), so neither side ever holds one.
+// (rowScatter), so neither side ever holds one. embPushReq is the same for
+// an EmbPush request, one partition's rows as a batch of their own: the
+// client writes the frame from the caller's batch (pushFrame) and the
+// engine applies it from there (embPush).
 type (
 	embPullResp   struct{ Rows RowBatch }
 	servePullResp struct{ Rows RowBatch }
+	embPushReq    struct {
+		Model     string
+		Part      int
+		Rows      RowBatch
+		Grad, Set bool
+	}
 )
 
 func (m *embPullResp) wireMsg() byte   { return msgEmbPullResp }
 func (m *servePullResp) wireMsg() byte { return msgServePullResp }
+func (m *embPushReq) wireMsg() byte    { return msgEmbPushReq }
+
+func (m *embPushReq) decode(r wreader) (wreader, error) {
+	m.Model, m.Part = r.addr()
+	m.Rows = r.rowBatch()
+	m.Grad, m.Set = r.bool(), r.bool()
+	return r, nil
+}
 
 func (m *embPullResp) decode(r wreader) (wreader, error) { m.Rows = r.rowBatch(); return r, nil }
 func (m *servePullResp) decode(r wreader) (wreader, error) {
@@ -42,17 +59,40 @@ func (m *servePullResp) decode(r wreader) (wreader, error) {
 	return r, nil
 }
 
-// encReply is enc for tests that hand-build a reply: a row-pull reply as
-// encBinary wrote it before the engines wrote the frame themselves
-// (appendRowBatch behind the message id), anything else through enc.
+// encReply is enc for tests that hand-build a row message: a row-pull reply
+// or a row push as encBinary wrote them before the engines and the client
+// wrote the frames themselves (appendRowBatch behind the message id, and
+// for a push behind the address and before the flags), anything else
+// through enc.
 func encReply(v any) []byte {
 	switch m := v.(type) {
 	case embPullResp:
 		return appendRowBatch([]byte{tagBin, msgEmbPullResp}, m.Rows)
 	case servePullResp:
 		return appendRowBatch([]byte{tagBin, msgServePullResp}, m.Rows)
+	case embPushReq:
+		b := appendRowBatch(appendAddr([]byte{tagBin, msgEmbPushReq}, m.Model, m.Part), m.Rows)
+		return appendBool(appendBool(b, m.Grad), m.Set)
 	}
 	return enc(v)
+}
+
+// pushReq applies req to e the way the EmbPush handler does: off its frame.
+func pushReq(e *embEngine, req embPushReq) error {
+	var p embPush
+	if err := dec(encReply(req), &p); err != nil {
+		return err
+	}
+	return e.push(p)
+}
+
+// pullCached is a pull through the row cache as an id → row map.
+func pullCached(e *Emb, ids []int64) (map[int64][]float64, error) {
+	rows, _, err := e.PrefetchRows(ids).Batch()
+	if err != nil {
+		return nil, err
+	}
+	return rows.Map(), nil
 }
 
 // pullRows pulls ids from an embedding engine and decodes the frame.
@@ -82,14 +122,15 @@ func TestDedupIDs(t *testing.T) {
 // hotWire is the zero request and response of every method the guard
 // below calls hot. A new data-plane or serve-read method must be added
 // here — and to encBinary — before TestHotMethodsAreBinary passes. The
-// row pulls answer with a frame the handler wrote itself (encoded).
+// row pulls answer with a frame the handler wrote itself, and the row push
+// asks with one the client wrote itself (encoded).
 var hotWire = map[string][2]any{
 	"VecPull":      {pullReq{}, vecPullResp{}},
 	"VecPush":      {vecPushReq{}, nil},
 	"MapPull":      {pullReq{}, mapPullResp{}},
 	"MapPush":      {mapPushReq{}, nil},
 	"EmbPull":      {pullReq{}, encoded{tagBin}},
-	"EmbPush":      {embPushReq{}, nil},
+	"EmbPush":      {encoded{tagBin}, nil},
 	"NbrPull":      {pullReq{}, nbrPullResp{}},
 	"NbrPush":      {nbrPushReq{}, nil},
 	"MatPull":      {pullReq{}, matPullResp{}},
@@ -185,15 +226,32 @@ func rowBatchDecodeErrors(t *testing.T) {
 // request (one id changed, dropped or added at position at, chosen by mut;
 // exact and partial forms) it returns an error or fills only requested
 // rows with the reply's values, never touching the rest of the block.
+// Every input is also a pushed batch (fuzzPush).
 func FuzzRowBatchDecode(f *testing.F) {
 	for _, msg := range rowReplies() {
-		for mut := uint8(0); mut < 3; mut++ {
+		if _, push := msg.(embPushReq); push {
+			continue
+		}
+		for _, mut := range []uint8{0, 1, 2, 8, 16} {
 			f.Add(encReply(msg)[2:], mut, uint16(1))
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint8(0), uint16(0))
 	f.Add([]byte{0, 0xf1, 0x90, 0xf0, 0x37, 0}, uint8(1), uint16(25)) // no rows, 116M wide
+	// A batch fuzzPush's engines own every key of, one repeated: add, grad, set.
+	owned := RowBatch{Dim: 3}
+	for id := int64(0); len(owned.IDs) < 6; id++ {
+		if routeBucket(id) < routeBuckets/2 {
+			owned.IDs = append(owned.IDs, id)
+			owned.Data = append(owned.Data, float64(id), -0.5, 1e-3)
+		}
+	}
+	owned.IDs[5] = owned.IDs[0]
+	for _, mut := range []uint8{0, 8, 16} {
+		f.Add(appendRowBatch(nil, owned), mut, uint16(owned.IDs[0]))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, mut uint8, at uint16) {
+		fuzzPush(t, payload, mut&8 != 0, mut&16 != 0, at)
 		body := append([]byte{tagBin, msgEmbPullResp}, payload...)
 		var got embPullResp
 		if dec(body, &got) != nil {
@@ -293,6 +351,57 @@ func FuzzRowBatchDecode(f *testing.F) {
 	})
 }
 
+// fuzzPush sends payload, as the batch of an EmbPush, down the frame-apply
+// path — embPush off the frame, the engine applying the value bytes — and
+// down the reference: the request decoded whole into a RowBatch and pushed
+// row by row (refPush). Both take or reject it together, a rejected push
+// leaves its engine bit for bit what it was, and after an accepted one the
+// two engines are equal. The engines are as wide as the batch when that is
+// a sane width, own half of the key space (so some batches hold a key that
+// moved) and already hold rows with optimizer state.
+func fuzzPush(t *testing.T, payload []byte, grad, set bool, at uint16) {
+	body := appendAddr([]byte{tagBin, msgEmbPushReq}, "f", 0)
+	body = appendBool(appendBool(append(body, payload...), grad), set)
+	var ref embPushReq
+	var p embPush
+	refErr, err := dec(body, &ref), dec(body, &p)
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("frame reader: %v, batch decoder: %v", err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	width := 3
+	if d := ref.Rows.Dim; d > 0 && d <= 64 {
+		width = d
+	}
+	meta := ModelMeta{Name: "f", Kind: Embedding, Dim: width, InitScale: 0.5, Opt: Adam(0.01), Parts: []Partition{{}}}
+	var engs [2]*embEngine
+	seed := RowBatch{IDs: []int64{1, int64(at), 1 << 33}, Dim: width, Data: make([]float64, 3*width)}
+	for i := range seed.Data {
+		seed.Data[i] = float64(i) - 1.5
+	}
+	for k := range engs {
+		engs[k] = newEmbEngine(baseFor(meta, 0), meta.Parts[0])
+		if err := refPush(engs[k], embPushReq{Rows: seed, Grad: true}); err != nil {
+			t.Fatal(err)
+		}
+		engs[k].narrowTo(routeBuckets / 2)
+	}
+	before := engineBytes(engs[0])
+	refErr, err = refPush(engs[1], ref), engs[0].push(p)
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("frame apply: %v, reference push: %v", err, refErr)
+	}
+	got, want := engineBytes(engs[0]), engineBytes(engs[1])
+	if err != nil && !bytes.Equal(got, before) {
+		t.Fatalf("a push rejected with %q changed the engine", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame apply and reference push of %+v disagree:\n got %x\nwant %x", ref, got, want)
+	}
+}
+
 // embLayouts runs f against a 4-partition hash model and a 4-partition
 // column model of the same width on one cluster.
 func embLayouts(t testing.TB, dim int, f func(name string, e *Emb)) (*Cluster, *Client) {
@@ -370,9 +479,9 @@ func TestEmbPullMatchesPerIDReference(t *testing.T) {
 					t.Fatalf("%s: position %d (id %d) maps to row %d = id %d %v", name, i, id, pos[i], rows.IDs[pos[i]], rows.Row(int(pos[i])))
 				}
 			}
-			cached, err := e.PullCached(ids)
+			cached, err := pullCached(e, ids)
 			if err != nil || !reflect.DeepEqual(cached, want) {
-				t.Fatalf("%s: PullCached(%v) = %v, %v; want %v", name, ids, cached, err, want)
+				t.Fatalf("%s: cached pull (%v) = %v, %v; want %v", name, ids, cached, err, want)
 			}
 		}
 	})
@@ -683,7 +792,7 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 func TestPulledRowsDoNotShareCapacity(t *testing.T) {
 	embLayouts(t, 3, func(name string, e *Emb) {
 		for what, pull := range map[string]func([]int64) (map[int64][]float64, error){
-			"Pull": e.Pull, "PullCached": e.PullCached,
+			"Pull": e.Pull, "cached pull": func(ids []int64) (map[int64][]float64, error) { return pullCached(e, ids) },
 		} {
 			rows, err := pull([]int64{1, 2})
 			if err != nil {
@@ -733,9 +842,9 @@ func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.PullCached([]int64{7, 7, 7, 9})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("PullCached = %v, %v", rows, err)
+	rows, pos, err := e.PrefetchRows([]int64{7, 7, 7, 9}).Batch()
+	if err != nil || len(rows.IDs) != 2 || len(pos) != 4 {
+		t.Fatalf("PrefetchRows = %v, %v, %v", rows, pos, err)
 	}
 	calls := 0
 	for addr, ks := range tr.keys {
@@ -752,7 +861,7 @@ func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 	if hits, misses := cl.CacheStats(); hits != 0 || misses != 2 {
 		t.Errorf("cache recorded %d hits and %d misses, want 0 and 2", hits, misses)
 	}
-	if _, err := e.PullCached([]int64{9, 9, 7}); err != nil {
+	if _, _, err := e.PrefetchRows([]int64{9, 9, 7}).Batch(); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := cl.CacheStats(); hits != 2 || misses != 2 || calls != 4 {

@@ -496,7 +496,7 @@ func TestRowCacheLRUEviction(t *testing.T) {
 }
 
 // TestRowCacheLimitsEndToEnd: a client-configured row cap bounds the
-// prefetch cache under real PullCached traffic and reports evictions.
+// prefetch cache under real PrefetchRows traffic and reports evictions.
 func TestRowCacheLimitsEndToEnd(t *testing.T) {
 	_, cl := newTestCluster(t, 2)
 	cl.SetRowCacheLimits(8, 0)
@@ -505,7 +505,7 @@ func TestRowCacheLimitsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 32; i++ {
-		if _, err := e.PullCached([]int64{i}); err != nil {
+		if _, _, err := e.PrefetchRows([]int64{i}).Batch(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -703,7 +703,7 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 		t.Fatalf("no replica-only holder among %v (primary %s)", holders, part.Server)
 	}
 	push := embPushReq{Model: "one", Part: part.Index, Rows: RowBatch{IDs: []int64{7}, Dim: 2, Data: []float64{5, 5}}, Set: true}
-	if _, err := c.servers[replicaOnly].dispatch("EmbPush", enc(push)); err == nil || !strings.Contains(err.Error(), "not on this server") {
+	if _, err := c.servers[replicaOnly].dispatch("EmbPush", encReply(push)); err == nil || !strings.Contains(err.Error(), "not on this server") {
 		t.Fatalf("EmbPush to a snapshot-only server: err = %v, want \"not on this server\"", err)
 	}
 	if _, err := c.servers[replicaOnly].store.get("one", part.Index); err == nil {

@@ -243,7 +243,7 @@ func TestCoalescedPushExactlyOnceUnderDrops(t *testing.T) {
 		f.DropResponses(srv, 1)
 	}
 	for i := 0; i < 3; i++ {
-		if err := co.Push(map[int64][]float64{1: {1, 2}, 9: {10, 20}}); err != nil {
+		if err := co.PushBatch(mustRows(map[int64][]float64{1: {1, 2}, 9: {10, 20}}, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,14 +275,14 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 	if err := e.PushSet(map[int64][]float64{5: {1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.PullCached([]int64{5})
+	first, err := pullCached(e, []int64{5})
 	if err != nil || first[5][0] != 1 {
 		t.Fatalf("first cached pull: %v, %v", first, err)
 	}
 	if err := e.PushSet(map[int64][]float64{5: {2, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	stale, err := e.PullCached([]int64{5})
+	stale, err := pullCached(e, []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 		t.Fatal("no cache hits recorded")
 	}
 	e.InvalidateRows()
-	fresh, err := e.PullCached([]int64{5})
+	fresh, err := pullCached(e, []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +317,12 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 
 	// Mutating the caller's copy must not corrupt the cache (rows are
 	// cloned on serve).
-	got, err := e.PullCached([]int64{5})
+	got, err := pullCached(e, []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got[5][0] = 999
-	again, err := e.PullCached([]int64{5})
+	again, err := pullCached(e, []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,11 +331,16 @@ func (r *wreader) f64sInto(dst []float64) []float64 {
 	if dst == nil || cap(dst) < n {
 		dst = make([]float64, n)
 	}
-	s := dst[:n]
-	for i := range s {
-		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	getF64s(dst[:n], raw)
+	return dst[:n]
+}
+
+// getF64s reads len(dst) little-endian values from the start of b.
+func getF64s(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return s
 }
 
 // view returns a length-prefixed byte payload as a sub-slice of the wire
@@ -372,24 +377,37 @@ func (r *wreader) mapF64() map[int64]float64 {
 	return m
 }
 
-// rowBatch decodes appendRowBatch's layout. The value block is length-
-// prefixed like any float slice, so its allocation is bounded by the
-// bytes present; a block that is not exactly len(IDs)×Dim is an error.
-func (r *wreader) rowBatch() RowBatch {
-	rb := RowBatch{IDs: r.i64s()}
-	dim := r.uvarint()
-	rb.Data = r.f64s()
+// rowFrame reads appendRowBatch's layout and leaves the values where they
+// are: raw is the block's little-endian bytes, a view of the wire buffer
+// (nil for a nil block). A block of other than len(ids)×dim values is an error.
+func (r *wreader) rowFrame() (ids []int64, dim int, raw []byte) {
+	ids = r.i64s()
+	d := r.uvarint()
+	if n, ok := r.sliceLen(); ok {
+		raw = r.take(8 * n)
+	}
 	if r.err != nil {
-		return RowBatch{}
+		return nil, 0, nil
 	}
 	// Both factors are bounded before they multiply: the ids by the bytes
 	// present (sliceLen), the width by the block it must divide.
-	n, vals := uint64(len(rb.IDs)), uint64(len(rb.Data))
-	if dim > math.MaxInt32 || (n > 0 && dim > vals) || n*dim != vals {
-		r.err = fmt.Errorf("ps: wire: row batch holds %d values for %d ids of width %d", vals, n, dim)
-		return RowBatch{}
+	n, vals := uint64(len(ids)), uint64(len(raw)/8)
+	if d > math.MaxInt32 || (n > 0 && d > vals) || n*d != vals {
+		r.err = fmt.Errorf("ps: wire: row batch holds %d values for %d ids of width %d", vals, n, d)
+		return nil, 0, nil
 	}
-	rb.Dim = int(dim)
+	return ids, int(d), raw
+}
+
+// rowBatch is rowFrame with the values converted into a block of their
+// own, whose allocation the bytes present therefore bound.
+func (r *wreader) rowBatch() RowBatch {
+	ids, dim, raw := r.rowFrame()
+	rb := RowBatch{IDs: ids, Dim: dim}
+	if raw != nil {
+		rb.Data = make([]float64, len(raw)/8)
+		getF64s(rb.Data, raw)
+	}
 	return rb
 }
 
@@ -454,11 +472,6 @@ func (r *wreader) mapI64s() map[int64][]int64 {
 // ---------------------------------------------------------------------------
 // Per-message encode/decode.
 
-// rowBatchHint bounds the encoded size of a RowBatch.
-func rowBatchHint(rb RowBatch) int {
-	return 30 + 10*len(rb.IDs) + 8*len(rb.Data)
-}
-
 // mapI64sHint bounds the encoded size of a map[int64][]int64.
 func mapI64sHint(m map[int64][]int64) int {
 	n := 10
@@ -501,12 +514,6 @@ func encBinary(v any) ([]byte, bool) {
 		b = frame(msgMapPushReq, 32+len(m.Model)+18*len(m.M))
 		b = appendAddr(b, m.Model, m.Part)
 		b = appendMapF64(b, m.M)
-		b = appendBool(b, m.Set)
-	case embPushReq:
-		b = frame(msgEmbPushReq, 32+len(m.Model)+rowBatchHint(m.Rows))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendRowBatch(b, m.Rows)
-		b = appendBool(b, m.Grad)
 		b = appendBool(b, m.Set)
 	case nbrPullResp:
 		b = frame(msgNbrPullResp, 32+5*len(m.Nbrs.Off)+10*len(m.Nbrs.Adj))
@@ -560,12 +567,13 @@ func encBinary(v any) ([]byte, bool) {
 	return b, true
 }
 
-// replyDecoder is a decode target that checks a reply against the
-// request it answers as it reads it, instead of materialising the
-// message (rowScatter, nbrReply). The cursor goes in and comes back by
+// frameDecoder is a decode target that reads its message off the frame
+// instead of having it materialised: a reply checked against the request
+// it answers as it is read (rowScatter, nbrReply), a pushed batch whose
+// values stay in the frame (embPush). The cursor goes in and comes back by
 // value: handed to an interface method by address it would move to the
 // heap, one allocation on every decode of every message.
-type replyDecoder interface {
+type frameDecoder interface {
 	wireMsg() byte
 	decode(r wreader) (wreader, error)
 }
@@ -611,14 +619,6 @@ func decBinary(data []byte, v any) error {
 		if id == want {
 			m.Model, m.Part = r.addr()
 			m.M = r.mapF64()
-			m.Set = r.bool()
-		}
-	case *embPushReq:
-		want = msgEmbPushReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Rows = r.rowBatch()
-			m.Grad = r.bool()
 			m.Set = r.bool()
 		}
 	case *nbrPullResp:
@@ -689,7 +689,7 @@ func decBinary(data []byte, v any) error {
 		if id == want {
 			*m = r.partImage()
 		}
-	case replyDecoder:
+	case frameDecoder:
 		want = m.wireMsg()
 		if id == want {
 			var err error

@@ -21,7 +21,7 @@ func benchVecPush(n int) vecPushReq {
 	return vecPushReq{Model: "bench", Part: 0, Indices: idx, Values: vals, Op: vecAdd}
 }
 
-func benchEmbPush(rows, dim int) embPushReq {
+func benchEmbPush(rows, dim int) RowBatch {
 	b := RowBatch{IDs: make([]int64, rows), Dim: dim, Data: make([]float64, rows*dim)}
 	for r := range b.IDs {
 		b.IDs[r] = int64(r)
@@ -29,7 +29,7 @@ func benchEmbPush(rows, dim int) embPushReq {
 	for i := range b.Data {
 		b.Data[i] = float64(i)
 	}
-	return embPushReq{Model: "bench", Part: 0, Rows: b}
+	return b
 }
 
 func BenchmarkCodecEncode(b *testing.B) {
@@ -63,12 +63,11 @@ func BenchmarkCodecDecode(b *testing.B) {
 }
 
 func BenchmarkCodecEncodeEmb(b *testing.B) {
-	req := benchEmbPush(10_000, 16)
+	rows := benchEmbPush(10_000, 16)
 	b.SetBytes(int64(10_000 * 16 * 8))
 	b.ReportAllocs()
 	for b.Loop() {
-		buf := enc(req)
-		rpc.PutBuf(buf)
+		rpc.PutBuf(pushFrame("bench", 0, rows, rowWork{ids: rows.IDs}, 0, 16, false, false))
 	}
 }
 

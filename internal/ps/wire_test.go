@@ -84,8 +84,6 @@ func hotMessages() []any {
 		mapPullResp{M: map[int64]float64{}},
 		mapPullResp{M: nil},
 		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
-		embPushReq{Model: "emb", Part: 0, Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{0.5, -0.5}}, Grad: true, Set: false},
-		embPushReq{Model: "emb", Part: 1, Rows: RowBatch{IDs: []int64{9, 9}, Dim: 0}, Set: true},
 		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 2, 2, 3}, Adj: []int64{2, 3, -9}}},
 		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 0}, Adj: []int64{}}},
 		nbrPullResp{},
@@ -102,12 +100,14 @@ func hotMessages() []any {
 	}
 }
 
-// rowReplies is the same for the replies to row pulls, which the handlers
-// write as frames and no encBinary case produces: encReply is their
-// reference encoder.
+// rowReplies is the same for the replies to row pulls and for the row
+// push, which the handlers and the client write as frames and no encBinary
+// case produces: encReply is their reference encoder.
 func rowReplies() []any {
 	nan, inf := math.NaN(), math.Inf(1)
 	return []any{
+		embPushReq{Model: "emb", Part: 0, Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{0.5, -0.5}}, Grad: true, Set: false},
+		embPushReq{Model: "emb", Part: 1, Rows: RowBatch{IDs: []int64{9, 9}, Dim: 0}, Set: true},
 		embPullResp{Rows: RowBatch{IDs: []int64{5, -6, 7}, Dim: 2, Data: []float64{1, nan, 2, inf, math.Copysign(0, -1), 3}}},
 		embPullResp{Rows: RowBatch{IDs: []int64{}, Dim: 32, Data: []float64{}}},
 		embPullResp{},
@@ -177,10 +177,10 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 		}
 	}
 	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp +
-	// Replicate + the two serve read requests, less the Emb pull reply:
-	// row pulls are answered with frames the engines write (rowReplies).
-	if len(seen) != 15 {
-		t.Errorf("covered %d hot message types, want 15", len(seen))
+	// Replicate + the two serve read requests, less the Emb pull reply and
+	// the Emb push: both are frames their senders write (rowReplies).
+	if len(seen) != 14 {
+		t.Errorf("covered %d hot message types, want 14", len(seen))
 	}
 }
 
@@ -318,17 +318,18 @@ func TestWireFormatsInteroperate(t *testing.T) {
 	if got := resp.Values; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("got %v, want [2 3]", got)
 	}
-	// The same for a row batch, whose gob form is the struct's fields.
+	// Not for a row push: the engine applies it from the frame's value
+	// bytes, which only the binary form has. The handler says so.
 	emeta := ModelMeta{Name: "gobe", Kind: Embedding, Dim: 2, Parts: []Partition{{Server: "s0"}}}
 	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: emeta, Part: 0})); err != nil {
 		t.Fatalf("CreatePart: %v", err)
 	}
 	rows := RowBatch{IDs: []int64{4, 9}, Dim: 2, Data: []float64{1, 2, 3, 4}}
-	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: rows, Set: true})); err != nil {
-		t.Fatalf("gob-tagged row push: %v", err)
+	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: rows, Set: true})); err == nil {
+		t.Fatal("gob-tagged row push: want error")
 	}
-	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: RowBatch{IDs: rows.IDs, Dim: 2, Data: rows.Data[:3]}})); err == nil {
-		t.Fatal("gob-tagged push of a short block: want error")
+	if _, err := s.Handle("EmbPush", encReply(embPushReq{Model: "gobe", Rows: rows, Set: true})); err != nil {
+		t.Fatalf("row push: %v", err)
 	}
 	out, err = s.Handle("EmbPull", enc(pullReq{Model: "gobe", Keys: []int64{9, 4}}))
 	if err != nil {

@@ -325,7 +325,7 @@ func TestTCPMidCallResetRecoversWithRetry(t *testing.T) {
 					return
 				}
 				PutBuf(frame)
-				writeFrame(tc.bw, []byte{statusOK}, []byte("done"))
+				tc.writeFrame(append(frameHead(nil), statusOK), []byte("done"))
 			}(c)
 		}
 	}()

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,4 +134,112 @@ func TestTCPEchoReplyIsRecycledOnce(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// partsConn records the size of every Write it is handed. It has only
+// net.Conn's methods, so a net.Buffers reaches it one Write per part.
+type partsConn struct {
+	net.Conn
+	parts []int
+}
+
+func (c *partsConn) Write(b []byte) (int, error) {
+	c.parts = append(c.parts, len(b))
+	return len(b), nil
+}
+
+// plainWrites counts the Write calls a real TCP connection gets. Embedding
+// the concrete type keeps its vectored path: a net.Buffers goes to the
+// socket as one writev and never through Write.
+type plainWrites struct {
+	*net.TCPConn
+	n atomic.Int64
+}
+
+func (c *plainWrites) Write(b []byte) (int, error) {
+	c.n.Add(1)
+	return c.TCPConn.Write(b)
+}
+
+// TestFrameIsOneVectoredWrite: a frame of any size is handed to the
+// connection once — prefix and head in one part, the body in the other,
+// neither split nor copied through a 4 KB buffer — and on a TCP connection
+// that hand-over is the vectored one, so no frame costs a plain Write
+// before or after it. (The writev itself cannot be counted from here: it
+// is reached through an unexported interface of package net.)
+func TestFrameIsOneVectoredWrite(t *testing.T) {
+	sizes := []int{0, 1, 4087, 4088, 4089, 5 << 10, 64 << 10, 1 << 20}
+	pc := &partsConn{}
+	tc := newTCPConn(pc)
+	for _, n := range sizes {
+		pc.parts = pc.parts[:0]
+		head := append(frameHead(nil), statusOK)
+		if err := tc.writeFrame(head, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{5, n}; !slices.Equal(pc.parts, want) {
+			t.Errorf("body of %d bytes reached the connection as writes of %v, want %v", n, pc.parts, want)
+		}
+		if got := binary.LittleEndian.Uint32(head); got != uint32(1+n) {
+			t.Errorf("body of %d bytes: length prefix %d", n, got)
+		}
+	}
+	var head []byte
+	body := make([]byte, 5<<10)
+	if allocs := testing.AllocsPerRun(50, func() {
+		pc.parts = pc.parts[:0]
+		head = append(frameHead(head), statusOK)
+		if err := tc.writeFrame(head, body); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("writing a frame makes %v allocations", allocs)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			got <- err
+			return
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		for _, n := range sizes {
+			frame, err := readFrame(br)
+			if err == nil && (len(frame) != 1+n || (n > 0 && frame[n] != byte(n))) {
+				err = fmt.Errorf("frame of %d bytes for a body of %d", len(frame), n)
+			}
+			if err != nil {
+				got <- err
+				return
+			}
+			PutBuf(frame)
+		}
+		got <- nil
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pw := &plainWrites{TCPConn: conn.(*net.TCPConn)}
+	tc = newTCPConn(pw)
+	for _, n := range sizes {
+		body := bytes.Repeat([]byte{byte(n)}, n)
+		if err := tc.writeFrame(append(frameHead(nil), statusOK), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if n := pw.n.Load(); n != 0 {
+		t.Errorf("%d frames cost %d plain Write calls beside their vectored writes", len(sizes), n)
+	}
 }

@@ -76,32 +76,35 @@ func PutBuf(b []byte) {
 	framePool[frameClass(cap(b))].Put(&b)
 }
 
-// tcpConn bundles a pooled connection with its buffered reader/writer.
+// tcpConn bundles a pooled connection with its buffered reader and the
+// write vector of the frame it is sending. Writes are not buffered: a
+// frame leaves as one vectored write whatever its size.
 type tcpConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	vec  net.Buffers
+	arr  [2][]byte // vec's backing array: WriteTo consumes vec
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{conn: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
+	return &tcpConn{conn: c, br: bufio.NewReader(c)}
 }
 
-// writeFrame sends head (already laid out by the caller) followed by
-// body under one length prefix and flushes.
-func writeFrame(bw *bufio.Writer, head, body []byte) error {
-	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(len(head)+len(body)))
-	if _, err := bw.Write(prefix[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(head); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body); err != nil {
-		return err
-	}
-	return bw.Flush()
+// frameHead starts the head of a frame: room for the length prefix
+// writeFrame fills in, in a buffer the caller appends the head proper to.
+func frameHead(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// writeFrame sends head (started with frameHead, laid out by the caller)
+// followed by body under one length prefix, as one vectored write — on a
+// TCP connection one writev, nothing copied: through a bufio.Writer every
+// frame over its 4 KB cost a 4 KB copy and two write calls.
+func (c *tcpConn) writeFrame(head, body []byte) error {
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+len(body)))
+	c.arr = [2][]byte{head, body}
+	c.vec = c.arr[:]
+	raceReleaseFrame()
+	_, err := c.vec.WriteTo(c.conn)
+	return err
 }
 
 // readFrame reads one length-prefixed frame into a pooled buffer. The
@@ -120,6 +123,7 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 		PutBuf(frame)
 		return nil, err
 	}
+	raceAcquireFrame()
 	return frame, nil
 }
 
@@ -268,7 +272,7 @@ func (t *TCP) serve(addr string, ln net.Listener, h Handler) {
 				method := string(frame[n : n+int(mlen)])
 				body := frame[n+int(mlen):]
 				out, herr := h(method, body)
-				head = head[:0]
+				head = frameHead(head)
 				if herr == nil {
 					head = append(head, statusOK)
 				} else {
@@ -282,7 +286,7 @@ func (t *TCP) serve(addr string, ln net.Listener, h Handler) {
 				// (echo-style handlers), so recycle only after the write —
 				// and the reply with it, which the handler gave up by
 				// returning it, unless it is the request frame again.
-				err = writeFrame(tc.bw, head, out)
+				err = tc.writeFrame(head, out)
 				if !aliases(out, frame) {
 					PutBuf(out)
 				}
@@ -379,10 +383,10 @@ func (t *TCP) Call(addr, method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	head := GetBuf(binary.MaxVarintLen64 + len(method))
+	head := frameHead(GetBuf(4 + binary.MaxVarintLen64 + len(method)))
 	head = binary.AppendUvarint(head, uint64(len(method)))
 	head = append(head, method...)
-	werr := writeFrame(c.bw, head, body)
+	werr := c.writeFrame(head, body)
 	if werr != nil && pooled {
 		// The conn died idle in the pool — the usual sign the peer process
 		// exited (and possibly restarted) since it was pooled. A failed
@@ -395,7 +399,7 @@ func (t *TCP) Call(addr, method string, body []byte) ([]byte, error) {
 			PutBuf(head)
 			return nil, err
 		}
-		werr = writeFrame(c.bw, head, body)
+		werr = c.writeFrame(head, body)
 	}
 	PutBuf(head)
 	if werr != nil {
