@@ -388,7 +388,7 @@ func (c *Client) GetModel(name string) (ModelMeta, error) {
 		return meta, nil
 	}
 	var out getModelResp
-	if err := c.invoke(c.masterAddr, "GetModel", getModelReq{Name: name}, &out); err != nil {
+	if err := c.invoke(c.masterAddr, "GetModel", modelNameReq{Name: name}, &out); err != nil {
 		return ModelMeta{}, err
 	}
 	c.cacheMeta(out.Meta)

@@ -128,7 +128,7 @@ type mapPushReq struct {
 }
 
 // encoded is a message its sender wrote as a wire frame itself: the reply
-// of EmbPull, ServePull, ServeHotPull (rowReply: the request's keys in
+// of EmbPull, ServePull, ServeHotPull (rowBlock: the request's keys in
 // request order, as wide as the partition stores them) and the request of
 // EmbPush (pushFrame). enc passes it through.
 type encoded []byte
@@ -232,10 +232,6 @@ type createModelReq struct {
 	Meta ModelMeta // Parts filled in by the master
 }
 
-type getModelReq struct {
-	Name string
-}
-
 type getModelResp struct {
 	Meta ModelMeta
 }
@@ -265,8 +261,8 @@ type clockResp struct {
 	Clock int64
 }
 
-// modelNameReq addresses a whole model by name: DeleteModel (master and
-// server), Checkpoint, RestoreModel, PublishSnapshot, GetServeLayout.
+// modelNameReq addresses a whole model by name: GetModel, DeleteModel (master
+// and server), Checkpoint, RestoreModel, PublishSnapshot, GetServeLayout.
 type modelNameReq struct {
 	Name string
 }

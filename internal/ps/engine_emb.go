@@ -71,8 +71,6 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 // width is the per-key stored vector width.
 func (e *embEngine) width() int { return e.col1 - e.col0 }
 
-func (e *embEngine) cols() (int, int) { return e.col0, e.col1 }
-
 // shardIdx maps an id to its shard. Fibonacci hashing: consecutive vertex
 // ids (the common pull pattern) spread uniformly.
 func (e *embEngine) shardIdx(id int64) int {
@@ -92,20 +90,26 @@ func (e *embEngine) rowLocked(sh *embShard, id int64) (uint32, []float64) {
 	return ord, row
 }
 
-// appendRows answers a pull of ids as the frame of a msg reply (rowReply):
-// every key is validated first, then each row goes from its slab straight
-// into the frame, in request order, and is counted as pulled. Fast
-// path: every shard is read under RLock; only shards holding rows that
-// are not materialized yet upgrade to the write lock (and re-check, since
-// a racing pull may have initialized them in between).
-func (e *embEngine) appendRows(msg byte, ids []int64) (encoded, error) {
+// rowsLen is the size half of a pull of ids: every key is validated, and
+// what comes back is the size of the batch appendRows writes for them.
+func (e *embEngine) rowsLen(ids []int64) (int, error) {
 	for _, id := range ids {
 		if err := e.checkKey(id); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
+	return rowBatchLen(ids, e.width()), nil
+}
+
+// appendRows is the write half: the batch that answers ids goes behind b,
+// which has rowsLen's room for it — the head, then each row from its slab
+// straight into the frame, in request order, counted as pulled. Fast path: every
+// shard is read under RLock; only shards holding rows that are not
+// materialized yet upgrade to the write lock (and re-check, since a racing
+// pull may have initialized them in between).
+func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 	w := e.width()
-	b, off := rowReply(msg, ids, w)
+	b, off := rowBlock(b, ids, w)
 	order, start := e.byShard(ids)
 	var missing []int32
 	for si := range e.shards {
@@ -135,12 +139,17 @@ func (e *embEngine) appendRows(msg byte, ids []int64) (encoded, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return b, nil
+	return b
 }
 
-// pull is EmbPull's engine half.
+// pull is EmbPull's engine half: both halves into a frame of exactly the
+// reply's size.
 func (e *embEngine) pull(req pullReq) (encoded, error) {
-	return e.appendRows(msgEmbPullResp, req.Keys)
+	n, err := e.rowsLen(req.Keys)
+	if err != nil {
+		return nil, err
+	}
+	return e.appendRows(frame(msgEmbPullResp, 2+n), req.Keys), nil
 }
 
 // hotTop returns the k most-pulled rows (all pulled rows when k <= 0) for

@@ -93,8 +93,6 @@ func (e *matEngine) applyGrad(grad []float64) {
 	}
 }
 
-func (e *matEngine) cols() (int, int) { return e.col0, e.col1 }
-
 // export ignores the range: DenseMatrix is column-partitioned, so
 // partitions migrate wholesale (moves), never split.
 func (e *matEngine) export(int64, int64) partImage {

@@ -99,13 +99,6 @@ func (e *nbrEngine) push(req nbrPushReq) error {
 	return nil
 }
 
-// lockMap acquires the write lock and exposes the build-form adjacency
-// map for psFuncs (PartView.NbrLock); nil once sealed.
-func (e *nbrEngine) lockMap() (m map[int64][]int64, unlock func()) {
-	e.mu.Lock()
-	return e.nbr, e.mu.Unlock
-}
-
 // seal transitions nbrBuilding → nbrSealed, converting the adjacency
 // map into CSR (sorted, deduplicated) and dropping it. Idempotent.
 // Returns the vertex count.

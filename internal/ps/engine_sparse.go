@@ -57,13 +57,6 @@ func (e *sparseEngine) push(req mapPushReq) error {
 	return nil
 }
 
-// lockMap acquires the write lock and exposes the backing map for
-// psFuncs (PartView.MapLock).
-func (e *sparseEngine) lockMap() (m map[int64]float64, unlock func()) {
-	e.mu.Lock()
-	return e.m, e.mu.Unlock
-}
-
 // export copies out the entries whose route keys fall in [lo, hi).
 func (e *sparseEngine) export(lo, hi int64) partImage {
 	e.mu.RLock()

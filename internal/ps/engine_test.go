@@ -313,7 +313,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			if want := map[int]int{1: 1, 3: 4, 32: 32}[from]; len(src.shards) != want {
 				t.Fatalf("SetEmbShards(%d) built %d shards, want %d", from, len(src.shards), want)
 			}
-			if _, err := src.appendRows(msgEmbPullResp, all); err != nil { // materialise, no moments
+			if _, err := src.pull(pullReq{Keys: all}); err != nil { // materialise, no moments
 				t.Fatal(err)
 			}
 			for k := 0; k < 2; k++ {

@@ -1,7 +1,9 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -46,6 +48,31 @@ func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
 	}
 	e.hot.bump(req.Keys)
 	return vecPullResp{Values: out, Lo: e.lo}, nil
+}
+
+// rowsLen and appendRows answer an indexed read as a batch of 1-wide rows:
+// the serving tier's read of a frozen generation (rowEngine), whose range
+// never narrows between the two halves.
+func (e *vecEngine) rowsLen(ids []int64) (int, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, idx := range ids {
+		if idx < e.lo || idx >= e.hi {
+			return 0, e.rangeErr(idx)
+		}
+	}
+	return rowBatchLen(ids, 1), nil
+}
+
+func (e *vecEngine) appendRows(b []byte, ids []int64) []byte {
+	b, off := rowBlock(b, ids, 1)
+	e.mu.RLock()
+	for j, idx := range ids {
+		binary.LittleEndian.PutUint64(b[off+8*j:], math.Float64bits(e.vec[idx-e.lo]))
+	}
+	e.mu.RUnlock()
+	e.hot.bump(ids)
+	return b
 }
 
 // hotTop exposes the engine's pull-frequency head for LoadReport.

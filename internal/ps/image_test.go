@@ -53,7 +53,7 @@ func imageCases() []imageCase {
 			for id := int64(0); id < 60; id++ {
 				ids = append(ids, id)
 			}
-			if _, err := ee.appendRows(msgEmbPullResp, ids); err != nil {
+			if _, err := ee.pull(pullReq{Keys: ids}); err != nil {
 				t.Fatalf("emb pull: %v", err)
 			}
 			for k := 0; k < 2; k++ {

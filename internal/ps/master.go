@@ -214,7 +214,7 @@ var masterHandlers = map[string]func(*Master, []byte) ([]byte, error){
 // clockMin wraps the ring minimum a clock operation reports.
 func clockMin(min int64, err error) (clockResp, error) { return clockResp{Clock: min}, err }
 
-func (m *Master) getModel(req getModelReq) (getModelResp, error) {
+func (m *Master) getModel(req modelNameReq) (getModelResp, error) {
 	m.mu.Lock()
 	meta, ok := m.models[req.Name]
 	// Stamp the layout with the CURRENT epoch, not the epoch of the

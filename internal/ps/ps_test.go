@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1231,6 +1232,41 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A 3-partition table, all of it on the one server: a serve lookup that
+	// misses in every partition is one ServePull of three parts, answered —
+	// when the server is honest — by batches a, b and c back to back.
+	if _, err := cl.CreateEmbedding(EmbeddingSpec{Name: "rs", Dim: 2, Partitions: 3}); err != nil {
+		t.Fatal(err)
+	}
+	rsl, err := cl.PublishSnapshot("rs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := cl.Serve("rs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rsIDs []int64
+	var abc [3]RowBatch
+	for id := int64(0); len(rsIDs) < 6; id++ {
+		if b := &abc[rsl.Meta.PartitionFor(id)]; len(b.IDs) < 2 {
+			b.IDs, b.Dim, b.Data = append(b.IDs, id), 2, append(b.Data, 1, 2)
+			rsIDs = append(rsIDs, id)
+		}
+	}
+	a, b, c3 := abc[0], abc[1], abc[2]
+	rsPart := func(slot int) string { return fmt.Sprintf("rs/%d", rsl.Meta.Parts[slot].Index) }
+	bShort := RowBatch{IDs: b.IDs[:1], Dim: 2, Data: b.Data[:2]}
+	// rsTarget is the decode target of that lookup's reply over block: part
+	// k fills rows 2k and 2k+1.
+	rsTarget := func(block []float64) *serveReply {
+		target := &serveReply{}
+		for slot, part := range abc {
+			target.parts = append(target.parts, rowScatter{msg: msgServePullResp, model: "rs", part: rsl.Meta.Parts[slot].Index,
+				work: rowWork{ids: part.IDs, pos: []int32{int32(2 * slot), int32(2*slot + 1)}}, dst: block, width: 2, strd: 2})
+		}
+		return target
+	}
 	nb, err := cl.CreateNeighbor("rn")
 	if err != nil {
 		t.Fatal(err)
@@ -1251,8 +1287,11 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	}
 	var reply any
 	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
-		if g, ok := reply.(gobTagged); ok {
-			return encGob(g.msg), nil
+		switch r := reply.(type) {
+		case gobTagged:
+			return encGob(r.msg), nil
+		case []byte:
+			return r, nil
 		}
 		return encReply(reply), nil
 	}); err != nil {
@@ -1332,6 +1371,20 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { return noRows(sc.Pull([]int64{101, 102, 103})) }, "the hot head of rh"},
 		{"hot head, right ids, block one row short", servePullResp{Rows: rows(4, make([]float64, 4), 101, 103)},
 			func() error { return noRows(sc.Pull([]int64{101, 102, 103})) }, "the hot head of rh"},
+		// The multi-part ServePull reply: one batch per part asked for, in
+		// request order, and nothing behind the last.
+		{"serve parts, one part too few", serveParts{a, b},
+			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(2)},
+		{"serve parts, one part too many", serveParts{a, b, c3, c3},
+			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(2)},
+		{"serve parts, two parts swapped", serveParts{b, a, c3},
+			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(0)},
+		{"serve parts, a middle part one row short", serveParts{a, bShort, c3},
+			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(1)},
+		{"serve parts, a trailing byte", append(encReply(serveParts{a, b, c3}), 0),
+			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(2)},
+		{"serve parts, the right parts under another message id", append([]byte{tagBin, msgEmbPullResp}, encReply(serveParts{a, b, c3})[2:]...),
+			func() error { return noRows(rs.Pull(rsIDs)) }, "message id"},
 		{"matrix, columns outside the model", matPullResp{Col0: 0, Col1: 9, Data: make([]float64, 18)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
 		{"matrix, data shorter than its columns", matPullResp{Col0: 0, Col1: 3, Data: make([]float64, 4)},
@@ -1354,5 +1407,26 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.model) {
 			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.model)
 		}
+		// The multi-part shapes again, straight into a block: a reply that is
+		// rejected has written none of it, whichever part gave it away.
+		if !strings.HasPrefix(tc.name, "serve parts") {
+			continue
+		}
+		body, _ := tc.reply.([]byte)
+		if body == nil {
+			body = encReply(tc.reply)
+		}
+		block := make([]float64, 6*2)
+		if err := dec(body, rsTarget(block)); err == nil || !strings.Contains(err.Error(), tc.model) {
+			t.Errorf("%s, decoded directly: err = %v, want an error naming %s", tc.name, err, tc.model)
+		}
+		if slices.ContainsFunc(block, func(v float64) bool { return v != 0 }) {
+			t.Errorf("%s: the rejected reply wrote into the block: %v", tc.name, block)
+		}
+	}
+	// The honest reply fills the block.
+	block := make([]float64, 6*2)
+	if err := dec(encReply(serveParts{a, b, c3}), rsTarget(block)); err != nil || !slices.Equal(block, []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}) {
+		t.Errorf("an honest three-part reply: %v, block %v", err, block)
 	}
 }

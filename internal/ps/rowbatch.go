@@ -126,37 +126,28 @@ func (w *rowWork) add(id int64, row, n int) {
 	w.pos = append(w.pos, int32(row))
 }
 
-// splitRows buckets the work by owning partition slot.
+// splitRows buckets the work by owning partition slot: a counting pass
+// sizes the buckets, which are windows of one ids and one pos array.
 func splitRows(meta *ModelMeta, w rowWork) []rowWork {
-	by := make([]rowWork, len(meta.Parts))
-	est := len(w.ids)/len(by) + 1
+	n, by := len(w.ids), make([]rowWork, len(meta.Parts))
+	ids, buf := make([]int64, n), make([]int32, 2*n+len(by))
+	slot, pos, count := buf[:n], buf[n:2*n], buf[2*n:]
 	for j, id := range w.ids {
-		by[meta.PartitionFor(id)].add(id, w.row(j), est)
+		s := meta.PartitionFor(id)
+		slot[j] = int32(s)
+		count[s]++
+	}
+	at := 0
+	for s := range by {
+		end := at + int(count[s])
+		by[s] = rowWork{ids: ids[at:at:end], pos: pos[at:at:end]}
+		at = end
+	}
+	for j, id := range w.ids {
+		b := &by[slot[j]]
+		b.ids, b.pos = append(b.ids, id), append(b.pos, int32(w.row(j)))
 	}
 	return by
-}
-
-// eachRowPart calls pull, one partition after another, for every part of
-// w's full-width rows a layout holds: all of w and a column range per
-// partition of a column layout, else each owner's bucket of w whole.
-func eachRowPart(meta *ModelMeta, w rowWork, dim int, pull func(p Partition, w rowWork, col0, col1 int) error) error {
-	if meta.Kind == ColumnEmbedding {
-		for _, p := range meta.Parts {
-			if err := pull(p, w, p.Col0, p.Col1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for slot, b := range splitRows(meta, w) {
-		if len(b.ids) == 0 {
-			continue
-		}
-		if err := pull(meta.Parts[slot], b, 0, dim); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // uvarintLen and varintLen are the number of bytes binary.AppendUvarint
@@ -177,20 +168,13 @@ func rowBatchLen(ids []int64, w int) int {
 	return n
 }
 
-// appendRowHead writes such a batch up to its value block.
-func appendRowHead(b []byte, ids []int64, w int) []byte {
-	b = binary.AppendUvarint(appendI64s(b, ids), uint64(w))
-	return binary.AppendUvarint(b, uint64(len(ids)*w)+1)
-}
-
-// rowReply starts the reply to a row pull (appendRowBatch's layout) for ids
-// of w-wide rows: a pooled frame of exactly the reply's size, written up to
-// the value block, and that block's offset. The block is not cleared: the
+// rowBlock writes such a batch behind b, which has room for it, up to its
+// value block and extends b over the block, which is not cleared: the
 // caller writes every row j at off+8*j*w (DESIGN.md §6).
-func rowReply(msg byte, ids []int64, w int) (b []byte, off int) {
-	n := 2 + rowBatchLen(ids, w)
-	b = appendRowHead(frame(msg, n), ids, w)
-	return b[:n], len(b)
+func rowBlock(b []byte, ids []int64, w int) (_ []byte, off int) {
+	b = binary.AppendUvarint(appendI64s(b, ids), uint64(w))
+	b = binary.AppendUvarint(b, uint64(len(ids)*w)+1)
+	return b[:len(b)+8*len(ids)*w], len(b)
 }
 
 // pushFrame writes the EmbPush request that carries rows w of b, columns
@@ -200,9 +184,7 @@ func rowReply(msg byte, ids []int64, w int) (b []byte, off int) {
 func pushFrame(model string, part int, b RowBatch, w rowWork, col0, col1 int, grad, set bool) encoded {
 	width := col1 - col0
 	n := 2 + uvarintLen(uint64(len(model))) + len(model) + varintLen(int64(part)) + rowBatchLen(w.ids, width) + 2
-	f := appendRowHead(appendAddr(frame(msgEmbPushReq, n), model, part), w.ids, width)
-	off := len(f)
-	f = f[:n-2]
+	f, off := rowBlock(appendAddr(frame(msgEmbPushReq, n), model, part), w.ids, width)
 	for j := range w.ids {
 		putF64s(f[off+8*j*width:], b.Row(w.row(j))[col0:col1])
 	}
@@ -234,15 +216,14 @@ func (m *embPush) decode(r wreader) (wreader, error) {
 	return r, nil
 }
 
-// rowScatter is the client-side decode target of a row-batch reply
-// (EmbPull, ServePull, ServeHotPull). Instead of materialising the batch
-// it checks the reply against the request — the ids asked for, in order,
-// width columns each — and converts the wire bytes straight into the
-// caller's output block: row work.row(j), columns [col0, col0+width) of
-// rows strd wide. Partitions of one pull fill disjoint rows (hash) or
-// disjoint columns (column layout) of the same block, so they scatter
-// concurrently without a lock. A reply that does not match is an error
-// naming the model and partition, raised before any row is written.
+// rowScatter is the client-side decode target of one row batch of a reply
+// (EmbPull, ServePull, ServeHotPull). It never materialises the batch: check
+// compares it with the request — the ids asked for, in order, width columns
+// each — and scatter converts the wire bytes straight into the caller's
+// block: row work.row(j), columns [col0, col0+width) of rows strd wide.
+// Partitions of one pull fill disjoint rows (hash) or columns (column
+// layout), so they scatter without a lock. A batch that does not match is
+// an error naming the model and partition, raised before a row is written.
 type rowScatter struct {
 	msg   byte // expected message id
 	model string
@@ -258,6 +239,8 @@ type rowScatter struct {
 	// lists the request indices it skipped.
 	partial bool
 	absent  []int
+
+	raw []byte // a checked batch's value bytes, until scatter
 }
 
 func (s *rowScatter) wireMsg() byte { return s.msg }
@@ -270,10 +253,17 @@ func (s *rowScatter) errf(format string, args ...any) error {
 	return fmt.Errorf("ps: %s answered a row pull with %s", from, fmt.Sprintf(format, args...))
 }
 
-// decode consumes one row batch (appendRowBatch's layout) from r: the ids
-// are compared with the request's as their varints are read, and only a
-// reply that matched in full reaches the value loop.
 func (s *rowScatter) decode(r wreader) (wreader, error) {
+	r, err := s.check(r)
+	if err == nil {
+		s.scatter()
+	}
+	return r, err
+}
+
+// check reads one batch (appendRowBatch's layout) off r: the ids are
+// compared as their varints are read, then the width and the value count.
+func (s *rowScatter) check(r wreader) (wreader, error) {
 	if s.col0 < 0 || s.width < 0 || s.col0+s.width > s.strd {
 		return r, s.errf("columns [%d,%d) of %d-wide rows in its layout", s.col0, s.col0+s.width, s.strd)
 	}
@@ -287,7 +277,7 @@ func (s *rowScatter) decode(r wreader) (wreader, error) {
 		if d, off = zigzag(r.b, off); off < 0 {
 			r.off = len(r.b)
 			r.fail()
-			return r, r.err
+			break
 		}
 		id += d
 		for ; s.partial && j < len(ids) && ids[j] != id; j++ {
@@ -298,6 +288,9 @@ func (s *rowScatter) decode(r wreader) (wreader, error) {
 		}
 		j++
 	}
+	if r.err != nil {
+		return r, s.errf("a batch cut short: %v", r.err)
+	}
 	if j < len(ids) && !s.partial {
 		return r, s.errf("%d of %d requested rows (first missing: %d)", n, len(ids), ids[j])
 	}
@@ -307,15 +300,20 @@ func (s *rowScatter) decode(r wreader) (wreader, error) {
 	r.off = off
 	dim := r.uvarint()
 	nData, _ := r.sliceLen()
-	raw := r.take(8 * nData)
+	s.raw = r.take(8 * nData)
 	if r.err != nil {
-		return r, r.err
+		return r, s.errf("a batch cut short: %v", r.err)
 	}
 	if dim != uint64(s.width) || nData != n*s.width {
 		return r, s.errf("%d values in rows of width %d for %d ids, want width %d", nData, dim, n, s.width)
 	}
-	skip := s.absent
-	for j := range ids {
+	return r, nil
+}
+
+// scatter converts a checked batch's values into the output block.
+func (s *rowScatter) scatter() {
+	raw, skip := s.raw, s.absent
+	for j := range s.work.ids {
 		if len(skip) > 0 && skip[0] == j {
 			skip = skip[1:]
 			continue
@@ -326,6 +324,30 @@ func (s *rowScatter) decode(r wreader) (wreader, error) {
 			out[c] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*c:]))
 		}
 		raw = raw[8*s.width:]
+	}
+}
+
+// serveReply is the decode target of a ServePull reply: one batch per part
+// asked for, back to back in request order. Nothing is written until every
+// batch has matched its part and the frame ends where the last one does, so
+// a reply a part short or long, or with parts swapped, leaves the block as
+// it was.
+type serveReply struct{ parts []rowScatter }
+
+func (s *serveReply) wireMsg() byte { return msgServePullResp }
+
+func (s *serveReply) decode(r wreader) (wreader, error) {
+	for i := range s.parts {
+		var err error
+		if r, err = s.parts[i].check(r); err != nil {
+			return r, err
+		}
+	}
+	if extra := len(r.b) - r.off; extra != 0 {
+		return r, s.parts[len(s.parts)-1].errf("%d bytes behind the last requested batch", extra)
+	}
+	for i := range s.parts {
+		s.parts[i].scatter()
 	}
 	return r, nil
 }

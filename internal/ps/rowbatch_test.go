@@ -42,6 +42,10 @@ type (
 	}
 )
 
+// serveParts is the reply to a ServePull of several parts taken whole: the
+// parts' batches back to back.
+type serveParts []RowBatch
+
 func (m *embPullResp) wireMsg() byte   { return msgEmbPullResp }
 func (m *servePullResp) wireMsg() byte { return msgServePullResp }
 func (m *embPushReq) wireMsg() byte    { return msgEmbPushReq }
@@ -73,6 +77,12 @@ func encReply(v any) []byte {
 	case embPushReq:
 		b := appendRowBatch(appendAddr([]byte{tagBin, msgEmbPushReq}, m.Model, m.Part), m.Rows)
 		return appendBool(appendBool(b, m.Grad), m.Set)
+	case serveParts:
+		b := []byte{tagBin, msgServePullResp}
+		for _, rows := range m {
+			b = appendRowBatch(b, rows)
+		}
+		return b
 	}
 	return enc(v)
 }
@@ -84,6 +94,12 @@ func pushReq(e *embEngine, req embPushReq) error {
 		return err
 	}
 	return e.push(p)
+}
+
+// onePart is the ServePull of one partition: what every serve read was
+// before a request could carry several.
+func onePart(model string, part int, epoch int64, ids []int64) servePullReq {
+	return servePullReq{Model: model, SnapEpoch: epoch, Parts: []servePart{{Part: part, IDs: ids}}}
 }
 
 // pullCached is a pull through the row cache as an id → row map.
@@ -98,7 +114,7 @@ func pullCached(e *Emb, ids []int64) (map[int64][]float64, error) {
 // pullRows pulls ids from an embedding engine and decodes the frame.
 func pullRows(t testing.TB, e *embEngine, ids []int64) RowBatch {
 	t.Helper()
-	b, err := e.appendRows(msgEmbPullResp, ids)
+	b, err := e.pull(pullReq{Keys: ids})
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
@@ -277,6 +293,25 @@ func FuzzRowBatchDecode(f *testing.F) {
 			if math.Float64bits(v) != math.Float64bits(sc.dst[i]) {
 				t.Fatalf("scatter value %d = %v, decoder %v", i, sc.dst[i], v)
 			}
+		}
+
+		// Twice back to back it is a two-part ServePull reply: each part lands
+		// in its own block, and a third copy behind them is an error.
+		twice := append(append([]byte{tagBin, msgServePullResp}, payload...), payload...)
+		two := serveReply{parts: []rowScatter{*sc, *sc}}
+		for k := range two.parts {
+			two.parts[k].msg, two.parts[k].part, two.parts[k].dst = msgServePullResp, k, make([]float64, len(sc.dst))
+		}
+		if err := dec(twice, &two); err != nil {
+			t.Fatalf("the batch twice, as a two-part reply: %v", err)
+		}
+		for i, v := range sc.dst {
+			if a, b := two.parts[0].dst[i], two.parts[1].dst[i]; math.Float64bits(a) != math.Float64bits(v) || math.Float64bits(b) != math.Float64bits(v) {
+				t.Fatalf("two-part scatter value %d = %v and %v, decoder %v", i, a, b, v)
+			}
+		}
+		if err := dec(append(twice, payload...), &two); err == nil || !strings.Contains(err.Error(), "f/1") {
+			t.Fatalf("three batches into a two-part target: err = %v, want an error naming f/1", err)
 		}
 
 		// The same reply against a request that differs in one id. (An empty
@@ -577,7 +612,7 @@ func TestEmbPullFrameMatchesEncode(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, ep := range sl.Replicas[p.Index] {
-				got, err := c.servers[ep].Handle("ServePull", enc(servePullReq{Model: name, Part: p.Index, SnapEpoch: sl.SnapEpoch, IDs: ids}))
+				got, err := c.servers[ep].Handle("ServePull", enc(onePart(name, p.Index, sl.SnapEpoch, ids)))
 				if err != nil {
 					t.Fatalf("%s/%d on %s: %v", name, p.Index, ep, err)
 				}
@@ -589,6 +624,131 @@ func TestEmbPullFrameMatchesEncode(t *testing.T) {
 		}
 	}
 	if frames < 2*4*5 {
+		t.Fatalf("compared %d frames", frames)
+	}
+}
+
+// TestServePullFrameMatchesParts: a ServePull of k parts is answered with
+// the k single-part replies back to back behind one 2-byte header, and a
+// single-part reply is byte for byte what encoding the pulled batch was
+// before requests carried parts (refPull, and for a DenseVector its values
+// as 1-wide rows) — on a hash, a column and a DenseVector model, at every
+// endpoint, for every subset of the partitions it holds, with duplicates,
+// rows the read itself materialises and a part with no ids.
+func TestServePullFrameMatchesParts(t *testing.T) {
+	c, cl := newTestCluster(t, 3)
+	c.Master.SetServeOptions(ServeOptions{Replicas: 2, HotKeys: -1})
+	const dim = 5
+	for _, byCol := range []bool{false, true} {
+		name := map[bool]string{false: "hash", true: "column"}[byCol]
+		e, err := cl.CreateEmbedding(EmbeddingSpec{Name: name, Dim: dim, ByColumn: byCol, InitScale: 0.5, Partitions: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := make(map[int64][]float64)
+		for id := int64(0); id < 96; id += 3 {
+			set[id] = []float64{float64(id), -1, 0.5, math.Inf(1), math.Copysign(0, -1)}
+		}
+		if err := e.PushSet(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vec, err := cl.CreateDenseVector(DenseVectorSpec{Name: "vector", Size: 600, Partitions: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vec.PushSet([]int64{0, 150, 599}, []float64{1.5, math.NaN(), -2}); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for _, name := range []string{"hash", "column", "vector"} {
+		sl, err := cl.PublishSnapshot(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What each partition is asked: ids it owns, pushed and never touched,
+		// one repeated; the fourth partition is asked for nothing.
+		ask := make(map[int][]int64)
+		for slot, p := range sl.Meta.Parts {
+			var owned []int64
+			for id := int64(0); id < 600 && len(owned) < 8; id++ {
+				if sl.Meta.Kind == ColumnEmbedding || sl.Meta.PartitionFor(id) == slot {
+					owned = append(owned, id)
+				}
+			}
+			ask[p.Index] = append(owned, owned[0], 500+int64(slot))
+			if sl.Meta.Kind != ColumnEmbedding {
+				ask[p.Index] = append(owned, owned[0])
+			}
+			if slot == 3 {
+				ask[p.Index] = []int64{}
+			}
+		}
+		// parent is the reply to a one-part read as the parent commit wrote it.
+		parent := func(p Partition, ids []int64) []byte {
+			var rows RowBatch
+			if sl.Meta.Kind == DenseVector {
+				vals, err := vec.Pull(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = RowBatch{IDs: ids, Dim: 1, Data: vals}
+			} else {
+				eng, err := getEngine[*embEngine](c.servers[p.Server].store, name, p.Index)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = refPull(eng, ids)
+			}
+			return encReply(servePullResp{Rows: rows})
+		}
+		for _, ep := range sl.Endpoints {
+			var held []Partition
+			for _, p := range sl.Meta.Parts {
+				if slices.Contains(sl.Replicas[p.Index], ep) {
+					held = append(held, p)
+				}
+			}
+			if len(held) != 4 {
+				t.Fatalf("%s: %s holds %d of 6 partitions, want 4", name, ep, len(held))
+			}
+			single := make(map[int][]byte)
+			for _, p := range held {
+				got, err := c.servers[ep].Handle("ServePull", enc(onePart(name, p.Index, sl.SnapEpoch, ask[p.Index])))
+				if err != nil {
+					t.Fatalf("%s/%d on %s: %v", name, p.Index, ep, err)
+				}
+				if want := parent(p, ask[p.Index]); !bytes.Equal(got, want) {
+					t.Errorf("%s/%d on %s: one-part frame\n got %x\nwant %x", name, p.Index, ep, got, want)
+				}
+				single[p.Index] = got
+				frames++
+			}
+			// Every non-empty subset of the held partitions, in an order that
+			// is not the layout's.
+			for mask := 1; mask < 1<<len(held); mask++ {
+				req := servePullReq{Model: name, SnapEpoch: sl.SnapEpoch}
+				want := []byte{tagBin, msgServePullResp}
+				for k := len(held) - 1; k >= 0; k-- {
+					if mask&(1<<k) == 0 {
+						continue
+					}
+					p := held[k]
+					req.Parts = append(req.Parts, servePart{Part: p.Index, IDs: ask[p.Index]})
+					want = append(want, single[p.Index][2:]...)
+				}
+				got, err := c.Transport.Call(ep, "ServePull", enc(req))
+				if err != nil {
+					t.Fatalf("%s on %s, parts %v: %v", name, ep, req.Parts, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s on %s, parts %v:\n got %x\nwant %x", name, ep, req.Parts, got, want)
+				}
+				frames++
+			}
+		}
+	}
+	if frames != 3*3*(4+15) {
 		t.Fatalf("compared %d frames", frames)
 	}
 }
@@ -762,7 +922,7 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 	}
 	part := sl.Meta.Parts[sl.Meta.PartitionFor(42)].Index
 	for i := 0; i < 6; i++ {
-		req := servePullReq{Model: "cnt", Part: part, SnapEpoch: sl.SnapEpoch, IDs: []int64{42}}
+		req := onePart("cnt", part, sl.SnapEpoch, []int64{42})
 		if _, err := c.Transport.Call(sl.Replicas[part][0], "ServePull", enc(req)); err != nil {
 			t.Fatal(err)
 		}
@@ -977,7 +1137,10 @@ func TestPullAllocationBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	within("ServeClient.Pull, uncached,", 99, func() error { _, err := sc.Pull(ids); return err })
+	// Both endpoints hold all 4 partitions: a lookup is the head read and one
+	// ServePull of four parts (49 to 50 allocations; it was 99 as one
+	// ServePull per partition).
+	within("ServeClient.Pull, uncached,", 55, func() error { _, err := sc.Pull(ids); return err })
 	if st := sc.Stats(); st.PrimaryRows != 0 || st.SnapRows == 0 {
 		t.Errorf("serve reads did not come off the snapshots: %+v", st)
 	}
@@ -1062,23 +1225,53 @@ func BenchmarkEmbPushBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkServePull: one uncached 128-id serve lookup end to end — in-proc
+// over 2 servers x 4 partitions (one frame: either endpoint holds the
+// table), and over TCP at the repo benchmark's shape, 3 servers x 6
+// partitions x 2 replicas (two frames).
 func BenchmarkServePull(b *testing.B) {
-	e, ids := benchEmb(b, false)
-	if _, err := e.Pull(ids); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.c.PublishSnapshot("e"); err != nil {
-		b.Fatal(err)
-	}
-	e.c.SetRowCacheLimits(1, 0)
-	sc, err := e.c.Serve("e")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := sc.Pull(ids); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name           string
+		servers, parts int
+		tcp            bool
+	}{{"inproc-2x4", 2, 4, false}, {"tcp-3x6", 3, 6, true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := ClusterConfig{NumServers: shape.servers, NamePrefix: "bs" + b.Name()}
+			if shape.tcp {
+				cfg.Transport = rpc.NewTCP()
+			}
+			c, err := NewCluster(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			cl := c.NewClient()
+			e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 32, Partitions: shape.parts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]int64, 128)
+			for i := range ids {
+				ids[i] = int64(i * 7)
+			}
+			if _, err := e.Pull(ids); err != nil {
+				b.Fatal(err)
+			}
+			c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
+			if _, err := cl.PublishSnapshot("e"); err != nil {
+				b.Fatal(err)
+			}
+			cl.SetRowCacheLimits(1, 0)
+			sc, err := cl.Serve("e")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sc.Pull(ids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,40 +1,19 @@
 package ps
 
-// Server-side serving tier: immutable, epoch-tagged snapshot replicas.
+// Server-side serving tier (DESIGN.md §13): immutable, epoch-tagged
+// snapshot replicas, read without touching a mutable primary.
 //
-// Training reads and writes go through the mutable primaries and contend
-// on the engine locks. Recommendation-style read traffic wants the
-// opposite trade: slightly stale rows, no lock contention, and fan-out
-// across every server that holds a copy. The serving tier therefore
-// publishes read-only snapshots of embedding/vector partitions out of
-// band:
-//
-//   - The master drives publication at an epoch fence (serve_master.go):
-//     it sends each partition's primary a ServeSeed naming the target
-//     endpoints. The primary exports a consistent cut of the partition
-//     under the replication write gate — the same exclusion seedBackup
-//     uses, so a concurrent multi-shard push is either fully inside or
-//     fully outside the cut — and pushes a ServeInstall to every target.
-//     Snapshot data never flows through the master.
-//
-//   - Each snapshot is tagged with a per-model snapshot epoch. Pull
-//     requests carry the epoch the client's serve layout was published
-//     under; a mismatch is a staleSnapMsg error, the serving analogue of
-//     ErrStaleEpoch, and the client reacts the same way: refetch the
-//     layout and retry. Servers keep the two newest generations per
-//     partition so readers on layout N-1 are served while N rolls out.
-//
-//   - A snapshot generation is a frozen engine: built by the same
-//     newEngine + merge as a restore, read through the engine's own pull,
-//     and kept out of the Store, so no push handler can reach it. Absent
-//     embedding rows still materialize on read, deterministically — a
-//     pure function of (id, column), so a snapshot replica answers for
-//     never-pushed rows exactly as the primary would.
-//
-//   - The power-law hot head (HotKey counters fed from engine pulls and
-//     serve pulls) is replicated to EVERY serving endpoint via
-//     ServeHotInstall, so a hot-head read is always satisfiable by the
-//     first endpoint asked.
+//   - Publication is driven by the master (serve_master.go): each primary
+//     exports a consistent cut under the replication write gate — a
+//     multi-shard push is fully inside or fully outside it — and installs it
+//     on the target endpoints itself; data never flows through the master.
+//   - A generation is a frozen engine tagged with a per-model snapshot
+//     epoch, kept out of the Store so no push can reach it; absent rows
+//     still materialize on read, deterministically. Servers keep the two
+//     newest per partition; a pull at any other epoch is a staleSnapMsg
+//     error, which the client answers by refetching the layout.
+//   - The hot head (HotKey counters fed from engine and serve pulls) is
+//     replicated to EVERY endpoint, so the first one asked answers for it.
 
 import (
 	"fmt"
@@ -138,13 +117,10 @@ func topHot(keys []HotKey, k int) []HotKey {
 	return keys
 }
 
-// --- wire messages ---------------------------------------------------
-
 // serveSeedReq asks a partition's primary to export a consistent cut and
-// install it on Targets as the SnapEpoch generation. Meta is the layout
-// the publication was planned under; it travels with the snapshot so a
-// replica can validate routes against the exact partition table its data
-// corresponds to (the "consistent layout + data pair").
+// install it on Targets as the SnapEpoch generation. Meta, the layout the
+// publication was planned under, travels with the snapshot: a replica
+// validates routes against the partition table its data corresponds to.
 type serveSeedReq struct {
 	Meta      ModelMeta
 	Part      int
@@ -160,11 +136,19 @@ type serveInstallReq struct {
 	Data      []byte // encoded partImage
 }
 
+// servePullReq reads one generation's rows off every partition the endpoint
+// holds for the caller: it is answered with the parts' row batches back to
+// back, in request order, in one frame.
 type servePullReq struct {
 	Model     string
-	Part      int
 	SnapEpoch int64
-	IDs       []int64
+	Parts     []servePart
+}
+
+// servePart is one partition's share: its stable index and the ids to read.
+type servePart struct {
+	Part int
+	IDs  []int64
 }
 
 // serveHotInstallReq replicates the assembled hot-head rows (full-width,
@@ -183,7 +167,6 @@ type serveHotPullReq struct {
 
 type serveHotStatsReq struct {
 	Model string
-	TopK  int
 }
 
 type serveHotStatsResp struct {
@@ -209,35 +192,24 @@ func init() {
 	}
 }
 
-// --- server-side state ------------------------------------------------
-
 // serveSnap is one partition snapshot generation: a frozen engine that
 // lives here and never in the Store. Route validation, range errors,
 // lazy row init and the hot counter are the engine's own.
 type serveSnap struct {
 	snapEpoch int64
-	e         engine
+	e         rowEngine
 }
 
-// pull answers a ServePull for ids, in request order, as its frame. A
-// DenseVector's ids are indices and its rows one value wide.
-func (sn *serveSnap) pull(ids []int64) (encoded, error) {
-	switch e := sn.e.(type) {
-	case *embEngine:
-		return e.appendRows(msgServePullResp, ids)
-	case *vecEngine:
-		if ids == nil {
-			ids = []int64{} // nil keys would pull the whole range
-		}
-		resp, err := e.pull(pullReq{Keys: ids})
-		if err != nil {
-			return nil, err
-		}
-		b, off := rowReply(msgServePullResp, ids, 1)
-		putF64s(b[off:], resp.Values)
-		return b, nil
-	}
-	return nil, fmt.Errorf("ps: kind %s is not servable", sn.e.modelMeta().Kind)
+// rowEngine is the engine of a servable kind. It answers a keyed read as a
+// row batch in two halves, so that one frame can hold several engines'
+// batches: rowsLen validates the ids (a rejection names model and partition)
+// and sizes the batch, appendRows writes it behind b and counts the pulls.
+// A DenseVector's ids are indices and its rows one value wide.
+type rowEngine interface {
+	engine
+	rowsLen(ids []int64) (int, error)
+	appendRows(b []byte, ids []int64) []byte
+	hotTop(k int) []HotKey
 }
 
 // hotReplica is the model-wide hot head replicated to this endpoint.
@@ -256,21 +228,16 @@ type serveState struct {
 	hotRows  atomic.Int64
 }
 
-// serveGenerations is how many snapshot epochs a server retains per
-// partition: the newest plus one predecessor, so clients holding the
-// previous serve layout keep reading while a republish rolls out.
+// serveGenerations is how many snapshot epochs a server retains per partition:
+// the newest plus one, so holders of the previous layout keep reading.
 const serveGenerations = 2
 
-// --- handlers ---------------------------------------------------------
-
 // serveSeed exports a consistent cut of the partition and installs it on
-// every target endpoint. The export runs under the replication write
-// gate (exclusive), so an in-flight multi-shard push is either fully in
-// the cut or fully out — engine shard locks alone cannot give that,
-// because a push locks shards one at a time. The gate is released before
-// the installs: the image owns its memory, so the cut is sealed, and
-// holding the gate across N network installs would stall training for
-// the whole fan-out.
+// every target endpoint. The export runs under the replication write gate
+// (exclusive), so an in-flight multi-shard push is fully in the cut or fully
+// out — a push locks shards one at a time, so shard locks cannot give that.
+// The gate is released before the installs: the image owns its memory, and
+// holding it across N network installs would stall training for all of them.
 func (s *Server) serveSeed(req serveSeedReq) error {
 	e, err := s.store.get(req.Meta.Name, req.Part)
 	if err != nil {
@@ -308,10 +275,11 @@ func (s *Server) serveInstall(req serveInstallReq) error {
 	if !servable(req.Meta.Kind) {
 		return fmt.Errorf("ps: serve install %s/%d: kind %s is not servable", req.Meta.Name, req.Part, req.Meta.Kind)
 	}
-	e, err := engineFromImage(req.Meta, req.Part, req.Data)
+	built, err := engineFromImage(req.Meta, req.Part, req.Data)
 	if err != nil {
 		return fmt.Errorf("ps: serve install %s/%d: %w", req.Meta.Name, req.Part, err)
 	}
+	e := built.(rowEngine) // every servable kind's engine is one
 	k := partKey{model: req.Meta.Name, part: req.Part}
 	s.serve.mu.Lock()
 	if s.serve.snaps == nil {
@@ -333,32 +301,46 @@ func (s *Server) serveInstall(req serveInstallReq) error {
 	return nil
 }
 
-// servePull answers a read from the snapshot generation the caller's
-// serve layout was published under.
+// servePull answers every part from the generation the caller's layout was
+// published under, as one exactly sized frame. All parts are resolved (one
+// lock), validated and sized before the frame is taken: a rejection of one
+// part rejects the read, names that part and writes nothing.
 func (s *Server) servePull(req servePullReq) (encoded, error) {
-	k := partKey{model: req.Model, part: req.Part}
+	snaps := make([]*serveSnap, len(req.Parts))
 	s.serve.mu.Lock()
-	gens := s.serve.snaps[k]
-	var sn *serveSnap
-	for _, g := range gens {
-		if g.snapEpoch == req.SnapEpoch {
-			sn = g
-			break
+	for i, p := range req.Parts {
+		gens := s.serve.snaps[partKey{model: req.Model, part: p.Part}]
+		for _, g := range gens {
+			if g.snapEpoch == req.SnapEpoch {
+				snaps[i] = g
+				break
+			}
 		}
-	}
-	s.serve.mu.Unlock()
-	if sn == nil {
+		if snaps[i] != nil {
+			continue
+		}
+		s.serve.mu.Unlock()
 		if len(gens) == 0 {
-			return nil, fmt.Errorf("%s for %s/%d on this server", noServeSnapMsg, req.Model, req.Part)
+			return nil, fmt.Errorf("%s for %s/%d on this server", noServeSnapMsg, req.Model, p.Part)
 		}
 		return nil, fmt.Errorf("%s: %s/%d pull at snap epoch %d, server holds %d",
-			staleSnapMsg, req.Model, req.Part, req.SnapEpoch, gens[0].snapEpoch)
+			staleSnapMsg, req.Model, p.Part, req.SnapEpoch, gens[0].snapEpoch)
 	}
-	b, err := sn.pull(req.IDs)
-	if err != nil {
-		return nil, err
+	s.serve.mu.Unlock()
+	size, rows := 2, 0
+	for i, p := range req.Parts {
+		n, err := snaps[i].e.rowsLen(p.IDs)
+		if err != nil {
+			return nil, err
+		}
+		size += n
+		rows += len(p.IDs)
 	}
-	s.serve.snapRows.Add(int64(len(req.IDs)))
+	b := frame(msgServePullResp, size)
+	for i, p := range req.Parts {
+		b = snaps[i].e.appendRows(b, p.IDs)
+	}
+	s.serve.snapRows.Add(int64(rows))
 	return b, nil
 }
 
@@ -406,7 +388,7 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 		}
 	}
 	dim := hr.rows.width
-	b, off := rowReply(msgServePullResp, held, dim)
+	b, off := rowBlock(frame(msgServePullResp, 2+rowBatchLen(held, dim)), held, dim)
 	for k, id := range held {
 		putF64s(b[off+8*k*dim:], hr.rows.get(id))
 	}
@@ -414,10 +396,9 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 	return b, nil
 }
 
-// serveHotStats reports the hottest keys observed by this server's
-// newest snapshot generations of a model — the serve-traffic half of the
-// hot-set signal (the training half comes from the engine counters via
-// PartStats).
+// serveHotStats reports the hottest keys this server's snapshot generations
+// of a model have served: the serve-traffic half of the hot-set signal (the
+// training half comes from the engine counters via PartStats).
 func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) {
 	merged := make(map[int64]int64)
 	s.serve.mu.Lock()
@@ -436,11 +417,7 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 		}
 	}
 	s.serve.mu.Unlock()
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 256
-	}
-	return serveHotStatsResp{Hot: topHot(hotKeys(merged), topK)}, nil
+	return serveHotStatsResp{Hot: topHot(hotKeys(merged), 256)}, nil
 }
 
 // serveStats reports this server's serving-tier counters.

@@ -1,22 +1,15 @@
 package ps
 
-// Master-side snapshot publication (serving tier, serve.go).
-//
-// PublishSnapshot turns the current state of an embedding/vector model
-// into an immutable serving generation: under recMu — so a publication
-// can never interleave with a recovery, a checkpoint, or an elastic
-// split/move — the master captures the partition table, asks every
-// partition's primary to seed R endpoints with a write-gated consistent
-// cut tagged with the next per-model snapshot epoch, mines the pull
-// hot head from the engine counters and live serve traffic, assembles
-// the hot rows from the freshly installed snapshots, replicates them to
-// every serving endpoint, and only then swaps in the new ServeLayout.
-// Readers resolve that layout through GetServeLayout; a layout whose
-// SnapEpoch moved invalidates their row caches (serveclient.go).
+// Master-side snapshot publication (DESIGN.md §13). Under recMu — never
+// beside a recovery, checkpoint, split or move — PublishSnapshot captures
+// the partition table, has every primary seed R endpoints with a write-gated
+// cut at the next snapshot epoch, mines the hot head, assembles its rows from
+// the fresh snapshots, replicates them to every endpoint, and only then
+// swaps in the new ServeLayout.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ServeOptions tunes the serving tier.
@@ -128,31 +121,23 @@ func (m *Master) publishSnapshotLocked(model string) (ServeLayout, error) {
 	if r > len(servers) {
 		r = len(servers)
 	}
-	pos := make(map[string]int, len(servers))
-	for i, s := range servers {
-		pos[s] = i
-	}
 	replicas := make(map[int][]string, len(meta.Parts))
-	endpointSet := make(map[string]bool)
+	var endpoints []string
 	for _, p := range meta.Parts {
-		base := pos[p.Server] // 0 if the primary is somehow off-ring
-		targets := make([]string, 0, r)
-		for j := 0; j < r; j++ {
-			t := servers[(base+j)%len(servers)]
-			targets = append(targets, t)
-			endpointSet[t] = true
+		base := max(slices.Index(servers, p.Server), 0) // 0 if the primary is somehow off-ring
+		targets := make([]string, r)
+		for j := range targets {
+			targets[j] = servers[(base+j)%len(servers)]
 		}
 		replicas[p.Index] = targets
+		endpoints = append(endpoints, targets...)
 		req := serveSeedReq{Meta: meta, Part: p.Index, SnapEpoch: snapEpoch, Targets: targets}
 		if _, err := m.callWithRetry(p.Server, "ServeSeed", enc(req)); err != nil {
 			return ServeLayout{}, fmt.Errorf("ps: publish %s/%d: %w", model, p.Index, err)
 		}
 	}
-	endpoints := make([]string, 0, len(endpointSet))
-	for e := range endpointSet {
-		endpoints = append(endpoints, e)
-	}
-	sort.Strings(endpoints)
+	slices.Sort(endpoints)
+	endpoints = slices.Compact(endpoints)
 	sl := ServeLayout{
 		Model:     model,
 		SnapEpoch: snapEpoch,
@@ -161,7 +146,7 @@ func (m *Master) publishSnapshotLocked(model string) (ServeLayout, error) {
 		Endpoints: endpoints,
 	}
 	if hotIDs := m.mineHot(model, servers, opts.HotKeys); len(hotIDs) > 0 {
-		rows, err := m.assembleHotRows(meta, replicas, snapEpoch, hotIDs)
+		rows, err := m.assembleHotRows(&sl, hotIDs)
 		if err != nil {
 			// Degrade to an unreplicated head rather than failing the
 			// publication: the per-partition snapshots are already live.
@@ -206,26 +191,21 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 	}
 	counts := make(map[int64]int64)
 	for _, s := range servers {
-		if body, err := m.tr.Call(s, "PartStats", nil); err == nil {
-			var resp partStatsResp
-			if dec(body, &resp) == nil {
-				for _, st := range resp.Parts {
-					if st.Model != model || st.Replica {
-						continue
-					}
-					for _, hk := range st.Hot {
-						counts[hk.ID] += hk.Count
-					}
+		var hot []HotKey
+		var train partStatsResp
+		if body, err := m.tr.Call(s, "PartStats", nil); err == nil && dec(body, &train) == nil {
+			for _, st := range train.Parts {
+				if st.Model == model && !st.Replica {
+					hot = append(hot, st.Hot...)
 				}
 			}
 		}
-		if body, err := m.tr.Call(s, "ServeHotStats", enc(serveHotStatsReq{Model: model})); err == nil {
-			var resp serveHotStatsResp
-			if dec(body, &resp) == nil {
-				for _, hk := range resp.Hot {
-					counts[hk.ID] += hk.Count
-				}
-			}
+		var served serveHotStatsResp
+		if body, err := m.tr.Call(s, "ServeHotStats", enc(serveHotStatsReq{Model: model})); err == nil && dec(body, &served) == nil {
+			hot = append(hot, served.Hot...)
+		}
+		for _, hk := range hot {
+			counts[hk.ID] += hk.Count
 		}
 	}
 	top := topHot(hotKeys(counts), k)
@@ -233,34 +213,27 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 	for i, hk := range top {
 		ids[i] = hk.ID
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // assembleHotRows reads the hot ids' full rows back from the freshly
 // seeded snapshot replicas (never from the mutable primaries — the hot
 // head must be the same generation as the snapshots it fronts) into one
-// batch; column partitions each fill their columns of every row.
-func (m *Master) assembleHotRows(meta ModelMeta, replicas map[int][]string, snapEpoch int64, ids []int64) (RowBatch, error) {
-	dim := serveWidth(meta)
+// batch, the way a serve client reads them: one frame per endpoint.
+func (m *Master) assembleHotRows(sl *ServeLayout, ids []int64) (RowBatch, error) {
+	dim := serveWidth(sl.Meta)
 	out := RowBatch{IDs: ids, Dim: dim, Data: make([]float64, len(ids)*dim)}
-	err := eachRowPart(&meta, rowWork{ids: ids}, dim, func(p Partition, w rowWork, col0, col1 int) error {
-		var lastErr error
-		for _, ep := range replicas[p.Index] {
-			body, err := m.tr.Call(ep, "ServePull", enc(servePullReq{
-				Model: meta.Name, Part: p.Index, SnapEpoch: snapEpoch, IDs: w.ids,
-			}))
-			if err == nil {
-				err = dec(body, &rowScatter{msg: msgServePullResp, model: meta.Name, part: p.Index,
-					work: w, dst: out.Data, col0: col0, width: col1 - col0, strd: dim})
-			}
-			if err == nil {
-				return nil
-			}
-			lastErr = err
+	err := pullServeParts(sl, rowWork{ids: ids}, out.Data, 0, func(addr, method string, req, reply any) error {
+		body, err := m.tr.Call(addr, method, enc(req))
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("ps: hot assembly %s/%d: %w", meta.Name, p.Index, lastErr)
+		return dec(body, reply)
 	})
+	if err != nil {
+		err = fmt.Errorf("ps: hot assembly of %s: %w", sl.Model, err)
+	}
 	return out, err
 }
 

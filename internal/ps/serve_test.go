@@ -1,10 +1,18 @@
 package ps
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"psgraph/internal/rpc"
 )
 
 // TestServePublishAndPull pins the basic serving contract: published
@@ -332,46 +340,293 @@ func TestServeSnapshotConsistency(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeEndpointFailover: killing one serving endpoint must not fail
-// reads — the client rotates to the partition's surviving replica (and
-// the surviving hot-head holder).
+// serveFrames is a client-side transport that records every ServePull it
+// carries: the endpoint and the partitions the frame asked it for.
+type serveFrames struct {
+	rpc.Transport
+	mu     sync.Mutex
+	frames []servedFrame
+}
+
+type servedFrame struct {
+	addr  string
+	parts []int
+}
+
+func (f *serveFrames) Call(addr, method string, body []byte) ([]byte, error) {
+	if method == "ServePull" {
+		var req servePullReq
+		if err := dec(body, &req); err != nil {
+			return nil, err
+		}
+		fr := servedFrame{addr: addr}
+		for _, p := range req.Parts {
+			fr.parts = append(fr.parts, p.Part)
+		}
+		f.mu.Lock()
+		f.frames = append(f.frames, fr)
+		f.mu.Unlock()
+	}
+	return f.Transport.Call(addr, method, body)
+}
+
+// take returns the frames recorded since the last take.
+func (f *serveFrames) take() []servedFrame {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := f.frames
+	f.frames = nil
+	return out
+}
+
+// servePlanCluster is the benchmark's serving shape — 3 servers, a 6-partition
+// hash table of 600 known rows, no hot head, no agent cache — with a serve
+// handle whose ServePull frames are recorded.
+func servePlanCluster(t *testing.T, replicas int) (*Cluster, *ServeClient, ServeLayout, *serveFrames) {
+	t.Helper()
+	c, cl := newTestCluster(t, 3)
+	c.Master.SetServeOptions(ServeOptions{Replicas: replicas, HotKeys: -1})
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "plan", Dim: 2, Partitions: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[int64][]float64)
+	for id := int64(0); id < 600; id++ {
+		rows[id] = []float64{float64(id), -float64(id)}
+	}
+	if err := e.PushSet(rows); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := cl.PublishSnapshot("plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &serveFrames{Transport: c.Transport}
+	agent := NewClient(tr, c.MasterAddr)
+	agent.SetRowCacheLimits(1, 0) // every lookup misses the agent's cache
+	sc, err := agent.Serve("plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, sc, sl, tr
+}
+
+// lookup pulls ids and checks every row against what servePlanCluster pushed.
+func lookup(t *testing.T, sc *ServeClient, ids []int64) {
+	t.Helper()
+	got, err := sc.Pull(ids)
+	if err != nil {
+		t.Fatalf("pull %v: %v", ids, err)
+	}
+	for _, id := range ids {
+		if want := []float64{float64(id), -float64(id)}; !reflect.DeepEqual(got[id], want) {
+			t.Fatalf("row %d = %v, want %v", id, got[id], want)
+		}
+	}
+}
+
+// TestServePlan: a lookup is one frame per endpoint it needs. On 3 servers
+// x 6 partitions x 2 replicas every endpoint holds 4 partitions and any two
+// cover the table: a lookup that misses everywhere is exactly 2 ServePulls,
+// one whose misses fit one endpoint is 1, no lookup sends two frames to one
+// endpoint or asks for a partition twice, and the rotation spreads the rows
+// evenly over the endpoints. With one replica a lookup is one frame per
+// owning server.
+func TestServePlan(t *testing.T) {
+	c, sc, sl, tr := servePlanCluster(t, 2)
+	owned := make(map[int][]int64) // partition index -> ids it owns
+	for id := int64(0); id < 600; id++ {
+		p := sl.Meta.Parts[sl.Meta.PartitionFor(id)].Index
+		owned[p] = append(owned[p], id)
+	}
+	check := func(what string, frames []servedFrame, want int, parts ...int) {
+		t.Helper()
+		if len(frames) != want {
+			t.Fatalf("%s: %d ServePull frames %v, want %d", what, len(frames), frames, want)
+		}
+		var asked []int
+		eps := make(map[string]bool)
+		for _, fr := range frames {
+			if eps[fr.addr] {
+				t.Fatalf("%s: two frames to %s: %v", what, fr.addr, frames)
+			}
+			eps[fr.addr] = true
+			for _, p := range fr.parts {
+				if !slices.Contains(sl.Replicas[p], fr.addr) {
+					t.Fatalf("%s: %s asked for partition %d, which it does not hold", what, fr.addr, p)
+				}
+			}
+			asked = append(asked, fr.parts...)
+		}
+		slices.Sort(asked)
+		if !slices.Equal(asked, parts) {
+			t.Fatalf("%s: frames asked for partitions %v, want each of %v once", what, asked, parts)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	every := []int{0, 1, 2, 3, 4, 5}
+	for i := 0; i < 300; i++ {
+		ids := make([]int64, 0, 64)
+		for _, p := range every { // every partition misses, unevenly
+			for k := 0; k < 4+rng.Intn(12); k++ {
+				ids = append(ids, owned[p][rng.Intn(len(owned[p]))])
+			}
+		}
+		lookup(t, sc, ids)
+		check("all-miss lookup", tr.take(), 2, every...)
+	}
+	var total int64
+	stats := make(map[string]int64)
+	for _, ep := range sl.Endpoints {
+		stats[ep] = c.servers[ep].serveStats().SnapRows
+		total += stats[ep]
+	}
+	if st := sc.Stats(); st.SnapRows != total || st.PrimaryRows != 0 {
+		t.Fatalf("client counted %+v, the servers %d snapshot rows", st, total)
+	}
+	mean := float64(total) / float64(len(sl.Endpoints))
+	for ep, n := range stats {
+		if math.Abs(float64(n)-mean) > 0.1*mean {
+			t.Errorf("%s served %d rows of %d, more than 10%% off the mean %.0f: %v", ep, n, total, mean, stats)
+		}
+	}
+	// Misses that fit one endpoint: one partition, and every pair of
+	// partitions some endpoint holds both of.
+	for _, p := range every {
+		lookup(t, sc, owned[p][:5])
+		check("one-partition lookup", tr.take(), 1, p)
+		for _, q := range every[p+1:] {
+			shared := false
+			for _, ep := range sl.Replicas[p] {
+				shared = shared || slices.Contains(sl.Replicas[q], ep)
+			}
+			lookup(t, sc, append(slices.Clone(owned[p][:3]), owned[q][:3]...))
+			if shared {
+				check("two partitions on one endpoint", tr.take(), 1, p, q)
+			} else {
+				check("two partitions no endpoint shares", tr.take(), 2, p, q)
+			}
+		}
+	}
+
+	_, sc, sl, tr = servePlanCluster(t, 1)
+	for i := 0; i < 10; i++ {
+		ids := make([]int64, 64)
+		for k := range ids {
+			ids[k] = rng.Int63n(600)
+		}
+		lookup(t, sc, ids)
+		check("one replica", tr.take(), 3, every...)
+	}
+}
+
+// TestServeEndpointFailover: killing one serving endpoint mid-stream must
+// not fail reads, leak them to the primaries or count a row twice — the
+// partitions the dead endpoint was asked for, and only those, are planned
+// again over their surviving replicas.
 func TestServeEndpointFailover(t *testing.T) {
-	c, cl := newTestCluster(t, 2)
-	c.Master.SetServeOptions(ServeOptions{Replicas: 2, HotKeys: 2})
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "fo", Dim: 2, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[int64][]float64)
-	for id := int64(0); id < 32; id++ {
-		want[id] = []float64{float64(id), 2}
-	}
-	if err := e.PushSet(want); err != nil {
-		t.Fatal(err)
-	}
-	sl, err := cl.PublishSnapshot("fo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sl.Endpoints) != 2 {
-		t.Fatalf("endpoints = %v, want both servers", sl.Endpoints)
-	}
-	sc, err := cl.Serve("fo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.KillServer(sl.Endpoints[0])
-	for id := int64(0); id < 32; id++ {
-		got, err := sc.Pull([]int64{id})
-		if err != nil {
-			t.Fatalf("pull %d with a dead endpoint: %v", id, err)
+	c, sc, sl, tr := servePlanCluster(t, 2)
+	rng := rand.New(rand.NewSource(9))
+	stream := func(lookups int) (asked int64) {
+		for i := 0; i < lookups; i++ {
+			ids := rng.Perm(600)[:48] // distinct: nothing is cached, every row is a snapshot row
+			batch := make([]int64, len(ids))
+			for k, id := range ids {
+				batch[k] = int64(id)
+			}
+			lookup(t, sc, batch)
+			asked += int64(len(batch))
 		}
-		if !reflect.DeepEqual(got[id], want[id]) {
-			t.Fatalf("row %d = %v, want %v", id, got[id], want[id])
+		return asked
+	}
+	served := func() (n int64) {
+		for _, ep := range sl.Endpoints {
+			if srv := c.servers[ep]; srv != nil {
+				n += srv.serveStats().SnapRows
+			}
+		}
+		return n
+	}
+	// The agent's one-row cache answers the odd row; every other row asked
+	// for is counted once by the client and once by the server that sent it.
+	asked := stream(30)
+	st := sc.Stats()
+	if st.CacheRows+st.SnapRows != asked || served() != st.SnapRows || st.TotalRows() != asked {
+		t.Fatalf("before the kill: %d rows asked, client %+v, servers %d", asked, st, served())
+	}
+	tr.take()
+	dead := sl.Endpoints[1]
+	c.KillServer(dead)
+	live := served() // the surviving servers' count so far
+	asked = stream(60)
+	now := sc.Stats()
+	if now.PrimaryRows != 0 || now.Refreshes != st.Refreshes {
+		t.Fatalf("failover leaked reads to the primaries or refetched the layout: %+v", now)
+	}
+	if got := now.CacheRows + now.SnapRows - st.CacheRows - st.SnapRows; got != asked {
+		t.Fatalf("client counted %d rows for %d asked after the kill: %+v", got, asked, now)
+	}
+	if got, want := served()-live, now.SnapRows-st.SnapRows; got != want {
+		t.Fatalf("live servers counted %d snapshot rows after the kill, the client %d", got, want)
+	}
+	// Frames to the dead endpoint were sent (the rotation still starts
+	// there), and each was answered by frames to the live ones.
+	toDead := 0
+	for _, fr := range tr.take() {
+		if fr.addr == dead {
+			toDead++
 		}
 	}
-	if st := sc.Stats(); st.PrimaryRows != 0 {
-		t.Fatalf("failover leaked reads to the primaries: %+v", st)
+	if toDead == 0 {
+		t.Fatal("no lookup ever tried the killed endpoint: the failover path did not run")
+	}
+}
+
+// TestServePartRejectionFailsTheFrame: a part the endpoint cannot answer —
+// a generation it has retired, a partition it never held — rejects the
+// whole ServePull, names that part and writes nothing; the handle reacts as
+// it always has, by refetching the layout.
+func TestServePartRejectionFailsTheFrame(t *testing.T) {
+	c, sc, sl, _ := servePlanCluster(t, 2)
+	ep := sl.Endpoints[0]
+	var held, foreign []int
+	for _, p := range sl.Meta.Parts {
+		if slices.Contains(sl.Replicas[p.Index], ep) {
+			held = append(held, p.Index)
+		} else {
+			foreign = append(foreign, p.Index)
+		}
+	}
+	ask := func(epoch int64, parts ...int) error {
+		req := servePullReq{Model: "plan", SnapEpoch: epoch}
+		for _, p := range parts {
+			req.Parts = append(req.Parts, servePart{Part: p, IDs: []int64{}})
+		}
+		_, err := c.Transport.Call(ep, "ServePull", enc(req))
+		return err
+	}
+	before := c.servers[ep].serveStats().SnapRows
+	err := ask(sl.SnapEpoch, held[0], foreign[0], held[1])
+	if want := fmt.Sprintf("plan/%d on this server", foreign[0]); !isNoServeSnapErr(err) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a part the endpoint never held: err = %v, want a no-snapshot error naming %q", err, want)
+	}
+	if err := ask(sl.SnapEpoch+1, held[0], held[1]); !IsStaleSnapErr(err) || !strings.Contains(err.Error(), fmt.Sprintf("plan/%d", held[0])) {
+		t.Fatalf("a generation the endpoint does not hold: err = %v, want a stale-snapshot error naming plan/%d", err, held[0])
+	}
+	if got := c.servers[ep].serveStats().SnapRows; got != before {
+		t.Fatalf("rejected frames counted %d rows", got-before)
+	}
+	// Two republishes retire the handle's generation everywhere: its next
+	// lookup is rejected stale on its first frame, refetches and is served.
+	for i := 0; i < 2; i++ {
+		if _, err := c.NewClient().PublishSnapshot("plan"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refreshes := sc.Stats().Refreshes
+	lookup(t, sc, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	if st := sc.Stats(); st.Refreshes == refreshes || st.PrimaryRows != 0 || sc.SnapEpoch() != sl.SnapEpoch+2 {
+		t.Fatalf("after the generation was retired: %+v at snap epoch %d", st, sc.SnapEpoch())
 	}
 }
 
@@ -581,7 +836,7 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 	c, cl := newTestCluster(t, 3)
 	snapPull := func(addr, model string, part int, epoch int64, ids ...int64) (RowBatch, error) {
 		t.Helper()
-		b, err := c.servers[addr].servePull(servePullReq{Model: model, Part: part, SnapEpoch: epoch, IDs: ids})
+		b, err := c.servers[addr].servePull(onePart(model, part, epoch, ids))
 		var resp servePullResp
 		if err == nil {
 			err = dec(b, &resp)
@@ -712,4 +967,66 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 	if rows, err := snapPull(replicaOnly, "one", part.Index, second.SnapEpoch, 7); err != nil || rows.Data[0] != 9 {
 		t.Fatalf("snapshot changed under a rejected push: %+v, %v", rows, err)
 	}
+}
+
+// FuzzServePullReqDecode: a ServePull request comes from another process.
+// Hostile bytes never panic the decoder; nothing is allocated for the part
+// count, and every id list is checked against the bytes present before it
+// is made, so what is accepted holds no more parts or ids than the payload
+// has bytes and a lying prefix costs an error, not a block; decode → encode
+// → decode is a fixpoint.
+func FuzzServePullReqDecode(f *testing.F) {
+	six := servePullReq{Model: "emb", SnapEpoch: 3}
+	for p := 5; p >= 0; p-- {
+		six.Parts = append(six.Parts, servePart{Part: p, IDs: []int64{int64(p), 1 << 40, -7}})
+	}
+	for _, req := range []servePullReq{
+		{},
+		{Model: "m", SnapEpoch: 1, Parts: []servePart{{Part: 2, IDs: []int64{5, 5, 9}}}},
+		six,
+		{Model: "m", Parts: []servePart{{Part: 0, IDs: []int64{1}}, {Part: 1, IDs: []int64{}}, {Part: 2}}},
+		{Model: "m", SnapEpoch: -1, Parts: []servePart{{Part: -3, IDs: []int64{4}}}},
+	} {
+		f.Add(enc(req)[2:])
+	}
+	head := binary.AppendVarint(appendStr(nil, "m"), 1)
+	for _, payload := range [][]byte{
+		binary.AppendUvarint(slices.Clone(head), 1<<62),                // 2⁶² parts, none present
+		append(slices.Clone(head), 2, 0, 3, 2, 2),                      // two parts promised, one present
+		append(slices.Clone(head), 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f), // a part of 2³² ids
+		append(slices.Clone(head), 1, 0, 4, 2, 2),                      // a part of 3 ids, two present
+	} {
+		f.Add(payload)
+		body := append([]byte{tagBin, msgServePullReq}, payload...)
+		var req servePullReq
+		if n := testing.AllocsPerRun(10, func() {
+			if dec(body, &req) == nil {
+				f.Errorf("hostile request %x decoded: %+v", payload, req)
+			}
+		}); n > 12 { // the error, its message, a part or two; never a block the prefix sized
+			f.Errorf("hostile request %x: %v allocations on the reject path", payload, n)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		body := append([]byte{tagBin, msgServePullReq}, payload...)
+		var got servePullReq
+		if dec(body, &got) != nil {
+			return
+		}
+		ids := 0
+		for _, p := range got.Parts {
+			ids += len(p.IDs)
+		}
+		if len(got.Parts) > len(payload) || ids > len(payload) {
+			t.Fatalf("%d parts and %d ids out of %d bytes", len(got.Parts), ids, len(payload))
+		}
+		wire := enc(got)
+		var again servePullReq
+		if err := dec(wire, &again); err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !wireEq(reflect.ValueOf(got), reflect.ValueOf(again)) || !bytes.Equal(enc(again), wire) {
+			t.Fatalf("round trip changed the request:\n got %+v\nthen %+v", got, again)
+		}
+	})
 }

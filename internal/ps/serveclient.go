@@ -1,30 +1,19 @@
 package ps
 
-// ServeClient: the read-side handle of the serving tier (serve.go).
-//
-// A pull resolves in tiers, cheapest first:
-//
-//  1. the agent-local versioned LRU row cache (prefetch.go's rowCache,
-//     bounded; invalidated whenever the serve layout's snapshot epoch
-//     advances),
-//  2. the replicated hot head — any single endpoint answers for every
-//     hot id in one call,
-//  3. the partition snapshot replicas, grouped by the PUBLISHED layout
-//     (ServeLayout.Meta, the table the snapshots were cut under),
-//  4. the mutable primaries — only when the tiers above cannot answer
-//     (nothing published yet, or the layout went irrecoverably stale).
-//
-// Staleness handling mirrors the mutation path exactly (satellite rule):
-// a pull rejected with a stale-snapshot / stale-epoch / range-moved
-// error refetches the serve layout from the master and retries under the
-// new routing, bounded by serveRetries; an unreachable endpoint fails
-// over to the partition's next replica before that. Rows served by the
-// primary fallback are NOT cached — they are mutable reads with no
-// snapshot epoch to fence them.
+// ServeClient: the read-side handle of the serving tier (DESIGN.md §13). A
+// pull resolves in tiers, cheapest first: the agent-local versioned LRU row
+// cache (invalidated when the layout's snapshot epoch advances), the
+// replicated hot head (any one endpoint), the partition snapshot replicas
+// under the PUBLISHED layout (one frame per endpoint), and only when none
+// of those can answer, the mutable primaries — whose rows are never cached.
+// A stale-snapshot / stale-epoch / range-moved rejection refetches the
+// layout and retries (bounded by serveRetries), as the mutation path does;
+// an unreachable endpoint fails over to the partitions' other replicas.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,10 +82,8 @@ func (c *Client) GetServeLayout(model string) (ServeLayout, error) {
 	return sl, err
 }
 
-// Serve opens a serving-tier read handle for model. The model needs no
-// published snapshot yet — pulls fall back to the primaries until the
-// first publication, and pick up the serving path on their own once a
-// layout appears.
+// Serve opens a serving-tier read handle for model. Nothing need be
+// published yet: pulls fall back to the primaries until a layout appears.
 func (c *Client) Serve(model string) (*ServeClient, error) {
 	meta, err := c.GetModel(model)
 	if err != nil {
@@ -137,14 +124,11 @@ func (sc *ServeClient) Stats() ServeStats {
 	}
 }
 
-// Refresh refetches the serve layout now. Handles also refresh on their
-// own whenever a pull hits a staleness rejection, so Refresh is only
-// needed to adopt a republished generation eagerly — cached rows from
-// the previous generation are served until the epoch advance is
-// observed (bounded staleness, same contract as the SSP clock cache).
-func (sc *ServeClient) Refresh() {
-	sc.refresh()
-}
+// Refresh refetches the serve layout now. Handles also refresh on their own
+// when a pull is rejected stale, so it is only needed to adopt a republished
+// generation eagerly: until the epoch advance is observed, cached rows of the
+// previous one are served (bounded staleness, as with the SSP clock cache).
+func (sc *ServeClient) Refresh() { sc.refresh() }
 
 func (sc *ServeClient) layout() (ServeLayout, bool) {
 	sc.mu.RLock()
@@ -280,12 +264,11 @@ func (sc *ServeClient) pullMissing(w rowWork, dst []float64) (cacheable bool, er
 	return false, nil
 }
 
-// pullSnap answers w from one serving generation: hot head first, then
-// per-partition snapshot replicas under the published layout. The
-// per-partition reads run one after another: fanning them out was
-// measured and not taken (DESIGN.md §13).
+// pullSnap answers w from one serving generation: hot head first, then the
+// partition snapshots, one frame per endpoint, one after another.
 func (sc *ServeClient) pullSnap(sl ServeLayout, w rowWork, dst []float64) error {
 	dim := serveWidth(sc.meta)
+	start := int(sc.rr.Add(1) % uint64(max(len(sl.Endpoints), 1)))
 	rest := w
 	if len(sl.HotIDs) > 0 && len(sl.Endpoints) > 0 {
 		sc.mu.RLock()
@@ -300,11 +283,17 @@ func (sc *ServeClient) pullSnap(sl ServeLayout, w rowWork, dst []float64) error 
 			}
 		}
 		if len(head.ids) > 0 {
+			// The first reachable endpoint answers for the whole head.
+			req := serveHotPullReq{Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: head.ids}
 			reply := &rowScatter{msg: msgServePullResp, model: sc.model, partial: true,
 				work: head, dst: dst, width: dim, strd: dim}
-			err := sc.readAny(sl.Endpoints, "ServeHotPull", serveHotPullReq{
-				Model: sc.model, SnapEpoch: sl.SnapEpoch, IDs: head.ids,
-			}, reply)
+			var err error
+			for k := range sl.Endpoints {
+				err = sc.call(sl.Endpoints[(start+k)%len(sl.Endpoints)], "ServeHotPull", req, reply)
+				if !errors.Is(err, rpc.ErrUnreachable) {
+					break
+				}
+			}
 			if err != nil {
 				return err
 			}
@@ -319,50 +308,103 @@ func (sc *ServeClient) pullSnap(sl ServeLayout, w rowWork, dst []float64) error 
 	if len(rest.ids) == 0 {
 		return nil
 	}
-	if err := eachRowPart(&sl.Meta, rest, dim, func(p Partition, w rowWork, col0, col1 int) error {
-		return sc.partPull(sl, p.Index, w, dst, col0, col1)
-	}); err != nil {
+	if err := pullServeParts(&sl, rest, dst, start, sc.call); err != nil {
 		return err
 	}
 	sc.snapRows.Add(int64(len(rest.ids)))
 	return nil
 }
 
-// partPull reads columns [col0, col1) of w's rows from one of the
-// partition's snapshot replicas. Staleness errors surface to the caller,
-// which refetches the layout.
-func (sc *ServeClient) partPull(sl ServeLayout, part int, w rowWork, dst []float64, col0, col1 int) error {
-	eps := sl.Replicas[part]
-	if len(eps) == 0 {
-		return fmt.Errorf("%s: no serving endpoints for %s/%d", noServeSnapMsg, sc.model, part)
-	}
-	return sc.readAny(eps, "ServePull", servePullReq{
-		Model: sc.model, Part: part, SnapEpoch: sl.SnapEpoch, IDs: w.ids,
-	}, &rowScatter{msg: msgServePullResp, model: sc.model, part: part,
-		work: w, dst: dst, col0: col0, width: col1 - col0, strd: serveWidth(sc.meta)})
-}
+// serveReplyBound cuts one endpoint's parts into more frames: a reply over
+// rpc's pooled bound would be allocated and dropped per read.
+const serveReplyBound = 4 << 20
 
-// readAny sends one read to endpoints that can each answer it, rotating
-// the starting endpoint for spread and failing over on unreachability.
-func (sc *ServeClient) readAny(eps []string, method string, req any, reply *rowScatter) error {
-	start := int(sc.rr.Add(1)) % len(eps)
-	var lastErr error
-	for j := range eps {
-		err := sc.call(eps[(start+j)%len(eps)], method, req, reply)
-		if err == nil {
-			return nil
+// pullServeParts reads w's full-width rows off generation sl's partition
+// snapshots into dst, one ServePull frame per endpoint. Each frame goes to
+// the endpoint holding the most partitions still unread — the first such in
+// rotation order from start, so equal holders take turns — and asks it for
+// all of them; frames go out one after another on the caller's goroutine
+// through call, a single-shot RPC. An unreachable endpoint is struck out
+// and its parts alone are planned again over the replicas that remain; any
+// other error (a rejected part rejects its frame) is the caller's.
+func pullServeParts(sl *ServeLayout, w rowWork, dst []float64, start int,
+	call func(addr, method string, req, reply any) error) error {
+	meta := &sl.Meta
+	strd := serveWidth(*meta)
+	var by []rowWork // a hash layout's buckets; a column partition reads all of w
+	if meta.Kind != ColumnEmbedding {
+		by = splitRows(meta, w)
+	}
+	// pending is what is still unread: each needed partition's reply target.
+	pending := make([]rowScatter, 0, len(meta.Parts))
+	for slot, p := range meta.Parts {
+		target := rowScatter{msg: msgServePullResp, model: sl.Model, part: p.Index,
+			work: w, dst: dst, col0: p.Col0, width: p.Col1 - p.Col0, strd: strd}
+		if by != nil {
+			target.work, target.col0, target.width = by[slot], 0, strd
 		}
-		lastErr = err
-		if !errors.Is(err, rpc.ErrUnreachable) {
+		if len(target.work.ids) > 0 {
+			pending = append(pending, target)
+		}
+	}
+	holds := func(e, part int) bool { return slices.Contains(sl.Replicas[part], sl.Endpoints[e]) }
+	req := servePullReq{Model: sl.Model, SnapEpoch: sl.SnapEpoch, Parts: make([]servePart, 0, len(pending))}
+	var reply serveReply
+	dead := make([]bool, len(sl.Endpoints)) // found unreachable by this read
+	var lastErr error
+	for len(pending) > 0 {
+		best, most := -1, 0
+		for k := range sl.Endpoints {
+			e := (start + k) % len(sl.Endpoints)
+			if dead[e] {
+				continue
+			}
+			n := 0
+			for i := range pending {
+				if holds(e, pending[i].part) {
+					n++
+				}
+			}
+			if n > most {
+				best, most = e, n
+			}
+		}
+		if best < 0 {
+			if lastErr == nil {
+				lastErr = fmt.Errorf("%s: no serving endpoints for %s/%d", noServeSnapMsg, sl.Model, pending[0].part)
+			}
+			return lastErr
+		}
+		// The frame's parts move to the front of pending: its reply target.
+		req.Parts = req.Parts[:0]
+		size := 0
+		for i := range pending {
+			n := len(pending[i].work.ids)*(8*pending[i].width+10) + 32
+			if !holds(best, pending[i].part) || (size > 0 && size+n > serveReplyBound) {
+				continue
+			}
+			size += n
+			k := len(req.Parts)
+			pending[i], pending[k] = pending[k], pending[i]
+			req.Parts = append(req.Parts, servePart{Part: pending[k].part, IDs: pending[k].work.ids})
+		}
+		reply.parts = pending[:len(req.Parts)]
+		err := call(sl.Endpoints[best], "ServePull", req, &reply)
+		switch {
+		case err == nil:
+			pending = pending[len(req.Parts):]
+		case errors.Is(err, rpc.ErrUnreachable):
+			dead[best], lastErr = true, err
+		default:
 			return err
 		}
 	}
-	return lastErr
+	return nil
 }
 
 // call is a single-shot RPC: serve reads do their own replica failover,
 // so the client's retry-until-deadline engine would only add latency.
-func (sc *ServeClient) call(addr, method string, req any, reply *rowScatter) error {
+func (sc *ServeClient) call(addr, method string, req, reply any) error {
 	body := enc(req)
 	sc.c.sentBytes.Add(int64(len(body)))
 	out, err := sc.c.tr.Call(addr, method, body)

@@ -71,20 +71,6 @@ func (v *PartView) emb() *embEngine { return viewAs[*embEngine](v, "an embedding
 // across calls. Only valid for Embedding and ColumnEmbedding partitions.
 func (v *PartView) Row(id int64) []float64 { return v.emb().row(id) }
 
-// Cols returns the column range stored by this partition.
-func (v *PartView) Cols() (int, int) {
-	switch e := v.eng.(type) {
-	case *embEngine:
-		return e.cols()
-	case *matEngine:
-		return e.cols()
-	}
-	return 0, 0
-}
-
-// Width returns the per-key stored vector width.
-func (v *PartView) Width() int { return v.emb().width() }
-
 // Lock write-locks every shard of an embedding partition for a multi-row
 // operation and returns its raw row accessor; release with Unlock. Shards
 // are acquired in index order; psFuncs locking several co-located
@@ -100,18 +86,6 @@ func (v *PartView) Lock() LockedRows {
 // partitions must acquire VecLocks in a consistent (model-name) order.
 func (v *PartView) VecLock() (data []float64, lo int64, unlock func()) {
 	return viewAs[*vecEngine](v, "a DenseVector").lockData()
-}
-
-// MapLock acquires the write lock of a SparseVector partition and returns
-// the backing map.
-func (v *PartView) MapLock() (m map[int64]float64, unlock func()) {
-	return viewAs[*sparseEngine](v, "a SparseVector").lockMap()
-}
-
-// NbrLock acquires the write lock of a Neighbor partition and returns the
-// backing adjacency map (nil once the partition is sealed to CSR).
-func (v *PartView) NbrLock() (m map[int64][]int64, unlock func()) {
-	return viewAs[*nbrEngine](v, "a Neighbor table").lockMap()
 }
 
 // SealCSR converts a Neighbor partition from its build-form map into

@@ -1,26 +1,17 @@
 package ps
 
-// Hand-rolled binary wire codec for the PS hot path (pull/push and psFunc
-// traffic). The paper's whole advantage over GraphX rests on cheap,
-// frequent agent↔server messages (Sec. III-C, Fig. 6), so the data plane
-// cannot afford gob's per-message encoder setup and per-element type
-// dispatch. Every hot message is encoded as
+// Hand-rolled binary wire codec for the PS hot path (pull/push, psFunc and
+// serve-read traffic; DESIGN.md §6): the data plane cannot afford gob's
+// per-message encoder setup. Every hot message is
 //
 //	[1B tag=tagBin][1B message id][fields...]
 //
-// with varint-encoded ids/lengths and little-endian bulk copies for
-// []float64 payloads. Cold control-plane messages (model create/get/
-// delete, barriers, checkpoints, stats) keep gob behind tag tagGob, so
-// both formats coexist on one connection and old-style messages still
-// decode. Slice and map fields encode nil-ness explicitly (length 0 =
-// nil, length n+1 = n elements): pullReq relies on nil Keys meaning
-// "everything the partition holds", a distinction gob does not
-// round-trip.
-//
-// Encode buffers come from the process-wide frame pool (rpc.GetBuf), asked
-// for the size of the message; whoever holds a buffer last puts it back
-// (DESIGN.md "Frame ownership"), so steady-state pull/push traffic runs
-// allocation-free on the framing side.
+// with varint ids/lengths and little-endian bulk copies for []float64
+// payloads; cold control-plane messages keep gob behind tagGob, and both
+// formats coexist on one connection. Slice and map fields encode nil-ness
+// (length 0 = nil, n+1 = n elements): pullReq's nil Keys means "everything
+// the partition holds". Encode buffers come from the frame pool
+// (rpc.GetBuf); whoever holds one last puts it back (DESIGN.md §6.1).
 
 import (
 	"encoding/binary"
@@ -80,11 +71,9 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendI64s encodes an id slice as delta-coded varints, preserving
-// nil-ness: length 0 = nil, length n+1 = n elements. Ids are stored as
-// the zigzag varint of v[i]-v[i-1]: pull/push index streams are close
-// to sorted, so most deltas fit one byte. Overflowing deltas wrap in
-// two's complement and un-wrap identically on decode.
+// appendI64s encodes an id slice, nil-ness preserved, as the zigzag varints
+// of v[i]-v[i-1]: index streams are close to sorted, so most deltas fit one
+// byte. Overflowing deltas wrap in two's complement and un-wrap on decode.
 func appendI64s(b []byte, s []int64) []byte {
 	if s == nil {
 		return binary.AppendUvarint(b, 0)
@@ -147,10 +136,8 @@ func appendRowBatch(b []byte, rb RowBatch) []byte {
 	return appendF64s(b, rb.Data)
 }
 
-// appendNbrBatch encodes a neighbour batch: the vertex count, every
-// vertex's degree, and the whole neighbour array as one delta-coded block
-// (layout: DESIGN.md §6). Offsets are not on the wire, so what a decoder
-// rebuilds from the degrees is monotone by construction.
+// appendNbrBatch encodes a neighbour batch: the vertex count, every vertex's
+// degree, and the neighbour array as one delta-coded block (DESIGN.md §6).
 func appendNbrBatch(b []byte, nb NbrBatch) []byte {
 	b = binary.AppendUvarint(b, uint64(nb.Len()))
 	for i := 0; i < nb.Len(); i++ {
@@ -267,10 +254,9 @@ func (r *wreader) sliceLen() (int, bool) {
 // i64s decodes a delta-coded id slice (see appendI64s).
 func (r *wreader) i64s() []int64 { return r.i64sInto(nil) }
 
-// i64sInto is i64s decoding into dst's backing array when it is big
-// enough (a nil dst always allocates, so i64s keeps empty ≠ nil). It
-// walks the varints with a local cursor: on million-id pulls the
-// per-element wrapper overhead of r.varint is measurable.
+// i64sInto is i64s decoding into dst's backing array when it is big enough
+// (a nil dst always allocates, so i64s keeps empty ≠ nil). The cursor is
+// local: on million-id pulls r.varint's per-element overhead is measurable.
 func (r *wreader) i64sInto(dst []int64) []int64 {
 	n, ok := r.sliceLen()
 	if !ok {
@@ -297,9 +283,8 @@ func (r *wreader) i64sInto(dst []int64) []int64 {
 }
 
 // zigzag decodes the zigzag varint at b[off:] and returns the offset past
-// it, or -1 when it is truncated or overflows. binary.Varint, open-coded
-// and small enough to inline: the call and its re-slicing cost more than
-// the one to three bytes a typical id delta takes to decode.
+// it, or -1 when it is truncated or overflows: binary.Varint, open-coded so
+// that it inlines.
 func zigzag(b []byte, off int) (int64, int) {
 	var ux uint64
 	for shift := uint(0); off < len(b) && shift <= 63; shift += 7 {
@@ -549,10 +534,15 @@ func encBinary(v any) ([]byte, bool) {
 		b = binary.AppendVarint(b, m.Epoch)
 		b = appendBytes(b, m.Body)
 	case servePullReq:
-		b = frame(msgServePullReq, 48+len(m.Model)+10*len(m.IDs))
-		b = appendAddr(b, m.Model, m.Part)
-		b = binary.AppendVarint(b, m.SnapEpoch)
-		b = appendI64s(b, m.IDs)
+		n := 48 + len(m.Model)
+		for _, p := range m.Parts {
+			n += 20 + 10*len(p.IDs)
+		}
+		b = binary.AppendVarint(appendStr(frame(msgServePullReq, n), m.Model), m.SnapEpoch)
+		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+		for _, p := range m.Parts {
+			b = appendI64s(binary.AppendVarint(b, int64(p.Part)), p.IDs)
+		}
 	case serveHotPullReq:
 		b = frame(msgServeHotPullReq, 48+len(m.Model)+10*len(m.IDs))
 		b = appendStr(b, m.Model)
@@ -673,9 +663,14 @@ func decBinary(data []byte, v any) error {
 	case *servePullReq:
 		want = msgServePullReq
 		if id == want {
-			m.Model, m.Part = r.addr()
+			m.Model = r.str()
 			m.SnapEpoch = r.varint()
-			m.IDs = r.i64s()
+			// Parts are appended as they are read, never made for the
+			// count: a part is worth the bytes it took, whatever was promised.
+			m.Parts = nil
+			for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+				m.Parts = append(m.Parts, servePart{Part: int(r.varint()), IDs: r.i64s()})
+			}
 		}
 	case *serveHotPullReq:
 		want = msgServeHotPullReq

@@ -94,7 +94,8 @@ func hotMessages() []any {
 		funcReq{Model: "emb", Part: 0, Name: "", Arg: nil},
 		funcResp{Out: []byte("result")},
 		funcResp{Out: []byte{}},
-		servePullReq{Model: "emb", Part: 2, SnapEpoch: 7, IDs: []int64{3, 1, 1 << 50}},
+		servePullReq{Model: "emb", SnapEpoch: 7, Parts: []servePart{{Part: 2, IDs: []int64{3, 1, 1 << 50}}, {Part: 0, IDs: []int64{-4}}}},
+		servePullReq{Model: "emb", SnapEpoch: 1, Parts: []servePart{{Part: 5, IDs: []int64{}}, {Part: 1, IDs: []int64{9, 9}}}},
 		servePullReq{},
 		serveHotPullReq{Model: "emb", SnapEpoch: -1, IDs: []int64{}},
 	}
@@ -205,6 +206,12 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 							return true
 						}
 					}
+					return false
+				}
+				for i := 0; i < v.Len(); i++ { // a ServePull's parts
+					if walk(v.Index(i)) {
+						return true
+					}
 				}
 				return false
 			case reflect.Struct:
@@ -243,7 +250,6 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 func TestWireControlPlaneStaysGob(t *testing.T) {
 	for _, msg := range []any{
 		createModelReq{Meta: ModelMeta{Name: "m", Kind: DenseVector, Size: 10}},
-		getModelReq{Name: "m"},
 		barrierReq{Tag: "t", Epoch: 1, Expect: 2},
 		modelNameReq{Name: "m"},
 		statsResp{Models: []string{"a"}, Partitions: 2, Bytes: 100},
