@@ -357,6 +357,10 @@ func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr fl
 	var u, v pulledRows
 	var err error
 	if b.uPre != nil {
+		// The blocks go back to their handles when the step returns: by then
+		// the pushes, whose batches alias the pulled ids, have kept nothing.
+		defer b.uPre.Release()
+		defer b.vPre.Release()
 		if u.rows, u.pos, err = b.uPre.Batch(); err != nil {
 			return err
 		}

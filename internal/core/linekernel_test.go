@@ -240,6 +240,7 @@ func TestLineArgDecodeRejects(t *testing.T) {
 const (
 	goldenLineDotArg    = "086c696e652e63747806060000080b061219888080808040f1ffffffff3fca04"
 	goldenLineUpdateArg = goldenLineDotArg + "069a9999999999993f9a999999999989bf000000000000f03f000000000000000000000000000004c0"
+	goldenLineUpdateOdd = goldenLineDotArg + "06230100000000f87f00000000000000800100000000000000000000000000f0ff010000000000f07f"
 )
 
 func TestLineArgWireGolden(t *testing.T) {
@@ -251,6 +252,31 @@ func TestLineArgWireGolden(t *testing.T) {
 	upd := ps.AppendArgF64s(dot, []float64{0.025, -0.0125, 1, 0, -2.5})
 	if got := hex.EncodeToString(upd); got != goldenLineUpdateArg {
 		t.Fatalf("update arg\n got %s\nwant %s", got, goldenLineUpdateArg)
+	}
+	// The coefficient block is a memmove on a little-endian host: the bytes
+	// 857c658 wrote one value at a time, for values a conversion could bend
+	// (NaN payloads, quiet and signalling; -0; a denormal; -Inf), read back bit
+	// for bit at every alignment of the argument in memory.
+	bits := []uint64{0x7ff8000000000123, 0x8000000000000000, 1, 0xfff0000000000000, 0x7ff0000000000001}
+	g := make([]float64, len(bits))
+	for i, u := range bits {
+		g[i] = math.Float64frombits(u)
+	}
+	odd := ps.AppendArgF64s(dot[:len(dot):len(dot)], g)
+	if got := hex.EncodeToString(odd); got != goldenLineUpdateOdd {
+		t.Fatalf("update arg, odd values\n got %s\nwant %s", got, goldenLineUpdateOdd)
+	}
+	for shift := 0; shift < 8; shift++ {
+		a, err := decodeLineArg(append(make([]byte, shift, shift+len(odd)), odd...)[shift:], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range bits {
+			if got := math.Float64bits(a.g[i]); got != u {
+				t.Errorf("shift %d: coefficient %d decoded as %#x, want %#x", shift, i, got, u)
+			}
+		}
+		a.release()
 	}
 }
 

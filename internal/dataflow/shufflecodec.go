@@ -22,13 +22,17 @@ package dataflow
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"psgraph/internal/f64le"
 )
 
 // Shuffle file format bytes.
@@ -87,11 +91,7 @@ func AppendF64s(b []byte, s []float64) []byte {
 	if s == nil {
 		return binary.AppendUvarint(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s))+1)
-	for _, v := range s {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+	return f64le.Append(binary.AppendUvarint(b, uint64(len(s))+1), s)
 }
 
 // AppendI64s appends an int64 slice as length-prefixed varints,
@@ -201,11 +201,18 @@ func (r *BinReader) F64() float64 {
 // sliceLen decodes the nil-preserving length prefix: (0, false) for nil.
 func (r *BinReader) sliceLen() (int, bool) {
 	n := r.Uvarint()
+	if n > math.MaxInt {
+		r.fail(fmt.Errorf("slice of %d elements", n-1))
+	}
 	if r.err != nil || n == 0 {
 		return 0, false
 	}
 	return int(n - 1), true
 }
+
+// A slice is decoded a chunk at a time and grown by what has arrived: a
+// length prefix is a claim by whoever wrote the file, and a torn or hostile
+// one must cost an error (Err), not an allocation of its size.
 
 // F64s reads a slice written by AppendF64s.
 func (r *BinReader) F64s() []float64 {
@@ -213,12 +220,17 @@ func (r *BinReader) F64s() []float64 {
 	if !ok {
 		return nil
 	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = r.F64()
-	}
-	if r.err != nil {
-		return nil
+	s := []float64{}
+	for len(s) < n {
+		k := min(n-len(s), r.br.Size()/8)
+		raw, err := r.br.Peek(8 * k)
+		if err != nil {
+			r.fail(err)
+			return nil
+		}
+		s = slices.Grow(s, k)[:len(s)+k]
+		f64le.Get(s[len(s)-k:], raw)
+		r.br.Discard(8 * k)
 	}
 	return s
 }
@@ -229,9 +241,9 @@ func (r *BinReader) I64s() []int64 {
 	if !ok {
 		return nil
 	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = r.Varint()
+	s := make([]int64, 0, min(n, shuffleChunk/8))
+	for len(s) < n && r.err == nil {
+		s = append(s, r.Varint())
 	}
 	if r.err != nil {
 		return nil
@@ -245,12 +257,12 @@ func (r *BinReader) Raw() []byte {
 	if !ok {
 		return nil
 	}
-	s := make([]byte, n)
-	if _, err := io.ReadFull(r.br, s); err != nil {
+	buf := bytes.NewBuffer([]byte{})
+	if _, err := io.CopyN(buf, r.br, int64(n)); err != nil {
 		r.fail(err)
 		return nil
 	}
-	return s
+	return buf.Bytes()
 }
 
 // ---------------------------------------------------------------------------

@@ -836,6 +836,9 @@ func (s *SparseVec) PushSet(m map[int64]float64) error { return s.push(m, true) 
 type Emb struct {
 	c    *Client
 	Meta ModelMeta
+
+	mu   sync.Mutex
+	free []*pullBuf // released prefetch blocks (Prefetch.Release)
 }
 
 // EmbeddingSpec describes an embedding model to create.

@@ -28,7 +28,7 @@ type Coalescer struct {
 
 	mu       sync.Mutex
 	pending  RowBatch
-	slot     map[int64]int32 // id → row of pending
+	slot     idTable // id → row of pending; pending.IDs == nil: no window yet
 	buffered int
 
 	merged  int64 // logical pushes absorbed into a flush with others
@@ -51,8 +51,8 @@ func (co *Coalescer) PushBatch(b RowBatch) error {
 		return err
 	}
 	co.mu.Lock()
-	if co.slot == nil {
-		co.slot = make(map[int64]int32, len(b.IDs))
+	if co.pending.IDs == nil {
+		co.slot.reset(len(b.IDs))
 		co.pending = RowBatch{IDs: make([]int64, 0, len(b.IDs)), Dim: b.Dim, Data: make([]float64, 0, len(b.Data))}
 	}
 	if b.Dim != co.pending.Dim {
@@ -62,16 +62,16 @@ func (co *Coalescer) PushBatch(b RowBatch) error {
 	}
 	for i, id := range b.IDs {
 		row := b.Row(i)
-		if s, ok := co.slot[id]; ok {
-			acc := co.pending.Row(int(s))
-			for c, v := range row {
-				acc[c] += v
-			}
+		s, added := co.slot.put(id, co.pending.IDs)
+		if added {
+			co.pending.IDs = append(co.pending.IDs, id)
+			co.pending.Data = append(co.pending.Data, row...)
 			continue
 		}
-		co.slot[id] = int32(len(co.pending.IDs))
-		co.pending.IDs = append(co.pending.IDs, id)
-		co.pending.Data = append(co.pending.Data, row...)
+		acc := co.pending.Row(int(s))
+		for c, v := range row {
+			acc[c] += v
+		}
 	}
 	co.buffered++
 	if co.buffered < co.window {
@@ -101,13 +101,13 @@ func (co *Coalescer) flushLocked() error {
 	pending, slot := co.pending, co.slot
 	co.merged += int64(co.buffered - 1)
 	co.flushes++
-	co.pending, co.slot = RowBatch{}, nil
+	co.pending, co.slot = RowBatch{}, idTable{}
 	co.buffered = 0
 	co.mu.Unlock()
 	err := co.e.pushBatch(pending, co.grad, false)
 	co.mu.Lock()
-	if co.slot == nil {
-		clear(slot)
+	if co.pending.IDs == nil {
+		clear(slot.slot)
 		co.pending, co.slot = RowBatch{IDs: pending.IDs[:0], Dim: pending.Dim, Data: pending.Data[:0]}, slot
 	}
 	co.mu.Unlock()

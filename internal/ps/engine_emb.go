@@ -8,6 +8,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"psgraph/internal/f64le"
 )
 
 // embEngine stores one Embedding/ColumnEmbedding partition as N
@@ -122,7 +124,7 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 		sh.mu.RLock()
 		for _, j := range group {
 			if src := sh.store.pulled(ids[j]); src != nil {
-				putF64s(b[off+8*int(j)*w:], src)
+				f64le.Put(b[off+8*int(j)*w:], src)
 			} else {
 				missing = append(missing, j)
 			}
@@ -135,7 +137,7 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 		for _, j := range missing {
 			ord, src := e.rowLocked(sh, ids[j])
 			sh.store.pulls[ord].Add(1)
-			putF64s(b[off+8*int(j)*w:], src)
+			f64le.Put(b[off+8*int(j)*w:], src)
 		}
 		sh.mu.Unlock()
 	}
@@ -225,9 +227,9 @@ func (e *embEngine) push(req embPush) error {
 			ord, row := e.rowLocked(sh, req.ids[j])
 			switch {
 			case req.set:
-				getF64s(row, vals)
+				f64le.Get(row, vals)
 			case req.grad:
-				getF64s(grad, vals)
+				f64le.Get(grad, vals)
 				e.applyGrad(&sh.store, ord, row, grad, step)
 			default:
 				for i := range row {

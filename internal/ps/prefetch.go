@@ -31,6 +31,7 @@ package ps
 // recency is the whole game.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -329,48 +330,90 @@ func (e *Emb) InvalidateRows() {
 	e.c.rowCache(e.Meta.Name).invalidate()
 }
 
-// Prefetch is an in-flight asynchronous row pull.
+// Prefetch is an in-flight asynchronous row pull. Its blocks — rows, ids,
+// positions — are on loan from the Emb handle that started it.
 type Prefetch struct {
 	done chan struct{}
-	rows RowBatch
-	pos  []int32
+	e    *Emb
+	buf  *pullBuf // nil once released
 	err  error
 }
 
+var errPrefetchReleased = errors.New("ps: prefetch read after its Release")
+
 // Batch blocks until the prefetch resolves and returns what PullBatch
 // would have: the distinct rows (cache hits plus freshly pulled misses)
-// and every request position's row. Safe to call more than once; the
-// block is the caller's to mutate.
+// and every request position's row. Safe to call more than once. The
+// blocks are the caller's to read and mutate until Release; after it,
+// Batch is an error.
 func (p *Prefetch) Batch() (rows RowBatch, pos []int32, err error) {
 	<-p.done
-	return p.rows, p.pos, p.err
+	if p.err != nil {
+		return RowBatch{}, nil, p.err
+	}
+	return p.buf.rows, p.buf.pos, nil
+}
+
+// Release waits for the prefetch and hands its blocks back to the handle,
+// whose next PrefetchRows overwrites them: call it once nothing reads what
+// Batch returned any more — a push given a batch that aliases rows.IDs has
+// returned (DESIGN.md §11). Optional: an unreleased prefetch's blocks are
+// garbage like any other. Not for concurrent use with Batch.
+func (p *Prefetch) Release() {
+	<-p.done
+	if b := p.buf; b != nil {
+		p.buf = nil
+		if p.err == nil {
+			p.err = errPrefetchReleased
+		}
+		p.e.mu.Lock()
+		p.e.free = append(p.e.free, b)
+		p.e.mu.Unlock()
+	}
 }
 
 // PrefetchRows starts pulling ids in the background and returns a handle
 // to resolve before the next mini-batch. Cached rows are served without a
-// wire round-trip; only misses hit the servers, each distinct id once.
+// wire round-trip; only misses hit the servers, each distinct id once. It
+// works in blocks an earlier prefetch of this handle released, when there
+// are any: the handle holds as many as its prefetches were ever in flight
+// together. The output block is not cleared — a hit or a pulled row lands
+// on every row of it.
 func (e *Emb) PrefetchRows(ids []int64) *Prefetch {
 	meta := e.c.currentMeta(e.Meta.Name, e.Meta)
-	uniq, pos := dedupIDs(ids)
-	p := &Prefetch{
-		done: make(chan struct{}),
-		rows: RowBatch{IDs: uniq, Dim: meta.Dim, Data: make([]float64, len(uniq)*meta.Dim)},
-		pos:  pos,
+	var b *pullBuf
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		b, e.free = e.free[n-1], e.free[:n-1]
 	}
+	e.mu.Unlock()
+	if b == nil {
+		b = new(pullBuf)
+	}
+	b.dedup(ids)
+	b.rows.Dim = meta.Dim
+	n := len(b.rows.IDs) * meta.Dim
+	if cap(b.rows.Data) < n {
+		b.rows.Data = make([]float64, n) // exactly: amortised growth would stay resident
+	}
+	b.rows.Data = b.rows.Data[:n]
+	p := &Prefetch{done: make(chan struct{}), e: e, buf: b}
 	rc := e.c.rowCache(meta.Name)
-	missing, version := rc.lookup(uniq, meta.Dim, p.rows.Data)
+	missing, version := rc.lookup(b.rows.IDs, meta.Dim, b.rows.Data)
 	if len(missing.ids) == 0 {
 		close(p.done)
 		return p
 	}
-	dst := p.rows.Data
-	go func() {
-		defer close(p.done)
-		if err := e.pullInto(meta, missing, dst); err != nil {
-			p.rows, p.pos, p.err = RowBatch{}, nil, err
-			return
-		}
-		rc.insert(version, missing, meta.Dim, dst)
-	}()
+	go p.pull(meta, rc, missing, version)
 	return p
+}
+
+// pull fetches the misses into the block and caches them. (A method, not a
+// closure: one would capture the layout, and move it to the heap on every
+// prefetch, hit or miss.)
+func (p *Prefetch) pull(meta ModelMeta, rc *rowCache, missing rowWork, version int64) {
+	defer close(p.done)
+	if p.err = p.e.pullInto(meta, missing, p.buf.rows.Data); p.err == nil {
+		rc.insert(version, missing, meta.Dim, p.buf.rows.Data)
+	}
 }

@@ -454,9 +454,15 @@ func TestCoalescerKeepsItsWindow(t *testing.T) {
 		}
 		push(1, 10)
 		push(2, 20) // the window fills and flushes
-		if len(co.pending.IDs) != 0 || len(co.slot) != 0 || co.slot == nil || cap(co.pending.Data) < 6 {
+		indexed := 0
+		for _, o := range co.slot.slot {
+			if o != 0 {
+				indexed++
+			}
+		}
+		if len(co.pending.IDs) != 0 || indexed != 0 || co.slot.slot == nil || cap(co.pending.Data) < 6 {
 			t.Fatalf("%s: after a flush the coalescer holds %d pending rows, %d indexed, a block of %d values",
-				name, len(co.pending.IDs), len(co.slot), cap(co.pending.Data))
+				name, len(co.pending.IDs), indexed, cap(co.pending.Data))
 		}
 		block := &co.pending.Data[:1][0]
 		push(3, 30)

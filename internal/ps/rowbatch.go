@@ -3,8 +3,10 @@ package ps
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
+
+	"psgraph/internal/f64le"
 )
 
 // RowBatch is the payload of every row-shaped message (embedding pull
@@ -78,27 +80,44 @@ func rowBatchOf(m map[int64][]float64, dim int) (RowBatch, error) {
 	return b, nil
 }
 
-// dedupIDs returns the distinct ids in first-occurrence order and, for
-// every input position, the index of its id in that list. Runs of equal
-// ids (LINE's U column) skip the table.
-func dedupIDs(ids []int64) (uniq []int64, pos []int32) {
-	uniq = make([]int64, 0, len(ids))
-	pos = make([]int32, len(ids))
-	at := make(map[int64]int32, len(ids))
+// pullBuf is the memory a deduplicated row pull works in: rows.IDs, the
+// distinct ids in first-occurrence order; pos, for every input position the
+// index of its id in that list; the table that found it; and rows.Data, the
+// output block. A prefetch borrows one from its handle (DESIGN.md §11);
+// everything else uses it once.
+type pullBuf struct {
+	rows RowBatch
+	pos  []int32
+	tab  idTable
+}
+
+// dedup fills rows.IDs and pos for ids. Runs of equal ids (LINE's U column)
+// skip the table, which the first call sizes for its ids.
+func (b *pullBuf) dedup(ids []int64) {
+	if b.tab.slot == nil {
+		b.tab.reset(len(ids))
+	} else {
+		clear(b.tab.slot)
+	}
+	b.rows.IDs, b.pos = slices.Grow(b.rows.IDs[:0], len(ids)), slices.Grow(b.pos[:0], len(ids))[:len(ids)]
 	for i, id := range ids {
 		if i > 0 && id == ids[i-1] {
-			pos[i] = pos[i-1]
+			b.pos[i] = b.pos[i-1]
 			continue
 		}
-		p, ok := at[id]
-		if !ok {
-			p = int32(len(uniq))
-			at[id] = p
-			uniq = append(uniq, id)
+		p, added := b.tab.put(id, b.rows.IDs)
+		if added {
+			b.rows.IDs = append(b.rows.IDs, id)
 		}
-		pos[i] = p
+		b.pos[i] = int32(p)
 	}
-	return uniq, pos
+}
+
+// dedupIDs is dedup in memory of its own, for a pull that keeps its lists.
+func dedupIDs(ids []int64) (uniq []int64, pos []int32) {
+	var b pullBuf
+	b.dedup(ids)
+	return b.rows.IDs, b.pos
 }
 
 // rowWork is the routed work of a row pull: distinct ids and, for each,
@@ -186,7 +205,7 @@ func pushFrame(model string, part int, b RowBatch, w rowWork, col0, col1 int, gr
 	n := 2 + uvarintLen(uint64(len(model))) + len(model) + varintLen(int64(part)) + rowBatchLen(w.ids, width) + 2
 	f, off := rowBlock(appendAddr(frame(msgEmbPushReq, n), model, part), w.ids, width)
 	for j := range w.ids {
-		putF64s(f[off+8*j*width:], b.Row(w.row(j))[col0:col1])
+		f64le.Put(f[off+8*j*width:], b.Row(w.row(j))[col0:col1])
 	}
 	return appendBool(appendBool(f, grad), set)
 }
@@ -319,10 +338,7 @@ func (s *rowScatter) scatter() {
 			continue
 		}
 		lo := s.work.row(j)*s.strd + s.col0
-		out := s.dst[lo : lo+s.width]
-		for c := range out {
-			out[c] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*c:]))
-		}
+		f64le.Get(s.dst[lo:lo+s.width], raw)
 		raw = raw[8*s.width:]
 	}
 }

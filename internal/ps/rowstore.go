@@ -6,14 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// rowStore is the flat storage of one embedding shard: an open-addressed
-// id → ordinal table over chunked row slabs (layout and rationale:
-// DESIGN.md §7). keys/slot are parallel power-of-two arrays probed
-// linearly from the TOP bits of a Fibonacci hash (the shard pick takes
-// bits 32 and up, so one shard's ids still spread), load ≤ ½. Row ordinal
-// o is width consecutive floats of chunk chunkOf(o); chunks double from
-// slabMinRows to slabMaxRows rows and hold no pointers. Moments are
-// parallel slabs, allocated chunk by chunk on the first gradient.
+// rowStore is the flat storage of one embedding shard: an id → ordinal
+// table (idTable) over chunked row slabs (layout and rationale: DESIGN.md
+// §7). Row ordinal o is width consecutive floats of chunk chunkOf(o);
+// chunks double from slabMinRows to slabMaxRows rows and hold no pointers.
+// Moments are parallel slabs, allocated chunk by chunk on the first gradient.
 //
 // ROWS NEVER MOVE once handed out: growing the table rehashes only
 // keys/slot, and a new chunk is appended beside the old ones. The LINE
@@ -24,10 +21,8 @@ import (
 // Not safe for concurrent use (but for pulls); the owning embShard's lock
 // guards it.
 type rowStore struct {
+	tab   idTable
 	width int
-	shift uint    // 64 - log2(len(slot))
-	keys  []int64 // keys[i] is valid where slot[i] != 0
-	slot  []uint32
 	ids   []int64 // ordinal → id
 	// pulls counts the pulls of each ordinal's row (the hot-head signal):
 	// bumped under the shard's READ lock, grown with ids under its write lock.
@@ -38,26 +33,16 @@ type rowStore struct {
 }
 
 const (
-	fibHash = 0x9e3779b97f4a7c15
-
 	slabMinRows  = 16
 	slabDoubles  = 6 // chunks 0..5 hold 16..512 rows, every later one 1024
 	slabMaxRows  = slabMinRows << slabDoubles
 	slabCapStart = slabMaxRows - slabMinRows // first ordinal of chunk slabDoubles
-
-	rowTableMin = 16
 )
 
 func newRowStore(width int) rowStore {
 	s := rowStore{width: width}
-	s.resetTable(rowTableMin)
+	s.tab.reset(0)
 	return s
-}
-
-func (s *rowStore) resetTable(size int) {
-	s.keys = make([]int64, size)
-	s.slot = make([]uint32, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // chunkOf maps a row ordinal to its slab chunk and the row offset in it.
@@ -76,22 +61,9 @@ func chunkRows(chunk int) int {
 
 func (s *rowStore) len() int { return len(s.ids) }
 
-// probe returns the table index holding id, or the empty index where id
-// would be inserted.
-func (s *rowStore) probe(id int64) uint64 {
-	slot := s.slot
-	keys := s.keys[:len(slot)]
-	mask := uint64(len(slot) - 1)
-	i := (uint64(id) * fibHash) >> s.shift
-	for slot[i] != 0 && keys[i] != id {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
 // get returns the live row of id, or nil when it is not materialised.
 func (s *rowStore) get(id int64) []float64 {
-	o := s.slot[s.probe(id)]
+	o := s.tab.slot[s.tab.probe(id)]
 	if o == 0 {
 		return nil
 	}
@@ -100,7 +72,7 @@ func (s *rowStore) get(id int64) []float64 {
 
 // pulled is get for a pull: it counts the read against the row.
 func (s *rowStore) pulled(id int64) []float64 {
-	o := s.slot[s.probe(id)]
+	o := s.tab.slot[s.tab.probe(id)]
 	if o == 0 {
 		return nil
 	}
@@ -111,32 +83,15 @@ func (s *rowStore) pulled(id int64) []float64 {
 // put returns the ordinal of id, inserting it when absent. A new row is
 // all zeros; added tells the caller to initialise it.
 func (s *rowStore) put(id int64) (ord uint32, added bool) {
-	i := s.probe(id)
-	if o := s.slot[i]; o != 0 {
-		return o - 1, false
+	if ord, added = s.tab.put(id, s.ids); !added {
+		return ord, false
 	}
-	if 2*(len(s.ids)+1) > len(s.slot) {
-		s.growTable()
-		i = s.probe(id)
-	}
-	ord = uint32(len(s.ids))
 	s.ids = append(s.ids, id)
 	s.pulls = append(s.pulls, atomic.Int64{})
-	s.keys[i], s.slot[i] = id, ord+1
 	if c, _ := chunkOf(ord); c == len(s.rows) {
 		s.rows = append(s.rows, make([]float64, chunkRows(c)*s.width))
 	}
 	return ord, true
-}
-
-// growTable doubles the table and re-places every ordinal; the slabs are
-// untouched.
-func (s *rowStore) growTable() {
-	s.resetTable(2 * len(s.slot))
-	for ord, id := range s.ids {
-		i := s.probe(id)
-		s.keys[i], s.slot[i] = id, uint32(ord)+1
-	}
 }
 
 func (s *rowStore) at(slabs [][]float64, ord uint32) []float64 {

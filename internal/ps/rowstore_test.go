@@ -83,8 +83,8 @@ func (h *rowStoreRef) check() {
 	if h.st.len() != len(h.ref) {
 		h.t.Fatalf("len = %d, want %d", h.st.len(), len(h.ref))
 	}
-	if 2*h.st.len() > len(h.st.slot) {
-		h.t.Fatalf("load %d/%d above 1/2", h.st.len(), len(h.st.slot))
+	if 2*h.st.len() > len(h.st.tab.slot) {
+		h.t.Fatalf("load %d/%d above 1/2", h.st.len(), len(h.st.tab.slot))
 	}
 	for id, want := range h.ref {
 		got := h.st.get(id)

@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"psgraph/internal/f64le"
 )
 
 // staleSnapMsg marks a serve pull whose snapshot epoch no longer (or not
@@ -390,7 +392,7 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 	dim := hr.rows.width
 	b, off := rowBlock(frame(msgServePullResp, 2+rowBatchLen(held, dim)), held, dim)
 	for k, id := range held {
-		putF64s(b[off+8*k*dim:], hr.rows.get(id))
+		f64le.Put(b[off+8*k*dim:], hr.rows.get(id))
 	}
 	s.serve.hotRows.Add(int64(len(held)))
 	return b, nil

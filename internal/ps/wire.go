@@ -19,6 +19,7 @@ import (
 	"math"
 	"slices"
 
+	"psgraph/internal/f64le"
 	"psgraph/internal/rpc"
 )
 
@@ -93,19 +94,7 @@ func appendF64s(b []byte, s []float64) []byte {
 	if s == nil {
 		return binary.AppendUvarint(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s))+1)
-	off := len(b)
-	b = slices.Grow(b, 8*len(s))[:off+8*len(s)]
-	putF64s(b[off:], s)
-	return b
-}
-
-// putF64s writes s little-endian at the start of b.
-func putF64s(b []byte, s []float64) {
-	b = b[:8*len(s)]
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
+	return f64le.Append(binary.AppendUvarint(b, uint64(len(s))+1), s)
 }
 
 func appendBytes(b []byte, s []byte) []byte {
@@ -316,16 +305,8 @@ func (r *wreader) f64sInto(dst []float64) []float64 {
 	if dst == nil || cap(dst) < n {
 		dst = make([]float64, n)
 	}
-	getF64s(dst[:n], raw)
+	f64le.Get(dst[:n], raw)
 	return dst[:n]
-}
-
-// getF64s reads len(dst) little-endian values from the start of b.
-func getF64s(dst []float64, b []byte) {
-	b = b[:8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
 }
 
 // view returns a length-prefixed byte payload as a sub-slice of the wire
@@ -391,7 +372,7 @@ func (r *wreader) rowBatch() RowBatch {
 	rb := RowBatch{IDs: ids, Dim: dim}
 	if raw != nil {
 		rb.Data = make([]float64, len(raw)/8)
-		getF64s(rb.Data, raw)
+		f64le.Get(rb.Data, raw)
 	}
 	return rb
 }

@@ -17,7 +17,7 @@ import (
 // oversize buffers are not kept, and a pooled buffer too small for the
 // asker is not what it gets.
 func TestGetBufPolicy(t *testing.T) {
-	for _, n := range []int{0, 1, 511, bigFrame - 1, bigFrame, bigFrame + 1, 1 << 20} {
+	for _, n := range []int{0, 1, 511, smallFrame - 1, smallFrame, bigFrame - 1, bigFrame, bigFrame + 1, 1 << 20} {
 		b := GetBuf(n)
 		if len(b) != 0 || cap(b) < n {
 			t.Fatalf("GetBuf(%d): len %d cap %d", n, len(b), cap(b))
@@ -43,10 +43,38 @@ func TestGetBufPolicy(t *testing.T) {
 		if b := GetBuf(4000); cap(b) < 4000 {
 			t.Fatalf("round %d: GetBuf(4000) handed out cap %d", i, cap(b))
 		}
+		PutBuf(make([]byte, 0, smallFrame))
+		if b := GetBuf(2 * smallFrame); cap(b) < 2*smallFrame {
+			t.Fatalf("round %d: GetBuf(%d) handed out cap %d", i, 2*smallFrame, cap(b))
+		}
 		PutBuf(make([]byte, 0, bigFrame))
 		if b := GetBuf(2 * bigFrame); cap(b) < 2*bigFrame {
 			t.Fatalf("round %d: GetBuf(%d) handed out cap %d", i, 2*bigFrame, cap(b))
 		}
+	}
+}
+
+// TestReplyFramesHaveTheirOwnList: a serve lookup puts back its ~500 B
+// request and its 22 KB reply frame; the next lookup's reply must find the
+// latter whichever went back first. With requests and replies on one list
+// (every buffer under 64 KB) a reply-sized ask that met the request buffer
+// dropped it and allocated 22 KB. sync.Pool may drop a buffer (at random
+// under -race): one reuse in many rounds is asked for.
+func TestReplyFramesHaveTheirOwnList(t *testing.T) {
+	const reply, request = 22 << 10, 500
+	reused := 0
+	for i := 0; i < 200; i++ {
+		was := GetBuf(reply)
+		PutBuf(GetBuf(request))
+		PutBuf(was)
+		again := GetBuf(reply)
+		if aliases(again, was) {
+			reused++
+		}
+		PutBuf(again)
+	}
+	if reused == 0 {
+		t.Fatal("no reply-sized ask was answered with the reply-sized buffer put back before it")
 	}
 }
 

@@ -36,22 +36,28 @@ const (
 // The frame pool holds every wire buffer of the process — the ps codec's
 // requests, envelopes and replies as well as the frames read here — so a
 // buffer recycled on one side of a call is found by the other (who gets
-// and who puts: DESIGN.md "Frame ownership"). Two free lists split at
-// bigFrame keep row-batch replies from being handed request-sized
-// buffers; within a list a buffer too small for the asker is dropped,
-// not put back, so a list never fills with buffers nobody can use.
+// and who puts: DESIGN.md "Frame ownership"). Three free lists, split at
+// smallFrame and bigFrame, keep the three populations apart — requests and
+// clock calls, a serve lookup's row reply, a training batch's — so that
+// each finds a buffer its own kind put back; within a list a buffer too
+// small for the asker is dropped, not put back, so a list never fills with
+// buffers nobody can use.
 const (
-	bigFrame  = 64 << 10
-	maxPooled = 4 << 20 // one giant PullAll must not pin its buffer forever
+	smallFrame = 4 << 10
+	bigFrame   = 64 << 10
+	maxPooled  = 4 << 20 // one giant PullAll must not pin its buffer forever
 )
 
-var framePool [2]sync.Pool
+var framePool [3]sync.Pool
 
 func frameClass(n int) int {
-	if n < bigFrame {
+	switch {
+	case n < smallFrame:
 		return 0
+	case n < bigFrame:
+		return 1
 	}
-	return 1
+	return 2
 }
 
 // GetBuf returns an empty buffer of capacity at least n, pooled when the
