@@ -207,7 +207,7 @@ type lineBatch struct {
 // newLineBatch expands edges into training pairs: each positive pair is
 // followed by its negatives, which share its U — so the columns hold
 // runs of 1 + negSamples equal U ids (fewer where a draw hit the positive
-// and was dropped). The server kernels resolve emb[U] once per run.
+// and was dropped). The servers' row lookup resolves emb[U] once per run.
 func newLineBatch(edges []Edge, negSamples int, sampler *degreeSampler, rng *rand.Rand) *lineBatch {
 	n := len(edges) * (1 + negSamples)
 	b := &lineBatch{us: make([]int64, 0, n), vs: make([]int64, 0, n), labels: make([]float64, 0, n)}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"psgraph/internal/gen"
 	"psgraph/internal/ps"
 )
 
@@ -24,9 +25,9 @@ func init() {
 }
 
 // kernelStore starts a one-server PS holding the named column embeddings,
-// one width-dim partition each (so they are co-located as partition 0),
-// and returns that server's Store.
-func kernelStore(tb testing.TB, dim int, names ...string) *ps.Store {
+// parts partitions of width dim each (so partition p of every model is
+// co-located), and returns that server's Store.
+func kernelStore(tb testing.TB, dim, parts int, names ...string) *ps.Store {
 	tb.Helper()
 	ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 1})
 	if err != nil {
@@ -35,7 +36,7 @@ func kernelStore(tb testing.TB, dim int, names ...string) *ps.Store {
 	tb.Cleanup(ctx.Close)
 	for _, name := range names {
 		if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
-			Name: name, Dim: dim, ByColumn: true, InitScale: 0.5 / float64(dim), Partitions: 1,
+			Name: name, Dim: dim * parts, ByColumn: true, InitScale: 0.5 / float64(dim), Partitions: parts,
 		}); err != nil {
 			tb.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func refLineRows(tb testing.TB, s *ps.Store, model, other string, us, vs []int64
 		defer ctx.Unlock()
 	}
 	for i := range us {
-		each(i, emb.Row(us[i]), ctx.Row(vs[i]))
+		each(i, emb.Rows(nil, us[i:i+1])[0], ctx.Rows(nil, vs[i:i+1])[0])
 	}
 }
 
@@ -125,7 +126,7 @@ func sameBits(a, b []float64) bool {
 // order, ids that materialise mid-batch, and the empty batch.
 func TestLineKernelEquivalence(t *testing.T) {
 	const dim = 8
-	s := kernelStore(t, dim, "k.emb", "k.ctx", "r.emb", "r.ctx")
+	s := kernelStore(t, dim, 1, "k.emb", "k.ctx", "r.emb", "r.ctx")
 	rng := rand.New(rand.NewSource(7))
 	runs := func(n, run int, ids int64) (us, vs []int64) {
 		for len(us) < n {
@@ -186,6 +187,42 @@ func TestLineKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestLineArgReleaseDropsRows: what a kernel resolved points into a model's
+// slabs, and the argument it rides goes back to a sync.Pool. After release
+// no element of either scratch array may still hold a row — a deleted
+// model must not stay reachable from the pool, and a row must not be
+// readable once its partition is unlocked.
+func TestLineArgReleaseDropsRows(t *testing.T) {
+	s := kernelStore(t, 4, 1, "rel.emb", "rel.ctx")
+	for _, other := range []string{"rel.ctx", "rel.emb"} {
+		a, err := decodeLineArg(appendLinePairs(nil, other, []int64{1, 1, 2}, []int64{3, 2, 3}), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emb, ctx, err := lockLinePair(s, "rel.emb", a.other, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+		u, v := a.u, a.v
+		if len(u) != 3 || len(v) != 3 || &u[0][0] != &u[1][0] || &v[0][0] != &v[2][0] || &u[0][0] == &u[2][0] {
+			t.Fatalf("other=%s: resolved %d and %d rows, or the wrong ones", other, len(u), len(v))
+		}
+		if first := other == "rel.emb"; first != (&u[2][0] == &v[1][0]) {
+			t.Fatalf("other=%s: row 2 of both columns shared = %v", other, !first)
+		}
+		unlockLinePair(emb, ctx)
+		a.release()
+		for _, rows := range [][][]float64{u[:cap(u)], v[:cap(v)]} {
+			for i, row := range rows {
+				if row != nil {
+					t.Fatalf("other=%s: released scratch still holds a row at %d", other, i)
+				}
+			}
+		}
+	}
+}
+
 func TestLineArgRoundTrip(t *testing.T) {
 	us, vs := []int64{3, 1, 1 << 40}, []int64{9, -4, 0}
 	g := []float64{0.025, -0.0125, 1}
@@ -229,7 +266,7 @@ func TestLineArgDecodeRejects(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	s := kernelStore(t, 4, "rej.emb")
+	s := kernelStore(t, 4, 1, "rej.emb")
 	if _, err := lineDotFunc(s, "rej.emb", 0, appendLinePairs(nil, "rej.emb", []int64{1, 2}, []int64{2})); err == nil {
 		t.Error("lineDot accepted mismatched columns")
 	}
@@ -328,46 +365,59 @@ func TestLineStepRejectsWrongDotCount(t *testing.T) {
 	}
 }
 
-// lineKernelBench builds the line-psfunc server shape: two co-located
-// column partitions 16 wide over 16,384 ids, one 512-edge batch of
-// 1 + 5 pairs per edge.
-func lineKernelBench(b *testing.B) (s *ps.Store, dot, upd []byte) {
-	s = kernelStore(b, 16, "bench.emb", "bench.ctx")
-	rng := rand.New(rand.NewSource(1))
-	var us, vs []int64
-	for e := 0; e < 512; e++ {
-		u := rng.Int63n(16384)
-		for k := 0; k < 6; k++ {
-			us = append(us, u)
-			vs = append(vs, rng.Int63n(16384))
+// lineKernelBench builds what a line-psfunc server works on — two models
+// of two co-located 16-wide column partitions over 16,384 ids, every row
+// materialised: 8 MB of rows and id tables, well past L2 — and 64 encoded
+// arguments drawn as the trainer draws them: 512 R-MAT edges each, every
+// source in front of its destination and of 5 negatives by destination
+// degree^0.75. The benchmarks cycle through them and through both
+// partitions; ONE replayed batch (3,584 rows, 460 KB) times a cache the
+// workload never has warm, and showed -11% for a change worth -31%.
+func lineKernelBench(b *testing.B) (s *ps.Store, dots, upds [][]byte) {
+	s = kernelStore(b, 16, 2, "bench.emb", "bench.ctx")
+	const batches, batch = 64, 512
+	raw := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: batches * batch, Seed: 1})
+	edges := make([]Edge, len(raw))
+	deg := make([]float64, 1<<14)
+	ids := make([]int64, len(deg))
+	for i, e := range raw {
+		edges[i] = Edge{Src: e.Src, Dst: e.Dst}
+		deg[e.Dst]++
+	}
+	for i := range ids {
+		ids[i], deg[i] = int64(i), math.Pow(deg[i], 0.75)
+	}
+	for part := 0; part < 2; part++ { // materialise every row
+		if _, err := lineDotFunc(s, "bench.emb", part, appendLinePairs(nil, "bench.ctx", ids, ids)); err != nil {
+			b.Fatal(err)
 		}
 	}
-	all := make([]int64, 16384)
-	for i := range all {
-		all[i] = int64(i)
+	sampler, rng := newAliasSampler(ids, deg), rand.New(rand.NewSource(1))
+	for k := 0; k < batches; k++ {
+		lb := newLineBatch(edges[k*batch:(k+1)*batch], 5, sampler, rng)
+		dot := appendLinePairs(nil, "bench.ctx", lb.us, lb.vs)
+		g := make([]float64, len(lb.us))
+		for i := range g {
+			g[i] = 1e-6 * rng.NormFloat64()
+		}
+		dots, upds = append(dots, dot), append(upds, ps.AppendArgF64s(dot[:len(dot):len(dot)], g))
 	}
-	kernelDot(b, s, "bench.emb", "bench.ctx", all, all) // materialise every row
-	dot = appendLinePairs(nil, "bench.ctx", us, vs)
-	g := make([]float64, len(us))
-	for i := range g {
-		g[i] = 1e-6 * rng.NormFloat64()
-	}
-	return s, dot, ps.AppendArgF64s(dot[:len(dot):len(dot)], g)
+	return s, dots, upds
 }
 
 func BenchmarkLineKernelDot(b *testing.B) {
-	s, dot, _ := lineKernelBench(b)
-	for b.Loop() {
-		if _, err := lineDotFunc(s, "bench.emb", 0, dot); err != nil {
+	s, dots, _ := lineKernelBench(b)
+	for i := 0; b.Loop(); i++ {
+		if _, err := lineDotFunc(s, "bench.emb", i&1, dots[i/2%len(dots)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLineKernelUpdate(b *testing.B) {
-	s, _, upd := lineKernelBench(b)
-	for b.Loop() {
-		if _, err := lineUpdateFunc(s, "bench.emb", 0, upd); err != nil {
+	s, _, upds := lineKernelBench(b)
+	for i := 0; b.Loop(); i++ {
+		if _, err := lineUpdateFunc(s, "bench.emb", i&1, upds[i/2%len(upds)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,12 +149,14 @@ func appendLinePairs(b []byte, other string, us, vs []int64) []byte {
 	return ps.AppendArgI64s(b, vs)
 }
 
-// lineArg is one decoded LINE argument. Its columns are pooled scratch:
-// release gives them back, after which they must not be used.
+// lineArg is one decoded LINE argument, and the rows its columns resolve
+// to. All of it is pooled scratch: release gives it back, after which it
+// must not be used.
 type lineArg struct {
 	other  string
 	us, vs []int64
-	g      []float64 // update only
+	g      []float64   // update only
+	u, v   [][]float64 // the live rows of us and vs, once a kernel resolved them
 }
 
 var lineArgPool = sync.Pool{New: func() any { return new(lineArg) }}
@@ -183,7 +185,13 @@ func decodeLineArg(arg []byte, update bool) (*lineArg, error) {
 	return a, nil
 }
 
-func (a *lineArg) release() { lineArgPool.Put(a) }
+// release forgets the resolved rows first: a sync.Pool must not keep a
+// (deleted) model's slabs reachable, nor a row readable after Unlock.
+func (a *lineArg) release() {
+	clear(a.u)
+	clear(a.v)
+	lineArgPool.Put(a)
+}
 
 // lockLinePair locks this partition's slice of the embedding model and of
 // the co-located other model — the context model for second-order
@@ -221,13 +229,12 @@ func unlockLinePair(emb, ctx ps.LockedRows) {
 	emb.Unlock()
 }
 
-// Both kernels walk the pair columns once and re-resolve emb[U] only
-// where U changes. Every LINE and DeepWalk batch is a positive pair
-// followed by its negatives, all sharing U, so runs of equal U are
-// 1 + NegSamples long (6 on line-psfunc) and ~5 of 6 U lookups go away;
-// without runs the loop degrades to one lookup per pair. Holding u while
-// ctx.Row(V) may materialise rows is sound only because LockedRows rows
-// never move.
+// Both kernels resolve their two id columns to rows first (LockedRows.Rows;
+// a run of equal ids — every batch is a positive pair followed by its
+// negatives, all sharing U — is found once) and then run the arithmetic
+// over rows whose addresses are all known: the loads of neighbouring pairs
+// overlap instead of each waiting on its own lookup. emb's rows stay put
+// while ctx materialises its own, also when ctx IS emb (first order).
 
 // lineDotFunc returns the partial dot products emb[U]·other[V] over this
 // partition's column range, one per pair, as an AppendArgF64s block.
@@ -242,14 +249,10 @@ func lineDotFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error
 		return nil, err
 	}
 	defer unlockLinePair(emb, ctx)
-	us, vs := a.us, a.vs
-	out := ps.AppendArgF64sLen(make([]byte, 0, binary.MaxVarintLen64+8*len(us)), len(us))
-	var u []float64
-	for i, uid := range us {
-		if i == 0 || uid != us[i-1] {
-			u = emb.Row(uid)
-		}
-		v := ctx.Row(vs[i])[:len(u)]
+	a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+	out := ps.AppendArgF64sLen(make([]byte, 0, binary.MaxVarintLen64+8*len(a.u)), len(a.u))
+	for i, u := range a.u {
+		v := a.v[i][:len(u)]
 		var d float64
 		for j, x := range u {
 			d += x * v[j]
@@ -275,14 +278,10 @@ func lineUpdateFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, er
 		return nil, err
 	}
 	defer unlockLinePair(emb, ctx)
-	us, vs := a.us, a.vs
-	var u []float64
-	for i, uid := range us {
-		if i == 0 || uid != us[i-1] {
-			u = emb.Row(uid)
-		}
+	a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+	for i, u := range a.u {
 		g := a.g[i]
-		v := ctx.Row(vs[i])[:len(u)]
+		v := a.v[i][:len(u)]
 		for j, uOld := range u {
 			u[j] += g * v[j]
 			v[j] += g * uOld

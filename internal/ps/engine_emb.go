@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -290,14 +291,29 @@ func (e *embEngine) unlockShards() {
 
 // LockedRows is the raw row accessor of an embedding partition whose
 // shards are all write-locked (PartView.Lock). Rows it returns stay
-// valid, and do not move, until Unlock — also across later Row calls
+// valid, and do not move, until Unlock — also across later Rows calls
 // that materialize other rows.
 type LockedRows struct{ e *embEngine }
 
-// Row returns (materializing if absent) the live row for id.
-func (l LockedRows) Row(id int64) []float64 {
-	_, row := l.e.rowLocked(l.e.shard(id), id)
-	return row
+// Rows resolves a whole id column before its caller touches a row: dst[i]
+// (dst's array, when it is big enough) is the live row of ids[i],
+// materialized if absent. The loop does nothing but find rows, so the misses
+// of neighbouring ids overlap; a run of equal ids is resolved once.
+func (l LockedRows) Rows(dst [][]float64, ids []int64) [][]float64 {
+	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			dst[i] = dst[i-1]
+			continue
+		}
+		sh := l.e.shard(id)
+		if o := sh.store.tab.slot[sh.store.tab.probe(id)]; o != 0 {
+			dst[i] = sh.store.at(sh.store.rows, o-1)
+		} else {
+			_, dst[i] = l.e.rowLocked(sh, id)
+		}
+	}
+	return dst
 }
 
 // Unlock releases the partition's shards.

@@ -396,8 +396,8 @@ func init() {
 		rows := p.Lock()
 		defer rows.Unlock()
 		var sum float64
-		for id := int64(0); id < 8; id++ {
-			for _, v := range rows.Row(id) {
+		for _, row := range rows.Rows(nil, []int64{0, 1, 2, 3, 4, 5, 6, 7}) {
+			for _, v := range row {
 				sum += v
 			}
 		}

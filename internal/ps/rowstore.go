@@ -14,9 +14,9 @@ import (
 //
 // ROWS NEVER MOVE once handed out: growing the table rehashes only
 // keys/slot, and a new chunk is appended beside the old ones. The LINE
-// kernels rely on this — they keep emb[U] across the run of pairs that
-// share U while looking up, and possibly materialising, other rows of
-// the same shard. Only keepOnly (partition split) rebuilds.
+// kernels rely on this — they resolve a call's id columns to rows before
+// they touch one (LockedRows.Rows), later lookups possibly materialising
+// other rows of the same shard. Only keepOnly (partition split) rebuilds.
 //
 // Not safe for concurrent use (but for pulls); the owning embShard's lock
 // guards it.

@@ -153,6 +153,106 @@ func TestRowStorePointerStability(t *testing.T) {
 	if m := st.momentIfSet(st.mom, ord); m == nil || &m[0] != &hm[0] || m[3] != 4 {
 		t.Fatalf("moment row moved: held %v, live %v", hm, m)
 	}
+
+	// The same through the batch accessor, inside ONE batch: 42 is resolved,
+	// then 100k absent ids materialise around it (every shard's table doubles
+	// and grows chunks many times over), then 42 again.
+	view := resolveEngine(t, 4)
+	col := []int64{42, 42}
+	for id := int64(1000); id < 101000; id++ {
+		col = append(col, id)
+	}
+	col = append(col, 42)
+	rows := view.Lock()
+	got := rows.Rows(nil, col)
+	rows.Unlock()
+	if last := got[len(got)-1]; &got[0][0] != &last[0] || &got[1][0] != &last[0] {
+		t.Fatal("the row of 42 moved while its batch materialised 100k others")
+	}
+	if live := view.Row(42); &live[0] != &got[0][0] {
+		t.Fatal("a resolved row is not the live row")
+	}
+}
+
+// resolveEngine is one embedding partition of the given width behind a
+// PartView. Two of them hold the same rows: a row's initial value is a
+// function of the model, its id and the element.
+func resolveEngine(t testing.TB, width int) *PartView {
+	t.Helper()
+	eng, err := newEngine(ModelMeta{Name: "e", Kind: Embedding, Dim: width, InitScale: 0.1, Parts: []Partition{{}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &PartView{eng: eng}
+}
+
+// checkResolve holds LockedRows.Rows to the per-id path: columns resolved
+// in one batch each on one engine, the same ids looked up one PartView.Row
+// at a time, in column order, on its twin. Every resolved row must be the
+// live row of its id — so equal ids, within a column or across columns (a
+// first-order U == V), share one slice — and hold the twin's values.
+func checkResolve(t *testing.T, cols ...[]int64) {
+	t.Helper()
+	batch, perID := resolveEngine(t, 3), resolveEngine(t, 3)
+	rows := batch.Lock()
+	got := make([][][]float64, len(cols))
+	for c, ids := range cols {
+		got[c] = rows.Rows(nil, ids)
+		if len(got[c]) != len(ids) {
+			t.Fatalf("column %d: %d rows for %d ids", c, len(got[c]), len(ids))
+		}
+	}
+	rows.Unlock()
+	for c, ids := range cols {
+		for i, id := range ids {
+			want, live := perID.Row(id), batch.Row(id)
+			if len(got[c][i]) != 3 || &got[c][i][0] != &live[0] {
+				t.Fatalf("column %d, position %d: not the live row of id %d", c, i, id)
+			}
+			for j := range want {
+				if got[c][i][j] != want[j] {
+					t.Fatalf("column %d, position %d (id %d): %v, the per-id path has %v", c, i, id, got[c][i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowsResolveMatchesPerID: the batch accessor against the per-id path
+// on columns with runs, ids that recur across runs, ids that materialise
+// mid-batch, both columns of a first-order pair list on one partition, and
+// the empty and one-id columns; then a reused dst of either size.
+func TestRowsResolveMatchesPerID(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	column := func(n, maxRun int, ids int64) (col []int64) {
+		for len(col) < n {
+			id := rng.Int63n(ids)
+			if rng.Intn(4) == 0 {
+				id = rng.Int63() - 1<<62
+			}
+			for k := 1 + rng.Intn(maxRun); k > 0; k-- {
+				col = append(col, id)
+			}
+		}
+		return col
+	}
+	checkResolve(t, column(3000, 6, 100))                       // runs, and every id recurs in later runs
+	checkResolve(t, column(3000, 1, 1<<20))                     // no runs; nearly every id absent
+	checkResolve(t, column(2000, 6, 300), column(2000, 3, 300)) // U then V on one partition
+	checkResolve(t, []int64{5, 5, 5, 9, 9, 5}, []int64{5, 9, 5, 9, 5, 5})
+	checkResolve(t, nil, []int64{}, []int64{7}, []int64{7, 7}, []int64{-7})
+
+	view := resolveEngine(t, 3)
+	rows := view.Lock()
+	defer rows.Unlock()
+	big := rows.Rows(nil, column(500, 6, 50))
+	small := rows.Rows(big, []int64{1, 2})
+	if len(small) != 2 || &small[0] != &big[0] {
+		t.Fatal("a dst that is big enough was not reused")
+	}
+	if grown := rows.Rows(small[:1:1], []int64{3, 1, 1}); len(grown) != 3 || &grown[1][0] != &small[0][0] || &grown[2][0] != &small[0][0] {
+		t.Fatal("a dst that is too small: wrong rows")
+	}
 }
 
 func TestRowStoreChunkOf(t *testing.T) {
@@ -199,7 +299,8 @@ func TestRowStoreMoments(t *testing.T) {
 }
 
 // FuzzRowStore replays an op stream, 9 bytes per op, against the map
-// reference.
+// reference, and resolves the ops' ids as a column (and its second half as
+// another, on the same partition) against the per-id path.
 func FuzzRowStore(f *testing.F) {
 	op := func(kind byte, id uint64) []byte {
 		return binary.LittleEndian.AppendUint64([]byte{kind}, id)
@@ -214,8 +315,10 @@ func FuzzRowStore(f *testing.F) {
 	f.Add(append(append(op(0, 5), op(4, 5)...), op(7, 3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newRowStoreRef(t, 2)
+		var col []int64 // the ops' ids as one column: the batch resolve's input
 		for ; len(data) >= 9; data = data[9:] {
 			id := int64(binary.LittleEndian.Uint64(data[1:]))
+			col = append(col, id)
 			switch data[0] % 8 {
 			case 0, 1, 2, 3:
 				h.put(id, float64(data[0]))
@@ -226,32 +329,32 @@ func FuzzRowStore(f *testing.F) {
 			}
 		}
 		h.check()
+		checkResolve(t, col, col[len(col)/2:])
 	})
 }
 
 // BenchmarkEmbLookup is the engine's row lookup as the psFunc kernels see
-// it: every shard locked, 16,384 materialised width-16 rows, random ids.
+// it: every shard locked, two 16-wide partitions of two models with 16,384
+// materialised rows each (8 MB of rows and tables, past L2), and the U and V
+// columns of 64 LINE batches resolved in turn, as a server that holds both
+// partitions sees them. One op is one call's two columns.
 func BenchmarkEmbLookup(b *testing.B) {
-	meta := ModelMeta{Name: "e", Kind: Embedding, Dim: 16, InitScale: 0.1, Parts: []Partition{{}}}
-	eng, err := newEngine(meta, 0)
-	if err != nil {
-		b.Fatal(err)
+	us, vs := lineColumns(64)
+	all := make([]int64, 1<<14)
+	for i := range all {
+		all[i] = int64(i)
 	}
-	rows := (&PartView{eng: eng}).Lock()
-	defer rows.Unlock()
-	rng := rand.New(rand.NewSource(1))
-	ids := make([]int64, 4096)
-	for id := int64(0); id < 16384; id++ {
-		rows.Row(id)
+	var emb, ctx [2]LockedRows
+	for p := range emb {
+		emb[p], ctx[p] = resolveEngine(b, 16).Lock(), resolveEngine(b, 16).Lock()
+		emb[p].Rows(nil, all)
+		ctx[p].Rows(nil, all)
 	}
-	for i := range ids {
-		ids[i] = rng.Int63n(16384)
-	}
+	var u, v [][]float64
 	var sum float64
-	for b.Loop() {
-		for _, id := range ids {
-			sum += rows.Row(id)[0]
-		}
+	for i := 0; b.Loop(); i++ {
+		u, v = emb[i&1].Rows(u, us[i/2%len(us)]), ctx[i&1].Rows(v, vs[i/2%len(vs)])
+		sum += u[0][0] + v[0][0]
 	}
 	if sum == 0 {
 		b.Fatal("rows read as zero")

@@ -246,6 +246,8 @@ func (r *wreader) i64s() []int64 { return r.i64sInto(nil) }
 // i64sInto is i64s decoding into dst's backing array when it is big enough
 // (a nil dst always allocates, so i64s keeps empty ≠ nil). The cursor is
 // local: on million-id pulls r.varint's per-element overhead is measurable.
+// Deltas of one to three bytes, nearly all there are, take an if-chain
+// behind one bound check; the rest take zigzag. Both are binary.Varint.
 func (r *wreader) i64sInto(dst []int64) []int64 {
 	n, ok := r.sliceLen()
 	if !ok {
@@ -255,15 +257,28 @@ func (r *wreader) i64sInto(dst []int64) []int64 {
 		dst = make([]int64, n)
 	}
 	s := dst[:n]
-	off := r.off
+	b, off := r.b, r.off
 	var prev int64
 	for i := range s {
-		var d int64
-		if d, off = zigzag(r.b, off); off < 0 {
-			r.off = len(r.b)
-			r.fail()
-			return nil
+		ux, next := uint64(0), -1
+		if off+3 <= len(b) {
+			if c0 := uint64(b[off]); c0 < 0x80 {
+				ux, next = c0, off+1
+			} else if c1 := uint64(b[off+1]); c1 < 0x80 {
+				ux, next = c0&0x7f|c1<<7, off+2
+			} else if c2 := uint64(b[off+2]); c2 < 0x80 {
+				ux, next = c0&0x7f|(c1&0x7f)<<7|c2<<14, off+3
+			}
 		}
+		d := int64(ux>>1) ^ -int64(ux&1)
+		if next < 0 { // a longer varint, or the last two bytes of b
+			if d, next = zigzag(b, off); next < 0 {
+				r.off = len(b)
+				r.fail()
+				return nil
+			}
+		}
+		off = next
 		prev += d
 		s[i] = prev
 	}

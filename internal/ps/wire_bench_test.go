@@ -2,9 +2,13 @@ package ps
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"psgraph/internal/gen"
 	"psgraph/internal/rpc"
 )
 
@@ -175,5 +179,57 @@ func BenchmarkFanOutScaling(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// lineColumns draws n batches of the LINE trainer's two id columns as
+// line-psfunc draws them: 512 R-MAT edges over 16,384 ids each, every
+// source repeated in front of its destination and of 5 negatives drawn by
+// destination degree^0.75.
+func lineColumns(n int) (us, vs [][]int64) {
+	edges := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: int64(n) * 512, Seed: 1})
+	cum := make([]float64, 1<<14)
+	for _, e := range edges {
+		cum[e.Dst]++
+	}
+	var total float64
+	for i, d := range cum {
+		total += math.Pow(d, 0.75)
+		cum[i] = total
+	}
+	rng := rand.New(rand.NewSource(1))
+	us, vs = make([][]int64, n), make([][]int64, n)
+	for k := range us {
+		for _, e := range edges[k*512 : (k+1)*512] {
+			for j := 0; j < 6; j++ {
+				us[k] = append(us[k], e.Src)
+			}
+			vs[k] = append(vs[k], e.Dst)
+			for j := 0; j < 5; j++ {
+				vs[k] = append(vs[k], int64(sort.SearchFloat64s(cum, rng.Float64()*total)))
+			}
+		}
+	}
+	return us, vs
+}
+
+// BenchmarkI64sDecode decodes the id columns of 64 LINE arguments in turn:
+// runs of zero deltas in U, two- and three-byte deltas in V.
+func BenchmarkI64sDecode(b *testing.B) {
+	us, vs := lineColumns(64)
+	args := make([][]byte, len(us))
+	var size int
+	for k := range args {
+		args[k] = appendI64s(appendI64s(nil, us[k]), vs[k])
+		size += len(args[k])
+	}
+	b.SetBytes(int64(size / len(args)))
+	var u, v []int64
+	for i := 0; b.Loop(); i++ {
+		r := wreader{b: args[i%len(args)]}
+		u, v = r.i64sInto(u), r.i64sInto(v)
+		if r.err != nil || len(u) != len(v) {
+			b.Fatal(r.err)
+		}
 	}
 }
