@@ -146,8 +146,8 @@ func (c *Context) Close() {
 func (c *Context) Partitions() int { return c.cfg.Partitions }
 
 // Executors returns the dataflow worker count — the number of partition
-// tasks that can run concurrently, and therefore the widest SSP clock
-// ring a single action can sustain (see lineTrainRelaxed).
+// tasks that can run concurrently, and therefore the widest waiting clock
+// ring ("bsp", "ssp") a single action can sustain (see lineTrain).
 func (c *Context) Executors() int { return c.cfg.NumExecutors }
 
 // ModelName returns a unique model name with the given prefix, so
@@ -156,8 +156,17 @@ func (c *Context) ModelName(prefix string) string {
 	return fmt.Sprintf("%s-%d", prefix, c.seq.Add(1))
 }
 
-// Barrier blocks until every executor partition task of a stage arrived;
-// tag must be unique per synchronization point.
-func (c *Context) Barrier(tag string, epoch, expect int) error {
-	return c.Agent.Barrier(tag, epoch, expect)
+// syncK resolves a trainer's Sync mode to its clock ring's staleness bound
+// k: "" and "asp" are -1 (ASP: no ring, no waiting), "bsp" is 0 (lock
+// step) and "ssp" is staleness.
+func syncK(sync string, staleness int) (int, error) {
+	switch sync {
+	case "", "asp":
+		return -1, nil
+	case "bsp":
+		return 0, nil
+	case "ssp":
+		return staleness, nil
+	}
+	return 0, fmt.Errorf("core: sync must be \"\", \"bsp\", \"ssp\" or \"asp\", got %q", sync)
 }

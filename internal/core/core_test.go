@@ -533,6 +533,9 @@ func TestGraphSageRejectsBadConfig(t *testing.T) {
 	if _, err := GraphSage(ctx, &GraphSageData{}, GraphSageConfig{Classes: 2, Aggregator: "gcn"}); err == nil {
 		t.Fatal("unknown aggregator accepted")
 	}
+	if _, err := GraphSage(ctx, &GraphSageData{}, GraphSageConfig{Classes: 2, Sync: "lockstep"}); err == nil {
+		t.Fatal("unknown Sync accepted")
+	}
 }
 
 func TestModelNameUnique(t *testing.T) {

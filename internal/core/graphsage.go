@@ -39,11 +39,13 @@ type GraphSageConfig struct {
 	// Seed drives sampling and initialization.
 	Seed int64
 
-	// Sync selects the synchronization mode: "" keeps the legacy loop
-	// (partition tasks unsynchronized within an epoch, the action boundary
-	// as the epoch barrier); "ssp" adds a bounded-staleness clock per
-	// window of batches; "asp" ticks the clock without ever waiting. "bsp"
-	// normalizes to "ssp" with Staleness 0.
+	// Sync selects how the partition tasks of an epoch, which tick a clock
+	// once per window of batches, wait for each other. "" and "asp" never
+	// wait and send no clock traffic (ASP; the action boundary is the epoch
+	// barrier), one task per partition; "bsp" is lock-step (a staleness-0
+	// clock ring) and "ssp" bounds the spread at Staleness windows, both on
+	// min(Parts, executors) workers, since every member of a waiting ring
+	// must be running.
 	Sync string
 	// Staleness is the SSP bound k (Sync "ssp" only).
 	Staleness int
@@ -92,13 +94,6 @@ func (c *GraphSageConfig) setDefaults() error {
 	}
 	if c.WindowBatches <= 0 {
 		c.WindowBatches = 2
-	}
-	if c.Sync == "bsp" {
-		c.Sync = "ssp"
-		c.Staleness = 0
-	}
-	if c.Sync != "" && c.Sync != "ssp" && c.Sync != "asp" {
-		return fmt.Errorf("core: GraphSage sync must be \"\", \"bsp\", \"ssp\" or \"asp\", got %q", c.Sync)
 	}
 	return nil
 }
@@ -252,6 +247,10 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	k, err := syncK(cfg.Sync, cfg.Staleness)
+	if err != nil {
+		return nil, err
+	}
 	parts := cfg.Parts
 	if parts <= 0 {
 		parts = ctx.Partitions()
@@ -280,22 +279,13 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	}
 
 	res := &GraphSageResult{W1Name: model.w1.Meta.Name, W2Name: model.w2.Meta.Name}
-	// The relaxed modes need every clock participant actually running: the
-	// engine schedules one concurrent task per executor, so the train set
-	// is spread over min(parts, executors) workers (see lineTrainRelaxed).
-	relaxed := cfg.Sync != ""
+	// A ring that waits needs every participant actually running: the
+	// engine schedules one concurrent task per executor, so for k >= 0 the
+	// train set is spread over min(parts, executors) workers (see
+	// lineTrain). ASP trains on parts.
 	workers := parts
-	if relaxed {
-		if e := ctx.cfg.NumExecutors; workers > e {
-			workers = e
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	k := cfg.Staleness
-	if cfg.Sync == "asp" {
-		k = -1
+	if k >= 0 {
+		workers = max(min(workers, ctx.cfg.NumExecutors), 1)
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
@@ -305,14 +295,11 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 		epochSeed := cfg.Seed + int64(epoch)*7919
 		err := trainRDD.ForeachPartition(func(part int, ids []int64) error {
 			bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(epochSeed + int64(part)))}
-			var clock *ps.SSPClock
-			if relaxed {
-				// One ring per epoch; workers retire on completion so a
-				// finished partition never stalls stragglers.
-				clock = ctx.Agent.SSPClock(fmt.Sprintf("%s/ssp/%d", res.W1Name, epoch), part, workers, k)
-				if d := ctx.cfg.LeaseDuration; d > 0 {
-					clock.SetLease(d)
-				}
+			// One ring per epoch; workers retire on completion so a finished
+			// partition never stalls stragglers.
+			clock := ctx.Agent.SSPClock(fmt.Sprintf("%s/ssp/%d", res.W1Name, epoch), part, workers, k)
+			if d := ctx.cfg.LeaseDuration; d > 0 {
+				clock.SetLease(d)
 			}
 			var accum *gsGradAccum
 			if cfg.Coalesce {
@@ -346,10 +333,8 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 							return err
 						}
 					}
-					if clock != nil {
-						if err := clock.Tick(); err != nil {
-							return err
-						}
+					if err := clock.Tick(); err != nil {
+						return err
 					}
 					sinceTick = 0
 				}
@@ -359,10 +344,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 					return err
 				}
 			}
-			if clock != nil {
-				return clock.Retire()
-			}
-			return nil
+			return clock.Retire()
 		})
 		if err != nil {
 			return nil, err

@@ -38,12 +38,13 @@ type LineConfig struct {
 	// for the ablation benchmark.
 	PullVectors bool
 
-	// Sync selects the synchronization mode: "" keeps the legacy per-epoch
-	// path (one ForeachPartition action per epoch); "ssp" runs every epoch
-	// inside one action with a bounded-staleness clock per window of
-	// mini-batches; "asp" is the same loop with no waiting at all. "bsp" is
-	// normalized to "ssp" with Staleness 0 — lock-step clocks ARE the BSP
-	// barrier, so k=0 reproduces BSP by construction.
+	// Sync selects how the workers of the one training loop — every epoch
+	// inside one dataflow action, a clock tick per window of mini-batches —
+	// wait for each other. "" and "asp" never wait and send no clock
+	// traffic (ASP), on the caller's partitions; "bsp" is lock-step (a
+	// staleness-0 clock ring) and "ssp" bounds the spread at Staleness
+	// windows, both on min(Parts, executors) workers, since every member of
+	// a waiting ring must be running.
 	Sync string
 	// Staleness is the SSP bound k: the fastest worker may run at most k
 	// clock windows ahead of the slowest. Only meaningful with Sync "ssp".
@@ -77,10 +78,6 @@ func (c *LineConfig) setDefaults() {
 	}
 	if c.CoalesceWindow <= 0 {
 		c.CoalesceWindow = c.WindowBatches
-	}
-	if c.Sync == "bsp" {
-		c.Sync = "ssp"
-		c.Staleness = 0
 	}
 }
 
@@ -118,6 +115,10 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 	if cfg.Order != 1 && cfg.Order != 2 {
 		return nil, fmt.Errorf("core: LINE order must be 1 or 2, got %d", cfg.Order)
 	}
+	k, err := syncK(cfg.Sync, cfg.Staleness)
+	if err != nil {
+		return nil, err
+	}
 	parts := cfg.Parts
 	if parts <= 0 {
 		parts = ctx.Partitions()
@@ -148,56 +149,16 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 		return nil, err
 	}
 
-	if cfg.Sync != "" {
-		if cfg.Sync != "ssp" && cfg.Sync != "asp" {
-			return nil, fmt.Errorf("core: LINE sync must be \"\", \"bsp\", \"ssp\" or \"asp\", got %q", cfg.Sync)
-		}
-		if err := lineTrainRelaxed(ctx, edges, cfg, embName, otherName, sampler, parts); err != nil {
-			return nil, err
-		}
-		return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		epoch := epoch
-		err := edges.ForeachPartition(func(part int, in []Edge) error {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*1000003 + int64(part)))
-			var upd [2][]float64
-			for start := 0; start < len(in); start += cfg.BatchSize {
-				end := min(start+cfg.BatchSize, len(in))
-				batch := in[start:end]
-				b := newLineBatch(batch, cfg.NegSamples, sampler, rng)
-				var err error
-				if cfg.PullVectors {
-					var eh, oh *ps.Emb
-					if eh, oh, err = lineHandles(ctx, embName, otherName); err == nil {
-						err = lineStepRelaxed(eh, oh, b, nil, nil, cfg.LR, &upd)
-					}
-				} else {
-					err = lineStepPSFunc(ctx, embName, otherName, b, cfg.LR)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// BSP epoch boundary.
-		if err := ctx.Barrier(embName+"/epoch", epoch, 1); err != nil {
-			return nil, err
-		}
+	if err := lineTrain(ctx, edges, cfg, k, embName, otherName, sampler, parts); err != nil {
+		return nil, err
 	}
 	return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
 }
 
 // lineBatch is one prepared mini-batch: the pairs as two id columns
 // (us[i], vs[i]) with their labels — the shape the psFunc argument, the
-// row pulls and lineGrads all take — plus, when prefetching on the
-// relaxed path, the row pulls already in flight underneath the previous
-// batch's gradient math.
+// row pulls and lineGrads all take — plus, when prefetching, the row pulls
+// already in flight underneath the previous batch's gradient math.
 type lineBatch struct {
 	us, vs     []int64
 	labels     []float64
@@ -228,15 +189,15 @@ func (b *lineBatch) add(u, v int64, label float64) {
 	b.labels = append(b.labels, label)
 }
 
-// lineTrainRelaxed runs every epoch inside ONE dataflow action with a
-// bounded-staleness clock per window of mini-batches (Sync "ssp"), or the
-// same loop with no waiting (Sync "asp"). Staleness 0 is lock-step — the
-// BSP barrier expressed as a clock ring.
+// lineTrain runs every epoch inside ONE dataflow action with a clock tick
+// per window of mini-batches: k = 0 is lock-step BSP, k > 0 bounded
+// staleness, k < 0 ASP (no ring, no clock traffic).
 //
-// The dataflow engine schedules one concurrent task per executor, so the
-// edge set is repartitioned to min(parts, executors) workers: every clock
-// participant must actually be running, or a queued task's frozen clock
-// would stall the ring forever.
+// A ring that waits needs every participant actually running, and the
+// dataflow engine schedules one concurrent task per executor, so for
+// k >= 0 the edge set is repartitioned to min(parts, executors) workers —
+// otherwise a queued task's frozen clock would stall the ring forever. ASP
+// trains on the caller's partitions as given.
 //
 // Overlap machinery, both PullVectors-path only (the psFunc path moves no
 // rows for the client to prefetch or coalesce):
@@ -250,20 +211,18 @@ func (b *lineBatch) add(u, v int64, label float64) {
 //     wire message per partition per CoalesceWindow batches, always
 //     flushing before a clock advance so peers observe the window's
 //     updates once their own clock admits them.
-func lineTrainRelaxed(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, embName, otherName string, sampler *degreeSampler, parts int) error {
-	all, err := edges.Collect()
-	if err != nil {
-		return err
+func lineTrain(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, k int, embName, otherName string, sampler *degreeSampler, parts int) error {
+	if k >= 0 {
+		all, err := edges.Collect()
+		if err != nil {
+			return err
+		}
+		edges = dataflow.Parallelize(ctx.Spark, all, max(min(ctx.cfg.NumExecutors, parts), 1))
 	}
-	workers := max(min(ctx.cfg.NumExecutors, parts), 1)
-	re := dataflow.Parallelize(ctx.Spark, all, workers)
-	k := cfg.Staleness
-	if cfg.Sync == "asp" {
-		k = -1
-	}
+	workers := edges.NumPartitions()
 	tag := embName + "/ssp"
 	overlap := cfg.Prefetch && cfg.PullVectors
-	return re.ForeachPartition(func(worker int, in []Edge) error {
+	return edges.ForeachPartition(func(worker int, in []Edge) error {
 		eh, oh, err := lineHandles(ctx, embName, otherName)
 		if err != nil {
 			return err

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"psgraph/internal/gen"
 	"psgraph/internal/ps"
+	"psgraph/internal/rpc"
 )
 
 // lineSeparation trains LINE with the given config on a 2-class SBM and
@@ -59,8 +62,8 @@ func TestLineSSPWithOverlapLearns(t *testing.T) {
 	}
 }
 
-// TestLineBSPAliasRuns: Sync "bsp" is normalized to ssp k=0 and must
-// train lock-step through the clock path.
+// TestLineBSPAliasRuns: Sync "bsp" is a staleness-0 ring and must train
+// lock-step through the clock path.
 func TestLineBSPAliasRuns(t *testing.T) {
 	sep := lineSeparation(t, LineConfig{
 		Dim: 16, Order: 2, Epochs: 12, BatchSize: 256, NegSamples: 4, LR: 0.06, Seed: 1,
@@ -72,8 +75,8 @@ func TestLineBSPAliasRuns(t *testing.T) {
 	}
 }
 
-// TestLineASPRuns: fully asynchronous clocks (advance, never wait) also
-// converge on the small graph.
+// TestLineASPRuns: fully asynchronous training (no ring, never wait) also
+// converges on the small graph.
 func TestLineASPRuns(t *testing.T) {
 	sep := lineSeparation(t, LineConfig{
 		Dim: 16, Order: 2, Epochs: 12, BatchSize: 256, NegSamples: 4, LR: 0.06, Seed: 1,
@@ -93,6 +96,79 @@ func TestLineSSPRejectsBadSync(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("bad Sync value accepted")
+	}
+}
+
+// clockCounter is an rpc.Transport that counts the clock calls it carries.
+type clockCounter struct {
+	rpc.Transport
+	n atomic.Int64
+}
+
+func (c *clockCounter) Call(addr, method string, body []byte) ([]byte, error) {
+	if strings.HasPrefix(method, "Clock") {
+		c.n.Add(1)
+	}
+	return c.Transport.Call(addr, method, body)
+}
+
+// TestDefaultSyncIsASPOnCallerPartitions: LINE and GraphSage with no Sync
+// train as ASP — not one clock call — with one task per partition the
+// caller asked for (5 edge partitions, 6 GraphSage parts, over 3
+// executors), while "bsp" cuts the same edges to a 3-worker ring that does
+// tick.
+func TestDefaultSyncIsASPOnCallerPartitions(t *testing.T) {
+	tr := &clockCounter{Transport: rpc.NewInProc()}
+	ctx, err := NewContext(Config{NumExecutors: 3, NumServers: 2, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctx.Close)
+	tasks := func() int64 { return ctx.Spark.Stats().TasksRun }
+
+	edges := edgesRDD(ctx, ringEdges(60), 5)
+	before := tasks()
+	if _, err := newDegreeSampler(edges, ctx.Partitions()); err != nil {
+		t.Fatal(err)
+	}
+	samplerTasks := tasks() - before
+	for _, c := range []struct {
+		sync   string
+		tasks  int64 // training tasks past the sampler's
+		clocks bool
+	}{
+		{"", 5, false},
+		{"bsp", 5 + 3, true}, // Collect of the 5 partitions, then 3 ring workers
+	} {
+		before, clocks := tasks(), tr.n.Load()
+		if _, err := Line(ctx, edges, LineConfig{Sync: c.sync}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tasks() - before - samplerTasks; got != c.tasks {
+			t.Errorf("LINE sync %q ran %d training tasks, want %d", c.sync, got, c.tasks)
+		}
+		if got := tr.n.Load() - clocks; (got > 0) != c.clocks {
+			t.Errorf("LINE sync %q made %d clock calls", c.sync, got)
+		}
+	}
+
+	edgesPath, featsPath := writeSBMDataset(t, ctx, 300, 3, 22)
+	data, err := GraphSagePreprocess(ctx, edgesPath, featsPath, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close(ctx)
+	before, clocks := tasks(), tr.n.Load()
+	if _, err := GraphSage(ctx, data, GraphSageConfig{Classes: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Five epochs of one task per part, then train and test evaluation.
+	parts := int64(ctx.Partitions())
+	if got := tasks() - before; got != (5+2)*parts {
+		t.Errorf("GraphSage ran %d tasks, want %d (one per part per epoch + 2 evaluations)", got, (5+2)*parts)
+	}
+	if got := tr.n.Load() - clocks; got != 0 {
+		t.Errorf("GraphSage with no Sync made %d clock calls, want 0", got)
 	}
 }
 

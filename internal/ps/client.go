@@ -408,12 +408,6 @@ func (c *Client) DeleteModel(name string) error {
 	return c.invoke(c.masterAddr, "DeleteModel", modelNameReq{Name: name}, nil)
 }
 
-// Barrier blocks until expect workers have reached (tag, epoch). This is
-// the BSP synchronization primitive; ASP algorithms simply never call it.
-func (c *Client) Barrier(tag string, epoch, expect int) error {
-	return c.invoke(c.masterAddr, "Barrier", barrierReq{Tag: tag, Epoch: epoch, Expect: expect}, nil)
-}
-
 // Checkpoint snapshots every partition of the model to the DFS.
 func (c *Client) Checkpoint(model string) error {
 	return c.invoke(c.masterAddr, "Checkpoint", modelNameReq{Name: model}, nil)

@@ -2,14 +2,13 @@ package ps
 
 // Stale-synchronous-parallel (SSP) clocks.
 //
-// BSP (Master.barrier) and ASP (no synchronization at all) are the two
-// extremes the paper describes; everything in between is a bounded-
-// staleness protocol: each worker owns a clock, ClockAdvance publishes
-// "worker w finished window c", and ClockWait blocks worker w at clock c
-// until min(live clocks) >= c - k. k=0 is lock-step BSP, k=∞ (the client
-// never waits) is ASP, small k lets fast workers run ahead of stragglers
-// by a bounded number of windows — the SSP model of Ho et al. and
-// DeepSpark (PAPERS.md).
+// BSP and ASP are the two extremes the paper describes; everything in
+// between is a bounded-staleness protocol: each worker owns a clock, and
+// ClockWait publishes "worker w finished window c" and blocks it until
+// min(live clocks) >= c - k. k=0 is lock-step BSP, small k lets fast
+// workers run ahead of stragglers by a bounded number of windows — the
+// SSP model of Ho et al. and DeepSpark (PAPERS.md) — and k<0 is ASP: no
+// ring at all, and no clock traffic.
 //
 // The master keeps one clockRing per tag: a fixed vector of Expect worker
 // clocks (pre-seeded to 0, so a fast worker cannot outrun workers that
@@ -18,27 +17,24 @@ package ps
 //
 // Design points that matter for correctness:
 //
-//   - ClockAdvance carries the worker's ABSOLUTE clock and merges with
-//     max(). That makes it idempotent: a retry after a dropped response
-//     re-sends the same value and is a no-op, so clock RPCs need no
-//     (clientID, seq) dedup envelope at all.
+//   - ClockWait carries the worker's ABSOLUTE clock and merges it with
+//     max() before it waits. That makes it idempotent: a retry after a
+//     dropped response re-sends the same value, merges nothing and waits
+//     on a target already met, so clock RPCs need no (clientID, seq) dedup
+//     envelope at all. It also rebuilds the ring after a master restart
+//     (rings are not journaled) at the right value in the same call.
 //
 //   - Failover composition: a worker whose executor died mid-window would
 //     freeze the ring's minimum forever. Rings therefore carry an optional
 //     lease (the client passes it on every call): waiters lazily retire
-//     any worker that has neither advanced nor waited within a lease, and
-//     min() skips retired workers. A retired worker that was merely slow
-//     un-retires itself on its next ClockAdvance — absolute clocks make
-//     late advances harmless. Workers parked in ClockWait renew their
-//     lease by polling, so a worker legitimately blocked on a straggler is
-//     never retired. A worker that finishes its run calls ClockRetire so
-//     completed partitions cannot stall the ring; when every worker has
-//     retired the ring itself is deleted.
-//
-//   - Barrier is a thin wrapper over a k=0 ring (see barrier below), which
-//     also fixes the old per-(tag, epoch) map leak: the ring keeps one
-//     fixed-size entry per tag plus a released watermark, instead of one
-//     barrier entry per (tag, epoch) that a late retry could resurrect.
+//     any worker that has not called within a lease, and min() skips
+//     retired workers. A retired worker that was merely slow un-retires
+//     itself on its next ClockWait — absolute clocks make late calls
+//     harmless. Workers parked in ClockWait renew their lease by polling,
+//     so a worker legitimately blocked on a straggler is never retired. A
+//     worker that finishes its run calls ClockRetire so completed
+//     partitions cannot stall the ring; when every worker has retired the
+//     ring itself is deleted.
 
 import (
 	"fmt"
@@ -65,16 +61,7 @@ type clockRing struct {
 	retired  []bool
 	waiting  []int // active ClockWait calls per worker (lease exemption)
 	lastSeen []time.Time
-
-	// Barrier-wrapper state: arrivals counts anonymous arrivals per epoch
-	// (the i-th arrival takes worker slot i) and is deleted the moment the
-	// epoch completes; released is the watermark below which arrivals
-	// return immediately, so a late retry can neither leak an entry nor
-	// deadlock a future epoch.
-	arrivals map[int]int
-	released int
-
-	bcast chan struct{}
+	bcast    chan struct{}
 }
 
 // wake signals every waiter that ring state changed.
@@ -98,9 +85,9 @@ func (r *clockRing) minLive() (min int64, live bool) {
 	return min, live
 }
 
-// retireExpired retires workers whose lease lapsed: no advance, no wait,
-// no retire within r.lease. Workers with an active ClockWait are exempt —
-// they are alive, just blocked on a straggler.
+// retireExpired retires workers whose lease lapsed: no call within
+// r.lease. Workers with an active ClockWait are exempt — they are alive,
+// just blocked on a straggler.
 func (r *clockRing) retireExpired() {
 	now := time.Now()
 	changed := false
@@ -132,7 +119,6 @@ func (t *clockTable) ring(tag string, expect int, leaseNS int64) *clockRing {
 			retired:  make([]bool, expect),
 			waiting:  make([]int, expect),
 			lastSeen: make([]time.Time, expect),
-			arrivals: make(map[int]int),
 			bcast:    make(chan struct{}),
 		}
 		now := time.Now()
@@ -147,52 +133,32 @@ func (t *clockTable) ring(tag string, expect int, leaseNS int64) *clockRing {
 	return r
 }
 
-// advance merges the worker's absolute clock (idempotent under retries)
-// and returns the ring's current minimum live clock.
-func (t *clockTable) advance(req clockReq) (int64, error) {
+// wait merges the worker's absolute clock (idempotent under retries), then
+// blocks until min(live clocks) >= req.Clock - req.K, or until no live
+// workers remain.
+func (t *clockTable) wait(req clockReq) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.ring(req.Tag, req.Expect, req.LeaseNS)
-	if req.Worker < 0 || req.Worker >= r.expect {
-		return 0, fmt.Errorf("ps: clock %q: worker %d out of range [0,%d)", req.Tag, req.Worker, r.expect)
+	worker := req.Worker
+	if worker < 0 || worker >= r.expect {
+		return fmt.Errorf("ps: clock %q: worker %d out of range [0,%d)", req.Tag, worker, r.expect)
 	}
-	if req.Clock > r.clocks[req.Worker] {
-		r.clocks[req.Worker] = req.Clock
+	if req.Clock > r.clocks[worker] {
+		r.clocks[worker] = req.Clock
 	}
-	r.retired[req.Worker] = false
-	r.lastSeen[req.Worker] = time.Now()
+	r.retired[worker] = false
 	r.wake()
-	min, _ := r.minLive()
-	return min, nil
-}
-
-// wait blocks until min(live clocks) >= req.Clock - req.K, or until no
-// live workers remain. Returns the minimum live clock at release.
-func (t *clockTable) wait(req clockReq) (int64, error) {
+	// With a lease configured the loop polls at lease/4 so waiters lazily
+	// retire dead workers; without one it sleeps purely on the broadcast.
 	target := req.Clock - int64(req.K)
-	t.mu.Lock()
-	r := t.ring(req.Tag, req.Expect, req.LeaseNS)
-	if req.Worker < 0 || req.Worker >= r.expect {
-		t.mu.Unlock()
-		return 0, fmt.Errorf("ps: clock %q: worker %d out of range [0,%d)", req.Tag, req.Worker, r.expect)
-	}
-	min := t.waitTarget(r, req.Worker, target)
-	t.mu.Unlock()
-	return min, nil
-}
-
-// waitTarget is the shared wait loop of wait and barrier. Called with
-// t.mu held; returns with t.mu held. With a lease configured it polls at
-// lease/4 so waiters lazily retire dead workers; without one it sleeps
-// purely on the broadcast channel.
-func (t *clockTable) waitTarget(r *clockRing, worker int, target int64) int64 {
 	r.waiting[worker]++
 	for {
 		r.lastSeen[worker] = time.Now()
 		min, live := r.minLive()
 		if !live || min >= target {
 			r.waiting[worker]--
-			return min
+			return nil
 		}
 		ch := r.bcast
 		var tick <-chan time.Time
@@ -242,55 +208,19 @@ func (t *clockTable) retire(req clockReq) {
 	delete(t.rings, req.Tag)
 }
 
-// barrier implements the BSP barrier as a k=0 clock ring: the i-th
-// anonymous arrival at (tag, epoch) takes worker slot i, advances it to
-// epoch+1, and waits for min >= epoch+1. The released watermark replaces
-// the old per-(tag, epoch) entry map: a retried or late arrival for an
-// already-released epoch returns immediately instead of resurrecting a
-// barrier entry that could never complete (the map-growth bug).
-func (t *clockTable) barrier(req barrierReq) {
-	tag := "barrier/" + req.Tag
-	t.mu.Lock()
-	r := t.ring(tag, req.Expect, 0)
-	if req.Epoch < r.released {
-		t.mu.Unlock()
-		return
-	}
-	slot := r.arrivals[req.Epoch]
-	r.arrivals[req.Epoch] = slot + 1
-	if slot >= r.expect {
-		// Over-arrival (more callers than Expect): fold onto the last slot;
-		// the extra arrival is a no-op thanks to the max-merge.
-		slot = r.expect - 1
-	}
-	target := int64(req.Epoch + 1)
-	if target > r.clocks[slot] {
-		r.clocks[slot] = target
-	}
-	r.lastSeen[slot] = time.Now()
-	if r.arrivals[req.Epoch] >= r.expect {
-		delete(r.arrivals, req.Epoch)
-		if req.Epoch+1 > r.released {
-			r.released = req.Epoch + 1
-		}
-	}
-	r.wake()
-	t.waitTarget(r, slot, target)
-	t.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------------
 // Client-side handle.
 
 // SSPClock is a worker's handle on one SSP clock ring. A training loop
-// calls Tick once per window (mini-batch group): it publishes the new
-// clock, runs the registered OnAdvance hooks (row-cache invalidation),
-// and blocks until the slowest live worker is within k clocks. Retire
-// releases the worker's slot when the loop finishes so completed workers
-// cannot stall stragglers.
+// calls Tick once per window (mini-batch group): with k >= 0 it publishes
+// the new clock and blocks until the slowest live worker is within k
+// clocks — one ClockWait — then runs the registered OnAdvance hooks
+// (row-cache invalidation). Retire releases the worker's slot when the
+// loop finishes so completed workers cannot stall stragglers. With k < 0
+// (ASP) nobody waits, so Tick only runs the hooks and Retire is a no-op.
 //
-// Clock RPCs are deliberately NOT dedup-enveloped: advance is idempotent
-// (absolute clock, max-merge), wait and retire are naturally retry-safe.
+// Clock RPCs are deliberately NOT dedup-enveloped: ClockWait is idempotent
+// (absolute clock, max-merge) and retire is naturally retry-safe.
 type SSPClock struct {
 	c      *Client
 	tag    string
@@ -304,61 +234,49 @@ type SSPClock struct {
 
 // SSPClock creates a handle for worker (0 <= worker < expect) on the ring
 // named tag. k bounds the clock spread: 0 is BSP lock-step; a negative k
-// selects ASP (Tick advances and runs hooks but never waits).
+// selects ASP (no ring: Tick runs the hooks and never calls the master).
 func (c *Client) SSPClock(tag string, worker, expect, k int) *SSPClock {
 	return &SSPClock{c: c, tag: tag, worker: worker, expect: expect, k: k}
 }
 
-// SetLease arms dead-worker retirement: a worker silent for d (neither
-// advancing nor waiting) is retired by its peers so it cannot stall the
-// ring. Pair it with the cluster's failover lease.
+// SetLease arms dead-worker retirement: a worker silent for d is retired
+// by its peers so it cannot stall the ring. Pair it with the cluster's
+// failover lease.
 func (s *SSPClock) SetLease(d time.Duration) { s.lease = d }
 
-// OnAdvance registers a hook run after every successful clock advance,
-// before the wait. Prefetch caches register their invalidation here.
+// OnAdvance registers a hook run once per window, after the window's
+// ClockWait returns. Prefetch caches register their invalidation here:
+// no pull is in flight across a window edge, and a cache insert racing
+// the invalidation is dropped by its version fence.
 func (s *SSPClock) OnAdvance(fn func()) { s.hooks = append(s.hooks, fn) }
 
 // Clock returns the worker's current clock value.
 func (s *SSPClock) Clock() int64 { return s.clock }
 
-// Tick completes one window: advance, run hooks, then wait until the
-// slowest live worker is within k clocks (skipped when k < 0, i.e. ASP).
+// Tick completes one window: publish the new clock and wait until the
+// slowest live worker is within k clocks (no call at all when k < 0, i.e.
+// ASP), then run the hooks. After a master restart the same call rebuilds
+// the ring, which is not journaled, at this worker's absolute clock.
 func (s *SSPClock) Tick() error {
 	s.clock++
-	req := clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect, K: s.k, Clock: s.clock, LeaseNS: int64(s.lease)}
-	var resp clockResp
-	if err := s.c.invoke(s.c.masterAddr, "ClockAdvance", req, &resp); err != nil {
-		return err
+	if s.k >= 0 {
+		req := clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect, K: s.k, Clock: s.clock, LeaseNS: int64(s.lease)}
+		if err := s.c.invoke(s.c.masterAddr, "ClockWait", req, nil); err != nil {
+			return err
+		}
 	}
 	for _, fn := range s.hooks {
 		fn()
 	}
-	if s.k < 0 {
-		return nil
-	}
-	return s.c.invoke(s.c.masterAddr, "ClockWait", req, &resp)
-}
-
-// Readvance republishes the worker's cached clock without incrementing
-// it or waiting. Clock rings live only in master memory — they are NOT
-// journaled to the metadata WAL — so a restarted master rebuilds them
-// from the clients: advance auto-creates the ring and max-merges the
-// absolute value, which makes Readvance idempotent and safe to call on
-// every master reconnect (or eagerly after a suspected restart). A
-// worker that never calls it still resynchronizes on its next Tick; the
-// only cost is one window of extra staleness.
-func (s *SSPClock) Readvance() error {
-	if s.clock == 0 {
-		return nil
-	}
-	req := clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect, K: s.k, Clock: s.clock, LeaseNS: int64(s.lease)}
-	var resp clockResp
-	return s.c.invoke(s.c.masterAddr, "ClockAdvance", req, &resp)
+	return nil
 }
 
 // Retire releases this worker's slot; the ring no longer counts it in the
 // minimum.
 func (s *SSPClock) Retire() error {
+	if s.k < 0 {
+		return nil
+	}
 	return s.c.invoke(s.c.masterAddr, "ClockRetire",
 		clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect}, nil)
 }

@@ -236,17 +236,11 @@ type getModelResp struct {
 	Meta ModelMeta
 }
 
-type barrierReq struct {
-	Tag    string
-	Epoch  int
-	Expect int
-}
-
-// clockReq drives the SSP vector clock (clock.go): ClockAdvance publishes
-// the worker's ABSOLUTE clock value (idempotent under retries, so clock
-// RPCs skip the dedup envelope), ClockWait blocks until the slowest live
-// worker is within K clocks, ClockRetire releases the worker's slot.
-// LeaseNS > 0 arms dead-worker retirement on the ring.
+// clockReq drives the SSP vector clock (clock.go): ClockWait publishes the
+// worker's ABSOLUTE clock value (idempotent under retries, so clock RPCs
+// skip the dedup envelope) and blocks until the slowest live worker is
+// within K clocks; ClockRetire releases the worker's slot. LeaseNS > 0
+// arms dead-worker retirement on the ring.
 type clockReq struct {
 	Tag     string
 	Worker  int
@@ -254,11 +248,6 @@ type clockReq struct {
 	K       int
 	Clock   int64
 	LeaseNS int64
-}
-
-// clockResp reports the ring's minimum live clock at return time.
-type clockResp struct {
-	Clock int64
 }
 
 // modelNameReq addresses a whole model by name: GetModel, DeleteModel (master

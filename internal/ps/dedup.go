@@ -295,11 +295,8 @@ func (t *dedupTable) merge(states []dedupExport) {
 
 // dedupGuarded lists the client methods that mutate server or master
 // state and therefore carry the envelope. Everything else (pulls, layout
-// queries, stats, recovery-count reads) is retry-safe without it.
-// Barrier is here for a subtler reason than double-apply: a retried
-// arrival after a dropped release would re-enter a *future* barrier
-// entry and deadlock the next epoch; serving it from the window makes
-// the retry observe the original release.
+// queries, stats, recovery-count reads, the idempotent clock calls) is
+// retry-safe without it.
 var dedupGuarded = map[string]bool{
 	// Server data plane.
 	"VecPush": true,
@@ -311,7 +308,6 @@ var dedupGuarded = map[string]bool{
 	// Master control plane.
 	"CreateModel":      true,
 	"DeleteModel":      true,
-	"Barrier":          true,
 	"Checkpoint":       true,
 	"CheckpointModels": true,
 	"RestoreModel":     true,

@@ -165,8 +165,13 @@ func TestResponseDropEmbeddingExactlyOnce(t *testing.T) {
 	assertExactlyOnce(t, c, agent)
 }
 
+// dedup-test-inc increments element 0 of the partition it is called on,
+// or of the co-located partition of the model named by arg.
 func init() {
 	RegisterFunc("dedup-test-inc", func(s *Store, model string, part int, arg []byte) ([]byte, error) {
+		if len(arg) > 0 {
+			model = string(arg)
+		}
 		pv, err := s.Partition(model, part)
 		if err != nil {
 			return nil, err
@@ -461,7 +466,9 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 // before the partition does is rejected without writing anything, and
 // the retry — the SAME envelope, by design — must execute once the
 // partition has arrived instead of replaying the rejection out of the
-// window. Later retries of it replay the ack as usual.
+// window. Later retries of it replay the ack as usual. The same holds for
+// a psFunc whose own partition is here but whose co-located partner is
+// not yet — a server restored model by model after a restart.
 func TestWindowForgetsRoutingRejection(t *testing.T) {
 	meta := ModelMeta{Name: "late", Kind: DenseVector, Size: 8,
 		Parts: []Partition{{Server: "s0", Lo: 0, Hi: 8}}}
@@ -471,9 +478,15 @@ func TestWindowForgetsRoutingRejection(t *testing.T) {
 	}{
 		{"VecPush", enc(vecPushReq{Model: "late", Part: 0, Indices: []int64{0}, Values: []float64{1}, Op: vecAdd})},
 		{"Func", enc(funcReq{Model: "late", Part: 0, Name: "dedup-test-inc"})},
+		{"Func", enc(funcReq{Model: "anchor", Part: 0, Name: "dedup-test-inc", Arg: []byte("late")})},
 	} {
 		t.Run(tc.method, func(t *testing.T) {
 			s := NewServer("s0", dfs.NewDefault())
+			anchor := meta
+			anchor.Name = "anchor"
+			if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: anchor, Part: 0})); err != nil {
+				t.Fatal(err)
+			}
 			envelope := wrapDedup(7, 1, 0, tc.body)
 			_, err := s.Handle(tc.method, envelope)
 			if err == nil || !strings.Contains(err.Error(), "not on this server") {

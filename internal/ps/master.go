@@ -21,8 +21,8 @@ func mtrace(format string, args ...any) {
 
 // Master is the control plane of the parameter server (Sec. III-B):
 // it allocates model partitions over servers, answers layout queries,
-// provides the BSP barrier, monitors server health, and drives recovery
-// when a server dies.
+// keeps the SSP clock rings (BSP is staleness 0), monitors server health,
+// and drives recovery when a server dies.
 type Master struct {
 	Addr string
 
@@ -34,9 +34,7 @@ type Master struct {
 	models     map[string]ModelMeta
 	recoveries int64
 
-	// clocks holds the SSP vector clocks (clock.go). The BSP barrier is a
-	// thin wrapper over a k=0 ring, which also retires completed barrier
-	// state instead of leaking one entry per (tag, epoch).
+	// clocks holds the SSP vector clocks (clock.go).
 	clocks *clockTable
 
 	// Live-failover state (failover.go): the current layout epoch,
@@ -81,11 +79,9 @@ type Master struct {
 	wal        *dfs.WAL
 	graceUntil time.Time
 
-	// dedup replays retried control-plane mutations (CreateModel, Barrier,
-	// Checkpoint...) from their cached acks — the same exactly-once window
-	// the servers keep for pushes. Barrier especially: a retried arrival
-	// after a dropped release must observe the original release, not enter
-	// the next epoch's barrier and deadlock it.
+	// dedup replays retried control-plane mutations (CreateModel,
+	// Checkpoint, SplitPartition...) from their cached acks — the same
+	// exactly-once window the servers keep for pushes.
 	dedup *dedupTable
 
 	// recMu serializes server recovery against model checkpoints. A
@@ -198,11 +194,9 @@ var masterHandlers = map[string]func(*Master, []byte) ([]byte, error){
 	"GetServeLayout": handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
 		return m.GetServeLayout(r.Name)
 	}),
-	"Barrier":      handleNoResp(func(m *Master, r barrierReq) error { m.clocks.barrier(r); return nil }),
-	"ClockAdvance": handle(func(m *Master, r clockReq) (clockResp, error) { return clockMin(m.clocks.advance(r)) }),
-	"ClockWait":    handle(func(m *Master, r clockReq) (clockResp, error) { return clockMin(m.clocks.wait(r)) }),
-	"ClockRetire":  handleNoResp(func(m *Master, r clockReq) error { m.clocks.retire(r); return nil }),
-	"Checkpoint":   handleNoResp(func(m *Master, r modelNameReq) error { return m.checkpointModel(r.Name) }),
+	"ClockWait":   handleNoResp(func(m *Master, r clockReq) error { return m.clocks.wait(r) }),
+	"ClockRetire": handleNoResp(func(m *Master, r clockReq) error { m.clocks.retire(r); return nil }),
+	"Checkpoint":  handleNoResp(func(m *Master, r modelNameReq) error { return m.checkpointModel(r.Name) }),
 	"CheckpointModels": handle(func(m *Master, r ckptModelsReq) (ckptModelsResp, error) {
 		raced, err := m.checkpointModels(r.Names, r.IfRecoveries)
 		return ckptModelsResp{Raced: raced}, err
@@ -210,9 +204,6 @@ var masterHandlers = map[string]func(*Master, []byte) ([]byte, error){
 	"RestoreModel":  handleNoResp(func(m *Master, r modelNameReq) error { return m.restoreModels([]string{r.Name}) }),
 	"RestoreModels": handleNoResp(func(m *Master, r restoreModelsReq) error { return m.restoreModels(r.Names) }),
 }
-
-// clockMin wraps the ring minimum a clock operation reports.
-func clockMin(min int64, err error) (clockResp, error) { return clockResp{Clock: min}, err }
 
 func (m *Master) getModel(req modelNameReq) (getModelResp, error) {
 	m.mu.Lock()

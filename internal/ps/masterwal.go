@@ -24,10 +24,9 @@ package ps
 //     re-announce before silence is treated as death. Without the
 //     window, a restarted master would mass-fail-over every server it
 //     just replayed.
-//   - SSP clock rings are deliberately NOT journaled: clock advances
-//     are absolute max-merges and retry-idempotent, so clients rebuild
-//     the rings by re-advancing their cached clocks (SSPClock caches
-//     its last value; clock.go).
+//   - SSP clock rings are deliberately NOT journaled: a ClockWait
+//     carries the worker's absolute clock and max-merges it, so each
+//     worker's next Tick rebuilds the ring at its cached value (clock.go).
 //
 // Ordering invariant: journal appends for epoch-bearing transitions run
 // inside the same m.mu critical section as the bump itself, before the

@@ -253,10 +253,10 @@ func TestMasterRestartGraceWindow(t *testing.T) {
 	}
 }
 
-// TestSSPClockReadvance: clock rings are not journaled; a client
-// re-advancing its cached clock against a restarted master must rebuild
-// the ring at the same absolute value (max-merge idempotence).
-func TestSSPClockReadvance(t *testing.T) {
+// TestSSPRingRebuiltByTickAfterRestart: clock rings are not journaled; the
+// first Tick against a restarted master must rebuild the ring at the
+// worker's absolute clock in that same ClockWait (max-merge idempotence).
+func TestSSPRingRebuiltByTickAfterRestart(t *testing.T) {
 	tr, fs, _ := startWALCluster(t, 1)
 	cl := NewClient(tr, "m")
 	ck := cl.SSPClock("ring", 0, 1, 1)
@@ -268,23 +268,26 @@ func TestSSPClockReadvance(t *testing.T) {
 	if ck.Clock() != 3 {
 		t.Fatalf("clock = %d after 3 ticks", ck.Clock())
 	}
-	restartMaster(t, tr, fs)
-	if err := ck.Readvance(); err != nil {
-		t.Fatalf("Readvance: %v", err)
-	}
-	// The rebuilt ring carries the cached value: the next Tick lands on 4
-	// and, with k=1 and a single worker, returns without stalling.
+	m, _ := restartMaster(t, tr, fs)
+	// The next Tick lands on 4 and, with k=1 and a single worker, returns
+	// without stalling.
 	done := make(chan error, 1)
 	go func() { done <- ck.Tick() }()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("tick after readvance: %v", err)
+			t.Fatalf("tick after restart: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("tick after readvance stalled: ring not rebuilt at the cached clock")
+		t.Fatal("tick after restart stalled: ring not rebuilt at the cached clock")
 	}
 	if ck.Clock() != 4 {
-		t.Fatalf("clock = %d after readvance+tick, want 4", ck.Clock())
+		t.Fatalf("clock = %d after restart+tick, want 4", ck.Clock())
+	}
+	m.clocks.mu.Lock()
+	r := m.clocks.rings["ring"]
+	m.clocks.mu.Unlock()
+	if r == nil || r.clocks[0] != 4 {
+		t.Fatalf("restarted master's ring = %+v, want worker 0 at clock 4", r)
 	}
 }

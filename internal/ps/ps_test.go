@@ -343,58 +343,6 @@ func TestPSFunc(t *testing.T) {
 	}
 }
 
-func TestBarrierBSP(t *testing.T) {
-	_, cl := newTestCluster(t, 1)
-	const workers = 5
-	var mu sync.Mutex
-	order := []int{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mu.Lock()
-			order = append(order, 0) // arrived
-			mu.Unlock()
-			if err := cl.Barrier("epoch", 1, workers); err != nil {
-				t.Errorf("barrier: %v", err)
-				return
-			}
-			mu.Lock()
-			order = append(order, 1) // released
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	// All arrivals must precede all releases.
-	for i := 0; i < workers; i++ {
-		if order[i] != 0 {
-			t.Fatalf("release before all arrived: %v", order)
-		}
-	}
-}
-
-func TestBarrierSuccessiveEpochs(t *testing.T) {
-	_, cl := newTestCluster(t, 1)
-	for epoch := 0; epoch < 3; epoch++ {
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cl.Barrier("e", epoch, 3)
-			}()
-		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("barrier deadlock at epoch %d", epoch)
-		}
-	}
-}
-
 func TestCheckpointRestoreAfterServerFailure(t *testing.T) {
 	c, cl := newTestCluster(t, 3)
 	v, _ := cl.CreateDenseVector(DenseVectorSpec{Name: "ranks", Size: 30})

@@ -40,11 +40,14 @@ func lookupFunc(name string) (PSFunc, bool) {
 }
 
 // Partition returns the typed view of a co-located partition for psFuncs.
-// See LINE's dot-product function for the canonical use.
+// See LINE's dot-product function for the canonical use. A psFunc looks up
+// every partition it touches before it writes, so a miss — a partner not
+// restored or migrated here yet — is an unapplied rejection the retry
+// re-executes, not a result the dedup window replays.
 func (s *Store) Partition(model string, idx int) (*PartView, error) {
 	e, err := s.get(model, idx)
 	if err != nil {
-		return nil, err
+		return nil, unapplied{err}
 	}
 	return &PartView{eng: e}, nil
 }

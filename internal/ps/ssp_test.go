@@ -1,8 +1,12 @@
 package ps
 
 import (
+	"maps"
+	"sync"
 	"testing"
 	"time"
+
+	"psgraph/internal/rpc"
 )
 
 // tickDone runs clock.Tick in a goroutine and returns a channel that
@@ -143,16 +147,15 @@ func TestSSPRetireUnblocksWaiters(t *testing.T) {
 }
 
 // TestSSPLeaseExpiryUnblocks: a worker that dies silently mid-run (no
-// advance, no wait, no retire — modeled with an ASP handle that advances
-// once and then goes quiet) is lease-retired by its waiting peers, so a
-// dead executor cannot stall the ring — the failover composition the
-// issue requires.
+// further call, no retire — modeled with a handle that ticks once, free
+// under k=1, and then goes quiet) is lease-retired by its waiting peers, so
+// a dead executor cannot stall the ring — the failover composition.
 func TestSSPLeaseExpiryUnblocks(t *testing.T) {
 	c, _ := newFaultyCluster(t, 1, "ssp-lease2")
 	agent := c.NewClient()
 	alive := agent.SSPClock("ringl", 0, 2, 1)
 	alive.SetLease(100 * time.Millisecond)
-	dead := agent.SSPClock("ringl", 1, 2, -1) // ASP handle: advance, never wait
+	dead := agent.SSPClock("ringl", 1, 2, 1)
 	dead.SetLease(100 * time.Millisecond)
 
 	if err := dead.Tick(); err != nil { // dead -> 1, then silence
@@ -181,49 +184,155 @@ func TestSSPLeaseExpiryUnblocks(t *testing.T) {
 	}
 }
 
-// TestBarrierReleasedWatermark: a late (or dedup-evicted retried) arrival
-// for an epoch that already released must return immediately and leave no
-// per-epoch state behind — the map-growth bug the issue calls out.
-func TestBarrierReleasedWatermark(t *testing.T) {
-	c, _ := newFaultyCluster(t, 1, "bar-wm")
-	a1 := c.NewClient()
-	a2 := c.NewClient()
+// methodCounter is an rpc.Transport that counts the calls it carries, by
+// method.
+type methodCounter struct {
+	rpc.Transport
+	mu    sync.Mutex
+	calls map[string]int
+}
 
-	for epoch := 0; epoch < 5; epoch++ {
-		done := make(chan error, 1)
-		go func(e int) { done <- a1.Barrier("wm", e, 2) }(epoch)
-		if err := a2.Barrier("wm", epoch, 2); err != nil {
+func (m *methodCounter) Call(addr, method string, body []byte) ([]byte, error) {
+	m.mu.Lock()
+	m.calls[method]++
+	m.mu.Unlock()
+	return m.Transport.Call(addr, method, body)
+}
+
+// take returns the counts since the last take and resets them.
+func (m *methodCounter) take() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	got := m.calls
+	m.calls = map[string]int{}
+	return got
+}
+
+// newCountedCluster builds a one-server cluster whose every call goes
+// through a methodCounter over inner.
+func newCountedCluster(t *testing.T, inner rpc.Transport, prefix string) (*Cluster, *methodCounter) {
+	t.Helper()
+	tr := &methodCounter{Transport: inner, calls: map[string]int{}}
+	c, err := NewCluster(ClusterConfig{NumServers: 1, Transport: tr, NamePrefix: prefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c, tr
+}
+
+// TestSSPTickIsOneCallPerWindow: a window of a ring that waits (k >= 0)
+// costs exactly one ClockWait, and the hooks run once per window after it;
+// an ASP handle (k < 0) calls the master neither on Tick nor on Retire and
+// leaves no ring behind, yet still runs its hooks and counts its clock.
+func TestSSPTickIsOneCallPerWindow(t *testing.T) {
+	c, tr := newCountedCluster(t, rpc.NewInProc(), "ssp-calls")
+	agent := c.NewClient()
+	for _, k := range []int{0, 1, 3} {
+		ck := agent.SSPClock("calls", 0, 1, k)
+		hooks := 0
+		ck.OnAdvance(func() { hooks++ })
+		tr.take()
+		for i := 1; i <= 3; i++ {
+			if err := ck.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 1}) || hooks != i {
+				t.Fatalf("k=%d window %d: calls %v and %d hook runs, want one ClockWait and %d", k, i, got, hooks, i)
+			}
+		}
+		if err := ck.Retire(); err != nil {
 			t.Fatal(err)
 		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		if got := tr.take(); !maps.Equal(got, map[string]int{"ClockRetire": 1}) {
+			t.Fatalf("k=%d retire: calls %v, want one ClockRetire", k, got)
 		}
 	}
-	// Late re-arrival for a released epoch: must not block, must not
-	// resurrect barrier state. SetDedup(false) forces a fresh execution
-	// instead of a window replay, which is the path that used to leak.
-	SetDedup(false)
-	defer SetDedup(true)
-	doneLate := make(chan error, 1)
-	go func() { doneLate <- a1.Barrier("wm", 1, 2) }()
-	select {
-	case err := <-doneLate:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("late arrival for a released epoch blocked")
+
+	// Worker 1 of the ASP ring never shows up: nobody waits for it.
+	asp := agent.SSPClock("calls-asp", 0, 2, -1)
+	hooks := 0
+	asp.OnAdvance(func() { hooks++ })
+	for i := 0; i < 3; i++ {
+		assertReleased(t, tickDone(t, asp), "ASP tick")
+	}
+	if err := asp.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.take(); len(got) != 0 {
+		t.Fatalf("ASP handle: calls %v, want none", got)
+	}
+	if hooks != 3 || asp.Clock() != 3 {
+		t.Fatalf("ASP handle: %d hook runs at clock %d, want 3 at 3", hooks, asp.Clock())
 	}
 	c.Master.clocks.mu.Lock()
-	r := c.Master.clocks.rings["barrier/wm"]
-	arrivals := -1
-	if r != nil {
-		arrivals = len(r.arrivals)
-	}
+	n := len(c.Master.clocks.rings)
 	c.Master.clocks.mu.Unlock()
-	if arrivals != 0 {
-		t.Fatalf("barrier ring holds %d per-epoch arrival entries after release, want 0", arrivals)
+	if n != 0 {
+		t.Fatalf("master holds %d clock rings after every handle retired, want 0", n)
 	}
+}
+
+// TestSSPLockStepPairOnClockWaitAlone: two k=0 workers release each other
+// window after window with ClockWait as the only call either makes.
+func TestSSPLockStepPairOnClockWaitAlone(t *testing.T) {
+	c, tr := newCountedCluster(t, rpc.NewInProc(), "ssp-pair")
+	agent := c.NewClient()
+	a := agent.SSPClock("pair", 0, 2, 0)
+	b := agent.SSPClock("pair", 1, 2, 0)
+	tr.take()
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		da := tickDone(t, a)
+		assertBlocked(t, da, "worker A before B ticked")
+		db := tickDone(t, b)
+		assertReleased(t, da, "worker A after B ticked")
+		assertReleased(t, db, "worker B")
+	}
+	if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 2 * rounds}) {
+		t.Fatalf("%d lock-step windows of two workers made %v, want %d ClockWait", rounds, got, 2*rounds)
+	}
+}
+
+// TestSSPClockWaitRetryIsIdempotent: the response of a ClockWait that
+// released its worker is dropped and the client retries it. The retry
+// merges the same absolute clock — no double advance — and returns at
+// once instead of waiting for a window nobody will finish; the next
+// lock-step window then completes as usual.
+func TestSSPClockWaitRetryIsIdempotent(t *testing.T) {
+	f := rpc.NewFaulty(rpc.NewInProc(), 1)
+	c, tr := newCountedCluster(t, f, "ssp-retry")
+	agent := c.NewClient()
+	a := agent.SSPClock("retry", 0, 2, 0)
+	b := agent.SSPClock("retry", 1, 2, 0)
+	tr.take()
+
+	f.DropResponses(c.Master.Addr, 1) // A's ClockWait, the next master call
+	da := tickDone(t, a)
+	assertBlocked(t, da, "worker A before B ticked")
+	if err := b.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	assertReleased(t, da, "worker A after its dropped response")
+	if got := f.Stats().DroppedResponses; got != 1 {
+		t.Fatalf("dropped %d responses, want 1", got)
+	}
+	if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 3}) {
+		t.Fatalf("calls %v, want 3 ClockWait (A, A's retry, B)", got)
+	}
+	c.Master.clocks.mu.Lock()
+	clocks := append([]int64(nil), c.Master.clocks.rings["retry"].clocks...)
+	c.Master.clocks.mu.Unlock()
+	if clocks[0] != 1 || clocks[1] != 1 || a.Clock() != 1 {
+		t.Fatalf("ring clocks %v, A's handle at %d after one window, want [1 1] and 1", clocks, a.Clock())
+	}
+
+	db := tickDone(t, b)
+	assertBlocked(t, db, "worker B in window 2 before A ticked")
+	if err := a.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	assertReleased(t, db, "worker B in window 2")
 }
 
 // TestCoalescedPushExactlyOnceUnderDrops: a coalesced flush is one

@@ -250,7 +250,6 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 func TestWireControlPlaneStaysGob(t *testing.T) {
 	for _, msg := range []any{
 		createModelReq{Meta: ModelMeta{Name: "m", Kind: DenseVector, Size: 10}},
-		barrierReq{Tag: "t", Epoch: 1, Expect: 2},
 		modelNameReq{Name: "m"},
 		statsResp{Models: []string{"a"}, Partitions: 2, Bytes: 100},
 	} {
