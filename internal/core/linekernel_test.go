@@ -355,7 +355,7 @@ func TestLineStepRejectsWrongDotCount(t *testing.T) {
 		defer a.release()
 		return ps.AppendArgF64s(nil, make([]float64, len(a.us)+extra)), nil
 	})
-	t.Cleanup(func() { ps.RegisterFunc("core.lineDot", lineDotFunc) })
+	t.Cleanup(func() { ps.RegisterReplaySafeFunc("core.lineDot", lineDotFunc) })
 	b := &lineBatch{us: []int64{1, 1, 2}, vs: []int64{2, 3, 1}, labels: []float64{1, 0, 1}}
 	for _, extra = range []int{1, -1} {
 		err := lineStepPSFunc(ctx, "bad.emb", "bad.emb", b, 0.025)

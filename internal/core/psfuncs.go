@@ -17,7 +17,7 @@ import (
 
 func init() {
 	ps.RegisterFunc("core.commitDelta", commitDeltaFunc)
-	ps.RegisterFunc("core.lineDot", lineDotFunc)
+	ps.RegisterReplaySafeFunc("core.lineDot", lineDotFunc) // a read; an absent row materialises once
 	ps.RegisterFunc("core.lineUpdate", lineUpdateFunc)
 	ps.RegisterFunc("core.nbrSeal", nbrSealFunc)
 }

@@ -151,7 +151,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if _, err := cfg.Transport.Call(c.MasterAddr, "RegisterServer", enc(registerServerReq{Addr: addr})); err != nil {
 			return nil, err
 		}
-		c.wireServer(srv)
+		srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
 	}
 	if cfg.Replicate {
 		c.Master.SetReplication(true)
@@ -169,21 +169,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Master.EnableAutoRebalance(cfg.RebalanceInterval)
 	}
 	return c, nil
-}
-
-// wireServer gives a server its outbound transport (the fault
-// injector's per-source caller view when available, so partitions cut
-// the server's own heartbeats and forwards too), the async-replication
-// toggle, and — when leases are configured — its heartbeat loop.
-func (c *Cluster) wireServer(srv *Server) {
-	out := c.Transport
-	if cv, ok := c.Transport.(interface{ Caller(string) rpc.Transport }); ok {
-		out = cv.Caller(srv.Addr)
-	}
-	srv.SetOutbound(out)
-	if c.hbInterval > 0 {
-		srv.StartHeartbeat(c.MasterAddr, c.hbInterval, c.lease)
-	}
 }
 
 // NewClient returns a PS agent for this cluster.
@@ -231,7 +216,7 @@ func (c *Cluster) AddServer(name string) (string, error) {
 	if _, err := c.Transport.Call(c.MasterAddr, "RegisterServer", enc(registerServerReq{Addr: addr})); err != nil {
 		return "", err
 	}
-	c.wireServer(srv)
+	srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
 	return addr, nil
 }
 
@@ -273,7 +258,7 @@ func (c *Cluster) restartServer(addr string) error {
 	}
 	c.servers[addr] = srv
 	c.mu.Unlock()
-	c.wireServer(srv)
+	srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
 	return nil
 }
 
@@ -302,22 +287,27 @@ func (c *Cluster) Close() {
 
 // ServerStats reports per-server model statistics (model names,
 // partition counts, approximate resident bytes) plus the exactly-once
-// counters: mutations applied and retried mutations replayed from the
-// dedup window instead of double-applied.
+// counters; it is also the reply of the Stats RPC.
 type ServerStats struct {
-	Addr        string
-	Models      []string
-	Partitions  int
-	Bytes       int64
+	Addr       string
+	Models     []string
+	Partitions int
+	Bytes      int64
+	// MutApplied counts executed mutating handlers; MutReplayed counts
+	// retried mutations answered from the dedup window instead. The chaos
+	// harness sums these across servers to assert exactly-once delivery.
 	MutApplied  int64
 	MutReplayed int64
-	// MutReplicated/ReplDropped/Replicas are the replication counters
-	// (see statsResp); Dead marks a server that could not be reached —
-	// its other fields are zero.
+	// MutReplicated counts mutations this server forwarded to its backup;
+	// ReplDropped counts forwards abandoned because the backup stayed
+	// unreachable (the partition kept running in degraded single-copy
+	// mode); Replicas counts partitions held in the replica role.
 	MutReplicated int64
 	ReplDropped   int64
 	Replicas      int
-	Dead          bool
+	// Dead marks a server that could not be reached; its other fields
+	// are zero.
+	Dead bool
 }
 
 // Stats queries every server. An unreachable server does not abort the

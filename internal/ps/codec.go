@@ -204,24 +204,6 @@ type restoreReq struct {
 	Prev bool
 }
 
-type statsResp struct {
-	Models     []string
-	Partitions int
-	Bytes      int64
-	// MutApplied counts executed mutating handlers; MutReplayed counts
-	// retried mutations answered from the dedup window instead. The chaos
-	// harness sums these across servers to assert exactly-once delivery.
-	MutApplied  int64
-	MutReplayed int64
-	// MutReplicated counts mutations this server forwarded to its backup;
-	// ReplDropped counts forwards abandoned because the backup stayed
-	// unreachable (the partition kept running in degraded single-copy
-	// mode); Replicas counts partitions held in the replica role.
-	MutReplicated int64
-	ReplDropped   int64
-	Replicas      int
-}
-
 // Master wire messages.
 
 type registerServerReq struct {

@@ -63,10 +63,11 @@ func init() { dedupEnabled.Store(true) }
 // Pass false only to demonstrate the failure mode it prevents.
 func SetDedup(on bool) { dedupEnabled.Store(on) }
 
-// dedupWindowSize bounds the per-client window of remembered sequences.
-// A replay older than the window re-executes (the window is a recency
-// cache, not a log); it is sized far beyond the deepest retry pipeline a
-// client can have in flight.
+// dedupWindowSize bounds the per-client window of remembered sequences:
+// every sequence within this many of the client's newest is remembered,
+// and a replay of one the window has forgotten re-executes (the window is
+// a recency cache, not a log). It is sized far beyond the deepest retry
+// pipeline a client can have in flight.
 var dedupWindowSize atomic.Int64
 
 func init() { dedupWindowSize.Store(4096) }
@@ -118,37 +119,48 @@ func unwrapDedup(body []byte) (clientID, seq uint64, epoch int64, payload []byte
 	return hdr[0], hdr[1], int64(hdr[2]), rest, true
 }
 
+// dedupOutcome is what a finished call leaves in the window, and what a
+// migration ships of it: the reply, or the error's text. A replay-safe
+// call that succeeded keeps no reply; Rerun marks it, and its replay —
+// here or on whichever server the window was shipped to — re-executes
+// instead of answering with an empty reply.
+type dedupOutcome struct {
+	Resp  []byte
+	Err   string
+	Rerun bool
+}
+
 // dedupEntry is one executed (or executing) call. done closes when the
-// outcome fields are final; replayers wait on it, which also covers the
+// outcome is final; replayers wait on it, which also covers the
 // concurrent-duplicate case where a retry arrives while the original
 // handler is still running (TCP reset mid-call).
 type dedupEntry struct {
-	done   chan struct{}
-	resp   []byte
-	errMsg string
-	hasErr bool
+	done chan struct{}
+	dedupOutcome
 }
 
-// dedupWindow is one client's recent-sequence window.
+// dedupWindow is one client's recent-sequence window; order queues its
+// sequences in arrival order for eviction.
 type dedupWindow struct {
 	entries map[uint64]*dedupEntry
+	order   []uint64
 	maxSeq  uint64
 }
 
-// evict drops sequences that fell out of the retention window. Called
-// with the table lock held; amortized O(1) per insert in the common
-// in-order case because each sequence is deleted at most once.
-func (w *dedupWindow) evict() {
-	win := uint64(dedupWindowSize.Load())
-	if w.maxSeq <= win {
-		return
+// add remembers e under seq and forgets, oldest arrival first, the
+// sequences at or below maxSeq − size. Called with the table lock held.
+// Each sequence is queued once and dequeued once, so a full window costs
+// O(1) per call; a sequence that arrived out of order waits behind an
+// older arrival that is still inside the window.
+func (w *dedupWindow) add(seq uint64, e *dedupEntry) {
+	w.entries[seq] = e
+	w.order = append(w.order, seq)
+	w.maxSeq = max(w.maxSeq, seq)
+	win, n := uint64(dedupWindowSize.Load()), 0
+	for ; n < len(w.order) && w.order[n]+win <= w.maxSeq; n++ {
+		delete(w.entries, w.order[n])
 	}
-	limit := w.maxSeq - win
-	for seq := range w.entries {
-		if seq <= limit {
-			delete(w.entries, seq)
-		}
-	}
+	w.order = w.order[n:]
 }
 
 // dedupTable is the receiver-side state: one window per client.
@@ -167,41 +179,47 @@ func newDedupTable() *dedupTable {
 // of re-executing — each one a prevented double-apply.
 func (t *dedupTable) Replayed() int64 { return t.replayed.Load() }
 
-// handle runs exec exactly once per (clientID, seq) within the retention
-// window. Replays wait for the original execution if it is still in
-// flight, then receive a copy of its cached outcome (a copy because
-// transports and clients recycle response buffers). The one outcome the
-// window never keeps is an unapplied rejection (server.go).
-func (t *dedupTable) handle(clientID, seq uint64, exec func() ([]byte, error)) ([]byte, error) {
-	t.mu.Lock()
+// window returns (creating) a client's window. Called with t.mu held.
+func (t *dedupTable) window(clientID uint64) *dedupWindow {
 	w := t.clients[clientID]
 	if w == nil {
 		w = &dedupWindow{entries: make(map[uint64]*dedupEntry)}
 		t.clients[clientID] = w
 	}
+	return w
+}
+
+// handle runs exec(false) exactly once per (clientID, seq) within the
+// retention window. Replays wait for the original execution if it is
+// still in flight, then receive a copy of its cached outcome (a copy
+// because transports and clients recycle response buffers) — except the
+// replay of a replaySafe call that succeeded, which gets exec(true): the
+// call run again, which the caller must neither count as applied nor
+// forward. Either way a replay counts in Replayed. The one outcome the
+// window never keeps is an unapplied rejection (server.go).
+func (t *dedupTable) handle(clientID, seq uint64, replaySafe bool, exec func(replay bool) ([]byte, error)) ([]byte, error) {
+	t.mu.Lock()
+	w := t.window(clientID)
 	if e, ok := w.entries[seq]; ok {
 		t.mu.Unlock()
 		<-e.done
 		t.replayed.Add(1)
-		if e.hasErr {
-			return nil, errors.New(e.errMsg)
+		switch {
+		case e.Err != "":
+			return nil, errors.New(e.Err)
+		case e.Rerun:
+			return exec(true)
 		}
-		return append([]byte(nil), e.resp...), nil
+		return append([]byte(nil), e.Resp...), nil
 	}
 	e := &dedupEntry{done: make(chan struct{})}
-	w.entries[seq] = e
-	if seq > w.maxSeq {
-		w.maxSeq = seq
-	}
-	if int64(len(w.entries)) > dedupWindowSize.Load() {
-		w.evict()
-	}
+	w.add(seq, e)
 	t.mu.Unlock()
 
-	resp, err := exec()
-	if err != nil {
-		e.hasErr = true
-		e.errMsg = err.Error()
+	resp, err := exec(false)
+	switch {
+	case err != nil:
+		e.Err = err.Error()
 		// A routing rejection wrote nothing and heals when the partition
 		// arrives: forget the sequence so the retry executes. Duplicates
 		// already parked on done still see this outcome.
@@ -210,8 +228,10 @@ func (t *dedupTable) handle(clientID, seq uint64, exec func() ([]byte, error)) (
 			delete(w.entries, seq)
 			t.mu.Unlock()
 		}
-	} else {
-		e.resp = append([]byte(nil), resp...)
+	case replaySafe:
+		e.Rerun = true
+	default:
+		e.Resp = append([]byte(nil), resp...)
 	}
 	close(e.done)
 	return resp, err
@@ -224,11 +244,9 @@ func (t *dedupTable) handle(clientID, seq uint64, exec func() ([]byte, error)) (
 // instead of double-applying. (clientID, seq) exactly-once therefore
 // holds across a move.
 type dedupExport struct {
-	Client uint64
-	Seqs   []uint64
-	Resps  [][]byte
-	Errs   []string
-	MaxSeq uint64
+	Client  uint64
+	Entries map[uint64]dedupOutcome
+	MaxSeq  uint64
 }
 
 // export snapshots every client's completed entries. In-flight entries
@@ -241,19 +259,12 @@ func (t *dedupTable) export() []dedupExport {
 	defer t.mu.Unlock()
 	out := make([]dedupExport, 0, len(t.clients))
 	for id, w := range t.clients {
-		de := dedupExport{Client: id, MaxSeq: w.maxSeq}
+		de := dedupExport{Client: id, Entries: make(map[uint64]dedupOutcome, len(w.entries)), MaxSeq: w.maxSeq}
 		for seq, e := range w.entries {
 			select {
 			case <-e.done:
-			default:
-				continue // in flight
-			}
-			de.Seqs = append(de.Seqs, seq)
-			de.Resps = append(de.Resps, e.resp)
-			if e.hasErr {
-				de.Errs = append(de.Errs, e.errMsg)
-			} else {
-				de.Errs = append(de.Errs, "")
+				de.Entries[seq] = e.dedupOutcome
+			default: // in flight
 			}
 		}
 		out = append(out, de)
@@ -267,29 +278,15 @@ func (t *dedupTable) merge(states []dedupExport) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, de := range states {
-		w := t.clients[de.Client]
-		if w == nil {
-			w = &dedupWindow{entries: make(map[uint64]*dedupEntry)}
-			t.clients[de.Client] = w
-		}
-		for i, seq := range de.Seqs {
-			if _, ok := w.entries[seq]; ok {
-				continue
+		w := t.window(de.Client)
+		w.maxSeq = max(w.maxSeq, de.MaxSeq)
+		for seq, o := range de.Entries {
+			if _, ok := w.entries[seq]; !ok {
+				e := &dedupEntry{done: make(chan struct{}), dedupOutcome: o}
+				close(e.done)
+				w.add(seq, e)
 			}
-			e := &dedupEntry{done: make(chan struct{})}
-			if de.Errs[i] != "" {
-				e.hasErr = true
-				e.errMsg = de.Errs[i]
-			} else {
-				e.resp = de.Resps[i]
-			}
-			close(e.done)
-			w.entries[seq] = e
 		}
-		if de.MaxSeq > w.maxSeq {
-			w.maxSeq = de.MaxSeq
-		}
-		w.evict()
 	}
 }
 

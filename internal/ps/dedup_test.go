@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -283,12 +284,12 @@ func TestDedupWindowEviction(t *testing.T) {
 
 	tbl := newDedupTable()
 	var execs atomic.Int64
-	exec := func() ([]byte, error) {
+	exec := func(bool) ([]byte, error) {
 		execs.Add(1)
 		return []byte("r"), nil
 	}
 	for seq := uint64(1); seq <= 10; seq++ {
-		if _, err := tbl.handle(1, seq, exec); err != nil {
+		if _, err := tbl.handle(1, seq, false, exec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +297,7 @@ func TestDedupWindowEviction(t *testing.T) {
 		t.Fatalf("execs = %d, want 10", execs.Load())
 	}
 	// seq 10 is in the window: replayed, not re-executed.
-	out, err := tbl.handle(1, 10, exec)
+	out, err := tbl.handle(1, 10, false, exec)
 	if err != nil || string(out) != "r" {
 		t.Fatalf("replay = %q, %v", out, err)
 	}
@@ -304,14 +305,14 @@ func TestDedupWindowEviction(t *testing.T) {
 		t.Fatalf("after in-window replay: execs=%d replayed=%d", execs.Load(), tbl.Replayed())
 	}
 	// seq 1 was evicted (maxSeq 10, window 4): re-executes.
-	if _, err := tbl.handle(1, 1, exec); err != nil {
+	if _, err := tbl.handle(1, 1, false, exec); err != nil {
 		t.Fatal(err)
 	}
 	if execs.Load() != 11 {
 		t.Fatalf("evicted sequence re-executed %d times total, want 11", execs.Load())
 	}
 	// Distinct clients have independent windows.
-	if _, err := tbl.handle(2, 10, exec); err != nil {
+	if _, err := tbl.handle(2, 10, false, exec); err != nil {
 		t.Fatal(err)
 	}
 	if execs.Load() != 12 {
@@ -534,5 +535,220 @@ func TestGuardedMethodsHaveHandlers(t *testing.T) {
 		if !dedupGuarded[method] {
 			t.Errorf("replGuarded lists %q, which carries no dedup envelope to forward", method)
 		}
+	}
+}
+
+// rowRuns counts the runs of dedup-test-row, a replay-safe psFunc that
+// answers with row 1 of the embedding partition it is called on,
+// materialising the row on first use as core.lineDot does.
+var rowRuns atomic.Int64
+
+func init() {
+	RegisterReplaySafeFunc("dedup-test-row", func(s *Store, model string, part int, _ []byte) ([]byte, error) {
+		pv, err := s.Partition(model, part)
+		if err != nil {
+			return nil, err
+		}
+		rowRuns.Add(1)
+		return AppendArgF64s(nil, pv.Row(1)), nil
+	})
+}
+
+// windowReplyBytes sums the reply bytes srv's dedup window holds, and
+// counts its entries.
+func windowReplyBytes(srv *Server) (bytes, entries int) {
+	srv.dedup.mu.Lock()
+	defer srv.dedup.mu.Unlock()
+	for _, w := range srv.dedup.clients {
+		for _, e := range w.entries {
+			bytes += len(e.Resp)
+			entries++
+		}
+	}
+	return bytes, entries
+}
+
+// wantRow is what dedup-test-row answers on the server at addr now.
+func wantRow(t *testing.T, c *Cluster, addr, model string) []byte {
+	t.Helper()
+	pv, err := c.servers[addr].store.Partition(model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AppendArgF64s(nil, pv.Row(1))
+}
+
+// TestWindowKeepsNoReplaySafeReplies: the window remembers every
+// replay-safe call it served — sequence and outcome — but none of their
+// replies, while a psFunc that is not replay-safe keeps its reply as
+// before.
+func TestWindowKeepsNoReplaySafeReplies(t *testing.T) {
+	c, _ := newFaultyCluster(t, 1, "keep-none")
+	agent := c.NewClient()
+	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agent.CreateDenseVector(DenseVectorSpec{Name: "v", Size: 4}); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.servers[c.ServerAddrs()[0]]
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := agent.CallFunc("e", "dedup-test-row", func(Partition) []byte { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, entries := windowReplyBytes(srv); b != 0 || entries != n {
+		t.Fatalf("window after %d replay-safe calls: %d reply bytes in %d entries, want 0 in %d", n, b, entries, n)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := agent.CallFunc("v", "dedup-test-inc", func(Partition) []byte { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := n * len(enc(funcResp{Out: []byte("ok")}))
+	if b, _ := windowReplyBytes(srv); b != want {
+		t.Fatalf("window keeps %d reply bytes of %d cached-reply calls, want %d", b, n, want)
+	}
+}
+
+// replaySafeRetry calls dedup-test-row on model e through a transport
+// that loses the first reply; between the run and its retry, the test
+// does what between says. It returns the reply the retry got.
+func replaySafeRetry(t *testing.T, c *Cluster, tr rpc.Transport, between func()) []byte {
+	t.Helper()
+	h := &heldAck{Transport: tr, method: "Func", applied: make(chan struct{}), release: make(chan struct{})}
+	caller := NewClient(h, c.MasterAddr)
+	type result struct {
+		outs [][]byte
+		err  error
+	}
+	res := make(chan result, 1)
+	go func() {
+		outs, err := caller.CallFunc("e", "dedup-test-row", func(Partition) []byte { return nil })
+		res <- result{outs, err}
+	}()
+	<-h.applied
+	between()
+	runs := rowRuns.Load()
+	close(h.release)
+	r := <-res
+	if r.err != nil {
+		t.Fatalf("retried replay-safe call: %v", r.err)
+	}
+	if rowRuns.Load() == runs {
+		t.Fatal("the retry was answered without running the call again")
+	}
+	applied, replayed, err := c.MutationTotals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, _ := caller.MutationStats()
+	if applied != sent || replayed == 0 {
+		t.Fatalf("applied %d for %d sends, %d replayed; want applied == sent and a replay", applied, sent, replayed)
+	}
+	return r.outs[0]
+}
+
+// TestReplaySafeRetryAfterMove: a replay-safe call ran, its reply was
+// lost, and its partition moved — window and all — before the retry. The
+// entry that travelled holds no reply but the re-execute mark, so the new
+// owner runs the call again instead of answering with an empty reply.
+func TestReplaySafeRetryAfterMove(t *testing.T) {
+	c, f := newFaultyCluster(t, 2, "rerun-move")
+	agent := c.NewClient()
+	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 16, Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := agent.GetModel("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest := c.ServerAddrs()[0]
+	if dest == meta.Parts[0].Server {
+		dest = c.ServerAddrs()[1]
+	}
+	out := replaySafeRetry(t, c, f, func() {
+		if err := agent.MovePartition("e", 0, dest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := wantRow(t, c, dest, "e"); !bytes.Equal(out, want) {
+		t.Fatalf("retry after the move answered %x, want %x", out, want)
+	}
+	if st := c.servers[dest].stats(); st.MutApplied != 1 || st.MutReplayed != 1 {
+		t.Fatalf("new owner: applied %d, replayed %d; want the moved application and one replay", st.MutApplied, st.MutReplayed)
+	}
+}
+
+// TestReplaySafeRetryOnPromotedBackup: the backup's window, filled by the
+// forward, keeps no replay-safe reply either; after the primary dies, the
+// promoted backup answers the client's retry by running the call again.
+func TestReplaySafeRetryOnPromotedBackup(t *testing.T) {
+	c, f := newFailoverCluster(t, 2, "rerun-promote")
+	agent := c.NewClient()
+	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 16, Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := agent.GetModel("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, backup := meta.Parts[0].Server, meta.Parts[0].Backup
+	if backup == "" {
+		t.Fatal("partition has no backup")
+	}
+	out := replaySafeRetry(t, c, f, func() {
+		if b, entries := windowReplyBytes(c.servers[backup]); b != 0 || entries != 1 {
+			t.Fatalf("backup window: %d reply bytes in %d entries, want 0 in 1", b, entries)
+		}
+		c.KillServer(primary)
+		waitPromotion(t, c)
+	})
+	if want := wantRow(t, c, backup, "e"); !bytes.Equal(out, want) {
+		t.Fatalf("retry on the promoted backup answered %x, want %x", out, want)
+	}
+}
+
+// TestReplaySafeCallPeek: the retention decision reads the psFunc's name
+// off the frame — no decode, no allocation, which every Func call would
+// otherwise pay — and anything it cannot read is not replay-safe.
+func TestReplaySafeCallPeek(t *testing.T) {
+	safe := enc(funcReq{Model: "e", Part: 3, Name: "dedup-test-row", Arg: []byte{1, 2, 3}})
+	for _, tc := range []struct {
+		method string
+		body   []byte
+		want   bool
+	}{
+		{"Func", safe, true},
+		{"VecPush", safe, false},
+		{"Func", enc(funcReq{Model: "v", Name: "dedup-test-inc"}), false},
+		{"Func", enc(funcReq{Model: "e", Name: "not-registered"}), false},
+		{"Func", encGob(funcReq{Model: "e", Name: "dedup-test-row"}), false},
+		{"Func", safe[:6], false},
+	} {
+		if got := replaySafeCall(tc.method, tc.body); got != tc.want {
+			t.Errorf("replaySafeCall(%s, %x) = %v, want %v", tc.method, tc.body, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { replaySafeCall("Func", safe) }); n != 0 {
+		t.Fatalf("replaySafeCall allocates %v times per call", n)
+	}
+}
+
+// BenchmarkDedupWindowFull is one client's mutations to one server past
+// the window (4,096 sequences): every call inserts into a full window.
+// ~0.4 µs per call on a 2-vCPU host; while every insert past the window
+// swept all of it, ~57 µs over 20 k calls and ~69 µs over 200 k.
+func BenchmarkDedupWindowFull(b *testing.B) {
+	tbl := newDedupTable()
+	exec := func(bool) ([]byte, error) { return nil, nil }
+	seq := uint64(0)
+	for ; seq < 2*uint64(dedupWindowSize.Load()); seq++ {
+		tbl.handle(1, seq+1, false, exec)
+	}
+	for b.Loop() {
+		seq++
+		tbl.handle(1, seq, false, exec)
 	}
 }

@@ -231,7 +231,9 @@ func (e *embEngine) push(req embPush) error {
 				f64le.Get(row, vals)
 			case req.grad:
 				f64le.Get(grad, vals)
-				e.applyGrad(&sh.store, ord, row, grad, step)
+				e.meta.Opt.apply(row, grad, step, func(k int) []float64 { // per-row moments
+					return sh.store.moment([2]*[][]float64{&sh.store.mom, &sh.store.vel}[k], ord)
+				})
 			default:
 				for i := range row {
 					row[i] += math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
@@ -241,37 +243,6 @@ func (e *embEngine) push(req embPush) error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// applyGrad applies the model's optimizer to the row at ord, updating
-// the store's moment slabs. Callers hold the shard's write lock.
-func (e *embEngine) applyGrad(st *rowStore, ord uint32, row, grad []float64, step int64) {
-	opt := e.meta.Opt
-	switch opt.Kind {
-	case OptNone:
-		for i, g := range grad {
-			row[i] += g
-		}
-	case OptSGD:
-		for i, g := range grad {
-			row[i] -= opt.LR * g
-		}
-	case OptAdaGrad:
-		acc := st.moment(&st.vel, ord)
-		for i, g := range grad {
-			acc[i] += g * g
-			row[i] -= opt.LR * g / (math.Sqrt(acc[i]) + opt.Eps)
-		}
-	case OptAdam:
-		m, v := st.moment(&st.mom, ord), st.moment(&st.vel, ord)
-		b1c := 1 - math.Pow(opt.Beta1, float64(step))
-		b2c := 1 - math.Pow(opt.Beta2, float64(step))
-		for i, g := range grad {
-			m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*g
-			v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*g*g
-			row[i] -= opt.LR * (m[i] / b1c) / (math.Sqrt(v[i]/b2c) + opt.Eps)
-		}
-	}
 }
 
 // lockShards write-locks every shard in index order (the deterministic

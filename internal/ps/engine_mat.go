@@ -2,7 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 )
@@ -48,49 +47,19 @@ func (e *matEngine) push(req matPushReq) error {
 		copy(e.mat, req.Data)
 	case req.Grad:
 		e.step++
-		e.applyGrad(req.Data)
+		e.meta.Opt.apply(e.mat, req.Data, int64(e.step), func(k int) []float64 {
+			m := [2]*[]float64{&e.mom, &e.vel}[k] // whole-slab moments
+			if *m == nil {
+				*m = make([]float64, len(e.mat))
+			}
+			return *m
+		})
 	default:
 		for i, v := range req.Data {
 			e.mat[i] += v
 		}
 	}
 	return nil
-}
-
-// applyGrad applies the model's optimizer to the whole partition.
-// Callers hold e.mu.
-func (e *matEngine) applyGrad(grad []float64) {
-	opt := e.meta.Opt
-	switch opt.Kind {
-	case OptNone:
-		for i, g := range grad {
-			e.mat[i] += g
-		}
-	case OptSGD:
-		for i, g := range grad {
-			e.mat[i] -= opt.LR * g
-		}
-	case OptAdaGrad:
-		if e.vel == nil {
-			e.vel = make([]float64, len(e.mat))
-		}
-		for i, g := range grad {
-			e.vel[i] += g * g
-			e.mat[i] -= opt.LR * g / (math.Sqrt(e.vel[i]) + opt.Eps)
-		}
-	case OptAdam:
-		if e.mom == nil {
-			e.mom = make([]float64, len(e.mat))
-			e.vel = make([]float64, len(e.mat))
-		}
-		b1c := 1 - math.Pow(opt.Beta1, float64(e.step))
-		b2c := 1 - math.Pow(opt.Beta2, float64(e.step))
-		for i, g := range grad {
-			e.mom[i] = opt.Beta1*e.mom[i] + (1-opt.Beta1)*g
-			e.vel[i] = opt.Beta2*e.vel[i] + (1-opt.Beta2)*g*g
-			e.mat[i] -= opt.LR * (e.mom[i] / b1c) / (math.Sqrt(e.vel[i]/b2c) + opt.Eps)
-		}
-	}
 }
 
 // export ignores the range: DenseMatrix is column-partitioned, so
@@ -106,8 +75,7 @@ func (e *matEngine) export(int64, int64) partImage {
 
 // merge adopts an exported column slab wholesale, moments and step
 // included (a migrated matrix partition must resume Adam exactly). A
-// first moment without a second is a state no optimizer here produces,
-// and one Adam's step would index past.
+// first moment without a second is a state no optimizer here produces.
 func (e *matEngine) merge(img partImage) error {
 	if err := e.checkKind(img); err != nil {
 		return err
@@ -123,7 +91,7 @@ func (e *matEngine) merge(img partImage) error {
 	}
 	copy(e.mat, img.Dense)
 	e.step = int(img.Step)
-	// Empty moments stay nil: applyGrad allocates on nil.
+	// Empty moments stay nil: the optimizer step allocates on nil.
 	e.mom = append([]float64(nil), img.DenseMom...)
 	e.vel = append([]float64(nil), img.DenseVel...)
 	return nil

@@ -143,7 +143,7 @@ func TestEpochFenceStalePrimary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe stats: %v", err)
 		}
-		var r statsResp
+		var r ServerStats
 		if err := dec(resp, &r); err != nil {
 			t.Fatal(err)
 		}
@@ -395,19 +395,20 @@ func TestStatsSkipsDeadServers(t *testing.T) {
 	}
 }
 
-// heldAck loses the ack of the first VecPush it carries — the server ran
-// the push, the caller sees ErrUnreachable — and holds that error back
-// until release closes, so the test decides what happens to the cluster
-// between the push and its retry.
+// heldAck loses the ack of the first call of method it carries — the
+// server ran the call, the caller sees ErrUnreachable — and holds that
+// error back until release closes, so the test decides what happens to
+// the cluster between the call and its retry.
 type heldAck struct {
 	rpc.Transport
+	method  string
 	taken   atomic.Bool
 	applied chan struct{}
 	release chan struct{}
 }
 
 func (h *heldAck) Call(addr, method string, body []byte) ([]byte, error) {
-	if method != "VecPush" || !h.taken.CompareAndSwap(false, true) {
+	if method != h.method || !h.taken.CompareAndSwap(false, true) {
 		return h.Transport.Call(addr, method, body)
 	}
 	if _, err := h.Transport.Call(addr, method, body); err != nil {
@@ -440,7 +441,7 @@ func TestSeededReplicaReplaysPreSeedPush(t *testing.T) {
 		t.Fatal("partition has no backup")
 	}
 
-	h := &heldAck{Transport: f, applied: make(chan struct{}), release: make(chan struct{})}
+	h := &heldAck{Transport: f, method: "VecPush", applied: make(chan struct{}), release: make(chan struct{})}
 	pusher := NewClient(h, c.MasterAddr)
 	v, err := pusher.Vector("sw")
 	if err != nil {

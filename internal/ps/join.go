@@ -19,7 +19,7 @@ import (
 // with capped backoff until timeout while the master is still coming
 // up (or is mid-failover), then wires the server's outbound transport
 // and — when hb > 0 — starts its heartbeat loop. It is the
-// cross-process equivalent of Cluster.wireServer + RegisterServer, and
+// cross-process equivalent of NewCluster's RegisterServer + wire, and
 // it is also the REJOIN path: a crash-restarted server process calls
 // it again under its old address, and the master's RegisterServer
 // clears the dead mark and re-points replication around it.
@@ -34,15 +34,21 @@ func JoinMaster(tr rpc.Transport, masterAddr string, srv *Server, hb, lease, tim
 		}
 		return fmt.Errorf("ps: register %s with master %s: %w", srv.Addr, masterAddr, err)
 	}
-	out := tr
-	if cv, ok := tr.(interface{ Caller(string) rpc.Transport }); ok {
-		out = cv.Caller(srv.Addr)
-	}
-	srv.SetOutbound(out)
-	if hb > 0 {
-		srv.StartHeartbeat(masterAddr, hb, lease)
-	}
+	srv.wire(tr, masterAddr, hb, lease)
 	return nil
+}
+
+// wire gives a server its outbound transport — tr's per-source caller view
+// when it has one, so injected partitions cut the server's own heartbeats
+// and forwards too — and, when hb > 0, its heartbeat loop to master.
+func (s *Server) wire(tr rpc.Transport, master string, hb, lease time.Duration) {
+	if cv, ok := tr.(interface{ Caller(string) rpc.Transport }); ok {
+		tr = cv.Caller(s.Addr)
+	}
+	s.SetOutbound(tr)
+	if hb > 0 {
+		s.StartHeartbeat(master, hb, lease)
+	}
 }
 
 // queryServerStats sweeps the Stats RPC over addrs. An unreachable
@@ -56,15 +62,11 @@ func queryServerStats(tr rpc.Transport, addrs []string) ([]ServerStats, error) {
 			out = append(out, ServerStats{Addr: addr, Dead: true})
 			continue
 		}
-		var r statsResp
+		r := ServerStats{Addr: addr}
 		if err := dec(resp, &r); err != nil {
 			return nil, err
 		}
-		out = append(out, ServerStats{
-			Addr: addr, Models: r.Models, Partitions: r.Partitions, Bytes: r.Bytes,
-			MutApplied: r.MutApplied, MutReplayed: r.MutReplayed,
-			MutReplicated: r.MutReplicated, ReplDropped: r.ReplDropped, Replicas: r.Replicas,
-		})
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -140,7 +140,7 @@ func (m *Master) SetFS(fs *dfs.FS) {
 // tagSeqE envelope routes through the dedup window (see dedup.go).
 func (m *Master) Handle(method string, body []byte) ([]byte, error) {
 	if clientID, seq, _, payload, ok := unwrapDedup(body); ok {
-		return m.dedup.handle(clientID, seq, func() ([]byte, error) {
+		return m.dedup.handle(clientID, seq, false, func(bool) ([]byte, error) {
 			return m.dispatch(method, payload)
 		})
 	}

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -87,6 +88,38 @@ func AdaGrad(lr float64) Optimizer {
 // Adam returns an Adam optimizer spec with standard betas.
 func Adam(lr float64) Optimizer {
 	return Optimizer{Kind: OptAdam, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+}
+
+// apply runs one optimizer step of grad on w, for every engine that takes
+// gradients. moment(k) is w's first (k = 0) or second (k = 1) moment,
+// zeroed on first use; step counts the model's gradient pushes, this one
+// included (Adam's bias correction).
+func (o Optimizer) apply(w, grad []float64, step int64, moment func(k int) []float64) {
+	switch o.Kind {
+	case OptNone:
+		for i, g := range grad {
+			w[i] += g
+		}
+	case OptSGD:
+		for i, g := range grad {
+			w[i] -= o.LR * g
+		}
+	case OptAdaGrad:
+		acc := moment(1)
+		for i, g := range grad {
+			acc[i] += g * g
+			w[i] -= o.LR * g / (math.Sqrt(acc[i]) + o.Eps)
+		}
+	case OptAdam:
+		m, v := moment(0), moment(1)
+		b1c := 1 - math.Pow(o.Beta1, float64(step))
+		b2c := 1 - math.Pow(o.Beta2, float64(step))
+		for i, g := range grad {
+			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+			w[i] -= o.LR * (m[i] / b1c) / (math.Sqrt(v[i]/b2c) + o.Eps)
+		}
+	}
 }
 
 // Scheme selects how keys map to partitions for keyed model kinds

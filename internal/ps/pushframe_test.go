@@ -77,7 +77,9 @@ func refPush(e *embEngine, req embPushReq) error {
 		case req.Set:
 			copy(row, rows.Row(j))
 		case req.Grad:
-			e.applyGrad(&sh.store, ord, row, rows.Row(j), step)
+			e.meta.Opt.apply(row, rows.Row(j), step, func(k int) []float64 {
+				return sh.store.moment([2]*[][]float64{&sh.store.mom, &sh.store.vel}[k], ord)
+			})
 		default:
 			for i, v := range rows.Row(j) {
 				row[i] += v

@@ -221,14 +221,19 @@ func (s *Server) forward(method string, clientID, seq uint64, epoch int64, paylo
 
 // handleReplicate applies one forwarded mutation on the backup, through
 // the backup's own dedup window under the original client's identity —
-// the piece that keeps exactly-once across a later promotion.
+// the piece that keeps exactly-once across a later promotion. The window
+// keeps what the primary's keeps; a repeated forward answers nobody, so
+// it never runs a replay-safe call again.
 func (s *Server) handleReplicate(body []byte) ([]byte, error) {
 	var req replicateReq
 	if err := dec(body, &req); err != nil {
 		return nil, err
 	}
 	s.epochMax(req.Epoch)
-	_, err := s.dedup.handle(req.ClientID, req.Seq, func() ([]byte, error) {
+	_, err := s.dedup.handle(req.ClientID, req.Seq, replaySafeCall(req.Method, req.Body), func(replay bool) ([]byte, error) {
+		if replay {
+			return nil, nil
+		}
 		s.repl.gate.RLock()
 		defer s.repl.gate.RUnlock()
 		return s.dispatch(req.Method, req.Body)

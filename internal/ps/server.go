@@ -17,26 +17,54 @@ import (
 // arg aliases the request's wire buffer: it is valid only until the
 // function returns and must not be retained or mutated. The returned
 // bytes are copied into the response, so they may alias anything.
+//
+// A psFunc is replay-safe when a second run for the same call is a
+// correct answer and leaves the same state as the first: a read, or a
+// write that only materialises absent rows. The dedup window keeps no
+// reply of a replay-safe call and answers its retry by running it again;
+// every other psFunc's retry gets the reply of its one run (dedup.go).
 type PSFunc func(s *Store, model string, part int, arg []byte) ([]byte, error)
+
+// psFunc is a registered PSFunc and whether a retry may run it again.
+type psFunc struct {
+	run        PSFunc
+	replaySafe bool
+}
 
 var (
 	funcMu  sync.RWMutex
-	funcReg = make(map[string]PSFunc)
+	funcReg = make(map[string]psFunc)
 )
 
-// RegisterFunc installs a named psFunc. Registration is global (mirrors
-// shipping user JARs to the servers) and must happen before use.
-func RegisterFunc(name string, f PSFunc) {
+// RegisterFunc installs a named psFunc whose retries replay the reply of
+// its one run. Registration is global (mirrors shipping user JARs to the
+// servers) and must happen before use.
+func RegisterFunc(name string, f PSFunc) { register(name, psFunc{f, false}) }
+
+// RegisterReplaySafeFunc installs a named replay-safe psFunc (see PSFunc):
+// its replies are never kept, and a retry re-executes it.
+func RegisterReplaySafeFunc(name string, f PSFunc) { register(name, psFunc{f, true}) }
+
+func register(name string, f psFunc) {
 	funcMu.Lock()
 	defer funcMu.Unlock()
 	funcReg[name] = f
 }
 
-func lookupFunc(name string) (PSFunc, bool) {
+// replaySafeCall reports whether payload calls a replay-safe psFunc. The
+// name is read off the binary frame in place, without decoding the call
+// or allocating; a gob-encoded call is never replay-safe.
+func replaySafeCall(method string, payload []byte) bool {
+	if method != "Func" || len(payload) < 2 || payload[0] != tagBin || payload[1] != msgFuncReq {
+		return false
+	}
+	r := wreader{b: payload[2:]}
+	r.take(int(r.uvarint())) // model
+	r.varint()               // partition
+	name := r.take(int(r.uvarint()))
 	funcMu.RLock()
 	defer funcMu.RUnlock()
-	f, ok := funcReg[name]
-	return f, ok
+	return r.err == nil && funcReg[string(name)].replaySafe
 }
 
 // Partition returns the typed view of a co-located partition for psFuncs.
@@ -236,21 +264,25 @@ func init() {
 
 // Handle dispatches one RPC. It is the rpc.Handler of the server. A
 // tagSeq/tagSeqE envelope routes through the dedup window so a retried
-// mutating call replays its cached ack instead of re-executing. The
+// mutating call replays its cached ack instead of re-executing — or, for
+// a replay-safe psFunc, re-executes uncounted. The
 // epoch/lease fence runs BEFORE the window (a rejection must never be
 // cached; routing rejections raised inside it are marked unapplied and
 // dropped by the window), and a successfully applied mutation is
 // forwarded to the backup inside the window's exec — so the client's
-// ack is withheld until the mutation is replicated, and a replayed ack
-// never forwards twice.
+// ack is withheld until the mutation is replicated, and a replay never
+// forwards twice.
 func (s *Server) Handle(method string, body []byte) ([]byte, error) {
 	if clientID, seq, epoch, payload, ok := unwrapDedup(body); ok {
 		if err := s.fenceCheck(epoch); err != nil {
 			return nil, err
 		}
-		return s.dedup.handle(clientID, seq, func() ([]byte, error) {
+		return s.dedup.handle(clientID, seq, replaySafeCall(method, payload), func(replay bool) ([]byte, error) {
 			s.repl.gate.RLock()
 			defer s.repl.gate.RUnlock()
+			if replay {
+				return handle((*Server).runFunc)(s, payload)
+			}
 			resp, err := s.dispatch(method, payload)
 			if err == nil {
 				s.forward(method, clientID, seq, epoch, payload)
@@ -287,7 +319,19 @@ func (s *Server) deleteModel(req modelNameReq) error {
 }
 
 func (s *Server) callFunc(req funcReq) (funcResp, error) {
-	f, ok := lookupFunc(req.Name)
+	resp, err := s.runFunc(req)
+	if err == nil {
+		s.bump(req.Model, req.Part)
+	}
+	return resp, err
+}
+
+// runFunc is callFunc without counting the call: a replay-safe call's
+// retry runs it again and counts as a replay (dedup.go).
+func (s *Server) runFunc(req funcReq) (funcResp, error) {
+	funcMu.RLock()
+	f, ok := funcReg[req.Name]
+	funcMu.RUnlock()
 	if !ok {
 		return funcResp{}, fmt.Errorf("ps: psFunc %q not registered", req.Name)
 	}
@@ -296,21 +340,17 @@ func (s *Server) callFunc(req funcReq) (funcResp, error) {
 	if _, err := s.store.get(req.Model, req.Part); err != nil {
 		return funcResp{}, unapplied{err}
 	}
-	out, err := f(s.store, req.Model, req.Part, req.Arg)
-	if err != nil {
-		return funcResp{}, err
-	}
-	s.bump(req.Model, req.Part)
-	return funcResp{Out: out}, nil
+	out, err := f.run(s.store, req.Model, req.Part, req.Arg)
+	return funcResp{Out: out}, err
 }
 
 // stats walks the engines and reports approximate resident bytes — the
 // server-side counterpart of the executor memory accounting, used to
 // compare model footprints against the paper's server sizing.
-func (s *Server) stats() statsResp {
+func (s *Server) stats() ServerStats {
 	s.store.mu.RLock()
 	defer s.store.mu.RUnlock()
-	var resp statsResp
+	var resp ServerStats
 	for model, parts := range s.store.parts {
 		resp.Models = append(resp.Models, model)
 		for _, e := range parts {

@@ -251,7 +251,7 @@ func TestWireControlPlaneStaysGob(t *testing.T) {
 	for _, msg := range []any{
 		createModelReq{Meta: ModelMeta{Name: "m", Kind: DenseVector, Size: 10}},
 		modelNameReq{Name: "m"},
-		statsResp{Models: []string{"a"}, Partitions: 2, Bytes: 100},
+		ServerStats{Models: []string{"a"}, Partitions: 2, Bytes: 100},
 	} {
 		b := enc(msg)
 		if b[0] != tagGob {
