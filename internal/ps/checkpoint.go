@@ -109,7 +109,13 @@ func (s *Server) restore(req restoreReq) error {
 		}
 		return err
 	}
-	e, err := engineFromImage(req.Meta, req.Part, data)
+	// Bytes that are not a partition image — a gob-era (0x00) checkpoint
+	// included — are rejected as such, not read by a second path.
+	var img partImage
+	if err := dec(data, &img); err != nil {
+		return fmt.Errorf("%w: %s: not a partition image: %v", ErrCorruptCheckpoint, path, err)
+	}
+	e, err := engineFromImage(req.Meta, req.Part, img)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, path, err)
 	}

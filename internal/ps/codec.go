@@ -12,54 +12,121 @@
 package ps
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"reflect"
 )
 
-// enc encodes v for the wire. Hot data-plane messages use the binary
-// codec of wire.go (pooled buffer; release with rpc.PutBuf once the bytes
-// have left the process); everything else gob-encodes behind the tagGob
-// format byte. Panics on programmer error (gob-unencodable types).
+// enc encodes v for the wire (wire.go) into a pooled buffer; release it
+// with rpc.PutBuf once the bytes have left the process. A frame its sender
+// wrote (encoded) passes through. Three messages keep hand-written code;
+// every other type is walked, and one with no id in wireIDs is a
+// programmer error and panics.
 func enc(v any) []byte {
-	if b, ok := v.(encoded); ok {
-		return b
-	}
-	if b, ok := encBinary(v); ok {
-		return b
-	}
-	return encGob(v)
-}
-
-// encGob gob-encodes v behind the tagGob format byte.
-func encGob(v any) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(tagGob)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("ps: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// dec decodes data into v, dispatching on the leading format tag: either
-// format is accepted for any message. Decoded messages never alias data:
-// callers may recycle the buffer as soon as dec returns.
-func dec(data []byte, v any) error {
-	if len(data) == 0 {
-		return fmt.Errorf("ps: decode %T: empty message", v)
-	}
-	switch data[0] {
-	case tagGob:
-		return gob.NewDecoder(bytes.NewReader(data[1:])).Decode(v)
-	case tagBin:
-		return decBinary(data[1:], v)
+	var b []byte
+	switch m := v.(type) {
+	case encoded:
+		return m
+	case funcReq:
+		b = frame(msgFuncReq, 48+len(m.Model)+len(m.Name)+len(m.Arg))
+		b = appendAddr(b, m.Model, m.Part)
+		b = appendStr(b, m.Name)
+		b = appendBytes(b, m.Arg)
+	case servePullReq:
+		n := 48 + len(m.Model)
+		for _, p := range m.Parts {
+			n += 20 + 10*len(p.IDs)
+		}
+		b = binary.AppendVarint(appendStr(frame(msgServePullReq, n), m.Model), m.SnapEpoch)
+		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+		for _, p := range m.Parts {
+			b = appendI64s(binary.AppendVarint(b, int64(p.Part)), p.IDs)
+		}
+	case nbrPullResp:
+		b = frame(msgNbrPullResp, 32+5*len(m.Nbrs.Off)+10*len(m.Nbrs.Adj))
+		b = appendNbrBatch(b, m.Nbrs)
 	default:
+		rv := reflect.ValueOf(v)
+		id, ok := wireIDs[rv.Type()]
+		if !ok {
+			panic(fmt.Sprintf("ps: encode %T: no wire layout", v))
+		}
+		b = appendValue(frame(id, 2+sizeValue(rv)), rv)
+	}
+	return b
+}
+
+// dec decodes data into v, which points at a message enc encodes or is a
+// frameDecoder. The message id must match the target and the payload must
+// be consumed exactly. Decoded messages never alias data (funcReq.Arg
+// excepted), so callers may recycle the buffer as soon as dec returns.
+func dec(data []byte, v any) error {
+	if len(data) > 0 && data[0] != tagBin {
 		return fmt.Errorf("ps: decode %T: unknown wire format tag 0x%02x", v, data[0])
 	}
+	if len(data) < 2 {
+		return fmt.Errorf("ps: decode %T: empty message", v)
+	}
+	id, r := data[1], wreader{b: data[2:]}
+	var want byte
+	switch m := v.(type) {
+	case *funcReq:
+		if want = msgFuncReq; id == want {
+			m.Model, m.Part = r.addr()
+			m.Name = r.str()
+			// Zero-copy: every handler runs to completion before its
+			// caller recycles the request buffer (PSFunc's arg contract).
+			m.Arg = r.view()
+		}
+	case *servePullReq:
+		if want = msgServePullReq; id == want {
+			m.Model = r.str()
+			m.SnapEpoch = r.varint()
+			// Parts are appended as they are read, never made for the
+			// count: a part is worth the bytes it took, whatever was promised.
+			m.Parts = nil
+			for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+				m.Parts = append(m.Parts, servePart{Part: int(r.varint()), IDs: r.i64s()})
+			}
+		}
+	case *nbrPullResp:
+		if want = msgNbrPullResp; id == want {
+			m.Nbrs = r.nbrBatch(-1)
+		}
+	case frameDecoder:
+		if want = m.wireMsg(); id == want {
+			var err error
+			if r, err = m.decode(r); err != nil {
+				return err
+			}
+		}
+	default:
+		rv := reflect.ValueOf(v)
+		ok := rv.Kind() == reflect.Pointer && !rv.IsNil()
+		if ok {
+			want, ok = wireIDs[rv.Type().Elem()]
+		}
+		if !ok {
+			return fmt.Errorf("ps: decode %T: no wire layout", v)
+		}
+		if id == want {
+			r.value(rv.Elem())
+		}
+	}
+	if id != want {
+		return fmt.Errorf("ps: wire: message id %d does not match target %T (want %d)", id, v, want)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("ps: wire: %d trailing bytes after %T", len(r.b)-r.off, v)
+	}
+	return nil
 }
 
-// Wire requests and responses. One struct pair per server method keeps the
-// protocol explicit and gob-friendly.
+// Wire requests and responses: one struct pair per server method keeps the
+// protocol explicit.
 
 // addressed is a data-plane request that names the partition it is for,
 // which is all the server's engine-dispatch adapters need to know about
@@ -85,8 +152,8 @@ type createPartReq struct {
 // pullReq is the request of every kind's pull: the method name says
 // which engine answers. Keys are vector indices, sparse keys or row /
 // vertex ids; nil means everything the partition holds (its whole range
-// for a dense vector — a distinction gob does not round-trip, see
-// wire.go). Column-partitioned matrices ignore Keys.
+// for a dense vector; the wire keeps nil apart from empty). Column-
+// partitioned matrices ignore Keys.
 type pullReq struct {
 	Model string
 	Part  int

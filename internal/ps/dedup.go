@@ -42,9 +42,9 @@ import (
 	"psgraph/internal/rpc"
 )
 
-// tagSeqE marks a dedup-enveloped message (values 0x00/0x01 are the wire
-// codec's tagGob/tagBin; the envelope wraps either; 0x02 was the retired
-// epoch-less envelope and is rejected like any unknown tag). Servers
+// tagSeqE marks a dedup-enveloped message (0x01 is the wire format's
+// tagBin, the message the envelope wraps; 0x00 was gob and 0x02 the
+// retired epoch-less envelope, both rejected like any unknown tag). Servers
 // fence mutating calls whose epoch is older than their own, so a write
 // addressed from a pre-failover layout is rejected instead of applied by
 // a demoted primary. Epoch 0 counts as older than any positive epoch:

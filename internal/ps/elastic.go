@@ -68,7 +68,7 @@ type installPartReq struct {
 	Meta    ModelMeta
 	Part    int
 	Replica bool
-	Data    []byte
+	Image   partImage
 	Dedup   []dedupExport
 	Muts    int64
 	Epoch   int64
@@ -156,7 +156,7 @@ func (s *Server) migratePart(req migratePartReq) error {
 	inst := installPartReq{
 		Meta:  req.Meta,
 		Part:  req.NewPart,
-		Data:  enc(e.export(req.Lo, req.Hi)),
+		Image: e.export(req.Lo, req.Hi),
 		Dedup: s.dedup.export(),
 		Epoch: req.Epoch,
 	}
@@ -195,7 +195,7 @@ func (s *Server) installPart(req installPartReq) error {
 			return err
 		}
 	}
-	if err := mergeImage(e, req.Data); err != nil {
+	if err := e.merge(req.Image); err != nil {
 		return fmt.Errorf("ps: install %s/%d: %w", req.Meta.Name, req.Part, err)
 	}
 	s.store.put(e)

@@ -333,8 +333,8 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			wantAll := step(t, src, all)
 			for _, to := range []int{1, 3, 32} {
 				SetEmbShards(to)
-				reng, err := engineFromImage(meta, 0, enc(ckpt))
-				if err != nil {
+				reng, _ := newEngine(meta, 0)
+				if err := mergeImage(reng, enc(ckpt)); err != nil {
 					t.Fatal(err)
 				}
 				restored := reng.(*embEngine)

@@ -50,9 +50,7 @@ func IsStaleEpochErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), staleEpochMsg)
 }
 
-// Failover wire messages. Heartbeats and control messages ride gob;
-// replicateReq is on the binary codec (wire.go) because one is sent per
-// applied mutation.
+// Failover wire messages.
 
 // heartbeatReq is a server's lease renewal. Dropped is the server's
 // cumulative dropped-forward counter: an increase since the last beat

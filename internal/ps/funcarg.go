@@ -3,7 +3,7 @@ package ps
 // Exported helpers over the PR-1 binary wire machinery (wire.go) so
 // psFunc implementations outside this package can encode their argument
 // and result payloads with the same varint / little-endian primitives
-// the data plane uses, instead of paying gob per call. A psFunc arg is
+// the data plane uses, instead of a codec per call. A psFunc arg is
 // an opaque []byte on the wire (funcReq.Arg), so the format here is a
 // private contract between the caller and its registered function —
 // these helpers just make the fast encoding reusable.
@@ -65,13 +65,7 @@ func (a *ArgReader) F64s() []float64 { return a.r.f64s() }
 func (a *ArgReader) F64sInto(dst []float64) []float64 { return a.r.f64sInto(dst) }
 
 // F64 reads a value written by AppendArgF64.
-func (a *ArgReader) F64() float64 {
-	raw := a.r.take(8)
-	if raw == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
-}
+func (a *ArgReader) F64() float64 { return a.r.f64() }
 
 // I64 reads a value written by AppendArgI64.
 func (a *ArgReader) I64() int64 { return a.r.varint() }

@@ -154,6 +154,16 @@ func forImageCases(t *testing.T, check func(t *testing.T, tc imageCase, toShards
 	}
 }
 
+// mergeImage decodes an encoded image and merges it into e: the way an
+// image reaches an engine from a checkpoint file or off the wire.
+func mergeImage(e engine, data []byte) error {
+	var img partImage
+	if err := dec(data, &img); err != nil {
+		return err
+	}
+	return e.merge(img)
+}
+
 // mergedCopy stands a fresh engine of meta up under shards shards and
 // merges the images into it, each through its encoded form.
 func mergedCopy(t testing.TB, meta ModelMeta, shards int, imgs ...partImage) engine {
@@ -321,7 +331,7 @@ func TestPartImageMergeRejects(t *testing.T) {
 // ladder tries the previous generation; nothing is installed.
 func TestPartImageRestoreRejectsAsCorrupt(t *testing.T) {
 	meta := oneServerMeta(ModelMeta{Name: "r", Kind: DenseVector, Size: 8})
-	gobEra := encGob(struct {
+	gobEra := gobEra(t, struct {
 		Kind   Kind
 		Vec    []float64
 		Lo, Hi int64
@@ -355,9 +365,9 @@ func TestPartImageRestoreRejectsAsCorrupt(t *testing.T) {
 }
 
 // TestPartImageIsBinary: the image of every kind encodes as a tagBin
-// msgPartImage message, and that is what a checkpoint file, an
-// InstallPart (migration and replica seed) and a ServeInstall carry —
-// gob never sees partition data.
+// msgPartImage message; that is what a checkpoint file holds, and an
+// InstallPart (migration and replica seed) and a ServeInstall carry the
+// image itself, not an encoding of it inside another message.
 func TestPartImageIsBinary(t *testing.T) {
 	isImage := func(b []byte) bool { return len(b) >= 2 && b[0] == tagBin && b[1] == msgPartImage }
 	for _, tc := range imageCases() {
@@ -374,7 +384,7 @@ func TestPartImageIsBinary(t *testing.T) {
 	}
 	defer c.Close()
 	// Check every image-carrying install the servers send each other.
-	rec := &installRecorder{t: t, isImage: isImage}
+	rec := &installRecorder{t: t}
 	for _, srv := range c.servers {
 		srv.SetOutbound(recordingTransport{Transport: srv.repl.out, rec: rec})
 	}
@@ -409,12 +419,11 @@ func TestPartImageIsBinary(t *testing.T) {
 }
 
 // installRecorder counts the InstallPart and ServeInstall calls servers
-// originate and fails the test on one whose Data is not an encoded image.
+// originate and fails the test on one whose image is not the model's.
 type installRecorder struct {
-	t       *testing.T
-	isImage func([]byte) bool
-	mu      sync.Mutex
-	seen    map[string]int
+	t    *testing.T
+	mu   sync.Mutex
+	seen map[string]int
 }
 
 type recordingTransport struct {
@@ -423,25 +432,25 @@ type recordingTransport struct {
 }
 
 func (r recordingTransport) Call(addr, method string, body []byte) ([]byte, error) {
-	var data []byte
+	var img partImage
 	switch method {
 	case "InstallPart":
 		var req installPartReq
 		if err := dec(body, &req); err != nil {
 			r.rec.t.Errorf("decode InstallPart: %v", err)
 		}
-		data = req.Data
+		img = req.Image
 	case "ServeInstall":
 		var req serveInstallReq
 		if err := dec(body, &req); err != nil {
 			r.rec.t.Errorf("decode ServeInstall: %v", err)
 		}
-		data = req.Data
+		img = req.Image
 	default:
 		return r.Transport.Call(addr, method, body)
 	}
-	if !r.rec.isImage(data) {
-		r.rec.t.Errorf("%s to %s carries % x…, not an image", method, addr, data[:min(len(data), 2)])
+	if img.Kind != Embedding || img.Rows.Dim != 2 {
+		r.rec.t.Errorf("%s to %s carries a %v image of width %d, want the embedding's", method, addr, img.Kind, img.Rows.Dim)
 	}
 	r.rec.mu.Lock()
 	if r.rec.seen == nil {
@@ -501,8 +510,8 @@ func FuzzPartImageDecode(f *testing.F) {
 // bytes that remain fails before anything is allocated for it, whichever
 // primitive reads it.
 func TestPartImageDecodeBoundsLengths(t *testing.T) {
-	// Every field before the one under test is written empty, as
-	// appendPartImage would; then comes the 2^40 length prefix.
+	// Every field before the one under test is written empty, as the
+	// walker would; then comes the 2^40 length prefix.
 	huge := binary.AppendUvarint(nil, 1<<40)
 	for name, nEmpty := range map[string]int{
 		"float block (Dense)": 0, "sparse map (M)": 3, "id block (Rows.IDs)": 4,
@@ -544,7 +553,11 @@ func BenchmarkPartImage(b *testing.B) {
 	for b.Loop() {
 		data := enc(exportAll(src))
 		b.SetBytes(int64(len(data)))
-		if _, err := engineFromImage(meta, 0, data); err != nil {
+		var img partImage
+		if err := dec(data, &img); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engineFromImage(meta, 0, img); err != nil {
 			b.Fatal(err)
 		}
 	}

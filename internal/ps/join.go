@@ -62,10 +62,11 @@ func queryServerStats(tr rpc.Transport, addrs []string) ([]ServerStats, error) {
 			out = append(out, ServerStats{Addr: addr, Dead: true})
 			continue
 		}
-		r := ServerStats{Addr: addr}
+		var r ServerStats
 		if err := dec(resp, &r); err != nil {
 			return nil, err
 		}
+		r.Addr = addr
 		out = append(out, r)
 	}
 	return out, nil

@@ -51,9 +51,10 @@ const (
 	walKindServe
 )
 
-// walRecord is one journaled metadata transition. It rides the gob
-// fallback of the wire codec (codec.go), so no registration is needed;
-// unused fields stay at their zero values per kind.
+// walRecord is one journaled metadata transition, a walked message like
+// any other (wire.go); unused fields stay at their zero values per kind.
+// A record the build cannot decode — one journaled in gob, tag 0x00,
+// before the wire had one format — is skipped by EnableWAL, not read.
 type walRecord struct {
 	Kind  int
 	Epoch int64 // epoch at append time; replay max-merges it
@@ -96,8 +97,8 @@ func (m *Master) EnableWAL() (recovered bool, err error) {
 		var rec walRecord
 		if derr := dec(raw, &rec); derr != nil {
 			// The frame's CRC passed, so the bytes are intact but from an
-			// incompatible build. Skipping one record beats wedging the
-			// restart of the whole control plane.
+			// incompatible build (a gob-era record included). Skipping one
+			// record beats wedging the restart of the whole control plane.
 			mtrace("wal replay: undecodable record skipped: %v", derr)
 			continue
 		}

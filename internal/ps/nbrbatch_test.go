@@ -149,15 +149,15 @@ func TestNbrBatchDecodeRejects(t *testing.T) {
 		}
 	}
 	// The client's target also holds the reply to the request's size, and
-	// has no gob form.
+	// reads no other format.
 	for want, ok := range map[int]bool{1: false, 2: true, 3: false} {
 		r := nbrReply{model: "m", part: 4, want: want}
 		if err := dec(good, &r); (err == nil) != ok || (err != nil && !strings.Contains(err.Error(), "m/4")) {
 			t.Errorf("reply of 2 segments for %d ids: err = %v", want, err)
 		}
 	}
-	if err := dec(encGob(nbrPullResp{Nbrs: nbrSeeds()[3]}), &nbrReply{want: 2}); err == nil {
-		t.Error("gob-tagged reply into the client's target: want error")
+	if err := dec(gobEra(t, nbrPullResp{Nbrs: nbrSeeds()[3]}), &nbrReply{want: 2}); err == nil || !strings.Contains(err.Error(), "unknown wire format tag") {
+		t.Errorf("0x00-tagged reply into the client's target: err = %v, want an unknown tag", err)
 	}
 }
 
@@ -166,8 +166,7 @@ func TestNbrBatchDecodeRejects(t *testing.T) {
 // well-formed batches, and what it accepts survives a re-encode bit for bit.
 func FuzzNbrBatchDecode(f *testing.F) {
 	for _, nb := range nbrSeeds() {
-		b, _ := encBinary(nbrPullResp{Nbrs: nb})
-		f.Add(b[2:])
+		f.Add(enc(nbrPullResp{Nbrs: nb})[2:])
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -1139,10 +1139,6 @@ func TestClientCommCounters(t *testing.T) {
 	}
 }
 
-// gobTagged makes the liar server of TestMisshapedReplyIsAnError answer
-// with msg behind the gob tag instead of its binary form.
-type gobTagged struct{ msg any }
-
 // TestMisshapedReplyIsAnError: a pull reply comes from another process,
 // so a short or mis-shaped one must surface as an error naming the model
 // and partition — it used to index out of range and take the executor
@@ -1235,10 +1231,7 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	}
 	var reply any
 	if err := c.Transport.Register(c.ServerAddrs()[0], func(string, []byte) ([]byte, error) {
-		switch r := reply.(type) {
-		case gobTagged:
-			return encGob(r.msg), nil
-		case []byte:
+		if r, ok := reply.([]byte); ok {
 			return r, nil
 		}
 		return encReply(reply), nil
@@ -1347,8 +1340,8 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { _, err := nb.PullBatch([]int64{1, 2}); return err }, "rn/0"},
 		{"neighbor, a reply of another message type", mapPullResp{},
 			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "message id"},
-		{"neighbor, a gob-tagged reply", gobTagged{nbrs([]int64{7}, 0, 1)},
-			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "gob"},
+		{"neighbor, a 0x00-tagged reply", append([]byte{0x00}, enc(nbrs([]int64{7}, 0, 1))[1:]...),
+			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "unknown wire format tag"},
 	} {
 		reply = tc.reply
 		err := tc.pull()

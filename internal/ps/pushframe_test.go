@@ -16,7 +16,7 @@ import (
 // refPushReqs is the row push as the client encoded it before pushFrame
 // wrote the frames from the caller's batch: a hash layout copied every
 // owner's rows into a bucket batch of its own (splitBatch), a column layout
-// copied every partition's columns into a block of theirs, and encBinary
+// copied every partition's columns into a block of theirs, and enc
 // encoded each as an embPushReq. Frames by partition identity; an owner
 // nothing routes to gets none.
 func refPushReqs(meta ModelMeta, b RowBatch, grad, set bool) map[int][]byte {

@@ -284,7 +284,7 @@ func (s *Server) seedBackup(req seedBackupReq) error {
 		Meta:    req.Meta,
 		Part:    req.Part,
 		Replica: true,
-		Data:    enc(exportAll(e)),
+		Image:   exportAll(e),
 		Dedup:   s.dedup.export(),
 		Muts:    s.role(req.Meta.Name, req.Part).muts.Load(),
 		Epoch:   req.Epoch,

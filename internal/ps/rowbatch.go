@@ -57,8 +57,8 @@ func (b RowBatch) Map() map[int64][]float64 {
 }
 
 // check reports a batch whose Data does not hold exactly Dim values per
-// id. Batches decoded by the binary codec always pass; ones built by
-// callers or decoded from gob need not.
+// id. Batches decoded off the wire always pass; ones built by callers
+// need not.
 func (b RowBatch) check() error {
 	if b.Dim < 0 || len(b.Data) != len(b.IDs)*b.Dim {
 		return fmt.Errorf("ps: row batch holds %d values for %d ids of width %d", len(b.Data), len(b.IDs), b.Dim)

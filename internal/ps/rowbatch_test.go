@@ -64,7 +64,7 @@ func (m *servePullResp) decode(r wreader) (wreader, error) {
 }
 
 // encReply is enc for tests that hand-build a row message: a row-pull reply
-// or a row push as encBinary wrote them before the engines and the client
+// or a row push as enc wrote them before the engines and the client
 // wrote the frames themselves (appendRowBatch behind the message id, and
 // for a push behind the address and before the flags), anything else
 // through enc.
@@ -137,7 +137,7 @@ func TestDedupIDs(t *testing.T) {
 
 // hotWire is the zero request and response of every method the guard
 // below calls hot. A new data-plane or serve-read method must be added
-// here — and to encBinary — before TestHotMethodsAreBinary passes. The
+// here — and to wireIDs — before TestHotMethodsAreBinary passes. The
 // row pulls answer with a frame the handler wrote itself, and the row push
 // asks with one the client wrote itself (encoded).
 var hotWire = map[string][2]any{
@@ -223,10 +223,11 @@ func rowBatchDecodeErrors(t *testing.T) {
 		}
 	}
 	// The scatter target rejects the same shapes (the liar tests in
-	// TestMisshapedReplyIsAnError) and a gob-tagged reply without panicking.
+	// TestMisshapedReplyIsAnError) and a 0x00-tagged reply — an unknown tag
+	// — without panicking.
 	sc := &rowScatter{msg: msgEmbPullResp, model: "m", work: rowWork{ids: []int64{1}}, dst: make([]float64, 2), width: 2, strd: 2}
-	if err := dec(encGob(embPullResp{Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{1, 2}}}), sc); err == nil {
-		t.Error("gob-tagged reply into a scatter target: want error")
+	if err := dec(gobEra(t, embPullResp{Rows: RowBatch{IDs: []int64{1}, Dim: 2, Data: []float64{1, 2}}}), sc); err == nil {
+		t.Error("0x00-tagged reply into a scatter target: want error")
 	}
 	for cut := 2; cut < len(good); cut++ {
 		sc := &rowScatter{msg: msgEmbPullResp, model: "m", work: rowWork{ids: []int64{1, 2, 3}}, dst: make([]float64, 6), width: 2, strd: 2}

@@ -135,7 +135,7 @@ type serveInstallReq struct {
 	Meta      ModelMeta
 	Part      int
 	SnapEpoch int64
-	Data      []byte // encoded partImage
+	Image     partImage
 }
 
 // servePullReq reads one generation's rows off every partition the endpoint
@@ -189,9 +189,6 @@ func init() {
 	serverHandlers["ServeHotInstall"] = handleNoResp((*Server).serveHotInstall)
 	serverHandlers["ServeHotPull"] = handle((*Server).serveHotPull)
 	serverHandlers["ServeHotStats"] = handle((*Server).serveHotStats)
-	serverHandlers["ServeStats"] = func(s *Server, _ []byte) ([]byte, error) {
-		return enc(s.serveStats()), nil
-	}
 }
 
 // serveSnap is one partition snapshot generation: a frozen engine that
@@ -248,7 +245,7 @@ func (s *Server) serveSeed(req serveSeedReq) error {
 	s.repl.gate.Lock()
 	img := exportAll(e)
 	s.repl.gate.Unlock()
-	inst := serveInstallReq{Meta: req.Meta, Part: req.Part, SnapEpoch: req.SnapEpoch, Data: enc(img)}
+	inst := serveInstallReq{Meta: req.Meta, Part: req.Part, SnapEpoch: req.SnapEpoch, Image: img}
 	var encoded []byte
 	for _, target := range req.Targets {
 		if target == s.Addr {
@@ -277,7 +274,7 @@ func (s *Server) serveInstall(req serveInstallReq) error {
 	if !servable(req.Meta.Kind) {
 		return fmt.Errorf("ps: serve install %s/%d: kind %s is not servable", req.Meta.Name, req.Part, req.Meta.Kind)
 	}
-	built, err := engineFromImage(req.Meta, req.Part, req.Data)
+	built, err := engineFromImage(req.Meta, req.Part, req.Image)
 	if err != nil {
 		return fmt.Errorf("ps: serve install %s/%d: %w", req.Meta.Name, req.Part, err)
 	}
@@ -349,9 +346,6 @@ func (s *Server) servePull(req servePullReq) (encoded, error) {
 // serveHotInstall replaces this endpoint's replicated hot head for a
 // model. Older generations never overwrite newer ones.
 func (s *Server) serveHotInstall(req serveHotInstallReq) error {
-	if err := req.Rows.check(); err != nil {
-		return fmt.Errorf("ps: hot install of %s: %w", req.Model, err)
-	}
 	s.serve.mu.Lock()
 	defer s.serve.mu.Unlock()
 	if s.serve.hot == nil {

@@ -52,8 +52,8 @@ func register(name string, f psFunc) {
 }
 
 // replaySafeCall reports whether payload calls a replay-safe psFunc. The
-// name is read off the binary frame in place, without decoding the call
-// or allocating; a gob-encoded call is never replay-safe.
+// name is read off the frame in place, without decoding the call or
+// allocating; bytes that are not a funcReq frame are never replay-safe.
 func replaySafeCall(method string, payload []byte) bool {
 	if method != "Func" || len(payload) < 2 || payload[0] != tagBin || payload[1] != msgFuncReq {
 		return false

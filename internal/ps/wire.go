@@ -1,55 +1,73 @@
 package ps
 
-// Hand-rolled binary wire codec for the PS hot path (pull/push, psFunc and
-// serve-read traffic; DESIGN.md §6): the data plane cannot afford gob's
-// per-message encoder setup. Every hot message is
+// The PS wire format (DESIGN.md §6): one format for every message, data
+// plane and control plane alike. A message is
 //
 //	[1B tag=tagBin][1B message id][fields...]
 //
-// with varint ids/lengths and little-endian bulk copies for []float64
-// payloads; cold control-plane messages keep gob behind tagGob, and both
-// formats coexist on one connection. Slice and map fields encode nil-ness
-// (length 0 = nil, n+1 = n elements): pullReq's nil Keys means "everything
-// the partition holds". Encode buffers come from the frame pool
-// (rpc.GetBuf); whoever holds one last puts it back (DESIGN.md §6.1).
+// Most messages are walked: appendValue writes a struct's fields in
+// declaration order — bools as one byte, ints as zigzag varints, uints as
+// varints, float64s as 8 little-endian bytes, strings length-prefixed,
+// slices and maps nil-preserving (length 0 = nil, n+1 = n elements), id
+// slices delta-coded, float slices and row batches as one bulk copy — and
+// wreader.value reads it back. Hand-written code is left only where a
+// message does something a walk cannot (enc/dec in codec.go, the row and
+// neighbour frames). Encode buffers come from the frame pool (rpc.GetBuf);
+// whoever holds one last puts it back (DESIGN.md §6.1).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"unsafe"
 
 	"psgraph/internal/f64le"
 	"psgraph/internal/rpc"
 )
 
-// Wire format tags (first byte of every message).
+// tagBin is the first byte of every message. 0x00 was the gob format and
+// is now an unknown tag, like any other byte.
+const tagBin byte = 0x01
+
+// Message ids (second byte) of the frames with hand-written code.
 const (
-	tagGob byte = 0x00 // gob payload follows (control plane)
-	tagBin byte = 0x01 // binary payload: [msg id][fields...]
+	msgEmbPullResp   byte = 6
+	msgEmbPushReq    byte = 7
+	msgNbrPullResp   byte = 8
+	msgFuncReq       byte = 12
+	msgServePullReq  byte = 15
+	msgServePullResp byte = 17
 )
 
-// Binary message ids (second byte of tagBin messages).
-const (
-	msgPullReq byte = iota + 1
-	msgVecPullResp
-	msgVecPushReq
-	msgMapPullResp
-	msgMapPushReq
-	msgEmbPullResp
-	msgEmbPushReq
-	msgNbrPullResp
-	msgNbrPushReq
-	msgMatPullResp
-	msgMatPushReq
-	msgFuncReq
-	msgFuncResp
-	msgReplicateReq
-	msgServePullReq
-	msgServeHotPullReq
-	msgServePullResp
-	msgPartImage
-)
+// wireTypes is the id table: a walked type's message id is its position
+// here + 1, and nil holds the id of a frame with hand-written code. It is
+// append-only — a frame's id keeps meaning what it meant, and a checkpoint
+// or a WAL record outlives the build that wrote it.
+var wireTypes = [...]any{
+	pullReq{}, vecPullResp{}, vecPushReq{}, mapPullResp{}, mapPushReq{}, nil, nil, nil, // 1–8
+	nbrPushReq{}, matPullResp{}, matPushReq{}, nil, funcResp{}, replicateReq{}, nil, // 9–15
+	serveHotPullReq{}, nil, partImage{}, // 16–18
+	createPartReq{}, ckptReq{}, restoreReq{}, registerServerReq{}, createModelReq{}, getModelResp{}, // 19–24
+	clockReq{}, modelNameReq{}, ckptModelsReq{}, ckptModelsResp{}, restoreModelsReq{}, // 25–29
+	heartbeatReq{}, heartbeatResp{}, promoteReq{}, setBackupReq{}, seedBackupReq{}, // 30–34
+	FailoverStats{}, ServerStats{}, int64(0), float64(0), // 35–38; int64 answers RecoveryCount
+	migratePartReq{}, installPartReq{}, dropPartReq{}, partStatsResp{}, partOpReq{}, drainReq{}, // 39–44
+	LoadReport{}, RebalanceResult{}, serveSeedReq{}, serveInstallReq{}, serveHotInstallReq{}, // 45–49
+	serveHotStatsReq{}, serveHotStatsResp{}, ServeLayout{}, walRecord{}, // 50–53
+}
+
+// wireIDs is the id of every walked type.
+var wireIDs = func() map[reflect.Type]byte {
+	ids := make(map[reflect.Type]byte, len(wireTypes))
+	for i, v := range wireTypes {
+		if v != nil {
+			ids[reflect.TypeOf(v)] = byte(i + 1)
+		}
+	}
+	return ids
+}()
 
 // ---------------------------------------------------------------------------
 // Append-style encoding primitives.
@@ -105,18 +123,6 @@ func appendBytes(b []byte, s []byte) []byte {
 	return append(b, s...)
 }
 
-func appendMapF64(b []byte, m map[int64]float64) []byte {
-	if m == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(m))+1)
-	for k, v := range m {
-		b = binary.AppendVarint(b, k)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
 // appendRowBatch encodes a row batch: the ids delta-coded, the width,
 // and the whole value block as one bulk copy (layout: DESIGN.md §6).
 func appendRowBatch(b []byte, rb RowBatch) []byte {
@@ -135,16 +141,126 @@ func appendNbrBatch(b []byte, nb NbrBatch) []byte {
 	return appendI64s(b, nb.Adj)
 }
 
-func appendMapI64s(b []byte, m map[int64][]int64) []byte {
-	if m == nil {
-		return binary.AppendUvarint(b, 0)
+// ---------------------------------------------------------------------------
+// The field walker.
+
+var rowBatchType = reflect.TypeFor[RowBatch]()
+
+// sliceOf is the slice v holds, read without boxing it: v.Interface
+// would allocate a slice header per field.
+func sliceOf[T any](v reflect.Value) []T {
+	if v.IsNil() {
+		return nil
 	}
-	b = binary.AppendUvarint(b, uint64(len(m))+1)
-	for k, v := range m {
-		b = binary.AppendVarint(b, k)
-		b = appendI64s(b, v)
+	return unsafe.Slice((*T)(v.UnsafePointer()), v.Len())
+}
+
+// appendValue writes v in the walker's layout (see the top of this file).
+// A kind it has no layout for is a programmer error and panics.
+func appendValue(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		return appendBool(b, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		return appendStr(b, v.String())
+	case reflect.Struct:
+		if v.Type() == rowBatchType {
+			return appendRowBatch(b, RowBatch{IDs: sliceOf[int64](v.Field(0)), Dim: int(v.Field(1).Int()), Data: sliceOf[float64](v.Field(2))})
+		}
+		for i := range v.NumField() {
+			b = appendValue(b, v.Field(i))
+		}
+		return b
+	case reflect.Slice:
+		switch v.Type().Elem().Kind() {
+		case reflect.Uint8:
+			return appendBytes(b, v.Bytes())
+		case reflect.Int64:
+			return appendI64s(b, sliceOf[int64](v))
+		case reflect.Float64:
+			return appendF64s(b, sliceOf[float64](v))
+		}
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		b = binary.AppendUvarint(b, uint64(v.Len())+1)
+		for i := range v.Len() {
+			b = appendValue(b, v.Index(i))
+		}
+		return b
+	case reflect.Map:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		b = binary.AppendUvarint(b, uint64(v.Len())+1)
+		switch m := v.Interface().(type) { // the data plane's maps, walked without reflection
+		case map[int64]float64:
+			for k, x := range m {
+				b = binary.LittleEndian.AppendUint64(binary.AppendVarint(b, k), math.Float64bits(x))
+			}
+		case map[int64][]int64:
+			for k, ids := range m {
+				b = appendI64s(binary.AppendVarint(b, k), ids)
+			}
+		default: // through two temporaries: MapIter.Key and Value allocate per entry
+			k, x := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			for it := v.MapRange(); it.Next(); {
+				k.SetIterKey(it)
+				x.SetIterValue(it)
+				b = appendValue(appendValue(b, k), x)
+			}
+		}
+		return b
 	}
-	return b
+	panic(fmt.Sprintf("ps: wire: no layout for %s", v.Type()))
+}
+
+// sizeValue bounds the encoded size of v: the capacity frame asks the pool
+// for, so that a message is not copied as it outgrows its buffer.
+func sizeValue(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.String:
+		return 10 + v.Len()
+	case reflect.Struct:
+		n := 0
+		for i := range v.NumField() {
+			n += sizeValue(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		switch v.Type().Elem().Kind() {
+		case reflect.Uint8:
+			return 10 + v.Len()
+		case reflect.Int64:
+			return 10 + 10*v.Len()
+		case reflect.Float64:
+			return 10 + 8*v.Len()
+		}
+		n := 10
+		for i := range v.Len() {
+			n += sizeValue(v.Index(i))
+		}
+		return n
+	case reflect.Map:
+		n := 10
+		switch m := v.Interface().(type) {
+		case map[int64]float64:
+			return n + 18*len(m)
+		case map[int64][]int64:
+			for _, ids := range m {
+				n += 20 + 10*len(ids)
+			}
+			return n
+		}
+		return n + 32*v.Len() // the control plane's maps: a guess, append grows past it
+	}
+	return 10 // a scalar
 }
 
 // ---------------------------------------------------------------------------
@@ -204,12 +320,21 @@ func (r *wreader) bool() bool {
 	return v
 }
 
+// f64 reads one little-endian float64.
+func (r *wreader) f64() float64 {
+	raw := r.take(8)
+	if raw == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+}
+
 // take returns the next n raw bytes without copying.
 func (r *wreader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.off { // not r.off+n: a hostile length wraps it
 		r.fail()
 		return nil
 	}
@@ -238,6 +363,18 @@ func (r *wreader) sliceLen() (int, bool) {
 		return 0, false
 	}
 	return int(n - 1), true
+}
+
+// elems is sliceLen for map entries that encode to at least size bytes
+// each, and take many times that in memory: a map is not sized for more
+// entries than the bytes that remain can hold.
+func (r *wreader) elems(size int) (int, bool) {
+	n, ok := r.sliceLen()
+	if ok && n > (len(r.b)-r.off)/size {
+		r.fail()
+		return 0, false
+	}
+	return n, ok
 }
 
 // i64s decodes a delta-coded id slice (see appendI64s).
@@ -338,26 +475,6 @@ func (r *wreader) view() []byte {
 // (pooled, transport-owned) wire buffer.
 func (r *wreader) bytes() []byte { return slices.Clone(r.view()) }
 
-func (r *wreader) mapF64() map[int64]float64 {
-	n, ok := r.sliceLen()
-	if !ok {
-		return nil
-	}
-	m := make(map[int64]float64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.varint()
-		raw := r.take(8)
-		if r.err != nil {
-			break
-		}
-		m[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	}
-	if r.err != nil {
-		return nil
-	}
-	return m
-}
-
 // rowFrame reads appendRowBatch's layout and leaves the values where they
 // are: raw is the block's little-endian bytes, a view of the wire buffer
 // (nil for a nil block). A block of other than len(ids)×dim values is an error.
@@ -434,32 +551,89 @@ func (r *wreader) nbrBatch(want int) NbrBatch {
 	return nb
 }
 
-func (r *wreader) mapI64s() map[int64][]int64 {
-	n, ok := r.sliceLen()
-	if !ok {
-		return nil
+// value reads appendValue's layout into v, which must be settable. What
+// it allocates the bytes present bound: a slice of scalars is made for a
+// length no larger than the bytes that remain, any other slice or map
+// grows as its elements arrive — a length prefix alone sizes nothing.
+func (r *wreader) value(v reflect.Value) {
+	t := v.Type()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(r.bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(r.varint())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(r.uvarint())
+	case reflect.Float64:
+		v.SetFloat(r.f64())
+	case reflect.String:
+		v.SetString(r.str())
+	case reflect.Struct:
+		if t == rowBatchType {
+			*(*RowBatch)(v.Addr().UnsafePointer()) = r.rowBatch()
+			return
+		}
+		for i := 0; i < v.NumField() && r.err == nil; i++ {
+			r.value(v.Field(i))
+		}
+	case reflect.Slice:
+		switch p := v.Addr().UnsafePointer(); t.Elem().Kind() { // appendValue's choice
+		case reflect.Uint8:
+			*(*[]byte)(p) = r.bytes()
+		case reflect.Int64:
+			*(*[]int64)(p) = r.i64s()
+		case reflect.Float64:
+			*(*[]float64)(p) = r.f64s()
+		default:
+			n, ok := r.sliceLen()
+			if v.SetZero(); ok {
+				v.Set(reflect.MakeSlice(t, 0, 0))
+			}
+			for i := 0; i < n && r.err == nil; i++ {
+				v.Grow(1)
+				v.SetLen(i + 1)
+				r.value(v.Index(i))
+			}
+		}
+	case reflect.Map:
+		switch p := v.Addr().Interface().(type) {
+		case *map[int64]float64: // the data plane's maps, sized up front
+			n, ok := r.elems(9)
+			if *p = nil; ok {
+				m := make(map[int64]float64, n)
+				for ; n > 0 && r.err == nil; n-- {
+					k := r.varint()
+					m[k] = r.f64()
+				}
+				*p = m
+			}
+		case *map[int64][]int64:
+			n, ok := r.elems(2)
+			if *p = nil; ok {
+				m := make(map[int64][]int64, n)
+				for ; n > 0 && r.err == nil; n-- {
+					k := r.varint()
+					m[k] = r.i64s()
+				}
+				*p = m
+			}
+		default:
+			n, ok := r.sliceLen()
+			if v.SetZero(); ok {
+				v.Set(reflect.MakeMap(t))
+			}
+			k, x := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+			for ; n > 0 && r.err == nil; n-- {
+				k.SetZero()
+				x.SetZero()
+				r.value(k)
+				r.value(x)
+				v.SetMapIndex(k, x)
+			}
+		}
+	default:
+		r.err = fmt.Errorf("ps: wire: no layout for %s", t)
 	}
-	m := make(map[int64][]int64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.varint()
-		m[k] = r.i64s()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return m
-}
-
-// ---------------------------------------------------------------------------
-// Per-message encode/decode.
-
-// mapI64sHint bounds the encoded size of a map[int64][]int64.
-func mapI64sHint(m map[int64][]int64) int {
-	n := 10
-	for _, v := range m {
-		n += 21 + 10*len(v)
-	}
-	return n
 }
 
 // frame starts a binary message of kind msg in a pooled buffer of capacity
@@ -467,90 +641,6 @@ func mapI64sHint(m map[int64][]int64) int {
 // not re-grow through doubling copies.
 func frame(msg byte, hint int) []byte {
 	return append(rpc.GetBuf(hint), tagBin, msg)
-}
-
-// encBinary encodes a hot data-plane message into a pooled buffer.
-// Returns (nil, false) for types that stay on the gob control plane.
-func encBinary(v any) ([]byte, bool) {
-	var b []byte
-	switch m := v.(type) {
-	case pullReq:
-		b = frame(msgPullReq, 32+len(m.Model)+10*len(m.Keys))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendI64s(b, m.Keys)
-	case vecPullResp:
-		b = frame(msgVecPullResp, 32+8*len(m.Values))
-		b = appendF64s(b, m.Values)
-		b = binary.AppendVarint(b, m.Lo)
-	case vecPushReq:
-		b = frame(msgVecPushReq, 48+len(m.Model)+10*len(m.Indices)+8*len(m.Values))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendI64s(b, m.Indices)
-		b = appendF64s(b, m.Values)
-		b = binary.AppendVarint(b, int64(m.Op))
-	case mapPullResp:
-		b = frame(msgMapPullResp, 16+18*len(m.M))
-		b = appendMapF64(b, m.M)
-	case mapPushReq:
-		b = frame(msgMapPushReq, 32+len(m.Model)+18*len(m.M))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendMapF64(b, m.M)
-		b = appendBool(b, m.Set)
-	case nbrPullResp:
-		b = frame(msgNbrPullResp, 32+5*len(m.Nbrs.Off)+10*len(m.Nbrs.Adj))
-		b = appendNbrBatch(b, m.Nbrs)
-	case nbrPushReq:
-		b = frame(msgNbrPushReq, 32+len(m.Model)+mapI64sHint(m.Tables))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendMapI64s(b, m.Tables)
-	case matPullResp:
-		b = frame(msgMatPullResp, 48+8*len(m.Data))
-		b = binary.AppendVarint(b, int64(m.Col0))
-		b = binary.AppendVarint(b, int64(m.Col1))
-		b = appendF64s(b, m.Data)
-	case matPushReq:
-		b = frame(msgMatPushReq, 48+len(m.Model)+8*len(m.Data))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendF64s(b, m.Data)
-		b = appendBool(b, m.Grad)
-		b = appendBool(b, m.Set)
-	case funcReq:
-		b = frame(msgFuncReq, 48+len(m.Model)+len(m.Name)+len(m.Arg))
-		b = appendAddr(b, m.Model, m.Part)
-		b = appendStr(b, m.Name)
-		b = appendBytes(b, m.Arg)
-	case funcResp:
-		b = frame(msgFuncResp, 16+len(m.Out))
-		b = appendBytes(b, m.Out)
-	case replicateReq:
-		b = frame(msgReplicateReq, 48+len(m.Method)+len(m.Body))
-		b = appendStr(b, m.Method)
-		b = binary.AppendUvarint(b, m.ClientID)
-		b = binary.AppendUvarint(b, m.Seq)
-		b = binary.AppendVarint(b, m.Epoch)
-		b = appendBytes(b, m.Body)
-	case servePullReq:
-		n := 48 + len(m.Model)
-		for _, p := range m.Parts {
-			n += 20 + 10*len(p.IDs)
-		}
-		b = binary.AppendVarint(appendStr(frame(msgServePullReq, n), m.Model), m.SnapEpoch)
-		b = binary.AppendUvarint(b, uint64(len(m.Parts)))
-		for _, p := range m.Parts {
-			b = appendI64s(binary.AppendVarint(b, int64(p.Part)), p.IDs)
-		}
-	case serveHotPullReq:
-		b = frame(msgServeHotPullReq, 48+len(m.Model)+10*len(m.IDs))
-		b = appendStr(b, m.Model)
-		b = binary.AppendVarint(b, m.SnapEpoch)
-		b = appendI64s(b, m.IDs)
-	case partImage:
-		b = frame(msgPartImage, partImageHint(m))
-		b = appendPartImage(b, m)
-	default:
-		return nil, false
-	}
-	return b, true
 }
 
 // frameDecoder is a decode target that reads its message off the frame
@@ -562,143 +652,4 @@ func encBinary(v any) ([]byte, bool) {
 type frameDecoder interface {
 	wireMsg() byte
 	decode(r wreader) (wreader, error)
-}
-
-// decBinary decodes a tagBin payload (tag byte already stripped) into v.
-// The message id must match the target type, and the payload must be
-// consumed exactly.
-func decBinary(data []byte, v any) error {
-	if len(data) == 0 {
-		return fmt.Errorf("ps: wire: empty binary message")
-	}
-	id := data[0]
-	r := wreader{b: data[1:]}
-	want := byte(0)
-	switch m := v.(type) {
-	case *pullReq:
-		want = msgPullReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Keys = r.i64s()
-		}
-	case *vecPullResp:
-		want = msgVecPullResp
-		if id == want {
-			m.Values = r.f64s()
-			m.Lo = r.varint()
-		}
-	case *vecPushReq:
-		want = msgVecPushReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Indices = r.i64s()
-			m.Values = r.f64s()
-			m.Op = vecOp(r.varint())
-		}
-	case *mapPullResp:
-		want = msgMapPullResp
-		if id == want {
-			m.M = r.mapF64()
-		}
-	case *mapPushReq:
-		want = msgMapPushReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.M = r.mapF64()
-			m.Set = r.bool()
-		}
-	case *nbrPullResp:
-		want = msgNbrPullResp
-		if id == want {
-			m.Nbrs = r.nbrBatch(-1)
-		}
-	case *nbrPushReq:
-		want = msgNbrPushReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Tables = r.mapI64s()
-		}
-	case *matPullResp:
-		want = msgMatPullResp
-		if id == want {
-			m.Col0 = int(r.varint())
-			m.Col1 = int(r.varint())
-			m.Data = r.f64s()
-		}
-	case *matPushReq:
-		want = msgMatPushReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Data = r.f64s()
-			m.Grad = r.bool()
-			m.Set = r.bool()
-		}
-	case *funcReq:
-		want = msgFuncReq
-		if id == want {
-			m.Model, m.Part = r.addr()
-			m.Name = r.str()
-			// Zero-copy: every handler runs to completion before its
-			// caller recycles the request buffer (PSFunc's arg contract).
-			m.Arg = r.view()
-		}
-	case *funcResp:
-		want = msgFuncResp
-		if id == want {
-			m.Out = r.bytes()
-		}
-	case *replicateReq:
-		want = msgReplicateReq
-		if id == want {
-			m.Method = r.str()
-			m.ClientID = r.uvarint()
-			m.Seq = r.uvarint()
-			m.Epoch = r.varint()
-			m.Body = r.bytes()
-		}
-	case *servePullReq:
-		want = msgServePullReq
-		if id == want {
-			m.Model = r.str()
-			m.SnapEpoch = r.varint()
-			// Parts are appended as they are read, never made for the
-			// count: a part is worth the bytes it took, whatever was promised.
-			m.Parts = nil
-			for n := r.uvarint(); n > 0 && r.err == nil; n-- {
-				m.Parts = append(m.Parts, servePart{Part: int(r.varint()), IDs: r.i64s()})
-			}
-		}
-	case *serveHotPullReq:
-		want = msgServeHotPullReq
-		if id == want {
-			m.Model = r.str()
-			m.SnapEpoch = r.varint()
-			m.IDs = r.i64s()
-		}
-	case *partImage:
-		want = msgPartImage
-		if id == want {
-			*m = r.partImage()
-		}
-	case frameDecoder:
-		want = m.wireMsg()
-		if id == want {
-			var err error
-			if r, err = m.decode(r); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("ps: wire: binary message id %d cannot decode into %T", id, v)
-	}
-	if id != want {
-		return fmt.Errorf("ps: wire: message id %d does not match target %T (want %d)", id, v, want)
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("ps: wire: %d trailing bytes after %T", len(r.b)-r.off, v)
-	}
-	return nil
 }

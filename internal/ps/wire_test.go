@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"psgraph/internal/dfs"
 	"psgraph/internal/rpc"
 )
 
@@ -102,8 +102,8 @@ func hotMessages() []any {
 }
 
 // rowReplies is the same for the replies to row pulls and for the row
-// push, which the handlers and the client write as frames and no encBinary
-// case produces: encReply is their reference encoder.
+// push, which the handlers and the client write as frames and enc does
+// not produce: encReply is their reference encoder.
 func rowReplies() []any {
 	nan, inf := math.NaN(), math.Inf(1)
 	return []any{
@@ -165,9 +165,7 @@ func TestFuncReqArgAliasesWire(t *testing.T) {
 }
 
 // TestHotMessagesEncodeBinary: every request/response type of the hot
-// methods comes out of enc with tagBin. Nothing exercises the gob
-// fallback for these any more, so a new hot message that misses its
-// encBinary case would otherwise degrade to gob silently.
+// methods comes out of enc as a frame.
 func TestHotMessagesEncodeBinary(t *testing.T) {
 	msgs := append(hotMessages(), replicateReq{Method: "EmbPush", ClientID: 7, Seq: 9, Epoch: 2, Body: []byte{1}})
 	seen := make(map[reflect.Type]bool)
@@ -185,11 +183,11 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 	}
 }
 
-// TestWireGobGoldenEquivalence checks that the binary codec and the gob
-// baseline decode to the same values: each message is encoded both ways
-// and the two decodes must match. Empty-but-non-nil slices/maps are
-// excluded — gob itself flattens them to nil, so the binary codec is
-// strictly more faithful there (covered by TestWireBinaryRoundTrip).
+// TestWireGobGoldenEquivalence checks every message against encoding/gob,
+// kept as a test-only reference decoder: each is encoded both ways and the
+// two decodes must match. Empty-but-non-nil slices/maps are excluded — gob
+// itself flattens them to nil, so the wire is strictly more faithful there
+// (covered by TestEveryMessageHasALayout).
 func TestWireGobGoldenEquivalence(t *testing.T) {
 	lossyForGob := func(v reflect.Value) bool {
 		var walk func(v reflect.Value) bool
@@ -227,45 +225,28 @@ func TestWireGobGoldenEquivalence(t *testing.T) {
 		}
 		return walk(v)
 	}
-	for _, msg := range append(hotMessages(), rowReplies()...) {
+	compared := 0
+	for _, msg := range append(walkedMessages(), rowReplies()...) {
 		if lossyForGob(reflect.ValueOf(msg)) {
 			continue
 		}
-		gb := encGob(msg)
-		if gb[0] != tagGob {
-			t.Fatalf("%T: gob tag = 0x%02x", msg, gb[0])
+		compared++
+		fromGob := reflect.New(reflect.TypeOf(msg))
+		if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, msg))).Decode(fromGob.Interface()); err != nil {
+			t.Fatalf("gob decode %T: %v", msg, err)
 		}
-		bb := encReply(msg)
-		if bb[0] != tagBin {
-			t.Fatalf("%T not handled by binary codec", msg)
-		}
-		fromGob := decodeAs(t, gb, msg)
-		fromBin := decodeAs(t, bb, msg)
-		if !wireEq(reflect.ValueOf(fromGob), reflect.ValueOf(fromBin)) {
-			t.Errorf("%T: binary and gob decodes diverge:\n gob %+v\n bin %+v", msg, fromGob, fromBin)
+		fromBin := decodeAs(t, encReply(msg), msg)
+		if !wireEq(fromGob.Elem(), reflect.ValueOf(fromBin)) {
+			t.Errorf("%T: wire and gob decodes diverge:\n gob %+v\n bin %+v", msg, fromGob.Elem(), fromBin)
 		}
 	}
-}
-
-func TestWireControlPlaneStaysGob(t *testing.T) {
-	for _, msg := range []any{
-		createModelReq{Meta: ModelMeta{Name: "m", Kind: DenseVector, Size: 10}},
-		modelNameReq{Name: "m"},
-		ServerStats{Models: []string{"a"}, Partitions: 2, Bytes: 100},
-	} {
-		b := enc(msg)
-		if b[0] != tagGob {
-			t.Errorf("%T: control-plane message encoded with tag 0x%02x, want gob", msg, b[0])
-		}
-	}
-	// And the hot path actually takes the binary format by default.
-	if b := enc(pullReq{Model: "m"}); b[0] != tagBin {
-		t.Errorf("hot message encoded with tag 0x%02x, want binary", b[0])
+	if compared < 40 {
+		t.Errorf("only %d messages compared with gob", compared)
 	}
 }
 
 func TestWireDecodeErrors(t *testing.T) {
-	good, _ := encBinary(vecPushReq{Model: "m", Indices: []int64{1, 2}, Values: []float64{3, 4}})
+	good := enc(vecPushReq{Model: "m", Indices: []int64{1, 2}, Values: []float64{3, 4}})
 	var req vecPushReq
 	if err := dec(nil, &req); err == nil {
 		t.Error("empty message: want error")
@@ -293,60 +274,6 @@ func TestWireDecodeErrors(t *testing.T) {
 	// values than the bytes present hold — rowBatchDecodeErrors has the
 	// full table, allocation bound included.
 	rowBatchDecodeErrors(t)
-}
-
-// TestWireFormatsInteroperate feeds a gob-tagged hot message straight to
-// Server.Handle and reads the effect back with a binary one: both
-// formats must keep decoding behind the tag byte.
-func TestWireFormatsInteroperate(t *testing.T) {
-	s := NewServer("s0", dfs.NewDefault())
-	meta := ModelMeta{Name: "gobv", Kind: DenseVector, Size: 50,
-		Parts: []Partition{{Server: "s0", Lo: 0, Hi: 50}}}
-	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: meta, Part: 0})); err != nil {
-		t.Fatalf("CreatePart: %v", err)
-	}
-	push := encGob(vecPushReq{Model: "gobv", Part: 0, Indices: []int64{1, 49}, Values: []float64{2, 3}, Op: vecAdd})
-	if push[0] != tagGob {
-		t.Fatalf("encGob tag = 0x%02x, want tagGob", push[0])
-	}
-	if _, err := s.Handle("VecPush", push); err != nil {
-		t.Fatalf("gob-tagged push: %v", err)
-	}
-	out, err := s.Handle("VecPull", enc(pullReq{Model: "gobv", Part: 0, Keys: []int64{1, 49}}))
-	if err != nil {
-		t.Fatalf("pull: %v", err)
-	}
-	var resp vecPullResp
-	if err := dec(out, &resp); err != nil {
-		t.Fatalf("decode pull: %v", err)
-	}
-	if got := resp.Values; len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("got %v, want [2 3]", got)
-	}
-	// Not for a row push: the engine applies it from the frame's value
-	// bytes, which only the binary form has. The handler says so.
-	emeta := ModelMeta{Name: "gobe", Kind: Embedding, Dim: 2, Parts: []Partition{{Server: "s0"}}}
-	if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: emeta, Part: 0})); err != nil {
-		t.Fatalf("CreatePart: %v", err)
-	}
-	rows := RowBatch{IDs: []int64{4, 9}, Dim: 2, Data: []float64{1, 2, 3, 4}}
-	if _, err := s.Handle("EmbPush", encGob(embPushReq{Model: "gobe", Rows: rows, Set: true})); err == nil {
-		t.Fatal("gob-tagged row push: want error")
-	}
-	if _, err := s.Handle("EmbPush", encReply(embPushReq{Model: "gobe", Rows: rows, Set: true})); err != nil {
-		t.Fatalf("row push: %v", err)
-	}
-	out, err = s.Handle("EmbPull", enc(pullReq{Model: "gobe", Keys: []int64{9, 4}}))
-	if err != nil {
-		t.Fatalf("row pull: %v", err)
-	}
-	var eresp embPullResp
-	if err := dec(out, &eresp); err != nil {
-		t.Fatalf("decode row pull: %v", err)
-	}
-	if want := (RowBatch{IDs: []int64{9, 4}, Dim: 2, Data: []float64{3, 4, 1, 2}}); !reflect.DeepEqual(eresp.Rows, want) {
-		t.Fatalf("got %+v, want %+v", eresp.Rows, want)
-	}
 }
 
 // TestClientBackoffClampsToDeadline pins the satellite bugfix: the retry
@@ -621,8 +548,8 @@ func TestWireBinarySizePredictable(t *testing.T) {
 		vals[i] = float64(i) * 0.1
 	}
 	msg := vecPullResp{Values: vals, Lo: 0}
-	bin, _ := encBinary(msg)
-	gb := encGob(msg)
+	bin := enc(msg)
+	gb := gobBytes(t, msg)
 	if lo, hi := 8*len(vals), 8*len(vals)+24; len(bin) < lo || len(bin) > hi {
 		t.Fatalf("binary encoding %dB outside expected [%d,%d]", len(bin), lo, hi)
 	}
@@ -633,8 +560,8 @@ func TestWireBinarySizePredictable(t *testing.T) {
 		t.Fatalf("unexpected header % x", bin[:2])
 	}
 	small := pullReq{Model: "m", Part: 1, Keys: []int64{10, 11, 12}}
-	sb, _ := encBinary(small)
-	sg := encGob(small)
+	sb := enc(small)
+	sg := gobBytes(t, small)
 	if len(sb) >= len(sg) {
 		t.Fatalf("small message: binary %dB not smaller than gob %dB", len(sb), len(sg))
 	}

@@ -19,8 +19,7 @@ import (
 //	response: [u32 frameLen][status byte][if status!=0: uvarint errLen + err bytes][body bytes]
 //
 // frameLen counts everything after the prefix. Bodies are opaque: the ps
-// package's wire codec (or gob, for control-plane messages) already
-// encoded them. Frame buffers are pooled; the response body returned by
+// package's wire format already encoded them. Frame buffers are pooled; the response body returned by
 // Call is a sub-slice of a pooled frame that the caller owns and may
 // recycle once decoded.
 
@@ -73,8 +72,8 @@ func GetBuf(n int) []byte {
 }
 
 // PutBuf recycles b, which the caller must no longer reference. Safe on
-// nil and on buffers that did not come from GetBuf (gob-encoded control
-// messages, handler replies).
+// nil and on buffers that did not come from GetBuf (a handler's own make,
+// a replayed reply's copy).
 func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooled {
 		return
