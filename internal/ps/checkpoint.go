@@ -115,7 +115,7 @@ func (s *Server) restore(req restoreReq) error {
 	if err := dec(data, &img); err != nil {
 		return fmt.Errorf("%w: %s: not a partition image: %v", ErrCorruptCheckpoint, path, err)
 	}
-	e, err := engineFromImage(req.Meta, req.Part, img)
+	e, err := engineFromImage(req.Meta, req.Part, img, 0)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, path, err)
 	}

@@ -3,6 +3,7 @@ package ps
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -272,6 +273,47 @@ func TestDedupEnvelopeTags(t *testing.T) {
 	if _, err := s.Handle("VecPush", old); err == nil || !strings.Contains(err.Error(), "unknown wire format tag 0x02") {
 		t.Fatalf("0x02 frame: err = %v, want unknown wire format tag", err)
 	}
+}
+
+// FuzzDedupEnvelope: a tagSeqE envelope comes from another process.
+// unwrapDedup and replaySafeCall never panic on hostile bytes; an envelope
+// wrapDedup made unwraps to what went in; and what unwraps is the tail of
+// the bytes it came from, which wraps and unwraps again unchanged.
+func FuzzDedupEnvelope(f *testing.F) {
+	safe := enc(funcReq{Model: "e", Name: "dedup-test-row"})
+	if !replaySafeCall("Func", safe) || replaySafeCall("EmbPush", safe) {
+		f.Fatal("the replay-safe seed is not recognised as one")
+	}
+	push := enc(vecPushReq{Model: "v", Indices: []int64{0}, Values: []float64{1}, Op: vecAdd})
+	f.Add(uint64(7), uint64(9), int64(0), push)
+	f.Add(uint64(1)<<63, uint64(math.MaxUint64), int64(-1), safe)
+	f.Add(uint64(0), uint64(0), int64(math.MaxInt64), wrapDedup(1, 2, 3, safe))
+	// A cut varint, and a funcReq whose model name claims 2⁶⁴−1 bytes.
+	f.Add(uint64(1), uint64(1), int64(1), []byte{tagSeqE, 0x80, 0x80})
+	f.Add(uint64(2), uint64(2), int64(2), []byte{tagBin, msgFuncReq, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, id, seq uint64, epoch int64, body []byte) {
+		safe := replaySafeCall("Func", body)
+		if gotID, gotSeq, gotEpoch, rest, ok := unwrapDedup(body); ok {
+			if len(rest) > len(body)-4 || !bytes.Equal(rest, body[len(body)-len(rest):]) {
+				t.Fatalf("unwrapped %d payload bytes that are not the tail of %x", len(rest), body)
+			}
+			replaySafeCall("Func", rest)
+			again := wrapDedup(gotID, gotSeq, gotEpoch, rest)
+			if i, s, e, r, ok := unwrapDedup(again); !ok || i != gotID || s != gotSeq || e != gotEpoch || !bytes.Equal(r, rest) {
+				t.Fatalf("re-wrapped envelope of %x unwraps to (%d, %d, %d, %x, %v)", body, i, s, e, r, ok)
+			}
+			rpc.PutBuf(again)
+		}
+		b := wrapDedup(id, seq, epoch, body)
+		gotID, gotSeq, gotEpoch, rest, ok := unwrapDedup(b)
+		if !ok || gotID != id || gotSeq != seq || gotEpoch != epoch || !bytes.Equal(rest, body) {
+			t.Fatalf("wrapDedup(%d, %d, %d, %x) unwraps to (%d, %d, %d, %x, %v)", id, seq, epoch, body, gotID, gotSeq, gotEpoch, rest, ok)
+		}
+		if replaySafeCall("Func", rest) != safe {
+			t.Fatalf("the envelope changed whether %x is replay-safe", body)
+		}
+		rpc.PutBuf(b)
+	})
 }
 
 // TestDedupWindowEviction checks the recency-window semantics directly:

@@ -191,7 +191,7 @@ func (s *Server) installPart(req installPartReq) error {
 	s.epochMax(req.Epoch)
 	e, err := s.store.get(req.Meta.Name, req.Part)
 	if req.Replica || err != nil {
-		if e, err = newEngine(req.Meta, req.Part); err != nil {
+		if e, err = newEngine(req.Meta, req.Part, 0); err != nil {
 			return err
 		}
 	}

@@ -27,7 +27,7 @@ func oneServerMeta(meta ModelMeta) ModelMeta {
 // adjacency.
 func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	meta := oneServerMeta(ModelMeta{Name: "n", Kind: Neighbor})
-	src, _ := newEngine(meta, 0)
+	src, _ := newEngine(meta, 0, 0)
 	ne := src.(*nbrEngine)
 	ne.push(nbrPushReq{Tables: map[int64][]int64{1: {3, 2, 2}, 9: {1}}})
 	ne.seal()
@@ -35,7 +35,7 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	if !img.Sealed || img.Nbr != nil || len(img.CsrIDs) != 2 {
 		t.Fatalf("sealed export did not produce CSR: %+v", img)
 	}
-	dst, _ := newEngine(meta, 0)
+	dst, _ := newEngine(meta, 0, 0)
 	if err := mergeImage(dst, enc(img)); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 // state following its rows.
 func TestEmbSplitLandsMidShard(t *testing.T) {
 	meta := oneServerMeta(ModelMeta{Name: "e", Kind: Embedding, Dim: 3, Opt: Adam(0.05)})
-	src, _ := newEngine(meta, 0)
+	src, _ := newEngine(meta, 0, 0)
 	ee := src.(*embEngine)
 	if len(ee.shards) != defaultEmbShards {
 		t.Fatalf("expected %d shards, got %d", defaultEmbShards, len(ee.shards))

@@ -129,8 +129,9 @@ func baseFor(meta ModelMeta, id int) engineBase {
 }
 
 // newEngine creates an empty engine for one partition of meta, addressed
-// by its stable identity.
-func newEngine(meta ModelMeta, idx int) (engine, error) {
+// by its stable identity. embShards is an embedding engine's shard count;
+// 0 takes the process default (SetEmbShards).
+func newEngine(meta ModelMeta, idx, embShards int) (engine, error) {
 	slot := meta.slotByID(idx)
 	if slot < 0 {
 		return nil, fmt.Errorf("ps: partition %d out of range for %s", idx, meta.Name)
@@ -143,7 +144,7 @@ func newEngine(meta ModelMeta, idx int) (engine, error) {
 	case SparseVector:
 		return newSparseEngine(base), nil
 	case Embedding, ColumnEmbedding:
-		return newEmbEngine(base, pm), nil
+		return newEmbEngine(base, pm, embShards), nil
 	case Neighbor:
 		return newNbrEngine(base), nil
 	case DenseMatrix:

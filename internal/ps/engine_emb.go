@@ -52,10 +52,10 @@ var embShardCount atomic.Int32
 // SetEmbShards overrides the shard count of embedding engines created
 // afterwards (existing engines keep theirs); engines round it up to a
 // power of two. n < 1 resets the default. Intended for benchmarks and
-// shard-crossing tests.
+// shard-crossing tests. A serving generation always has one (serveInstall).
 func SetEmbShards(n int) { embShardCount.Store(int32(max(n, 0))) }
 
-func newEmbEngine(base engineBase, pm Partition) *embEngine {
+func newEmbEngine(base engineBase, pm Partition, shards int) *embEngine {
 	e := &embEngine{engineBase: base}
 	if base.meta.Kind == ColumnEmbedding {
 		e.col0, e.col1 = pm.Col0, pm.Col1
@@ -63,7 +63,7 @@ func newEmbEngine(base engineBase, pm Partition) *embEngine {
 		e.col0, e.col1 = 0, base.meta.Dim
 	}
 	e.ri = newRowIniter(e.meta, e.col0, e.col1)
-	n := cmp.Or(int(embShardCount.Load()), defaultEmbShards)
+	n := cmp.Or(shards, int(embShardCount.Load()), defaultEmbShards)
 	e.shards = make([]embShard, 1<<bits.Len(uint(n-1)))
 	for i := range e.shards {
 		e.shards[i].store = newRowStore(e.width())
@@ -362,7 +362,8 @@ func (e *embEngine) merge(img partImage) error {
 	if err := e.checkKind(img); err != nil {
 		return err
 	}
-	for k, b := range [3]RowBatch{img.Rows, img.Mom, img.Vel} {
+	batches := [3]RowBatch{img.Rows, img.Mom, img.Vel}
+	for k, b := range batches {
 		field := [3]string{"Rows", "Mom", "Vel"}[k]
 		if err := b.check(); err != nil {
 			return e.badImage(field, "%v", err)
@@ -376,20 +377,12 @@ func (e *embEngine) merge(img partImage) error {
 	}
 	e.lockShards()
 	defer e.unlockShards()
-	for i, id := range img.Rows.IDs {
-		st := &e.shard(id).store
-		ord, _ := st.put(id)
-		copy(st.row(ord), img.Rows.Row(i))
-	}
-	for i, id := range img.Mom.IDs {
-		st := &e.shard(id).store
-		ord, _ := st.put(id)
-		copy(st.moment(&st.mom, ord), img.Mom.Row(i))
-	}
-	for i, id := range img.Vel.IDs {
-		st := &e.shard(id).store
-		ord, _ := st.put(id)
-		copy(st.moment(&st.vel, ord), img.Vel.Row(i))
+	for k, b := range batches {
+		for i, id := range b.IDs {
+			st := &e.shard(id).store
+			ord, _ := st.put(id)
+			copy(st.moment([3]*[][]float64{&st.rows, &st.mom, &st.vel}[k], ord), b.Row(i))
+		}
 	}
 	if img.Step > e.step.Load() {
 		e.step.Store(img.Step)

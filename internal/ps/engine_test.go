@@ -93,7 +93,7 @@ func TestOptimizerGoldenMatrixSecondStep(t *testing.T) {
 func TestVecPushAtomicity(t *testing.T) {
 	meta := ModelMeta{Name: "v", Kind: DenseVector, Size: 10,
 		Parts: []Partition{{Lo: 0, Hi: 10}}}
-	e, err := newEngine(meta, 0)
+	e, err := newEngine(meta, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 32} {
 		SetEmbShards(shards)
-		e, err := newEngine(meta, 0)
+		e, err := newEngine(meta, 0, 0)
 		SetEmbShards(0)
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 	cmeta := meta
 	cmeta.Kind = ColumnEmbedding
 	cmeta.Parts = []Partition{{Col0: 3, Col1: 6}}
-	ce, err := newEngine(cmeta, 0)
+	ce, err := newEngine(cmeta, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,8 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 	}
 	// Repeated materialization through the reused rand source must not
 	// drift: a second engine sees identical values for several ids.
-	a, _ := newEngine(meta, 0)
-	b, _ := newEngine(meta, 0)
+	a, _ := newEngine(meta, 0, 0)
+	b, _ := newEngine(meta, 0, 0)
 	ae, be := a.(*embEngine), b.(*embEngine)
 	for _, id := range []int64{0, 1, 7, 41, 42, 1 << 40} {
 		ra, rb := ae.row(id), be.row(id)
@@ -308,7 +308,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 		}
 		for _, from := range []int{1, 3, 32} {
 			SetEmbShards(from)
-			eng, _ := newEngine(meta, 0)
+			eng, _ := newEngine(meta, 0, 0)
 			src := eng.(*embEngine)
 			if want := map[int]int{1: 1, 3: 4, 32: 32}[from]; len(src.shards) != want {
 				t.Fatalf("SetEmbShards(%d) built %d shards, want %d", from, len(src.shards), want)
@@ -333,7 +333,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 			wantAll := step(t, src, all)
 			for _, to := range []int{1, 3, 32} {
 				SetEmbShards(to)
-				reng, _ := newEngine(meta, 0)
+				reng, _ := newEngine(meta, 0, 0)
 				if err := mergeImage(reng, enc(ckpt)); err != nil {
 					t.Fatal(err)
 				}
@@ -344,7 +344,7 @@ func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 				if got := step(t, restored, all); !reflect.DeepEqual(got, wantAll) {
 					t.Fatalf("%d→%d shards: optimizer step after restore differs", from, to)
 				}
-				ieng, _ := newEngine(meta, 0)
+				ieng, _ := newEngine(meta, 0, 0)
 				imported := ieng.(*embEngine)
 				if err := mergeImage(imported, enc(upper)); err != nil {
 					t.Fatal(err)

@@ -56,7 +56,7 @@ func TestFloatBlockFramesGolden(t *testing.T) {
 		t.Fatalf("EmbPush request\n got %s\nwant %s", got, goldenEmbPushReq)
 	}
 	for shift := 0; shift < 8; shift++ {
-		eng, err := newEngine(meta, 0)
+		eng, err := newEngine(meta, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,10 +49,10 @@ type partImage struct {
 func exportAll(e engine) partImage { return e.export(0, math.MaxInt64) }
 
 // engineFromImage stands up partition part of meta from an image: the
-// engine's shape comes from the layout, its state from the image, and
-// merge rejects an image that does not fit the shape.
-func engineFromImage(meta ModelMeta, part int, img partImage) (engine, error) {
-	e, err := newEngine(meta, part)
+// engine's shape comes from the layout and embShards (newEngine), its state
+// from the image, and merge rejects an image that does not fit the shape.
+func engineFromImage(meta ModelMeta, part int, img partImage, embShards int) (engine, error) {
+	e, err := newEngine(meta, part, embShards)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func imageCases() []imageCase {
 func (tc imageCase) build(t testing.TB) (ModelMeta, engine) {
 	t.Helper()
 	meta := oneServerMeta(tc.meta)
-	e, err := newEngine(meta, 0)
+	e, err := newEngine(meta, 0, 0)
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
@@ -169,7 +169,7 @@ func mergeImage(e engine, data []byte) error {
 func mergedCopy(t testing.TB, meta ModelMeta, shards int, imgs ...partImage) engine {
 	t.Helper()
 	SetEmbShards(shards)
-	dst, err := newEngine(meta, 0)
+	dst, err := newEngine(meta, 0, 0)
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
@@ -489,7 +489,7 @@ func FuzzPartImageDecode(f *testing.F) {
 		if !known {
 			meta = metas[DenseVector] // whose merge turns any other kind away
 		}
-		e, err := newEngine(meta, 0)
+		e, err := newEngine(meta, 0, 0)
 		if err != nil {
 			t.Fatalf("newEngine(%v): %v", meta.Kind, err)
 		}
@@ -540,7 +540,7 @@ func TestPartImageDecodeBoundsLengths(t *testing.T) {
 // state (checkpoint + restore, a replica seed, a snapshot publication).
 func BenchmarkPartImage(b *testing.B) {
 	meta := oneServerMeta(ModelMeta{Name: "e", Kind: Embedding, Dim: 32, InitScale: 0.1, Opt: Adam(0.01)})
-	src, _ := newEngine(meta, 0)
+	src, _ := newEngine(meta, 0, 0)
 	grads := RowBatch{Dim: 32}
 	for id := int64(0); id < 10_000; id++ {
 		grads.IDs, grads.Data = append(grads.IDs, id), append(grads.Data, make([]float64, 32)...)
@@ -557,7 +557,7 @@ func BenchmarkPartImage(b *testing.B) {
 		if err := dec(data, &img); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engineFromImage(meta, 0, img); err != nil {
+		if _, err := engineFromImage(meta, 0, img, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -418,7 +418,7 @@ func fuzzPush(t *testing.T, payload []byte, grad, set bool, at uint16) {
 		seed.Data[i] = float64(i) - 1.5
 	}
 	for k := range engs {
-		engs[k] = newEmbEngine(baseFor(meta, 0), meta.Parts[0])
+		engs[k] = newEmbEngine(baseFor(meta, 0), meta.Parts[0], 0)
 		if err := refPush(engs[k], embPushReq{Rows: seed, Grad: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -843,7 +843,7 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 	meta := oneServerMeta(ModelMeta{Name: "cnt", Kind: Embedding, Dim: 3})
 	SetEmbShards(4)
 	defer SetEmbShards(0)
-	eng, err := newEngine(meta, 0)
+	eng, err := newEngine(meta, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

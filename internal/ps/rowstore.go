@@ -103,8 +103,8 @@ func (s *rowStore) at(slabs [][]float64, ord uint32) []float64 {
 // row returns the live row at ord.
 func (s *rowStore) row(ord uint32) []float64 { return s.at(s.rows, ord) }
 
-// moment returns row ord of the moment slabs *m (&s.mom or &s.vel),
-// allocating its chunk on first touch.
+// moment returns row ord of the slabs *m (&s.mom or &s.vel, allocating
+// its chunk on first touch; or &s.rows, whose chunk put allocated).
 func (s *rowStore) moment(m *[][]float64, ord uint32) []float64 {
 	c, _ := chunkOf(ord)
 	for len(*m) <= c {

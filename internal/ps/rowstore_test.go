@@ -179,7 +179,7 @@ func TestRowStorePointerStability(t *testing.T) {
 // function of the model, its id and the element.
 func resolveEngine(t testing.TB, width int) *PartView {
 	t.Helper()
-	eng, err := newEngine(ModelMeta{Name: "e", Kind: Embedding, Dim: width, InitScale: 0.1, Parts: []Partition{{}}}, 0)
+	eng, err := newEngine(ModelMeta{Name: "e", Kind: Embedding, Dim: width, InitScale: 0.1, Parts: []Partition{{}}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

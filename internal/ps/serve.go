@@ -269,12 +269,15 @@ func (s *Server) serveSeed(req serveSeedReq) error {
 }
 
 // serveInstall stands one snapshot generation up locally, as a restore
-// would, and publishes it to this server's readers.
+// would, and publishes it to this server's readers. An embedding
+// generation is one shard: shards let writers run in parallel, and a
+// generation has none — reads only, and the materialising of an absent
+// row — while one shard's slabs round a partition up by one chunk, not 32.
 func (s *Server) serveInstall(req serveInstallReq) error {
 	if !servable(req.Meta.Kind) {
 		return fmt.Errorf("ps: serve install %s/%d: kind %s is not servable", req.Meta.Name, req.Part, req.Meta.Kind)
 	}
-	built, err := engineFromImage(req.Meta, req.Part, req.Image)
+	built, err := engineFromImage(req.Meta, req.Part, req.Image, 1)
 	if err != nil {
 		return fmt.Errorf("ps: serve install %s/%d: %w", req.Meta.Name, req.Part, err)
 	}
@@ -406,8 +409,7 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 		// generation before mining, so the traffic signal lives on the
 		// previous one.
 		for _, g := range gens {
-			// Both servable engine kinds count their pulls.
-			for _, hk := range g.e.(interface{ hotTop(int) []HotKey }).hotTop(0) {
+			for _, hk := range g.e.hotTop(0) {
 				merged[hk.ID] += hk.Count
 			}
 		}

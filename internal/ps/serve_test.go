@@ -969,6 +969,189 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 	}
 }
 
+// slabRows counts e's rows and the rows its slabs have room for, over all
+// its shards.
+func slabRows(e *embEngine) (rows, capacity int) {
+	for i := range e.shards {
+		rows += e.shards[i].store.len()
+		for _, chunk := range e.shards[i].store.rows {
+			capacity += len(chunk) / e.width()
+		}
+	}
+	return rows, capacity
+}
+
+// generation returns the newest generation of model's partition part that
+// the server at addr holds.
+func generation(t *testing.T, c *Cluster, addr, model string, part int) *embEngine {
+	t.Helper()
+	s := c.servers[addr]
+	s.serve.mu.Lock()
+	defer s.serve.mu.Unlock()
+	gens := s.serve.snaps[partKey{model: model, part: part}]
+	if len(gens) == 0 {
+		t.Fatalf("%s holds no generation of %s/%d", addr, model, part)
+	}
+	return gens[0].e.(*embEngine)
+}
+
+// TestServeGenerationIsOneShard: at the benchmark's shape (65,536 × 32
+// rows, 6 partitions, 2 replicas) every installed generation is one shard
+// whose slabs hold at most 5% more rows than it has — 32 shards held 45%
+// more — and it answers as an engine of the default shard count merged from
+// the same image: the same reply bytes, absent rows included, and the same
+// pull counts.
+func TestServeGenerationIsOneShard(t *testing.T) {
+	const rows, dim = 65536, 32
+	c, cl := newTestCluster(t, 3)
+	c.Master.SetServeOptions(ServeOptions{Replicas: 2, HotKeys: -1})
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "one", Dim: dim, Partitions: 6, InitScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const chunk = 4096
+	for lo := 0; lo < rows; lo += chunk {
+		b := RowBatch{Dim: dim, IDs: make([]int64, chunk), Data: make([]float64, chunk*dim)}
+		for i := range b.IDs {
+			b.IDs[i] = int64(lo + i)
+		}
+		for i := range b.Data {
+			b.Data[i] = rng.Float64() - 0.5
+		}
+		if err := e.pushBatch(b, false, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sl, err := cl.PublishSnapshot("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, p := range sl.Meta.Parts {
+		for _, ep := range sl.Replicas[p.Index] {
+			g := generation(t, c, ep, "one", p.Index)
+			if n, capacity := slabRows(g); len(g.shards) != 1 || float64(capacity) > 1.05*float64(n) {
+				t.Fatalf("generation of partition %d on %s: %d shards, slabs for %d rows of %d", p.Index, ep, len(g.shards), capacity, n)
+			}
+		}
+		primary, err := c.servers[p.Server].store.get("one", p.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := engineFromImage(sl.Meta, p.Index, exportAll(primary), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, g := built.(*embEngine), generation(t, c, sl.Replicas[p.Index][0], "one", p.Index)
+		if len(ref.shards) == 1 {
+			t.Fatal("the reference engine has one shard too: nothing is compared")
+		}
+		srv := c.servers[sl.Replicas[p.Index][0]]
+		for round := 0; round < 20; round++ {
+			ids := make([]int64, 0, 96)
+			for len(ids) < cap(ids) {
+				// Half the ids were never pushed; repeats come by chance.
+				if id := rng.Int63n(2 * rows); sl.Meta.PartitionFor(id) == slot {
+					ids = append(ids, id)
+				}
+			}
+			got, err := srv.servePull(onePart("one", p.Index, sl.SnapEpoch, ids))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := ref.rowsLen(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.appendRows(frame(msgServePullResp, 2+n), ids); !bytes.Equal(got, want) {
+				t.Fatalf("partition %d, round %d: the one-shard generation's reply differs from a %d-shard engine's", p.Index, round, len(ref.shards))
+			}
+		}
+		if got, want := g.hotTop(0), ref.hotTop(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition %d: the pull counts of %d rows differ from a %d-shard engine's of %d", p.Index, len(got), len(ref.shards), len(want))
+		}
+	}
+}
+
+// TestServeAbsentRowsRace: readers on their own agents materialise the same
+// absent rows of one generation at once. appendRows' write-lock retry is
+// the only path that writes a generation: every reader sees each row as the
+// primary initialises it, and the servers' row counts equal the rows the
+// generations counted as pulled. Run with -race.
+func TestServeAbsentRowsRace(t *testing.T) {
+	c, cl := newTestCluster(t, 2)
+	c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "abs", Dim: 4, Partitions: 2, InitScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PushSet(map[int64][]float64{1: {1, 1, 1, 1}, 2: {2, 2, 2, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := cl.PublishSnapshot("abs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int64{1, 2}
+	for id := int64(1000); id < 1128; id++ {
+		ids = append(ids, id)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		agent := c.NewClient()
+		agent.SetRowCacheLimits(1, 0) // every lookup reaches the servers
+		sc, err := agent.Serve("abs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for round := 0; round < 20; round++ {
+				batch := make([]int64, 32)
+				for k := range batch {
+					batch[k] = ids[rng.Intn(len(ids))]
+				}
+				if _, err := sc.Pull(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	sc, err := cl.Serve("abs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromServe, err := sc.Pull(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPrimary, err := e.Pull(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromServe, fromPrimary) {
+		t.Fatal("rows materialised by concurrent readers differ from the primary's")
+	}
+	var served, counted int64
+	for _, ep := range sl.Endpoints {
+		served += c.servers[ep].serveStats().SnapRows
+	}
+	for _, p := range sl.Meta.Parts {
+		for _, ep := range sl.Replicas[p.Index] {
+			for _, hk := range generation(t, c, ep, "abs", p.Index).hotTop(0) {
+				counted += hk.Count
+			}
+		}
+	}
+	if served == 0 || served != counted {
+		t.Fatalf("servers served %d snapshot rows, the generations counted %d pulls", served, counted)
+	}
+}
+
 // FuzzServePullReqDecode: a ServePull request comes from another process.
 // Hostile bytes never panic the decoder; nothing is allocated for the part
 // count, and every id list is checked against the bytes present before it

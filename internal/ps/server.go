@@ -302,7 +302,7 @@ func (s *Server) dispatch(method string, body []byte) ([]byte, error) {
 }
 
 func (s *Server) createPart(req createPartReq) error {
-	e, err := newEngine(req.Meta, req.Part)
+	e, err := newEngine(req.Meta, req.Part, 0)
 	if err != nil {
 		return err
 	}
