@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -172,6 +173,43 @@ func damage(t *testing.T, fs *FS, path string, tear func([]byte) []byte) {
 	if err := fs.WriteFile(path, tear(data)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzWALParse feeds replay arbitrary log bytes: it never panics, the
+// offset it stops at lies inside the data, the records it returns framed
+// again are exactly the bytes before that offset, and parsing only those
+// bytes gives the same records and offset.
+func FuzzWALParse(f *testing.F) {
+	valid := walFrame(walFrame(walFrame(nil, []byte("one")), nil), bytes.Repeat([]byte{0xAB}, 300))
+	f.Add(valid)
+	f.Add(append(valid, 0x03, 0x00))
+	f.Add(append(slices.Clone(valid), walFrame(nil, []byte("torn"))[:9]...))
+	corrupt := slices.Clone(valid)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	f.Add(corrupt)
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, off := walParse(data)
+		if off < 0 || off > len(data) {
+			t.Fatalf("offset %d outside the %d bytes", off, len(data))
+		}
+		var framed []byte
+		for _, rec := range recs {
+			framed = walFrame(framed, rec)
+		}
+		if !bytes.Equal(framed, data[:off]) {
+			t.Fatalf("%d records framed again are not the %d bytes they were parsed from", len(recs), off)
+		}
+		again, off2 := walParse(data[:off])
+		if off2 != off || len(again) != len(recs) {
+			t.Fatalf("the valid prefix parses to %d records up to %d, the whole to %d up to %d", len(again), off2, len(recs), off)
+		}
+		for i := range recs {
+			if !bytes.Equal(again[i], recs[i]) {
+				t.Fatalf("record %d of the valid prefix differs", i)
+			}
+		}
+	})
 }
 
 func TestWALRewriteCompacts(t *testing.T) {

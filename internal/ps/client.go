@@ -335,16 +335,6 @@ func routed[W any](c *Client, handle ModelMeta, work W,
 	return run(c.currentMeta(handle.Name, handle), work, 0)
 }
 
-// bucketIDs splits ids by owning partition slot.
-func bucketIDs(meta *ModelMeta, ids []int64) [][]int64 {
-	by := make([][]int64, len(meta.Parts))
-	for _, id := range ids {
-		p := meta.PartitionFor(id)
-		by[p] = append(by[p], id)
-	}
-	return by
-}
-
 // bucketMap splits a keyed batch by owning partition slot.
 func bucketMap[V any](meta *ModelMeta, m map[int64]V) []map[int64]V {
 	by := make([]map[int64]V, len(meta.Parts))
@@ -356,17 +346,6 @@ func bucketMap[V any](meta *ModelMeta, m map[int64]V) []map[int64]V {
 		by[p][k] = v
 	}
 	return by
-}
-
-// pushKeyed is the push of the same two kinds: bucket the batch, send
-// each non-empty bucket as the request req builds for it.
-func pushKeyed[V any](c *Client, handle ModelMeta, method string, m map[int64]V, req func(p Partition, bucket map[int64]V) any) error {
-	return routed(c, handle, m, bucketMap[V], func(cancel <-chan struct{}, p Partition, b map[int64]V) error {
-		if len(b) == 0 {
-			return nil
-		}
-		return c.partInvoke(cancel, handle.Name, p, method, req(p, b), nil)
-	})
 }
 
 // CreateModel registers a new model with the master and returns its meta.
@@ -761,9 +740,10 @@ func (v *Vector) Fill(x float64) error {
 // Zero resets the whole vector to zero.
 func (v *Vector) Zero() error { return v.Fill(0) }
 
-// SparseVec is a handle to a SparseVector model.
+// SparseVec is a handle to a sparse vector: an Embedding of one-wide rows
+// whose absent keys read 0.
 type SparseVec struct {
-	c    *Client
+	emb  *Emb
 	Meta ModelMeta
 }
 
@@ -775,32 +755,48 @@ func (c *Client) CreateSparseVector(name string) (*SparseVec, error) {
 // CreateSparseVectorWithScheme creates a sparse vector with an explicit
 // partitioning scheme; size bounds the key domain for SchemeRange.
 func (c *Client) CreateSparseVectorWithScheme(name string, scheme Scheme, size int64) (*SparseVec, error) {
-	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: SparseVector, Scheme: scheme, Size: size})
+	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: Embedding, Dim: 1, Scheme: scheme, Size: size})
 	if err != nil {
 		return nil, err
 	}
-	return &SparseVec{c: c, Meta: meta}, nil
+	return &SparseVec{emb: &Emb{c: c, Meta: meta}, Meta: meta}, nil
 }
 
-// Pull fetches the given keys; absent keys are omitted from the result.
-// Nil keys fetch everything.
+// Pull fetches the given keys. An absent key reads 0 and is materialised,
+// as any embedding row is. Nil keys fetch everything.
 func (s *SparseVec) Pull(keys []int64) (map[int64]float64, error) {
-	name := s.Meta.Name
+	if keys == nil {
+		return s.PullAll()
+	}
+	vals := make([]float64, len(keys))
+	if err := s.emb.PullInto(keys, vals); err != nil {
+		return nil, err
+	}
 	out := make(map[int64]float64, len(keys))
+	for i, k := range keys {
+		out[k] = vals[i]
+	}
+	return out, nil
+}
+
+// PullAll fetches every key the sparse vector holds: each partition is
+// asked for all its rows (nil keys), and its reply names them.
+func (s *SparseVec) PullAll() (map[int64]float64, error) {
+	name := s.Meta.Name
+	out := make(map[int64]float64)
 	var mu sync.Mutex
-	err := routed(s.c, s.Meta, keys, bucketIDs, func(cancel <-chan struct{}, p Partition, b []int64) error {
-		// An empty bucket of a nil key list is still sent: it asks the
-		// partition for everything.
-		if len(b) == 0 && keys != nil {
-			return nil
-		}
-		var r mapPullResp
-		if err := s.c.partInvoke(cancel, name, p, "MapPull", pullReq{Model: name, Part: p.Index, Keys: b}, &r); err != nil {
+	everyPart := func(meta *ModelMeta, _ []int64) [][]int64 { return make([][]int64, len(meta.Parts)) }
+	err := routed(s.emb.c, s.Meta, nil, everyPart, func(cancel <-chan struct{}, p Partition, _ []int64) error {
+		var r embPullResp
+		if err := s.emb.c.partInvoke(cancel, name, p, "EmbPull", pullReq{Model: name, Part: p.Index}, &r); err != nil {
 			return err
 		}
+		if r.Rows.Dim != 1 {
+			return fmt.Errorf("ps: %s/%d answered a whole-partition pull with %d-wide rows, want 1", name, p.Index, r.Rows.Dim)
+		}
 		mu.Lock()
-		for k, v := range r.M {
-			out[k] = v
+		for i, k := range r.Rows.IDs {
+			out[k] = r.Rows.Data[i]
 		}
 		mu.Unlock()
 		return nil
@@ -811,13 +807,12 @@ func (s *SparseVec) Pull(keys []int64) (map[int64]float64, error) {
 	return out, nil
 }
 
-// PullAll fetches the entire sparse vector.
-func (s *SparseVec) PullAll() (map[int64]float64, error) { return s.Pull(nil) }
-
 func (s *SparseVec) push(m map[int64]float64, set bool) error {
-	return pushKeyed(s.c, s.Meta, "MapPush", m, func(p Partition, b map[int64]float64) any {
-		return mapPushReq{Model: s.Meta.Name, Part: p.Index, M: b, Set: set}
-	})
+	b := RowBatch{IDs: make([]int64, 0, len(m)), Dim: 1, Data: make([]float64, 0, len(m))}
+	for k, v := range m {
+		b.IDs, b.Data = append(b.IDs, k), append(b.Data, v)
+	}
+	return s.emb.pushBatch(b, false, set)
 }
 
 // PushAdd adds the entries of m into the model.
@@ -912,8 +907,8 @@ func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
 // the layout holds: w's positions are routed, never data. A hash layout
 // gives each owner its bucket of w whole; a column layout gives every
 // partition its columns of all of w — those partitions are structural
-// (every row spans all of them) and never split or re-range, so that path
-// fans out directly, as Mat does.
+// (every row spans all of them, even a partition of no columns) and never
+// split or re-range, so that path fans out directly.
 func (e *Emb) rowParts(meta ModelMeta, w rowWork, send func(cancel <-chan struct{}, p Partition, w rowWork, col0, col1 int) error) error {
 	if meta.Kind == ColumnEmbedding {
 		return e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
@@ -1023,8 +1018,12 @@ func (c *Client) Neighbor(name string) (*Nbr, error) {
 // Appends are not idempotent, but a range-moved bucket appended nothing:
 // the engine rejects the whole batch before touching any list.
 func (n *Nbr) Push(tables map[int64][]int64) error {
-	return pushKeyed(n.c, n.Meta, "NbrPush", tables, func(p Partition, b map[int64][]int64) any {
-		return nbrPushReq{Model: n.Meta.Name, Part: p.Index, Tables: b}
+	name := n.Meta.Name
+	return routed(n.c, n.Meta, tables, bucketMap[[]int64], func(cancel <-chan struct{}, p Partition, b map[int64][]int64) error {
+		if len(b) == 0 {
+			return nil
+		}
+		return n.c.partInvoke(cancel, name, p, "NbrPush", nbrPushReq{Model: name, Part: p.Index, Tables: b}, nil)
 	})
 }
 
@@ -1120,9 +1119,12 @@ func (n *Nbr) Pull(ids []int64) (map[int64][]int64, error) {
 	return out, nil
 }
 
-// Mat is a handle to a DenseMatrix model (e.g. GNN layer weights).
+// Mat is a handle to a dense matrix (e.g. GNN layer weights): a
+// ColumnEmbedding over row ids [0, Size), every partition a column range
+// of every row.
 type Mat struct {
-	c    *Client
+	emb  *Emb
+	ids  []int64 // 0 … Size−1
 	Meta ModelMeta
 }
 
@@ -1134,69 +1136,50 @@ type MatrixSpec struct {
 	Opt  Optimizer
 }
 
-// CreateMatrix creates a column-partitioned dense matrix.
+// CreateMatrix creates a column-partitioned dense matrix, zero until
+// written.
 func (c *Client) CreateMatrix(spec MatrixSpec) (*Mat, error) {
 	meta, err := c.CreateModel(ModelMeta{
-		Name: spec.Name, Kind: DenseMatrix, Size: spec.Rows, Dim: spec.Cols, Opt: spec.Opt,
+		Name: spec.Name, Kind: ColumnEmbedding, Size: spec.Rows, Dim: spec.Cols, Opt: spec.Opt,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Mat{c: c, Meta: meta}, nil
+	return newMat(c, meta), nil
 }
 
-// Matrix returns a handle to an existing DenseMatrix model.
+// Matrix returns a handle to an existing matrix: a ColumnEmbedding with
+// rows.
 func (c *Client) Matrix(name string) (*Mat, error) {
-	meta, err := c.modelOfKind(name, "DenseMatrix", DenseMatrix)
+	meta, err := c.modelOfKind(name, "a matrix", ColumnEmbedding)
 	if err != nil {
 		return nil, err
 	}
-	return &Mat{c: c, Meta: meta}, nil
+	if meta.Size <= 0 {
+		return nil, fmt.Errorf("ps: model %q is a column embedding of %d rows, not a matrix", name, meta.Size)
+	}
+	return newMat(c, meta), nil
+}
+
+func newMat(c *Client, meta ModelMeta) *Mat {
+	ids := make([]int64, meta.Size)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return &Mat{emb: &Emb{c: c, Meta: meta}, ids: ids, Meta: meta}
 }
 
 // PullAll assembles the full rows×cols matrix (row-major).
 func (m *Mat) PullAll() ([]float64, error) {
-	meta := m.c.currentMeta(m.Meta.Name, m.Meta)
-	rows := int(meta.Size)
-	cols := meta.Dim
-	out := make([]float64, rows*cols)
-	err := m.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-		var r matPullResp
-		if err := m.c.partInvoke(cancel, meta.Name, p, "MatPull", pullReq{Model: meta.Name, Part: p.Index}, &r); err != nil {
-			return err
-		}
-		w := r.Col1 - r.Col0
-		if r.Col0 < 0 || w < 0 || r.Col1 > cols || len(r.Data) != rows*w {
-			return fmt.Errorf("ps: %s/%d answered columns [%d,%d) with %d values, want %d rows inside %d columns",
-				meta.Name, p.Index, r.Col0, r.Col1, len(r.Data), rows, cols)
-		}
-		for row := 0; row < rows; row++ {
-			copy(out[row*cols+r.Col0:row*cols+r.Col1], r.Data[row*w:(row+1)*w])
-		}
-		return nil
-	})
-	if err != nil {
+	out := make([]float64, len(m.ids)*m.Meta.Dim)
+	if err := m.emb.PullInto(m.ids, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 func (m *Mat) push(data []float64, grad, set bool) error {
-	meta := m.c.currentMeta(m.Meta.Name, m.Meta)
-	rows := int(meta.Size)
-	cols := meta.Dim
-	if len(data) != rows*cols {
-		return fmt.Errorf("ps: matrix push size %d != %dx%d", len(data), rows, cols)
-	}
-	return m.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-		w := p.Col1 - p.Col0
-		slice := make([]float64, rows*w)
-		for row := 0; row < rows; row++ {
-			copy(slice[row*w:(row+1)*w], data[row*cols+p.Col0:row*cols+p.Col1])
-		}
-		req := matPushReq{Model: meta.Name, Part: p.Index, Data: slice, Grad: grad, Set: set}
-		return m.c.partInvoke(cancel, meta.Name, p, "MatPush", req, nil)
-	})
+	return m.emb.pushBatch(RowBatch{IDs: m.ids, Dim: m.Meta.Dim, Data: data}, grad, set)
 }
 
 // PushSet overwrites the matrix (driver pushing the initial model).

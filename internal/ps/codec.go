@@ -136,9 +136,7 @@ type addressed interface {
 }
 
 func (r vecPushReq) addr() (string, int) { return r.Model, r.Part }
-func (r mapPushReq) addr() (string, int) { return r.Model, r.Part }
 func (r nbrPushReq) addr() (string, int) { return r.Model, r.Part }
-func (r matPushReq) addr() (string, int) { return r.Model, r.Part }
 
 type createPartReq struct {
 	Meta ModelMeta
@@ -150,10 +148,10 @@ type createPartReq struct {
 }
 
 // pullReq is the request of every kind's pull: the method name says
-// which engine answers. Keys are vector indices, sparse keys or row /
-// vertex ids; nil means everything the partition holds (its whole range
-// for a dense vector; the wire keeps nil apart from empty). Column-
-// partitioned matrices ignore Keys.
+// which engine answers. Keys are vector indices or row / vertex ids; nil
+// means everything the partition holds (its whole range for a dense
+// vector, its materialised rows for an embedding; the wire keeps nil
+// apart from empty).
 type pullReq struct {
 	Model string
 	Part  int
@@ -181,17 +179,6 @@ type vecPushReq struct {
 	Indices []int64 // nil means Values covers the partition range
 	Values  []float64
 	Op      vecOp
-}
-
-type mapPullResp struct {
-	M map[int64]float64
-}
-
-type mapPushReq struct {
-	Model string
-	Part  int
-	M     map[int64]float64
-	Set   bool
 }
 
 // encoded is a message its sender wrote as a wire frame itself: the reply
@@ -231,19 +218,6 @@ func (b NbrBatch) Nbrs(i int) []int64 {
 // nbrPullResp answers the request's keys in request order.
 type nbrPullResp struct {
 	Nbrs NbrBatch
-}
-
-type matPullResp struct {
-	Col0, Col1 int
-	Data       []float64 // rows x (col1-col0), row-major
-}
-
-type matPushReq struct {
-	Model string
-	Part  int
-	Data  []float64
-	Grad  bool
-	Set   bool
 }
 
 type funcReq struct {

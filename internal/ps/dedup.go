@@ -297,18 +297,18 @@ func (t *dedupTable) merge(states []dedupExport) {
 var dedupGuarded = map[string]bool{
 	// Server data plane.
 	"VecPush": true,
-	"MapPush": true,
 	"EmbPush": true,
 	"NbrPush": true,
-	"MatPush": true,
 	"Func":    true,
-	// Master control plane.
+	// Master control plane. A retried PublishSnapshot must get the layout
+	// it published, not seed and install a second generation.
 	"CreateModel":      true,
 	"DeleteModel":      true,
 	"Checkpoint":       true,
 	"CheckpointModels": true,
 	"RestoreModel":     true,
 	"RestoreModels":    true,
+	"PublishSnapshot":  true,
 	// Elastic-partition control plane: a retried SplitPartition must not
 	// split the (already narrowed) partition a second time.
 	"SplitPartition": true,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,8 +87,9 @@ func TestResponseDropVecOpsExactlyOnce(t *testing.T) {
 }
 
 // TestResponseDropSparseNbrMatExactlyOnce covers the remaining push
-// kinds: sparse add (double-apply doubles the value), neighbor append
-// (double-apply duplicates the adjacency list), and matrix add.
+// handles: sparse add (double-apply doubles the value), neighbor append
+// (double-apply duplicates the adjacency list), and matrix add. The sparse
+// vector and the matrix are embeddings, so theirs are EmbPush retries.
 func TestResponseDropSparseNbrMatExactlyOnce(t *testing.T) {
 	c, f := newFaultyCluster(t, 1, "drop-snm")
 	agent := c.NewClient()
@@ -165,6 +167,48 @@ func TestResponseDropEmbeddingExactlyOnce(t *testing.T) {
 		t.Fatalf("embedding row after dropped-response push: %v", rows[3])
 	}
 	assertExactlyOnce(t, c, agent)
+}
+
+// TestPublishSnapshotRetryPublishesOnce: a PublishSnapshot whose reply is
+// lost is retried under the same sequence, and the retry gets the layout
+// the first call published — not a second generation seeded and installed
+// behind it.
+func TestPublishSnapshotRetryPublishesOnce(t *testing.T) {
+	c, f := newFaultyCluster(t, 2, "drop-publish")
+	agent := c.NewClient()
+	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seeds := make(map[int]int) // partition → ServeSeed calls
+	for addr, srv := range c.servers {
+		if err := c.Transport.Register(addr, func(method string, body []byte) ([]byte, error) {
+			var req serveSeedReq
+			if method == "ServeSeed" && dec(body, &req) == nil {
+				mu.Lock()
+				seeds[req.Part]++
+				mu.Unlock()
+			}
+			return srv.Handle(method, body)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.DropResponses(c.MasterAddr, 1)
+	sl, err := agent.PublishSnapshot("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := c.Master.GetServeLayout("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl.SnapEpoch != 1 || cur.SnapEpoch != 1 {
+		t.Fatalf("one publication answered with generation %d, current %d; want 1 and 1", sl.SnapEpoch, cur.SnapEpoch)
+	}
+	if len(seeds) != 2 || seeds[0] != 1 || seeds[1] != 1 {
+		t.Fatalf("ServeSeed calls per partition: %v, want one each", seeds)
+	}
 }
 
 // dedup-test-inc increments element 0 of the partition it is called on,

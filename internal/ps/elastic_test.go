@@ -543,7 +543,7 @@ func TestStaleClientHealsAfterSplit(t *testing.T) {
 			if err := s.PushSet(seed); err != nil {
 				t.Fatal(err)
 			}
-			ss := &SparseVec{c: stale, Meta: s.Meta}
+			ss := &SparseVec{emb: &Emb{c: stale, Meta: s.Meta}, Meta: s.Meta}
 			if _, err := ss.Pull(ids[:4]); err != nil {
 				t.Fatal(err)
 			}

@@ -1,13 +1,14 @@
 package ps
 
-// Per-kind storage engines. Sec. III-A lists distinct server-side
-// structures (dense/sparse vectors, embeddings, CSR neighbor tables,
-// dense matrices); each gets its own engine type here, owning its data,
-// its locking, and its optimizer state. The Server is reduced to a
-// dispatcher: it looks an engine up in the Store and delegates, so the
-// locking discipline of one kind never constrains another (embedding
-// pulls no longer serialize dense-vector traffic behind a shared
-// partition lock, and vice versa).
+// Per-kind storage engines. Sec. III-A lists the server-side structures
+// (dense/sparse vectors, embeddings, CSR neighbor tables, dense matrices).
+// Three engines hold them: dense vectors, embeddings (which also hold the
+// sparse vectors, one wide, and the dense matrices, by column), neighbor
+// tables. Each owns its data, its locking, and its optimizer state. The
+// Server is reduced to a dispatcher: it looks an engine up in the Store
+// and delegates, so the locking discipline of one kind never constrains
+// another (embedding pulls no longer serialize dense-vector traffic
+// behind a shared partition lock, and vice versa).
 
 import (
 	"errors"
@@ -141,14 +142,10 @@ func newEngine(meta ModelMeta, idx, embShards int) (engine, error) {
 	switch meta.Kind {
 	case DenseVector:
 		return newVecEngine(base, pm), nil
-	case SparseVector:
-		return newSparseEngine(base), nil
 	case Embedding, ColumnEmbedding:
 		return newEmbEngine(base, pm, embShards), nil
 	case Neighbor:
 		return newNbrEngine(base), nil
-	case DenseMatrix:
-		return newMatEngine(base, pm), nil
 	default:
 		return nil, fmt.Errorf("ps: unknown kind %v", meta.Kind)
 	}

@@ -146,13 +146,23 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 }
 
 // pull is EmbPull's engine half: both halves into a frame of exactly the
-// reply's size.
+// reply's size. Nil keys ask for every row the partition holds (a sparse
+// vector's PullAll); the reply's ids name them.
 func (e *embEngine) pull(req pullReq) (encoded, error) {
-	n, err := e.rowsLen(req.Keys)
+	ids := req.Keys
+	if ids == nil {
+		for i := range e.shards {
+			sh := &e.shards[i]
+			sh.mu.RLock()
+			ids = append(ids, sh.store.ids...)
+			sh.mu.RUnlock()
+		}
+	}
+	n, err := e.rowsLen(ids)
 	if err != nil {
 		return nil, err
 	}
-	return e.appendRows(frame(msgEmbPullResp, 2+n), req.Keys), nil
+	return e.appendRows(frame(msgEmbPullResp, 2+n), ids), nil
 }
 
 // hotTop returns the k most-pulled rows (all pulled rows when k <= 0) for

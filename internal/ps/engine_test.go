@@ -88,6 +88,77 @@ func TestOptimizerGoldenMatrixSecondStep(t *testing.T) {
 	}
 }
 
+// TestMatrixStepsMatchAFlatReference: a matrix is a column embedding over
+// ids [0, Rows), and five optimizer steps on it give, bit for bit, what a
+// flat row-major slab stepped by Optimizer.apply with one step counter
+// gives — with many rows, with one cell on more servers than columns, and
+// with partitions of no columns. Between the second and the third step
+// every partition moves to another server, and the steps after the move
+// resume from the moved moments and step count exactly.
+func TestMatrixStepsMatchAFlatReference(t *testing.T) {
+	opts := []struct {
+		name string
+		opt  Optimizer
+	}{{"SGD", SGD(0.1)}, {"AdaGrad", AdaGrad(0.05)}, {"Adam", Adam(0.01)}}
+	for _, shape := range []struct{ servers, rows, cols int }{{2, 32, 3}, {4, 1, 1}, {4, 2, 3}} {
+		for _, o := range opts {
+			t.Run(fmt.Sprintf("%s/%dx%d-on-%d", o.name, shape.rows, shape.cols, shape.servers), func(t *testing.T) {
+				c, cl := newTestCluster(t, shape.servers)
+				m, err := cl.CreateMatrix(MatrixSpec{Name: "w", Rows: int64(shape.rows), Cols: shape.cols, Opt: o.opt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := shape.rows * shape.cols
+				w := make([]float64, n)
+				for i := range w {
+					w[i] = float64(i%7) - 2.5
+				}
+				if err := m.PushSet(w); err != nil {
+					t.Fatal(err)
+				}
+				var moments [2][]float64
+				moment := func(k int) []float64 {
+					if moments[k] == nil {
+						moments[k] = make([]float64, n)
+					}
+					return moments[k]
+				}
+				rng := rand.New(rand.NewSource(int64(n)))
+				for step := int64(1); step <= 5; step++ {
+					if step == 3 {
+						before, _ := cl.GetModel("w")
+						for _, p := range before.Parts {
+							if err := cl.MovePartition("w", p.Index, ""); err != nil {
+								t.Fatalf("move %d: %v", p.Index, err)
+							}
+						}
+						if after, _ := c.NewClient().GetModel("w"); after.Parts[0].Server == before.Parts[0].Server {
+							t.Fatalf("partition 0 did not move off %s", before.Parts[0].Server)
+						}
+					}
+					g := make([]float64, n)
+					for i := range g {
+						g[i] = rng.NormFloat64()
+					}
+					if err := m.PushGrad(g); err != nil {
+						t.Fatal(err)
+					}
+					o.opt.apply(w, g, step, moment)
+					got, err := m.PullAll()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range w {
+						if math.Float64bits(got[i]) != math.Float64bits(w[i]) {
+							t.Fatalf("step %d, value %d: %v, the flat reference has %v", step, i, got[i], w[i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestVecPushAtomicity: a push with any out-of-range index must reject the
 // whole request without applying the in-range elements.
 func TestVecPushAtomicity(t *testing.T) {

@@ -20,16 +20,12 @@ import (
 // cannot reach, and merge copies in, so one image may be merged twice.
 type partImage struct {
 	Kind Kind
-	// Step is the optimizer step counter (embedding kinds, DenseMatrix).
+	// Step is the optimizer step counter (embedding kinds).
 	Step int64
 
-	// DenseVector: Dense holds indices [Lo, Hi). DenseMatrix: Dense is
-	// the partition's columns of every row, row-major, and DenseMom /
-	// DenseVel its moments — empty until the first gradient.
-	Lo, Hi                    int64
-	Dense, DenseMom, DenseVel []float64
-
-	M map[int64]float64 // SparseVector
+	// DenseVector: Dense holds indices [Lo, Hi).
+	Lo, Hi int64
+	Dense  []float64
 
 	// Embedding kinds: the materialised rows in shard order, and the
 	// moments of those among them that hold optimizer state, in the same

@@ -18,14 +18,15 @@ import (
 // render the same: row batches by id (row order in an image is shard
 // order), maps in fmt's sorted key order, nil and empty alike.
 func canonImage(img partImage) string {
-	return fmt.Sprintf("%v step=%d [%d,%d) dense=%v/%v/%v m=%v rows=%d×%v mom=%v vel=%v sealed=%v nbr=%v csr=%v/%v/%v",
-		img.Kind, img.Step, img.Lo, img.Hi, img.Dense, img.DenseMom, img.DenseVel, img.M,
+	return fmt.Sprintf("%v step=%d [%d,%d) dense=%v rows=%d×%v mom=%v vel=%v sealed=%v nbr=%v csr=%v/%v/%v",
+		img.Kind, img.Step, img.Lo, img.Hi, img.Dense,
 		img.Rows.Dim, img.Rows.Map(), img.Mom.Map(), img.Vel.Map(),
 		img.Sealed, img.Nbr, img.CsrIDs, img.CsrOff, img.CsrAdj)
 }
 
 // imageCase is one engine state the export/merge properties are checked
-// on: five kinds × {fresh, after two optimizer steps, sealed Neighbor}.
+// on: four kinds × {fresh, after two optimizer steps, sealed Neighbor}, and
+// the sparse vector and the matrix the embedding engine holds as well.
 type imageCase struct {
 	name string
 	meta ModelMeta
@@ -79,11 +80,11 @@ func imageCases() []imageCase {
 		}
 	}
 	vec := ModelMeta{Name: "v", Kind: DenseVector, Size: 64}
-	sparse := ModelMeta{Name: "s", Kind: SparseVector}
+	sparse := ModelMeta{Name: "s", Kind: Embedding, Dim: 1} // as CreateSparseVector makes it
 	emb := ModelMeta{Name: "e", Kind: Embedding, Dim: 4, InitScale: 0.1, Opt: Adam(0.01)}
 	col := ModelMeta{Name: "c", Kind: ColumnEmbedding, Dim: 3, InitScale: 0.5, Opt: AdaGrad(0.05)}
 	nbr := ModelMeta{Name: "n", Kind: Neighbor}
-	mat := ModelMeta{Name: "m", Kind: DenseMatrix, Size: 3, Dim: 4, Opt: Adam(0.01)}
+	mat := ModelMeta{Name: "m", Kind: ColumnEmbedding, Size: 3, Dim: 4, Opt: Adam(0.01)} // as CreateMatrix makes it
 	return []imageCase{
 		{name: "DenseVector/fresh", meta: vec},
 		{name: "DenseVector", meta: vec, fill: func(t testing.TB, e engine) {
@@ -93,8 +94,9 @@ func imageCases() []imageCase {
 		}},
 		{name: "SparseVector/fresh", meta: sparse},
 		{name: "SparseVector", meta: sparse, fill: func(t testing.TB, e engine) {
-			if err := e.(*sparseEngine).push(mapPushReq{M: map[int64]float64{7: 1.5, 900: -2, 12345: 4, 3: 0.5}}); err != nil {
-				t.Fatalf("map push: %v", err)
+			add := RowBatch{IDs: []int64{7, 900, 12345, 3}, Dim: 1, Data: []float64{1.5, -2, 4, 0.5}}
+			if err := pushReq(e.(*embEngine), embPushReq{Rows: add}); err != nil {
+				t.Fatalf("sparse push: %v", err)
 			}
 		}},
 		{name: "Embedding/fresh", meta: emb},
@@ -106,16 +108,16 @@ func imageCases() []imageCase {
 		{name: "Neighbor/sealed", meta: nbr, fill: fillNbr(true)},
 		{name: "DenseMatrix/fresh", meta: mat},
 		{name: "DenseMatrix/Adam", meta: mat, fill: func(t testing.TB, e engine) {
-			me := e.(*matEngine)
-			data := make([]float64, 12)
-			for i := range data {
-				data[i] = float64(i)
+			me := e.(*embEngine)
+			data := RowBatch{IDs: []int64{0, 1, 2}, Dim: 4, Data: make([]float64, 12)}
+			for i := range data.Data {
+				data.Data[i] = float64(i)
 			}
-			if err := me.push(matPushReq{Data: data, Set: true}); err != nil {
+			if err := pushReq(me, embPushReq{Rows: data, Set: true}); err != nil {
 				t.Fatalf("mat set: %v", err)
 			}
 			for k := 0; k < 2; k++ {
-				if err := me.push(matPushReq{Data: data, Grad: true}); err != nil {
+				if err := pushReq(me, embPushReq{Rows: data, Grad: true}); err != nil {
 					t.Fatalf("mat grad: %v", err)
 				}
 			}
@@ -196,14 +198,10 @@ func pullEverything(t *testing.T, e engine, img partImage) any {
 	switch e := e.(type) {
 	case *vecEngine:
 		out, err = e.pull(pullReq{})
-	case *sparseEngine:
-		out, err = e.pull(pullReq{})
 	case *embEngine:
 		out = pullRows(t, e, ids).Map()
 	case *nbrEngine:
 		out, err = e.pull(pullReq{Keys: ids})
-	case *matEngine:
-		out, err = e.pull(pullReq{})
 	}
 	if err != nil {
 		t.Fatalf("pull: %v", err)
@@ -285,7 +283,7 @@ func TestPartImageMergeRejects(t *testing.T) {
 		field string
 		img   partImage
 	}{
-		{"wrong kind", "DenseVector", "Kind", partImage{Kind: SparseVector}},
+		{"wrong kind", "DenseVector", "Kind", partImage{Kind: Embedding}},
 		{"emb image into column engine", "ColumnEmbedding/AdaGrad", "Kind", partImage{Kind: Embedding, Rows: rows(3, 1)}},
 		{"vector range outside the engine's", "DenseVector", "Dense", partImage{Kind: DenseVector, Lo: 60, Hi: 70, Dense: make([]float64, 10)}},
 		{"vector range inverted", "DenseVector", "Dense", partImage{Kind: DenseVector, Lo: 9, Hi: 3}},
@@ -295,9 +293,8 @@ func TestPartImageMergeRejects(t *testing.T) {
 		{"row batch shape", "Embedding/Adam", "Rows", partImage{Kind: Embedding, Rows: RowBatch{IDs: []int64{1, 2}, Dim: 4, Data: make([]float64, 4)}, Mom: rows(4), Vel: rows(4)}},
 		{"moments of ids that are not rows", "Embedding/Adam", "Mom", partImage{Kind: Embedding, Rows: rows(4, 1, 2), Mom: rows(4, 3), Vel: rows(4)}},
 		{"moments out of the rows' order", "Embedding/Adam", "Vel", partImage{Kind: Embedding, Rows: rows(4, 1, 2), Mom: rows(4), Vel: rows(4, 2, 1)}},
-		{"matrix length", "DenseMatrix/Adam", "Dense", partImage{Kind: DenseMatrix, Dense: make([]float64, 11)}},
-		{"matrix moment length", "DenseMatrix/Adam", "DenseMom,DenseVel", partImage{Kind: DenseMatrix, Dense: make([]float64, 12), DenseMom: make([]float64, 12), DenseVel: make([]float64, 5)}},
-		{"matrix first moment without second", "DenseMatrix/Adam", "DenseMom,DenseVel", partImage{Kind: DenseMatrix, Dense: make([]float64, 12), DenseMom: make([]float64, 12)}},
+		{"matrix length", "DenseMatrix/Adam", "Rows", partImage{Kind: ColumnEmbedding, Rows: RowBatch{IDs: []int64{0, 1, 2}, Dim: 4, Data: make([]float64, 11)}}},
+		{"matrix moment length", "DenseMatrix/Adam", "Vel", partImage{Kind: ColumnEmbedding, Rows: rows(4, 0, 1, 2), Mom: rows(4, 0, 1, 2), Vel: rows(3, 0, 1, 2)}},
 		{"CSR offset count", "Neighbor/sealed", "CsrOff", partImage{Kind: Neighbor, Sealed: true, CsrIDs: []int64{1, 2}, CsrOff: []int64{0, 1}, CsrAdj: []int64{9}}},
 		{"CSR without offsets", "Neighbor/building", "CsrOff", partImage{Kind: Neighbor, Sealed: true}},
 		{"CSR offsets not from zero", "Neighbor/sealed", "CsrOff", partImage{Kind: Neighbor, Sealed: true, CsrIDs: []int64{1}, CsrOff: []int64{-1, 1}, CsrAdj: []int64{9}}},
@@ -338,7 +335,7 @@ func TestPartImageRestoreRejectsAsCorrupt(t *testing.T) {
 	}{DenseVector, make([]float64, 8), 0, 8})
 	for name, data := range map[string][]byte{
 		"mis-shaped image":    enc(partImage{Kind: DenseVector, Lo: 0, Hi: 16, Dense: make([]float64, 16)}),
-		"other kind":          enc(partImage{Kind: SparseVector, M: map[int64]float64{1: 1}}),
+		"other kind":          enc(partImage{Kind: Embedding, Rows: RowBatch{IDs: []int64{1}, Dim: 1, Data: []float64{1}}}),
 		"gob-era checkpoint":  gobEra,
 		"another bin message": enc(pullReq{Model: "r"}),
 		"truncated image":     enc(partImage{Kind: DenseVector, Lo: 0, Hi: 8, Dense: make([]float64, 8)})[:20],
@@ -514,8 +511,8 @@ func TestPartImageDecodeBoundsLengths(t *testing.T) {
 	// walker would; then comes the 2^40 length prefix.
 	huge := binary.AppendUvarint(nil, 1<<40)
 	for name, nEmpty := range map[string]int{
-		"float block (Dense)": 0, "sparse map (M)": 3, "id block (Rows.IDs)": 4,
-		"neighbor map (Nbr)": 14, "id block (CsrIDs)": 15,
+		"float block (Dense)": 0, "id block (Rows.IDs)": 1, "float block (Rows.Data)": 3,
+		"neighbor map (Nbr)": 11, "id block (CsrIDs)": 12,
 	} {
 		// Kind, Step, Lo, Hi; a RowBatch is three fields, a bool is one.
 		body := append([]byte{tagBin, msgPartImage, byte(DenseVector), 0, 0, 0}, make([]byte, nEmpty)...)

@@ -54,7 +54,8 @@ const (
 // walRecord is one journaled metadata transition, a walked message like
 // any other (wire.go); unused fields stay at their zero values per kind.
 // A record the build cannot decode — one journaled in gob, tag 0x00,
-// before the wire had one format — is skipped by EnableWAL, not read.
+// before the wire had one format — is skipped by EnableWAL, not read, and
+// so is a model of a retired Kind.
 type walRecord struct {
 	Kind  int
 	Epoch int64 // epoch at append time; replay max-merges it
@@ -120,6 +121,10 @@ func (m *Master) EnableWAL() (recovered bool, err error) {
 				m.recoveries = rec.Recoveries
 			}
 		case walKindModel:
+			if !rec.Meta.Kind.known() { // SparseVector or DenseMatrix, retired
+				mtrace("wal replay: model %q of retired kind %d skipped", rec.Meta.Name, rec.Meta.Kind)
+				continue
+			}
 			if rec.Meta.Epoch > m.epoch {
 				m.epoch = rec.Meta.Epoch
 			}

@@ -7,49 +7,46 @@ import (
 )
 
 // Kind identifies the storage layout of a model on the parameter server.
+// A kind's value is what WAL records and partition images carry, so a
+// retired kind leaves a blank behind and is never reused.
 type Kind int
 
 const (
 	// DenseVector is a float64 vector indexed [0, Size), partitioned by
 	// contiguous index ranges. Used for ranks, Δranks, degrees, cores.
 	DenseVector Kind = iota
-	// SparseVector is a map[int64]float64, hash-partitioned by key. Used
-	// for vertex→community and community→weight models in fast unfolding.
-	SparseVector
+	// 1 was SparseVector: a sparse vector is now an Embedding of one-wide
+	// rows (SparseVec).
+	_
 	// Embedding stores one Dim-sized vector per vertex id, hash-partitioned
-	// by id. Used for GraphSage features and vertex representations.
+	// by id. Used for GraphSage features, vertex representations and, one
+	// wide, for the sparse vectors of fast unfolding and label propagation.
 	Embedding
 	// ColumnEmbedding stores one Dim-sized vector per vertex id, but
 	// partitioned by *column*: server p holds dimensions [Col0, Col1) of
 	// every vertex. This co-locates the same dimensions of different
 	// vertices so dot products can be computed server-side (LINE, Sec. IV-D).
+	// Over ids [0, Size) it is a dense Size×Dim matrix (Mat): GNN weights.
 	ColumnEmbedding
 	// Neighbor stores adjacency lists (neighbor tables), hash-partitioned
 	// by source vertex.
 	Neighbor
-	// DenseMatrix is a Rows×Dim dense matrix partitioned by column range.
-	// Used for GNN weight matrices.
-	DenseMatrix
+	// 5 was DenseMatrix: a dense matrix is now a ColumnEmbedding (Mat).
+	_
 )
+
+var kindNames = [...]string{DenseVector: "DenseVector", Embedding: "Embedding",
+	ColumnEmbedding: "ColumnEmbedding", Neighbor: "Neighbor"}
+
+// known reports whether k is a kind this build stores.
+func (k Kind) known() bool { return k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case DenseVector:
-		return "DenseVector"
-	case SparseVector:
-		return "SparseVector"
-	case Embedding:
-		return "Embedding"
-	case ColumnEmbedding:
-		return "ColumnEmbedding"
-	case Neighbor:
-		return "Neighbor"
-	case DenseMatrix:
-		return "DenseMatrix"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k.known() {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // OptimizerKind selects the server-side gradient rule applied when clients
@@ -123,7 +120,7 @@ func (o Optimizer) apply(w, grad []float64, step int64, moment func(k int) []flo
 }
 
 // Scheme selects how keys map to partitions for keyed model kinds
-// (SparseVector, Embedding, Neighbor). The paper implements all three
+// (Embedding, Neighbor). The paper implements all three
 // (Sec. III-A, citing the hybrid-range strategy of Ghandeharizadeh &
 // DeWitt).
 type Scheme int
@@ -188,7 +185,7 @@ type ModelMeta struct {
 	// from the vertex id. Zero means absent rows read as zero vectors.
 	InitScale float64
 	// Scheme selects the key→partition mapping for keyed kinds
-	// (SparseVector, Embedding, Neighbor). DenseVector is always
+	// (Embedding, Neighbor). DenseVector is always
 	// range-partitioned; column kinds are partitioned by column.
 	Scheme Scheme
 	// NumPartitions overrides the partition count (default: one per
@@ -225,7 +222,7 @@ func routeBucket(key int64) int64 {
 // routed: every key lives on every partition.
 func (m *ModelMeta) routed() bool {
 	switch m.Kind {
-	case DenseVector, SparseVector, Embedding, Neighbor:
+	case DenseVector, Embedding, Neighbor:
 		return true
 	default:
 		return false
@@ -326,21 +323,15 @@ func layout(meta ModelMeta, servers []string) ModelMeta {
 	}
 	meta.Parts = make([]Partition, n)
 	meta.NextID = n
-	serverOf := func(i int) string { return servers[i%len(servers)] }
-	switch meta.Kind {
-	case ColumnEmbedding, DenseMatrix:
-		for i := 0; i < n; i++ {
-			c0 := meta.Dim * i / n
-			c1 := meta.Dim * (i + 1) / n
-			meta.Parts[i] = Partition{Index: i, Server: serverOf(i), Col0: c0, Col1: c1}
+	span := meta.routeSpan()
+	for i := range n {
+		p := Partition{Index: i, Server: servers[i%len(servers)]}
+		if meta.Kind == ColumnEmbedding {
+			p.Col0, p.Col1 = meta.Dim*i/n, meta.Dim*(i+1)/n
+		} else {
+			p.Lo, p.Hi = span*int64(i)/int64(n), span*int64(i+1)/int64(n)
 		}
-	default:
-		span := meta.routeSpan()
-		for i := 0; i < n; i++ {
-			lo := span * int64(i) / int64(n)
-			hi := span * int64(i+1) / int64(n)
-			meta.Parts[i] = Partition{Index: i, Server: serverOf(i), Lo: lo, Hi: hi}
-		}
+		meta.Parts[i] = p
 	}
 	return meta
 }

@@ -130,8 +130,9 @@ func TestSparseVector(t *testing.T) {
 	if got[1] != 1.5 || got[1<<40] != 2.5 || got[-7] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	if _, ok := got[999]; ok {
-		t.Fatal("absent key returned")
+	// An absent key reads 0, as an embedding row does.
+	if x, ok := got[999]; !ok || x != 0 {
+		t.Fatalf("absent key: %v, %v", x, ok)
 	}
 	s.PushAdd(map[int64]float64{1: 0.5})
 	all, _ := s.PullAll()
@@ -582,7 +583,7 @@ func TestPartitionForCoversAllKeys(t *testing.T) {
 }
 
 func TestLayoutColumnPartitions(t *testing.T) {
-	meta := layout(ModelMeta{Kind: DenseMatrix, Size: 4, Dim: 10}, []string{"a", "b", "c"})
+	meta := layout(ModelMeta{Kind: ColumnEmbedding, Size: 4, Dim: 10}, []string{"a", "b", "c"})
 	covered := make([]bool, 10)
 	for _, p := range meta.Parts {
 		for c := p.Col0; c < p.Col1; c++ {
@@ -662,7 +663,7 @@ func TestConcurrentPushesAggregate(t *testing.T) {
 func TestPartitionSchemes(t *testing.T) {
 	servers := []string{"a", "b", "c", "d"}
 	// Range: contiguous, covers the domain, monotone.
-	rng := layout(ModelMeta{Kind: SparseVector, Scheme: SchemeRange, Size: 1000}, servers)
+	rng := layout(ModelMeta{Kind: Embedding, Scheme: SchemeRange, Size: 1000}, servers)
 	prev := 0
 	for k := int64(0); k < 1000; k++ {
 		p := rng.PartitionFor(k)
@@ -1073,15 +1074,21 @@ func TestHandleGettersAndKindString(t *testing.T) {
 	if _, err := cl.Matrix("hn"); err == nil {
 		t.Fatal("Matrix() accepted a neighbor model")
 	}
+	cl.CreateEmbedding(EmbeddingSpec{Name: "hc", Dim: 2, ByColumn: true})
+	if _, err := cl.Matrix("hc"); err == nil {
+		t.Fatal("Matrix() accepted a column embedding without rows")
+	}
 	// A second client resolves layouts through the master (cache miss).
-	// Kind names render for diagnostics.
-	for k := DenseVector; k <= DenseMatrix; k++ {
+	// Kind names render for diagnostics; a retired kind is unknown.
+	for _, k := range []Kind{DenseVector, Embedding, ColumnEmbedding, Neighbor} {
 		if k.String() == "" || k.String()[0] == 'K' {
 			t.Fatalf("Kind(%d).String() = %q", k, k.String())
 		}
 	}
-	if Kind(99).String() != "Kind(99)" {
-		t.Fatalf("unknown kind renders %q", Kind(99).String())
+	for _, k := range []Kind{1, 5, 99, -1} {
+		if want := fmt.Sprintf("Kind(%d)", k); k.String() != want {
+			t.Fatalf("unknown kind renders %q, want %q", k.String(), want)
+		}
 	}
 }
 
@@ -1154,6 +1161,10 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := cl.CreateMatrix(MatrixSpec{Name: "rm", Rows: 2, Cols: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := cl.CreateSparseVector("rsv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1326,19 +1337,21 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 			func() error { return noRows(rs.Pull(rsIDs)) }, rsPart(2)},
 		{"serve parts, the right parts under another message id", append([]byte{tagBin, msgEmbPullResp}, encReply(serveParts{a, b, c3})[2:]...),
 			func() error { return noRows(rs.Pull(rsIDs)) }, "message id"},
-		{"matrix, columns outside the model", matPullResp{Col0: 0, Col1: 9, Data: make([]float64, 18)},
+		{"matrix, a row never asked for", embPullResp{Rows: rows(3, make([]float64, 6), 0, 9)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
-		{"matrix, data shorter than its columns", matPullResp{Col0: 0, Col1: 3, Data: make([]float64, 4)},
+		{"matrix, rows wider than its columns", embPullResp{Rows: rows(9, make([]float64, 18), 0, 1)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
-		{"matrix, inverted columns", matPullResp{Col0: 2, Col1: 1},
+		{"matrix, block shorter than its rows", embPullResp{Rows: rows(3, make([]float64, 4), 0, 1)},
 			func() error { _, err := m.PullAll(); return err }, "rm/0"},
+		{"sparse vector, whole-partition rows wider than one", embPullResp{Rows: rows(2, make([]float64, 2), 1)},
+			func() error { _, err := sv.PullAll(); return err }, "rsv/0"},
 		{"neighbor, too few segments", nbrs([]int64{7}, 0, 1),
 			func() error { _, err := nb.PullBatch([]int64{1, 2}); return err }, "rn/0"},
 		{"neighbor, too many segments", nbrs([]int64{7}, 0, 1, 1, 1),
 			func() error { _, err := nb.Pull([]int64{1, 2}); return err }, "rn/0"},
 		{"neighbor, offsets past the neighbours", nbrs([]int64{7}, 0, 1, 4),
 			func() error { _, err := nb.PullBatch([]int64{1, 2}); return err }, "rn/0"},
-		{"neighbor, a reply of another message type", mapPullResp{},
+		{"neighbor, a reply of another message type", vecPullResp{},
 			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "message id"},
 		{"neighbor, a 0x00-tagged reply", append([]byte{0x00}, enc(nbrs([]int64{7}, 0, 1))[1:]...),
 			func() error { _, err := nb.PullBatch([]int64{1}); return err }, "unknown wire format tag"},

@@ -86,10 +86,8 @@ type replState struct {
 // backup — exactly the mutating data plane.
 var replGuarded = map[string]bool{
 	"VecPush": true,
-	"MapPush": true,
 	"EmbPush": true,
 	"NbrPush": true,
-	"MatPush": true,
 	"Func":    true,
 }
 

@@ -235,6 +235,15 @@ func (m *embPush) decode(r wreader) (wreader, error) {
 	return r, nil
 }
 
+// embPullResp is an EmbPull reply taken whole, as a batch. Only a pull of
+// everything a partition holds (nil Keys) takes it: its ids are known from
+// the reply alone. A keyed pull is scattered instead (rowScatter).
+type embPullResp struct{ Rows RowBatch }
+
+func (m *embPullResp) wireMsg() byte { return msgEmbPullResp }
+
+func (m *embPullResp) decode(r wreader) (wreader, error) { m.Rows = r.rowBatch(); return r, nil }
+
 // rowScatter is the client-side decode target of one row batch of a reply
 // (EmbPull, ServePull, ServeHotPull). It never materialises the batch: check
 // compares it with the request — the ids asked for, in order, width columns

@@ -24,15 +24,14 @@ func mustRows(m map[int64][]float64, dim int) RowBatch {
 	return b
 }
 
-// embPullResp and servePullResp are the replies to EmbPull and to ServePull
-// / ServeHotPull taken whole, as a batch. Only tests take them whole: the
-// engines write the frames (rowReply) and the client scatters them
-// (rowScatter), so neither side ever holds one. embPushReq is the same for
-// an EmbPush request, one partition's rows as a batch of their own: the
-// client writes the frame from the caller's batch (pushFrame) and the
-// engine applies it from there (embPush).
+// servePullResp is the reply to ServePull / ServeHotPull taken whole, as a
+// batch (embPullResp is EmbPull's). Only tests take it whole: the server
+// writes the frame and the client scatters it (rowScatter), so neither
+// side ever holds one. embPushReq is the same for an EmbPush request, one
+// partition's rows as a batch of their own: the client writes the frame
+// from the caller's batch (pushFrame) and the engine applies it from there
+// (embPush).
 type (
-	embPullResp   struct{ Rows RowBatch }
 	servePullResp struct{ Rows RowBatch }
 	embPushReq    struct {
 		Model     string
@@ -46,7 +45,6 @@ type (
 // parts' batches back to back.
 type serveParts []RowBatch
 
-func (m *embPullResp) wireMsg() byte   { return msgEmbPullResp }
 func (m *servePullResp) wireMsg() byte { return msgServePullResp }
 func (m *embPushReq) wireMsg() byte    { return msgEmbPushReq }
 
@@ -57,7 +55,6 @@ func (m *embPushReq) decode(r wreader) (wreader, error) {
 	return r, nil
 }
 
-func (m *embPullResp) decode(r wreader) (wreader, error) { m.Rows = r.rowBatch(); return r, nil }
 func (m *servePullResp) decode(r wreader) (wreader, error) {
 	m.Rows = r.rowBatch()
 	return r, nil
@@ -143,14 +140,10 @@ func TestDedupIDs(t *testing.T) {
 var hotWire = map[string][2]any{
 	"VecPull":      {pullReq{}, vecPullResp{}},
 	"VecPush":      {vecPushReq{}, nil},
-	"MapPull":      {pullReq{}, mapPullResp{}},
-	"MapPush":      {mapPushReq{}, nil},
 	"EmbPull":      {pullReq{}, encoded{tagBin}},
 	"EmbPush":      {encoded{tagBin}, nil},
 	"NbrPull":      {pullReq{}, nbrPullResp{}},
 	"NbrPush":      {nbrPushReq{}, nil},
-	"MatPull":      {pullReq{}, matPullResp{}},
-	"MatPush":      {matPushReq{}, nil},
 	"Func":         {funcReq{}, funcResp{}},
 	"ServePull":    {servePullReq{}, encoded{tagBin}},
 	"ServeHotPull": {serveHotPullReq{}, encoded{tagBin}},
@@ -537,8 +530,8 @@ func refPull(e *embEngine, ids []int64) RowBatch {
 }
 
 // TestEmbPullFrameMatchesEncode: same bytes. For hash and column layouts,
-// pushed rows, duplicates, rows the pull itself materialises, an empty and
-// a nil key list, the frame the EmbPull handler returns — and the one a
+// pushed rows, duplicates, rows the pull itself materialises, an empty key
+// list and a nil one (every row held), the frame the EmbPull handler returns — and the one a
 // frozen serving generation returns to ServePull — is byte for byte what
 // encoding the pulled batch was.
 func TestEmbPullFrameMatchesEncode(t *testing.T) {
@@ -582,11 +575,17 @@ func TestEmbPullFrameMatchesEncode(t *testing.T) {
 				"empty":                {},
 				"nil":                  nil,
 			} {
+				rows := ids
+				if ids == nil { // every row the partition holds, in shard order
+					for i := range eng.shards {
+						rows = append(rows, eng.shards[i].store.ids...)
+					}
+				}
 				got, err := srv.Handle("EmbPull", enc(pullReq{Model: name, Part: p.Index, Keys: ids}))
 				if err != nil {
 					t.Fatalf("%s/%d %s: %v", name, p.Index, what, err)
 				}
-				if want := encReply(embPullResp{Rows: refPull(eng, ids)}); !bytes.Equal(got, want) {
+				if want := encReply(embPullResp{Rows: refPull(eng, rows)}); !bytes.Equal(got, want) {
 					t.Errorf("%s/%d %s: EmbPull frame\n got %x\nwant %x", name, p.Index, what, got, want)
 				}
 				frames++

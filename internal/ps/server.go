@@ -237,14 +237,10 @@ var serverHandlers = map[string]handler{
 	"CreatePart":  handleNoResp((*Server).createPart),
 	"VecPull":     pull((*vecEngine).pull),
 	"VecPush":     push((*vecEngine).push),
-	"MapPull":     pull((*sparseEngine).pull),
-	"MapPush":     push((*sparseEngine).push),
 	"EmbPull":     pull((*embEngine).pull),
 	"EmbPush":     push((*embEngine).push),
 	"NbrPull":     pull((*nbrEngine).pull),
 	"NbrPush":     push((*nbrEngine).push),
-	"MatPull":     pull((*matEngine).pull),
-	"MatPush":     push((*matEngine).push),
 	"Func":        handle((*Server).callFunc),
 	"Checkpoint":  handleNoResp((*Server).checkpoint),
 	"CkptPrepare": handleNoResp((*Server).ckptPrepare),

@@ -42,12 +42,12 @@ const (
 )
 
 // wireTypes is the id table: a walked type's message id is its position
-// here + 1, and nil holds the id of a frame with hand-written code. It is
-// append-only — a frame's id keeps meaning what it meant, and a checkpoint
-// or a WAL record outlives the build that wrote it.
+// here + 1, and nil holds the id of a frame with hand-written code or of a
+// retired message. It is append-only — a frame's id keeps meaning what it
+// meant, and a checkpoint or a WAL record outlives the build that wrote it.
 var wireTypes = [...]any{
-	pullReq{}, vecPullResp{}, vecPushReq{}, mapPullResp{}, mapPushReq{}, nil, nil, nil, // 1–8
-	nbrPushReq{}, matPullResp{}, matPushReq{}, nil, funcResp{}, replicateReq{}, nil, // 9–15
+	pullReq{}, vecPullResp{}, vecPushReq{}, nil, nil, nil, nil, nil, // 1–8 (4, 5: retired sparse-vector pull reply and push)
+	nbrPushReq{}, nil, nil, nil, funcResp{}, replicateReq{}, nil, // 9–15 (10, 11: retired matrix pull reply and push)
 	serveHotPullReq{}, nil, partImage{}, // 16–18
 	createPartReq{}, ckptReq{}, restoreReq{}, registerServerReq{}, createModelReq{}, getModelResp{}, // 19–24
 	clockReq{}, modelNameReq{}, ckptModelsReq{}, ckptModelsResp{}, restoreModelsReq{}, // 25–29
@@ -199,11 +199,7 @@ func appendValue(b []byte, v reflect.Value) []byte {
 			return append(b, 0)
 		}
 		b = binary.AppendUvarint(b, uint64(v.Len())+1)
-		switch m := v.Interface().(type) { // the data plane's maps, walked without reflection
-		case map[int64]float64:
-			for k, x := range m {
-				b = binary.LittleEndian.AppendUint64(binary.AppendVarint(b, k), math.Float64bits(x))
-			}
+		switch m := v.Interface().(type) { // the data plane's map, walked without reflection
 		case map[int64][]int64:
 			for k, ids := range m {
 				b = appendI64s(binary.AppendVarint(b, k), ids)
@@ -249,10 +245,7 @@ func sizeValue(v reflect.Value) int {
 		return n
 	case reflect.Map:
 		n := 10
-		switch m := v.Interface().(type) {
-		case map[int64]float64:
-			return n + 18*len(m)
-		case map[int64][]int64:
+		if m, ok := v.Interface().(map[int64][]int64); ok {
 			for _, ids := range m {
 				n += 20 + 10*len(ids)
 			}
@@ -597,17 +590,7 @@ func (r *wreader) value(v reflect.Value) {
 		}
 	case reflect.Map:
 		switch p := v.Addr().Interface().(type) {
-		case *map[int64]float64: // the data plane's maps, sized up front
-			n, ok := r.elems(9)
-			if *p = nil; ok {
-				m := make(map[int64]float64, n)
-				for ; n > 0 && r.err == nil; n-- {
-					k := r.varint()
-					m[k] = r.f64()
-				}
-				*p = m
-			}
-		case *map[int64][]int64:
+		case *map[int64][]int64: // the data plane's map, sized up front
 			n, ok := r.elems(2)
 			if *p = nil; ok {
 				m := make(map[int64][]int64, n)

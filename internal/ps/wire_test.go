@@ -75,21 +75,16 @@ func hotMessages() []any {
 	return []any{
 		pullReq{Model: "ranks", Part: 3, Keys: []int64{0, -5, 1 << 40}},
 		pullReq{Model: "", Part: 0, Keys: nil},
+		pullReq{Model: "sv", Part: 4, Keys: nil}, // everything a partition holds
 		pullReq{Model: "empty", Part: 1, Keys: []int64{}},
 		vecPullResp{Values: []float64{1.5, nan, inf, math.Inf(-1), math.Copysign(0, -1)}, Lo: -9},
 		vecPullResp{Values: nil, Lo: 0},
 		vecPushReq{Model: "m", Part: 2, Indices: []int64{7, 8}, Values: []float64{0.25, -3}, Op: vecMax},
 		vecPushReq{Model: "full", Part: 0, Indices: nil, Values: []float64{}, Op: vecSet},
-		mapPullResp{M: map[int64]float64{1: nan, -2: inf, 3: 0.125}},
-		mapPullResp{M: map[int64]float64{}},
-		mapPullResp{M: nil},
-		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
 		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 2, 2, 3}, Adj: []int64{2, 3, -9}}},
 		nbrPullResp{Nbrs: NbrBatch{Off: []int32{0, 0}, Adj: []int64{}}},
 		nbrPullResp{},
 		nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{8: {9}}},
-		matPullResp{Col0: 2, Col1: 5, Data: []float64{nan, 1, 2, 3, 4, 5}},
-		matPushReq{Model: "w", Part: 1, Data: []float64{1, inf}, Grad: false, Set: true},
 		funcReq{Model: "emb", Part: 3, Name: "dot", Arg: []byte{0, 1, 2, 255}},
 		funcReq{Model: "emb", Part: 0, Name: "", Arg: nil},
 		funcResp{Out: []byte("result")},
@@ -112,7 +107,14 @@ func rowReplies() []any {
 		embPullResp{Rows: RowBatch{IDs: []int64{5, -6, 7}, Dim: 2, Data: []float64{1, nan, 2, inf, math.Copysign(0, -1), 3}}},
 		embPullResp{Rows: RowBatch{IDs: []int64{}, Dim: 32, Data: []float64{}}},
 		embPullResp{},
+		// A sparse vector's: every row a partition holds, in shard order.
+		embPullResp{Rows: RowBatch{IDs: []int64{900, 7, 12345, -3}, Dim: 1, Data: []float64{-2, nan, 4, inf}}},
+		// A matrix partition of no columns answers, and is pushed, rows of no values.
+		embPullResp{Rows: RowBatch{IDs: []int64{0, 1}, Dim: 0, Data: []float64{}}},
+		embPushReq{Model: "w", Part: 2, Rows: RowBatch{IDs: []int64{0, 1, 2}, Dim: 0, Data: []float64{}}, Grad: true},
+		embPushReq{Model: "sv", Part: 4, Rows: RowBatch{IDs: []int64{9}, Dim: 1, Data: []float64{-1}}, Set: true},
 		servePullResp{Rows: RowBatch{IDs: []int64{4, 2}, Dim: 1, Data: []float64{nan, -1}}},
+		servePullResp{Rows: RowBatch{IDs: []int64{3}, Dim: 3, Data: []float64{math.Copysign(0, -1), 1, -inf}}},
 	}
 }
 
@@ -175,11 +177,11 @@ func TestHotMessagesEncodeBinary(t *testing.T) {
 			t.Errorf("enc(%T): tag = 0x%02x, want tagBin", msg, b[0])
 		}
 	}
-	// The pull req + 5 kinds x (pull resp, push req) + Func req/resp +
+	// The pull req + 3 kinds x (pull resp, push req) + Func req/resp +
 	// Replicate + the two serve read requests, less the Emb pull reply and
 	// the Emb push: both are frames their senders write (rowReplies).
-	if len(seen) != 14 {
-		t.Errorf("covered %d hot message types, want 14", len(seen))
+	if len(seen) != 10 {
+		t.Errorf("covered %d hot message types, want 10", len(seen))
 	}
 }
 
