@@ -120,14 +120,14 @@ const maxStaleRetries = 24
 // the wire pool — decoded messages never alias them — so steady-state
 // pull/push traffic reuses framing memory.
 //
-// Mutating methods are wrapped in the dedup envelope with a sequence
-// drawn ONCE, before the retry loop, so every retry of the same logical
-// call replays the same (clientID, seq) and a server that already
-// applied the mutation answers from its window — even when the retry
-// lands on a different server (the promoted backup) or carries a
-// refreshed epoch: the envelope is then re-wrapped around the same
-// sequence, never a new one, or an already-replicated write could
-// double-apply. The backoff never waits past RetryTimeout, and cancel
+// A once method (its class in the addressed role's dispatch table) is
+// wrapped in the dedup envelope with a sequence drawn ONCE, before the
+// retry loop, so every retry of the same logical call replays the same
+// (clientID, seq) and a server that already applied the mutation answers
+// from its window — even when the retry lands on a different server (the
+// promoted backup) or carries a refreshed epoch: the envelope is then
+// re-wrapped around the same sequence, never a new one, or an
+// already-replicated write could double-apply. The backoff never waits past RetryTimeout, and cancel
 // (closed when a sibling partition call of the same fan-out failed)
 // ends a wait at once instead of sleeping out the deadline.
 func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp any, epoch int64, resolve resolveFunc) error {
@@ -136,7 +136,11 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 		body = enc(req)
 		defer rpc.PutBuf(body)
 	}
-	guarded := dedupGuarded[method]
+	toMaster := addr == c.masterAddr
+	guarded := serverHandlers[method].class == once
+	if toMaster {
+		guarded = masterHandlers[method].class == once
+	}
 	var seq uint64
 	var wrapped []byte
 	wire := body
@@ -153,7 +157,7 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 	for {
 		out, err := c.tr.Call(addr, method, wire)
 		if err == nil {
-			if guarded && addr != c.masterAddr {
+			if guarded && !toMaster {
 				c.mutSent.Add(1)
 				if retried {
 					c.mutRetried.Add(1)
@@ -210,7 +214,7 @@ func (c *Client) invoke(addr, method string, req, resp any) error {
 // failover.
 func staleLayoutErr(err error) bool {
 	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "not on this server")
+	return errors.As(err, &re) && strings.Contains(re.Msg, notHereMsg)
 }
 
 // currentMeta returns the freshest layout this client holds for model:

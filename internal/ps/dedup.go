@@ -3,34 +3,29 @@ package ps
 // Exactly-once retry protocol for mutating PS calls.
 //
 // The client's retry loop re-sends a call whenever the transport reports
-// ErrUnreachable. Under clean failures (KillServer) that is safe: either
-// the server never saw the request, or it died and lost the state anyway.
-// Under dirty failures — a response lost after the handler ran, a TCP
-// reset between write and read — the server may have *applied* the write
-// the client is about to resend, and a replayed PushAdd or Adam step
+// ErrUnreachable. If the response was lost after the handler ran (or a TCP
+// reset fell between write and read), the server has already *applied*
+// the write the client resends, and a replayed PushAdd or Adam step
 // double-applies.
 //
 // The fix is the classic (clientID, sequence) dedup window (TensorFlow
 // and production parameter servers treat lost-ack idempotence as table
-// stakes): every mutating client call is wrapped in a tagSeqE envelope
+// stakes): every call of a once method — the retry class its entry in
+// serverHandlers or masterHandlers declares — is wrapped in an envelope
 //
 //	[1B tagSeqE][uvarint clientID][uvarint seq][uvarint epoch][payload]
 //
-// carrying a client-unique id, a per-client monotone sequence number
-// that stays FIXED across retries of the same logical call, and the
-// client's layout epoch (0 before any failover). The receiving
-// side (server or master) keeps a bounded per-client window of recently
-// executed sequences with their cached responses; a replay returns the
-// cached ack instead of re-executing. Reads are never enveloped — they
-// are retry-safe by nature and skipping the window keeps the pull hot
-// path untouched.
+// whose sequence stays FIXED across retries of one logical call and whose
+// epoch is the client's layout epoch (0 before any failover). The
+// receiver (server or master) keeps a bounded per-client window of
+// executed sequences with their outcomes; a replay returns the cached ack
+// instead of re-executing. Idempotent methods are never enveloped (a
+// receiver refuses one): skipping the window keeps the pull hot path
+// untouched.
 //
-// The window is in-memory and dies with the process. That is sound here:
-// a restarted server has also lost the applied writes and is restored
-// from a checkpoint, and algorithms that need cross-restart consistency
-// (PageRank) already detect the recovery and roll back to a fenced
-// snapshot, which discards any post-checkpoint replay along with
-// everything else. See DESIGN.md section 9.
+// The window is in-memory and dies with the process. That is sound: a
+// restarted server has lost the applied writes too and is restored from a
+// checkpoint fence (DESIGN.md section 9).
 
 import (
 	crand "crypto/rand"
@@ -196,7 +191,7 @@ func (t *dedupTable) window(clientID uint64) *dedupWindow {
 // replay of a replaySafe call that succeeded, which gets exec(true): the
 // call run again, which the caller must neither count as applied nor
 // forward. Either way a replay counts in Replayed. The one outcome the
-// window never keeps is an unapplied rejection (server.go).
+// window never keeps is a routing rejection.
 func (t *dedupTable) handle(clientID, seq uint64, replaySafe bool, exec func(replay bool) ([]byte, error)) ([]byte, error) {
 	t.mu.Lock()
 	w := t.window(clientID)
@@ -223,7 +218,7 @@ func (t *dedupTable) handle(clientID, seq uint64, replaySafe bool, exec func(rep
 		// A routing rejection wrote nothing and heals when the partition
 		// arrives: forget the sequence so the retry executes. Duplicates
 		// already parked on done still see this outcome.
-		if errors.As(err, new(unapplied)) {
+		if routingRejection(err) {
 			t.mu.Lock()
 			delete(w.entries, seq)
 			t.mu.Unlock()
@@ -235,6 +230,14 @@ func (t *dedupTable) handle(clientID, seq uint64, replaySafe bool, exec func(rep
 	}
 	close(e.done)
 	return resp, err
+}
+
+// routingRejection reports whether err rejected a call routed by a layout
+// this server does not (yet) match. Such a call wrote nothing (engines and
+// psFuncs validate before they write), and its retry carries the SAME
+// (clientID, seq).
+func routingRejection(err error) bool {
+	return errors.Is(err, errNotHere) || errors.Is(err, ErrRangeMoved)
 }
 
 // dedupExport is one client's completed window entries in wire form.
@@ -288,31 +291,4 @@ func (t *dedupTable) merge(states []dedupExport) {
 			}
 		}
 	}
-}
-
-// dedupGuarded lists the client methods that mutate server or master
-// state and therefore carry the envelope. Everything else (pulls, layout
-// queries, stats, recovery-count reads, the idempotent clock calls) is
-// retry-safe without it.
-var dedupGuarded = map[string]bool{
-	// Server data plane.
-	"VecPush": true,
-	"EmbPush": true,
-	"NbrPush": true,
-	"Func":    true,
-	// Master control plane. A retried PublishSnapshot must get the layout
-	// it published, not seed and install a second generation.
-	"CreateModel":      true,
-	"DeleteModel":      true,
-	"Checkpoint":       true,
-	"CheckpointModels": true,
-	"RestoreModel":     true,
-	"RestoreModels":    true,
-	"PublishSnapshot":  true,
-	// Elastic-partition control plane: a retried SplitPartition must not
-	// split the (already narrowed) partition a second time.
-	"SplitPartition": true,
-	"MovePartition":  true,
-	"DrainServer":    true,
-	"Rebalance":      true,
 }

@@ -555,7 +555,8 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 // partition has arrived instead of replaying the rejection out of the
 // window. Later retries of it replay the ack as usual. The same holds for
 // a psFunc whose own partition is here but whose co-located partner is
-// not yet — a server restored model by model after a restart.
+// not yet — a server restored model by model after a restart — and for a
+// push to an index a split has narrowed away.
 func TestWindowForgetsRoutingRejection(t *testing.T) {
 	meta := ModelMeta{Name: "late", Kind: DenseVector, Size: 8,
 		Parts: []Partition{{Server: "s0", Lo: 0, Hi: 8}}}
@@ -601,27 +602,36 @@ func TestWindowForgetsRoutingRejection(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestGuardedMethodsHaveHandlers: the dedup and replication guards are
-// keyed by method name, so a typo in either list (or a handler renamed
-// without them) would silently stop guarding that method.
-func TestGuardedMethodsHaveHandlers(t *testing.T) {
-	for method := range dedupGuarded {
-		_, onServer := serverHandlers[method]
-		_, onMaster := masterHandlers[method]
-		if !onServer && !onMaster {
-			t.Errorf("dedupGuarded lists %q, which neither the server nor the master serves", method)
+	t.Run("range-moved", func(t *testing.T) {
+		nbr := ModelMeta{Name: "nbr", Kind: Neighbor, Scheme: SchemeRange, Size: 8,
+			Parts: []Partition{{Server: "s0", Lo: 0, Hi: 8}}}
+		s := NewServer("s0", dfs.NewDefault())
+		for _, tc := range []struct {
+			meta   ModelMeta
+			method string
+			body   []byte
+		}{
+			{meta, "VecPush", enc(vecPushReq{Model: "late", Part: 0, Indices: []int64{6}, Values: []float64{1}, Op: vecAdd})},
+			{nbr, "NbrPush", enc(nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{6: {1}}})},
+		} {
+			if _, err := s.Handle("CreatePart", enc(createPartReq{Meta: tc.meta, Part: 0})); err != nil {
+				t.Fatal(err)
+			}
+			e, err := s.store.get(tc.meta.Name, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.splitAt(4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Handle(tc.method, wrapDedup(7, 1, 0, tc.body)); !IsRangeMovedErr(err) {
+				t.Fatalf("%s to a split-off key: err = %v, want a range-moved rejection", tc.method, err)
+			}
+			if _, n := windowReplyBytes(s); n != 0 {
+				t.Fatalf("the window keeps %d entries after a range-moved %s, want none", n, tc.method)
+			}
 		}
-	}
-	for method := range replGuarded {
-		if _, ok := serverHandlers[method]; !ok {
-			t.Errorf("replGuarded lists %q, which the server does not serve", method)
-		}
-		if !dedupGuarded[method] {
-			t.Errorf("replGuarded lists %q, which carries no dedup envelope to forward", method)
-		}
-	}
+	})
 }
 
 // rowRuns counts the runs of dedup-test-row, a replay-safe psFunc that
@@ -695,104 +705,6 @@ func TestWindowKeepsNoReplaySafeReplies(t *testing.T) {
 	want := n * len(enc(funcResp{Out: []byte("ok")}))
 	if b, _ := windowReplyBytes(srv); b != want {
 		t.Fatalf("window keeps %d reply bytes of %d cached-reply calls, want %d", b, n, want)
-	}
-}
-
-// replaySafeRetry calls dedup-test-row on model e through a transport
-// that loses the first reply; between the run and its retry, the test
-// does what between says. It returns the reply the retry got.
-func replaySafeRetry(t *testing.T, c *Cluster, tr rpc.Transport, between func()) []byte {
-	t.Helper()
-	h := &heldAck{Transport: tr, method: "Func", applied: make(chan struct{}), release: make(chan struct{})}
-	caller := NewClient(h, c.MasterAddr)
-	type result struct {
-		outs [][]byte
-		err  error
-	}
-	res := make(chan result, 1)
-	go func() {
-		outs, err := caller.CallFunc("e", "dedup-test-row", func(Partition) []byte { return nil })
-		res <- result{outs, err}
-	}()
-	<-h.applied
-	between()
-	runs := rowRuns.Load()
-	close(h.release)
-	r := <-res
-	if r.err != nil {
-		t.Fatalf("retried replay-safe call: %v", r.err)
-	}
-	if rowRuns.Load() == runs {
-		t.Fatal("the retry was answered without running the call again")
-	}
-	applied, replayed, err := c.MutationTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent, _ := caller.MutationStats()
-	if applied != sent || replayed == 0 {
-		t.Fatalf("applied %d for %d sends, %d replayed; want applied == sent and a replay", applied, sent, replayed)
-	}
-	return r.outs[0]
-}
-
-// TestReplaySafeRetryAfterMove: a replay-safe call ran, its reply was
-// lost, and its partition moved — window and all — before the retry. The
-// entry that travelled holds no reply but the re-execute mark, so the new
-// owner runs the call again instead of answering with an empty reply.
-func TestReplaySafeRetryAfterMove(t *testing.T) {
-	c, f := newFaultyCluster(t, 2, "rerun-move")
-	agent := c.NewClient()
-	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 16, Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := agent.GetModel("e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest := c.ServerAddrs()[0]
-	if dest == meta.Parts[0].Server {
-		dest = c.ServerAddrs()[1]
-	}
-	out := replaySafeRetry(t, c, f, func() {
-		if err := agent.MovePartition("e", 0, dest); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if want := wantRow(t, c, dest, "e"); !bytes.Equal(out, want) {
-		t.Fatalf("retry after the move answered %x, want %x", out, want)
-	}
-	if st := c.servers[dest].stats(); st.MutApplied != 1 || st.MutReplayed != 1 {
-		t.Fatalf("new owner: applied %d, replayed %d; want the moved application and one replay", st.MutApplied, st.MutReplayed)
-	}
-}
-
-// TestReplaySafeRetryOnPromotedBackup: the backup's window, filled by the
-// forward, keeps no replay-safe reply either; after the primary dies, the
-// promoted backup answers the client's retry by running the call again.
-func TestReplaySafeRetryOnPromotedBackup(t *testing.T) {
-	c, f := newFailoverCluster(t, 2, "rerun-promote")
-	agent := c.NewClient()
-	if _, err := agent.CreateEmbedding(EmbeddingSpec{Name: "e", Dim: 16, Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := agent.GetModel("e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, backup := meta.Parts[0].Server, meta.Parts[0].Backup
-	if backup == "" {
-		t.Fatal("partition has no backup")
-	}
-	out := replaySafeRetry(t, c, f, func() {
-		if b, entries := windowReplyBytes(c.servers[backup]); b != 0 || entries != 1 {
-			t.Fatalf("backup window: %d reply bytes in %d entries, want 0 in 1", b, entries)
-		}
-		c.KillServer(primary)
-		waitPromotion(t, c)
-	})
-	if want := wantRow(t, c, backup, "e"); !bytes.Equal(out, want) {
-		t.Fatalf("retry on the promoted backup answered %x, want %x", out, want)
 	}
 }
 

@@ -115,12 +115,12 @@ type drainReq struct {
 // Server half.
 
 func init() {
-	serverHandlers["MigratePart"] = handleNoResp((*Server).migratePart)
-	serverHandlers["InstallPart"] = handleNoResp((*Server).installPart)
-	serverHandlers["DropPart"] = handleNoResp((*Server).dropPart)
-	serverHandlers["PartStats"] = func(s *Server, _ []byte) ([]byte, error) {
+	serverHandlers["MigratePart"] = entry[*Server]{idempotent, handleNoResp((*Server).migratePart)}
+	serverHandlers["InstallPart"] = entry[*Server]{idempotent, handleNoResp((*Server).installPart)}
+	serverHandlers["DropPart"] = entry[*Server]{idempotent, handleNoResp((*Server).dropPart)}
+	serverHandlers["PartStats"] = entry[*Server]{idempotent, func(s *Server, _ []byte) ([]byte, error) {
 		return enc(s.partStats()), nil
-	}
+	}}
 }
 
 // migratePart exports [req.Lo, req.Hi) of a partition this server is

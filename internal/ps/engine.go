@@ -20,11 +20,17 @@ import (
 
 // rangeMovedMsg is the wire-stable marker of a key rejected because its
 // route range no longer belongs to the addressed partition (it was split
-// or migrated away). Deliberately distinct from the "not on this server"
-// layout error and from the stale-epoch fence: the client reacts by
-// refetching the layout and re-grouping the rejected batch, knowing the
-// server applied none of it.
+// or migrated away). Deliberately distinct from notHereMsg and from the
+// stale-epoch fence: the client reacts by refetching the layout and
+// re-grouping the rejected batch, knowing the server applied none of it.
 const rangeMovedMsg = "ps: key outside partition range (moved)"
+
+// notHereMsg is the wire-stable marker of a call addressed to a partition
+// this server does not hold (yet); Store.get constructs errNotHere, its
+// local form, and the client's staleLayoutErr matches the text.
+const notHereMsg = "not on this server"
+
+var errNotHere = errors.New(notHereMsg)
 
 // ErrRangeMoved is the local form of a range-moved rejection.
 var ErrRangeMoved = errors.New(rangeMovedMsg)
@@ -97,8 +103,8 @@ func (b *engineBase) checkKey(key int64) error {
 	}
 	rk := b.meta.RouteKey(key)
 	if lo, hi := b.rangeLo(), b.rangeHi(); rk < lo || rk >= hi {
-		return fmt.Errorf("%s: key %d (route %d) not in [%d,%d) of %s/%d",
-			rangeMovedMsg, key, rk, lo, hi, b.meta.Name, b.idx)
+		return fmt.Errorf("%w: key %d (route %d) not in [%d,%d) of %s/%d",
+			ErrRangeMoved, key, rk, lo, hi, b.meta.Name, b.idx)
 	}
 	return nil
 }
@@ -166,11 +172,11 @@ func (s *Store) get(model string, idx int) (engine, error) {
 	defer s.mu.RUnlock()
 	byIdx, ok := s.parts[model]
 	if !ok {
-		return nil, fmt.Errorf("ps: model %q not on this server", model)
+		return nil, fmt.Errorf("ps: model %q %w", model, errNotHere)
 	}
 	e, ok := byIdx[idx]
 	if !ok {
-		return nil, fmt.Errorf("ps: model %q partition %d not on this server", model, idx)
+		return nil, fmt.Errorf("ps: model %q partition %d %w", model, idx, errNotHere)
 	}
 	return e, nil
 }

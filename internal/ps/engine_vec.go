@@ -80,11 +80,11 @@ func (e *vecEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
 
 // rangeErr reports an index outside the partition's current range. Since
 // ranges narrow when partitions split, this is a routing-staleness signal
-// (rangeMovedMsg) the client reacts to by refetching the layout and
+// (ErrRangeMoved) the client reacts to by refetching the layout and
 // re-grouping the rejected batch.
 func (e *vecEngine) rangeErr(idx int64) error {
-	return fmt.Errorf("%s: index %d not in [%d,%d) of %s/%d",
-		rangeMovedMsg, idx, e.lo, e.hi, e.meta.Name, e.idx)
+	return fmt.Errorf("%w: index %d not in [%d,%d) of %s/%d",
+		ErrRangeMoved, idx, e.lo, e.hi, e.meta.Name, e.idx)
 }
 
 // push applies one combine request. The whole request is validated
@@ -98,8 +98,8 @@ func (e *vecEngine) push(req vecPushReq) error {
 			// A correctly sized full-range push that stopped fitting means
 			// the partition narrowed under a stale layout — signal it like
 			// any other range rejection so the client refetches and regroups.
-			return fmt.Errorf("%s: full push size %d != partition size %d of %s/%d",
-				rangeMovedMsg, len(req.Values), len(e.vec), e.meta.Name, e.idx)
+			return fmt.Errorf("%w: full push size %d != partition size %d of %s/%d",
+				ErrRangeMoved, len(req.Values), len(e.vec), e.meta.Name, e.idx)
 		}
 	} else {
 		if len(req.Values) != len(req.Indices) {

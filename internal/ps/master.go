@@ -136,73 +136,71 @@ func (m *Master) SetFS(fs *dfs.FS) {
 	m.mu.Unlock()
 }
 
-// Handle dispatches one RPC. It is the rpc.Handler of the master. A
-// tagSeqE envelope routes through the dedup window (see dedup.go).
+// Handle dispatches one RPC. It is the rpc.Handler of the master. A once
+// method's tagSeqE envelope routes through the dedup window (dedup.go).
 func (m *Master) Handle(method string, body []byte) ([]byte, error) {
-	if clientID, seq, _, payload, ok := unwrapDedup(body); ok {
-		return m.dedup.handle(clientID, seq, false, func(bool) ([]byte, error) {
-			return m.dispatch(method, payload)
-		})
+	clientID, seq, _, payload, ok := unwrapDedup(body)
+	e, err := entryOf(masterHandlers, "master", method, ok)
+	if err != nil {
+		return nil, err
 	}
-	return m.dispatch(method, body)
-}
-
-func (m *Master) dispatch(method string, body []byte) ([]byte, error) {
-	h, ok := masterHandlers[method]
 	if !ok {
-		return nil, fmt.Errorf("ps: master: unknown method %q", method)
+		return e.run(m, body)
 	}
-	return h(m, body)
+	return m.dedup.handle(clientID, seq, false, func(bool) ([]byte, error) {
+		return e.run(m, payload)
+	})
 }
 
 // masterHandlers is the method dispatch table of the master: the one
-// place that binds a wire request to the method serving it.
-var masterHandlers = map[string]func(*Master, []byte) ([]byte, error){
-	"Ping": func(*Master, []byte) ([]byte, error) { return nil, nil },
-	"RegisterServer": handleNoResp(func(m *Master, r registerServerReq) error {
+// place that binds a wire request to its retry class and the method
+// serving it.
+var masterHandlers = map[string]entry[*Master]{
+	"Ping": {idempotent, func(*Master, []byte) ([]byte, error) { return nil, nil }},
+	"RegisterServer": {idempotent, handleNoResp(func(m *Master, r registerServerReq) error {
 		return m.registerServer(r.Addr)
-	}),
-	"CreateModel": handle(func(m *Master, r createModelReq) (getModelResp, error) {
+	})},
+	"CreateModel": {once, handle(func(m *Master, r createModelReq) (getModelResp, error) {
 		meta, err := m.createModel(r.Meta)
 		return getModelResp{Meta: meta}, err
-	}),
-	"GetModel":    handle((*Master).getModel),
-	"DeleteModel": handleNoResp(func(m *Master, r modelNameReq) error { return m.deleteModel(r.Name) }),
-	"Heartbeat": handle(func(m *Master, r heartbeatReq) (heartbeatResp, error) {
+	})},
+	"GetModel":    {idempotent, handle((*Master).getModel)},
+	"DeleteModel": {once, handleNoResp(func(m *Master, r modelNameReq) error { return m.deleteModel(r.Name) })},
+	"Heartbeat": {idempotent, handle(func(m *Master, r heartbeatReq) (heartbeatResp, error) {
 		return m.heartbeat(r), nil
-	}),
-	"FailoverStats": func(m *Master, _ []byte) ([]byte, error) { return enc(m.failoverStats()), nil },
-	"RecoveryCount": func(m *Master, _ []byte) ([]byte, error) { return enc(m.recoveryCount()), nil },
-	"LoadReport":    func(m *Master, _ []byte) ([]byte, error) { return enc(m.loadReport()), nil },
-	"Rebalance": func(m *Master, _ []byte) ([]byte, error) {
+	})},
+	"FailoverStats": {idempotent, func(m *Master, _ []byte) ([]byte, error) { return enc(m.failoverStats()), nil }},
+	"RecoveryCount": {idempotent, func(m *Master, _ []byte) ([]byte, error) { return enc(m.recoveryCount()), nil }},
+	"LoadReport":    {idempotent, func(m *Master, _ []byte) ([]byte, error) { return enc(m.loadReport()), nil }},
+	"Rebalance": {once, func(m *Master, _ []byte) ([]byte, error) {
 		res, err := m.Rebalance()
 		if err != nil {
 			return nil, err
 		}
 		return enc(res), nil
-	},
-	"SplitPartition": handleNoResp(func(m *Master, r partOpReq) error {
+	}},
+	"SplitPartition": {once, handleNoResp(func(m *Master, r partOpReq) error {
 		return m.SplitPartition(r.Model, r.Part, r.Dest)
-	}),
-	"MovePartition": handleNoResp(func(m *Master, r partOpReq) error {
+	})},
+	"MovePartition": {once, handleNoResp(func(m *Master, r partOpReq) error {
 		return m.MovePartition(r.Model, r.Part, r.Dest)
-	}),
-	"DrainServer": handleNoResp(func(m *Master, r drainReq) error { return m.DrainServer(r.Addr) }),
-	"PublishSnapshot": handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
+	})},
+	"DrainServer": {once, handleNoResp(func(m *Master, r drainReq) error { return m.DrainServer(r.Addr) })},
+	"PublishSnapshot": {once, handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
 		return m.PublishSnapshot(r.Name)
-	}),
-	"GetServeLayout": handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
+	})},
+	"GetServeLayout": {idempotent, handle(func(m *Master, r modelNameReq) (ServeLayout, error) {
 		return m.GetServeLayout(r.Name)
-	}),
-	"ClockWait":   handleNoResp(func(m *Master, r clockReq) error { return m.clocks.wait(r) }),
-	"ClockRetire": handleNoResp(func(m *Master, r clockReq) error { m.clocks.retire(r); return nil }),
-	"Checkpoint":  handleNoResp(func(m *Master, r modelNameReq) error { return m.checkpointModel(r.Name) }),
-	"CheckpointModels": handle(func(m *Master, r ckptModelsReq) (ckptModelsResp, error) {
+	})},
+	"ClockWait":   {idempotent, handleNoResp(func(m *Master, r clockReq) error { return m.clocks.wait(r) })},
+	"ClockRetire": {idempotent, handleNoResp(func(m *Master, r clockReq) error { m.clocks.retire(r); return nil })},
+	"Checkpoint":  {once, handleNoResp(func(m *Master, r modelNameReq) error { return m.checkpointModel(r.Name) })},
+	"CheckpointModels": {once, handle(func(m *Master, r ckptModelsReq) (ckptModelsResp, error) {
 		raced, err := m.checkpointModels(r.Names, r.IfRecoveries)
 		return ckptModelsResp{Raced: raced}, err
-	}),
-	"RestoreModel":  handleNoResp(func(m *Master, r modelNameReq) error { return m.restoreModels([]string{r.Name}) }),
-	"RestoreModels": handleNoResp(func(m *Master, r restoreModelsReq) error { return m.restoreModels(r.Names) }),
+	})},
+	"RestoreModel":  {once, handleNoResp(func(m *Master, r modelNameReq) error { return m.restoreModels([]string{r.Name}) })},
+	"RestoreModels": {once, handleNoResp(func(m *Master, r restoreModelsReq) error { return m.restoreModels(r.Names) })},
 }
 
 func (m *Master) getModel(req modelNameReq) (getModelResp, error) {

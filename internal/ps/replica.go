@@ -82,15 +82,6 @@ type replState struct {
 	replDropped atomic.Int64
 }
 
-// replGuarded lists the server methods a primary forwards to its
-// backup — exactly the mutating data plane.
-var replGuarded = map[string]bool{
-	"VecPush": true,
-	"EmbPush": true,
-	"NbrPush": true,
-	"Func":    true,
-}
-
 // SetOutbound installs the transport the server originates calls on.
 // The cluster passes the fault injector's per-source caller view so
 // partitions cut the server's heartbeats and forwards, not only its
@@ -179,7 +170,7 @@ func (s *Server) fenceCheck(epoch int64) error {
 	return nil
 }
 
-// forward mirrors one applied mutation to the backup, synchronously:
+// forward mirrors one applied once call to the backup, synchronously:
 // the client's ack is withheld until the backup applied (or the forward
 // was abandoned), which is what makes "acked implies replicated" — and
 // therefore zero acked loss on failover — true.
@@ -196,7 +187,7 @@ func (s *Server) fenceCheck(epoch int64) error {
 // and reseeds them; forwarding state never diverges silently from the
 // master's metadata.
 func (s *Server) forward(method string, clientID, seq uint64, epoch int64, payload []byte) {
-	if s.repl.out == nil || !replGuarded[method] {
+	if s.repl.out == nil {
 		return
 	}
 	target, _ := s.repl.backup.Load().(string)
@@ -221,20 +212,24 @@ func (s *Server) forward(method string, clientID, seq uint64, epoch int64, paylo
 // the backup's own dedup window under the original client's identity —
 // the piece that keeps exactly-once across a later promotion. The window
 // keeps what the primary's keeps; a repeated forward answers nobody, so
-// it never runs a replay-safe call again.
+// it never runs a replay-safe call again. Only a once call is forwarded.
 func (s *Server) handleReplicate(body []byte) ([]byte, error) {
 	var req replicateReq
 	if err := dec(body, &req); err != nil {
 		return nil, err
 	}
+	e, err := entryOf(serverHandlers, "server", req.Method, true)
+	if err != nil {
+		return nil, err
+	}
 	s.epochMax(req.Epoch)
-	_, err := s.dedup.handle(req.ClientID, req.Seq, replaySafeCall(req.Method, req.Body), func(replay bool) ([]byte, error) {
+	_, err = s.dedup.handle(req.ClientID, req.Seq, replaySafeCall(req.Method, req.Body), func(replay bool) ([]byte, error) {
 		if replay {
 			return nil, nil
 		}
 		s.repl.gate.RLock()
 		defer s.repl.gate.RUnlock()
-		return s.dispatch(req.Method, req.Body)
+		return e.run(s, req.Body)
 	})
 	return nil, err
 }

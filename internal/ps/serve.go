@@ -183,12 +183,12 @@ type ServeServerStats struct {
 }
 
 func init() {
-	serverHandlers["ServeSeed"] = handleNoResp((*Server).serveSeed)
-	serverHandlers["ServeInstall"] = handleNoResp((*Server).serveInstall)
-	serverHandlers["ServePull"] = handle((*Server).servePull)
-	serverHandlers["ServeHotInstall"] = handleNoResp((*Server).serveHotInstall)
-	serverHandlers["ServeHotPull"] = handle((*Server).serveHotPull)
-	serverHandlers["ServeHotStats"] = handle((*Server).serveHotStats)
+	serverHandlers["ServeSeed"] = entry[*Server]{idempotent, handleNoResp((*Server).serveSeed)}
+	serverHandlers["ServeInstall"] = entry[*Server]{idempotent, handleNoResp((*Server).serveInstall)}
+	serverHandlers["ServePull"] = entry[*Server]{idempotent, handle((*Server).servePull)}
+	serverHandlers["ServeHotInstall"] = entry[*Server]{idempotent, handleNoResp((*Server).serveHotInstall)}
+	serverHandlers["ServeHotPull"] = entry[*Server]{idempotent, handle((*Server).serveHotPull)}
+	serverHandlers["ServeHotStats"] = entry[*Server]{idempotent, handle((*Server).serveHotStats)}
 }
 
 // serveSnap is one partition snapshot generation: a frozen engine that

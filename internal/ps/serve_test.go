@@ -958,7 +958,7 @@ func TestSnapshotIsAnEngine(t *testing.T) {
 		t.Fatalf("no replica-only holder among %v (primary %s)", holders, part.Server)
 	}
 	push := embPushReq{Model: "one", Part: part.Index, Rows: RowBatch{IDs: []int64{7}, Dim: 2, Data: []float64{5, 5}}, Set: true}
-	if _, err := c.servers[replicaOnly].dispatch("EmbPush", encReply(push)); err == nil || !strings.Contains(err.Error(), "not on this server") {
+	if _, err := c.servers[replicaOnly].Handle("EmbPush", encReply(push)); err == nil || !strings.Contains(err.Error(), "not on this server") {
 		t.Fatalf("EmbPush to a snapshot-only server: err = %v, want \"not on this server\"", err)
 	}
 	if _, err := c.servers[replicaOnly].store.get("one", part.Index); err == nil {

@@ -23,6 +23,9 @@ import (
 // write that only materialises absent rows. The dedup window keeps no
 // reply of a replay-safe call and answers its retry by running it again;
 // every other psFunc's retry gets the reply of its one run (dedup.go).
+// Either way a psFunc looks up every partition, and checks every key,
+// before its first write: the window forgets a routing rejection
+// (routingRejection) and runs the retry, so a write before one applies twice.
 type PSFunc func(s *Store, model string, part int, arg []byte) ([]byte, error)
 
 // psFunc is a registered PSFunc and whether a retry may run it again.
@@ -68,14 +71,12 @@ func replaySafeCall(method string, payload []byte) bool {
 }
 
 // Partition returns the typed view of a co-located partition for psFuncs.
-// See LINE's dot-product function for the canonical use. A psFunc looks up
-// every partition it touches before it writes, so a miss — a partner not
-// restored or migrated here yet — is an unapplied rejection the retry
-// re-executes, not a result the dedup window replays.
+// See LINE's dot-product function for the canonical use. A miss is a
+// routing rejection the retry re-executes (see PSFunc).
 func (s *Store) Partition(model string, idx int) (*PartView, error) {
 	e, err := s.get(model, idx)
 	if err != nil {
-		return nil, unapplied{err}
+		return nil, err
 	}
 	return &PartView{eng: e}, nil
 }
@@ -156,6 +157,40 @@ func NewServer(addr string, fs *dfs.FS) *Server {
 // handler serves one RPC method against a server.
 type handler func(s *Server, body []byte) ([]byte, error)
 
+// retryClass is what a resend of a method may do; every dispatch-table
+// entry declares one (the zero value is undeclared: TestRetryContract). An
+// idempotent method travels bare, and a resend may run it again and leaves
+// what one run leaves. A once method travels in the dedup envelope
+// (dedup.go): a retry is answered from the window, and a server forwards
+// an applied call to its backup.
+type retryClass uint8
+
+const (
+	_ retryClass = iota
+	idempotent
+	once
+)
+
+// entry is one method of a dispatch table: its retry class and handler.
+type entry[S any] struct {
+	class retryClass
+	run   func(S, []byte) ([]byte, error)
+}
+
+// entryOf returns method's entry in table, refusing a call in a dedup
+// envelope (enveloped) unless the method is once: nothing outside that
+// class is windowed or forwarded. role names the receiver in errors.
+func entryOf[S any](table map[string]entry[S], role, method string, enveloped bool) (entry[S], error) {
+	e, ok := table[method]
+	switch {
+	case !ok:
+		return e, fmt.Errorf("ps: %s: unknown method %q", role, method)
+	case enveloped && e.class != once:
+		return e, fmt.Errorf("ps: %s: %s is not a once method and takes no dedup envelope", role, method)
+	}
+	return e, nil
+}
+
 // handle adapts a typed request/response method of a server or the
 // master into a wire handler: decode once, dispatch, encode once.
 func handle[S, Req, Resp any](f func(S, Req) (Resp, error)) func(S, []byte) ([]byte, error) {
@@ -184,17 +219,6 @@ func handleNoResp[S, Req any](f func(S, Req) error) func(S, []byte) ([]byte, err
 	}
 }
 
-// unapplied marks the error of a mutating call that was rejected before
-// it wrote anything because it was routed by a layout this server does
-// not (or not yet) match: the partition is not here, or the batch
-// straddles a range that moved. The client heals by re-routing and
-// retries under the SAME (clientID, seq), so the dedup window must not
-// remember the rejection (dedupTable.handle) — or the retry that arrives
-// after the partition did would replay it forever.
-type unapplied struct{ error }
-
-func (u unapplied) Unwrap() error { return u.error }
-
 // pull adapts an engine's pull method into a handler: find the engine
 // the request addresses, run.
 func pull[E engine, Resp any](f func(E, pullReq) (Resp, error)) handler {
@@ -209,21 +233,17 @@ func pull[E engine, Resp any](f func(E, pullReq) (Resp, error)) handler {
 }
 
 // push adapts an engine's push method into a handler: find the engine,
-// run, count the mutation against the partition's role. It is the one
-// place that knows which push errors applied nothing: a missing engine,
-// and a range-moved rejection (every engine validates the whole batch
-// before its first write).
+// run, count the mutation against the partition's role. Every engine
+// validates the whole batch before its first write, so a rejection —
+// routing or not — applied nothing.
 func push[E engine, Req addressed](f func(E, Req) error) handler {
 	return handleNoResp(func(s *Server, req Req) error {
 		model, part := req.addr()
 		e, err := getEngine[E](s.store, model, part)
 		if err != nil {
-			return unapplied{err}
+			return err
 		}
 		if err := f(e, req); err != nil {
-			if IsRangeMovedErr(err) {
-				return unapplied{err}
-			}
 			return err
 		}
 		s.bump(model, part)
@@ -231,70 +251,67 @@ func push[E engine, Req addressed](f func(E, Req) error) handler {
 	})
 }
 
-// serverHandlers is the method dispatch table of the server.
-var serverHandlers = map[string]handler{
-	"Ping":        func(*Server, []byte) ([]byte, error) { return nil, nil },
-	"CreatePart":  handleNoResp((*Server).createPart),
-	"VecPull":     pull((*vecEngine).pull),
-	"VecPush":     push((*vecEngine).push),
-	"EmbPull":     pull((*embEngine).pull),
-	"EmbPush":     push((*embEngine).push),
-	"NbrPull":     pull((*nbrEngine).pull),
-	"NbrPush":     push((*nbrEngine).push),
-	"Func":        handle((*Server).callFunc),
-	"Checkpoint":  handleNoResp((*Server).checkpoint),
-	"CkptPrepare": handleNoResp((*Server).ckptPrepare),
-	"Restore":     handleNoResp((*Server).restore),
-	"DeleteModel": handleNoResp((*Server).deleteModel),
-	"Stats":       func(s *Server, _ []byte) ([]byte, error) { return enc(s.stats()), nil },
+// serverHandlers is the method dispatch table of the server: each method's
+// retry class and handler.
+var serverHandlers = map[string]entry[*Server]{
+	"Ping":        {idempotent, func(*Server, []byte) ([]byte, error) { return nil, nil }},
+	"CreatePart":  {idempotent, handleNoResp((*Server).createPart)},
+	"VecPull":     {idempotent, pull((*vecEngine).pull)},
+	"VecPush":     {once, push((*vecEngine).push)},
+	"EmbPull":     {idempotent, pull((*embEngine).pull)},
+	"EmbPush":     {once, push((*embEngine).push)},
+	"NbrPull":     {idempotent, pull((*nbrEngine).pull)},
+	"NbrPush":     {once, push((*nbrEngine).push)},
+	"Func":        {once, handle((*Server).callFunc)},
+	"Checkpoint":  {idempotent, handleNoResp((*Server).checkpoint)},
+	"CkptPrepare": {idempotent, handleNoResp((*Server).ckptPrepare)},
+	"Restore":     {idempotent, handleNoResp((*Server).restore)},
+	"DeleteModel": {idempotent, handleNoResp((*Server).deleteModel)},
+	"Stats":       {idempotent, func(s *Server, _ []byte) ([]byte, error) { return enc(s.stats()), nil }},
 }
 
-// The failover handlers (replica.go) re-enter dispatch, so they are
-// registered in init to avoid an initialization cycle through the table.
+// The failover handlers (replica.go) re-enter the table, so they are
+// registered in init to avoid an initialization cycle through it.
 func init() {
-	serverHandlers["Replicate"] = (*Server).handleReplicate
-	serverHandlers["Promote"] = handleNoResp((*Server).promote)
-	serverHandlers["SetBackup"] = handleNoResp((*Server).setBackup)
-	serverHandlers["SeedBackup"] = handleNoResp((*Server).seedBackup)
+	serverHandlers["Replicate"] = entry[*Server]{idempotent, (*Server).handleReplicate}
+	serverHandlers["Promote"] = entry[*Server]{idempotent, handleNoResp((*Server).promote)}
+	serverHandlers["SetBackup"] = entry[*Server]{idempotent, handleNoResp((*Server).setBackup)}
+	serverHandlers["SeedBackup"] = entry[*Server]{idempotent, handleNoResp((*Server).seedBackup)}
 }
 
-// Handle dispatches one RPC. It is the rpc.Handler of the server. A
-// tagSeq/tagSeqE envelope routes through the dedup window so a retried
-// mutating call replays its cached ack instead of re-executing — or, for
-// a replay-safe psFunc, re-executes uncounted. The
-// epoch/lease fence runs BEFORE the window (a rejection must never be
-// cached; routing rejections raised inside it are marked unapplied and
-// dropped by the window), and a successfully applied mutation is
-// forwarded to the backup inside the window's exec — so the client's
-// ack is withheld until the mutation is replicated, and a replay never
-// forwards twice.
+// Handle dispatches one RPC. It is the rpc.Handler of the server. A once
+// method's tagSeqE envelope routes through the dedup window, so a retried
+// call replays its cached ack instead of re-executing — or, for a
+// replay-safe psFunc, re-executes uncounted. The epoch/lease fence runs
+// BEFORE the window (a rejection must never be cached; the window itself
+// forgets routing rejections), and a successfully applied call is
+// forwarded to the backup inside the window's exec — so the client's ack
+// is withheld until the call is replicated, and a replay never forwards
+// twice.
 func (s *Server) Handle(method string, body []byte) ([]byte, error) {
-	if clientID, seq, epoch, payload, ok := unwrapDedup(body); ok {
-		if err := s.fenceCheck(epoch); err != nil {
-			return nil, err
-		}
-		return s.dedup.handle(clientID, seq, replaySafeCall(method, payload), func(replay bool) ([]byte, error) {
-			s.repl.gate.RLock()
-			defer s.repl.gate.RUnlock()
-			if replay {
-				return handle((*Server).runFunc)(s, payload)
-			}
-			resp, err := s.dispatch(method, payload)
-			if err == nil {
-				s.forward(method, clientID, seq, epoch, payload)
-			}
-			return resp, err
-		})
+	clientID, seq, epoch, payload, ok := unwrapDedup(body)
+	e, err := entryOf(serverHandlers, "server", method, ok)
+	if err != nil {
+		return nil, err
 	}
-	return s.dispatch(method, body)
-}
-
-func (s *Server) dispatch(method string, body []byte) ([]byte, error) {
-	h, ok := serverHandlers[method]
 	if !ok {
-		return nil, fmt.Errorf("ps: server: unknown method %q", method)
+		return e.run(s, body)
 	}
-	return h(s, body)
+	if err := s.fenceCheck(epoch); err != nil {
+		return nil, err
+	}
+	return s.dedup.handle(clientID, seq, replaySafeCall(method, payload), func(replay bool) ([]byte, error) {
+		s.repl.gate.RLock()
+		defer s.repl.gate.RUnlock()
+		if replay {
+			return handle((*Server).runFunc)(s, payload)
+		}
+		resp, err := e.run(s, payload)
+		if err == nil {
+			s.forward(method, clientID, seq, epoch, payload)
+		}
+		return resp, err
+	})
 }
 
 func (s *Server) createPart(req createPartReq) error {
@@ -331,10 +348,10 @@ func (s *Server) runFunc(req funcReq) (funcResp, error) {
 	if !ok {
 		return funcResp{}, fmt.Errorf("ps: psFunc %q not registered", req.Name)
 	}
-	// Same rule as push: a psFunc addressed at a partition that is not
-	// here (yet) ran nothing.
+	// A psFunc addressed at a partition that is not here (yet) runs
+	// nothing: a routing rejection the window forgets.
 	if _, err := s.store.get(req.Model, req.Part); err != nil {
-		return funcResp{}, unapplied{err}
+		return funcResp{}, err
 	}
 	out, err := f.run(s.store, req.Model, req.Part, req.Arg)
 	return funcResp{Out: out}, err

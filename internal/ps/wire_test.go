@@ -346,12 +346,23 @@ func TestStaleLayoutRefetch(t *testing.T) {
 	}
 }
 
+// TestStaleLayoutErrClassifier feeds the classifier what a server really
+// answers, so rewording Store.get's error cannot turn every stale-layout
+// retry into a hard error unnoticed.
 func TestStaleLayoutErrClassifier(t *testing.T) {
-	if !staleLayoutErr(&rpc.RemoteError{Msg: `ps: model "x" partition 3 not on this server`}) {
-		t.Error("partition-moved error not classified as stale layout")
-	}
-	if staleLayoutErr(errors.New("ps: model \"x\" partition 3 not on this server")) {
-		t.Error("plain (non-remote) error classified as stale layout")
+	s := newStore()
+	s.put(newVecEngine(baseFor(ModelMeta{Name: "x"}, 0), Partition{}))
+	for _, part := range []struct {
+		model string
+		idx   int
+	}{{"x", 3}, {"y", 0}} {
+		_, err := s.get(part.model, part.idx)
+		if !staleLayoutErr(&rpc.RemoteError{Msg: err.Error()}) {
+			t.Errorf("remote %q not classified as stale layout", err)
+		}
+		if staleLayoutErr(err) {
+			t.Errorf("plain (non-remote) %q classified as stale layout", err)
+		}
 	}
 	if staleLayoutErr(&rpc.RemoteError{Msg: "ps: index 5 outside partition [0,3)"}) {
 		t.Error("application error misclassified as stale layout")
