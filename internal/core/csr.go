@@ -23,7 +23,7 @@ type csrBlock struct {
 	offs   []int32 // row i is adj[offs[i]:offs[i+1]]
 	dstIDs []int64 // sorted distinct destinations
 	adj    []int32 // per edge: index of its destination in dstIDs
-	maxID  int64   // largest vertex id in the block, -1 when empty
+	maxID  int64   // largest vertex id in the block
 }
 
 // MemBytes reports the block's exact footprint to the cache accounting.
@@ -31,17 +31,53 @@ func (b *csrBlock) MemBytes() int64 {
 	return int64(len(b.srcs)+len(b.dstIDs))*8 + int64(len(b.offs)+len(b.adj))*4
 }
 
-// csrBlocks turns neighbor tables into one csrBlock per non-empty
-// partition.
-func csrBlocks(tables *dataflow.RDD[dataflow.KV[int64, []int64]]) *dataflow.RDD[*csrBlock] {
-	return dataflow.MapPartitions(tables, func(part int, in []dataflow.KV[int64, []int64]) ([]*csrBlock, error) {
-		if len(in) == 0 {
-			return nil, nil
+// csrBlocks is PageRank's groupBy (Sec. IV-A, step 1): one csrBlock per
+// non-empty partition, straight from the shuffle in two sorts. Pairs in
+// destination order yield dstIDs and each edge's destination rank; (src,
+// rank) stable-sorted by source then has each row's ranks ascending and
+// duplicate edges adjacent, and one pass cuts srcs/offs/adj.
+func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
+	pairs := dataflow.Map(edges, func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, records func(func(idPair) error) error) ([]*csrBlock, error) {
+		in, tmp, charged, err := readSorted(t, records)
+		if err != nil || len(in) == 0 {
+			return nil, err
 		}
-		b, err := buildCSR(in)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", part, err)
+		distinct, _ := runs(in)
+		dstIDs := make([]int64, 0, distinct)
+		for i, p := range in {
+			if len(dstIDs) == 0 || p.K != dstIDs[len(dstIDs)-1] { // not in[i-1]: overwritten
+				dstIDs = append(dstIDs, p.K)
+			}
+			in[i] = idPair{K: p.V, V: int64(len(dstIDs) - 1)}
 		}
+		in, _ = sortByK(in, tmp) // stable: ranks stay ascending within a source
+		rows, adj := runs(in)
+		if adj > math.MaxInt32 {
+			return nil, fmt.Errorf("core: %d edges in one partition exceed the 32-bit local index; use more partitions", adj)
+		}
+		block := int64(rows+distinct)*8 + int64(rows+1+adj)*4
+		if err := t.Alloc(block); err != nil {
+			return nil, err
+		}
+		b := &csrBlock{
+			srcs:   make([]int64, 0, rows),
+			offs:   make([]int32, 0, rows+1),
+			dstIDs: dstIDs,
+			adj:    make([]int32, 0, adj),
+		}
+		for i, p := range in {
+			if i == 0 || p.K != in[i-1].K {
+				b.srcs = append(b.srcs, p.K)
+				b.offs = append(b.offs, int32(len(b.adj)))
+			} else if p.V == in[i-1].V {
+				continue // a duplicate edge
+			}
+			b.adj = append(b.adj, int32(p.V))
+		}
+		b.offs = append(b.offs, int32(len(b.adj)))
+		b.maxID = max(b.srcs[rows-1], dstIDs[distinct-1])
+		t.Free(charged + block) // the cache charges the block it keeps
 		return []*csrBlock{b}, nil
 	})
 }
@@ -62,63 +98,17 @@ func tablesNumVertices(tables *dataflow.RDD[dataflow.KV[int64, []int64]]) (int64
 	})
 }
 
-func buildCSR(tables []dataflow.KV[int64, []int64]) (*csrBlock, error) {
-	edges := 0
-	for _, t := range tables {
-		edges += len(t.V)
-	}
-	if edges > math.MaxInt32 {
-		return nil, fmt.Errorf("%d edges exceed the 32-bit local index; use more partitions", edges)
-	}
-	b := &csrBlock{
-		srcs:  make([]int64, len(tables)),
-		offs:  make([]int32, len(tables)+1),
-		adj:   make([]int32, edges),
-		maxID: -1,
-	}
-	// Sort (destination, edge position) by destination: walking the
-	// result yields the distinct destinations in order and, for every
-	// edge, the rank of its destination among them.
-	byDst := make([]idPair, edges)
-	e := 0
-	for i, t := range tables {
-		b.srcs[i], b.offs[i] = t.K, int32(e)
-		b.maxID = max(b.maxID, t.K)
-		for _, d := range t.V {
-			byDst[e] = idPair{K: d, V: int64(e)}
-			e++
-		}
-	}
-	b.offs[len(tables)] = int32(e)
-	byDst, _ = sortByK(byDst, make([]idPair, edges))
-	distinct := 0
-	for i := range byDst {
-		if i == 0 || byDst[i].K != byDst[i-1].K {
-			distinct++
-		}
-	}
-	b.dstIDs = make([]int64, 0, distinct)
-	for i, p := range byDst {
-		if i == 0 || p.K != byDst[i-1].K {
-			b.dstIDs = append(b.dstIDs, p.K)
-		}
-		b.adj[p.V] = int32(len(b.dstIDs) - 1)
-	}
-	if distinct > 0 {
-		b.maxID = max(b.maxID, b.dstIDs[distinct-1])
-	}
-	return b, nil
-}
-
 // scatter is the executor side of one Δ-PageRank step over the block:
 // every source whose pending increment deltas[i] exceeds threshold in
 // magnitude sends damping·deltas[i]/outdeg to each of its destinations.
-// It returns the touched destinations in ascending id order with their
-// summed shares — exactly the set a push must carry; a negative
-// threshold touches every destination of every source.
+// It returns the destinations whose summed share is non-zero, in
+// ascending id order with those sums; a negative threshold makes every
+// source active and pushes every destination, zero sums included.
+// PageRank's increments are sums of non-negative shares, so an active
+// source's destinations are exactly the non-zero sums. Only shares of
+// mixed sign that cancel to exactly 0.0 go unpushed — an add of zero.
 func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) (idx []int64, vals []float64) {
 	acc := make([]float64, len(b.dstIDs))
-	hit := make([]bool, len(b.dstIDs))
 	for i, d := range deltas {
 		if d <= threshold && d >= -threshold {
 			continue
@@ -127,26 +117,21 @@ func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) (idx []
 		share := damping * d / float64(len(row))
 		for _, k := range row {
 			acc[k] += share
-			hit[k] = true
 		}
 	}
-	touched := 0
-	for _, h := range hit {
-		if h {
-			touched++
-		}
-	}
-	if touched == 0 {
-		return nil, nil
-	}
-	idx, vals = make([]int64, 0, touched), make([]float64, 0, touched)
-	for k, h := range hit {
-		if h {
+	// The sums compact into acc itself, which becomes vals.
+	all, n := threshold < 0, 0
+	for k, a := range acc {
+		if a != 0 || all {
+			if idx == nil {
+				idx = make([]int64, 0, len(acc)-k)
+			}
 			idx = append(idx, b.dstIDs[k])
-			vals = append(vals, acc[k])
+			acc[n] = a
+			n++
 		}
 	}
-	return idx, vals
+	return idx, acc[:n]
 }
 
 // idPair is the element of the flat sorts below; it is the shuffle's own

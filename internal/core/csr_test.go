@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"psgraph/internal/dataflow"
+	"psgraph/internal/dfs"
 	"psgraph/internal/gen"
 )
 
@@ -84,62 +86,171 @@ func TestPageRankMatchesOracle(t *testing.T) {
 	}
 }
 
-func tablesOf(edges []Edge) []dataflow.KV[int64, []int64] {
-	adj := map[int64][]int64{}
-	for _, e := range edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
+// blocksOf builds the CSR blocks of edges over parts partitions through
+// the shuffle, one slot per partition (nil where it is empty).
+func blocksOf(tb testing.TB, edges []Edge, parts int) []*csrBlock {
+	tb.Helper()
+	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+	out := make([]*csrBlock, parts)
+	err := csrBlocks(dataflow.Parallelize(sc, edges, 3), parts).ForeachPartition(func(part int, in []*csrBlock) error {
+		if len(in) > 1 {
+			return fmt.Errorf("partition %d holds %d blocks", part, len(in))
+		}
+		if len(in) == 1 {
+			out[part] = in[0]
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	var tables []dataflow.KV[int64, []int64]
-	for src, dsts := range adj {
-		tables = append(tables, dataflow.KV[int64, []int64]{K: src, V: sortUnique(dsts)})
-	}
-	return tables
+	return out
 }
 
-// TestBuildCSRMatchesTables: a block holds exactly its tables' edges,
-// with sorted distinct destinations and exact self-reported size.
-func TestBuildCSRMatchesTables(t *testing.T) {
-	tables := tablesOf(awkwardGraph())
-	b, err := buildCSR(tables)
-	if err != nil {
-		t.Fatal(err)
+// TestCSRBlocksMatchNeighborTables: for every partition, a block's rows
+// decoded through dstIDs are exactly ToNeighborTables' tables of the same
+// partition — duplicates dropped, self-loops kept, negative and wide ids
+// in order — with sorted distinct destinations, exact slices and size,
+// and the partition's largest id.
+func TestCSRBlocksMatchNeighborTables(t *testing.T) {
+	wide := randomEdges(5, 8, 400)
+	for i := range wide {
+		wide[i].Src, wide[i].Dst = wide[i].Src<<40|int64(i%3), 1<<40+wide[i].Dst*7919
 	}
-	if !sort.SliceIsSorted(b.dstIDs, func(i, j int) bool { return b.dstIDs[i] < b.dstIDs[j] }) {
-		t.Fatal("dstIDs not sorted")
+	negative := randomEdges(6, 7, 300)
+	for i := range negative {
+		negative[i].Src, negative[i].Dst = negative[i].Src-64, -negative[i].Dst
 	}
-	if len(slices.Compact(slices.Clone(b.dstIDs))) != len(b.dstIDs) {
-		t.Fatal("dstIDs not distinct")
+	for name, tc := range map[string]struct {
+		edges []Edge
+		parts int
+	}{
+		"awkward":          {awkwardGraph(), 3},
+		"empty-partitions": {[]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 7}, {Src: 0, Dst: 1}}, 8},
+		"negative":         {negative, 4},
+		"wide":             {wide, 5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			blocks := blocksOf(t, tc.edges, tc.parts)
+			sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+			tables := make([][]dataflow.KV[int64, []int64], tc.parts)
+			err := ToNeighborTables(dataflow.Parallelize(sc, tc.edges, 3), tc.parts).ForeachPartition(func(part int, in []dataflow.KV[int64, []int64]) error {
+				tables[part] = in
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxID := int64(math.MinInt64)
+			for part, b := range blocks {
+				if b == nil {
+					if len(tables[part]) != 0 {
+						t.Fatalf("partition %d: no block for %d tables", part, len(tables[part]))
+					}
+					continue
+				}
+				if len(b.srcs) != len(tables[part]) || len(b.offs) != len(b.srcs)+1 {
+					t.Fatalf("partition %d: %d rows, %d offsets for %d tables", part, len(b.srcs), len(b.offs), len(tables[part]))
+				}
+				if !slices.IsSorted(b.dstIDs) || len(slices.Compact(slices.Clone(b.dstIDs))) != len(b.dstIDs) {
+					t.Fatalf("partition %d: dstIDs not sorted and distinct", part)
+				}
+				want := int64(math.MinInt64)
+				for i, tab := range tables[part] {
+					var row []int64
+					for _, k := range b.adj[b.offs[i]:b.offs[i+1]] {
+						row = append(row, b.dstIDs[k])
+					}
+					if b.srcs[i] != tab.K || !slices.Equal(row, tab.V) {
+						t.Fatalf("partition %d row %d: %d→%v, want %d→%v", part, i, b.srcs[i], row, tab.K, tab.V)
+					}
+					want = max(want, tab.K, tab.V[len(tab.V)-1])
+				}
+				if b.maxID != want {
+					t.Fatalf("partition %d: maxID = %d, want %d", part, b.maxID, want)
+				}
+				maxID = max(maxID, want)
+				if cap(b.srcs) != len(b.srcs) || cap(b.offs) != len(b.offs) || cap(b.dstIDs) != len(b.dstIDs) || cap(b.adj) != len(b.adj) {
+					t.Fatalf("partition %d: a slice holds more than its length", part)
+				}
+				if mem := int64(8*len(b.srcs) + 4*len(b.offs) + 8*len(b.dstIDs) + 4*len(b.adj)); b.MemBytes() != mem {
+					t.Fatalf("partition %d: MemBytes = %d, want %d", part, b.MemBytes(), mem)
+				}
+			}
+			if name == "awkward" && maxID != 99 {
+				t.Fatalf("maxID = %d, want the destination-only vertex 99", maxID)
+			}
+		})
 	}
-	for i, tab := range tables {
-		var row []int64
-		for _, k := range b.adj[b.offs[i]:b.offs[i+1]] {
-			row = append(row, b.dstIDs[k])
+}
+
+// scatterMarked is scatter as it was with a touched mark per destination:
+// the reference the unmarked one must push exactly like.
+func scatterMarked(b *csrBlock, deltas []float64, damping, threshold float64) (idx []int64, vals []float64) {
+	acc := make([]float64, len(b.dstIDs))
+	hit := make([]bool, len(b.dstIDs))
+	for i, d := range deltas {
+		if d <= threshold && d >= -threshold {
+			continue
 		}
-		if b.srcs[i] != tab.K || !slices.Equal(row, tab.V) {
-			t.Fatalf("row %d: %d→%v, want %d→%v", i, b.srcs[i], row, tab.K, tab.V)
+		row := b.adj[b.offs[i]:b.offs[i+1]]
+		share := damping * d / float64(len(row))
+		for _, k := range row {
+			acc[k] += share
+			hit[k] = true
 		}
 	}
-	if b.maxID != 99 {
-		t.Fatalf("maxID = %d, want the destination-only vertex 99", b.maxID)
+	for k, h := range hit {
+		if h {
+			idx = append(idx, b.dstIDs[k])
+			vals = append(vals, acc[k])
+		}
 	}
-	want := int64(8*len(b.srcs) + 4*len(b.offs) + 8*len(b.dstIDs) + 4*len(b.adj))
-	if b.MemBytes() != want {
-		t.Fatalf("MemBytes = %d, want %d", b.MemBytes(), want)
+	return idx, vals
+}
+
+// TestScatterMatchesMarked: over 24 Δ-propagation steps (each step's
+// pushes at the sources become the next step's increments) on the R-MAT
+// block and the awkward graph, at the sparsity thresholds and with full
+// propagation, scatter pushes the marked reference's ids and bits.
+func TestScatterMatchesMarked(t *testing.T) {
+	rmat, _ := scatterBlock(t, 50_000)
+	for name, b := range map[string]*csrBlock{"rmat": rmat, "awkward": blocksOf(t, awkwardGraph(), 1)[0]} {
+		for _, threshold := range []float64{1e-9, 1e-15, -1} {
+			deltas := make([]float64, len(b.srcs))
+			for i := range deltas {
+				deltas[i] = 0.15
+			}
+			for step := 0; step < 24; step++ {
+				idx, vals := b.scatter(deltas, 0.85, threshold)
+				wantIdx, wantVals := scatterMarked(b, deltas, 0.85, threshold)
+				if !slices.Equal(idx, wantIdx) || len(vals) != len(wantVals) {
+					t.Fatalf("%s threshold %g step %d: pushed %d ids, the marked scatter %d", name, threshold, step, len(idx), len(wantIdx))
+				}
+				for k := range vals {
+					if math.Float64bits(vals[k]) != math.Float64bits(wantVals[k]) {
+						t.Fatalf("%s threshold %g step %d: id %d gets %v, the marked scatter %v", name, threshold, step, idx[k], vals[k], wantVals[k])
+					}
+				}
+				pushed := map[int64]float64{}
+				for k, id := range idx {
+					pushed[id] = vals[k]
+				}
+				for i, src := range b.srcs {
+					deltas[i] = pushed[src]
+				}
+			}
+		}
 	}
 }
 
 // TestScatterFullPropagation: with a negative threshold (the ablation's
 // full propagation) every destination is pushed, zero shares included;
-// with the sparsity threshold only destinations of active sources are.
+// with the sparsity threshold only the non-zero sums are. Shares of mixed
+// sign that cancel to exactly 0.0 are the one destination the touched
+// marks pushed and the sums do not: an add of zero.
 func TestScatterFullPropagation(t *testing.T) {
-	b, err := buildCSR([]dataflow.KV[int64, []int64]{
-		{K: 1, V: []int64{2, 3}},
-		{K: 4, V: []int64{3, 5}},
-		{K: 6, V: []int64{7}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := blocksOf(t, []Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 6, Dst: 7}}, 1)[0]
 	deltas := []float64{1, 0, 1e-12}
 	idx, vals := b.scatter(deltas, 0.5, -1)
 	if !slices.Equal(idx, []int64{2, 3, 5, 7}) || !slices.Equal(vals, []float64{0.25, 0.25, 0, 0.5e-12}) {
@@ -152,6 +263,13 @@ func TestScatterFullPropagation(t *testing.T) {
 	if idx, _ := b.scatter([]float64{0, 0, 0}, 0.5, 1e-9); idx != nil {
 		t.Fatalf("idle scatter pushed %v", idx)
 	}
+	mixed := []float64{1, -1, 0}
+	if idx, _ := scatterMarked(b, mixed, 0.5, 1e-9); !slices.Equal(idx, []int64{2, 3, 5}) {
+		t.Fatalf("the marked scatter pushed %v", idx)
+	}
+	if idx, vals := b.scatter(mixed, 0.5, 1e-9); !slices.Equal(idx, []int64{2, 5}) || !slices.Equal(vals, []float64{0.25, -0.25}) {
+		t.Fatalf("mixed-sign scatter pushed %v %v, want 3's exact zero left out", idx, vals)
+	}
 }
 
 func scatterBlock(tb testing.TB, edges int) (*csrBlock, []float64) {
@@ -160,10 +278,7 @@ func scatterBlock(tb testing.TB, edges int) (*csrBlock, []float64) {
 	for i, e := range raw {
 		es[i] = Edge{Src: e.Src, Dst: e.Dst}
 	}
-	b, err := buildCSR(tablesOf(es))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	b := blocksOf(tb, es, 1)[0]
 	deltas := make([]float64, len(b.srcs))
 	for i := range deltas {
 		deltas[i] = 0.15
@@ -171,15 +286,15 @@ func scatterBlock(tb testing.TB, edges int) (*csrBlock, []float64) {
 	return b, deltas
 }
 
-// TestScatterAllocs: one scatter costs its scratch and the two push
-// slices — no map, nothing per vertex.
+// TestScatterAllocs: one scatter costs its accumulator, which becomes
+// the pushed values, and the pushed ids — no map, nothing per vertex.
 func TestScatterAllocs(t *testing.T) {
 	b, deltas := scatterBlock(t, 50_000)
 	allocs := testing.AllocsPerRun(10, func() {
 		b.scatter(deltas, 0.85, 1e-9)
 	})
-	if allocs > 8 {
-		t.Fatalf("scatter allocates %v objects per call, want ≤ 8", allocs)
+	if allocs > 2 {
+		t.Fatalf("scatter allocates %v objects per call, want ≤ 2", allocs)
 	}
 }
 

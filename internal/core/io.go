@@ -149,47 +149,16 @@ func ToUndirectedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.
 func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
 	type table = dataflow.KV[int64, []int64]
 	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, records func(func(idPair) error) error) ([]table, error) {
-		// Read as (neighbor, vertex): the sort is least-significant key
-		// first, so the minor key takes the K seat for the first pass.
-		var in []idPair
-		var charged int64
-		err := records(func(kv idPair) error {
-			if len(in) == cap(in) {
-				// Doubling copies each record once on average; append's
-				// 1.25x for large slices would copy it four times.
-				in = slices.Grow(in, max(len(in), 1<<12))
-				grown := int64(cap(in))*16 - charged
-				charged += grown
-				if err := t.Alloc(grown); err != nil {
-					return err
-				}
-			}
-			in = append(in, idPair{K: kv.V, V: kv.K})
-			return nil
-		})
+		in, tmp, charged, err := readSorted(t, records)
 		if err != nil {
 			return nil, err
 		}
-		scratch := int64(len(in)) * 16
-		if err := t.Alloc(scratch); err != nil {
-			return nil, err
-		}
-		in, tmp := sortByK(in, make([]idPair, len(in)))
 		for i, p := range in {
 			in[i] = idPair{K: p.V, V: p.K}
 		}
 		in, _ = sortByK(in, tmp) // stable: neighbors stay ordered within a vertex
 
-		var vertices, distinct int
-		for i, p := range in {
-			newVertex := i == 0 || p.K != in[i-1].K
-			if newVertex {
-				vertices++
-			}
-			if newVertex || p.V != in[i-1].V {
-				distinct++
-			}
-		}
+		vertices, distinct := runs(in)
 		if err := t.Alloc(int64(distinct)*8 + int64(vertices)*40); err != nil {
 			return nil, err
 		}
@@ -205,9 +174,54 @@ func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[datafl
 			tables = append(tables, table{K: in[i].K, V: nbrs[lo:len(nbrs):len(nbrs)]})
 			i = j
 		}
-		t.Free(charged + scratch)
+		t.Free(charged)
 		return tables, nil
 	})
+}
+
+// readSorted reads a reduce task's share of the shuffle into one flat
+// slice as (V, K) and sorts it by that K: the sorts are least-significant
+// key first, so the minor key takes the K seat for the first pass. It
+// returns the sort's scratch and the bytes charged to t for both slices.
+func readSorted(t *dataflow.Task, records func(func(idPair) error) error) (in, tmp []idPair, charged int64, err error) {
+	err = records(func(kv idPair) error {
+		if len(in) == cap(in) {
+			// Doubling copies each record once on average; append's
+			// 1.25x for large slices would copy it four times.
+			in = slices.Grow(in, max(len(in), 1<<12))
+			grown := int64(cap(in))*16 - charged
+			charged += grown
+			if err := t.Alloc(grown); err != nil {
+				return err
+			}
+		}
+		in = append(in, idPair{K: kv.V, V: kv.K})
+		return nil
+	})
+	scratch := int64(len(in)) * 16
+	if err == nil {
+		err = t.Alloc(scratch)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	in, tmp = sortByK(in, make([]idPair, len(in)))
+	return in, tmp, charged + scratch, nil
+}
+
+// runs counts the distinct keys and the distinct (key, value) pairs of a
+// slice sorted by key.
+func runs(in []idPair) (keys, pairs int) {
+	for i, p := range in {
+		newKey := i == 0 || p.K != in[i-1].K
+		if newKey {
+			keys++
+		}
+		if newKey || p.V != in[i-1].V {
+			pairs++
+		}
+	}
+	return keys, pairs
 }
 
 // WeightedNeighbor is one adjacency entry of a weighted graph.

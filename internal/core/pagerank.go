@@ -85,7 +85,7 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 	// One CSR block per partition stays cached for the whole job; sizing
 	// the vectors from it is the action that builds it, so the edge file
 	// is read and parsed once.
-	blocks := csrBlocks(ToNeighborTables(edges, parts)).Cache()
+	blocks := csrBlocks(edges, parts).Cache()
 	defer blocks.Unpersist()
 	n, err := numVertices(blocks)
 	if err != nil {

@@ -95,7 +95,7 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
-	blocks := csrBlocks(ToNeighborTables(edges, parts)).Cache()
+	blocks := csrBlocks(edges, parts).Cache()
 	defer blocks.Unpersist()
 	n, err := numVertices(blocks)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -576,37 +578,36 @@ func (v *Vector) PullAll() ([]float64, error) {
 	}
 }
 
-// vecPartFor returns a partition-lookup function over meta's partitions
-// that checks the previously matched range first: pull/push index
-// streams have strong partition locality (often fully sorted), which
-// turns the per-index lookup into one compare instead of a scan.
-func vecPartFor(meta *ModelMeta) func(idx int64) int {
-	last := 0
-	return func(idx int64) int {
-		if p := &meta.Parts[last]; idx >= p.Lo && idx < p.Hi {
-			return last
-		}
-		last = meta.PartitionFor(idx)
-		return last
-	}
-}
-
 // vecWork is the routed work of an indexed vector operation: the
-// indices with, for a push, the values to combine (parallel to idx) or,
-// for a pull, the positions the pulled values take in the caller's
-// result (nil before the first split: index i fills position i).
+// indices with, for a push, the values (parallel to idx) or, for a pull,
+// the result positions; a window has no pos and fills lo, lo+1, ….
 type vecWork struct {
 	idx  []int64
 	vals []float64
 	pos  []int
+	lo   int
 }
 
+// splitVec buckets w by partition slot. Ascending ids (PageRank's, KCore's)
+// route as one window of the caller's slices per slot, found by binary
+// search on the slot — RouteKey's clamp is monotone — and alias them: a
+// call encodes its buckets before it returns. Other input is copied.
 func splitVec(meta *ModelMeta, w vecWork) []vecWork {
 	by := make([]vecWork, len(meta.Parts))
+	if w.pos == nil && slices.IsSorted(w.idx) {
+		for p, i := 0, 0; p < len(by) && i < len(w.idx); p++ {
+			j := i + sort.Search(len(w.idx)-i, func(k int) bool { return meta.PartitionFor(w.idx[i+k]) > p })
+			by[p] = vecWork{idx: w.idx[i:j], lo: w.lo + i}
+			if w.vals != nil {
+				by[p].vals = w.vals[i:j]
+			}
+			i = j
+		}
+		return by
+	}
 	est := len(w.idx)/len(by) + 1
-	partFor := vecPartFor(meta)
 	for i, idx := range w.idx {
-		b := &by[partFor(idx)]
+		b := &by[meta.PartitionFor(idx)]
 		if b.idx == nil {
 			b.idx = make([]int64, 0, est)
 			if w.vals != nil {
@@ -644,6 +645,9 @@ func (v *Vector) Pull(indices []int64) ([]float64, error) {
 			return fmt.Errorf("ps: %s/%d answered %d indices with %d values", name, p.Index, len(w.idx), len(r.Values))
 		}
 		// Each bucket fills disjoint slots of out, so no lock is needed.
+		if w.pos == nil {
+			copy(out[w.lo:], r.Values)
+		}
 		for j, orig := range w.pos {
 			out[orig] = r.Values[j]
 		}
@@ -734,11 +738,7 @@ func (v *Vector) SetAll(values []float64) error {
 
 // Fill sets every element to x.
 func (v *Vector) Fill(x float64) error {
-	vals := make([]float64, v.Meta.Size)
-	for i := range vals {
-		vals[i] = x
-	}
-	return v.SetAll(vals)
+	return v.SetAll(slices.Repeat([]float64{x}, int(v.Meta.Size)))
 }
 
 // Zero resets the whole vector to zero.
