@@ -71,3 +71,32 @@ func benchShuffle(b *testing.B, binary bool) {
 
 func BenchmarkShuffleReduceByKeyBinary(b *testing.B) { benchShuffle(b, true) }
 func BenchmarkShuffleReduceByKeyGob(b *testing.B)    { benchShuffle(b, false) }
+
+// BenchmarkShuffleReadPairs times the reduce side alone: the 16 files of a
+// 4×4 shuffle of 2 M KV[int64, int64] pairs with ids below 2^17 (PageRank's
+// edge shape), decoded by one executor. ns/record is the whole read path:
+// file open, window refills, codec and consume call.
+func BenchmarkShuffleReadPairs(b *testing.B) {
+	const n, parts = 2_000_000, 4
+	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 1})
+	data := make([]KV[int64, int64], n)
+	for i := range data {
+		data[i] = KV[int64, int64]{K: int64(i*7919) % (1 << 17), V: int64(i*104729) % (1 << 17)}
+	}
+	dep := writeShuffle(Parallelize(ctx, data, parts), parts)
+	if err := dep.materialize(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got int
+		err := ctx.runTasks(parts, func(t *Task, rp int) error {
+			return readShufflePart(t, dep, rp, func(KV[int64, int64]) error { got++; return nil })
+		})
+		if err != nil || got != n {
+			b.Fatalf("read %d of %d records: %v", got, n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+}

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -10,9 +8,9 @@ import (
 	"time"
 )
 
-func newBinReaderBytes(b []byte) *BinReader {
-	return newBinReader(bufio.NewReader(bytes.NewReader(b)))
-}
+// newBinReaderBytes is a cursor over a whole stream: a cut record is a
+// truncated one, and Err reports it.
+func newBinReaderBytes(b []byte) *BinReader { return &BinReader{b: b} }
 
 // withFusion runs the test body under the given fusion setting and
 // restores the default afterwards.
@@ -410,7 +408,7 @@ func TestAppendReadHelpersPreserveNil(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if r.more() {
+	if r.off != len(b) {
 		t.Fatal("trailing data after round-trip")
 	}
 }

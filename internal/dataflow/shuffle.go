@@ -1,7 +1,7 @@
 package dataflow
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -213,38 +213,72 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 }
 
 // readShufflePart streams every map output addressed to reduce partition
-// rp through a fixed-size read buffer, decoding records one at a time
-// into consume. Only the read buffer is charged to the task (the shuffle
-// fetch buffer), not the file contents: decoded records flow directly
-// into the consumer's table.
+// rp through one window, decoding records one at a time into consume. Only
+// the window is charged to the task (the shuffle fetch buffer), not the
+// file contents: decoded records flow directly into the consumer's table.
 func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, consume func(KV[K, V]) error) error {
 	codec := codecFor[K, V]()
 	if err := t.Alloc(shuffleChunk); err != nil {
 		return err
 	}
-	defer t.Free(shuffleChunk)
+	w := &shuffleWindow{t: t, buf: make([]byte, shuffleChunk)}
+	defer func() { t.Free(int64(len(w.buf))) }()
 	for mp := 0; mp < dep.mapParts; mp++ {
-		if err := readShuffleFile(dep, mp, rp, codec, consume); err != nil {
+		if err := readShuffleFile(dep, mp, rp, codec, w, consume); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], consume func(KV[K, V]) error) error {
+// shuffleWindow is a reduce task's read buffer, shuffleChunk bytes unless
+// a record longer than that grew it; r is the cursor over what it holds.
+type shuffleWindow struct {
+	t   *Task
+	f   io.Reader
+	eof bool
+	buf []byte
+	r   BinReader
+}
+
+// fill moves the undecoded tail r.b[from:] to the front of the window and
+// reads the file in behind it. A tail that fills the window is one record
+// longer than it: the window doubles, charged to the task, so it only ever
+// grows to twice the bytes that actually arrived.
+func (w *shuffleWindow) fill(from int) error {
+	n := copy(w.buf, w.r.b[from:])
+	if n == len(w.buf) {
+		if err := w.t.Alloc(int64(n)); err != nil {
+			return err
+		}
+		w.buf = append(w.buf, make([]byte, n)...)
+	}
+	m, err := io.ReadFull(w.f, w.buf[n:])
+	if w.eof = err == io.EOF || err == io.ErrUnexpectedEOF; err != nil && !w.eof {
+		return fmt.Errorf("dataflow: shuffle read: %w", err)
+	}
+	w.r = BinReader{b: w.buf[:n+m]}
+	return nil
+}
+
+func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], w *shuffleWindow, consume func(KV[K, V]) error) error {
 	f, err := dep.ctx.FS.Open(shufflePath(dep.id, mp, rp))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, shuffleChunk)
-	fmtByte, err := br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("dataflow: shuffle %d file %d-%d: missing format byte: %w", dep.id, mp, rp, err)
+	w.f, w.r.b = f, nil
+	if err := w.fill(0); err != nil {
+		return err
 	}
-	switch fmtByte {
+	r := &w.r
+	if len(r.b) == 0 {
+		return fmt.Errorf("dataflow: shuffle %d file %d-%d: missing format byte", dep.id, mp, rp)
+	}
+	r.off = 1
+	switch r.b[0] {
 	case shuffleFmtGob:
-		dec := gob.NewDecoder(br)
+		dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(r.b[1:]), f))
 		for {
 			var kv KV[K, V]
 			if err := dec.Decode(&kv); err != nil {
@@ -261,19 +295,28 @@ func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *sh
 		if codec == nil {
 			return fmt.Errorf("dataflow: shuffle %d file %d-%d is binary but no codec is registered for %T", dep.id, mp, rp, KV[K, V]{})
 		}
-		r := newBinReader(br)
-		for r.more() {
-			kv := codec.dec(r)
-			if err := r.Err(); err != nil {
-				return err
+		for {
+			start := r.off
+			if start < len(r.b) {
+				kv := codec.dec(r)
+				if !r.cut() {
+					if err := consume(kv); err != nil {
+						return err
+					}
+					continue
+				}
+				if r.err != nil || w.eof {
+					return fmt.Errorf("dataflow: shuffle %d file %d-%d: %w", dep.id, mp, rp, r.Err())
+				}
+			} else if w.eof {
+				return nil
 			}
-			if err := consume(kv); err != nil {
+			if err := w.fill(start); err != nil {
 				return err
 			}
 		}
-		return r.Err()
 	default:
-		return fmt.Errorf("dataflow: shuffle %d file %d-%d: unknown format byte 0x%02x", dep.id, mp, rp, fmtByte)
+		return fmt.Errorf("dataflow: shuffle %d file %d-%d: unknown format byte 0x%02x", dep.id, mp, rp, r.b[0])
 	}
 }
 
@@ -282,50 +325,53 @@ func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *sh
 // against the executor budget — this is the memory-hungry operation that
 // blows up GraphX on large graphs.
 func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V]] {
-	if parts <= 0 {
-		parts = r.ctx.cfg.DefaultParallelism
+	out := ShuffleReduce(r, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, []V], error) {
+		groups, tableBytes, err := groupAll(t, records)
+		if err != nil {
+			return nil, err
+		}
+		return emit(t, entries(groups), tableBytes)
+	})
+	out.name = r.name + ".groupByKey"
+	return out
+}
+
+// groupAll reads records into a key → values table, charged to t as it
+// grows (1.5x the raw data models map + slice overhead), and returns the
+// charge with it.
+func groupAll[K comparable, V any](t *Task, records func(func(KV[K, V]) error) error) (map[K][]V, int64, error) {
+	groups := make(map[K][]V)
+	var tableBytes int64
+	var sizer sizeSampler[V]
+	err := records(func(kv KV[K, V]) error {
+		groups[kv.K] = append(groups[kv.K], kv.V)
+		grow := sizer.estimate(kv.V)*3/2 + 8
+		tableBytes += grow
+		return t.Alloc(grow)
+	})
+	return groups, tableBytes, err
+}
+
+// emit charges a reduce task's output partition, which coexists with the
+// table it was built from, then releases the table's charge.
+func emit[U any](t *Task, out []U, tableBytes int64) ([]U, error) {
+	if err := t.Alloc(estimateBytes(out)); err != nil {
+		return nil, err
 	}
-	dep := writeShuffle(r, parts)
-	return &RDD[KV[K, []V]]{
-		ctx:      r.ctx,
-		parts:    parts,
-		parents:  []node{r},
-		shuffles: []*shuffleDep{dep},
-		name:     r.name + ".groupByKey",
-		compute: func(t *Task, part int) ([]KV[K, []V], error) {
-			groups := make(map[K][]V)
-			var tableBytes int64
-			var sizer sizeSampler[V]
-			err := readShufflePart(t, dep, part, func(kv KV[K, V]) error {
-				groups[kv.K] = append(groups[kv.K], kv.V)
-				// Charge the grouped table as it grows; 1.5x the raw data
-				// models map + slice overhead.
-				grow := sizer.estimate(kv.V)*3/2 + 8
-				tableBytes += grow
-				return t.Alloc(grow)
-			})
-			if err != nil {
-				return nil, err
-			}
-			out := make([]KV[K, []V], 0, len(groups))
-			for k, vs := range groups {
-				out = append(out, KV[K, []V]{K: k, V: vs})
-			}
-			// The materialized output partition coexists with the table.
-			if err := t.Alloc(estimateBytes(out)); err != nil {
-				return nil, err
-			}
-			t.Free(tableBytes)
-			return out, nil
-		},
+	t.Free(tableBytes)
+	return out, nil
+}
+
+func entries[K comparable, V any](m map[K]V) []KV[K, V] {
+	out := make([]KV[K, V], 0, len(m))
+	for k, v := range m {
+		out = append(out, KV[K, V]{K: k, V: v})
 	}
+	return out
 }
 
 // ReduceByKey shuffles with map-side combining and merges values with f.
 func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], f func(a, b V) V, parts int) *RDD[KV[K, V]] {
-	if parts <= 0 {
-		parts = r.ctx.cfg.DefaultParallelism
-	}
 	// Map-side combine before the shuffle.
 	combined := MapPartitions(r, func(part int, in []KV[K, V]) ([]KV[K, V], error) {
 		acc := make(map[K]V, len(in)/2+1)
@@ -336,48 +382,30 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], f func(a, b V) V, parts 
 				acc[kv.K] = kv.V
 			}
 		}
-		out := make([]KV[K, V], 0, len(acc))
-		for k, v := range acc {
-			out = append(out, KV[K, V]{K: k, V: v})
-		}
-		return out, nil
+		return entries(acc), nil
 	})
 	combined.name = r.name + ".combine"
-	dep := writeShuffle(combined, parts)
-	return &RDD[KV[K, V]]{
-		ctx:      r.ctx,
-		parts:    parts,
-		parents:  []node{combined},
-		shuffles: []*shuffleDep{dep},
-		name:     r.name + ".reduceByKey",
-		compute: func(t *Task, part int) ([]KV[K, V], error) {
-			acc := make(map[K]V)
-			var tableBytes int64
-			var sizer sizeSampler[V]
-			err := readShufflePart(t, dep, part, func(kv KV[K, V]) error {
-				if cur, ok := acc[kv.K]; ok {
-					acc[kv.K] = f(cur, kv.V)
-					return nil
-				}
-				acc[kv.K] = kv.V
-				grow := sizer.estimate(kv.V) + 16
-				tableBytes += grow
-				return t.Alloc(grow)
-			})
-			if err != nil {
-				return nil, err
+	out := ShuffleReduce(combined, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+		acc := make(map[K]V)
+		var tableBytes int64
+		var sizer sizeSampler[V]
+		err := records(func(kv KV[K, V]) error {
+			if cur, ok := acc[kv.K]; ok {
+				acc[kv.K] = f(cur, kv.V)
+				return nil
 			}
-			out := make([]KV[K, V], 0, len(acc))
-			for k, v := range acc {
-				out = append(out, KV[K, V]{K: k, V: v})
-			}
-			if err := t.Alloc(estimateBytes(out)); err != nil {
-				return nil, err
-			}
-			t.Free(tableBytes)
-			return out, nil
-		},
-	}
+			acc[kv.K] = kv.V
+			grow := sizer.estimate(kv.V) + 16
+			tableBytes += grow
+			return t.Alloc(grow)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return emit(t, entries(acc), tableBytes)
+	})
+	out.name = r.name + ".reduceByKey"
+	return out
 }
 
 // Join computes the inner join of two keyed datasets. Both sides are
@@ -398,25 +426,15 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 		shuffles: []*shuffleDep{depA, depB},
 		name:     a.name + ".join(" + b.name + ")",
 		compute: func(t *Task, part int) ([]KV[K, Pair[V, W]], error) {
-			build := make(map[K][]V)
-			var tableBytes int64
-			var sizer sizeSampler[V]
-			err := readShufflePart(t, depA, part, func(kv KV[K, V]) error {
-				build[kv.K] = append(build[kv.K], kv.V)
-				grow := sizer.estimate(kv.V)*3/2 + 8
-				tableBytes += grow
-				return t.Alloc(grow)
+			build, tableBytes, err := groupAll(t, func(consume func(KV[K, V]) error) error {
+				return readShufflePart(t, depA, part, consume)
 			})
 			if err != nil {
 				return nil, err
 			}
 			var out []KV[K, Pair[V, W]]
 			err = readShufflePart(t, depB, part, func(kv KV[K, W]) error {
-				vs, ok := build[kv.K]
-				if !ok {
-					return nil
-				}
-				for _, v := range vs {
+				for _, v := range build[kv.K] {
 					out = append(out, KV[K, Pair[V, W]]{K: kv.K, V: Pair[V, W]{A: v, B: kv.V}})
 				}
 				return nil
@@ -424,14 +442,10 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 			if err != nil {
 				return nil, err
 			}
-			// Charge the full materialized join output: rows replicate the
-			// build-side values (e.g. whole adjacency arrays), which is
-			// where join-based graph processing spends its memory.
-			if err := t.Alloc(estimateBytes(out)); err != nil {
-				return nil, err
-			}
-			t.Free(tableBytes)
-			return out, nil
+			// Rows replicate the build-side values (e.g. whole adjacency
+			// arrays), which is where join-based graph processing spends
+			// its memory.
+			return emit(t, out, tableBytes)
 		},
 	}
 }
@@ -460,14 +474,8 @@ func LeftJoin[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts 
 		shuffles: []*shuffleDep{depA, depB},
 		name:     a.name + ".leftJoin(" + b.name + ")",
 		compute: func(t *Task, part int) ([]KV[K, LeftOuter[V, W]], error) {
-			right := make(map[K][]W)
-			var tableBytes int64
-			var sizer sizeSampler[W]
-			err := readShufflePart(t, depB, part, func(kv KV[K, W]) error {
-				right[kv.K] = append(right[kv.K], kv.V)
-				grow := sizer.estimate(kv.V)*3/2 + 8
-				tableBytes += grow
-				return t.Alloc(grow)
+			right, tableBytes, err := groupAll(t, func(consume func(KV[K, W]) error) error {
+				return readShufflePart(t, depB, part, consume)
 			})
 			if err != nil {
 				return nil, err
@@ -487,11 +495,7 @@ func LeftJoin[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts 
 			if err != nil {
 				return nil, err
 			}
-			if err := t.Alloc(estimateBytes(out)); err != nil {
-				return nil, err
-			}
-			t.Free(tableBytes)
-			return out, nil
+			return emit(t, out, tableBytes)
 		},
 	}
 }

@@ -16,19 +16,16 @@ package dataflow
 //
 // Both formats stream: the map side appends records to a bounded chunk
 // buffer that is flushed to the DFS as it fills, and the reduce side
-// decodes through a fixed-size read buffer — no side ever holds a whole
-// encoded bucket in memory, so the transient-memory charge per bucket is
-// one chunk, not the bucket.
+// decodes through one chunk-sized window per task — no side ever holds a
+// whole encoded bucket in memory, so the transient-memory charge per
+// bucket is one chunk, not the bucket.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,9 +39,9 @@ const (
 )
 
 // shuffleChunk is the flush threshold of map-side bucket buffers and the
-// reduce-side read-buffer size. It is also what a task is charged per
-// open bucket/file, replacing the whole-bucket transient charge of the
-// fully-buffered gob shuffle.
+// reduce-side window size. It is also what a task is charged per open
+// bucket or reduce-side window, replacing the whole-bucket transient
+// charge of the fully-buffered gob shuffle.
 const shuffleChunk = 64 << 10
 
 // binaryShuffle selects the binary shuffle file format for shapes that
@@ -120,132 +117,128 @@ func AppendRaw(b []byte, s []byte) []byte {
 // ---------------------------------------------------------------------------
 // BinReader: the decode-side cursor handed to codec Read functions.
 
-// BinReader reads binary shuffle records from a buffered stream. The
-// first primitive that fails latches the error; subsequent reads return
-// zero values, so a codec can decode a whole record and let the caller
-// check Err once.
+// BinReader reads binary shuffle records out of a byte window. A primitive
+// that runs past the window's end returns a zero value and leaves the
+// cursor past it, as does a malformed value, which also latches an error;
+// either way every later read returns zero, so a codec decodes a whole
+// record and its caller checks once whether it was all there:
+// readShuffleFile decodes a record the window cut again after a refill.
 type BinReader struct {
-	br      *bufio.Reader
-	err     error
-	scratch [8]byte
+	b   []byte
+	off int
+	err error
 }
 
-func newBinReader(br *bufio.Reader) *BinReader { return &BinReader{br: br} }
-
-// Err returns the first error encountered (never io.EOF: a clean end of
-// stream is reported by More).
-func (r *BinReader) Err() error { return r.err }
-
-func (r *BinReader) fail(err error) {
-	if r.err == nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = fmt.Errorf("dataflow: shuffle decode: %w", err)
+// Err reports the first malformed value, or a record cut short by the end
+// of the bytes.
+func (r *BinReader) Err() error {
+	if r.err == nil && r.cut() {
+		return fmt.Errorf("dataflow: shuffle decode: %w", io.ErrUnexpectedEOF)
 	}
+	return r.err
 }
 
-// more reports whether another record follows. A clean EOF returns
-// false; a latched error also returns false.
-func (r *BinReader) more() bool {
-	if r.err != nil {
-		return false
-	}
-	if _, err := r.br.Peek(1); err != nil {
-		if err != io.EOF {
-			r.fail(err)
+func (r *BinReader) cut() bool { return r.off > len(r.b) }
+
+// Varint reads one zigzag varint.
+func (r *BinReader) Varint() int64 {
+	ux := r.Uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+// Uvarint reads one unsigned varint. One to three bytes, nearly every id a
+// graph shuffles, take an if-chain behind one bound check; the rest, and
+// the last bytes of the window, binary.Uvarint.
+func (r *BinReader) Uvarint() uint64 {
+	b, off := r.b, r.off
+	if off+3 <= len(b) {
+		if c0 := uint64(b[off]); c0 < 0x80 {
+			r.off = off + 1
+			return c0
+		} else if c1 := uint64(b[off+1]); c1 < 0x80 {
+			r.off = off + 2
+			return c0&0x7f | c1<<7
+		} else if c2 := uint64(b[off+2]); c2 < 0x80 {
+			r.off = off + 3
+			return c0&0x7f | (c1&0x7f)<<7 | c2<<14
 		}
+	}
+	switch v, n := binary.Uvarint(b[min(off, len(b)):]); {
+	case n > 0:
+		r.off = off + n
+		return v
+	case n < 0:
+		r.err = fmt.Errorf("dataflow: shuffle decode: varint overflows 64 bits")
+	}
+	r.off = len(b) + 1
+	return 0
+}
+
+// has reports whether the next n bytes are in the window, and cuts the
+// record when they are not.
+func (r *BinReader) has(n uint64) bool {
+	if r.cut() || n > uint64(len(r.b)-r.off) {
+		r.off = len(r.b) + 1
 		return false
 	}
 	return true
 }
 
-// Uvarint reads one unsigned varint.
-func (r *BinReader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
+// take returns the next n bytes of the window, or nil when it cut.
+func (r *BinReader) take(n uint64) []byte {
+	if !r.has(n) {
+		return nil
 	}
-	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		r.fail(err)
-		return 0
-	}
-	return v
-}
-
-// Varint reads one zigzag varint.
-func (r *BinReader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.br)
-	if err != nil {
-		r.fail(err)
-		return 0
-	}
-	return v
+	r.off += int(n)
+	return r.b[r.off-int(n) : r.off]
 }
 
 // F64 reads one little-endian float64.
 func (r *BinReader) F64() float64 {
-	if r.err != nil {
-		return 0
+	if b := r.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
-		r.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.scratch[:]))
+	return 0
 }
 
 // sliceLen decodes the nil-preserving length prefix: (0, false) for nil.
-func (r *BinReader) sliceLen() (int, bool) {
+// A length is a claim by whoever wrote the file: the slice decoders take
+// its bytes out of the window before they allocate, so a torn or hostile
+// one costs a cut record (an error at the end of the file), not an
+// allocation of its size.
+func (r *BinReader) sliceLen() (uint64, bool) {
 	n := r.Uvarint()
-	if n > math.MaxInt {
-		r.fail(fmt.Errorf("slice of %d elements", n-1))
-	}
-	if r.err != nil || n == 0 {
-		return 0, false
-	}
-	return int(n - 1), true
+	return n - 1, n != 0 && !r.cut()
 }
-
-// A slice is decoded a chunk at a time and grown by what has arrived: a
-// length prefix is a claim by whoever wrote the file, and a torn or hostile
-// one must cost an error (Err), not an allocation of its size.
 
 // F64s reads a slice written by AppendF64s.
 func (r *BinReader) F64s() []float64 {
 	n, ok := r.sliceLen()
-	if !ok {
+	if !ok || !r.has(n) { // n bytes in the window: 8n cannot overflow
 		return nil
 	}
-	s := []float64{}
-	for len(s) < n {
-		k := min(n-len(s), r.br.Size()/8)
-		raw, err := r.br.Peek(8 * k)
-		if err != nil {
-			r.fail(err)
-			return nil
-		}
-		s = slices.Grow(s, k)[:len(s)+k]
-		f64le.Get(s[len(s)-k:], raw)
-		r.br.Discard(8 * k)
+	raw := r.take(8 * n)
+	if raw == nil {
+		return nil
 	}
+	s := make([]float64, n)
+	f64le.Get(s, raw)
 	return s
 }
 
-// I64s reads a slice written by AppendI64s.
+// I64s reads a slice written by AppendI64s. Each element is at least a
+// byte, so a window that holds fewer bytes than the length cuts the record
+// before the slice is made.
 func (r *BinReader) I64s() []int64 {
 	n, ok := r.sliceLen()
-	if !ok {
+	if !ok || !r.has(n) {
 		return nil
 	}
-	s := make([]int64, 0, min(n, shuffleChunk/8))
-	for len(s) < n && r.err == nil {
-		s = append(s, r.Varint())
+	s := make([]int64, n)
+	for i := range s {
+		s[i] = r.Varint()
 	}
-	if r.err != nil {
+	if r.cut() {
 		return nil
 	}
 	return s
@@ -257,12 +250,10 @@ func (r *BinReader) Raw() []byte {
 	if !ok {
 		return nil
 	}
-	buf := bytes.NewBuffer([]byte{})
-	if _, err := io.CopyN(buf, r.br, int64(n)); err != nil {
-		r.fail(err)
-		return nil
+	if b := r.take(n); b != nil {
+		return append([]byte{}, b...)
 	}
-	return buf.Bytes()
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,179 @@
 package dataflow
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"psgraph/internal/dfs"
 )
 
-// fuzzShuffleStream decodes data as a stream of KV[K, V] records through
-// the registered codec, the way readShuffleFile does. Whatever the bytes
+// readShuffleBytes decodes file as reduce partition 0 of a one-file
+// shuffle, through readShufflePart's window, and also returns the task's
+// peak memory charge.
+func readShuffleBytes[K comparable, V any](tb testing.TB, file []byte) ([]KV[K, V], int64, error) {
+	tb.Helper()
+	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 1})
+	dep := &shuffleDep{ctx: ctx, id: 1, mapParts: 1, reduceParts: 1}
+	if err := ctx.FS.WriteFile(shufflePath(dep.id, 0, 0), file); err != nil {
+		tb.Fatal(err)
+	}
+	var recs []KV[K, V]
+	err := ctx.runTasks(1, func(t *Task, _ int) error {
+		return readShufflePart(t, dep, 0, func(kv KV[K, V]) error { recs = append(recs, kv); return nil })
+	})
+	return recs, ctx.Stats().PeakExecBytes, err
+}
+
+// shuffleFile returns the bytes a map task's bucket writer produces for
+// recs: the binary format through codec, gob when codec is nil.
+func shuffleFile[K comparable, V any](tb testing.TB, recs []KV[K, V], codec *shuffleCodec[K, V]) []byte {
+	tb.Helper()
+	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 1})
+	w, err := newBucketWriter(ctx, "/bucket", codec)
+	for i := 0; err == nil && i < len(recs); i++ {
+		err = w.write(recs[i])
+	}
+	if err == nil {
+		_, err = w.close()
+	}
+	file, rerr := ctx.FS.ReadFile("/bucket")
+	if err != nil || rerr != nil {
+		tb.Fatal(err, rerr)
+	}
+	return file
+}
+
+// checkShuffleFile writes recs in both formats and requires each file to
+// decode to exactly recs (the binary one) and to the same records (gob,
+// which does not keep nil apart from empty).
+func checkShuffleFile[K comparable, V any](t *testing.T, recs []KV[K, V]) (binFile []byte, peak int64) {
+	t.Helper()
+	binFile = shuffleFile(t, recs, codecFor[K, V]())
+	got, peak, err := readShuffleBytes[K, V](t, binFile)
+	if err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("binary file of %d bytes: %d of %d records back, err %v", len(binFile), len(got), len(recs), err)
+	}
+	ref, _, err := readShuffleBytes[K, V](t, shuffleFile(t, recs, nil))
+	if err != nil || len(ref) != len(recs) {
+		t.Fatalf("gob reference: %d of %d records back, err %v", len(ref), len(recs), err)
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(ref[i], got[i]) && fmt.Sprint(ref[i]) != fmt.Sprint(got[i]) {
+			t.Fatalf("record %d: binary %v, gob %v", i, got[i], ref[i])
+		}
+	}
+	return binFile, peak
+}
+
+// checkWindowEdge puts the window's edge at every offset of probes: for c
+// from 0 to their length, padding records of the shape's zero value, their
+// keys one, two or ten varint bytes long, make the probes start c bytes
+// before the edge. The probes repeat after it, at another offset of the
+// next window.
+func checkWindowEdge[V any](t *testing.T, probes []KV[int64, V]) {
+	t.Helper()
+	codec := codecFor[int64, V]()
+	var probeBytes []byte
+	for _, kv := range probes {
+		probeBytes = codec.enc(probeBytes, kv)
+	}
+	a := len(codec.enc(nil, KV[int64, V]{}))
+	for c := 0; c <= len(probeBytes); c++ {
+		n := shuffleChunk - 1 - c // padding bytes after the format byte
+		var recs []KV[int64, V]
+		for ; n > a*(a+1)+a+9; n -= a + 9 {
+			recs = append(recs, KV[int64, V]{K: math.MinInt64})
+		}
+		for i := 0; i < n/a; i++ {
+			k := int64(0)
+			if i < n%a {
+				k = 64 // a two-byte varint
+			}
+			recs = append(recs, KV[int64, V]{K: k})
+		}
+		recs = append(append(recs, probes...), probes...)
+		file, _ := checkShuffleFile(t, recs)
+		if at := shuffleChunk - c; !bytes.Equal(file[at:at+len(probeBytes)], probeBytes) {
+			t.Fatalf("%s: the probes do not start %d bytes before the edge", codec.name, c)
+		}
+	}
+}
+
+// TestShuffleWindowBoundaries: a reduce task decodes its files through one
+// 64 KiB window. A record the window's end cuts is decoded again after a
+// refill, a record longer than the window grows it (charged to the task),
+// and a file that ends inside a record, or claims more than it holds, is
+// an error.
+func TestShuffleWindowBoundaries(t *testing.T) {
+	t.Run("edge/i64-i64", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, int64]{
+			{K: math.MinInt64, V: math.MaxInt64}, {K: 300, V: -(1 << 17)},
+		})
+	})
+	t.Run("edge/i64-f64", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, float64]{{K: -1 << 40, V: math.Inf(-1)}})
+	})
+	t.Run("edge/i64-f64s", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, []float64]{{K: 1 << 30, V: []float64{-2}}, {K: 2, V: []float64{}}})
+	})
+	t.Run("edge/i64-i64s", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, []int64]{{K: 9, V: []int64{math.MinInt64, 1 << 17}}, {K: 3, V: []int64{}}})
+	})
+	t.Run("edge/i64-bytes", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, []byte]{{K: -5, V: []byte("edge")}, {K: 4, V: []byte{}}})
+	})
+	t.Run("edge/i64-unit", func(t *testing.T) {
+		checkWindowEdge(t, []KV[int64, struct{}]{{K: math.MaxInt64}, {K: 1 << 17}})
+	})
+	t.Run("empty", func(t *testing.T) {
+		checkShuffleFile[int64, int64](t, nil)
+		checkShuffleFile[int64, []byte](t, nil)
+	})
+	t.Run("longer-than-the-window", func(t *testing.T) {
+		ids := make([]int64, 100_000)
+		for i := range ids {
+			ids[i] = int64(i) * 1_000_003 // ~4-byte varints: a ~400 KB record
+		}
+		file, peak := checkShuffleFile(t, []KV[int64, []int64]{{K: 1, V: []int64{2}}, {K: 3, V: ids}, {K: 4, V: nil}})
+		if peak < int64(len(file)) || peak > 2*int64(len(file))+shuffleChunk {
+			t.Errorf("a %d-byte record was charged %d bytes at peak", len(file), peak)
+		}
+		raw := bytes.Repeat([]byte("0123456789abcdef"), 200<<10/16)
+		checkShuffleFile(t, []KV[int64, []byte]{{K: 1, V: raw}, {K: 2, V: []byte("x")}})
+
+		file = shuffleFile(t, []KV[int64, []int64]{{K: 3, V: ids}}, codecFor[int64, []int64]())
+		if recs, _, err := readShuffleBytes[int64, []int64](t, file[:len(file)-1]); err == nil || len(recs) != 0 {
+			t.Errorf("a file cut inside its one record: %d records, err %v", len(recs), err)
+		}
+	})
+	t.Run("torn", func(t *testing.T) {
+		file := shuffleFile(t, []KV[int64, int64]{{K: 1, V: 2}, {K: 3, V: 1 << 40}}, codecFor[int64, int64]())
+		if recs, _, err := readShuffleBytes[int64, int64](t, file[:len(file)-1]); err == nil || len(recs) != 1 {
+			t.Errorf("a file cut inside its last record: %d records, err %v", len(recs), err)
+		}
+		claim := append(binary.AppendUvarint(binary.AppendVarint([]byte{shuffleFmtBin}, 1), 1<<40+1), make([]byte, 100)...)
+		claimed := func(name string, n int, peak int64, err error) {
+			if err == nil || n != 0 || peak > shuffleChunk {
+				t.Errorf("%s: a 2^40-element claim: %d records, %d bytes charged, err %v", name, n, peak, err)
+			}
+		}
+		f64s, peak, err := readShuffleBytes[int64, []float64](t, claim)
+		claimed("F64s", len(f64s), peak, err)
+		i64s, peak, err := readShuffleBytes[int64, []int64](t, claim)
+		claimed("I64s", len(i64s), peak, err)
+		raw, peak, err := readShuffleBytes[int64, []byte](t, claim)
+		claimed("Raw", len(raw), peak, err)
+	})
+}
+
+// fuzzShuffleStream decodes data as a binary shuffle file of KV[K, V]
+// records, through readShufflePart's window. Whatever the bytes
 // claim, the decoder may only report an error: no panic, and no record
 // whose payload is longer than the stream that carried it. Records it does
 // accept must re-encode to bytes that decode to the same records.
@@ -21,19 +183,14 @@ func fuzzShuffleStream[K comparable, V any](t *testing.T, data []byte, size func
 	if codec == nil {
 		t.Fatalf("no built-in codec for %T", KV[K, V]{})
 	}
-	decode := func(b []byte) (recs []KV[K, V], err error) {
-		r := newBinReader(bufio.NewReaderSize(bytes.NewReader(b), 64))
-		for r.more() {
-			kv := codec.dec(r)
-			if r.Err() != nil {
-				break
-			}
+	decode := func(b []byte) ([]KV[K, V], error) {
+		recs, _, err := readShuffleBytes[K, V](t, append([]byte{shuffleFmtBin}, b...))
+		for _, kv := range recs {
 			if n := size(kv.V); n > len(b) {
 				t.Fatalf("%s: a %d-byte stream produced a %d-element value", codec.name, len(b), n)
 			}
-			recs = append(recs, kv)
 		}
-		return recs, r.Err()
+		return recs, err
 	}
 	recs, err := decode(data)
 	if err != nil {
@@ -72,6 +229,12 @@ func FuzzShuffleDecode(f *testing.F) {
 	f.Add(uint8(3), binary.AppendUvarint(binary.AppendVarint(nil, 1), 1<<63))
 	f.Add(uint8(4), binary.AppendUvarint(binary.AppendVarint(nil, 1), math.MaxUint64))
 	f.Add(uint8(2), append(binary.AppendUvarint(binary.AppendVarint(nil, 1), 1<<30), make([]byte, 200)...))
+	// Two windows of pairs, the record at the edge cut in its middle.
+	var pairs []byte
+	for k := int64(0); len(pairs) < shuffleChunk+100; k++ {
+		pairs = binary.AppendVarint(binary.AppendVarint(pairs, k<<10), -k)
+	}
+	f.Add(uint8(0), pairs)
 	f.Fuzz(func(t *testing.T, shape uint8, data []byte) {
 		switch shape % 6 {
 		case 0:
@@ -135,9 +298,9 @@ func TestShuffleF64sRecordGolden(t *testing.T) {
 	}
 	for shift := 0; shift < 8; shift++ {
 		r := newBinReaderBytes(append(make([]byte, shift), rec...))
-		r.br.Discard(shift)
+		r.off = shift
 		got := codec.dec(r)
-		if r.Err() != nil || r.more() || got.K != kv.K || len(got.V) != len(bits) {
+		if r.Err() != nil || r.off != len(r.b) || got.K != kv.K || len(got.V) != len(bits) {
 			t.Fatalf("shift %d: decoded %v (%v)", shift, got, r.Err())
 		}
 		for i, u := range bits {

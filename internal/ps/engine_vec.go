@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // vecEngine stores one DenseVector partition: a contiguous float64
@@ -17,17 +18,18 @@ type vecEngine struct {
 	lo, hi int64
 	vec    []float64
 
-	// hot counts indexed-pull frequency for the serving tier's hot-head
-	// mining (serve.go). Full-range pulls are not counted — they carry
-	// no per-key signal.
-	hot hotCounter
+	// pulls counts the indexed pulls of each slot, the hot-head signal
+	// (LoadReport, serve.go), bumped under the read lock as rowStore.pulls
+	// is. Full-range pulls carry no per-key signal and are not counted.
+	pulls []atomic.Int64
 }
 
 func newVecEngine(base engineBase, pm Partition) *vecEngine {
 	return &vecEngine{
 		engineBase: base,
 		lo:         pm.Lo, hi: pm.Hi,
-		vec: make([]float64, pm.Hi-pm.Lo),
+		vec:   make([]float64, pm.Hi-pm.Lo),
+		pulls: make([]atomic.Int64, pm.Hi-pm.Lo),
 	}
 }
 
@@ -46,8 +48,16 @@ func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
 		}
 		out[i] = e.vec[idx-e.lo]
 	}
-	e.hot.bump(req.Keys)
+	e.count(req.Keys)
 	return vecPullResp{Values: out, Lo: e.lo}, nil
+}
+
+// count bumps the pull counts of indices the caller validated under the
+// read lock it still holds.
+func (e *vecEngine) count(ids []int64) {
+	for _, idx := range ids {
+		e.pulls[idx-e.lo].Add(1)
+	}
 }
 
 // rowsLen and appendRows answer an indexed read as a batch of 1-wide rows:
@@ -70,13 +80,23 @@ func (e *vecEngine) appendRows(b []byte, ids []int64) []byte {
 	for j, idx := range ids {
 		binary.LittleEndian.PutUint64(b[off+8*j:], math.Float64bits(e.vec[idx-e.lo]))
 	}
+	e.count(ids)
 	e.mu.RUnlock()
-	e.hot.bump(ids)
 	return b
 }
 
-// hotTop exposes the engine's pull-frequency head for LoadReport.
-func (e *vecEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
+// hotTop returns the k most-pulled slots (all pulled slots when k <= 0).
+func (e *vecEngine) hotTop(k int) []HotKey {
+	var out []HotKey
+	e.mu.RLock()
+	for i := range e.pulls {
+		if n := e.pulls[i].Load(); n > 0 {
+			out = append(out, HotKey{ID: e.lo + int64(i), Count: n})
+		}
+	}
+	e.mu.RUnlock()
+	return topHot(out, k)
+}
 
 // rangeErr reports an index outside the partition's current range. Since
 // ranges narrow when partitions split, this is a routing-staleness signal
@@ -172,7 +192,8 @@ func (e *vecEngine) merge(img partImage) error {
 	return nil
 }
 
-// splitAt keeps [e.lo, mid) and releases the upper half's memory.
+// splitAt keeps [e.lo, mid), releases the upper half's values and drops
+// its pull counts.
 func (e *vecEngine) splitAt(mid int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -182,6 +203,7 @@ func (e *vecEngine) splitAt(mid int64) error {
 	kept := make([]float64, mid-e.lo)
 	copy(kept, e.vec[:mid-e.lo])
 	e.vec = kept
+	e.pulls = e.pulls[:mid-e.lo]
 	e.hi = mid
 	e.narrowTo(mid)
 	return nil

@@ -946,6 +946,114 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 	}
 }
 
+// TestVecPullCountsSurviveTheMove: a DenseVector partition counts its
+// indexed pulls per slot, exactly: N pulls of an index report N however
+// many other indices were pulled first, concurrent pulls sum, a split drops
+// the moved half's counts with its values, an image carries none, and a
+// frozen serving generation counts the reads it answers.
+func TestVecPullCountsSurviveTheMove(t *testing.T) {
+	const size = 20_000
+	meta := oneServerMeta(ModelMeta{Name: "cntv", Kind: DenseVector, Size: size})
+	eng, err := newEngine(meta, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ve := eng.(*vecEngine)
+	pull := func(e *vecEngine, ids ...int64) {
+		t.Helper()
+		if _, err := e.pull(pullReq{Keys: ids}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(e *vecEngine, idx int64) int64 {
+		for _, hk := range e.hotTop(0) {
+			if hk.ID == idx {
+				return hk.Count
+			}
+		}
+		return 0
+	}
+	// 10,000 distinct indices first (past the old tracker's 8,192 cap), then
+	// index 10,000 itself.
+	first := make([]int64, 10_000)
+	for i := range first {
+		first[i] = int64(i)
+	}
+	pull(ve, first...)
+	for i := 0; i < 7; i++ {
+		pull(ve, 10_000, 90, 10_000)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if _, err := ve.pull(pullReq{Keys: []int64{19_999, 90}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c, d, e := count(ve, 10_000), count(ve, 90), count(ve, 19_999); c != 14 || d != 1008 || e != 1000 {
+		t.Fatalf("counts of 10000, 90, 19999: %d, %d, %d; want 14, 1008, 1000", c, d, e)
+	}
+	if top := ve.hotTop(2); !reflect.DeepEqual(top, []HotKey{{ID: 90, Count: 1008}, {ID: 19_999, Count: 1000}}) {
+		t.Fatalf("hotTop(2) = %v", top)
+	}
+	if all := ve.hotTop(0); len(all) != 10_002 {
+		t.Fatalf("hotTop(0) lists %d indices, want 10002", len(all))
+	}
+	if _, err := ve.pull(pullReq{}); err != nil || count(ve, 0) != 1 {
+		t.Fatalf("a full-range pull counted: index 0 at %d (%v)", count(ve, 0), err)
+	}
+
+	// An image carries values, not counts.
+	dst := mergedCopy(t, meta, 0, exportAll(ve)).(*vecEngine)
+	if n := len(dst.hotTop(0)); n != 0 {
+		t.Fatalf("merged copy starts with %d pulled indices", n)
+	}
+	pull(dst, 90)
+	if count(dst, 90) != 1 || count(ve, 90) != 1008 {
+		t.Fatalf("after the merge: copy 90 at %d, source at %d; want 1 and 1008", count(dst, 90), count(ve, 90))
+	}
+
+	const mid = size / 2
+	if err := ve.splitAt(mid); err != nil {
+		t.Fatal(err)
+	}
+	for _, hk := range ve.hotTop(0) {
+		if hk.ID >= mid {
+			t.Fatalf("after splitAt(%d) hotTop reports index %d (%d pulls)", mid, hk.ID, hk.Count)
+		}
+	}
+	pull(ve, 90)
+	if count(ve, 90) != 1009 {
+		t.Fatalf("a pull after the split: 90 at %d, want 1009", count(ve, 90))
+	}
+
+	// A serving generation is an engine stood up from an image; it counts
+	// the rows it answers.
+	gen, err := engineFromImage(meta, 0, exportAll(dst), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge := gen.(*vecEngine)
+	for i := 0; i < 3; i++ {
+		ids := []int64{5, 19_000, 5}
+		n, err := ge.rowsLen(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge.appendRows(make([]byte, 0, n), ids)
+	}
+	if top := ge.hotTop(0); !reflect.DeepEqual(top, []HotKey{{ID: 5, Count: 6}, {ID: 19_000, Count: 3}}) {
+		t.Fatalf("serving generation counts %v, want 6 reads of 5 and 3 of 19000", top)
+	}
+}
+
 // TestPulledRowsDoNotShareCapacity: the map views slice one block, so a
 // caller's append to a row must reallocate rather than run into the next
 // row.

@@ -16,7 +16,9 @@ package ps
 //     replicated to EVERY endpoint, so the first one asked answers for it.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,56 +59,22 @@ type HotKey struct {
 	Count int64
 }
 
-// hotTrackCap bounds a hotCounter's tracked key set. Once full, new keys
-// are not admitted — under power-law traffic the head keys are seen long
-// before the tracker fills, so the head is never the part that's dropped.
-const hotTrackCap = 8192
-
 // partStatHotK is how many hot keys each partition reports in PartStats.
 const partStatHotK = 64
 
-// hotCounter is the bounded pull-frequency counter of a DenseVector
-// partition. Embedding partitions count per row, beside the rows
-// (rowStore.pulls), where the count is bounded by the rows themselves.
-type hotCounter struct {
-	mu     sync.Mutex
-	counts map[int64]int64
-}
-
-func (h *hotCounter) bump(ids []int64) {
-	h.mu.Lock()
-	if h.counts == nil {
-		h.counts = make(map[int64]int64)
-	}
-	for _, id := range ids {
-		if _, ok := h.counts[id]; !ok && len(h.counts) >= hotTrackCap {
-			continue
-		}
-		h.counts[id]++
-	}
-	h.mu.Unlock()
-}
-
-// top returns the k highest-count keys, descending.
-func (h *hotCounter) top(k int) []HotKey {
-	h.mu.Lock()
-	keys := hotKeys(h.counts)
-	h.mu.Unlock()
-	return topHot(keys, k)
-}
-
-// hotKeys lists an id → count map.
-func hotKeys(counts map[int64]int64) []HotKey {
-	out := make([]HotKey, 0, len(counts))
-	for id, n := range counts {
-		out = append(out, HotKey{ID: id, Count: n})
-	}
-	return out
-}
-
-// topHot sorts keys by count, descending, and keeps the first k (all when
-// k <= 0).
+// topHot sums the counts of repeated ids, sorts by count, descending, and
+// keeps the first k (all when k <= 0).
 func topHot(keys []HotKey, k int) []HotKey {
+	slices.SortFunc(keys, func(a, b HotKey) int { return cmp.Compare(a.ID, b.ID) })
+	merged := keys[:0]
+	for _, hk := range keys {
+		if n := len(merged); n > 0 && merged[n-1].ID == hk.ID {
+			merged[n-1].Count += hk.Count
+		} else {
+			merged = append(merged, hk)
+		}
+	}
+	keys = merged
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Count != keys[j].Count {
 			return keys[i].Count > keys[j].Count
@@ -399,7 +367,7 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 // of a model have served: the serve-traffic half of the hot-set signal (the
 // training half comes from the engine counters via PartStats).
 func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) {
-	merged := make(map[int64]int64)
+	var hot []HotKey
 	s.serve.mu.Lock()
 	for k, gens := range s.serve.snaps {
 		if k.model != req.Model {
@@ -409,13 +377,11 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 		// generation before mining, so the traffic signal lives on the
 		// previous one.
 		for _, g := range gens {
-			for _, hk := range g.e.hotTop(0) {
-				merged[hk.ID] += hk.Count
-			}
+			hot = append(hot, g.e.hotTop(0)...)
 		}
 	}
 	s.serve.mu.Unlock()
-	return serveHotStatsResp{Hot: topHot(hotKeys(merged), 256)}, nil
+	return serveHotStatsResp{Hot: topHot(hot, 256)}, nil
 }
 
 // serveStats reports this server's serving-tier counters.

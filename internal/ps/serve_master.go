@@ -189,9 +189,8 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 	if k == 0 {
 		k = defaultServeHotKeys
 	}
-	counts := make(map[int64]int64)
+	var hot []HotKey
 	for _, s := range servers {
-		var hot []HotKey
 		var train partStatsResp
 		if body, err := m.tr.Call(s, "PartStats", nil); err == nil && dec(body, &train) == nil {
 			for _, st := range train.Parts {
@@ -204,11 +203,8 @@ func (m *Master) mineHot(model string, servers []string, k int) []int64 {
 		if body, err := m.tr.Call(s, "ServeHotStats", enc(serveHotStatsReq{Model: model})); err == nil && dec(body, &served) == nil {
 			hot = append(hot, served.Hot...)
 		}
-		for _, hk := range hot {
-			counts[hk.ID] += hk.Count
-		}
 	}
-	top := topHot(hotKeys(counts), k)
+	top := topHot(hot, k)
 	ids := make([]int64, len(top))
 	for i, hk := range top {
 		ids[i] = hk.ID
