@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math"
-	"sync/atomic"
+	"maps"
+	"slices"
 
 	"psgraph/internal/dataflow"
 )
@@ -35,10 +35,11 @@ type FastUnfoldingResult struct {
 // FastUnfolding implements the paper's fast unfolding: the two frequently
 // accessed models — vertex2com and com2weight — live on the parameter
 // server as sparse vectors. Each pass runs modularity-optimization sweeps
-// (executors pull the current community assignment of their vertices and
-// neighbors plus the community weight totals, reassign vertices greedily
-// by modularity gain, and push the changes), then aggregates communities
-// into a condensed graph for the next pass.
+// of voteRounds (executors pull the current community assignment of their
+// vertices and neighbors plus the community weight totals, reassign
+// vertices greedily by modularity gain against that snapshot, and the
+// moves are pushed once every partition has voted), then aggregates
+// communities into a condensed graph for the next pass.
 func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingConfig) (*FastUnfoldingResult, error) {
 	if cfg.Passes <= 0 {
 		cfg.Passes = 2
@@ -111,10 +112,22 @@ func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingCon
 	return res, nil
 }
 
+// colours is the number of colour classes that gate fast unfolding's
+// moves: a round moves only the vertices v with v mod colours equal to its
+// class. The vertices of a round decide against one snapshot, and the
+// more of them decide together, the further the result falls from
+// sequential Louvain's: on an R-MAT graph of 2^11 vertices, two classes
+// (id parity) reach Q 0.113, six 0.171 (DESIGN.md §8.3). A round pulls
+// only its class, so more classes cost no more per sweep.
+const colours = 6
+
 // modularityPass runs greedy modularity-optimization sweeps over one
 // graph and returns the final vertex→community map and the number of
-// moves performed.
+// moves performed. Each sweep is colours/2 voteRounds of one colour class
+// each, so a full update — every class once — takes two sweeps, and the
+// pass stops after a full update without a move.
 func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (map[int64]int64, int64, error) {
+	type table = dataflow.KV[int64, []WeightedNeighbor]
 	wnbrs := ToWeightedNeighborTables(edges, parts).Cache()
 	defer wnbrs.Unpersist()
 
@@ -131,139 +144,148 @@ func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (
 	defer cleanupModels(ctx, v2cName, c2wName)
 
 	// Initialize: each vertex its own community (step 3 of Sec. IV-C);
-	// com2weight starts as the vertex strengths. Also compute 2m.
-	var twoMBits atomic.Uint64
-	addTwoM := func(x float64) {
-		for {
-			old := twoMBits.Load()
-			nw := math.Float64frombits(old) + x
-			if twoMBits.CompareAndSwap(old, math.Float64bits(nw)) {
-				return
-			}
-		}
-	}
-	err = wnbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []WeightedNeighbor]) error {
-		initCom := make(map[int64]float64, len(tables))
-		initW := make(map[int64]float64, len(tables))
-		var local float64
-		for _, t := range tables {
-			var ki float64
+	// com2weight starts as the vertex strengths, and 2m is their sum,
+	// added per partition in vertex order, then in partition order.
+	strength := make([]float64, wnbrs.NumPartitions())
+	err = wnbrs.ForeachPartition(func(part int, tables []table) error {
+		ids := make([]int64, len(tables))
+		coms := make([]float64, len(tables))
+		ks := make([]float64, len(tables))
+		for i, t := range tables {
+			ids[i], coms[i] = t.K, float64(t.K)
 			for _, nb := range t.V {
-				ki += nb.W
+				ks[i] += nb.W
 			}
-			initCom[t.K] = float64(t.K)
-			initW[t.K] = ki
-			local += ki
+			strength[part] += ks[i]
 		}
-		addTwoM(local)
-		if err := v2c.PushSet(initCom); err != nil {
+		if err := v2c.PushSet(ids, coms); err != nil {
 			return err
 		}
-		return c2w.PushAdd(initW)
+		return c2w.PushAdd(ids, ks)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	twoM := math.Float64frombits(twoMBits.Load())
+	var twoM float64
+	for _, s := range strength {
+		twoM += s
+	}
 
-	var totalMoves int64
-	for it := 0; it < iters; it++ {
-		// Parity gating: with every vertex deciding on the same snapshot,
-		// two adjacent vertices can swap communities forever (the classic
-		// oscillation of synchronous parallel Louvain). Letting only one
-		// id parity move per sweep breaks every 2-cycle while staying
-		// deterministic.
-		parity := int64(it % 2)
-		var moves atomic.Int64
-		err := wnbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []WeightedNeighbor]) error {
-			if len(tables) == 0 {
-				return nil
-			}
-			// Pull the communities of local vertices and all neighbors.
-			idSet := make(map[int64]bool)
-			for _, t := range tables {
-				idSet[t.K] = true
+	var class int64 // the colour class the current round moves
+	moving := func(v int64) bool { return (v%colours+colours)%colours == class }
+	reads := func(tables []table) []int64 {
+		var ids []int64
+		for _, t := range tables {
+			if moving(t.K) {
+				ids = append(ids, t.K)
 				for _, nb := range t.V {
-					idSet[nb.Dst] = true
+					ids = append(ids, nb.Dst)
 				}
 			}
-			ids := make([]int64, 0, len(idSet))
-			for id := range idSet {
-				ids = append(ids, id)
+		}
+		return ids
+	}
+	// The Σ_tot changes of each partition's moves: community, delta.
+	dCom := make([][]int64, len(strength))
+	dTot := make([][]float64, len(strength))
+	decide := func(part int, tables []table, coms []float64) ([]int64, []float64, error) {
+		// Σ_tot of every candidate community: those of the pulled vertices,
+		// numbered so that cands[at[r]] is the community of read r.
+		comIDs := make([]int64, len(coms))
+		for r, c := range coms {
+			comIDs[r] = int64(c)
+		}
+		cands, at := distinct(comIDs)
+		tots, err := c2w.Pull(cands)
+		if err != nil {
+			return nil, nil, err
+		}
+		var moved []int64
+		var to []float64
+		// k_{i,in} per candidate, reset after each vertex; weights are
+		// positive, so a zero marks a candidate not yet in touched.
+		kin := make([]float64, len(cands))
+		var touched []int
+		r := 0
+		for _, t := range tables {
+			v := t.K
+			if !moving(v) {
+				continue
 			}
-			coms, err := v2c.Pull(ids)
-			if err != nil {
-				return err
+			own := at[r]
+			r++
+			var ki float64
+			for _, nb := range t.V {
+				c := at[r]
+				r++
+				ki += nb.W
+				if nb.Dst != v {
+					if kin[c] == 0 {
+						touched = append(touched, c)
+					}
+					kin[c] += nb.W
+				}
 			}
-			// Pull Σ_tot for every candidate community.
-			comSet := make(map[int64]bool)
-			for _, c := range coms {
-				comSet[int64(c)] = true
-			}
-			comIDs := make([]int64, 0, len(comSet))
-			for c := range comSet {
-				comIDs = append(comIDs, c)
-			}
-			tots, err := c2w.Pull(comIDs)
-			if err != nil {
-				return err
-			}
-
-			v2cUpd := make(map[int64]float64)
-			c2wUpd := make(map[int64]float64)
-			for _, t := range tables {
-				v := t.K
-				if ((v%2)+2)%2 != parity {
+			// Gain of moving v into community C (v removed from its own
+			// community first): ΔQ ∝ k_{i,in}(C) − Σ_tot'(C)·k_i/2m.
+			// Candidates are tried in ascending community id.
+			slices.Sort(touched)
+			best := own
+			bestGain := kin[own] - (tots[own]-ki)*ki/twoM
+			for _, c := range touched {
+				if c == own {
 					continue
 				}
-				own := int64(coms[v])
-				var ki float64
-				kin := make(map[int64]float64) // candidate community -> k_{i,in}
-				for _, nb := range t.V {
-					ki += nb.W
-					c := int64(coms[nb.Dst])
-					if nb.Dst != v {
-						kin[c] += nb.W
-					}
-				}
-				// Gain of moving v into community C (v removed from its own
-				// community first): ΔQ ∝ k_{i,in}(C) − Σ_tot'(C)·k_i/2m.
-				best := own
-				bestGain := kin[own] - (tots[own]-ki)*ki/twoM
-				for c, kc := range kin {
-					if c == own {
-						continue
-					}
-					gain := kc - tots[c]*ki/twoM
-					// Strictly better wins; equal gains break toward the
-					// smaller community id so the sweep is deterministic
-					// (map iteration order is not).
-					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
-						best = c
-						bestGain = gain
-					}
-				}
-				if best != own {
-					v2cUpd[v] = float64(best)
-					c2wUpd[own] -= ki
-					c2wUpd[best] += ki
-					moves.Add(1)
+				gain := kin[c] - tots[c]*ki/twoM
+				// Strictly better wins; equal gains break toward the
+				// smaller community id.
+				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
+					best = c
+					bestGain = gain
 				}
 			}
-			if len(v2cUpd) == 0 {
-				return nil
+			for _, c := range touched {
+				kin[c] = 0
 			}
-			if err := v2c.PushSet(v2cUpd); err != nil {
-				return err
+			touched = touched[:0]
+			if best != own {
+				moved, to = append(moved, v), append(to, float64(cands[best]))
+				dCom[part] = append(dCom[part], cands[own], cands[best])
+				dTot[part] = append(dTot[part], -ki, ki)
 			}
-			return c2w.PushAdd(c2wUpd)
-		})
+		}
+		return moved, to, nil
+	}
+
+	var totalMoves int64
+	for r, idle := 0, 0; r < iters*colours/2 && idle < colours; r++ {
+		// Sweep r/(colours/2) moves one id parity, as the two-class gate
+		// did, one class of it per round.
+		class = int64(r/(colours/2)%2 + 2*(r%(colours/2)))
+		clear(dCom)
+		clear(dTot)
+		moved, to, err := voteRound(wnbrs, v2c, reads, decide)
 		if err != nil {
 			return nil, 0, err
 		}
-		totalMoves += moves.Load()
-		if moves.Load() == 0 {
-			break
+		if len(moved) == 0 {
+			idle++
+			continue
+		}
+		idle = 0
+		totalMoves += int64(len(moved))
+		if err := v2c.PushSet(moved, to); err != nil {
+			return nil, 0, err
+		}
+		// The round's Σ_tot changes, summed per community in partition
+		// order, are pushed once.
+		cids, at := distinct(slices.Concat(dCom...))
+		sums := make([]float64, len(cids))
+		for i, d := range slices.Concat(dTot...) {
+			sums[at[i]] += d
+		}
+		if err := c2w.PushAdd(cids, sums); err != nil {
+			return nil, 0, err
 		}
 	}
 
@@ -278,7 +300,8 @@ func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (
 	return assign, totalMoves, nil
 }
 
-// modularityOf computes Q of an assignment over the original edge set.
+// modularityOf computes Q of an assignment over the original edge set,
+// adding the communities' Σ_tot terms in ascending community id.
 func modularityOf(edges *dataflow.RDD[Edge], assign map[int64]int64) (float64, error) {
 	all, err := edges.Collect()
 	if err != nil {
@@ -303,8 +326,8 @@ func modularityOf(edges *dataflow.RDD[Edge], assign map[int64]int64) (float64, e
 		return 0, nil
 	}
 	q := in / twoM
-	for _, t := range tot {
-		q -= (t / twoM) * (t / twoM)
+	for _, c := range slices.Sorted(maps.Keys(tot)) {
+		q -= (tot[c] / twoM) * (tot[c] / twoM)
 	}
 	return q, nil
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"psgraph/internal/dataflow"
@@ -231,8 +231,11 @@ type WeightedNeighbor struct {
 }
 
 // ToWeightedNeighborTables builds undirected weighted adjacency,
-// accumulating the weights of parallel edges.
+// accumulating the weights of parallel edges. Tables come out in vertex
+// order and neighbours in id order, so every sum over a partition's
+// tables adds in a fixed order.
 func ToWeightedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []WeightedNeighbor]] {
+	type table = dataflow.KV[int64, []WeightedNeighbor]
 	pairs := dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, WeightedNeighbor] {
 		w := e.W
 		if w == 0 {
@@ -243,33 +246,30 @@ func ToWeightedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RD
 			{K: e.Dst, V: WeightedNeighbor{Dst: e.Src, W: w}},
 		}
 	})
-	grouped := dataflow.GroupByKey(pairs, parts)
-	return dataflow.Map(grouped, func(kv dataflow.KV[int64, []WeightedNeighbor]) dataflow.KV[int64, []WeightedNeighbor] {
-		ns := kv.V
-		sort.Slice(ns, func(i, j int) bool { return ns[i].Dst < ns[j].Dst })
-		out := ns[:0]
-		for _, n := range ns {
-			if len(out) > 0 && out[len(out)-1].Dst == n.Dst {
-				out[len(out)-1].W += n.W
-			} else {
-				out = append(out, n)
+	// The grouped partitions are not cached: sorting them in place is safe.
+	return dataflow.MapPartitions(dataflow.GroupByKey(pairs, parts), func(_ int, in []table) ([]table, error) {
+		for i, kv := range in {
+			ns := kv.V
+			slices.SortFunc(ns, func(a, b WeightedNeighbor) int { return cmp.Compare(a.Dst, b.Dst) })
+			out := ns[:0]
+			for _, n := range ns {
+				if len(out) > 0 && out[len(out)-1].Dst == n.Dst {
+					out[len(out)-1].W += n.W
+				} else {
+					out = append(out, n)
+				}
 			}
+			in[i].V = out
 		}
-		return dataflow.KV[int64, []WeightedNeighbor]{K: kv.K, V: out}
+		slices.SortFunc(in, func(a, b table) int { return cmp.Compare(a.K, b.K) })
+		return in, nil
 	})
 }
 
+// sortUnique sorts ns and drops its duplicates, in place.
 func sortUnique(ns []int64) []int64 {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	out := ns[:0]
-	var prev int64 = -1 << 62
-	for _, n := range ns {
-		if n != prev {
-			out = append(out, n)
-			prev = n
-		}
-	}
-	return out
+	slices.Sort(ns)
+	return slices.Compact(ns)
 }
 
 // sortedIntersectCount counts the common elements of two sorted slices.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"psgraph/internal/dataflow"
@@ -28,102 +29,30 @@ type KCoreResult struct {
 }
 
 // KCore extracts the k-core with the PageRank-style PS pattern
-// (footnote 2): the degree vector lives on the parameter server, and each
-// round every executor pulls the degrees of its local vertices, removes
-// those that fell below k (marking them with degree −1) and pushes −1
-// decrements to their neighbors' degrees. The loop stops when a round
-// removes nothing.
+// (footnote 2): the degree vector lives on the parameter server, and
+// peeling rounds at order K run until one removes nothing.
 func KCore(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*KCoreResult, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 100
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
-	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
-	n, err := tablesNumVertices(nbrs)
+	p, err := startPeeling(ctx, edges, cfg.Parts, "kcore.deg")
 	if err != nil {
 		return nil, err
 	}
-
-	degName := ctx.ModelName("kcore.deg")
-	deg, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: degName, Size: n})
-	if err != nil {
-		return nil, err
-	}
-	defer cleanupModels(ctx, degName)
-
-	// Initialize degrees from the local neighbor tables. Vertices absent
-	// from every table keep degree 0 (they are never in a k-core for k>0).
-	err = nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-		idx := make([]int64, len(tables))
-		vals := make([]float64, len(tables))
-		for i, t := range tables {
-			idx[i] = t.K
-			vals[i] = float64(len(t.V))
-		}
-		return deg.PushSet(idx, vals)
-	})
-	if err != nil {
-		return nil, err
-	}
+	defer p.close()
 
 	rounds := 0
 	for ; rounds < cfg.MaxRounds; rounds++ {
-		var removed atomic.Int64
-		err := nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
-				return nil
-			}
-			srcs := make([]int64, len(tables))
-			for i, t := range tables {
-				srcs[i] = t.K
-			}
-			degs, err := deg.Pull(srcs)
-			if err != nil {
-				return err
-			}
-			dead := make([]int64, 0)
-			deadVals := make([]float64, 0)
-			dec := make(map[int64]float64)
-			for i, t := range tables {
-				d := degs[i]
-				if d < 0 || d >= float64(cfg.K) {
-					continue
-				}
-				// Below k and still alive: peel it.
-				dead = append(dead, t.K)
-				deadVals = append(deadVals, -1)
-				for _, u := range t.V {
-					dec[u]--
-				}
-			}
-			if len(dead) == 0 {
-				return nil
-			}
-			removed.Add(int64(len(dead)))
-			if err := deg.PushSet(dead, deadVals); err != nil {
-				return err
-			}
-			idx := make([]int64, 0, len(dec))
-			vals := make([]float64, 0, len(dec))
-			for k, v := range dec {
-				idx = append(idx, k)
-				vals = append(vals, v)
-			}
-			return deg.PushAdd(idx, vals)
-		})
+		peeled, err := p.round(cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		if removed.Load() == 0 {
+		if len(peeled) == 0 {
 			break
 		}
 	}
 
-	final, err := deg.PullAll()
+	final, err := p.deg.PullAll()
 	if err != nil {
 		return nil, err
 	}
@@ -150,38 +79,74 @@ type KCoreDecomposeResult struct {
 
 // KCoreDecompose computes the coreness of every vertex (the k-core
 // decomposition of Batagelj–Zaversnik, the paper's reference [6]) with
-// the same PageRank-style pattern as KCore: the degree vector and the
-// coreness vector live on the parameter server, and peeling proceeds
-// k = 1, 2, … until the graph is exhausted. A vertex peeled while
-// processing k has coreness k-1.
+// KCore's rounds: peeling proceeds k = 1, 2, … until the graph is
+// exhausted, and a vertex peeled while processing k has coreness k-1.
 func KCoreDecompose(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*KCoreDecomposeResult, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 10000
 	}
-	parts := cfg.Parts
+	p, err := startPeeling(ctx, edges, cfg.Parts, "coreness.deg")
+	if err != nil {
+		return nil, err
+	}
+	defer p.close()
+
+	res := &KCoreDecomposeResult{Coreness: make([]int64, p.n)}
+	alive := p.vertices
+	for k := int64(1); alive > 0 && res.Rounds < cfg.MaxRounds; k++ {
+		for res.Rounds < cfg.MaxRounds {
+			res.Rounds++
+			peeled, err := p.round(k)
+			if err != nil {
+				return nil, err
+			}
+			if len(peeled) == 0 {
+				break
+			}
+			alive -= int64(len(peeled))
+			for _, v := range peeled {
+				res.Coreness[v] = k - 1
+			}
+			res.MaxCore = k - 1
+		}
+	}
+	return res, nil
+}
+
+// peeling is what both k-core algorithms peel: the cached undirected
+// neighbour tables and the degree vector on the PS.
+type peeling struct {
+	nbrs     *dataflow.RDD[dataflow.KV[int64, []int64]]
+	deg      *ps.Vector
+	n        int64 // the degree vector's size: the largest vertex id + 1
+	vertices int64 // the vertices with a table
+	close    func()
+}
+
+// startPeeling builds the tables and a degree vector holding every
+// vertex's degree. Vertices absent from every table keep degree 0 and are
+// never peeled (they are in no k-core for k > 0).
+func startPeeling(ctx *Context, edges *dataflow.RDD[Edge], parts int, model string) (*peeling, error) {
 	if parts <= 0 {
 		parts = ctx.Partitions()
 	}
 	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
 	n, err := tablesNumVertices(nbrs)
 	if err != nil {
+		nbrs.Unpersist()
 		return nil, err
 	}
-
-	degName := ctx.ModelName("coreness.deg")
-	coreName := ctx.ModelName("coreness.core")
-	deg, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: degName, Size: n})
+	name := ctx.ModelName(model)
+	deg, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: name, Size: n})
 	if err != nil {
+		nbrs.Unpersist()
 		return nil, err
 	}
-	core, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: coreName, Size: n})
-	if err != nil {
-		return nil, err
-	}
-	defer cleanupModels(ctx, degName, coreName)
-
-	var present atomic.Int64
+	p := &peeling{nbrs: nbrs, deg: deg, n: n, close: func() {
+		cleanupModels(ctx, name)
+		nbrs.Unpersist()
+	}}
+	var vertices atomic.Int64
 	err = nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
 		idx := make([]int64, len(tables))
 		vals := make([]float64, len(tables))
@@ -189,89 +154,58 @@ func KCoreDecompose(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*
 			idx[i] = t.K
 			vals[i] = float64(len(t.V))
 		}
-		present.Add(int64(len(tables)))
+		vertices.Add(int64(len(tables)))
 		return deg.PushSet(idx, vals)
 	})
 	if err != nil {
+		p.close()
 		return nil, err
 	}
+	p.vertices = vertices.Load()
+	return p, nil
+}
 
-	alive := present.Load()
-	rounds := 0
-	for k := int64(1); alive > 0 && rounds < cfg.MaxRounds; k++ {
-		for rounds < cfg.MaxRounds {
-			rounds++
-			var removed atomic.Int64
-			err := nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-				if len(tables) == 0 {
-					return nil
-				}
-				srcs := make([]int64, len(tables))
-				for i, t := range tables {
-					srcs[i] = t.K
-				}
-				degs, err := deg.Pull(srcs)
-				if err != nil {
-					return err
-				}
-				var dead, coreIdx []int64
-				var deadVals, coreVals []float64
-				dec := make(map[int64]float64)
-				for i, t := range tables {
-					d := degs[i]
-					if d < 0 || d >= float64(k) {
-						continue
-					}
-					// Below k and still alive: peel it. The degree marker
-					// goes far negative so later neighbor decrements can
-					// never resurrect it; the coreness is recorded in its
-					// own vector.
-					dead = append(dead, t.K)
-					deadVals = append(deadVals, -1e18)
-					coreIdx = append(coreIdx, t.K)
-					coreVals = append(coreVals, float64(k-1))
-					for _, u := range t.V {
-						dec[u]--
-					}
-				}
-				if len(dead) == 0 {
-					return nil
-				}
-				removed.Add(int64(len(dead)))
-				if err := deg.PushSet(dead, deadVals); err != nil {
-					return err
-				}
-				if err := core.PushSet(coreIdx, coreVals); err != nil {
-					return err
-				}
-				idx := make([]int64, 0, len(dec))
-				vals := make([]float64, 0, len(dec))
-				for key, v := range dec {
-					idx = append(idx, key)
-					vals = append(vals, v)
-				}
-				return deg.PushAdd(idx, vals)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if removed.Load() == 0 {
-				break
-			}
-			alive -= removed.Load()
+// round is one peeling round at order k: every partition pulls its
+// vertices' degrees, marks those still alive below k dead and decrements
+// their neighbours' degrees. The dead marker is far negative, so later
+// decrements can never resurrect a vertex. It returns the vertices
+// peeled.
+func (p *peeling) round(k int64) ([]int64, error) {
+	const dead = -1e18
+	peeled := make([][]int64, p.nbrs.NumPartitions())
+	err := p.nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
+		if len(tables) == 0 {
+			return nil
 		}
-	}
-
-	coreVals, err := core.PullAll()
-	if err != nil {
-		return nil, err
-	}
-	res := &KCoreDecomposeResult{Coreness: make([]int64, n), Rounds: rounds}
-	for v, c := range coreVals {
-		res.Coreness[v] = int64(c)
-		if int64(c) > res.MaxCore {
-			res.MaxCore = int64(c)
+		srcs := make([]int64, len(tables))
+		for i, t := range tables {
+			srcs[i] = t.K
 		}
-	}
-	return res, nil
+		degs, err := p.deg.Pull(srcs)
+		if err != nil {
+			return err
+		}
+		var out, nbrs []int64
+		for i, t := range tables {
+			if d := degs[i]; d >= 0 && d < float64(k) {
+				out = append(out, t.K)
+				nbrs = append(nbrs, t.V...)
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		peeled[part] = out
+		if err := p.deg.PushSet(out, slices.Repeat([]float64{dead}, len(out))); err != nil {
+			return err
+		}
+		// One decrement per peeled neighbour, summed per vertex.
+		idx, at := distinct(nbrs)
+		dec := make([]float64, len(idx))
+		for _, j := range at {
+			dec[j]--
+		}
+		return p.deg.PushAdd(idx, dec)
+	})
+	return slices.Concat(peeled...), err
 }

@@ -766,21 +766,14 @@ func (c *Client) CreateSparseVectorWithScheme(name string, scheme Scheme, size i
 	return &SparseVec{emb: &Emb{c: c, Meta: meta}, Meta: meta}, nil
 }
 
-// Pull fetches the given keys. An absent key reads 0 and is materialised,
-// as any embedding row is. Nil keys fetch everything.
-func (s *SparseVec) Pull(keys []int64) (map[int64]float64, error) {
-	if keys == nil {
-		return s.PullAll()
-	}
+// Pull fetches the given keys, returned in the same order. An absent key
+// reads 0 and is materialised, as any embedding row is.
+func (s *SparseVec) Pull(keys []int64) ([]float64, error) {
 	vals := make([]float64, len(keys))
 	if err := s.emb.PullInto(keys, vals); err != nil {
 		return nil, err
 	}
-	out := make(map[int64]float64, len(keys))
-	for i, k := range keys {
-		out[k] = vals[i]
-	}
-	return out, nil
+	return vals, nil
 }
 
 // PullAll fetches every key the sparse vector holds: each partition is
@@ -811,19 +804,15 @@ func (s *SparseVec) PullAll() (map[int64]float64, error) {
 	return out, nil
 }
 
-func (s *SparseVec) push(m map[int64]float64, set bool) error {
-	b := RowBatch{IDs: make([]int64, 0, len(m)), Dim: 1, Data: make([]float64, 0, len(m))}
-	for k, v := range m {
-		b.IDs, b.Data = append(b.IDs, k), append(b.Data, v)
-	}
-	return s.emb.pushBatch(b, false, set)
+// PushAdd adds vals at the given keys.
+func (s *SparseVec) PushAdd(keys []int64, vals []float64) error {
+	return s.emb.pushBatch(RowBatch{IDs: keys, Dim: 1, Data: vals}, false, false)
 }
 
-// PushAdd adds the entries of m into the model.
-func (s *SparseVec) PushAdd(m map[int64]float64) error { return s.push(m, false) }
-
-// PushSet overwrites the entries of m in the model.
-func (s *SparseVec) PushSet(m map[int64]float64) error { return s.push(m, true) }
+// PushSet overwrites the values at the given keys.
+func (s *SparseVec) PushSet(keys []int64, vals []float64) error {
+	return s.emb.pushBatch(RowBatch{IDs: keys, Dim: 1, Data: vals}, false, true)
+}
 
 // Emb is a handle to an Embedding or ColumnEmbedding model.
 type Emb struct {

@@ -100,7 +100,7 @@ func TestResponseDropSparseNbrMatExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.DropResponses(srv, 1)
-	if err := s.PushAdd(map[int64]float64{7: 2.5}); err != nil {
+	if err := s.PushAdd([]int64{7}, []float64{2.5}); err != nil {
 		t.Fatal(err)
 	}
 	sv, err := s.PullAll()

@@ -318,7 +318,7 @@ func TestDrainServerScaleIn(t *testing.T) {
 		vals[i] = float64(i) + 0.5
 	}
 	v.SetAll(vals)
-	s.PushAdd(map[int64]float64{1: 1, 1 << 40: 2})
+	s.PushAdd([]int64{1, 1 << 40}, []float64{1, 2})
 
 	victim := c.ServerAddrs()[0]
 	if err := cl.DrainServer(victim); err != nil {
@@ -536,11 +536,11 @@ func TestStaleClientHealsAfterSplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seed, ones := make(map[int64]float64, n), make(map[int64]float64, n)
-			for _, id := range ids {
-				seed[id], ones[id] = float64(1+id), 1
+			seed, ones := make([]float64, n), make([]float64, n)
+			for i, id := range ids {
+				seed[i], ones[i] = float64(1+id), 1
 			}
-			if err := s.PushSet(seed); err != nil {
+			if err := s.PushSet(ids, seed); err != nil {
 				t.Fatal(err)
 			}
 			ss := &SparseVec{emb: &Emb{c: stale, Meta: s.Meta}, Meta: s.Meta}
@@ -556,16 +556,16 @@ func TestStaleClientHealsAfterSplit(t *testing.T) {
 					t.Errorf("stale Pull = %v, want %v", got, seed)
 				}
 				stale.invalidate("m")
-				return ss.PushAdd(ones)
+				return ss.PushAdd(ids, ones)
 			}
 			return op, func(t *testing.T) {
 				got, err := s.Pull(ids)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, id := range ids {
-					if got[id] != float64(2+id) {
-						t.Fatalf("key %d = %v, want %v", id, got[id], float64(2+id))
+				for i, id := range ids {
+					if got[i] != float64(2+id) {
+						t.Fatalf("key %d = %v, want %v", id, got[i], float64(2+id))
 					}
 				}
 			}

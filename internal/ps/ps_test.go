@@ -120,26 +120,26 @@ func TestSparseVector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := s.PushAdd(map[int64]float64{1: 1.5, 1 << 40: 2.5, -7: 3}); err != nil {
+	if err := s.PushAdd([]int64{1, 1 << 40, -7}, []float64{1.5, 2.5, 3}); err != nil {
 		t.Fatalf("push: %v", err)
 	}
 	got, err := s.Pull([]int64{1, 1 << 40, -7, 999})
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
-	if got[1] != 1.5 || got[1<<40] != 2.5 || got[-7] != 3 {
+	// Positional, and an absent key reads 0, as an embedding row does.
+	if !slices.Equal(got, []float64{1.5, 2.5, 3, 0}) {
 		t.Fatalf("got %v", got)
 	}
-	// An absent key reads 0, as an embedding row does.
-	if x, ok := got[999]; !ok || x != 0 {
-		t.Fatalf("absent key: %v, %v", x, ok)
+	if err := s.PushAdd([]int64{1}, []float64{1, 2}); err == nil {
+		t.Fatal("a push of 2 values for 1 key was accepted")
 	}
-	s.PushAdd(map[int64]float64{1: 0.5})
+	s.PushAdd([]int64{1}, []float64{0.5})
 	all, _ := s.PullAll()
-	if all[1] != 2.0 {
-		t.Fatalf("add: got %v", all[1])
+	if all[1] != 2.0 || all[999] != 0 || len(all) != 4 {
+		t.Fatalf("add: got %v", all)
 	}
-	s.PushSet(map[int64]float64{1: 9})
+	s.PushSet([]int64{1}, []float64{9})
 	all, _ = s.PullAll()
 	if all[1] != 9 {
 		t.Fatalf("set: got %v", all[1])
@@ -709,23 +709,24 @@ func TestSparseVectorRangeSchemeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := map[int64]float64{}
+	var keys []int64
+	var vals []float64
 	for k := int64(0); k < 300; k += 7 {
-		m[k] = float64(k) * 1.5
+		keys, vals = append(keys, k), append(vals, float64(k)*1.5)
 	}
-	if err := s.PushSet(m); err != nil {
+	if err := s.PushSet(keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.PullAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(m) {
-		t.Fatalf("got %d keys, want %d", len(got), len(m))
+	if len(got) != len(keys) {
+		t.Fatalf("got %d keys, want %d", len(got), len(keys))
 	}
-	for k, v := range m {
-		if got[k] != v {
-			t.Fatalf("got[%d] = %v, want %v", k, got[k], v)
+	for i, k := range keys {
+		if got[k] != vals[i] {
+			t.Fatalf("got[%d] = %v, want %v", k, got[k], vals[i])
 		}
 	}
 }
