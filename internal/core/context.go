@@ -145,11 +145,6 @@ func (c *Context) Close() {
 // Partitions returns the default RDD partition count.
 func (c *Context) Partitions() int { return c.cfg.Partitions }
 
-// Executors returns the dataflow worker count — the number of partition
-// tasks that can run concurrently, and therefore the widest waiting clock
-// ring ("bsp", "ssp") a single action can sustain (see lineTrain).
-func (c *Context) Executors() int { return c.cfg.NumExecutors }
-
 // ModelName returns a unique model name with the given prefix, so
 // successive algorithm runs in one context never collide.
 func (c *Context) ModelName(prefix string) string {

@@ -38,8 +38,8 @@ func (b *csrBlock) MemBytes() int64 {
 // duplicate edges adjacent, and one pass cuts srcs/offs/adj.
 func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
 	pairs := dataflow.Map(edges, func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
-	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, records func(func(idPair) error) error) ([]*csrBlock, error) {
-		in, tmp, charged, err := readSorted(t, records)
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]*csrBlock, error) {
+		in, tmp, charged, err := readSorted(t, n, records)
 		if err != nil || len(in) == 0 {
 			return nil, err
 		}

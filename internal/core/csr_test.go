@@ -1,12 +1,17 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -358,5 +363,62 @@ func TestShuffleReleasePageRank(t *testing.T) {
 			t.Fatalf("%d shuffle files left after 10 jobs, e.g. %s", len(left), left[0])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// partitionDigest describes where csrBlocks puts a fixed R-MAT graph over
+// four partitions: per partition, a hash of its block's sources, its edge
+// count and the records its reduce task read.
+func partitionDigest(tb testing.TB) string {
+	tb.Helper()
+	edges := make([]Edge, 0, 20_000)
+	for _, e := range gen.RMAT(gen.RMATConfig{Scale: 12, Edges: 20_000, Seed: 3}) {
+		edges = append(edges, Edge{Src: e.Src, Dst: e.Dst, W: 1})
+	}
+	const parts = 4
+	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+	pairs := dataflow.Map(dataflow.Parallelize(sc, edges, 3), func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
+	records, err := dataflow.ShuffleReduce(pairs, parts, func(_ *dataflow.Task, n int, _ func(func(idPair) error) error) ([]int, error) {
+		return []int{n}, nil
+	}).Collect()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b strings.Builder
+	for part, blk := range blocksOf(tb, edges, parts) {
+		h := sha256.New()
+		var srcs, adj int
+		if blk != nil {
+			binary.Write(h, binary.LittleEndian, blk.srcs)
+			srcs, adj = len(blk.srcs), len(blk.adj)
+		}
+		fmt.Fprintf(&b, "part %d: %d srcs %x, %d edges, %d records\n", part, srcs, h.Sum(nil)[:8], adj, records[part])
+	}
+	return b.String()
+}
+
+// TestShufflePartitionsAreFixedAcrossProcesses: int64 keys land in the same
+// partition in every process, so two runs of this test binary build the
+// same blocks out of the same reduce-task inputs (ROADMAP item 20). The
+// test runs itself twice as a child; each child prints its digest.
+func TestShufflePartitionsAreFixedAcrossProcesses(t *testing.T) {
+	const child = "PSGRAPH_PARTITION_DIGEST_CHILD"
+	if os.Getenv(child) == "1" {
+		fmt.Print(partitionDigest(t))
+		return
+	}
+	var digests []string
+	for range 2 {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestShufflePartitionsAreFixedAcrossProcesses$")
+		cmd.Env = append(os.Environ(), child+"=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("child: %v\n%s", err, out)
+		}
+		got, _, _ := strings.Cut(string(out), "PASS")
+		digests = append(digests, got)
+	}
+	if digests[0] != digests[1] || !strings.Contains(digests[0], "part 3:") {
+		t.Fatalf("two processes partition the same graph differently:\n%s---\n%s", digests[0], digests[1])
 	}
 }

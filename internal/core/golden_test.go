@@ -56,9 +56,9 @@ func (o *outputBits) sum() string {
 
 // TestAlgorithmGoldens runs each algorithm on a fixed graph at GOMAXPROCS
 // 1, 2 and 4 and checks the SHA-256 of its output bits against the pinned
-// one. The shuffle's hash seed differs in every process, so a pinned hash
-// also holds only if the output does not depend on which partition holds
-// a vertex. Fast unfolding also keeps its modularity floors.
+// one. The hashes were pinned while the shuffle's hash seed still differed
+// in every process, so they hold only because no output depends on which
+// partition holds a vertex. Fast unfolding also keeps its modularity floors.
 func TestAlgorithmGoldens(t *testing.T) {
 	want := readGoldens(t)
 	fu := func(weighted bool, floor float64) func(t *testing.T, ctx *Context) string {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -30,31 +32,65 @@ func LoadEdges(ctx *Context, path string, parts int) *dataflow.RDD[Edge] {
 	return dataflow.ParseTextFile(ctx.Spark, path, parts, scanEdge)
 }
 
-// scanEdge parses one edge line; ok is false for a blank line.
+// scanEdge parses one edge line; ok is false for a blank line. The usual
+// line, two unsigned ids of at most 18 digits and nothing after them but
+// whitespace, is read in one pass that folds digits as it goes. Any other
+// line (a sign, a longer id, a weight, a blank or malformed line) is split
+// into fields and parsed by strconv; the string conversions do not
+// allocate, since strconv copies its input into its errors.
 func scanEdge(line []byte) (e Edge, ok bool, err error) {
-	src, rest := nextField(line)
-	if len(src) == 0 {
-		return Edge{}, false, nil
+	src, i, ok := scanDigits(line, 0)
+	dst, j, ok2 := scanDigits(line, i)
+	if w, _ := nextField(line[j:]); ok && ok2 && len(w) == 0 {
+		return Edge{Src: src, Dst: dst, W: 1}, true, nil
 	}
-	dst, rest := nextField(rest)
-	if len(dst) == 0 {
+	f0, rest := nextField(line)
+	f1, rest := nextField(rest)
+	w, _ := nextField(rest)
+	switch e.W = 1; {
+	case len(f0) == 0:
+		return Edge{}, false, nil
+	case len(f1) == 0:
 		return Edge{}, false, fmt.Errorf("core: malformed edge line %q", line)
 	}
-	if e.Src, ok = scanID(src); !ok {
+	if e.Src, err = strconv.ParseInt(string(f0), 10, 64); err != nil {
 		return Edge{}, false, fmt.Errorf("core: bad src in %q", line)
 	}
-	if e.Dst, ok = scanID(dst); !ok {
+	if e.Dst, err = strconv.ParseInt(string(f1), 10, 64); err != nil {
 		return Edge{}, false, fmt.Errorf("core: bad dst in %q", line)
 	}
-	e.W = 1
-	if w, _ := nextField(rest); len(w) > 0 {
-		// The conversion does not allocate: strconv copies the input
-		// into its error rather than letting it escape.
+	if len(w) > 0 {
 		if e.W, err = strconv.ParseFloat(string(w), 64); err != nil {
 			return Edge{}, false, fmt.Errorf("core: bad weight in %q: %v", line, err)
 		}
 	}
 	return e, true, nil
+}
+
+// scanDigits skips the whitespace at b[i:] and folds the run of digits
+// after it; ok says the run has 1 to 18 digits and ends at a space or at
+// the end of b. Where eight bytes follow within cap(b), up to eight
+// digits are found and folded as one word, without a branch on the
+// field's length; bytes past len(b) are masked off.
+func scanDigits(b []byte, i int) (v int64, end int, ok bool) {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	j := i
+	if w := b[i:cap(b)]; len(w) >= 8 {
+		const high, digit = 0xF0F0F0F0F0F0F0F0, 0x3030303030303030
+		x := binary.LittleEndian.Uint64(w)
+		other := (x&high ^ digit) | ((x+0x0606060606060606)&high ^ digit) // non-zero bytes are not digits
+		n := min(bits.TrailingZeros64(other)>>3, len(b)-i)
+		y := x << (64 - 8*n) & 0x0F0F0F0F0F0F0F0F // the n digits, most significant first, at the top
+		y = (y*10 + y>>8) & 0x00FF00FF00FF00FF
+		y = (y*100 + y>>16) & 0x0000FFFF0000FFFF
+		v, j = int64((y*10000+y>>32)&0xFFFFFFFF), i+n
+	}
+	for ; j < len(b) && b[j]-'0' <= 9; j++ {
+		v = v*10 + int64(b[j]-'0')
+	}
+	return v, j, j > i && j-i <= 18 && (j == len(b) || isSpace(b[j]))
 }
 
 // nextField splits off the first whitespace-delimited field of b.
@@ -72,33 +108,6 @@ func nextField(b []byte) (field, rest []byte) {
 
 func isSpace(c byte) bool {
 	return c == ' ' || (c >= '\t' && c <= '\r')
-}
-
-// scanID parses a decimal int64 with an optional sign, accepting exactly
-// what strconv.ParseInt(f, 10, 64) accepts. Up to 18 digits cannot
-// overflow and are folded in place; longer fields take strconv's range
-// check.
-func scanID(f []byte) (int64, bool) {
-	digits := f
-	neg := false
-	if f[0] == '-' || f[0] == '+' {
-		neg, digits = f[0] == '-', f[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		v, err := strconv.ParseInt(string(f), 10, 64)
-		return v, err == nil
-	}
-	var v int64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }
 
 // NumVertices returns max(vertex id)+1 over the edge set, the size used
@@ -148,8 +157,8 @@ func ToUndirectedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.
 // vertex order.
 func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
 	type table = dataflow.KV[int64, []int64]
-	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, records func(func(idPair) error) error) ([]table, error) {
-		in, tmp, charged, err := readSorted(t, records)
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]table, error) {
+		in, tmp, charged, err := readSorted(t, n, records)
 		if err != nil {
 			return nil, err
 		}
@@ -179,34 +188,30 @@ func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[datafl
 	})
 }
 
-// readSorted reads a reduce task's share of the shuffle into one flat
-// slice as (V, K) and sorts it by that K: the sorts are least-significant
-// key first, so the minor key takes the K seat for the first pass. It
-// returns the sort's scratch and the bytes charged to t for both slices.
-func readSorted(t *dataflow.Task, records func(func(idPair) error) error) (in, tmp []idPair, charged int64, err error) {
+// readSorted reads a reduce task's n shuffle records into one flat slice
+// as (V, K) and sorts it by that K: the sorts are least-significant key
+// first, so the minor key takes the K seat for the first pass. The slice
+// and the sort's scratch are allocated, and charged to t, once; it returns
+// the scratch and the bytes charged.
+func readSorted(t *dataflow.Task, n int, records func(func(idPair) error) error) (in, tmp []idPair, charged int64, err error) {
+	charged = int64(n) * 32
+	if err := t.Alloc(charged); err != nil {
+		return nil, nil, 0, err
+	}
+	in, i := make([]idPair, n), 0
 	err = records(func(kv idPair) error {
-		if len(in) == cap(in) {
-			// Doubling copies each record once on average; append's
-			// 1.25x for large slices would copy it four times.
-			in = slices.Grow(in, max(len(in), 1<<12))
-			grown := int64(cap(in))*16 - charged
-			charged += grown
-			if err := t.Alloc(grown); err != nil {
-				return err
-			}
+		if i == n {
+			return fmt.Errorf("core: the shuffle holds more than the %d records its map side counted", n)
 		}
-		in = append(in, idPair{K: kv.V, V: kv.K})
+		in[i] = idPair{K: kv.V, V: kv.K}
+		i++
 		return nil
 	})
-	scratch := int64(len(in)) * 16
-	if err == nil {
-		err = t.Alloc(scratch)
-	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	in, tmp = sortByK(in, make([]idPair, len(in)))
-	return in, tmp, charged + scratch, nil
+	in, tmp = sortByK(in[:i], make([]idPair, i))
+	return in, tmp, charged, nil
 }
 
 // runs counts the distinct keys and the distinct (key, value) pairs of a

@@ -43,7 +43,14 @@ func parseEdge(line string) (Edge, error) {
 // reference splits on Unicode spaces, the scanner on ASCII whitespace.
 func checkEdgeScan(t *testing.T, line []byte) {
 	t.Helper()
-	got, ok, err := scanEdge(line)
+	// The scanner may load bytes past len(line) but within its capacity:
+	// digits there must not change what it reads.
+	padded := append(append(make([]byte, 0, len(line)+16), line...), "1234567890123456"...)[:len(line)]
+	got, ok, err := scanEdge(padded)
+	got2, ok2, err2 := scanEdge(line)
+	if same := got2 == got || got != got; !same || ok2 != ok || (err2 == nil) != (err == nil) { // got != got: a NaN weight
+		t.Fatalf("%q: %v, %v, %v with digits past its end, %v, %v, %v without", line, got, ok, err, got2, ok2, err2)
+	}
 	if err == nil && !ok && got != (Edge{}) {
 		t.Fatalf("%q: skipped line produced %v", line, got)
 	}
@@ -80,6 +87,10 @@ var edgeScanSeeds = []string{
 	"9223372036854775807 -9223372036854775808", "9223372036854775808 1", "-9223372036854775809 1",
 	"99999999999999999999 1", "000000000000000000000000001 2", "1_000 2", "0x10 2", "1.0 2", "- 1", "+ 1",
 	"1\v2\f3", "12345678901234567\t123456789012345678", "1 2\x00", "\x001 2",
+	// The one-pass path and where it hands over: 1-, 18- and 19-digit ids,
+	// signs, tabs and \r, a weight, trailing blanks, a blank line.
+	"0 9", "123456789012345678 1", "1 999999999999999999", "1234567890123456789 2", "2 9223372036854775807",
+	"+12\t-7", "-1 2", "1 +2", "3\t4\r", "\t5\t6\t\r", "7 8 0.25\r", "9\t10\t-1.5e-3", "1 2 ", " \t\r", "12a 3", "1 2a",
 }
 
 func TestEdgeScanMatchesReference(t *testing.T) {

@@ -520,24 +520,6 @@ func TestJoinOOMWhenOutputReplicates(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := newCtx(t, Config{NumExecutors: 2})
-	a := Parallelize(ctx, []int{1, 2, 3}, 2)
-	b := Parallelize(ctx, []int{4, 5}, 3)
-	u := Union(a, b)
-	if u.NumPartitions() != 5 {
-		t.Fatalf("parts = %d", u.NumPartitions())
-	}
-	got, err := u.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if fmt.Sprint(got) != "[1 2 3 4 5]" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestKeysValuesMapValues(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 2})
 	r := Parallelize(ctx, []KV[int64, string]{{K: 1, V: "a"}, {K: 2, V: "bb"}}, 2)

@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"bufio"
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 
@@ -19,8 +19,9 @@ import (
 // the previous split, which reads lines as long as they *start* before
 // its end).
 //
-// The slice handed to fn aliases the read buffer and is valid only for
-// the call; fn copies what it keeps.
+// Lines are cut out of one read window, which doubles when a line does
+// not fit in it. The slice handed to fn aliases the window and is valid
+// only for the call; fn copies what it keeps.
 func readSplit(fs *dfs.FS, path string, part, parts int, fn func(line []byte) error) error {
 	size, err := fs.Size(path)
 	if err != nil {
@@ -28,62 +29,47 @@ func readSplit(fs *dfs.FS, path string, part, parts int, fn func(line []byte) er
 	}
 	start := size * int64(part) / int64(parts)
 	end := size * int64(part+1) / int64(parts)
-	readFrom := start
-	if start > 0 {
-		readFrom = start - 1
-	}
-	f, err := fs.OpenRange(path, readFrom, size-readFrom)
+	pos := max(start-1, 0) // file offset of buf[0]
+	f, err := fs.OpenRange(path, pos, size-pos)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var long []byte // spill for lines longer than the read buffer
-	// next returns the next line with its '\n' (absent only on the
-	// file's last line), valid until the following call.
-	next := func() ([]byte, error) {
-		line, err := br.ReadSlice('\n')
-		if err != bufio.ErrBufferFull {
-			return line, err
-		}
-		long = append(long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = br.ReadSlice('\n')
-			long = append(long, line...)
-		}
-		return long, err
-	}
-	pos := readFrom
-	if start > 0 {
-		skipped, err := next()
-		pos += int64(len(skipped))
-		if err != nil {
-			return eofIsNil(err) // split begins inside the final line
-		}
-	}
-	for pos < end {
-		line, err := next()
-		pos += int64(len(line))
-		if n := len(line); n > 0 {
-			if line[n-1] == '\n' {
-				line = line[:n-1]
+	buf := make([]byte, 1<<16)
+	var n, off int // buf[off:n] is read and not yet cut
+	skip, eof := start > 0, false
+	for {
+		i := bytes.IndexByte(buf[off:n], '\n')
+		if i < 0 && !eof {
+			if off == 0 && n == len(buf) {
+				buf = append(buf, make([]byte, len(buf))...)
 			}
-			if err := fn(line); err != nil {
+			n = copy(buf, buf[off:n])
+			pos, off = pos+int64(off), 0
+			m, err := io.ReadFull(f, buf[n:])
+			if eof = err == io.EOF || err == io.ErrUnexpectedEOF; err != nil && !eof {
 				return err
 			}
+			n += m
+			continue
 		}
-		if err != nil {
-			return eofIsNil(err)
+		if !skip && pos+int64(off) >= end {
+			return nil
+		}
+		if i < 0 { // the file's last line, which has no '\n'
+			if skip || off == n {
+				return nil
+			}
+			return fn(buf[off:n])
+		}
+		line := buf[off : off+i]
+		off += i + 1
+		if skip {
+			skip = false
+		} else if err := fn(line); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-func eofIsNil(err error) error {
-	if errors.Is(err, io.EOF) {
-		return nil
-	}
-	return err
 }
 
 // ParseTextFile reads a DFS file as an RDD of parsed lines using

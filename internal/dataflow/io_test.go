@@ -87,6 +87,59 @@ func TestSplitOwnership(t *testing.T) {
 	}
 }
 
+// ownedLines is what split part of parts must read: the lines whose first
+// byte lies in its byte range, without the newline, \r kept.
+func ownedLines(content []byte, part, parts int) []string {
+	start := len(content) * part / parts
+	end := len(content) * (part + 1) / parts
+	var out []string
+	off := 0
+	for _, line := range fileLines(content) {
+		if off >= start && off < end {
+			out = append(out, line)
+		}
+		off += len(line) + 1
+	}
+	return out
+}
+
+// TestReadSplitTable: each split, read alone, yields exactly the lines it
+// owns by first byte — CRLF endings, a last line without a newline, lines
+// longer than the read window (and one that fills it exactly) and splits
+// that start mid-line — for every partition count from 1 to 5.
+func TestReadSplitTable(t *testing.T) {
+	const window = 1 << 16
+	cases := map[string]string{
+		"crlf":            "a\r\n\r\nbb\r\nccc\r\n",
+		"no-trailing":     "12 34\n56 78\n9 10",
+		"longer":          "h\n" + strings.Repeat("x", window+10) + "\nt\n",
+		"twice-longer":    strings.Repeat("y", 2*window+3) + "\r\nz",
+		"fills-window":    strings.Repeat("w", window-1) + "\n" + strings.Repeat("v", window) + "\nu",
+		"mid-line-starts": strings.Repeat("abcdefghijklmnopq\n", 3) + "r",
+		"blank-lines":     "\n\n1 2\n\n",
+	}
+	fs := dfs.New(dfs.Config{BlockSize: 1000})
+	for name, content := range cases {
+		path := "/table/" + name
+		if err := fs.WriteFile(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		for parts := 1; parts <= 5; parts++ {
+			for part := range parts {
+				var got []string
+				err := readSplit(fs, path, part, parts, func(line []byte) error {
+					got = append(got, string(line))
+					return nil
+				})
+				if want := ownedLines([]byte(content), part, parts); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s split %d of %d: %d lines (%v), want %d (first difference at %d)",
+						name, part, parts, len(got), err, len(want), firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
 func firstDiff(a, b []string) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {

@@ -463,30 +463,6 @@ func (r *RDD[T]) Reduce(f func(a, b T) T) (T, error) {
 	return acc, nil
 }
 
-// Union concatenates two RDDs (no deduplication); partitions of b follow
-// partitions of a.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	aParts := a.parts
-	return &RDD[T]{
-		ctx:     a.ctx,
-		parts:   a.parts + b.parts,
-		parents: []node{a, b},
-		name:    a.name + ".union(" + b.name + ")",
-		compute: func(t *Task, part int) ([]T, error) {
-			if part < aParts {
-				return a.materialize(t, part)
-			}
-			return b.materialize(t, part-aParts)
-		},
-		stream: func(t *Task, part int, emit func(T) error) error {
-			if part < aParts {
-				return a.streamPart(t, part, emit)
-			}
-			return b.streamPart(t, part-aParts, emit)
-		},
-	}
-}
-
 // Keys projects the keys of a keyed RDD.
 func Keys[K comparable, V any](r *RDD[KV[K, V]]) *RDD[K] {
 	return Map(r, func(kv KV[K, V]) K { return kv.K })

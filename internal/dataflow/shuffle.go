@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -26,21 +27,47 @@ type Pair[V, W any] struct {
 // shuffleSeed makes key hashing stable within a process.
 var shuffleSeed = maphash.MakeSeed()
 
-func hashPart[K comparable](k K, parts int) int {
-	return int(maphash.Comparable(shuffleSeed, k) % uint64(parts))
+// partitioner returns the reduce partition of a key, picked once per
+// shuffle. int64 keys take SplitMix64's finalizer, a fixed function, so a
+// vertex lands in the same partition in every process; other key types
+// hash with the per-process seed. The hash depends on the key type alone:
+// the two sides of a join stay co-partitioned.
+func partitioner[K comparable](parts int) func(K) int {
+	if f, ok := any(func(k int64) int {
+		x := uint64(k)
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		hi, _ := bits.Mul64(x^x>>31, uint64(parts))
+		return int(hi)
+	}).(func(K) int); ok {
+		return f
+	}
+	return func(k K) int { return int(maphash.Comparable(shuffleSeed, k) % uint64(parts)) }
 }
 
 // shuffleDep is one shuffle boundary: its map side runs once (guarded),
 // streaming per-(mapPart, reducePart) record files to the DFS; reduce
-// tasks stream-decode the files addressed to their partition.
+// tasks stream-decode the files addressed to their partition. counts[mp]
+// is map task mp's records per reduce partition, set when its files are
+// published: a retried task replaces the row, it never adds to it.
 type shuffleDep struct {
 	ctx         *Context
 	id          int64
 	mapParts    int
 	reduceParts int
+	counts      [][]int
 	run         func() error
 	once        sync.Once
 	err         error
+}
+
+// records is the number of records addressed to reduce partition rp.
+func (s *shuffleDep) records(rp int) int {
+	n := 0
+	for _, c := range s.counts {
+		n += c[rp]
+	}
+	return n
 }
 
 func (s *shuffleDep) materialize() error {
@@ -151,6 +178,7 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 		id:          ctx.shuffleSeq.Add(1),
 		mapParts:    parent.parts,
 		reduceParts: reduceParts,
+		counts:      make([][]int, parent.parts),
 	}
 	// The files live exactly as long as lineage can lead back to them:
 	// every reduce-side RDD holds dep (and so does a task that is being
@@ -167,6 +195,7 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 		if binaryShuffle.Load() {
 			codec = codecFor[K, V]()
 		}
+		partOf := partitioner[K](reduceParts)
 		return ctx.runTasks(parent.parts, func(t *Task, part int) error {
 			// Each open bucket holds at most one chunk of pending
 			// records — that chunk is the transient serialization memory.
@@ -190,8 +219,11 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 				}
 				buckets[rp] = w
 			}
+			counts := make([]int, reduceParts)
 			err := parent.streamPart(t, part, func(kv KV[K, V]) error {
-				return buckets[hashPart(kv.K, reduceParts)].write(kv)
+				rp := partOf(kv.K)
+				counts[rp]++
+				return buckets[rp].write(kv)
 			})
 			if err != nil {
 				return err
@@ -205,6 +237,7 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 				buckets[rp] = nil
 				written += n
 			}
+			dep.counts[part] = counts
 			ctx.shuffleBytes.Add(written)
 			return nil
 		})
@@ -325,7 +358,7 @@ func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *sh
 // against the executor budget — this is the memory-hungry operation that
 // blows up GraphX on large graphs.
 func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V]] {
-	out := ShuffleReduce(r, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, []V], error) {
+	out := ShuffleReduce(r, parts, func(t *Task, _ int, records func(func(KV[K, V]) error) error) ([]KV[K, []V], error) {
 		groups, tableBytes, err := groupAll(t, records)
 		if err != nil {
 			return nil, err
@@ -385,7 +418,7 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], f func(a, b V) V, parts 
 		return entries(acc), nil
 	})
 	combined.name = r.name + ".combine"
-	out := ShuffleReduce(combined, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+	out := ShuffleReduce(combined, parts, func(t *Task, _ int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
 		acc := make(map[K]V)
 		var tableBytes int64
 		var sizer sizeSampler[V]
@@ -501,12 +534,13 @@ func LeftJoin[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts 
 }
 
 // ShuffleReduce hash-partitions a keyed dataset into parts partitions
-// and builds each output partition with reduce. records streams every
-// record addressed to the partition into consume, decoded one at a time
-// from the shuffle files; reduce decides what to hold — flat columns, a
-// table, a running aggregate — and charges it to t.
+// and builds each output partition with reduce. n is the exact number of
+// records addressed to the partition, as its map tasks counted them;
+// records streams each of them into consume, decoded one at a time from
+// the shuffle files. reduce decides what to hold — flat columns, a table,
+// a running aggregate — and charges it to t.
 func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
-	reduce func(t *Task, records func(consume func(KV[K, V]) error) error) ([]U, error)) *RDD[U] {
+	reduce func(t *Task, n int, records func(consume func(KV[K, V]) error) error) ([]U, error)) *RDD[U] {
 	if parts <= 0 {
 		parts = r.ctx.cfg.DefaultParallelism
 	}
@@ -518,7 +552,7 @@ func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
 		shuffles: []*shuffleDep{dep},
 		name:     r.name + ".shuffleReduce",
 		compute: func(t *Task, part int) ([]U, error) {
-			return reduce(t, func(consume func(KV[K, V]) error) error {
+			return reduce(t, dep.records(part), func(consume func(KV[K, V]) error) error {
 				return readShufflePart(t, dep, part, consume)
 			})
 		},
@@ -528,8 +562,8 @@ func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
 // PartitionBy re-distributes a keyed dataset by key hash into parts
 // partitions (a pure shuffle with no grouping).
 func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
-	out := ShuffleReduce(r, parts, func(t *Task, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
-		var out []KV[K, V]
+	out := ShuffleReduce(r, parts, func(t *Task, n int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+		out := make([]KV[K, V], 0, n)
 		err := records(func(kv KV[K, V]) error {
 			out = append(out, kv)
 			return nil

@@ -997,15 +997,6 @@ func (c *Client) CreateNeighborWithScheme(name string, scheme Scheme, size int64
 	return &Nbr{c: c, Meta: meta}, nil
 }
 
-// Neighbor returns a handle to an existing Neighbor model.
-func (c *Client) Neighbor(name string) (*Nbr, error) {
-	meta, err := c.modelOfKind(name, "Neighbor", Neighbor)
-	if err != nil {
-		return nil, err
-	}
-	return &Nbr{c: c, Meta: meta}, nil
-}
-
 // Push appends neighbor lists (concatenating with any existing entries,
 // so different executors can push disjoint chunks of the same vertex).
 // Appends are not idempotent, but a range-moved bucket appended nothing:
@@ -1137,19 +1128,6 @@ func (c *Client) CreateMatrix(spec MatrixSpec) (*Mat, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	return newMat(c, meta), nil
-}
-
-// Matrix returns a handle to an existing matrix: a ColumnEmbedding with
-// rows.
-func (c *Client) Matrix(name string) (*Mat, error) {
-	meta, err := c.modelOfKind(name, "a matrix", ColumnEmbedding)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Size <= 0 {
-		return nil, fmt.Errorf("ps: model %q is a column embedding of %d rows, not a matrix", name, meta.Size)
 	}
 	return newMat(c, meta), nil
 }

@@ -30,9 +30,6 @@ type Coalescer struct {
 	pending  RowBatch
 	slot     idTable // id → row of pending; pending.IDs == nil: no window yet
 	buffered int
-
-	merged  int64 // logical pushes absorbed into a flush with others
-	flushes int64 // wire flushes issued
 }
 
 // Coalescer returns a push coalescer over this handle. window is the
@@ -99,8 +96,6 @@ func (co *Coalescer) Flush() error {
 // back, emptied, as the next one (unless one was started meanwhile).
 func (co *Coalescer) flushLocked() error {
 	pending, slot := co.pending, co.slot
-	co.merged += int64(co.buffered - 1)
-	co.flushes++
 	co.pending, co.slot = RowBatch{}, idTable{}
 	co.buffered = 0
 	co.mu.Unlock()
@@ -112,12 +107,4 @@ func (co *Coalescer) flushLocked() error {
 	}
 	co.mu.Unlock()
 	return err
-}
-
-// Stats reports how many logical pushes were absorbed by coalescing
-// (saved wire messages) and how many flushes were issued.
-func (co *Coalescer) Stats() (merged, flushes int64) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.merged, co.flushes
 }

@@ -135,7 +135,6 @@ type addressed interface {
 	addr() (model string, part int)
 }
 
-func (r vecPushReq) addr() (string, int) { return r.Model, r.Part }
 func (r nbrPushReq) addr() (string, int) { return r.Model, r.Part }
 
 type createPartReq struct {

@@ -914,14 +914,6 @@ func (c *Client) LoadReport() (LoadReport, error) {
 	return rep, err
 }
 
-// Rebalance runs one load-balancing pass on the master (see
-// Master.Rebalance) and reports what it did.
-func (c *Client) Rebalance() (RebalanceResult, error) {
-	var res RebalanceResult
-	err := c.invoke(c.masterAddr, "Rebalance", nil, &res)
-	return res, err
-}
-
 // SplitPartition splits partition id of model at its range midpoint,
 // placing the upper half on dest ("" lets the master pick the
 // least-loaded server).

@@ -380,7 +380,7 @@ func TestRebalanceFillsEmptyServerAndSplitsHot(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	res, err := cl.Rebalance()
+	res, err := rebalance(cl)
 	if err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}
@@ -621,7 +621,7 @@ func TestStaleClientHealsAfterSplit(t *testing.T) {
 			if err := nb.Push(seed); err != nil {
 				t.Fatal(err)
 			}
-			sn, _ := stale.Neighbor("m")
+			sn, _ := nbrHandle(stale, "m")
 			if _, err := sn.Pull(ids[:4]); err != nil {
 				t.Fatal(err)
 			}

@@ -169,10 +169,10 @@ func TestVecPushAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ve := e.(*vecEngine)
-	if err := ve.push(vecPushReq{Indices: []int64{2, 99}, Values: []float64{5, 5}}); err == nil {
+	if err := pushVec(ve, vecPushReq{Indices: []int64{2, 99}, Values: []float64{5, 5}}); err == nil {
 		t.Fatal("push with out-of-range index succeeded")
 	}
-	if err := ve.push(vecPushReq{Indices: []int64{2}, Values: []float64{1, 2}}); err == nil {
+	if err := pushVec(ve, vecPushReq{Indices: []int64{2}, Values: []float64{1, 2}}); err == nil {
 		t.Fatal("push with values/indices length mismatch succeeded")
 	}
 	resp, err := ve.pull(pullReq{Keys: []int64{2}})

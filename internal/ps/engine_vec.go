@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -107,54 +108,129 @@ func (e *vecEngine) rangeErr(idx int64) error {
 		ErrRangeMoved, idx, e.lo, e.hi, e.meta.Name, e.idx)
 }
 
-// push applies one combine request. The whole request is validated
-// before the first element is written, so a bad index or size mismatch
-// rejects the push without leaving a partially applied update behind.
-func (e *vecEngine) push(req vecPushReq) error {
+// vecPush is a VecPush request (vecPushReq's walked layout) as the server
+// reads it: the index column and the values stay in the request frame,
+// which outlives the handler (DESIGN.md §6.1). ids is the column's varints
+// (nil for a full-range push), n its length and [lo, hi] its smallest and
+// largest index, found by the walk that checks it; raw holds the values'
+// little-endian bytes.
+type vecPush struct {
+	model  string
+	part   int
+	ids    []byte
+	n      int
+	lo, hi int64
+	raw    []byte
+	op     vecOp
+}
+
+var msgVecPushReq = wireIDs[reflect.TypeOf(vecPushReq{})]
+
+func (m vecPush) addr() (string, int) { return m.model, m.part }
+func (m *vecPush) wireMsg() byte      { return msgVecPushReq }
+
+func (m *vecPush) decode(r wreader) (wreader, error) {
+	m.model, m.part = r.addr()
+	m.ids, m.n = nil, 0
+	if n, ok := r.sliceLen(); ok {
+		b, off, id := r.b, r.off, int64(0)
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for k := 0; k < n; k++ {
+			var d int64
+			if off < len(b) && b[off] < 0x80 { // nearly every delta of an ascending column
+				c := int64(b[off])
+				d, off = c>>1^-(c&1), off+1
+			} else if d, off = zigzag(b, off); off < 0 {
+				r.off = len(b)
+				r.fail()
+				break
+			}
+			id += d
+			lo, hi = min(lo, id), max(hi, id)
+		}
+		if r.err == nil {
+			m.ids, m.n, m.lo, m.hi = b[r.off:off:off], n, lo, hi
+			r.off = off
+		}
+	}
+	m.raw = nil
+	if n, ok := r.sliceLen(); ok {
+		m.raw = r.take(8 * n)
+	}
+	m.op = vecOp(r.varint())
+	if r.err != nil {
+		return r, fmt.Errorf("ps: push into %s/%d: %w", m.model, m.part, r.err)
+	}
+	return r, nil
+}
+
+// push applies one VecPush off its frame. The whole request is validated
+// before the first element is written — both lengths, and the index range
+// against the partition's — so a rejection leaves no partial update behind.
+// Then one loop per op walks the values in order.
+func (e *vecEngine) push(m vecPush) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if req.Indices == nil {
-		if len(req.Values) != len(e.vec) {
-			// A correctly sized full-range push that stopped fitting means
-			// the partition narrowed under a stale layout — signal it like
-			// any other range rejection so the client refetches and regroups.
-			return fmt.Errorf("%w: full push size %d != partition size %d of %s/%d",
-				ErrRangeMoved, len(req.Values), len(e.vec), e.meta.Name, e.idx)
-		}
-	} else {
-		if len(req.Values) != len(req.Indices) {
-			return fmt.Errorf("ps: push has %d values for %d indices", len(req.Values), len(req.Indices))
-		}
-		for _, idx := range req.Indices {
-			if idx < e.lo || idx >= e.hi {
-				return e.rangeErr(idx)
-			}
-		}
+	n := len(m.raw) / 8
+	switch {
+	case m.ids == nil && n != len(e.vec):
+		// A correctly sized full-range push that stopped fitting means
+		// the partition narrowed under a stale layout — signal it like
+		// any other range rejection so the client refetches and regroups.
+		return fmt.Errorf("%w: full push size %d != partition size %d of %s/%d",
+			ErrRangeMoved, n, len(e.vec), e.meta.Name, e.idx)
+	case m.ids != nil && n != m.n:
+		return fmt.Errorf("ps: push has %d values for %d indices", n, m.n)
+	case m.n > 0 && m.lo < e.lo:
+		return e.rangeErr(m.lo)
+	case m.n > 0 && m.hi >= e.hi:
+		return e.rangeErr(m.hi)
 	}
-	combine := func(slot *float64, v float64) {
-		switch req.Op {
+	// Slots are decoded a chunk at a time onto the stack: 0, 1, 2, … for
+	// a full-range push, each index minus the partition's lo otherwise.
+	var chunk [256]int64
+	slot, off := int64(-1), 0
+	if m.ids != nil {
+		slot = -e.lo
+	}
+	for k := 0; k < n; k += len(chunk) {
+		at := chunk[:min(n-k, len(chunk))]
+		for j := range at {
+			d := int64(1)
+			if m.ids != nil {
+				if c := int64(m.ids[off]); c < 0x80 {
+					d, off = c>>1^-(c&1), off+1
+				} else {
+					d, off = zigzag(m.ids, off)
+				}
+			}
+			slot += d
+			at[j] = slot
+		}
+		vec, raw := e.vec, m.raw[8*k:]
+		val := func(j int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:])) }
+		switch m.op {
 		case vecSet:
-			*slot = v
+			for j, s := range at {
+				vec[s] = val(j)
+			}
 		case vecMin:
-			if v < *slot {
-				*slot = v
+			for j, s := range at {
+				if v := val(j); v < vec[s] {
+					vec[s] = v
+				}
 			}
 		case vecMax:
-			if v > *slot {
-				*slot = v
+			for j, s := range at {
+				if v := val(j); v > vec[s] {
+					vec[s] = v
+				}
 			}
 		default:
-			*slot += v
+			for j, s := range at {
+				vec[s] += val(j)
+			}
 		}
-	}
-	if req.Indices == nil {
-		for i, v := range req.Values {
-			combine(&e.vec[i], v)
-		}
-		return nil
-	}
-	for i, idx := range req.Indices {
-		combine(&e.vec[idx-e.lo], req.Values[i])
 	}
 	return nil
 }

@@ -88,7 +88,7 @@ func imageCases() []imageCase {
 	return []imageCase{
 		{name: "DenseVector/fresh", meta: vec},
 		{name: "DenseVector", meta: vec, fill: func(t testing.TB, e engine) {
-			if err := e.(*vecEngine).push(vecPushReq{Indices: []int64{0, 13, 63}, Values: []float64{1, 2, 3}, Op: vecAdd}); err != nil {
+			if err := pushVec(e.(*vecEngine), vecPushReq{Indices: []int64{0, 13, 63}, Values: []float64{1, 2, 3}, Op: vecAdd}); err != nil {
 				t.Fatalf("vec push: %v", err)
 			}
 		}},

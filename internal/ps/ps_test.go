@@ -1047,19 +1047,11 @@ func TestHandleGettersAndKindString(t *testing.T) {
 	_, cl := newTestCluster(t, 2)
 	cl.CreateDenseVector(DenseVectorSpec{Name: "hv", Size: 4})
 	cl.CreateEmbedding(EmbeddingSpec{Name: "he", Dim: 2})
-	cl.CreateNeighbor("hn")
-	cl.CreateMatrix(MatrixSpec{Name: "hm", Rows: 1, Cols: 2})
 
 	if _, err := cl.Vector("hv"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Embedding("he"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Neighbor("hn"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Matrix("hm"); err != nil {
 		t.Fatal(err)
 	}
 	// Kind mismatches are rejected.
@@ -1068,16 +1060,6 @@ func TestHandleGettersAndKindString(t *testing.T) {
 	}
 	if _, err := cl.Embedding("hv"); err == nil {
 		t.Fatal("Embedding() accepted a vector model")
-	}
-	if _, err := cl.Neighbor("hm"); err == nil {
-		t.Fatal("Neighbor() accepted a matrix model")
-	}
-	if _, err := cl.Matrix("hn"); err == nil {
-		t.Fatal("Matrix() accepted a neighbor model")
-	}
-	cl.CreateEmbedding(EmbeddingSpec{Name: "hc", Dim: 2, ByColumn: true})
-	if _, err := cl.Matrix("hc"); err == nil {
-		t.Fatal("Matrix() accepted a column embedding without rows")
 	}
 	// A second client resolves layouts through the master (cache miss).
 	// Kind names render for diagnostics; a retired kind is unknown.
@@ -1384,4 +1366,17 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 	if err := dec(encReply(serveParts{a, b, c3}), rsTarget(block)); err != nil || !slices.Equal(block, []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}) {
 		t.Errorf("an honest three-part reply: %v, block %v", err, block)
 	}
+}
+
+// nbrHandle is a handle to an existing Neighbor model.
+func nbrHandle(c *Client, name string) (*Nbr, error) {
+	meta, err := c.GetModel(name)
+	return &Nbr{c: c, Meta: meta}, err
+}
+
+// rebalance runs one load-balancing pass on the master.
+func rebalance(c *Client) (RebalanceResult, error) {
+	var res RebalanceResult
+	err := c.invoke(c.masterAddr, "Rebalance", nil, &res)
+	return res, err
 }

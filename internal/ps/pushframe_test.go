@@ -483,9 +483,6 @@ func TestCoalescerKeepsItsWindow(t *testing.T) {
 				t.Errorf("%s: row %d moved by %v, want %v", name, id, got, want)
 			}
 		}
-		if merged, flushes := co.Stats(); merged != 1 || flushes != 2 {
-			t.Errorf("%s: %d merged, %d flushes, want 1 and 2", name, merged, flushes)
-		}
 	})
 }
 

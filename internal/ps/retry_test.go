@@ -136,7 +136,7 @@ func TestRetryContract(t *testing.T) {
 			}, false},
 		{"NbrPush", "NbrPush", Neighbor,
 			func(c *Client, _ *[]byte) error {
-				n, err := c.Neighbor("r")
+				n, err := nbrHandle(c, "r")
 				if err != nil {
 					return err
 				}
@@ -171,7 +171,7 @@ func TestRetryContract(t *testing.T) {
 		}},
 		{"DrainServer", nil, func(cl *Cluster, c *Client) error { return c.DrainServer(cl.ServerAddrs()[0]) }},
 		{"Rebalance", nil, func(_ *Cluster, c *Client) error {
-			_, err := c.Rebalance()
+			_, err := rebalance(c)
 			return err
 		}},
 	}

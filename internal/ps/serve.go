@@ -143,13 +143,6 @@ type serveHotStatsResp struct {
 	Hot []HotKey
 }
 
-// ServeServerStats is one server's serving-tier counters.
-type ServeServerStats struct {
-	Snaps    int   // snapshot generations currently held
-	SnapRows int64 // rows served from partition snapshots
-	HotRows  int64 // rows served from the replicated hot head
-}
-
 func init() {
 	serverHandlers["ServeSeed"] = entry[*Server]{idempotent, handleNoResp((*Server).serveSeed)}
 	serverHandlers["ServeInstall"] = entry[*Server]{idempotent, handleNoResp((*Server).serveInstall)}
@@ -191,8 +184,7 @@ type serveState struct {
 	snaps map[partKey][]*serveSnap // newest generation first, at most 2
 	hot   map[string]*hotReplica
 
-	snapRows atomic.Int64
-	hotRows  atomic.Int64
+	snapRows atomic.Int64 // rows served from partition snapshots
 }
 
 // serveGenerations is how many snapshot epochs a server retains per partition:
@@ -359,7 +351,6 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 	for k, id := range held {
 		f64le.Put(b[off+8*k*dim:], hr.rows.get(id))
 	}
-	s.serve.hotRows.Add(int64(len(held)))
 	return b, nil
 }
 
@@ -382,21 +373,6 @@ func (s *Server) serveHotStats(req serveHotStatsReq) (serveHotStatsResp, error) 
 	}
 	s.serve.mu.Unlock()
 	return serveHotStatsResp{Hot: topHot(hot, 256)}, nil
-}
-
-// serveStats reports this server's serving-tier counters.
-func (s *Server) serveStats() ServeServerStats {
-	s.serve.mu.Lock()
-	n := 0
-	for _, gens := range s.serve.snaps {
-		n += len(gens)
-	}
-	s.serve.mu.Unlock()
-	return ServeServerStats{
-		Snaps:    n,
-		SnapRows: s.serve.snapRows.Load(),
-		HotRows:  s.serve.hotRows.Load(),
-	}
 }
 
 // serveDrop discards every snapshot generation and the hot head of a

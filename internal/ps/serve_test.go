@@ -259,8 +259,8 @@ func TestServeThroughSplit(t *testing.T) {
 	if sc.Stats().Refreshes == before {
 		t.Fatal("handle recovered without refetching the serve layout")
 	}
-	if sc.SnapEpoch() < 3 {
-		t.Fatalf("handle still at snap epoch %d after recovery", sc.SnapEpoch())
+	if now := snapEpoch(sc); now < 3 {
+		t.Fatalf("handle still at snap epoch %d after recovery", now)
 	}
 	_ = c
 }
@@ -478,7 +478,7 @@ func TestServePlan(t *testing.T) {
 	var total int64
 	stats := make(map[string]int64)
 	for _, ep := range sl.Endpoints {
-		stats[ep] = c.servers[ep].serveStats().SnapRows
+		stats[ep] = c.servers[ep].serve.snapRows.Load()
 		total += stats[ep]
 	}
 	if st := sc.Stats(); st.SnapRows != total || st.PrimaryRows != 0 {
@@ -542,7 +542,7 @@ func TestServeEndpointFailover(t *testing.T) {
 	served := func() (n int64) {
 		for _, ep := range sl.Endpoints {
 			if srv := c.servers[ep]; srv != nil {
-				n += srv.serveStats().SnapRows
+				n += srv.serve.snapRows.Load()
 			}
 		}
 		return n
@@ -605,7 +605,7 @@ func TestServePartRejectionFailsTheFrame(t *testing.T) {
 		_, err := c.Transport.Call(ep, "ServePull", enc(req))
 		return err
 	}
-	before := c.servers[ep].serveStats().SnapRows
+	before := c.servers[ep].serve.snapRows.Load()
 	err := ask(sl.SnapEpoch, held[0], foreign[0], held[1])
 	if want := fmt.Sprintf("plan/%d on this server", foreign[0]); !isNoServeSnapErr(err) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("a part the endpoint never held: err = %v, want a no-snapshot error naming %q", err, want)
@@ -613,7 +613,7 @@ func TestServePartRejectionFailsTheFrame(t *testing.T) {
 	if err := ask(sl.SnapEpoch+1, held[0], held[1]); !IsStaleSnapErr(err) || !strings.Contains(err.Error(), fmt.Sprintf("plan/%d", held[0])) {
 		t.Fatalf("a generation the endpoint does not hold: err = %v, want a stale-snapshot error naming plan/%d", err, held[0])
 	}
-	if got := c.servers[ep].serveStats().SnapRows; got != before {
+	if got := c.servers[ep].serve.snapRows.Load(); got != before {
 		t.Fatalf("rejected frames counted %d rows", got-before)
 	}
 	// Two republishes retire the handle's generation everywhere: its next
@@ -625,8 +625,8 @@ func TestServePartRejectionFailsTheFrame(t *testing.T) {
 	}
 	refreshes := sc.Stats().Refreshes
 	lookup(t, sc, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	if st := sc.Stats(); st.Refreshes == refreshes || st.PrimaryRows != 0 || sc.SnapEpoch() != sl.SnapEpoch+2 {
-		t.Fatalf("after the generation was retired: %+v at snap epoch %d", st, sc.SnapEpoch())
+	if st, now := sc.Stats(), snapEpoch(sc); st.Refreshes == refreshes || st.PrimaryRows != 0 || now != sl.SnapEpoch+2 {
+		t.Fatalf("after the generation was retired: %+v at snap epoch %d", st, now)
 	}
 }
 
@@ -688,11 +688,11 @@ func TestServeDenseVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := sc.PullFloats([]int64{3, 50, 99})
+	vals, err := sc.Pull([]int64{3, 50, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[0] != 3 || vals[1] != 50 || vals[2] != 99 {
+	if vals[3][0] != 3 || vals[50][0] != 50 || vals[99][0] != 99 {
 		t.Fatalf("dense serve = %v", vals)
 	}
 }
@@ -1138,7 +1138,7 @@ func TestServeAbsentRowsRace(t *testing.T) {
 	}
 	var served, counted int64
 	for _, ep := range sl.Endpoints {
-		served += c.servers[ep].serveStats().SnapRows
+		served += c.servers[ep].serve.snapRows.Load()
 	}
 	for _, p := range sl.Meta.Parts {
 		for _, ep := range sl.Replicas[p.Index] {
@@ -1212,4 +1212,10 @@ func FuzzServePullReqDecode(f *testing.F) {
 			t.Fatalf("round trip changed the request:\n got %+v\nthen %+v", got, again)
 		}
 	})
+}
+
+// snapEpoch is the snapshot epoch sc reads at (0 before its first layout).
+func snapEpoch(sc *ServeClient) int64 {
+	sl, _ := sc.layout()
+	return sl.SnapEpoch
 }

@@ -100,17 +100,6 @@ func (c *Client) Serve(model string) (*ServeClient, error) {
 	return sc, nil
 }
 
-// SnapEpoch returns the snapshot epoch this handle is currently reading
-// at (0 before the first layout fetch succeeds).
-func (sc *ServeClient) SnapEpoch() int64 {
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	if !sc.has {
-		return 0
-	}
-	return sc.sl.SnapEpoch
-}
-
 // Stats reads the handle's counters.
 func (sc *ServeClient) Stats() ServeStats {
 	return ServeStats{
@@ -175,20 +164,6 @@ func (sc *ServeClient) Pull(ids []int64) (map[int64][]float64, error) {
 		return nil, err
 	}
 	return rows.Map(), nil
-}
-
-// PullFloats is Pull for DenseVector models, returning values parallel
-// to indices.
-func (sc *ServeClient) PullFloats(indices []int64) ([]float64, error) {
-	rows, pos, err := sc.pullBatch(indices)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(indices))
-	for i, p := range pos {
-		out[i] = rows.Data[p]
-	}
-	return out, nil
 }
 
 // pullBatch resolves the distinct ids of a read into one block, cheapest
