@@ -61,8 +61,9 @@ func (o *outputBits) sum() string {
 // partition holds a vertex. Fast unfolding also keeps its modularity floors.
 func TestAlgorithmGoldens(t *testing.T) {
 	want := readGoldens(t)
-	fu := func(weighted bool, floor float64) func(t *testing.T, ctx *Context) string {
-		return func(t *testing.T, ctx *Context) string {
+	fu := func(weighted bool, floor float64) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			ctx := newTestContext(t)
 			res, err := FastUnfolding(ctx, edgesRDD(ctx, goldenRMAT(weighted), 4), FastUnfoldingConfig{Passes: 2, Iterations: 6})
 			if err != nil {
 				t.Fatal(err)
@@ -79,11 +80,12 @@ func TestAlgorithmGoldens(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func(t *testing.T, ctx *Context) string
+		run  func(t *testing.T) string
 	}{
 		{"fast-unfolding/rmat11", fu(false, 0.165)},
 		{"fast-unfolding/rmat11-weighted", fu(true, 0.180)},
-		{"label-propagation/rmat11", func(t *testing.T, ctx *Context) string {
+		{"label-propagation/rmat11", func(t *testing.T) string {
+			ctx := newTestContext(t)
 			res, err := LabelPropagation(ctx, edgesRDD(ctx, goldenRMAT(false), 4), LabelPropagationConfig{})
 			if err != nil {
 				t.Fatal(err)
@@ -92,7 +94,8 @@ func TestAlgorithmGoldens(t *testing.T) {
 			o.assignment(res.Assignment)
 			return o.sum()
 		}},
-		{"kcore/rmat11-k5", func(t *testing.T, ctx *Context) string {
+		{"kcore/rmat11-k5", func(t *testing.T) string {
+			ctx := newTestContext(t)
 			res, err := KCore(ctx, edgesRDD(ctx, goldenRMAT(false), 4), KCoreConfig{K: 5})
 			if err != nil {
 				t.Fatal(err)
@@ -104,7 +107,8 @@ func TestAlgorithmGoldens(t *testing.T) {
 			}
 			return o.sum()
 		}},
-		{"kcore-decompose/rmat11", func(t *testing.T, ctx *Context) string {
+		{"kcore-decompose/rmat11", func(t *testing.T) string {
+			ctx := newTestContext(t)
 			res, err := KCoreDecompose(ctx, edgesRDD(ctx, goldenRMAT(false), 4), KCoreConfig{})
 			if err != nil {
 				t.Fatal(err)
@@ -116,12 +120,47 @@ func TestAlgorithmGoldens(t *testing.T) {
 			o.int(res.MaxCore)
 			return o.sum()
 		}},
+		// One executor (with two or more the PS sums gradient pushes in
+		// arrival order): losses, accuracies and the trained weights.
+		{"graphsage-mean/sbm800", func(t *testing.T) string {
+			ctx, data, _ := gsFixture(t, Config{NumExecutors: 1, NumServers: 2}, 800, 5)
+			res, err := GraphSage(ctx, data, GraphSageConfig{
+				Classes: 3, Epochs: 3, BatchSize: 128, LR: 0.02, Seed: 9, Parts: 1, Sync: "bsp",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o outputBits
+			for _, l := range res.Losses {
+				o.float(l)
+			}
+			o.float(res.TrainAccuracy)
+			o.float(res.TestAccuracy)
+			for _, name := range []string{res.W1Name, res.W2Name} {
+				w, err := ctx.Agent.Embedding(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := make([]int64, w.Meta.Size)
+				for i := range ids {
+					ids[i] = int64(i)
+				}
+				vals := make([]float64, len(ids)*w.Meta.Dim)
+				if err := w.PullInto(ids, vals); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range vals {
+					o.float(v)
+				}
+			}
+			return o.sum()
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, procs := range []int{1, 2, 4} {
 				prev := runtime.GOMAXPROCS(procs)
-				got := c.run(t, newTestContext(t))
+				got := c.run(t)
 				runtime.GOMAXPROCS(prev)
 				if got != want[c.name] {
 					t.Errorf("GOMAXPROCS=%d: output hash %s, %s pins %q", procs, got, goldenFile, want[c.name])

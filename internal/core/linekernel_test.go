@@ -174,11 +174,16 @@ func TestLineKernelEquivalence(t *testing.T) {
 			for _, pair := range [][2]string{{"k.emb", "r.emb"}, {"k.ctx", "r.ctx"}} {
 				kv, _ := s.Partition(pair[0], 0)
 				rv, _ := s.Partition(pair[1], 0)
-				for _, id := range append(append([]int64(nil), b.us...), b.vs...) {
-					if !sameBits(kv.Row(id), rv.Row(id)) {
+				ids := append(append([]int64(nil), b.us...), b.vs...)
+				krows, rrows := kv.Lock(), rv.Lock()
+				kr, rr := krows.Rows(nil, ids), rrows.Rows(nil, ids)
+				for i, id := range ids {
+					if !sameBits(kr[i], rr[i]) {
 						t.Fatalf("%s: row %d of %s differs from the reference after update", name, id, pair[0])
 					}
 				}
+				krows.Unlock()
+				rrows.Unlock()
 			}
 			if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
 				t.Fatalf("%s: dots after update differ from the reference", name)

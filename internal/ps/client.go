@@ -72,12 +72,6 @@ func (c *Client) Comm() (sent, recv int64) {
 	return c.sentBytes.Load(), c.recvBytes.Load()
 }
 
-// ResetComm zeroes the communication counters.
-func (c *Client) ResetComm() {
-	c.sentBytes.Store(0)
-	c.recvBytes.Store(0)
-}
-
 // NewClient creates a PS agent talking to the master at masterAddr.
 func NewClient(tr rpc.Transport, masterAddr string) *Client {
 	return &Client{
@@ -169,7 +163,9 @@ func (c *Client) callE(cancel <-chan struct{}, addr, method string, req, resp an
 			if resp != nil {
 				err = dec(out, resp)
 			}
-			rpc.PutBuf(out)
+			if r, ok := resp.(*nbrReply); !ok || r.r.b == nil {
+				rpc.PutBuf(out)
+			}
 			return err
 		}
 		unreachable := errors.Is(err, rpc.ErrUnreachable)
@@ -419,12 +415,6 @@ func (c *Client) RecoveryCount() (int64, error) {
 	var n int64
 	err := c.invoke(c.masterAddr, "RecoveryCount", nil, &n)
 	return n, err
-}
-
-// RestoreModel rolls every partition of the model back to its latest
-// checkpoint, discarding updates that raced with a recovery.
-func (c *Client) RestoreModel(model string) error {
-	return c.invoke(c.masterAddr, "RestoreModel", modelNameReq{Name: model}, nil)
 }
 
 // RestoreModels rolls the named models back as one unit: every partition
@@ -1011,25 +1001,65 @@ func (n *Nbr) Push(tables map[int64][]int64) error {
 	})
 }
 
-// nbrReply is the client-side decode target of one partition's NbrPull
-// reply: the batch must answer for exactly the want ids the partition was
-// asked for. A reply that does not is an error naming the model and
-// partition, raised before anything is allocated for it.
+// nbrReply keeps one partition's NbrPull reply frame past decode (callE
+// leaves the frame to it) for nbrBatchOf, which decodes it into place once
+// every partition has answered.
 type nbrReply struct {
 	model string
 	part  int
-	want  int
-	nbrs  NbrBatch
+	work  rowWork
+	r     wreader
 }
 
 func (s *nbrReply) wireMsg() byte { return msgNbrPullResp }
 
 func (s *nbrReply) decode(r wreader) (wreader, error) {
-	s.nbrs = r.nbrBatch(s.want)
-	if r.err != nil {
-		return r, fmt.Errorf("ps: %s/%d answered a neighbor pull of %d ids with a mis-shaped batch: %w", s.model, s.part, s.want, r.err)
-	}
+	s.r, r.off = r, len(r.b)
 	return r, nil
+}
+
+func (s *nbrReply) misshaped() error {
+	return fmt.Errorf("ps: %s/%d answered a neighbor pull of %d ids with a mis-shaped batch: %w", s.model, s.part, len(s.work.ids), s.r.err)
+}
+
+// nbrBatchOf decodes the replies to a pull of n ids into one batch in
+// request order — every reply's degrees, which fix the offsets, then each
+// reply's segments straight to their places — and hands the frames back to
+// the pool. A reply that does not add up is an error naming its partition.
+func nbrBatchOf(n int, replies []*nbrReply) (NbrBatch, error) {
+	defer func() {
+		for _, s := range replies {
+			rpc.PutBuf(s.r.b)
+		}
+	}()
+	out, total := NbrBatch{Off: make([]int32, n+1)}, 0
+	for _, s := range replies {
+		r := &s.r
+		if k := r.uvarint(); r.err == nil && k != uint64(len(s.work.ids)) {
+			r.err = fmt.Errorf("ps: wire: neighbour batch answers for %d vertices, want %d", k, len(s.work.ids))
+		}
+		cnt, _ := r.nbrDegrees(out.Off, s.work, len(s.work.ids))
+		if total += cnt; r.err != nil {
+			return NbrBatch{}, s.misshaped()
+		}
+	}
+	if total > math.MaxInt32 {
+		return NbrBatch{}, fmt.Errorf("ps: a pull of %d neighbours does not fit one batch", total)
+	}
+	for i := range n {
+		out.Off[i+1] += out.Off[i]
+	}
+	out.Adj = make([]int64, total)
+	for _, s := range replies {
+		r := &s.r
+		if r.nbrSegments(out, s.work, len(s.work.ids)); r.err == nil && r.off != len(r.b) {
+			r.err = fmt.Errorf("ps: wire: %d trailing bytes after a neighbour batch", len(r.b)-r.off)
+		}
+		if r.err != nil {
+			return NbrBatch{}, s.misshaped()
+		}
+	}
+	return out, nil
 }
 
 // PullBatch fetches the adjacency of ids as one CSR batch in request
@@ -1037,52 +1067,25 @@ func (s *nbrReply) decode(r wreader) (wreader, error) {
 // unknown or has none. A repeated id is answered once per occurrence.
 func (n *Nbr) PullBatch(ids []int64) (NbrBatch, error) {
 	name := n.Meta.Name
-	type answered struct {
-		work rowWork
-		nbrs NbrBatch
-	}
 	var mu sync.Mutex
-	var parts []answered
+	var parts []*nbrReply
 	err := routed(n.c, n.Meta, rowWork{ids: ids}, splitRows, func(cancel <-chan struct{}, p Partition, b rowWork) error {
 		if len(b.ids) == 0 {
 			return nil
 		}
-		r := nbrReply{model: name, part: p.Index, want: len(b.ids)}
-		if err := n.c.partInvoke(cancel, name, p, "NbrPull", pullReq{Model: name, Part: p.Index, Keys: b.ids}, &r); err != nil {
+		r := &nbrReply{model: name, part: p.Index, work: b}
+		if err := n.c.partInvoke(cancel, name, p, "NbrPull", pullReq{Model: name, Part: p.Index, Keys: b.ids}, r); err != nil {
 			return err
 		}
 		mu.Lock()
-		parts = append(parts, answered{b, r.nbrs})
+		parts = append(parts, r)
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return NbrBatch{}, err
 	}
-	// Partitions answer interleaved request positions with segments of
-	// varying length, so the scatter is two passes: degrees into place and
-	// a running sum, then each segment to the offset that gives it.
-	out := NbrBatch{Off: make([]int32, len(ids)+1)}
-	total := 0
-	for _, a := range parts {
-		total += len(a.nbrs.Adj)
-		for j := range a.work.ids {
-			out.Off[a.work.row(j)+1] = a.nbrs.Off[j+1] - a.nbrs.Off[j]
-		}
-	}
-	if total > math.MaxInt32 {
-		return NbrBatch{}, fmt.Errorf("ps: a pull of %d neighbours from %s does not fit one batch", total, name)
-	}
-	for i := range ids {
-		out.Off[i+1] += out.Off[i]
-	}
-	out.Adj = make([]int64, total)
-	for _, a := range parts {
-		for j := range a.work.ids {
-			copy(out.Adj[out.Off[a.work.row(j)]:], a.nbrs.Nbrs(j))
-		}
-	}
-	return out, nil
+	return nbrBatchOf(len(ids), parts)
 }
 
 // Pull is PullBatch as an id → neighbours map: a repeated id crosses the

@@ -91,7 +91,7 @@ func dec(data []byte, v any) error {
 		}
 	case *nbrPullResp:
 		if want = msgNbrPullResp; id == want {
-			m.Nbrs = r.nbrBatch(-1)
+			m.Nbrs = r.nbrBatch()
 		}
 	case frameDecoder:
 		if want = m.wireMsg(); id == want {
@@ -273,7 +273,7 @@ type clockReq struct {
 }
 
 // modelNameReq addresses a whole model by name: GetModel, DeleteModel (master
-// and server), Checkpoint, RestoreModel, PublishSnapshot, GetServeLayout.
+// and server), Checkpoint, PublishSnapshot, GetServeLayout.
 type modelNameReq struct {
 	Name string
 }

@@ -461,7 +461,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	if err := fsys.CorruptFile(CheckpointPath("cv", 0), 9); err != nil {
 		t.Fatal(err)
 	}
-	err = agent.RestoreModel("cv")
+	err = agent.RestoreModels([]string{"cv"})
 	if err == nil {
 		t.Fatal("restore of corrupt checkpoint succeeded")
 	}
@@ -646,7 +646,7 @@ func init() {
 			return nil, err
 		}
 		rowRuns.Add(1)
-		return AppendArgF64s(nil, pv.Row(1)), nil
+		return AppendArgF64s(nil, liveRow(pv.emb(), 1)), nil
 	})
 }
 
@@ -671,7 +671,7 @@ func wantRow(t *testing.T, c *Cluster, addr, model string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AppendArgF64s(nil, pv.Row(1))
+	return AppendArgF64s(nil, liveRow(pv.emb(), 1))
 }
 
 // TestWindowKeepsNoReplaySafeReplies: the window remembers every

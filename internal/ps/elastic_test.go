@@ -43,7 +43,12 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	if de.state != nbrSealed {
 		t.Fatalf("destination of a sealed export is not sealed")
 	}
-	if got, err := de.pull(pullReq{Keys: []int64{1}}); err != nil || !reflect.DeepEqual(got.Nbrs.Adj, []int64{2, 3}) {
+	reply, err := de.pull(pullReq{Keys: []int64{1}})
+	var got nbrPullResp
+	if err == nil {
+		err = dec(reply, &got)
+	}
+	if err != nil || !reflect.DeepEqual(got.Nbrs.Adj, []int64{2, 3}) {
 		t.Fatalf("pull(1) = %v, %v, want [2 3]", got.Nbrs, err)
 	}
 }

@@ -300,21 +300,6 @@ func (l LockedRows) Rows(dst [][]float64, ids []int64) [][]float64 {
 // Unlock releases the partition's shards.
 func (l LockedRows) Unlock() { l.e.unlockShards() }
 
-// row returns (materializing if absent) the live row for id, locking
-// only its shard (PartView.Row) — for reading when the row exists.
-func (e *embEngine) row(id int64) []float64 {
-	sh := e.shard(id)
-	sh.mu.RLock()
-	row := sh.store.get(id)
-	sh.mu.RUnlock()
-	if row == nil {
-		sh.mu.Lock()
-		_, row = e.rowLocked(sh, id)
-		sh.mu.Unlock()
-	}
-	return row
-}
-
 // export read-locks all shards so the result is one consistent cut, then
 // copies out the rows whose route keys fall in [lo, hi) — a column
 // partition exports everything, it migrates wholesale — and the

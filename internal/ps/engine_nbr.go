@@ -1,10 +1,11 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -28,58 +29,63 @@ type nbrEngine struct {
 	mu    sync.RWMutex
 	state nbrState
 	nbr   map[int64][]int64 // nbrBuilding only
-	// CSR form (nbrSealed): one sorted id array, offsets, and a single
-	// flat adjacency array. Compact and cache-friendly for the
-	// read-only phase.
-	csrIDs []int64
-	csrOff []int64
-	csrAdj []int64
+	// Sealed (DESIGN.md §7): idx maps ids[o-1] to o, an absent id to 0; o's
+	// neighbours are deg[o+1]-deg[o] deltas in seg[segOff[o]:segOff[o+1]],
+	// restarting at the segment. deg and segOff start 0, 0: o = 0 is empty.
+	ids    []int64
+	idx    idTable
+	deg    []int64
+	segOff []int64
+	seg    []byte
 }
 
 func newNbrEngine(base engineBase) *nbrEngine {
 	return &nbrEngine{engineBase: base, nbr: make(map[int64][]int64)}
 }
 
-// pull answers the request's keys, in request order, as one CSR batch:
-// two allocations however many keys, segments copied out of the CSR array
-// (or the building-state map). An id the partition does not hold is a
-// zero-length segment.
-func (e *nbrEngine) pull(req pullReq) (nbrPullResp, error) {
+// pull answers the request's keys, in request order, as one neighbour
+// batch frame; an id the partition does not hold is an empty segment. A
+// sealed partition resolves each key with one probe, then writes the
+// degrees and copies the segments into a frame sized for exactly that.
+func (e *nbrEngine) pull(req pullReq) (encoded, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, id := range req.Keys {
 		if err := e.checkKey(id); err != nil {
-			return nbrPullResp{}, err
+			return nil, err
 		}
 	}
-	// The first pass sizes the reply and parks each key's CSR slot (-1:
-	// absent) in the offset it will own; the second replaces the slot with
-	// the offset as it copies the segment, so every key is searched once.
-	off := make([]int32, len(req.Keys)+1)
-	total := 0
+	if e.state != nbrSealed {
+		nb := NbrBatch{Off: make([]int32, len(req.Keys)+1), Adj: []int64{}}
+		for i, id := range req.Keys {
+			nb.Adj = append(nb.Adj, e.nbr[id]...)
+			nb.Off[i+1] = int32(len(nb.Adj))
+		}
+		if len(nb.Adj) <= math.MaxInt32 {
+			return enc(nbrPullResp{Nbrs: nb}), nil
+		}
+		return nil, fmt.Errorf("ps: model %q partition %d: a pull of %d neighbours does not fit one batch", req.Model, req.Part, len(nb.Adj))
+	}
+	slots := make([]uint32, len(req.Keys))
+	total, size := 0, 2+uvarintLen(uint64(len(slots)))
 	for i, id := range req.Keys {
-		slot := -1
-		if e.state != nbrSealed {
-			total += len(e.nbr[id])
-		} else if j, ok := slices.BinarySearch(e.csrIDs, id); ok {
-			slot = j
-			total += int(e.csrOff[j+1] - e.csrOff[j])
-		}
-		off[i+1] = int32(slot)
+		o := e.idx.slot[e.idx.probe(id)]
+		d := e.deg[o+1] - e.deg[o]
+		slots[i], total = o, total+int(d)
+		size += uvarintLen(uint64(d)) + int(e.segOff[o+1]-e.segOff[o])
 	}
-	if total > math.MaxInt32 || len(e.csrIDs) > math.MaxInt32 {
-		return nbrPullResp{}, fmt.Errorf("ps: model %q partition %d: a pull of %d neighbours does not fit one batch", req.Model, req.Part, total)
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("ps: model %q partition %d: a pull of %d neighbours does not fit one batch", req.Model, req.Part, total)
 	}
-	adj := make([]int64, 0, total)
-	for i, id := range req.Keys {
-		if e.state != nbrSealed {
-			adj = append(adj, e.nbr[id]...)
-		} else if j := off[i+1]; j >= 0 {
-			adj = append(adj, e.csrAdj[e.csrOff[j]:e.csrOff[j+1]]...)
-		}
-		off[i+1] = int32(len(adj))
+	b := binary.AppendUvarint(frame(msgNbrPullResp, size+uvarintLen(uint64(total)+1)), uint64(len(slots)))
+	for _, o := range slots {
+		b = binary.AppendUvarint(b, uint64(e.deg[o+1]-e.deg[o]))
 	}
-	return nbrPullResp{Nbrs: NbrBatch{Off: off, Adj: adj}}, nil
+	b = binary.AppendUvarint(b, uint64(total)+1)
+	for _, o := range slots {
+		b = append(b, e.seg[e.segOff[o]:e.segOff[o+1]]...)
+	}
+	return b, nil
 }
 
 func (e *nbrEngine) push(req nbrPushReq) error {
@@ -105,52 +111,38 @@ func (e *nbrEngine) push(req nbrPushReq) error {
 func (e *nbrEngine) seal() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.state == nbrSealed {
-		return int64(len(e.csrIDs))
+	if e.state != nbrSealed {
+		e.sealMapLocked(e.nbr)
 	}
-	e.sealMapLocked(e.nbr)
-	return int64(len(e.csrIDs))
+	return int64(len(e.ids))
 }
 
-// csrKeepLocked returns the CSR arrays of the ids keep accepts, filtered
-// in order — ids stay ascending, adjacency sorted and deduplicated — into
-// fresh memory. Callers hold e.mu on a sealed engine.
-func (e *nbrEngine) csrKeepLocked(keep func(id int64) bool) (ids, off, adj []int64) {
-	ids, off = []int64{}, []int64{0}
-	for i, id := range e.csrIDs {
+// adjLocked decodes the sealed adjacency of the ids keep accepts (e.mu held).
+func (e *nbrEngine) adjLocked(keep func(id int64) bool) map[int64][]int64 {
+	adj := make(map[int64][]int64)
+	for k, id := range e.ids {
 		if keep(id) {
-			ids = append(ids, id)
-			adj = append(adj, e.csrAdj[e.csrOff[i]:e.csrOff[i+1]]...)
-			off = append(off, int64(len(adj)))
+			adj[id] = make([]int64, e.deg[k+2]-e.deg[k+1])
+			deltas(e.seg, int(e.segOff[k+1]), adj[id])
 		}
 	}
-	return ids, off, adj
+	return adj
 }
 
-// sealMapLocked converts an adjacency map into sorted, deduplicated CSR
-// form and installs it. Callers hold e.mu.
+// sealMapLocked installs an adjacency map in the sealed form, ids ascending
+// and lists sorted and deduplicated (e.mu held).
 func (e *nbrEngine) sealMapLocked(nbr map[int64][]int64) {
-	ids := make([]int64, 0, len(nbr))
-	var total int
-	for id, ns := range nbr {
-		ids = append(ids, id)
-		total += len(ns)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.csrIDs = ids
-	e.csrOff = make([]int64, len(ids)+1)
-	e.csrAdj = make([]int64, 0, total)
-	for i, id := range ids {
+	e.ids = slices.Sorted(maps.Keys(nbr))
+	e.deg, e.segOff, e.seg = make([]int64, 2, len(e.ids)+2), make([]int64, 2, len(e.ids)+2), nil
+	e.idx.reset(len(e.ids))
+	for k, id := range e.ids {
 		ns := nbr[id]
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-		var prev int64 = -1 << 62
-		for _, x := range ns {
-			if x != prev {
-				e.csrAdj = append(e.csrAdj, x)
-				prev = x
-			}
-		}
-		e.csrOff[i+1] = int64(len(e.csrAdj))
+		slices.Sort(ns)
+		ns = slices.Compact(ns)
+		e.seg = appendDeltas(e.seg, ns)
+		e.deg = append(e.deg, e.deg[k+1]+int64(len(ns)))
+		e.segOff = append(e.segOff, int64(len(e.seg)))
+		e.idx.put(id, e.ids[:k])
 	}
 	e.nbr = nil
 	e.state = nbrSealed
@@ -164,7 +156,12 @@ func (e *nbrEngine) export(lo, hi int64) partImage {
 	defer e.mu.RUnlock()
 	img := partImage{Kind: e.meta.Kind, Sealed: e.state == nbrSealed}
 	if img.Sealed {
-		img.CsrIDs, img.CsrOff, img.CsrAdj = e.csrKeepLocked(func(id int64) bool { return e.inExport(id, lo, hi) })
+		adj := e.adjLocked(func(id int64) bool { return e.inExport(id, lo, hi) })
+		img.CsrIDs, img.CsrOff = slices.Sorted(maps.Keys(adj)), []int64{0}
+		for _, id := range img.CsrIDs {
+			img.CsrAdj = append(img.CsrAdj, adj[id]...)
+			img.CsrOff = append(img.CsrOff, int64(len(img.CsrAdj)))
+		}
 		return img
 	}
 	img.Nbr = make(map[int64][]int64)
@@ -177,7 +174,7 @@ func (e *nbrEngine) export(lo, hi int64) partImage {
 }
 
 // merge adds an image's adjacency. Merging into a sealed engine, or a
-// sealed image into an empty one, rebuilds the CSR arrays (migrations
+// sealed image into an empty one, rebuilds the sealed form (migrations
 // are rare; traversals are not) and ends sealed; merging into a building
 // engine appends.
 func (e *nbrEngine) merge(img partImage) error {
@@ -201,10 +198,7 @@ func (e *nbrEngine) merge(img partImage) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == nbrSealed || (img.Sealed && len(e.nbr) == 0) {
-		merged := make(map[int64][]int64, len(e.csrIDs)+len(in))
-		for i, id := range e.csrIDs {
-			merged[id] = slices.Clone(e.csrAdj[e.csrOff[i]:e.csrOff[i+1]])
-		}
+		merged := e.adjLocked(func(int64) bool { return true })
 		for id, ns := range in {
 			merged[id] = append(merged[id], ns...)
 		}
@@ -222,7 +216,7 @@ func (e *nbrEngine) splitAt(mid int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == nbrSealed {
-		e.csrIDs, e.csrOff, e.csrAdj = e.csrKeepLocked(func(id int64) bool { return e.keepOnSplit(id, mid) })
+		e.sealMapLocked(e.adjLocked(func(id int64) bool { return e.keepOnSplit(id, mid) }))
 	} else {
 		for id := range e.nbr {
 			if !e.keepOnSplit(id, mid) {
@@ -241,6 +235,6 @@ func (e *nbrEngine) sizeBytes() int64 {
 	for _, ns := range e.nbr {
 		b += 8 + int64(len(ns))*8
 	}
-	b += int64(len(e.csrIDs))*8 + int64(len(e.csrOff))*8 + int64(len(e.csrAdj))*8
+	b += int64(len(e.ids)+len(e.deg)+len(e.segOff)+len(e.idx.keys))*8 + int64(len(e.idx.slot))*4 + int64(len(e.seg))
 	return b
 }

@@ -27,7 +27,7 @@ func TestOptimizerGoldenEmbeddingSingleStep(t *testing.T) {
 		want func(g float64) float64 // update applied to a zero row
 	}{
 		{"SGD", SGD(lr), func(g float64) float64 { return -lr * g }},
-		{"AdaGrad", AdaGrad(lr), func(g float64) float64 { return -lr * g / (math.Sqrt(g*g) + eps) }},
+		{"AdaGrad", adaGrad(lr), func(g float64) float64 { return -lr * g / (math.Sqrt(g*g) + eps) }},
 		// Adam at t=1: mhat = g, vhat = g², so the bias corrections cancel.
 		{"Adam", Adam(lr), func(g float64) float64 { return -lr * g / (math.Sqrt(g*g) + eps) }},
 	}
@@ -99,7 +99,7 @@ func TestMatrixStepsMatchAFlatReference(t *testing.T) {
 	opts := []struct {
 		name string
 		opt  Optimizer
-	}{{"SGD", SGD(0.1)}, {"AdaGrad", AdaGrad(0.05)}, {"Adam", Adam(0.01)}}
+	}{{"SGD", SGD(0.1)}, {"AdaGrad", adaGrad(0.05)}, {"Adam", Adam(0.01)}}
 	for _, shape := range []struct{ servers, rows, cols int }{{2, 32, 3}, {4, 1, 1}, {4, 2, 3}} {
 		for _, o := range opts {
 			t.Run(fmt.Sprintf("%s/%dx%d-on-%d", o.name, shape.rows, shape.cols, shape.servers), func(t *testing.T) {
@@ -255,7 +255,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := e.(*embEngine).row(id)
+		row := liveRow(e.(*embEngine), id)
 		for i := range ref {
 			if row[i] != ref[i] {
 				t.Fatalf("shards=%d: row[%d] = %v, want %v", shards, i, row[i], ref[i])
@@ -270,7 +270,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crow := ce.(*embEngine).row(id)
+	crow := liveRow(ce.(*embEngine), id)
 	if len(crow) != 3 {
 		t.Fatalf("column row width = %d, want 3", len(crow))
 	}
@@ -285,7 +285,7 @@ func TestInitRowGoldenAcrossLayouts(t *testing.T) {
 	b, _ := newEngine(meta, 0, 0)
 	ae, be := a.(*embEngine), b.(*embEngine)
 	for _, id := range []int64{0, 1, 7, 41, 42, 1 << 40} {
-		ra, rb := ae.row(id), be.row(id)
+		ra, rb := liveRow(ae, id), liveRow(be, id)
 		for i := range ra {
 			if ra[i] != rb[i] {
 				t.Fatalf("id %d dim %d: %v vs %v", id, i, ra[i], rb[i])
@@ -357,7 +357,7 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 func TestEmbStoreRoundTripsAcrossShardCounts(t *testing.T) {
 	defer SetEmbShards(0)
 	const rows, graded = 300, 200
-	for _, opt := range []Optimizer{Adam(0.05), AdaGrad(0.05)} {
+	for _, opt := range []Optimizer{Adam(0.05), adaGrad(0.05)} {
 		meta := oneServerMeta(ModelMeta{Name: "e", Kind: Embedding, Dim: 3, Opt: opt, InitScale: 0.25})
 		grads := make(map[int64][]float64)
 		all := make([]int64, rows)

@@ -82,7 +82,7 @@ func imageCases() []imageCase {
 	vec := ModelMeta{Name: "v", Kind: DenseVector, Size: 64}
 	sparse := ModelMeta{Name: "s", Kind: Embedding, Dim: 1} // as CreateSparseVector makes it
 	emb := ModelMeta{Name: "e", Kind: Embedding, Dim: 4, InitScale: 0.1, Opt: Adam(0.01)}
-	col := ModelMeta{Name: "c", Kind: ColumnEmbedding, Dim: 3, InitScale: 0.5, Opt: AdaGrad(0.05)}
+	col := ModelMeta{Name: "c", Kind: ColumnEmbedding, Dim: 3, InitScale: 0.5, Opt: adaGrad(0.05)}
 	nbr := ModelMeta{Name: "n", Kind: Neighbor}
 	mat := ModelMeta{Name: "m", Kind: ColumnEmbedding, Size: 3, Dim: 4, Opt: Adam(0.01)} // as CreateMatrix makes it
 	return []imageCase{

@@ -199,7 +199,6 @@ var masterHandlers = map[string]entry[*Master]{
 		raced, err := m.checkpointModels(r.Names, r.IfRecoveries)
 		return ckptModelsResp{Raced: raced}, err
 	})},
-	"RestoreModel":  {once, handleNoResp(func(m *Master, r modelNameReq) error { return m.restoreModels([]string{r.Name}) })},
 	"RestoreModels": {once, handleNoResp(func(m *Master, r restoreModelsReq) error { return m.restoreModels(r.Names) })},
 }
 

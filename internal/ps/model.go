@@ -77,11 +77,6 @@ type Optimizer struct {
 // SGD returns a plain SGD optimizer spec.
 func SGD(lr float64) Optimizer { return Optimizer{Kind: OptSGD, LR: lr} }
 
-// AdaGrad returns an AdaGrad optimizer spec.
-func AdaGrad(lr float64) Optimizer {
-	return Optimizer{Kind: OptAdaGrad, LR: lr, Eps: 1e-8}
-}
-
 // Adam returns an Adam optimizer spec with standard betas.
 func Adam(lr float64) Optimizer {
 	return Optimizer{Kind: OptAdam, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}

@@ -153,8 +153,6 @@ func TestRetryContract(t *testing.T) {
 			_, err := c.CheckpointModels([]string{"r"}, -1)
 			return err
 		}},
-		{"RestoreModel", func(_ *Cluster, a *Client) error { return a.Checkpoint("r") },
-			func(_ *Cluster, c *Client) error { return c.RestoreModel("r") }},
 		{"RestoreModels", func(_ *Cluster, a *Client) error { return a.Checkpoint("r") },
 			func(_ *Cluster, c *Client) error { return c.RestoreModels([]string{"r"}) }},
 		{"PublishSnapshot", nil, func(_ *Cluster, c *Client) error {

@@ -524,7 +524,7 @@ func refPull(e *embEngine, ids []int64) RowBatch {
 	w := e.width()
 	data := make([]float64, len(ids)*w)
 	for j, id := range ids {
-		copy(data[j*w:], e.row(id))
+		copy(data[j*w:], liveRow(e, id))
 	}
 	return RowBatch{IDs: ids, Dim: w, Data: data}
 }

@@ -169,10 +169,22 @@ func TestRowStorePointerStability(t *testing.T) {
 	if last := got[len(got)-1]; &got[0][0] != &last[0] || &got[1][0] != &last[0] {
 		t.Fatal("the row of 42 moved while its batch materialised 100k others")
 	}
-	if live := view.Row(42); &live[0] != &got[0][0] {
+	if live := liveRow(view.emb(), 42); &live[0] != &got[0][0] {
 		t.Fatal("a resolved row is not the live row")
 	}
 }
+
+// liveRow is the live row of id, materialised if absent: LockedRows.Rows
+// asked for one id.
+func liveRow(e *embEngine, id int64) []float64 {
+	rows := LockedRows{e}
+	e.lockShards()
+	defer rows.Unlock()
+	return rows.Rows(nil, []int64{id})[0]
+}
+
+// adaGrad is an AdaGrad optimizer spec.
+func adaGrad(lr float64) Optimizer { return Optimizer{Kind: OptAdaGrad, LR: lr, Eps: 1e-8} }
 
 // resolveEngine is one embedding partition of the given width behind a
 // PartView. Two of them hold the same rows: a row's initial value is a
@@ -187,7 +199,7 @@ func resolveEngine(t testing.TB, width int) *PartView {
 }
 
 // checkResolve holds LockedRows.Rows to the per-id path: columns resolved
-// in one batch each on one engine, the same ids looked up one PartView.Row
+// in one batch each on one engine, the same ids looked up one liveRow
 // at a time, in column order, on its twin. Every resolved row must be the
 // live row of its id — so equal ids, within a column or across columns (a
 // first-order U == V), share one slice — and hold the twin's values.
@@ -205,7 +217,7 @@ func checkResolve(t *testing.T, cols ...[]int64) {
 	rows.Unlock()
 	for c, ids := range cols {
 		for i, id := range ids {
-			want, live := perID.Row(id), batch.Row(id)
+			want, live := liveRow(perID.emb(), id), liveRow(batch.emb(), id)
 			if len(got[c][i]) != 3 || &got[c][i][0] != &live[0] {
 				t.Fatalf("column %d, position %d: not the live row of id %d", c, i, id)
 			}

@@ -98,11 +98,6 @@ func viewAs[E engine](v *PartView, what string) E {
 
 func (v *PartView) emb() *embEngine { return viewAs[*embEngine](v, "an embedding") }
 
-// Row returns (and lazily initializes) the stored vector for id, locking
-// only the shard that owns it. The caller must not retain the slice
-// across calls. Only valid for Embedding and ColumnEmbedding partitions.
-func (v *PartView) Row(id int64) []float64 { return v.emb().row(id) }
-
 // Lock write-locks every shard of an embedding partition for a multi-row
 // operation and returns its raw row accessor; release with Unlock. Shards
 // are acquired in index order; psFuncs locking several co-located

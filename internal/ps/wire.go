@@ -97,7 +97,12 @@ func appendI64s(b []byte, s []int64) []byte {
 	if s == nil {
 		return binary.AppendUvarint(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(s))+1)
+	return appendDeltas(binary.AppendUvarint(b, uint64(len(s))+1), s)
+}
+
+// appendDeltas writes the zigzag varints of s[i]-s[i-1], from s[-1] = 0:
+// the body of an id slice, and one vertex's segment of a neighbour batch.
+func appendDeltas(b []byte, s []int64) []byte {
 	var prev int64
 	for _, v := range s {
 		b = binary.AppendVarint(b, v-prev)
@@ -132,13 +137,21 @@ func appendRowBatch(b []byte, rb RowBatch) []byte {
 }
 
 // appendNbrBatch encodes a neighbour batch: the vertex count, every vertex's
-// degree, and the neighbour array as one delta-coded block (DESIGN.md §6).
+// degree, the neighbour count (nil-preserving), then each vertex's segment
+// with deltas restarting at it: what a sealed partition keeps (DESIGN.md §6).
 func appendNbrBatch(b []byte, nb NbrBatch) []byte {
 	b = binary.AppendUvarint(b, uint64(nb.Len()))
 	for i := 0; i < nb.Len(); i++ {
 		b = binary.AppendUvarint(b, uint64(nb.Off[i+1]-nb.Off[i]))
 	}
-	return appendI64s(b, nb.Adj)
+	if nb.Adj == nil {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(nb.Adj))+1)
+	for i := 0; i < nb.Len(); i++ {
+		b = appendDeltas(b, nb.Nbrs(i))
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -374,10 +387,9 @@ func (r *wreader) elems(size int) (int, bool) {
 func (r *wreader) i64s() []int64 { return r.i64sInto(nil) }
 
 // i64sInto is i64s decoding into dst's backing array when it is big enough
-// (a nil dst always allocates, so i64s keeps empty ≠ nil). The cursor is
-// local: on million-id pulls r.varint's per-element overhead is measurable.
-// Deltas of one to three bytes, nearly all there are, take an if-chain
-// behind one bound check; the rest take zigzag. Both are binary.Varint.
+// (a nil dst always allocates, so i64s keeps empty ≠ nil). deltas keeps
+// its cursor local: on million-id pulls r.varint's per-element overhead is
+// measurable.
 func (r *wreader) i64sInto(dst []int64) []int64 {
 	n, ok := r.sliceLen()
 	if !ok {
@@ -386,8 +398,19 @@ func (r *wreader) i64sInto(dst []int64) []int64 {
 	if dst == nil || cap(dst) < n {
 		dst = make([]int64, n)
 	}
-	s := dst[:n]
-	b, off := r.b, r.off
+	if r.off = deltas(r.b, r.off, dst[:n]); r.off < 0 {
+		r.off = len(r.b)
+		r.fail()
+		return nil
+	}
+	return dst[:n]
+}
+
+// deltas decodes len(s) values of appendDeltas' layout at b[off:] into s and
+// returns the offset past them, or -1 when one is truncated or overflows.
+// Deltas of one to three bytes, nearly all there are, take an if-chain
+// behind one bound check; the rest take zigzag. Both are binary.Varint.
+func deltas(b []byte, off int, s []int64) int {
 	var prev int64
 	for i := range s {
 		ux, next := uint64(0), -1
@@ -403,17 +426,14 @@ func (r *wreader) i64sInto(dst []int64) []int64 {
 		d := int64(ux>>1) ^ -int64(ux&1)
 		if next < 0 { // a longer varint, or the last two bytes of b
 			if d, next = zigzag(b, off); next < 0 {
-				r.off = len(b)
-				r.fail()
-				return nil
+				return -1
 			}
 		}
 		off = next
 		prev += d
 		s[i] = prev
 	}
-	r.off = off
-	return s
+	return off
 }
 
 // zigzag decodes the zigzag varint at b[off:] and returns the offset past
@@ -502,46 +522,54 @@ func (r *wreader) rowBatch() RowBatch {
 	return rb
 }
 
-// nbrBatch decodes appendNbrBatch's layout; want >= 0 is the number of
-// vertices the reply must answer for. Before anything is allocated the
-// degrees are walked once: each, and their sum, must fit the neighbour
-// count that follows them, which sliceLen bounds by the bytes present.
-func (r *wreader) nbrBatch(want int) NbrBatch {
-	n := r.uvarint()
-	switch {
-	case r.err != nil:
-	case want >= 0 && n != uint64(want):
-		r.err = fmt.Errorf("ps: wire: neighbour batch answers for %d vertices, want %d", n, want)
-	case n > uint64(len(r.b)-r.off): // a degree takes at least one byte
+// nbrBatch decodes appendNbrBatch's layout, allocating what the bytes
+// present bound: a degree takes at least one byte, a neighbour too.
+func (r *wreader) nbrBatch() (nb NbrBatch) {
+	if n := r.uvarint(); n > uint64(len(r.b)-r.off) {
 		r.fail()
+	} else if n > 0 {
+		nb.Off = make([]int32, n+1)
 	}
-	degrees := r.off
+	cnt, ok := r.nbrDegrees(nb.Off, rowWork{}, nb.Len())
+	for i := 1; i < len(nb.Off); i++ {
+		nb.Off[i] += nb.Off[i-1]
+	}
+	if ok && r.err == nil {
+		nb.Adj = make([]int64, cnt)
+		r.nbrSegments(nb, rowWork{}, nb.Len())
+	}
+	return nb
+}
+
+// nbrDegrees reads n degrees into off — degree j at off[w.row(j)+1] — and
+// the neighbour count behind them, which they must sum to.
+func (r *wreader) nbrDegrees(off []int32, w rowWork, n int) (cnt int, ok bool) {
 	var total uint64
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for j := 0; j < n && r.err == nil; j++ {
 		d := r.uvarint()
 		if d > uint64(len(r.b)) {
 			r.fail()
 		}
+		off[w.row(j)+1] = int32(d)
 		total += d
 	}
-	adj := r.off
-	if cnt, _ := r.sliceLen(); r.err == nil && (cnt > math.MaxInt32 || total != uint64(cnt)) {
+	if cnt, ok = r.sliceLen(); r.err == nil && (cnt > math.MaxInt32 || total != uint64(cnt)) {
 		r.err = fmt.Errorf("ps: wire: neighbour batch degrees sum to %d for %d neighbours", total, cnt)
 	}
-	if r.err != nil {
-		return NbrBatch{}
+	return cnt, ok
+}
+
+// nbrSegments decodes n segments, segment j into vertex w.row(j) of nb,
+// whose offsets the degrees have fixed.
+func (r *wreader) nbrSegments(nb NbrBatch, w rowWork, n int) {
+	for j := 0; j < n && r.off >= 0; j++ {
+		i := w.row(j)
+		r.off = deltas(r.b, r.off, nb.Adj[nb.Off[i]:nb.Off[i+1]])
 	}
-	var nb NbrBatch
-	if n > 0 {
-		nb.Off = make([]int32, n+1)
-		r.off = degrees
-		for i := range nb.Off[1:] {
-			nb.Off[i+1] = nb.Off[i] + int32(r.uvarint())
-		}
+	if r.off < 0 {
+		r.off = len(r.b)
+		r.fail()
 	}
-	r.off = adj
-	nb.Adj = r.i64s()
-	return nb
 }
 
 // value reads appendValue's layout into v, which must be settable. What

@@ -590,24 +590,30 @@ func TestCommCountersConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	cl.ResetComm()
+	// since is what the counters moved by since the last call.
+	var s0, r0 int64
+	since := func() (sent, recv int64) {
+		s, r := cl.Comm()
+		sent, recv, s0, r0 = s-s0, r-r0, s, r
+		return sent, recv
+	}
+	since()
 	idx := []int64{1, 2, 3, 50, 99}
 	vals := []float64{1, 2, 3, 4, 5}
 	if err := v.PushAdd(idx, vals); err != nil {
 		t.Fatalf("push: %v", err)
 	}
-	sent, recv := cl.Comm()
+	sent, recv := since()
 	if sent == 0 {
 		t.Fatal("push recorded zero sent bytes")
 	}
 	if recv != 0 {
 		t.Fatalf("push recorded %d recv bytes, want 0 (empty responses)", recv)
 	}
-	cl.ResetComm()
 	if _, err := v.Pull(idx); err != nil {
 		t.Fatalf("pull: %v", err)
 	}
-	sent, recv = cl.Comm()
+	sent, recv = since()
 	if sent == 0 || recv == 0 {
 		t.Fatalf("pull comm counters sent=%d recv=%d, want both > 0", sent, recv)
 	}
