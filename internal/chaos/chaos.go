@@ -473,9 +473,9 @@ func ShuffleGolden(cfg Config) PhaseResult {
 		NumExecutors: 3, DefaultParallelism: 8,
 		RestartDelay: 2 * time.Millisecond, MaxTaskRetries: 6,
 	})
-	data := make([]int, n)
+	data := make([]int64, n)
 	for i := range data {
-		data[i] = i
+		data[i] = int64(i)
 	}
 	// One datanode down for the whole job: shuffle files must be served
 	// from the surviving replicas.
@@ -488,7 +488,7 @@ func ShuffleGolden(cfg Config) PhaseResult {
 	// task retried on a restarted executor.
 	var killAll atomic.Bool
 	staged := dataflow.MapPartitions(dataflow.Parallelize(dctx, data, 8),
-		func(part int, in []int) ([]int, error) {
+		func(part int, in []int64) ([]int64, error) {
 			if part == 2 && killAll.CompareAndSwap(false, true) {
 				for e := 0; e < 3; e++ {
 					dctx.KillExecutor(e)
@@ -496,15 +496,15 @@ func ShuffleGolden(cfg Config) PhaseResult {
 			}
 			return in, nil
 		})
-	kv := dataflow.Map(staged, func(x int) dataflow.KV[int, int] {
-		return dataflow.KV[int, int]{K: x % 101, V: x}
+	kv := dataflow.Map(staged, func(x int64) dataflow.KV[int64, int64] {
+		return dataflow.KV[int64, int64]{K: x % 101, V: x}
 	})
-	got, err := dataflow.ReduceByKey(kv, func(a, b int) int { return a + b }, 8).Collect()
+	got, err := dataflow.ReduceByKey(kv, func(a, b int64) int64 { return a + b }, 8).Collect()
 	if err != nil {
 		return failf(r, "collect: %v", err)
 	}
 
-	want := make(map[int]int)
+	want := make(map[int64]int64)
 	for _, x := range data {
 		want[x%101] += x
 	}

@@ -9,7 +9,7 @@ import (
 // Shuffle codecs for the element shapes the TG algorithms move through
 // wide operators: edges (Distinct in common-neighbor dedup), scored
 // vertex pairs, FastUnfolding's condensed community edges, and weighted
-// adjacency fragments. Everything else falls back to the gob stream.
+// adjacency fragments. A shape with no codec cannot be shuffled.
 func init() {
 	dataflow.RegisterShuffleCodec("core.edge-unit",
 		func(b []byte, kv dataflow.KV[Edge, struct{}]) []byte {

@@ -110,12 +110,6 @@ func NewContext(fs *dfs.FS, cfg Config) *Context {
 	return ctx
 }
 
-// NumExecutors returns the executor-pool size.
-func (c *Context) NumExecutors() int { return len(c.execs) }
-
-// DefaultParallelism returns the default partition count.
-func (c *Context) DefaultParallelism() int { return c.cfg.DefaultParallelism }
-
 // Stats reports cumulative engine statistics.
 type Stats struct {
 	ShuffleBytes  int64

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,9 +85,9 @@ func TestReduce(t *testing.T) {
 
 func TestGroupByKey(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 3})
-	var kvs []KV[int64, int]
-	for i := 0; i < 100; i++ {
-		kvs = append(kvs, KV[int64, int]{K: int64(i % 10), V: i})
+	var kvs []KV[int64, int64]
+	for i := int64(0); i < 100; i++ {
+		kvs = append(kvs, KV[int64, int64]{K: i % 10, V: i})
 	}
 	grouped := GroupByKey(Parallelize(ctx, kvs, 5), 4)
 	got, err := grouped.Collect()
@@ -101,7 +102,7 @@ func TestGroupByKey(t *testing.T) {
 			t.Fatalf("group %d has %d values", g.K, len(g.V))
 		}
 		for _, v := range g.V {
-			if int64(v%10) != g.K {
+			if v%10 != g.K {
 				t.Fatalf("value %d in group %d", v, g.K)
 			}
 		}
@@ -110,11 +111,11 @@ func TestGroupByKey(t *testing.T) {
 
 func TestReduceByKey(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 3})
-	var kvs []KV[string, int]
-	for i := 0; i < 60; i++ {
-		kvs = append(kvs, KV[string, int]{K: fmt.Sprintf("k%d", i%3), V: 1})
+	var kvs []KV[int64, int64]
+	for i := int64(0); i < 60; i++ {
+		kvs = append(kvs, KV[int64, int64]{K: i % 3, V: 1})
 	}
-	counts := ReduceByKey(Parallelize(ctx, kvs, 6), func(a, b int) int { return a + b }, 2)
+	counts := ReduceByKey(Parallelize(ctx, kvs, 6), func(a, b int64) int64 { return a + b }, 2)
 	got, err := counts.Collect()
 	if err != nil {
 		t.Fatalf("collect: %v", err)
@@ -124,7 +125,7 @@ func TestReduceByKey(t *testing.T) {
 	}
 	for _, kv := range got {
 		if kv.V != 20 {
-			t.Fatalf("count[%s] = %d, want 20", kv.K, kv.V)
+			t.Fatalf("count[%d] = %d, want 20", kv.K, kv.V)
 		}
 	}
 }
@@ -136,15 +137,15 @@ func TestReduceByKeyMatchesSequentialProperty(t *testing.T) {
 		if len(vals) < n {
 			n = len(vals)
 		}
-		kvs := make([]KV[int64, int], n)
-		want := map[int64]int{}
+		kvs := make([]KV[int64, int64], n)
+		want := map[int64]int64{}
 		for i := 0; i < n; i++ {
 			k := int64(keys[i] % 16)
-			v := int(vals[i])
-			kvs[i] = KV[int64, int]{K: k, V: v}
+			v := int64(vals[i])
+			kvs[i] = KV[int64, int64]{K: k, V: v}
 			want[k] += v
 		}
-		out, err := ReduceByKey(Parallelize(ctx, kvs, 3), func(a, b int) int { return a + b }, 3).Collect()
+		out, err := ReduceByKey(Parallelize(ctx, kvs, 3), func(a, b int64) int64 { return a + b }, 3).Collect()
 		if err != nil {
 			return false
 		}
@@ -165,10 +166,10 @@ func TestReduceByKeyMatchesSequentialProperty(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 2})
-	left := Parallelize(ctx, []KV[int64, string]{
-		{K: 1, V: "a"}, {K: 2, V: "b"}, {K: 2, V: "b2"}, {K: 3, V: "c"},
+	left := Parallelize(ctx, []KV[int64, []byte]{
+		{K: 1, V: []byte("a")}, {K: 2, V: []byte("b")}, {K: 2, V: []byte("b2")}, {K: 3, V: []byte("c")},
 	}, 2)
-	right := Parallelize(ctx, []KV[int64, int]{
+	right := Parallelize(ctx, []KV[int64, int64]{
 		{K: 2, V: 20}, {K: 3, V: 30}, {K: 3, V: 31}, {K: 4, V: 40},
 	}, 3)
 	joined, err := Join(left, right, 2).Collect()
@@ -186,39 +187,14 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestLeftJoin(t *testing.T) {
-	ctx := newCtx(t, Config{NumExecutors: 2})
-	left := Parallelize(ctx, []KV[int64, string]{{K: 1, V: "a"}, {K: 2, V: "b"}}, 2)
-	right := Parallelize(ctx, []KV[int64, int]{{K: 2, V: 20}}, 2)
-	out, err := LeftJoin(left, right, 2).Collect()
-	if err != nil {
-		t.Fatalf("leftJoin: %v", err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("rows = %d", len(out))
-	}
-	for _, kv := range out {
-		switch kv.K {
-		case 1:
-			if kv.V.Has {
-				t.Fatal("key 1 should have no right side")
-			}
-		case 2:
-			if !kv.V.Has || kv.V.B != 20 {
-				t.Fatalf("key 2: %+v", kv.V)
-			}
-		}
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 2})
-	r := Parallelize(ctx, []int{1, 2, 2, 3, 3, 3, 1}, 3)
+	r := Parallelize(ctx, []int64{1, 2, 2, 3, 3, 3, 1}, 3)
 	got, err := Distinct(r, 2).Collect()
 	if err != nil {
 		t.Fatalf("distinct: %v", err)
 	}
-	sort.Ints(got)
+	slices.Sort(got)
 	if fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("got %v", got)
 	}
@@ -226,14 +202,14 @@ func TestDistinct(t *testing.T) {
 
 func TestPartitionByColocatesKeys(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 2})
-	var kvs []KV[int64, int]
-	for i := 0; i < 40; i++ {
-		kvs = append(kvs, KV[int64, int]{K: int64(i % 4), V: i})
+	var kvs []KV[int64, int64]
+	for i := int64(0); i < 40; i++ {
+		kvs = append(kvs, KV[int64, int64]{K: i % 4, V: i})
 	}
-	p := PartitionBy(Parallelize(ctx, kvs, 5), 3)
+	p := partitionBy(Parallelize(ctx, kvs, 5), 3)
 	var mu sync.Mutex       // partitions run concurrently
 	seen := map[int64]int{} // key -> partition
-	err := p.ForeachPartition(func(part int, in []KV[int64, int]) error {
+	err := p.ForeachPartition(func(part int, in []KV[int64, int64]) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, kv := range in {
@@ -270,27 +246,6 @@ func TestTextFileRoundTrip(t *testing.T) {
 	sort.Strings(lines)
 	if lines[0] != "line-0" {
 		t.Fatalf("lines[0] = %q", lines[0])
-	}
-}
-
-func TestSaveAsTextFile(t *testing.T) {
-	fs := dfs.NewDefault()
-	ctx := NewContext(fs, Config{NumExecutors: 2})
-	r := Parallelize(ctx, ints(10), 3)
-	if err := SaveAsTextFile(r, "/out", func(x int) string { return fmt.Sprint(x) }); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	files := fs.List("/out/")
-	if len(files) != 3 {
-		t.Fatalf("files = %v", files)
-	}
-	var count int
-	for _, f := range files {
-		data, _ := fs.ReadFile(f)
-		count += strings.Count(string(data), "\n")
-	}
-	if count != 10 {
-		t.Fatalf("total lines = %d", count)
 	}
 }
 
@@ -517,45 +472,5 @@ func TestJoinOOMWhenOutputReplicates(t *testing.T) {
 	_, err := Join(left, right, 1).Collect()
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("err = %v, want ErrOOM from replicated join output", err)
-	}
-}
-
-func TestKeysValuesMapValues(t *testing.T) {
-	ctx := newCtx(t, Config{NumExecutors: 2})
-	r := Parallelize(ctx, []KV[int64, string]{{K: 1, V: "a"}, {K: 2, V: "bb"}}, 2)
-	ks, _ := Keys(r).Collect()
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	if fmt.Sprint(ks) != "[1 2]" {
-		t.Fatalf("keys = %v", ks)
-	}
-	vs, _ := Values(r).Collect()
-	sort.Strings(vs)
-	if fmt.Sprint(vs) != "[a bb]" {
-		t.Fatalf("values = %v", vs)
-	}
-	lens, _ := MapValues(r, func(s string) int { return len(s) }).Collect()
-	m := map[int64]int{}
-	for _, kv := range lens {
-		m[kv.K] = kv.V
-	}
-	if m[1] != 1 || m[2] != 2 {
-		t.Fatalf("mapValues = %v", m)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := newCtx(t, Config{NumExecutors: 2})
-	var kvs []KV[int64, string]
-	for i := 0; i < 30; i++ {
-		kvs = append(kvs, KV[int64, string]{K: int64(i % 3), V: "x"})
-	}
-	got, err := CountByKey(Parallelize(ctx, kvs, 4), 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range got {
-		if kv.V != 10 {
-			t.Fatalf("count[%d] = %d", kv.K, kv.V)
-		}
 	}
 }

@@ -2,22 +2,12 @@ package dataflow
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Row is one record of a DataFrame. Cells hold int64, float64 or string.
 type Row []any
-
-func init() {
-	// Rows travel through gob-encoded shuffles; interface cells need
-	// their concrete types registered.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-}
 
 // Int64 returns cell i as int64.
 func (r Row) Int64(i int) int64 {
@@ -60,8 +50,8 @@ func (r Row) String(i int) string {
 // DataFrame extends an RDD of rows with a relational schema (named
 // columns), the Dataframe/Dataset abstraction of Sec. III-C that lets
 // PSGraph jobs sit inside SQL-flavored Spark pipelines. Operations
-// compose lazily on the underlying RDD; wide operations shuffle through
-// the DFS like any other.
+// compose lazily on the underlying RDD; relational steps run on RDD()
+// with the generic operators.
 type DataFrame struct {
 	cols []string
 	rdd  *RDD[Row]
@@ -93,99 +83,9 @@ func (d *DataFrame) ColIndex(name string) (int, error) {
 	return -1, fmt.Errorf("dataflow: no column %q in %v", name, d.cols)
 }
 
-func (d *DataFrame) mustCol(name string) int {
-	i, err := d.ColIndex(name)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
-// Select projects the named columns, in order.
-func (d *DataFrame) Select(names ...string) *DataFrame {
-	idx := make([]int, len(names))
-	for i, n := range names {
-		idx[i] = d.mustCol(n)
-	}
-	out := Map(d.rdd, func(r Row) Row {
-		nr := make(Row, len(idx))
-		for i, j := range idx {
-			nr[i] = r[j]
-		}
-		return nr
-	})
-	return &DataFrame{cols: append([]string(nil), names...), rdd: out}
-}
-
 // Filter keeps rows for which pred is true.
 func (d *DataFrame) Filter(pred func(Row) bool) *DataFrame {
 	return &DataFrame{cols: d.cols, rdd: Filter(d.rdd, pred)}
-}
-
-// WithColumn appends a derived column.
-func (d *DataFrame) WithColumn(name string, f func(Row) any) *DataFrame {
-	out := Map(d.rdd, func(r Row) Row {
-		nr := make(Row, len(r)+1)
-		copy(nr, r)
-		nr[len(r)] = f(r)
-		return nr
-	})
-	return &DataFrame{cols: append(d.Columns(), name), rdd: out}
-}
-
-// GroupBySum groups by an int64 key column and sums a float64 value
-// column, yielding a (key, sum) frame. This is the aggregate the graph
-// pipelines need (degree counts, weight totals).
-func (d *DataFrame) GroupBySum(keyCol, valCol string, parts int) *DataFrame {
-	ki := d.mustCol(keyCol)
-	vi := d.mustCol(valCol)
-	kvs := Map(d.rdd, func(r Row) KV[int64, float64] {
-		return KV[int64, float64]{K: r.Int64(ki), V: r.Float64(vi)}
-	})
-	summed := ReduceByKey(kvs, func(a, b float64) float64 { return a + b }, parts)
-	rows := Map(summed, func(kv KV[int64, float64]) Row { return Row{kv.K, kv.V} })
-	return &DataFrame{cols: []string{keyCol, "sum(" + valCol + ")"}, rdd: rows}
-}
-
-// GroupByCount groups by an int64 key column and counts rows.
-func (d *DataFrame) GroupByCount(keyCol string, parts int) *DataFrame {
-	ki := d.mustCol(keyCol)
-	kvs := Map(d.rdd, func(r Row) KV[int64, int64] {
-		return KV[int64, int64]{K: r.Int64(ki), V: 1}
-	})
-	counted := ReduceByKey(kvs, func(a, b int64) int64 { return a + b }, parts)
-	rows := Map(counted, func(kv KV[int64, int64]) Row { return Row{kv.K, kv.V} })
-	return &DataFrame{cols: []string{keyCol, "count"}, rdd: rows}
-}
-
-// JoinOn inner-joins two frames on int64 key columns, concatenating the
-// right frame's remaining columns after the left's.
-func (d *DataFrame) JoinOn(other *DataFrame, leftCol, rightCol string, parts int) *DataFrame {
-	li := d.mustCol(leftCol)
-	ri := other.mustCol(rightCol)
-	left := Map(d.rdd, func(r Row) KV[int64, Row] {
-		return KV[int64, Row]{K: r.Int64(li), V: r}
-	})
-	right := Map(other.rdd, func(r Row) KV[int64, Row] {
-		nr := make(Row, 0, len(r)-1)
-		for i, c := range r {
-			if i != ri {
-				nr = append(nr, c)
-			}
-		}
-		return KV[int64, Row]{K: r.Int64(ri), V: nr}
-	})
-	joined := Join(left, right, parts)
-	rows := Map(joined, func(kv KV[int64, Pair[Row, Row]]) Row {
-		return append(append(Row{}, kv.V.A...), kv.V.B...)
-	})
-	cols := d.Columns()
-	for i, c := range other.cols {
-		if i != ri {
-			cols = append(cols, c)
-		}
-	}
-	return &DataFrame{cols: cols, rdd: rows}
 }
 
 // Collect gathers all rows.
@@ -193,21 +93,6 @@ func (d *DataFrame) Collect() ([]Row, error) { return d.rdd.Collect() }
 
 // Count returns the row count.
 func (d *DataFrame) Count() (int64, error) { return d.rdd.Count() }
-
-// ReadCSV loads a separated-value DFS file as a DataFrame of string
-// cells; callers cast with WithColumn or the typed Row accessors.
-func ReadCSV(ctx *Context, path, sep string, cols []string, parts int) *DataFrame {
-	lines := TextFile(ctx, path, parts)
-	rows := Map(lines, func(line string) Row {
-		fields := strings.Split(line, sep)
-		r := make(Row, len(fields))
-		for i, f := range fields {
-			r[i] = f
-		}
-		return r
-	})
-	return &DataFrame{cols: cols, rdd: rows}
-}
 
 // Save writes the frame as separated text under dir, one file per
 // partition.

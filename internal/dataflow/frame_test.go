@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"psgraph/internal/dfs"
@@ -23,26 +24,17 @@ func sampleFrame(ctx *Context) *DataFrame {
 	return FromRows(ctx, []string{"src", "dst", "w"}, rows, 2)
 }
 
-func TestFrameSelectAndCollect(t *testing.T) {
-	df := sampleFrame(frameCtx())
-	sel := df.Select("dst", "src")
-	if fmt.Sprint(sel.Columns()) != "[dst src]" {
-		t.Fatalf("cols = %v", sel.Columns())
-	}
-	rows, err := sel.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || rows[0].Int64(0) == 0 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
 func TestFrameFilterWithColumn(t *testing.T) {
 	df := sampleFrame(frameCtx())
-	heavy := df.Filter(func(r Row) bool { return r.Float64(2) >= 1.0 }).
-		WithColumn("double", func(r Row) any { return r.Float64(2) * 2 })
-	rows, err := heavy.Collect()
+	heavy := df.Filter(func(r Row) bool { return r.Float64(2) >= 1.0 })
+	if fmt.Sprint(heavy.Columns()) != "[src dst w]" {
+		t.Fatalf("cols = %v", heavy.Columns())
+	}
+	// A derived column is a Map over the rows under a widened schema.
+	doubled := FromRDD(append(heavy.Columns(), "double"), Map(heavy.RDD(), func(r Row) Row {
+		return append(append(Row{}, r...), r.Float64(2)*2)
+	}))
+	rows, err := doubled.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,83 +48,27 @@ func TestFrameFilterWithColumn(t *testing.T) {
 	}
 }
 
-func TestFrameGroupBySumAndCount(t *testing.T) {
-	df := sampleFrame(frameCtx())
-	sums, err := df.GroupBySum("src", "w", 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[int64]float64{}
-	for _, r := range sums {
-		m[r.Int64(0)] = r.Float64(1)
-	}
-	if m[1] != 2.0 || m[2] != 2.0 || m[3] != 1.0 {
-		t.Fatalf("sums = %v", m)
-	}
-	counts, err := df.GroupByCount("src", 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := map[int64]int64{}
-	for _, r := range counts {
-		cm[r.Int64(0)] = r.Int64(1)
-	}
-	if cm[1] != 2 || cm[2] != 1 || cm[3] != 1 {
-		t.Fatalf("counts = %v", cm)
-	}
-}
-
-func TestFrameJoinOn(t *testing.T) {
-	ctx := frameCtx()
-	edges := sampleFrame(ctx)
-	names := FromRows(ctx, []string{"id", "name"}, []Row{
-		{int64(1), "alice"}, {int64(2), "bob"}, {int64(3), "carol"},
-	}, 2)
-	joined := edges.JoinOn(names, "src", "id", 2)
-	if fmt.Sprint(joined.Columns()) != "[src dst w name]" {
-		t.Fatalf("cols = %v", joined.Columns())
-	}
-	rows, err := joined.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		want := map[int64]string{1: "alice", 2: "bob", 3: "carol"}[r.Int64(0)]
-		if r.String(3) != want {
-			t.Fatalf("join row %v", r)
-		}
-	}
-}
-
 func TestFrameCSVRoundTrip(t *testing.T) {
 	fs := dfs.NewDefault()
 	ctx := NewContext(fs, Config{NumExecutors: 2})
-	fs.WriteFile("/in.csv", []byte("1\t2\n3\t4\n5\t6\n"))
-	df := ReadCSV(ctx, "/in.csv", "\t", []string{"a", "b"}, 2)
-	typed := df.WithColumn("ai", func(r Row) any {
-		v, _ := strconv.ParseInt(r.String(0), 10, 64)
-		return v
+	fs.WriteFile("/in.csv", []byte("1\t2\n3\t4\n5\t6.5\n"))
+	rows := Map(TextFile(ctx, "/in.csv", 2), func(line string) Row {
+		a, b, _ := strings.Cut(line, "\t")
+		ai, _ := strconv.ParseInt(a, 10, 64)
+		bf, _ := strconv.ParseFloat(b, 64)
+		return Row{ai, bf}
 	})
-	rows, err := typed.Collect()
-	if err != nil {
+	if err := FromRDD([]string{"a", "b"}, rows).Save("/out", "\t"); err != nil {
 		t.Fatal(err)
 	}
-	var as []int
-	for _, r := range rows {
-		as = append(as, int(r.Int64(2)))
+	var lines []string
+	for _, f := range fs.List("/out/") {
+		data, _ := fs.ReadFile(f)
+		lines = append(lines, strings.Fields(strings.ReplaceAll(string(data), "\t", ","))...)
 	}
-	sort.Ints(as)
-	if fmt.Sprint(as) != "[1 3 5]" {
-		t.Fatalf("as = %v", as)
-	}
-	if err := typed.Select("ai", "b").Save("/out", "\t"); err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.List("/out/")) == 0 {
-		t.Fatal("no output files")
+	sort.Strings(lines)
+	if fmt.Sprint(lines) != "[1,2 3,4 5,6.5]" {
+		t.Fatalf("saved rows = %v", lines)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // Benchmarks comparing the fused evaluation path against the
-// slice-materializing baseline, and the binary shuffle codec against the
-// gob stream. Run with -benchmem: fusion's win is allocations (no
-// intermediate partition slices), the codec's win is time and bytes.
+// slice-materializing baseline, and timing the shuffle. Run with
+// -benchmem: fusion's win is allocations (no intermediate partition
+// slices).
 
 func benchNarrowChain(b *testing.B, fused bool) {
 	b.Helper()
@@ -44,33 +44,36 @@ func benchNarrowChain(b *testing.B, fused bool) {
 func BenchmarkNarrowChainFused(b *testing.B)   { benchNarrowChain(b, true) }
 func BenchmarkNarrowChainUnfused(b *testing.B) { benchNarrowChain(b, false) }
 
-func benchShuffle(b *testing.B, binary bool) {
-	b.Helper()
-	binaryShuffle.Store(binary)
-	defer binaryShuffle.Store(true)
+// BenchmarkShuffleReduceByKey times a whole ReduceByKey: map-side combine,
+// shuffle write, read and reduce of 200 k KV[int64, float64] records over
+// 50 k keys, checked against a plain-Go reduction.
+func BenchmarkShuffleReduceByKey(b *testing.B) {
 	data := make([]KV[int64, float64], 200_000)
+	want := make(map[int64]float64, 50_000)
 	for i := range data {
 		data[i] = KV[int64, float64]{K: int64(i % 50_000), V: float64(i) * 0.5}
+		want[data[i].K] += data[i].V
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Fresh context per iteration: shuffles are write-once per dep.
 		ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 4})
-		out := ReduceByKey(Parallelize(ctx, data, 8),
-			func(a, b float64) float64 { return a + b }, 8)
-		n, err := out.Count()
+		out, err := ReduceByKey(Parallelize(ctx, data, 8),
+			func(a, b float64) float64 { return a + b }, 8).Collect()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n != 50_000 {
-			b.Fatalf("keys = %d", n)
+		if len(out) != len(want) {
+			b.Fatalf("keys = %d", len(out))
+		}
+		for _, kv := range out {
+			if kv.V != want[kv.K] {
+				b.Fatalf("key %d: %v, want %v", kv.K, kv.V, want[kv.K])
+			}
 		}
 	}
 }
-
-func BenchmarkShuffleReduceByKeyBinary(b *testing.B) { benchShuffle(b, true) }
-func BenchmarkShuffleReduceByKeyGob(b *testing.B)    { benchShuffle(b, false) }
 
 // BenchmarkShuffleReadPairs times the reduce side alone: the 16 files of a
 // 4×4 shuffle of 2 M KV[int64, int64] pairs with ids below 2^17 (PageRank's

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,15 +21,8 @@ func withFusion(t *testing.T, on bool) {
 	t.Cleanup(func() { fusionOn.Store(true) })
 }
 
-// withBinaryShuffle pins the shuffle format for the test body.
-func withBinaryShuffle(t *testing.T, on bool) {
-	t.Helper()
-	binaryShuffle.Store(on)
-	t.Cleanup(func() { binaryShuffle.Store(true) })
-}
-
 // buildNarrowChain assembles a representative chain of narrow ops —
-// Map, Filter, FlatMap, MapValues, Keys — ending in a keyed RDD.
+// Map, Filter, FlatMap — ending in a keyed RDD.
 func buildNarrowChain(ctx *Context, n int) *RDD[KV[int64, int64]] {
 	base := Parallelize(ctx, ints(n), 7)
 	doubled := Map(base, func(x int) int { return 2 * x })
@@ -37,7 +31,9 @@ func buildNarrowChain(ctx *Context, n int) *RDD[KV[int64, int64]] {
 	keyed := Map(expanded, func(x int) KV[int64, int64] {
 		return KV[int64, int64]{K: int64(x % 13), V: int64(x)}
 	})
-	return MapValues(keyed, func(v int64) int64 { return v + 1 })
+	return Map(keyed, func(kv KV[int64, int64]) KV[int64, int64] {
+		return KV[int64, int64]{K: kv.K, V: kv.V + 1}
+	})
 }
 
 func TestFusedMatchesUnfusedGolden(t *testing.T) {
@@ -74,7 +70,9 @@ func TestFusedMatchesUnfusedThroughShuffle(t *testing.T) {
 		ctx := newCtx(t, Config{NumExecutors: 2})
 		counts := ReduceByKey(buildNarrowChain(ctx, 300), func(a, b int64) int64 { return a + b }, 4)
 		// Narrow ops after the shuffle fuse onto the reduce output.
-		shifted := MapValues(counts, func(v int64) int64 { return v * 10 })
+		shifted := Map(counts, func(kv KV[int64, int64]) KV[int64, int64] {
+			return KV[int64, int64]{K: kv.K, V: kv.V * 10}
+		})
 		out, err := shifted.Collect()
 		if err != nil {
 			t.Fatalf("fused=%v: %v", fused, err)
@@ -215,59 +213,64 @@ func TestReduceExecutorSidePartials(t *testing.T) {
 	fusionOn.Store(true)
 }
 
-// --- shuffle codec equivalence ---------------------------------------------
+// --- shuffle codec round trips --------------------------------------------
 
-func shuffleRoundTrip[K comparable, V any](t *testing.T, kvs []KV[K, V], binary bool) []KV[K, V] {
-	t.Helper()
-	binaryShuffle.Store(binary)
-	ctx := newCtx(t, Config{NumExecutors: 2})
-	out, err := PartitionBy(Parallelize(ctx, kvs, 3), 4).Collect()
-	if err != nil {
-		t.Fatalf("binary=%v: %v", binary, err)
-	}
-	return out
+// partitionBy re-distributes a keyed dataset by key hash into parts
+// partitions: a shuffle with no grouping, so what comes out is exactly
+// what the codec wrote and read back.
+func partitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
+	return ShuffleReduce(r, parts, func(t *Task, n int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+		out := make([]KV[K, V], 0, n)
+		err := records(func(kv KV[K, V]) error {
+			out = append(out, kv)
+			return nil
+		})
+		return out, err
+	})
 }
 
-func checkShuffleEquivalence[K comparable, V any](t *testing.T, kvs []KV[K, V]) {
+// checkShuffleRoundTrip shuffles kvs across partitions and requires the
+// records that come out to be the records that went in.
+func checkShuffleRoundTrip[K comparable, V any](t *testing.T, kvs []KV[K, V]) {
 	t.Helper()
-	bin := shuffleRoundTrip(t, kvs, true)
-	gob := shuffleRoundTrip(t, kvs, false)
-	key := func(kv KV[K, V]) string { return fmt.Sprintf("%v|%v", kv.K, kv.V) }
-	bs := make([]string, len(bin))
-	gs := make([]string, len(gob))
-	for i := range bin {
-		bs[i] = key(bin[i])
+	ctx := newCtx(t, Config{NumExecutors: 2})
+	out, err := partitionBy(Parallelize(ctx, kvs, 3), 4).Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range gob {
-		gs[i] = key(gob[i])
+	rows := func(kvs []KV[K, V]) []string {
+		s := make([]string, len(kvs))
+		for i, kv := range kvs {
+			s[i] = fmt.Sprintf("%v|%v", kv.K, kv.V)
+		}
+		sort.Strings(s)
+		return s
 	}
-	sort.Strings(bs)
-	sort.Strings(gs)
-	if len(bs) != len(kvs) {
-		t.Fatalf("binary shuffle returned %d rows, want %d", len(bs), len(kvs))
+	got, want := rows(out), rows(kvs)
+	if len(got) != len(want) {
+		t.Fatalf("shuffle returned %d rows, want %d", len(got), len(want))
 	}
-	for i := range bs {
-		if bs[i] != gs[i] {
-			t.Fatalf("row %d: binary %q, gob %q", i, bs[i], gs[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: shuffled %q, input %q", i, got[i], want[i])
 		}
 	}
 }
 
 func TestShuffleCodecEquivalenceBuiltins(t *testing.T) {
-	withBinaryShuffle(t, true)
 	t.Run("i64-i64", func(t *testing.T) {
 		var kvs []KV[int64, int64]
 		for i := 0; i < 200; i++ {
 			kvs = append(kvs, KV[int64, int64]{K: int64(i - 100), V: int64(i) * 1_000_003})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
 	t.Run("i64-f64", func(t *testing.T) {
 		var kvs []KV[int64, float64]
 		for i := 0; i < 200; i++ {
 			kvs = append(kvs, KV[int64, float64]{K: int64(i), V: float64(i) * 0.37})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
 	t.Run("i64-f64s", func(t *testing.T) {
 		var kvs []KV[int64, []float64]
@@ -278,7 +281,7 @@ func TestShuffleCodecEquivalenceBuiltins(t *testing.T) {
 			}
 			kvs = append(kvs, KV[int64, []float64]{K: int64(i), V: v})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
 	t.Run("i64-i64s", func(t *testing.T) {
 		var kvs []KV[int64, []int64]
@@ -289,77 +292,101 @@ func TestShuffleCodecEquivalenceBuiltins(t *testing.T) {
 			}
 			kvs = append(kvs, KV[int64, []int64]{K: int64(i), V: v})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
 	t.Run("i64-bytes", func(t *testing.T) {
 		var kvs []KV[int64, []byte]
 		for i := 0; i < 50; i++ {
 			kvs = append(kvs, KV[int64, []byte]{K: int64(i), V: []byte(fmt.Sprintf("payload-%d", i))})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
-	t.Run("gob-fallback-string-key", func(t *testing.T) {
-		// No codec registered for string keys: both settings take the gob
-		// stream and must agree.
-		var kvs []KV[string, int]
+	t.Run("i64-unit", func(t *testing.T) {
+		var kvs []KV[int64, struct{}]
 		for i := 0; i < 100; i++ {
-			kvs = append(kvs, KV[string, int]{K: fmt.Sprintf("k%d", i%17), V: i})
+			kvs = append(kvs, KV[int64, struct{}]{K: int64(i*i) - 2_000})
 		}
-		checkShuffleEquivalence(t, kvs)
+		checkShuffleRoundTrip(t, kvs)
 	})
+}
+
+// TestShuffleRejectsUnregisteredShape: the registered codec is the only
+// shuffle format, so a shuffle over a shape without one fails when the
+// job is built, naming the shape, before any map task runs.
+func TestShuffleRejectsUnregisteredShape(t *testing.T) {
+	ctx := newCtx(t, Config{NumExecutors: 2})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "dataflow.KV[string,int]") {
+			t.Fatalf("panic %q does not name the shape", msg)
+		}
+		if n := ctx.Stats().TasksRun; n != 0 {
+			t.Fatalf("%d tasks ran before the shuffle was refused", n)
+		}
+	}()
+	ReduceByKey(Parallelize(ctx, []KV[string, int]{{K: "a", V: 1}}, 2),
+		func(a, b int) int { return a + b }, 2)
+	t.Fatal("a shuffle over KV[string, int] was built")
 }
 
 func TestShuffleCodecEquivalenceAggregations(t *testing.T) {
-	// End-to-end: ReduceByKey and GroupByKey agree across formats.
-	withBinaryShuffle(t, true)
+	// End-to-end: ReduceByKey and GroupByKey agree with a plain-Go
+	// reduction of the same records.
 	var kvs []KV[int64, int64]
+	want := map[int64]int64{}
 	for i := 0; i < 3000; i++ {
 		kvs = append(kvs, KV[int64, int64]{K: int64(i % 37), V: int64(i)})
+		want[int64(i%37)] += int64(i)
 	}
-	run := func(binary bool) map[int64]int64 {
-		binaryShuffle.Store(binary)
-		ctx := newCtx(t, Config{NumExecutors: 2})
-		out, err := ReduceByKey(Parallelize(ctx, kvs, 5),
-			func(a, b int64) int64 { return a + b }, 3).Collect()
-		if err != nil {
-			t.Fatalf("binary=%v: %v", binary, err)
+	ctx := newCtx(t, Config{NumExecutors: 2})
+	sums, err := ReduceByKey(Parallelize(ctx, kvs, 5),
+		func(a, b int64) int64 { return a + b }, 3).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := GroupByKey(Parallelize(ctx, kvs, 5), 3).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != len(want) || len(groups) != len(want) {
+		t.Fatalf("keys: reduceByKey %d, groupByKey %d, want %d", len(sums), len(groups), len(want))
+	}
+	for _, kv := range sums {
+		if want[kv.K] != kv.V {
+			t.Fatalf("reduceByKey key %d: %d, want %d", kv.K, kv.V, want[kv.K])
 		}
-		m := make(map[int64]int64, len(out))
-		for _, kv := range out {
-			m[kv.K] = kv.V
+	}
+	for _, g := range groups {
+		var sum int64
+		for _, v := range g.V {
+			sum += v
 		}
-		return m
-	}
-	bin, gob := run(true), run(false)
-	if len(bin) != 37 || len(gob) != 37 {
-		t.Fatalf("keys: binary %d, gob %d, want 37", len(bin), len(gob))
-	}
-	for k, v := range bin {
-		if gob[k] != v {
-			t.Fatalf("key %d: binary %d, gob %d", k, v, gob[k])
+		if want[g.K] != sum {
+			t.Fatalf("groupByKey key %d: values sum to %d, want %d", g.K, sum, want[g.K])
 		}
 	}
 }
 
-func TestBinaryShuffleReadableAfterToggle(t *testing.T) {
-	// Files written in one format stay readable when the toggle flips
-	// before the reduce side runs: the reader dispatches on the format
-	// byte, not the global switch.
-	withBinaryShuffle(t, true)
+func TestShuffleReadAfterMapStage(t *testing.T) {
+	// The map side runs in one action and the reduce side in a later one:
+	// the files it left behind are read, not rewritten, and decode to the
+	// counts the input holds.
 	ctx := newCtx(t, Config{NumExecutors: 2})
 	var kvs []KV[int64, int64]
 	for i := 0; i < 500; i++ {
 		kvs = append(kvs, KV[int64, int64]{K: int64(i % 10), V: 1})
 	}
 	counts := ReduceByKey(Parallelize(ctx, kvs, 4), func(a, b int64) int64 { return a + b }, 2)
-	// Force the map side to run under binary, then flip to gob for the read.
 	if err := counts.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	binaryShuffle.Store(false)
+	written := ctx.Stats().ShuffleBytes
 	out, err := counts.Collect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ctx.Stats().ShuffleBytes != written {
+		t.Fatalf("the map side ran again: %d shuffle bytes, then %d", written, ctx.Stats().ShuffleBytes)
 	}
 	if len(out) != 10 {
 		t.Fatalf("keys = %d", len(out))

@@ -1,9 +1,7 @@
 package dataflow
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 
 	"psgraph/internal/dfs"
@@ -105,26 +103,5 @@ func ParseTextFile[T any](ctx *Context, path string, parts int, parse func(line 
 func TextFile(ctx *Context, path string, parts int) *RDD[string] {
 	return ParseTextFile(ctx, path, parts, func(line []byte) (string, bool, error) {
 		return string(line), true, nil
-	})
-}
-
-// SaveAsTextFile writes one file per partition under dir, formatting each
-// element with format.
-func SaveAsTextFile[T any](r *RDD[T], dir string, format func(T) string) error {
-	return r.ForeachPartition(func(part int, in []T) error {
-		w := r.ctx.FS.Create(fmt.Sprintf("%s/part-%05d", dir, part))
-		bw := bufio.NewWriter(w)
-		for _, x := range in {
-			if _, err := bw.WriteString(format(x)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return w.Close()
 	})
 }

@@ -462,26 +462,3 @@ func (r *RDD[T]) Reduce(f func(a, b T) T) (T, error) {
 	}
 	return acc, nil
 }
-
-// Keys projects the keys of a keyed RDD.
-func Keys[K comparable, V any](r *RDD[KV[K, V]]) *RDD[K] {
-	return Map(r, func(kv KV[K, V]) K { return kv.K })
-}
-
-// Values projects the values of a keyed RDD.
-func Values[K comparable, V any](r *RDD[KV[K, V]]) *RDD[V] {
-	return Map(r, func(kv KV[K, V]) V { return kv.V })
-}
-
-// MapValues transforms values while keeping keys (and partitioning).
-func MapValues[K comparable, V, W any](r *RDD[KV[K, V]], f func(V) W) *RDD[KV[K, W]] {
-	return Map(r, func(kv KV[K, V]) KV[K, W] {
-		return KV[K, W]{K: kv.K, V: f(kv.V)}
-	})
-}
-
-// CountByKey returns the number of elements per key.
-func CountByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, int64]] {
-	ones := MapValues(r, func(V) int64 { return 1 })
-	return ReduceByKey(ones, func(a, b int64) int64 { return a + b }, parts)
-}

@@ -1,13 +1,11 @@
 package dataflow
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
 	"math/bits"
+	"reflect"
 	"runtime"
 	"sync"
 )
@@ -81,54 +79,22 @@ func shufflePath(id int64, mapPart, reducePart int) string {
 	return fmt.Sprintf("%s%05d-%05d", shuffleDir(id), mapPart, reducePart)
 }
 
-// countingWriter tracks bytes handed to the DFS so shuffleBytes reflects
-// what actually hit storage.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // bucketWriter streams one reduce partition's records of a map task to
-// the DFS. Binary buckets buffer records in a pooled chunk flushed at
-// shuffleChunk bytes; gob buckets stream through one encoder (which
-// amortizes type descriptors across the file). Either way the task is
-// charged one chunk of transient memory, not the whole encoded bucket.
+// the DFS. Records are encoded into a pooled chunk flushed at shuffleChunk
+// bytes, so the task is charged one chunk of transient memory, not the
+// whole encoded bucket.
 type bucketWriter[K comparable, V any] struct {
 	file  io.WriteCloser
-	cw    countingWriter
-	buf   []byte       // binary path: pending chunk
-	genc  *gob.Encoder // gob path
+	n     int64 // bytes handed to the DFS
+	buf   []byte
 	codec *shuffleCodec[K, V]
 }
 
-func newBucketWriter[K comparable, V any](ctx *Context, path string, codec *shuffleCodec[K, V]) (*bucketWriter[K, V], error) {
-	w := &bucketWriter[K, V]{file: ctx.FS.Create(path), codec: codec}
-	w.cw.w = w.file
-	fmtByte := shuffleFmtGob
-	if codec != nil {
-		fmtByte = shuffleFmtBin
-	}
-	if _, err := w.cw.Write([]byte{fmtByte}); err != nil {
-		return nil, err
-	}
-	if codec != nil {
-		w.buf = getShuffleBuf()
-	} else {
-		w.genc = gob.NewEncoder(&w.cw)
-	}
-	return w, nil
+func newBucketWriter[K comparable, V any](ctx *Context, path string, codec *shuffleCodec[K, V]) *bucketWriter[K, V] {
+	return &bucketWriter[K, V]{file: ctx.FS.Create(path), buf: getShuffleBuf(), codec: codec}
 }
 
 func (w *bucketWriter[K, V]) write(kv KV[K, V]) error {
-	if w.codec == nil {
-		return w.genc.Encode(kv)
-	}
 	w.buf = w.codec.enc(w.buf, kv)
 	if len(w.buf) >= shuffleChunk {
 		return w.flush()
@@ -140,21 +106,19 @@ func (w *bucketWriter[K, V]) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	_, err := w.cw.Write(w.buf)
+	n, err := w.file.Write(w.buf)
+	w.n += int64(n)
 	w.buf = w.buf[:0]
 	return err
 }
 
 // close flushes, publishes the file and returns the bytes written.
 func (w *bucketWriter[K, V]) close() (int64, error) {
-	if w.codec != nil {
-		if err := w.flush(); err != nil {
-			return w.cw.n, err
-		}
-		putShuffleBuf(w.buf)
-		w.buf = nil
+	if err := w.flush(); err != nil {
+		return w.n, err
 	}
-	return w.cw.n, w.file.Close()
+	w.discard()
+	return w.n, w.file.Close()
 }
 
 // discard releases the chunk buffer without publishing the file (error
@@ -170,8 +134,14 @@ func (w *bucketWriter[K, V]) discard() {
 // elements by key hash. Elements stream straight from the parent's fused
 // evaluation path into per-bucket chunked encoders, so neither the
 // parent's output nor any encoded bucket is ever held whole in memory.
-// It returns the dep to attach to the reduce-side RDD.
+// It returns the dep to attach to the reduce-side RDD. A shape with no
+// registered codec cannot shuffle: it panics here, when the job is built,
+// not when its map side runs.
 func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *shuffleDep {
+	codec := codecFor[K, V]()
+	if codec == nil {
+		panic(fmt.Sprintf("dataflow: no shuffle codec registered for %v", reflect.TypeFor[KV[K, V]]()))
+	}
 	ctx := parent.ctx
 	dep := &shuffleDep{
 		ctx:         ctx,
@@ -191,10 +161,6 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 		if err := parent.prepare(); err != nil {
 			return err
 		}
-		var codec *shuffleCodec[K, V]
-		if binaryShuffle.Load() {
-			codec = codecFor[K, V]()
-		}
 		partOf := partitioner[K](reduceParts)
 		return ctx.runTasks(parent.parts, func(t *Task, part int) error {
 			// Each open bucket holds at most one chunk of pending
@@ -213,11 +179,7 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 				}
 			}()
 			for rp := range buckets {
-				w, err := newBucketWriter(ctx, shufflePath(dep.id, part, rp), codec)
-				if err != nil {
-					return err
-				}
-				buckets[rp] = w
+				buckets[rp] = newBucketWriter(ctx, shufflePath(dep.id, part, rp), codec)
 			}
 			counts := make([]int, reduceParts)
 			err := parent.streamPart(t, part, func(kv KV[K, V]) error {
@@ -300,56 +262,27 @@ func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *sh
 		return err
 	}
 	defer f.Close()
-	w.f, w.r.b = f, nil
-	if err := w.fill(0); err != nil {
-		return err
-	}
+	w.f, w.r, w.eof = f, BinReader{}, false
 	r := &w.r
-	if len(r.b) == 0 {
-		return fmt.Errorf("dataflow: shuffle %d file %d-%d: missing format byte", dep.id, mp, rp)
-	}
-	r.off = 1
-	switch r.b[0] {
-	case shuffleFmtGob:
-		dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(r.b[1:]), f))
-		for {
-			var kv KV[K, V]
-			if err := dec.Decode(&kv); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
+	for {
+		start := r.off
+		if start < len(r.b) {
+			kv := codec.dec(r)
+			if !r.cut() {
+				if err := consume(kv); err != nil {
+					return err
 				}
-				return err
+				continue
 			}
-			if err := consume(kv); err != nil {
-				return err
+			if r.err != nil || w.eof {
+				return fmt.Errorf("dataflow: shuffle %d file %d-%d: %w", dep.id, mp, rp, r.Err())
 			}
+		} else if w.eof {
+			return nil
 		}
-	case shuffleFmtBin:
-		if codec == nil {
-			return fmt.Errorf("dataflow: shuffle %d file %d-%d is binary but no codec is registered for %T", dep.id, mp, rp, KV[K, V]{})
+		if err := w.fill(start); err != nil {
+			return err
 		}
-		for {
-			start := r.off
-			if start < len(r.b) {
-				kv := codec.dec(r)
-				if !r.cut() {
-					if err := consume(kv); err != nil {
-						return err
-					}
-					continue
-				}
-				if r.err != nil || w.eof {
-					return fmt.Errorf("dataflow: shuffle %d file %d-%d: %w", dep.id, mp, rp, r.Err())
-				}
-			} else if w.eof {
-				return nil
-			}
-			if err := w.fill(start); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("dataflow: shuffle %d file %d-%d: unknown format byte 0x%02x", dep.id, mp, rp, r.b[0])
 	}
 }
 
@@ -483,56 +416,6 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 	}
 }
 
-// LeftOuter is one row of a left outer join: B/Has are the right side.
-type LeftOuter[V, W any] struct {
-	A   V
-	B   W
-	Has bool
-}
-
-// LeftJoin computes the left outer join of two keyed datasets. Every left
-// row appears exactly once per matching right row, or once with Has=false
-// when the key has no right rows (right sides with duplicate keys emit
-// multiple rows).
-func LeftJoin[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int) *RDD[KV[K, LeftOuter[V, W]]] {
-	if parts <= 0 {
-		parts = a.ctx.cfg.DefaultParallelism
-	}
-	depA := writeShuffle(a, parts)
-	depB := writeShuffle(b, parts)
-	return &RDD[KV[K, LeftOuter[V, W]]]{
-		ctx:      a.ctx,
-		parts:    parts,
-		parents:  []node{a, b},
-		shuffles: []*shuffleDep{depA, depB},
-		name:     a.name + ".leftJoin(" + b.name + ")",
-		compute: func(t *Task, part int) ([]KV[K, LeftOuter[V, W]], error) {
-			right, tableBytes, err := groupAll(t, func(consume func(KV[K, W]) error) error {
-				return readShufflePart(t, depB, part, consume)
-			})
-			if err != nil {
-				return nil, err
-			}
-			var out []KV[K, LeftOuter[V, W]]
-			err = readShufflePart(t, depA, part, func(kv KV[K, V]) error {
-				ws, ok := right[kv.K]
-				if !ok {
-					out = append(out, KV[K, LeftOuter[V, W]]{K: kv.K, V: LeftOuter[V, W]{A: kv.V}})
-					return nil
-				}
-				for _, w := range ws {
-					out = append(out, KV[K, LeftOuter[V, W]]{K: kv.K, V: LeftOuter[V, W]{A: kv.V, B: w, Has: true}})
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return emit(t, out, tableBytes)
-		},
-	}
-}
-
 // ShuffleReduce hash-partitions a keyed dataset into parts partitions
 // and builds each output partition with reduce. n is the exact number of
 // records addressed to the partition, as its map tasks counted them;
@@ -557,21 +440,6 @@ func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
 			})
 		},
 	}
-}
-
-// PartitionBy re-distributes a keyed dataset by key hash into parts
-// partitions (a pure shuffle with no grouping).
-func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
-	out := ShuffleReduce(r, parts, func(t *Task, n int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
-		out := make([]KV[K, V], 0, n)
-		err := records(func(kv KV[K, V]) error {
-			out = append(out, kv)
-			return nil
-		})
-		return out, err
-	})
-	out.name = r.name + ".partitionBy"
-	return out
 }
 
 // Distinct removes duplicate elements (via a shuffle on the element).

@@ -1,20 +1,16 @@
 package dataflow
 
-// Pluggable shuffle codecs. Every shuffle file starts with one format
-// byte; the rest of the file is a stream of KV records in that format:
+// Shuffle codecs. A shuffle file is a stream of back-to-back binary KV
+// records written by the ShuffleCodec registered for the concrete KV[K, V]
+// shape; it is the only shuffle format. The built-in codecs cover the
+// shapes the graph algorithms shuffle (int64 keys with int64 / float64 /
+// []float64 / []int64 / []byte / struct{} values) with the varint +
+// little-endian machinery the PS wire codec uses; packages owning other
+// element types (graphx edges, core adjacency fragments) register their
+// own via RegisterShuffleCodec. A shuffle over a shape with no codec
+// panics when it is built (writeShuffle).
 //
-//	shuffleFmtGob: a single gob stream, one KV value per record. This is
-//	  the universal fallback — any gob-encodable element type shuffles.
-//	shuffleFmtBin: back-to-back binary records produced by a registered
-//	  ShuffleCodec for the concrete KV[K, V] shape. The built-in codecs
-//	  cover the shapes the graph algorithms actually shuffle (int64 keys
-//	  with int64 / float64 / []float64 / []int64 / []byte / struct{}
-//	  values) with the varint + little-endian machinery the PS wire
-//	  codec uses; packages owning other hot element types (graphx edges,
-//	  core adjacency fragments) register their own via
-//	  RegisterShuffleCodec.
-//
-// Both formats stream: the map side appends records to a bounded chunk
+// The format streams: the map side appends records to a bounded chunk
 // buffer that is flushed to the DFS as it fills, and the reduce side
 // decodes through one chunk-sized window per task — no side ever holds a
 // whole encoded bucket in memory, so the transient-memory charge per
@@ -27,32 +23,14 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"psgraph/internal/f64le"
 )
 
-// Shuffle file format bytes.
-const (
-	shuffleFmtGob byte = 0x00
-	shuffleFmtBin byte = 0x01
-)
-
 // shuffleChunk is the flush threshold of map-side bucket buffers and the
 // reduce-side window size. It is also what a task is charged per open
-// bucket or reduce-side window, replacing the whole-bucket transient
-// charge of the fully-buffered gob shuffle.
+// bucket or reduce-side window.
 const shuffleChunk = 64 << 10
-
-// binaryShuffle selects the binary shuffle file format for shapes that
-// have a registered codec. It is always on outside this package's tests,
-// which store false to force every shuffle through the gob stream (live
-// code: the format of unregistered shapes) as the equivalence reference.
-// Readers dispatch on the file's format byte and accept both regardless.
-// Not safe to flip while a job runs.
-var binaryShuffle atomic.Bool
-
-func init() { binaryShuffle.Store(true) }
 
 // shuffleBufPool recycles map-side chunk buffers.
 var shuffleBufPool = sync.Pool{
@@ -277,9 +255,9 @@ func codecKey[K comparable, V any]() reflect.Type {
 // type KV[K, V]. enc appends one record to the buffer (using the
 // Append* helpers and encoding/binary); dec reads one record back and
 // must consume exactly what enc wrote. Registering a shape twice
-// replaces the earlier codec; shapes without a codec shuffle through
-// the gob stream. Packages register codecs for their own element types
-// from init functions.
+// replaces the earlier codec; a shape without one cannot be shuffled.
+// Packages register codecs for their own element types from init
+// functions.
 func RegisterShuffleCodec[K comparable, V any](
 	name string,
 	enc func(b []byte, kv KV[K, V]) []byte,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -31,11 +30,12 @@ func readShuffleBytes[K comparable, V any](tb testing.TB, file []byte) ([]KV[K, 
 }
 
 // shuffleFile returns the bytes a map task's bucket writer produces for
-// recs: the binary format through codec, gob when codec is nil.
-func shuffleFile[K comparable, V any](tb testing.TB, recs []KV[K, V], codec *shuffleCodec[K, V]) []byte {
+// recs through the shape's registered codec.
+func shuffleFile[K comparable, V any](tb testing.TB, recs []KV[K, V]) []byte {
 	tb.Helper()
 	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 1})
-	w, err := newBucketWriter(ctx, "/bucket", codec)
+	w := newBucketWriter(ctx, "/bucket", codecFor[K, V]())
+	var err error
 	for i := 0; err == nil && i < len(recs); i++ {
 		err = w.write(recs[i])
 	}
@@ -49,26 +49,16 @@ func shuffleFile[K comparable, V any](tb testing.TB, recs []KV[K, V], codec *shu
 	return file
 }
 
-// checkShuffleFile writes recs in both formats and requires each file to
-// decode to exactly recs (the binary one) and to the same records (gob,
-// which does not keep nil apart from empty).
-func checkShuffleFile[K comparable, V any](t *testing.T, recs []KV[K, V]) (binFile []byte, peak int64) {
+// checkShuffleFile writes recs and requires the file to decode to exactly
+// recs, nil and empty slices kept apart.
+func checkShuffleFile[K comparable, V any](t *testing.T, recs []KV[K, V]) (file []byte, peak int64) {
 	t.Helper()
-	binFile = shuffleFile(t, recs, codecFor[K, V]())
-	got, peak, err := readShuffleBytes[K, V](t, binFile)
+	file = shuffleFile(t, recs)
+	got, peak, err := readShuffleBytes[K, V](t, file)
 	if err != nil || !reflect.DeepEqual(got, recs) {
-		t.Fatalf("binary file of %d bytes: %d of %d records back, err %v", len(binFile), len(got), len(recs), err)
+		t.Fatalf("file of %d bytes: %d of %d records back, err %v", len(file), len(got), len(recs), err)
 	}
-	ref, _, err := readShuffleBytes[K, V](t, shuffleFile(t, recs, nil))
-	if err != nil || len(ref) != len(recs) {
-		t.Fatalf("gob reference: %d of %d records back, err %v", len(ref), len(recs), err)
-	}
-	for i := range ref {
-		if !reflect.DeepEqual(ref[i], got[i]) && fmt.Sprint(ref[i]) != fmt.Sprint(got[i]) {
-			t.Fatalf("record %d: binary %v, gob %v", i, got[i], ref[i])
-		}
-	}
-	return binFile, peak
+	return file, peak
 }
 
 // checkWindowEdge puts the window's edge at every offset of probes: for c
@@ -85,7 +75,7 @@ func checkWindowEdge[V any](t *testing.T, probes []KV[int64, V]) {
 	}
 	a := len(codec.enc(nil, KV[int64, V]{}))
 	for c := 0; c <= len(probeBytes); c++ {
-		n := shuffleChunk - 1 - c // padding bytes after the format byte
+		n := shuffleChunk - c // padding bytes
 		var recs []KV[int64, V]
 		for ; n > a*(a+1)+a+9; n -= a + 9 {
 			recs = append(recs, KV[int64, V]{K: math.MinInt64})
@@ -147,17 +137,17 @@ func TestShuffleWindowBoundaries(t *testing.T) {
 		raw := bytes.Repeat([]byte("0123456789abcdef"), 200<<10/16)
 		checkShuffleFile(t, []KV[int64, []byte]{{K: 1, V: raw}, {K: 2, V: []byte("x")}})
 
-		file = shuffleFile(t, []KV[int64, []int64]{{K: 3, V: ids}}, codecFor[int64, []int64]())
+		file = shuffleFile(t, []KV[int64, []int64]{{K: 3, V: ids}})
 		if recs, _, err := readShuffleBytes[int64, []int64](t, file[:len(file)-1]); err == nil || len(recs) != 0 {
 			t.Errorf("a file cut inside its one record: %d records, err %v", len(recs), err)
 		}
 	})
 	t.Run("torn", func(t *testing.T) {
-		file := shuffleFile(t, []KV[int64, int64]{{K: 1, V: 2}, {K: 3, V: 1 << 40}}, codecFor[int64, int64]())
+		file := shuffleFile(t, []KV[int64, int64]{{K: 1, V: 2}, {K: 3, V: 1 << 40}})
 		if recs, _, err := readShuffleBytes[int64, int64](t, file[:len(file)-1]); err == nil || len(recs) != 1 {
 			t.Errorf("a file cut inside its last record: %d records, err %v", len(recs), err)
 		}
-		claim := append(binary.AppendUvarint(binary.AppendVarint([]byte{shuffleFmtBin}, 1), 1<<40+1), make([]byte, 100)...)
+		claim := append(binary.AppendUvarint(binary.AppendVarint(nil, 1), 1<<40+1), make([]byte, 100)...)
 		claimed := func(name string, n int, peak int64, err error) {
 			if err == nil || n != 0 || peak > shuffleChunk {
 				t.Errorf("%s: a 2^40-element claim: %d records, %d bytes charged, err %v", name, n, peak, err)
@@ -184,7 +174,7 @@ func fuzzShuffleStream[K comparable, V any](t *testing.T, data []byte, size func
 		t.Fatalf("no built-in codec for %T", KV[K, V]{})
 	}
 	decode := func(b []byte) ([]KV[K, V], error) {
-		recs, _, err := readShuffleBytes[K, V](t, append([]byte{shuffleFmtBin}, b...))
+		recs, _, err := readShuffleBytes[K, V](t, b)
 		for _, kv := range recs {
 			if n := size(kv.V); n > len(b) {
 				t.Fatalf("%s: a %d-byte stream produced a %d-element value", codec.name, len(b), n)

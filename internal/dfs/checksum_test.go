@@ -104,3 +104,51 @@ func TestCorruptFileSurvivesRename(t *testing.T) {
 		t.Fatalf("renamed corrupt file: want ErrChecksum, got %v", err)
 	}
 }
+
+// FuzzReadFileSummed feeds hostile bytes to the checksum trailer's reader
+// (ROADMAP item 10): any file decodes to a payload or ErrChecksum, never a
+// panic, and a payload it accepts, written again with WriteFileSummed, is
+// the same file byte for byte.
+func FuzzReadFileSummed(f *testing.F) {
+	summed := func(payload []byte) []byte {
+		fs := NewDefault()
+		if err := fs.WriteFileSummed("/s", payload); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := fs.ReadFile("/s")
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	valid := summed([]byte("some model weights"))
+	f.Add(valid)
+	f.Add(summed(nil))
+	f.Add(valid[:len(valid)-1])
+	f.Add(append([]byte{0}, valid...))
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-6] ^= 0xFF
+	f.Add(flipped)
+	f.Add([]byte("crc1"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := NewDefault()
+		if err := fs.WriteFile("/in", data); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := fs.ReadFileSummed("/in")
+		if err != nil {
+			if !errors.Is(err, ErrChecksum) {
+				t.Fatalf("a %d-byte file failed with %v, not ErrChecksum", len(data), err)
+			}
+			return
+		}
+		if err := fs.WriteFileSummed("/out", payload); err != nil {
+			t.Fatal(err)
+		}
+		again, err := fs.ReadFile("/out")
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("an accepted %d-byte file was written again as %d bytes (%v)", len(data), len(again), err)
+		}
+	})
+}

@@ -149,68 +149,10 @@ func TriangleCount(edges *dataflow.RDD[Edge], parts int) (int64, error) {
 	return total / 3, nil
 }
 
-// KCore computes the k-core subgraph by iterative peeling, the way
-// k-core is written against the GraphX API: each round calls subgraph()
-// to drop dead endpoints -- lowered, as in GraphX, onto joins of the edge
-// table with the survivor set -- and caches the filtered graph so the next
-// round does not recompute the whole subgraph chain from the original
-// edges. The chain of cached per-round graphs is what makes this
-// implementation's memory footprint grow with peeling depth (and OOM on
-// billion-scale graphs, Fig. 6), the behavior widely reported for
-// subgraph-chain k-core on GraphX.
-func KCore(edges *dataflow.RDD[Edge], k int64, parts, maxRounds int) (*dataflow.RDD[int64], error) {
-	bidir := dataflow.Distinct(dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, int64] {
-		return []dataflow.KV[int64, int64]{{K: e.Src, V: e.Dst}, {K: e.Dst, V: e.Src}}
-	}), parts).Cache()
-	defer bidir.Unpersist()
-
-	// alive starts as all vertices.
-	alive := dataflow.Map(
-		dataflow.Distinct(dataflow.Map(bidir, func(kv dataflow.KV[int64, int64]) int64 { return kv.K }), parts),
-		func(id int64) dataflow.KV[int64, bool] { return dataflow.KV[int64, bool]{K: id, V: true} },
-	)
-	cur := bidir
-	var chain []*dataflow.RDD[dataflow.KV[int64, int64]]
-	defer func() {
-		for _, r := range chain {
-			r.Unpersist()
-		}
-	}()
-	prev := int64(-1)
-	for round := 0; round < maxRounds; round++ {
-		// subgraph(): keep only edges whose both endpoints are alive.
-		bySrc := dataflow.Join(cur, alive, parts)
-		byDst := dataflow.Map(bySrc, func(kv dataflow.KV[int64, dataflow.Pair[int64, bool]]) dataflow.KV[int64, int64] {
-			return dataflow.KV[int64, int64]{K: kv.V.A, V: kv.K}
-		})
-		survivingE := dataflow.Map(
-			dataflow.Join(byDst, alive, parts),
-			func(kv dataflow.KV[int64, dataflow.Pair[int64, bool]]) dataflow.KV[int64, int64] {
-				return dataflow.KV[int64, int64]{K: kv.V.A, V: kv.K}
-			}).Cache()
-		chain = append(chain, survivingE)
-		degrees := dataflow.ReduceByKey(
-			dataflow.Map(survivingE, func(kv dataflow.KV[int64, int64]) dataflow.KV[int64, int64] {
-				return dataflow.KV[int64, int64]{K: kv.K, V: 1}
-			}),
-			func(a, b int64) int64 { return a + b }, parts)
-		next := dataflow.Map(
-			dataflow.Filter(degrees, func(kv dataflow.KV[int64, int64]) bool { return kv.V >= k }),
-			func(kv dataflow.KV[int64, int64]) dataflow.KV[int64, bool] {
-				return dataflow.KV[int64, bool]{K: kv.K, V: true}
-			})
-		n, err := next.Count()
-		if err != nil {
-			return nil, err
-		}
-		alive = next
-		cur = survivingE
-		if n == prev {
-			break
-		}
-		prev = n
-	}
-	return dataflow.Map(alive, func(kv dataflow.KV[int64, bool]) int64 { return kv.K }), nil
+// vcKey is a (vertex, community) pair: fast unfolding's k_{i,in} key.
+type vcKey struct {
+	V int64
+	C int64
 }
 
 // FastUnfolding runs the modularity-optimization phase of fast unfolding
@@ -265,10 +207,6 @@ func FastUnfolding(edges *dataflow.RDD[Edge], passes, parts int) (*dataflow.RDD[
 		})
 		edgeCom := dataflow.Join(byDst, community, parts)
 		// Re-key by (src, dstCommunity) and sum weights: k_{i,in} per com.
-		type vcKey struct {
-			V int64
-			C int64
-		}
 		kiin := dataflow.ReduceByKey(
 			dataflow.Map(edgeCom, func(kv dataflow.KV[int64, dataflow.Pair[Edge, int64]]) dataflow.KV[vcKey, float64] {
 				return dataflow.KV[vcKey, float64]{K: vcKey{V: kv.V.A.Src, C: kv.V.B}, V: kv.V.A.W}
@@ -359,10 +297,15 @@ func modularity(bidir *dataflow.RDD[dataflow.KV[int64, Edge]], community *datafl
 }
 
 // KCoreDecompose computes the coreness of every vertex by running the
-// subgraph-chain peeling for k = 1, 2, … until the graph is exhausted.
-// Like KCore, every round's filtered graph is cached; across a full
-// decomposition the chain spans every peeling round of every k, which is
-// where this implementation's memory grows far beyond the raw graph size.
+// subgraph-chain peeling for k = 1, 2, … until the graph is exhausted,
+// the way k-core is written against the GraphX API: each round calls
+// subgraph() to drop dead endpoints -- lowered, as in GraphX, onto joins
+// of the edge table with the survivor set -- and caches the filtered graph
+// so the next round does not recompute the whole subgraph chain from the
+// original edges. Across a full decomposition the chain spans every
+// peeling round of every k, which is where this implementation's memory
+// grows far beyond the raw graph size (and OOMs on billion-scale graphs,
+// Fig. 6).
 func KCoreDecompose(edges *dataflow.RDD[Edge], parts, maxRounds int) (map[int64]int64, int64, error) {
 	// Parallel edges must not inflate degrees: distinct() the
 	// bidirectional edge list before peeling.
@@ -400,19 +343,19 @@ func KCoreDecompose(edges *dataflow.RDD[Edge], parts, maxRounds int) (map[int64]
 	for k := int64(1); len(aliveSet) > 0 && rounds < maxRounds; k++ {
 		for rounds < maxRounds {
 			rounds++
-			alive := make([]dataflow.KV[int64, bool], 0, len(aliveSet))
+			alive := make([]dataflow.KV[int64, struct{}], 0, len(aliveSet))
 			for v := range aliveSet {
-				alive = append(alive, dataflow.KV[int64, bool]{K: v, V: true})
+				alive = append(alive, dataflow.KV[int64, struct{}]{K: v})
 			}
 			aliveRDD := dataflow.Parallelize(cur.Context(), alive, parts)
 			// subgraph(): keep edges with both endpoints alive.
 			bySrc := dataflow.Join(cur, aliveRDD, parts)
-			byDst := dataflow.Map(bySrc, func(kv dataflow.KV[int64, dataflow.Pair[int64, bool]]) dataflow.KV[int64, int64] {
+			byDst := dataflow.Map(bySrc, func(kv dataflow.KV[int64, dataflow.Pair[int64, struct{}]]) dataflow.KV[int64, int64] {
 				return dataflow.KV[int64, int64]{K: kv.V.A, V: kv.K}
 			})
 			survivingE := dataflow.Map(
 				dataflow.Join(byDst, aliveRDD, parts),
-				func(kv dataflow.KV[int64, dataflow.Pair[int64, bool]]) dataflow.KV[int64, int64] {
+				func(kv dataflow.KV[int64, dataflow.Pair[int64, struct{}]]) dataflow.KV[int64, int64] {
 					return dataflow.KV[int64, int64]{K: kv.V.A, V: kv.K}
 				}).Cache()
 			chain = append(chain, survivingE)

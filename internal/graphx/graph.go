@@ -11,96 +11,9 @@
 // large graphs.
 package graphx
 
-import (
-	"psgraph/internal/dataflow"
-)
-
 // Edge is one directed edge with an optional weight (1 for unweighted
 // graphs).
 type Edge struct {
 	Src, Dst int64
 	W        float64
-}
-
-// Graph is the GraphX representation: a vertex table and an edge table.
-type Graph[VD any] struct {
-	Vertices *dataflow.RDD[dataflow.KV[int64, VD]]
-	Edges    *dataflow.RDD[Edge]
-}
-
-// FromEdges builds a graph whose vertex set is derived from the edge
-// endpoints, each initialized to defaultVD.
-func FromEdges[VD any](edges *dataflow.RDD[Edge], defaultVD VD, parts int) *Graph[VD] {
-	ids := dataflow.FlatMap(edges, func(e Edge) []int64 { return []int64{e.Src, e.Dst} })
-	unique := dataflow.Distinct(ids, parts)
-	vertices := dataflow.Map(unique, func(id int64) dataflow.KV[int64, VD] {
-		return dataflow.KV[int64, VD]{K: id, V: defaultVD}
-	})
-	return &Graph[VD]{Vertices: vertices, Edges: edges}
-}
-
-// OutDegrees returns the out-degree of every vertex with at least one
-// outgoing edge.
-func OutDegrees(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, int64]] {
-	ones := dataflow.Map(edges, func(e Edge) dataflow.KV[int64, int64] {
-		return dataflow.KV[int64, int64]{K: e.Src, V: 1}
-	})
-	return dataflow.ReduceByKey(ones, func(a, b int64) int64 { return a + b }, parts)
-}
-
-// Triplet is an edge joined with its source vertex attribute.
-type Triplet[VD any] struct {
-	Edge    Edge
-	SrcAttr VD
-}
-
-// Pregel runs GraphX's message-passing loop for maxIter supersteps.
-// Each superstep performs, exactly as GraphX does on Spark:
-//
-//  1. join(edge table keyed by src, vertex table) to form triplets,
-//  2. flatMap(sendMsg) to produce messages,
-//  3. reduceByKey(mergeMsg) to combine messages per destination,
-//  4. left join(vertex table, messages) + vprog to produce new vertices.
-//
-// The iteration stops early when no messages are produced.
-func Pregel[VD, M any](
-	g *Graph[VD],
-	maxIter int,
-	parts int,
-	initial func(id int64, vd VD) VD,
-	sendMsg func(t Triplet[VD]) []dataflow.KV[int64, M],
-	mergeMsg func(a, b M) M,
-	vprog func(id int64, vd VD, msg M) VD,
-) (*dataflow.RDD[dataflow.KV[int64, VD]], error) {
-	edgesBySrc := dataflow.Map(g.Edges, func(e Edge) dataflow.KV[int64, Edge] {
-		return dataflow.KV[int64, Edge]{K: e.Src, V: e}
-	}).Cache()
-	defer edgesBySrc.Unpersist()
-
-	vertices := dataflow.Map(g.Vertices, func(kv dataflow.KV[int64, VD]) dataflow.KV[int64, VD] {
-		return dataflow.KV[int64, VD]{K: kv.K, V: initial(kv.K, kv.V)}
-	})
-
-	for it := 0; it < maxIter; it++ {
-		triplets := dataflow.Join(edgesBySrc, vertices, parts)
-		messages := dataflow.FlatMap(triplets, func(kv dataflow.KV[int64, dataflow.Pair[Edge, VD]]) []dataflow.KV[int64, M] {
-			return sendMsg(Triplet[VD]{Edge: kv.V.A, SrcAttr: kv.V.B})
-		})
-		merged := dataflow.ReduceByKey(messages, mergeMsg, parts)
-		n, err := merged.Count()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		joined := dataflow.LeftJoin(vertices, merged, parts)
-		vertices = dataflow.Map(joined, func(kv dataflow.KV[int64, dataflow.LeftOuter[VD, M]]) dataflow.KV[int64, VD] {
-			if !kv.V.Has {
-				return dataflow.KV[int64, VD]{K: kv.K, V: kv.V.A}
-			}
-			return dataflow.KV[int64, VD]{K: kv.K, V: vprog(kv.K, kv.V.A, kv.V.B)}
-		})
-	}
-	return vertices, nil
 }

@@ -1,7 +1,10 @@
 package graphx
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,36 +23,6 @@ func ringEdges(n int) []Edge {
 		out[i] = Edge{Src: int64(i), Dst: int64((i + 1) % n)}
 	}
 	return out
-}
-
-func TestFromEdgesDerivesVertices(t *testing.T) {
-	ctx := newCtx()
-	g := FromEdges(dataflow.Parallelize(ctx, ringEdges(5), 2), 0.0, 2)
-	vs, err := g.Vertices.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 5 {
-		t.Fatalf("vertices = %d", len(vs))
-	}
-}
-
-func TestOutDegrees(t *testing.T) {
-	ctx := newCtx()
-	edges := dataflow.Parallelize(ctx, []Edge{
-		{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3},
-	}, 2)
-	degs, err := OutDegrees(edges, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[int64]int64{}
-	for _, kv := range degs {
-		m[kv.K] = kv.V
-	}
-	if m[1] != 2 || m[2] != 1 {
-		t.Fatalf("degrees = %v", m)
-	}
 }
 
 func TestPageRankUniformOnRing(t *testing.T) {
@@ -166,39 +139,6 @@ func TestTriangleCountHandlesReciprocalEdges(t *testing.T) {
 	}
 }
 
-func TestKCore(t *testing.T) {
-	ctx := newCtx()
-	// K4 (vertices 0-3) plus pendant chain 4-5.
-	var edges []Edge
-	for i := int64(0); i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			edges = append(edges, Edge{Src: i, Dst: j})
-		}
-	}
-	edges = append(edges, Edge{Src: 0, Dst: 4}, Edge{Src: 4, Dst: 5})
-	core, err := KCore(dataflow.Parallelize(ctx, edges, 2), 3, 2, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := core.Collect()
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Fatalf("3-core = %v, want [0 1 2 3]", got)
-	}
-}
-
-func TestKCoreEmptyWhenKTooLarge(t *testing.T) {
-	ctx := newCtx()
-	core, err := KCore(dataflow.Parallelize(ctx, ringEdges(5), 2), 3, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := core.Collect()
-	if len(got) != 0 {
-		t.Fatalf("3-core of ring = %v, want empty", got)
-	}
-}
-
 func TestFastUnfoldingTwoCliques(t *testing.T) {
 	ctx := newCtx()
 	// Two 4-cliques joined by a single bridge: communities must separate
@@ -235,26 +175,19 @@ func TestFastUnfoldingTwoCliques(t *testing.T) {
 	}
 }
 
-func TestPregelPropagatesMax(t *testing.T) {
+func TestKCoreEmptyWhenKTooLarge(t *testing.T) {
+	// Every vertex of a ring has coreness 2: its 3-core is empty.
 	ctx := newCtx()
-	// Max-value propagation around a ring converges to the global max.
-	edges := dataflow.Parallelize(ctx, ringEdges(6), 2)
-	g := FromEdges(edges, int64(0), 2)
-	out, err := Pregel(g, 6, 2,
-		func(id int64, vd int64) int64 { return id },
-		func(tr Triplet[int64]) []dataflow.KV[int64, int64] {
-			return []dataflow.KV[int64, int64]{{K: tr.Edge.Dst, V: tr.SrcAttr}}
-		},
-		func(a, b int64) int64 { return max(a, b) },
-		func(id int64, vd int64, msg int64) int64 { return max(vd, msg) },
-	)
+	core, maxCore, err := KCoreDecompose(dataflow.Parallelize(ctx, ringEdges(5), 2), 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, _ := out.Collect()
-	for _, kv := range vs {
-		if kv.V != 5 {
-			t.Fatalf("vertex %d converged to %d, want 5", kv.K, kv.V)
+	if maxCore != 2 || len(core) != 5 {
+		t.Fatalf("ring of 5: degeneracy %d over %d vertices, want 2 over 5", maxCore, len(core))
+	}
+	for v, c := range core {
+		if c >= 3 {
+			t.Fatalf("vertex %d of a ring has coreness %d", v, c)
 		}
 	}
 }
@@ -284,31 +217,6 @@ func TestKCoreDecomposeCliqueAndChain(t *testing.T) {
 	}
 }
 
-func TestPregelStopsWhenNoMessages(t *testing.T) {
-	ctx := newCtx()
-	g := FromEdges(dataflow.Parallelize(ctx, ringEdges(4), 2), int64(0), 2)
-	calls := 0
-	out, err := Pregel(g, 10, 2,
-		func(id int64, vd int64) int64 { return vd },
-		func(tr Triplet[int64]) []dataflow.KV[int64, int64] {
-			calls++
-			return nil // never send: the loop must exit after one superstep
-		},
-		func(a, b int64) int64 { return a },
-		func(id int64, vd int64, msg int64) int64 { return vd },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, _ := out.Collect()
-	if len(vs) != 4 {
-		t.Fatalf("vertices = %d", len(vs))
-	}
-	if calls != 4 {
-		t.Fatalf("sendMsg calls = %d, want 4 (one superstep)", calls)
-	}
-}
-
 func TestCommonNeighborSkipsUnknownVertices(t *testing.T) {
 	ctx := newCtx()
 	edges := dataflow.Parallelize(ctx, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, 2)
@@ -325,4 +233,73 @@ func TestCommonNeighborSkipsUnknownVertices(t *testing.T) {
 	if rows[0].K != (Edge{Src: 0, Dst: 2}) || rows[0].V != 1 {
 		t.Fatalf("score = %+v", rows[0])
 	}
+}
+
+// checkRoundTrip sends recs through one shuffle and requires the records
+// that come back to be the records that went in, nil slices kept apart
+// from empty ones.
+func checkRoundTrip[K comparable, V any](t *testing.T, recs []dataflow.KV[K, V]) {
+	t.Helper()
+	moved := dataflow.ShuffleReduce(dataflow.Parallelize(newCtx(), recs, 3), 4,
+		func(_ *dataflow.Task, n int, records func(func(dataflow.KV[K, V]) error) error) ([]dataflow.KV[K, V], error) {
+			out := make([]dataflow.KV[K, V], 0, n)
+			err := records(func(kv dataflow.KV[K, V]) error { out = append(out, kv); return nil })
+			return out, err
+		})
+	got, err := moved.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byText := func(kvs []dataflow.KV[K, V]) {
+		sort.Slice(kvs, func(i, j int) bool { return fmt.Sprint(kvs[i]) < fmt.Sprint(kvs[j]) })
+	}
+	want := slices.Clone(recs)
+	byText(got)
+	byText(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: the shuffle changed the records", recs)
+	}
+}
+
+// TestShuffleCodecsRoundTrip: every shape the GraphX lowering registers a
+// codec for comes back from a shuffle as the records that went in.
+func TestShuffleCodecsRoundTrip(t *testing.T) {
+	var (
+		edges []dataflow.KV[int64, Edge]
+		nbrs  []dataflow.KV[int64, dataflow.Pair[Edge, []int64]]
+		units []dataflow.KV[Edge, struct{}]
+		pairs []dataflow.KV[dataflow.KV[int64, int64], struct{}]
+		vcs   []dataflow.KV[vcKey, float64]
+		tots  []dataflow.KV[int64, dataflow.Pair[vcKey, float64]]
+		x3    []dataflow.KV[int64, [3]float64]
+		x2    []dataflow.KV[int64, [2]float64]
+	)
+	for i := int64(0); i < 60; i++ {
+		e := Edge{Src: -i, Dst: i << 40, W: float64(i) / 3}
+		var ns []int64 // nil, empty and full lists alike
+		if i%3 > 0 {
+			ns = make([]int64, i%5)
+			for j := range ns {
+				ns[j] = i*int64(j) - 7
+			}
+		}
+		f := float64(i) * -1.25
+		vc := vcKey{V: -i, C: i % 7}
+		edges = append(edges, dataflow.KV[int64, Edge]{K: i, V: e})
+		nbrs = append(nbrs, dataflow.KV[int64, dataflow.Pair[Edge, []int64]]{K: i, V: dataflow.Pair[Edge, []int64]{A: e, B: ns}})
+		units = append(units, dataflow.KV[Edge, struct{}]{K: e})
+		pairs = append(pairs, dataflow.KV[dataflow.KV[int64, int64], struct{}]{K: dataflow.KV[int64, int64]{K: i, V: -i}})
+		vcs = append(vcs, dataflow.KV[vcKey, float64]{K: vc, V: f})
+		tots = append(tots, dataflow.KV[int64, dataflow.Pair[vcKey, float64]]{K: i, V: dataflow.Pair[vcKey, float64]{A: vc, B: f}})
+		x3 = append(x3, dataflow.KV[int64, [3]float64]{K: i, V: [3]float64{f, math.Inf(1), -f}})
+		x2 = append(x2, dataflow.KV[int64, [2]float64]{K: i, V: [2]float64{f, float64(i)}})
+	}
+	checkRoundTrip(t, edges)
+	checkRoundTrip(t, nbrs)
+	checkRoundTrip(t, units)
+	checkRoundTrip(t, pairs)
+	checkRoundTrip(t, vcs)
+	checkRoundTrip(t, tots)
+	checkRoundTrip(t, x3)
+	checkRoundTrip(t, x2)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"psgraph"
+	"psgraph/internal/dataflow"
 )
 
 func newCluster(t *testing.T) *psgraph.Context {
@@ -216,15 +217,21 @@ func TestEndToEndDataFramePipeline(t *testing.T) {
 	if err != nil || n != 3000 {
 		t.Fatalf("rows = %d, %v", n, err)
 	}
-	// Relational side: out-degree via group-by.
-	degs := df.GroupByCount("src", 0)
-	rows, err := degs.Collect()
+	// Relational side: out-degree via group-by over the frame's rows.
+	src, err := df.ColIndex("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := dataflow.Map(df.RDD(), func(r psgraph.Row) dataflow.KV[int64, int64] {
+		return dataflow.KV[int64, int64]{K: r.Int64(src), V: 1}
+	})
+	degs, err := dataflow.ReduceByKey(ones, func(a, b int64) int64 { return a + b }, 0).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
-	for _, r := range rows {
-		total += r.Int64(1)
+	for _, kv := range degs {
+		total += kv.V
 	}
 	if total != 3000 {
 		t.Fatalf("degree mass = %d", total)
