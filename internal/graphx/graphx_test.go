@@ -175,6 +175,33 @@ func TestFastUnfoldingTwoCliques(t *testing.T) {
 	}
 }
 
+func TestKCore(t *testing.T) {
+	ctx := newCtx()
+	// K4 (vertices 0-3) plus pendant chain 4-5: the 3-core, the vertices
+	// of coreness at least 3, is the clique.
+	var edges []Edge
+	for i := int64(0); i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			edges = append(edges, Edge{Src: i, Dst: j})
+		}
+	}
+	edges = append(edges, Edge{Src: 0, Dst: 4}, Edge{Src: 4, Dst: 5})
+	core, _, err := KCoreDecompose(dataflow.Parallelize(ctx, edges, 2), 2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for v, c := range core {
+		if c >= 3 {
+			got = append(got, v)
+		}
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if len(got) != 4 || got[0] != 0 || got[3] != 3 {
+		t.Fatalf("3-core = %v, want [0 1 2 3]", got)
+	}
+}
+
 func TestKCoreEmptyWhenKTooLarge(t *testing.T) {
 	// Every vertex of a ring has coreness 2: its 3-core is empty.
 	ctx := newCtx()
