@@ -84,6 +84,28 @@ func TestAlgorithmGoldens(t *testing.T) {
 	}{
 		{"fast-unfolding/rmat11", fu(false, 0.165)},
 		{"fast-unfolding/rmat11-weighted", fu(true, 0.180)},
+		// BSP with one executor (with more, the servers add concurrent
+		// pushes in arrival order): the ranks after ten iterations.
+		{"pagerank/rmat11", func(t *testing.T) string {
+			ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.Close()
+			res, err := PageRank(ctx, edgesRDD(ctx, goldenRMAT(false), 4), PageRankConfig{MaxIterations: 10, Tolerance: 1e-300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks, err := res.Ranks.PullAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o outputBits
+			for _, r := range ranks {
+				o.float(r)
+			}
+			return o.sum()
+		}},
 		{"label-propagation/rmat11", func(t *testing.T) string {
 			ctx := newTestContext(t)
 			res, err := LabelPropagation(ctx, edgesRDD(ctx, goldenRMAT(false), 4), LabelPropagationConfig{})
