@@ -123,10 +123,14 @@ func TestTable2AtTinyScale(t *testing.T) {
 	}
 }
 
+// TestOOMCalibrationHolds checks three of Fig. 6's cells at the calibrated
+// Small scale, not the whole pattern: GraphX triangle count on DS1′ must
+// run out of memory, and PSGraph's triangle count on DS1′ and PageRank on
+// DS2′ (whose charged peak the CSR build sets) must fit in PSGraphExecMem.
+// GraphX PageRank on DS2′ is left ungated: the paper's OOM does not
+// reproduce at this scale (EXPERIMENTS.md, "What does not transfer",
+// item 8).
 func TestOOMCalibrationHolds(t *testing.T) {
-	// The calibrated Small scale must reproduce Fig. 6's OOM pattern.
-	// This is the contract the benchmarks and psbench rely on; run the
-	// cheapest OOM cell and the cheapest must-pass cell.
 	if testing.Short() {
 		t.Skip("calibration check is seconds-long")
 	}
@@ -146,6 +150,14 @@ func TestOOMCalibrationHolds(t *testing.T) {
 	}
 	if psTri.OOM {
 		t.Fatalf("PSGraph triangle on DS1' should fit in %dMB", s.PSGraphExecMem>>20)
+	}
+	psPR, err := s.PSGraphPageRank(s.DS2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("PSGraph PageRank on DS2': charged peak %.1fMB of %dMB", float64(psPR.Peak)/(1<<20), s.PSGraphExecMem>>20)
+	if psPR.OOM {
+		t.Fatalf("PSGraph PageRank on DS2' should fit in %dMB", s.PSGraphExecMem>>20)
 	}
 }
 

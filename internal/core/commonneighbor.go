@@ -27,9 +27,7 @@ const nbrBuildBatch = 8192
 // and deduplicating every list. When undirected is set, both edge
 // directions contribute.
 func BuildNeighborModel(ctx *Context, edges *dataflow.RDD[Edge], undirected bool, parts int) (*NeighborModel, error) {
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts = ctx.parts(parts)
 	name := ctx.ModelName("nbr")
 	nbr, err := ctx.Agent.CreateNeighbor(name)
 	if err != nil {
@@ -72,6 +70,26 @@ func (m *NeighborModel) Close(ctx *Context) {
 	cleanupModels(ctx, m.Name)
 }
 
+// intersect pulls the endpoints' neighbor tables of pairs from the PS,
+// batch pairs to a request, and hands each pair its common-neighbor count.
+func (m *NeighborModel) intersect(pairs []Edge, batch int, emit func(p Edge, common int64)) error {
+	for start := 0; start < len(pairs); start += batch {
+		in := pairs[start:min(start+batch, len(pairs))]
+		ids := make([]int64, 0, 2*len(in))
+		for _, p := range in {
+			ids = append(ids, p.Src, p.Dst)
+		}
+		tables, err := m.Nbr.Pull(ids)
+		if err != nil {
+			return err
+		}
+		for _, p := range in {
+			emit(p, sortedIntersectCount(tables[p.Src], tables[p.Dst]))
+		}
+	}
+	return nil
+}
+
 // CommonNeighborConfig tunes the batched pair scoring.
 type CommonNeighborConfig struct {
 	// BatchSize is the number of pairs whose neighbor tables are pulled
@@ -91,25 +109,10 @@ func CommonNeighbor(ctx *Context, model *NeighborModel, pairs *dataflow.RDD[Edge
 	}
 	scored := dataflow.MapPartitions(pairs, func(part int, in []Edge) ([]dataflow.KV[Edge, int64], error) {
 		out := make([]dataflow.KV[Edge, int64], 0, len(in))
-		for start := 0; start < len(in); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(in))
-			batch := in[start:end]
-			ids := make([]int64, 0, 2*len(batch))
-			for _, p := range batch {
-				ids = append(ids, p.Src, p.Dst)
-			}
-			tables, err := model.Nbr.Pull(ids)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range batch {
-				out = append(out, dataflow.KV[Edge, int64]{
-					K: p,
-					V: sortedIntersectCount(tables[p.Src], tables[p.Dst]),
-				})
-			}
-		}
-		return out, nil
+		err := model.intersect(in, cfg.BatchSize, func(p Edge, common int64) {
+			out = append(out, dataflow.KV[Edge, int64]{K: p, V: common})
+		})
+		return out, err
 	})
 	// Materialize now so the caller observes errors here.
 	if _, err := scored.Count(); err != nil {
@@ -133,10 +136,7 @@ func TriangleCount(ctx *Context, model *NeighborModel, edges *dataflow.RDD[Edge]
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1024
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	canon := dataflow.Map(edges, func(e Edge) Edge {
 		if e.Src > e.Dst {
 			e.Src, e.Dst = e.Dst, e.Src
@@ -146,22 +146,8 @@ func TriangleCount(ctx *Context, model *NeighborModel, edges *dataflow.RDD[Edge]
 	uniq := dataflow.Distinct(canon, parts)
 	counts := dataflow.MapPartitions(uniq, func(part int, in []Edge) ([]int64, error) {
 		var total int64
-		for start := 0; start < len(in); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(in))
-			batch := in[start:end]
-			ids := make([]int64, 0, 2*len(batch))
-			for _, p := range batch {
-				ids = append(ids, p.Src, p.Dst)
-			}
-			tables, err := model.Nbr.Pull(ids)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range batch {
-				total += sortedIntersectCount(tables[p.Src], tables[p.Dst])
-			}
-		}
-		return []int64{total}, nil
+		err := model.intersect(in, cfg.BatchSize, func(_ Edge, common int64) { total += common })
+		return []int64{total}, err
 	})
 	sum, err := counts.Reduce(func(a, b int64) int64 { return a + b })
 	if err != nil {

@@ -145,6 +145,14 @@ func (c *Context) Close() {
 // Partitions returns the default RDD partition count.
 func (c *Context) Partitions() int { return c.cfg.Partitions }
 
+// parts is n, or Partitions when n is not positive.
+func (c *Context) parts(n int) int {
+	if n > 0 {
+		return n
+	}
+	return c.cfg.Partitions
+}
+
 // ModelName returns a unique model name with the given prefix, so
 // successive algorithm runs in one context never collide.
 func (c *Context) ModelName(prefix string) string {

@@ -1,10 +1,21 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"psgraph/internal/dataflow"
+)
+
+var (
+	// errIDSpan refuses a partition whose ids span more than 2^32 values:
+	// its block's bitmaps would be that wide (and PageRank's vectors too).
+	errIDSpan = errors.New("core: one partition's vertex ids span more than 2^32 values")
+	// errRecordCount is a reduce task reading more or fewer shuffle records
+	// than its map side counted.
+	errRecordCount = errors.New("core: the shuffle's record count differs from its map side's")
 )
 
 // csrBlock is one partition's out-adjacency in compressed sparse row
@@ -32,63 +43,121 @@ func (b *csrBlock) MemBytes() int64 {
 }
 
 // csrBlocks is PageRank's groupBy (Sec. IV-A, step 1): one csrBlock per
-// non-empty partition, straight from the shuffle in two sorts. Pairs in
-// destination order yield dstIDs and each edge's destination rank; (src,
-// rank) stable-sorted by source then has each row's ranks ascending and
-// duplicate edges adjacent, and one pass cuts srcs/offs/adj.
+// non-empty partition, straight from the shuffle without a sort. Two
+// idBits over the partition's id span rank its sources and destinations;
+// one counting pass by source rank writes each edge's destination rank
+// into its row in shuffle order, and a pass over the rows drops repeated
+// edges. A row's order is free: scatter adds its share once to each rank
+// in it, rows in order, so every destination's sum is added in the same
+// order whatever order its rows list their ranks in.
 func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
 	pairs := dataflow.Map(edges, func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
 	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]*csrBlock, error) {
-		in, tmp, charged, err := readSorted(t, n, records)
-		if err != nil || len(in) == 0 {
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("core: %d edges in one partition exceed the 32-bit local index; use more partitions", n)
+		}
+		in, charged, err := readPairs(t, n, 20, records) // the pairs, then their ranks in rows
+		if err != nil || n == 0 {
 			return nil, err
 		}
-		distinct, _ := runs(in)
-		dstIDs := make([]int64, 0, distinct)
-		for i, p := range in {
-			if len(dstIDs) == 0 || p.K != dstIDs[len(dstIDs)-1] { // not in[i-1]: overwritten
-				dstIDs = append(dstIDs, p.K)
-			}
-			in[i] = idPair{K: p.V, V: int64(len(dstIDs) - 1)}
+		lo, hi := in[0].K, in[0].K
+		for _, p := range in {
+			lo, hi = min(lo, p.K, p.V), max(hi, p.K, p.V)
 		}
-		in, _ = sortByK(in, tmp) // stable: ranks stay ascending within a source
-		rows, adj := runs(in)
-		if adj > math.MaxInt32 {
-			return nil, fmt.Errorf("core: %d edges in one partition exceed the 32-bit local index; use more partitions", adj)
+		if uint64(hi-lo) >= 1<<32 {
+			return nil, fmt.Errorf("%w: ids %d to %d in one partition", errIDSpan, lo, hi)
 		}
-		block := int64(rows+distinct)*8 + int64(rows+1+adj)*4
-		if err := t.Alloc(block); err != nil {
+		words := int64(uint64(hi-lo)>>6) + 1
+		if err := t.Alloc(words * 24); err != nil {
 			return nil, err
 		}
-		b := &csrBlock{
-			srcs:   make([]int64, 0, rows),
-			offs:   make([]int32, 0, rows+1),
-			dstIDs: dstIDs,
-			adj:    make([]int32, 0, adj),
+		src := idBits{lo, make([]uint64, words), make([]uint32, words)}
+		dst := idBits{lo, make([]uint64, words), make([]uint32, words)}
+		for _, p := range in {
+			src.mark(p.K)
+			dst.mark(p.V)
 		}
+		rows, distinct := src.seal(), dst.seal()
+		tables := int64(rows+distinct)*12 + 4 // srcs, offs, dstIDs and each rank's last row
+		if err := t.Alloc(tables); err != nil {
+			return nil, err
+		}
+		b := &csrBlock{srcs: src.ids(rows), offs: make([]int32, rows+1), dstIDs: dst.ids(distinct), maxID: hi}
 		for i, p := range in {
-			if i == 0 || p.K != in[i-1].K {
-				b.srcs = append(b.srcs, p.K)
-				b.offs = append(b.offs, int32(len(b.adj)))
-			} else if p.V == in[i-1].V {
-				continue // a duplicate edge
-			}
-			b.adj = append(b.adj, int32(p.V))
+			r := src.rank(p.K)
+			b.offs[r+1]++
+			in[i] = idPair{K: int64(r), V: int64(dst.rank(p.V))}
 		}
-		b.offs = append(b.offs, int32(len(b.adj)))
-		b.maxID = max(b.srcs[rows-1], dstIDs[distinct-1])
-		t.Free(charged + block) // the cache charges the block it keeps
+		for r := range rows {
+			b.offs[r+1] += b.offs[r]
+		}
+		adj := make([]int32, n)
+		for _, p := range in { // offs[r] ends at row r's end
+			adj[b.offs[p.K]] = int32(p.V)
+			b.offs[p.K]++
+		}
+		last, m, start := make([]int32, distinct), int32(0), int32(0)
+		for r := range int32(rows) {
+			end := b.offs[r]
+			b.offs[r] = m
+			for _, k := range adj[start:end] {
+				if last[k] != r+1 {
+					last[k], adj[m] = r+1, k
+					m++
+				}
+			}
+			start = end
+		}
+		b.offs[rows], b.adj = m, adj
+		if int(m) < n { // exact, in what in was charged: it is dead by now
+			b.adj = make([]int32, m)
+			copy(b.adj, adj)
+		}
+		t.Free(charged + words*24 + tables) // the cache charges the block it keeps
 		return []*csrBlock{b}, nil
 	})
 }
 
-// numVertices is the dense vector size read off the cached blocks.
-func numVertices(blocks *dataflow.RDD[*csrBlock]) (int64, error) {
-	return vectorSize(blocks, func(b *csrBlock) int64 { return b.maxID })
+// idBits marks ids of a span starting at lo, 64 to a word, and counts the
+// bits set below each word, so one popcount ranks a marked id among them.
+// It costs 12 bytes a word: 3/8 of a byte an id of the span.
+type idBits struct {
+	lo    int64
+	words []uint64
+	below []uint32
 }
 
-// tablesNumVertices is the same for algorithms that cache the neighbor
-// tables themselves (V is sorted, so its last entry is its largest).
+func (s idBits) mark(id int64) { s.words[uint64(id-s.lo)>>6] |= 1 << (uint64(id-s.lo) & 63) }
+
+// seal fills below and returns the number of ids marked.
+func (s idBits) seal() int {
+	n := 0
+	for w, x := range s.words {
+		s.below[w] = uint32(n)
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// rank is the number of marked ids below id.
+func (s idBits) rank(id int64) int32 {
+	off := uint64(id - s.lo)
+	return int32(s.below[off>>6]) + int32(bits.OnesCount64(s.words[off>>6]&(1<<(off&63)-1)))
+}
+
+// ids lists the n marked ids in ascending order.
+func (s idBits) ids(n int) []int64 {
+	out := make([]int64, 0, n)
+	for w, x := range s.words {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, s.lo+int64(w)<<6+int64(bits.TrailingZeros64(x)))
+		}
+	}
+	return out
+}
+
+// tablesNumVertices is the dense vector size for algorithms that cache
+// the neighbor tables themselves (V is sorted: its last entry is its largest).
 func tablesNumVertices(tables *dataflow.RDD[dataflow.KV[int64, []int64]]) (int64, error) {
 	return vectorSize(tables, func(kv dataflow.KV[int64, []int64]) int64 {
 		if n := len(kv.V); n > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,6 +96,14 @@ func TestPageRankMatchesOracle(t *testing.T) {
 // the shuffle, one slot per partition (nil where it is empty).
 func blocksOf(tb testing.TB, edges []Edge, parts int) []*csrBlock {
 	tb.Helper()
+	out, err := buildBlocks(edges, parts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func buildBlocks(edges []Edge, parts int) ([]*csrBlock, error) {
 	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
 	out := make([]*csrBlock, parts)
 	err := csrBlocks(dataflow.Parallelize(sc, edges, 3), parts).ForeachPartition(func(part int, in []*csrBlock) error {
@@ -106,21 +115,24 @@ func blocksOf(tb testing.TB, edges []Edge, parts int) []*csrBlock {
 		}
 		return nil
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
+	return out, err
 }
 
 // TestCSRBlocksMatchNeighborTables: for every partition, a block's rows
-// decoded through dstIDs are exactly ToNeighborTables' tables of the same
-// partition — duplicates dropped, self-loops kept, negative and wide ids
-// in order — with sorted distinct destinations, exact slices and size,
-// and the partition's largest id.
+// decoded through dstIDs hold exactly the ids of ToNeighborTables' tables
+// of the same partition, each once — duplicates dropped, self-loops kept,
+// negative and large ids alike — with sorted distinct destinations, exact
+// slices and size, and the partition's largest id. A row lists its ids in
+// shuffle order, which scatter cannot tell from any other. Ids that span
+// more than 2^32 values in one partition are refused.
 func TestCSRBlocksMatchNeighborTables(t *testing.T) {
 	wide := randomEdges(5, 8, 400)
 	for i := range wide {
 		wide[i].Src, wide[i].Dst = wide[i].Src<<40|int64(i%3), 1<<40+wide[i].Dst*7919
+	}
+	wideDense := randomEdges(7, 8, 400)
+	for i := range wideDense {
+		wideDense[i].Src, wideDense[i].Dst = 1<<40+wideDense[i].Src, 1<<40-wideDense[i].Dst*7919
 	}
 	negative := randomEdges(6, 7, 300)
 	for i := range negative {
@@ -129,13 +141,21 @@ func TestCSRBlocksMatchNeighborTables(t *testing.T) {
 	for name, tc := range map[string]struct {
 		edges []Edge
 		parts int
+		err   error
 	}{
-		"awkward":          {awkwardGraph(), 3},
-		"empty-partitions": {[]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 7}, {Src: 0, Dst: 1}}, 8},
-		"negative":         {negative, 4},
-		"wide":             {wide, 5},
+		"awkward":          {awkwardGraph(), 3, nil},
+		"empty-partitions": {[]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 7}, {Src: 0, Dst: 1}}, 8, nil},
+		"negative":         {negative, 4, nil},
+		"wide":             {wide, 5, errIDSpan}, // ids span 2^43 values
+		"wide-dense":       {wideDense, 5, nil},  // ids near 2^40, a span of 2^21
 	} {
 		t.Run(name, func(t *testing.T) {
+			if tc.err != nil {
+				if _, err := buildBlocks(tc.edges, tc.parts); !errors.Is(err, tc.err) {
+					t.Fatalf("built with error %v, want %v", err, tc.err)
+				}
+				return
+			}
 			blocks := blocksOf(t, tc.edges, tc.parts)
 			sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
 			tables := make([][]dataflow.KV[int64, []int64], tc.parts)
@@ -166,7 +186,7 @@ func TestCSRBlocksMatchNeighborTables(t *testing.T) {
 					for _, k := range b.adj[b.offs[i]:b.offs[i+1]] {
 						row = append(row, b.dstIDs[k])
 					}
-					if b.srcs[i] != tab.K || !slices.Equal(row, tab.V) {
+					if b.srcs[i] != tab.K || !slices.Equal(slices.Sorted(slices.Values(row)), tab.V) {
 						t.Fatalf("partition %d row %d: %d→%v, want %d→%v", part, i, b.srcs[i], row, tab.K, tab.V)
 					}
 					want = max(want, tab.K, tab.V[len(tab.V)-1])
@@ -311,6 +331,25 @@ func BenchmarkPageRankScatter(b *testing.B) {
 	for b.Loop() {
 		_, scatterSink = blk.scatter(deltas, 0.85, 1e-9)
 	}
+}
+
+// BenchmarkCSRBlocks is PageRank's groupBy at the repo benchmark's size:
+// 2 M R-MAT-17 edges shuffled into 4 partitions and built into blocks,
+// map side and reduce side, in ms per build.
+func BenchmarkCSRBlocks(b *testing.B) {
+	raw := gen.RMAT(gen.RMATConfig{Scale: 17, Edges: 2_000_000, Seed: 1})
+	es := make([]Edge, len(raw))
+	for i, e := range raw {
+		es[i] = Edge{Src: e.Src, Dst: e.Dst}
+	}
+	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+	edges := dataflow.Parallelize(sc, es, 4)
+	for b.Loop() {
+		if _, err := csrBlocks(edges, 4).Count(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/build")
 }
 
 // TestSortByK: the radix sort agrees with a stable comparison sort on

@@ -65,10 +65,7 @@ func (c *DeepWalkConfig) setDefaults() {
 // The returned result exposes the embeddings exactly like Line's.
 func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*LineResult, error) {
 	cfg.setDefaults()
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 
 	// Adjacency on the PS: walks are vertex-partitioned but hop anywhere.
 	adj, err := BuildNeighborModel(ctx, edges, true, parts)

@@ -47,10 +47,7 @@ func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingCon
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 10
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 
 	current := edges
 	// composed maps original vertex -> community after all passes so far.

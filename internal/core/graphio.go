@@ -57,8 +57,6 @@ func VectorFrame(ctx *Context, v *ps.Vector, valueCol string, parts int) (*dataf
 	for i, x := range vals {
 		rows[i] = dataflow.Row{int64(i), x}
 	}
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts = ctx.parts(parts)
 	return dataflow.FromRows(ctx.Spark, []string{"id", valueCol}, rows, parts), nil
 }

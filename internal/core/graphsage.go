@@ -125,9 +125,7 @@ func (d *GraphSageData) Close(ctx *Context) {
 // the parameter server — no intermediate disk materialization between
 // stages, unlike Euler's sequential jobs.
 func GraphSagePreprocess(ctx *Context, edgesPath, featsPath string, parts int) (*GraphSageData, error) {
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts = ctx.parts(parts)
 	start := time.Now()
 
 	edges := LoadEdges(ctx, edgesPath, parts)
@@ -251,10 +249,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	if err != nil {
 		return nil, err
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	// Driver: create and push the initial model (Fig. 5 steps 1-2),

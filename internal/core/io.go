@@ -26,10 +26,7 @@ type Edge struct {
 // Malformed lines fail the job (industrial pipelines validate data
 // upstream; silently dropping edges would corrupt results).
 func LoadEdges(ctx *Context, path string, parts int) *dataflow.RDD[Edge] {
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
-	return dataflow.ParseTextFile(ctx.Spark, path, parts, scanEdge)
+	return dataflow.ParseTextFile(ctx.Spark, path, ctx.parts(parts), scanEdge)
 }
 
 // scanEdge parses one edge line; ok is false for a blank line. The usual
@@ -158,10 +155,15 @@ func ToUndirectedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.
 func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
 	type table = dataflow.KV[int64, []int64]
 	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]table, error) {
-		in, tmp, charged, err := readSorted(t, n, records)
+		in, charged, err := readPairs(t, n, 32, records) // the pairs and the sorts' scratch
 		if err != nil {
 			return nil, err
 		}
+		// Two stable sorts, minor key first: by neighbor, then by vertex.
+		for i, p := range in {
+			in[i] = idPair{K: p.V, V: p.K}
+		}
+		in, tmp := sortByK(in, make([]idPair, n))
 		for i, p := range in {
 			in[i] = idPair{K: p.V, V: p.K}
 		}
@@ -188,30 +190,27 @@ func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[datafl
 	})
 }
 
-// readSorted reads a reduce task's n shuffle records into one flat slice
-// as (V, K) and sorts it by that K: the sorts are least-significant key
-// first, so the minor key takes the K seat for the first pass. The slice
-// and the sort's scratch are allocated, and charged to t, once; it returns
-// the scratch and the bytes charged.
-func readSorted(t *dataflow.Task, n int, records func(func(idPair) error) error) (in, tmp []idPair, charged int64, err error) {
-	charged = int64(n) * 32
+// readPairs reads a reduce task's n shuffle records into one flat slice,
+// charging t perRecord bytes a record: the slice's 16 and what the caller
+// builds beside it. Fewer or more records than the map side counted fail.
+func readPairs(t *dataflow.Task, n int, perRecord int64, records func(func(idPair) error) error) (in []idPair, charged int64, err error) {
+	charged = int64(n) * perRecord
 	if err := t.Alloc(charged); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	in, i := make([]idPair, n), 0
 	err = records(func(kv idPair) error {
 		if i == n {
-			return fmt.Errorf("core: the shuffle holds more than the %d records its map side counted", n)
+			return fmt.Errorf("%w: more than %d", errRecordCount, n)
 		}
-		in[i] = idPair{K: kv.V, V: kv.K}
+		in[i] = kv
 		i++
 		return nil
 	})
-	if err != nil {
-		return nil, nil, 0, err
+	if err == nil && i < n {
+		err = fmt.Errorf("%w: %d of %d", errRecordCount, i, n)
 	}
-	in, tmp = sortByK(in[:i], make([]idPair, i))
-	return in, tmp, charged, nil
+	return in, charged, err
 }
 
 // runs counts the distinct keys and the distinct (key, value) pairs of a
@@ -269,12 +268,6 @@ func ToWeightedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RD
 		slices.SortFunc(in, func(a, b table) int { return cmp.Compare(a.K, b.K) })
 		return in, nil
 	})
-}
-
-// sortUnique sorts ns and drops its duplicates, in place.
-func sortUnique(ns []int64) []int64 {
-	slices.Sort(ns)
-	return slices.Compact(ns)
 }
 
 // sortedIntersectCount counts the common elements of two sorted slices.

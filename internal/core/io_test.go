@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"psgraph/internal/dataflow"
+	"psgraph/internal/dfs"
 	"psgraph/internal/gen"
 )
 
@@ -188,5 +191,41 @@ func BenchmarkLoadEdges(b *testing.B) {
 		if err != nil || n != int64(len(edges)) {
 			b.Fatalf("loaded %d edges, %v", n, err)
 		}
+	}
+}
+
+// TestShuffleRecordCountIsExact: readPairs, the reader under both
+// csrBlocks and neighborTables, fails with errRecordCount when the shuffle
+// hands it fewer or more records than its map side counted.
+func TestShuffleRecordCountIsExact(t *testing.T) {
+	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+	pairs := dataflow.Parallelize(sc, []idPair{{K: 1, V: 2}, {K: 3, V: 4}, {K: 5, V: 6}}, 2)
+	for name, skew := range map[string]int{"fewer": -1, "exact": 0, "more": 1} {
+		t.Run(name, func(t *testing.T) {
+			read, err := dataflow.ShuffleReduce(pairs, 1, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]int, error) {
+				in, _, err := readPairs(t, n, 16, func(consume func(idPair) error) error {
+					i := 0
+					return records(func(kv idPair) error {
+						switch i++; {
+						case i == n && skew < 0:
+							return nil // the last record goes missing
+						case i == n && skew > 0:
+							if err := consume(kv); err != nil { // it arrives twice
+								return err
+							}
+						}
+						return consume(kv)
+					})
+				})
+				return []int{len(in)}, err
+			}).Collect()
+			if skew == 0 {
+				if err != nil || !slices.Equal(read, []int{3}) {
+					t.Fatalf("read %v, error %v", read, err)
+				}
+			} else if !errors.Is(err, errRecordCount) {
+				t.Fatalf("error %v, want errRecordCount", err)
+			}
+		})
 	}
 }

@@ -127,9 +127,7 @@ type peeling struct {
 // vertex's degree. Vertices absent from every table keep degree 0 and are
 // never peeled (they are in no k-core for k > 0).
 func startPeeling(ctx *Context, edges *dataflow.RDD[Edge], parts int, model string) (*peeling, error) {
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts = ctx.parts(parts)
 	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
 	n, err := tablesNumVertices(nbrs)
 	if err != nil {

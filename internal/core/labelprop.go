@@ -37,10 +37,7 @@ func LabelPropagation(ctx *Context, edges *dataflow.RDD[Edge], cfg LabelPropagat
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 20
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
 	defer nbrs.Unpersist()
 

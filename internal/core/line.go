@@ -119,10 +119,7 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 	if err != nil {
 		return nil, err
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 
 	embName := ctx.ModelName("line.emb")
 	initScale := 0.5 / float64(cfg.Dim)

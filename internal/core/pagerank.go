@@ -78,44 +78,22 @@ type PageRankResult struct {
 // failure rolls every partition back to the same checkpoint (Sec. III-B).
 func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*PageRankResult, error) {
 	cfg.setDefaults()
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	// One CSR block per partition stays cached for the whole job; sizing
 	// the vectors from it is the action that builds it, so the edge file
 	// is read and parsed once.
 	blocks := csrBlocks(edges, parts).Cache()
 	defer blocks.Unpersist()
-	n, err := numVertices(blocks)
+	n, err := vectorSize(blocks, func(b *csrBlock) int64 { return b.maxID })
 	if err != nil {
 		return nil, err
 	}
 
-	ranksName := ctx.ModelName("pr.ranks")
-	curName := ctx.ModelName("pr.dcur")
-	nextName := ctx.ModelName("pr.dnext")
-	ranks, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: ranksName, Size: n, ConsistentRecovery: true})
+	models, vecs, err := deltaVectors(ctx, n, cfg.Damping, "pr.ranks", "pr.dcur", "pr.dnext")
 	if err != nil {
 		return nil, err
 	}
-	cur, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: curName, Size: n, ConsistentRecovery: true})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: nextName, Size: n, ConsistentRecovery: true}); err != nil {
-		return nil, err
-	}
-	// Δ⁰ = (1-d): ranks accumulate (1-d)·Σ (dM)^k·1, the damped PageRank.
-	if err := cur.Fill(1 - cfg.Damping); err != nil {
-		return nil, err
-	}
-	next, err := ctx.Agent.Vector(nextName)
-	if err != nil {
-		return nil, err
-	}
-
-	models := []string{ranksName, curName, nextName}
+	ranks, cur, next := vecs[0], vecs[1], vecs[2]
 	// The three vectors are one consistent unit: they are checkpointed
 	// through the master's fenced multi-model snapshot so a server
 	// recovery can never interleave with the writes and publish a mixed
@@ -172,7 +150,7 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 			return nil, err
 		}
 		// Commit on the servers and read back the residual mass.
-		residual, err := commitDelta(ctx, curName, ranksName, nextName)
+		residual, err := commitDelta(ctx, models[1], models[0], models[2])
 		if err != nil {
 			return nil, err
 		}
@@ -235,10 +213,7 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 // communication overhead", Sec. IV-A). Kept as the ablation baseline.
 func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*PageRankResult, error) {
 	cfg.setDefaults()
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	n, err := NumVertices(edges)
 	if err != nil {
 		return nil, err
@@ -271,27 +246,11 @@ func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRa
 		return nil, err
 	}
 
-	ranksName := ctx.ModelName("pr.ranks")
-	curName := ctx.ModelName("pr.dcur")
-	nextName := ctx.ModelName("pr.dnext")
-	ranks, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: ranksName, Size: n, ConsistentRecovery: true})
+	names, vecs, err := deltaVectors(ctx, n, cfg.Damping, "pr.ranks", "pr.dcur", "pr.dnext")
 	if err != nil {
 		return nil, err
 	}
-	cur, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: curName, Size: n, ConsistentRecovery: true})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: nextName, Size: n, ConsistentRecovery: true}); err != nil {
-		return nil, err
-	}
-	if err := cur.Fill(1 - cfg.Damping); err != nil {
-		return nil, err
-	}
-	next, err := ctx.Agent.Vector(nextName)
-	if err != nil {
-		return nil, err
-	}
+	ranks, cur, next := vecs[0], vecs[1], vecs[2]
 
 	it := 0
 	for ; it < cfg.MaxIterations; it++ {
@@ -342,7 +301,7 @@ func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRa
 		if err != nil {
 			return nil, err
 		}
-		residual, err := commitDelta(ctx, curName, ranksName, nextName)
+		residual, err := commitDelta(ctx, names[1], names[0], names[2])
 		if err != nil {
 			return nil, err
 		}
@@ -352,6 +311,22 @@ func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRa
 		}
 	}
 	return &PageRankResult{Ranks: ranks, NumVertices: n, Iterations: it}, nil
+}
+
+// deltaVectors creates Δ-PageRank's dense vectors over n vertices, one per
+// prefix, all recovered consistently, and fills the second — the pending
+// increments — with Δ⁰ = 1-d: ranks then accumulate (1-d)·Σ (dM)^k·1, the
+// damped PageRank.
+func deltaVectors(ctx *Context, n int64, damping float64, prefixes ...string) (names []string, vecs []*ps.Vector, err error) {
+	for _, prefix := range prefixes {
+		names = append(names, ctx.ModelName(prefix))
+		v, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: names[len(names)-1], Size: n, ConsistentRecovery: true})
+		if err != nil {
+			return nil, nil, err
+		}
+		vecs = append(vecs, v)
+	}
+	return names, vecs, vecs[1].Fill(1 - damping)
 }
 
 // cleanupModels best-effort deletes scratch models.

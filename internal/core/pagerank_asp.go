@@ -91,30 +91,19 @@ func takeVector(ctx *Context, name string, meta ps.ModelMeta, indices []int64, r
 // quiescent for a few consecutive sweeps. Compare with PageRank (BSP).
 func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*PageRankResult, error) {
 	cfg.setDefaults()
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	blocks := csrBlocks(edges, parts).Cache()
 	defer blocks.Unpersist()
-	n, err := numVertices(blocks)
+	n, err := vectorSize(blocks, func(b *csrBlock) int64 { return b.maxID })
 	if err != nil {
 		return nil, err
 	}
 
-	ranksName := ctx.ModelName("prasp.ranks")
-	deltaName := ctx.ModelName("prasp.delta")
-	ranks, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: ranksName, Size: n, ConsistentRecovery: true})
+	_, vecs, err := deltaVectors(ctx, n, cfg.Damping, "prasp.ranks", "prasp.delta")
 	if err != nil {
 		return nil, err
 	}
-	delta, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: deltaName, Size: n, ConsistentRecovery: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := delta.Fill(1 - cfg.Damping); err != nil {
-		return nil, err
-	}
+	ranks, delta := vecs[0], vecs[1]
 
 	// Within a pass, every partition sweeps several times with no
 	// coordination whatsoever: it takes whatever increments have arrived,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"psgraph/internal/dataflow"
@@ -70,10 +71,7 @@ func RunVertexCentric(ctx *Context, edges *dataflow.RDD[Edge], prog VertexProgra
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 30
 	}
-	parts := cfg.Parts
-	if parts <= 0 {
-		parts = ctx.Partitions()
-	}
+	parts := ctx.parts(cfg.Parts)
 	nbrs := toVertexTables(edges, parts).Cache()
 	defer nbrs.Unpersist()
 	n, err := tablesNumVertices(nbrs)
@@ -258,6 +256,7 @@ func toVertexTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow
 				kept = append(kept, d)
 			}
 		}
-		return dataflow.KV[int64, []int64]{K: kv.K, V: sortUnique(kept)}
+		slices.Sort(kept)
+		return dataflow.KV[int64, []int64]{K: kv.K, V: slices.Compact(kept)}
 	})
 }
