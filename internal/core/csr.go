@@ -56,7 +56,7 @@ func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
 		if n > math.MaxInt32 {
 			return nil, fmt.Errorf("core: %d edges in one partition exceed the 32-bit local index; use more partitions", n)
 		}
-		in, charged, err := readPairs(t, n, 20, records) // the pairs, then their ranks in rows
+		in, charged, err := readPairs(t, n, 20, records) // the pairs, and the rows with repeats
 		if err != nil || n == 0 {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
 			start = end
 		}
 		b.offs[rows], b.adj = m, adj
-		if int(m) < n { // exact, in what in was charged: it is dead by now
+		if int(m) < n { // an exact copy, inside what in was charged: in is dead by now
 			b.adj = make([]int32, m)
 			copy(b.adj, adj)
 		}
