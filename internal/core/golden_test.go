@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"psgraph/internal/gen"
+	"psgraph/internal/ps"
 )
 
 // goldenFile holds one "<case> <sha256 of its output bits>" line per case
@@ -96,15 +97,30 @@ func TestAlgorithmGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranks, err := res.Ranks.PullAll()
+			return vectorBits(t, res.Ranks)
+		}},
+		// The edge-partitioned strawman, one executor, ten iterations.
+		{"pagerank-edge/rmat11", func(t *testing.T) string {
+			ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var o outputBits
-			for _, r := range ranks {
-				o.float(r)
+			defer ctx.Close()
+			res, err := PageRankEdgePartitioned(ctx, edgesRDD(ctx, goldenRMAT(false), 4), PageRankConfig{MaxIterations: 10, Tolerance: 1e-300})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return o.sum()
+			return vectorBits(t, res.Ranks)
+		}},
+		// Hop distances from vertex 0 under the min combiner: the fixpoint
+		// is independent of message order, so three executors pin it.
+		{"vertex-centric/sssp-min/rmat11", func(t *testing.T) string {
+			ctx := newTestContext(t)
+			res, err := RunVertexCentric(ctx, edgesRDD(ctx, goldenRMAT(false), 4), hopsFrom(0), VertexCentricConfig{MaxSupersteps: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vectorBits(t, res.States)
 		}},
 		{"label-propagation/rmat11", func(t *testing.T) string {
 			ctx := newTestContext(t)
@@ -190,6 +206,19 @@ func TestAlgorithmGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// vectorBits hashes every element of a dense vector.
+func vectorBits(t *testing.T, v *ps.Vector) string {
+	vals, err := v.PullAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o outputBits
+	for _, x := range vals {
+		o.float(x)
+	}
+	return o.sum()
 }
 
 func readGoldens(t *testing.T) map[string]string {

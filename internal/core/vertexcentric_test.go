@@ -116,3 +116,25 @@ func TestVertexCentricRequiresFunctions(t *testing.T) {
 		t.Fatal("empty program accepted")
 	}
 }
+
+// hopsFrom is single-source shortest paths in hops under the min
+// combiner: the source starts at 0 and every improved vertex forwards its
+// distance plus one.
+func hopsFrom(src int64) VertexProgram {
+	inf := math.Inf(1)
+	return VertexProgram{
+		Combiner: CombineMin,
+		Init: func(v int64, outDeg int) (float64, float64, bool) {
+			if v == src {
+				return 0, 1, true
+			}
+			return inf, 0, false
+		},
+		Compute: func(v int64, outDeg int, state, combined float64) (float64, float64, bool) {
+			if combined < state {
+				return combined, combined + 1, true
+			}
+			return state, 0, false
+		},
+	}
+}
