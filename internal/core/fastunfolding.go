@@ -276,12 +276,7 @@ func modularityPass(ctx *Context, edges *dataflow.RDD[Edge], iters, parts int) (
 		}
 		// The round's Σ_tot changes, summed per community in partition
 		// order, are pushed once.
-		cids, at := distinct(slices.Concat(dCom...))
-		sums := make([]float64, len(cids))
-		for i, d := range slices.Concat(dTot...) {
-			sums[at[i]] += d
-		}
-		if err := c2w.PushAdd(cids, sums); err != nil {
+		if err := c2w.PushAdd(combine(slices.Concat(dCom...), slices.Concat(dTot...), CombineSum)); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -122,6 +122,9 @@ func TestAlgorithmGoldens(t *testing.T) {
 			}
 			return vectorBits(t, res.States)
 		}},
+		// Δ-PageRank as a sum-combined vertex program, one executor (with
+		// more, the servers add concurrent message pushes in arrival order).
+		{"vertex-centric/pagerank-sum/rmat11", deltaRankBits},
 		{"label-propagation/rmat11", func(t *testing.T) string {
 			ctx := newTestContext(t)
 			res, err := LabelPropagation(ctx, edgesRDD(ctx, goldenRMAT(false), 4), LabelPropagationConfig{})

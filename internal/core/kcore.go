@@ -198,12 +198,7 @@ func (p *peeling) round(k int64) ([]int64, error) {
 			return err
 		}
 		// One decrement per peeled neighbour, summed per vertex.
-		idx, at := distinct(nbrs)
-		dec := make([]float64, len(idx))
-		for _, j := range at {
-			dec[j]--
-		}
-		return p.deg.PushAdd(idx, dec)
+		return p.deg.PushAdd(combine(nbrs, slices.Repeat([]float64{-1}, len(nbrs)), CombineSum))
 	})
 	return slices.Concat(peeled...), err
 }

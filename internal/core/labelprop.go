@@ -131,15 +131,14 @@ func LabelPropagation(ctx *Context, edges *dataflow.RDD[Edge], cfg LabelPropagat
 // voteRound is one vote-then-publish round of a community detector whose
 // vertex→community model lives on the PS as a sparse vector. Every
 // partition of tables lists, through reads, the ids its deciding vertices
-// and their neighbours read, pulls their values from model in one
-// positional pull of the distinct ids, and decides against that
-// snapshot: decide gets the value of every read in the order reads listed
-// them, walks the same vertices in the same order, and stages the
-// partition's moves as ascending (ids, vals). Nothing is pushed while any
-// partition is still voting — one partition's push racing another's pull
-// would make the outcome depend on executor scheduling — so the round
-// returns every partition's moves, concatenated in partition order, for
-// the caller to publish.
+// and their neighbours read, gathers their values from model, and decides
+// against that snapshot: decide gets the value of every read in the order
+// reads listed them, walks the same vertices in the same order, and stages
+// the partition's moves as ascending (ids, vals). Nothing is pushed while
+// any partition is still voting — one partition's push racing another's
+// pull would make the outcome depend on executor scheduling — so the
+// round returns every partition's moves, concatenated in partition order,
+// for the caller to publish.
 func voteRound[V any](tables *dataflow.RDD[dataflow.KV[int64, V]], model *ps.SparseVec,
 	reads func(in []dataflow.KV[int64, V]) []int64,
 	decide func(part int, in []dataflow.KV[int64, V], vals []float64) ([]int64, []float64, error),
@@ -147,17 +146,9 @@ func voteRound[V any](tables *dataflow.RDD[dataflow.KV[int64, V]], model *ps.Spa
 	moved := make([][]int64, tables.NumPartitions())
 	to := make([][]float64, len(moved))
 	err := tables.ForeachPartition(func(part int, in []dataflow.KV[int64, V]) error {
-		ids, at := distinct(reads(in))
-		if len(ids) == 0 {
-			return nil
-		}
-		pulled, err := model.Pull(ids)
-		if err != nil {
+		vals, err := gather(model.Pull, reads(in))
+		if err != nil || len(vals) == 0 {
 			return err
-		}
-		vals := make([]float64, len(at))
-		for i, j := range at {
-			vals[i] = pulled[j]
 		}
 		moved[part], to[part], err = decide(part, in, vals)
 		return err
@@ -166,22 +157,4 @@ func voteRound[V any](tables *dataflow.RDD[dataflow.KV[int64, V]], model *ps.Spa
 		return nil, nil, err
 	}
 	return slices.Concat(moved...), slices.Concat(to...), nil
-}
-
-// distinct numbers the ids in reads: ids are the distinct ones, ascending,
-// and reads[i] == ids[at[i]].
-func distinct(reads []int64) (ids []int64, at []int) {
-	pairs := make([]idPair, len(reads))
-	for i, id := range reads {
-		pairs[i] = idPair{K: id, V: int64(i)}
-	}
-	pairs, _ = sortByK(pairs, make([]idPair, len(pairs)))
-	at = make([]int, len(reads))
-	for _, p := range pairs {
-		if n := len(ids); n == 0 || ids[n-1] != p.K {
-			ids = append(ids, p.K)
-		}
-		at[p.V] = len(ids) - 1
-	}
-	return ids, at
 }

@@ -255,48 +255,31 @@ func PageRankEdgePartitioned(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRa
 	it := 0
 	for ; it < cfg.MaxIterations; it++ {
 		err := cached.ForeachPartition(func(part int, in []Edge) error {
-			if len(in) == 0 {
-				return nil
+			srcs := make([]int64, len(in))
+			for i, e := range in {
+				srcs[i] = e.Src
 			}
-			srcSet := make(map[int64]bool)
-			for _, e := range in {
-				srcSet[e.Src] = true
-			}
-			srcs := make([]int64, 0, len(srcSet))
-			for s := range srcSet {
-				srcs = append(srcs, s)
-			}
-			deltas, err := cur.Pull(srcs)
+			deltas, err := gather(cur.Pull, srcs)
 			if err != nil {
 				return err
 			}
-			degs, err := deg.Pull(srcs)
+			degs, err := gather(deg.Pull, srcs)
 			if err != nil {
 				return err
 			}
-			deltaOf := make(map[int64]float64, len(srcs))
-			for i, s := range srcs {
-				if degs[i] > 0 {
-					deltaOf[s] = cfg.Damping * deltas[i] / degs[i]
-				}
-			}
-			updates := make(map[int64]float64)
-			for _, e := range in {
-				d := deltaOf[e.Src]
+			var dsts []int64
+			var shares []float64
+			for i, e := range in {
+				// Every source here has this out-edge: its degree is ≥ 1.
+				d := cfg.Damping * deltas[i] / degs[i]
 				if d > cfg.DeltaThreshold || d < -cfg.DeltaThreshold {
-					updates[e.Dst] += d
+					dsts, shares = append(dsts, e.Dst), append(shares, d)
 				}
 			}
-			if len(updates) == 0 {
+			if len(dsts) == 0 {
 				return nil
 			}
-			idx := make([]int64, 0, len(updates))
-			vals := make([]float64, 0, len(updates))
-			for k, v := range updates {
-				idx = append(idx, k)
-				vals = append(vals, v)
-			}
-			return next.PushAdd(idx, vals)
+			return next.PushAdd(combine(dsts, shares, CombineSum))
 		})
 		if err != nil {
 			return nil, err

@@ -50,12 +50,18 @@ func takeIndicesFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 }
 
 // takeVector atomically takes (reads and resets) the given indices of a
-// dense vector, fanning one psFunc call per owning partition.
-func takeVector(ctx *Context, name string, meta ps.ModelMeta, indices []int64, reset float64) ([]float64, error) {
+// dense vector, fanning one psFunc call per owning partition. The ids are
+// grouped by partition identity, the numbering CallFunc hands argFor; its
+// outputs come back by slot of the layout both read.
+func takeVector(ctx *Context, name string, indices []int64, reset float64) ([]float64, error) {
+	meta, err := ctx.Agent.GetModel(name)
+	if err != nil {
+		return nil, err
+	}
 	byPart := make(map[int][]int64)
 	pos := make(map[int][]int)
 	for i, idx := range indices {
-		p := meta.PartitionFor(idx)
+		p := meta.Parts[meta.PartitionFor(idx)].Index
 		byPart[p] = append(byPart[p], idx)
 		pos[p] = append(pos[p], i)
 	}
@@ -66,7 +72,11 @@ func takeVector(ctx *Context, name string, meta ps.ModelMeta, indices []int64, r
 	if err != nil {
 		return nil, err
 	}
-	for pi, raw := range outs {
+	if len(outs) != len(meta.Parts) {
+		return nil, fmt.Errorf("core: takeIndices answered by %d partitions of %d", len(outs), len(meta.Parts))
+	}
+	for slot, raw := range outs {
+		pi := meta.Parts[slot].Index
 		if len(byPart[pi]) == 0 {
 			continue
 		}
@@ -169,7 +179,7 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 // finds nothing above the threshold.
 func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankConfig, sweeps int) error {
 	for sweep := 0; sweep < sweeps; sweep++ {
-		taken, err := takeVector(ctx, delta.Meta.Name, delta.Meta, b.srcs, 0)
+		taken, err := takeVector(ctx, delta.Meta.Name, b.srcs, 0)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"psgraph/internal/gen"
+	"psgraph/internal/ps"
 )
 
 func TestPageRankASPMatchesBSP(t *testing.T) {
@@ -74,5 +75,45 @@ func TestPageRankASPConservesMass(t *testing.T) {
 	}
 	if math.Abs(sum-16) > 0.01 {
 		t.Fatalf("total mass = %v, want 16", sum)
+	}
+}
+
+// TestTakeVectorAfterSplit: a split gives partitions identities that are
+// not their slots in the layout; takeVector still takes every index's own
+// value and leaves the reset value behind.
+func TestTakeVectorAfterSplit(t *testing.T) {
+	ctx := newTestContext(t)
+	const size = 100
+	v, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: "take", Size: size, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int64, size)
+	vals := make([]float64, size)
+	for i := range ids {
+		ids[i], vals[i] = int64(i), float64(i)+1
+	}
+	if err := v.SetAll(vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Agent.SplitPartition("take", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	// A pull across the moved range refreshes the client's layout.
+	if _, err := v.Pull(ids); err != nil {
+		t.Fatal(err)
+	}
+	taken, err := takeVector(ctx, "take", ids, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := v.PullAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if taken[i] != vals[i] || left[i] != -1 {
+			t.Fatalf("index %d: took %v and left %v, want %v and -1", i, taken[i], left[i], vals[i])
+		}
 	}
 }

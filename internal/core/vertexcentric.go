@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"psgraph/internal/dataflow"
@@ -15,7 +14,8 @@ import (
 // receives the combined messages of its in-neighbors, updates its state,
 // and broadcasts a message along its out-edges, superstep after
 // superstep, until no messages flow. State and message vectors live on
-// the PS; executors sweep their neighbor-table partitions.
+// the PS; executors sweep their neighbor-table partitions, one round of
+// gather, compute and combine per superstep (DESIGN.md §8.3).
 
 // Combiner selects how concurrent messages to one vertex merge.
 type Combiner int
@@ -64,199 +64,143 @@ type VertexCentricResult struct {
 // RunVertexCentric executes prog over the graph until no vertex sends a
 // message or the superstep bound is hit. Halted vertices (those that
 // receive no messages) are skipped, as in Pregel.
+//
+// Messages are double-buffered in two dense vectors: superstep s reads
+// the ones sent in superstep s-1 from one and sends into the other, so a
+// message is read in the superstep after it was sent and never earlier,
+// whatever the executor count. After the barrier the vector just read is
+// refilled with the combiner's identity, the value of a slot without
+// messages.
 func RunVertexCentric(ctx *Context, edges *dataflow.RDD[Edge], prog VertexProgram, cfg VertexCentricConfig) (*VertexCentricResult, error) {
-	if prog.Init == nil || prog.Compute == nil {
-		return nil, fmt.Errorf("core: VertexProgram needs Init and Compute")
+	type table = dataflow.KV[int64, []int64]
+	if prog.Init == nil || prog.Compute == nil || uint(prog.Combiner) >= uint(len(combiners)) {
+		return nil, fmt.Errorf("core: VertexProgram needs Init, Compute and a known Combiner")
 	}
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 30
 	}
-	parts := ctx.parts(cfg.Parts)
-	nbrs := toVertexTables(edges, parts).Cache()
+	nbrs := vertexTables(edges, ctx.parts(cfg.Parts)).Cache()
 	defer nbrs.Unpersist()
 	n, err := tablesNumVertices(nbrs)
 	if err != nil {
 		return nil, err
 	}
 
-	stateName := ctx.ModelName("vc.state")
-	msgName := ctx.ModelName("vc.msg")
-	state, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: stateName, Size: n})
+	state, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: ctx.ModelName("vc.state"), Size: n})
 	if err != nil {
 		return nil, err
 	}
-	msg, err := ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: msgName, Size: n})
-	if err != nil {
-		return nil, err
-	}
-	defer cleanupModels(ctx, msgName)
-	msgMeta := msg.Meta
-
-	// Min/max combiners need an identity for "no message yet" slots.
-	identity := 0.0
-	switch prog.Combiner {
-	case CombineMin:
-		identity = math.Inf(1)
-	case CombineMax:
-		identity = math.Inf(-1)
-	}
-	if identity != 0 {
-		if err := msg.Fill(identity); err != nil {
+	combiner := combiners[prog.Combiner]
+	identity := combiner.identity
+	var msgs [2]*ps.Vector
+	for i := range msgs {
+		name := ctx.ModelName("vc.msg")
+		if msgs[i], err = ctx.Agent.CreateDenseVector(ps.DenseVectorSpec{Name: name, Size: n}); err != nil {
 			return nil, err
 		}
+		defer cleanupModels(ctx, name)
 	}
 
-	deliver := func(out map[int64]float64) error {
-		if len(out) == 0 {
-			return nil
+	steps := 0
+	for sent := int64(1); sent > 0 && steps < cfg.MaxSupersteps; steps++ {
+		// out is the vector the previous superstep read, refilled now that
+		// its barrier has passed.
+		in, out := msgs[steps%2], msgs[(steps+1)%2]
+		if err := out.Fill(identity); err != nil {
+			return nil, err
 		}
-		idx := make([]int64, 0, len(out))
-		vals := make([]float64, 0, len(out))
-		for k, v := range out {
-			idx = append(idx, k)
-			vals = append(vals, v)
-		}
-		switch prog.Combiner {
-		case CombineMin:
-			return msg.PushMin(idx, vals)
-		case CombineMax:
-			return msg.PushMax(idx, vals)
-		default:
-			return msg.PushAdd(idx, vals)
-		}
-	}
-
-	// Superstep 0: initialize states and send first messages.
-	var sent atomic.Int64
-	err = nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-		sIdx := make([]int64, len(tables))
-		sVals := make([]float64, len(tables))
-		out := make(map[int64]float64)
-		for i, t := range tables {
-			st, m, send := prog.Init(t.K, len(t.V))
-			sIdx[i] = t.K
-			sVals[i] = st
-			if send {
-				sent.Add(1)
-				for _, dst := range t.V {
-					combineInto(out, dst, m, prog.Combiner)
+		var sending atomic.Int64
+		err := nbrs.ForeachPartition(func(_ int, tables []table) error {
+			// Superstep 0 runs Init on every vertex; a later one runs
+			// Compute on the vertices whose slot of in differs from the
+			// identity. (Under the sum combiner, messages summing to
+			// exactly 0 are indistinguishable from none; they are also a
+			// no-op for every sum-based program.)
+			var combined, states []float64
+			if steps > 0 {
+				ids := make([]int64, len(tables))
+				for i, t := range tables {
+					ids[i] = t.K
+				}
+				var err error
+				if combined, err = in.Pull(ids); err != nil {
+					return err
+				}
+				active := ids[:0]
+				for i, m := range combined {
+					if m != identity {
+						active = append(active, ids[i])
+					}
+				}
+				if states, err = state.Pull(active); err != nil {
+					return err
 				}
 			}
-		}
-		if err := state.PushSet(sIdx, sVals); err != nil {
-			return err
-		}
-		return deliver(out)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	steps := 1
-	for ; steps < cfg.MaxSupersteps && sent.Load() > 0; steps++ {
-		sent.Store(0)
-		err := nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
-				return nil
-			}
-			ids := make([]int64, len(tables))
+			var sIdx, dsts []int64
+			var sVals, ms []float64
 			for i, t := range tables {
-				ids[i] = t.K
-			}
-			// Atomically take the pending messages. A vertex is active
-			// exactly when its taken slot differs from the combiner
-			// identity — one atomic operation, so a message can never be
-			// consumed without being processed. (Under the sum combiner, a
-			// message summing to exactly 0 is indistinguishable from no
-			// message; it is also a no-op for every sum-based program.)
-			combined, err := takeVector(ctx, msgName, msgMeta, ids, identity)
-			if err != nil {
-				return err
-			}
-			var active []int64
-			for i, t := range tables {
-				if combined[i] != identity {
-					active = append(active, t.K)
-				}
-			}
-			if len(active) == 0 {
-				return nil
-			}
-			states, err := state.Pull(active)
-			if err != nil {
-				return err
-			}
-			stateOf := make(map[int64]float64, len(active))
-			for i, v := range active {
-				stateOf[v] = states[i]
-			}
-			sIdx := make([]int64, 0, len(active))
-			sVals := make([]float64, 0, len(active))
-			out := make(map[int64]float64)
-			for i, t := range tables {
-				if combined[i] == identity {
+				var st, m float64
+				var send bool
+				switch {
+				case steps == 0:
+					st, m, send = prog.Init(t.K, len(t.V))
+				case combined[i] != identity:
+					// The active vertices' states, in table order.
+					st, m, send = prog.Compute(t.K, len(t.V), states[len(sIdx)], combined[i])
+				default:
 					continue
 				}
-				newState, m, send := prog.Compute(t.K, len(t.V), stateOf[t.K], combined[i])
-				sIdx = append(sIdx, t.K)
-				sVals = append(sVals, newState)
+				sIdx, sVals = append(sIdx, t.K), append(sVals, st)
 				if send {
-					sent.Add(1)
-					for _, dst := range t.V {
-						combineInto(out, dst, m, prog.Combiner)
+					sending.Add(1)
+					dsts = append(dsts, t.V...)
+					for range t.V {
+						ms = append(ms, m)
 					}
 				}
 			}
 			if err := state.PushSet(sIdx, sVals); err != nil {
 				return err
 			}
-			return deliver(out)
+			if len(dsts) == 0 {
+				return nil
+			}
+			idx, vals := combine(dsts, ms, prog.Combiner)
+			return combiner.push(out, idx, vals)
 		})
 		if err != nil {
 			return nil, err
 		}
+		sent = sending.Load()
 	}
 	return &VertexCentricResult{States: state, NumVertices: n, Supersteps: steps}, nil
 }
 
-// combineInto merges a message into the executor-local outbox.
-func combineInto(out map[int64]float64, dst int64, m float64, c Combiner) {
-	cur, ok := out[dst]
-	if !ok {
-		out[dst] = m
-		return
-	}
-	switch c {
-	case CombineMin:
-		if m < cur {
-			out[dst] = m
-		}
-	case CombineMax:
-		if m > cur {
-			out[dst] = m
-		}
-	default:
-		out[dst] = cur + m
-	}
+// combiners holds, per Combiner, the value no message folds to (the slot
+// of a vertex nothing was sent to), the fold, and the server-side push.
+var combiners = [...]struct {
+	identity float64
+	fold     func(a, m float64) float64
+	push     func(v *ps.Vector, idx []int64, vals []float64) error
+}{
+	CombineSum: {0, func(a, m float64) float64 { return a + m }, (*ps.Vector).PushAdd},
+	CombineMin: {math.Inf(1), func(a, m float64) float64 { return min(a, m) }, (*ps.Vector).PushMin},
+	CombineMax: {math.Inf(-1), func(a, m float64) float64 { return max(a, m) }, (*ps.Vector).PushMax},
 }
 
-// toVertexTables builds out-neighbor tables that include sink vertices
-// (in-edges only) with empty adjacency, so the vertex program runs on
-// every vertex of the graph.
-func toVertexTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
-	const sentinel = int64(-1) << 62
-	pairs := dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, int64] {
-		return []dataflow.KV[int64, int64]{{K: e.Src, V: e.Dst}, {K: e.Dst, V: sentinel}}
+// vertexTables builds out-neighbor tables in vertex order that include
+// sink vertices (in-edges only) with empty adjacency, so the vertex
+// program runs on every vertex of the graph: every destination also pairs
+// with a marker that sorts before every id and is cut off its table.
+func vertexTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
+	const sink = -1
+	pairs := dataflow.FlatMap(edges, func(e Edge) []idPair {
+		return []idPair{{K: e.Src, V: e.Dst}, {K: e.Dst, V: sink}}
 	})
-	grouped := dataflow.GroupByKey(pairs, parts)
-	return dataflow.Map(grouped, func(kv dataflow.KV[int64, []int64]) dataflow.KV[int64, []int64] {
-		kept := kv.V[:0]
-		for _, d := range kv.V {
-			if d != sentinel {
-				kept = append(kept, d)
-			}
+	return dataflow.Map(neighborTables(pairs, parts), func(t dataflow.KV[int64, []int64]) dataflow.KV[int64, []int64] {
+		if len(t.V) > 0 && t.V[0] == sink {
+			t.V = t.V[1:]
 		}
-		slices.Sort(kept)
-		return dataflow.KV[int64, []int64]{K: kv.K, V: slices.Compact(kept)}
+		return t
 	})
 }

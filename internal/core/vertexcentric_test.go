@@ -138,3 +138,94 @@ func hopsFrom(src int64) VertexProgram {
 		},
 	}
 }
+
+// deltaRank is Δ-PageRank as a sum-combined vertex program: the state
+// accumulates rank and every vertex forwards its damped increment.
+func deltaRank(d float64) VertexProgram {
+	return VertexProgram{
+		Combiner: CombineSum,
+		Init: func(v int64, outDeg int) (float64, float64, bool) {
+			if outDeg == 0 {
+				return 1 - d, 0, false
+			}
+			return 1 - d, d * (1 - d) / float64(outDeg), true
+		},
+		Compute: func(v int64, outDeg int, state, combined float64) (float64, float64, bool) {
+			if outDeg == 0 || combined < 1e-10 {
+				return state + combined, 0, false
+			}
+			return state + combined, d * combined / float64(outDeg), true
+		},
+	}
+}
+
+// deltaRankBits runs deltaRank on the golden R-MAT graph with one
+// executor and hashes the states.
+func deltaRankBits(t *testing.T) string {
+	ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	res, err := RunVertexCentric(ctx, edgesRDD(ctx, goldenRMAT(false), 4), deltaRank(0.85), VertexCentricConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vectorBits(t, res.States)
+}
+
+// TestVertexCentricSumIsDeterministic: with one executor, a sum-combined
+// program adds every message in the same order on every run, so its
+// states have the same bits.
+func TestVertexCentricSumIsDeterministic(t *testing.T) {
+	first := deltaRankBits(t)
+	for run := 1; run < 4; run++ {
+		if got := deltaRankBits(t); got != first {
+			t.Fatalf("run %d: states hash %s, first run %s", run, got, first)
+		}
+	}
+}
+
+// TestVertexCentricPathSupersteps: a message sent in superstep s is read
+// in superstep s+1 and not before, whatever the executor count. Hops from
+// the head of a 64-vertex path reach the tail in superstep 63, whose send
+// runs superstep 64: 65 in all.
+func TestVertexCentricPathSupersteps(t *testing.T) {
+	const n = 64
+	path := make([]Edge, n-1)
+	for i := range path {
+		path[i] = Edge{Src: int64(i), Dst: int64(i + 1)}
+	}
+	for _, executors := range []int{1, 3} {
+		ctx, err := NewContext(Config{NumExecutors: executors, NumServers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ctx.Close)
+		res, err := RunVertexCentric(ctx, edgesRDD(ctx, path, 4), hopsFrom(0), VertexCentricConfig{MaxSupersteps: 2 * n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, err := res.States.PullAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Supersteps != n+1 {
+			t.Errorf("%d executors: %d supersteps, want %d", executors, res.Supersteps, n+1)
+		}
+		for v, s := range states {
+			if s != float64(v) {
+				t.Fatalf("%d executors: dist[%d] = %v", executors, v, s)
+			}
+		}
+	}
+}
+
+func TestVertexCentricRejectsUnknownCombiner(t *testing.T) {
+	ctx := newTestContext(t)
+	prog := hopsFrom(0)
+	prog.Combiner = CombineMax + 1
+	if _, err := RunVertexCentric(ctx, edgesRDD(ctx, ringEdges(3), 1), prog, VertexCentricConfig{}); err == nil {
+		t.Fatal("unknown combiner accepted")
+	}
+}

@@ -131,9 +131,6 @@ func (fs *FS) ReviveDataNode(i int) {
 	fs.nodes[i].mu.Unlock()
 }
 
-// NumDataNodes returns the number of datanodes.
-func (fs *FS) NumDataNodes() int { return len(fs.nodes) }
-
 // allocBlock stores data on Replication alive datanodes and returns the
 // block id.
 func (fs *FS) allocBlock(data []byte) int64 {

@@ -91,9 +91,6 @@ func NewFaulty(inner Transport, seed int64) *Faulty {
 	}
 }
 
-// Inner returns the wrapped transport.
-func (f *Faulty) Inner() Transport { return f.inner }
-
 // Stats returns the injected-fault counters.
 func (f *Faulty) Stats() FaultStats {
 	return FaultStats{
@@ -126,17 +123,6 @@ func (f *Faulty) SetPolicy(addr string, p Policy) {
 	ep := f.state(addr)
 	ep.mu.Lock()
 	ep.policy = p
-	ep.mu.Unlock()
-}
-
-// ClearPolicy removes addr's probabilistic policy; pending one-shot
-// counters (DropResponses, Stall) are cleared too.
-func (f *Faulty) ClearPolicy(addr string) {
-	ep := f.state(addr)
-	ep.mu.Lock()
-	ep.policy = Policy{}
-	ep.dropResp = 0
-	ep.stallN = 0
 	ep.mu.Unlock()
 }
 

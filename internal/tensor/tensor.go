@@ -76,13 +76,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// Scale multiplies every element by s in place.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
 func (t *Tensor) mustSameShape(o *Tensor) {
 	if t.Rows != o.Rows || t.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", t.Rows, t.Cols, o.Rows, o.Cols))
@@ -200,13 +193,4 @@ func (t *Tensor) Transpose() *Tensor {
 		}
 	}
 	return out
-}
-
-// Norm returns the Frobenius norm.
-func (t *Tensor) Norm() float64 {
-	var s float64
-	for _, x := range t.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
