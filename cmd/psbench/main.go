@@ -285,8 +285,8 @@ func runChaos(s env) bool {
 	return writeReport(s.out, "chaos", rep) && rep.Pass
 }
 
-// runFailover times the same mid-stream server kill under lease-driven
-// backup promotion and under monitor-driven checkpoint restart, and
+// runFailover times the same mid-stream server kill under backup
+// promotion and under checkpoint restart, both lease-driven, and
 // records detection latency, client-visible recovery latency and lost
 // acknowledged updates for both. Passes when promotion beats restart on
 // both recovery latency and lost-update count with zero lost updates.
@@ -298,8 +298,8 @@ func runFailover(s env) bool {
 		log.Printf("  failover bench FAILED: %v", err)
 		return false
 	}
-	fmt.Printf("  %d servers, %d partitions, lease %.0fms, monitor %.0fms, container restart %.0fms, %d pushes/leg\n",
-		rep.Servers, rep.Parts, rep.LeaseMillis, rep.MonitorMillis, rep.RestartMillis, rep.PushesPerLeg)
+	fmt.Printf("  %d servers, %d partitions, lease %.0fms, container restart %.0fms, %d pushes/leg\n",
+		rep.Servers, rep.Parts, rep.LeaseMillis, rep.RestartMillis, rep.PushesPerLeg)
 	fmt.Printf("  %-20s %10s %11s %8s %8s %10s\n", "mode", "detect", "recover", "acked", "lost", "promoted")
 	for _, m := range rep.Modes {
 		fmt.Printf("  %-20s %8.1fms %9.1fms %8d %8d %10d\n",

@@ -29,9 +29,7 @@ func main() {
 		portFile    = flag.String("portfile", "", "publish the bound address to this file")
 		dfsDir      = flag.String("dfs", "", "shared checkpoint directory")
 		replicate   = flag.Bool("replicate", false, "master: enable replication + leases")
-		lease       = flag.Duration("lease", 0, "heartbeat lease")
-		hb          = flag.Duration("hb", 0, "server heartbeat interval (default lease/4)")
-		monitor     = flag.Duration("monitor", 0, "master: health-probe interval")
+		lease       = flag.Duration("lease", 0, "heartbeat lease: servers beat every lease/4, the master recovers a server silent this long")
 		ckpt        = flag.Duration("ckpt", 0, "master: periodic checkpoint interval")
 		joinTimeout = flag.Duration("join-timeout", 10*time.Second, "deadline for reaching the master")
 	)
@@ -47,8 +45,6 @@ func main() {
 		PortFile:    *portFile,
 		Replicate:   *replicate,
 		Lease:       *lease,
-		Heartbeat:   *hb,
-		Monitor:     *monitor,
 		Ckpt:        *ckpt,
 		JoinTimeout: *joinTimeout,
 	})

@@ -1,13 +1,12 @@
 // Failure recovery (Sec. III-B, Table II): a common-neighbor job keeps
-// running while a parameter server is killed mid-flight. The master's
-// health checker restarts the server, which restores the checkpointed
-// neighbor tables from the DFS; blocked executors retry their pulls and
-// the job finishes with correct results.
+// running while a parameter server is killed mid-flight. Its heartbeat
+// lease expires, the master restarts the server, and it restores the
+// checkpointed neighbor tables from the DFS; blocked executors retry
+// their pulls and the job finishes with correct results.
 //
-// Run with -live for the live-failover protocol instead: heartbeat
-// leases detect the death, the dead server's backups are promoted in
-// place (no container restart, no checkpoint rollback), and the job
-// barely notices.
+// Run with -live for the live-failover protocol instead: the same lease
+// expiry promotes the dead server's backups in place (no container
+// restart, no checkpoint rollback), and the job barely notices.
 //
 //	go run ./examples/failover [-live]
 package main
@@ -22,22 +21,20 @@ import (
 )
 
 func main() {
-	live := flag.Bool("live", false, "use heartbeat leases + primary/backup replication instead of checkpoint restart")
+	live := flag.Bool("live", false, "use primary/backup replication instead of checkpoint restart")
 	flag.Parse()
 	cfg := psgraph.Config{
-		NumExecutors:    4,
-		NumServers:      3,
-		MonitorInterval: 20 * time.Millisecond, // PS health checking
-		RestartDelay:    200 * time.Millisecond,
+		NumExecutors:  4,
+		NumServers:    3,
+		LeaseDuration: 50 * time.Millisecond, // lease expiry = server declared dead
+		RestartDelay:  200 * time.Millisecond,
 	}
 	if *live {
-		cfg.Replicate = true                      // every partition has a backup
-		cfg.LeaseDuration = 50 * time.Millisecond // lease expiry = immediate failover
-		cfg.MonitorInterval = 0
+		cfg.Replicate = true               // every partition has a backup
 		cfg.RestartDelay = 5 * time.Second // never waited out: backups promote in place
 		fmt.Println("mode: live failover (leases + replication)")
 	} else {
-		fmt.Println("mode: checkpoint restart (monitor + DFS restore)")
+		fmt.Println("mode: checkpoint restart (leases + DFS restore)")
 	}
 	ctx, err := psgraph.New(cfg)
 	if err != nil {

@@ -560,7 +560,7 @@ func (s Scale) Table2() (*Table2Result, error) {
 			ExecutorMemBytes: s.PSGraphExecMem,
 			NumServers:       s.Servers,
 			Partitions:       s.Parts,
-			MonitorInterval:  10 * time.Millisecond,
+			LeaseDuration:    40 * time.Millisecond,
 			RestartDelay:     restartDelay,
 			NetLatency:       s.NetLatency,
 		})

@@ -204,7 +204,6 @@ func TestFailoverBenchPromotionWins(t *testing.T) {
 	cfg := FailoverConfig{
 		Servers: 2, Parts: 4, Size: 64, Pushes: 50,
 		Lease:   30 * time.Millisecond,
-		Monitor: 15 * time.Millisecond,
 		Restart: 150 * time.Millisecond,
 	}
 	rep, err := RunFailoverBench(cfg)

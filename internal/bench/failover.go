@@ -1,16 +1,16 @@
 package bench
 
 // Failover benchmark: the same server-kill scenario under the two
-// recovery protocols the PS supports — lease-driven backup promotion
-// (live failover) and monitor-driven checkpoint restart (the paper's
-// Table II protocol). A pusher streams acknowledged increments into a
-// partitioned vector, one server is killed mid-stream, and the report
-// records how long the victim's partitions stayed unwritable and how
-// many acknowledged updates the recovery lost. Promotion must win on
-// both axes: detection is bounded by the lease (not the monitor's poll
-// round), recovery skips the container RestartDelay entirely, and the
-// backup already holds every acknowledged mutation, while a checkpoint
-// restart rolls the victim's partitions back to the last snapshot.
+// recovery protocols the PS supports — backup promotion (live failover)
+// and checkpoint restart (the paper's Table II protocol), both started
+// by the same heartbeat-lease expiry. A pusher streams acknowledged
+// increments into a partitioned vector, one server is killed
+// mid-stream, and the report records how long the victim's partitions
+// stayed unwritable and how many acknowledged updates the recovery
+// lost. Promotion must win on both axes: recovery skips the container
+// RestartDelay entirely, and the backup already holds every
+// acknowledged mutation, while a checkpoint restart rolls the victim's
+// partitions back to the last snapshot.
 // psbench -exp failover prints the table and records BENCH_failover.json.
 
 import (
@@ -47,7 +47,6 @@ type FailoverReport struct {
 	Servers       int            `json:"servers"`
 	Parts         int            `json:"parts"`
 	LeaseMillis   float64        `json:"lease_ms"`
-	MonitorMillis float64        `json:"monitor_ms"`
 	RestartMillis float64        `json:"restart_ms"`
 	PushesPerLeg  int            `json:"pushes_per_leg"`
 	Modes         []FailoverMode `json:"modes"`
@@ -60,10 +59,9 @@ type FailoverReport struct {
 type FailoverConfig struct {
 	Servers int
 	Parts   int
-	Size    int64 // vector length
-	Pushes  int   // pushes per leg (before checkpoint / before kill / after kill)
-	Lease   time.Duration
-	Monitor time.Duration
+	Size    int64         // vector length
+	Pushes  int           // pushes per leg (before checkpoint / before kill / after kill)
+	Lease   time.Duration // heartbeat lease, the failure detector of both legs
 	Restart time.Duration // container-provisioning delay of the restart path
 }
 
@@ -72,7 +70,6 @@ func DefaultFailoverConfig(s Scale) FailoverConfig {
 	cfg := FailoverConfig{
 		Servers: 2, Parts: 4, Size: 64, Pushes: 200,
 		Lease:   40 * time.Millisecond,
-		Monitor: 20 * time.Millisecond,
 		Restart: 250 * time.Millisecond,
 	}
 	if s.Name == "medium" {
@@ -87,7 +84,6 @@ func RunFailoverBench(cfg FailoverConfig) (*FailoverReport, error) {
 		Servers:       cfg.Servers,
 		Parts:         cfg.Parts,
 		LeaseMillis:   float64(cfg.Lease) / float64(time.Millisecond),
-		MonitorMillis: float64(cfg.Monitor) / float64(time.Millisecond),
 		RestartMillis: float64(cfg.Restart) / float64(time.Millisecond),
 		PushesPerLeg:  cfg.Pushes,
 	}
@@ -108,19 +104,13 @@ func RunFailoverBench(cfg FailoverConfig) (*FailoverReport, error) {
 // what survived.
 func runFailoverMode(mode string, cfg FailoverConfig) (FailoverMode, error) {
 	m := FailoverMode{Mode: mode}
-	ccfg := ps.ClusterConfig{
-		NumServers: cfg.Servers,
-		NamePrefix: "fob-" + mode,
-	}
-	if mode == "promotion" {
-		ccfg.Replicate = true
-		ccfg.LeaseDuration = cfg.Lease
-		ccfg.RestartDelay = cfg.Restart // present but never waited out
-	} else {
-		ccfg.MonitorInterval = cfg.Monitor
-		ccfg.RestartDelay = cfg.Restart
-	}
-	cluster, err := ps.NewCluster(ccfg)
+	cluster, err := ps.NewCluster(ps.ClusterConfig{
+		NumServers:    cfg.Servers,
+		NamePrefix:    "fob-" + mode,
+		Replicate:     mode == "promotion",
+		LeaseDuration: cfg.Lease,
+		RestartDelay:  cfg.Restart, // promotion: present but never waited out
+	})
 	if err != nil {
 		return m, err
 	}

@@ -284,8 +284,8 @@ func PageRankGolden(cfg Config) PhaseResult {
 		f := rpc.NewFaulty(rpc.NewInProc(), cfg.Seed+2)
 		ctx, err := core.NewContext(core.Config{
 			NumExecutors: 3, NumServers: 2, Transport: f,
-			MonitorInterval: 10 * time.Millisecond,
-			RestartDelay:    time.Millisecond,
+			LeaseDuration: 40 * time.Millisecond,
+			RestartDelay:  time.Millisecond,
 		})
 		if err != nil {
 			return nil, rpc.FaultStats{}, err
@@ -556,15 +556,14 @@ func FailoverPromotion(cfg Config) PhaseResult {
 
 	run := func(replicate, kill bool) (margin float64, applied, sent, promotions int64, err error) {
 		f := rpc.NewFaulty(rpc.NewInProc(), cfg.Seed+4)
-		ccfg := core.Config{NumExecutors: 3, NumServers: 2, Transport: f}
+		// Leases drive detection in both runs.
+		ccfg := core.Config{NumExecutors: 3, NumServers: 2, Transport: f, LeaseDuration: 40 * time.Millisecond}
 		if replicate {
-			// Leases drive detection; the grotesque RestartDelay proves no
-			// recovery path waited for a replacement container.
+			// The grotesque RestartDelay proves no recovery path waited for
+			// a replacement container.
 			ccfg.Replicate = true
-			ccfg.LeaseDuration = 40 * time.Millisecond
 			ccfg.RestartDelay = 5 * time.Second
 		} else {
-			ccfg.MonitorInterval = 10 * time.Millisecond
 			ccfg.RestartDelay = time.Millisecond
 		}
 		ctx, err := core.NewContext(ccfg)
@@ -725,7 +724,7 @@ func FailoverPromotion(cfg Config) PhaseResult {
 // half-installed state behind.
 func MigrationKill(cfg Config) PhaseResult {
 	r := PhaseResult{Name: "migration-kill"}
-	// No monitor: the master must discover the dead destination the hard
+	// No lease: the master must discover the dead destination the hard
 	// way — mid-migration, from the failed copy — not from a heartbeat.
 	cl, err := ps.NewCluster(ps.ClusterConfig{NumServers: 3, NamePrefix: "chaos-mig"})
 	if err != nil {
@@ -880,14 +879,14 @@ func MigrationKill(cfg Config) PhaseResult {
 
 // CheckpointCorruption publishes two checkpoint generations of a
 // consistent-recovery model, corrupts the latest one on the DFS, kills
-// a server and lets the master recover it. The CRC check must reject
+// a server and lets its lease expire. The CRC check must reject
 // the torn generation and recovery must roll every partition back to
 // the previous fence — the model reads as generation one everywhere,
 // never a mix of fences or the torn bytes.
 func CheckpointCorruption(cfg Config) PhaseResult {
 	r := PhaseResult{Name: "checkpoint-corruption"}
 	fsys := dfs.NewDefault()
-	cl, err := ps.NewCluster(ps.ClusterConfig{NumServers: 2, FS: fsys, NamePrefix: "chaos-ck"})
+	cl, err := ps.NewCluster(ps.ClusterConfig{NumServers: 2, FS: fsys, NamePrefix: "chaos-ck", LeaseDuration: 40 * time.Millisecond})
 	if err != nil {
 		return failf(r, "cluster: %v", err)
 	}
@@ -916,11 +915,24 @@ func CheckpointCorruption(cfg Config) PhaseResult {
 		return failf(r, "corrupt: %v", err)
 	}
 
+	before, err := agent.RecoveryCount()
+	if err != nil {
+		return failf(r, "recovery count: %v", err)
+	}
 	victim := cl.ServerAddrs()[0]
 	cl.KillServer(victim)
-	recovered := cl.Master.CheckServers()
-	if len(recovered) != 1 || recovered[0] != victim {
-		return failf(r, "recovery did not happen: recovered=%v", recovered)
+	// RecoveryCount moves when the master starts restoring; StopLeases
+	// then waits out the detector tick that runs the restore.
+	n, deadline := before, time.Now().Add(10*time.Second)
+	for ; n == before && err == nil && time.Now().Before(deadline); n, err = agent.RecoveryCount() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cl.Master.StopLeases()
+	if err != nil || n != before+1 {
+		return failf(r, "recovery did not happen: recoveries %d -> %d (%v)", before, n, err)
+	}
+	if stats, err := cl.Stats(); err != nil || stats[0].Addr != victim || stats[0].Dead {
+		return failf(r, "%s not back after recovery: %+v (%v)", victim, stats, err)
 	}
 	vals, err := vec.PullAll()
 	if err != nil {

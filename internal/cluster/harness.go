@@ -30,8 +30,7 @@ type Config struct {
 	Executors int // executor agent processes (default 2)
 
 	Replicate bool          // ring-next replication + heartbeat leases
-	Lease     time.Duration // heartbeat lease (default 100ms under Replicate)
-	Monitor   time.Duration // master probe interval (checkpoint-restart mode)
+	Lease     time.Duration // heartbeat lease, the failure detector (default 100ms under Replicate)
 	Ckpt      time.Duration // periodic checkpoint interval
 
 	Dir          string                        // workdir for logs/ports/dfs (default: fresh temp dir, removed on Close)
@@ -396,9 +395,6 @@ func (c *ProcCluster) launch(role, name, addr string) (*Proc, error) {
 		args = append(args, "-lease", c.Cfg.Lease.String())
 	}
 	if role == RoleMaster {
-		if c.Cfg.Monitor > 0 {
-			args = append(args, "-monitor", c.Cfg.Monitor.String())
-		}
 		if c.Cfg.Ckpt > 0 {
 			args = append(args, "-ckpt", c.Cfg.Ckpt.String())
 		}

@@ -25,10 +25,8 @@ type NodeConfig struct {
 
 	Replicate bool // master: ring-next primary/backup replication
 
-	Lease     time.Duration // master: heartbeat lease (defaults under Replicate)
-	Heartbeat time.Duration // server: heartbeat interval (defaults to Lease/4)
-	Monitor   time.Duration // master: CheckServers probe interval
-	Ckpt      time.Duration // master: periodic checkpoint interval
+	Lease time.Duration // heartbeat lease, the failure detector (defaults under Replicate)
+	Ckpt  time.Duration // master: periodic checkpoint interval
 
 	// JoinTimeout bounds how long a server/executor retries reaching the
 	// master before giving up (default 10s).
@@ -65,9 +63,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Replicate && cfg.Lease <= 0 {
 		cfg.Lease = 100 * time.Millisecond
-	}
-	if cfg.Heartbeat <= 0 && cfg.Lease > 0 {
-		cfg.Heartbeat = cfg.Lease / 4
 	}
 	n := &Node{Cfg: cfg, Transport: rpc.NewTCP(), fatal: make(chan error, 1)}
 	n.setDetail("starting")
@@ -149,6 +144,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 		if cfg.Replicate {
 			n.Master.SetReplication(true)
+		}
+		if cfg.Lease > 0 {
 			if masterRecovered {
 				// The WAL replayed every lease as nominally expired. Give the
 				// fleet a grace window — a few heartbeat intervals — to
@@ -159,9 +156,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 				n.Master.StartGrace(2 * cfg.Lease)
 			}
 			n.Master.EnableLeases(cfg.Lease)
-		}
-		if cfg.Monitor > 0 {
-			n.Master.StartMonitor(cfg.Monitor)
 		}
 		n.becomeReady("serving")
 	case RoleServer:
@@ -177,8 +171,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 // coming up) and starts heartbeats. Only then does Health report ready.
 func (n *Node) joinAsServer() {
 	n.setDetail("registering with " + n.Cfg.MasterAddr)
-	err := ps.JoinMaster(n.Transport, n.Cfg.MasterAddr, n.Server,
-		n.Cfg.Heartbeat, n.Cfg.Lease, n.Cfg.JoinTimeout)
+	err := ps.JoinMaster(n.Transport, n.Cfg.MasterAddr, n.Server, n.Cfg.Lease, n.Cfg.JoinTimeout)
 	if err != nil {
 		n.fail(err)
 		return
@@ -293,9 +286,9 @@ func (n *Node) runLoad(body []byte) ([]byte, error) {
 }
 
 // Close shuts the node down gracefully: background loops are stopped
-// first (StopMonitor waits out an in-flight checkpoint rather than
-// abandoning it mid-write), then the listener goes away. Safe to call
-// more than once.
+// first (SetCheckpointInterval(0) waits out an in-flight checkpoint
+// rather than abandoning it mid-write), then the listener goes away.
+// Safe to call more than once.
 func (n *Node) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -303,7 +296,7 @@ func (n *Node) Close() {
 	switch n.Cfg.Role {
 	case RoleMaster:
 		n.Master.StopLeases()
-		n.Master.StopMonitor()
+		n.Master.SetCheckpointInterval(0)
 	case RoleServer:
 		n.Server.StopHeartbeat()
 	}

@@ -36,8 +36,6 @@ type Config struct {
 	// Partitions is the default RDD partition count. Defaults to
 	// 2*NumExecutors.
 	Partitions int
-	// MonitorInterval enables the PS health monitor (Table II recovery).
-	MonitorInterval time.Duration
 	// RestartDelay models executor container restart time after failure.
 	RestartDelay time.Duration
 	// NetLatency injects a per-RPC round-trip delay between executors and
@@ -54,19 +52,17 @@ type Config struct {
 	// fault injector wrapping InProc or TCP). When set, UseTCP and
 	// NetLatency are ignored.
 	Transport rpc.Transport
-	// CheckpointInterval enables periodic PS model checkpoints from the
-	// master's monitor loop (requires MonitorInterval > 0).
+	// CheckpointInterval enables periodic PS model checkpoints.
 	CheckpointInterval time.Duration
 	// Replicate enables live PS failover: heartbeat leases, epoch-fenced
 	// layouts and primary/backup replication (see internal/ps). A server
 	// death then promotes backups in place — no restart wait, no lost
 	// acknowledged mutations — instead of restoring from checkpoints.
 	Replicate bool
-	// HeartbeatInterval/LeaseDuration tune the PS failure detector; zero
-	// values derive one from the other (see ps.ClusterConfig), and both
-	// zero leaves lease-based detection off.
-	HeartbeatInterval time.Duration
-	LeaseDuration     time.Duration
+	// LeaseDuration enables the PS failure detector, heartbeat leases
+	// (Table II recovery; see ps.ClusterConfig). Zero leaves it off,
+	// unless Replicate defaults it.
+	LeaseDuration time.Duration
 }
 
 // Context bundles everything an application needs: the DFS, the Spark
@@ -116,11 +112,9 @@ func NewContext(cfg Config) (*Context, error) {
 		NumServers:         cfg.NumServers,
 		FS:                 fs,
 		Transport:          tr,
-		MonitorInterval:    cfg.MonitorInterval,
 		RestartDelay:       cfg.RestartDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
 		Replicate:          cfg.Replicate,
-		HeartbeatInterval:  cfg.HeartbeatInterval,
 		LeaseDuration:      cfg.LeaseDuration,
 	})
 	if err != nil {

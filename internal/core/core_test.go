@@ -624,7 +624,7 @@ func TestPageRankSurvivesConsistentPSFailure(t *testing.T) {
 	// checkpoint and the algorithm still converges to the reference.
 	ctx, err := NewContext(Config{
 		NumExecutors: 3, NumServers: 2,
-		MonitorInterval: 10 * time.Millisecond,
+		LeaseDuration: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

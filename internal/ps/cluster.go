@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,8 +13,8 @@ import (
 // Cluster wires a master and a set of servers over a transport, the way
 // Yarn/Kubernetes launches them in production (Sec. III-B). It owns
 // failure injection for the Table II experiment: KillServer drops a
-// server's state and endpoint; the master's monitor (or an explicit
-// CheckServers call) restarts it and restores from checkpoints.
+// server's state and endpoint; once its lease expires the master
+// restarts it and restores from checkpoints.
 type Cluster struct {
 	Transport  rpc.Transport
 	FS         *dfs.FS
@@ -22,13 +23,12 @@ type Cluster struct {
 
 	prefix       string
 	restartDelay time.Duration
-	hbInterval   time.Duration
 	lease        time.Duration
 
 	mu      sync.Mutex
 	servers map[string]*Server
 	addrs   []string
-	// closed gates restartServer: the monitor's recovery path sleeps
+	// closed gates restartServer: the master's recovery path sleeps
 	// through RestartDelay and must not re-register a server after Close
 	// deregistered everything.
 	closed bool
@@ -42,26 +42,19 @@ type ClusterConfig struct {
 	Transport rpc.Transport
 	// FS is the checkpoint store; a default DFS is created if nil.
 	FS *dfs.FS
-	// MonitorInterval enables the background health checker when > 0.
-	MonitorInterval time.Duration
 	// RestartDelay models the time Yarn/Kubernetes takes to provision a
 	// replacement server container before recovery can restore it.
 	RestartDelay time.Duration
-	// CheckpointInterval enables periodic model checkpoints to the DFS
-	// (requires MonitorInterval > 0 to drive the loop).
+	// CheckpointInterval enables periodic model checkpoints to the DFS.
 	CheckpointInterval time.Duration
 	// NamePrefix disambiguates endpoints when several clusters share one
 	// transport.
 	NamePrefix string
-	// HeartbeatInterval enables server→master heartbeat leases: servers
-	// push renewals at this period and the master declares a server dead
-	// the moment its lease expires, instead of waiting for the poll
-	// monitor. Defaults to LeaseDuration/4 when only the lease is set.
-	HeartbeatInterval time.Duration
-	// LeaseDuration is how long the master waits without a heartbeat
-	// before declaring a server dead (and how long a server goes without
-	// an ack before fencing its own writes). Defaults to
-	// 4*HeartbeatInterval when only the interval is set.
+	// LeaseDuration enables heartbeat leases, the one failure detector:
+	// servers renew every LeaseDuration/4, and the master declares a
+	// server dead — and recovers it — once it has gone this long without
+	// a heartbeat (a server goes as long without an ack before fencing
+	// its own writes). Zero leaves failures undetected.
 	LeaseDuration time.Duration
 	// Replicate enables primary/backup replication: every partition gets
 	// a backup on the ring-next server, primaries forward applied
@@ -91,18 +84,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NamePrefix == "" {
 		cfg.NamePrefix = "ps"
 	}
-	if cfg.Replicate && cfg.LeaseDuration <= 0 && cfg.HeartbeatInterval <= 0 {
+	if cfg.Replicate && cfg.LeaseDuration <= 0 {
 		// Leases are mandatory with replication: the self-fence (a server
 		// that misses a full lease of acks stops applying writes) is what
 		// keeps an asymmetrically-partitioned demoted primary from acking
 		// epoch-0 writes the promoted copy will never see.
 		cfg.LeaseDuration = 100 * time.Millisecond
-	}
-	if cfg.LeaseDuration > 0 && cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = cfg.LeaseDuration / 4
-	}
-	if cfg.HeartbeatInterval > 0 && cfg.LeaseDuration <= 0 {
-		cfg.LeaseDuration = 4 * cfg.HeartbeatInterval
 	}
 	c := &Cluster{
 		Transport:    cfg.Transport,
@@ -110,7 +97,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		prefix:       cfg.NamePrefix,
 		MasterAddr:   cfg.NamePrefix + "-master",
 		restartDelay: cfg.RestartDelay,
-		hbInterval:   cfg.HeartbeatInterval,
 		lease:        cfg.LeaseDuration,
 		servers:      make(map[string]*Server),
 	}
@@ -151,7 +137,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if _, err := cfg.Transport.Call(c.MasterAddr, "RegisterServer", enc(registerServerReq{Addr: addr})); err != nil {
 			return nil, err
 		}
-		srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
+		srv.wire(c.Transport, c.MasterAddr, c.lease)
 	}
 	if cfg.Replicate {
 		c.Master.SetReplication(true)
@@ -161,9 +147,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.CheckpointInterval > 0 {
 		c.Master.SetCheckpointInterval(cfg.CheckpointInterval)
-	}
-	if cfg.MonitorInterval > 0 {
-		c.Master.StartMonitor(cfg.MonitorInterval)
 	}
 	if cfg.RebalanceInterval > 0 {
 		c.Master.EnableAutoRebalance(cfg.RebalanceInterval)
@@ -216,7 +199,7 @@ func (c *Cluster) AddServer(name string) (string, error) {
 	if _, err := c.Transport.Call(c.MasterAddr, "RegisterServer", enc(registerServerReq{Addr: addr})); err != nil {
 		return "", err
 	}
-	srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
+	srv.wire(c.Transport, c.MasterAddr, c.lease)
 	return addr, nil
 }
 
@@ -236,10 +219,21 @@ func (c *Cluster) KillServer(addr string) {
 	}
 }
 
+// errStillLive is restartServer's refusal to replace a server that was
+// never killed: a restart would wipe its state while its heartbeat loop
+// kept running.
+var errStillLive = errors.New("ps: server still live")
+
 // restartServer is the master's recovery callback: it launches a fresh,
 // empty server at the same endpoint after the container-provisioning
 // delay. The master then drives Restore calls.
 func (c *Cluster) restartServer(addr string) error {
+	c.mu.Lock()
+	live := c.servers[addr] != nil
+	c.mu.Unlock()
+	if live {
+		return fmt.Errorf("%w, not restarting %s", errStillLive, addr)
+	}
 	if c.restartDelay > 0 {
 		time.Sleep(c.restartDelay)
 	}
@@ -258,18 +252,18 @@ func (c *Cluster) restartServer(addr string) error {
 	}
 	c.servers[addr] = srv
 	c.mu.Unlock()
-	srv.wire(c.Transport, c.MasterAddr, c.hbInterval, c.lease)
+	srv.wire(c.Transport, c.MasterAddr, c.lease)
 	return nil
 }
 
-// Close stops the monitor, the lease checker, and every server's
-// background loops, then deregisters all endpoints.
+// Close stops the master's loops (lease checker, periodic checkpoints,
+// rebalancer) and every server's, then deregisters all endpoints.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	c.Master.StopMonitor()
 	c.Master.StopLeases()
+	c.Master.SetCheckpointInterval(0)
 	c.Master.StopAutoRebalance()
 	c.Transport.Deregister(c.MasterAddr)
 	c.mu.Lock()

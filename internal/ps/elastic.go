@@ -731,48 +731,22 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 // operator in the loop.
 func (m *Master) EnableAutoRebalance(interval time.Duration) {
 	m.mu.Lock()
-	if m.rebStop != nil {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if m.rebLoop != nil {
 		return
 	}
 	if interval <= 0 {
 		interval = 250 * time.Millisecond
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	m.rebStop = stop
-	m.rebDone = done
-	m.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if _, err := m.Rebalance(); err != nil {
-					mtrace("auto-rebalance: %v", err)
-				}
-			}
+	m.rebLoop = startLoop(interval, func() {
+		if _, err := m.Rebalance(); err != nil {
+			mtrace("auto-rebalance: %v", err)
 		}
-	}()
+	})
 }
 
 // StopAutoRebalance halts the automatic planner loop.
-func (m *Master) StopAutoRebalance() {
-	m.mu.Lock()
-	stop := m.rebStop
-	done := m.rebDone
-	m.rebStop = nil
-	m.rebDone = nil
-	m.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+func (m *Master) StopAutoRebalance() { m.stopLoop(&m.rebLoop) }
 
 // ---------------------------------------------------------------------------
 // Checkpoint layout manifest.

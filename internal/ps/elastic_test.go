@@ -445,7 +445,7 @@ func TestCheckpointManifestRestoresSplitLayout(t *testing.T) {
 	for _, addr := range c.ServerAddrs() {
 		c.KillServer(addr)
 	}
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()...)
 	fresh := c.NewClient()
 	meta, err := fresh.GetModel("ck")
 	if err != nil {

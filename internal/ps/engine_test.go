@@ -321,7 +321,7 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	SetEmbShards(1)
 	addr := c.ServerAddrs()[0]
 	c.KillServer(addr)
-	if rec := c.Master.CheckServers(); len(rec) != 1 {
+	if rec := expire(c.Master, addr); len(rec) != 1 {
 		t.Fatalf("recovered %v, want [%s]", rec, addr)
 	}
 	after, err := e.Pull([]int64{0, 7, 63})

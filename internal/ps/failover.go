@@ -9,8 +9,9 @@ package ps
 //
 //   - Servers push heartbeats ("Heartbeat" RPC); the master tracks one
 //     lease per server and declares a server dead the moment its lease
-//     expires — no waiting for the poll monitor's next ping round.
-//     CheckServers stays as a fallback probe for lease-less clusters.
+//     expires. Leases are the only failure detector, in replicated and
+//     in checkpoint mode alike: a lost reply is silence for a quarter of
+//     a lease, never a death.
 //   - Every layout the master hands out carries a monotone epoch. A
 //     failover bumps it; mutating client calls carry their layout's
 //     epoch in the dedup envelope and servers reject older epochs with
@@ -185,14 +186,15 @@ func (m *Master) heartbeat(req heartbeatReq) heartbeatResp {
 	return resp
 }
 
-// EnableLeases starts the lease checker: a server whose last heartbeat
-// is older than lease is declared dead immediately and failed over. The
-// checker ticks at lease/4 so detection latency is bounded by ~1.25x
-// the lease, not by a coarse monitor interval.
+// EnableLeases starts the lease checker, the master's one failure
+// detector: a server whose last heartbeat is older than lease is
+// declared dead and recovered. The checker ticks at lease/4 (the
+// servers' heartbeat interval too), so detection latency is bounded by
+// ~1.25x the lease.
 func (m *Master) EnableLeases(lease time.Duration) {
 	m.mu.Lock()
-	if m.stopLeases != nil {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if m.leaseLoop != nil {
 		return
 	}
 	if lease <= 0 {
@@ -205,47 +207,17 @@ func (m *Master) EnableLeases(lease time.Duration) {
 			m.leases[s] = now
 		}
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	m.stopLeases = stop
-	m.leaseDone = done
-	m.mu.Unlock()
-	tick := lease / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				m.checkLeases()
-			}
-		}
-	}()
+	m.leaseLoop = startLoop(max(lease/4, time.Millisecond), func() { m.checkLeases() })
 }
 
 // StopLeases halts the lease checker.
-func (m *Master) StopLeases() {
-	m.mu.Lock()
-	stop := m.stopLeases
-	done := m.leaseDone
-	m.stopLeases = nil
-	m.leaseDone = nil
-	m.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+func (m *Master) StopLeases() { m.stopLoop(&m.leaseLoop) }
 
-// checkLeases declares every lease-expired server dead and fails it
-// over.
-func (m *Master) checkLeases() {
+// checkLeases is one tick of the failure detector: every server whose
+// lease expired is declared dead, and the tick recovers them as one
+// batch together with whatever an earlier tick left pending (failover).
+// It returns the addresses whose recovery completed.
+func (m *Master) checkLeases() []string {
 	now := time.Now()
 	m.mu.Lock()
 	if now.Before(m.graceUntil) {
@@ -254,22 +226,24 @@ func (m *Master) checkLeases() {
 		// servers'. Give the fleet one heartbeat interval to re-announce
 		// before expiry means death.
 		m.mu.Unlock()
-		return
+		return nil
 	}
 	var expired []string
 	for _, s := range m.servers {
-		if m.dead[s] {
-			continue
-		}
-		if beat, ok := m.leases[s]; ok && now.Sub(beat) > m.leaseDur {
+		if beat, ok := m.leases[s]; ok && !m.dead[s] && now.Sub(beat) > m.leaseDur {
 			expired = append(expired, s)
 		}
 	}
+	idle := len(expired) == 0 && len(m.pending) == 0
 	m.mu.Unlock()
-	for _, addr := range expired {
-		mtrace("lease of %s expired, failing over", addr)
-		m.failoverServer(addr)
+	if idle {
+		return nil
 	}
+	recovered, err := m.failover(expired)
+	if err != nil {
+		mtrace("recovery of %v failed, pending for the next tick: %v", expired, err)
+	}
+	return recovered
 }
 
 // liveRingLocked returns the registered servers, in registration order,
@@ -286,89 +260,75 @@ func (m *Master) liveRingLocked() []string {
 	return out
 }
 
-// failoverServer handles the death of one server: partitions with a live
-// backup are promoted in place under a bumped epoch; partitions whose
-// backup is also gone fall back to the checkpoint-restart path. Returns
-// the number of promoted partitions. Idempotent per dead server.
-func (m *Master) failoverServer(deadAddr string) int {
+// failover declares addrs dead under one bumped epoch: a partition whose
+// primary died is promoted in place onto its live backup, and the
+// address of one with no live backup — in checkpoint mode, every dead
+// address — becomes pending. Then the pending batch is recovered from
+// checkpoints (recoverPending). Idempotent per address.
+func (m *Master) failover(addrs []string) ([]string, error) {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
 	m.mu.Lock()
-	if m.dead[deadAddr] {
-		m.mu.Unlock()
-		return 0
+	fresh := map[string]bool{}
+	for _, a := range addrs {
+		if !m.dead[a] {
+			m.dead[a], fresh[a] = true, true
+			if !m.replicate {
+				m.pending[a] = true
+			}
+		}
 	}
-	m.dead[deadAddr] = true
-	m.epoch++
-	epoch := m.epoch
 	type promo struct {
 		addr  string
 		model string
 		part  int
 	}
 	var promos []promo
-	orphans := false
-	for name, meta := range m.models {
-		parts := append([]Partition(nil), meta.Parts...)
-		changed := false
-		for i := range parts {
-			switch {
-			case parts[i].Server == deadAddr:
-				if b := parts[i].Backup; b != "" && !m.dead[b] {
-					parts[i].Server, parts[i].Backup = b, ""
-					promos = append(promos, promo{addr: b, model: name, part: parts[i].Index})
-				} else {
-					orphans = true
+	epoch := m.epoch
+	if len(fresh) > 0 {
+		m.epoch++
+		epoch = m.epoch
+		for name, meta := range m.models {
+			parts := append([]Partition(nil), meta.Parts...)
+			changed := false
+			for i := range parts {
+				switch {
+				case fresh[parts[i].Server]:
+					if b := parts[i].Backup; b != "" && !m.dead[b] {
+						parts[i].Server, parts[i].Backup = b, ""
+						promos = append(promos, promo{addr: b, model: name, part: parts[i].Index})
+					} else {
+						m.pending[parts[i].Server] = true
+					}
+					changed = true
+				case fresh[parts[i].Backup]:
+					parts[i].Backup = ""
+					changed = true
 				}
-				changed = true
-			case parts[i].Backup == deadAddr:
-				parts[i].Backup = ""
-				changed = true
+			}
+			if changed {
+				meta.Parts = parts
+				meta.Epoch = epoch
+				m.models[name] = meta
+				m.journalModelLocked(meta)
 			}
 		}
-		if changed {
-			meta.Parts = parts
-			meta.Epoch = epoch
-			m.models[name] = meta
-			m.journalModelLocked(meta)
-		}
+		m.promotions += int64(len(promos))
+		m.journalStateLocked()
 	}
-	m.promotions += int64(len(promos))
-	m.journalStateLocked()
 	m.mu.Unlock()
-	mtrace("failover %s: epoch -> %d, promoting %d partitions", deadAddr, epoch, len(promos))
+	mtrace("failover %v: epoch -> %d, promoting %d partitions", addrs, epoch, len(promos))
 	for _, p := range promos {
 		body := enc(promoteReq{Model: p.model, Part: p.part, Epoch: epoch})
 		if _, err := m.callWithRetry(p.addr, "Promote", body); err != nil {
 			mtrace("promote %s/%d on %s: %v", p.model, p.part, p.addr, err)
 		}
 	}
-	if orphans {
-		// Primary and backup both gone: only the checkpoint-restart path
-		// can bring those partitions back. recoverServer restores just the
-		// partitions still mapped to deadAddr (the promoted ones moved).
-		if err := m.recoverServer(deadAddr); err == nil {
-			m.mu.Lock()
-			// Only an in-place restart brings the ADDRESS back to life;
-			// the reassignment path (no restart hook) moved the orphans
-			// elsewhere and the address stays dead until the relaunched
-			// process re-registers it.
-			if m.restart != nil {
-				delete(m.dead, deadAddr)
-				m.leases[deadAddr] = time.Now()
-			}
-			m.recoveries++
-			m.journalStateLocked()
-			m.mu.Unlock()
-			mtrace("failover %s: orphaned partitions restored from checkpoints", deadAddr)
-		} else {
-			mtrace("failover %s: orphan recovery failed: %v", deadAddr, err)
-		}
-	}
-	if len(promos) > 0 || orphans {
+	recovered, err := m.recoverPending()
+	if len(promos) > 0 || len(recovered) > 0 {
 		m.kickReseed()
 	}
-	return len(promos)
+	return recovered, err
 }
 
 // kickReseed schedules a background reseed pass, coalescing concurrent

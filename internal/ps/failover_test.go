@@ -307,7 +307,7 @@ func mustFailoverStats(t *testing.T, c *Cluster) FailoverStats {
 	return st
 }
 
-// TestKillCloseRace hammers KillServer, the monitor's restart path and
+// TestKillCloseRace hammers KillServer, the lease checker's restart path and
 // Close concurrently. Run with -race: the closed flag must gate
 // restartServer so a recovery sleeping through RestartDelay never
 // re-registers an endpoint after Close tore everything down.
@@ -315,12 +315,11 @@ func TestKillCloseRace(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		f := rpc.NewFaulty(rpc.NewInProc(), int64(i+1))
 		c, err := NewCluster(ClusterConfig{
-			NumServers:      2,
-			Transport:       f,
-			NamePrefix:      "fo-race",
-			MonitorInterval: time.Millisecond,
-			RestartDelay:    2 * time.Millisecond,
-			LeaseDuration:   8 * time.Millisecond,
+			NumServers:    2,
+			Transport:     f,
+			NamePrefix:    "fo-race",
+			RestartDelay:  2 * time.Millisecond,
+			LeaseDuration: 2 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

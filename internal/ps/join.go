@@ -18,12 +18,12 @@ import (
 // JoinMaster registers srv with the master at masterAddr, retrying
 // with capped backoff until timeout while the master is still coming
 // up (or is mid-failover), then wires the server's outbound transport
-// and — when hb > 0 — starts its heartbeat loop. It is the
+// and — when lease > 0 — starts its heartbeat loop. It is the
 // cross-process equivalent of NewCluster's RegisterServer + wire, and
 // it is also the REJOIN path: a crash-restarted server process calls
 // it again under its old address, and the master's RegisterServer
 // clears the dead mark and re-points replication around it.
-func JoinMaster(tr rpc.Transport, masterAddr string, srv *Server, hb, lease, timeout time.Duration) error {
+func JoinMaster(tr rpc.Transport, masterAddr string, srv *Server, lease, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -34,21 +34,19 @@ func JoinMaster(tr rpc.Transport, masterAddr string, srv *Server, hb, lease, tim
 		}
 		return fmt.Errorf("ps: register %s with master %s: %w", srv.Addr, masterAddr, err)
 	}
-	srv.wire(tr, masterAddr, hb, lease)
+	srv.wire(tr, masterAddr, lease)
 	return nil
 }
 
 // wire gives a server its outbound transport — tr's per-source caller view
 // when it has one, so injected partitions cut the server's own heartbeats
-// and forwards too — and, when hb > 0, its heartbeat loop to master.
-func (s *Server) wire(tr rpc.Transport, master string, hb, lease time.Duration) {
+// and forwards too — and, when lease > 0, its heartbeat loop to master.
+func (s *Server) wire(tr rpc.Transport, master string, lease time.Duration) {
 	if cv, ok := tr.(interface{ Caller(string) rpc.Transport }); ok {
 		tr = cv.Caller(s.Addr)
 	}
 	s.SetOutbound(tr)
-	if hb > 0 {
-		s.StartHeartbeat(master, hb, lease)
-	}
+	s.StartHeartbeat(master, lease)
 }
 
 // queryServerStats sweeps the Stats RPC over addrs. An unreachable

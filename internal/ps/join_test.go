@@ -161,9 +161,9 @@ func TestReassignDeadRecovery(t *testing.T) {
 	// The server process "dies": its endpoint goes away and nothing the
 	// master can call will bring the same address back.
 	tr.Deregister("s1")
-	recovered := master.CheckServers()
+	recovered := expire(master, "s1")
 	if len(recovered) != 1 || recovered[0] != "s1" {
-		t.Fatalf("CheckServers recovered %v, want [s1]", recovered)
+		t.Fatalf("lease expiry recovered %v, want [s1]", recovered)
 	}
 
 	// A fresh client (no cached layout — a driver process started after

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,8 +22,8 @@ func mtrace(format string, args ...any) {
 
 // Master is the control plane of the parameter server (Sec. III-B):
 // it allocates model partitions over servers, answers layout queries,
-// keeps the SSP clock rings (BSP is staleness 0), monitors server health,
-// and drives recovery when a server dies.
+// keeps the SSP clock rings (BSP is staleness 0), holds the servers'
+// heartbeat leases, and drives recovery when a lease expires.
 type Master struct {
 	Addr string
 
@@ -48,8 +49,7 @@ type Master struct {
 	promotions int64
 	reseeds    int64
 	leaseDur   time.Duration
-	stopLeases chan struct{}
-	leaseDone  chan struct{}
+	leaseLoop  *loop
 	// dropSeen is the last dropped-forward count each server reported in
 	// a heartbeat; an increase marks its replicas stale (failover.go).
 	// reseedQueued coalesces concurrent reseed triggers into one pass.
@@ -65,8 +65,7 @@ type Master struct {
 	moves    int64
 	loadPrev map[string]map[int]int64
 	rebOpts  RebalanceOptions
-	rebStop  chan struct{}
-	rebDone  chan struct{}
+	rebLoop  *loop
 
 	// Serving-tier state (serve_master.go): options and the current
 	// published serving generation per model.
@@ -94,15 +93,14 @@ type Master struct {
 	// restart recreates a server process at the given address after a
 	// failure, re-registering its RPC handler. Provided by the Cluster.
 	restart func(addr string) error
+	// pending holds the addresses whose recovery has not completed: dead
+	// ones still to be restarted (or reassigned), and live ones whose
+	// partitions still have to be restored. Every detector tick retries
+	// them (recoverPending).
+	pending map[string]bool
 
-	// checkpointEvery, when positive, makes the monitor loop snapshot
-	// every model periodically ("each parameter server periodically
-	// stores the local data partition to HDFS", Sec. III-A).
-	checkpointEvery time.Duration
-	lastCheckpoint  time.Time
-
-	stopMonitor chan struct{}
-	monitorDone chan struct{}
+	// ckptLoop snapshots every model periodically (SetCheckpointInterval).
+	ckptLoop *loop
 }
 
 // NewMaster creates a master reachable at addr over tr.
@@ -115,6 +113,7 @@ func NewMaster(addr string, tr rpc.Transport) *Master {
 		dedup:    newDedupTable(),
 		leases:   make(map[string]time.Time),
 		dead:     make(map[string]bool),
+		pending:  make(map[string]bool),
 		dropSeen: make(map[string]int64),
 	}
 }
@@ -415,14 +414,16 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 // (nil selects all; ConsistentRecovery models always restore whole) from
 // the checkpoint generation prev selects. The restore lands on the
 // partition's CURRENT server per meta — which is how a reassigned
-// partition comes back on its new home.
-func (m *Master) restoreParts(meta ModelMeta, keep func(Partition) bool, prev bool) error {
+// partition comes back on its new home. Each Restore rides out an
+// unreachable server for at most budget.
+func (m *Master) restoreParts(meta ModelMeta, keep func(Partition) bool, prev bool, budget time.Duration) error {
 	for _, p := range meta.Parts {
 		if keep != nil && !keep(p) && !meta.ConsistentRecovery {
 			continue
 		}
 		body := enc(restoreReq{Meta: meta, Part: p.Index, Prev: prev})
-		if _, err := m.callWithRetry(p.Server, "Restore", body); err != nil {
+		retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, budget)
+		if _, err := retry.Call(m.tr, p.Server, "Restore", body); err != nil {
 			return fmt.Errorf("ps: restore %s/%d on %s: %w", meta.Name, p.Index, p.Server, err)
 		}
 	}
@@ -434,11 +435,11 @@ func (m *Master) restoreParts(meta ModelMeta, keep func(Partition) bool, prev bo
 // corrupt or torn, EVERY partition of every model in the unit comes back
 // from the previous generation instead — memory never mixes two fences,
 // even for partitions whose server stayed alive. A unit is one model on
-// the recovery paths and the caller's whole set for RestoreModels.
-func (m *Master) restoreUnit(metas []ModelMeta, keep func(Partition) bool) error {
+// the recovery path and the caller's whole set for RestoreModels.
+func (m *Master) restoreUnit(metas []ModelMeta, keep func(Partition) bool, budget time.Duration) error {
 	var latestErr error
 	for _, meta := range metas {
-		if latestErr = m.restoreParts(meta, keep, false); latestErr != nil {
+		if latestErr = m.restoreParts(meta, keep, false, budget); latestErr != nil {
 			break
 		}
 	}
@@ -447,7 +448,7 @@ func (m *Master) restoreUnit(metas []ModelMeta, keep func(Partition) bool) error
 	}
 	mtrace("restore: latest generation corrupt (%v), falling back to previous", latestErr)
 	for _, meta := range metas {
-		if err := m.restoreParts(meta, nil, true); err != nil {
+		if err := m.restoreParts(meta, nil, true, budget); err != nil {
 			return fmt.Errorf("%w (previous-generation fallback also failed: %v)", latestErr, err)
 		}
 	}
@@ -482,189 +483,161 @@ func (m *Master) restoreModels(names []string) error {
 		}
 	}
 	m.recMu.Unlock()
-	return m.restoreUnit(metas, nil)
+	return m.restoreUnit(metas, nil, 10*time.Second)
 }
 
-// StartMonitor begins periodic health checking of the servers. On a
-// failed ping the master restarts the server via the restart callback and
-// restores its partitions from the latest checkpoints; models flagged
-// ConsistentRecovery are restored on *every* server so partitions stay
-// mutually consistent (Sec. III-B).
-func (m *Master) StartMonitor(interval time.Duration) {
-	m.mu.Lock()
-	if m.stopMonitor != nil {
-		m.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	m.stopMonitor = stop
-	m.monitorDone = done
-	m.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				m.CheckServers()
-				m.maybeCheckpointAll()
-			}
-		}
-	}()
-}
-
-// SetCheckpointInterval enables periodic checkpointing of every model
-// from the monitor loop (which must be running).
+// SetCheckpointInterval snapshots every model each d, on a ticker of its
+// own ("each parameter server periodically stores the local data
+// partition to HDFS", Sec. III-A); d <= 0 stops it, waiting out a
+// checkpoint in flight.
 func (m *Master) SetCheckpointInterval(d time.Duration) {
-	m.mu.Lock()
-	m.checkpointEvery = d
-	m.lastCheckpoint = time.Now()
-	m.mu.Unlock()
+	m.stopLoop(&m.ckptLoop)
+	if d > 0 {
+		m.mu.Lock()
+		m.ckptLoop = startLoop(d, m.checkpointAll)
+		m.mu.Unlock()
+	}
 }
 
-// maybeCheckpointAll snapshots every model when the checkpoint interval
-// has elapsed.
-func (m *Master) maybeCheckpointAll() {
+// checkpointAll snapshots every model. Best effort: a failed snapshot of
+// one model must not stop the others; the next tick retries.
+func (m *Master) checkpointAll() {
 	m.mu.Lock()
-	due := m.checkpointEvery > 0 && time.Since(m.lastCheckpoint) >= m.checkpointEvery
-	if due {
-		m.lastCheckpoint = time.Now()
-	}
-	var names []string
-	if due {
-		for name := range m.models {
-			names = append(names, name)
-		}
+	names := make([]string, 0, len(m.models))
+	for name := range m.models {
+		names = append(names, name)
 	}
 	m.mu.Unlock()
 	for _, name := range names {
-		// Best effort: a failed snapshot of one model must not stop the
-		// others; the next interval retries.
 		_ = m.checkpointModel(name)
 	}
 }
 
-// StopMonitor halts the health-check loop.
-func (m *Master) StopMonitor() {
+// loop is one of the master's background tickers (lease checker,
+// periodic checkpoints, auto-rebalance).
+type loop struct{ stop, done chan struct{} }
+
+// startLoop runs tick every interval until the loop is stopped.
+func startLoop(every time.Duration, tick func()) *loop {
+	l := &loop{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-t.C:
+				tick()
+			}
+		}
+	}()
+	return l
+}
+
+// stopLoop halts the loop *l, if one runs, and waits out its tick in
+// flight.
+func (m *Master) stopLoop(l **loop) {
 	m.mu.Lock()
-	stop := m.stopMonitor
-	done := m.monitorDone
-	m.stopMonitor = nil
-	m.monitorDone = nil
+	cur := *l
+	*l = nil
 	m.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+	if cur != nil {
+		close(cur.stop)
+		<-cur.done
 	}
 }
 
-// CheckServers pings every server once and recovers any that are down.
-// It returns the addresses that were recovered. Exposed so tests and the
-// experiment harness can trigger recovery deterministically. With
-// replication on it is the fallback failure detector behind the
-// heartbeat leases: a dead server found by the probe takes the same
-// promotion path as a lease expiry.
-func (m *Master) CheckServers() []string {
+// recoverPending recovers every pending address as one batch (Sec.
+// III-B: restart, then restore from checkpoint). Dead addresses are all
+// restarted first — or, with no restart hook, their partitions are
+// reassigned to the survivors — and only then is anything restored: each
+// model once, a ConsistentRecovery model whole, however many servers the
+// batch holds. recoveries moves when the batch starts restoring, so a
+// driver rolls back even when a restore then fails; a failed batch stays
+// pending for the next tick. A Restore gives up after about one lease, so
+// a server that died mid-batch costs that long and joins a later batch
+// when its own lease expires. Caller holds recMu, so recovery never
+// interleaves with a checkpoint. It returns the addresses recovered.
+func (m *Master) recoverPending() ([]string, error) {
 	m.mu.Lock()
-	servers := m.liveRingLocked()
-	replicate := m.replicate
+	restart := m.restart
+	budget := m.leaseDur
+	if budget <= 0 {
+		budget = 10 * time.Second
+	}
+	var dead, up, gone []string
+	for _, s := range m.servers {
+		switch {
+		case !m.pending[s]:
+		case !m.dead[s]:
+			up = append(up, s) // restarted or rejoined; its restore is outstanding
+		case restart == nil:
+			gone = append(gone, s)
+		default:
+			dead = append(dead, s)
+		}
+	}
 	m.mu.Unlock()
-	var dead []string
-	for _, addr := range servers {
-		if _, err := m.tr.Call(addr, "Ping", nil); err != nil {
-			dead = append(dead, addr)
-		}
-	}
-	if len(dead) == 0 {
-		return nil
-	}
-	if replicate {
-		var handled []string
-		for _, addr := range dead {
-			mtrace("probe found %s dead, failing over", addr)
-			m.failoverServer(addr)
-			handled = append(handled, addr)
-		}
-		return handled
-	}
-	// Restoring partitions while a multi-model checkpoint is mid-flight
-	// would poison the snapshot set the rollback protocol trusts, so
-	// recovery and checkpoints exclude each other. The recovery counter
-	// is bumped under the same lock so the checkpoint fence observes an
-	// exact count.
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	var recovered []string
 	for _, addr := range dead {
-		mtrace("server %s dead, recovering", addr)
-		if err := m.recoverServer(addr); err == nil {
-			recovered = append(recovered, addr)
-			mtrace("server %s recovered", addr)
-		} else {
-			mtrace("server %s recovery failed: %v", addr, err)
+		err := restart(addr)
+		if err != nil && !errors.Is(err, errStillLive) {
+			mtrace("restart %s: %v", addr, err)
+			continue
 		}
+		m.mu.Lock()
+		// The address is back in the ring. A refused restart means the
+		// process never died: its memory is intact and needs no restore.
+		delete(m.dead, addr)
+		if m.leaseLoop != nil {
+			m.leases[addr] = time.Now()
+		}
+		if err != nil {
+			delete(m.pending, addr)
+		} else {
+			up = append(up, addr)
+		}
+		m.journalStateLocked()
+		m.mu.Unlock()
 	}
-	if len(recovered) > 0 {
+	moved, err := m.reassign(gone)
+	if err != nil {
+		return nil, err
+	}
+	if len(up)+len(moved) > 0 {
 		m.mu.Lock()
 		m.recoveries++
 		m.journalStateLocked()
-		mtrace("recoveries -> %d", m.recoveries)
+		mtrace("recovering %v, reassigning %v: recoveries -> %d", up, gone, m.recoveries)
+		models := make([]ModelMeta, 0, len(m.models))
+		for _, meta := range m.models {
+			models = append(models, meta)
+		}
 		m.mu.Unlock()
+		for _, meta := range models {
+			onto := moved[meta.Name]
+			keep := func(p Partition) bool { return onto[p.Index] || slices.Contains(up, p.Server) }
+			if len(onto) == 0 {
+				if adopted, changed := m.adoptManifest(meta); changed {
+					// The checkpoint was taken under a different partition
+					// table (pre-split, say): every partition must come back
+					// from it, or ranges would mix two layouts.
+					meta, keep = adopted, nil
+				}
+			}
+			if err := m.restoreUnit([]ModelMeta{meta}, keep, budget); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return recovered
-}
-
-func (m *Master) recoverServer(addr string) error {
+	done := append(up, gone...)
 	m.mu.Lock()
-	restart := m.restart
-	m.mu.Unlock()
-	if restart == nil {
-		// No restart hook means the master cannot exec the dead server
-		// back into existence — the multi-process deployment, where an
-		// external supervisor owns the process table. Recover by moving
-		// the dead address's partitions onto the survivors instead; the
-		// relaunched process rejoins empty via RegisterServer later.
-		return m.reassignDead(addr)
-	}
-	if err := restart(addr); err != nil {
-		return fmt.Errorf("ps: restart %s: %w", addr, err)
-	}
-	return m.restoreForServer(addr)
-}
-
-// restoreForServer restores every partition mapped to addr from the
-// latest CRC-checked checkpoints onto the (empty) process now serving
-// that address, falling back to the previous generation when the latest
-// is torn. Checkpoint manifests whose partition table predates the
-// current layout are adopted first, in which case EVERY partition of
-// the model comes back from the manifest's table — never a mix of two
-// layouts. Caller holds recMu.
-func (m *Master) restoreForServer(addr string) error {
-	m.mu.Lock()
-	models := make([]ModelMeta, 0, len(m.models))
-	for _, meta := range m.models {
-		models = append(models, meta)
+	for _, addr := range done {
+		delete(m.pending, addr)
 	}
 	m.mu.Unlock()
-	for _, meta := range models {
-		keep := func(p Partition) bool { return p.Server == addr }
-		if adopted, changed := m.adoptManifest(meta); changed {
-			// The checkpoint was taken under a different partition table
-			// (pre-split, say): every partition must come back from it, not
-			// just the dead server's, or ranges would mix two layouts.
-			meta = adopted
-			keep = nil
-		}
-		if err := m.restoreUnit([]ModelMeta{meta}, keep); err != nil {
-			return err
-		}
-		mtrace("recover: restored %s for %s", meta.Name, addr)
-	}
-	return nil
+	return done, nil
 }
 
 // registerServer is the join AND rejoin path. A new address joins the
@@ -695,16 +668,16 @@ func (m *Master) registerServer(addr string) error {
 
 	if known && !wasDead {
 		if replicate {
-			// failoverServer is idempotent against the lease checker racing
-			// this same conclusion: whoever marks the address dead first
-			// runs the promotions, the other is a no-op.
-			m.failoverServer(addr)
+			// failover is idempotent against the lease checker racing this
+			// same conclusion: whoever marks the address dead first runs
+			// the promotions, the other is a no-op.
+			m.failover([]string{addr})
 			wasDead = true
 		} else if fs != nil {
-			m.recMu.Lock()
-			err := m.restoreForServer(addr)
-			m.recMu.Unlock()
-			if err != nil {
+			m.mu.Lock()
+			m.pending[addr] = true
+			m.mu.Unlock()
+			if _, err := m.failover(nil); err != nil {
 				return fmt.Errorf("ps: restore rejoined %s: %w", addr, err)
 			}
 		}
@@ -728,16 +701,16 @@ func (m *Master) registerServer(addr string) error {
 	}
 	// A returning server starts with a clean slate: if it was drained
 	// out before, registering again opts it back into placements, and
-	// if it was declared dead by a lease expiry or probe, registration
-	// IS the rejoin — the relaunched process has a fresh engine and a
-	// live listener, so it goes back into the ring.
+	// if it was declared dead by a lease expiry, registration IS the
+	// rejoin — the relaunched process has a fresh engine and a live
+	// listener, so it goes back into the ring.
 	delete(m.drained, addr)
 	delete(m.dead, addr)
 	// Seed the lease of a late-registered server (mirroring what
 	// EnableLeases does for pre-registered ones): without an entry the
 	// checker would skip it, and a server whose heartbeats never arrive
 	// would silently escape lease-based failure detection.
-	if m.stopLeases != nil {
+	if m.leaseLoop != nil {
 		m.leases[addr] = time.Now()
 	}
 	m.journalStateLocked()
@@ -752,69 +725,58 @@ func (m *Master) registerServer(addr string) error {
 	return nil
 }
 
-// reassignDead recovers the partitions of a dead server without
-// restarting it: the dead address's partitions are re-placed
-// round-robin across the surviving ring and restored there from the
-// latest CRC-checked checkpoints (previous generation if the latest is
-// torn). Used when no restart hook is configured — a real crashed
-// process can only be relaunched by an external supervisor, and it
-// rejoins under RegisterServer with a fresh engine, so waiting for an
-// in-place restart would stall recovery forever. Checkpoint manifests
-// are NOT adopted here: a manifest records the partition table of
-// checkpoint time, which still names the dead address. Callers hold
-// recMu (both call sites — CheckServers and the failover orphan path —
-// already do), so reassignment never interleaves with a checkpoint.
-func (m *Master) reassignDead(deadAddr string) error {
+// reassign moves the partitions of the dead addresses round-robin onto
+// the surviving ring and returns the moved partition ids per model, for
+// the restore. It is the recovery when no restart hook is configured:
+// a real crashed process can only be relaunched by an external
+// supervisor, and it rejoins under RegisterServer with a fresh engine, so
+// waiting for an in-place restart would stall recovery forever.
+// Checkpoint manifests are NOT adopted for moved models: a manifest
+// records the partition table of checkpoint time, which still names the
+// dead address. Caller holds recMu.
+func (m *Master) reassign(gone []string) (map[string]map[int]bool, error) {
+	if len(gone) == 0 {
+		return nil, nil
+	}
 	m.mu.Lock()
-	m.dead[deadAddr] = true
+	defer m.mu.Unlock()
 	ring := m.liveRingLocked()
 	if len(ring) == 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("ps: no live servers left to take over partitions of %s", deadAddr)
+		return nil, fmt.Errorf("ps: no live servers left to take over partitions of %v", gone)
+	}
+	dead := make(map[string]bool, len(gone))
+	for _, s := range gone {
+		dead[s] = true
 	}
 	m.epoch++
-	epoch := m.epoch
-	type job struct {
-		meta  ModelMeta
-		moved map[int]bool
-	}
-	var jobs []job
+	moved := map[string]map[int]bool{}
 	rr := 0
 	for name, meta := range m.models {
 		parts := append([]Partition(nil), meta.Parts...)
-		moved := map[int]bool{}
 		changed := false
 		for i := range parts {
 			switch {
-			case parts[i].Server == deadAddr:
+			case dead[parts[i].Server]:
 				parts[i].Server = ring[rr%len(ring)]
 				rr++
 				parts[i].Backup = ""
-				moved[parts[i].Index] = true
+				if moved[name] == nil {
+					moved[name] = map[int]bool{}
+				}
+				moved[name][parts[i].Index] = true
 				changed = true
-			case parts[i].Backup == deadAddr:
+			case dead[parts[i].Backup]:
 				parts[i].Backup = ""
 				changed = true
 			}
 		}
 		if changed {
 			meta.Parts = parts
-			meta.Epoch = epoch
+			meta.Epoch = m.epoch
 			m.models[name] = meta
 			m.journalModelLocked(meta)
 		}
-		if len(moved) > 0 {
-			jobs = append(jobs, job{meta: m.models[name], moved: moved})
-		}
 	}
 	m.journalStateLocked()
-	m.mu.Unlock()
-	for _, j := range jobs {
-		moved := func(p Partition) bool { return j.moved[p.Index] }
-		if err := m.restoreUnit([]ModelMeta{j.meta}, moved); err != nil {
-			return err
-		}
-		mtrace("reassign: restored %s partitions of %s across %d survivors", j.meta.Name, deadAddr, len(ring))
-	}
-	return nil
+	return moved, nil
 }

@@ -167,9 +167,7 @@ func (m *Master) EnableWAL() (recovered bool, err error) {
 // elapses, expired leases do NOT trigger failover (checkLeases returns
 // early). A restarted master replays every lease as nominally expired;
 // the window gives live servers one heartbeat interval to re-announce
-// before silence is treated as death. The probe path (CheckServers)
-// stays ungated — a failed ping is positive evidence of death, not mere
-// silence.
+// before silence is treated as death.
 func (m *Master) StartGrace(d time.Duration) {
 	m.mu.Lock()
 	m.graceUntil = time.Now().Add(d)

@@ -26,6 +26,18 @@ func newTestCluster(t *testing.T, n int) (*Cluster, *Client) {
 	return c, c.NewClient()
 }
 
+// expire backdates the leases of addrs and runs one tick of the failure
+// detector, the code the lease checker's ticker runs. It returns the
+// addresses the tick recovered.
+func expire(m *Master, addrs ...string) []string {
+	m.mu.Lock()
+	for _, a := range addrs {
+		m.leases[a] = time.Time{}
+	}
+	m.mu.Unlock()
+	return m.checkLeases()
+}
+
 func TestDenseVectorPullPush(t *testing.T) {
 	_, cl := newTestCluster(t, 3)
 	v, err := cl.CreateDenseVector(DenseVectorSpec{Name: "ranks", Size: 100})
@@ -361,7 +373,7 @@ func TestCheckpointRestoreAfterServerFailure(t *testing.T) {
 
 	addr := c.ServerAddrs()[1]
 	c.KillServer(addr)
-	recovered := c.Master.CheckServers()
+	recovered := expire(c.Master, addr)
 	if len(recovered) != 1 || recovered[0] != addr {
 		t.Fatalf("recovered = %v", recovered)
 	}
@@ -390,7 +402,7 @@ func TestConsistentRecoveryRestoresAllPartitions(t *testing.T) {
 	// Mutate partitions on surviving servers too.
 	v.PushAdd([]int64{0, 15, 29}, []float64{5, 5, 5})
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	got, _ := v.PullAll()
 	for i, x := range got {
 		if x != 1 {
@@ -404,7 +416,7 @@ func TestRecoveryWithoutCheckpointGivesEmptyPartition(t *testing.T) {
 	v, _ := cl.CreateDenseVector(DenseVectorSpec{Name: "x", Size: 10})
 	v.Fill(7)
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	got, err := v.PullAll()
 	if err != nil {
 		t.Fatalf("pull: %v", err)
@@ -454,7 +466,7 @@ func TestStaleCheckpointDiesWithItsModel(t *testing.T) {
 	}
 	v.Fill(3)
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	got, err := v.PullAll()
 	if err != nil {
 		t.Fatalf("pull after recovery: %v", err)
@@ -477,7 +489,7 @@ func TestClientRetriesWhileServerDown(t *testing.T) {
 	// Recover 50ms later, while a pull is retrying.
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		c.Master.CheckServers()
+		expire(c.Master, addr)
 	}()
 	got, err := v.PullAll()
 	if err != nil {
@@ -490,9 +502,11 @@ func TestClientRetriesWhileServerDown(t *testing.T) {
 	}
 }
 
-func TestMonitorRecoversAutomatically(t *testing.T) {
+// TestLeaseRecoversAutomatically: with nothing but a lease configured, a
+// killed server is detected, restarted and restored in the background.
+func TestLeaseRecoversAutomatically(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		NumServers: 2, NamePrefix: "mon", MonitorInterval: 10 * time.Millisecond,
+		NumServers: 2, NamePrefix: "lease", LeaseDuration: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +517,7 @@ func TestMonitorRecoversAutomatically(t *testing.T) {
 	v.Fill(2)
 	cl.Checkpoint("m")
 	c.KillServer(c.ServerAddrs()[1])
-	got, err := v.PullAll() // retried until monitor restores the server
+	got, err := v.PullAll() // retried until the lease expires and the server is restored
 	if err != nil {
 		t.Fatalf("pull: %v", err)
 	}
@@ -525,7 +539,7 @@ func TestOptimizerStateSurvivesCheckpoint(t *testing.T) {
 	cl.Checkpoint("w")
 	mid, _ := m.PullAll()
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	// Training continues from restored optimizer state and still converges.
 	for i := 0; i < 150; i++ {
 		x, _ := m.PullAll()
@@ -785,7 +799,7 @@ func TestCSRSurvivesCheckpointRestore(t *testing.T) {
 	}
 	victim := c.ServerAddrs()[0]
 	c.KillServer(victim)
-	c.Master.CheckServers()
+	expire(c.Master, victim)
 	got, err := n.Pull([]int64{1, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -879,7 +893,7 @@ func TestMultiPartitionRecovery(t *testing.T) {
 	cl.Checkpoint("mr")
 	// Killing one of two servers loses three of six partitions.
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	got, err := v.PullAll()
 	if err != nil {
 		t.Fatal(err)
@@ -895,7 +909,7 @@ func TestPeriodicCheckpointRecovers(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		NumServers:         2,
 		NamePrefix:         "periodic",
-		MonitorInterval:    5 * time.Millisecond,
+		LeaseDuration:      20 * time.Millisecond,
 		CheckpointInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -914,7 +928,7 @@ func TestPeriodicCheckpointRecovers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	c.KillServer(c.ServerAddrs()[0])
-	got, err := v.PullAll() // monitor recovers; restore uses the periodic snapshot
+	got, err := v.PullAll() // lease expiry recovers; restore uses the periodic snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -962,7 +976,7 @@ func TestRecoveryCountAndRestoreModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.KillServer(c.ServerAddrs()[0])
-	c.Master.CheckServers()
+	expire(c.Master, c.ServerAddrs()[0])
 	n1, err := cl.RecoveryCount()
 	if err != nil {
 		t.Fatal(err)
@@ -1029,7 +1043,7 @@ func TestClusterOverTCPTransport(t *testing.T) {
 	}
 	victim := c.ServerAddrs()[1]
 	c.KillServer(victim)
-	if got := c.Master.CheckServers(); len(got) != 1 {
+	if got := expire(c.Master, victim); len(got) != 1 {
 		t.Fatalf("recovered = %v", got)
 	}
 	got, err := v.PullAll()

@@ -294,11 +294,12 @@ func (s *Server) seedBackup(req seedBackupReq) error {
 }
 
 // StartHeartbeat begins pushing lease renewals to the master every
-// interval and arms the self-fence at the lease duration: the server
-// stops accepting mutations once it has gone a full lease without an
-// ack, because by then the master may have promoted its partitions.
-func (s *Server) StartHeartbeat(master string, interval, lease time.Duration) {
-	if s.repl.out == nil {
+// quarter lease and arms the self-fence at the lease duration: the
+// server stops accepting mutations once it has gone a full lease without
+// an ack, because by then the master may have promoted its partitions.
+// A lease of zero starts nothing.
+func (s *Server) StartHeartbeat(master string, lease time.Duration) {
+	if s.repl.out == nil || lease <= 0 {
 		return
 	}
 	s.repl.hbMu.Lock()
@@ -306,12 +307,7 @@ func (s *Server) StartHeartbeat(master string, interval, lease time.Duration) {
 	if s.repl.hbStop != nil {
 		return
 	}
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	if lease > 0 {
-		s.repl.fenceNs.Store(int64(lease))
-	}
+	s.repl.fenceNs.Store(int64(lease))
 	s.repl.lastAckNs.Store(time.Now().UnixNano())
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -320,7 +316,7 @@ func (s *Server) StartHeartbeat(master string, interval, lease time.Duration) {
 	go func() {
 		defer close(done)
 		s.beat(master)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(max(lease/4, time.Millisecond))
 		defer t.Stop()
 		for {
 			select {

@@ -157,9 +157,9 @@ func TestEndToEndLineEmbeddings(t *testing.T) {
 
 func TestEndToEndFailureRecovery(t *testing.T) {
 	ctx, err := psgraph.New(psgraph.Config{
-		NumExecutors:    3,
-		NumServers:      3,
-		MonitorInterval: 10 * time.Millisecond,
+		NumExecutors:  3,
+		NumServers:    3,
+		LeaseDuration: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
