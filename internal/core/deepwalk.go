@@ -143,7 +143,7 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 				if len(b.us) == 0 {
 					return nil
 				}
-				err := lineStepPSFunc(ctx, embName, ctxName, b, cfg.LR)
+				err := lineStepPSFunc(ctx, embName, ctxName, *b, cfg.LR)
 				b.us, b.vs, b.labels = b.us[:0], b.vs[:0], b.labels[:0]
 				return err
 			}

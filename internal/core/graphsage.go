@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -422,15 +421,9 @@ type batchBuilder struct {
 	cfg  GraphSageConfig
 	rng  *rand.Rand
 
-	// Open-addressed id → row table of the batch under construction, a
-	// power of two wide; rows are stored +1, so a cleared table is empty.
-	keys  []int64
-	rows  []int32
-	shift uint
-
-	order []int64   // vertex of every feature row
-	feats []float64 // block the features are pulled into, row i = order[i]
-	samp  []int64   // one vertex's sample, before it becomes rows
+	idTable           // feature row of every vertex of the batch; order: vertex of every row
+	feats   []float64 // block the features are pulled into, row i = order[i]
+	samp    []int64   // one vertex's sample, before it becomes rows
 	// Sampled neighbourhoods as feature rows, one segment per draw: the
 	// hop-1 draws by batch position, then the hop-2 draws by layer-1 row.
 	idx, off []int32
@@ -442,29 +435,11 @@ type batchBuilder struct {
 }
 
 // reset empties the builder for a batch that touches at most maxIDs
-// vertices, keeping the table at most half full.
+// vertices.
 func (b *batchBuilder) reset(maxIDs int) {
-	if lg := bits.Len(uint(2*maxIDs - 1)); 1<<lg > len(b.rows) {
-		b.keys, b.rows, b.shift = make([]int64, 1<<lg), make([]int32, 1<<lg), uint(64-lg)
-	} else {
-		clear(b.rows)
-	}
-	b.order, b.idx, b.off = b.order[:0], b.idx[:0], append(b.off[:0], 0)
+	b.idTable.reset(maxIDs)
+	b.idx, b.off = b.idx[:0], append(b.off[:0], 0)
 	b.first, b.self2, b.segs = b.first[:0], b.self2[:0], b.segs[:0]
-}
-
-// row returns the feature row of v, giving it the next one on first sight.
-func (b *batchBuilder) row(v int64) int32 {
-	mask := uint64(len(b.rows) - 1)
-	i := (uint64(v) * 0x9e3779b97f4a7c15) >> b.shift
-	for ; b.rows[i] != 0; i = (i + 1) & mask {
-		if b.keys[i] == v {
-			return b.rows[i] - 1
-		}
-	}
-	b.order = append(b.order, v)
-	b.keys[i], b.rows[i] = v, int32(len(b.order))
-	return int32(len(b.order) - 1)
 }
 
 // sample draws up to k of ns and appends their rows as one segment.

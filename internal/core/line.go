@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -52,18 +53,14 @@ type LineConfig struct {
 	// WindowBatches is the number of mini-batches per clock window.
 	// Defaults to 4.
 	WindowBatches int
-	// Prefetch pipelines the next batch's row pulls under the current
-	// batch's gradient math, through a versioned client-side row cache that
-	// is invalidated on every clock advance (PullVectors path only; the
-	// psFunc path moves no rows to prefetch).
+	// Prefetch pulls each model's rows for a whole clock window in one pull
+	// of the window's distinct ids, before its first batch, instead of one
+	// pull per batch (PullVectors path only; the psFunc path moves no rows).
 	Prefetch bool
-	// Coalesce merges adjacent row pushes locally (sum-combine) and sends
-	// one wire message per partition per CoalesceWindow batches
-	// (PullVectors path only).
+	// Coalesce sums a clock window's row updates on the worker and sends
+	// them in one push per model after its last batch, instead of one push
+	// per batch (PullVectors path only).
 	Coalesce bool
-	// CoalesceWindow is the number of pushes merged per flush. Defaults to
-	// WindowBatches; the coalescer always flushes before a clock advance.
-	CoalesceWindow int
 }
 
 func (c *LineConfig) setDefaults() {
@@ -75,9 +72,6 @@ func (c *LineConfig) setDefaults() {
 	c.LR = cmp.Or(c.LR, 0.025)
 	if c.WindowBatches <= 0 {
 		c.WindowBatches = 4
-	}
-	if c.CoalesceWindow <= 0 {
-		c.CoalesceWindow = c.WindowBatches
 	}
 }
 
@@ -152,23 +146,21 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 	return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
 }
 
-// lineBatch is one prepared mini-batch: the pairs as two id columns
-// (us[i], vs[i]) with their labels — the shape the psFunc argument, the
-// row pulls and lineGrads all take — plus, when prefetching, the row pulls
-// already in flight underneath the previous batch's gradient math.
+// lineBatch is a clock window's prepared mini-batches: the pairs of all of
+// them as two id columns (us[i], vs[i]) with their labels — the shape the
+// psFunc argument, the row pulls and lineGrads all take — and where each
+// batch's pairs end. The worker refills it window after window.
 type lineBatch struct {
-	us, vs     []int64
-	labels     []float64
-	uPre, vPre *ps.Prefetch
+	us, vs []int64
+	labels []float64
+	ends   []int
 }
 
-// newLineBatch expands edges into training pairs: each positive pair is
-// followed by its negatives, which share its U — so the columns hold
+// addBatch appends a batch of edges as training pairs: each positive pair
+// is followed by its negatives, which share its U — so the columns hold
 // runs of 1 + negSamples equal U ids (fewer where a draw hit the positive
 // and was dropped). The servers' row lookup resolves emb[U] once per run.
-func newLineBatch(edges []Edge, negSamples int, sampler *degreeSampler, rng *rand.Rand) *lineBatch {
-	n := len(edges) * (1 + negSamples)
-	b := &lineBatch{us: make([]int64, 0, n), vs: make([]int64, 0, n), labels: make([]float64, 0, n)}
+func (b *lineBatch) addBatch(edges []Edge, negSamples int, sampler *degreeSampler, rng *rand.Rand) {
 	for _, e := range edges {
 		b.add(e.Src, e.Dst, 1)
 		for k := 0; k < negSamples; k++ {
@@ -177,7 +169,7 @@ func newLineBatch(edges []Edge, negSamples int, sampler *degreeSampler, rng *ran
 			}
 		}
 	}
-	return b
+	b.ends = append(b.ends, len(b.us))
 }
 
 func (b *lineBatch) add(u, v int64, label float64) {
@@ -196,18 +188,8 @@ func (b *lineBatch) add(u, v int64, label float64) {
 // otherwise a queued task's frozen clock would stall the ring forever. ASP
 // trains on the caller's partitions as given.
 //
-// Overlap machinery, both PullVectors-path only (the psFunc path moves no
-// rows for the client to prefetch or coalesce):
-//
-//   - Prefetch issues the NEXT batch's row pulls under the current
-//     batch's gradient math, through the versioned client row cache. The
-//     pipeline never crosses a clock advance — rows pulled in window c
-//     must not serve window c+1 — and the caches are invalidated from the
-//     clock's OnAdvance hook.
-//   - Coalesce buffers row updates locally (sum-combine) and flushes one
-//     wire message per partition per CoalesceWindow batches, always
-//     flushing before a clock advance so peers observe the window's
-//     updates once their own clock admits them.
+// A window's batches are drawn before any trains, with the same draws as one
+// batch at a time; the PullVectors path then trains them in lineRows.window.
 func lineTrain(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, k int, embName, otherName string, sampler *degreeSampler, parts int) error {
 	if k >= 0 {
 		all, err := edges.Collect()
@@ -218,9 +200,13 @@ func lineTrain(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, k int, e
 	}
 	workers := edges.NumPartitions()
 	tag := embName + "/ssp"
-	overlap := cfg.Prefetch && cfg.PullVectors
+	span := cfg.WindowBatches * cfg.BatchSize
 	return edges.ForeachPartition(func(worker int, in []Edge) error {
-		eh, oh, err := lineHandles(ctx, embName, otherName)
+		eh, err := ctx.Agent.Embedding(embName)
+		oh := eh // the same model under first-order proximity
+		if err == nil && otherName != embName {
+			oh, err = ctx.Agent.Embedding(otherName)
+		}
 		if err != nil {
 			return err
 		}
@@ -228,76 +214,36 @@ func lineTrain(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, k int, e
 		if d := ctx.cfg.LeaseDuration; d > 0 {
 			clock.SetLease(d)
 		}
-		if overlap {
-			clock.OnAdvance(eh.InvalidateRows)
-			if oh != eh {
-				clock.OnAdvance(oh.InvalidateRows)
-			}
+		rows := &lineRows{side: [2]lineSide{{e: eh}, {e: oh}}, lr: cfg.LR}
+		if cfg.Prefetch {
+			rows.read = perWindow
 		}
-		var uCo, vCo *ps.Coalescer
-		if cfg.Coalesce && cfg.PullVectors {
-			uCo = eh.Coalescer(cfg.CoalesceWindow, false)
-			vCo = oh.Coalescer(cfg.CoalesceWindow, false)
+		if cfg.Coalesce {
+			rows.write = perWindow
 		}
-		tick := func() error {
-			if uCo != nil {
-				if err := uCo.Flush(); err != nil {
-					return err
-				}
-				if err := vCo.Flush(); err != nil {
-					return err
-				}
-			}
-			return clock.Tick()
-		}
-		prepare := func(batch []Edge, rng *rand.Rand, prefetch bool) *lineBatch {
-			b := newLineBatch(batch, cfg.NegSamples, sampler, rng)
-			if prefetch {
-				b.uPre = eh.PrefetchRows(b.us)
-				b.vPre = oh.PrefetchRows(b.vs)
-			}
-			return b
-		}
-		sinceTick := 0
-		var next *lineBatch
-		var upd [2][]float64 // lineGrads' update blocks, reused batch after batch
+		var win lineBatch
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*1000003 + int64(worker)))
-			for start := 0; start < len(in); start += cfg.BatchSize {
-				end := min(start+cfg.BatchSize, len(in))
-				cur := next
-				next = nil
-				if cur == nil {
-					cur = prepare(in[start:end], rng, overlap)
-				}
-				// Issue the next batch's pulls before computing this one, but
-				// never across the upcoming clock advance.
-				if overlap && sinceTick+1 < cfg.WindowBatches {
-					if nstart := start + cfg.BatchSize; nstart < len(in) {
-						next = prepare(in[nstart:min(nstart+cfg.BatchSize, len(in))], rng, true)
-					}
+			// Epoch boundaries are always window edges.
+			for start := 0; start < len(in); start += span {
+				win.us, win.vs, win.labels, win.ends = win.us[:0], win.vs[:0], win.labels[:0], win.ends[:0]
+				for lo := start; lo < min(start+span, len(in)); lo += cfg.BatchSize {
+					win.addBatch(in[lo:min(lo+cfg.BatchSize, len(in))], cfg.NegSamples, sampler, rng)
 				}
 				if cfg.PullVectors {
-					err = lineStepRelaxed(eh, oh, cur, uCo, vCo, cfg.LR, &upd)
+					err = rows.window(&win)
 				} else {
-					err = lineStepPSFunc(ctx, embName, otherName, cur, cfg.LR)
+					for lo, j := 0, 0; j < len(win.ends) && err == nil; lo, j = win.ends[j], j+1 {
+						b := lineBatch{us: win.us[lo:win.ends[j]], vs: win.vs[lo:win.ends[j]], labels: win.labels[lo:win.ends[j]]}
+						err = lineStepPSFunc(ctx, embName, otherName, b, cfg.LR)
+					}
 				}
 				if err != nil {
 					return err
 				}
-				if sinceTick++; sinceTick >= cfg.WindowBatches {
-					if err := tick(); err != nil {
-						return err
-					}
-					sinceTick = 0
-				}
-			}
-			// Epoch boundaries are always window edges.
-			if sinceTick > 0 {
-				if err := tick(); err != nil {
+				if err := clock.Tick(); err != nil {
 					return err
 				}
-				sinceTick = 0
 			}
 		}
 		// Completed workers leave the ring so stragglers never wait on them.
@@ -305,49 +251,96 @@ func lineTrain(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig, k int, e
 	})
 }
 
-// lineStepRelaxed is the unoptimized step — pull every needed vector,
-// compute locally, push updates (2·Dim floats per pair each way) — fed
-// from the pipeline: rows come from the in-flight prefetch when one was
-// issued, and updates go through the coalescers when coalescing is on.
-func lineStepRelaxed(eh, oh *ps.Emb, b *lineBatch, uCo, vCo *ps.Coalescer, lr float64, upd *[2][]float64) error {
-	var u, v pulledRows
-	var err error
-	if b.uPre != nil {
-		// The blocks go back to their handles when the step returns: by then
-		// the pushes, whose batches alias the pulled ids, have kept nothing.
-		defer b.uPre.Release()
-		defer b.vPre.Release()
-		if u.rows, u.pos, err = b.uPre.Batch(); err != nil {
-			return err
+// lineRows is the unoptimized path of Sec. IV-D — pull every needed vector,
+// compute locally, push updates (2·Dim floats per pair each way) — and the
+// memory a worker keeps for it from window to window: per model (the
+// embedding, then the other one) its ids numbered at a batch's and at the
+// window's granularity, the rows pulled and the updates summed.
+type lineRows struct {
+	side        [2]lineSide
+	read, write int // granularity of the pulls and of the pushes: perBatch or perWindow
+	lr          float64
+}
+
+const (
+	perBatch = iota
+	perWindow
+)
+
+// lineSide is one model's column, by granularity: ids numbers the distinct
+// ids, pos[g][i] is the row of pair i.
+type lineSide struct {
+	e         *ps.Emb
+	ids       [2]idTable
+	pos       [2][]int32
+	rows, upd []float64
+}
+
+// window trains on one clock window's pairs. Prefetch pulls each model's
+// rows for the whole window once, before the first batch, Coalesce pushes
+// each model's summed updates once, after the last; otherwise every batch
+// pulls or pushes its own. A window thus reads one version of each row,
+// pulled after the clock admitted it, and never its own updates. With both
+// knobs off this is the per-batch strawman, pull for pull and push for push.
+func (w *lineRows) window(b *lineBatch) error {
+	lo := 0
+	for j, hi := range b.ends {
+		spans := [2][2]int{{lo, hi}, {0, len(b.us)}} // by granularity
+		for g, sp := range spans {
+			if (w.read == g || w.write == g) && (g == perBatch || j == 0) {
+				if err := w.begin(g, b.us[sp[0]:sp[1]], b.vs[sp[0]:sp[1]]); err != nil {
+					return err
+				}
+			}
 		}
-		if v.rows, v.pos, err = b.vPre.Batch(); err != nil {
-			return err
+		var cols [2]lineCol
+		for k := range w.side {
+			s := &w.side[k]
+			r, u := lo-spans[w.read][0], lo-spans[w.write][0]
+			cols[k] = lineCol{rpos: s.pos[w.read][r : r+hi-lo], wpos: s.pos[w.write][u : u+hi-lo], rows: s.rows, upd: s.upd}
 		}
-	} else {
-		if u.rows, u.pos, err = eh.PullBatch(b.us); err != nil {
-			return err
+		lineGrads(b.labels[lo:hi], cols[0], cols[1], w.side[0].e.Meta.Dim, w.lr)
+		if w.write == perBatch || j == len(b.ends)-1 {
+			for k := range w.side {
+				s := &w.side[k]
+				// A push keeps nothing of its batch (DESIGN.md §11): the block is free again.
+				if err := s.e.PushAddBatch(ps.RowBatch{IDs: s.ids[w.write].order, Dim: s.e.Meta.Dim, Data: s.upd}); err != nil {
+					return err
+				}
+			}
 		}
-		if v.rows, v.pos, err = oh.PullBatch(b.vs); err != nil {
-			return err
+		lo = hi
+	}
+	return nil
+}
+
+// begin numbers the ids of granularity g's pairs, pulls their rows when the
+// reads are at g and zeroes their updates when the writes are. The blocks
+// are the worker's, made once and grown as needed.
+func (w *lineRows) begin(g int, us, vs []int64) error {
+	for k, col := range [2][]int64{us, vs} {
+		s := &w.side[k]
+		ids := &s.ids[g]
+		s.pos[g] = ids.dedupIDs(col, s.pos[g])
+		n := len(ids.order) * s.e.Meta.Dim
+		if w.read == g {
+			s.rows = slices.Grow(s.rows[:0], n)[:n]
+			if err := s.e.PullInto(ids.order, s.rows); err != nil {
+				return err
+			}
+		}
+		if w.write == g {
+			s.upd = slices.Grow(s.upd[:0], n)[:n]
+			clear(s.upd)
 		}
 	}
-	uUpd, vUpd := lineGrads(b, u, v, lr, upd)
-	if uCo != nil {
-		if err := uCo.PushBatch(uUpd); err != nil {
-			return err
-		}
-		return vCo.PushBatch(vUpd)
-	}
-	if err := eh.PushAddBatch(uUpd); err != nil {
-		return err
-	}
-	return oh.PushAddBatch(vUpd)
+	return nil
 }
 
 // lineStepPSFunc runs one SGD step with server-side dot products and
 // updates. The pair columns are encoded once: the update argument is the
 // dot argument plus the coefficients.
-func lineStepPSFunc(ctx *Context, embName, otherName string, b *lineBatch, lr float64) error {
+func lineStepPSFunc(ctx *Context, embName, otherName string, b lineBatch, lr float64) error {
 	n := len(b.us)
 	// Room for the coefficient block, so the update append stays in place.
 	arg := appendLinePairs(make([]byte, 0, 32+len(otherName)+14*n), otherName, b.us, b.vs)
@@ -378,53 +371,83 @@ func lineStepPSFunc(ctx *Context, embName, otherName string, b *lineBatch, lr fl
 	return err
 }
 
-// lineHandles resolves the embedding model and the other model (the same
-// handle under first-order proximity).
-func lineHandles(ctx *Context, embName, otherName string) (eh, oh *ps.Emb, err error) {
-	if eh, err = ctx.Agent.Embedding(embName); err != nil || otherName == embName {
-		return eh, eh, err
-	}
-	oh, err = ctx.Agent.Embedding(otherName)
-	return eh, oh, err
+// lineCol is one id column of a batch as lineGrads sees it: pair i reads
+// its row rpos[i] of rows and adds its update into row wpos[i] of upd.
+type lineCol struct {
+	rpos, wpos []int32
+	rows, upd  []float64
 }
 
-// pulledRows is one id column of a batch as the PS returned it: the
-// distinct rows, and for pair i the row pos[i] that holds its id.
-type pulledRows struct {
-	rows ps.RowBatch
-	pos  []int32
-}
-
-// lineGrads computes the logistic-loss row updates for a batch from
-// pulled embedding (u) and context (v) rows. The updates are batches
-// parallel to the pulled ones — one zero-initialised row per distinct id
-// — so a pair finds its rows and its update rows by position, not by id.
-// Their blocks are upd's, zeroed and grown as needed: a push keeps nothing
-// of the batch it is given (DESIGN.md §11), so the next step may overwrite
-// them.
-func lineGrads(b *lineBatch, u, v pulledRows, lr float64, upd *[2][]float64) (uUpd, vUpd ps.RowBatch) {
-	for k, n := range [2]int{len(u.rows.Data), len(v.rows.Data)} {
-		upd[k] = slices.Grow(upd[k][:0], n)[:n]
-		clear(upd[k])
-	}
-	uUpd = ps.RowBatch{IDs: u.rows.IDs, Dim: u.rows.Dim, Data: upd[0]}
-	vUpd = ps.RowBatch{IDs: v.rows.IDs, Dim: v.rows.Dim, Data: upd[1]}
-	for i := range b.us {
-		ui, vi := int(u.pos[i]), int(v.pos[i])
-		urow, vrow := u.rows.Row(ui), v.rows.Row(vi)
-		vrow = vrow[:len(urow)]
+// lineGrads computes the logistic-loss updates of a batch's pairs from the
+// pulled embedding (u) and context (v) rows and adds them into the update
+// blocks, dim values a row. It allocates nothing.
+func lineGrads(labels []float64, u, v lineCol, dim int, lr float64) {
+	for i, label := range labels {
+		ur, vr := int(u.rpos[i])*dim, int(v.rpos[i])*dim
+		urow := u.rows[ur : ur+dim]
+		vrow := v.rows[vr : vr+dim][:len(urow)]
 		var dot float64
 		for j := range urow {
 			dot += urow[j] * vrow[j]
 		}
-		g := lr * (b.labels[i] - sigmoid(dot))
-		du, dv := uUpd.Row(ui), vUpd.Row(vi)
+		g := lr * (label - sigmoid(dot))
+		uw, vw := int(u.wpos[i])*dim, int(v.wpos[i])*dim
+		du, dv := u.upd[uw : uw+dim][:len(urow)], v.upd[vw : vw+dim][:len(urow)]
 		for j := range urow {
 			du[j] += g * vrow[j]
 			dv[j] += g * urow[j]
 		}
 	}
-	return uUpd, vUpd
+}
+
+// idTable numbers ids by first sight: an open-addressed id → row table, a
+// power of two wide, rows stored +1 so a cleared table is empty; order
+// lists the ids by row. Its users reset it per batch and keep its memory.
+type idTable struct {
+	keys  []int64
+	rows  []int32
+	shift uint
+	order []int64
+}
+
+// reset empties the table for at most maxIDs ids, keeping it at most half
+// full.
+func (t *idTable) reset(maxIDs int) {
+	if lg := bits.Len(uint(2*maxIDs - 1)); 1<<lg > len(t.rows) {
+		t.keys, t.rows, t.shift = make([]int64, 1<<lg), make([]int32, 1<<lg), uint(64-lg)
+	} else {
+		clear(t.rows)
+	}
+	t.order = t.order[:0]
+}
+
+// dedupIDs numbers ids afresh and returns, in pos, every id's row. Runs of
+// equal ids (LINE's U column) skip the table.
+func (t *idTable) dedupIDs(ids []int64, pos []int32) []int32 {
+	t.reset(len(ids))
+	pos = pos[:0]
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			pos = append(pos, pos[i-1])
+		} else {
+			pos = append(pos, t.row(id))
+		}
+	}
+	return pos
+}
+
+// row returns the row of v, giving it the next one on first sight.
+func (t *idTable) row(v int64) int32 {
+	mask := uint64(len(t.rows) - 1)
+	i := (uint64(v) * 0x9e3779b97f4a7c15) >> t.shift
+	for ; t.rows[i] != 0; i = (i + 1) & mask {
+		if t.keys[i] == v {
+			return t.rows[i] - 1
+		}
+	}
+	t.order = append(t.order, v)
+	t.keys[i], t.rows[i] = v, int32(len(t.order))
+	return int32(len(t.order) - 1)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -361,7 +361,7 @@ func TestLineStepRejectsWrongDotCount(t *testing.T) {
 		return ps.AppendArgF64s(nil, make([]float64, len(a.us)+extra)), nil
 	})
 	t.Cleanup(func() { ps.RegisterReplaySafeFunc("core.lineDot", lineDotFunc) })
-	b := &lineBatch{us: []int64{1, 1, 2}, vs: []int64{2, 3, 1}, labels: []float64{1, 0, 1}}
+	b := lineBatch{us: []int64{1, 1, 2}, vs: []int64{2, 3, 1}, labels: []float64{1, 0, 1}}
 	for _, extra = range []int{1, -1} {
 		err := lineStepPSFunc(ctx, "bad.emb", "bad.emb", b, 0.025)
 		if err == nil || !strings.Contains(err.Error(), "partition 0 of bad.emb") {
@@ -399,7 +399,8 @@ func lineKernelBench(b *testing.B) (s *ps.Store, dots, upds [][]byte) {
 	}
 	sampler, rng := newAliasSampler(ids, deg), rand.New(rand.NewSource(1))
 	for k := 0; k < batches; k++ {
-		lb := newLineBatch(edges[k*batch:(k+1)*batch], 5, sampler, rng)
+		lb := new(lineBatch)
+		lb.addBatch(edges[k*batch:(k+1)*batch], 5, sampler, rng)
 		dot := appendLinePairs(nil, "bench.ctx", lb.us, lb.vs)
 		g := make([]float64, len(lb.us))
 		for i := range g {

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"psgraph/internal/gen"
-	"psgraph/internal/ps"
 	"psgraph/internal/rpc"
 )
 
@@ -205,64 +203,5 @@ func TestGraphSageSSPLearns(t *testing.T) {
 	}
 	if res.TestAccuracy < 0.8 {
 		t.Fatalf("SSP test accuracy = %v, want >= 0.8 (losses %v)", res.TestAccuracy, res.Losses)
-	}
-}
-
-// TestLineRelaxedStepAllocationBudget: one relaxed LINE step — two batch
-// pulls, lineGrads, two coalesced pushes, a flush every fourth — makes its
-// update blocks once per worker, not twice per batch. lineGrads itself
-// allocates nothing past its first call (the blocks were 5.4 GB of a
-// line-rows-tcp run), and the whole step stays within a count that has no
-// room for a block per row: 105 per step measured (110 under -race), the
-// budget is that plus 10%.
-func TestLineRelaxedStepAllocationBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counts are measured without -short")
-	}
-	ctx := newTestContext(t)
-	edges := make([]Edge, 512)
-	rng := rand.New(rand.NewSource(9))
-	for i := range edges {
-		edges[i] = Edge{Src: int64(i / 4), Dst: rng.Int63n(2000)}
-	}
-	sampler, err := newDegreeSampler(edgesRDD(ctx, edges, 2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var handles [2]*ps.Emb
-	for k, name := range []string{"budget.emb", "budget.ctx"} {
-		if handles[k], err = ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{Name: name, Dim: 32, ByColumn: true, InitScale: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eh, oh := handles[0], handles[1]
-	b := newLineBatch(edges, 5, sampler, rng)
-	uCo, vCo := eh.Coalescer(4, false), oh.Coalescer(4, false)
-	var upd [2][]float64
-	step := func() {
-		if err := lineStepRelaxed(eh, oh, b, uCo, vCo, 0.025, &upd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		step() // size the update blocks and the coalescers' windows
-	}
-	if n := testing.AllocsPerRun(20, step); n > 121 {
-		t.Errorf("one relaxed LINE step of %d pairs makes %v allocations, budget 121", len(b.us), n)
-	}
-	var u, v pulledRows
-	if u.rows, u.pos, err = eh.PullBatch(b.us); err != nil {
-		t.Fatal(err)
-	}
-	if v.rows, v.pos, err = oh.PullBatch(b.vs); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() { lineGrads(b, u, v, 0.025, &upd) }); n > 0 {
-		t.Errorf("lineGrads makes %v allocations past its first batch", n)
-	}
-	uUpd, vUpd := lineGrads(b, u, v, 0.025, &upd)
-	if len(uUpd.Data) != len(u.rows.Data) || len(vUpd.Data) != len(v.rows.Data) || &uUpd.Data[0] != &upd[0][0] {
-		t.Errorf("update batches of %d and %d values for pulls of %d and %d, in the worker's blocks: %v",
-			len(uUpd.Data), len(vUpd.Data), len(u.rows.Data), len(v.rows.Data), &uUpd.Data[0] == &upd[0][0])
 	}
 }

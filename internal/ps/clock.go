@@ -214,10 +214,9 @@ func (t *clockTable) retire(req clockReq) {
 // SSPClock is a worker's handle on one SSP clock ring. A training loop
 // calls Tick once per window (mini-batch group): with k >= 0 it publishes
 // the new clock and blocks until the slowest live worker is within k
-// clocks — one ClockWait — then runs the registered OnAdvance hooks
-// (row-cache invalidation). Retire releases the worker's slot when the
+// clocks — one ClockWait. Retire releases the worker's slot when the
 // loop finishes so completed workers cannot stall stragglers. With k < 0
-// (ASP) nobody waits, so Tick only runs the hooks and Retire is a no-op.
+// (ASP) nobody waits, so Tick only counts the clock and Retire is a no-op.
 //
 // Clock RPCs are deliberately NOT dedup-enveloped: ClockWait is idempotent
 // (absolute clock, max-merge) and retire is naturally retry-safe.
@@ -229,12 +228,11 @@ type SSPClock struct {
 	k      int
 	lease  time.Duration
 	clock  int64
-	hooks  []func()
 }
 
 // SSPClock creates a handle for worker (0 <= worker < expect) on the ring
 // named tag. k bounds the clock spread: 0 is BSP lock-step; a negative k
-// selects ASP (no ring: Tick runs the hooks and never calls the master).
+// selects ASP (no ring: Tick never calls the master).
 func (c *Client) SSPClock(tag string, worker, expect, k int) *SSPClock {
 	return &SSPClock{c: c, tag: tag, worker: worker, expect: expect, k: k}
 }
@@ -244,31 +242,20 @@ func (c *Client) SSPClock(tag string, worker, expect, k int) *SSPClock {
 // failover lease.
 func (s *SSPClock) SetLease(d time.Duration) { s.lease = d }
 
-// OnAdvance registers a hook run once per window, after the window's
-// ClockWait returns. Prefetch caches register their invalidation here:
-// no pull is in flight across a window edge, and a cache insert racing
-// the invalidation is dropped by its version fence.
-func (s *SSPClock) OnAdvance(fn func()) { s.hooks = append(s.hooks, fn) }
-
 // Clock returns the worker's current clock value.
 func (s *SSPClock) Clock() int64 { return s.clock }
 
 // Tick completes one window: publish the new clock and wait until the
 // slowest live worker is within k clocks (no call at all when k < 0, i.e.
-// ASP), then run the hooks. After a master restart the same call rebuilds
-// the ring, which is not journaled, at this worker's absolute clock.
+// ASP). After a master restart the same call rebuilds the ring, which is
+// not journaled, at this worker's absolute clock.
 func (s *SSPClock) Tick() error {
 	s.clock++
-	if s.k >= 0 {
-		req := clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect, K: s.k, Clock: s.clock, LeaseNS: int64(s.lease)}
-		if err := s.c.invoke(s.c.masterAddr, "ClockWait", req, nil); err != nil {
-			return err
-		}
+	if s.k < 0 {
+		return nil
 	}
-	for _, fn := range s.hooks {
-		fn()
-	}
-	return nil
+	req := clockReq{Tag: s.tag, Worker: s.worker, Expect: s.expect, K: s.k, Clock: s.clock, LeaseNS: int64(s.lease)}
+	return s.c.invoke(s.c.masterAddr, "ClockWait", req, nil)
 }
 
 // Retire releases this worker's slot; the ring no longer counts it in the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -467,6 +468,49 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), corruptCheckpointMsg) {
 		t.Fatalf("error does not identify corruption: %v", err)
+	}
+}
+
+// TestCheckpointRidesOutADroppedPrepareReply: the reply of one CkptPrepare
+// to a live server is lost. The stage is idempotent and is sent again, so
+// the fenced checkpoint still publishes (raced false) — a roll-back would
+// discard a good iteration — and a later restore brings back what it took.
+func TestCheckpointRidesOutADroppedPrepareReply(t *testing.T) {
+	f := rpc.NewFaulty(rpc.NewInProc(), 1)
+	c, err := NewCluster(ClusterConfig{NumServers: 2, FS: dfs.NewDefault(), Transport: f, NamePrefix: "ckdrop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	agent := c.NewClient()
+	v, err := agent.CreateDenseVector(DenseVectorSpec{Name: "kv", Size: 8, ConsistentRecovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := v.SetAll(taken); err != nil {
+		t.Fatal(err)
+	}
+	fence, err := agent.RecoveryCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.DropResponses(c.ServerAddrs()[0], 1) // the next call there is the master's CkptPrepare
+	raced, err := agent.CheckpointModels([]string{"kv"}, fence)
+	if err != nil || raced {
+		t.Fatalf("checkpoint through one lost CkptPrepare reply: raced %v, err %v", raced, err)
+	}
+	if got := f.Stats().DroppedResponses; got != 1 {
+		t.Fatalf("dropped %d replies, want 1", got)
+	}
+	if err := v.SetAll(make([]float64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.RestoreModels([]string{"kv"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := v.PullAll(); err != nil || !slices.Equal(got, taken) {
+		t.Fatalf("restored %v (%v), want the checkpointed %v", got, err, taken)
 	}
 }
 

@@ -320,6 +320,18 @@ func (m *Master) callWithRetry(addr, method string, body []byte) ([]byte, error)
 	return retry.Call(m.tr, addr, method, body)
 }
 
+// retryBudget is how long a recovery or checkpoint call rides out an
+// unreachable server: one lease, or 10 s without leases. A server silent
+// for longer is dead, and waiting on it only delays its recovery.
+func (m *Master) retryBudget() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.leaseDur > 0 {
+		return m.leaseDur
+	}
+	return 10 * time.Second
+}
+
 // metasLocked returns the current layouts of the named models. Callers
 // hold m.mu.
 func (m *Master) metasLocked(names []string) ([]ModelMeta, error) {
@@ -353,9 +365,11 @@ func (m *Master) checkpointModel(name string) error {
 // The snapshot itself is two-phase: every partition of every model first
 // stages its encoded state next to the live checkpoint (CkptPrepare),
 // and only when all stages succeed does the master publish them with
-// local DFS renames. Server calls are made without retry: a dead server
-// aborts the checkpoint fast (raced=true) instead of blocking on a
-// restart that recovery — excluded by recMu — could never deliver.
+// local DFS renames. A stage is idempotent, so an unreachable server is
+// retried for about one lease (retryBudget): a lost reply from a live
+// server costs a retry, not a rolled-back iteration. Only a server still
+// unreachable then aborts the checkpoint (raced=true) — recovery, excluded
+// by recMu, could never restart it while the checkpoint waited longer.
 func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err error) {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
@@ -377,9 +391,11 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 	if fs == nil {
 		stage = "Checkpoint"
 	}
+	budget := m.retryBudget()
 	for _, meta := range metas {
 		for _, p := range meta.Parts {
-			if _, err := m.tr.Call(p.Server, stage, enc(ckptReq{Model: meta.Name, Part: p.Index})); err != nil {
+			retry := rpc.NewBackoff(5*time.Millisecond, 200*time.Millisecond, budget)
+			if _, err := retry.Call(m.tr, p.Server, stage, enc(ckptReq{Model: meta.Name, Part: p.Index})); err != nil {
 				if errors.Is(err, rpc.ErrUnreachable) {
 					mtrace("checkpoint %v aborted: %s unreachable", names, p.Server)
 					return true, nil
@@ -561,12 +577,9 @@ func (m *Master) stopLoop(l **loop) {
 // when its own lease expires. Caller holds recMu, so recovery never
 // interleaves with a checkpoint. It returns the addresses recovered.
 func (m *Master) recoverPending() ([]string, error) {
+	budget := m.retryBudget()
 	m.mu.Lock()
 	restart := m.restart
-	budget := m.leaseDur
-	if budget <= 0 {
-		budget = 10 * time.Second
-	}
 	var dead, up, gone []string
 	for _, s := range m.servers {
 		switch {

@@ -12,23 +12,20 @@ package ps
 //
 // Prefetched rows land in a per-(client, model) versioned cache.
 // The version is the consistency fence: every cache mutation checks it,
-// and InvalidateRows (wired to SSPClock.OnAdvance by the training loops)
-// bumps it and clears the cache, so rows pulled under clock c are never
-// served at clock c+1. A prefetch that was already in flight when the
-// clock advanced still resolves for its own caller, but the version
-// snapshot it took at launch no longer matches, so it cannot poison the
-// cache with stale rows. Rows are copied on both insert and serve —
+// and an invalidation (a layout change, a serving generation switch) bumps
+// it and clears the cache. A prefetch that was already in flight then
+// still resolves for its own caller, but the version snapshot it took at
+// launch no longer matches, so it cannot poison the cache with stale
+// rows. Rows are copied on both insert and serve —
 // callers routinely mutate pulled vectors in place — but never allocated:
 // the cache keeps its rows in one slab (a model's rows are all one
 // width) and a lookup copies hits into the caller's output block.
 //
 // The cache is a bounded LRU: every lookup hit and insert moves the row
 // to the front of an intrusive recency list, and an insert at the cap
-// evicts the tail and takes over its slot. Training prefetch
-// rarely feels the bound (the whole cache empties at the next clock
-// advance), but the serving tier (serve.go) reuses this cache for
-// long-lived read traffic where the working set exceeds memory and
-// recency is the whole game.
+// evicts the tail and takes over its slot. Its users are GraphSage's
+// feature prefetch and the serving tier (serve.go), whose long-lived read
+// traffic has a working set past memory, where recency is the whole game.
 
 import (
 	"errors"
@@ -320,14 +317,6 @@ func (rc *rowCache) lookup(ids []int64, dim int, dst []float64) (missing rowWork
 	rc.hits.Add(int64(len(ids) - len(missing.ids)))
 	rc.misses.Add(int64(len(missing.ids)))
 	return missing, rc.version
-}
-
-// InvalidateRows drops every cached row of this model and bumps the
-// version so in-flight prefetches cannot re-insert stale rows. Training
-// loops wire it to SSPClock.OnAdvance; it is the rule that keeps cached
-// parameters no staler than the clock bound k already allows.
-func (e *Emb) InvalidateRows() {
-	e.c.rowCache(e.Meta.Name).invalidate()
 }
 
 // Prefetch is an in-flight asynchronous row pull. Its blocks — rows, ids,

@@ -17,10 +17,9 @@ func prefetchAll(t testing.TB, e *Emb, ids []int64) *Prefetch {
 
 // TestPrefetchCycleAllocationBudget: in steady state — every row a cache
 // hit, the previous prefetch's blocks released — a PrefetchRows → Batch →
-// Release cycle allocates its handle and its channel and nothing else (at the
-// parent: the block, the id and position lists and a map, 800 KB a step on
-// line-rows-tcp); a coalescer past its first window absorbs a push with no
-// allocation at all.
+// Release cycle allocates its handle and its channel and nothing else (once:
+// the block, the id and position lists and a map, 800 KB a step on
+// line-rows-tcp).
 func TestPrefetchCycleAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are measured without -short")
@@ -34,33 +33,11 @@ func TestPrefetchCycleAllocationBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { prefetchAll(t, e, ids).Release() }); n > 2 {
 			t.Errorf("%s: a steady-state prefetch cycle makes %v allocations, want the handle and its channel", name, n)
 		}
-		rows, _, err := e.PullBatch(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		co := e.Coalescer(1<<30, false)
-		push := func() {
-			if err := co.PushBatch(rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		push()
-		if n := testing.AllocsPerRun(50, push); n != 0 {
-			t.Errorf("%s: a push into an open coalescer window makes %v allocations", name, n)
-		}
-		if err := co.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		push() // the window that came back from the flush
-		if n := testing.AllocsPerRun(50, push); n != 0 {
-			t.Errorf("%s: a push into a recycled coalescer window makes %v allocations", name, n)
-		}
 	})
 }
 
 // TestPrefetchBlocksAreNeverShared: two workers prefetch, check, scribble on
-// and release blocks of ONE handle, two prefetches in flight each (the LINE
-// pipeline's shape). A block handed to two prefetches at once shows up as a
+// and release blocks of ONE handle, two prefetches in flight each. A block handed to two prefetches at once shows up as a
 // row that is not its id's — each worker overwrites what it was given with
 // its own mark — and, under -race, as the write itself.
 func TestPrefetchBlocksAreNeverShared(t *testing.T) {
@@ -91,7 +68,7 @@ func TestPrefetchBlocksAreNeverShared(t *testing.T) {
 						nextIDs = all[lo : lo+8+r%17]
 						next = e.PrefetchRows(nextIDs)
 						if r%8 == 0 {
-							e.InvalidateRows()
+							e.c.rowCache(e.Meta.Name).invalidate()
 						}
 					}
 					if cur != nil {

@@ -437,55 +437,6 @@ func TestRowCacheDiesWithItsModel(t *testing.T) {
 	}
 }
 
-// TestCoalescerKeepsItsWindow: the flushed window comes back as the next
-// one — same block, same index, emptied — so a coalescer past its first
-// window adds into memory it already has, and what it then sends is the new
-// window only.
-func TestCoalescerKeepsItsWindow(t *testing.T) {
-	embLayouts(t, 2, func(name string, e *Emb) {
-		co := e.Coalescer(2, false)
-		push := func(id int64, x float64) {
-			t.Helper()
-			if err := co.PushBatch(RowBatch{IDs: []int64{id, 4}, Dim: 2, Data: []float64{x, x, 1, 1}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before, err := e.Pull([]int64{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		push(1, 10)
-		push(2, 20) // the window fills and flushes
-		indexed := 0
-		for _, o := range co.slot.slot {
-			if o != 0 {
-				indexed++
-			}
-		}
-		if len(co.pending.IDs) != 0 || indexed != 0 || co.slot.slot == nil || cap(co.pending.Data) < 6 {
-			t.Fatalf("%s: after a flush the coalescer holds %d pending rows, %d indexed, a block of %d values",
-				name, len(co.pending.IDs), indexed, cap(co.pending.Data))
-		}
-		block := &co.pending.Data[:1][0]
-		push(3, 30)
-		if &co.pending.Data[0] != block {
-			t.Errorf("%s: the next window was built in a new block", name)
-		}
-		if err := co.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		after, err := e.Pull([]int64{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, want := range map[int64]float64{1: 10, 2: 20, 3: 30, 4: 3} {
-			if got := after[id][0] - before[id][0]; math.Abs(got-want) > 1e-9 {
-				t.Errorf("%s: row %d moved by %v, want %v", name, id, got, want)
-			}
-		}
-	})
-}
-
 // BenchmarkEmbPushFrame: one batch push end to end, in-proc — the frames
 // written from the caller's batch, the envelopes, the engines applying the
 // rows from the frames under their shard locks — at the shape of a

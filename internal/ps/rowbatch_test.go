@@ -1137,70 +1137,6 @@ func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 	}
 }
 
-// TestCoalescerFlushRacesPush: pushes from one goroutine while another
-// flushes; every update must reach the servers exactly once. Run with
-// -race (CI does).
-func TestCoalescerFlushRacesPush(t *testing.T) {
-	embLayouts(t, 2, func(name string, e *Emb) {
-		co := e.Coalescer(4, false)
-		const pushers, each = 4, 50
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		flushed := make(chan struct{})
-		go func() {
-			defer close(flushed)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					if err := co.Flush(); err != nil {
-						t.Errorf("flush: %v", err)
-						return
-					}
-				}
-			}
-		}()
-		for g := 0; g < pushers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					b := RowBatch{IDs: []int64{1, int64(2 + i%3)}, Dim: 2, Data: []float64{1, 1, 2, 2}}
-					if err := co.PushBatch(b); err != nil {
-						t.Errorf("push: %v", err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(stop)
-		<-flushed
-		if err := co.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Pull([]int64{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := func(id int64) []float64 {
-			row := make([]float64, 2)
-			ri := rowIniter{scale: 0.5, col0: 0, col1: 2}
-			ri.initRowInto(row, id)
-			return row
-		}
-		var sum float64
-		for id, row := range got {
-			sum += row[0] - fresh(id)[0]
-		}
-		// Row 1 takes 1 per push, rows 2..4 share 2 per push.
-		if want := float64(pushers * each * 3); math.Abs(sum-want) > 1e-6 {
-			t.Fatalf("%s: coalesced updates sum to %v, want %v", name, sum, want)
-		}
-	})
-}
-
 // Allocation budgets: one allocation per row must not creep back onto the
 // pull paths. A 128-row pull over 4 partitions costs 66 to 91 (fan-out
 // goroutines, four request frames, four handlers, the per-partition id

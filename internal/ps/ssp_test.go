@@ -222,23 +222,21 @@ func newCountedCluster(t *testing.T, inner rpc.Transport, prefix string) (*Clust
 }
 
 // TestSSPTickIsOneCallPerWindow: a window of a ring that waits (k >= 0)
-// costs exactly one ClockWait, and the hooks run once per window after it;
-// an ASP handle (k < 0) calls the master neither on Tick nor on Retire and
-// leaves no ring behind, yet still runs its hooks and counts its clock.
+// costs exactly one ClockWait; an ASP handle (k < 0) calls the master
+// neither on Tick nor on Retire and leaves no ring behind, yet still counts
+// its clock.
 func TestSSPTickIsOneCallPerWindow(t *testing.T) {
 	c, tr := newCountedCluster(t, rpc.NewInProc(), "ssp-calls")
 	agent := c.NewClient()
 	for _, k := range []int{0, 1, 3} {
 		ck := agent.SSPClock("calls", 0, 1, k)
-		hooks := 0
-		ck.OnAdvance(func() { hooks++ })
 		tr.take()
 		for i := 1; i <= 3; i++ {
 			if err := ck.Tick(); err != nil {
 				t.Fatal(err)
 			}
-			if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 1}) || hooks != i {
-				t.Fatalf("k=%d window %d: calls %v and %d hook runs, want one ClockWait and %d", k, i, got, hooks, i)
+			if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 1}) || ck.Clock() != int64(i) {
+				t.Fatalf("k=%d window %d: calls %v at clock %d, want one ClockWait", k, i, got, ck.Clock())
 			}
 		}
 		if err := ck.Retire(); err != nil {
@@ -251,8 +249,6 @@ func TestSSPTickIsOneCallPerWindow(t *testing.T) {
 
 	// Worker 1 of the ASP ring never shows up: nobody waits for it.
 	asp := agent.SSPClock("calls-asp", 0, 2, -1)
-	hooks := 0
-	asp.OnAdvance(func() { hooks++ })
 	for i := 0; i < 3; i++ {
 		assertReleased(t, tickDone(t, asp), "ASP tick")
 	}
@@ -262,8 +258,8 @@ func TestSSPTickIsOneCallPerWindow(t *testing.T) {
 	if got := tr.take(); len(got) != 0 {
 		t.Fatalf("ASP handle: calls %v, want none", got)
 	}
-	if hooks != 3 || asp.Clock() != 3 {
-		t.Fatalf("ASP handle: %d hook runs at clock %d, want 3 at 3", hooks, asp.Clock())
+	if asp.Clock() != 3 {
+		t.Fatalf("ASP handle at clock %d after 3 ticks", asp.Clock())
 	}
 	c.Master.clocks.mu.Lock()
 	n := len(c.Master.clocks.rings)
@@ -335,43 +331,6 @@ func TestSSPClockWaitRetryIsIdempotent(t *testing.T) {
 	assertReleased(t, db, "worker B in window 2")
 }
 
-// TestCoalescedPushExactlyOnceUnderDrops: a coalesced flush is one
-// ordinary enveloped push per partition, so a dropped response plus retry
-// must replay from the dedup window, never double-apply the merged batch.
-func TestCoalescedPushExactlyOnceUnderDrops(t *testing.T) {
-	c, f := newFaultyCluster(t, 2, "co-drop")
-	agent := c.NewClient()
-	e, err := agent.CreateEmbedding(EmbeddingSpec{Name: "ce", Dim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := e.Coalescer(3, false)
-	// Drop the next response on every server: whichever partition the
-	// flush lands on, its first attempt loses the ack and retries.
-	for _, srv := range c.ServerAddrs() {
-		f.DropResponses(srv, 1)
-	}
-	for i := 0; i < 3; i++ {
-		if err := co.PushBatch(mustRows(map[int64][]float64{1: {1, 2}, 9: {10, 20}}, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One flush of the merged window: one enveloped push per partition it
-	// touches (ids 1 and 9: at most two), not one per logical push.
-	if sent, _ := agent.MutationStats(); sent < 1 || sent > 2 {
-		t.Fatalf("coalescer sent %d pushes for one window of 3", sent)
-	}
-	rows, err := e.Pull([]int64{1, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sum-combine of 3 pushes; a double-applied flush would read 6/12.
-	if rows[1][0] != 3 || rows[1][1] != 6 || rows[9][0] != 30 || rows[9][1] != 60 {
-		t.Fatalf("coalesced rows = %v, want exact 3x sums", rows)
-	}
-	assertExactlyOnce(t, c, agent)
-}
-
 // TestPrefetchCacheVersioning: cached rows are served without the wire,
 // survive pushes until invalidated (the documented staleness), and an
 // insert racing an invalidation is discarded by the version fence.
@@ -403,7 +362,8 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no cache hits recorded")
 	}
-	e.InvalidateRows()
+	rc := agent.rowCache("pe")
+	rc.invalidate()
 	fresh, err := pullCached(e, []int64{5})
 	if err != nil {
 		t.Fatal(err)
@@ -414,9 +374,8 @@ func TestPrefetchCacheVersioning(t *testing.T) {
 
 	// Version fence: an insert whose snapshot predates an invalidation
 	// must not land.
-	rc := agent.rowCache("pe")
 	_, version := rc.lookup([]int64{77}, 2, make([]float64, 2))
-	e.InvalidateRows()
+	rc.invalidate()
 	rc.insert(version, rowWork{ids: []int64{77}}, 2, []float64{9, 9})
 	rc.mu.Lock()
 	_, poisoned := rc.rows[77]
