@@ -51,10 +51,6 @@ type GraphSageConfig struct {
 	// WindowBatches is the number of batches per clock window (and per
 	// coalesced gradient flush). Defaults to 2.
 	WindowBatches int
-	// Prefetch routes feature pulls through the client-side row cache.
-	// Features are immutable during training, so cached rows are never
-	// invalidated — repeat visits to a vertex skip the wire entirely.
-	Prefetch bool
 	// Coalesce sums weight gradients locally across each window and pushes
 	// them once per window instead of once per batch.
 	Coalesce bool
@@ -489,27 +485,12 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
 		b.sample(adj.Nbrs(i), cfg.FanOut2)
 	}
 
-	// Features never change during training, so the prefetch cache needs
-	// no invalidation: a vertex sampled twice costs one wire pull total.
 	// order holds distinct ids, so the pulled block — row i = order[i] — is
-	// the feature matrix as it stands: pulled positionally, into the
-	// builder's own block unless the row cache hands one out.
+	// the feature matrix as it stands: pulled positionally, in one batched
+	// pull, into the builder's own block.
 	dim := b.data.InputDim
-	var x []float64
-	if cfg.Prefetch {
-		var feats ps.RowBatch
-		feats, _, err = b.data.Feats.PrefetchRows(b.order).Batch()
-		if err == nil && (feats.Dim != dim || len(feats.IDs) != len(b.order)) {
-			err = fmt.Errorf("core: pulled %d feature rows of width %d for %d vertices of width %d",
-				len(feats.IDs), feats.Dim, len(b.order), dim)
-		}
-		x = feats.Data
-	} else {
-		b.feats = slices.Grow(b.feats[:0], len(b.order)*dim)[:len(b.order)*dim]
-		x = b.feats
-		err = b.data.Feats.PullInto(b.order, x)
-	}
-	if err != nil {
+	b.feats = slices.Grow(b.feats[:0], len(b.order)*dim)[:len(b.order)*dim]
+	if err := b.data.Feats.PullInto(b.order, b.feats); err != nil {
 		return jniBatch{}, err
 	}
 
@@ -526,7 +507,7 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
 		b.segs = append(b.segs, b.seg(i))
 	}
 	jb := jniBatch{
-		X: x, NumNodes: len(b.order), Dim: dim,
+		X: b.feats, NumNodes: len(b.order), Dim: dim,
 		Self1: b.ident[:nL1], Nbrs1: b.segs[:nL1],
 		Self2: b.self2, Nbrs2: b.segs[nL1:],
 		Aggregator: cfg.Aggregator,

@@ -35,16 +35,13 @@ type Client struct {
 
 	mu    sync.RWMutex
 	cache map[string]ModelMeta
-	// rowCaches holds the per-model versioned prefetch caches
-	// (prefetch.go), lazily created, dropped by DeleteModel, guarded by mu
-	// like cache; gone keeps what the dropped ones counted.
-	rowCaches map[string]*rowCache
-	gone      cacheTotals
 
-	// rowCacheRows/rowCacheBytes are the caps newly created row caches
-	// adopt (SetRowCacheLimits; <= 0 disables a cap).
+	// rowCacheRows/rowCacheBytes are the caps the row caches of newly
+	// opened serve handles adopt (SetRowCacheLimits; <= 0 disables a cap);
+	// cacheCounts is what those caches counted (rowcache.go).
 	rowCacheRows  int
 	rowCacheBytes int64
+	cacheCounts   cacheCounts
 
 	sentBytes atomic.Int64
 	recvBytes atomic.Int64
@@ -79,7 +76,6 @@ func NewClient(tr rpc.Transport, masterAddr string) *Client {
 		masterAddr:   masterAddr,
 		id:           nextClientID.Add(1),
 		cache:        make(map[string]ModelMeta),
-		rowCaches:    make(map[string]*rowCache),
 		RetryTimeout: 30 * time.Second,
 		rowCacheRows: defaultRowCacheRows,
 	}
@@ -231,17 +227,11 @@ func (c *Client) currentMeta(model string, fallback ModelMeta) ModelMeta {
 	return fallback
 }
 
-// cacheMeta installs a fetched layout and synchronizes the model's
-// prefetch row cache with it: rows cached under an older layout epoch
-// may live on a different server now and must not be served stale.
+// cacheMeta installs a fetched layout.
 func (c *Client) cacheMeta(meta ModelMeta) {
 	c.mu.Lock()
 	c.cache[meta.Name] = meta
-	rc := c.rowCaches[meta.Name]
 	c.mu.Unlock()
-	if rc != nil {
-		rc.syncLayout(meta.Epoch, len(meta.Parts))
-	}
 }
 
 // refreshMeta drops the cached layout and refetches it from the master.
@@ -377,14 +367,10 @@ func (c *Client) GetModel(name string) (ModelMeta, error) {
 }
 
 // DeleteModel removes a model from the servers and the master, and with
-// it this client's layout and row cache of it, slab and all.
+// it this client's layout of it.
 func (c *Client) DeleteModel(name string) error {
 	c.mu.Lock()
 	delete(c.cache, name)
-	if rc := c.rowCaches[name]; rc != nil {
-		c.gone.add(rc)
-		delete(c.rowCaches, name)
-	}
 	c.mu.Unlock()
 	return c.invoke(c.masterAddr, "DeleteModel", modelNameReq{Name: name}, nil)
 }
@@ -808,9 +794,6 @@ func (s *SparseVec) PushSet(keys []int64, vals []float64) error {
 type Emb struct {
 	c    *Client
 	Meta ModelMeta
-
-	mu   sync.Mutex
-	free []*pullBuf // released prefetch blocks (Prefetch.Release)
 }
 
 // EmbeddingSpec describes an embedding model to create.

@@ -682,53 +682,6 @@ func TestStaleClientHealsAfterSplit(t *testing.T) {
 	}
 }
 
-// TestRowCacheInvalidatedOnLayoutRefresh pins the prefetch-cache rule:
-// refetching a layout whose epoch moved drops every cached row, so a
-// post-migration pull cannot be served from rows cached under the old
-// owners (satellite 1).
-func TestRowCacheInvalidatedOnLayoutRefresh(t *testing.T) {
-	c, cl := newTestCluster(t, 2)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "pc", Dim: 2, Partitions: 2})
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	seed := map[int64][]float64{1: {1, 1}, 2: {2, 2}}
-	if err := e.PushSet(seed); err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	if _, err := pullCached(e, []int64{1, 2}); err != nil {
-		t.Fatalf("cached pull: %v", err)
-	}
-	rc := cl.rowCache("pc")
-	rc.mu.Lock()
-	cached := len(rc.rows)
-	rc.mu.Unlock()
-	if cached != 2 {
-		t.Fatalf("rows cached = %d, want 2", cached)
-	}
-	// Another writer changes the rows, then the layout changes: the split
-	// bumps the epoch, and the client's next layout refresh must nuke the
-	// cache rather than serve the old rows.
-	other := c.NewClient()
-	oe, _ := other.Embedding("pc")
-	if err := oe.PushSet(map[int64][]float64{1: {9, 9}, 2: {8, 8}}); err != nil {
-		t.Fatalf("overwrite: %v", err)
-	}
-	if err := cl.SplitPartition("pc", 0, ""); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-	// Simulate the client noticing the new layout (any fenced or
-	// range-moved call does this through refreshMeta).
-	cl.refreshMeta("pc", e.Meta)
-	got, err := pullCached(e, []int64{1, 2})
-	if err != nil {
-		t.Fatalf("cached pull after refresh: %v", err)
-	}
-	if !reflect.DeepEqual(got[1], []float64{9, 9}) || !reflect.DeepEqual(got[2], []float64{8, 8}) {
-		t.Fatalf("served stale cached rows after layout change: %v", got)
-	}
-}
-
 // TestSplitRejectedForColumnKinds pins the unsplittable kinds: column
 // partitions are structural, so the master refuses to split them.
 func TestSplitRejectedForColumnKinds(t *testing.T) {

@@ -3,7 +3,7 @@ package ps
 import "math/bits"
 
 // idTable is the package's open-addressed id → ordinal table: the index of
-// a rowStore shard and of a dedup (pullBuf). Its user keeps the ids by
+// a rowStore shard and of a dedup (dedupIDs). Its user keeps the ids by
 // ordinal and appends what put adds; the table holds no count of its own. keys/slot are parallel power-of-two arrays probed
 // linearly from the TOP bits of a Fibonacci hash (an engine's shard pick
 // takes bits 32 and up, so one shard's ids still spread), load ≤ ½; slot

@@ -1270,7 +1270,7 @@ func TestMisshapedReplyIsAnError(t *testing.T) {
 		{"hash embedding, block longer than its rows", embPullResp{Rows: rows(4, make([]float64, 9), 1, 2)},
 			func() error { _, err := h.Pull([]int64{1, 2}); return err }, "rh/0"},
 		{"hash embedding, requested row missing", embPullResp{Rows: rows(4, nil)},
-			func() error { _, _, err := h.PrefetchRows([]int64{1, 1}).Batch(); return err }, "rh/0"},
+			func() error { _, _, err := h.PullBatch([]int64{1, 1}); return err }, "rh/0"},
 		{"hash embedding, a reply of another message type", servePullResp{Rows: rows(4, make([]float64, 4), 1)},
 			func() error { _, err := h.Pull([]int64{1}); return err }, "message id"},
 		{"serve pull, row never asked for", servePullResp{Rows: rows(4, make([]float64, 4), 9)},

@@ -322,14 +322,14 @@ func TestPushAllocationBudgets(t *testing.T) {
 	})
 }
 
-// TestRowCacheKeepsItsSlab: past its first window a row cache inserts into
+// TestRowCacheKeepsItsSlab: past its first generation a row cache inserts into
 // memory it already has — an invalidate → refill cycle allocates nothing,
 // where it used to re-grow the slab, the entries and the index from empty
 // by doubling — and the fence, the LRU order and the caps are what they
 // were: a stale insert does not land, the cap evicts the oldest.
 func TestRowCacheKeepsItsSlab(t *testing.T) {
 	const dim, n = 32, 1500
-	rc := newRowCache(n, 0)
+	rc := newRowCache(dim, n, 0, new(cacheCounts))
 	w := rowWork{ids: make([]int64, n)}
 	for i := range w.ids {
 		w.ids[i] = int64(i*31) % 10007
@@ -340,8 +340,8 @@ func TestRowCacheKeepsItsSlab(t *testing.T) {
 	}
 	window := func() {
 		rc.invalidate()
-		_, version := rc.lookup(nil, dim, nil)
-		rc.insert(version, w, dim, src)
+		_, version := rc.lookup(nil, nil)
+		rc.insert(version, w, src)
 	}
 	window()
 	slab := &rc.data[0]
@@ -352,88 +352,21 @@ func TestRowCacheKeepsItsSlab(t *testing.T) {
 		t.Errorf("after refills: slab moved %v, %d indexed, %d entries, want %d", &rc.data[0] != slab, len(rc.rows), len(rc.ents), n)
 	}
 	dst := make([]float64, 2*dim)
-	if missing, _ := rc.lookup([]int64{w.ids[7], 10008}, dim, dst); len(missing.ids) != 1 || dst[0] != src[7*dim] {
+	if missing, _ := rc.lookup([]int64{w.ids[7], 10008}, dst); len(missing.ids) != 1 || dst[0] != src[7*dim] {
 		t.Errorf("lookup after refills: missing %v, row starts %v, want %v", missing.ids, dst[0], src[7*dim])
 	}
-	_, stale := rc.lookup(nil, dim, nil)
+	_, stale := rc.lookup(nil, nil)
 	rc.invalidate()
-	rc.insert(stale, w, dim, src)
+	rc.insert(stale, w, src)
 	if len(rc.rows) != 0 || len(rc.ents) != 0 || len(rc.data) != 0 {
 		t.Errorf("an insert fenced by an older version landed %d rows", len(rc.rows))
 	}
 	// At the cap the least recently used row gives up its slot.
-	_, version := rc.lookup(nil, dim, nil)
-	rc.insert(version, w, dim, src)
-	rc.insert(version, rowWork{ids: []int64{20001}}, dim, src[:dim])
-	if missing, _ := rc.lookup([]int64{w.ids[0], 20001}, dim, dst); len(missing.ids) != 1 || missing.ids[0] != w.ids[0] || rc.evictions.Load() != 1 {
-		t.Errorf("insert at the cap: missing %v after %d evictions, want the oldest row gone", missing.ids, rc.evictions.Load())
-	}
-	// A width change still starts over.
-	rc.insert(version, rowWork{ids: []int64{1, 2}}, 4, make([]float64, 8))
-	if rc.dim != 4 || len(rc.rows) != 2 || len(rc.data) != 8 {
-		t.Errorf("after a width change: dim %d, %d rows, %d values", rc.dim, len(rc.rows), len(rc.data))
-	}
-}
-
-// TestRowCacheDiesWithItsModel: a client's row cache is tied to its model.
-// Fifty create → prefetch → delete rounds on one client leave at most one
-// cache in its table (it never forgot one before, and walked them all under
-// its lock for every CacheStats), the live heap where it was after the
-// first rounds, and the hit/miss/eviction totals monotone across every
-// delete.
-func TestRowCacheDiesWithItsModel(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{NumServers: 2, NamePrefix: "rcd"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	cl := c.NewClient()
-	cl.SetRowCacheLimits(3000, 0)
-	ids := make([]int64, 4000) // past the cap: every round evicts
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	live := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	var base uint64
-	var hits, misses, evictions int64
-	for round := 0; round < 50; round++ {
-		name := fmt.Sprintf("job%d", round)
-		e, err := cl.CreateEmbedding(EmbeddingSpec{Name: name, Dim: 32, ByColumn: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			if _, _, err := e.PrefetchRows(ids).Batch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.DeleteModel(name); err != nil {
-			t.Fatal(err)
-		}
-		cl.mu.RLock()
-		caches := len(cl.rowCaches)
-		cl.mu.RUnlock()
-		if caches > 1 {
-			t.Fatalf("round %d: the client holds %d row caches", round, caches)
-		}
-		h, m := cl.CacheStats()
-		ev := cl.CacheEvictions()
-		if h < hits || m <= misses || ev <= evictions {
-			t.Fatalf("round %d: totals went from %d/%d/%d to %d/%d/%d", round, hits, misses, evictions, h, m, ev)
-		}
-		hits, misses, evictions = h, m, ev
-		if round == 4 {
-			base = live()
-		}
-	}
-	// One cache of 3,000 × 32 rows is ~0.8 MB; 45 forgotten ones were 36 MB.
-	if grown := int64(live()) - int64(base); grown > 4<<20 {
-		t.Errorf("live heap grew %d KB over 45 create → prefetch → delete rounds", grown>>10)
+	_, version := rc.lookup(nil, nil)
+	rc.insert(version, w, src)
+	rc.insert(version, rowWork{ids: []int64{20001}}, src[:dim])
+	if missing, _ := rc.lookup([]int64{w.ids[0], 20001}, dst); len(missing.ids) != 1 || missing.ids[0] != w.ids[0] || rc.counts.evictions.Load() != 1 {
+		t.Errorf("insert at the cap: missing %v after %d evictions, want the oldest row gone", missing.ids, rc.counts.evictions.Load())
 	}
 }
 

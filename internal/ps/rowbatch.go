@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"psgraph/internal/f64le"
 )
@@ -80,44 +79,25 @@ func rowBatchOf(m map[int64][]float64, dim int) (RowBatch, error) {
 	return b, nil
 }
 
-// pullBuf is the memory a deduplicated row pull works in: rows.IDs, the
-// distinct ids in first-occurrence order; pos, for every input position the
-// index of its id in that list; the table that found it; and rows.Data, the
-// output block. A prefetch borrows one from its handle (DESIGN.md §11);
-// everything else uses it once.
-type pullBuf struct {
-	rows RowBatch
-	pos  []int32
-	tab  idTable
-}
-
-// dedup fills rows.IDs and pos for ids. Runs of equal ids (LINE's U column)
-// skip the table, which the first call sizes for its ids.
-func (b *pullBuf) dedup(ids []int64) {
-	if b.tab.slot == nil {
-		b.tab.reset(len(ids))
-	} else {
-		clear(b.tab.slot)
-	}
-	b.rows.IDs, b.pos = slices.Grow(b.rows.IDs[:0], len(ids)), slices.Grow(b.pos[:0], len(ids))[:len(ids)]
+// dedupIDs returns the distinct ids in first-occurrence order and, for
+// every input position, the index of its id in that list. Runs of equal ids
+// (LINE's U column) skip the table.
+func dedupIDs(ids []int64) (uniq []int64, pos []int32) {
+	var tab idTable
+	tab.reset(len(ids))
+	uniq, pos = make([]int64, 0, len(ids)), make([]int32, len(ids))
 	for i, id := range ids {
 		if i > 0 && id == ids[i-1] {
-			b.pos[i] = b.pos[i-1]
+			pos[i] = pos[i-1]
 			continue
 		}
-		p, added := b.tab.put(id, b.rows.IDs)
+		p, added := tab.put(id, uniq)
 		if added {
-			b.rows.IDs = append(b.rows.IDs, id)
+			uniq = append(uniq, id)
 		}
-		b.pos[i] = int32(p)
+		pos[i] = int32(p)
 	}
-}
-
-// dedupIDs is dedup in memory of its own, for a pull that keeps its lists.
-func dedupIDs(ids []int64) (uniq []int64, pos []int32) {
-	var b pullBuf
-	b.dedup(ids)
-	return b.rows.IDs, b.pos
+	return uniq, pos
 }
 
 // rowWork is the routed work of a row pull: distinct ids and, for each,

@@ -99,15 +99,6 @@ func onePart(model string, part int, epoch int64, ids []int64) servePullReq {
 	return servePullReq{Model: model, SnapEpoch: epoch, Parts: []servePart{{Part: part, IDs: ids}}}
 }
 
-// pullCached is a pull through the row cache as an id → row map.
-func pullCached(e *Emb, ids []int64) (map[int64][]float64, error) {
-	rows, _, err := e.PrefetchRows(ids).Batch()
-	if err != nil {
-		return nil, err
-	}
-	return rows.Map(), nil
-}
-
 // pullRows pulls ids from an embedding engine and decodes the frame.
 func pullRows(t testing.TB, e *embEngine, ids []int64) RowBatch {
 	t.Helper()
@@ -507,10 +498,6 @@ func TestEmbPullMatchesPerIDReference(t *testing.T) {
 				if rows.IDs[pos[i]] != id || !reflect.DeepEqual(rows.Row(int(pos[i])), want[id]) {
 					t.Fatalf("%s: position %d (id %d) maps to row %d = id %d %v", name, i, id, pos[i], rows.IDs[pos[i]], rows.Row(int(pos[i])))
 				}
-			}
-			cached, err := pullCached(e, ids)
-			if err != nil || !reflect.DeepEqual(cached, want) {
-				t.Fatalf("%s: cached pull (%v) = %v, %v; want %v", name, ids, cached, err, want)
 			}
 		}
 	})
@@ -1059,23 +1046,20 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 // row.
 func TestPulledRowsDoNotShareCapacity(t *testing.T) {
 	embLayouts(t, 3, func(name string, e *Emb) {
-		for what, pull := range map[string]func([]int64) (map[int64][]float64, error){
-			"Pull": e.Pull, "cached pull": func(ids []int64) (map[int64][]float64, error) { return pullCached(e, ids) },
-		} {
-			rows, err := pull([]int64{1, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			next := append([]float64(nil), rows[2]...)
-			_ = append(rows[1], 99, 99, 99)
-			if !reflect.DeepEqual(rows[2], next) {
-				t.Fatalf("%s %s: append to row 1 rewrote row 2: %v, was %v", name, what, rows[2], next)
-			}
+		rows, err := e.Pull([]int64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := append([]float64(nil), rows[2]...)
+		_ = append(rows[1], 99, 99, 99)
+		if !reflect.DeepEqual(rows[2], next) {
+			t.Fatalf("%s: append to row 1 rewrote row 2: %v, was %v", name, rows[2], next)
 		}
 	})
 }
 
-// keyCounter counts the keys EmbPull requests carry, per server address.
+// keyCounter counts the keys EmbPull requests carry, per server address,
+// and those of every partition a ServePull asks for, under "ServePull".
 type keyCounter struct {
 	rpc.Transport
 	mu   sync.Mutex
@@ -1083,11 +1067,21 @@ type keyCounter struct {
 }
 
 func (k *keyCounter) Call(addr, method string, body []byte) ([]byte, error) {
-	if method == "EmbPull" {
+	switch method {
+	case "EmbPull":
 		var req pullReq
 		if err := dec(body, &req); err == nil {
 			k.mu.Lock()
 			k.keys[addr] = append(k.keys[addr], len(req.Keys))
+			k.mu.Unlock()
+		}
+	case "ServePull":
+		var req servePullReq
+		if err := dec(body, &req); err == nil {
+			k.mu.Lock()
+			for _, p := range req.Parts {
+				k.keys[method] = append(k.keys[method], len(p.IDs))
+			}
 			k.mu.Unlock()
 		}
 	}
@@ -1095,9 +1089,9 @@ func (k *keyCounter) Call(addr, method string, body []byte) ([]byte, error) {
 }
 
 // TestDuplicateIDsCrossTheWireOnce: a pull of [7,7,7,9] asks every
-// partition for two keys and records two cache misses — not four of each,
-// which is what LINE's runs of equal U ids used to cost on every column
-// partition.
+// partition for two keys — not four, which is what LINE's runs of equal U
+// ids used to cost on every column partition — and a serve read of it
+// records two cache misses, then a repeat two hits and no frame.
 func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 	tr := &keyCounter{Transport: rpc.NewInProc(), keys: make(map[string][]int)}
 	c, err := NewCluster(ClusterConfig{NumServers: 2, Transport: tr, NamePrefix: "dup"})
@@ -1105,14 +1099,15 @@ func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
 	cl := c.NewClient()
 	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "d", Dim: 4, ByColumn: true, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, pos, err := e.PrefetchRows([]int64{7, 7, 7, 9}).Batch()
+	rows, pos, err := e.PullBatch([]int64{7, 7, 7, 9})
 	if err != nil || len(rows.IDs) != 2 || len(pos) != 4 {
-		t.Fatalf("PrefetchRows = %v, %v, %v", rows, pos, err)
+		t.Fatalf("PullBatch = %v, %v, %v", rows, pos, err)
 	}
 	calls := 0
 	for addr, ks := range tr.keys {
@@ -1126,14 +1121,34 @@ func TestDuplicateIDsCrossTheWireOnce(t *testing.T) {
 	if calls != 4 {
 		t.Errorf("%d EmbPull calls for 4 column partitions", calls)
 	}
+
+	if _, err := cl.PublishSnapshot("d"); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cl.Serve("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := func() []int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return slices.Clone(tr.keys["ServePull"])
+	}
+	if _, err := sc.Pull([]int64{7, 7, 7, 9}); err != nil {
+		t.Fatal(err)
+	}
+	parts := served()
+	if len(parts) != 4 || slices.ContainsFunc(parts, func(n int) bool { return n != 2 }) {
+		t.Errorf("serve read asked the 4 partitions for %v keys, want 2 each", parts)
+	}
 	if hits, misses := cl.CacheStats(); hits != 0 || misses != 2 {
 		t.Errorf("cache recorded %d hits and %d misses, want 0 and 2", hits, misses)
 	}
-	if _, _, err := e.PrefetchRows([]int64{9, 9, 7}).Batch(); err != nil {
+	if _, err := sc.Pull([]int64{9, 9, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cl.CacheStats(); hits != 2 || misses != 2 || calls != 4 {
-		t.Errorf("after a repeat: %d hits, %d misses, want 2 and 2", hits, misses)
+	if hits, misses := cl.CacheStats(); hits != 2 || misses != 2 || len(served()) != len(parts) {
+		t.Errorf("after a repeat: %d hits, %d misses, %d more partition reads, want 2, 2 and 0", hits, misses, len(served())-len(parts))
 	}
 }
 

@@ -100,6 +100,83 @@ func TestServeSnapshotImmutability(t *testing.T) {
 	}
 }
 
+// TestServeCacheVersioning: cached rows are served without the wire and
+// outlive a republication until the handle adopts it (the documented
+// staleness), an insert racing an invalidation is discarded by the version
+// fence, and a caller mutating what it was handed leaves the cache alone.
+func TestServeCacheVersioning(t *testing.T) {
+	_, cl := newTestCluster(t, 1)
+	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "pe", Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PushSet(map[int64][]float64{5: {1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.PublishSnapshot("pe"); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cl.Serve("pe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := sc.Pull([]int64{5}); err != nil || first[5][0] != 1 {
+		t.Fatalf("first serve pull: %v, %v", first, err)
+	}
+	if err := e.PushSet(map[int64][]float64{5: {2, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.PublishSnapshot("pe"); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := sc.Pull([]int64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale[5][0] != 1 {
+		t.Fatalf("cached row refetched before the handle adopted the new generation: %v", stale[5])
+	}
+	if hits, _ := cl.CacheStats(); hits != 1 || sc.Stats().CacheRows != 1 {
+		t.Fatalf("%d cache hits recorded, %d rows served from the cache, want 1 and 1", hits, sc.Stats().CacheRows)
+	}
+	sc.Refresh()
+	fresh, err := sc.Pull([]int64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh[5][0] != 2 {
+		t.Fatalf("pull after the generation switch returned a stale row: %v", fresh[5])
+	}
+
+	// Version fence: an insert whose snapshot predates an invalidation
+	// must not land.
+	rc := sc.cache
+	_, version := rc.lookup([]int64{77}, make([]float64, 2))
+	rc.invalidate()
+	rc.insert(version, rowWork{ids: []int64{77}}, []float64{9, 9})
+	rc.mu.Lock()
+	_, poisoned := rc.rows[77]
+	rc.mu.Unlock()
+	if poisoned {
+		t.Fatal("a stale read inserted rows past an invalidation")
+	}
+
+	// Mutating the caller's copy must not corrupt the cache (rows are
+	// copied on lookup).
+	got, err := sc.Pull([]int64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[5][0] = 999
+	again, err := sc.Pull([]int64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[5][0] == 999 {
+		t.Fatal("cache aliases rows handed to callers")
+	}
+}
+
 // TestServeFallbackBeforePublish: a handle opened before any publication
 // answers from the primaries, and switches to the serving path once a
 // snapshot appears — without being recreated.
@@ -702,16 +779,16 @@ func TestServeDenseVector(t *testing.T) {
 // refreshed by lookups, and a byte cap works independently of the row
 // cap.
 func TestRowCacheLRUEviction(t *testing.T) {
-	rc := newRowCache(4, 0)
+	rc := newRowCache(1, 4, 0, new(cacheCounts))
 	put := func(rc *rowCache, id int64, row ...float64) {
-		rc.insert(0, rowWork{ids: []int64{id}}, len(row), row)
+		rc.insert(0, rowWork{ids: []int64{id}}, row)
 	}
 	for i := int64(0); i < 4; i++ {
 		put(rc, i, float64(i))
 	}
 	// Touch id 0 so id 1 becomes the LRU victim.
 	got := []float64{-1}
-	if missing, _ := rc.lookup([]int64{0}, 1, got); len(missing.ids) != 0 || got[0] != 0 {
+	if missing, _ := rc.lookup([]int64{0}, got); len(missing.ids) != 0 || got[0] != 0 {
 		t.Fatalf("warm lookup missed: missing %v, row %v", missing.ids, got)
 	}
 	put(rc, 10, 10)
@@ -731,12 +808,12 @@ func TestRowCacheLRUEviction(t *testing.T) {
 	if has1 || has2 {
 		t.Fatalf("LRU rows not evicted: has1=%v has2=%v", has1, has2)
 	}
-	if ev := rc.evictions.Load(); ev != 2 {
+	if ev := rc.counts.evictions.Load(); ev != 2 {
 		t.Fatalf("evictions = %d, want 2", ev)
 	}
 
 	// Byte cap: 3-wide rows cost 8*3+40 = 64 bytes; cap at two rows.
-	bc := newRowCache(0, 128)
+	bc := newRowCache(3, 0, 128, new(cacheCounts))
 	for i := int64(0); i < 5; i++ {
 		put(bc, i, 1, 2, 3)
 	}
@@ -745,39 +822,104 @@ func TestRowCacheLRUEviction(t *testing.T) {
 	if bn != 2 || bb > 128 {
 		t.Fatalf("byte-capped cache: %d rows, %d bytes", bn, bb)
 	}
-	if bc.evictions.Load() != 3 {
-		t.Fatalf("byte-cap evictions = %d, want 3", bc.evictions.Load())
+	if ev := bc.counts.evictions.Load(); ev != 3 {
+		t.Fatalf("byte-cap evictions = %d, want 3", ev)
 	}
 }
 
-// TestRowCacheLimitsEndToEnd: a client-configured row cap bounds the
-// prefetch cache under real PrefetchRows traffic and reports evictions.
+// TestRowCacheLimitsEndToEnd: a client-configured row cap bounds the cache
+// of a serve handle opened after it under real serve traffic, and the
+// client reports the evictions.
 func TestRowCacheLimitsEndToEnd(t *testing.T) {
-	_, cl := newTestCluster(t, 2)
+	c, cl := newTestCluster(t, 2)
+	c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
+	if _, err := cl.CreateEmbedding(EmbeddingSpec{Name: "lim", Dim: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.PublishSnapshot("lim"); err != nil {
+		t.Fatal(err)
+	}
 	cl.SetRowCacheLimits(8, 0)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "lim", Dim: 2})
+	sc, err := cl.Serve("lim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 32; i++ {
-		if _, _, err := e.PrefetchRows([]int64{i}).Batch(); err != nil {
+		if _, err := sc.Pull([]int64{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rc := cl.rowCache("lim")
+	rc := sc.cache
 	rc.mu.Lock()
 	n := len(rc.rows)
 	rc.mu.Unlock()
 	if n > 8 {
 		t.Fatalf("cache holds %d rows past its cap of 8", n)
 	}
-	if cl.CacheEvictions() == 0 {
-		t.Fatal("no evictions recorded under a tight cap")
+	if ev := cl.CacheEvictions(); ev != 24 {
+		t.Fatalf("%d evictions recorded under a cap of 8 after 32 rows, want 24", ev)
 	}
 	// The hottest (most recent) ids are the survivors.
-	missing, _ := rc.lookup([]int64{31, 30, 29}, 2, make([]float64, 6))
+	missing, _ := rc.lookup([]int64{31, 30, 29}, make([]float64, 6))
 	if len(missing.ids) != 0 {
 		t.Fatalf("recent rows evicted: %v missing", missing.ids)
+	}
+}
+
+// TestRowCacheCountsEveryServeHandle: each serve handle answers a repeat
+// read of what it cached without a ServePull frame, the caps a handle runs
+// under are the client's when it was opened, and the client's cache
+// counters are the sum over its handles: hits are the rows they served
+// from their caches, and the tight-capped one's evictions show.
+func TestRowCacheCountsEveryServeHandle(t *testing.T) {
+	c, cl := newTestCluster(t, 2)
+	c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
+	for _, spec := range []EmbeddingSpec{{Name: "wide", Dim: 3}, {Name: "narrow", Dim: 2}} {
+		if _, err := cl.CreateEmbedding(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.PublishSnapshot(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := &serveFrames{Transport: c.Transport}
+	agent := NewClient(tr, c.MasterAddr)
+	wide, err := agent.Serve("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.SetRowCacheLimits(2, 0)
+	narrow, err := agent.Serve("narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(sc *ServeClient, ids ...int64) int {
+		t.Helper()
+		if _, err := sc.Pull(ids); err != nil {
+			t.Fatal(err)
+		}
+		return len(tr.take())
+	}
+	if n := read(wide, 1, 2, 3); n == 0 {
+		t.Fatal("a cold read sent no ServePull")
+	}
+	if n := read(wide, 3, 2, 1); n != 0 {
+		t.Errorf("a repeat read of 3 cached rows sent %d ServePull frames", n)
+	}
+	read(narrow, 1, 2, 3) // at the cap of 2, row 1 is evicted
+	if n := read(narrow, 2, 3); n != 0 {
+		t.Errorf("a repeat read of 2 cached rows sent %d ServePull frames", n)
+	}
+	if n := read(narrow, 1); n == 0 {
+		t.Error("a read of an evicted row sent no ServePull")
+	}
+	hits, misses := agent.CacheStats()
+	served := wide.Stats().CacheRows + narrow.Stats().CacheRows
+	if hits != served || hits != 5 || misses != 7 {
+		t.Errorf("client counted %d hits and %d misses; its handles served %d rows from their caches, want 5 and 7", hits, misses, served)
+	}
+	if ev := agent.CacheEvictions(); ev != 2 {
+		t.Errorf("client counted %d evictions, want 2 (the narrow handle's cap of 2)", ev)
 	}
 }
 

@@ -95,7 +95,8 @@ func (c *Client) Serve(model string) (*ServeClient, error) {
 	c.mu.RLock()
 	maxRows, maxBytes := c.rowCacheRows, c.rowCacheBytes
 	c.mu.RUnlock()
-	sc := &ServeClient{c: c, model: model, meta: meta, cache: newRowCache(maxRows, maxBytes)}
+	sc := &ServeClient{c: c, model: model, meta: meta,
+		cache: newRowCache(serveWidth(meta), maxRows, maxBytes, &c.cacheCounts)}
 	sc.refresh() // best effort; ok to start unpublished
 	return sc, nil
 }
@@ -172,7 +173,7 @@ func (sc *ServeClient) pullBatch(ids []int64) (rows RowBatch, pos []int32, err e
 	dim := serveWidth(sc.meta)
 	uniq, pos := dedupIDs(ids)
 	rows = RowBatch{IDs: uniq, Dim: dim, Data: make([]float64, len(uniq)*dim)}
-	missing, version := sc.cache.lookup(uniq, dim, rows.Data)
+	missing, version := sc.cache.lookup(uniq, rows.Data)
 	sc.mu.RLock()
 	hot := sc.hot
 	sc.mu.RUnlock()
@@ -204,7 +205,7 @@ func (sc *ServeClient) pullBatch(ids []int64) (rows RowBatch, pos []int32, err e
 		return RowBatch{}, nil, err
 	}
 	if cacheable {
-		sc.cache.insert(version, missing, dim, rows.Data)
+		sc.cache.insert(version, missing, rows.Data)
 	}
 	return rows, pos, nil
 }

@@ -330,72 +330,3 @@ func TestSSPClockWaitRetryIsIdempotent(t *testing.T) {
 	}
 	assertReleased(t, db, "worker B in window 2")
 }
-
-// TestPrefetchCacheVersioning: cached rows are served without the wire,
-// survive pushes until invalidated (the documented staleness), and an
-// insert racing an invalidation is discarded by the version fence.
-func TestPrefetchCacheVersioning(t *testing.T) {
-	c, _ := newFaultyCluster(t, 1, "pf")
-	agent := c.NewClient()
-	e, err := agent.CreateEmbedding(EmbeddingSpec{Name: "pe", Dim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PushSet(map[int64][]float64{5: {1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	first, err := pullCached(e, []int64{5})
-	if err != nil || first[5][0] != 1 {
-		t.Fatalf("first cached pull: %v, %v", first, err)
-	}
-	if err := e.PushSet(map[int64][]float64{5: {2, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	stale, err := pullCached(e, []int64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale[5][0] != 1 {
-		t.Fatalf("cached row refetched before invalidation: %v", stale[5])
-	}
-	hits, _ := agent.CacheStats()
-	if hits == 0 {
-		t.Fatal("no cache hits recorded")
-	}
-	rc := agent.rowCache("pe")
-	rc.invalidate()
-	fresh, err := pullCached(e, []int64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh[5][0] != 2 {
-		t.Fatalf("post-invalidation pull returned stale row: %v", fresh[5])
-	}
-
-	// Version fence: an insert whose snapshot predates an invalidation
-	// must not land.
-	_, version := rc.lookup([]int64{77}, 2, make([]float64, 2))
-	rc.invalidate()
-	rc.insert(version, rowWork{ids: []int64{77}}, 2, []float64{9, 9})
-	rc.mu.Lock()
-	_, poisoned := rc.rows[77]
-	rc.mu.Unlock()
-	if poisoned {
-		t.Fatal("stale prefetch inserted rows past an invalidation")
-	}
-
-	// Mutating the caller's copy must not corrupt the cache (rows are
-	// cloned on serve).
-	got, err := pullCached(e, []int64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got[5][0] = 999
-	again, err := pullCached(e, []int64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[5][0] == 999 {
-		t.Fatal("cache aliases rows handed to callers")
-	}
-}
