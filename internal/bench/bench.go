@@ -76,9 +76,6 @@ type Scale struct {
 	// FUIters / FUPasses size fast unfolding.
 	FUIters  int
 	FUPasses int
-	// KCoreK is the core order for single-k extraction helpers (the
-	// Fig. 6 cell runs the full coreness decomposition instead).
-	KCoreK int64
 
 	// LINE parameters (Sec. V-B2).
 	LineDim    int
@@ -116,7 +113,6 @@ var Small = Scale{
 	GXBloat:        3.5,
 	PRIters:        5,
 	FUIters:        6, FUPasses: 1,
-	KCoreK:  5,
 	LineDim: 32, LineEpochs: 1,
 	GSEpochs: 3, GSBatchSize: 128, GSHidden: 16,
 	NetLatency:     100 * time.Microsecond,
@@ -138,7 +134,6 @@ var Medium = Scale{
 	GXBloat:        3.5,
 	PRIters:        5,
 	FUIters:        6, FUPasses: 2,
-	KCoreK:  5,
 	LineDim: 64, LineEpochs: 1,
 	GSEpochs: 3, GSBatchSize: 256, GSHidden: 16,
 	NetLatency:     100 * time.Microsecond,
@@ -630,28 +625,4 @@ func meanDuration(ds []time.Duration) time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(ds))
-}
-
-// PSGraphKCoreSingle times single-k extraction (KCoreK), the lighter
-// variant the psgraph CLI exposes; the Fig. 6 cell uses the full
-// decomposition.
-func (s Scale) PSGraphKCoreSingle(raw []gen.Edge) (CellResult, error) {
-	ctx, err := s.NewPSGraphContext()
-	if err != nil {
-		return CellResult{}, err
-	}
-	defer ctx.Close()
-	edges := dataflow.Parallelize(ctx.Spark, toCoreEdges(raw), s.Parts)
-	var survivors int64
-	res, err := timed(func() error {
-		out, err := core.KCore(ctx, edges, core.KCoreConfig{K: s.KCoreK})
-		if err != nil {
-			return err
-		}
-		survivors = out.Survivors
-		return nil
-	})
-	res.Peak = ctx.Spark.Stats().PeakExecBytes
-	res.Extra = fmt.Sprintf("survivors=%d", survivors)
-	return res, err
 }

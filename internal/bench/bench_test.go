@@ -185,18 +185,6 @@ func TestPartitioningAblationShowsCommOverhead(t *testing.T) {
 	}
 }
 
-func TestKCoreSingleCell(t *testing.T) {
-	s := tiny()
-	s.KCoreK = 3
-	res, err := s.PSGraphKCoreSingle(s.DS1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= 0 || res.Extra == "" {
-		t.Fatalf("cell = %+v", res)
-	}
-}
-
 // TestFailoverBenchPromotionWins runs the failover benchmark at a small
 // size and checks its core claim: lease promotion recovers faster than
 // checkpoint restart and loses no acknowledged updates.

@@ -51,13 +51,6 @@ type Proc struct {
 	wErr error
 }
 
-// Wait blocks until the process exits and is reaped, returning the
-// exit error (nil for clean exit).
-func (p *Proc) Wait() error {
-	<-p.done
-	return p.wErr
-}
-
 // Alive reports whether the process has not been reaped yet.
 func (p *Proc) Alive() bool {
 	select {
@@ -448,22 +441,6 @@ func (c *ProcCluster) Kill9(p *Proc) {
 	p.cmd.Process.Kill()
 	<-p.done
 	c.Cfg.Log("killed -9 %s (%s)", p.Name, p.Addr)
-}
-
-// Stop drains the process with SIGTERM, escalating to SIGKILL if it
-// has not exited within 5 seconds. Always reaps.
-func (c *ProcCluster) Stop(p *Proc) error {
-	if !p.Alive() {
-		return p.wErr
-	}
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case <-p.done:
-	case <-time.After(5 * time.Second):
-		p.cmd.Process.Kill()
-		<-p.done
-	}
-	return p.wErr
 }
 
 // RunLoad drives req on executor p, blocking until the load completes.

@@ -169,21 +169,19 @@ func TestProcClusterKill9Rejoin(t *testing.T) {
 	t.Logf("acked=%d sent=%d retried=%d promotions=%d reseeds=%d", acked, sent, retried, fo.Promotions, fo.Reseeds)
 }
 
-// TestProcClusterGracefulStop verifies SIGTERM drain: every role exits
-// cleanly (status 0) rather than being shot.
+// TestProcClusterGracefulStop verifies SIGTERM drain: Close signals every
+// role, and each exits cleanly (status 0) within Close's grace period
+// rather than being shot.
 func TestProcClusterGracefulStop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	pc := startOrSkip(t, Config{Servers: 2, Executors: 1})
-	defer pc.Close()
-
-	for _, p := range append(pc.Executors(), pc.Servers()...) {
-		if err := pc.Stop(p); err != nil {
-			t.Fatalf("%s did not drain cleanly on SIGTERM: %v", p.Name, err)
+	procs := append(append(pc.Executors(), pc.Servers()...), pc.Master)
+	pc.Close()
+	for _, p := range procs {
+		if p.wErr != nil {
+			t.Fatalf("%s did not drain cleanly on SIGTERM: %v", p.Name, p.wErr)
 		}
-	}
-	if err := pc.Stop(pc.Master); err != nil {
-		t.Fatalf("master did not drain cleanly on SIGTERM: %v", err)
 	}
 }

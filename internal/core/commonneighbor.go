@@ -95,8 +95,6 @@ type CommonNeighborConfig struct {
 	// BatchSize is the number of pairs whose neighbor tables are pulled
 	// per PS round trip. Defaults to 1024.
 	BatchSize int
-	// Parts overrides the RDD partition count.
-	Parts int
 }
 
 // CommonNeighbor scores every candidate pair with its common-neighbor
@@ -124,7 +122,6 @@ func CommonNeighbor(ctx *Context, model *NeighborModel, pairs *dataflow.RDD[Edge
 // TriangleCountConfig tunes the PS-based triangle counter.
 type TriangleCountConfig struct {
 	BatchSize int
-	Parts     int
 }
 
 // TriangleCount counts triangles with the common-neighbor machinery
@@ -136,7 +133,7 @@ func TriangleCount(ctx *Context, model *NeighborModel, edges *dataflow.RDD[Edge]
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1024
 	}
-	parts := ctx.parts(cfg.Parts)
+	parts := ctx.Partitions()
 	canon := dataflow.Map(edges, func(e Edge) Edge {
 		if e.Src > e.Dst {
 			e.Src, e.Dst = e.Dst, e.Src

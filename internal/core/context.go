@@ -52,8 +52,6 @@ type Config struct {
 	// fault injector wrapping InProc or TCP). When set, UseTCP and
 	// NetLatency are ignored.
 	Transport rpc.Transport
-	// CheckpointInterval enables periodic PS model checkpoints.
-	CheckpointInterval time.Duration
 	// Replicate enables live PS failover: heartbeat leases, epoch-fenced
 	// layouts and primary/backup replication (see internal/ps). A server
 	// death then promotes backups in place — no restart wait, no lost
@@ -109,13 +107,12 @@ func NewContext(cfg Config) (*Context, error) {
 		}
 	}
 	cluster, err := ps.NewCluster(ps.ClusterConfig{
-		NumServers:         cfg.NumServers,
-		FS:                 fs,
-		Transport:          tr,
-		RestartDelay:       cfg.RestartDelay,
-		CheckpointInterval: cfg.CheckpointInterval,
-		Replicate:          cfg.Replicate,
-		LeaseDuration:      cfg.LeaseDuration,
+		NumServers:    cfg.NumServers,
+		FS:            fs,
+		Transport:     tr,
+		RestartDelay:  cfg.RestartDelay,
+		Replicate:     cfg.Replicate,
+		LeaseDuration: cfg.LeaseDuration,
 	})
 	if err != nil {
 		return nil, err

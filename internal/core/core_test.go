@@ -255,6 +255,25 @@ func TestKCoreCascadingRemoval(t *testing.T) {
 	}
 }
 
+// TestKCoreLongPathConverges: peeling runs until a round removes nothing,
+// however many rounds that takes. A 300-vertex path peels a few vertices
+// from each end per round; a cap of 100 rounds used to return 80 of them
+// as the 2-core.
+func TestKCoreLongPathConverges(t *testing.T) {
+	ctx := newTestContext(t)
+	var es []Edge
+	for i := int64(0); i < 299; i++ {
+		es = append(es, Edge{Src: i, Dst: i + 1})
+	}
+	res, err := KCore(ctx, edgesRDD(ctx, es, 3), KCoreConfig{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Survivors != 0 || res.Rounds <= 100 {
+		t.Fatalf("2-core of a 300-vertex path: %d survivors after %d rounds, want 0 after more than 100", res.Survivors, res.Rounds)
+	}
+}
+
 func TestKCoreRingIsOwn2Core(t *testing.T) {
 	ctx := newTestContext(t)
 	res, err := KCore(ctx, edgesRDD(ctx, ringEdges(6), 2), KCoreConfig{K: 2})
@@ -706,7 +725,7 @@ func TestDeepWalkSeparatesCommunities(t *testing.T) {
 		es[i] = Edge{Src: e.Src, Dst: e.Dst}
 	}
 	res, err := DeepWalk(ctx, edgesRDD(ctx, es, 2), DeepWalkConfig{
-		Dim: 16, WalksPerVertex: 6, WalkLength: 8, Window: 3, Epochs: 2, LR: 0.05, Seed: 3,
+		Dim: 16, Epochs: 2, LR: 0.05, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,38 +20,21 @@ import (
 type DeepWalkConfig struct {
 	// Dim is the embedding dimension. Defaults to 32.
 	Dim int
-	// WalksPerVertex random walks start from every vertex. Defaults to 4.
-	WalksPerVertex int
-	// WalkLength is the number of steps per walk. Defaults to 8.
-	WalkLength int
-	// Window is the skip-gram context radius. Defaults to 3.
-	Window int
-	// NegSamples per positive pair. Defaults to 5.
-	NegSamples int
 	// Epochs over the walk corpus. Defaults to 1.
 	Epochs int
 	// LR is the SGD learning rate. Defaults to 0.025.
-	LR float64
-	// Parts overrides the RDD partition count.
-	Parts int
-	Seed  int64
+	LR   float64
+	Seed int64
 }
+
+// The walks DeepWalk trains on: dwWalks start from every vertex, each
+// dwWalkLength vertices long, with a skip-gram context of dwWindow on
+// either side of a vertex and dwNegSamples negatives per positive pair.
+const dwWalks, dwWalkLength, dwWindow, dwNegSamples = 4, 8, 3, 5
 
 func (c *DeepWalkConfig) setDefaults() {
 	if c.Dim == 0 {
 		c.Dim = 32
-	}
-	if c.WalksPerVertex == 0 {
-		c.WalksPerVertex = 4
-	}
-	if c.WalkLength == 0 {
-		c.WalkLength = 8
-	}
-	if c.Window == 0 {
-		c.Window = 3
-	}
-	if c.NegSamples == 0 {
-		c.NegSamples = 5
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 1
@@ -65,7 +48,7 @@ func (c *DeepWalkConfig) setDefaults() {
 // The returned result exposes the embeddings exactly like Line's.
 func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*LineResult, error) {
 	cfg.setDefaults()
-	parts := ctx.parts(cfg.Parts)
+	parts := ctx.Partitions()
 
 	// Adjacency on the PS: walks are vertex-partitioned but hop anywhere.
 	adj, err := BuildNeighborModel(ctx, edges, true, parts)
@@ -106,13 +89,13 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 			// Level-synchronized walking: all walks of this partition
 			// advance together, so each step pulls the frontier's
 			// adjacency in one batched request.
-			walks := make([][]int64, 0, len(tables)*cfg.WalksPerVertex)
+			walks := make([][]int64, 0, len(tables)*dwWalks)
 			for _, t := range tables {
-				for w := 0; w < cfg.WalksPerVertex; w++ {
+				for w := 0; w < dwWalks; w++ {
 					walks = append(walks, []int64{t.K})
 				}
 			}
-			for step := 1; step < cfg.WalkLength; step++ {
+			for step := 1; step < dwWalkLength; step++ {
 				frontier := make(map[int64]bool)
 				for _, w := range walks {
 					frontier[w[len(w)-1]] = true
@@ -149,14 +132,14 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 			}
 			for _, w := range walks {
 				for i, center := range w {
-					lo := max(0, i-cfg.Window)
-					hi := min(len(w)-1, i+cfg.Window)
+					lo := max(0, i-dwWindow)
+					hi := min(len(w)-1, i+dwWindow)
 					for j := lo; j <= hi; j++ {
 						if j == i {
 							continue
 						}
 						b.add(center, w[j], 1)
-						for k := 0; k < cfg.NegSamples; k++ {
+						for k := 0; k < dwNegSamples; k++ {
 							if neg := sampler.sample(rng); neg != w[j] {
 								b.add(center, neg, 0)
 							}

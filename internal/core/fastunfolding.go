@@ -16,8 +16,6 @@ type FastUnfoldingConfig struct {
 	// Defaults to 10. Each sweep only moves vertices of one id parity
 	// (see modularityPass), so a full update takes two sweeps.
 	Iterations int
-	// Parts overrides the RDD partition count.
-	Parts int
 }
 
 // FastUnfoldingResult reports the detected communities.
@@ -47,7 +45,7 @@ func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingCon
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 10
 	}
-	parts := ctx.parts(cfg.Parts)
+	parts := ctx.Partitions()
 
 	current := edges
 	// composed maps original vertex -> community after all passes so far.

@@ -29,8 +29,6 @@ type GraphSageConfig struct {
 	BatchSize int
 	// LR is the server-side Adam learning rate. Defaults to 0.01.
 	LR float64
-	// TrainFrac is the train/test split fraction. Defaults to 0.7.
-	TrainFrac float64
 	// Aggregator is "mean" (default) or "pool".
 	Aggregator string
 	// Parts overrides the RDD partition count.
@@ -48,13 +46,14 @@ type GraphSageConfig struct {
 	Sync string
 	// Staleness is the SSP bound k (Sync "ssp" only).
 	Staleness int
-	// WindowBatches is the number of batches per clock window (and per
-	// coalesced gradient flush). Defaults to 2.
+	// WindowBatches is the number of batches per clock window. Defaults
+	// to 2.
 	WindowBatches int
-	// Coalesce sums weight gradients locally across each window and pushes
-	// them once per window instead of once per batch.
-	Coalesce bool
 }
+
+// gsTrainFrac is the share of the vertices GraphSage trains on; the rest
+// is the test set.
+const gsTrainFrac = 0.7
 
 func (c *GraphSageConfig) setDefaults() error {
 	if c.Classes <= 1 {
@@ -77,9 +76,6 @@ func (c *GraphSageConfig) setDefaults() error {
 	}
 	if c.LR == 0 {
 		c.LR = 0.01
-	}
-	if c.TrainFrac == 0 {
-		c.TrainFrac = 0.7
 	}
 	if c.Aggregator == "" {
 		c.Aggregator = "mean"
@@ -257,7 +253,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 
 	// Train/test split.
 	perm := rng.Perm(len(data.Vertices))
-	nTrain := int(float64(len(perm)) * cfg.TrainFrac)
+	nTrain := int(float64(len(perm)) * gsTrainFrac)
 	train := make([]int64, nTrain)
 	test := make([]int64, len(perm)-nTrain)
 	for i, p := range perm {
@@ -291,10 +287,6 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 			if d := ctx.cfg.LeaseDuration; d > 0 {
 				clock.SetLease(d)
 			}
-			var accum *gsGradAccum
-			if cfg.Coalesce {
-				accum = &gsGradAccum{}
-			}
 			sinceTick := 0
 			for start := 0; start < len(ids); start += cfg.BatchSize {
 				end := min(start+cfg.BatchSize, len(ids))
@@ -308,9 +300,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 					return err
 				}
 				out := model.run(jb, weights)
-				if accum != nil {
-					accum.add(out, cfg.Aggregator == "lstm")
-				} else if err := model.pushGrads(out); err != nil {
+				if err := model.pushGrads(out); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -318,20 +308,10 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 				lossN++
 				mu.Unlock()
 				if sinceTick++; sinceTick >= cfg.WindowBatches {
-					if accum != nil {
-						if err := model.pushAccum(accum); err != nil {
-							return err
-						}
-					}
 					if err := clock.Tick(); err != nil {
 						return err
 					}
 					sinceTick = 0
-				}
-			}
-			if accum != nil {
-				if err := model.pushAccum(accum); err != nil {
-					return err
 				}
 			}
 			return clock.Retire()

@@ -156,51 +156,3 @@ func (l *lstmMats) pushGrads(p gnn.LSTMParams) error {
 	}
 	return l.b.PushGrad(p.B)
 }
-
-// gsGradAccum coalesces weight gradients across adjacent batches: the
-// matrices are dense and identically shaped every batch, so summing
-// locally and pushing once per window sends one wire message per matrix
-// partition per window instead of per batch (the Coalesce knob). The sum
-// is exact — the server's gradient path sums concurrent pushes before the
-// Adam step anyway.
-type gsGradAccum struct {
-	n      int
-	w1, w2 []float64
-	l1, l2 gnn.LSTMParams
-}
-
-// sumInto accumulates src into dst, allocating on first use.
-func sumInto(dst, src []float64) []float64 {
-	if dst == nil {
-		return append([]float64(nil), src...)
-	}
-	for i := range dst {
-		dst[i] += src[i]
-	}
-	return dst
-}
-
-// add folds one batch's gradients into the window.
-func (a *gsGradAccum) add(out gnn.Result, lstm bool) {
-	a.n++
-	a.w1 = sumInto(a.w1, out.GradW1)
-	a.w2 = sumInto(a.w2, out.GradW2)
-	if lstm {
-		a.l1.Wx = sumInto(a.l1.Wx, out.GradL1.Wx)
-		a.l1.Wh = sumInto(a.l1.Wh, out.GradL1.Wh)
-		a.l1.B = sumInto(a.l1.B, out.GradL1.B)
-		a.l2.Wx = sumInto(a.l2.Wx, out.GradL2.Wx)
-		a.l2.Wh = sumInto(a.l2.Wh, out.GradL2.Wh)
-		a.l2.B = sumInto(a.l2.B, out.GradL2.B)
-	}
-}
-
-// pushAccum flushes the accumulated window to the PS and resets it.
-func (m *gsModel) pushAccum(a *gsGradAccum) error {
-	if a.n == 0 {
-		return nil
-	}
-	out := gnn.Result{GradW1: a.w1, GradW2: a.w2, GradL1: a.l1, GradL2: a.l2}
-	*a = gsGradAccum{}
-	return m.pushGrads(out)
-}

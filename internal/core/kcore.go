@@ -12,10 +12,6 @@ import (
 type KCoreConfig struct {
 	// K is the core order to extract.
 	K int64
-	// MaxRounds bounds peeling rounds. Defaults to 100.
-	MaxRounds int
-	// Parts overrides the RDD partition count.
-	Parts int
 }
 
 // KCoreResult reports the k-core of the graph.
@@ -30,19 +26,18 @@ type KCoreResult struct {
 
 // KCore extracts the k-core with the PageRank-style PS pattern
 // (footnote 2): the degree vector lives on the parameter server, and
-// peeling rounds at order K run until one removes nothing.
+// peeling rounds at order K run until one removes nothing. They need no
+// cap: a round either peels a live vertex or is the last, and a peeled
+// vertex never comes back.
 func KCore(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*KCoreResult, error) {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 100
-	}
-	p, err := startPeeling(ctx, edges, cfg.Parts, "kcore.deg")
+	p, err := startPeeling(ctx, edges, "kcore.deg")
 	if err != nil {
 		return nil, err
 	}
 	defer p.close()
 
 	rounds := 0
-	for ; rounds < cfg.MaxRounds; rounds++ {
+	for ; ; rounds++ {
 		peeled, err := p.round(cfg.K)
 		if err != nil {
 			return nil, err
@@ -82,10 +77,7 @@ type KCoreDecomposeResult struct {
 // KCore's rounds: peeling proceeds k = 1, 2, … until the graph is
 // exhausted, and a vertex peeled while processing k has coreness k-1.
 func KCoreDecompose(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*KCoreDecomposeResult, error) {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 10000
-	}
-	p, err := startPeeling(ctx, edges, cfg.Parts, "coreness.deg")
+	p, err := startPeeling(ctx, edges, "coreness.deg")
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +85,8 @@ func KCoreDecompose(ctx *Context, edges *dataflow.RDD[Edge], cfg KCoreConfig) (*
 
 	res := &KCoreDecomposeResult{Coreness: make([]int64, p.n)}
 	alive := p.vertices
-	for k := int64(1); alive > 0 && res.Rounds < cfg.MaxRounds; k++ {
-		for res.Rounds < cfg.MaxRounds {
+	for k := int64(1); alive > 0; k++ {
+		for {
 			res.Rounds++
 			peeled, err := p.round(k)
 			if err != nil {
@@ -126,9 +118,8 @@ type peeling struct {
 // startPeeling builds the tables and a degree vector holding every
 // vertex's degree. Vertices absent from every table keep degree 0 and are
 // never peeled (they are in no k-core for k > 0).
-func startPeeling(ctx *Context, edges *dataflow.RDD[Edge], parts int, model string) (*peeling, error) {
-	parts = ctx.parts(parts)
-	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
+func startPeeling(ctx *Context, edges *dataflow.RDD[Edge], model string) (*peeling, error) {
+	nbrs := ToUndirectedNeighborTables(edges, ctx.Partitions()).Cache()
 	n, err := tablesNumVertices(nbrs)
 	if err != nil {
 		nbrs.Unpersist()

@@ -7,13 +7,12 @@ import (
 	"psgraph/internal/ps"
 )
 
-// LabelPropagationConfig tunes the community detector.
-type LabelPropagationConfig struct {
-	// MaxIterations bounds the propagation rounds. Defaults to 20.
-	MaxIterations int
-	// Parts overrides the RDD partition count.
-	Parts int
-}
+// LabelPropagationConfig tunes the community detector; it has no knobs
+// yet. Propagation stops when a round changes nothing, or after
+// lpMaxIterations rounds: unlike peeling, label votes can oscillate.
+type LabelPropagationConfig struct{}
+
+const lpMaxIterations = 20
 
 // LabelPropagationResult reports the detected communities.
 type LabelPropagationResult struct {
@@ -34,10 +33,7 @@ type LabelPropagationResult struct {
 // dampens oscillation). The loop stops when a round changes nothing.
 func LabelPropagation(ctx *Context, edges *dataflow.RDD[Edge], cfg LabelPropagationConfig) (*LabelPropagationResult, error) {
 	type table = dataflow.KV[int64, []int64]
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 20
-	}
-	parts := ctx.parts(cfg.Parts)
+	parts := ctx.Partitions()
 	nbrs := ToUndirectedNeighborTables(edges, parts).Cache()
 	defer nbrs.Unpersist()
 
@@ -98,7 +94,7 @@ func LabelPropagation(ctx *Context, edges *dataflow.RDD[Edge], cfg LabelPropagat
 	}
 
 	it := 0
-	for ; it < cfg.MaxIterations; it++ {
+	for ; it < lpMaxIterations; it++ {
 		moved, to, err := voteRound(nbrs, labels, reads, vote)
 		if err != nil {
 			return nil, err

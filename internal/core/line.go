@@ -29,8 +29,6 @@ type LineConfig struct {
 	NegSamples int
 	// LR is the SGD learning rate. Defaults to 0.025.
 	LR float64
-	// Parts overrides the RDD partition count.
-	Parts int
 	// Seed makes negative sampling reproducible.
 	Seed int64
 	// PullVectors disables the psFunc dot-product optimization: executors
@@ -113,7 +111,7 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 	if err != nil {
 		return nil, err
 	}
-	parts := ctx.parts(cfg.Parts)
+	parts := ctx.Partitions()
 
 	embName := ctx.ModelName("line.emb")
 	initScale := 0.5 / float64(cfg.Dim)

@@ -47,6 +47,16 @@ func kernelStore(tb testing.TB, dim, parts int, names ...string) *ps.Store {
 	return capturedStore
 }
 
+// lockRows locks an embedding partition the test knows is one.
+func lockRows(tb testing.TB, v *ps.PartView) ps.LockedRows {
+	tb.Helper()
+	rows, err := v.Lock()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
 // refLineRows is the straightforward reference the kernels are held to:
 // both rows of every pair looked up afresh, pairs taken strictly in order.
 func refLineRows(tb testing.TB, s *ps.Store, model, other string, us, vs []int64, each func(i int, u, v []float64)) {
@@ -55,7 +65,10 @@ func refLineRows(tb testing.TB, s *ps.Store, model, other string, us, vs []int64
 	if err != nil {
 		tb.Fatal(err)
 	}
-	emb := view.Lock()
+	emb, err := view.Lock()
+	if err != nil {
+		tb.Fatal(err)
+	}
 	defer emb.Unlock()
 	ctx := emb
 	if other != model {
@@ -63,7 +76,9 @@ func refLineRows(tb testing.TB, s *ps.Store, model, other string, us, vs []int64
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ctx = oview.Lock()
+		if ctx, err = oview.Lock(); err != nil {
+			tb.Fatal(err)
+		}
 		defer ctx.Unlock()
 	}
 	for i := range us {
@@ -175,7 +190,7 @@ func TestLineKernelEquivalence(t *testing.T) {
 				kv, _ := s.Partition(pair[0], 0)
 				rv, _ := s.Partition(pair[1], 0)
 				ids := append(append([]int64(nil), b.us...), b.vs...)
-				krows, rrows := kv.Lock(), rv.Lock()
+				krows, rrows := lockRows(t, kv), lockRows(t, rv)
 				kr, rr := krows.Rows(nil, ids), rrows.Rows(nil, ids)
 				for i, id := range ids {
 					if !sameBits(kr[i], rr[i]) {

@@ -35,7 +35,10 @@ func takeIndicesFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	data, lo, unlock := view.VecLock()
+	data, lo, unlock, err := view.VecLock()
+	if err != nil {
+		return nil, err
+	}
 	defer unlock()
 	out := make([]float64, len(indices))
 	for i, idx := range indices {

@@ -30,7 +30,11 @@ func nbrSealFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return ps.AppendArgI64(nil, view.SealCSR()), nil
+	n, err := view.SealCSR()
+	if err != nil {
+		return nil, err
+	}
+	return ps.AppendArgI64(nil, n), nil
 }
 
 // sumArgI64 adds up per-partition results of one AppendArgI64 each.
@@ -75,6 +79,9 @@ func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
+	if ranksName == model || nextName == model || ranksName == nextName {
+		return nil, fmt.Errorf("core: commitDelta over %s, %s and %s: want three models", model, ranksName, nextName)
+	}
 	curView, err := s.Partition(model, part)
 	if err != nil {
 		return nil, err
@@ -103,14 +110,18 @@ func commitDeltaFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, e
 		{name: nextName, view: nextView},
 	}
 	sort.Slice(ls, func(i, j int) bool { return ls[i].name < ls[j].name })
-	for _, l := range ls {
-		l.data, _, l.un = l.view.VecLock()
-	}
+	locked := 0
 	defer func() {
-		for i := len(ls) - 1; i >= 0; i-- {
+		for i := locked - 1; i >= 0; i-- {
 			ls[i].un()
 		}
 	}()
+	for _, l := range ls {
+		if l.data, _, l.un, err = l.view.VecLock(); err != nil {
+			return nil, err
+		}
+		locked++
+	}
 	var cur, ranks, next []float64
 	for _, l := range ls {
 		switch l.name {
@@ -205,21 +216,30 @@ func lockLinePair(s *ps.Store, model, other string, part int) (emb, ctx ps.Locke
 		return emb, ctx, err
 	}
 	if other == model {
-		emb = embView.Lock()
-		return emb, emb, nil
+		emb, err = embView.Lock()
+		return emb, emb, err
 	}
 	otherView, err := s.Partition(other, part)
 	if err != nil {
 		return emb, ctx, err
 	}
-	if model <= other {
-		emb = embView.Lock()
-		ctx = otherView.Lock()
-	} else {
-		ctx = otherView.Lock()
-		emb = embView.Lock()
+	first, second := embView, otherView
+	if model > other {
+		first, second = otherView, embView
 	}
-	return emb, ctx, nil
+	a, err := first.Lock()
+	if err != nil {
+		return emb, ctx, err
+	}
+	b, err := second.Lock()
+	if err != nil {
+		a.Unlock()
+		return emb, ctx, err
+	}
+	if model > other {
+		a, b = b, a
+	}
+	return a, b, nil
 }
 
 func unlockLinePair(emb, ctx ps.LockedRows) {

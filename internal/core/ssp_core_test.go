@@ -183,8 +183,8 @@ func TestLineSSPWithoutPullVectors(t *testing.T) {
 	}
 }
 
-// TestGraphSageSSPLearns: GraphSage through the SSP clock with
-// gradient-window coalescing reaches the same accuracy bar as the BSP test.
+// TestGraphSageSSPLearns: GraphSage through the SSP clock reaches the same
+// accuracy bar as the BSP test.
 func TestGraphSageSSPLearns(t *testing.T) {
 	ctx := newTestContext(t)
 	edgesPath, featsPath := writeSBMDataset(t, ctx, 600, 3, 22)
@@ -195,7 +195,7 @@ func TestGraphSageSSPLearns(t *testing.T) {
 	defer data.Close(ctx)
 	res, err := GraphSage(ctx, data, GraphSageConfig{
 		Classes: 3, HiddenDim: 16, Epochs: 6, BatchSize: 128, LR: 0.02, Seed: 7,
-		Sync: "ssp", Staleness: 1, WindowBatches: 2, Coalesce: true,
+		Sync: "ssp", Staleness: 1, WindowBatches: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

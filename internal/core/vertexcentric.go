@@ -47,8 +47,6 @@ type VertexProgram struct {
 type VertexCentricConfig struct {
 	// MaxSupersteps bounds the iteration count. Defaults to 30.
 	MaxSupersteps int
-	// Parts overrides the RDD partition count.
-	Parts int
 }
 
 // VertexCentricResult reports the converged states.
@@ -79,7 +77,7 @@ func RunVertexCentric(ctx *Context, edges *dataflow.RDD[Edge], prog VertexProgra
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 30
 	}
-	nbrs := vertexTables(edges, ctx.parts(cfg.Parts)).Cache()
+	nbrs := vertexTables(edges, ctx.Partitions()).Cache()
 	defer nbrs.Unpersist()
 	n, err := tablesNumVertices(nbrs)
 	if err != nil {

@@ -88,9 +88,6 @@ func (d *DataFrame) Filter(pred func(Row) bool) *DataFrame {
 	return &DataFrame{cols: d.cols, rdd: Filter(d.rdd, pred)}
 }
 
-// Collect gathers all rows.
-func (d *DataFrame) Collect() ([]Row, error) { return d.rdd.Collect() }
-
 // Count returns the row count.
 func (d *DataFrame) Count() (int64, error) { return d.rdd.Count() }
 

@@ -34,7 +34,7 @@ func TestFrameFilterWithColumn(t *testing.T) {
 	doubled := FromRDD(append(heavy.Columns(), "double"), Map(heavy.RDD(), func(r Row) Row {
 		return append(append(Row{}, r...), r.Float64(2)*2)
 	}))
-	rows, err := doubled.Collect()
+	rows, err := doubled.RDD().Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,17 +185,19 @@ func TestFusedChainRetriesOnExecutorFailure(t *testing.T) {
 	}
 }
 
+// TestFusedForeachStreams: a fused chain streams each element into the
+// action's fold, here Reduce's, as the chain produces it.
 func TestFusedForeachStreams(t *testing.T) {
 	withFusion(t, true)
 	ctx := newCtx(t, Config{NumExecutors: 2})
-	var sum atomic.Int64
-	err := Map(Parallelize(ctx, ints(100), 5), func(x int) int { return x }).
-		Foreach(func(x int) error { sum.Add(int64(x)); return nil })
+	var seen atomic.Int64
+	sum, err := Map(Parallelize(ctx, ints(100), 5), func(x int) int { seen.Add(1); return x }).
+		Reduce(func(a, b int) int { return a + b })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
+	if sum != 4950 || seen.Load() != 100 {
+		t.Fatalf("sum = %d over %d elements", sum, seen.Load())
 	}
 }
 

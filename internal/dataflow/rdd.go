@@ -382,18 +382,6 @@ func (r *RDD[T]) Count() (int64, error) {
 	return total, nil
 }
 
-// Foreach runs f over every element for its side effects, streaming
-// elements through the fused path. f must be safe for concurrent use
-// across partitions.
-func (r *RDD[T]) Foreach(f func(T) error) error {
-	if err := r.prepare(); err != nil {
-		return err
-	}
-	return r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		return r.streamPart(t, part, f)
-	})
-}
-
 // ForeachPartition runs f once per partition for its side effects. This is
 // the workhorse of PSGraph algorithms: each executor processes its graph
 // partition and talks to the parameter server from inside f. On a cached

@@ -82,7 +82,6 @@ type FS struct {
 	nodes   []*datanode
 	killedW bool // writes to killed nodes silently skip (replica lost)
 
-	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
 }
 
@@ -103,18 +102,9 @@ func New(cfg Config) *FS {
 // NewDefault creates a file system with default configuration.
 func NewDefault() *FS { return New(Config{}) }
 
-// BytesRead returns the cumulative number of block bytes read.
-func (fs *FS) BytesRead() int64 { return fs.bytesRead.Load() }
-
 // BytesWritten returns the cumulative number of block bytes written
 // (counting each replica).
 func (fs *FS) BytesWritten() int64 { return fs.bytesWritten.Load() }
-
-// ResetCounters zeroes the IO counters.
-func (fs *FS) ResetCounters() {
-	fs.bytesRead.Store(0)
-	fs.bytesWritten.Store(0)
-}
 
 // KillDataNode marks datanode i dead. Its replicas become unreadable until
 // Revive. Blocks whose every replica is dead fail reads with ErrUnavailable.
@@ -174,7 +164,6 @@ func (fs *FS) readBlock(id int64) ([]byte, error) {
 		alive := node.alive
 		node.mu.RUnlock()
 		if ok && alive {
-			fs.bytesRead.Add(int64(len(data)))
 			return data, nil
 		}
 	}
@@ -410,23 +399,6 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if replaced != nil {
 		fs.freeBlocks(replaced.blocks)
 	}
-	return nil
-}
-
-// Delete removes the file at path. Deleting a missing file is an error.
-func (fs *FS) Delete(path string) error {
-	if fs.dir != "" {
-		return fs.dirDelete(path)
-	}
-	fs.mu.Lock()
-	meta, ok := fs.files[path]
-	if !ok {
-		fs.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	delete(fs.files, path)
-	fs.mu.Unlock()
-	fs.freeBlocks(meta.blocks)
 	return nil
 }
 

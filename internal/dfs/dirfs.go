@@ -39,10 +39,6 @@ func NewDir(root string) (*FS, error) {
 	return fs, nil
 }
 
-// Dir returns the backing directory of a disk-backed FS, or "" for the
-// in-memory one.
-func (fs *FS) Dir() string { return fs.dir }
-
 // diskPath maps a DFS path onto the backing directory, refusing paths
 // that would escape it.
 func (fs *FS) diskPath(path string) (string, error) {
@@ -128,21 +124,6 @@ func (w *dirWriter) Close() error {
 	return os.Rename(w.f.Name(), w.final)
 }
 
-// countingReader tallies read bytes into the FS counters so IO volume
-// reporting keeps working in dir mode.
-type countingReader struct {
-	fs *FS
-	r  io.ReadCloser
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.fs.bytesRead.Add(int64(n))
-	return n, err
-}
-
-func (c *countingReader) Close() error { return c.r.Close() }
-
 func (fs *FS) dirOpen(path string) (io.ReadCloser, error) {
 	p, err := fs.diskPath(path)
 	if err != nil {
@@ -155,7 +136,7 @@ func (fs *FS) dirOpen(path string) (io.ReadCloser, error) {
 		}
 		return nil, err
 	}
-	return &countingReader{fs: fs, r: f}, nil
+	return f, nil
 }
 
 func (fs *FS) dirOpenRange(path string, off, length int64) (io.ReadCloser, error) {
@@ -189,10 +170,10 @@ func (fs *FS) dirOpenRange(path string, off, length int64) (io.ReadCloser, error
 		f.Close()
 		return nil, err
 	}
-	return &countingReader{fs: fs, r: struct {
+	return struct {
 		io.Reader
 		io.Closer
-	}{io.LimitReader(f, length), f}}, nil
+	}{io.LimitReader(f, length), f}, nil
 }
 
 func (fs *FS) dirExists(path string) bool {
@@ -235,20 +216,6 @@ func (fs *FS) dirRename(oldPath, newPath string) error {
 		return err
 	}
 	return os.Rename(op, np)
-}
-
-func (fs *FS) dirDelete(path string) error {
-	p, err := fs.diskPath(path)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			return fmt.Errorf("%w: %s", ErrNotExist, path)
-		}
-		return err
-	}
-	return nil
 }
 
 // dirWalk visits every regular file under the root (skipping in-flight

@@ -85,7 +85,6 @@ func (fs *FS) OpenWAL(path string) (*WAL, [][]byte, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("dfs: wal %s: %w", path, err)
 	}
-	fs.bytesRead.Add(int64(len(data)))
 	recs, valid := walParse(data)
 	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -155,8 +155,8 @@ func TestWALTornTailTruncated(t *testing.T) {
 // damage rewrites the WAL's raw backing bytes through tear.
 func damage(t *testing.T, fs *FS, path string, tear func([]byte) []byte) {
 	t.Helper()
-	if fs.Dir() != "" {
-		p := filepath.Join(fs.Dir(), filepath.FromSlash(path))
+	if fs.dir != "" {
+		p := filepath.Join(fs.dir, filepath.FromSlash(path))
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)

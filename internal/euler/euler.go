@@ -62,14 +62,9 @@ type PreprocessConfig struct {
 	JobLaunch time.Duration
 }
 
-// Preprocess converts the raw edge list plus feature file into Euler's
-// partitioned JSON format under outDir, running the three stages strictly
-// one after another with full DFS round trips between them.
-func Preprocess(fs *dfs.FS, edgesPath, featsPath, outDir string, parts int) (*PreprocessResult, error) {
-	return PreprocessWithConfig(fs, edgesPath, featsPath, outDir, parts, PreprocessConfig{})
-}
-
-// PreprocessWithConfig is Preprocess with explicit simulation knobs.
+// PreprocessWithConfig converts the raw edge list plus feature file into
+// Euler's partitioned JSON format under outDir, running the three stages
+// strictly one after another with full DFS round trips between them.
 func PreprocessWithConfig(fs *dfs.FS, edgesPath, featsPath, outDir string, parts int, cfg PreprocessConfig) (*PreprocessResult, error) {
 	res := &PreprocessResult{}
 	start := time.Now()
@@ -302,9 +297,6 @@ func StartService(fs *dfs.FS, tr rpc.Transport, addr, dir string, parts int) (*S
 	}
 	return s, nil
 }
-
-// NumVertices returns the number of loaded vertices.
-func (s *Service) NumVertices() int { return len(s.recs) }
 
 // Close deregisters the service endpoint.
 func (s *Service) Close() { s.tr.Deregister(s.Addr) }

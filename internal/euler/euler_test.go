@@ -25,7 +25,7 @@ func writeDataset(t *testing.T, fs *dfs.FS, n int64, classes int, seed int64) {
 func TestPreprocessStagesProduceFiles(t *testing.T) {
 	fs := dfs.NewDefault()
 	writeDataset(t, fs, 100, 3, 1)
-	res, err := Preprocess(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 4)
+	res, err := PreprocessWithConfig(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 4, PreprocessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPreprocessIndexMappingIsDense(t *testing.T) {
 	// Sparse raw ids.
 	fs.WriteFile("/raw/edges.txt", []byte("1000\t2000\n2000\t3000\n"))
 	fs.WriteFile("/raw/feats.txt", []byte("1000\t0\t1.0\n2000\t1\t2.0\n3000\t0\t3.0\n"))
-	res, err := Preprocess(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2)
+	res, err := PreprocessWithConfig(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2, PreprocessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPreprocessIndexMappingIsDense(t *testing.T) {
 func TestServiceServesVertices(t *testing.T) {
 	fs := dfs.NewDefault()
 	writeDataset(t, fs, 50, 2, 2)
-	if _, err := Preprocess(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2); err != nil {
+	if _, err := PreprocessWithConfig(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2, PreprocessConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	tr := rpc.NewInProc()
@@ -81,8 +81,8 @@ func TestServiceServesVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if svc.NumVertices() != 50 {
-		t.Fatalf("service vertices = %d", svc.NumVertices())
+	if len(svc.recs) != 50 {
+		t.Fatalf("service vertices = %d", len(svc.recs))
 	}
 	rec, err := getVertex(tr, "euler-svc", 0)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestServiceServesVertices(t *testing.T) {
 func TestTrainLearnsSBM(t *testing.T) {
 	fs := dfs.NewDefault()
 	writeDataset(t, fs, 600, 3, 3)
-	pre, err := Preprocess(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2)
+	pre, err := PreprocessWithConfig(fs, "/raw/edges.txt", "/raw/feats.txt", "/euler", 2, PreprocessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 func TestPreprocessJobLaunchOverhead(t *testing.T) {
 	fs := dfs.NewDefault()
 	writeDataset(t, fs, 60, 2, 9)
-	fast, err := Preprocess(fs, "/raw/edges.txt", "/raw/feats.txt", "/fast", 2)
+	fast, err := PreprocessWithConfig(fs, "/raw/edges.txt", "/raw/feats.txt", "/fast", 2, PreprocessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

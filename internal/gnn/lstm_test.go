@@ -18,7 +18,7 @@ func TestSegmentLSTMShapesAndMasking(t *testing.T) {
 	}
 	// Empty segment aggregates to zero.
 	for c := 0; c < 3; c++ {
-		if out.T.At(2, c) != 0 {
+		if out.T.Row(2)[c] != 0 {
 			t.Fatalf("empty segment row = %v", out.T.Row(2))
 		}
 	}
@@ -26,7 +26,7 @@ func TestSegmentLSTMShapesAndMasking(t *testing.T) {
 	// with random weights).
 	var norm float64
 	for c := 0; c < 3; c++ {
-		norm += math.Abs(out.T.At(0, c)) + math.Abs(out.T.At(1, c))
+		norm += math.Abs(out.T.Row(0)[c]) + math.Abs(out.T.Row(1)[c])
 	}
 	if norm == 0 {
 		t.Fatal("LSTM states all zero")

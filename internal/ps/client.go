@@ -717,9 +717,6 @@ func (v *Vector) Fill(x float64) error {
 	return v.SetAll(slices.Repeat([]float64{x}, int(v.Meta.Size)))
 }
 
-// Zero resets the whole vector to zero.
-func (v *Vector) Zero() error { return v.Fill(0) }
-
 // SparseVec is a handle to a sparse vector: an Embedding of one-wide rows
 // whose absent keys read 0.
 type SparseVec struct {
@@ -804,7 +801,6 @@ type EmbeddingSpec struct {
 	// products) instead of hash-by-vertex.
 	ByColumn  bool
 	InitScale float64
-	Opt       Optimizer
 	// Partitions overrides the partition count (default one per server).
 	Partitions int
 }
@@ -817,8 +813,7 @@ func (c *Client) CreateEmbedding(spec EmbeddingSpec) (*Emb, error) {
 	}
 	meta, err := c.CreateModel(ModelMeta{
 		Name: spec.Name, Kind: kind, Dim: spec.Dim,
-		InitScale: spec.InitScale, Opt: spec.Opt,
-		NumPartitions: spec.Partitions,
+		InitScale: spec.InitScale, NumPartitions: spec.Partitions,
 	})
 	if err != nil {
 		return nil, err
@@ -926,12 +921,12 @@ func (e *Emb) pushBatch(b RowBatch, grad, set bool) error {
 }
 
 // push is pushBatch for the map-shaped methods.
-func (e *Emb) push(vecs map[int64][]float64, grad, set bool) error {
+func (e *Emb) push(vecs map[int64][]float64, set bool) error {
 	b, err := rowBatchOf(vecs, e.Meta.Dim)
 	if err != nil {
 		return err
 	}
-	return e.pushBatch(b, grad, set)
+	return e.pushBatch(b, false, set)
 }
 
 // PushAddBatch adds the batch's rows into the stored rows; a repeated id
@@ -939,14 +934,10 @@ func (e *Emb) push(vecs map[int64][]float64, grad, set bool) error {
 func (e *Emb) PushAddBatch(b RowBatch) error { return e.pushBatch(b, false, false) }
 
 // PushAdd adds the vectors into the stored rows.
-func (e *Emb) PushAdd(vecs map[int64][]float64) error { return e.push(vecs, false, false) }
+func (e *Emb) PushAdd(vecs map[int64][]float64) error { return e.push(vecs, false) }
 
 // PushSet overwrites the stored rows.
-func (e *Emb) PushSet(vecs map[int64][]float64) error { return e.push(vecs, false, true) }
-
-// PushGrad applies the model's server-side optimizer to the pushed
-// gradients.
-func (e *Emb) PushGrad(grads map[int64][]float64) error { return e.push(grads, true, false) }
+func (e *Emb) PushSet(vecs map[int64][]float64) error { return e.push(vecs, true) }
 
 // Nbr is a handle to a Neighbor (adjacency) model.
 type Nbr struct {
@@ -1141,9 +1132,6 @@ func (m *Mat) push(data []float64, grad, set bool) error {
 
 // PushSet overwrites the matrix (driver pushing the initial model).
 func (m *Mat) PushSet(data []float64) error { return m.push(data, false, true) }
-
-// PushAdd adds into the matrix.
-func (m *Mat) PushAdd(data []float64) error { return m.push(data, false, false) }
 
 // PushGrad applies the server-side optimizer to a full-matrix gradient.
 func (m *Mat) PushGrad(grad []float64) error { return m.push(grad, true, false) }

@@ -242,9 +242,6 @@ func (c *Client) SSPClock(tag string, worker, expect, k int) *SSPClock {
 // failover lease.
 func (s *SSPClock) SetLease(d time.Duration) { s.lease = d }
 
-// Clock returns the worker's current clock value.
-func (s *SSPClock) Clock() int64 { return s.clock }
-
 // Tick completes one window: publish the new clock and wait until the
 // slowest live worker is within k clocks (no call at all when k < 0, i.e.
 // ASP). After a master restart the same call rebuilds the ring, which is

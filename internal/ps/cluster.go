@@ -45,8 +45,6 @@ type ClusterConfig struct {
 	// RestartDelay models the time Yarn/Kubernetes takes to provision a
 	// replacement server container before recovery can restore it.
 	RestartDelay time.Duration
-	// CheckpointInterval enables periodic model checkpoints to the DFS.
-	CheckpointInterval time.Duration
 	// NamePrefix disambiguates endpoints when several clusters share one
 	// transport.
 	NamePrefix string
@@ -64,10 +62,6 @@ type ClusterConfig struct {
 	// self-fence a partitioned primary could keep acking writes after its
 	// partitions were promoted, silently losing them.
 	Replicate bool
-	// RebalanceInterval enables the master's automatic load-aware
-	// rebalancer: every interval it polls per-partition load and splits
-	// or moves hot partitions (see Master.Rebalance).
-	RebalanceInterval time.Duration
 }
 
 // NewCluster starts a master and NumServers servers.
@@ -144,12 +138,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.LeaseDuration > 0 {
 		c.Master.EnableLeases(cfg.LeaseDuration)
-	}
-	if cfg.CheckpointInterval > 0 {
-		c.Master.SetCheckpointInterval(cfg.CheckpointInterval)
-	}
-	if cfg.RebalanceInterval > 0 {
-		c.Master.EnableAutoRebalance(cfg.RebalanceInterval)
 	}
 	return c, nil
 }

@@ -128,20 +128,26 @@ func TestResponseDropSparseNbrMatExactlyOnce(t *testing.T) {
 		t.Fatalf("neighbor list %v, want 2 entries (double-applied append?)", tables[1])
 	}
 
-	m, err := agent.CreateMatrix(MatrixSpec{Name: "m", Rows: 2, Cols: 2})
+	// A matrix is written by gradient (GraphSage's weights): one SGD step
+	// at rate 1 subtracts the gradient once.
+	m, err := agent.CreateMatrix(MatrixSpec{Name: "m", Rows: 2, Cols: 2, Opt: sgd(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := m.PullAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.DropResponses(srv, 1)
-	if err := m.PushAdd([]float64{1, 0, 0, 1}); err != nil {
+	if err := m.PushGrad([]float64{1, 0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	mv, err := m.PullAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mv[0] != 1 || mv[3] != 1 {
-		t.Fatalf("matrix after dropped-response add: %v", mv)
+	if mv[0] != m0[0]-1 || mv[3] != m0[3]-1 {
+		t.Fatalf("matrix after dropped-response gradient: %v, was %v", mv, m0)
 	}
 	assertExactlyOnce(t, c, agent)
 }
@@ -223,7 +229,10 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		data, _, unlock := pv.VecLock()
+		data, _, unlock, err := pv.VecLock()
+		if err != nil {
+			return nil, err
+		}
 		data[0]++
 		unlock()
 		return []byte("ok"), nil
@@ -690,7 +699,7 @@ func init() {
 			return nil, err
 		}
 		rowRuns.Add(1)
-		return AppendArgF64s(nil, liveRow(pv.emb(), 1)), nil
+		return AppendArgF64s(nil, liveRow(pv.eng.(*embEngine), 1)), nil
 	})
 }
 
@@ -715,7 +724,7 @@ func wantRow(t *testing.T, c *Cluster, addr, model string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AppendArgF64s(nil, liveRow(pv.emb(), 1))
+	return AppendArgF64s(nil, liveRow(pv.eng.(*embEngine), 1))
 }
 
 // TestWindowKeepsNoReplaySafeReplies: the window remembers every

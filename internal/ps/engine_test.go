@@ -26,7 +26,7 @@ func TestOptimizerGoldenEmbeddingSingleStep(t *testing.T) {
 		opt  Optimizer
 		want func(g float64) float64 // update applied to a zero row
 	}{
-		{"SGD", SGD(lr), func(g float64) float64 { return -lr * g }},
+		{"SGD", sgd(lr), func(g float64) float64 { return -lr * g }},
 		{"AdaGrad", adaGrad(lr), func(g float64) float64 { return -lr * g / (math.Sqrt(g*g) + eps) }},
 		// Adam at t=1: mhat = g, vhat = g², so the bias corrections cancel.
 		{"Adam", Adam(lr), func(g float64) float64 { return -lr * g / (math.Sqrt(g*g) + eps) }},
@@ -34,11 +34,11 @@ func TestOptimizerGoldenEmbeddingSingleStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, cl := newTestCluster(t, 1)
-			e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "g" + tc.name, Dim: 2, Opt: tc.opt})
+			e, err := createGradEmb(cl, EmbeddingSpec{Name: "g" + tc.name, Dim: 2}, tc.opt)
 			if err != nil {
 				t.Fatalf("create: %v", err)
 			}
-			if err := e.PushGrad(map[int64][]float64{7: g}); err != nil {
+			if err := pushGrad(e, map[int64][]float64{7: g}); err != nil {
 				t.Fatalf("grad: %v", err)
 			}
 			got, err := e.Pull([]int64{7})
@@ -99,7 +99,7 @@ func TestMatrixStepsMatchAFlatReference(t *testing.T) {
 	opts := []struct {
 		name string
 		opt  Optimizer
-	}{{"SGD", SGD(0.1)}, {"AdaGrad", adaGrad(0.05)}, {"Adam", Adam(0.01)}}
+	}{{"SGD", sgd(0.1)}, {"AdaGrad", adaGrad(0.05)}, {"Adam", Adam(0.01)}}
 	for _, shape := range []struct{ servers, rows, cols int }{{2, 32, 3}, {4, 1, 1}, {4, 2, 3}} {
 		for _, o := range opts {
 			t.Run(fmt.Sprintf("%s/%dx%d-on-%d", o.name, shape.rows, shape.cols, shape.servers), func(t *testing.T) {
@@ -191,12 +191,12 @@ func TestVecPushAtomicity(t *testing.T) {
 func TestEmbPushAtomicity(t *testing.T) {
 	const lr, eps = 0.1, 1e-8
 	_, cl := newTestCluster(t, 1)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "atomic", Dim: 2, Opt: Adam(lr)})
+	e, err := createGradEmb(cl, EmbeddingSpec{Name: "atomic", Dim: 2}, Adam(lr))
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	bad := map[int64][]float64{1: {1, 1}, 2: {1}} // row 2 has the wrong width
-	if err := e.PushGrad(bad); err == nil {
+	if err := pushGrad(e, bad); err == nil {
 		t.Fatal("wrong-width gradient push succeeded")
 	}
 	got, err := e.Pull([]int64{1})
@@ -209,7 +209,7 @@ func TestEmbPushAtomicity(t *testing.T) {
 	// A valid first step must now behave as t=1 (bias corrections cancel);
 	// if the failed push advanced the counter this comes out as t=2.
 	g := []float64{0.5, -2}
-	if err := e.PushGrad(map[int64][]float64{1: g}); err != nil {
+	if err := pushGrad(e, map[int64][]float64{1: g}); err != nil {
 		t.Fatalf("grad: %v", err)
 	}
 	got, err = e.Pull([]int64{1})
@@ -301,12 +301,12 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	SetEmbShards(3)
 	defer SetEmbShards(0)
 	c, cl := newTestCluster(t, 1)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "shards", Dim: 2, Opt: Adam(0.1), InitScale: 0.25})
+	e, err := createGradEmb(cl, EmbeddingSpec{Name: "shards", Dim: 2, InitScale: 0.25}, Adam(0.1))
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	for i := int64(0); i < 64; i++ {
-		if err := e.PushGrad(map[int64][]float64{i: {float64(i), -1}}); err != nil {
+		if err := pushGrad(e, map[int64][]float64{i: {float64(i), -1}}); err != nil {
 			t.Fatalf("grad: %v", err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestEmbShardedCheckpointRoundTrip(t *testing.T) {
 	// Optimizer state survived re-sharding: training keeps converging.
 	for i := 0; i < 50; i++ {
 		cur, _ := e.Pull([]int64{5})
-		if err := e.PushGrad(map[int64][]float64{5: {2 * cur[5][0], 2 * cur[5][1]}}); err != nil {
+		if err := pushGrad(e, map[int64][]float64{5: {2 * cur[5][0], 2 * cur[5][1]}}); err != nil {
 			t.Fatalf("grad after restore: %v", err)
 		}
 	}
@@ -464,7 +464,10 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		rows := p.Lock()
+		rows, err := p.Lock()
+		if err != nil {
+			return nil, err
+		}
 		defer rows.Unlock()
 		var sum float64
 		for _, row := range rows.Rows(nil, []int64{0, 1, 2, 3, 4, 5, 6, 7}) {
@@ -482,7 +485,7 @@ func init() {
 // locking (lock ordering, the pull fast path's upgrade, checkpoint cuts).
 func TestEngineConcurrencyStress(t *testing.T) {
 	c, cl := newTestCluster(t, 2)
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "stress", Dim: 4, Opt: Adam(0.01), InitScale: 0.1})
+	e, err := createGradEmb(cl, EmbeddingSpec{Name: "stress", Dim: 4, InitScale: 0.1}, Adam(0.01))
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -504,7 +507,7 @@ func TestEngineConcurrencyStress(t *testing.T) {
 				case 1:
 					err = e.PushAdd(map[int64][]float64{id: {1, 0, -1, 0}})
 				case 2:
-					err = e.PushGrad(map[int64][]float64{id: {0.1, 0.1, 0.1, 0.1}})
+					err = pushGrad(e, map[int64][]float64{id: {0.1, 0.1, 0.1, 0.1}})
 				case 3:
 					_, err = cl.CallFunc("stress", "enginetest.touch", func(Partition) []byte { return nil })
 				case 4:

@@ -194,7 +194,7 @@ func TestEpochFenceOrdering(t *testing.T) {
 	if err := s.fenceCheck(7); err != nil {
 		t.Fatalf("newer epoch rejected: %v", err)
 	}
-	if got := s.Epoch(); got != 7 {
+	if got := s.repl.epoch.Load(); got != 7 {
 		t.Fatalf("server did not adopt newer epoch: %d", got)
 	}
 	// Epoch 0 (a pre-failover layout) is older than any positive epoch:

@@ -70,9 +70,6 @@ func (a *ArgReader) F64() float64 { return a.r.f64() }
 // I64 reads a value written by AppendArgI64.
 func (a *ArgReader) I64() int64 { return a.r.varint() }
 
-// Err returns the first decode error.
-func (a *ArgReader) Err() error { return a.r.err }
-
 // Close verifies the payload decoded cleanly and was consumed exactly.
 func (a *ArgReader) Close() error {
 	if a.r.err != nil {

@@ -46,7 +46,7 @@ func TestArgReaderTruncated(t *testing.T) {
 	b := AppendArgF64s(nil, []float64{1, 2, 3})
 	r := NewArgReader(b[:len(b)-2])
 	_ = r.F64s()
-	if r.Err() == nil {
+	if r.r.err == nil {
 		t.Fatal("truncated payload not detected")
 	}
 	if err := r.Close(); err == nil {

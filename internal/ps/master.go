@@ -405,7 +405,6 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 		}
 	}
 	if fs == nil {
-		m.maybeAutoPublishLocked(metas)
 		return false, nil
 	}
 	for _, meta := range metas {
@@ -422,7 +421,6 @@ func (m *Master) checkpointModels(names []string, fence int64) (raced bool, err 
 			return false, fmt.Errorf("ps: write layout manifest of %s: %w", meta.Name, err)
 		}
 	}
-	m.maybeAutoPublishLocked(metas)
 	return false, nil
 }
 

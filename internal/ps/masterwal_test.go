@@ -265,8 +265,8 @@ func TestSSPRingRebuiltByTickAfterRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ck.Clock() != 3 {
-		t.Fatalf("clock = %d after 3 ticks", ck.Clock())
+	if ck.clock != 3 {
+		t.Fatalf("clock = %d after 3 ticks", ck.clock)
 	}
 	m, _ := restartMaster(t, tr, fs)
 	// The next Tick lands on 4 and, with k=1 and a single worker, returns
@@ -281,8 +281,8 @@ func TestSSPRingRebuiltByTickAfterRestart(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("tick after restart stalled: ring not rebuilt at the cached clock")
 	}
-	if ck.Clock() != 4 {
-		t.Fatalf("clock = %d after restart+tick, want 4", ck.Clock())
+	if ck.clock != 4 {
+		t.Fatalf("clock = %d after restart+tick, want 4", ck.clock)
 	}
 	m.clocks.mu.Lock()
 	r := m.clocks.rings["ring"]

@@ -74,9 +74,6 @@ type Optimizer struct {
 	Eps   float64
 }
 
-// SGD returns a plain SGD optimizer spec.
-func SGD(lr float64) Optimizer { return Optimizer{Kind: OptSGD, LR: lr} }
-
 // Adam returns an Adam optimizer spec with standard betas.
 func Adam(lr float64) Optimizer {
 	return Optimizer{Kind: OptAdam, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
@@ -200,9 +197,6 @@ type ModelMeta struct {
 	// never apply a write through a demoted primary.
 	Epoch int64
 }
-
-// NumParts returns the number of partitions.
-func (m *ModelMeta) NumParts() int { return len(m.Parts) }
 
 // routeBucket hashes a key into the [0, routeBuckets) route space. The
 // hash is a pure function (SplitMix64 over a golden-ratio step), so every

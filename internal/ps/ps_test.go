@@ -82,11 +82,11 @@ func TestDenseVectorSetAllAndZero(t *testing.T) {
 			t.Fatalf("got[%d] = %v", i, got[i])
 		}
 	}
-	v.Zero()
+	v.Fill(0)
 	got, _ = v.PullAll()
 	for i := range got {
 		if got[i] != 0 {
-			t.Fatalf("after Zero got[%d] = %v", i, got[i])
+			t.Fatalf("after Fill(0) got[%d] = %v", i, got[i])
 		}
 	}
 }
@@ -270,18 +270,11 @@ func TestDenseMatrix(t *testing.T) {
 			t.Fatalf("got[%d] = %v, want %v", i, got[i], data[i])
 		}
 	}
-	add := make([]float64, 10)
-	add[3] = 0.5
-	m.PushAdd(add)
-	got, _ = m.PullAll()
-	if got[3] != 4.5 {
-		t.Fatalf("after add got[3] = %v", got[3])
-	}
 }
 
 func TestSGDOptimizerOnMatrix(t *testing.T) {
 	_, cl := newTestCluster(t, 2)
-	m, _ := cl.CreateMatrix(MatrixSpec{Name: "W", Rows: 1, Cols: 4, Opt: SGD(0.1)})
+	m, _ := cl.CreateMatrix(MatrixSpec{Name: "W", Rows: 1, Cols: 4, Opt: sgd(0.1)})
 	m.PushSet([]float64{1, 1, 1, 1})
 	m.PushGrad([]float64{1, 2, 3, 4})
 	got, _ := m.PullAll()
@@ -310,12 +303,12 @@ func TestAdamOptimizerDecreasesLoss(t *testing.T) {
 
 func TestAdaGradOnEmbedding(t *testing.T) {
 	_, cl := newTestCluster(t, 2)
-	e, _ := cl.CreateEmbedding(EmbeddingSpec{Name: "emb", Dim: 2, Opt: adaGrad(0.5)})
+	e, _ := createGradEmb(cl, EmbeddingSpec{Name: "emb", Dim: 2}, adaGrad(0.5))
 	e.PushSet(map[int64][]float64{1: {2, -2}})
 	for i := 0; i < 100; i++ {
 		cur, _ := e.Pull([]int64{1})
 		g := []float64{2 * cur[1][0], 2 * cur[1][1]}
-		e.PushGrad(map[int64][]float64{1: g})
+		pushGrad(e, map[int64][]float64{1: g})
 	}
 	cur, _ := e.Pull([]int64{1})
 	if math.Abs(cur[1][0]) > 0.1 || math.Abs(cur[1][1]) > 0.1 {
@@ -331,7 +324,7 @@ func TestPSFunc(t *testing.T) {
 			return nil, err
 		}
 		var sum float64
-		for _, x := range liveRow(view.emb(), id) {
+		for _, x := range liveRow(view.eng.(*embEngine), id) {
 			sum += x
 		}
 		out := make([]byte, 8)
@@ -907,15 +900,15 @@ func TestMultiPartitionRecovery(t *testing.T) {
 
 func TestPeriodicCheckpointRecovers(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		NumServers:         2,
-		NamePrefix:         "periodic",
-		LeaseDuration:      20 * time.Millisecond,
-		CheckpointInterval: 10 * time.Millisecond,
+		NumServers:    2,
+		NamePrefix:    "periodic",
+		LeaseDuration: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.Master.SetCheckpointInterval(10 * time.Millisecond)
 	cl := c.NewClient()
 	v, _ := cl.CreateDenseVector(DenseVectorSpec{Name: "auto", Size: 8})
 	v.Fill(5)
@@ -1105,8 +1098,8 @@ func TestSecondClientResolvesViaMaster(t *testing.T) {
 	if vals[5] != 3 {
 		t.Fatalf("second client sees %v", vals)
 	}
-	if got.Meta.NumParts() != 2 {
-		t.Fatalf("parts = %d", got.Meta.NumParts())
+	if len(got.Meta.Parts) != 2 {
+		t.Fatalf("parts = %d", len(got.Meta.Parts))
 	}
 	if _, err := other.Vector("missing"); err == nil {
 		t.Fatal("missing model resolved")

@@ -132,7 +132,7 @@ func TestEmbPushFrameMatchesEncode(t *testing.T) {
 	compared := 0
 	for _, byCol := range []bool{false, true} {
 		name := map[bool]string{false: "hash", true: "column"}[byCol]
-		e, err := cl.CreateEmbedding(EmbeddingSpec{Name: name, Dim: dim, ByColumn: byCol, InitScale: 0.5, Partitions: 4, Opt: Adam(0.01)})
+		e, err := createGradEmb(cl, EmbeddingSpec{Name: name, Dim: dim, ByColumn: byCol, InitScale: 0.5, Partitions: 4}, Adam(0.01))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestMisshapedPushWritesNothing(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	cl := c.NewClient()
-	e, err := cl.CreateEmbedding(EmbeddingSpec{Name: "liar", Dim: 3, InitScale: 0.5, Partitions: 4, Opt: Adam(0.01)})
+	e, err := createGradEmb(cl, EmbeddingSpec{Name: "liar", Dim: 3, InitScale: 0.5, Partitions: 4}, Adam(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,9 +143,6 @@ func (s *Server) epochMax(e int64) {
 	}
 }
 
-// Epoch returns the highest layout epoch the server has learned.
-func (s *Server) Epoch() int64 { return s.repl.epoch.Load() }
-
 // fenceCheck rejects a mutating call that must not be applied: the
 // caller's layout epoch is older than the server's (its partitions may
 // have moved), or the server lost its master lease and has to assume it

@@ -363,7 +363,7 @@ func resendState(m *Master, servers ...*Server) map[string]any {
 		}
 		s.repl.pmu.RUnlock()
 		st[s.Addr+" backup"] = s.repl.backup.Load()
-		st[s.Addr+" epoch"] = s.Epoch()
+		st[s.Addr+" epoch"] = s.repl.epoch.Load()
 		s.serve.mu.Lock()
 		for k, gens := range s.serve.snaps {
 			for _, g := range gens {

@@ -163,13 +163,13 @@ func TestRowStorePointerStability(t *testing.T) {
 		col = append(col, id)
 	}
 	col = append(col, 42)
-	rows := view.Lock()
+	rows := lockRows(t, view)
 	got := rows.Rows(nil, col)
 	rows.Unlock()
 	if last := got[len(got)-1]; &got[0][0] != &last[0] || &got[1][0] != &last[0] {
 		t.Fatal("the row of 42 moved while its batch materialised 100k others")
 	}
-	if live := liveRow(view.emb(), 42); &live[0] != &got[0][0] {
+	if live := liveRow(view.eng.(*embEngine), 42); &live[0] != &got[0][0] {
 		t.Fatal("a resolved row is not the live row")
 	}
 }
@@ -185,6 +185,45 @@ func liveRow(e *embEngine, id int64) []float64 {
 
 // adaGrad is an AdaGrad optimizer spec.
 func adaGrad(lr float64) Optimizer { return Optimizer{Kind: OptAdaGrad, LR: lr, Eps: 1e-8} }
+
+// lockRows locks an embedding partition the test knows is one.
+func lockRows(tb testing.TB, v *PartView) LockedRows {
+	tb.Helper()
+	rows, err := v.Lock()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+func sgd(lr float64) Optimizer { return Optimizer{Kind: OptSGD, LR: lr} }
+
+// createGradEmb creates an embedding whose rows take gradients through
+// opt, the model a Mat's rows are.
+func createGradEmb(c *Client, spec EmbeddingSpec, opt Optimizer) (*Emb, error) {
+	kind := Embedding
+	if spec.ByColumn {
+		kind = ColumnEmbedding
+	}
+	meta, err := c.CreateModel(ModelMeta{
+		Name: spec.Name, Kind: kind, Dim: spec.Dim, InitScale: spec.InitScale,
+		Opt: opt, NumPartitions: spec.Partitions,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Emb{c: c, Meta: meta}, nil
+}
+
+// pushGrad pushes gradients for an embedding's rows through the batch path
+// Mat.PushGrad takes: the server-side optimizer, not an add.
+func pushGrad(e *Emb, grads map[int64][]float64) error {
+	b, err := rowBatchOf(grads, e.Meta.Dim)
+	if err != nil {
+		return err
+	}
+	return e.pushBatch(b, true, false)
+}
 
 // resolveEngine is one embedding partition of the given width behind a
 // PartView. Two of them hold the same rows: a row's initial value is a
@@ -206,7 +245,7 @@ func resolveEngine(t testing.TB, width int) *PartView {
 func checkResolve(t *testing.T, cols ...[]int64) {
 	t.Helper()
 	batch, perID := resolveEngine(t, 3), resolveEngine(t, 3)
-	rows := batch.Lock()
+	rows := lockRows(t, batch)
 	got := make([][][]float64, len(cols))
 	for c, ids := range cols {
 		got[c] = rows.Rows(nil, ids)
@@ -217,7 +256,7 @@ func checkResolve(t *testing.T, cols ...[]int64) {
 	rows.Unlock()
 	for c, ids := range cols {
 		for i, id := range ids {
-			want, live := liveRow(perID.emb(), id), liveRow(batch.emb(), id)
+			want, live := liveRow(perID.eng.(*embEngine), id), liveRow(batch.eng.(*embEngine), id)
 			if len(got[c][i]) != 3 || &got[c][i][0] != &live[0] {
 				t.Fatalf("column %d, position %d: not the live row of id %d", c, i, id)
 			}
@@ -255,7 +294,7 @@ func TestRowsResolveMatchesPerID(t *testing.T) {
 	checkResolve(t, nil, []int64{}, []int64{7}, []int64{7, 7}, []int64{-7})
 
 	view := resolveEngine(t, 3)
-	rows := view.Lock()
+	rows := lockRows(t, view)
 	defer rows.Unlock()
 	big := rows.Rows(nil, column(500, 6, 50))
 	small := rows.Rows(big, []int64{1, 2})
@@ -358,7 +397,7 @@ func BenchmarkEmbLookup(b *testing.B) {
 	}
 	var emb, ctx [2]LockedRows
 	for p := range emb {
-		emb[p], ctx[p] = resolveEngine(b, 16).Lock(), resolveEngine(b, 16).Lock()
+		emb[p], ctx[p] = lockRows(b, resolveEngine(b, 16)), lockRows(b, resolveEngine(b, 16))
 		emb[p].Rows(nil, all)
 		ctx[p].Rows(nil, all)
 	}

@@ -20,10 +20,6 @@ type ServeOptions struct {
 	// HotKeys is the size of the replicated hot head (0 = default 64,
 	// negative = disable hot-key replication).
 	HotKeys int
-	// PublishOnCheckpoint republishes every servable model's snapshot
-	// whenever the master checkpoints it, so serving freshness rides the
-	// existing checkpoint cadence.
-	PublishOnCheckpoint bool
 }
 
 const defaultServeReplicas = 2
@@ -78,13 +74,6 @@ func (m *Master) SetServeOptions(o ServeOptions) {
 	m.mu.Unlock()
 }
 
-// PublishSnapshot publishes a new serving generation of model.
-func (m *Master) PublishSnapshot(model string) (ServeLayout, error) {
-	m.recMu.Lock()
-	defer m.recMu.Unlock()
-	return m.publishSnapshotLocked(model)
-}
-
 // GetServeLayout returns the model's current serving generation.
 func (m *Master) GetServeLayout(model string) (ServeLayout, error) {
 	m.mu.Lock()
@@ -96,8 +85,10 @@ func (m *Master) GetServeLayout(model string) (ServeLayout, error) {
 	return sl, nil
 }
 
-// publishSnapshotLocked does the publication; callers hold recMu.
-func (m *Master) publishSnapshotLocked(model string) (ServeLayout, error) {
+// PublishSnapshot publishes a new serving generation of model.
+func (m *Master) PublishSnapshot(model string) (ServeLayout, error) {
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
 	m.mu.Lock()
 	meta, ok := m.models[model]
 	meta.Epoch = m.epoch
@@ -231,24 +222,4 @@ func (m *Master) assembleHotRows(sl *ServeLayout, ids []int64) (RowBatch, error)
 		err = fmt.Errorf("ps: hot assembly of %s: %w", sl.Model, err)
 	}
 	return out, err
-}
-
-// maybeAutoPublishLocked republishes every servable checkpointed model
-// when PublishOnCheckpoint is set. Callers hold recMu. Best-effort: a
-// failed publication leaves the previous serving generation in place.
-func (m *Master) maybeAutoPublishLocked(metas []ModelMeta) {
-	m.mu.Lock()
-	on := m.serveOpts.PublishOnCheckpoint
-	m.mu.Unlock()
-	if !on {
-		return
-	}
-	for _, meta := range metas {
-		if !servable(meta.Kind) {
-			continue
-		}
-		if _, err := m.publishSnapshotLocked(meta.Name); err != nil {
-			mtrace("auto-publish %s: %v", meta.Name, err)
-		}
-	}
 }

@@ -82,43 +82,56 @@ func (s *Store) Partition(model string, idx int) (*PartView, error) {
 }
 
 // PartView is the limited interface a psFunc gets to a partition. The
-// typed lock methods fetch the matching engine; calling one against a
-// partition of another kind is a programmer error and panics.
+// typed lock methods fetch the matching engine. A psFunc may take the
+// names of the models it locks from its argument, so a typed method
+// called on a partition of another kind is an error, taking no lock.
 type PartView struct{ eng engine }
 
 // viewAs returns the partition's engine as the kind a typed PartView
-// method serves; what names that kind in the panic.
-func viewAs[E engine](v *PartView, what string) E {
+// method serves; what names that kind in the error.
+func viewAs[E engine](v *PartView, what string) (E, error) {
 	e, ok := v.eng.(E)
 	if !ok {
-		panic(fmt.Sprintf("ps: PartView: %v partition is not %s", v.eng.modelMeta().Kind, what))
+		return e, fmt.Errorf("ps: %v partition is not %s", v.eng.modelMeta().Kind, what)
 	}
-	return e
+	return e, nil
 }
-
-func (v *PartView) emb() *embEngine { return viewAs[*embEngine](v, "an embedding") }
 
 // Lock write-locks every shard of an embedding partition for a multi-row
 // operation and returns its raw row accessor; release with Unlock. Shards
 // are acquired in index order; psFuncs locking several co-located
 // partitions must take them in a consistent (model-name) order.
-func (v *PartView) Lock() LockedRows {
-	e := v.emb()
+func (v *PartView) Lock() (LockedRows, error) {
+	e, err := viewAs[*embEngine](v, "an embedding")
+	if err != nil {
+		return LockedRows{}, err
+	}
 	e.lockShards()
-	return LockedRows{e}
+	return LockedRows{e}, nil
 }
 
 // VecLock acquires the write lock of a DenseVector partition and returns
 // its backing slice and range start. psFuncs touching several co-located
 // partitions must acquire VecLocks in a consistent (model-name) order.
-func (v *PartView) VecLock() (data []float64, lo int64, unlock func()) {
-	return viewAs[*vecEngine](v, "a DenseVector").lockData()
+func (v *PartView) VecLock() (data []float64, lo int64, unlock func(), err error) {
+	e, err := viewAs[*vecEngine](v, "a DenseVector")
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	data, lo, unlock = e.lockData()
+	return data, lo, unlock, nil
 }
 
 // SealCSR converts a Neighbor partition from its build-form map into
 // compact CSR storage (sorted, deduplicated) and returns the vertex
 // count. Subsequent pushes to the partition are rejected. Idempotent.
-func (v *PartView) SealCSR() int64 { return viewAs[*nbrEngine](v, "a Neighbor table").seal() }
+func (v *PartView) SealCSR() (int64, error) {
+	e, err := viewAs[*nbrEngine](v, "a Neighbor table")
+	if err != nil {
+		return 0, err
+	}
+	return e.seal(), nil
+}
 
 // Server holds model partitions in memory and serves pull/push/psFunc
 // requests. A server is stateless across restarts: recovery reloads

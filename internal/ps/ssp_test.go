@@ -235,8 +235,8 @@ func TestSSPTickIsOneCallPerWindow(t *testing.T) {
 			if err := ck.Tick(); err != nil {
 				t.Fatal(err)
 			}
-			if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 1}) || ck.Clock() != int64(i) {
-				t.Fatalf("k=%d window %d: calls %v at clock %d, want one ClockWait", k, i, got, ck.Clock())
+			if got := tr.take(); !maps.Equal(got, map[string]int{"ClockWait": 1}) || ck.clock != int64(i) {
+				t.Fatalf("k=%d window %d: calls %v at clock %d, want one ClockWait", k, i, got, ck.clock)
 			}
 		}
 		if err := ck.Retire(); err != nil {
@@ -258,8 +258,8 @@ func TestSSPTickIsOneCallPerWindow(t *testing.T) {
 	if got := tr.take(); len(got) != 0 {
 		t.Fatalf("ASP handle: calls %v, want none", got)
 	}
-	if asp.Clock() != 3 {
-		t.Fatalf("ASP handle at clock %d after 3 ticks", asp.Clock())
+	if asp.clock != 3 {
+		t.Fatalf("ASP handle at clock %d after 3 ticks", asp.clock)
 	}
 	c.Master.clocks.mu.Lock()
 	n := len(c.Master.clocks.rings)
@@ -319,8 +319,8 @@ func TestSSPClockWaitRetryIsIdempotent(t *testing.T) {
 	c.Master.clocks.mu.Lock()
 	clocks := append([]int64(nil), c.Master.clocks.rings["retry"].clocks...)
 	c.Master.clocks.mu.Unlock()
-	if clocks[0] != 1 || clocks[1] != 1 || a.Clock() != 1 {
-		t.Fatalf("ring clocks %v, A's handle at %d after one window, want [1 1] and 1", clocks, a.Clock())
+	if clocks[0] != 1 || clocks[1] != 1 || a.clock != 1 {
+		t.Fatalf("ring clocks %v, A's handle at %d after one window, want [1 1] and 1", clocks, a.clock)
 	}
 
 	db := tickDone(t, b)

@@ -367,7 +367,7 @@ func TestWALSkipsRetiredKinds(t *testing.T) {
 // messages: the clock call every BSP/SSP worker makes once per window, a
 // layout reply, and a serve layout of 8 partitions × 2 replicas.
 func BenchmarkControlCodec(b *testing.B) {
-	meta := ModelMeta{Name: "line.emb", Kind: ColumnEmbedding, Size: 1 << 14, Dim: 32, Opt: SGD(0.025), InitScale: 0.5}
+	meta := ModelMeta{Name: "line.emb", Kind: ColumnEmbedding, Size: 1 << 14, Dim: 32, Opt: sgd(0.025), InitScale: 0.5}
 	meta = layout(meta, []string{"s0", "s1", "s2", "s3"})
 	serve := ServeLayout{Model: "emb", SnapEpoch: 3, Meta: layout(ModelMeta{Name: "emb", Kind: Embedding, Dim: 32, NumPartitions: 8}, []string{"s0", "s1", "s2"}),
 		Replicas: map[int][]string{}, HotIDs: make([]int64, 64), Endpoints: []string{"s0", "s1", "s2"}}

@@ -50,9 +50,6 @@ func Xavier(rows, cols int, rng *rand.Rand) *Tensor {
 	return t
 }
 
-// At returns element (r, c).
-func (t *Tensor) At(r, c int) float64 { return t.Data[r*t.Cols+c] }
-
 // Set stores x at element (r, c).
 func (t *Tensor) Set(r, c int, x float64) { t.Data[r*t.Cols+c] = x }
 
@@ -182,15 +179,4 @@ func (t *Tensor) addABT(g, b *Tensor) {
 			ti[k] += dot
 		}
 	}
-}
-
-// Transpose returns tᵀ.
-func (t *Tensor) Transpose() *Tensor {
-	out := New(t.Cols, t.Rows)
-	for i := 0; i < t.Rows; i++ {
-		for j := 0; j < t.Cols; j++ {
-			out.Data[j*t.Rows+i] = t.Data[i*t.Cols+j]
-		}
-	}
-	return out
 }
