@@ -58,9 +58,13 @@ func BuildNeighborModel(ctx *Context, edges *dataflow.RDD[Edge], undirected bool
 	if err != nil {
 		return nil, err
 	}
-	count, err := sumArgI64(outs)
-	if err != nil {
-		return nil, err
+	var count int64
+	for _, o := range outs {
+		r := ps.NewArgReader(o)
+		count += r.I64()
+		if err := r.Close(); err != nil {
+			return nil, err
+		}
 	}
 	return &NeighborModel{Nbr: nbr, Name: name, NumVertices: count}, nil
 }
@@ -93,9 +97,12 @@ func (m *NeighborModel) intersect(pairs []Edge, batch int, emit func(p Edge, com
 // CommonNeighborConfig tunes the batched pair scoring.
 type CommonNeighborConfig struct {
 	// BatchSize is the number of pairs whose neighbor tables are pulled
-	// per PS round trip. Defaults to 1024.
+	// per PS round trip. Defaults to intersectBatch.
 	BatchSize int
 }
+
+// intersectBatch is the default number of pairs to a neighbour pull.
+const intersectBatch = 1024
 
 // CommonNeighbor scores every candidate pair with its common-neighbor
 // count (Sec. IV-B): executors iterate batches of pairs, pull the
@@ -103,7 +110,7 @@ type CommonNeighborConfig struct {
 // intersect the sorted lists locally.
 func CommonNeighbor(ctx *Context, model *NeighborModel, pairs *dataflow.RDD[Edge], cfg CommonNeighborConfig) (*dataflow.RDD[dataflow.KV[Edge, int64]], error) {
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
+		cfg.BatchSize = intersectBatch
 	}
 	scored := dataflow.MapPartitions(pairs, func(part int, in []Edge) ([]dataflow.KV[Edge, int64], error) {
 		out := make([]dataflow.KV[Edge, int64], 0, len(in))
@@ -119,10 +126,9 @@ func CommonNeighbor(ctx *Context, model *NeighborModel, pairs *dataflow.RDD[Edge
 	return scored, nil
 }
 
-// TriangleCountConfig tunes the PS-based triangle counter.
-type TriangleCountConfig struct {
-	BatchSize int
-}
+// TriangleCountConfig configures the PS-based triangle counter. It has no
+// fields: edges go intersectBatch to a neighbour pull.
+type TriangleCountConfig struct{}
 
 // TriangleCount counts triangles with the common-neighbor machinery
 // (footnote 2 of the paper: "the implementation of triangle count is
@@ -130,9 +136,6 @@ type TriangleCountConfig struct {
 // executors stream batches of canonical edges, summing the intersection
 // sizes; every triangle is counted once per edge.
 func TriangleCount(ctx *Context, model *NeighborModel, edges *dataflow.RDD[Edge], cfg TriangleCountConfig) (int64, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1024
-	}
 	parts := ctx.Partitions()
 	canon := dataflow.Map(edges, func(e Edge) Edge {
 		if e.Src > e.Dst {
@@ -143,7 +146,7 @@ func TriangleCount(ctx *Context, model *NeighborModel, edges *dataflow.RDD[Edge]
 	uniq := dataflow.Distinct(canon, parts)
 	counts := dataflow.MapPartitions(uniq, func(part int, in []Edge) ([]int64, error) {
 		var total int64
-		err := model.intersect(in, cfg.BatchSize, func(_ Edge, common int64) { total += common })
+		err := model.intersect(in, intersectBatch, func(_ Edge, common int64) { total += common })
 		return []int64{total}, err
 	})
 	sum, err := counts.Reduce(func(a, b int64) int64 { return a + b })

@@ -178,9 +178,10 @@ func TestCommonNeighborSquare(t *testing.T) {
 	}
 }
 
+// TestTriangleCountMatchesGraphXOracle: K4 plus a pendant has 4 triangles.
+// TestCommonNeighborSquare crosses the pull batches of the same intersect.
 func TestTriangleCountMatchesGraphXOracle(t *testing.T) {
 	ctx := newTestContext(t)
-	// K4 plus a pendant: 4 triangles.
 	var es []Edge
 	for i := int64(0); i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
@@ -194,7 +195,7 @@ func TestTriangleCountMatchesGraphXOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer model.Close(ctx)
-	n, err := TriangleCount(ctx, model, edges, TriangleCountConfig{BatchSize: 3})
+	n, err := TriangleCount(ctx, model, edges, TriangleCountConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,9 +725,7 @@ func TestDeepWalkSeparatesCommunities(t *testing.T) {
 	for i, e := range raw {
 		es[i] = Edge{Src: e.Src, Dst: e.Dst}
 	}
-	res, err := DeepWalk(ctx, edgesRDD(ctx, es, 2), DeepWalkConfig{
-		Dim: 16, Epochs: 2, LR: 0.05, Seed: 3,
-	})
+	res, err := DeepWalk(ctx, edgesRDD(ctx, es, 2), DeepWalkConfig{Dim: 16, Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +750,7 @@ func TestDeepWalkSeparatesCommunities(t *testing.T) {
 
 func TestDeepWalkDefaultsAndDims(t *testing.T) {
 	ctx := newTestContext(t)
-	res, err := DeepWalk(ctx, edgesRDD(ctx, ringEdges(20), 2), DeepWalkConfig{Dim: 8, Seed: 1})
+	res, err := DeepWalk(ctx, edgesRDD(ctx, ringEdges(20), 2), DeepWalkConfig{Dim: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,16 @@ type DeepWalkConfig struct {
 	Dim int
 	// Epochs over the walk corpus. Defaults to 1.
 	Epochs int
-	// LR is the SGD learning rate. Defaults to 0.025.
-	LR   float64
-	Seed int64
 }
 
 // The walks DeepWalk trains on: dwWalks start from every vertex, each
 // dwWalkLength vertices long, with a skip-gram context of dwWindow on
-// either side of a vertex and dwNegSamples negatives per positive pair.
-const dwWalks, dwWalkLength, dwWindow, dwNegSamples = 4, 8, 3, 5
+// either side of a vertex and dwNegSamples negatives per positive pair,
+// at SGD learning rate dwLR.
+const (
+	dwWalks, dwWalkLength, dwWindow, dwNegSamples = 4, 8, 3, 5
+	dwLR                                          = 0.025
+)
 
 func (c *DeepWalkConfig) setDefaults() {
 	if c.Dim == 0 {
@@ -38,9 +39,6 @@ func (c *DeepWalkConfig) setDefaults() {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 1
-	}
-	if c.LR == 0 {
-		c.LR = 0.025
 	}
 }
 
@@ -80,12 +78,11 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 	defer starts.Unpersist()
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		epoch := epoch
 		err := starts.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
 			if len(tables) == 0 {
 				return nil
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*999983 + int64(part)))
+			rng := rand.New(rand.NewSource(int64(epoch)*999983 + int64(part)))
 			// Level-synchronized walking: all walks of this partition
 			// advance together, so each step pulls the frontier's
 			// adjacency in one batched request.
@@ -126,7 +123,7 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 				if len(b.us) == 0 {
 					return nil
 				}
-				err := lineStepPSFunc(ctx, embName, ctxName, *b, cfg.LR)
+				err := lineStepPSFunc(ctx, embName, ctxName, *b, dwLR)
 				b.us, b.vs, b.labels = b.us[:0], b.vs[:0], b.labels[:0]
 				return err
 			}

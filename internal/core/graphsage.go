@@ -46,8 +46,9 @@ type GraphSageConfig struct {
 	Sync string
 	// Staleness is the SSP bound k (Sync "ssp" only).
 	Staleness int
-	// WindowBatches is the number of batches per clock window. Defaults
-	// to 2.
+	// WindowBatches is the number of batches per clock window, which is
+	// also the feature window: its batches pull each feature row once,
+	// into one block they share. Defaults to 2.
 	WindowBatches int
 }
 
@@ -251,18 +252,13 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 		return nil, err
 	}
 
-	// Train/test split.
 	perm := rng.Perm(len(data.Vertices))
-	nTrain := int(float64(len(perm)) * gsTrainFrac)
-	train := make([]int64, nTrain)
-	test := make([]int64, len(perm)-nTrain)
+	shuffled := make([]int64, len(perm))
 	for i, p := range perm {
-		if i < nTrain {
-			train[i] = data.Vertices[p]
-		} else {
-			test[i-nTrain] = data.Vertices[p]
-		}
+		shuffled[i] = data.Vertices[p]
 	}
+	nTrain := int(float64(len(perm)) * gsTrainFrac)
+	train, test := shuffled[:nTrain], shuffled[nTrain:]
 
 	res := &GraphSageResult{W1Name: model.w1.Meta.Name, W2Name: model.w2.Meta.Name}
 	// A ring that waits needs every participant actually running: the
@@ -287,11 +283,8 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 			if d := ctx.cfg.LeaseDuration; d > 0 {
 				clock.SetLease(d)
 			}
-			sinceTick := 0
 			for start := 0; start < len(ids); start += cfg.BatchSize {
-				end := min(start+cfg.BatchSize, len(ids))
-				batch := ids[start:end]
-				jb, err := bb.build(batch, true)
+				jb, err := bb.build(ids[start:min(start+cfg.BatchSize, len(ids))], true)
 				if err != nil {
 					return err
 				}
@@ -307,11 +300,10 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 				lossSum += out.Loss
 				lossN++
 				mu.Unlock()
-				if sinceTick++; sinceTick >= cfg.WindowBatches {
+				if bb.builds%int32(cfg.WindowBatches) == 0 { // the builder's window is the clock's
 					if err := clock.Tick(); err != nil {
 						return err
 					}
-					sinceTick = 0
 				}
 			}
 			return clock.Retire()
@@ -320,11 +312,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 			return nil, err
 		}
 		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-		if lossN > 0 {
-			res.Losses = append(res.Losses, lossSum/lossN)
-		} else {
-			res.Losses = append(res.Losses, 0)
-		}
+		res.Losses = append(res.Losses, lossSum/max(lossN, 1))
 	}
 
 	trainAcc, err := graphSageEvaluate(ctx, data, train, model, cfg, parts)
@@ -357,8 +345,7 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 	err = rdd.ForeachPartition(func(part int, batchIDs []int64) error {
 		bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 31*int64(part)))}
 		for start := 0; start < len(batchIDs); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(batchIDs))
-			batch := batchIDs[start:end]
+			batch := batchIDs[start:min(start+cfg.BatchSize, len(batchIDs))]
 			jb, err := bb.build(batch, false)
 			if err != nil {
 				return err
@@ -383,13 +370,14 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 }
 
 // batchBuilder assembles the mini-batches of one partition task in
-// boundary form (torch.go): two neighbour pulls, one feature pull, flat
-// arrays throughout. Rows of the feature matrix are handed out in
-// first-occurrence order — the distinct batch vertices, then the distinct
-// new hop-1 samples, then the distinct new hop-2 samples — so the layer-1
-// set (batch ∪ hop-1) is exactly the first rows: a layer-1 vertex's
-// feature row is its layer-1 index, and a row below the number of distinct
-// batch vertices is a batch vertex. The builder's tables and buffers are
+// boundary form (gnn.Batch), flat arrays throughout, in two index spaces.
+// X is the window block: the WindowBatches builds of a window share it and
+// one id → row table, and each pulls into its tail only the vertices the
+// window has not seen — features never change during training, so a window
+// reads each row once. Self1 and Nbrs1 are block rows. The layer-1 set
+// (batch ∪ hop-1) is numbered in first-occurrence order, distinct batch
+// vertices first: Self2 and Nbrs2 are layer-1 indices, and an index below
+// the number of distinct batch vertices is a batch vertex. The buffers are
 // reused from batch to batch and die with the task; a built batch is valid
 // until the next build.
 type batchBuilder struct {
@@ -397,61 +385,82 @@ type batchBuilder struct {
 	cfg  GraphSageConfig
 	rng  *rand.Rand
 
-	idTable           // feature row of every vertex of the batch; order: vertex of every row
-	feats   []float64 // block the features are pulled into, row i = order[i]
-	samp    []int64   // one vertex's sample, before it becomes rows
-	// Sampled neighbourhoods as feature rows, one segment per draw: the
-	// hop-1 draws by batch position, then the hop-2 draws by layer-1 row.
-	idx, off []int32
-	first    []int32   // batch position that introduced each batch row
-	self2    []int32   // row of every batch position
-	ident    []int32   // 0, 1, 2, …
-	segs     [][]int32 // Nbrs1 then Nbrs2, views of idx
-	labels   []int32
+	win    idTable   // block row of every vertex of the window; order: vertex of every row
+	block  []float64 // the window's features, row r = win.order[r]
+	builds int32     // batches built; windows are counted in them
+	// mark[r] is block row r's layer-1 index in the build that last
+	// numbered it; entries of older builds are stale.
+	mark  []struct{ build, at int32 }
+	order []int64 // vertex of every layer-1 index
+	rows  []int32 // block row of every layer-1 index
+	samp  []int64 // one vertex's sample, before it becomes rows
+	// Sampled neighbourhoods as block rows, one segment per draw: the hop-1
+	// draws by batch position, then the hop-2 draws by layer-1 index; nbrs2
+	// is the hop-1 draws as layer-1 indices, cut by the same offsets.
+	idx, nbrs2, off []int32
+	first           []int32   // batch position that introduced each batch vertex
+	self2           []int32   // layer-1 index of every batch position
+	segs            [][]int32 // Nbrs1, views of idx, then Nbrs2, views of nbrs2
+	labels          []int32
 }
 
-// reset empties the builder for a batch that touches at most maxIDs
-// vertices.
-func (b *batchBuilder) reset(maxIDs int) {
-	b.idTable.reset(maxIDs)
-	b.idx, b.off = b.idx[:0], append(b.off[:0], 0)
-	b.first, b.self2, b.segs = b.first[:0], b.self2[:0], b.segs[:0]
+// index returns the layer-1 index of v, numbering v in the batch, and in the
+// window, on first sight.
+func (b *batchBuilder) index(v int64) int32 {
+	r := b.win.add(v)
+	for int(r) >= len(b.mark) {
+		b.mark = append(b.mark, struct{ build, at int32 }{})
+	}
+	if m := &b.mark[r]; m.build != b.builds {
+		m.build, m.at = b.builds, int32(len(b.order))
+		b.order, b.rows = append(b.order, v), append(b.rows, r)
+	}
+	return b.mark[r].at
 }
 
-// sample draws up to k of ns and appends their rows as one segment.
-func (b *batchBuilder) sample(ns []int64, k int) {
+// sample draws up to k of ns and appends their block rows as one segment,
+// and their layer-1 indices to nbrs2 at hop 1.
+func (b *batchBuilder) sample(ns []int64, k int, hop1 bool) {
 	b.samp = gnn.SampleK(b.samp[:0], ns, k, b.rng)
 	for _, u := range b.samp {
-		b.idx = append(b.idx, b.row(u))
+		if hop1 {
+			i := b.index(u)
+			b.nbrs2, b.idx = append(b.nbrs2, i), append(b.idx, b.rows[i])
+		} else {
+			b.idx = append(b.idx, b.win.add(u))
+		}
 	}
 	b.off = append(b.off, int32(len(b.idx)))
 }
 
-// seg returns the s-th drawn segment.
-func (b *batchBuilder) seg(s int) []int32 { return b.idx[b.off[s]:b.off[s+1]] }
-
 // build samples the 2-hop neighborhood of batch from the PS, pulls the
-// features of every touched vertex once, and assembles the flat jniBatch.
-func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
+// features of the vertices that are new to the window, and assembles the
+// flat gnn.Batch.
+func (b *batchBuilder) build(batch []int64, withLabels bool) (gnn.Batch, error) {
 	cfg, nbr := b.cfg, b.data.Adj.Nbr
-	b.reset(len(batch) * (1 + cfg.FanOut1*(1+cfg.FanOut2)))
+	if b.builds%int32(cfg.WindowBatches) == 0 {
+		b.win.reset(len(batch) * (1 + cfg.FanOut1*(1+cfg.FanOut2)))
+	}
+	b.builds++
+	b.order, b.rows, b.idx, b.nbrs2, b.off = b.order[:0], b.rows[:0], b.idx[:0], b.nbrs2[:0], append(b.off[:0], 0)
+	b.first, b.self2, b.segs = b.first[:0], b.self2[:0], b.segs[:0]
+	n := len(b.win.order)
 	for i, v := range batch {
-		n := len(b.order)
-		r := b.row(v)
-		if int(r) == n {
+		j := b.index(v)
+		if int(j) == len(b.first) {
 			b.first = append(b.first, int32(i))
 		}
-		b.self2 = append(b.self2, r)
+		b.self2 = append(b.self2, j)
 	}
 	nBatch := len(b.order)
 
 	// Hop 1: FanOut1 neighbors per batch position.
 	adj, err := nbr.PullBatch(batch)
 	if err != nil {
-		return jniBatch{}, err
+		return gnn.Batch{}, err
 	}
 	for i := range batch {
-		b.sample(adj.Nbrs(i), cfg.FanOut1)
+		b.sample(adj.Nbrs(i), cfg.FanOut1, true)
 	}
 	nL1 := len(b.order)
 
@@ -459,36 +468,32 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (jniBatch, error) {
 	// batch (those aggregate their hop-1 draw at layer 1).
 	adj, err = nbr.PullBatch(b.order[nBatch:nL1])
 	if err != nil {
-		return jniBatch{}, err
+		return gnn.Batch{}, err
 	}
 	for i := 0; i < nL1-nBatch; i++ {
-		b.sample(adj.Nbrs(i), cfg.FanOut2)
+		b.sample(adj.Nbrs(i), cfg.FanOut2, false)
 	}
 
-	// order holds distinct ids, so the pulled block — row i = order[i] — is
-	// the feature matrix as it stands: pulled positionally, in one batched
-	// pull, into the builder's own block.
-	dim := b.data.InputDim
-	b.feats = slices.Grow(b.feats[:0], len(b.order)*dim)[:len(b.order)*dim]
-	if err := b.data.Feats.PullInto(b.order, b.feats); err != nil {
-		return jniBatch{}, err
+	// The window's new vertices took the next block rows, distinct by
+	// construction: one positional pull into the block's tail.
+	dim, m := b.data.InputDim, len(b.win.order)
+	b.block = slices.Grow(b.block[:n*dim], (m-n)*dim)[:m*dim]
+	if err := b.data.Feats.PullInto(b.win.order[n:], b.block[n*dim:]); err != nil {
+		return gnn.Batch{}, err
 	}
 
-	for len(b.ident) < nL1 {
-		b.ident = append(b.ident, int32(len(b.ident)))
-	}
 	for _, i := range b.first {
-		b.segs = append(b.segs, b.seg(int(i)))
+		b.segs = append(b.segs, b.idx[b.off[i]:b.off[i+1]])
 	}
 	for s := len(batch); s < len(b.off)-1; s++ {
-		b.segs = append(b.segs, b.seg(s))
+		b.segs = append(b.segs, b.idx[b.off[s]:b.off[s+1]])
 	}
 	for i := range batch {
-		b.segs = append(b.segs, b.seg(i))
+		b.segs = append(b.segs, b.nbrs2[b.off[i]:b.off[i+1]])
 	}
-	jb := jniBatch{
-		X: b.feats, NumNodes: len(b.order), Dim: dim,
-		Self1: b.ident[:nL1], Nbrs1: b.segs[:nL1],
+	jb := gnn.Batch{
+		X: b.block, NumNodes: m, Dim: dim,
+		Self1: b.rows, Nbrs1: b.segs[:nL1],
 		Self2: b.self2, Nbrs2: b.segs[nL1:],
 		Aggregator: cfg.Aggregator,
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"psgraph/internal/gen"
+	"psgraph/internal/rpc"
 )
 
 // gsFixture preprocesses an SBM graph of n vertices (16-wide features, the
@@ -18,6 +22,13 @@ func gsFixture(tb testing.TB, cfg Config, n int64, seed int64) (*Context, *Graph
 		tb.Fatalf("NewContext: %v", err)
 	}
 	tb.Cleanup(ctx.Close)
+	data, adj := gsData(tb, ctx, n, seed)
+	return ctx, data, adj
+}
+
+// gsData is gsFixture on a context the caller made.
+func gsData(tb testing.TB, ctx *Context, n int64, seed int64) (*GraphSageData, map[int64][]int64) {
+	tb.Helper()
 	edges, labels := gen.SBM(gen.SBMConfig{Vertices: n, Classes: 3, IntraDeg: 6, InterDeg: 2.5, Seed: seed})
 	edges = slices.DeleteFunc(edges, func(e gen.Edge) bool { return e.Src == 0 || e.Dst == 0 })
 	adj := make(map[int64][]int64)
@@ -40,7 +51,7 @@ func gsFixture(tb testing.TB, cfg Config, n int64, seed int64) (*Context, *Graph
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { data.Close(ctx) })
-	return ctx, data, adj
+	return data, adj
 }
 
 // TestGraphSageIsSeedDeterministic: one worker, one seed, two runs — the
@@ -74,109 +85,215 @@ func TestGraphSageIsSeedDeterministic(t *testing.T) {
 }
 
 // TestBatchBuilderInvariants builds batches on a random graph — one with a
-// repeated target and the neighbourless vertex 0 — and checks the boundary
-// form against the true adjacency and features.
+// repeated target and the neighbourless vertex 0 — in windows of 1, 2 and
+// 3 batches, and checks the boundary form against the true adjacency and
+// features: X is the window block, Self1 and Nbrs1 are its rows, Self2 and
+// Nbrs2 are layer-1 indices, and the block holds each vertex the window
+// touched once — a new window starts empty.
 func TestBatchBuilderInvariants(t *testing.T) {
 	_, data, adj := gsFixture(t, Config{NumExecutors: 2, NumServers: 2}, 600, 3)
 	feats, err := data.Feats.Pull(data.Vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := GraphSageConfig{FanOut1: 4, FanOut2: 3, Aggregator: "mean"}
-	rng := rand.New(rand.NewSource(1))
-	bb := &batchBuilder{data: data, cfg: cfg, rng: rng}
-	for round := 0; round < 20; round++ {
-		batch := make([]int64, 1+rng.Intn(40))
-		for i := range batch {
-			batch[i] = rng.Int63n(600)
+	for _, w := range []int{1, 2, 3} {
+		cfg := GraphSageConfig{FanOut1: 4, FanOut2: 3, Aggregator: "mean", WindowBatches: w}
+		rng := rand.New(rand.NewSource(1))
+		bb := &batchBuilder{data: data, cfg: cfg, rng: rng}
+		var before []int64          // the block's vertices after the window's last build
+		touched := map[int32]bool{} // block rows the window's batches read
+		for round := 0; round < 20; round++ {
+			batch := make([]int64, 1+rng.Intn(40))
+			for i := range batch {
+				batch[i] = rng.Int63n(600)
+			}
+			if round == 0 {
+				batch = []int64{7, 0, 7, 12, 0}
+			}
+			withLabels := round%2 == 0
+			jb, err := bb.build(batch, withLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round%w == 0 {
+				before, touched = nil, map[int32]bool{}
+			}
+			block, order := bb.win.order, bb.order
+			if jb.NumNodes != len(block) || len(jb.X) != jb.NumNodes*jb.Dim || jb.Dim != 16 {
+				t.Fatalf("w=%d: X holds %d values for %d nodes of width %d, %d block rows", w, len(jb.X), jb.NumNodes, jb.Dim, len(block))
+			}
+			// The block keeps the window's earlier rows and adds each vertex
+			// once: a build pulls only what is new to the window.
+			if !slices.Equal(block[:len(before)], before) {
+				t.Fatalf("w=%d round %d: the block's first %d rows changed", w, round, len(before))
+			}
+			seen := make(map[int64]bool)
+			for r, v := range block {
+				if seen[v] {
+					t.Fatalf("w=%d round %d: vertex %d pulled twice in one window", w, round, v)
+				}
+				seen[v] = true
+				if !slices.Equal(jb.X[r*16:(r+1)*16], feats[v]) {
+					t.Fatalf("w=%d: block row %d does not hold the features of vertex %d", w, r, v)
+				}
+			}
+			before = slices.Clone(block)
+			// Batch vertices first, in first-occurrence order.
+			var distinct []int64
+			for _, v := range batch {
+				if !slices.Contains(distinct, v) {
+					distinct = append(distinct, v)
+				}
+			}
+			nBatch, nL1 := len(distinct), len(jb.Self1)
+			if len(order) != nL1 || !slices.Equal(order[:nBatch], distinct) {
+				t.Fatalf("w=%d: layer-1 vertices %v, want the batch %v first", w, order, distinct)
+			}
+			if len(jb.Nbrs1) != nL1 || len(jb.Self2) != len(batch) || len(jb.Nbrs2) != len(batch) {
+				t.Fatalf("w=%d shapes: %d/%d layer-1, %d/%d outputs for %d targets", w, nL1, len(jb.Nbrs1), len(jb.Self2), len(jb.Nbrs2), len(batch))
+			}
+			// segment checks one draw whose entries index vertexOf: at most
+			// fan of v's true neighbours, all of them when v has no more,
+			// none twice.
+			segment := func(what string, v int64, seg []int32, fan int, vertexOf []int64) {
+				t.Helper()
+				if want := min(fan, len(adj[v])); len(seg) != want {
+					t.Fatalf("w=%d: %s of vertex %d (degree %d) has %d samples, want %d", w, what, v, len(adj[v]), len(seg), want)
+				}
+				drawn := make(map[int32]bool)
+				for _, r := range seg {
+					if int(r) >= len(vertexOf) {
+						t.Fatalf("w=%d: %s of vertex %d indexes %d of %d", w, what, v, r, len(vertexOf))
+					}
+					if drawn[r] || !slices.Contains(adj[v], vertexOf[r]) {
+						t.Fatalf("w=%d: %s of vertex %d: %d (vertex %d) repeated or not a neighbour", w, what, v, r, vertexOf[r])
+					}
+					drawn[r] = true
+				}
+			}
+			inL1 := make([]bool, nL1)
+			for i, v := range batch {
+				if int(jb.Self2[i]) >= nL1 || order[jb.Self2[i]] != v {
+					t.Fatalf("w=%d: Self2[%d] = %d, want the layer-1 index of vertex %d", w, i, jb.Self2[i], v)
+				}
+				segment("Nbrs2", v, jb.Nbrs2[i], cfg.FanOut1, order)
+				for _, r := range jb.Nbrs2[i] {
+					inL1[r] = true
+				}
+			}
+			for r := 0; r < nL1; r++ {
+				if block[jb.Self1[r]] != order[r] {
+					t.Fatalf("w=%d: Self1[%d] = block row %d (vertex %d), want vertex %d", w, r, jb.Self1[r], block[jb.Self1[r]], order[r])
+				}
+				fan := cfg.FanOut1
+				if r >= nBatch {
+					fan = cfg.FanOut2
+					if !inL1[r] {
+						t.Fatalf("w=%d: layer-1 vertex %d is neither a target nor a hop-1 sample", w, order[r])
+					}
+				}
+				segment("Nbrs1", order[r], jb.Nbrs1[r], fan, block)
+				touched[jb.Self1[r]] = true
+				for _, x := range jb.Nbrs1[r] {
+					touched[x] = true
+				}
+			}
+			// The block holds what the window's batches read, and nothing else.
+			if len(touched) != len(block) {
+				t.Fatalf("w=%d round %d: the window's batches read %d of its %d block rows", w, round, len(touched), len(block))
+			}
+			if !withLabels && jb.Labels != nil {
+				t.Fatal("labels on an inference batch")
+			}
+			if withLabels {
+				for i, v := range batch {
+					if jb.Labels[i] != data.Labels[v] {
+						t.Fatalf("label of target %d (vertex %d) = %d, want %d", i, v, jb.Labels[i], data.Labels[v])
+					}
+				}
+			}
 		}
-		if round == 0 {
-			batch = []int64{7, 0, 7, 12, 0}
-		}
-		withLabels := round%2 == 0
-		jb, err := bb.build(batch, withLabels)
+	}
+}
+
+// featurePulls is an rpc.Transport that keeps, for every EmbPull of one
+// model, the ids its reply carries: the feature rows a GraphSage run pulls,
+// in order.
+type featurePulls struct {
+	rpc.Transport
+	model []byte
+	mu    sync.Mutex
+	ids   [][]int64
+}
+
+func (f *featurePulls) Call(addr, method string, body []byte) ([]byte, error) {
+	resp, err := f.Transport.Call(addr, method, body)
+	if method != "EmbPull" || err != nil || f.model == nil || !bytes.Contains(body, f.model) {
+		return resp, err
+	}
+	// The reply is a row batch behind its two tag bytes: the id count + 1,
+	// then the ids as zigzag deltas.
+	n, k := binary.Uvarint(resp[2:])
+	off, ids, prev := 2+k, make([]int64, n-1), int64(0)
+	for i := range ids {
+		d, k := binary.Varint(resp[off:])
+		off, prev = off+k, prev+d
+		ids[i] = prev
+	}
+	f.mu.Lock()
+	f.ids = append(f.ids, ids)
+	f.mu.Unlock()
+	return resp, err
+}
+
+// TestGraphSageFeatureLedger: one worker (Parts 1) trains 2 epochs of 4
+// batches and evaluates 4 + 2 more, on one server. Each batch makes two
+// neighbour pulls and one feature pull, which asks only for the vertices its
+// window has not pulled yet, so a job pulls the sum over its windows of each
+// window's distinct vertices: 5,596 rows. Windows of 1 batch pull what
+// every batch pulled before the window block existed, 11,126.
+func TestGraphSageFeatureLedger(t *testing.T) {
+	const batches = 2*4 + 4 + 2
+	for _, c := range []struct {
+		window, rows int
+	}{{1, 11_126}, {2, 5_596}} {
+		feats := &featurePulls{Transport: rpc.NewInProc()}
+		ctx, tr := countedContext(t, 1, feats)
+		data, _ := gsData(t, ctx, 800, 5)
+		addr := ctx.PS.ServerAddrs()[0]
+		feats.model = []byte(data.FeatsName)
+		tr.take()
+		res, err := GraphSage(ctx, data, GraphSageConfig{
+			Classes: 3, Epochs: 2, BatchSize: 140, LR: 0.02, Seed: 9, Parts: 1, Sync: "bsp", WindowBatches: c.window,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := bb.order
-		if jb.NumNodes != len(order) || len(jb.X) != jb.NumNodes*jb.Dim || jb.Dim != 16 {
-			t.Fatalf("X holds %d values for %d nodes of width %d, %d rows ordered", len(jb.X), jb.NumNodes, jb.Dim, len(order))
+		if n := len(feats.ids); n != batches {
+			t.Fatalf("window %d: %d feature pulls, want one per batch, %d", c.window, n, batches)
 		}
-		seen := make(map[int64]bool)
-		for r, v := range order {
-			if seen[v] {
-				t.Fatalf("vertex %d pulled twice", v)
-			}
-			seen[v] = true
-			if !slices.Equal(jb.X[r*16:(r+1)*16], feats[v]) {
-				t.Fatalf("row %d does not hold the features of vertex %d", r, v)
-			}
+		if n := tr.take()[[2]string{"NbrPull", addr}]; n != 2*batches {
+			t.Errorf("window %d: %d NbrPull calls, want two per batch, %d", c.window, n, 2*batches)
 		}
-		// Batch rows first, in first-occurrence order.
-		var distinct []int64
-		for _, v := range batch {
-			if !slices.Contains(distinct, v) {
-				distinct = append(distinct, v)
-			}
-		}
-		nBatch, nL1 := len(distinct), len(jb.Self1)
-		if !slices.Equal(order[:nBatch], distinct) {
-			t.Fatalf("first rows %v, want the batch %v", order[:nBatch], distinct)
-		}
-		if len(jb.Nbrs1) != nL1 || len(jb.Self2) != len(batch) || len(jb.Nbrs2) != len(batch) {
-			t.Fatalf("shapes: %d/%d layer-1, %d/%d outputs for %d targets", nL1, len(jb.Nbrs1), len(jb.Self2), len(jb.Nbrs2), len(batch))
-		}
-		// segment checks one draw: at most fan of v's true neighbours,
-		// all of them when v has no more, none twice, every row below bound.
-		segment := func(what string, v int64, seg []int32, fan, bound int) {
-			t.Helper()
-			if want := min(fan, len(adj[v])); len(seg) != want {
-				t.Fatalf("%s of vertex %d (degree %d) has %d samples, want %d", what, v, len(adj[v]), len(seg), want)
-			}
-			drawn := make(map[int32]bool)
-			for _, r := range seg {
-				if int(r) >= bound {
-					t.Fatalf("%s of vertex %d indexes row %d of %d", what, v, r, bound)
-				}
-				if drawn[r] || !slices.Contains(adj[v], order[r]) {
-					t.Fatalf("%s of vertex %d: row %d (vertex %d) repeated or not a neighbour", what, v, r, order[r])
-				}
-				drawn[r] = true
-			}
-		}
-		inL1 := make([]bool, nL1)
-		for i, v := range batch {
-			if order[jb.Self2[i]] != v {
-				t.Fatalf("Self2[%d] = row %d (vertex %d), want vertex %d", i, jb.Self2[i], order[jb.Self2[i]], v)
-			}
-			segment("Nbrs2", v, jb.Nbrs2[i], cfg.FanOut1, nL1)
-			for _, r := range jb.Nbrs2[i] {
-				inL1[r] = true
-			}
-		}
-		for r := 0; r < nL1; r++ {
-			if jb.Self1[r] != int32(r) {
-				t.Fatalf("Self1[%d] = %d", r, jb.Self1[r])
-			}
-			fan := cfg.FanOut1
-			if r >= nBatch {
-				fan = cfg.FanOut2
-				if !inL1[r] {
-					t.Fatalf("layer-1 row %d (vertex %d) is neither a target nor a hop-1 sample", r, order[r])
+		// Every task's batches fill whole windows, so windows are runs of
+		// c.window consecutive pulls.
+		rows := 0
+		for w := 0; w < batches; w += c.window {
+			seen := make(map[int64]bool)
+			for _, ids := range feats.ids[w : w+c.window] {
+				for _, v := range ids {
+					if seen[v] {
+						t.Fatalf("window %d: vertex %d pulled twice in the window of batch %d", c.window, v, w)
+					}
+					seen[v] = true
 				}
 			}
-			segment("Nbrs1", order[r], jb.Nbrs1[r], fan, jb.NumNodes)
+			rows += len(seen)
 		}
-		if !withLabels && jb.Labels != nil {
-			t.Fatal("labels on an inference batch")
+		if rows != c.rows {
+			t.Errorf("window %d: %d feature rows pulled, want %d", c.window, rows, c.rows)
 		}
-		if withLabels {
-			for i, v := range batch {
-				if jb.Labels[i] != data.Labels[v] {
-					t.Fatalf("label of target %d (vertex %d) = %d, want %d", i, v, jb.Labels[i], data.Labels[v])
-				}
-			}
-		}
+		cleanupModels(ctx, res.W1Name, res.W2Name)
 	}
 }
 

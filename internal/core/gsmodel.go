@@ -54,10 +54,10 @@ func newGSModel(ctx *Context, data *GraphSageData, cfg GraphSageConfig, rng *ran
 		return h, nil
 	}
 	var err error
-	if m.w1, err = mat("gs.w1", int64(2*data.InputDim), cfg.HiddenDim, xavierFlat(2*data.InputDim, cfg.HiddenDim, rng)); err != nil {
+	if m.w1, err = mat("gs.w1", int64(2*data.InputDim), cfg.HiddenDim, gnn.XavierFlat(2*data.InputDim, cfg.HiddenDim, rng)); err != nil {
 		return nil, err
 	}
-	if m.w2, err = mat("gs.w2", int64(2*cfg.HiddenDim), cfg.Classes, xavierFlat(2*cfg.HiddenDim, cfg.Classes, rng)); err != nil {
+	if m.w2, err = mat("gs.w2", int64(2*cfg.HiddenDim), cfg.Classes, gnn.XavierFlat(2*cfg.HiddenDim, cfg.Classes, rng)); err != nil {
 		return nil, err
 	}
 	if cfg.Aggregator == "lstm" {
@@ -122,12 +122,15 @@ func (l *lstmMats) pull() (gnn.LSTMParams, error) {
 	return p, nil
 }
 
-// run crosses the runtime boundary with the pulled weights.
-func (m *gsModel) run(jb jniBatch, w gsWeights) gnn.Result {
+// run crosses the runtime boundary with the pulled weights: forward, and
+// backward when the batch has labels (Fig. 5 step 4). In the paper Spark
+// executors feed PyTorch through JNI (Sec. III-C); here gnn and tensor play
+// PyTorch, and only flat numbers and index arrays cross, as JNI allows.
+func (m *gsModel) run(jb gnn.Batch, w gsWeights) gnn.Result {
 	if m.aggregator == "lstm" {
 		return gnn.RunLSTM(jb, w.w1, w.w2, w.l1, w.l2, m.hidden, m.classes)
 	}
-	return torchRun(jb, w.w1, w.w2, m.hidden, m.classes)
+	return gnn.Run(jb, w.w1, w.w2, m.hidden, m.classes)
 }
 
 // pushGrads sends the batch gradients to the PS (server-side Adam).

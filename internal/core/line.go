@@ -400,7 +400,7 @@ func lineGrads(labels []float64, u, v lineCol, dim int, lr float64) {
 
 // idTable numbers ids by first sight: an open-addressed id → row table, a
 // power of two wide, rows stored +1 so a cleared table is empty; order
-// lists the ids by row. Its users reset it per batch and keep its memory.
+// lists the ids by row. Its users reset it and keep its memory.
 type idTable struct {
 	keys  []int64
 	rows  []int32
@@ -446,6 +446,18 @@ func (t *idTable) row(v int64) int32 {
 	t.order = append(t.order, v)
 	t.keys[i], t.rows[i] = v, int32(len(t.order))
 	return int32(len(t.order) - 1)
+}
+
+// add is row for a table with no bound on its ids: a half-full table first
+// doubles, keeping every id's row (row stays small enough to inline).
+func (t *idTable) add(v int64) int32 {
+	if order := t.order; 2*len(order) >= len(t.rows) {
+		t.reset(len(t.rows))
+		for _, u := range order {
+			t.row(u)
+		}
+	}
+	return t.row(v)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -38,8 +38,8 @@ func lineRig(t *testing.T, ctx *Context, batches int) (*lineRows, *lineBatch) {
 	return w, b
 }
 
-// rowCounter is an rpc.Transport that counts the row pulls and pushes each
-// server receives, and can run a hook after the n-th pull.
+// rowCounter is an rpc.Transport that counts the calls each server
+// receives by method, and can run a hook after the n-th row pull.
 type rowCounter struct {
 	rpc.Transport
 	mu        sync.Mutex
@@ -51,9 +51,6 @@ type rowCounter struct {
 
 func (c *rowCounter) Call(addr, method string, body []byte) ([]byte, error) {
 	resp, err := c.Transport.Call(addr, method, body)
-	if method != "EmbPull" && method != "EmbPush" {
-		return resp, err
-	}
 	c.mu.Lock()
 	c.calls[[2]string{method, addr}]++
 	var hook func()

@@ -37,19 +37,6 @@ func nbrSealFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error
 	return ps.AppendArgI64(nil, n), nil
 }
 
-// sumArgI64 adds up per-partition results of one AppendArgI64 each.
-func sumArgI64(outs [][]byte) (int64, error) {
-	var sum int64
-	for _, o := range outs {
-		r := ps.NewArgReader(o)
-		sum += r.I64()
-		if err := r.Close(); err != nil {
-			return 0, err
-		}
-	}
-	return sum, nil
-}
-
 // commitDelta drives the PageRank commit — ranks += Δcur; Δcur ← Δnext;
 // Δnext ← 0 — by running core.commitDelta on every partition of the Δcur
 // model; ranks and next name the co-located dense vectors with the
@@ -256,6 +243,16 @@ func unlockLinePair(emb, ctx ps.LockedRows) {
 // overlap instead of each waiting on its own lookup. emb's rows stay put
 // while ctx materialises its own, also when ctx IS emb (first order).
 
+// resolve finds the rows of a's columns in emb and ctx, which must be as
+// wide; all rows of one engine are, so one pair shows it.
+func (a *lineArg) resolve(emb, ctx ps.LockedRows, model string, part int) error {
+	a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+	if len(a.u) > 0 && len(a.u[0]) != len(a.v[0]) {
+		return fmt.Errorf("core: LINE rows of %s are %d wide on partition %d, of %s %d", model, len(a.u[0]), part, a.other, len(a.v[0]))
+	}
+	return nil
+}
+
 // lineDotFunc returns the partial dot products emb[U]·other[V] over this
 // partition's column range, one per pair, as an AppendArgF64s block.
 func lineDotFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
@@ -269,7 +266,9 @@ func lineDotFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error
 		return nil, err
 	}
 	defer unlockLinePair(emb, ctx)
-	a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+	if err := a.resolve(emb, ctx, model, part); err != nil {
+		return nil, err
+	}
 	out := ps.AppendArgF64sLen(make([]byte, 0, binary.MaxVarintLen64+8*len(a.u)), len(a.u))
 	for i, u := range a.u {
 		v := a.v[i][:len(u)]
@@ -298,7 +297,9 @@ func lineUpdateFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, er
 		return nil, err
 	}
 	defer unlockLinePair(emb, ctx)
-	a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
+	if err := a.resolve(emb, ctx, model, part); err != nil {
+		return nil, err
+	}
 	for i, u := range a.u {
 		g := a.g[i]
 		v := a.v[i][:len(u)]
