@@ -352,6 +352,50 @@ func BenchmarkCSRBlocks(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/build")
 }
 
+// TestCSRBlocksShuffleLedger pins what PageRank's groupBy moves through
+// the shuffle for a fixed R-MAT graph (50,000 edges over 4,096 ids, 3 map
+// tasks, 4 reduce partitions): the records each reduce partition's files
+// hold, their frames (2,048 records a full one: a file of ~3,500 records
+// is two frames, of ~4,400 three) and dataflow's shuffle bytes, exactly.
+// The bytes are the format's: ids below 4,096 pack as two 12-bit offsets,
+// 3 bytes a pair, plus 17 a frame (the 8-byte header, two widths, two
+// one-byte minimums and the last 5 of the 8 bytes after the last record's
+// first). The per-record varints this format replaced wrote 180,920.
+func TestCSRBlocksShuffleLedger(t *testing.T) {
+	edges := make([]Edge, 0, 50_000)
+	for _, e := range gen.RMAT(gen.RMATConfig{Scale: 12, Edges: 50_000, Seed: 3}) {
+		edges = append(edges, Edge{Src: e.Src, Dst: e.Dst, W: 1})
+	}
+	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
+	blocks := csrBlocks(dataflow.Parallelize(sc, edges, 3), 4)
+	if _, err := blocks.Count(); err != nil {
+		t.Fatal(err)
+	}
+	var records, frames [4]int
+	for _, path := range sc.FS.List("/shuffle/") {
+		file, err := sc.FS.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp := int(path[len(path)-1] - '0')
+		for ; len(file) > 0; frames[rp]++ {
+			size, n := binary.LittleEndian.Uint32(file), binary.LittleEndian.Uint32(file[4:])
+			records[rp] += int(n)
+			file = file[8+size:]
+		}
+	}
+	runtime.KeepAlive(blocks) // its shuffle files live as long as it does
+	if want := [4]int{13201, 10499, 12946, 13354}; records != want {
+		t.Errorf("records per reduce partition %v, want %v", records, want)
+	}
+	if want := [4]int{9, 6, 9, 9}; frames != want {
+		t.Errorf("frames per reduce partition %v, want %v", frames, want)
+	}
+	if got, want := sc.Stats().ShuffleBytes, int64(3*50_000+17*33); got != want {
+		t.Errorf("dataflow shuffle bytes %d, want %d", got, want)
+	}
+}
+
 // TestSortByK: the radix sort agrees with a stable comparison sort on
 // small, huge and negative keys alike.
 func TestSortByK(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 
 	"psgraph/internal/dataflow"
@@ -34,12 +35,8 @@ const (
 )
 
 func (c *DeepWalkConfig) setDefaults() {
-	if c.Dim == 0 {
-		c.Dim = 32
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 1
-	}
+	c.Dim = cmp.Or(c.Dim, 32)
+	c.Epochs = cmp.Or(c.Epochs, 1)
 }
 
 // DeepWalk trains skip-gram embeddings over truncated random walks.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 
@@ -75,10 +76,7 @@ func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingCon
 		condensed := dataflow.MapPartitions(current, func(part int, in []Edge) ([]dataflow.KV[[2]int64, float64], error) {
 			out := make([]dataflow.KV[[2]int64, float64], 0, len(in))
 			for _, e := range in {
-				w := e.W
-				if w == 0 {
-					w = 1
-				}
+				w := cmp.Or(e.W, 1)
 				cu, cv := assign[e.Src], assign[e.Dst]
 				out = append(out, dataflow.KV[[2]int64, float64]{K: [2]int64{cu, cv}, V: w})
 			}
@@ -300,10 +298,7 @@ func modularityOf(edges *dataflow.RDD[Edge], assign map[int64]int64) (float64, e
 	var twoM, in float64
 	tot := make(map[int64]float64)
 	for _, e := range all {
-		w := e.W
-		if w == 0 {
-			w = 1
-		}
+		w := cmp.Or(e.W, 1)
 		twoM += 2 * w
 		cu, cv := assign[e.Src], assign[e.Dst]
 		if cu == cv {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"psgraph/internal/dataflow"
 	"psgraph/internal/ps"
 )
@@ -15,10 +16,7 @@ import (
 func LoadEdgeFrame(ctx *Context, path string, parts int) *dataflow.DataFrame {
 	edges := LoadEdges(ctx, path, parts)
 	rows := dataflow.Map(edges, func(e Edge) dataflow.Row {
-		w := e.W
-		if w == 0 {
-			w = 1
-		}
+		w := cmp.Or(e.W, 1)
 		return dataflow.Row{e.Src, e.Dst, w}
 	})
 	return dataflow.FromRDD([]string{"src", "dst", "w"}, rows)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"psgraph/internal/dataflow"
@@ -60,27 +62,13 @@ func (c *GraphSageConfig) setDefaults() error {
 	if c.Classes <= 1 {
 		return fmt.Errorf("core: GraphSage requires Classes >= 2")
 	}
-	if c.HiddenDim == 0 {
-		c.HiddenDim = 16
-	}
-	if c.FanOut1 == 0 {
-		c.FanOut1 = 10
-	}
-	if c.FanOut2 == 0 {
-		c.FanOut2 = 5
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 5
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 256
-	}
-	if c.LR == 0 {
-		c.LR = 0.01
-	}
-	if c.Aggregator == "" {
-		c.Aggregator = "mean"
-	}
+	c.HiddenDim = cmp.Or(c.HiddenDim, 16)
+	c.FanOut1 = cmp.Or(c.FanOut1, 10)
+	c.FanOut2 = cmp.Or(c.FanOut2, 5)
+	c.Epochs = cmp.Or(c.Epochs, 5)
+	c.BatchSize = cmp.Or(c.BatchSize, 256)
+	c.LR = cmp.Or(c.LR, 0.01)
+	c.Aggregator = cmp.Or(c.Aggregator, "mean")
 	if c.Aggregator != "mean" && c.Aggregator != "pool" && c.Aggregator != "lstm" {
 		return fmt.Errorf("core: unknown aggregator %q", c.Aggregator)
 	}
@@ -269,6 +257,12 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	if k >= 0 {
 		workers = max(min(workers, ctx.cfg.NumExecutors), 1)
 	}
+	// One builder per worker slot: a task takes one, resets it and gives it
+	// back, so its buffers outlive the task; at most NumExecutors run at once.
+	builders := make(chan *batchBuilder, ctx.cfg.NumExecutors)
+	for range cap(builders) {
+		builders <- &batchBuilder{rng: rand.New(rand.NewSource(0))}
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		trainRDD := dataflow.Parallelize(ctx.Spark, train, workers)
@@ -276,7 +270,8 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 		var mu sync.Mutex
 		epochSeed := cfg.Seed + int64(epoch)*7919
 		err := trainRDD.ForeachPartition(func(part int, ids []int64) error {
-			bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(epochSeed + int64(part)))}
+			bb := (<-builders).reset(data, cfg, epochSeed+int64(part))
+			defer func() { builders <- bb }()
 			// One ring per epoch; workers retire on completion so a finished
 			// partition never stalls stragglers.
 			clock := ctx.Agent.SSPClock(fmt.Sprintf("%s/ssp/%d", res.W1Name, epoch), part, workers, k)
@@ -315,23 +310,20 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 		res.Losses = append(res.Losses, lossSum/max(lossN, 1))
 	}
 
-	trainAcc, err := graphSageEvaluate(ctx, data, train, model, cfg, parts)
-	if err != nil {
+	if res.TrainAccuracy, err = graphSageEvaluate(ctx, data, train, model, cfg, parts, builders); err != nil {
 		return nil, err
 	}
-	testAcc, err := graphSageEvaluate(ctx, data, test, model, cfg, parts)
-	if err != nil {
+	if res.TestAccuracy, err = graphSageEvaluate(ctx, data, test, model, cfg, parts, builders); err != nil {
 		return nil, err
 	}
-	res.TrainAccuracy = trainAcc
-	res.TestAccuracy = testAcc
 	return res, nil
 }
 
-// graphSageEvaluate computes classification accuracy over ids: forward
-// passes only (a batch without labels is inference on the runtime's side),
-// scored against the driver's labels here.
-func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gsModel, cfg GraphSageConfig, parts int) (float64, error) {
+// graphSageEvaluate computes classification accuracy over ids, a task per
+// partition on a builder of the job's: forward passes only (a batch without
+// labels is inference on the runtime's side), scored against the driver's
+// labels here.
+func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gsModel, cfg GraphSageConfig, parts int, builders chan *batchBuilder) (float64, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
@@ -340,33 +332,28 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 		return 0, err
 	}
 	rdd := dataflow.Parallelize(ctx.Spark, ids, parts)
-	var correct, total int
-	var mu sync.Mutex
+	var correct atomic.Int64
 	err = rdd.ForeachPartition(func(part int, batchIDs []int64) error {
-		bb := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 31*int64(part)))}
+		bb := (<-builders).reset(data, cfg, cfg.Seed+31*int64(part))
+		defer func() { builders <- bb }()
 		for start := 0; start < len(batchIDs); start += cfg.BatchSize {
 			batch := batchIDs[start:min(start+cfg.BatchSize, len(batchIDs))]
 			jb, err := bb.build(batch, false)
 			if err != nil {
 				return err
 			}
-			hit := 0
 			for i, p := range model.run(jb, weights).Preds {
 				if p == data.Labels[batch[i]] {
-					hit++
+					correct.Add(1)
 				}
 			}
-			mu.Lock()
-			correct += hit
-			total += len(batch)
-			mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	return float64(correct) / float64(total), nil
+	return float64(correct.Load()) / float64(len(ids)), nil
 }
 
 // batchBuilder assembles the mini-batches of one partition task in
@@ -377,9 +364,9 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 // reads each row once. Self1 and Nbrs1 are block rows. The layer-1 set
 // (batch ∪ hop-1) is numbered in first-occurrence order, distinct batch
 // vertices first: Self2 and Nbrs2 are layer-1 indices, and an index below
-// the number of distinct batch vertices is a batch vertex. The buffers are
-// reused from batch to batch and die with the task; a built batch is valid
-// until the next build.
+// the number of distinct batch vertices is a batch vertex. A job keeps one
+// builder per worker slot, so the buffers are reused from batch to batch
+// and task to task (reset); a built batch is valid until the next build.
 type batchBuilder struct {
 	data *GraphSageData
 	cfg  GraphSageConfig
@@ -402,6 +389,15 @@ type batchBuilder struct {
 	self2           []int32   // layer-1 index of every batch position
 	segs            [][]int32 // Nbrs1, views of idx, then Nbrs2, views of nbrs2
 	labels          []int32
+}
+
+// reset readies the builder for a task: a fresh rng stream, and no build
+// yet, so its first build opens a window and no mark of an earlier task
+// matches a build of this one. Its buffers stay.
+func (b *batchBuilder) reset(data *GraphSageData, cfg GraphSageConfig, seed int64) *batchBuilder {
+	b.rng.Seed(seed)
+	b.data, b.cfg, b.builds, b.mark = data, cfg, 0, b.mark[:0]
+	return b
 }
 
 // index returns the layer-1 index of v, numbering v in the batch, and in the

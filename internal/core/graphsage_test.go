@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -210,6 +211,41 @@ func TestBatchBuilderInvariants(t *testing.T) {
 					if jb.Labels[i] != data.Labels[v] {
 						t.Fatalf("label of target %d (vertex %d) = %d, want %d", i, v, jb.Labels[i], data.Labels[v])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchBuilderResetMatchesFresh: one builder reset for task after task
+// — windows of 2 and 3, tasks of 1 to 5 batches — builds what a builder
+// made for each task builds. A reset that kept the build count, or marks a
+// new build's number can match, hands a task another task's indices.
+func TestBatchBuilderResetMatchesFresh(t *testing.T) {
+	_, data, _ := gsFixture(t, Config{NumExecutors: 2, NumServers: 2}, 600, 3)
+	for _, w := range []int{2, 3} {
+		cfg := GraphSageConfig{FanOut1: 4, FanOut2: 3, Aggregator: "mean", WindowBatches: w}
+		kept := batchBuilder{rng: rand.New(rand.NewSource(0))}
+		draw := rand.New(rand.NewSource(int64(w)))
+		for task := 0; task < 6; task++ {
+			seed := int64(100 + task)
+			fresh := &batchBuilder{data: data, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+			reused := kept.reset(data, cfg, seed)
+			for n := 1 + task%5; n > 0; n-- {
+				batch := make([]int64, 1+draw.Intn(40))
+				for i := range batch {
+					batch[i] = draw.Int63n(600)
+				}
+				want, err := fresh.build(batch, task%2 == 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.build(batch, task%2 == 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("w=%d task %d: the reset builder's batch differs from a fresh builder's", w, task)
 				}
 			}
 		}

@@ -30,12 +30,23 @@ func LoadEdges(ctx *Context, path string, parts int) *dataflow.RDD[Edge] {
 }
 
 // scanEdge parses one edge line; ok is false for a blank line. The usual
-// line, two unsigned ids of at most 18 digits and nothing after them but
-// whitespace, is read in one pass that folds digits as it goes. Any other
-// line (a sign, a longer id, a weight, a blank or malformed line) is split
-// into fields and parsed by strconv; the string conversions do not
+// line, two unsigned ids and one blank between them, src of at most 8
+// digits and dst of at most 8 ending the line, is read in two lanes: one
+// 8-byte load finds the blank after src, and the src word and the dst word
+// (loaded past the line's end, within cap) fold side by side. A line of up
+// to 18-digit ids with any whitespace around them folds digits as it goes.
+// Any other line (a sign, a longer id, a weight, a blank or malformed line)
+// is split into fields and parsed by strconv; the string conversions do not
 // allocate, since strconv copies its input into its errors.
 func scanEdge(line []byte) (e Edge, ok bool, err error) {
+	if w := line[:cap(line)]; len(w) >= 8 {
+		x := binary.LittleEndian.Uint64(w)
+		if n := digits(x); n > 0 && n+9 <= len(w) && n < len(line) && isSpace(w[n]) {
+			if y := binary.LittleEndian.Uint64(w[n+1:]); len(line)-n-1 > 0 && digits(y) >= len(line)-n-1 {
+				return Edge{Src: fold(x, n), Dst: fold(y, len(line)-n-1), W: 1}, true, nil
+			}
+		}
+	}
 	src, i, ok := scanDigits(line, 0)
 	dst, j, ok2 := scanDigits(line, i)
 	if w, _ := nextField(line[j:]); ok && ok2 && len(w) == 0 {
@@ -64,25 +75,36 @@ func scanEdge(line []byte) (e Edge, ok bool, err error) {
 	return e, true, nil
 }
 
+// digits is the number of ASCII digits x starts with, as 8 bytes read
+// little-endian: 0 to 8.
+func digits(x uint64) int {
+	const high, digit = 0xF0F0F0F0F0F0F0F0, 0x3030303030303030
+	other := (x&high ^ digit) | ((x+0x0606060606060606)&high ^ digit) // non-zero bytes are not digits
+	return bits.TrailingZeros64(other) >> 3
+}
+
+// fold is the value of the first n digits of x, as 8 bytes read
+// little-endian, without a branch on n; the bytes after them are masked off.
+func fold(x uint64, n int) int64 {
+	y := x << (64 - 8*n) & 0x0F0F0F0F0F0F0F0F // the n digits, most significant first, at the top
+	y = (y*10 + y>>8) & 0x00FF00FF00FF00FF
+	y = (y*100 + y>>16) & 0x0000FFFF0000FFFF
+	return int64((y*10000 + y>>32) & 0xFFFFFFFF)
+}
+
 // scanDigits skips the whitespace at b[i:] and folds the run of digits
 // after it; ok says the run has 1 to 18 digits and ends at a space or at
 // the end of b. Where eight bytes follow within cap(b), up to eight
-// digits are found and folded as one word, without a branch on the
-// field's length; bytes past len(b) are masked off.
+// digits are found and folded as one word.
 func scanDigits(b []byte, i int) (v int64, end int, ok bool) {
 	for i < len(b) && isSpace(b[i]) {
 		i++
 	}
 	j := i
 	if w := b[i:cap(b)]; len(w) >= 8 {
-		const high, digit = 0xF0F0F0F0F0F0F0F0, 0x3030303030303030
 		x := binary.LittleEndian.Uint64(w)
-		other := (x&high ^ digit) | ((x+0x0606060606060606)&high ^ digit) // non-zero bytes are not digits
-		n := min(bits.TrailingZeros64(other)>>3, len(b)-i)
-		y := x << (64 - 8*n) & 0x0F0F0F0F0F0F0F0F // the n digits, most significant first, at the top
-		y = (y*10 + y>>8) & 0x00FF00FF00FF00FF
-		y = (y*100 + y>>16) & 0x0000FFFF0000FFFF
-		v, j = int64((y*10000+y>>32)&0xFFFFFFFF), i+n
+		n := min(digits(x), len(b)-i)
+		v, j = fold(x, n), i+n
 	}
 	for ; j < len(b) && b[j]-'0' <= 9; j++ {
 		v = v*10 + int64(b[j]-'0')
@@ -241,10 +263,7 @@ type WeightedNeighbor struct {
 func ToWeightedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[dataflow.KV[int64, []WeightedNeighbor]] {
 	type table = dataflow.KV[int64, []WeightedNeighbor]
 	pairs := dataflow.FlatMap(edges, func(e Edge) []dataflow.KV[int64, WeightedNeighbor] {
-		w := e.W
-		if w == 0 {
-			w = 1
-		}
+		w := cmp.Or(e.W, 1)
 		return []dataflow.KV[int64, WeightedNeighbor]{
 			{K: e.Src, V: WeightedNeighbor{Dst: e.Dst, W: w}},
 			{K: e.Dst, V: WeightedNeighbor{Dst: e.Src, W: w}},

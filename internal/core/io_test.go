@@ -47,12 +47,15 @@ func parseEdge(line string) (Edge, error) {
 func checkEdgeScan(t *testing.T, line []byte) {
 	t.Helper()
 	// The scanner may load bytes past len(line) but within its capacity:
-	// digits there must not change what it reads.
+	// digits there must not change what it reads, nor a capacity that ends
+	// with the line (the read window's last line).
 	padded := append(append(make([]byte, 0, len(line)+16), line...), "1234567890123456"...)[:len(line)]
 	got, ok, err := scanEdge(padded)
-	got2, ok2, err2 := scanEdge(line)
-	if same := got2 == got || got != got; !same || ok2 != ok || (err2 == nil) != (err == nil) { // got != got: a NaN weight
-		t.Fatalf("%q: %v, %v, %v with digits past its end, %v, %v, %v without", line, got, ok, err, got2, ok2, err2)
+	for _, other := range [][]byte{line, slices.Clip(padded)} {
+		got2, ok2, err2 := scanEdge(other)
+		if same := got2 == got || got != got; !same || ok2 != ok || (err2 == nil) != (err == nil) { // got != got: a NaN weight
+			t.Fatalf("%q: %v, %v, %v with digits past its end, %v, %v, %v with capacity %d", line, got, ok, err, got2, ok2, err2, cap(other))
+		}
 	}
 	if err == nil && !ok && got != (Edge{}) {
 		t.Fatalf("%q: skipped line produced %v", line, got)
@@ -94,6 +97,10 @@ var edgeScanSeeds = []string{
 	// signs, tabs and \r, a weight, trailing blanks, a blank line.
 	"0 9", "123456789012345678 1", "1 999999999999999999", "1234567890123456789 2", "2 9223372036854775807",
 	"+12\t-7", "-1 2", "1 +2", "3\t4\r", "\t5\t6\t\r", "7 8 0.25\r", "9\t10\t-1.5e-3", "1 2 ", " \t\r", "12a 3", "1 2a",
+	// The two-lane path and where it hands over: 7-, 8- and 9-digit src, 8-
+	// and 9-digit dst, a double tab, a leading blank, a \r after dst.
+	"1234567\t7654321", "12345678\t9", "123456789\t1", "1\t12345678", "12345678 87654321", "1\t123456789",
+	"3\t\t4", " 3\t4", "3 4\r", "3\v4", "0\t0", "99999999\t99999999",
 }
 
 func TestEdgeScanMatchesReference(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"time"
@@ -40,18 +41,10 @@ type PageRankConfig struct {
 }
 
 func (c *PageRankConfig) setDefaults() {
-	if c.Damping == 0 {
-		c.Damping = 0.85
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 20
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-6
-	}
-	if c.DeltaThreshold == 0 {
-		c.DeltaThreshold = 1e-9
-	}
+	c.Damping = cmp.Or(c.Damping, 0.85)
+	c.MaxIterations = cmp.Or(c.MaxIterations, 20)
+	c.Tolerance = cmp.Or(c.Tolerance, 1e-6)
+	c.DeltaThreshold = cmp.Or(c.DeltaThreshold, 1e-9)
 }
 
 // PageRankResult reports the converged ranks.

@@ -166,8 +166,8 @@ func TestReduceByKeyMatchesSequentialProperty(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	ctx := newCtx(t, Config{NumExecutors: 2})
-	left := Parallelize(ctx, []KV[int64, []byte]{
-		{K: 1, V: []byte("a")}, {K: 2, V: []byte("b")}, {K: 2, V: []byte("b2")}, {K: 3, V: []byte("c")},
+	left := Parallelize(ctx, []KV[int64, []float64]{
+		{K: 1, V: []float64{1}}, {K: 2, V: []float64{2}}, {K: 2, V: []float64{2.5}}, {K: 3, V: []float64{3}},
 	}, 2)
 	right := Parallelize(ctx, []KV[int64, int64]{
 		{K: 2, V: 20}, {K: 3, V: 30}, {K: 3, V: 31}, {K: 4, V: 40},
@@ -178,10 +178,10 @@ func TestJoin(t *testing.T) {
 	}
 	var rows []string
 	for _, kv := range joined {
-		rows = append(rows, fmt.Sprintf("%d:%s:%d", kv.K, kv.V.A, kv.V.B))
+		rows = append(rows, fmt.Sprintf("%d:%v:%d", kv.K, kv.V.A, kv.V.B))
 	}
 	sort.Strings(rows)
-	want := []string{"2:b2:20", "2:b:20", "3:c:30", "3:c:31"}
+	want := []string{"2:[2.5]:20", "2:[2]:20", "3:[3]:30", "3:[3]:31"}
 	if strings.Join(rows, ",") != strings.Join(want, ",") {
 		t.Fatalf("got %v, want %v", rows, want)
 	}

@@ -296,13 +296,6 @@ func TestShuffleCodecEquivalenceBuiltins(t *testing.T) {
 		}
 		checkShuffleRoundTrip(t, kvs)
 	})
-	t.Run("i64-bytes", func(t *testing.T) {
-		var kvs []KV[int64, []byte]
-		for i := 0; i < 50; i++ {
-			kvs = append(kvs, KV[int64, []byte]{K: int64(i), V: []byte(fmt.Sprintf("payload-%d", i))})
-		}
-		checkShuffleRoundTrip(t, kvs)
-	})
 	t.Run("i64-unit", func(t *testing.T) {
 		var kvs []KV[int64, struct{}]
 		for i := 0; i < 100; i++ {
@@ -406,9 +399,6 @@ func TestAppendReadHelpersPreserveNil(t *testing.T) {
 	b = AppendF64s(b, []float64{1.5, -2.5})
 	b = AppendI64s(b, nil)
 	b = AppendI64s(b, []int64{-7, 7})
-	b = AppendRaw(b, nil)
-	b = AppendRaw(b, []byte{})
-	b = AppendRaw(b, []byte("abc"))
 	r := newBinReaderBytes(b)
 	if got := r.F64s(); got != nil {
 		t.Fatalf("nil []float64 round-trip: %v", got)
@@ -424,15 +414,6 @@ func TestAppendReadHelpersPreserveNil(t *testing.T) {
 	}
 	if got := r.I64s(); fmt.Sprint(got) != "[-7 7]" {
 		t.Fatalf("[]int64 round-trip: %v", got)
-	}
-	if got := r.Raw(); got != nil {
-		t.Fatalf("nil []byte round-trip: %v", got)
-	}
-	if got := r.Raw(); got == nil || len(got) != 0 {
-		t.Fatalf("empty []byte round-trip: %v", got)
-	}
-	if got := r.Raw(); string(got) != "abc" {
-		t.Fatalf("[]byte round-trip: %q", got)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)

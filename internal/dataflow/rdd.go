@@ -118,6 +118,13 @@ func (r *RDD[T]) materialize(t *Task, part int) ([]T, error) {
 	return out, nil
 }
 
+// held reports whether partition part is cached, or is to be.
+func (r *RDD[T]) held(part int) bool {
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	return r.caching || r.cached != nil && r.cached[part] != nil
+}
+
 // streamPart pushes partition part's elements to emit, one at a time.
 // This is the fused evaluation entry point: when the RDD has a stream
 // path and is not involved with the cache, elements flow through the
@@ -125,11 +132,7 @@ func (r *RDD[T]) materialize(t *Task, part int) ([]T, error) {
 // RDDs fall back to materialize — a cache point is a fusion barrier, so
 // the cached slice is filled (and reused) exactly as before fusion.
 func (r *RDD[T]) streamPart(t *Task, part int, emit func(T) error) error {
-	r.cacheMu.Lock()
-	hit := r.cached != nil && r.cached[part] != nil
-	caching := r.caching
-	r.cacheMu.Unlock()
-	if r.stream == nil || hit || caching || !fusionOn.Load() {
+	if r.stream == nil || r.held(part) || !fusionOn.Load() {
 		in, err := r.materialize(t, part)
 		if err != nil {
 			return err
@@ -150,10 +153,7 @@ func (r *RDD[T]) streamPart(t *Task, part int, emit func(T) error) error {
 // action sees the same backing array: read-only for the caller. A source
 // (no parents) computes its one sized copy; the rest gather the fused path.
 func (r *RDD[T]) partSlice(t *Task, part int) ([]T, error) {
-	r.cacheMu.Lock()
-	held := r.caching || (r.cached != nil && r.cached[part] != nil)
-	r.cacheMu.Unlock()
-	if held || r.stream == nil || len(r.parents) == 0 {
+	if r.held(part) || r.stream == nil || len(r.parents) == 0 {
 		return r.materialize(t, part)
 	}
 	return collectStream(t, part, r.streamPart)
@@ -211,22 +211,16 @@ func Parallelize[T any](ctx *Context, data []T, parts int) *RDD[T] {
 	if parts <= 0 {
 		parts = ctx.cfg.DefaultParallelism
 	}
-	n := len(data)
+	slice := func(part int) []T { return data[len(data)*part/parts : len(data)*(part+1)/parts] }
 	return &RDD[T]{
 		ctx:   ctx,
 		parts: parts,
 		name:  "parallelize",
 		compute: func(t *Task, part int) ([]T, error) {
-			lo := n * part / parts
-			hi := n * (part + 1) / parts
-			out := make([]T, hi-lo)
-			copy(out, data[lo:hi])
-			return out, nil
+			return append(make([]T, 0, len(slice(part))), slice(part)...), nil
 		},
 		stream: func(t *Task, part int, emit func(T) error) error {
-			lo := n * part / parts
-			hi := n * (part + 1) / parts
-			for _, x := range data[lo:hi] {
+			for _, x := range slice(part) {
 				if err := emit(x); err != nil {
 					return err
 				}
@@ -236,46 +230,35 @@ func Parallelize[T any](ctx *Context, data []T, parts int) *RDD[T] {
 	}
 }
 
+// narrow is the RDD whose partitions stream out of r's through stream:
+// the fused path, which it also collects to materialize a partition.
+func narrow[T, U any](r *RDD[T], name string, stream func(t *Task, part int, emit func(U) error) error) *RDD[U] {
+	return &RDD[U]{ctx: r.ctx, parts: r.parts, parents: []node{r}, name: r.name + name, stream: stream,
+		compute: func(t *Task, part int) ([]U, error) { return collectStream(t, part, stream) }}
+}
+
 // Map applies f to every element.
 func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	stream := func(t *Task, part int, emit func(U) error) error {
-		return r.streamPart(t, part, func(x T) error {
-			return emit(f(x))
-		})
-	}
-	return &RDD[U]{
-		ctx:     r.ctx,
-		parts:   r.parts,
-		parents: []node{r},
-		name:    r.name + ".map",
-		stream:  stream,
-		compute: func(t *Task, part int) ([]U, error) { return collectStream(t, part, stream) },
-	}
+	return narrow(r, ".map", func(t *Task, part int, emit func(U) error) error {
+		return r.streamPart(t, part, func(x T) error { return emit(f(x)) })
+	})
 }
 
 // Filter keeps the elements for which pred is true.
 func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	stream := func(t *Task, part int, emit func(T) error) error {
+	return narrow(r, ".filter", func(t *Task, part int, emit func(T) error) error {
 		return r.streamPart(t, part, func(x T) error {
 			if !pred(x) {
 				return nil
 			}
 			return emit(x)
 		})
-	}
-	return &RDD[T]{
-		ctx:     r.ctx,
-		parts:   r.parts,
-		parents: []node{r},
-		name:    r.name + ".filter",
-		stream:  stream,
-		compute: func(t *Task, part int) ([]T, error) { return collectStream(t, part, stream) },
-	}
+	})
 }
 
 // FlatMap applies f to every element and concatenates the results.
 func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	stream := func(t *Task, part int, emit func(U) error) error {
+	return narrow(r, ".flatMap", func(t *Task, part int, emit func(U) error) error {
 		return r.streamPart(t, part, func(x T) error {
 			for _, u := range f(x) {
 				if err := emit(u); err != nil {
@@ -284,15 +267,7 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 			}
 			return nil
 		})
-	}
-	return &RDD[U]{
-		ctx:     r.ctx,
-		parts:   r.parts,
-		parents: []node{r},
-		name:    r.name + ".flatMap",
-		stream:  stream,
-		compute: func(t *Task, part int) ([]U, error) { return collectStream(t, part, stream) },
-	}
+	})
 }
 
 // MapPartitions transforms each partition as a whole. The index of the
@@ -301,7 +276,7 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 // so f must treat in as read-only; other inputs are gathered through the
 // fused path. The outputs stream onward element by element.
 func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *RDD[U] {
-	stream := func(t *Task, part int, emit func(U) error) error {
+	out := narrow(r, ".mapPartitions", func(t *Task, part int, emit func(U) error) error {
 		in, err := r.partSlice(t, part)
 		if err != nil {
 			return err
@@ -316,21 +291,15 @@ func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *
 			}
 		}
 		return nil
+	})
+	out.compute = func(t *Task, part int) ([]U, error) {
+		in, err := r.partSlice(t, part)
+		if err != nil {
+			return nil, err
+		}
+		return f(part, in)
 	}
-	return &RDD[U]{
-		ctx:     r.ctx,
-		parts:   r.parts,
-		parents: []node{r},
-		name:    r.name + ".mapPartitions",
-		stream:  stream,
-		compute: func(t *Task, part int) ([]U, error) {
-			in, err := r.partSlice(t, part)
-			if err != nil {
-				return nil, err
-			}
-			return f(part, in)
-		},
-	}
+	return out
 }
 
 // Collect gathers all partitions into one sized slice (partition order).
@@ -339,13 +308,9 @@ func (r *RDD[T]) Collect() ([]T, error) {
 		return nil, err
 	}
 	results := make([][]T, r.parts)
-	err := r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		out, err := r.partSlice(t, part)
-		if err != nil {
-			return err
-		}
-		results[part] = out
-		return nil
+	err := r.ctx.runTasks(r.parts, func(t *Task, part int) (err error) {
+		results[part], err = r.partSlice(t, part)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -361,25 +326,14 @@ func (r *RDD[T]) Count() (int64, error) {
 	}
 	counts := make([]int64, r.parts)
 	err := r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		var n int64
-		err := r.streamPart(t, part, func(T) error {
-			n++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		counts[part] = n
-		return nil
+		counts[part] = 0 // a retried task counts again
+		return r.streamPart(t, part, func(T) error { counts[part]++; return nil })
 	})
-	if err != nil {
-		return 0, err
-	}
 	var total int64
 	for _, c := range counts {
 		total += c
 	}
-	return total, nil
+	return total, err
 }
 
 // ForeachPartition runs f once per partition for its side effects. This is
@@ -409,44 +363,29 @@ func (r *RDD[T]) Reduce(f func(a, b T) T) (T, error) {
 	if err := r.prepare(); err != nil {
 		return zero, err
 	}
-	partials := make([]T, r.parts)
-	nonEmpty := make([]bool, r.parts)
+	partials := make([][]T, r.parts) // a partition's fold, or nothing
 	err := r.ctx.runTasks(r.parts, func(t *Task, part int) error {
-		var acc T
-		has := false
+		var acc []T
 		err := r.streamPart(t, part, func(x T) error {
-			if !has {
-				acc, has = x, true
+			if acc == nil {
+				acc = []T{x}
 			} else {
-				acc = f(acc, x)
+				acc[0] = f(acc[0], x)
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		// A retried task overwrites its own slot; distinct parts never
-		// share one.
-		partials[part], nonEmpty[part] = acc, has
-		return nil
+		partials[part] = acc // a retried task overwrites its own slot
+		return err
 	})
+	all := slices.Concat(partials...)
+	if err == nil && len(all) == 0 {
+		err = fmt.Errorf("dataflow: reduce of empty RDD")
+	}
 	if err != nil {
 		return zero, err
 	}
-	var acc T
-	has := false
-	for part, ok := range nonEmpty {
-		if !ok {
-			continue
-		}
-		if !has {
-			acc, has = partials[part], true
-		} else {
-			acc = f(acc, partials[part])
-		}
+	for _, x := range all[1:] {
+		all[0] = f(all[0], x)
 	}
-	if !has {
-		return zero, fmt.Errorf("dataflow: reduce of empty RDD")
-	}
-	return acc, nil
+	return all[0], nil
 }

@@ -1,9 +1,11 @@
 package dataflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math"
 	"math/bits"
 	"reflect"
 	"runtime"
@@ -79,55 +81,87 @@ func shufflePath(id int64, mapPart, reducePart int) string {
 	return fmt.Sprintf("%s%05d-%05d", shuffleDir(id), mapPart, reducePart)
 }
 
-// bucketWriter streams one reduce partition's records of a map task to
-// the DFS. Records are encoded into a pooled chunk flushed at shuffleChunk
-// bytes, so the task is charged one chunk of transient memory, not the
-// whole encoded bucket.
+// bucketWriter streams a map task's records for one reduce partition to
+// the DFS. A record codec encodes into the open frame and writes it at
+// shuffleChunk bytes, or before a record that would carry it past that; a
+// frame codec packs frameRecords staged records at once and writes frames
+// in half chunks. The task is charged one chunk, not the whole bucket.
 type bucketWriter[K comparable, V any] struct {
 	file  io.WriteCloser
 	n     int64 // bytes handed to the DFS
 	buf   []byte
+	at    int // the open frame's header, after the closed frames in buf
+	recs  int // records in the open frame
+	stage []KV[K, V]
 	codec *shuffleCodec[K, V]
 }
 
 func newBucketWriter[K comparable, V any](ctx *Context, path string, codec *shuffleCodec[K, V]) *bucketWriter[K, V] {
-	return &bucketWriter[K, V]{file: ctx.FS.Create(path), buf: getShuffleBuf(), codec: codec}
+	w := &bucketWriter[K, V]{file: ctx.FS.Create(path), buf: make([]byte, frameHeader, shuffleChunk+1024), codec: codec}
+	if codec.pack != nil {
+		w.stage = make([]KV[K, V], 0, frameRecords)
+	}
+	return w
 }
 
 func (w *bucketWriter[K, V]) write(kv KV[K, V]) error {
-	w.buf = w.codec.enc(w.buf, kv)
-	if len(w.buf) >= shuffleChunk {
-		return w.flush()
+	if w.stage != nil {
+		if w.stage = append(w.stage, kv); len(w.stage) < frameRecords {
+			return nil
+		}
+		return w.flush(false)
 	}
-	return nil
-}
-
-func (w *bucketWriter[K, V]) flush() error {
-	if len(w.buf) == 0 {
+	end := len(w.buf)
+	if w.buf, w.recs = w.codec.enc(w.buf, kv), w.recs+1; len(w.buf) > shuffleChunk && w.recs > 1 {
+		if err := w.cut(end, w.recs-1, true); err != nil { // kv opens the next frame
+			return err
+		}
+	}
+	if len(w.buf) < shuffleChunk {
 		return nil
 	}
-	n, err := w.file.Write(w.buf)
-	w.n += int64(n)
-	w.buf = w.buf[:0]
+	return w.flush(true)
+}
+
+// flush closes the open frame and writes buf if write is set or it holds
+// half a chunk, which leaves room for a packed frame's worst case.
+func (w *bucketWriter[K, V]) flush(write bool) error {
+	if len(w.stage) > 0 {
+		w.buf, w.recs, w.stage = w.codec.pack(w.buf, w.stage), len(w.stage), w.stage[:0]
+	}
+	return w.cut(len(w.buf), w.recs, write || len(w.buf) >= shuffleChunk/2)
+}
+
+// cut closes the open frame after its first n records, if any, which end
+// at buf[end]: the bytes after them open the next frame, behind room for
+// its header. With write set, the closed frames go to the DFS.
+func (w *bucketWriter[K, V]) cut(end, n int, write bool) error {
+	if size := end - w.at - frameHeader; n > 0 {
+		if int64(size) > math.MaxUint32 {
+			return fmt.Errorf("dataflow: a shuffle record of %d bytes", size)
+		}
+		binary.LittleEndian.PutUint32(w.buf[w.at:], uint32(size))
+		binary.LittleEndian.PutUint32(w.buf[w.at+4:], uint32(n))
+		w.buf = append(w.buf, make([]byte, frameHeader)...)
+		copy(w.buf[end+frameHeader:], w.buf[end:])
+		w.at, w.recs = end, w.recs-n
+	}
+	if !write {
+		return nil
+	}
+	m, err := w.file.Write(w.buf[:w.at])
+	w.n, w.buf, w.at = w.n+int64(m), w.buf[:copy(w.buf, w.buf[w.at:])], 0
 	return err
 }
 
-// close flushes, publishes the file and returns the bytes written.
+// close flushes, publishes the file and returns the bytes written. A
+// writer that is not closed publishes nothing: the DFS file only becomes
+// visible on Close.
 func (w *bucketWriter[K, V]) close() (int64, error) {
-	if err := w.flush(); err != nil {
+	if err := w.flush(true); err != nil {
 		return w.n, err
 	}
-	w.discard()
 	return w.n, w.file.Close()
-}
-
-// discard releases the chunk buffer without publishing the file (error
-// paths; the DFS file only becomes visible on Close).
-func (w *bucketWriter[K, V]) discard() {
-	if w.buf != nil {
-		putShuffleBuf(w.buf)
-		w.buf = nil
-	}
 }
 
 // writeShuffle creates the map side of a shuffle over parent, bucketing
@@ -171,13 +205,6 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 			}
 			defer t.Free(charge)
 			buckets := make([]*bucketWriter[K, V], reduceParts)
-			defer func() {
-				for _, b := range buckets {
-					if b != nil {
-						b.discard()
-					}
-				}
-			}()
 			for rp := range buckets {
 				buckets[rp] = newBucketWriter(ctx, shufflePath(dep.id, part, rp), codec)
 			}
@@ -191,12 +218,11 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 				return err
 			}
 			var written int64
-			for rp, b := range buckets {
+			for _, b := range buckets {
 				n, err := b.close()
 				if err != nil {
 					return err
 				}
-				buckets[rp] = nil
 				written += n
 			}
 			dep.counts[part] = counts
@@ -208,7 +234,7 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 }
 
 // readShufflePart streams every map output addressed to reduce partition
-// rp through one window, decoding records one at a time into consume. Only
+// rp through one window, decoding it a frame at a time into consume. Only
 // the window is charged to the task (the shuffle fetch buffer), not the
 // file contents: decoded records flow directly into the consumer's table.
 func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, consume func(KV[K, V]) error) error {
@@ -216,7 +242,7 @@ func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, cons
 	if err := t.Alloc(shuffleChunk); err != nil {
 		return err
 	}
-	w := &shuffleWindow{t: t, buf: make([]byte, shuffleChunk)}
+	w := &shuffleWindow[K, V]{t: t, buf: make([]byte, shuffleChunk)}
 	defer func() { t.Free(int64(len(w.buf))) }()
 	for mp := 0; mp < dep.mapParts; mp++ {
 		if err := readShuffleFile(dep, mp, rp, codec, w, consume); err != nil {
@@ -227,63 +253,85 @@ func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, cons
 }
 
 // shuffleWindow is a reduce task's read buffer, shuffleChunk bytes unless
-// a record longer than that grew it; r is the cursor over what it holds.
-type shuffleWindow struct {
-	t   *Task
-	f   io.Reader
-	eof bool
-	buf []byte
-	r   BinReader
+// a one-record frame longer than that grew it; r is a record codec's
+// cursor over a frame's body, recs a frame codec's decoded frame.
+type shuffleWindow[K comparable, V any] struct {
+	t    *Task
+	buf  []byte
+	r    BinReader
+	recs []KV[K, V]
 }
 
-// fill moves the undecoded tail r.b[from:] to the front of the window and
-// reads the file in behind it. A tail that fills the window is one record
-// longer than it: the window doubles, charged to the task, so it only ever
-// grows to twice the bytes that actually arrived.
-func (w *shuffleWindow) fill(from int) error {
-	n := copy(w.buf, w.r.b[from:])
-	if n == len(w.buf) {
+// read reads the next size bytes of f into the window. A window too short
+// for them doubles, charged to the task, each time it fills: it grows to
+// at most twice the bytes that actually arrived, whatever size claims.
+func (w *shuffleWindow[K, V]) read(f io.Reader, size int) ([]byte, error) {
+	for n := 0; ; {
+		m, err := io.ReadFull(f, w.buf[n:min(size, len(w.buf))])
+		if n += m; n == size || err != nil {
+			return w.buf[:n], err
+		}
 		if err := w.t.Alloc(int64(n)); err != nil {
-			return err
+			return nil, err
 		}
 		w.buf = append(w.buf, make([]byte, n)...)
 	}
-	m, err := io.ReadFull(w.f, w.buf[n:])
-	if w.eof = err == io.EOF || err == io.ErrUnexpectedEOF; err != nil && !w.eof {
-		return fmt.Errorf("dataflow: shuffle read: %w", err)
-	}
-	w.r = BinReader{b: w.buf[:n+m]}
-	return nil
 }
 
-func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], w *shuffleWindow, consume func(KV[K, V]) error) error {
+// readShuffleFile decodes one file's frames.
+func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], w *shuffleWindow[K, V], consume func(KV[K, V]) error) error {
 	f, err := dep.ctx.FS.Open(shufflePath(dep.id, mp, rp))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w.f, w.r, w.eof = f, BinReader{}, false
-	r := &w.r
 	for {
-		start := r.off
-		if start < len(r.b) {
-			kv := codec.dec(r)
-			if !r.cut() {
-				if err := consume(kv); err != nil {
-					return err
-				}
-				continue
-			}
-			if r.err != nil || w.eof {
-				return fmt.Errorf("dataflow: shuffle %d file %d-%d: %w", dep.id, mp, rp, r.Err())
-			}
-		} else if w.eof {
+		h, err := w.read(f, frameHeader)
+		if err == io.EOF {
 			return nil
 		}
-		if err := w.fill(start); err != nil {
+		if err == nil {
+			err = w.frame(codec, f, h, consume)
+		}
+		if err != nil {
+			return fmt.Errorf("dataflow: shuffle %d file %d-%d: %w", dep.id, mp, rp, err)
+		}
+	}
+}
+
+// frame reads and decodes the body header h announces. A header is a claim
+// like any length: a frame of more than one record may not outrun the
+// window, nor claim more records than it has bytes (or a packed frame
+// holds), so only a one-record frame grows the window.
+func (w *shuffleWindow[K, V]) frame(codec *shuffleCodec[K, V], f io.Reader, h []byte, consume func(KV[K, V]) error) error {
+	size, n := int(binary.LittleEndian.Uint32(h)), int(binary.LittleEndian.Uint32(h[4:]))
+	if n == 0 || n > 1 && frameHeader+size > shuffleChunk || n > size && codec.dec != nil || n > frameRecords && codec.unpack != nil {
+		return fmt.Errorf("a frame of %d bytes claims %d records", size, n)
+	}
+	body, err := w.read(f, size)
+	if err != nil {
+		return err
+	}
+	if codec.unpack != nil {
+		w.recs, err = codec.unpack(body, n, w.recs)
+		for i := 0; err == nil && i < len(w.recs); i++ {
+			err = consume(w.recs[i])
+		}
+		return err
+	}
+	for w.r = (BinReader{b: body}); n > 0; n-- {
+		kv := codec.dec(&w.r)
+		if w.r.cut() {
+			break
+		}
+		if err := consume(kv); err != nil {
 			return err
 		}
 	}
+	if w.r.off != len(body) || n > 0 {
+		return fmt.Errorf("a frame's records do not fill its %d bytes: %v", size, w.r.Err())
+	}
+	return nil
 }
 
 // GroupByKey shuffles the dataset so that all values of a key land in one

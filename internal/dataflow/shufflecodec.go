@@ -1,55 +1,45 @@
 package dataflow
 
-// Shuffle codecs. A shuffle file is a stream of back-to-back binary KV
-// records written by the ShuffleCodec registered for the concrete KV[K, V]
-// shape; it is the only shuffle format. The built-in codecs cover the
-// shapes the graph algorithms shuffle (int64 keys with int64 / float64 /
-// []float64 / []int64 / []byte / struct{} values) with the varint +
-// little-endian machinery the PS wire codec uses; packages owning other
-// element types (graphx edges, core adjacency fragments) register their
-// own via RegisterShuffleCodec. A shuffle over a shape with no codec
-// panics when it is built (writeShuffle).
+// Shuffle codecs. A shuffle file is a sequence of frames, the only shuffle
+// format: a frame is an 8-byte header (the body's length and its record
+// count, each a little-endian uint32) and a body of records of the concrete
+// KV[K, V] shape. A record codec, registered with RegisterShuffleCodec,
+// fills a frame record by record with the varint + little-endian machinery
+// the PS wire codec uses; the built-in i64-i64 codec packs a whole frame at
+// once (packPairs). Packages owning other element types (graphx edges, core
+// adjacency fragments) register their own record codecs. A shuffle over a
+// shape with no codec panics when it is built (writeShuffle).
 //
-// The format streams: the map side appends records to a bounded chunk
-// buffer that is flushed to the DFS as it fills, and the reduce side
-// decodes through one chunk-sized window per task — no side ever holds a
-// whole encoded bucket in memory, so the transient-memory charge per
-// bucket is one chunk, not the bucket.
+// The format streams: the map side writes a bucket a frame at a time, the
+// reduce side reads a whole frame into one chunk-sized window per task and
+// decodes it — no side ever holds a whole encoded bucket in memory, so the
+// transient-memory charge per bucket is one chunk, not the bucket.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 
 	"psgraph/internal/f64le"
 )
 
-// shuffleChunk is the flush threshold of map-side bucket buffers and the
-// reduce-side window size. It is also what a task is charged per open
-// bucket or reduce-side window.
-const shuffleChunk = 64 << 10
-
-// shuffleBufPool recycles map-side chunk buffers.
-var shuffleBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, shuffleChunk+1024)
-		return &b
-	},
-}
-
-func getShuffleBuf() []byte {
-	return (*shuffleBufPool.Get().(*[]byte))[:0]
-}
-
-func putShuffleBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	shuffleBufPool.Put(&b)
-}
+// shuffleChunk is the reduce-side window and the longest frame of more
+// than one record; a task is charged one per open bucket or window. A
+// frame's header is its body's length and record count. A packed frame
+// holds up to frameRecords pairs of at most packedBits each: a record and
+// the up to 7 bits before it in its first byte are one 8-byte load.
+const (
+	shuffleChunk = 64 << 10
+	frameHeader  = 8
+	frameRecords = 2048
+	packedBits   = 56
+)
 
 // ---------------------------------------------------------------------------
 // Append helpers for codec implementers (the encode side works on plain
@@ -83,24 +73,14 @@ func AppendI64s(b []byte, s []int64) []byte {
 	return b
 }
 
-// AppendRaw appends a byte slice with a nil-preserving length prefix.
-func AppendRaw(b []byte, s []byte) []byte {
-	if s == nil {
-		return binary.AppendUvarint(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(s))+1)
-	return append(b, s...)
-}
-
 // ---------------------------------------------------------------------------
 // BinReader: the decode-side cursor handed to codec Read functions.
 
-// BinReader reads binary shuffle records out of a byte window. A primitive
-// that runs past the window's end returns a zero value and leaves the
-// cursor past it, as does a malformed value, which also latches an error;
-// either way every later read returns zero, so a codec decodes a whole
-// record and its caller checks once whether it was all there:
-// readShuffleFile decodes a record the window cut again after a refill.
+// BinReader reads binary shuffle records out of one frame's body. A
+// primitive that runs past the body's end returns a zero value and leaves
+// the cursor past it, as does a malformed value, which also latches an
+// error; either way every later read returns zero, so a codec decodes a
+// whole record and its caller checks once whether it was all there.
 type BinReader struct {
 	b   []byte
 	off int
@@ -124,35 +104,20 @@ func (r *BinReader) Varint() int64 {
 	return int64(ux>>1) ^ -int64(ux&1)
 }
 
-// Uvarint reads one unsigned varint. One to three bytes, nearly every id a
-// graph shuffles, take an if-chain behind one bound check; the rest, and
-// the last bytes of the window, binary.Uvarint.
+// Uvarint reads one unsigned varint.
 func (r *BinReader) Uvarint() uint64 {
-	b, off := r.b, r.off
-	if off+3 <= len(b) {
-		if c0 := uint64(b[off]); c0 < 0x80 {
-			r.off = off + 1
-			return c0
-		} else if c1 := uint64(b[off+1]); c1 < 0x80 {
-			r.off = off + 2
-			return c0&0x7f | c1<<7
-		} else if c2 := uint64(b[off+2]); c2 < 0x80 {
-			r.off = off + 3
-			return c0&0x7f | (c1&0x7f)<<7 | c2<<14
-		}
-	}
-	switch v, n := binary.Uvarint(b[min(off, len(b)):]); {
+	switch v, n := binary.Uvarint(r.b[min(r.off, len(r.b)):]); {
 	case n > 0:
-		r.off = off + n
+		r.off += n
 		return v
 	case n < 0:
 		r.err = fmt.Errorf("dataflow: shuffle decode: varint overflows 64 bits")
 	}
-	r.off = len(b) + 1
+	r.off = len(r.b) + 1
 	return 0
 }
 
-// has reports whether the next n bytes are in the window, and cuts the
+// has reports whether the next n bytes are in the body, and cuts the
 // record when they are not.
 func (r *BinReader) has(n uint64) bool {
 	if r.cut() || n > uint64(len(r.b)-r.off) {
@@ -162,7 +127,7 @@ func (r *BinReader) has(n uint64) bool {
 	return true
 }
 
-// take returns the next n bytes of the window, or nil when it cut.
+// take returns the next n bytes of the body, or nil when it cut.
 func (r *BinReader) take(n uint64) []byte {
 	if !r.has(n) {
 		return nil
@@ -181,9 +146,8 @@ func (r *BinReader) F64() float64 {
 
 // sliceLen decodes the nil-preserving length prefix: (0, false) for nil.
 // A length is a claim by whoever wrote the file: the slice decoders take
-// its bytes out of the window before they allocate, so a torn or hostile
-// one costs a cut record (an error at the end of the file), not an
-// allocation of its size.
+// its bytes out of the frame's body before they allocate, so a torn or
+// hostile one costs a cut record (an error), not an allocation of its size.
 func (r *BinReader) sliceLen() (uint64, bool) {
 	n := r.Uvarint()
 	return n - 1, n != 0 && !r.cut()
@@ -192,7 +156,7 @@ func (r *BinReader) sliceLen() (uint64, bool) {
 // F64s reads a slice written by AppendF64s.
 func (r *BinReader) F64s() []float64 {
 	n, ok := r.sliceLen()
-	if !ok || !r.has(n) { // n bytes in the window: 8n cannot overflow
+	if !ok || !r.has(n) { // n bytes in the body: 8n cannot overflow
 		return nil
 	}
 	raw := r.take(8 * n)
@@ -205,7 +169,7 @@ func (r *BinReader) F64s() []float64 {
 }
 
 // I64s reads a slice written by AppendI64s. Each element is at least a
-// byte, so a window that holds fewer bytes than the length cuts the record
+// byte, so a body that holds fewer bytes than the length cuts the record
 // before the slice is made.
 func (r *BinReader) I64s() []int64 {
 	n, ok := r.sliceLen()
@@ -222,26 +186,19 @@ func (r *BinReader) I64s() []int64 {
 	return s
 }
 
-// Raw reads a byte slice written by AppendRaw.
-func (r *BinReader) Raw() []byte {
-	n, ok := r.sliceLen()
-	if !ok {
-		return nil
-	}
-	if b := r.take(n); b != nil {
-		return append([]byte{}, b...)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Codec registry.
 
-// shuffleCodec is the binary fast path for one concrete KV[K, V] shape.
+// shuffleCodec is the binary format of one concrete KV[K, V] shape: a
+// record codec (enc, dec) or a frame codec (pack, unpack: the body of one
+// frame of 1 to frameRecords records, and that body, claiming n of them,
+// decoded into out, grown to n).
 type shuffleCodec[K comparable, V any] struct {
-	name string
-	enc  func(b []byte, kv KV[K, V]) []byte
-	dec  func(r *BinReader) KV[K, V]
+	name   string
+	enc    func(b []byte, kv KV[K, V]) []byte
+	dec    func(r *BinReader) KV[K, V]
+	pack   func(b []byte, recs []KV[K, V]) []byte
+	unpack func(body []byte, n int, out []KV[K, V]) ([]KV[K, V], error)
 }
 
 // shuffleCodecs maps reflect.Type of *KV[K, V] to *shuffleCodec[K, V].
@@ -254,10 +211,10 @@ func codecKey[K comparable, V any]() reflect.Type {
 // RegisterShuffleCodec installs a binary shuffle codec for elements of
 // type KV[K, V]. enc appends one record to the buffer (using the
 // Append* helpers and encoding/binary); dec reads one record back and
-// must consume exactly what enc wrote. Registering a shape twice
-// replaces the earlier codec; a shape without one cannot be shuffled.
-// Packages register codecs for their own element types from init
-// functions.
+// must consume exactly what enc wrote, at least one byte. Registering a
+// shape twice replaces the earlier codec; a shape without one cannot be
+// shuffled. Packages register codecs for their own element types from
+// init functions.
 func RegisterShuffleCodec[K comparable, V any](
 	name string,
 	enc func(b []byte, kv KV[K, V]) []byte,
@@ -274,18 +231,86 @@ func codecFor[K comparable, V any]() *shuffleCodec[K, V] {
 	return nil
 }
 
+// packPairs is the i64-i64 frame body, by frame of reference: the widths
+// in bits of the key and value offsets, kw and vw, a byte each; the minimum
+// key and value as zigzag varints; then record i as key - kmin in the low
+// kw bits and value - vmin in the next vw of the word at bit i·(kw+vw),
+// little-endian, and 8 bytes from the last record's first byte to the end.
+// Each width is at least 1 and kmin + 2^kw - 1 fits an int64 (vmin's
+// likewise). A frame whose widths would pass packedBits in all, or whose
+// offsets could overflow, gives widths over 56 and its records as zigzag
+// varint pairs instead.
+func packPairs(b []byte, recs []KV[int64, int64]) []byte {
+	kmin, kmax, vmin, vmax := recs[0].K, recs[0].K, recs[0].V, recs[0].V
+	for _, kv := range recs {
+		kmin, kmax, vmin, vmax = min(kmin, kv.K), max(kmax, kv.K), min(vmin, kv.V), max(vmax, kv.V)
+	}
+	kw, vw := offsetWidth(kmin, kmax), offsetWidth(vmin, vmax)
+	if b = append(b, byte(kw), byte(vw)); kw+vw > packedBits {
+		for _, kv := range recs {
+			b = binary.AppendVarint(binary.AppendVarint(b, kv.K), kv.V)
+		}
+		return b
+	}
+	b = binary.AppendVarint(binary.AppendVarint(b, kmin), vmin)
+	at, acc, nb := len(b), uint64(0), uint(0) // acc: the nb bits from byte at on
+	b = append(b, make([]byte, uint(len(recs)-1)*(kw+vw)/8+8)...)
+	for _, kv := range recs {
+		acc |= (uint64(kv.K-kmin) | uint64(kv.V-vmin)<<kw) << nb
+		binary.LittleEndian.PutUint64(b[at:], acc)
+		nb += kw + vw
+		at, acc, nb = at+int(nb>>3), acc>>(nb&^7), nb&7
+	}
+	return b
+}
+
+// offsetWidth is the bits of hi - lo, at least 1; 64 past packedBits, or
+// when lo plus the widest offset of that many bits passes math.MaxInt64.
+func offsetWidth(lo, hi int64) uint {
+	if w := uint(max(bits.Len64(uint64(hi-lo)), 1)); w <= packedBits && lo <= math.MaxInt64-(1<<w-1) {
+		return w
+	}
+	return 64
+}
+
+var errPairFrame = errors.New("dataflow: malformed i64-i64 frame")
+
+// unpackPairs decodes a body packPairs wrote, of n records, into out.
+// Nothing in the body is trusted: the widths, the minimums' headroom and
+// the exact length are checked before the loop.
+func unpackPairs(body []byte, n int, out []KV[int64, int64]) ([]KV[int64, int64], error) {
+	if len(body) < 2 || body[0]-1 > 63 || body[1]-1 > 63 {
+		return nil, errPairFrame
+	}
+	kw, vw, r, out := uint(body[0]), uint(body[1]), BinReader{b: body[2:]}, slices.Grow(out[:0], n)[:n]
+	if kw+vw > packedBits {
+		for i := range out {
+			out[i] = KV[int64, int64]{K: r.Varint(), V: r.Varint()}
+		}
+		if r.off != len(r.b) {
+			return nil, errPairFrame
+		}
+		return out, nil
+	}
+	kmin, vmin := r.Varint(), r.Varint()
+	if p := r.b[min(r.off, len(r.b)):]; r.cut() || kmin > math.MaxInt64-(1<<kw-1) || vmin > math.MaxInt64-(1<<vw-1) ||
+		uint(len(p)) != uint(n-1)*(kw+vw)/8+8 {
+		return nil, errPairFrame
+	}
+	p, kmask, vmask := r.b[r.off:], uint64(1)<<kw-1, uint64(1)<<vw-1
+	for i := range out {
+		bit := uint(i) * (kw + vw)
+		x := binary.LittleEndian.Uint64(p[bit>>3:]) >> (bit & 7)
+		out[i] = KV[int64, int64]{K: kmin + int64(x&kmask), V: vmin + int64(x>>kw&vmask)}
+	}
+	return out, nil
+}
+
 // Built-in codecs for the shapes the algorithms shuffle hottest: int64
-// keys carrying scalars, float vectors, adjacency fragments, opaque
-// bytes, and the unit value Distinct uses.
+// keys carrying scalars, float vectors, adjacency fragments, and the unit
+// value Distinct uses.
 func init() {
-	RegisterShuffleCodec("i64-i64",
-		func(b []byte, kv KV[int64, int64]) []byte {
-			b = binary.AppendVarint(b, kv.K)
-			return binary.AppendVarint(b, kv.V)
-		},
-		func(r *BinReader) KV[int64, int64] {
-			return KV[int64, int64]{K: r.Varint(), V: r.Varint()}
-		})
+	shuffleCodecs.Store(codecKey[int64, int64](), &shuffleCodec[int64, int64]{name: "i64-i64", pack: packPairs, unpack: unpackPairs})
 	RegisterShuffleCodec("i64-f64",
 		func(b []byte, kv KV[int64, float64]) []byte {
 			b = binary.AppendVarint(b, kv.K)
@@ -309,14 +334,6 @@ func init() {
 		},
 		func(r *BinReader) KV[int64, []int64] {
 			return KV[int64, []int64]{K: r.Varint(), V: r.I64s()}
-		})
-	RegisterShuffleCodec("i64-bytes",
-		func(b []byte, kv KV[int64, []byte]) []byte {
-			b = binary.AppendVarint(b, kv.K)
-			return AppendRaw(b, kv.V)
-		},
-		func(r *BinReader) KV[int64, []byte] {
-			return KV[int64, []byte]{K: r.Varint(), V: r.Raw()}
 		})
 	RegisterShuffleCodec("i64-unit",
 		func(b []byte, kv KV[int64, struct{}]) []byte {

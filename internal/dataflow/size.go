@@ -45,11 +45,7 @@ func estimateBytes[T any](items []T) int64 {
 		// Unencodable types fall back to a flat per-element estimate.
 		return int64(n) * 32
 	}
-	per := int64(buf.Len()) / int64(len(sample))
-	if per < 8 {
-		per = 8
-	}
-	return per * int64(n)
+	return max(int64(buf.Len())/int64(len(sample)), 8) * int64(n)
 }
 
 // sizeSampler amortizes per-record footprint estimates on streaming
