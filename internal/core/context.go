@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -80,15 +81,9 @@ type Context struct {
 // NewContext builds a full PSGraph cluster (DFS + executors + parameter
 // servers) in one process.
 func NewContext(cfg Config) (*Context, error) {
-	if cfg.NumExecutors <= 0 {
-		cfg.NumExecutors = 4
-	}
-	if cfg.NumServers <= 0 {
-		cfg.NumServers = 2
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 2 * cfg.NumExecutors
-	}
+	cfg.NumExecutors = cmp.Or(max(cfg.NumExecutors, 0), 4)
+	cfg.NumServers = cmp.Or(max(cfg.NumServers, 0), 2)
+	cfg.Partitions = cmp.Or(max(cfg.Partitions, 0), 2*cfg.NumExecutors)
 	fs := dfs.NewDefault()
 	spark := dataflow.NewContext(fs, dataflow.Config{
 		NumExecutors:       cfg.NumExecutors,

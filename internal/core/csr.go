@@ -52,18 +52,15 @@ func (b *csrBlock) MemBytes() int64 {
 // order whatever order its rows list their ranks in.
 func csrBlocks(edges *dataflow.RDD[Edge], parts int) *dataflow.RDD[*csrBlock] {
 	pairs := dataflow.Map(edges, func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
-	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]*csrBlock, error) {
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, frames func(func([]idPair) error) error) ([]*csrBlock, error) {
 		if n > math.MaxInt32 {
 			return nil, fmt.Errorf("core: %d edges in one partition exceed the 32-bit local index; use more partitions", n)
 		}
-		in, charged, err := readPairs(t, n, 20, records) // the pairs, and the rows with repeats
+		in, span, charged, err := readPairs(t, n, 20, frames) // the pairs, and the rows with repeats
 		if err != nil || n == 0 {
 			return nil, err
 		}
-		lo, hi := in[0].K, in[0].K
-		for _, p := range in {
-			lo, hi = min(lo, p.K, p.V), max(hi, p.K, p.V)
-		}
+		lo, hi := span.K, span.V
 		if uint64(hi-lo) >= 1<<32 {
 			return nil, fmt.Errorf("%w: ids %d to %d in one partition", errIDSpan, lo, hi)
 		}

@@ -461,7 +461,7 @@ func partitionDigest(tb testing.TB) string {
 	const parts = 4
 	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
 	pairs := dataflow.Map(dataflow.Parallelize(sc, edges, 3), func(e Edge) idPair { return idPair{K: e.Src, V: e.Dst} })
-	records, err := dataflow.ShuffleReduce(pairs, parts, func(_ *dataflow.Task, n int, _ func(func(idPair) error) error) ([]int, error) {
+	records, err := dataflow.ShuffleReduce(pairs, parts, func(_ *dataflow.Task, n int, _ func(func([]idPair) error) error) ([]int, error) {
 		return []int{n}, nil
 	}).Collect()
 	if err != nil {

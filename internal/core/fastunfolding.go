@@ -40,12 +40,7 @@ type FastUnfoldingResult struct {
 // moves are pushed once every partition has voted), then aggregates
 // communities into a condensed graph for the next pass.
 func FastUnfolding(ctx *Context, edges *dataflow.RDD[Edge], cfg FastUnfoldingConfig) (*FastUnfoldingResult, error) {
-	if cfg.Passes <= 0 {
-		cfg.Passes = 2
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 10
-	}
+	cfg.Passes, cfg.Iterations = cmp.Or(max(cfg.Passes, 0), 2), cmp.Or(max(cfg.Iterations, 0), 10)
 	parts := ctx.Partitions()
 
 	current := edges

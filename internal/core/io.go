@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -176,8 +177,8 @@ func ToUndirectedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.
 // vertex order.
 func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[dataflow.KV[int64, []int64]] {
 	type table = dataflow.KV[int64, []int64]
-	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]table, error) {
-		in, charged, err := readPairs(t, n, 32, records) // the pairs and the sorts' scratch
+	return dataflow.ShuffleReduce(pairs, parts, func(t *dataflow.Task, n int, frames func(func([]idPair) error) error) ([]table, error) {
+		in, _, charged, err := readPairs(t, n, 32, frames) // the pairs and the sorts' scratch
 		if err != nil {
 			return nil, err
 		}
@@ -212,27 +213,32 @@ func neighborTables(pairs *dataflow.RDD[idPair], parts int) *dataflow.RDD[datafl
 	})
 }
 
-// readPairs reads a reduce task's n shuffle records into one flat slice,
-// charging t perRecord bytes a record: the slice's 16 and what the caller
-// builds beside it. Fewer or more records than the map side counted fail.
-func readPairs(t *dataflow.Task, n int, perRecord int64, records func(func(idPair) error) error) (in []idPair, charged int64, err error) {
+// readPairs copies a reduce task's n shuffle records into one flat slice a
+// frame at a time, charging t perRecord bytes a record: the slice's 16 and
+// what the caller builds beside it. span is the smallest and the largest
+// id read (K and V), found in the same loop. A frame that would pass the
+// map side's count fails before it is copied, and so does a read short of it.
+func readPairs(t *dataflow.Task, n int, perRecord int64, frames func(func([]idPair) error) error) (in []idPair, span idPair, charged int64, err error) {
 	charged = int64(n) * perRecord
 	if err := t.Alloc(charged); err != nil {
-		return nil, 0, err
+		return nil, span, 0, err
 	}
-	in, i := make([]idPair, n), 0
-	err = records(func(kv idPair) error {
-		if i == n {
+	in, i, lo, hi := make([]idPair, n), 0, int64(math.MaxInt64), int64(math.MinInt64)
+	err = frames(func(f []idPair) error {
+		if len(f) > n-i {
 			return fmt.Errorf("%w: more than %d", errRecordCount, n)
 		}
-		in[i] = kv
-		i++
+		to := in[i:][:len(f)]
+		for k, p := range f {
+			to[k], lo, hi = p, min(lo, p.K, p.V), max(hi, p.K, p.V)
+		}
+		i += len(f)
 		return nil
 	})
 	if err == nil && i < n {
 		err = fmt.Errorf("%w: %d of %d", errRecordCount, i, n)
 	}
-	return in, charged, err
+	return in, idPair{K: lo, V: hi}, charged, err
 }
 
 // runs counts the distinct keys and the distinct (key, value) pairs of a

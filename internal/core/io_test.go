@@ -202,35 +202,44 @@ func BenchmarkLoadEdges(b *testing.B) {
 }
 
 // TestShuffleRecordCountIsExact: readPairs, the reader under both
-// csrBlocks and neighborTables, fails with errRecordCount when the shuffle
-// hands it fewer or more records than its map side counted.
+// csrBlocks and neighborTables, copies the shuffle a frame at a time and
+// fails with errRecordCount when it hands over fewer or more records than
+// its map side counted. A frame that would pass the count is refused
+// before any of it is copied.
 func TestShuffleRecordCountIsExact(t *testing.T) {
 	sc := dataflow.NewContext(dfs.NewDefault(), dataflow.Config{NumExecutors: 2})
 	pairs := dataflow.Parallelize(sc, []idPair{{K: 1, V: 2}, {K: 3, V: 4}, {K: 5, V: 6}}, 2)
 	for name, skew := range map[string]int{"fewer": -1, "exact": 0, "more": 1} {
 		t.Run(name, func(t *testing.T) {
-			read, err := dataflow.ShuffleReduce(pairs, 1, func(t *dataflow.Task, n int, records func(func(idPair) error) error) ([]int, error) {
-				in, _, err := readPairs(t, n, 16, func(consume func(idPair) error) error {
-					i := 0
-					return records(func(kv idPair) error {
-						switch i++; {
-						case i == n && skew < 0:
-							return nil // the last record goes missing
-						case i == n && skew > 0:
-							if err := consume(kv); err != nil { // it arrives twice
-								return err
-							}
-						}
-						return consume(kv)
-					})
-				})
-				return []int{len(in)}, err
-			}).Collect()
-			if skew == 0 {
-				if err != nil || !slices.Equal(read, []int{3}) {
-					t.Fatalf("read %v, error %v", read, err)
+			read, err := dataflow.ShuffleReduce(pairs, 1, func(t *dataflow.Task, n int, frames func(func([]idPair) error) error) ([]idPair, error) {
+				var got [][]idPair
+				if err := frames(func(f []idPair) error { got = append(got, slices.Clone(f)); return nil }); err != nil {
+					return nil, err
 				}
-			} else if !errors.Is(err, errRecordCount) {
+				last := &got[len(got)-1]
+				switch skew {
+				case -1:
+					*last = (*last)[:len(*last)-1] // the last record goes missing
+				case 1:
+					*last = append(*last, got[0][0]) // one arrives twice
+				}
+				in, span, _, err := readPairs(t, n, 16, func(consume func([]idPair) error) error {
+					for _, f := range got {
+						if err := consume(f); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if skew > 0 && in[n-1] != (idPair{}) {
+					return nil, fmt.Errorf("the frame past the count was copied: %v", in)
+				}
+				return append(in, span), err
+			}).Collect()
+			switch {
+			case skew == 0 && (err != nil || len(read) != 4 || read[3] != (idPair{K: 1, V: 6})):
+				t.Fatalf("read %v (last: the span), error %v", read, err)
+			case skew != 0 && !errors.Is(err, errRecordCount):
 				t.Fatalf("error %v, want errRecordCount", err)
 			}
 		})

@@ -17,6 +17,7 @@
 package dataflow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -77,7 +78,6 @@ type Context struct {
 
 	execs []*executor
 
-	taskSeq    atomic.Int64
 	shuffleSeq atomic.Int64
 
 	// Engine counters. These sit on hot paths (every bucket write bumps
@@ -91,18 +91,10 @@ type Context struct {
 
 // NewContext creates an execution context backed by fs.
 func NewContext(fs *dfs.FS, cfg Config) *Context {
-	if cfg.NumExecutors <= 0 {
-		cfg.NumExecutors = 4
-	}
-	if cfg.DefaultParallelism <= 0 {
-		cfg.DefaultParallelism = 2 * cfg.NumExecutors
-	}
-	if cfg.MaxTaskRetries <= 0 {
-		cfg.MaxTaskRetries = 3
-	}
-	if cfg.MemBloatFactor <= 0 {
-		cfg.MemBloatFactor = 1
-	}
+	cfg.NumExecutors = cmp.Or(max(cfg.NumExecutors, 0), 4)
+	cfg.DefaultParallelism = cmp.Or(max(cfg.DefaultParallelism, 0), 2*cfg.NumExecutors)
+	cfg.MaxTaskRetries = cmp.Or(max(cfg.MaxTaskRetries, 0), 3)
+	cfg.MemBloatFactor = cmp.Or(max(cfg.MemBloatFactor, 0), 1)
 	ctx := &Context{FS: fs, cfg: cfg}
 	for i := 0; i < cfg.NumExecutors; i++ {
 		ctx.execs = append(ctx.execs, &executor{id: i})
@@ -257,19 +249,10 @@ func (c *Context) runTasks(n int, run func(t *Task, i int) error) error {
 	var pending atomic.Int64
 	pending.Store(int64(n))
 
-	var mu sync.Mutex
 	var firstErr error
-	abort := make(chan struct{})
+	abort, done := make(chan struct{}), make(chan struct{})
 	var abortOnce sync.Once
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		abortOnce.Do(func() { close(abort) })
-	}
-	done := make(chan struct{})
+	fail := func(err error) { abortOnce.Do(func() { firstErr = err; close(abort) }) }
 
 	var wg sync.WaitGroup
 	for _, e := range c.execs {
@@ -284,8 +267,7 @@ func (c *Context) runTasks(n int, run func(t *Task, i int) error) error {
 					return
 				case it := <-work:
 					e.mu.Lock()
-					killed := e.killed
-					gen := e.generation
+					killed, gen := e.killed, e.generation
 					e.mu.Unlock()
 					if killed {
 						// This worker's executor is dead: bounce the task
@@ -332,7 +314,5 @@ func (c *Context) runTasks(n int, run func(t *Task, i int) error) error {
 		}(e)
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	return firstErr // every fail happened before Wait returned
 }

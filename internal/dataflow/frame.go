@@ -3,6 +3,7 @@ package dataflow
 import (
 	"bufio"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -75,10 +76,8 @@ func (d *DataFrame) RDD() *RDD[Row] { return d.rdd }
 
 // ColIndex resolves a column name.
 func (d *DataFrame) ColIndex(name string) (int, error) {
-	for i, c := range d.cols {
-		if c == name {
-			return i, nil
-		}
+	if i := slices.Index(d.cols, name); i >= 0 {
+		return i, nil
 	}
 	return -1, fmt.Errorf("dataflow: no column %q in %v", name, d.cols)
 }

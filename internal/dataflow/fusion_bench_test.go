@@ -78,7 +78,7 @@ func BenchmarkShuffleReduceByKey(b *testing.B) {
 // BenchmarkShuffleReadPairs times the reduce side alone: the 16 files of a
 // 4×4 shuffle of 2 M KV[int64, int64] pairs with ids below 2^17 (PageRank's
 // edge shape), decoded by one executor. ns/record is the whole read path:
-// file open, window refills, codec and consume call.
+// file open, window refills, codec and a consume call per frame.
 func BenchmarkShuffleReadPairs(b *testing.B) {
 	const n, parts = 2_000_000, 4
 	ctx := NewContext(dfs.NewDefault(), Config{NumExecutors: 1})
@@ -95,7 +95,7 @@ func BenchmarkShuffleReadPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var got int
 		err := ctx.runTasks(parts, func(t *Task, rp int) error {
-			return readShufflePart(t, dep, rp, func(KV[int64, int64]) error { got++; return nil })
+			return readShufflePart(t, dep, rp, func(f []KV[int64, int64]) error { got += len(f); return nil })
 		})
 		if err != nil || got != n {
 			b.Fatalf("read %d of %d records: %v", got, n, err)

@@ -221,10 +221,10 @@ func TestReduceExecutorSidePartials(t *testing.T) {
 // partitions: a shuffle with no grouping, so what comes out is exactly
 // what the codec wrote and read back.
 func partitionBy[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, V]] {
-	return ShuffleReduce(r, parts, func(t *Task, n int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+	return ShuffleReduce(r, parts, func(t *Task, n int, frames func(func([]KV[K, V]) error) error) ([]KV[K, V], error) {
 		out := make([]KV[K, V], 0, n)
-		err := records(func(kv KV[K, V]) error {
-			out = append(out, kv)
+		err := frames(func(f []KV[K, V]) error {
+			out = append(out, f...)
 			return nil
 		})
 		return out, err

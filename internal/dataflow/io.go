@@ -90,13 +90,8 @@ func ParseTextFile[T any](ctx *Context, path string, parts int, parse func(line 
 			return emit(x)
 		})
 	}
-	return &RDD[T]{
-		ctx:     ctx,
-		parts:   parts,
-		name:    "textFile(" + path + ")",
-		stream:  stream,
-		compute: func(t *Task, part int) ([]T, error) { return collectStream(t, part, stream) },
-	}
+	return &RDD[T]{ctx: ctx, parts: parts, name: "textFile(" + path + ")", stream: stream,
+		compute: func(t *Task, part int) ([]T, error) { return collectStream(t, part, stream) }}
 }
 
 // TextFile reads a DFS file as an RDD of lines, one string per line.

@@ -196,11 +196,8 @@ func (r *RDD[T]) Unpersist() {
 	}
 	// Memory accounting does not track which executor cached which
 	// partition; release round-robin, which keeps pool totals exact.
-	if len(r.ctx.execs) > 0 {
-		per := total / int64(len(r.ctx.execs))
-		for _, e := range r.ctx.execs {
-			r.ctx.unpersist(e.id, per)
-		}
+	for _, e := range r.ctx.execs {
+		r.ctx.unpersist(e.id, total/int64(len(r.ctx.execs)))
 	}
 	r.cached = nil
 	r.cachedSz = nil
@@ -212,10 +209,7 @@ func Parallelize[T any](ctx *Context, data []T, parts int) *RDD[T] {
 		parts = ctx.cfg.DefaultParallelism
 	}
 	slice := func(part int) []T { return data[len(data)*part/parts : len(data)*(part+1)/parts] }
-	return &RDD[T]{
-		ctx:   ctx,
-		parts: parts,
-		name:  "parallelize",
+	return &RDD[T]{ctx: ctx, parts: parts, name: "parallelize",
 		compute: func(t *Task, part int) ([]T, error) {
 			return append(make([]T, 0, len(slice(part))), slice(part)...), nil
 		},
@@ -226,8 +220,7 @@ func Parallelize[T any](ctx *Context, data []T, parts int) *RDD[T] {
 				}
 			}
 			return nil
-		},
-	}
+		}}
 }
 
 // narrow is the RDD whose partitions stream out of r's through stream:

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -9,7 +10,9 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // KV is the element type of keyed datasets.
@@ -85,7 +88,8 @@ func shufflePath(id int64, mapPart, reducePart int) string {
 // the DFS. A record codec encodes into the open frame and writes it at
 // shuffleChunk bytes, or before a record that would carry it past that; a
 // frame codec packs frameRecords staged records at once and writes frames
-// in half chunks. The task is charged one chunk, not the whole bucket.
+// in half chunks. The task is charged one chunk, not the whole bucket;
+// reset keeps the buffers for the next file.
 type bucketWriter[K comparable, V any] struct {
 	file  io.WriteCloser
 	n     int64 // bytes handed to the DFS
@@ -97,11 +101,16 @@ type bucketWriter[K comparable, V any] struct {
 }
 
 func newBucketWriter[K comparable, V any](ctx *Context, path string, codec *shuffleCodec[K, V]) *bucketWriter[K, V] {
-	w := &bucketWriter[K, V]{file: ctx.FS.Create(path), buf: make([]byte, frameHeader, shuffleChunk+1024), codec: codec}
+	w := &bucketWriter[K, V]{buf: make([]byte, 0, shuffleChunk+1024), codec: codec}
 	if codec.pack != nil {
 		w.stage = make([]KV[K, V], 0, frameRecords)
 	}
+	w.reset(ctx.FS.Create(path))
 	return w
+}
+
+func (w *bucketWriter[K, V]) reset(file io.WriteCloser) {
+	w.file, w.n, w.buf, w.at, w.recs, w.stage = file, 0, w.buf[:frameHeader], 0, 0, w.stage[:0]
 }
 
 func (w *bucketWriter[K, V]) write(kv KV[K, V]) error {
@@ -196,6 +205,10 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 			return err
 		}
 		partOf := partitioner[K](reduceParts)
+		// One set of bucket writers per executor slot for the life of the
+		// shuffle (an executor runs one task at a time): a task takes its
+		// slot's set, resets it and gives it back.
+		sets := make([][]*bucketWriter[K, V], len(ctx.execs))
 		return ctx.runTasks(parent.parts, func(t *Task, part int) error {
 			// Each open bucket holds at most one chunk of pending
 			// records — that chunk is the transient serialization memory.
@@ -204,9 +217,14 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 				return err
 			}
 			defer t.Free(charge)
-			buckets := make([]*bucketWriter[K, V], reduceParts)
-			for rp := range buckets {
-				buckets[rp] = newBucketWriter(ctx, shufflePath(dep.id, part, rp), codec)
+			buckets := sets[t.Executor()]
+			defer func() { sets[t.Executor()] = buckets }()
+			for rp := range reduceParts {
+				if path := shufflePath(dep.id, part, rp); rp < len(buckets) {
+					buckets[rp].reset(ctx.FS.Create(path))
+				} else {
+					buckets = append(buckets, newBucketWriter(ctx, path, codec))
+				}
 			}
 			counts := make([]int, reduceParts)
 			err := parent.streamPart(t, part, func(kv KV[K, V]) error {
@@ -217,16 +235,14 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 			if err != nil {
 				return err
 			}
-			var written int64
 			for _, b := range buckets {
 				n, err := b.close()
 				if err != nil {
 					return err
 				}
-				written += n
+				ctx.shuffleBytes.Add(n)
 			}
 			dep.counts[part] = counts
-			ctx.shuffleBytes.Add(written)
 			return nil
 		})
 	}
@@ -235,15 +251,15 @@ func writeShuffle[K comparable, V any](parent *RDD[KV[K, V]], reduceParts int) *
 
 // readShufflePart streams every map output addressed to reduce partition
 // rp through one window, decoding it a frame at a time into consume. Only
-// the window is charged to the task (the shuffle fetch buffer), not the
-// file contents: decoded records flow directly into the consumer's table.
-func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, consume func(KV[K, V]) error) error {
+// the window and its stage are charged to the task (the shuffle fetch
+// buffer), not the file contents.
+func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, consume func([]KV[K, V]) error) error {
 	codec := codecFor[K, V]()
-	if err := t.Alloc(shuffleChunk); err != nil {
+	if err := t.Alloc(shuffleChunk / 2); err != nil {
 		return err
 	}
-	w := &shuffleWindow[K, V]{t: t, buf: make([]byte, shuffleChunk)}
-	defer func() { t.Free(int64(len(w.buf))) }()
+	w := &shuffleWindow[K, V]{t: t, buf: make([]byte, shuffleChunk/2)}
+	defer func() { t.Free(int64(len(w.buf)) + w.staged) }()
 	for mp := 0; mp < dep.mapParts; mp++ {
 		if err := readShuffleFile(dep, mp, rp, codec, w, consume); err != nil {
 			return err
@@ -252,14 +268,16 @@ func readShufflePart[K comparable, V any](t *Task, dep *shuffleDep, rp int, cons
 	return nil
 }
 
-// shuffleWindow is a reduce task's read buffer, shuffleChunk bytes unless
-// a one-record frame longer than that grew it; r is a record codec's
-// cursor over a frame's body, recs a frame codec's decoded frame.
+// shuffleWindow is a reduce task's read buffer, half a chunk unless a
+// longer frame grew it, and its stage of staged bytes: the last frame's
+// records (a packed frame's take the other half chunk). r is a record
+// codec's cursor over a frame's body.
 type shuffleWindow[K comparable, V any] struct {
-	t    *Task
-	buf  []byte
-	r    BinReader
-	recs []KV[K, V]
+	t      *Task
+	buf    []byte
+	r      BinReader
+	recs   []KV[K, V]
+	staged int64
 }
 
 // read reads the next size bytes of f into the window. A window too short
@@ -279,7 +297,7 @@ func (w *shuffleWindow[K, V]) read(f io.Reader, size int) ([]byte, error) {
 }
 
 // readShuffleFile decodes one file's frames.
-func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], w *shuffleWindow[K, V], consume func(KV[K, V]) error) error {
+func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *shuffleCodec[K, V], w *shuffleWindow[K, V], consume func([]KV[K, V]) error) error {
 	f, err := dep.ctx.FS.Open(shufflePath(dep.id, mp, rp))
 	if err != nil {
 		return err
@@ -299,11 +317,13 @@ func readShuffleFile[K comparable, V any](dep *shuffleDep, mp, rp int, codec *sh
 	}
 }
 
-// frame reads and decodes the body header h announces. A header is a claim
-// like any length: a frame of more than one record may not outrun the
-// window, nor claim more records than it has bytes (or a packed frame
-// holds), so only a one-record frame grows the window.
-func (w *shuffleWindow[K, V]) frame(codec *shuffleCodec[K, V], f io.Reader, h []byte, consume func(KV[K, V]) error) error {
+// frame decodes the body header h announces into the stage and hands it
+// to consume, the records a record codec read before a malformed one
+// included. A header is a claim like any length: a frame of more than one
+// record may not outrun a chunk, nor claim more records than it has bytes
+// (or a packed frame holds), so only a one-record frame grows the window
+// past one.
+func (w *shuffleWindow[K, V]) frame(codec *shuffleCodec[K, V], f io.Reader, h []byte, consume func([]KV[K, V]) error) error {
 	size, n := int(binary.LittleEndian.Uint32(h)), int(binary.LittleEndian.Uint32(h[4:]))
 	if n == 0 || n > 1 && frameHeader+size > shuffleChunk || n > size && codec.dec != nil || n > frameRecords && codec.unpack != nil {
 		return fmt.Errorf("a frame of %d bytes claims %d records", size, n)
@@ -314,24 +334,25 @@ func (w *shuffleWindow[K, V]) frame(codec *shuffleCodec[K, V], f io.Reader, h []
 	}
 	if codec.unpack != nil {
 		w.recs, err = codec.unpack(body, n, w.recs)
-		for i := 0; err == nil && i < len(w.recs); i++ {
-			err = consume(w.recs[i])
+	} else {
+		for w.r, w.recs = (BinReader{b: body}), slices.Grow(w.recs[:0], n); n > 0; n-- {
+			kv := codec.dec(&w.r)
+			if w.r.cut() {
+				break
+			}
+			w.recs = append(w.recs, kv)
 		}
-		return err
+		if w.r.off != len(body) || n > 0 {
+			err = fmt.Errorf("a frame's records do not fill its %d bytes: %v", size, w.r.Err())
+		}
 	}
-	for w.r = (BinReader{b: body}); n > 0; n-- {
-		kv := codec.dec(&w.r)
-		if w.r.cut() {
-			break
-		}
-		if err := consume(kv); err != nil {
+	if grown := int64(cap(w.recs))*int64(unsafe.Sizeof(KV[K, V]{})) - w.staged; grown > 0 {
+		if err := w.t.Alloc(grown); err != nil {
 			return err
 		}
+		w.staged += grown
 	}
-	if w.r.off != len(body) || n > 0 {
-		return fmt.Errorf("a frame's records do not fill its %d bytes: %v", size, w.r.Err())
-	}
-	return nil
+	return cmp.Or(consume(w.recs), err)
 }
 
 // GroupByKey shuffles the dataset so that all values of a key land in one
@@ -339,8 +360,8 @@ func (w *shuffleWindow[K, V]) frame(codec *shuffleCodec[K, V], f io.Reader, h []
 // against the executor budget — this is the memory-hungry operation that
 // blows up GraphX on large graphs.
 func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V]] {
-	out := ShuffleReduce(r, parts, func(t *Task, _ int, records func(func(KV[K, V]) error) error) ([]KV[K, []V], error) {
-		groups, tableBytes, err := groupAll(t, records)
+	out := ShuffleReduce(r, parts, func(t *Task, _ int, frames func(func([]KV[K, V]) error) error) ([]KV[K, []V], error) {
+		groups, tableBytes, err := groupAll(t, frames)
 		if err != nil {
 			return nil, err
 		}
@@ -350,16 +371,19 @@ func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], parts int) *RDD[KV[K, []V
 	return out
 }
 
-// groupAll reads records into a key → values table, charged to t as it
+// groupAll reads frames into a key → values table, charged to t as it
 // grows (1.5x the raw data models map + slice overhead), and returns the
 // charge with it.
-func groupAll[K comparable, V any](t *Task, records func(func(KV[K, V]) error) error) (map[K][]V, int64, error) {
+func groupAll[K comparable, V any](t *Task, frames func(func([]KV[K, V]) error) error) (map[K][]V, int64, error) {
 	groups := make(map[K][]V)
 	var tableBytes int64
 	var sizer sizeSampler[V]
-	err := records(func(kv KV[K, V]) error {
-		groups[kv.K] = append(groups[kv.K], kv.V)
-		grow := sizer.estimate(kv.V)*3/2 + 8
+	err := frames(func(f []KV[K, V]) error {
+		grow := int64(0)
+		for _, kv := range f {
+			groups[kv.K] = append(groups[kv.K], kv.V)
+			grow += sizer.estimate(kv.V)*3/2 + 8
+		}
 		tableBytes += grow
 		return t.Alloc(grow)
 	})
@@ -389,27 +413,16 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], f func(a, b V) V, parts 
 	// Map-side combine before the shuffle.
 	combined := MapPartitions(r, func(part int, in []KV[K, V]) ([]KV[K, V], error) {
 		acc := make(map[K]V, len(in)/2+1)
-		for _, kv := range in {
-			if cur, ok := acc[kv.K]; ok {
-				acc[kv.K] = f(cur, kv.V)
-			} else {
-				acc[kv.K] = kv.V
-			}
-		}
+		combine(acc, in, f, nil)
 		return entries(acc), nil
 	})
 	combined.name = r.name + ".combine"
-	out := ShuffleReduce(combined, parts, func(t *Task, _ int, records func(func(KV[K, V]) error) error) ([]KV[K, V], error) {
+	out := ShuffleReduce(combined, parts, func(t *Task, _ int, frames func(func([]KV[K, V]) error) error) ([]KV[K, V], error) {
 		acc := make(map[K]V)
 		var tableBytes int64
 		var sizer sizeSampler[V]
-		err := records(func(kv KV[K, V]) error {
-			if cur, ok := acc[kv.K]; ok {
-				acc[kv.K] = f(cur, kv.V)
-				return nil
-			}
-			acc[kv.K] = kv.V
-			grow := sizer.estimate(kv.V) + 16
+		err := frames(func(recs []KV[K, V]) error {
+			grow := combine(acc, recs, f, &sizer)
 			tableBytes += grow
 			return t.Alloc(grow)
 		})
@@ -420,6 +433,19 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], f func(a, b V) V, parts 
 	})
 	out.name = r.name + ".reduceByKey"
 	return out
+}
+
+// combine folds recs into acc with f and returns what the keys it added
+// are charged, by sizer (nothing without one).
+func combine[K comparable, V any](acc map[K]V, recs []KV[K, V], f func(a, b V) V, sizer *sizeSampler[V]) (grow int64) {
+	for _, kv := range recs {
+		if cur, ok := acc[kv.K]; ok {
+			acc[kv.K] = f(cur, kv.V)
+		} else if acc[kv.K] = kv.V; sizer != nil {
+			grow += sizer.estimate(kv.V) + 16
+		}
+	}
+	return grow
 }
 
 // Join computes the inner join of two keyed datasets. Both sides are
@@ -440,16 +466,18 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 		shuffles: []*shuffleDep{depA, depB},
 		name:     a.name + ".join(" + b.name + ")",
 		compute: func(t *Task, part int) ([]KV[K, Pair[V, W]], error) {
-			build, tableBytes, err := groupAll(t, func(consume func(KV[K, V]) error) error {
+			build, tableBytes, err := groupAll(t, func(consume func([]KV[K, V]) error) error {
 				return readShufflePart(t, depA, part, consume)
 			})
 			if err != nil {
 				return nil, err
 			}
 			var out []KV[K, Pair[V, W]]
-			err = readShufflePart(t, depB, part, func(kv KV[K, W]) error {
-				for _, v := range build[kv.K] {
-					out = append(out, KV[K, Pair[V, W]]{K: kv.K, V: Pair[V, W]{A: v, B: kv.V}})
+			err = readShufflePart(t, depB, part, func(f []KV[K, W]) error {
+				for _, kv := range f {
+					for _, v := range build[kv.K] {
+						out = append(out, KV[K, Pair[V, W]]{K: kv.K, V: Pair[V, W]{A: v, B: kv.V}})
+					}
 				}
 				return nil
 			})
@@ -467,11 +495,11 @@ func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], parts int)
 // ShuffleReduce hash-partitions a keyed dataset into parts partitions
 // and builds each output partition with reduce. n is the exact number of
 // records addressed to the partition, as its map tasks counted them;
-// records streams each of them into consume, decoded one at a time from
-// the shuffle files. reduce decides what to hold — flat columns, a table,
-// a running aggregate — and charges it to t.
+// frames streams them into consume a decoded frame at a time, in a slice
+// the next frame overwrites. reduce decides what to hold — flat columns, a
+// table, a running aggregate — and charges it to t.
 func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
-	reduce func(t *Task, n int, records func(consume func(KV[K, V]) error) error) ([]U, error)) *RDD[U] {
+	reduce func(t *Task, n int, frames func(consume func([]KV[K, V]) error) error) ([]U, error)) *RDD[U] {
 	if parts <= 0 {
 		parts = r.ctx.cfg.DefaultParallelism
 	}
@@ -483,7 +511,7 @@ func ShuffleReduce[K comparable, V, U any](r *RDD[KV[K, V]], parts int,
 		shuffles: []*shuffleDep{dep},
 		name:     r.name + ".shuffleReduce",
 		compute: func(t *Task, part int) ([]U, error) {
-			return reduce(t, dep.records(part), func(consume func(KV[K, V]) error) error {
+			return reduce(t, dep.records(part), func(consume func([]KV[K, V]) error) error {
 				return readShufflePart(t, dep, part, consume)
 			})
 		},

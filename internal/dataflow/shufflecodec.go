@@ -11,9 +11,9 @@ package dataflow
 // shape with no codec panics when it is built (writeShuffle).
 //
 // The format streams: the map side writes a bucket a frame at a time, the
-// reduce side reads a whole frame into one chunk-sized window per task and
-// decodes it — no side ever holds a whole encoded bucket in memory, so the
-// transient-memory charge per bucket is one chunk, not the bucket.
+// reduce side reads a whole frame into one window per task and decodes it
+// into one slice — no side ever holds a whole encoded bucket in memory, so
+// the transient-memory charge per bucket is one chunk, not the bucket.
 
 import (
 	"encoding/binary"
@@ -29,9 +29,10 @@ import (
 	"psgraph/internal/f64le"
 )
 
-// shuffleChunk is the reduce-side window and the longest frame of more
-// than one record; a task is charged one per open bucket or window. A
-// frame's header is its body's length and record count. A packed frame
+// shuffleChunk is the longest frame of more than one record; a map task
+// is charged one per open bucket, and a reduce task's window starts at half
+// of one (shuffleWindow). A frame's header is its body's length and record
+// count. A packed frame
 // holds up to frameRecords pairs of at most packedBits each: a record and
 // the up to 7 bits before it in its first byte are one 8-byte load.
 const (

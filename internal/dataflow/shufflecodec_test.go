@@ -24,7 +24,7 @@ func readShuffleBytes[K comparable, V any](tb testing.TB, file []byte) ([]KV[K, 
 	}
 	var recs []KV[K, V]
 	err := ctx.runTasks(1, func(t *Task, _ int) error {
-		return readShufflePart(t, dep, 0, func(kv KV[K, V]) error { recs = append(recs, kv); return nil })
+		return readShufflePart(t, dep, 0, func(f []KV[K, V]) error { recs = append(recs, f...); return nil })
 	})
 	return recs, ctx.Stats().PeakExecBytes, err
 }
@@ -359,6 +359,30 @@ func FuzzShuffleDecode(f *testing.F) {
 			fuzzShuffleStream[int64, struct{}](t, data, func(struct{}) int { return 0 })
 		}
 	})
+}
+
+// TestShuffleStageIsCharged: a reduce task is charged for the slice its
+// frames are decoded into as it is for its window (half a chunk): a full
+// packed frame's 2,048 pairs take the other half, a record codec's frame
+// what its records hold.
+func TestShuffleStageIsCharged(t *testing.T) {
+	pairs := make([]KV[int64, int64], frameRecords)
+	for i := range pairs {
+		pairs[i] = KV[int64, int64]{K: int64(i), V: -int64(i)}
+	}
+	if _, peak, err := readShuffleBytes[int64, int64](t, shuffleFile(t, pairs)); err != nil || peak != shuffleChunk {
+		t.Errorf("a packed frame of %d pairs: peak charge %d, want %d (%v)", frameRecords, peak, shuffleChunk, err)
+	}
+	keys := make([]KV[int64, struct{}], 3000) // one frame of 1- and 2-byte records
+	for i := range keys {
+		keys[i].K = int64(i)
+	}
+	file := shuffleFile(t, keys)
+	staged := int64(len(keys)) * int64(reflect.TypeOf(keys[0]).Size())
+	if got, peak, err := readShuffleBytes[int64, struct{}](t, file); err != nil || len(got) != len(keys) ||
+		len(frameSizes(file)) != 1 || peak < shuffleChunk/2+staged || peak > shuffleChunk/2+2*staged {
+		t.Errorf("%d records: peak charge %d, want the window's %d and about %d staged (%v)", len(got), peak, shuffleChunk/2, staged, err)
+	}
 }
 
 // TestShuffleDecodeDoesNotTrustLengths: the slice decoders, handed a

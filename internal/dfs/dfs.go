@@ -122,7 +122,7 @@ func (fs *FS) ReviveDataNode(i int) {
 }
 
 // allocBlock stores data on Replication alive datanodes and returns the
-// block id.
+// block id. The caller gives data up: it is stored as it is, not copied.
 func (fs *FS) allocBlock(data []byte) int64 {
 	fs.mu.Lock()
 	id := fs.nextID
@@ -138,8 +138,7 @@ func (fs *FS) allocBlock(data []byte) int64 {
 	fs.blocks[id] = replicas
 	fs.mu.Unlock()
 
-	stored := make([]byte, len(data))
-	copy(stored, data)
+	stored := data[:len(data):len(data)]
 	for _, dn := range replicas {
 		node := fs.nodes[dn]
 		node.mu.Lock()

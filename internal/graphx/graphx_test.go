@@ -268,9 +268,9 @@ func TestCommonNeighborSkipsUnknownVertices(t *testing.T) {
 func checkRoundTrip[K comparable, V any](t *testing.T, recs []dataflow.KV[K, V]) {
 	t.Helper()
 	moved := dataflow.ShuffleReduce(dataflow.Parallelize(newCtx(), recs, 3), 4,
-		func(_ *dataflow.Task, n int, records func(func(dataflow.KV[K, V]) error) error) ([]dataflow.KV[K, V], error) {
+		func(_ *dataflow.Task, n int, frames func(func([]dataflow.KV[K, V]) error) error) ([]dataflow.KV[K, V], error) {
 			out := make([]dataflow.KV[K, V], 0, n)
-			err := records(func(kv dataflow.KV[K, V]) error { out = append(out, kv); return nil })
+			err := frames(func(f []dataflow.KV[K, V]) error { out = append(out, f...); return nil })
 			return out, err
 		})
 	got, err := moved.Collect()

@@ -35,7 +35,9 @@ package ps
 // the client's resolve-retry loop.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -255,12 +257,7 @@ func (s *Server) partStats() partStatsResp {
 	for k, b := range bytes {
 		resp.Parts = append(resp.Parts, partStat{Model: k.model, Part: k.part, Bytes: b, Hot: hot[k]})
 	}
-	sort.Slice(resp.Parts, func(i, j int) bool {
-		if resp.Parts[i].Model != resp.Parts[j].Model {
-			return resp.Parts[i].Model < resp.Parts[j].Model
-		}
-		return resp.Parts[i].Part < resp.Parts[j].Part
-	})
+	slices.SortFunc(resp.Parts, func(a, b partStat) int { return cmp.Or(cmp.Compare(a.Model, b.Model), a.Part-b.Part) })
 	return resp
 }
 
@@ -333,15 +330,8 @@ func (m *Master) loadReport() LoadReport {
 			})
 		}
 	}
-	sort.Slice(rep.Parts, func(i, j int) bool {
-		a, b := rep.Parts[i], rep.Parts[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		return a.Part < b.Part
+	slices.SortFunc(rep.Parts, func(a, b PartLoad) int {
+		return cmp.Or(cmp.Compare(a.Model, b.Model), cmp.Compare(a.Lo, b.Lo), a.Part-b.Part)
 	})
 	return rep
 }
@@ -629,12 +619,7 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 	defer m.recMu.Unlock()
 	m.mu.Lock()
 	opts := m.rebOpts
-	if opts.SplitFactor <= 0 {
-		opts.SplitFactor = 2
-	}
-	if opts.MinLoad <= 0 {
-		opts.MinLoad = 64
-	}
+	opts.SplitFactor, opts.MinLoad = cmp.Or(max(opts.SplitFactor, 0), 2), cmp.Or(max(opts.MinLoad, 0), 64)
 	if m.loadPrev == nil {
 		m.loadPrev = make(map[string]map[int]int64)
 	}
@@ -676,8 +661,7 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 	mean := total / int64(len(cands))
 
 	var res RebalanceResult
-	moved := make(map[string]bool) // partitions already acted on this pass
-	pkey := func(model string, part int) string { return fmt.Sprintf("%s/%d", model, part) }
+	moved := make(map[partKey]bool) // partitions already acted on this pass
 	for _, s := range ring {
 		if serverParts[s] > 0 {
 			continue
@@ -685,14 +669,14 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 		// Empty server: hand it the hottest partition of a server that
 		// keeps at least one.
 		for _, c := range cands {
-			if moved[pkey(c.model, c.part)] || c.server == s || serverParts[c.server] <= 1 {
+			if moved[partKey{c.model, c.part}] || c.server == s || serverParts[c.server] <= 1 {
 				continue
 			}
 			if err := m.moveOne(c.model, c.part, s); err != nil {
 				mtrace("rebalance: move %s/%d -> %s: %v", c.model, c.part, s, err)
 				break
 			}
-			moved[pkey(c.model, c.part)] = true
+			moved[partKey{c.model, c.part}] = true
 			serverParts[c.server]--
 			serverParts[s]++
 			res.Moves++
@@ -700,12 +684,9 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 			break
 		}
 	}
-	threshold := opts.MinLoad
-	if t := int64(opts.SplitFactor * float64(mean)); t > threshold {
-		threshold = t
-	}
+	threshold := max(opts.MinLoad, int64(opts.SplitFactor*float64(mean)))
 	for _, c := range cands {
-		if moved[pkey(c.model, c.part)] || !c.canSplit || c.delta <= threshold {
+		if moved[partKey{c.model, c.part}] || !c.canSplit || c.delta <= threshold {
 			continue
 		}
 		m.mu.Lock()

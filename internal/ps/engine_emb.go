@@ -31,7 +31,8 @@ type embEngine struct {
 	engineBase
 	col0, col1 int // stored column range; (0, Dim) for row-partitioned
 	step       atomic.Int64
-	shards     []embShard // power-of-two count, so the shard pick is a mask
+	calls      atomic.Uint32 // keyed pulls, for samplePhase
+	shards     []embShard    // power-of-two count, so the shard pick is a mask
 	ri         rowIniter
 }
 
@@ -106,11 +107,18 @@ func (e *embEngine) rowsLen(ids []int64) (int, error) {
 
 // appendRows is the write half: the batch that answers ids goes behind b,
 // which has rowsLen's room for it — the head, then each row from its slab
-// straight into the frame, in request order, counted as pulled. Fast path: every
-// shard is read under RLock; only shards holding rows that are not
-// materialized yet upgrade to the write lock (and re-check, since a racing
-// pull may have initialized them in between).
+// straight into the frame, in request order, this call's sample of them
+// counted as pulled. Fast path: every shard is read under RLock; only
+// shards holding rows that are not materialized yet upgrade to the write
+// lock (and re-check, since a racing pull may have initialized them in
+// between).
 func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
+	return e.writeRows(b, ids, samplePhase(&e.calls))
+}
+
+// writeRows is appendRows counting the positions j ≡ phase (mod
+// pullSample); a phase of pullSample counts none.
+func (e *embEngine) writeRows(b []byte, ids []int64, phase int) []byte {
 	w := e.width()
 	b, off := rowBlock(b, ids, w)
 	order, start := e.byShard(ids)
@@ -124,7 +132,7 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 		missing = missing[:0]
 		sh.mu.RLock()
 		for _, j := range group {
-			if src := sh.store.pulled(ids[j]); src != nil {
+			if src := sh.store.pulled(ids[j], int(j)%pullSample == phase); src != nil {
 				f64le.Put(b[off+8*int(j)*w:], src)
 			} else {
 				missing = append(missing, j)
@@ -137,7 +145,9 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 		sh.mu.Lock()
 		for _, j := range missing {
 			ord, src := e.rowLocked(sh, ids[j])
-			sh.store.pulls[ord].Add(1)
+			if int(j)%pullSample == phase {
+				sh.store.pulls[ord].Add(pullSample)
+			}
 			f64le.Put(b[off+8*int(j)*w:], src)
 		}
 		sh.mu.Unlock()
@@ -147,9 +157,9 @@ func (e *embEngine) appendRows(b []byte, ids []int64) []byte {
 
 // pull is EmbPull's engine half: both halves into a frame of exactly the
 // reply's size. Nil keys ask for every row the partition holds (a sparse
-// vector's PullAll); the reply's ids name them.
+// vector's PullAll), answered uncounted; the reply's ids name them.
 func (e *embEngine) pull(req pullReq) (encoded, error) {
-	ids := req.Keys
+	ids, phase := req.Keys, pullSample
 	if ids == nil {
 		for i := range e.shards {
 			sh := &e.shards[i]
@@ -157,12 +167,14 @@ func (e *embEngine) pull(req pullReq) (encoded, error) {
 			ids = append(ids, sh.store.ids...)
 			sh.mu.RUnlock()
 		}
+	} else {
+		phase = samplePhase(&e.calls)
 	}
 	n, err := e.rowsLen(ids)
 	if err != nil {
 		return nil, err
 	}
-	return e.appendRows(frame(msgEmbPullResp, 2+n), ids), nil
+	return e.writeRows(frame(msgEmbPullResp, 2+n), ids, phase), nil
 }
 
 // hotTop returns the k most-pulled rows (all pulled rows when k <= 0) for

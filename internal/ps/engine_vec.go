@@ -19,10 +19,12 @@ type vecEngine struct {
 	lo, hi int64
 	vec    []float64
 
-	// pulls counts the indexed pulls of each slot, the hot-head signal
-	// (LoadReport, serve.go), bumped under the read lock as rowStore.pulls
-	// is. Full-range pulls carry no per-key signal and are not counted.
+	// pulls is each slot's sampled count of indexed pulls (pullSample),
+	// the hot-head signal (LoadReport, serve.go), bumped under the read
+	// lock as rowStore.pulls is. Full-range pulls carry no per-key signal
+	// and are not counted.
 	pulls []atomic.Int64
+	calls atomic.Uint32
 }
 
 func newVecEngine(base engineBase, pm Partition) *vecEngine {
@@ -53,11 +55,11 @@ func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
 	return vecPullResp{Values: out, Lo: e.lo}, nil
 }
 
-// count bumps the pull counts of indices the caller validated under the
-// read lock it still holds.
+// count adds this call's sample of ids, which the caller validated under
+// the read lock it still holds, to their pull counts.
 func (e *vecEngine) count(ids []int64) {
-	for _, idx := range ids {
-		e.pulls[idx-e.lo].Add(1)
+	for j := samplePhase(&e.calls); j < len(ids); j += pullSample {
+		e.pulls[ids[j]-e.lo].Add(pullSample)
 	}
 }
 

@@ -1,9 +1,10 @@
 package ps
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Kind identifies the storage layout of a model on the parameter server.
@@ -293,12 +294,7 @@ func (m *ModelMeta) partByID(id int) (Partition, bool) {
 
 // sortParts re-establishes the route-range sort order after an insert.
 func sortParts(parts []Partition) {
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].Lo != parts[j].Lo {
-			return parts[i].Lo < parts[j].Lo
-		}
-		return parts[i].Index < parts[j].Index
-	})
+	slices.SortFunc(parts, func(a, b Partition) int { return cmp.Or(cmp.Compare(a.Lo, b.Lo), a.Index-b.Index) })
 }
 
 // layout computes partition boundaries over the given server addresses.

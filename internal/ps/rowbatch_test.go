@@ -812,11 +812,15 @@ func TestPullIntoMatchesPullBatch(t *testing.T) {
 	})
 }
 
-// TestPullCountsSurviveTheMove: the pull counts live beside the rows, so N
-// pulls of an id report N from hotTop — on a live engine, across a split
-// (keepOnly rebuilds the stores), on an engine stood up from an image
-// (whose ordinals differ), through the master's LoadReport, and on a
-// frozen serving generation.
+// TestPullCountsSurviveTheMove: the sampled pull counts (pullSample) live
+// beside the rows. Call k of an engine counts the ids at request positions
+// k, k+8, … (mod 8) and adds 8 for each, so a fixed sequence of calls gives
+// fixed counts: exact over whole cycles of 8 calls of one shape, an
+// estimate in units of 8 otherwise. They hold on a live engine, across a
+// split (keepOnly rebuilds the stores), on an engine stood up from an image
+// (whose ordinals differ), through the master's LoadReport, and on a frozen
+// serving generation; a full-range pull counts nothing, and the heaviest
+// ids rank first under concurrent pulls.
 func TestPullCountsSurviveTheMove(t *testing.T) {
 	count := func(e engine, id int64) int64 {
 		for _, hk := range e.(*embEngine).hotTop(0) {
@@ -843,38 +847,88 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 			hi = id
 		}
 	}
-	for i := 0; i < 7; i++ {
-		pullRows(t, src, []int64{lo, hi, lo}) // lo twice a pull: once per occurrence
+	// Calls 0–7: phase 0 counts position 0 (lo), 1 position 1 (hi), 2
+	// position 2 (lo); 16 and 8 pulls count 16 and 8. Call 8 is phase 0
+	// again: one more pull of lo counts 8.
+	for i := 0; i < pullSample; i++ {
+		pullRows(t, src, []int64{lo, hi, lo})
 	}
-	pullRows(t, src, []int64{hi})
-	if count(src, lo) != 14 || count(src, hi) != 8 {
-		t.Fatalf("live engine: lo pulled %d times, hi %d; want 14 and 8", count(src, lo), count(src, hi))
+	if count(src, lo) != 16 || count(src, hi) != 8 {
+		t.Fatalf("live engine after a cycle: lo counted %d, hi %d; want 16 and 8", count(src, lo), count(src, hi))
 	}
-	if top := src.hotTop(1); len(top) != 1 || top[0] != (HotKey{ID: lo, Count: 14}) {
-		t.Fatalf("hotTop(1) = %v", top)
+	pullRows(t, src, []int64{lo})
+	if top := src.hotTop(1); len(top) != 1 || top[0] != (HotKey{ID: lo, Count: 24}) {
+		t.Fatalf("hotTop(1) = %v, want lo at 24", top)
+	}
+	if _, err := src.pull(pullReq{}); err != nil || count(src, lo) != 24 || count(src, hi) != 8 {
+		t.Fatalf("a full-range pull counted: lo %d, hi %d (%v)", count(src, lo), count(src, hi), err)
 	}
 	// An image carries rows, not counts: the copy starts at zero and counts
-	// its own pulls on its own ordinals; the source keeps its counts.
+	// its own pulls on its own ordinals with its own phases; the source
+	// keeps its counts.
 	dst := mergedCopy(t, meta, 1, exportAll(src))
-	if n := count(dst, lo); n != 0 {
-		t.Fatalf("merged copy starts with %d pulls of lo", n)
+	if n := len(dst.(*embEngine).hotTop(0)); n != 0 {
+		t.Fatalf("merged copy starts with %d counted rows", n)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 5; i++ { // phases 0–4 of [hi, lo]: 0 counts hi, 1 lo
 		pullRows(t, dst.(*embEngine), []int64{hi, lo})
 	}
-	if count(dst, lo) != 5 || count(dst, hi) != 5 || count(src, lo) != 14 {
-		t.Fatalf("after the merge: copy lo %d hi %d, source lo %d; want 5, 5, 14", count(dst, lo), count(dst, hi), count(src, lo))
+	if count(dst, lo) != 8 || count(dst, hi) != 8 || count(src, lo) != 24 {
+		t.Fatalf("after the merge: copy lo %d hi %d, source lo %d; want 8, 8, 24", count(dst, lo), count(dst, hi), count(src, lo))
 	}
 	if err := src.splitAt(mid); err != nil {
 		t.Fatal(err)
 	}
-	if count(src, lo) != 14 || count(src, hi) != 0 {
-		t.Fatalf("after the split: lo %d, hi %d; want 14 and the moved row gone", count(src, lo), count(src, hi))
+	if count(src, lo) != 24 || count(src, hi) != 0 {
+		t.Fatalf("after the split: lo %d, hi %d; want 24 and the moved row gone", count(src, lo), count(src, hi))
 	}
-	pullRows(t, src, []int64{lo})
-	if count(src, lo) != 15 {
-		t.Fatalf("a pull after the split: lo %d, want 15", count(src, lo))
+	for i := 0; i < pullSample; i++ { // a cycle of one-id pulls counts one
+		pullRows(t, src, []int64{lo})
 	}
+	if count(src, lo) != 32 {
+		t.Fatalf("8 pulls after the split: lo %d, want 32", count(src, lo))
+	}
+
+	t.Run("heavy-hitters-rank-first", func(t *testing.T) {
+		// Four pullers on their own goroutines: each 64-id batch holds the
+		// 8 heavy ids four times each and 32 ids drawn from a tail of
+		// 10,000. A heavy id is pulled 3,200 times, a tail id ~2.6.
+		e := mergedCopy(t, meta, 4).(*embEngine)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for call := 0; call < 200; call++ {
+					ids := make([]int64, 0, 64)
+					for h := int64(0); h < 32; h++ {
+						ids = append(ids, 1_000_000+h%8)
+					}
+					for len(ids) < cap(ids) {
+						ids = append(ids, rng.Int63n(10_000))
+					}
+					rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+					n, err := e.rowsLen(ids)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					e.appendRows(make([]byte, 0, n), ids)
+				}
+			}(int64(g))
+		}
+		wg.Wait()
+		top, total := e.hotTop(0), int64(0)
+		for i, hk := range top {
+			if total += hk.Count; i < 8 && (hk.ID < 1_000_000 || hk.Count < 2_400) {
+				t.Fatalf("rank %d is %v: want the 8 heavy ids first, each near 3,200", i, hk)
+			}
+		}
+		if total != 800*64 { // 800 calls, 8 samples of 8 each
+			t.Fatalf("the counts sum to %d, want %d", total, 800*64)
+		}
+	})
 
 	// Through the cluster: LoadReport for the live partitions, ServeHotStats
 	// for the frozen generations.
@@ -884,7 +938,7 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := make([]float64, 3*2)
-	for i := 0; i < 9; i++ {
+	for i := 0; i < pullSample; i++ {
 		if err := e.PullInto([]int64{42, 43, 42}, block); err != nil {
 			t.Fatal(err)
 		}
@@ -899,8 +953,8 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 			live[hk.ID] += hk.Count
 		}
 	}
-	if live[42] != 18 || live[43] != 9 {
-		t.Fatalf("LoadReport counts 42: %d, 43: %d; want 18 and 9", live[42], live[43])
+	if live[42] != 16 || live[43] != 8 {
+		t.Fatalf("LoadReport counts 42: %d, 43: %d; want 16 and 8", live[42], live[43])
 	}
 	c.Master.SetServeOptions(ServeOptions{Replicas: 1, HotKeys: -1})
 	sl, err := cl.PublishSnapshot("cnt")
@@ -908,7 +962,7 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := sl.Meta.Parts[sl.Meta.PartitionFor(42)].Index
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 6; i++ { // phases 0–5 of [42]: the first one counts
 		req := onePart("cnt", part, sl.SnapEpoch, []int64{42})
 		if _, err := c.Transport.Call(sl.Replicas[part][0], "ServePull", enc(req)); err != nil {
 			t.Fatal(err)
@@ -928,16 +982,18 @@ func TestPullCountsSurviveTheMove(t *testing.T) {
 			frozen[hk.ID] += hk.Count
 		}
 	}
-	if len(frozen) != 1 || frozen[42] != 6 {
-		t.Fatalf("frozen generation counts %v, want 6 pulls of 42 and nothing else", frozen)
+	if len(frozen) != 1 || frozen[42] != 8 {
+		t.Fatalf("frozen generation counts %v, want one sample of 42 (8) and nothing else", frozen)
 	}
 }
 
-// TestVecPullCountsSurviveTheMove: a DenseVector partition counts its
-// indexed pulls per slot, exactly: N pulls of an index report N however
-// many other indices were pulled first, concurrent pulls sum, a split drops
-// the moved half's counts with its values, an image carries none, and a
-// frozen serving generation counts the reads it answers.
+// TestVecPullCountsSurviveTheMove: a DenseVector partition keeps the same
+// sampled counts per slot: a fixed single-goroutine sequence of calls gives
+// fixed counts however many other indices were pulled first, concurrent
+// pulls sum (a whole number of phase cycles counts exactly), a full-range
+// pull counts nothing, a split drops the moved half's counts with its
+// values, an image carries none, and a frozen serving generation counts the
+// reads it answers.
 func TestVecPullCountsSurviveTheMove(t *testing.T) {
 	const size = 20_000
 	meta := oneServerMeta(ModelMeta{Name: "cntv", Kind: DenseVector, Size: size})
@@ -960,8 +1016,9 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 		}
 		return 0
 	}
-	// 10,000 distinct indices first (past the old tracker's 8,192 cap), then
-	// index 10,000 itself.
+	// Call 0 pulls 10,000 distinct indices and counts every eighth, from
+	// position 0; calls 1–7 pull [10000, 90, 10000]: phase 1 counts 90 and
+	// phase 2 index 10,000 (pulled 14 times).
 	first := make([]int64, 10_000)
 	for i := range first {
 		first[i] = int64(i)
@@ -970,6 +1027,8 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		pull(ve, 10_000, 90, 10_000)
 	}
+	// Calls 8–1007, 125 cycles of [19999, 90] in whatever interleaving:
+	// each counts 1,000 for its 1,000 pulls.
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -984,17 +1043,17 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c, d, e := count(ve, 10_000), count(ve, 90), count(ve, 19_999); c != 14 || d != 1008 || e != 1000 {
-		t.Fatalf("counts of 10000, 90, 19999: %d, %d, %d; want 14, 1008, 1000", c, d, e)
+	if c, d, e := count(ve, 10_000), count(ve, 90), count(ve, 19_999); c != 8 || d != 1008 || e != 1000 {
+		t.Fatalf("counts of 10000, 90, 19999: %d, %d, %d; want 8, 1008, 1000", c, d, e)
 	}
 	if top := ve.hotTop(2); !reflect.DeepEqual(top, []HotKey{{ID: 90, Count: 1008}, {ID: 19_999, Count: 1000}}) {
 		t.Fatalf("hotTop(2) = %v", top)
 	}
-	if all := ve.hotTop(0); len(all) != 10_002 {
-		t.Fatalf("hotTop(0) lists %d indices, want 10002", len(all))
+	if all := ve.hotTop(0); len(all) != 1253 { // 1,250 of the first call's
+		t.Fatalf("hotTop(0) lists %d indices, want 1253", len(all))
 	}
-	if _, err := ve.pull(pullReq{}); err != nil || count(ve, 0) != 1 {
-		t.Fatalf("a full-range pull counted: index 0 at %d (%v)", count(ve, 0), err)
+	if _, err := ve.pull(pullReq{}); err != nil || count(ve, 0) != 8 || count(ve, 1) != 0 {
+		t.Fatalf("a full-range pull counted: index 0 at %d, 1 at %d (%v)", count(ve, 0), count(ve, 1), err)
 	}
 
 	// An image carries values, not counts.
@@ -1002,9 +1061,9 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 	if n := len(dst.hotTop(0)); n != 0 {
 		t.Fatalf("merged copy starts with %d pulled indices", n)
 	}
-	pull(dst, 90)
-	if count(dst, 90) != 1 || count(ve, 90) != 1008 {
-		t.Fatalf("after the merge: copy 90 at %d, source at %d; want 1 and 1008", count(dst, 90), count(ve, 90))
+	pull(dst, 90) // the copy's call 0
+	if count(dst, 90) != 8 || count(ve, 90) != 1008 {
+		t.Fatalf("after the merge: copy 90 at %d, source at %d; want 8 and 1008", count(dst, 90), count(ve, 90))
 	}
 
 	const mid = size / 2
@@ -1016,9 +1075,9 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 			t.Fatalf("after splitAt(%d) hotTop reports index %d (%d pulls)", mid, hk.ID, hk.Count)
 		}
 	}
-	pull(ve, 90)
-	if count(ve, 90) != 1009 {
-		t.Fatalf("a pull after the split: 90 at %d, want 1009", count(ve, 90))
+	pull(ve, 90) // call 1008, phase 0
+	if count(ve, 90) != 1016 {
+		t.Fatalf("a pull after the split: 90 at %d, want 1016", count(ve, 90))
 	}
 
 	// A serving generation is an engine stood up from an image; it counts
@@ -1036,8 +1095,8 @@ func TestVecPullCountsSurviveTheMove(t *testing.T) {
 		}
 		ge.appendRows(make([]byte, 0, n), ids)
 	}
-	if top := ge.hotTop(0); !reflect.DeepEqual(top, []HotKey{{ID: 5, Count: 6}, {ID: 19_000, Count: 3}}) {
-		t.Fatalf("serving generation counts %v, want 6 reads of 5 and 3 of 19000", top)
+	if top := ge.hotTop(0); !reflect.DeepEqual(top, []HotKey{{ID: 5, Count: 16}, {ID: 19_000, Count: 8}}) {
+		t.Fatalf("serving generation counts %v, want 16 for 6 reads of 5 and 8 for 3 of 19000", top)
 	}
 }
 

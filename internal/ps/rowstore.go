@@ -24,8 +24,9 @@ type rowStore struct {
 	tab   idTable
 	width int
 	ids   []int64 // ordinal → id
-	// pulls counts the pulls of each ordinal's row (the hot-head signal):
-	// bumped under the shard's READ lock, grown with ids under its write lock.
+	// pulls is each ordinal's sampled pull count (the hot-head signal,
+	// pullSample): bumped under the shard's READ lock, grown with ids under
+	// its write lock.
 	pulls []atomic.Int64
 	rows  [][]float64
 	mom   [][]float64
@@ -70,13 +71,26 @@ func (s *rowStore) get(id int64) []float64 {
 	return s.row(o - 1)
 }
 
-// pulled is get for a pull: it counts the read against the row.
-func (s *rowStore) pulled(id int64) []float64 {
+// pullSample is the pull counters' sampling rate (DESIGN.md §7): call k
+// of an engine's keyed pulls counts the keys at request positions k, k +
+// pullSample, k + 2·pullSample, … (k mod pullSample) and adds pullSample
+// to each, so a count estimates a key's pulls in units of pullSample, and
+// a fixed sequence of calls always gives the same counts.
+const pullSample = 8
+
+// samplePhase advances an engine's pull-call counter and returns the
+// first request position this call counts.
+func samplePhase(calls *atomic.Uint32) int { return int((calls.Add(1) - 1) % pullSample) }
+
+// pulled is get for a pull; a counted read adds pullSample to the row's count.
+func (s *rowStore) pulled(id int64, counted bool) []float64 {
 	o := s.tab.slot[s.tab.probe(id)]
 	if o == 0 {
 		return nil
 	}
-	s.pulls[o-1].Add(1)
+	if counted {
+		s.pulls[o-1].Add(pullSample)
+	}
 	return s.row(o - 1)
 }
 

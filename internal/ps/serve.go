@@ -75,12 +75,7 @@ func topHot(keys []HotKey, k int) []HotKey {
 		}
 	}
 	keys = merged
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Count != keys[j].Count {
-			return keys[i].Count > keys[j].Count
-		}
-		return keys[i].ID < keys[j].ID
-	})
+	slices.SortFunc(keys, func(a, b HotKey) int { return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.ID, b.ID)) })
 	if k > 0 && len(keys) > k {
 		keys = keys[:k]
 	}

@@ -1218,8 +1218,9 @@ func TestServeGenerationIsOneShard(t *testing.T) {
 // TestServeAbsentRowsRace: readers on their own agents materialise the same
 // absent rows of one generation at once. appendRows' write-lock retry is
 // the only path that writes a generation: every reader sees each row as the
-// primary initialises it, and the servers' row counts equal the rows the
-// generations counted as pulled. Run with -race.
+// primary initialises it, and the generations' sampled pull counts (whole
+// samples of pullSample, on the retry path too) estimate the rows the
+// servers served. Run with -race.
 func TestServeAbsentRowsRace(t *testing.T) {
 	c, cl := newTestCluster(t, 2)
 	c.Master.SetServeOptions(ServeOptions{HotKeys: -1})
@@ -1289,7 +1290,7 @@ func TestServeAbsentRowsRace(t *testing.T) {
 			}
 		}
 	}
-	if served == 0 || served != counted {
+	if served == 0 || counted%pullSample != 0 || counted < served*3/4 || counted > served*5/4 {
 		t.Fatalf("servers served %d snapshot rows, the generations counted %d pulls", served, counted)
 	}
 }
