@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"psgraph/internal/dataflow"
-	"psgraph/internal/ps"
 )
 
 // DeepWalk (Sec. II-B, reference [11]) is the other vertex-embedding
@@ -52,21 +51,10 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 	}
 	defer adj.Close(ctx)
 
-	initScale := 0.5 / float64(cfg.Dim)
-	embName := ctx.ModelName("dw.emb")
-	ctxName := ctx.ModelName("dw.ctx")
-	emb, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
-		Name: embName, Dim: cfg.Dim, ByColumn: true, InitScale: initScale,
-	})
+	res, err := lineModels(ctx, "dw", cfg.Dim, true, cfg.Epochs)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
-		Name: ctxName, Dim: cfg.Dim, ByColumn: true, InitScale: initScale,
-	}); err != nil {
-		return nil, err
-	}
-
 	sampler, err := newDegreeSampler(edges, parts)
 	if err != nil {
 		return nil, err
@@ -89,16 +77,13 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 					walks = append(walks, []int64{t.K})
 				}
 			}
+			var frontier idTable
 			for step := 1; step < dwWalkLength; step++ {
-				frontier := make(map[int64]bool)
+				frontier.reset(len(walks))
 				for _, w := range walks {
-					frontier[w[len(w)-1]] = true
+					frontier.row(w[len(w)-1])
 				}
-				ids := make([]int64, 0, len(frontier))
-				for id := range frontier {
-					ids = append(ids, id)
-				}
-				nbrs, err := adj.Nbr.Pull(ids)
+				nbrs, err := adj.Nbr.Pull(frontier.order)
 				if err != nil {
 					return err
 				}
@@ -120,25 +105,20 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 				if len(b.us) == 0 {
 					return nil
 				}
-				err := lineStepPSFunc(ctx, embName, ctxName, *b, dwLR)
-				b.us, b.vs, b.labels = b.us[:0], b.vs[:0], b.labels[:0]
+				err := lineStepPSFunc(ctx, res.EmbName, res.CtxName, *b, dwLR)
+				b.us, b.vs, b.labels, b.ends = b.us[:0], b.vs[:0], b.labels[:0], b.ends[:0]
 				return err
 			}
+			var pairs []Edge // a centre and its window
 			for _, w := range walks {
 				for i, center := range w {
-					lo := max(0, i-dwWindow)
-					hi := min(len(w)-1, i+dwWindow)
-					for j := lo; j <= hi; j++ {
-						if j == i {
-							continue
-						}
-						b.add(center, w[j], 1)
-						for k := 0; k < dwNegSamples; k++ {
-							if neg := sampler.sample(rng); neg != w[j] {
-								b.add(center, neg, 0)
-							}
+					pairs = pairs[:0]
+					for j := max(0, i-dwWindow); j <= min(len(w)-1, i+dwWindow); j++ {
+						if j != i {
+							pairs = append(pairs, Edge{Src: center, Dst: w[j]})
 						}
 					}
+					b.addBatch(pairs, dwNegSamples, sampler, rng)
 					if len(b.us) >= 2048 {
 						if err := flush(); err != nil {
 							return err
@@ -152,5 +132,5 @@ func DeepWalk(ctx *Context, edges *dataflow.RDD[Edge], cfg DeepWalkConfig) (*Lin
 			return nil, err
 		}
 	}
-	return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
+	return res, nil
 }

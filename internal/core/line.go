@@ -112,36 +112,34 @@ func Line(ctx *Context, edges *dataflow.RDD[Edge], cfg LineConfig) (*LineResult,
 		return nil, err
 	}
 	parts := ctx.Partitions()
-
-	embName := ctx.ModelName("line.emb")
-	initScale := 0.5 / float64(cfg.Dim)
-	emb, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
-		Name: embName, Dim: cfg.Dim, ByColumn: true, InitScale: initScale,
-	})
+	res, err := lineModels(ctx, "line", cfg.Dim, cfg.Order == 2, cfg.Epochs)
 	if err != nil {
 		return nil, err
 	}
-	otherName := embName
-	ctxName := ""
-	if cfg.Order == 2 {
-		ctxName = ctx.ModelName("line.ctx")
-		otherName = ctxName
-		if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
-			Name: ctxName, Dim: cfg.Dim, ByColumn: true, InitScale: initScale,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	sampler, err := newDegreeSampler(edges, parts)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := lineTrain(ctx, edges, cfg, k, embName, otherName, sampler, parts); err != nil {
+	otherName := cmp.Or(res.CtxName, res.EmbName)
+	if err := lineTrain(ctx, edges, cfg, k, res.EmbName, otherName, sampler, parts); err != nil {
 		return nil, err
 	}
-	return &LineResult{Emb: emb, EmbName: embName, CtxName: ctxName, Epochs: cfg.Epochs}, nil
+	return res, nil
+}
+
+// lineModels creates the column-partitioned embedding model of a LINE or
+// DeepWalk run named after prefix and, for second order, its context
+// model: the same dimensions of both are co-located.
+func lineModels(ctx *Context, prefix string, dim int, second bool, epochs int) (*LineResult, error) {
+	spec := ps.EmbeddingSpec{Name: ctx.ModelName(prefix + ".emb"), Dim: dim, ByColumn: true, InitScale: 0.5 / float64(dim)}
+	emb, err := ctx.Agent.CreateEmbedding(spec)
+	res := &LineResult{Emb: emb, EmbName: spec.Name, Epochs: epochs}
+	if err == nil && second {
+		spec.Name = ctx.ModelName(prefix + ".ctx")
+		res.CtxName = spec.Name
+		_, err = ctx.Agent.CreateEmbedding(spec)
+	}
+	return res, err
 }
 
 // lineBatch is a clock window's prepared mini-batches: the pairs of all of

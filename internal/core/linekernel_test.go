@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"psgraph/internal/gen"
 	"psgraph/internal/ps"
@@ -28,12 +31,28 @@ func init() {
 // parts partitions of width dim each (so partition p of every model is
 // co-located), and returns that server's Store.
 func kernelStore(tb testing.TB, dim, parts int, names ...string) *ps.Store {
+	_, s := kernelCluster(tb, dim, parts, names...)
+	return s
+}
+
+// kernelCluster is kernelStore that also returns the context, whose
+// kernelModels creates (or recreates) models of the same shape.
+func kernelCluster(tb testing.TB, dim, parts int, names ...string) (*Context, *ps.Store) {
 	tb.Helper()
 	ctx, err := NewContext(Config{NumExecutors: 1, NumServers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(ctx.Close)
+	kernelModels(tb, ctx, dim, parts, names...)
+	if _, err := ctx.Agent.CallFunc(names[0], "coretest.store", func(ps.Partition) []byte { return nil }); err != nil {
+		tb.Fatal(err)
+	}
+	return ctx, capturedStore
+}
+
+func kernelModels(tb testing.TB, ctx *Context, dim, parts int, names ...string) {
+	tb.Helper()
 	for _, name := range names {
 		if _, err := ctx.Agent.CreateEmbedding(ps.EmbeddingSpec{
 			Name: name, Dim: dim * parts, ByColumn: true, InitScale: 0.5 / float64(dim), Partitions: parts,
@@ -41,14 +60,10 @@ func kernelStore(tb testing.TB, dim, parts int, names ...string) *ps.Store {
 			tb.Fatal(err)
 		}
 	}
-	if _, err := ctx.Agent.CallFunc(names[0], "coretest.store", func(ps.Partition) []byte { return nil }); err != nil {
-		tb.Fatal(err)
-	}
-	return capturedStore
 }
 
 // lockRows locks an embedding partition the test knows is one.
-func lockRows(tb testing.TB, v *ps.PartView) ps.LockedRows {
+func lockRows(tb testing.TB, v ps.PartView) ps.LockedRows {
 	tb.Helper()
 	rows, err := v.Lock()
 	if err != nil {
@@ -115,7 +130,7 @@ func kernelDot(tb testing.TB, s *ps.Store, model, other string, us, vs []int64) 
 		tb.Fatal(err)
 	}
 	r := ps.NewArgReader(out)
-	dots := r.F64s()
+	dots := r.F64sInto(nil)
 	if err := r.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -138,10 +153,14 @@ func sameBits(a, b []float64) bool {
 // over twin models (same ids, hence same initial rows) and demands the
 // same bits: dots, then every touched row after an update, then dots
 // again. Batches cover runs of equal U, isolated Us, U == V under first
-// order, ids that materialise mid-batch, and the empty batch.
+// order, ids that materialise mid-batch, and the empty batch. Each batch
+// runs its update on each path: on the columns its dot left in the Memos
+// (which the update then frees), after more unrelated dots than a Memo
+// holds evicted them, and after the other model was deleted and recreated
+// between dot and update (and its twin with it).
 func TestLineKernelEquivalence(t *testing.T) {
 	const dim = 8
-	s := kernelStore(t, dim, 1, "k.emb", "k.ctx", "r.emb", "r.ctx")
+	cx, s := kernelCluster(t, dim, 1, "k.emb", "k.ctx", "r.emb", "r.ctx")
 	rng := rand.New(rand.NewSource(7))
 	runs := func(n, run int, ids int64) (us, vs []int64) {
 		for len(us) < n {
@@ -166,6 +185,22 @@ func TestLineKernelEquivalence(t *testing.T) {
 	us, vs = runs(400, 4, 1<<40) // never-seen ids: rows materialise mid-batch, tables grow
 	batches = append(batches, batch{"fresh ids", us, vs})
 	batches = append(batches, batch{"empty", []int64{}, []int64{}})
+	// remembered reports whether the Memos hold both columns of the
+	// update's pairs, as takeCol would find them (without taking them).
+	remembered := func(upd []byte) bool {
+		emb, ctx, err := lockLinePair(s, "k.emb", 0, upd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer unlockLinePair(emb, ctx)
+		has := func(l ps.LockedRows, v bool) bool {
+			return slices.ContainsFunc(l.Memo(), func(x any) bool {
+				c, _ := x.(*memoCol)
+				return c != nil && c.v == v && len(c.key) > 0 && bytes.HasPrefix(upd, c.key)
+			})
+		}
+		return has(emb, false) && has(ctx, true)
+	}
 
 	for _, order := range []int{2, 1} {
 		kOther, rOther := "k.ctx", "r.ctx"
@@ -173,99 +208,181 @@ func TestLineKernelEquivalence(t *testing.T) {
 			kOther, rOther = "k.emb", "r.emb"
 		}
 		for _, b := range batches {
-			name := fmt.Sprintf("order %d/%s", order, b.name)
-			g := make([]float64, len(b.us))
-			for i := range g {
-				g[i] = rng.NormFloat64() * 0.05
-			}
-			if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
-				t.Fatalf("%s: dots differ from the reference", name)
-			}
-			upd := ps.AppendArgF64s(appendLinePairs(nil, kOther, b.us, b.vs), g)
-			if _, err := lineUpdateFunc(s, "k.emb", 0, upd); err != nil {
-				t.Fatalf("%s: update: %v", name, err)
-			}
-			refLineUpdate(t, s, "r.emb", rOther, b.us, b.vs, g)
-			for _, pair := range [][2]string{{"k.emb", "r.emb"}, {"k.ctx", "r.ctx"}} {
-				kv, _ := s.Partition(pair[0], 0)
-				rv, _ := s.Partition(pair[1], 0)
-				ids := append(append([]int64(nil), b.us...), b.vs...)
-				krows, rrows := lockRows(t, kv), lockRows(t, rv)
-				kr, rr := krows.Rows(nil, ids), rrows.Rows(nil, ids)
-				for i, id := range ids {
-					if !sameBits(kr[i], rr[i]) {
-						t.Fatalf("%s: row %d of %s differs from the reference after update", name, id, pair[0])
+			for _, path := range []string{"memo", "evicted", "recreated"} {
+				name := fmt.Sprintf("order %d/%s/%s", order, b.name, path)
+				g := make([]float64, len(b.us))
+				for i := range g {
+					g[i] = rng.NormFloat64() * 0.05
+				}
+				if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
+					t.Fatalf("%s: dots differ from the reference", name)
+				}
+				upd := ps.AppendArgF64s(appendLinePairs(nil, kOther, b.us, b.vs), g)
+				switch path {
+				case "evicted":
+					slots, _ := memoOf(t, s, "k.emb")
+					for k := int64(0); k <= int64(slots); k++ {
+						kernelDot(t, s, "k.emb", kOther, []int64{1 << 50, k}, []int64{k, 1 << 50})
+					}
+				case "recreated":
+					for _, m := range []string{kOther, rOther} {
+						if err := cx.Agent.DeleteModel(m); err != nil {
+							t.Fatal(err)
+						}
+						kernelModels(t, cx, dim, 1, m)
 					}
 				}
-				krows.Unlock()
-				rrows.Unlock()
-			}
-			if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
-				t.Fatalf("%s: dots after update differ from the reference", name)
+				if hit := remembered(upd); hit != (path == "memo") {
+					t.Fatalf("%s: update finds its dot in the Memo = %v", name, hit)
+				}
+				if _, err := lineUpdateFunc(s, "k.emb", 0, upd); err != nil {
+					t.Fatalf("%s: update: %v", name, err)
+				}
+				if remembered(upd) {
+					t.Fatalf("%s: the update left its columns in the Memos", name)
+				}
+				refLineUpdate(t, s, "r.emb", rOther, b.us, b.vs, g)
+				for _, pair := range [][2]string{{"k.emb", "r.emb"}, {"k.ctx", "r.ctx"}} {
+					kv, _ := s.Partition(pair[0], 0)
+					rv, _ := s.Partition(pair[1], 0)
+					ids := append(append([]int64(nil), b.us...), b.vs...)
+					krows, rrows := lockRows(t, kv), lockRows(t, rv)
+					kr, rr := krows.Rows(nil, ids), rrows.Rows(nil, ids)
+					for i, id := range ids {
+						if !sameBits(kr[i], rr[i]) {
+							t.Fatalf("%s: row %d of %s differs from the reference after update", name, id, pair[0])
+						}
+					}
+					krows.Unlock()
+					rrows.Unlock()
+				}
+				if got, want := kernelDot(t, s, "k.emb", kOther, b.us, b.vs), refLineDot(t, s, "r.emb", rOther, b.us, b.vs); !sameBits(got, want) {
+					t.Fatalf("%s: dots after update differ from the reference", name)
+				}
 			}
 		}
 	}
 }
 
-// TestLineArgReleaseDropsRows: what a kernel resolved points into a model's
-// slabs, and the argument it rides goes back to a sync.Pool. After release
-// no element of either scratch array may still hold a row — a deleted
-// model must not stay reachable from the pool, and a row must not be
-// readable once its partition is unlocked.
+// TestLineArgReleaseDropsRows: a resolved column points into its model's
+// slabs and stays in that partition's Memo. Once the update frees it no
+// element of its scratch may still hold a row, and it is the scratch the
+// next call takes.
 func TestLineArgReleaseDropsRows(t *testing.T) {
 	s := kernelStore(t, 4, 1, "rel.emb", "rel.ctx")
 	for _, other := range []string{"rel.ctx", "rel.emb"} {
-		a, err := decodeLineArg(appendLinePairs(nil, other, []int64{1, 1, 2}, []int64{3, 2, 3}), false)
+		arg := appendLinePairs(nil, other, []int64{1, 1, 2}, []int64{3, 2, 3})
+		emb, ctx, err := lockLinePair(s, "rel.emb", 0, arg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		emb, ctx, err := lockLinePair(s, "rel.emb", a.other, 0)
-		if err != nil {
+		uc, _ := takeCol(emb, false, nil)
+		vc, _ := takeCol(ctx, true, nil)
+		if err := resolveLine(emb, ctx, uc, vc, "rel.emb", 0, arg, false); err != nil {
 			t.Fatal(err)
 		}
-		a.u, a.v = emb.Rows(a.u, a.us), ctx.Rows(a.v, a.vs)
-		u, v := a.u, a.v
+		u, v := uc.rows, vc.rows
 		if len(u) != 3 || len(v) != 3 || &u[0][0] != &u[1][0] || &v[0][0] != &v[2][0] || &u[0][0] == &u[2][0] {
 			t.Fatalf("other=%s: resolved %d and %d rows, or the wrong ones", other, len(u), len(v))
 		}
 		if first := other == "rel.emb"; first != (&u[2][0] == &v[1][0]) {
 			t.Fatalf("other=%s: row 2 of both columns shared = %v", other, !first)
 		}
+		freeCol(emb, uc)
+		freeCol(ctx, vc)
+		if c, _ := takeCol(ctx, true, nil); c != vc {
+			t.Fatalf("other=%s: the next call takes %p, not the freed %p", other, c, vc)
+		}
 		unlockLinePair(emb, ctx)
-		a.release()
 		for _, rows := range [][][]float64{u[:cap(u)], v[:cap(v)]} {
 			for i, row := range rows {
 				if row != nil {
-					t.Fatalf("other=%s: released scratch still holds a row at %d", other, i)
+					t.Fatalf("other=%s: a freed column still holds a row at %d", other, i)
 				}
 			}
 		}
 	}
 }
 
+// TestLineMemoDiesWithItsModels: a dot leaves each column in the Memo of
+// the partition whose rows it holds. Deleting only the context model (a
+// caller that keeps LineResult.Emb and drops the context) must leave
+// none of its rows reachable from the embedding model's Memo, and
+// deleting the embedding model then frees its own.
+func TestLineMemoDiesWithItsModels(t *testing.T) {
+	cx, s := kernelCluster(t, 4, 1, "gc.emb", "gc.ctx")
+	kernelDot(t, s, "gc.emb", "gc.ctx", []int64{1, 1, 2}, []int64{3, 2, 3})
+	freed := make(chan string, 2)
+	for _, model := range []string{"gc.emb", "gc.ctx"} {
+		view, err := s.Partition(model, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := lockRows(t, view)
+		row := rows.Rows(nil, []int64{2})[0]
+		runtime.AddCleanup(&row[0], func(m string) { freed <- m }, model)
+		rows.Unlock()
+		if _, n := memoOf(t, s, model); n != 1 {
+			t.Fatalf("the dot left %d columns in %s's Memo, want 1", n, model)
+		}
+	}
+	for _, model := range []string{"gc.ctx", "gc.emb"} {
+		if err := cx.Agent.DeleteModel(model); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.After(5 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case m := <-freed:
+				if done = m == model; !done {
+					t.Fatalf("rows of %s freed while %s was deleted", m, model)
+				}
+			case <-time.After(10 * time.Millisecond):
+			case <-deadline:
+				t.Fatalf("deleted %s's rows still reachable", model)
+			}
+		}
+	}
+}
+
+// memoOf is the size of model's partition 0's Memo and its non-nil entries.
+func memoOf(tb testing.TB, s *ps.Store, model string) (slots, entries int) {
+	view, err := s.Partition(model, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := lockRows(tb, view)
+	defer rows.Unlock()
+	for _, m := range rows.Memo() {
+		if m != nil {
+			entries++
+		}
+	}
+	return len(rows.Memo()), entries
+}
+
 func TestLineArgRoundTrip(t *testing.T) {
 	us, vs := []int64{3, 1, 1 << 40}, []int64{9, -4, 0}
 	g := []float64{0.025, -0.0125, 1}
 	dot := appendLinePairs(nil, "line.ctx", us, vs)
-	a, err := decodeLineArg(dot, false)
+	u, v := new(memoCol), new(memoCol)
+	other, err := decodeLineArg(dot, u, v, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.other != "line.ctx" || fmt.Sprint(a.us, a.vs) != fmt.Sprint(us, vs) {
-		t.Fatalf("dot round-trip: %+v", a)
+	if other != "line.ctx" || fmt.Sprint(u.ids, v.ids) != fmt.Sprint(us, vs) {
+		t.Fatalf("dot round-trip: %s %+v %+v", other, u, v)
 	}
-	a.release()
-	if a, err = decodeLineArg(ps.AppendArgF64s(dot, g), true); err != nil {
+	if _, err = decodeLineArg(ps.AppendArgF64s(dot, g), u, v, true); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(a.us, a.vs, a.g) != fmt.Sprint(us, vs, g) {
-		t.Fatalf("update round-trip: %+v", a)
+	if fmt.Sprint(u.ids, v.ids, u.g) != fmt.Sprint(us, vs, g) {
+		t.Fatalf("update round-trip: %+v %+v", u, v)
 	}
-	a.release()
-	if a, err = decodeLineArg(appendLinePairs(nil, "m", nil, nil), false); err != nil || len(a.us) != 0 {
-		t.Fatalf("empty pairs round-trip: %+v, %v", a, err)
+	if _, err = decodeLineArg(appendLinePairs(nil, "m", nil, nil), u, v, false); err != nil || len(u.ids) != 0 {
+		t.Fatalf("empty pairs round-trip: %+v, %v", u, err)
 	}
-	a.release()
 }
 
 func TestLineArgDecodeRejects(t *testing.T) {
@@ -282,7 +399,7 @@ func TestLineArgDecodeRejects(t *testing.T) {
 		"more pairs than coefficients": {
 			ps.AppendArgF64s(appendLinePairs(nil, "m", []int64{1, 2}, []int64{2, 3}), []float64{1}), true},
 	} {
-		if _, err := decodeLineArg(tc.arg, tc.update); err == nil {
+		if _, err := decodeLineArg(tc.arg, new(memoCol), new(memoCol), tc.update); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -324,16 +441,15 @@ func TestLineArgWireGolden(t *testing.T) {
 		t.Fatalf("update arg, odd values\n got %s\nwant %s", got, goldenLineUpdateOdd)
 	}
 	for shift := 0; shift < 8; shift++ {
-		a, err := decodeLineArg(append(make([]byte, shift, shift+len(odd)), odd...)[shift:], true)
-		if err != nil {
+		u := new(memoCol)
+		if _, err := decodeLineArg(append(make([]byte, shift, shift+len(odd)), odd...)[shift:], u, new(memoCol), true); err != nil {
 			t.Fatal(err)
 		}
-		for i, u := range bits {
-			if got := math.Float64bits(a.g[i]); got != u {
-				t.Errorf("shift %d: coefficient %d decoded as %#x, want %#x", shift, i, got, u)
+		for i, b := range bits {
+			if got := math.Float64bits(u.g[i]); got != b {
+				t.Errorf("shift %d: coefficient %d decoded as %#x, want %#x", shift, i, got, b)
 			}
 		}
-		a.release()
 	}
 }
 
@@ -344,15 +460,14 @@ func FuzzLineArg(f *testing.F) {
 		f.Add(b, true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, update bool) {
-		a, err := decodeLineArg(data, update)
-		if err != nil {
+		u, v := new(memoCol), new(memoCol)
+		if _, err := decodeLineArg(data, u, v, update); err != nil {
 			return
 		}
-		if len(a.us) != len(a.vs) || (update && len(a.g) != len(a.us)) {
-			t.Fatalf("accepted ragged columns: %d/%d/%d", len(a.us), len(a.vs), len(a.g))
+		if len(u.ids) != len(v.ids) || (update && len(u.g) != len(u.ids)) {
+			t.Fatalf("accepted ragged columns: %d/%d/%d", len(u.ids), len(v.ids), len(u.g))
 		}
-		a.release()
-		if _, err := decodeLineArg(append(bytes.Clone(data), 0), update); err == nil {
+		if _, err := decodeLineArg(append(bytes.Clone(data), 0), u, v, update); err == nil {
 			t.Fatal("accepted a trailing byte")
 		}
 	})
@@ -368,12 +483,11 @@ func TestLineStepRejectsWrongDotCount(t *testing.T) {
 	}
 	extra := 0
 	ps.RegisterFunc("core.lineDot", func(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
-		a, err := decodeLineArg(arg, false)
-		if err != nil {
+		u := new(memoCol)
+		if _, err := decodeLineArg(arg, u, new(memoCol), false); err != nil {
 			return nil, err
 		}
-		defer a.release()
-		return ps.AppendArgF64s(nil, make([]float64, len(a.us)+extra)), nil
+		return ps.AppendArgF64s(nil, make([]float64, len(u.ids)+extra)), nil
 	})
 	t.Cleanup(func() { ps.RegisterReplaySafeFunc("core.lineDot", lineDotFunc) })
 	b := lineBatch{us: []int64{1, 1, 2}, vs: []int64{2, 3, 1}, labels: []float64{1, 0, 1}}

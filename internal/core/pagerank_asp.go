@@ -27,7 +27,7 @@ func init() {
 // identity for min/max).
 func takeIndicesFunc(s *ps.Store, model string, part int, arg []byte) ([]byte, error) {
 	r := ps.NewArgReader(arg)
-	indices, reset := r.I64s(), r.F64()
+	indices, reset := r.I64sInto(nil), r.F64()
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func takeVector(ctx *Context, name string, indices []int64, reset float64) ([]fl
 			continue
 		}
 		r := ps.NewArgReader(raw)
-		vals := r.F64s()
+		vals := r.F64sInto(nil)
 		if err := r.Close(); err != nil {
 			return nil, err
 		}

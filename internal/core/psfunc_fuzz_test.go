@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"psgraph/internal/ps"
@@ -66,9 +67,17 @@ func FuzzPSFuncArgs(f *testing.F) {
 	f.Add(uint8(3), pairs("fz.narrow"))
 	f.Add(uint8(4), ps.AppendArgF64s(pairs("fz.narrow"), coefs))
 	f.Add(uint8(3), pairs("fz.cur"))
+	f.Add(uint8(4), []byte(nil))
+	f.Add(uint8(4), pairs("fz.wide")[:3])
 	f.Fuzz(func(t *testing.T, fn uint8, arg []byte) {
 		call := funcs[int(fn)%len(funcs)]
 		// Both outcomes are fine; a panic fails the run, a hang times it out.
-		_, _ = call.run(s, call.model, 0, arg)
+		_, err := call.run(s, call.model, 0, arg)
+		// But an argument whose first model name does not decode is a
+		// decode error, never the routing rejection a client retries.
+		r := ps.NewArgReader(arg)
+		if r.Str(); r.Err() != nil && err != nil && strings.Contains(err.Error(), "not on this server") {
+			t.Fatalf("undecodable argument rejected as a routing miss: %v", err)
+		}
 	})
 }

@@ -89,7 +89,7 @@ func TestLineDotRetryRunsAgain(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := ps.NewArgReader(outs[0])
-		d := r.F64s()
+		d := r.F64sInto(nil)
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -110,9 +110,7 @@ func (r *clockRing) retireExpired() {
 func (t *clockTable) ring(tag string, expect int, leaseNS int64) *clockRing {
 	r := t.rings[tag]
 	if r == nil {
-		if expect <= 0 {
-			expect = 1
-		}
+		expect = max(expect, 1)
 		r = &clockRing{
 			expect:   expect,
 			clocks:   make([]int64, expect),

@@ -53,6 +53,45 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 	}
 }
 
+// TestEmbSplitClearsMemo: rows move only in a split, so a split drops
+// every value a psFunc left in the partition's Memo, while locking and
+// unlocking keep them; each engine has a Memo of its own.
+func TestEmbSplitClearsMemo(t *testing.T) {
+	meta := oneServerMeta(ModelMeta{Name: "e", Kind: Embedding, Dim: 3})
+	src, _ := newEngine(meta, 0, 0)
+	twin, _ := newEngine(meta, 0, 0)
+	view := PartView{eng: src}
+	rows := lockRows(t, view)
+	memo := rows.Memo()
+	if len(memo) != memoSlots {
+		t.Fatalf("Memo has %d slots, want %d", len(memo), memoSlots)
+	}
+	for i := range memo {
+		memo[i] = rows.Rows(nil, []int64{int64(i), 1000 + int64(i)})
+	}
+	rows.Unlock()
+	if other := lockRows(t, PartView{eng: twin}); other.Memo()[0] != nil {
+		t.Fatal("a second engine sees the first one's Memo")
+	} else {
+		other.Unlock()
+	}
+	rows = lockRows(t, view)
+	if rows.Memo()[memoSlots-1] == nil {
+		t.Fatalf("a second lock sees Memo %v", rows.Memo())
+	}
+	rows.Unlock()
+	if err := src.splitAt(meta.routeSpan() / 2); err != nil {
+		t.Fatal(err)
+	}
+	rows = lockRows(t, view)
+	defer rows.Unlock()
+	for i, m := range rows.Memo() {
+		if m != nil {
+			t.Fatalf("Memo slot %d survived the split", i)
+		}
+	}
+}
+
 // TestEmbSplitLandsMidShard splits a default-sharded (32-way) embedding
 // engine at the route-space midpoint. The shard hash is independent of
 // the route hash, so the split necessarily lands mid-shard: every shard

@@ -34,7 +34,13 @@ type embEngine struct {
 	calls      atomic.Uint32 // keyed pulls, for samplePhase
 	shards     []embShard    // power-of-two count, so the shard pick is a mask
 	ri         rowIniter
+	memo       [memoSlots]any // LockedRows.Memo, cleared at each split
 }
+
+// memoSlots bounds a partition's Memo. LINE's dot leaves each column it
+// resolved there until its update takes it: one per worker training on
+// the partition, two under first order, so 8 covers 4 executors.
+const memoSlots = 8
 
 // embShard is one lock's worth of rows, moments included (rowstore.go).
 type embShard struct {
@@ -132,7 +138,7 @@ func (e *embEngine) writeRows(b []byte, ids []int64, phase int) []byte {
 		missing = missing[:0]
 		sh.mu.RLock()
 		for _, j := range group {
-			if src := sh.store.pulled(ids[j], int(j)%pullSample == phase); src != nil {
+			if src := sh.store.get(ids[j], int(j)%pullSample == phase); src != nil {
 				f64le.Put(b[off+8*int(j)*w:], src)
 			} else {
 				missing = append(missing, j)
@@ -312,6 +318,11 @@ func (l LockedRows) Rows(dst [][]float64, ids []int64) [][]float64 {
 // Unlock releases the partition's shards.
 func (l LockedRows) Unlock() { l.e.unlockShards() }
 
+// Memo is memoSlots values a psFunc keeps across calls under the
+// partition's locks. A split, the one place rows move, clears them, and
+// they die with the engine, so a deleted model leaves nothing reachable.
+func (l LockedRows) Memo() []any { return l.e.memo[:] }
+
 // export read-locks all shards so the result is one consistent cut, then
 // copies out the rows whose route keys fall in [lo, hi) — a column
 // partition exports everything, it migrates wholesale — and the
@@ -409,6 +420,7 @@ func (e *embEngine) splitAt(mid int64) error {
 	for i := range e.shards {
 		e.shards[i].store.keepOnly(func(id int64) bool { return e.keepOnSplit(id, mid) })
 	}
+	e.memo = [memoSlots]any{}
 	e.narrowTo(mid)
 	return nil
 }

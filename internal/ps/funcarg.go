@@ -52,16 +52,13 @@ func NewArgReader(data []byte) *ArgReader {
 // Str reads a string written by AppendArgStr.
 func (a *ArgReader) Str() string { return a.r.str() }
 
-// I64s reads a slice written by AppendArgI64s.
-func (a *ArgReader) I64s() []int64 { return a.r.i64s() }
-
-// I64sInto is I64s decoding into dst's backing array when it fits.
+// I64sInto reads a slice written by AppendArgI64s, decoding into dst's
+// backing array when it fits; a nil dst always allocates, so an empty
+// slice stays apart from a nil one.
 func (a *ArgReader) I64sInto(dst []int64) []int64 { return a.r.i64sInto(dst) }
 
-// F64s reads a slice written by AppendArgF64s.
-func (a *ArgReader) F64s() []float64 { return a.r.f64s() }
-
-// F64sInto is F64s with I64sInto's reuse rule.
+// F64sInto reads a slice written by AppendArgF64s with I64sInto's reuse
+// rule.
 func (a *ArgReader) F64sInto(dst []float64) []float64 { return a.r.f64sInto(dst) }
 
 // F64 reads a value written by AppendArgF64.
@@ -69,6 +66,9 @@ func (a *ArgReader) F64() float64 { return a.r.f64() }
 
 // I64 reads a value written by AppendArgI64.
 func (a *ArgReader) I64() int64 { return a.r.varint() }
+
+// Err returns the error the first failing read latched, or nil.
+func (a *ArgReader) Err() error { return a.r.err }
 
 // Close verifies the payload decoded cleanly and was consumed exactly.
 func (a *ArgReader) Close() error {

@@ -15,16 +15,16 @@ func TestArgReaderRoundTrip(t *testing.T) {
 	if got := r.Str(); got != "model/ctx" {
 		t.Fatalf("Str = %q", got)
 	}
-	if got := r.I64s(); fmt.Sprint(got) != "[5 1 9 -3]" {
+	if got := r.I64sInto(nil); fmt.Sprint(got) != "[5 1 9 -3]" {
 		t.Fatalf("I64s = %v", got)
 	}
-	if got := r.I64s(); got != nil {
+	if got := r.I64sInto(nil); got != nil {
 		t.Fatalf("nil I64s = %v", got)
 	}
-	if got := r.F64s(); fmt.Sprint(got) != "[0.5 -1.25]" {
+	if got := r.F64sInto(nil); fmt.Sprint(got) != "[0.5 -1.25]" {
 		t.Fatalf("F64s = %v", got)
 	}
-	if got := r.F64s(); got == nil || len(got) != 0 {
+	if got := r.F64sInto(nil); got == nil || len(got) != 0 {
 		t.Fatalf("empty F64s = %v", got)
 	}
 	if err := r.Close(); err != nil {
@@ -45,7 +45,7 @@ func TestArgReaderTrailingBytes(t *testing.T) {
 func TestArgReaderTruncated(t *testing.T) {
 	b := AppendArgF64s(nil, []float64{1, 2, 3})
 	r := NewArgReader(b[:len(b)-2])
-	_ = r.F64s()
+	_ = r.F64sInto(nil)
 	if r.r.err == nil {
 		t.Fatal("truncated payload not detected")
 	}

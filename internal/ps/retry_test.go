@@ -372,7 +372,7 @@ func resendState(m *Master, servers ...*Server) map[string]any {
 		}
 		for model, hr := range s.serve.hot {
 			for _, id := range hr.rows.ids {
-				st[fmt.Sprintf("%s %s hot %d row %d", s.Addr, model, hr.snapEpoch, id)] = slices.Clone(hr.rows.get(id))
+				st[fmt.Sprintf("%s %s hot %d row %d", s.Addr, model, hr.snapEpoch, id)] = slices.Clone(hr.rows.get(id, false))
 			}
 		}
 		s.serve.mu.Unlock()

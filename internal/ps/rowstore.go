@@ -62,15 +62,6 @@ func chunkRows(chunk int) int {
 
 func (s *rowStore) len() int { return len(s.ids) }
 
-// get returns the live row of id, or nil when it is not materialised.
-func (s *rowStore) get(id int64) []float64 {
-	o := s.tab.slot[s.tab.probe(id)]
-	if o == 0 {
-		return nil
-	}
-	return s.row(o - 1)
-}
-
 // pullSample is the pull counters' sampling rate (DESIGN.md §7): call k
 // of an engine's keyed pulls counts the keys at request positions k, k +
 // pullSample, k + 2·pullSample, … (k mod pullSample) and adds pullSample
@@ -82,8 +73,9 @@ const pullSample = 8
 // first request position this call counts.
 func samplePhase(calls *atomic.Uint32) int { return int((calls.Add(1) - 1) % pullSample) }
 
-// pulled is get for a pull; a counted read adds pullSample to the row's count.
-func (s *rowStore) pulled(id int64, counted bool) []float64 {
+// get returns the live row of id, or nil when it is not materialised. A
+// counted read (a pull's sample) adds pullSample to the row's count.
+func (s *rowStore) get(id int64, counted bool) []float64 {
 	o := s.tab.slot[s.tab.probe(id)]
 	if o == 0 {
 		return nil

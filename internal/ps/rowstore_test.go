@@ -45,7 +45,7 @@ func (h *rowStoreRef) put(id int64, val float64) {
 
 // add mutates id's row in both stores when it exists.
 func (h *rowStoreRef) add(id int64, val float64) {
-	row := h.st.get(id)
+	row := h.st.get(id, false)
 	want, had := h.ref[id]
 	if (row != nil) != had && h.width > 0 {
 		h.t.Fatalf("get(%d) = %v, reference had=%v", id, row, had)
@@ -87,7 +87,7 @@ func (h *rowStoreRef) check() {
 		h.t.Fatalf("load %d/%d above 1/2", h.st.len(), len(h.st.tab.slot))
 	}
 	for id, want := range h.ref {
-		got := h.st.get(id)
+		got := h.st.get(id, false)
 		if got == nil && h.width > 0 {
 			h.t.Fatalf("id %d lost", id)
 		}
@@ -146,7 +146,7 @@ func TestRowStorePointerStability(t *testing.T) {
 	}
 	held[2] = 3
 	hm[3] = 4
-	live := st.get(42)
+	live := st.get(42, false)
 	if &live[0] != &held[0] || live[0] != 1 || live[2] != 3 {
 		t.Fatalf("row moved: held %v, live %v", held, live)
 	}
@@ -187,7 +187,7 @@ func liveRow(e *embEngine, id int64) []float64 {
 func adaGrad(lr float64) Optimizer { return Optimizer{Kind: OptAdaGrad, LR: lr, Eps: 1e-8} }
 
 // lockRows locks an embedding partition the test knows is one.
-func lockRows(tb testing.TB, v *PartView) LockedRows {
+func lockRows(tb testing.TB, v PartView) LockedRows {
 	tb.Helper()
 	rows, err := v.Lock()
 	if err != nil {
@@ -228,13 +228,13 @@ func pushGrad(e *Emb, grads map[int64][]float64) error {
 // resolveEngine is one embedding partition of the given width behind a
 // PartView. Two of them hold the same rows: a row's initial value is a
 // function of the model, its id and the element.
-func resolveEngine(t testing.TB, width int) *PartView {
+func resolveEngine(t testing.TB, width int) PartView {
 	t.Helper()
 	eng, err := newEngine(ModelMeta{Name: "e", Kind: Embedding, Dim: width, InitScale: 0.1, Parts: []Partition{{}}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &PartView{eng: eng}
+	return PartView{eng: eng}
 }
 
 // checkResolve holds LockedRows.Rows to the per-id path: columns resolved

@@ -337,14 +337,14 @@ func (s *Server) serveHotPull(req serveHotPullReq) (encoded, error) {
 	}
 	held := make([]int64, 0, len(req.IDs))
 	for _, id := range req.IDs {
-		if hr.rows.get(id) != nil {
+		if hr.rows.get(id, false) != nil {
 			held = append(held, id)
 		}
 	}
 	dim := hr.rows.width
 	b, off := rowBlock(frame(msgServePullResp, 2+rowBatchLen(held, dim)), held, dim)
 	for k, id := range held {
-		f64le.Put(b[off+8*k*dim:], hr.rows.get(id))
+		f64le.Put(b[off+8*k*dim:], hr.rows.get(id, false))
 	}
 	return b, nil
 }

@@ -73,12 +73,9 @@ func replaySafeCall(method string, payload []byte) bool {
 // Partition returns the typed view of a co-located partition for psFuncs.
 // See LINE's dot-product function for the canonical use. A miss is a
 // routing rejection the retry re-executes (see PSFunc).
-func (s *Store) Partition(model string, idx int) (*PartView, error) {
+func (s *Store) Partition(model string, idx int) (PartView, error) {
 	e, err := s.get(model, idx)
-	if err != nil {
-		return nil, err
-	}
-	return &PartView{eng: e}, nil
+	return PartView{eng: e}, err
 }
 
 // PartView is the limited interface a psFunc gets to a partition. The
@@ -89,7 +86,7 @@ type PartView struct{ eng engine }
 
 // viewAs returns the partition's engine as the kind a typed PartView
 // method serves; what names that kind in the error.
-func viewAs[E engine](v *PartView, what string) (E, error) {
+func viewAs[E engine](v PartView, what string) (E, error) {
 	e, ok := v.eng.(E)
 	if !ok {
 		return e, fmt.Errorf("ps: %v partition is not %s", v.eng.modelMeta().Kind, what)
@@ -101,7 +98,7 @@ func viewAs[E engine](v *PartView, what string) (E, error) {
 // operation and returns its raw row accessor; release with Unlock. Shards
 // are acquired in index order; psFuncs locking several co-located
 // partitions must take them in a consistent (model-name) order.
-func (v *PartView) Lock() (LockedRows, error) {
+func (v PartView) Lock() (LockedRows, error) {
 	e, err := viewAs[*embEngine](v, "an embedding")
 	if err != nil {
 		return LockedRows{}, err
@@ -113,7 +110,7 @@ func (v *PartView) Lock() (LockedRows, error) {
 // VecLock acquires the write lock of a DenseVector partition and returns
 // its backing slice and range start. psFuncs touching several co-located
 // partitions must acquire VecLocks in a consistent (model-name) order.
-func (v *PartView) VecLock() (data []float64, lo int64, unlock func(), err error) {
+func (v PartView) VecLock() (data []float64, lo int64, unlock func(), err error) {
 	e, err := viewAs[*vecEngine](v, "a DenseVector")
 	if err != nil {
 		return nil, 0, nil, err
@@ -125,7 +122,7 @@ func (v *PartView) VecLock() (data []float64, lo int64, unlock func(), err error
 // SealCSR converts a Neighbor partition from its build-form map into
 // compact CSR storage (sorted, deduplicated) and returns the vertex
 // count. Subsequent pushes to the partition are rejected. Idempotent.
-func (v *PartView) SealCSR() (int64, error) {
+func (v PartView) SealCSR() (int64, error) {
 	e, err := viewAs[*nbrEngine](v, "a Neighbor table")
 	if err != nil {
 		return 0, err

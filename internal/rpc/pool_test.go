@@ -14,8 +14,8 @@ import (
 
 // TestGetBufPolicy: a buffer is asked for by capacity and gets at least
 // that; a miss is made exactly as big as asked (never rounded up), nil and
-// oversize buffers are not kept, and a pooled buffer too small for the
-// asker is not what it gets.
+// oversize buffers are not kept, a pooled buffer too small for the asker
+// is not what it gets, and a GetBuf/PutBuf round trip allocates nothing.
 func TestGetBufPolicy(t *testing.T) {
 	for _, n := range []int{0, 1, 511, smallFrame - 1, smallFrame, bigFrame - 1, bigFrame, bigFrame + 1, 1 << 20} {
 		b := GetBuf(n)
@@ -50,6 +50,15 @@ func TestGetBufPolicy(t *testing.T) {
 		PutBuf(make([]byte, 0, bigFrame))
 		if b := GetBuf(2 * bigFrame); cap(b) < 2*bigFrame {
 			t.Fatalf("round %d: GetBuf(%d) handed out cap %d", i, 2*bigFrame, cap(b))
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	for _, n := range []int{100, smallFrame, bigFrame} {
+		PutBuf(GetBuf(n))
+		if allocs := testing.AllocsPerRun(1000, func() { PutBuf(GetBuf(n)) }); allocs != 0 {
+			t.Errorf("GetBuf(%d)/PutBuf: %.1f allocations a round trip, want 0", n, allocs)
 		}
 	}
 }

@@ -49,6 +49,11 @@ const (
 
 var framePool [3]sync.Pool
 
+// boxes holds the empty *[]byte a free list keeps a buffer in: GetBuf
+// leaves its box here and PutBuf takes one, so a recycle does not move a
+// slice header to the heap.
+var boxes sync.Pool
+
 func frameClass(n int) int {
 	switch {
 	case n < smallFrame:
@@ -64,8 +69,13 @@ func frameClass(n int) int {
 // cleared.
 func GetBuf(n int) []byte {
 	if n <= maxPooled {
-		if p, ok := framePool[frameClass(n)].Get().(*[]byte); ok && cap(*p) >= n {
-			return (*p)[:0]
+		if p, ok := framePool[frameClass(n)].Get().(*[]byte); ok {
+			b := *p
+			*p = nil
+			boxes.Put(p)
+			if cap(b) >= n {
+				return b[:0]
+			}
 		}
 	}
 	return make([]byte, 0, n)
@@ -78,7 +88,12 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooled {
 		return
 	}
-	framePool[frameClass(cap(b))].Put(&b)
+	p, _ := boxes.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = b
+	framePool[frameClass(cap(b))].Put(p)
 }
 
 // tcpConn bundles a pooled connection with its buffered reader and the
