@@ -79,6 +79,42 @@ func TestAlgorithmGoldens(t *testing.T) {
 			return o.sum()
 		}
 	}
+	gs := func(agg string, window int) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			ctx, data, _ := gsFixture(t, Config{NumExecutors: 1, NumServers: 2}, 800, 5)
+			res, err := GraphSage(ctx, data, GraphSageConfig{
+				Classes: 3, Epochs: 3, BatchSize: 128, LR: 0.02, Seed: 9, Parts: 1, Sync: "bsp",
+				Aggregator: agg, WindowBatches: window,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o outputBits
+			for _, l := range res.Losses {
+				o.float(l)
+			}
+			o.float(res.TrainAccuracy)
+			o.float(res.TestAccuracy)
+			for _, name := range []string{res.W1Name, res.W2Name} {
+				w, err := ctx.Agent.Embedding(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := make([]int64, w.Meta.Size)
+				for i := range ids {
+					ids[i] = int64(i)
+				}
+				vals := make([]float64, len(ids)*w.Meta.Dim)
+				if err := w.PullInto(ids, vals); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range vals {
+					o.float(v)
+				}
+			}
+			return o.sum()
+		}
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T) string
@@ -162,40 +198,11 @@ func TestAlgorithmGoldens(t *testing.T) {
 			return o.sum()
 		}},
 		// One executor (with two or more the PS sums gradient pushes in
-		// arrival order): losses, accuracies and the trained weights.
-		{"graphsage-mean/sbm800", func(t *testing.T) string {
-			ctx, data, _ := gsFixture(t, Config{NumExecutors: 1, NumServers: 2}, 800, 5)
-			res, err := GraphSage(ctx, data, GraphSageConfig{
-				Classes: 3, Epochs: 3, BatchSize: 128, LR: 0.02, Seed: 9, Parts: 1, Sync: "bsp",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var o outputBits
-			for _, l := range res.Losses {
-				o.float(l)
-			}
-			o.float(res.TrainAccuracy)
-			o.float(res.TestAccuracy)
-			for _, name := range []string{res.W1Name, res.W2Name} {
-				w, err := ctx.Agent.Embedding(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids := make([]int64, w.Meta.Size)
-				for i := range ids {
-					ids[i] = int64(i)
-				}
-				vals := make([]float64, len(ids)*w.Meta.Dim)
-				if err := w.PullInto(ids, vals); err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range vals {
-					o.float(v)
-				}
-			}
-			return o.sum()
-		}},
+		// arrival order): losses, accuracies and the trained weights. Pool
+		// runs windows of one batch, so every build but a task's first
+		// starts from the rows the build before it read.
+		{"graphsage-mean/sbm800", gs("mean", 0)},
+		{"graphsage-pool/sbm800", gs("pool", 1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -50,7 +50,8 @@ type GraphSageConfig struct {
 	Staleness int
 	// WindowBatches is the number of batches per clock window, which is
 	// also the feature window: its batches pull each feature row once,
-	// into one block they share. Defaults to 2.
+	// into one block they share, which starts with the rows the window
+	// before it read. Defaults to 2.
 	WindowBatches int
 }
 
@@ -248,7 +249,7 @@ func GraphSage(ctx *Context, data *GraphSageData, cfg GraphSageConfig) (*GraphSa
 	nTrain := int(float64(len(perm)) * gsTrainFrac)
 	train, test := shuffled[:nTrain], shuffled[nTrain:]
 
-	res := &GraphSageResult{W1Name: model.w1.Meta.Name, W2Name: model.w2.Meta.Name}
+	res := &GraphSageResult{W1Name: model.mats[0].Meta.Name, W2Name: model.mats[1].Meta.Name}
 	// A ring that waits needs every participant actually running: the
 	// engine schedules one concurrent task per executor, so for k >= 0 the
 	// train set is spread over min(parts, executors) workers (see
@@ -360,8 +361,11 @@ func graphSageEvaluate(ctx *Context, data *GraphSageData, ids []int64, model *gs
 // boundary form (gnn.Batch), flat arrays throughout, in two index spaces.
 // X is the window block: the WindowBatches builds of a window share it and
 // one id → row table, and each pulls into its tail only the vertices the
-// window has not seen — features never change during training, so a window
-// reads each row once. Self1 and Nbrs1 are block rows. The layer-1 set
+// block does not hold — features never change during training, so a window
+// reads each row once. A window opens with the rows the window before it
+// read, in their old order, and drops the rest: the block holds at most
+// two windows' rows, and consecutive windows share most of theirs. Self1
+// and Nbrs1 are block rows. The layer-1 set
 // (batch ∪ hop-1) is numbered in first-occurrence order, distinct batch
 // vertices first: Self2 and Nbrs2 are layer-1 indices, and an index below
 // the number of distinct batch vertices is a batch vertex. A job keeps one
@@ -372,11 +376,11 @@ type batchBuilder struct {
 	cfg  GraphSageConfig
 	rng  *rand.Rand
 
-	win    idTable   // block row of every vertex of the window; order: vertex of every row
-	block  []float64 // the window's features, row r = win.order[r]
+	win    idTable   // block row of every vertex of the block; order: vertex of every row
+	block  []float64 // the block's features, row r = win.order[r]
 	builds int32     // batches built; windows are counted in them
-	// mark[r] is block row r's layer-1 index in the build that last
-	// numbered it; entries of older builds are stale.
+	// mark[r] is the last build that read block row r and the row's
+	// layer-1 index in it, -1 while it has none (a hop-2 draw).
 	mark  []struct{ build, at int32 }
 	order []int64 // vertex of every layer-1 index
 	rows  []int32 // block row of every layer-1 index
@@ -392,26 +396,54 @@ type batchBuilder struct {
 }
 
 // reset readies the builder for a task: a fresh rng stream, and no build
-// yet, so its first build opens a window and no mark of an earlier task
-// matches a build of this one. Its buffers stay.
+// yet, so its first build opens an empty window and no mark of an earlier
+// task matches a build of this one. Its buffers stay.
 func (b *batchBuilder) reset(data *GraphSageData, cfg GraphSageConfig, seed int64) *batchBuilder {
 	b.rng.Seed(seed)
 	b.data, b.cfg, b.builds, b.mark = data, cfg, 0, b.mark[:0]
 	return b
 }
 
-// index returns the layer-1 index of v, numbering v in the batch, and in the
-// window, on first sight.
-func (b *batchBuilder) index(v int64) int32 {
+// row returns the block row of v, numbering v in the block on first sight,
+// and stamps it read by this build.
+func (b *batchBuilder) row(v int64) int32 {
 	r := b.win.add(v)
 	for int(r) >= len(b.mark) {
 		b.mark = append(b.mark, struct{ build, at int32 }{})
 	}
 	if m := &b.mark[r]; m.build != b.builds {
-		m.build, m.at = b.builds, int32(len(b.order))
+		m.build, m.at = b.builds, -1
+	}
+	return r
+}
+
+// index returns the layer-1 index of v, numbering v in the batch on first
+// sight.
+func (b *batchBuilder) index(v int64) int32 {
+	r := b.row(v)
+	if m := &b.mark[r]; m.at < 0 {
+		m.at = int32(len(b.order))
 		b.order, b.rows = append(b.order, v), append(b.rows, r)
 	}
 	return b.mark[r].at
+}
+
+// open starts a window of at most bound new vertices: the rows the last
+// window's builds read move to the block's front, in their old order, with
+// their features; the rest are dropped. The marks stay where they were:
+// every one is older than the window, so a moved row counts as read only
+// once a build of this window reads it. After a reset there are no marks,
+// so nothing moves.
+func (b *batchBuilder) open(bound int) {
+	order, dim := b.win.order, b.data.InputDim
+	b.win.reset(bound)
+	last := b.builds - int32(b.cfg.WindowBatches)
+	for r, v := range order[:min(len(order), len(b.mark))] {
+		if b.mark[r].build > last {
+			n := int(b.win.add(v))
+			copy(b.block[n*dim:(n+1)*dim], b.block[r*dim:])
+		}
+	}
 }
 
 // sample draws up to k of ns and appends their block rows as one segment,
@@ -423,19 +455,19 @@ func (b *batchBuilder) sample(ns []int64, k int, hop1 bool) {
 			i := b.index(u)
 			b.nbrs2, b.idx = append(b.nbrs2, i), append(b.idx, b.rows[i])
 		} else {
-			b.idx = append(b.idx, b.win.add(u))
+			b.idx = append(b.idx, b.row(u))
 		}
 	}
 	b.off = append(b.off, int32(len(b.idx)))
 }
 
 // build samples the 2-hop neighborhood of batch from the PS, pulls the
-// features of the vertices that are new to the window, and assembles the
+// features of the vertices that are new to the block, and assembles the
 // flat gnn.Batch.
 func (b *batchBuilder) build(batch []int64, withLabels bool) (gnn.Batch, error) {
 	cfg, nbr := b.cfg, b.data.Adj.Nbr
 	if b.builds%int32(cfg.WindowBatches) == 0 {
-		b.win.reset(len(batch) * (1 + cfg.FanOut1*(1+cfg.FanOut2)))
+		b.open(len(batch) * (1 + cfg.FanOut1*(1+cfg.FanOut2)))
 	}
 	b.builds++
 	b.order, b.rows, b.idx, b.nbrs2, b.off = b.order[:0], b.rows[:0], b.idx[:0], b.nbrs2[:0], append(b.off[:0], 0)
@@ -470,7 +502,7 @@ func (b *batchBuilder) build(batch []int64, withLabels bool) (gnn.Batch, error) 
 		b.sample(adj.Nbrs(i), cfg.FanOut2, false)
 	}
 
-	// The window's new vertices took the next block rows, distinct by
+	// The block's new vertices took the next rows, distinct by
 	// construction: one positional pull into the block's tail.
 	dim, m := b.data.InputDim, len(b.win.order)
 	b.block = slices.Grow(b.block[:n*dim], (m-n)*dim)[:m*dim]

@@ -89,8 +89,11 @@ func TestGraphSageIsSeedDeterministic(t *testing.T) {
 // repeated target and the neighbourless vertex 0 — in windows of 1, 2 and
 // 3 batches, and checks the boundary form against the true adjacency and
 // features: X is the window block, Self1 and Nbrs1 are its rows, Self2 and
-// Nbrs2 are layer-1 indices, and the block holds each vertex the window
-// touched once — a new window starts empty.
+// Nbrs2 are layer-1 indices. The block holds each vertex once, with its
+// features; a window's first build begins with exactly the rows the window
+// before it read, in their old order, and its builds only add rows after
+// them; and the block holds those rows and the ones this window read,
+// nothing else.
 func TestBatchBuilderInvariants(t *testing.T) {
 	_, data, adj := gsFixture(t, Config{NumExecutors: 2, NumServers: 2}, 600, 3)
 	feats, err := data.Feats.Pull(data.Vertices)
@@ -102,7 +105,8 @@ func TestBatchBuilderInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		bb := &batchBuilder{data: data, cfg: cfg, rng: rng}
 		var before []int64          // the block's vertices after the window's last build
-		touched := map[int32]bool{} // block rows the window's batches read
+		var carried []int64         // the vertices the window before read, in block order
+		touched := map[int64]bool{} // vertices the window's batches read
 		for round := 0; round < 20; round++ {
 			batch := make([]int64, 1+rng.Intn(40))
 			for i := range batch {
@@ -117,21 +121,28 @@ func TestBatchBuilderInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			if round%w == 0 {
-				before, touched = nil, map[int32]bool{}
+				carried = nil
+				for _, v := range before {
+					if touched[v] {
+						carried = append(carried, v)
+					}
+				}
+				before, touched = carried, map[int64]bool{}
 			}
 			block, order := bb.win.order, bb.order
 			if jb.NumNodes != len(block) || len(jb.X) != jb.NumNodes*jb.Dim || jb.Dim != 16 {
 				t.Fatalf("w=%d: X holds %d values for %d nodes of width %d, %d block rows", w, len(jb.X), jb.NumNodes, jb.Dim, len(block))
 			}
-			// The block keeps the window's earlier rows and adds each vertex
-			// once: a build pulls only what is new to the window.
-			if !slices.Equal(block[:len(before)], before) {
-				t.Fatalf("w=%d round %d: the block's first %d rows changed", w, round, len(before))
+			// The block keeps the rows it carried and the window's earlier
+			// rows and adds each vertex once: a build pulls only what is new
+			// to the block.
+			if len(block) < len(before) || !slices.Equal(block[:len(before)], before) {
+				t.Fatalf("w=%d round %d: the block's first %d rows are not %v", w, round, len(before), before)
 			}
 			seen := make(map[int64]bool)
 			for r, v := range block {
 				if seen[v] {
-					t.Fatalf("w=%d round %d: vertex %d pulled twice in one window", w, round, v)
+					t.Fatalf("w=%d round %d: vertex %d twice in the block", w, round, v)
 				}
 				seen[v] = true
 				if !slices.Equal(jb.X[r*16:(r+1)*16], feats[v]) {
@@ -194,14 +205,21 @@ func TestBatchBuilderInvariants(t *testing.T) {
 					}
 				}
 				segment("Nbrs1", order[r], jb.Nbrs1[r], fan, block)
-				touched[jb.Self1[r]] = true
+				touched[order[r]] = true
 				for _, x := range jb.Nbrs1[r] {
-					touched[x] = true
+					touched[block[x]] = true
 				}
 			}
-			// The block holds what the window's batches read, and nothing else.
-			if len(touched) != len(block) {
-				t.Fatalf("w=%d round %d: the window's batches read %d of its %d block rows", w, round, len(touched), len(block))
+			// The block holds what the window before read and what this
+			// window's batches read, and nothing else.
+			held := len(carried)
+			for v := range touched {
+				if !slices.Contains(carried, v) {
+					held++
+				}
+			}
+			if held != len(block) {
+				t.Fatalf("w=%d round %d: %d rows carried and read, %d block rows", w, round, held, len(block))
 			}
 			if !withLabels && jb.Labels != nil {
 				t.Fatal("labels on an inference batch")
@@ -253,17 +271,25 @@ func TestBatchBuilderResetMatchesFresh(t *testing.T) {
 }
 
 // featurePulls is an rpc.Transport that keeps, for every EmbPull of one
-// model, the ids its reply carries: the feature rows a GraphSage run pulls,
-// in order.
+// model, the ids its reply carries and the NbrPull calls made before it: the
+// feature rows a GraphSage run pulls, in order, and the batch of each (a
+// batch makes two neighbour pulls before its feature pull).
 type featurePulls struct {
 	rpc.Transport
 	model []byte
 	mu    sync.Mutex
+	nbrs  int
 	ids   [][]int64
+	after []int // NbrPull calls before each pull
 }
 
 func (f *featurePulls) Call(addr, method string, body []byte) ([]byte, error) {
 	resp, err := f.Transport.Call(addr, method, body)
+	if method == "NbrPull" {
+		f.mu.Lock()
+		f.nbrs++
+		f.mu.Unlock()
+	}
 	if method != "EmbPull" || err != nil || f.model == nil || !bytes.Contains(body, f.model) {
 		return resp, err
 	}
@@ -277,54 +303,58 @@ func (f *featurePulls) Call(addr, method string, body []byte) ([]byte, error) {
 		ids[i] = prev
 	}
 	f.mu.Lock()
-	f.ids = append(f.ids, ids)
+	f.ids, f.after = append(f.ids, ids), append(f.after, f.nbrs)
 	f.mu.Unlock()
 	return resp, err
 }
 
-// TestGraphSageFeatureLedger: one worker (Parts 1) trains 2 epochs of 4
-// batches and evaluates 4 + 2 more, on one server. Each batch makes two
-// neighbour pulls and one feature pull, which asks only for the vertices its
-// window has not pulled yet, so a job pulls the sum over its windows of each
-// window's distinct vertices: 5,596 rows. Windows of 1 batch pull what
-// every batch pulled before the window block existed, 11,126.
+// TestGraphSageFeatureLedger: one worker (Parts 1) runs 4 tasks — 2 epochs
+// of 4 batches, then evaluations of 4 and 2 — on one server. Each batch makes
+// two neighbour pulls and at most one feature pull, which asks only for the
+// vertices its block does not hold: a window starts with the rows the
+// window before it read, so no vertex is pulled twice in two consecutive
+// windows of a task, and a batch whose rows are all held pulls nothing.
+// Windows of 1 batch pull 3,228 rows in 14 pulls (11,126 while every
+// window started empty, what every batch pulled before the window block
+// existed), windows of 2 pull 3,199 in 11 (5,596).
 func TestGraphSageFeatureLedger(t *testing.T) {
 	const batches = 2*4 + 4 + 2
+	tasks := []int{0, 4, 8, 12, batches} // each task's first batch
 	for _, c := range []struct {
-		window, rows int
-	}{{1, 11_126}, {2, 5_596}} {
+		window, pulls, rows int
+	}{{1, 14, 3_228}, {2, 11, 3_199}} {
 		feats := &featurePulls{Transport: rpc.NewInProc()}
 		ctx, tr := countedContext(t, 1, feats)
 		data, _ := gsData(t, ctx, 800, 5)
 		addr := ctx.PS.ServerAddrs()[0]
 		feats.model = []byte(data.FeatsName)
 		tr.take()
+		feats.nbrs = 0
 		res, err := GraphSage(ctx, data, GraphSageConfig{
 			Classes: 3, Epochs: 2, BatchSize: 140, LR: 0.02, Seed: 9, Parts: 1, Sync: "bsp", WindowBatches: c.window,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(feats.ids); n != batches {
-			t.Fatalf("window %d: %d feature pulls, want one per batch, %d", c.window, n, batches)
+		if n := len(feats.ids); n != c.pulls {
+			t.Errorf("window %d: %d feature pulls, want %d", c.window, n, c.pulls)
 		}
 		if n := tr.take()[[2]string{"NbrPull", addr}]; n != 2*batches {
 			t.Errorf("window %d: %d NbrPull calls, want two per batch, %d", c.window, n, 2*batches)
 		}
-		// Every task's batches fill whole windows, so windows are runs of
-		// c.window consecutive pulls.
-		rows := 0
-		for w := 0; w < batches; w += c.window {
-			seen := make(map[int64]bool)
-			for _, ids := range feats.ids[w : w+c.window] {
-				for _, v := range ids {
-					if seen[v] {
-						t.Fatalf("window %d: vertex %d pulled twice in the window of batch %d", c.window, v, w)
-					}
-					seen[v] = true
+		rows, last := 0, map[int64]int{} // the window that last pulled a vertex
+		for i, ids := range feats.ids {
+			b := feats.after[i]/2 - 1
+			task, _ := slices.BinarySearch(tasks, b+1)
+			first := tasks[task-1]
+			w := (task-1)*batches + (b-first)/c.window // windows numbered apart across tasks
+			for _, v := range ids {
+				if at, ok := last[v]; ok && w-at <= 1 {
+					t.Fatalf("window %d: vertex %d pulled by batch %d and in the window before or the same", c.window, v, b)
 				}
+				last[v] = w
 			}
-			rows += len(seen)
+			rows += len(ids)
 		}
 		if rows != c.rows {
 			t.Errorf("window %d: %d feature rows pulled, want %d", c.window, rows, c.rows)
