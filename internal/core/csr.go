@@ -167,17 +167,17 @@ func tablesNumVertices(tables *dataflow.RDD[dataflow.KV[int64, []int64]]) (int64
 // scatter is the executor side of one Δ-PageRank step over the block:
 // every source whose pending increment deltas[i] exceeds threshold in
 // magnitude sends damping·deltas[i]/outdeg to each of its destinations.
-// It returns the destinations whose summed share is non-zero, in
-// ascending id order with those sums; a negative threshold makes every
-// source active and pushes every destination, zero sums included.
-// PageRank's increments are sums of non-negative shares, so an active
-// source's destinations are exactly the non-zero sums. Only shares of
-// mixed sign that cancel to exactly 0.0 go unpushed — an add of zero.
-func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) (idx []int64, vals []float64) {
-	acc := make([]float64, len(b.dstIDs))
+// It returns the summed shares of every destination, acc[k] for dstIDs[k],
+// zero sums included, or nil when no source is active; a negative
+// threshold makes every source active.
+func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) []float64 {
+	var acc []float64
 	for i, d := range deltas {
 		if d <= threshold && d >= -threshold {
 			continue
+		}
+		if acc == nil {
+			acc = make([]float64, len(b.dstIDs))
 		}
 		row := b.adj[b.offs[i]:b.offs[i+1]]
 		share := damping * d / float64(len(row))
@@ -185,19 +185,7 @@ func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) (idx []
 			acc[k] += share
 		}
 	}
-	// The sums compact into acc itself, which becomes vals.
-	all, n := threshold < 0, 0
-	for k, a := range acc {
-		if a != 0 || all {
-			if idx == nil {
-				idx = make([]int64, 0, len(acc)-k)
-			}
-			idx = append(idx, b.dstIDs[k])
-			acc[n] = a
-			n++
-		}
-	}
-	return idx, acc[:n]
+	return acc
 }
 
 // idPair is the element of the flat sorts below; it is the shuffle's own

@@ -210,7 +210,7 @@ func TestCSRBlocksMatchNeighborTables(t *testing.T) {
 }
 
 // scatterMarked is scatter as it was with a touched mark per destination:
-// the reference the unmarked one must push exactly like.
+// the reference whose sums scatter's accumulator must hold, bit for bit.
 func scatterMarked(b *csrBlock, deltas []float64, damping, threshold float64) (idx []int64, vals []float64) {
 	acc := make([]float64, len(b.dstIDs))
 	hit := make([]bool, len(b.dstIDs))
@@ -234,10 +234,12 @@ func scatterMarked(b *csrBlock, deltas []float64, damping, threshold float64) (i
 	return idx, vals
 }
 
-// TestScatterMatchesMarked: over 24 Δ-propagation steps (each step's
-// pushes at the sources become the next step's increments) on the R-MAT
-// block and the awkward graph, at the sparsity thresholds and with full
-// propagation, scatter pushes the marked reference's ids and bits.
+// TestScatterMatchesMarked: over 24 Δ-propagation steps (each step's sums
+// at the sources become the next step's increments) on the R-MAT block and
+// the awkward graph, at the sparsity thresholds and with full propagation,
+// scatter's accumulator holds the marked reference's bits at the ids it
+// pushed and 0 at every other destination, and is nil exactly when the
+// reference pushed nothing.
 func TestScatterMatchesMarked(t *testing.T) {
 	rmat, _ := scatterBlock(t, 50_000)
 	for name, b := range map[string]*csrBlock{"rmat": rmat, "awkward": blocksOf(t, awkwardGraph(), 1)[0]} {
@@ -247,53 +249,52 @@ func TestScatterMatchesMarked(t *testing.T) {
 				deltas[i] = 0.15
 			}
 			for step := 0; step < 24; step++ {
-				idx, vals := b.scatter(deltas, 0.85, threshold)
+				acc := b.scatter(deltas, 0.85, threshold)
 				wantIdx, wantVals := scatterMarked(b, deltas, 0.85, threshold)
-				if !slices.Equal(idx, wantIdx) || len(vals) != len(wantVals) {
-					t.Fatalf("%s threshold %g step %d: pushed %d ids, the marked scatter %d", name, threshold, step, len(idx), len(wantIdx))
+				if (acc == nil) != (wantIdx == nil) || (acc != nil && len(acc) != len(b.dstIDs)) {
+					t.Fatalf("%s threshold %g step %d: %d sums, the marked scatter pushed %d ids", name, threshold, step, len(acc), len(wantIdx))
 				}
-				for k := range vals {
-					if math.Float64bits(vals[k]) != math.Float64bits(wantVals[k]) {
-						t.Fatalf("%s threshold %g step %d: id %d gets %v, the marked scatter %v", name, threshold, step, idx[k], vals[k], wantVals[k])
+				sums := map[int64]float64{}
+				for k, id := range wantIdx {
+					sums[id] = wantVals[k]
+				}
+				for k, a := range acc {
+					if math.Float64bits(a) != math.Float64bits(sums[b.dstIDs[k]]) {
+						t.Fatalf("%s threshold %g step %d: id %d sums to %v, the marked scatter %v", name, threshold, step, b.dstIDs[k], a, sums[b.dstIDs[k]])
 					}
 				}
-				pushed := map[int64]float64{}
-				for k, id := range idx {
-					pushed[id] = vals[k]
-				}
 				for i, src := range b.srcs {
-					deltas[i] = pushed[src]
+					deltas[i] = sums[src]
 				}
 			}
 		}
 	}
 }
 
-// TestScatterFullPropagation: with a negative threshold (the ablation's
-// full propagation) every destination is pushed, zero shares included;
-// with the sparsity threshold only the non-zero sums are. Shares of mixed
-// sign that cancel to exactly 0.0 are the one destination the touched
-// marks pushed and the sums do not: an add of zero.
+// TestScatterFullPropagation: scatter returns the sum of every destination
+// of the block, in dstIDs' order, zero sums included — with a negative
+// threshold (the ablation's full propagation), where every source is
+// active, and with the sparsity threshold alike — and nil when no source
+// is active. Which sums are worth a push is the caller's choice: PageRank
+// pushes them all through keys made once, an ASP sweep compacts them
+// (TestASPScatterLeavesOutZeroSums).
 func TestScatterFullPropagation(t *testing.T) {
 	b := blocksOf(t, []Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 6, Dst: 7}}, 1)[0]
+	if !slices.Equal(b.dstIDs, []int64{2, 3, 5, 7}) {
+		t.Fatalf("destinations %v", b.dstIDs)
+	}
 	deltas := []float64{1, 0, 1e-12}
-	idx, vals := b.scatter(deltas, 0.5, -1)
-	if !slices.Equal(idx, []int64{2, 3, 5, 7}) || !slices.Equal(vals, []float64{0.25, 0.25, 0, 0.5e-12}) {
-		t.Fatalf("full propagation pushed %v %v", idx, vals)
+	if acc := b.scatter(deltas, 0.5, -1); !slices.Equal(acc, []float64{0.25, 0.25, 0, 0.5e-12}) {
+		t.Fatalf("full propagation summed %v", acc)
 	}
-	idx, vals = b.scatter(deltas, 0.5, 1e-9)
-	if !slices.Equal(idx, []int64{2, 3}) || !slices.Equal(vals, []float64{0.25, 0.25}) {
-		t.Fatalf("thresholded scatter pushed %v %v", idx, vals)
+	if acc := b.scatter(deltas, 0.5, 1e-9); !slices.Equal(acc, []float64{0.25, 0.25, 0, 0}) {
+		t.Fatalf("thresholded scatter summed %v", acc)
 	}
-	if idx, _ := b.scatter([]float64{0, 0, 0}, 0.5, 1e-9); idx != nil {
-		t.Fatalf("idle scatter pushed %v", idx)
+	if acc := b.scatter([]float64{0, 0, 0}, 0.5, 1e-9); acc != nil {
+		t.Fatalf("idle scatter summed %v", acc)
 	}
-	mixed := []float64{1, -1, 0}
-	if idx, _ := scatterMarked(b, mixed, 0.5, 1e-9); !slices.Equal(idx, []int64{2, 3, 5}) {
-		t.Fatalf("the marked scatter pushed %v", idx)
-	}
-	if idx, vals := b.scatter(mixed, 0.5, 1e-9); !slices.Equal(idx, []int64{2, 5}) || !slices.Equal(vals, []float64{0.25, -0.25}) {
-		t.Fatalf("mixed-sign scatter pushed %v %v, want 3's exact zero left out", idx, vals)
+	if acc := b.scatter([]float64{1, -1, 0}, 0.5, 1e-9); !slices.Equal(acc, []float64{0.25, 0, -0.25, 0}) {
+		t.Fatalf("mixed-sign scatter summed %v", acc)
 	}
 }
 
@@ -311,15 +312,15 @@ func scatterBlock(tb testing.TB, edges int) (*csrBlock, []float64) {
 	return b, deltas
 }
 
-// TestScatterAllocs: one scatter costs its accumulator, which becomes
-// the pushed values, and the pushed ids — no map, nothing per vertex.
+// TestScatterAllocs: one scatter costs its accumulator, which is the
+// pushed values — no ids, no map, nothing per vertex.
 func TestScatterAllocs(t *testing.T) {
 	b, deltas := scatterBlock(t, 50_000)
 	allocs := testing.AllocsPerRun(10, func() {
 		b.scatter(deltas, 0.85, 1e-9)
 	})
-	if allocs > 2 {
-		t.Fatalf("scatter allocates %v objects per call, want ≤ 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("scatter allocates %v objects per call, want ≤ 1", allocs)
 	}
 }
 
@@ -329,7 +330,7 @@ func BenchmarkPageRankScatter(b *testing.B) {
 	blk, deltas := scatterBlock(b, 500_000)
 	b.ReportAllocs()
 	for b.Loop() {
-		_, scatterSink = blk.scatter(deltas, 0.85, 1e-9)
+		scatterSink = blk.scatter(deltas, 0.85, 1e-9)
 	}
 }
 

@@ -114,6 +114,11 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 		}
 	}
 
+	// A partition's block (csrBlocks makes at most one) pulls its sources
+	// and pushes all its destinations' sums, zero ones too (an add of 0.0
+	// keeps a non-negative Δ's bits), through keys made in the first
+	// iteration and kept here: its ids are fixed, the cached block immutable.
+	srcKeys, dstKeys := make([]*ps.VecKeys, parts), make([]*ps.VecKeys, parts)
 	it := 0
 	for ; it < cfg.MaxIterations; it++ {
 		recoveriesBefore := int64(-1)
@@ -125,15 +130,18 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 		trace("iter %d start recoveriesBefore=%d", it, recoveriesBefore)
 		err := blocks.ForeachPartition(func(part int, in []*csrBlock) error {
 			for _, b := range in {
-				deltas, err := cur.Pull(b.srcs)
+				if srcKeys[part] == nil {
+					srcKeys[part], dstKeys[part] = cur.Keys(b.srcs), next.Keys(b.dstIDs)
+				}
+				deltas, err := srcKeys[part].Pull()
 				if err != nil {
 					return err
 				}
-				idx, vals := b.scatter(deltas, cfg.Damping, cfg.DeltaThreshold)
-				if len(idx) == 0 {
+				acc := b.scatter(deltas, cfg.Damping, cfg.DeltaThreshold)
+				if acc == nil {
 					continue
 				}
-				if err := next.PushAdd(idx, vals); err != nil {
+				if err := dstKeys[part].PushAdd(acc); err != nil {
 					return err
 				}
 			}

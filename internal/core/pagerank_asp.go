@@ -186,21 +186,13 @@ func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankCo
 		if err != nil {
 			return err
 		}
-		rankIdx := make([]int64, 0, len(b.srcs))
-		rankVal := make([]float64, 0, len(b.srcs))
-		for i, d := range taken {
-			if d != 0 {
-				rankIdx = append(rankIdx, b.srcs[i])
-				rankVal = append(rankVal, d)
-			}
-		}
 		// Taken increments become permanent rank mass immediately.
-		if len(rankIdx) > 0 {
+		if rankIdx, rankVal := nonZero(b.srcs, taken); len(rankIdx) > 0 {
 			if err := ranks.PushAdd(rankIdx, rankVal); err != nil {
 				return err
 			}
 		}
-		idx, vals := b.scatter(taken, cfg.Damping, cfg.DeltaThreshold)
+		idx, vals := nonZero(b.dstIDs, b.scatter(taken, cfg.Damping, cfg.DeltaThreshold))
 		if len(idx) == 0 {
 			return nil
 		}
@@ -209,4 +201,16 @@ func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankCo
 		}
 	}
 	return nil
+}
+
+// nonZero lists the ids whose values are not 0.0, with those values: an
+// ASP sweep's takes are sparse, and so are the sums it scatters them to,
+// unlike a BSP iteration's.
+func nonZero(ids []int64, vals []float64) (nzIDs []int64, nzVals []float64) {
+	for k, v := range vals {
+		if v != 0 {
+			nzIDs, nzVals = append(nzIDs, ids[k]), append(nzVals, v)
+		}
+	}
+	return nzIDs, nzVals
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"psgraph/internal/gen"
@@ -115,5 +116,28 @@ func TestTakeVectorAfterSplit(t *testing.T) {
 		if taken[i] != vals[i] || left[i] != -1 {
 			t.Fatalf("index %d: took %v and left %v, want %v and -1", i, taken[i], left[i], vals[i])
 		}
+	}
+}
+
+// TestASPScatterLeavesOutZeroSums: an ASP sweep pushes only the non-zero
+// sums of a block's scatter (nonZero), in ascending id order. Shares of
+// mixed sign that cancel to exactly 0.0 are the one destination the
+// touched marks pushed and the compaction does not: 3's exact zero, an add
+// of zero. Sources under the threshold add nothing, and an idle block
+// pushes nothing.
+func TestASPScatterLeavesOutZeroSums(t *testing.T) {
+	b := blocksOf(t, []Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 6, Dst: 7}}, 1)[0]
+	if idx, vals := nonZero(b.dstIDs, b.scatter([]float64{1, 0, 1e-12}, 0.5, 1e-9)); !slices.Equal(idx, []int64{2, 3}) || !slices.Equal(vals, []float64{0.25, 0.25}) {
+		t.Fatalf("thresholded sweep pushed %v %v", idx, vals)
+	}
+	if idx, _ := nonZero(b.dstIDs, b.scatter([]float64{0, 0, 0}, 0.5, 1e-9)); idx != nil {
+		t.Fatalf("idle sweep pushed %v", idx)
+	}
+	mixed := []float64{1, -1, 0}
+	if idx, _ := scatterMarked(b, mixed, 0.5, 1e-9); !slices.Equal(idx, []int64{2, 3, 5}) {
+		t.Fatalf("the marked scatter pushed %v", idx)
+	}
+	if idx, vals := nonZero(b.dstIDs, b.scatter(mixed, 0.5, 1e-9)); !slices.Equal(idx, []int64{2, 5}) || !slices.Equal(vals, []float64{0.25, -0.25}) {
+		t.Fatalf("mixed-sign sweep pushed %v %v, want 3's exact zero left out", idx, vals)
 	}
 }

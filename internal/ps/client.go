@@ -1,9 +1,11 @@
 package ps
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -12,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"psgraph/internal/f64le"
 	"psgraph/internal/rpc"
 )
 
@@ -293,38 +296,40 @@ const rerouteRetries = 4
 // of the layout it is given, empty where nothing routes) and send
 // performs one bucket; both see one layout snapshot, so a request is
 // never routed half by an old partition map and half by a new one.
-//
-// It is also the one home of the re-route rule: a bucket rejected as
-// range-moved straddles a split the snapshot predates, and the server —
-// which validates a whole batch before touching anything — applied or
-// answered none of it. That bucket alone is re-split under a refreshed
-// layout and sent again (pushes draw fresh sequences, so nothing can
-// double-apply; pulls are idempotent anyway); buckets that landed stay
-// landed.
 func routed[W any](c *Client, handle ModelMeta, work W,
 	split func(meta *ModelMeta, work W) []W,
 	send func(cancel <-chan struct{}, p Partition, bucket W) error) error {
-	var run func(meta ModelMeta, work W, depth int) error
-	run = func(meta ModelMeta, work W, depth int) error {
-		buckets := split(&meta, work)
-		// The re-route handles layouts by value (~0.5 KB of frame). It is
-		// its own closure so that cost is paid when a bucket is rejected,
-		// not by the per-partition closure below, whose frame sits under
-		// every data-plane call on a fresh worker stack: with the call
-		// inline, stack growth took 3.7% of serve-mixed-tcp's CPU (1% at
-		// the parent) and 4% off its mutations_per_s.
-		reroute := func(i int) error {
-			return run(c.refreshMeta(meta.Name, meta), buckets[i], depth+1)
-		}
-		return c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-			err := send(cancel, p, buckets[i])
-			if err != nil && IsRangeMovedErr(err) && depth < rerouteRetries {
-				return reroute(i)
-			}
-			return err
-		})
+	meta := c.currentMeta(handle.Name, handle)
+	return routedFrom(c, meta, split(&meta, work), split, send, 0)
+}
+
+// routedFrom sends buckets split under meta. It is the one home of the
+// re-route rule: a bucket rejected as range-moved straddles a split the
+// snapshot predates, and the server — which validates a whole batch before
+// touching anything — applied or answered none of it. That bucket alone is
+// re-split under a refreshed layout and sent again (pushes draw fresh
+// sequences, so nothing can double-apply; pulls are idempotent anyway);
+// buckets that landed stay landed.
+func routedFrom[W any](c *Client, meta ModelMeta, buckets []W,
+	split func(meta *ModelMeta, work W) []W,
+	send func(cancel <-chan struct{}, p Partition, bucket W) error, depth int) error {
+	// The re-route handles layouts by value (~0.5 KB of frame). It is its
+	// own closure so that cost is paid when a bucket is rejected, not by
+	// the per-partition closure below, whose frame sits under every
+	// data-plane call on a fresh worker stack: with the call inline, stack
+	// growth took 3.7% of serve-mixed-tcp's CPU (1% at the parent) and 4%
+	// off its mutations_per_s.
+	reroute := func(i int) error {
+		fresh := c.refreshMeta(meta.Name, meta)
+		return routedFrom(c, fresh, split(&fresh, buckets[i]), split, send, depth+1)
 	}
-	return run(c.currentMeta(handle.Name, handle), work, 0)
+	return c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
+		err := send(cancel, p, buckets[i])
+		if err != nil && IsRangeMovedErr(err) && depth < rerouteRetries {
+			return reroute(i)
+		}
+		return err
+	})
 }
 
 // bucketMap splits a keyed batch by owning partition slot.
@@ -514,118 +519,126 @@ func (c *Client) Vector(name string) (*Vector, error) {
 	return &Vector{c: c, Meta: meta}, nil
 }
 
-// PullAll assembles the full vector from every partition. Full-range
-// pulls have a coverage check the per-key paths do not need: a stale
-// layout that predates a split still routes to live partitions (the
-// narrowed source answers for its kept half without error), so the only
-// tell that elements were missed is the assembled total falling short
-// of the model size — which triggers a layout refresh and a re-pull.
+// PullAll assembles the full vector from every partition. A full pull
+// names no index, so a partition that narrowed under a stale layout (a
+// split) answers its kept range without error: a reply that falls short of
+// its span is treated as range-moved, and routed re-pulls the rest.
 func (v *Vector) PullAll() ([]float64, error) {
-	meta := v.c.currentMeta(v.Meta.Name, v.Meta)
-	for attempt := 0; ; attempt++ {
-		out := make([]float64, meta.Size)
-		var got atomic.Int64
-		err := v.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
-			var r vecPullResp
-			if err := v.c.partInvoke(cancel, meta.Name, p, "VecPull", pullReq{Model: meta.Name, Part: p.Index}, &r); err != nil {
-				return err
-			}
-			if r.Lo < 0 || r.Lo+int64(len(r.Values)) > meta.Size {
-				return fmt.Errorf("ps: %s/%d answered a full pull with [%d,%d), outside the model's %d elements",
-					meta.Name, p.Index, r.Lo, r.Lo+int64(len(r.Values)), meta.Size)
-			}
-			got.Add(int64(len(r.Values)))
-			copy(out[r.Lo:], r.Values)
+	name, out := v.Meta.Name, make([]float64, v.Meta.Size)
+	err := routed(v.c, v.Meta, vecSpan{lo: 0, hi: v.Meta.Size, vals: out}, splitSpan, func(cancel <-chan struct{}, p Partition, w vecSpan) error {
+		if w.lo == w.hi {
 			return nil
-		})
-		if err == nil && got.Load() == meta.Size {
-			return out, nil
 		}
-		if err != nil && !IsRangeMovedErr(err) {
-			return nil, err
+		var r vecPullResp
+		if err := v.c.partInvoke(cancel, name, p, "VecPull", pullReq{Model: name, Part: p.Index}, &r); err != nil {
+			return err
 		}
-		if attempt >= rerouteRetries {
-			if err == nil {
-				err = fmt.Errorf("ps: PullAll assembled %d of %d elements under a changing layout", got.Load(), meta.Size)
-			}
-			return nil, err
+		if hi := r.Lo + int64(len(r.Values)); r.Lo > w.lo || hi < w.hi {
+			return fmt.Errorf("%w: %s/%d answered a full pull with [%d,%d), not [%d,%d)", ErrRangeMoved, name, p.Index, r.Lo, hi, w.lo, w.hi)
 		}
-		meta = v.c.refreshMeta(meta.Name, meta)
+		copy(w.vals, r.Values[w.lo-r.Lo:])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
-// vecWork is the routed work of an indexed vector operation: the
-// indices with, for a push, the values (parallel to idx) or, for a pull,
-// the result positions; a window has no pos and fills lo, lo+1, ….
+// vecWork is the routed work of an indexed vector operation: the ids, the
+// position in the caller's slice of each — pos[j] for ids[j] or, for a
+// window, lo, lo+1, … — and the request head a VecPull and a VecPush of
+// them share: a VecPull frame, which is a VecPush frame up to its values
+// but for the message id.
 type vecWork struct {
-	idx  []int64
-	vals []float64
-	pos  []int
+	rowWork
 	lo   int
+	head []byte
 }
 
-// splitVec buckets w by partition slot. Ascending ids (PageRank's, KCore's)
-// route as one window of the caller's slices per slot, found by binary
-// search on the slot — RouteKey's clamp is monotone — and alias them: a
-// call encodes its buckets before it returns. Other input is copied.
+var msgPullReq = wireIDs[reflect.TypeOf(pullReq{})]
+
+// splitVec buckets w by partition slot and encodes each non-empty
+// bucket's head. Ascending ids (PageRank's, KCore's) route as one window of
+// the caller's slice per slot, found by binary search on the slot —
+// RouteKey's clamp is monotone — and alias it. Other input is copied.
 func splitVec(meta *ModelMeta, w vecWork) []vecWork {
 	by := make([]vecWork, len(meta.Parts))
-	if w.pos == nil && slices.IsSorted(w.idx) {
-		for p, i := 0, 0; p < len(by) && i < len(w.idx); p++ {
-			j := i + sort.Search(len(w.idx)-i, func(k int) bool { return meta.PartitionFor(w.idx[i+k]) > p })
-			by[p] = vecWork{idx: w.idx[i:j], lo: w.lo + i}
-			if w.vals != nil {
-				by[p].vals = w.vals[i:j]
-			}
+	if w.pos == nil && slices.IsSorted(w.ids) {
+		for p, i := 0, 0; p < len(by) && i < len(w.ids); p++ {
+			j := i + sort.Search(len(w.ids)-i, func(k int) bool { return meta.PartitionFor(w.ids[i+k]) > p })
+			by[p].ids, by[p].lo = w.ids[i:j], w.lo+i
 			i = j
 		}
-		return by
-	}
-	est := len(w.idx)/len(by) + 1
-	for i, idx := range w.idx {
-		b := &by[meta.PartitionFor(idx)]
-		if b.idx == nil {
-			b.idx = make([]int64, 0, est)
-			if w.vals != nil {
-				b.vals = make([]float64, 0, est)
-			} else {
-				b.pos = make([]int, 0, est)
-			}
+	} else {
+		for j, id := range w.ids {
+			by[meta.PartitionFor(id)].add(id, w.lo+w.row(j), len(w.ids)/len(by)+1)
 		}
-		b.idx = append(b.idx, idx)
-		switch {
-		case w.vals != nil:
-			b.vals = append(b.vals, w.vals[i])
-		case w.pos != nil:
-			b.pos = append(b.pos, w.pos[i])
-		default:
-			b.pos = append(b.pos, i)
+	}
+	for i, b := range by {
+		if len(b.ids) > 0 {
+			head := append(make([]byte, 0, 24+len(meta.Name)+2*len(b.ids)), tagBin, msgPullReq)
+			by[i].head = appendI64s(appendAddr(head, meta.Name, meta.Parts[i].Index), b.ids)
 		}
 	}
 	return by
 }
 
-// Pull fetches the given indices, returned in the same order.
-func (v *Vector) Pull(indices []int64) ([]float64, error) {
-	name := v.Meta.Name
-	out := make([]float64, len(indices))
-	err := routed(v.c, v.Meta, vecWork{idx: indices}, splitVec, func(cancel <-chan struct{}, p Partition, w vecWork) error {
-		if len(w.idx) == 0 {
+// VecKeys is an index column of a Vector routed and encoded once, for a
+// column that is pulled or pushed again and again (PageRank's sources and
+// destinations): a keyed call sends a pooled copy of each partition's
+// request head, plus the values and op for a push. A bucket rejected as
+// range-moved (its partition split under the route) is re-routed by
+// routedFrom's rule, which refetches the layout; the next call routes the
+// whole column afresh under it. Safe for concurrent use.
+type VecKeys struct {
+	v     *Vector
+	ids   []int64
+	route atomic.Pointer[keyRoute]
+}
+
+// keyRoute is a VecKeys column under one layout: a bucket per slot.
+type keyRoute struct {
+	meta ModelMeta
+	by   []vecWork
+}
+
+// Keys makes keys of ids, routed at their first call. The ids are kept,
+// not copied: they must not change while the keys are in use.
+func (v *Vector) Keys(ids []int64) *VecKeys { return &VecKeys{v: v, ids: ids} }
+
+// call sends the keys' buckets; they are routed again first when the
+// client's layout has split a partition since they were (NextID counts
+// splits: a move or a promotion keeps every range, and so the route).
+func (k *VecKeys) call(send func(cancel <-chan struct{}, p Partition, b vecWork) error) error {
+	meta, r := k.v.c.currentMeta(k.v.Meta.Name, k.v.Meta), k.route.Load()
+	if r == nil || r.meta.NextID != meta.NextID {
+		r = &keyRoute{meta: meta, by: splitVec(&meta, vecWork{rowWork: rowWork{ids: k.ids}})}
+		k.route.Store(r)
+	}
+	return routedFrom(k.v.c, r.meta, r.by, splitVec, send, 0)
+}
+
+// Pull fetches the keys' values, in the order of their ids.
+func (k *VecKeys) Pull() ([]float64, error) {
+	name, out := k.v.Meta.Name, make([]float64, len(k.ids))
+	err := k.call(func(cancel <-chan struct{}, p Partition, b vecWork) error {
+		if len(b.ids) == 0 {
 			return nil
 		}
+		// A window's reply decodes straight into its span of out.
 		var r vecPullResp
-		if err := v.c.partInvoke(cancel, name, p, "VecPull", pullReq{Model: name, Part: p.Index, Keys: w.idx}, &r); err != nil {
+		if b.pos == nil {
+			r.Values = out[b.lo : b.lo : b.lo+len(b.ids)]
+		}
+		if err := k.v.c.partInvoke(cancel, name, p, "VecPull", encoded(append(rpc.GetBuf(len(b.head)), b.head...)), &r); err != nil {
 			return err
 		}
-		if len(r.Values) != len(w.idx) {
-			return fmt.Errorf("ps: %s/%d answered %d indices with %d values", name, p.Index, len(w.idx), len(r.Values))
+		if len(r.Values) != len(b.ids) {
+			return fmt.Errorf("ps: %s/%d answered %d indices with %d values", name, p.Index, len(b.ids), len(r.Values))
 		}
-		// Each bucket fills disjoint slots of out, so no lock is needed.
-		if w.pos == nil {
-			copy(out[w.lo:], r.Values)
-		}
-		for j, orig := range w.pos {
-			out[orig] = r.Values[j]
+		for j, at := range b.pos {
+			out[at] = r.Values[j]
 		}
 		return nil
 	})
@@ -635,36 +648,53 @@ func (v *Vector) Pull(indices []int64) ([]float64, error) {
 	return out, nil
 }
 
-func (v *Vector) push(indices []int64, values []float64, op vecOp) error {
-	name := v.Meta.Name
-	return routed(v.c, v.Meta, vecWork{idx: indices, vals: values}, splitVec, func(cancel <-chan struct{}, p Partition, w vecWork) error {
-		if len(w.idx) == 0 {
+// PushAdd adds vals[i] at the keys' i-th id.
+func (k *VecKeys) PushAdd(vals []float64) error { return k.push(vals, vecAdd) }
+
+func (k *VecKeys) push(vals []float64, op vecOp) error {
+	if len(vals) != len(k.ids) {
+		return fmt.Errorf("ps: push of %d values at %d indices", len(vals), len(k.ids))
+	}
+	name := k.v.Meta.Name
+	return k.call(func(cancel <-chan struct{}, p Partition, b vecWork) error {
+		if len(b.ids) == 0 {
 			return nil
 		}
-		req := vecPushReq{Model: name, Part: p.Index, Indices: w.idx, Values: w.vals, Op: op}
-		return v.c.partInvoke(cancel, name, p, "VecPush", req, nil)
+		req := append(rpc.GetBuf(len(b.head)+8*len(b.ids)+12), b.head...)
+		req[1] = msgVecPushReq
+		req = binary.AppendUvarint(req, uint64(len(b.ids))+1)
+		if b.pos == nil {
+			req = f64le.Append(req, vals[b.lo:b.lo+len(b.ids)])
+		}
+		for _, at := range b.pos {
+			req = f64le.Append(req, vals[at:at+1])
+		}
+		return k.v.c.partInvoke(cancel, name, p, "VecPush", encoded(binary.AppendVarint(req, int64(op))), nil)
 	})
 }
 
+// Pull fetches the given indices, returned in the same order.
+func (v *Vector) Pull(indices []int64) ([]float64, error) { return v.Keys(indices).Pull() }
+
 // PushAdd adds values at the given indices.
 func (v *Vector) PushAdd(indices []int64, values []float64) error {
-	return v.push(indices, values, vecAdd)
+	return v.Keys(indices).push(values, vecAdd)
 }
 
 // PushSet overwrites values at the given indices.
 func (v *Vector) PushSet(indices []int64, values []float64) error {
-	return v.push(indices, values, vecSet)
+	return v.Keys(indices).push(values, vecSet)
 }
 
 // PushMin combines values with element-wise minimum (message combiner
 // for shortest-path-style vertex programs).
 func (v *Vector) PushMin(indices []int64, values []float64) error {
-	return v.push(indices, values, vecMin)
+	return v.Keys(indices).push(values, vecMin)
 }
 
 // PushMax combines values with element-wise maximum.
 func (v *Vector) PushMax(indices []int64, values []float64) error {
-	return v.push(indices, values, vecMax)
+	return v.Keys(indices).push(values, vecMax)
 }
 
 // vecSpan is the routed work of a contiguous overwrite: vals[i] is the
@@ -676,8 +706,9 @@ type vecSpan struct {
 
 // splitSpan clips w to every partition's range. Ranges only ever narrow
 // — splits never merge or shift boundaries — so a fresh layout's
-// partitions overlapping a re-split span always lie wholly inside it,
-// but clipping keeps partial overlap correct regardless.
+// partitions overlapping a re-split span always lie wholly inside it. A
+// clipped span would be a full-range set of the wrong size, which the
+// server refuses as range-moved; PullAll copies what its span covers.
 func splitSpan(meta *ModelMeta, w vecSpan) []vecSpan {
 	by := make([]vecSpan, len(meta.Parts))
 	for i, p := range meta.Parts {
@@ -688,10 +719,12 @@ func splitSpan(meta *ModelMeta, w vecSpan) []vecSpan {
 	return by
 }
 
-// SetAll overwrites the whole vector. A partition that narrowed under
-// the layout snapshot rejects its full-range set as range-moved; only
-// that partition's span is re-set under a refreshed layout (set is
-// idempotent, so overlap with a concurrent re-route is harmless).
+// SetAll overwrites the whole vector, one full-range set a partition. A
+// partition that narrowed under the layout snapshot rejects its set as
+// range-moved; only that partition's span is re-set under a refreshed
+// layout, whose partitions tile it (splitSpan), so each is again a
+// full-range set (set is idempotent, so overlap with a concurrent re-route
+// is harmless).
 func (v *Vector) SetAll(values []float64) error {
 	if int64(len(values)) != v.Meta.Size {
 		return fmt.Errorf("ps: SetAll size %d != model size %d", len(values), v.Meta.Size)
@@ -701,14 +734,7 @@ func (v *Vector) SetAll(values []float64) error {
 		if w.lo == w.hi {
 			return nil
 		}
-		req := vecPushReq{Model: name, Part: p.Index, Values: w.vals, Op: vecSet}
-		if w.lo != p.Lo || w.hi != p.Hi {
-			req.Indices = make([]int64, w.hi-w.lo)
-			for j := range req.Indices {
-				req.Indices[j] = w.lo + int64(j)
-			}
-		}
-		return v.c.partInvoke(cancel, name, p, "VecPush", req, nil)
+		return v.c.partInvoke(cancel, name, p, "VecPush", vecPushReq{Model: name, Part: p.Index, Values: w.vals, Op: vecSet}, nil)
 	})
 }
 
@@ -726,13 +752,7 @@ type SparseVec struct {
 
 // CreateSparseVector creates a hash-partitioned sparse vector.
 func (c *Client) CreateSparseVector(name string) (*SparseVec, error) {
-	return c.CreateSparseVectorWithScheme(name, SchemeHash, 0)
-}
-
-// CreateSparseVectorWithScheme creates a sparse vector with an explicit
-// partitioning scheme; size bounds the key domain for SchemeRange.
-func (c *Client) CreateSparseVectorWithScheme(name string, scheme Scheme, size int64) (*SparseVec, error) {
-	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: Embedding, Dim: 1, Scheme: scheme, Size: size})
+	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: Embedding, Dim: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -947,14 +967,7 @@ type Nbr struct {
 
 // CreateNeighbor creates a hash-partitioned neighbor-table model.
 func (c *Client) CreateNeighbor(name string) (*Nbr, error) {
-	return c.CreateNeighborWithScheme(name, SchemeHash, 0)
-}
-
-// CreateNeighborWithScheme creates a neighbor-table model with an
-// explicit partitioning scheme; size bounds the key domain for
-// SchemeRange.
-func (c *Client) CreateNeighborWithScheme(name string, scheme Scheme, size int64) (*Nbr, error) {
-	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: Neighbor, Scheme: scheme, Size: size})
+	meta, err := c.CreateModel(ModelMeta{Name: name, Kind: Neighbor})
 	if err != nil {
 		return nil, err
 	}

@@ -160,6 +160,9 @@ func (m *vecPush) decode(r wreader) (wreader, error) {
 		m.raw = r.take(8 * n)
 	}
 	m.op = vecOp(r.varint())
+	if r.err == nil && (m.op < vecAdd || m.op > vecMax) {
+		r.err = fmt.Errorf("unknown op %d", m.op)
+	}
 	if r.err != nil {
 		return r, fmt.Errorf("ps: push into %s/%d: %w", m.model, m.part, r.err)
 	}

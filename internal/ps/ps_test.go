@@ -712,10 +712,11 @@ func TestPartitionSchemes(t *testing.T) {
 
 func TestSparseVectorRangeSchemeRoundTrip(t *testing.T) {
 	_, cl := newTestCluster(t, 3)
-	s, err := cl.CreateSparseVectorWithScheme("rangevec", SchemeRange, 300)
+	meta, err := cl.CreateModel(ModelMeta{Name: "rangevec", Kind: Embedding, Dim: 1, Scheme: SchemeRange, Size: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &SparseVec{emb: &Emb{c: cl, Meta: meta}, Meta: meta}
 	var keys []int64
 	var vals []float64
 	for k := int64(0); k < 300; k += 7 {

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"sync"
@@ -8,12 +9,13 @@ import (
 )
 
 // TestSplitVecWindowsMatchCopies: ascending indices route as windows of
-// the caller's slices that hold, per partition, exactly the ids and values
-// the copying buckets hold — over a layout whose partitions are unequal
+// the caller's slice that hold, per partition, exactly the ids and
+// positions the copying buckets hold — over a layout whose partitions are unequal
 // after a split, with duplicates and ids outside [0, Size) clamped into
 // the edge partitions; a one-partition layout takes the whole input as one
-// window and an unsorted list is still copied. A window costs no
-// allocation beyond the bucket table, and Pull answers the same either way.
+// window and an unsorted list is still copied. Each bucket's head is its
+// VecPull request. A window costs no allocation beyond the bucket table
+// and the heads, and Pull answers the same either way.
 func TestSplitVecWindowsMatchCopies(t *testing.T) {
 	c, cl := newTestCluster(t, 2)
 	const size = 1000
@@ -36,48 +38,54 @@ func TestSplitVecWindowsMatchCopies(t *testing.T) {
 	}
 	slices.Sort(ascending)
 	for name, meta := range map[string]ModelMeta{"split": split, "one-partition": one} {
-		vals := make([]float64, len(ascending))
-		ident := make([]int, len(ascending))
-		for i := range vals {
-			vals[i], ident[i] = float64(i)+0.5, i
+		ident := make([]int32, len(ascending))
+		for i := range ident {
+			ident[i] = int32(i)
 		}
 		// A non-nil pos forces the copying path.
-		pullWin, pullCopy := splitVec(&meta, vecWork{idx: ascending}), splitVec(&meta, vecWork{idx: ascending, pos: ident})
-		pushWin, pushCopy := splitVec(&meta, vecWork{idx: ascending, vals: vals}), splitVec(&meta, vecWork{idx: ascending, vals: vals, pos: ident})
+		pullWin, pullCopy := splitVec(&meta, vecWork{rowWork: rowWork{ids: ascending}}), splitVec(&meta, vecWork{rowWork: rowWork{ids: ascending, pos: ident}})
 		for p := range meta.Parts {
 			win, cp := pullWin[p], pullCopy[p]
-			if !slices.Equal(win.idx, cp.idx) || win.pos != nil {
-				t.Fatalf("%s partition %d: window %v, copy %v", name, p, win.idx, cp.idx)
+			if !slices.Equal(win.ids, cp.ids) || win.pos != nil {
+				t.Fatalf("%s partition %d: window %v, copy %v", name, p, win.ids, cp.ids)
 			}
 			for j, pos := range cp.pos {
-				if win.lo+j != pos {
+				if win.lo+j != int(pos) {
 					t.Fatalf("%s partition %d: window fills position %d, copy %d", name, p, win.lo+j, pos)
 				}
 			}
-			for _, id := range win.idx {
+			for _, id := range win.ids {
 				if meta.PartitionFor(id) != p {
 					t.Fatalf("%s: id %d in window %d, PartitionFor says %d", name, id, p, meta.PartitionFor(id))
 				}
 			}
-			if !slices.Equal(pushWin[p].idx, pushCopy[p].idx) || !slices.Equal(pushWin[p].vals, pushCopy[p].vals) {
-				t.Fatalf("%s partition %d: push window %v %v, copy %v %v", name, p, pushWin[p].idx, pushWin[p].vals, pushCopy[p].idx, pushCopy[p].vals)
+			var req pullReq
+			if err := dec(win.head, &req); err != nil || req.Model != meta.Name || req.Part != meta.Parts[p].Index || !slices.Equal(req.Keys, win.ids) || !bytes.Equal(win.head, cp.head) {
+				t.Fatalf("%s partition %d: head decodes to %+v (%v), want the window's VecPull", name, p, req, err)
 			}
 		}
-		if name == "one-partition" && len(pullWin[0].idx) != len(ascending) {
-			t.Fatalf("one partition: window of %d ids, want all %d", len(pullWin[0].idx), len(ascending))
+		if name == "one-partition" && len(pullWin[0].ids) != len(ascending) {
+			t.Fatalf("one partition: window of %d ids, want all %d", len(pullWin[0].ids), len(ascending))
 		}
-		if allocs := testing.AllocsPerRun(50, func() { splitVec(&meta, vecWork{idx: ascending, vals: vals}) }); allocs != 1 {
-			t.Fatalf("%s: a windowed split allocates %v objects, want 1", name, allocs)
+		// The bucket table and one head a non-empty bucket: no id is copied.
+		heads := 0
+		for _, b := range pullWin {
+			if len(b.ids) > 0 {
+				heads++
+			}
+		}
+		if allocs := testing.AllocsPerRun(50, func() { splitVec(&meta, vecWork{rowWork: rowWork{ids: ascending}}) }); allocs != float64(1+heads) {
+			t.Fatalf("%s: a windowed split allocates %v objects, want %d", name, allocs, 1+heads)
 		}
 	}
 
 	unsorted := slices.Clone(ascending)
 	rng.Shuffle(len(unsorted), func(i, j int) { unsorted[i], unsorted[j] = unsorted[j], unsorted[i] })
-	for p, b := range splitVec(&split, vecWork{idx: unsorted}) {
-		if len(b.pos) != len(b.idx) {
-			t.Fatalf("unsorted partition %d: %d ids with %d positions, want copied buckets", p, len(b.idx), len(b.pos))
+	for p, b := range splitVec(&split, vecWork{rowWork: rowWork{ids: unsorted}}) {
+		if len(b.pos) != len(b.ids) {
+			t.Fatalf("unsorted partition %d: %d ids with %d positions, want copied buckets", p, len(b.ids), len(b.pos))
 		}
-		for j, id := range b.idx {
+		for j, id := range b.ids {
 			if unsorted[b.pos[j]] != id || split.PartitionFor(id) != p {
 				t.Fatalf("unsorted partition %d: id %d at position %d", p, id, b.pos[j])
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -127,23 +128,44 @@ func TestVecPushRejectsWholly(t *testing.T) {
 	}
 }
 
+// TestVecPushRejectsUnknownOp: a VecPush whose op is not add, set, min or
+// max is a decode error, so nothing applies it; the four ops decode.
+func TestVecPushRejectsUnknownOp(t *testing.T) {
+	e := newTestVec(t, 100, 400)
+	for _, op := range []vecOp{-1, vecMax + 1, 9} {
+		err := pushVec(e, vecPushReq{Model: "v", Part: 1, Indices: []int64{100}, Values: []float64{5}, Op: op})
+		if err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("op %d: %v, want an unknown-op decode error", op, err)
+		}
+	}
+	if e.vec[0] != 0 {
+		t.Fatalf("refused pushes left v[100] = %v", e.vec[0])
+	}
+	for _, op := range []vecOp{vecAdd, vecSet, vecMin, vecMax} {
+		if err := pushVec(e, vecPushReq{Model: "v", Part: 1, Indices: []int64{100}, Values: []float64{1}, Op: op}); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+}
+
 // FuzzVecPushDecode: the frame decoder accepts exactly the VecPush frames
-// the walked decoder accepts, and applying one leaves the vector that
-// validate-then-apply of the walked request leaves — or, when that rejects
-// it, an error and an untouched vector.
+// the walked decoder accepts whose op is one of the four, and applying one
+// leaves the vector that validate-then-apply of the walked request leaves —
+// or, when that rejects it, an error and an untouched vector.
 func FuzzVecPushDecode(f *testing.F) {
 	f.Add(enc(vecPushReq{Model: "v", Part: 1, Indices: []int64{100, 102, 399, 100}, Values: []float64{1, 2, 3, 4}, Op: vecMax}))
 	f.Add(enc(vecPushReq{Model: "v", Part: 1, Indices: []int64{150, 99}, Values: []float64{1, 2}, Op: vecSet}))
 	f.Add(enc(vecPushReq{Model: "v", Part: 1, Values: make([]float64, 300), Op: vecMin}))
 	f.Add(enc(vecPushReq{Model: "v", Part: 1, Indices: []int64{}, Values: nil}))
+	f.Add(enc(vecPushReq{Model: "v", Part: 1, Indices: []int64{100}, Values: []float64{5}, Op: 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req vecPushReq
 		var m vecPush
 		walkedErr, frameErr := dec(data, &req), dec(data, &m)
-		if (walkedErr == nil) != (frameErr == nil) {
-			t.Fatalf("walked decode: %v; frame decode: %v", walkedErr, frameErr)
+		if valid := walkedErr == nil && req.Op >= vecAdd && req.Op <= vecMax; valid != (frameErr == nil) {
+			t.Fatalf("walked decode: %v (op %d); frame decode: %v", walkedErr, req.Op, frameErr)
 		}
-		if walkedErr != nil {
+		if frameErr != nil {
 			return
 		}
 		const lo, hi = 100, 400

@@ -455,9 +455,7 @@ func zigzag(b []byte, off int) (int64, int) {
 	return 0, -1
 }
 
-func (r *wreader) f64s() []float64 { return r.f64sInto(nil) }
-
-// f64sInto is f64s with i64sInto's reuse rule.
+// f64sInto decodes a float slice (see appendF64s) with i64sInto's reuse rule.
 func (r *wreader) f64sInto(dst []float64) []float64 {
 	n, ok := r.sliceLen()
 	if !ok {
@@ -603,8 +601,8 @@ func (r *wreader) value(v reflect.Value) {
 			*(*[]byte)(p) = r.bytes()
 		case reflect.Int64:
 			*(*[]int64)(p) = r.i64s()
-		case reflect.Float64:
-			*(*[]float64)(p) = r.f64s()
+		case reflect.Float64: // into the target's own array when it fits: a keyed vector pull's window
+			*(*[]float64)(p) = r.f64sInto(*(*[]float64)(p))
 		default:
 			n, ok := r.sliceLen()
 			if v.SetZero(); ok {
