@@ -188,6 +188,29 @@ func (b *csrBlock) scatter(deltas []float64, damping, threshold float64) []float
 	return acc
 }
 
+// nonZero compacts the values that are not 0.0 to the front of vals, which
+// it overwrites, and returns them with their ids (in a slice sized once).
+func nonZero(ids []int64, vals []float64) (nzIDs []int64, nzVals []float64) {
+	nzIDs = make([]int64, 0, len(vals))
+	for k, v := range vals {
+		if v != 0 {
+			vals[len(nzIDs)] = v
+			nzIDs = append(nzIDs, ids[k])
+		}
+	}
+	return nzIDs, vals[:len(nzIDs)]
+}
+
+// nonZeros counts the values that are not 0.0.
+func nonZeros(vals []float64) (n int) {
+	for _, v := range vals {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // idPair is the element of the flat sorts below; it is the shuffle's own
 // record type, so reduce sides sort what they read without converting.
 type idPair = dataflow.KV[int64, int64]

@@ -91,12 +91,9 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 	// through the master's fenced multi-model snapshot so a server
 	// recovery can never interleave with the writes and publish a mixed
 	// set (which the rollback below would then trust).
-	// RestoreModels restores the set as one unit and, when the latest
+	// RestoreModels rolls the set back as one unit and, when the latest
 	// snapshot generation turns out corrupt (torn write, bit rot), falls
 	// back to the previous fence's snapshot for every partition.
-	rollbackAll := func() error {
-		return ctx.Agent.RestoreModels(models)
-	}
 	if cfg.CheckpointEvery > 0 {
 		// Checkpoint the initial state so a failure before the first
 		// periodic checkpoint restores iteration 0, not an empty model.
@@ -114,10 +111,11 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 		}
 	}
 
-	// A partition's block (csrBlocks makes at most one) pulls its sources
-	// and pushes all its destinations' sums, zero ones too (an add of 0.0
-	// keeps a non-negative Δ's bits), through keys made in the first
-	// iteration and kept here: its ids are fixed, the cached block immutable.
+	// A partition's block (csrBlocks makes at most one; its ids are fixed)
+	// pulls its sources through keys made in the first iteration. Sums with
+	// at most one zero in 64 (a dense run's) go through its destinations'
+	// keys, zeros too: an add of 0.0 keeps a non-negative Δ's bits. Others
+	// (a thresholded run's tail) go compacted: a zero costs a keyed push 9 B.
 	srcKeys, dstKeys := make([]*ps.VecKeys, parts), make([]*ps.VecKeys, parts)
 	it := 0
 	for ; it < cfg.MaxIterations; it++ {
@@ -141,7 +139,12 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 				if acc == nil {
 					continue
 				}
-				if err := dstKeys[part].PushAdd(acc); err != nil {
+				if 64*(len(acc)-nonZeros(acc)) <= len(acc) {
+					err = dstKeys[part].PushAdd(acc)
+				} else {
+					err = next.PushAdd(nonZero(b.dstIDs, acc))
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -168,33 +171,23 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 				return nil, err
 			}
 			trace("iter %d end residual=%g recoveriesAfter=%d", it, residual, recoveriesAfter)
-			if recoveriesAfter != recoveriesBefore {
-				trace("iter %d ROLLBACK", it)
-				if err := rollbackAll(); err != nil {
-					return nil, err
-				}
-				trace("iter %d rollback done", it)
-				continue
-			}
-			if (it+1)%cfg.CheckpointEvery == 0 {
-				trace("iter %d checkpointAll start", it)
+			raced := recoveriesAfter != recoveriesBefore
+			if !raced && (it+1)%cfg.CheckpointEvery == 0 {
 				// Fence on the recovery count read above: if a recovery
 				// slipped in after that read (or a server dies while the
 				// snapshot is being taken), nothing is published and the
 				// iteration is rolled back and redone, exactly as if the
 				// recovery had been detected in-iteration.
-				raced, err := ctx.Agent.CheckpointModels(models, recoveriesAfter)
-				if err != nil {
+				if raced, err = ctx.Agent.CheckpointModels(models, recoveriesAfter); err != nil {
 					return nil, err
 				}
-				if raced {
-					trace("iter %d checkpoint RACED, rolling back", it)
-					if err := rollbackAll(); err != nil {
-						return nil, err
-					}
-					continue
+			}
+			if raced {
+				trace("iter %d ROLLBACK (recoveries %d -> %d)", it, recoveriesBefore, recoveriesAfter)
+				if err := ctx.Agent.RestoreModels(models); err != nil {
+					return nil, err
 				}
-				trace("iter %d checkpointAll done", it)
+				continue
 			}
 		}
 		if residual < cfg.Tolerance*float64(n) {

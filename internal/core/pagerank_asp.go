@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"psgraph/internal/dataflow"
 	"psgraph/internal/ps"
@@ -125,6 +126,7 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	// pending mass *between* passes to decide termination (an ASP system
 	// still needs a termination detector; this is the usual choice).
 	const sweepsPerPass = 4
+	var pending []float64
 	for pass := 0; pass < cfg.MaxIterations; pass++ {
 		err = blocks.ForeachPartition(func(part int, in []*csrBlock) error {
 			for _, b := range in {
@@ -137,17 +139,12 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 		if err != nil {
 			return nil, err
 		}
-		pending, err := delta.PullAll()
-		if err != nil {
+		if pending, err = delta.PullAll(); err != nil {
 			return nil, err
 		}
 		var mass float64
 		for _, d := range pending {
-			if d < 0 {
-				mass -= d
-			} else {
-				mass += d
-			}
+			mass += math.Abs(d)
 		}
 		if mass < cfg.Tolerance*float64(n) {
 			break
@@ -155,14 +152,11 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	}
 
 	// Drain any mass left pending for vertices without out-edges (they
-	// receive increments but never appear as a table source).
-	remaining, err := delta.PullAll()
-	if err != nil {
-		return nil, err
-	}
+	// receive increments but never appear as a table source): what the
+	// last pass read, as nothing has moved since.
 	var idx []int64
 	var vals []float64
-	for v, d := range remaining {
+	for v, d := range pending {
 		if d != 0 {
 			idx = append(idx, int64(v))
 			vals = append(vals, d)
@@ -186,13 +180,15 @@ func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankCo
 		if err != nil {
 			return err
 		}
-		// Taken increments become permanent rank mass immediately.
+		// Takes and the sums they scatter to are sparse: both are pushed
+		// compacted. Taken increments become permanent rank mass at once.
+		acc := b.scatter(taken, cfg.Damping, cfg.DeltaThreshold)
 		if rankIdx, rankVal := nonZero(b.srcs, taken); len(rankIdx) > 0 {
 			if err := ranks.PushAdd(rankIdx, rankVal); err != nil {
 				return err
 			}
 		}
-		idx, vals := nonZero(b.dstIDs, b.scatter(taken, cfg.Damping, cfg.DeltaThreshold))
+		idx, vals := nonZero(b.dstIDs, acc)
 		if len(idx) == 0 {
 			return nil
 		}
@@ -201,16 +197,4 @@ func sweepASP(ctx *Context, b *csrBlock, ranks, delta *ps.Vector, cfg PageRankCo
 		}
 	}
 	return nil
-}
-
-// nonZero lists the ids whose values are not 0.0, with those values: an
-// ASP sweep's takes are sparse, and so are the sums it scatters them to,
-// unlike a BSP iteration's.
-func nonZero(ids []int64, vals []float64) (nzIDs []int64, nzVals []float64) {
-	for k, v := range vals {
-		if v != 0 {
-			nzIDs, nzVals = append(nzIDs, ids[k]), append(nzVals, v)
-		}
-	}
-	return nzIDs, nzVals
 }

@@ -130,7 +130,7 @@ func TestASPScatterLeavesOutZeroSums(t *testing.T) {
 	if idx, vals := nonZero(b.dstIDs, b.scatter([]float64{1, 0, 1e-12}, 0.5, 1e-9)); !slices.Equal(idx, []int64{2, 3}) || !slices.Equal(vals, []float64{0.25, 0.25}) {
 		t.Fatalf("thresholded sweep pushed %v %v", idx, vals)
 	}
-	if idx, _ := nonZero(b.dstIDs, b.scatter([]float64{0, 0, 0}, 0.5, 1e-9)); idx != nil {
+	if idx, _ := nonZero(b.dstIDs, b.scatter([]float64{0, 0, 0}, 0.5, 1e-9)); len(idx) != 0 {
 		t.Fatalf("idle sweep pushed %v", idx)
 	}
 	mixed := []float64{1, -1, 0}

@@ -1,11 +1,9 @@
 package ps
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -14,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"psgraph/internal/f64le"
 	"psgraph/internal/rpc"
 )
 
@@ -545,23 +542,19 @@ func (v *Vector) PullAll() ([]float64, error) {
 	return out, nil
 }
 
-// vecWork is the routed work of an indexed vector operation: the ids, the
-// position in the caller's slice of each — pos[j] for ids[j] or, for a
-// window, lo, lo+1, … — and the request head a VecPull and a VecPush of
-// them share: a VecPull frame, which is a VecPush frame up to its values
-// but for the message id.
+// vecWork is the routed work of an indexed vector operation: the ids and
+// the position in the caller's slices of each — pos[j] for ids[j] or, for a
+// window, lo, lo+1, … — with, under kept keys, the ids' vecPullFrame.
 type vecWork struct {
 	rowWork
 	lo   int
 	head []byte
 }
 
-var msgPullReq = wireIDs[reflect.TypeOf(pullReq{})]
-
-// splitVec buckets w by partition slot and encodes each non-empty
-// bucket's head. Ascending ids (PageRank's, KCore's) route as one window of
-// the caller's slice per slot, found by binary search on the slot —
-// RouteKey's clamp is monotone — and alias it. Other input is copied.
+// splitVec buckets w by partition slot. Ascending ids (PageRank's, KCore's)
+// route as one window of the caller's slice per slot, found by binary
+// search on the slot — RouteKey's clamp is monotone — and alias it. Other
+// input is copied.
 func splitVec(meta *ModelMeta, w vecWork) []vecWork {
 	by := make([]vecWork, len(meta.Parts))
 	if w.pos == nil && slices.IsSorted(w.ids) {
@@ -570,30 +563,33 @@ func splitVec(meta *ModelMeta, w vecWork) []vecWork {
 			by[p].ids, by[p].lo = w.ids[i:j], w.lo+i
 			i = j
 		}
-	} else {
-		for j, id := range w.ids {
-			by[meta.PartitionFor(id)].add(id, w.lo+w.row(j), len(w.ids)/len(by)+1)
-		}
+		return by
 	}
-	for i, b := range by {
-		if len(b.ids) > 0 {
-			head := append(make([]byte, 0, 24+len(meta.Name)+2*len(b.ids)), tagBin, msgPullReq)
-			by[i].head = appendI64s(appendAddr(head, meta.Name, meta.Parts[i].Index), b.ids)
-		}
+	for j, id := range w.ids {
+		by[meta.PartitionFor(id)].add(id, w.lo+w.row(j), len(w.ids)/len(by)+1)
 	}
 	return by
 }
 
-// VecKeys is an index column of a Vector routed and encoded once, for a
-// column that is pulled or pushed again and again (PageRank's sources and
-// destinations): a keyed call sends a pooled copy of each partition's
-// request head, plus the values and op for a push. A bucket rejected as
-// range-moved (its partition split under the route) is re-routed by
-// routedFrom's rule, which refetches the layout; the next call routes the
-// whole column afresh under it. Safe for concurrent use.
+// frame is b's vecPullFrame at part in a pooled buffer with room for n more
+// bytes: a copy of the kept head, or encoded there.
+func (b vecWork) frame(model string, part, n int) []byte {
+	if b.head != nil {
+		return append(rpc.GetBuf(len(b.head)+n), b.head...)
+	}
+	return vecPullFrame(model, part, b.ids, n)
+}
+
+// VecKeys is an index column of a Vector. Kept keys (Keys: PageRank's
+// sources and destinations, pulled and pushed every iteration) are routed
+// once per layout and keep each bucket's vecPullFrame, which a call sends a
+// copy of; a bucket rejected as range-moved is re-routed by routedFrom's
+// rule, and the next call routes the column afresh. Keys for one call
+// (Pull, Push*) route as routed does. Safe for concurrent use.
 type VecKeys struct {
 	v     *Vector
 	ids   []int64
+	once  bool
 	route atomic.Pointer[keyRoute]
 }
 
@@ -603,17 +599,25 @@ type keyRoute struct {
 	by   []vecWork
 }
 
-// Keys makes keys of ids, routed at their first call. The ids are kept,
-// not copied: they must not change while the keys are in use.
+// Keys makes kept keys of ids, routed at their first call. The ids are
+// kept, not copied: they must not change while the keys are in use.
 func (v *Vector) Keys(ids []int64) *VecKeys { return &VecKeys{v: v, ids: ids} }
 
-// call sends the keys' buckets; they are routed again first when the
+// call sends the keys' buckets. Kept keys are routed again first when the
 // client's layout has split a partition since they were (NextID counts
 // splits: a move or a promotion keeps every range, and so the route).
 func (k *VecKeys) call(send func(cancel <-chan struct{}, p Partition, b vecWork) error) error {
+	if k.once {
+		return routed(k.v.c, k.v.Meta, vecWork{rowWork: rowWork{ids: k.ids}}, splitVec, send)
+	}
 	meta, r := k.v.c.currentMeta(k.v.Meta.Name, k.v.Meta), k.route.Load()
 	if r == nil || r.meta.NextID != meta.NextID {
 		r = &keyRoute{meta: meta, by: splitVec(&meta, vecWork{rowWork: rowWork{ids: k.ids}})}
+		for i, b := range r.by {
+			if len(b.ids) > 0 {
+				r.by[i].head = vecPullFrame(meta.Name, meta.Parts[i].Index, b.ids, 0) // kept: never returned to the pool
+			}
+		}
 		k.route.Store(r)
 	}
 	return routedFrom(k.v.c, r.meta, r.by, splitVec, send, 0)
@@ -626,16 +630,19 @@ func (k *VecKeys) Pull() ([]float64, error) {
 		if len(b.ids) == 0 {
 			return nil
 		}
-		// A window's reply decodes straight into its span of out.
+		// A window's reply decodes into out itself (wreader.value's reuse).
 		var r vecPullResp
 		if b.pos == nil {
 			r.Values = out[b.lo : b.lo : b.lo+len(b.ids)]
 		}
-		if err := k.v.c.partInvoke(cancel, name, p, "VecPull", encoded(append(rpc.GetBuf(len(b.head)), b.head...)), &r); err != nil {
+		if err := k.v.c.partInvoke(cancel, name, p, "VecPull", encoded(b.frame(name, p.Index, 0)), &r); err != nil {
 			return err
 		}
 		if len(r.Values) != len(b.ids) {
 			return fmt.Errorf("ps: %s/%d answered %d indices with %d values", name, p.Index, len(b.ids), len(r.Values))
+		}
+		if b.pos == nil && &r.Values[0] != &out[b.lo] {
+			copy(out[b.lo:], r.Values)
 		}
 		for j, at := range b.pos {
 			out[at] = r.Values[j]
@@ -660,41 +667,40 @@ func (k *VecKeys) push(vals []float64, op vecOp) error {
 		if len(b.ids) == 0 {
 			return nil
 		}
-		req := append(rpc.GetBuf(len(b.head)+8*len(b.ids)+12), b.head...)
-		req[1] = msgVecPushReq
-		req = binary.AppendUvarint(req, uint64(len(b.ids))+1)
+		at := vals
 		if b.pos == nil {
-			req = f64le.Append(req, vals[b.lo:b.lo+len(b.ids)])
+			at = vals[b.lo : b.lo+len(b.ids)]
 		}
-		for _, at := range b.pos {
-			req = f64le.Append(req, vals[at:at+1])
-		}
-		return k.v.c.partInvoke(cancel, name, p, "VecPush", encoded(binary.AppendVarint(req, int64(op))), nil)
+		req := vecPushFrame(b.frame(name, p.Index, 8*len(b.ids)+16), at, b.pos, op)
+		return k.v.c.partInvoke(cancel, name, p, "VecPush", encoded(req), nil)
 	})
 }
 
 // Pull fetches the given indices, returned in the same order.
-func (v *Vector) Pull(indices []int64) ([]float64, error) { return v.Keys(indices).Pull() }
+func (v *Vector) Pull(indices []int64) ([]float64, error) { return v.once(indices).Pull() }
+
+// once makes keys of indices for one call.
+func (v *Vector) once(indices []int64) *VecKeys { return &VecKeys{v: v, ids: indices, once: true} }
 
 // PushAdd adds values at the given indices.
 func (v *Vector) PushAdd(indices []int64, values []float64) error {
-	return v.Keys(indices).push(values, vecAdd)
+	return v.once(indices).push(values, vecAdd)
 }
 
 // PushSet overwrites values at the given indices.
 func (v *Vector) PushSet(indices []int64, values []float64) error {
-	return v.Keys(indices).push(values, vecSet)
+	return v.once(indices).push(values, vecSet)
 }
 
 // PushMin combines values with element-wise minimum (message combiner
 // for shortest-path-style vertex programs).
 func (v *Vector) PushMin(indices []int64, values []float64) error {
-	return v.Keys(indices).push(values, vecMin)
+	return v.once(indices).push(values, vecMin)
 }
 
 // PushMax combines values with element-wise maximum.
 func (v *Vector) PushMax(indices []int64, values []float64) error {
-	return v.Keys(indices).push(values, vecMax)
+	return v.once(indices).push(values, vecMax)
 }
 
 // vecSpan is the routed work of a contiguous overwrite: vals[i] is the
@@ -721,10 +727,8 @@ func splitSpan(meta *ModelMeta, w vecSpan) []vecSpan {
 
 // SetAll overwrites the whole vector, one full-range set a partition. A
 // partition that narrowed under the layout snapshot rejects its set as
-// range-moved; only that partition's span is re-set under a refreshed
-// layout, whose partitions tile it (splitSpan), so each is again a
-// full-range set (set is idempotent, so overlap with a concurrent re-route
-// is harmless).
+// range-moved; only its span is re-set, as full-range sets of the refreshed
+// partitions that tile it (set is idempotent, so overlap is harmless).
 func (v *Vector) SetAll(values []float64) error {
 	if int64(len(values)) != v.Meta.Size {
 		return fmt.Errorf("ps: SetAll size %d != model size %d", len(values), v.Meta.Size)

@@ -38,6 +38,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -116,12 +117,8 @@ func (t *clockTable) ring(tag string, expect int, leaseNS int64) *clockRing {
 			clocks:   make([]int64, expect),
 			retired:  make([]bool, expect),
 			waiting:  make([]int, expect),
-			lastSeen: make([]time.Time, expect),
+			lastSeen: slices.Repeat([]time.Time{time.Now()}, expect),
 			bcast:    make(chan struct{}),
-		}
-		now := time.Now()
-		for i := range r.lastSeen {
-			r.lastSeen[i] = now
 		}
 		t.rings[tag] = r
 	}

@@ -14,6 +14,7 @@ package ps
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -123,6 +124,33 @@ func dec(data []byte, v any) error {
 		return fmt.Errorf("ps: wire: %d trailing bytes after %T", len(r.b)-r.off, v)
 	}
 	return nil
+}
+
+// A vector's keyed frames (VecKeys) are hand-written too. pullReq's fields
+// are vecPushReq's first three, so a VecPull frame of some ids is the
+// VecPush frame of them up to its values but for the message id: the ids
+// are encoded once, and a push appends its values and op to that head.
+var msgPullReq = wireIDs[reflect.TypeOf(pullReq{})]
+
+// vecPullFrame is the VecPull frame of ids at (model, part) in a pooled
+// buffer sized for n more bytes while successive ids differ by < 8,192.
+func vecPullFrame(model string, part int, ids []int64, n int) []byte {
+	return appendI64s(appendAddr(frame(msgPullReq, 24+len(model)+2*len(ids)+n), model, part), ids)
+}
+
+// vecPushFrame turns f, a vecPullFrame, into the VecPush frame that
+// combines values with op at its ids: the j-th value is vals[pos[j]], or
+// vals[j] without pos.
+func vecPushFrame(f []byte, vals []float64, pos []int32, op vecOp) []byte {
+	if f[1] = msgVecPushReq; pos == nil {
+		f = appendF64s(f, vals)
+	} else {
+		f = binary.AppendUvarint(f, uint64(len(pos))+1)
+		for _, at := range pos {
+			f = binary.LittleEndian.AppendUint64(f, math.Float64bits(vals[at]))
+		}
+	}
+	return binary.AppendVarint(f, int64(op))
 }
 
 // Wire requests and responses: one struct pair per server method keeps the

@@ -37,6 +37,7 @@ package ps
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -298,10 +299,7 @@ func (m *Master) loadReport() LoadReport {
 			servers = append(servers, addr) // still serving until its moves finish
 		}
 	}
-	metas := make(map[string]ModelMeta, len(m.models))
-	for name, meta := range m.models {
-		metas[name] = meta
-	}
+	metas := maps.Clone(m.models)
 	rep := LoadReport{Epoch: m.epoch}
 	m.mu.Unlock()
 	stats := make(map[partKey]partStat)
@@ -394,87 +392,120 @@ func (m *Master) rollbackPart(model string, prev Partition, addedID int) {
 	m.journalModelLocked(meta)
 }
 
-// migrateOne moves partition id of model to dest or, with split, splits it
-// at its range midpoint and homes the new upper-half partition on dest;
-// "" picks the least-loaded server. Callers hold recMu.
-func (m *Master) migrateOne(model string, id int, dest string, split bool) error {
-	op, exclude := "move", ""
-	if split {
-		op = "split"
-	}
+// splitOne splits partition id of model at its range midpoint, homing
+// the new upper-half partition on dest (least-loaded server when "").
+// Callers hold recMu.
+func (m *Master) splitOne(model string, id int, dest string) error {
 	m.mu.Lock()
 	meta, ok := m.models[model]
-	slot := meta.slotByID(id)
-	var err error
-	switch {
-	case !ok:
-		err = fmt.Errorf("ps: model %q does not exist", model)
-	case split && !meta.routed():
-		err = fmt.Errorf("ps: cannot split column-partitioned model %s", model)
-	case slot < 0:
-		err = fmt.Errorf("ps: model %q has no partition %d", model, id)
-	case split && meta.Parts[slot].Hi-meta.Parts[slot].Lo < 2:
-		err = fmt.Errorf("ps: partition %s/%d range [%d,%d) too narrow to split", model, id, meta.Parts[slot].Lo, meta.Parts[slot].Hi)
-	}
-	if err != nil {
+	if !ok {
 		m.mu.Unlock()
-		return err
+		return fmt.Errorf("ps: model %q does not exist", model)
+	}
+	if !meta.routed() {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: cannot split column-partitioned model %s", model)
+	}
+	slot := meta.slotByID(id)
+	if slot < 0 {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: model %q has no partition %d", model, id)
 	}
 	src := meta.Parts[slot]
-	if !split {
-		exclude = src.Server
+	if src.Hi-src.Lo < 2 {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: partition %s/%d range [%d,%d) too narrow to split", model, id, src.Lo, src.Hi)
 	}
 	if dest == "" {
-		dest = m.pickDestLocked(exclude)
+		dest = m.pickDestLocked("")
 	}
-	if !split && dest == src.Server {
+	if dest == "" || m.dead[dest] {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: no destination server for split of %s/%d", model, id)
+	}
+	mid := src.Lo + (src.Hi-src.Lo)/2
+	m.epoch++
+	epoch := m.epoch
+	newID := meta.NextID
+	meta.NextID++
+	parts := append([]Partition(nil), meta.Parts...)
+	parts[slot].Hi = mid
+	parts[slot].Backup = "" // its replica now holds a superset; reseed refreshes it
+	parts = append(parts, Partition{Index: newID, Server: dest, Lo: mid, Hi: src.Hi})
+	sortParts(parts)
+	meta.Parts = parts
+	meta.Epoch = epoch
+	m.models[model] = meta
+	m.journalModelLocked(meta)
+	m.mu.Unlock()
+	mtrace("split %s/%d at %d -> new part %d on %s, epoch -> %d", model, id, mid, newID, dest, epoch)
+
+	req := migratePartReq{Meta: meta, Part: id, NewPart: newID, Lo: mid, Hi: src.Hi, Split: true, Dest: dest, Epoch: epoch}
+	if _, err := m.callWithRetry(src.Server, "MigratePart", enc(req)); err != nil {
+		mtrace("split %s/%d aborted: %v", model, id, err)
+		m.rollbackPart(model, src, newID)
+		m.tr.Call(dest, "DropPart", enc(dropPartReq{Model: model, Part: newID, Epoch: epoch}))
+		return fmt.Errorf("ps: split %s/%d: %w", model, id, err)
+	}
+	m.mu.Lock()
+	m.splits++
+	m.mu.Unlock()
+	m.kickReseed()
+	return nil
+}
+
+// moveOne migrates partition id of model to dest (least-loaded server
+// when ""). Callers hold recMu.
+func (m *Master) moveOne(model string, id int, dest string) error {
+	m.mu.Lock()
+	meta, ok := m.models[model]
+	if !ok {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: model %q does not exist", model)
+	}
+	slot := meta.slotByID(id)
+	if slot < 0 {
+		m.mu.Unlock()
+		return fmt.Errorf("ps: model %q has no partition %d", model, id)
+	}
+	src := meta.Parts[slot]
+	if dest == "" {
+		dest = m.pickDestLocked(src.Server)
+	}
+	if dest == src.Server {
 		m.mu.Unlock()
 		return nil
 	}
 	if dest == "" || m.dead[dest] {
 		m.mu.Unlock()
-		return fmt.Errorf("ps: no destination server for %s of %s/%d", op, model, id)
+		return fmt.Errorf("ps: no destination server for move of %s/%d", model, id)
 	}
 	m.epoch++
-	epoch, added := m.epoch, -1
-	req := migratePartReq{Part: id, NewPart: id, Lo: src.Lo, Hi: src.Hi, Split: split, Dest: dest, Epoch: epoch}
+	epoch := m.epoch
 	parts := append([]Partition(nil), meta.Parts...)
-	// A split source's replica now holds a superset, a moved one's tracks
-	// nothing: both are degraded until the reseed refreshes them.
-	parts[slot].Backup = ""
-	if split {
-		added, req.Lo = meta.NextID, src.Lo+(src.Hi-src.Lo)/2
-		meta.NextID++
-		req.NewPart, parts[slot].Hi = added, req.Lo
-		parts = append(parts, Partition{Index: added, Server: dest, Lo: req.Lo, Hi: src.Hi})
-		sortParts(parts)
-	} else {
-		parts[slot].Server = dest
-	}
-	meta.Parts, meta.Epoch = parts, epoch
-	m.models[model], req.Meta = meta, meta
+	parts[slot].Server = dest
+	parts[slot].Backup = "" // degraded until reseed follows the move
+	meta.Parts = parts
+	meta.Epoch = epoch
+	m.models[model] = meta
 	m.journalModelLocked(meta)
 	m.mu.Unlock()
-	mtrace("%s %s/%d: [%d,%d) -> part %d on %s, epoch -> %d", op, model, id, req.Lo, req.Hi, req.NewPart, dest, epoch)
+	mtrace("move %s/%d: %s -> %s, epoch -> %d", model, id, src.Server, dest, epoch)
 
+	req := migratePartReq{Meta: meta, Part: id, NewPart: id, Lo: src.Lo, Hi: src.Hi, Split: false, Dest: dest, Epoch: epoch}
 	if _, err := m.callWithRetry(src.Server, "MigratePart", enc(req)); err != nil {
-		mtrace("%s %s/%d aborted: %v", op, model, id, err)
-		m.rollbackPart(model, src, added)
-		m.tr.Call(dest, "DropPart", enc(dropPartReq{Model: model, Part: req.NewPart, Epoch: epoch}))
-		return fmt.Errorf("ps: %s %s/%d: %w", op, model, id, err)
+		mtrace("move %s/%d aborted: %v", model, id, err)
+		m.rollbackPart(model, src, -1)
+		m.tr.Call(dest, "DropPart", enc(dropPartReq{Model: model, Part: id, Epoch: epoch}))
+		return fmt.Errorf("ps: move %s/%d: %w", model, id, err)
 	}
-	// A moved partition's old backup replica no longer tracks anything;
-	// drop it so a later reseed installs fresh instead of leaving a stray
-	// superset.
-	if !split && src.Backup != "" && src.Backup != dest {
+	// The old backup's replica no longer tracks anything; drop it so a
+	// later reseed installs fresh instead of leaving a stray superset.
+	if src.Backup != "" && src.Backup != dest {
 		m.tr.Call(src.Backup, "DropPart", enc(dropPartReq{Model: model, Part: id, Epoch: epoch}))
 	}
 	m.mu.Lock()
-	if split {
-		m.splits++
-	} else {
-		m.moves++
-	}
+	m.moves++
 	m.mu.Unlock()
 	m.kickReseed()
 	return nil
@@ -485,7 +516,7 @@ func (m *Master) migrateOne(model string, id int, dest string, split bool) error
 func (m *Master) SplitPartition(model string, id int, dest string) error {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
-	return m.migrateOne(model, id, dest, true)
+	return m.splitOne(model, id, dest)
 }
 
 // MovePartition migrates partition id of model to dest ("" picks the
@@ -493,7 +524,7 @@ func (m *Master) SplitPartition(model string, id int, dest string) error {
 func (m *Master) MovePartition(model string, id int, dest string) error {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
-	return m.migrateOne(model, id, dest, false)
+	return m.moveOne(model, id, dest)
 }
 
 // DrainServer moves every primary partition off addr (scale-in): the
@@ -504,14 +535,7 @@ func (m *Master) DrainServer(addr string) error {
 	m.recMu.Lock()
 	defer m.recMu.Unlock()
 	m.mu.Lock()
-	registered := false
-	for _, s := range m.servers {
-		if s == addr {
-			registered = true
-			break
-		}
-	}
-	if !registered || m.dead[addr] {
+	if !slices.Contains(m.servers, addr) || m.dead[addr] {
 		m.mu.Unlock()
 		return fmt.Errorf("ps: cannot drain %s: not a live registered server", addr)
 	}
@@ -534,7 +558,7 @@ func (m *Master) DrainServer(addr string) error {
 	}
 	m.mu.Unlock()
 	for _, v := range mvs {
-		if err := m.migrateOne(v.model, v.part, "", false); err != nil {
+		if err := m.moveOne(v.model, v.part, ""); err != nil {
 			m.mu.Lock()
 			delete(m.drained, addr)
 			m.journalStateLocked()
@@ -639,7 +663,7 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 			if moved[partKey{c.model, c.part}] || c.server == s || serverParts[c.server] <= 1 {
 				continue
 			}
-			if err := m.migrateOne(c.model, c.part, s, false); err != nil {
+			if err := m.moveOne(c.model, c.part, s); err != nil {
 				mtrace("rebalance: move %s/%d -> %s: %v", c.model, c.part, s, err)
 				break
 			}
@@ -662,7 +686,7 @@ func (m *Master) Rebalance() (RebalanceResult, error) {
 		if dest == "" {
 			dest = c.server // single-server cluster: split in place
 		}
-		if err := m.migrateOne(c.model, c.part, dest, true); err != nil {
+		if err := m.splitOne(c.model, c.part, dest); err != nil {
 			mtrace("rebalance: split %s/%d: %v", c.model, c.part, err)
 			break
 		}

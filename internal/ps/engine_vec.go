@@ -40,9 +40,7 @@ func (e *vecEngine) pull(req pullReq) (vecPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if req.Keys == nil {
-		out := make([]float64, len(e.vec))
-		copy(out, e.vec)
-		return vecPullResp{Values: out, Lo: e.lo}, nil
+		return vecPullResp{Values: slices.Clone(e.vec), Lo: e.lo}, nil
 	}
 	out := make([]float64, len(req.Keys))
 	for i, idx := range req.Keys {
@@ -281,9 +279,7 @@ func (e *vecEngine) splitAt(mid int64) error {
 	if mid <= e.lo || mid >= e.hi {
 		return fmt.Errorf("ps: split point %d not inside (%d,%d)", mid, e.lo, e.hi)
 	}
-	kept := make([]float64, mid-e.lo)
-	copy(kept, e.vec[:mid-e.lo])
-	e.vec = kept
+	e.vec = slices.Clone(e.vec[:mid-e.lo])
 	e.pulls = e.pulls[:mid-e.lo]
 	e.hi = mid
 	e.narrowTo(mid)

@@ -14,8 +14,8 @@ package ps
 //     a lease, never a death.
 //   - Every layout the master hands out carries a monotone epoch. A
 //     failover bumps it; mutating client calls carry their layout's
-//     epoch in the dedup envelope and servers reject older epochs with
-//     ErrStaleEpoch (server side in replica.go), so a zombie or
+//     epoch in the dedup envelope and servers reject older epochs as
+//     stale (staleEpochMsg, in replica.go), so a zombie or
 //     partitioned old primary can never apply a write after its
 //     partitions moved.
 //   - With replication enabled, every partition has a backup on the
@@ -27,23 +27,18 @@ package ps
 //     FailoverStats, until the ring can be repaired.
 
 import (
-	"fmt"
 	"strings"
 	"time"
 )
 
-// staleEpochMsg is the wire-stable marker of an epoch-fence rejection.
-// It is matched against RemoteError text client-side because errors.Is
-// does not survive the wire (same convention as corruptCheckpointMsg).
+// staleEpochMsg marks an epoch-fence rejection: a mutating call carried a
+// layout epoch older than the receiving server's, or hit a server that
+// lost its heartbeat lease and self-fenced. The write was NOT applied;
+// the client refetches the layout and retries under the same dedup
+// sequence. It is matched against RemoteError text client-side because
+// errors.Is does not survive the wire (same convention as
+// corruptCheckpointMsg).
 const staleEpochMsg = "ps: stale layout epoch"
-
-// ErrStaleEpoch reports that a mutating call carried a layout epoch
-// older than the receiving server's, or hit a server that lost its
-// heartbeat lease and self-fenced. The write was NOT applied; the caller
-// must refetch the layout from the master and retry (the client does
-// this automatically, reusing the same dedup sequence so the retry
-// composes with the exactly-once window).
-var ErrStaleEpoch = fmt.Errorf(staleEpochMsg)
 
 // IsStaleEpochErr classifies an error — local or remote — as an
 // epoch-fence rejection.

@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"sync"
@@ -207,8 +208,8 @@ func (m *Master) getModel(req modelNameReq) (getModelResp, error) {
 	// Stamp the layout with the CURRENT epoch, not the epoch of the
 	// model's last mutation: servers fence against their global learned
 	// epoch, so a refetched layout must always carry a value no server
-	// considers stale — otherwise a client could loop on ErrStaleEpoch
-	// forever.
+	// considers stale — otherwise a client could loop on stale-epoch
+	// rejections forever.
 	meta.Epoch = m.epoch
 	m.mu.Unlock()
 	if !ok {
@@ -517,10 +518,7 @@ func (m *Master) SetCheckpointInterval(d time.Duration) {
 // one model must not stop the others; the next tick retries.
 func (m *Master) checkpointAll() {
 	m.mu.Lock()
-	names := make([]string, 0, len(m.models))
-	for name := range m.models {
-		names = append(names, name)
-	}
+	names := slices.Collect(maps.Keys(m.models))
 	m.mu.Unlock()
 	for _, name := range names {
 		_ = m.checkpointModel(name)
@@ -665,13 +663,7 @@ func (m *Master) recoverPending() ([]string, error) {
 // partitions would chase a layout that points at empty state forever.
 func (m *Master) registerServer(addr string) error {
 	m.mu.Lock()
-	known := false
-	for _, s := range m.servers {
-		if s == addr {
-			known = true
-			break
-		}
-	}
+	known := slices.Contains(m.servers, addr)
 	wasDead := m.dead[addr]
 	replicate := m.replicate
 	fs := m.fs
@@ -698,17 +690,8 @@ func (m *Master) registerServer(addr string) error {
 	// A crash-restarted process re-registers under the address it
 	// already holds; appending blindly would double-count it in every
 	// ring walk and placement round-robin.
-	if !known {
-		dup := false
-		for _, s := range m.servers {
-			if s == addr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			m.servers = append(m.servers, addr)
-		}
+	if !slices.Contains(m.servers, addr) {
+		m.servers = append(m.servers, addr)
 	}
 	// A returning server starts with a clean slate: if it was drained
 	// out before, registering again opts it back into placements, and

@@ -119,18 +119,15 @@ func (o Optimizer) apply(w, grad []float64, step int64, moment func(k int) []flo
 type Scheme int
 
 const (
-	// SchemeHash spreads keys uniformly by hash (default). Best load
-	// balance, no locality.
+	// SchemeHash (default) hashes keys into routeBuckets buckets and
+	// range-partitions the buckets: hot keys spread as under hash
+	// partitioning, while each partition owns a contiguous bucket range
+	// that can be split or moved wholesale (the hybrid-range strategy).
 	SchemeHash Scheme = iota
 	// SchemeRange splits the key domain [0, Size) into contiguous ranges.
 	// Keys outside the declared domain fall into the last partition.
 	// Preserves locality; requires Size to be set.
 	SchemeRange
-	// SchemeHashRange hashes keys into NumBuckets coarse buckets and
-	// range-partitions the buckets across servers: hot keys spread like
-	// hash partitioning, while each server owns a contiguous bucket range
-	// that can be split or moved wholesale (the hybrid-range strategy).
-	SchemeHashRange
 )
 
 // routeBuckets is the size of the hash route space: keys of
@@ -276,12 +273,7 @@ func (m *ModelMeta) PartitionFor(key int64) int {
 // slotByID returns the slice position of the partition with stable
 // identity id, or -1 when the layout no longer carries it.
 func (m *ModelMeta) slotByID(id int) int {
-	for i := range m.Parts {
-		if m.Parts[i].Index == id {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(m.Parts, func(p Partition) bool { return p.Index == id })
 }
 
 // partByID returns the partition with stable identity id.

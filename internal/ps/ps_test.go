@@ -690,8 +690,9 @@ func TestPartitionSchemes(t *testing.T) {
 		t.Fatalf("overflow key -> %d", p)
 	}
 
-	// HashRange: valid partitions, reasonably balanced, deterministic.
-	hr := layout(ModelMeta{Kind: Neighbor, Scheme: SchemeHashRange}, servers)
+	// Hash (buckets in ranges): valid partitions, reasonably balanced,
+	// deterministic.
+	hr := layout(ModelMeta{Kind: Neighbor, Scheme: SchemeHash}, servers)
 	counts := make([]int, 4)
 	for k := int64(0); k < 4000; k++ {
 		p := hr.PartitionFor(k)

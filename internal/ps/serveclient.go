@@ -230,7 +230,7 @@ func (sc *ServeClient) pullMissing(w rowWork, dst []float64) (cacheable bool, er
 		}
 		// Stale snapshot epoch / moved range / every replica unreachable:
 		// refetch the serve layout and retry, exactly like the mutation
-		// path's resolve-and-retry on ErrStaleEpoch.
+		// path's resolve-and-retry on a stale epoch.
 		sc.refresh()
 	}
 	if err := sc.primaryPull(w, dst); err != nil {

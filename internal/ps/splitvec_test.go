@@ -13,9 +13,9 @@ import (
 // positions the copying buckets hold — over a layout whose partitions are unequal
 // after a split, with duplicates and ids outside [0, Size) clamped into
 // the edge partitions; a one-partition layout takes the whole input as one
-// window and an unsorted list is still copied. Each bucket's head is its
-// VecPull request. A window costs no allocation beyond the bucket table
-// and the heads, and Pull answers the same either way.
+// window and an unsorted list is still copied. Each bucket's frame is its
+// VecPull request. A window costs no allocation beyond the bucket table,
+// and Pull answers the same either way.
 func TestSplitVecWindowsMatchCopies(t *testing.T) {
 	c, cl := newTestCluster(t, 2)
 	const size = 1000
@@ -60,22 +60,16 @@ func TestSplitVecWindowsMatchCopies(t *testing.T) {
 				}
 			}
 			var req pullReq
-			if err := dec(win.head, &req); err != nil || req.Model != meta.Name || req.Part != meta.Parts[p].Index || !slices.Equal(req.Keys, win.ids) || !bytes.Equal(win.head, cp.head) {
-				t.Fatalf("%s partition %d: head decodes to %+v (%v), want the window's VecPull", name, p, req, err)
+			f, fcp := win.frame(meta.Name, meta.Parts[p].Index, 0), cp.frame(meta.Name, meta.Parts[p].Index, 0)
+			if err := dec(f, &req); err != nil || req.Model != meta.Name || req.Part != meta.Parts[p].Index || !slices.Equal(req.Keys, win.ids) || !bytes.Equal(f, fcp) {
+				t.Fatalf("%s partition %d: frame decodes to %+v (%v), want the window's VecPull", name, p, req, err)
 			}
 		}
 		if name == "one-partition" && len(pullWin[0].ids) != len(ascending) {
 			t.Fatalf("one partition: window of %d ids, want all %d", len(pullWin[0].ids), len(ascending))
 		}
-		// The bucket table and one head a non-empty bucket: no id is copied.
-		heads := 0
-		for _, b := range pullWin {
-			if len(b.ids) > 0 {
-				heads++
-			}
-		}
-		if allocs := testing.AllocsPerRun(50, func() { splitVec(&meta, vecWork{rowWork: rowWork{ids: ascending}}) }); allocs != float64(1+heads) {
-			t.Fatalf("%s: a windowed split allocates %v objects, want %d", name, allocs, 1+heads)
+		if allocs := testing.AllocsPerRun(50, func() { splitVec(&meta, vecWork{rowWork: rowWork{ids: ascending}}) }); allocs != 1 {
+			t.Fatalf("%s: a windowed split allocates %v objects, want 1", name, allocs)
 		}
 	}
 

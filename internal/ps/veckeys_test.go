@@ -175,8 +175,9 @@ func (l *frameLog) Call(addr, method string, body []byte) ([]byte, error) {
 
 // TestKeyedFramesMatchTheEncoder: every frame a keyed pull or push writes
 // by hand is byte for byte the frame the walked encoder writes for the
-// request it decodes to — windows and copied buckets, each op — so the
-// server, the wire format and the dedup envelope see nothing new.
+// request it decodes to — kept keys and keys for one call, windows and
+// copied buckets, each op — so the server, the wire format and the dedup
+// envelope see nothing new.
 func TestKeyedFramesMatchTheEncoder(t *testing.T) {
 	log := &frameLog{Transport: rpc.NewInProc(), frames: map[string][][]byte{}}
 	c, err := NewCluster(ClusterConfig{NumServers: 2, Transport: log, NamePrefix: "kf"})
@@ -192,18 +193,19 @@ func TestKeyedFramesMatchTheEncoder(t *testing.T) {
 	shuffled := []int64{450, 1, 599, 200, 0, 201, 5, 199}
 	vals := []float64{0.5, -1, 2, 1e-300, 7, 0, 3, math.Inf(1)}
 	for _, ids := range [][]int64{asc, shuffled} {
-		k := v.Keys(ids)
-		if _, err := k.Pull(); err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range []vecOp{vecAdd, vecSet, vecMin, vecMax} {
-			if err := k.push(vals, op); err != nil {
+		for _, k := range []*VecKeys{v.Keys(ids), v.once(ids)} {
+			if _, err := k.Pull(); err != nil {
 				t.Fatal(err)
+			}
+			for _, op := range []vecOp{vecAdd, vecSet, vecMin, vecMax} {
+				if err := k.push(vals, op); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	if n, m := len(log.frames["VecPull"]), len(log.frames["VecPush"]); n != 2*3 || m != 2*4*3 {
-		t.Fatalf("%d VecPull and %d VecPush frames, want 6 and 24", n, m)
+	if n, m := len(log.frames["VecPull"]), len(log.frames["VecPush"]); n != 2*2*3 || m != 2*2*4*3 {
+		t.Fatalf("%d VecPull and %d VecPush frames, want 12 and 48", n, m)
 	}
 	for _, f := range log.frames["VecPull"] {
 		var req pullReq

@@ -47,7 +47,7 @@ func walkedMessages() []any {
 	nan, negz, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
 	meta := ModelMeta{Name: "m", Kind: ColumnEmbedding, Size: -1, Dim: 4,
 		Opt:                Optimizer{Kind: OptAdam, LR: nan, Beta1: negz, Beta2: inf, Eps: 1e-8},
-		ConsistentRecovery: true, InitScale: negz, Scheme: SchemeHashRange, NumPartitions: 3,
+		ConsistentRecovery: true, InitScale: negz, Scheme: SchemeRange, NumPartitions: 3,
 		Parts:  []Partition{{Index: 2, Server: "s1", Lo: -5, Hi: 1 << 40, Col1: 2}, {}},
 		NextID: 3, Epoch: math.MaxInt64}
 	serve := ServeLayout{Model: "m", SnapEpoch: 2, Meta: meta,
